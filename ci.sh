@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# The local CI gate: the same fail-fast sequence the GitHub workflow runs.
+# The CI gate: the one fail-fast sequence, run locally and by the GitHub
+# workflow's `gate` job (which only installs the toolchain and calls this).
 # Everything is offline — the workspace has no external dependencies.
 set -eu
 

@@ -25,7 +25,7 @@ use mqa_bench::Table;
 use mqa_cache::PageCache;
 use mqa_engine::WorkerPool;
 use mqa_graph::starling::{DeviceProfile, LayoutStrategy, PageLayout, PagedIndex};
-use mqa_graph::FlatDistance;
+use mqa_graph::{FlatDistance, GraphSearcher};
 use mqa_rng::StdRng;
 use mqa_vector::{Metric, VectorStore};
 use std::sync::{Arc, Mutex};
@@ -65,7 +65,7 @@ fn run_pass(
             let submitted = pool.submit(Box::new(move |scratch| {
                 let sw = mqa_obs::Stopwatch::start();
                 if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi], Metric::L2) {
-                    let out = paged.search_paged_with(&mut dist, K, 32, scratch);
+                    let out = paged.search_with(&mut dist, K, 32, scratch);
                     assert!(!out.results.is_empty());
                     let us = sw.elapsed_us();
                     if let Ok(mut t) = tallies.lock() {

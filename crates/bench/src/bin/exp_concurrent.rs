@@ -21,7 +21,7 @@
 use mqa_bench::{build_must_with, encode, SetupParams, Table};
 use mqa_engine::{EngineOptions, QueryEngine, WorkerPool};
 use mqa_graph::starling::{DeviceProfile, LayoutStrategy, PageLayout, PagedIndex};
-use mqa_graph::FlatDistance;
+use mqa_graph::{FlatDistance, GraphSearcher};
 use mqa_kb::{DatasetSpec, WorkloadSpec};
 use mqa_retrieval::MultiModalQuery;
 use mqa_rng::StdRng;
@@ -71,7 +71,7 @@ fn paged_io_sweep(quick: bool, table: &mut Table) {
                 let query_vecs = Arc::clone(&query_vecs);
                 let submitted = pool.submit(Box::new(move |scratch| {
                     if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi], Metric::L2) {
-                        let out = paged.search_paged_with(&mut dist, K, 32, scratch);
+                        let out = paged.search_with(&mut dist, K, 32, scratch);
                         assert!(!out.results.is_empty());
                     }
                 }));

@@ -15,7 +15,7 @@
 use mqa_bench::{encode, SetupParams, Table};
 use mqa_graph::{
     starling::{LayoutStrategy, PageLayout, PagedIndex},
-    FlatDistance, IndexAlgorithm, VectorIndex,
+    FlatDistance, GraphSearcher, IndexAlgorithm, VectorIndex,
 };
 use mqa_kb::DatasetSpec;
 use mqa_rng::StdRng;
@@ -126,7 +126,7 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-            let out = paged.search_paged(&mut dist, K, EF);
+            let out = paged.search(&mut dist, K, EF);
             reads += out.stats.pages_read;
             hits += out.ids().iter().filter(|id| t.contains(id)).count();
         }
@@ -150,8 +150,9 @@ fn main() {
     );
     let mut reads = 0u64;
     let mut hits = 0usize;
+    let mut scratch = mqa_graph::SearchScratch::new();
     for (q, t) in queries.iter().zip(&truth) {
-        let out = pq.search_two_phase(q, &store, K, EF);
+        let out = pq.search_two_phase(q, &store, K, EF, &mut scratch);
         reads += out.stats.pages_read;
         hits += out.ids().iter().filter(|id| t.contains(id)).count();
     }

@@ -14,7 +14,8 @@
 
 use mqa_bench::{encode, SetupParams, Table};
 use mqa_encoders::RawContent;
-use mqa_graph::UnifiedIndex;
+use mqa_graph::unified::FusedDistance;
+use mqa_graph::{GraphSearcher, UnifiedIndex};
 use mqa_kb::{DatasetSpec, WorkloadSpec};
 use mqa_retrieval::MultiModalQuery;
 use mqa_vector::Metric;
@@ -58,6 +59,16 @@ fn main() {
         })
         .collect();
 
+    // Both arms walk the pinned snapshot's graph directly; only the
+    // evaluator's pruning switch differs.
+    let snap = index.current();
+    let search = |q: &mqa_vector::MultiVector, ef: usize, prune: bool| {
+        let dist = FusedDistance::new(snap.store(), q, index.weights(), index.metric());
+        let mut dist = if prune { dist } else { dist.without_pruning() };
+        let ids = snap.searcher().search(&mut dist, K, ef).ids();
+        (ids, dist.scan_stats())
+    };
+
     let mut table = Table::new(&[
         "ef",
         "terms/query (full)",
@@ -76,19 +87,19 @@ fn main() {
         let full_out: Vec<Vec<u32>> = queries
             .iter()
             .map(|q| {
-                let out = index.search_with_pruning(q, None, K, ef, false);
-                terms_full += out.scan.terms;
-                out.ids()
+                let (ids, scan) = search(q, ef, false);
+                terms_full += scan.terms;
+                ids
             })
             .collect();
         let t_full = t0.elapsed().as_secs_f64();
 
         let t0 = std::time::Instant::now();
         for (q, full_ids) in queries.iter().zip(&full_out) {
-            let out = index.search_with_pruning(q, None, K, ef, true);
-            terms_pruned += out.scan.terms;
-            skipped += out.scan.terms_skipped;
-            identical &= &out.ids() == full_ids;
+            let (ids, scan) = search(q, ef, true);
+            terms_pruned += scan.terms;
+            skipped += scan.terms_skipped;
+            identical &= &ids == full_ids;
         }
         let t_pruned = t0.elapsed().as_secs_f64();
 

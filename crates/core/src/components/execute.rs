@@ -7,7 +7,7 @@
 
 use mqa_cache::{Fingerprint, ResultCache};
 use mqa_encoders::RawContent;
-use mqa_engine::{Deadline, EngineError, QueryEngine, TicketError};
+use mqa_engine::{Deadline, QueryEngine, Ticket, TicketError};
 use mqa_kb::{KnowledgeBase, ObjectId};
 use mqa_retrieval::{MultiModalQuery, RetrievalFramework, RetrievalOutput};
 use mqa_vector::ModalityKind;
@@ -86,69 +86,31 @@ impl QueryExecutor {
             .finish()
     }
 
-    /// Searches through the engine when one is attached (falling back to
-    /// the serial path if the engine refuses work), serially otherwise. A
-    /// repeated turn is served from the result cache when one is attached
-    /// (the replay carries the original call's stats and latency).
-    fn search(&self, query: &MultiModalQuery, k: usize, ef: usize) -> RetrievalOutput {
-        let keyed = self
-            .cache
-            .as_ref()
-            .map(|cache| (cache, self.turn_fingerprint(query, k, ef)));
-        if let Some((cache, key)) = &keyed {
-            if let Some(out) = cache.get(*key) {
-                mqa_obs::trace::note_cache(true);
-                return out;
-            }
-        }
-        let out = self.search_uncached(query, k, ef);
-        if let Some((cache, key)) = keyed {
-            mqa_obs::trace::note_cache(false);
-            cache.insert(key, out.clone());
-        }
-        out
-    }
-
-    fn search_uncached(&self, query: &MultiModalQuery, k: usize, ef: usize) -> RetrievalOutput {
-        if let Some(engine) = &self.engine {
-            match engine.retrieve(query.clone(), k, ef) {
-                Ok(out) => return out,
-                // A refusal means shutdown (or, on this deadline-less
-                // path, admission control) is racing this turn; the turn
-                // still deserves an answer, so degrade to the serial path.
-                Err(
-                    EngineError::QueueFull
-                    | EngineError::ShuttingDown
-                    | EngineError::Canceled
-                    | EngineError::Rejected
-                    | EngineError::Expired,
-                ) => {
-                    mqa_obs::trace::note_serial_fallback();
-                }
-            }
-        }
-        self.framework.search(query, k, ef)
-    }
-
-    /// Searches under a per-turn latency budget. Unlike the deadline-less
-    /// path, a load shed here is a *typed outcome*, not a silent serial
-    /// retry: `Rejected` / `Expired` propagate to the caller, who chose
-    /// the budget. Only `Canceled` (shutdown racing the turn) degrades to
-    /// the serial path, since no load-shedding decision was made. A cache
-    /// hit answers within any budget.
+    /// Searches for `k` results (`ef` widens along with `k`: exclusion
+    /// filtering and diversification over-fetch), through the engine when
+    /// one is attached and serially otherwise. A repeated turn is served
+    /// from the result cache when one is attached (the replay carries the
+    /// original call's stats and latency) and answers within any budget.
+    ///
+    /// With a per-turn latency budget a load shed is a *typed outcome*,
+    /// not a silent serial retry: `Rejected` / `Expired` propagate to the
+    /// caller, who chose the budget. Without one the turn is always
+    /// answered.
     ///
     /// # Errors
     /// [`TicketError::Rejected`] or [`TicketError::Expired`] when the
-    /// engine sheds the query.
-    pub fn run_with_deadline(
+    /// engine sheds a budgeted query.
+    pub fn run_turn(
         &self,
         query: &MultiModalQuery,
         k: usize,
-        budget_us: u64,
+        budget_us: Option<u64>,
     ) -> Result<RetrievalOutput, TicketError> {
         let ef = self.ef.max(k);
-        let deadline = Deadline::in_us(budget_us);
-        mqa_obs::trace::note_deadline_budget(budget_us);
+        let deadline = budget_us.map(|budget_us| {
+            mqa_obs::trace::note_deadline_budget(budget_us);
+            Deadline::in_us(budget_us)
+        });
         let keyed = self
             .cache
             .as_ref()
@@ -159,16 +121,24 @@ impl QueryExecutor {
                 return Ok(out);
             }
         }
-        let out = match &self.engine {
-            Some(engine) => {
-                match engine.retrieve_with_deadline(query.clone(), k, ef, Some(deadline)) {
-                    Ok(out) => out,
-                    Err(err @ (TicketError::Rejected | TicketError::Expired)) => return Err(err),
-                    Err(TicketError::Canceled) => {
-                        mqa_obs::trace::note_serial_fallback();
-                        self.framework.search(query, k, ef)
-                    }
-                }
+        let served = self.engine.as_ref().map(|engine| {
+            engine
+                .submit_with_deadline(query.clone(), k, ef, deadline)
+                .and_then(Ticket::wait)
+        });
+        let out = match served {
+            Some(Ok(out)) => out,
+            Some(Err(shed @ (TicketError::Rejected | TicketError::Expired)))
+                if deadline.is_some() =>
+            {
+                return Err(shed)
+            }
+            // Shutdown (or, without a budget, admission control) is racing
+            // this turn; it still deserves an answer, so degrade to the
+            // serial path.
+            Some(Err(_)) => {
+                mqa_obs::trace::note_serial_fallback();
+                self.framework.search(query, k, ef)
             }
             // No engine: the serial path cannot be overloaded by other
             // sessions, so the turn is simply served.
@@ -205,17 +175,6 @@ impl QueryExecutor {
                 }
             }
         }
-    }
-
-    /// Runs the search with the configured result count.
-    pub fn run(&self, query: &MultiModalQuery) -> RetrievalOutput {
-        self.search(query, self.k, self.ef)
-    }
-
-    /// Runs the search with an explicit result count (exclusion filtering
-    /// and diversification over-fetch; `ef` widens along with `k`).
-    pub fn run_with_k(&self, query: &MultiModalQuery, k: usize) -> RetrievalOutput {
-        self.search(query, k, self.ef.max(k))
     }
 
     /// Result-set size.

@@ -242,16 +242,13 @@ impl<'a> DialogueSession<'a> {
         let k = self.system.executor().k();
         let diversify = self.system.config().diversify;
         let fetch = k + self.excluded.len() + if diversify.is_some() { k } else { 0 };
-        let mut out = match turn.deadline_us {
-            // A deadline turn can be shed under load — the typed outcome
-            // surfaces to the caller instead of queueing past the budget.
-            Some(budget_us) => self
-                .system
-                .executor()
-                .run_with_deadline(&query, fetch, budget_us)
-                .map_err(MqaError::Shed)?,
-            None => self.system.executor().run_with_k(&query, fetch),
-        };
+        // A deadline turn can be shed under load — the typed outcome
+        // surfaces to the caller instead of queueing past the budget.
+        let mut out = self
+            .system
+            .executor()
+            .run_turn(&query, fetch, turn.deadline_us)
+            .map_err(MqaError::Shed)?;
         out.results.retain(|c| !self.excluded.contains(&c.id));
         if let Some(lambda) = diversify {
             // Config::validate already rejects lambda outside [0, 1]; this

@@ -60,9 +60,6 @@ use std::sync::Arc;
 /// Typed errors of the submission path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineError {
-    /// Non-blocking submit found the queue at capacity; retry later or use
-    /// the blocking path for backpressure.
-    QueueFull,
     /// The engine is shutting down and refuses new work.
     ShuttingDown,
     /// The job was abandoned before producing a result (worker panic or
@@ -78,7 +75,6 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::QueueFull => write!(f, "submission queue is full"),
             EngineError::ShuttingDown => write!(f, "engine is shutting down"),
             EngineError::Canceled => write!(f, "query was canceled before completion"),
             EngineError::Rejected => write!(f, "query rejected by admission control"),
@@ -268,48 +264,13 @@ impl QueryEngine {
         k: usize,
         ef: usize,
     ) -> Result<Ticket<RetrievalOutput>, EngineError> {
-        let (ticket, aborter, batch_cell, job) = self.job(query, k, ef, None);
-        match &self.sched {
-            Some(s) => s
-                .submit(sched::Entry {
-                    job,
-                    deadline: None,
-                    aborter,
-                    batch_cell,
-                })
-                .map_err(EngineError::from)?,
-            None => self.pool.submit(job)?,
-        }
-        mqa_obs::counter("engine.query.submitted").inc();
-        Ok(ticket)
-    }
-
-    /// Non-blocking submit.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::QueueFull`] under backpressure (direct
-    /// path), [`EngineError::Rejected`] at the scheduler watermark, or
-    /// [`EngineError::ShuttingDown`] if the engine closed.
-    pub fn try_submit(
-        &self,
-        query: MultiModalQuery,
-        k: usize,
-        ef: usize,
-    ) -> Result<Ticket<RetrievalOutput>, EngineError> {
-        let (ticket, aborter, batch_cell, job) = self.job(query, k, ef, None);
-        match &self.sched {
-            Some(s) => s
-                .submit(sched::Entry {
-                    job,
-                    deadline: None,
-                    aborter,
-                    batch_cell,
-                })
-                .map_err(EngineError::from)?,
-            None => self.pool.try_submit(job)?,
-        }
-        mqa_obs::counter("engine.query.submitted").inc();
-        Ok(ticket)
+        self.submit_with_deadline(query, k, ef, None)
+            .map_err(|shed| match shed {
+                // Without a deadline nothing expires: a submission that
+                // was not shed at the watermark met a closed engine.
+                TicketError::Canceled => EngineError::ShuttingDown,
+                shed => EngineError::from(shed),
+            })
     }
 
     /// Submits a query carrying an optional deadline. Requires no
@@ -371,23 +332,6 @@ impl QueryEngine {
         self.submit(query, k, ef)?.wait().map_err(EngineError::from)
     }
 
-    /// Submit-and-wait with a deadline: the typed shed outcome surfaces
-    /// directly.
-    ///
-    /// # Errors
-    /// [`TicketError::Rejected`], [`TicketError::Expired`], or
-    /// [`TicketError::Canceled`] — exactly the outcome the ticket
-    /// resolved to.
-    pub fn retrieve_with_deadline(
-        &self,
-        query: MultiModalQuery,
-        k: usize,
-        ef: usize,
-        deadline: Option<Deadline>,
-    ) -> Result<RetrievalOutput, TicketError> {
-        self.submit_with_deadline(query, k, ef, deadline)?.wait()
-    }
-
     /// Answers a whole batch concurrently, preserving input order.
     ///
     /// # Errors
@@ -407,28 +351,6 @@ impl QueryEngine {
             .into_iter()
             .map(|t| t.wait().map_err(EngineError::from))
             // ALLOC: the batch API materializes one ticket/result list per call.
-            .collect()
-    }
-
-    /// Batch submit-and-wait with per-query typed outcomes, preserving
-    /// input order: slot `i` of the result is query `i`'s outcome, shed
-    /// or served. Unlike [`QueryEngine::retrieve_batch`], a shed query
-    /// does not abort the rest of the batch.
-    pub fn retrieve_batch_with_deadline(
-        &self,
-        queries: Vec<MultiModalQuery>,
-        k: usize,
-        ef: usize,
-        deadline: Option<Deadline>,
-    ) -> Vec<Result<RetrievalOutput, TicketError>> {
-        // ALLOC: the batch API materializes one ticket/result list per call.
-        let tickets: Vec<Result<Ticket<RetrievalOutput>, TicketError>> = queries
-            .into_iter()
-            .map(|q| self.submit_with_deadline(q, k, ef, deadline))
-            .collect();
-        tickets
-            .into_iter()
-            .map(|t| t.and_then(Ticket::wait))
             .collect()
     }
 
@@ -522,38 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_reports_backpressure() {
-        // One slow worker + capacity-1 queue: after one running and one
-        // queued job, the next try_submit must see QueueFull.
-        let engine = QueryEngine::new(
-            probe(150),
-            EngineOptions {
-                workers: 1,
-                queue_cap: 1,
-                sched: None,
-            },
-        );
-        let t1 = engine.submit(MultiModalQuery::text("a"), 1, 1).unwrap();
-        let mut saw_full = false;
-        let mut held = Vec::new();
-        for _ in 0..50 {
-            match engine.try_submit(MultiModalQuery::text("b"), 1, 1) {
-                Err(EngineError::QueueFull) => {
-                    saw_full = true;
-                    break;
-                }
-                Ok(t) => held.push(t),
-                Err(e) => panic!("unexpected {e}"),
-            }
-        }
-        assert!(saw_full, "a 1-slot queue behind a slow worker must fill");
-        assert!(t1.wait().is_ok());
-        for t in held {
-            assert!(t.wait().is_ok());
-        }
-    }
-
-    #[test]
     fn shutdown_completes_accepted_work() {
         let engine = QueryEngine::new(probe(5), EngineOptions::with_workers(2));
         let tickets: Vec<_> = (0..8)
@@ -577,7 +467,6 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        assert!(EngineError::QueueFull.to_string().contains("full"));
         assert!(EngineError::ShuttingDown
             .to_string()
             .contains("shutting down"));

@@ -83,22 +83,6 @@ impl WorkerPool {
         }
     }
 
-    /// Non-blocking submit.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::QueueFull`] under backpressure or
-    /// [`EngineError::ShuttingDown`] if the pool closed.
-    pub fn try_submit(&self, job: Job) -> Result<(), EngineError> {
-        match self.queue.try_push(job) {
-            Ok(()) => {
-                mqa_obs::gauge("engine.pool.queue_depth").set(self.queue.len() as f64);
-                Ok(())
-            }
-            Err(PushError::Full(_)) => Err(EngineError::QueueFull),
-            Err(PushError::Closed(_)) => Err(EngineError::ShuttingDown),
-        }
-    }
-
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.handles.len()

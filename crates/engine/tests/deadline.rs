@@ -110,20 +110,17 @@ fn already_expired_deadline_is_rejected_at_submit() {
             );
         }
         // A live deadline on the same engine still serves normally.
+        let live = Some(Deadline::in_us(5_000_000));
         let out = engine
-            .retrieve_with_deadline(
-                MultiModalQuery::text("fresh"),
-                3,
-                16,
-                Some(Deadline::in_us(5_000_000)),
-            )
+            .submit_with_deadline(MultiModalQuery::text("fresh"), 3, 16, live)
+            .and_then(|ticket| ticket.wait())
             .expect("live-deadline query is served");
         assert_eq!(out.ids(), vec![3]);
     }
 }
 
-/// `retrieve_batch_with_deadline` preserves input order even when some
-/// tickets resolve `Expired`: slot `i` of the result is query `i`'s
+/// A vector of `submit_with_deadline` tickets preserves input order even
+/// when some resolve `Expired`: slot `i` of the result is query `i`'s
 /// outcome, and every served slot carries its own query's fingerprint.
 #[test]
 fn batch_preserves_order_when_some_tickets_expire() {
@@ -134,8 +131,15 @@ fn batch_preserves_order_when_some_tickets_expire() {
     let queries: Vec<MultiModalQuery> = (1..=8)
         .map(|i| MultiModalQuery::text("x".repeat(i)))
         .collect();
-    let outcomes =
-        engine.retrieve_batch_with_deadline(queries, 3, 16, Some(Deadline::in_us(40_000)));
+    let deadline = Some(Deadline::in_us(40_000));
+    let tickets: Vec<_> = queries
+        .into_iter()
+        .map(|q| engine.submit_with_deadline(q, 3, 16, deadline))
+        .collect();
+    let outcomes: Vec<_> = tickets
+        .into_iter()
+        .map(|ticket| ticket.and_then(|t| t.wait()))
+        .collect();
     assert_eq!(outcomes.len(), 8, "one outcome slot per query");
     let mut served = 0usize;
     let mut expired = 0usize;

@@ -11,13 +11,12 @@
 use crate::live::Tombstones;
 use crate::prune::hnsw_heuristic;
 use crate::scratch::{SearchScratch, VisitedSet};
-use crate::search::{SearchOutput, SearchStats};
+use crate::search::{search_into, SearchOutput, Seeds, WalkGraph};
 use crate::traits::{DistanceFn, FlatDistance, GraphSearcher};
 use crate::validate::InvariantViolation;
 use mqa_rng::StdRng;
-use mqa_vector::{Candidate, Metric, MinCandidate, TopK, VecId, VectorStore};
+use mqa_vector::{Candidate, Metric, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
 
 /// HNSW hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -65,9 +64,9 @@ impl Hnsw {
             max_level: 0,
             params: *params,
         };
-        let mut visited = VisitedSet::new(n);
+        let mut scratch = SearchScratch::new();
         for _ in 0..n {
-            hnsw.insert_next(store, metric, &mut visited);
+            hnsw.insert_next(store, metric, &mut scratch);
         }
         hnsw
     }
@@ -80,7 +79,7 @@ impl Hnsw {
     ///
     /// # Panics
     /// Panics if the store holds no vector beyond the indexed population.
-    fn insert_next(&mut self, store: &VectorStore, metric: Metric, visited: &mut VisitedSet) {
+    fn insert_next(&mut self, store: &VectorStore, metric: Metric, scratch: &mut SearchScratch) {
         let v = self.links.len() as VecId;
         assert!(
             (v as usize) < store.len(),
@@ -88,9 +87,6 @@ impl Hnsw {
             self.links.len(),
             store.len()
         );
-        if visited.len() < store.len() {
-            visited.grow(store.len());
-        }
         let level_mult = 1.0 / (self.params.m as f64).ln().max(f64::EPSILON);
         let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0x9A55 ^ (v as u64) << 17);
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -101,7 +97,7 @@ impl Hnsw {
             self.entry = 0;
             return;
         }
-        self.insert(store, metric, v, level, visited);
+        self.insert(store, metric, v, level, scratch);
     }
 
     /// Appends every not-yet-indexed vector of `store` — incremental growth
@@ -111,9 +107,9 @@ impl Hnsw {
     /// this. Batch building and incremental growth produce identical
     /// indexes (levels derive from `(seed, id)`).
     pub fn extend_from(&mut self, store: &VectorStore, metric: Metric) {
-        let mut visited = VisitedSet::new(store.len());
+        let mut scratch = SearchScratch::new();
         while self.links.len() < store.len() {
-            self.insert_next(store, metric, &mut visited);
+            self.insert_next(store, metric, &mut scratch);
         }
     }
 
@@ -123,7 +119,7 @@ impl Hnsw {
         metric: Metric,
         v: VecId,
         level: usize,
-        visited: &mut VisitedSet,
+        scratch: &mut SearchScratch,
     ) {
         let mut dist = FlatDistance::for_vertex(store, v, metric);
         let mut ep = Candidate::new(self.entry, dist.exact(self.entry));
@@ -136,9 +132,12 @@ impl Hnsw {
         }
 
         // Beam insertion from min(level, max_level) down to 0.
+        let ef = self.params.ef_construction;
+        let mut cands = Vec::new();
         for lc in (0..=level.min(self.max_level)).rev() {
-            let cands =
-                self.search_layer(&mut dist, &[ep], lc, self.params.ef_construction, visited);
+            let layer = self.layer(lc);
+            let seed = Seeds::Evaluated(ep);
+            search_into(&layer, seed, &mut dist, ef, ef, scratch, &mut cands);
             let cap = if lc == 0 {
                 self.params.m * 2
             } else {
@@ -203,41 +202,9 @@ impl Hnsw {
             .unwrap_or(&[])
     }
 
-    /// Beam search restricted to one layer; returns candidates ascending.
-    fn search_layer(
-        &self,
-        dist: &mut dyn DistanceFn,
-        entries: &[Candidate],
-        level: usize,
-        ef: usize,
-        visited: &mut VisitedSet,
-    ) -> Vec<Candidate> {
-        visited.next_epoch();
-        let mut results = TopK::new(ef);
-        let mut frontier: BinaryHeap<MinCandidate> = BinaryHeap::new();
-        for &e in entries {
-            if visited.insert(e.id) {
-                results.offer(e);
-                frontier.push(MinCandidate(e));
-            }
-        }
-        while let Some(MinCandidate(c)) = frontier.pop() {
-            if c.dist > results.bound() {
-                break;
-            }
-            for &u in self.neighbors(c.id, level) {
-                if !visited.insert(u) {
-                    continue;
-                }
-                if let Some(d) = dist.eval(u, results.bound()) {
-                    let cand = Candidate::new(u, d);
-                    if results.offer(cand) {
-                        frontier.push(MinCandidate(cand));
-                    }
-                }
-            }
-        }
-        results.into_sorted()
+    /// Layer `level` as a walkable graph.
+    fn layer(&self, level: usize) -> Layer<'_> {
+        Layer { hnsw: self, level }
     }
 
     /// Highest populated layer.
@@ -327,6 +294,23 @@ impl Hnsw {
     }
 }
 
+/// One level of the hierarchy as a walkable graph.
+struct Layer<'a> {
+    hnsw: &'a Hnsw,
+    level: usize,
+}
+
+impl WalkGraph for Layer<'_> {
+    fn vertices(&self) -> usize {
+        self.hnsw.links.len()
+    }
+
+    #[inline]
+    fn neighbors(&self, v: VecId) -> &[VecId] {
+        self.hnsw.neighbors(v, self.level)
+    }
+}
+
 impl GraphSearcher for Hnsw {
     fn search_with(
         &self,
@@ -335,53 +319,21 @@ impl GraphSearcher for Hnsw {
         ef: usize,
         scratch: &mut SearchScratch,
     ) -> SearchOutput {
-        assert!(k > 0, "search requires k >= 1");
-        let ef = ef.max(k);
-        let mut stats = SearchStats::default();
         let mut ep = Candidate::new(self.entry, dist.exact(self.entry));
-        stats.evals += 1;
+        let mut routing_hops = 0;
         for lc in (1..=self.max_level).rev() {
-            let before = ep;
             ep = self.greedy_step(dist, ep, lc);
-            stats.hops += 1;
-            let _ = before;
+            routing_hops += 1;
         }
-        // Base layer beam search on the reusable scratch.
-        scratch.begin(self.links.len());
-        let SearchScratch {
-            visited, frontier, ..
-        } = scratch;
-        let mut results = TopK::new(ef);
-        visited.insert(ep.id);
-        results.offer(ep);
-        frontier.push(MinCandidate(ep));
-        while let Some(MinCandidate(c)) = frontier.pop() {
-            if c.dist > results.bound() {
-                break;
-            }
-            stats.hops += 1;
-            for &u in self.neighbors(c.id, 0) {
-                if !visited.insert(u) {
-                    continue;
-                }
-                match dist.eval(u, results.bound()) {
-                    Some(d) => {
-                        stats.evals += 1;
-                        let cand = Candidate::new(u, d);
-                        if results.offer(cand) {
-                            frontier.push(MinCandidate(cand));
-                        }
-                    }
-                    None => stats.pruned += 1,
-                }
-            }
-        }
-        let mut out = results.into_sorted();
-        out.truncate(k);
-        SearchOutput {
-            results: out,
-            stats,
-        }
+        // ALLOC: the returned hit list, sized once by the drain.
+        let mut results = Vec::new();
+        let base = self.layer(0);
+        let seed = Seeds::Evaluated(ep);
+        let mut stats = search_into(&base, seed, dist, k, ef, scratch, &mut results);
+        // Plus the entry evaluation and one routing hop per upper layer.
+        stats.evals += 1;
+        stats.hops += routing_hops;
+        SearchOutput { results, stats }
     }
 
     fn len(&self) -> usize {

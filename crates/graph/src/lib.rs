@@ -60,7 +60,7 @@ pub use live::{MutationError, MutationReport, SnapshotCell, SnapshotGuard, Tombs
 pub use persist::UnifiedSnapshot;
 pub use pipeline::{BuildReport, BuiltGraph, IndexAlgorithm};
 pub use scratch::{with_pooled, SearchScratch, VisitedSet};
-pub use search::{beam_search, beam_search_with, SearchOutput, SearchStats};
+pub use search::{beam_search, SearchOutput, SearchStats};
 pub use starling::{DeviceProfile, PageLayout, PagedIndex, PqPagedIndex};
 pub use traits::{DistanceFn, FlatDistance, GraphError, GraphSearcher, VectorIndex};
 pub use unified::UnifiedIndex;

@@ -22,7 +22,7 @@
 //! idiom from per-search state to the index itself: a bumped counter makes
 //! an entire generation of state stale at once, with no per-element sweep.
 
-use mqa_vector::VecId;
+use mqa_vector::{Candidate, VecId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -163,6 +163,23 @@ impl Tombstones {
         } else {
             self.pending_count() as f64 / self.n as f64
         }
+    }
+
+    /// Widens a `(k, ef)` request so `k` live results can still fill once
+    /// [`Tombstones::retain_live`] has dropped the dead ones: `k` grows by
+    /// the dead count (capped at the population) and `ef` follows. With
+    /// nothing dead this is the request itself (searchers clamp `ef` to
+    /// at least `k` anyway).
+    pub fn overfetch(&self, k: usize, ef: usize) -> (usize, usize) {
+        let k = k + self.dead_count.min(self.n.saturating_sub(k));
+        (k, ef.max(k))
+    }
+
+    /// Drops dead ids from ranked `results` and keeps the best `k` — the
+    /// result-collection-time filter (never applied mid-traversal).
+    pub fn retain_live(&self, results: &mut Vec<Candidate>, k: usize) {
+        results.retain(|c| !self.is_dead(c.id));
+        results.truncate(k);
     }
 
     /// Records that compaction has rewired the graph around every
@@ -428,6 +445,60 @@ mod tests {
         let mut bad = t;
         bad.dead[1] |= 1u64 << 20; // id 84 >= 70
         assert_eq!(bad.recount(), None);
+    }
+
+    #[test]
+    fn overfetch_and_retain_live_are_the_identity_with_nothing_dead() {
+        let tomb = Tombstones::new(60);
+        for (k, ef) in [(1usize, 16usize), (5, 3), (60, 60), (75, 16)] {
+            assert_eq!(tomb.overfetch(k, ef), (k, ef.max(k)));
+        }
+        let ranked: Vec<Candidate> = (0..10).map(|i| Candidate::new(i, i as f32)).collect();
+        let mut kept = ranked.clone();
+        tomb.retain_live(&mut kept, 10);
+        assert_eq!(kept, ranked);
+    }
+
+    /// Over-fetch + live filter against the brute-force oracle: with `d`
+    /// dead the filtered results are exactly the top-`k` of the live set,
+    /// including `k` beyond the live count.
+    #[test]
+    fn overfetch_and_retain_live_equal_exact_live_top_k() {
+        use crate::flat::FlatSearcher;
+        use crate::traits::{FlatDistance, GraphSearcher};
+        use mqa_rng::StdRng;
+        use mqa_vector::{Metric, VectorStore};
+
+        let mut rng = StdRng::seed_from_u64(0x70B5);
+        let n = 60usize;
+        let mut store = VectorStore::new(4);
+        for _ in 0..n {
+            let v: Vec<f32> = (0..4).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            store.push(&v);
+        }
+        let flat = FlatSearcher::new(n);
+        for dead in [0usize, 1, 7, 30, 59, 60] {
+            let mut tomb = Tombstones::new(n);
+            while tomb.dead_count() < dead {
+                tomb.kill(rng.gen_range(0..n as VecId));
+            }
+            for k in [1usize, 5, 30, 60, 75] {
+                let q: Vec<f32> = (0..4).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                let mut d = FlatDistance::new(&store, &q, Metric::L2).unwrap();
+                let (k_eff, ef_eff) = tomb.overfetch(k, 16);
+                let mut got = flat.search(&mut d, k_eff, ef_eff).results;
+                tomb.retain_live(&mut got, k);
+                let want: Vec<Candidate> = flat
+                    .search(&mut d, n, n)
+                    .results
+                    .into_iter()
+                    .filter(|c| !tomb.is_dead(c.id))
+                    .take(k)
+                    .collect();
+                assert_eq!(got, want, "dead {dead}, k {k}");
+                assert_eq!(got.len(), k.min(n - dead));
+            }
+        }
     }
 
     #[test]

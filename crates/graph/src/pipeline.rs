@@ -316,7 +316,7 @@ impl NavGraph {
         for v in start as VecId..store.len() as VecId {
             let mut pool = {
                 let mut dist = FlatDistance::for_vertex(store, v, metric);
-                crate::search::beam_search_collect_with(
+                crate::search::beam_search_collect(
                     &self.graph,
                     &self.entries,
                     &mut dist,
@@ -398,7 +398,7 @@ impl GraphSearcher for NavGraph {
         ef: usize,
         scratch: &mut crate::scratch::SearchScratch,
     ) -> SearchOutput {
-        crate::search::beam_search_with(&self.graph, &self.entries, dist, k, ef, scratch)
+        crate::search::beam_search(&self.graph, &self.entries, dist, k, ef, scratch)
     }
 
     fn len(&self) -> usize {
@@ -593,7 +593,7 @@ fn run_refine(
             // list (path vertices supply long-range candidates).
             let pool = {
                 let mut dist = FlatDistance::for_vertex(store, v, metric);
-                let mut pool = crate::search::beam_search_collect_with(
+                let mut pool = crate::search::beam_search_collect(
                     &graph,
                     entries,
                     &mut dist,
@@ -653,14 +653,8 @@ fn run_repair(
                 // Route toward v through the reachable component; the
                 // search can only return reachable vertices.
                 let mut dist = FlatDistance::for_vertex(store, v, metric);
-                let out = crate::search::beam_search_with(
-                    &graph,
-                    entries,
-                    &mut dist,
-                    1,
-                    16,
-                    &mut scratch,
-                );
+                let out =
+                    crate::search::beam_search(&graph, entries, &mut dist, 1, 16, &mut scratch);
                 // A non-empty graph with a valid entry always yields at
                 // least one beam-search result; skip v defensively if not.
                 let Some(first) = out.results.first() else {

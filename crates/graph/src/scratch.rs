@@ -11,9 +11,9 @@
 //!   wraparound, once every `u32::MAX - 1` queries.
 //! * [`SearchScratch`] — one visited set for vertices, one for pages
 //!   (Starling), the frontier heap, and the construction candidate pool.
-//! * [`with_pooled`] — a thread-local scratch pool so legacy entry points
-//!   (`search`, `beam_search`) stay allocation-free without threading a
-//!   scratch through every caller.
+//! * [`with_pooled`] — a thread-local scratch pool so the pooled entry
+//!   points (`GraphSearcher::search`, `UnifiedIndex::search`) stay
+//!   allocation-free without threading a scratch through every caller.
 //!
 //! Determinism guarantee: a search driven through a reused scratch visits
 //! vertices in exactly the order a fresh allocation would — the epoch trick
@@ -44,16 +44,6 @@ impl VisitedSet {
             stamp: vec![0; n],
             epoch: 0,
         }
-    }
-
-    /// Population capacity (not the number of visited vertices).
-    pub fn len(&self) -> usize {
-        self.stamp.len()
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.stamp.is_empty()
     }
 
     /// Grows the population to at least `n` vertices.
@@ -121,8 +111,7 @@ pub struct SearchScratch {
     pub(crate) frontier: BinaryHeap<MinCandidate>,
     /// Every candidate evaluated (construction's selection pool).
     pub(crate) evaluated: Vec<Candidate>,
-    /// The reusable top-`k` beam collector (`search_paged_into`'s
-    /// zero-allocation result path).
+    /// The reusable top-`ef` beam collector every walk runs on.
     pub(crate) beam: TopK,
 }
 
@@ -144,13 +133,15 @@ impl SearchScratch {
         }
     }
 
-    /// Prepares for one query over `n` vertices: visited set cleared (by
-    /// epoch bump), frontier and pool emptied. Buffer capacity is kept.
-    pub(crate) fn begin(&mut self, n: usize) {
+    /// Prepares for one walk over `n` vertices keeping the best `ef`:
+    /// visited set cleared (by epoch bump), frontier and pool emptied,
+    /// beam re-armed. Buffer capacity is kept.
+    pub(crate) fn begin(&mut self, n: usize, ef: usize) {
         self.visited.grow(n);
         self.visited.next_epoch();
         self.frontier.clear();
         self.evaluated.clear();
+        self.beam.reset(ef);
     }
 
     /// Prepares the page-visited set for one query over `pages` pages.
@@ -183,8 +174,8 @@ thread_local! {
 
 /// Runs `f` with this thread's pooled [`SearchScratch`], allocating one
 /// only on the first (or a reentrant) use. Steady-state searches through
-/// the legacy `search`/`beam_search` entry points therefore perform zero
-/// O(n) allocations.
+/// the pooled `search` entry points therefore perform zero O(n)
+/// allocations.
 pub fn with_pooled<R>(f: impl FnOnce(&mut SearchScratch) -> R) -> R {
     let taken = POOL.with(|p| p.borrow_mut().take());
     let mut scratch = match taken {
@@ -247,7 +238,6 @@ mod tests {
         v.next_epoch();
         assert!(v.insert(1));
         v.grow(5);
-        assert_eq!(v.len(), 5);
         assert!(v.contains(1));
         assert!(v.insert(4));
     }
@@ -258,9 +248,9 @@ mod tests {
         let reuses = mqa_obs::counter("graph.scratch.reuses");
         let before_allocs = allocs.get();
         let before_reuses = reuses.get();
-        with_pooled(|s| s.begin(10));
+        with_pooled(|s| s.begin(10, 1));
         with_pooled(|s| {
-            s.begin(10);
+            s.begin(10, 1);
             assert!(s.visited.epoch() >= 2, "pooled scratch kept its epochs");
         });
         assert!(allocs.get() >= before_allocs);
@@ -273,12 +263,12 @@ mod tests {
     #[test]
     fn with_pooled_survives_reentrancy() {
         let out = with_pooled(|outer| {
-            outer.begin(4);
+            outer.begin(4, 1);
             outer.visited.insert(3);
             // A nested search takes a *fresh* scratch; the outer one keeps
             // its state untouched.
             let inner = with_pooled(|inner| {
-                inner.begin(4);
+                inner.begin(4, 1);
                 inner.visited.insert(1);
                 inner.visited.contains(3)
             });

@@ -9,16 +9,18 @@
 //! candidate whose evaluation is abandoned is provably outside the beam and
 //! is dropped — the exact same decision a full evaluation would reach.
 //!
-//! Both public entry points — the pruning query search and the
-//! exact-collecting construction search — are instances of one frontier
-//! walk ([`WalkMode`] selects the evaluation policy), and both run on a
-//! caller-supplied [`SearchScratch`] so the steady state performs no O(n)
-//! allocation; the `*_with`-less wrappers borrow a thread-pooled scratch.
+//! This module owns the **only** best-first loop in the workspace:
+//! `walk` is generic over a `WalkGraph` (a flat [`Adjacency`], one HNSW
+//! level, or the paged Starling layout, whose per-vertex touch hook
+//! counts page reads), runs entirely on a caller-supplied
+//! [`SearchScratch`], and leaves the top-`ef` beam on `scratch.beam`.
+//! `WalkMode` selects the evaluation policy (pruning query search or
+//! exact-collecting construction search).
 
 use crate::adjacency::Adjacency;
-use crate::scratch::SearchScratch;
+use crate::scratch::{SearchScratch, VisitedSet};
 use crate::traits::DistanceFn;
-use mqa_vector::{Candidate, MinCandidate, TopK, VecId};
+use mqa_vector::{Candidate, MinCandidate, VecId};
 
 /// Work counters of one search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -116,7 +118,42 @@ impl SearchOutput {
     }
 }
 
-/// Evaluation policy of the shared frontier walk.
+/// What the walk needs from an index: the population, each vertex's
+/// out-neighbours, and a hook run once per newly visited vertex before
+/// its distance is evaluated (a no-op everywhere but the paged layout).
+pub(crate) trait WalkGraph {
+    /// Number of vertices (sizes the visited set).
+    fn vertices(&self) -> usize;
+
+    /// Out-neighbours of `v`.
+    fn neighbors(&self, v: VecId) -> &[VecId];
+
+    /// First touch of `v` by this query.
+    #[inline]
+    fn touch(&self, _v: VecId, _pages: &mut VisitedSet, _stats: &mut SearchStats) {}
+}
+
+impl WalkGraph for Adjacency {
+    fn vertices(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn neighbors(&self, v: VecId) -> &[VecId] {
+        Adjacency::neighbors(self, v)
+    }
+}
+
+/// Where a walk starts.
+pub(crate) enum Seeds<'a> {
+    /// Entry vertices, evaluated exactly (and counted) by the walk.
+    Entries(&'a [VecId]),
+    /// A start vertex whose distance the caller already evaluated (HNSW's
+    /// descent hands its last routing vertex to the layer below).
+    Evaluated(Candidate),
+}
+
+/// Evaluation policy of the walk.
 enum WalkMode {
     /// Query mode: evaluate against the running bound so fused scans can
     /// abandon early; abandoned candidates are counted as pruned.
@@ -127,44 +164,62 @@ enum WalkMode {
     CollectExact,
 }
 
-/// The one frontier loop behind both public searches. Runs entirely on
-/// `scratch`; results are the top-`ef` beam, work lands in `stats`, and in
-/// [`WalkMode::CollectExact`] every evaluated candidate is appended to
+/// The one best-first loop. Keeps the best `ef.max(k)` candidates on
+/// `scratch.beam` (ascending order once drained), returns the work done,
+/// and in [`WalkMode::CollectExact`] appends every evaluated candidate to
 /// `scratch.evaluated`.
-fn frontier_walk(
-    graph: &Adjacency,
-    entries: &[VecId],
+///
+/// # Panics
+/// Panics if `k == 0` or `seeds` names no entry vertex.
+fn walk<G: WalkGraph>(
+    graph: &G,
+    seeds: Seeds<'_>,
     dist: &mut dyn DistanceFn,
+    k: usize,
     ef: usize,
     mode: WalkMode,
     scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-) -> TopK {
-    scratch.begin(graph.len());
+) -> SearchStats {
+    assert!(k > 0, "search requires k >= 1");
+    let mut stats = SearchStats::default();
+    scratch.begin(graph.vertices(), ef.max(k));
     let SearchScratch {
         visited,
+        pages,
         frontier,
         evaluated,
-        ..
+        beam,
     } = scratch;
-    let mut results = TopK::new(ef);
 
-    for &e in entries {
-        if !visited.insert(e) {
-            continue;
+    match seeds {
+        Seeds::Entries(entries) => {
+            assert!(
+                !entries.is_empty(),
+                "beam search requires at least one entry vertex"
+            );
+            for &e in entries {
+                if !visited.insert(e) {
+                    continue;
+                }
+                graph.touch(e, pages, &mut stats);
+                let c = Candidate::new(e, dist.exact(e));
+                stats.evals += 1;
+                if matches!(mode, WalkMode::CollectExact) {
+                    evaluated.push(c);
+                }
+                beam.offer(c);
+                frontier.push(MinCandidate(c));
+            }
         }
-        let d = dist.exact(e);
-        stats.evals += 1;
-        let c = Candidate::new(e, d);
-        if matches!(mode, WalkMode::CollectExact) {
-            evaluated.push(c);
+        Seeds::Evaluated(c) => {
+            visited.insert(c.id);
+            beam.offer(c);
+            frontier.push(MinCandidate(c));
         }
-        results.offer(c);
-        frontier.push(MinCandidate(c));
     }
 
     while let Some(MinCandidate(current)) = frontier.pop() {
-        if current.dist > results.bound() {
+        if current.dist > beam.bound() {
             break;
         }
         stats.hops += 1;
@@ -172,76 +227,52 @@ fn frontier_walk(
             if !visited.insert(nb) {
                 continue;
             }
-            match mode {
-                WalkMode::Prune => match dist.eval(nb, results.bound()) {
-                    Some(d) => {
-                        stats.evals += 1;
-                        let c = Candidate::new(nb, d);
-                        if results.offer(c) {
-                            frontier.push(MinCandidate(c));
-                        }
-                    }
+            graph.touch(nb, pages, &mut stats);
+            let c = match mode {
+                WalkMode::Prune => match dist.eval(nb, beam.bound()) {
+                    Some(d) => Candidate::new(nb, d),
                     None => {
                         // Abandoned: distance >= bound, cannot enter the beam.
                         stats.pruned += 1;
+                        continue;
                     }
                 },
+                // Construction needs exact distances for the pool, so no
+                // early abandonment here.
                 WalkMode::CollectExact => {
-                    // Construction needs exact distances for the pool, so
-                    // no early abandonment here.
                     let c = Candidate::new(nb, dist.exact(nb));
-                    stats.evals += 1;
                     evaluated.push(c);
-                    if results.offer(c) {
-                        frontier.push(MinCandidate(c));
-                    }
+                    c
                 }
+            };
+            stats.evals += 1;
+            if beam.offer(c) {
+                frontier.push(MinCandidate(c));
             }
         }
     }
-    results
+    stats
 }
 
-/// Beam search over `graph` from `entries` on a caller-supplied scratch,
-/// returning the `k` best candidates using beam width `ef` (clamped to at
-/// least `k`).
-///
-/// # Panics
-/// Panics if `entries` is empty or `k == 0`.
-pub fn beam_search_with(
-    graph: &Adjacency,
-    entries: &[VecId],
+/// Query-mode [`walk`] draining the `k` best into `out` (ascending
+/// distance) — the body of every graph family's `search_with`.
+pub(crate) fn search_into<G: WalkGraph>(
+    graph: &G,
+    seeds: Seeds<'_>,
     dist: &mut dyn DistanceFn,
     k: usize,
     ef: usize,
     scratch: &mut SearchScratch,
-) -> SearchOutput {
-    assert!(
-        !entries.is_empty(),
-        "beam search requires at least one entry vertex"
-    );
-    assert!(k > 0, "beam search requires k >= 1");
-    let ef = ef.max(k);
-    let mut stats = SearchStats::default();
-    let results = frontier_walk(
-        graph,
-        entries,
-        dist,
-        ef,
-        WalkMode::Prune,
-        scratch,
-        &mut stats,
-    );
-    let mut out: Vec<Candidate> = results.into_sorted();
+    out: &mut Vec<Candidate>,
+) -> SearchStats {
+    let stats = walk(graph, seeds, dist, k, ef, WalkMode::Prune, scratch);
+    scratch.beam.drain_sorted_into(out);
     out.truncate(k);
-    SearchOutput {
-        results: out,
-        stats,
-    }
+    stats
 }
 
-/// Beam search on the calling thread's pooled scratch — identical results
-/// to [`beam_search_with`], no scratch to thread through.
+/// Beam search over `graph` from `entries`, returning the `k` best
+/// candidates using beam width `ef` (clamped to at least `k`).
 ///
 /// # Panics
 /// Panics if `entries` is empty or `k == 0`.
@@ -251,46 +282,21 @@ pub fn beam_search(
     dist: &mut dyn DistanceFn,
     k: usize,
     ef: usize,
-) -> SearchOutput {
-    crate::scratch::with_pooled(|scratch| beam_search_with(graph, entries, dist, k, ef, scratch))
-}
-
-/// Beam search that also returns **every candidate evaluated** along the
-/// way (the "visited list" of the NSG/Vamana papers), on a caller-supplied
-/// scratch. Construction uses this pool for neighbour selection: path
-/// vertices crossed en route give each vertex long-range edge candidates
-/// that the final top-`ef` alone would not contain — without them, tightly
-/// clustered data yields graphs whose clusters are mutually unreachable in
-/// practice.
-///
-/// # Panics
-/// Panics if `entries` is empty or `ef == 0`.
-pub fn beam_search_collect_with(
-    graph: &Adjacency,
-    entries: &[VecId],
-    dist: &mut dyn DistanceFn,
-    ef: usize,
     scratch: &mut SearchScratch,
-) -> Vec<Candidate> {
-    assert!(
-        !entries.is_empty(),
-        "beam search requires at least one entry vertex"
-    );
-    assert!(ef > 0, "beam search requires ef >= 1");
-    let mut stats = SearchStats::default();
-    let _ = frontier_walk(
-        graph,
-        entries,
-        dist,
-        ef,
-        WalkMode::CollectExact,
-        scratch,
-        &mut stats,
-    );
-    std::mem::take(&mut scratch.evaluated)
+) -> SearchOutput {
+    // ALLOC: the returned hit list, sized once by the drain.
+    let mut results = Vec::new();
+    let seeds = Seeds::Entries(entries);
+    let stats = search_into(graph, seeds, dist, k, ef, scratch, &mut results);
+    SearchOutput { results, stats }
 }
 
-/// [`beam_search_collect_with`] on the calling thread's pooled scratch.
+/// Beam search that returns **every candidate evaluated** along the way
+/// (the "visited list" of the NSG/Vamana papers). Construction uses this
+/// pool for neighbour selection: path vertices crossed en route give each
+/// vertex long-range edge candidates that the final top-`ef` alone would
+/// not contain — without them, tightly clustered data yields graphs whose
+/// clusters are mutually unreachable in practice.
 ///
 /// # Panics
 /// Panics if `entries` is empty or `ef == 0`.
@@ -299,10 +305,11 @@ pub fn beam_search_collect(
     entries: &[VecId],
     dist: &mut dyn DistanceFn,
     ef: usize,
+    scratch: &mut SearchScratch,
 ) -> Vec<Candidate> {
-    crate::scratch::with_pooled(|scratch| {
-        beam_search_collect_with(graph, entries, dist, ef, scratch)
-    })
+    let seeds = Seeds::Entries(entries);
+    walk(graph, seeds, dist, ef, ef, WalkMode::CollectExact, scratch);
+    std::mem::take(&mut scratch.evaluated)
 }
 
 #[cfg(test)]
@@ -340,7 +347,7 @@ mod tests {
         let (store, g) = chain(50);
         let q = [31.4f32];
         let mut d = dist_to(&store, &q);
-        let out = beam_search(&g, &[0], &mut d, 3, 10);
+        let out = beam_search(&g, &[0], &mut d, 3, 10, &mut SearchScratch::new());
         assert_eq!(out.ids(), vec![31, 32, 30]);
     }
 
@@ -349,7 +356,7 @@ mod tests {
         let (store, g) = chain(30);
         let q = [12.0f32];
         let mut d = dist_to(&store, &q);
-        let out = beam_search(&g, &[29], &mut d, 5, 8);
+        let out = beam_search(&g, &[29], &mut d, 5, 8, &mut SearchScratch::new());
         for w in out.results.windows(2) {
             assert!(w[0].dist <= w[1].dist);
         }
@@ -361,7 +368,7 @@ mod tests {
         let (store, g) = chain(4);
         let q = [0.0f32];
         let mut d = dist_to(&store, &q);
-        let out = beam_search(&g, &[3], &mut d, 10, 10);
+        let out = beam_search(&g, &[3], &mut d, 10, 10, &mut SearchScratch::new());
         assert_eq!(out.results.len(), 4);
     }
 
@@ -370,7 +377,7 @@ mod tests {
         let (store, g) = chain(10);
         let q = [5.0f32];
         let mut d = dist_to(&store, &q);
-        let out = beam_search(&g, &[0, 0, 9], &mut d, 1, 4);
+        let out = beam_search(&g, &[0, 0, 9], &mut d, 1, 4, &mut SearchScratch::new());
         assert_eq!(out.results[0].id, 5);
     }
 
@@ -383,7 +390,7 @@ mod tests {
         let g = Adjacency::new(3); // no edges
         let q = [2.0f32];
         let mut d = dist_to(&store, &q);
-        let out = beam_search(&g, &[0], &mut d, 2, 4);
+        let out = beam_search(&g, &[0], &mut d, 2, 4, &mut SearchScratch::new());
         assert_eq!(out.ids(), vec![0]);
     }
 
@@ -392,7 +399,7 @@ mod tests {
         let (store, g) = chain(20);
         let q = [10.0f32];
         let mut d = dist_to(&store, &q);
-        let out = beam_search(&g, &[0], &mut d, 1, 2);
+        let out = beam_search(&g, &[0], &mut d, 1, 2, &mut SearchScratch::new());
         assert!(out.stats.evals > 0);
         assert!(out.stats.hops > 0);
         assert_eq!(out.stats.pruned, 0); // flat distance never abandons
@@ -404,7 +411,7 @@ mod tests {
         let (store, g) = chain(3);
         let q = [0.0f32];
         let mut d = dist_to(&store, &q);
-        beam_search(&g, &[], &mut d, 1, 1);
+        beam_search(&g, &[], &mut d, 1, 1, &mut SearchScratch::new());
     }
 
     #[test]
@@ -414,9 +421,9 @@ mod tests {
         let (store, g) = chain(100);
         let q = [99.0f32];
         let mut d1 = dist_to(&store, &q);
-        let narrow = beam_search(&g, &[0], &mut d1, 1, 1);
+        let narrow = beam_search(&g, &[0], &mut d1, 1, 1, &mut SearchScratch::new());
         let mut d2 = dist_to(&store, &q);
-        let wide = beam_search(&g, &[0], &mut d2, 1, 16);
+        let wide = beam_search(&g, &[0], &mut d2, 1, 16, &mut SearchScratch::new());
         assert!(wide.stats.evals >= narrow.stats.evals);
         assert_eq!(wide.results[0].id, 99);
     }
@@ -431,33 +438,10 @@ mod tests {
         let (store, g) = chain(10);
         let q = [5.0f32];
         let mut d = dist_to(&store, &q);
-        let pool = beam_search_collect(&g, &[0], &mut d, 3);
+        let pool = beam_search_collect(&g, &[0], &mut d, 3, &mut SearchScratch::new());
         let ids: Vec<VecId> = pool.iter().map(|c| c.id).collect();
         let dists: Vec<f32> = pool.iter().map(|c| c.dist).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(dists, vec![25.0, 16.0, 9.0, 4.0, 1.0, 0.0, 1.0, 4.0]);
-    }
-
-    /// Both entry points must be bit-identical to their `_with` variants
-    /// on a reused scratch (the dedup satellite's pin).
-    #[test]
-    fn entry_points_match_scratch_variants() {
-        let (store, g) = chain(64);
-        let mut scratch = SearchScratch::new();
-        for q in [3.3f32, 41.0, 63.0, 0.2] {
-            let query = [q];
-            let mut d1 = dist_to(&store, &query);
-            let pooled = beam_search(&g, &[0, 63], &mut d1, 4, 12);
-            let mut d2 = dist_to(&store, &query);
-            let scratched = beam_search_with(&g, &[0, 63], &mut d2, 4, 12, &mut scratch);
-            assert_eq!(pooled.results, scratched.results);
-            assert_eq!(pooled.stats, scratched.stats);
-
-            let mut d3 = dist_to(&store, &query);
-            let pool_a = beam_search_collect(&g, &[0], &mut d3, 6);
-            let mut d4 = dist_to(&store, &query);
-            let pool_b = beam_search_collect_with(&g, &[0], &mut d4, 6, &mut scratch);
-            assert_eq!(pool_a, pool_b);
-        }
     }
 }

@@ -10,7 +10,8 @@
 //! ## Substitution note (see DESIGN.md §2)
 //!
 //! We simulate the block device: a [`PageLayout`] maps vertices to page
-//! ids, and [`PagedIndex::search`] counts distinct page reads per query.
+//! ids, and [`PagedIndex::search_paged_into`] counts distinct page reads per
+//! query.
 //! The measured quantity — page reads at matched recall, clustered vs
 //! insertion-order layout — is exactly the metric the Starling paper
 //! optimizes; only the physical SSD is replaced by counters.
@@ -18,10 +19,10 @@
 use crate::adjacency::Adjacency;
 use crate::live::Tombstones;
 use crate::scratch::{SearchScratch, VisitedSet};
-use crate::search::{SearchOutput, SearchStats};
+use crate::search::{search_into, SearchOutput, SearchStats, Seeds, WalkGraph};
 use crate::traits::{DistanceFn, GraphSearcher};
 use mqa_cache::PageCache;
-use mqa_vector::{Candidate, MinCandidate, TopK, VecId};
+use mqa_vector::{Candidate, VecId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
@@ -218,57 +219,19 @@ impl PagedIndex {
         &self.graph
     }
 
-    /// Reads the page of `v` unless already resident this query: a page
-    /// found in the shared block cache is free, otherwise the read is
-    /// counted and the device latency charged.
-    fn read_page(&self, v: VecId, pages: &mut VisitedSet, stats: &mut SearchStats) {
-        let page = self.layout.page(v);
-        if !pages.insert(page) {
-            return; // already touched by this query
-        }
-        if let Some(cache) = &self.cache {
-            if cache.probe(page) {
-                stats.pages_cached += 1;
-                return;
-            }
-        }
-        stats.pages_read += 1;
-        if !self.device.read_latency.is_zero() {
-            std::thread::sleep(self.device.read_latency);
-        }
-    }
-
     /// Beam search that counts page reads: touching a vertex whose page has
     /// not been read this query costs one read; page residents are then
-    /// free. Returns results plus stats with `pages_read` populated.
-    pub fn search_paged(&self, dist: &mut dyn DistanceFn, k: usize, ef: usize) -> SearchOutput {
-        crate::scratch::with_pooled(|scratch| self.search_paged_with(dist, k, ef, scratch))
-    }
-
-    /// [`PagedIndex::search_paged`] on a caller-supplied scratch: both the
-    /// vertex-visited set and the per-query page cache live there, so the
-    /// steady state allocates nothing.
-    pub fn search_paged_with(
-        &self,
-        dist: &mut dyn DistanceFn,
-        k: usize,
-        ef: usize,
-        scratch: &mut SearchScratch,
-    ) -> SearchOutput {
-        // ALLOC: materializes the returned hit list (at most k entries);
-        // allocation-averse callers use `search_paged_into` with a
-        // caller-owned buffer instead.
-        let mut results = Vec::with_capacity(k.min(ef.max(k)));
-        let stats = self.search_paged_into(dist, k, ef, scratch, &mut results);
-        SearchOutput { results, stats }
-    }
-
-    /// [`PagedIndex::search_paged_with`] writing the hits into a
-    /// caller-owned buffer instead of returning a fresh `Vec`: the beam
-    /// collector, frontier, and both visited sets all live on `scratch`,
-    /// so a warmed `(scratch, out)` pair serves a query with **zero heap
+    /// free. The hits land in a caller-owned buffer and the beam, frontier
+    /// and both visited sets all live on `scratch`, so a warmed
+    /// `(scratch, out)` pair serves a query with **zero heap
     /// allocations** — the property the `alloc-witness` counting
-    /// allocator pins in the engine gate. Returns the work stats.
+    /// allocator pins in the engine gate. Returns the work stats with
+    /// `pages_read` / `pages_cached` populated.
+    ///
+    /// Over a mutated index, widen the request with
+    /// [`Tombstones::overfetch`] and filter `out` with
+    /// [`Tombstones::retain_live`]: tombstoned vertices still route the
+    /// walk and are dropped at result-collection time only.
     pub fn search_paged_into(
         &self,
         dist: &mut dyn DistanceFn,
@@ -277,95 +240,12 @@ impl PagedIndex {
         scratch: &mut SearchScratch,
         out: &mut Vec<Candidate>,
     ) -> SearchStats {
-        assert!(k > 0, "search requires k >= 1");
         let sw = mqa_obs::Stopwatch::start();
-        let ef = ef.max(k);
-        let mut stats = SearchStats::default();
-        scratch.begin(self.graph.len());
         scratch.begin_pages(self.layout.pages());
-        let SearchScratch {
-            visited,
-            pages,
-            frontier,
-            beam,
-            ..
-        } = scratch;
-        beam.reset(ef);
-        for &e in &self.entries {
-            if !visited.insert(e) {
-                continue;
-            }
-            self.read_page(e, pages, &mut stats);
-            let d = dist.exact(e);
-            stats.evals += 1;
-            let c = Candidate::new(e, d);
-            beam.offer(c);
-            frontier.push(MinCandidate(c));
-        }
-        while let Some(MinCandidate(current)) = frontier.pop() {
-            if current.dist > beam.bound() {
-                break;
-            }
-            stats.hops += 1;
-            for &nb in self.graph.neighbors(current.id) {
-                if !visited.insert(nb) {
-                    continue;
-                }
-                self.read_page(nb, pages, &mut stats);
-                match dist.eval(nb, beam.bound()) {
-                    Some(d) => {
-                        stats.evals += 1;
-                        let c = Candidate::new(nb, d);
-                        if beam.offer(c) {
-                            frontier.push(MinCandidate(c));
-                        }
-                    }
-                    None => stats.pruned += 1,
-                }
-            }
-        }
-        beam.drain_sorted_into(out);
-        out.truncate(k);
+        let seeds = Seeds::Entries(&self.entries);
+        let stats = search_into(self, seeds, dist, k, ef, scratch, out);
         stats.record("starling", sw.elapsed_us());
         stats
-    }
-
-    /// [`PagedIndex::search_paged`] over a mutated index: tombstoned
-    /// vertices still route the walk but are filtered at
-    /// result-collection time (never mid-traversal), with the beam
-    /// over-fetched by the dead count so `k` live results can still fill.
-    /// With zero dead this is exactly `search_paged`.
-    pub fn search_paged_live(
-        &self,
-        dist: &mut dyn DistanceFn,
-        k: usize,
-        ef: usize,
-        tomb: &Tombstones,
-    ) -> SearchOutput {
-        crate::scratch::with_pooled(|scratch| {
-            self.search_paged_live_with(dist, k, ef, tomb, scratch)
-        })
-    }
-
-    /// [`PagedIndex::search_paged_live`] on a caller-supplied scratch.
-    pub fn search_paged_live_with(
-        &self,
-        dist: &mut dyn DistanceFn,
-        k: usize,
-        ef: usize,
-        tomb: &Tombstones,
-        scratch: &mut SearchScratch,
-    ) -> SearchOutput {
-        let dead = tomb.dead_count();
-        if dead == 0 {
-            return self.search_paged_with(dist, k, ef, scratch);
-        }
-        let k_eff = (k + dead).min(self.graph.len());
-        let ef_eff = ef.max(k_eff);
-        let mut out = self.search_paged_with(dist, k_eff, ef_eff, scratch);
-        out.results.retain(|c| !tomb.is_dead(c.id));
-        out.results.truncate(k);
-        out
     }
 
     /// Rewires the paged graph around tombstoned vertices and re-lays the
@@ -413,6 +293,37 @@ impl PagedIndex {
         match &self.cache {
             Some(cache) => cache.invalidate_all(),
             None => 0,
+        }
+    }
+}
+
+impl WalkGraph for PagedIndex {
+    fn vertices(&self) -> usize {
+        self.graph.len()
+    }
+
+    #[inline]
+    fn neighbors(&self, v: VecId) -> &[VecId] {
+        self.graph.neighbors(v)
+    }
+
+    /// Reads the page of `v` unless already resident this query: a page
+    /// found in the shared block cache is free, otherwise the read is
+    /// counted and the device latency charged.
+    fn touch(&self, v: VecId, pages: &mut VisitedSet, stats: &mut SearchStats) {
+        let page = self.layout.page(v);
+        if !pages.insert(page) {
+            return; // already touched by this query
+        }
+        if let Some(cache) = &self.cache {
+            if cache.probe(page) {
+                stats.pages_cached += 1;
+                return;
+            }
+        }
+        stats.pages_read += 1;
+        if !self.device.read_latency.is_zero() {
+            std::thread::sleep(self.device.read_latency);
         }
     }
 }
@@ -513,53 +424,32 @@ impl PqPagedIndex {
         store: &mqa_vector::VectorStore,
         k: usize,
         ef: usize,
-    ) -> SearchOutput {
-        crate::scratch::with_pooled(|scratch| {
-            self.search_two_phase_with(query, store, k, ef, scratch)
-        })
-    }
-
-    /// [`PqPagedIndex::search_two_phase`] on a caller-supplied scratch.
-    pub fn search_two_phase_with(
-        &self,
-        query: &[f32],
-        store: &mqa_vector::VectorStore,
-        k: usize,
-        ef: usize,
         scratch: &mut SearchScratch,
     ) -> SearchOutput {
-        assert!(k > 0, "search requires k >= 1");
         let ef = ef.max(k);
         // Phase 1: route on codes.
         let mut pq_dist = PqDistance {
             table: self.codebook.table(query),
             codes: &self.codes,
         };
-        let phase1 = crate::search::beam_search_with(
-            &self.graph,
-            &self.entries,
-            &mut pq_dist,
-            ef,
-            ef,
-            scratch,
-        );
-        let mut stats = phase1.stats;
+        let SearchOutput {
+            mut results,
+            mut stats,
+        } = crate::search::beam_search(&self.graph, &self.entries, &mut pq_dist, ef, ef, scratch);
 
         // Phase 2: read survivors' pages, rerank exactly.
         scratch.begin_pages(self.layout.pages());
-        let mut top = TopK::new(k);
-        for c in &phase1.results {
+        scratch.beam.reset(k);
+        for c in &results {
             if scratch.pages.insert(self.layout.page(c.id)) {
                 stats.pages_read += 1;
             }
             let exact = mqa_vector::Metric::L2.distance(query, store.get(c.id));
             stats.evals += 1;
-            top.offer(Candidate::new(c.id, exact));
+            scratch.beam.offer(Candidate::new(c.id, exact));
         }
-        SearchOutput {
-            results: top.into_sorted(),
-            stats,
-        }
+        scratch.beam.drain_sorted_into(&mut results);
+        SearchOutput { results, stats }
     }
 }
 
@@ -571,7 +461,12 @@ impl GraphSearcher for PagedIndex {
         ef: usize,
         scratch: &mut SearchScratch,
     ) -> SearchOutput {
-        self.search_paged_with(dist, k, ef, scratch)
+        // ALLOC: the returned hit list, sized once by the drain;
+        // allocation-averse callers use `search_paged_into` with a
+        // caller-owned buffer instead.
+        let mut results = Vec::new();
+        let stats = self.search_paged_into(dist, k, ef, scratch, &mut results);
+        SearchOutput { results, stats }
     }
 
     fn len(&self) -> usize {
@@ -612,6 +507,21 @@ mod tests {
         Arc::new(s)
     }
 
+    /// Paged search as a mutated index serves it: over-fetched by the dead
+    /// count, dead ids dropped at collection time.
+    fn search_live(
+        paged: &PagedIndex,
+        dist: &mut dyn DistanceFn,
+        k: usize,
+        ef: usize,
+        tomb: &Tombstones,
+    ) -> SearchOutput {
+        let (k_eff, ef_eff) = tomb.overfetch(k, ef);
+        let mut out = paged.search(dist, k_eff, ef_eff);
+        tomb.retain_live(&mut out.results, k);
+        out
+    }
+
     #[test]
     fn layout_assigns_every_vertex() {
         let mut g = Adjacency::new(10);
@@ -648,7 +558,7 @@ mod tests {
         let mut d1 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
         let plain = nav.search(&mut d1, 5, 32);
         let mut d2 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
-        let paged_out = paged.search_paged(&mut d2, 5, 32);
+        let paged_out = paged.search(&mut d2, 5, 32);
         assert_eq!(plain.ids(), paged_out.ids());
         assert!(paged_out.stats.pages_read > 0);
     }
@@ -676,9 +586,9 @@ mod tests {
         for _ in 0..20 {
             let q: Vec<f32> = (0..16).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let mut d1 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
-            naive_reads += naive.search_paged(&mut d1, 10, 48).stats.pages_read;
+            naive_reads += naive.search(&mut d1, 10, 48).stats.pages_read;
             let mut d2 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
-            clustered_reads += clustered.search_paged(&mut d2, 10, 48).stats.pages_read;
+            clustered_reads += clustered.search(&mut d2, 10, 48).stats.pages_read;
         }
         assert!(
             clustered_reads < naive_reads,
@@ -723,9 +633,9 @@ mod tests {
                 .map(|x| x + rng.gen_range(-0.05f32..0.05))
                 .collect();
             let mut d = FlatDistance::new(&s, &q, Metric::L2).unwrap();
-            let exact = one_phase.search_paged(&mut d, k, 48);
+            let exact = one_phase.search(&mut d, k, 48);
             reads_1p += exact.stats.pages_read;
-            let approx = two_phase.search_two_phase(&q, &s, k, 48);
+            let approx = two_phase.search_two_phase(&q, &s, k, 48, &mut SearchScratch::new());
             reads_2p += approx.stats.pages_read;
             hits += approx
                 .ids()
@@ -757,9 +667,9 @@ mod tests {
         // uncached index exactly and results are bit-identical.
         for q in &queries {
             let mut d1 = FlatDistance::new(&s, q, Metric::L2).unwrap();
-            let plain = uncached.search_paged(&mut d1, 5, 32);
+            let plain = uncached.search(&mut d1, 5, 32);
             let mut d2 = FlatDistance::new(&s, q, Metric::L2).unwrap();
-            let warm = cached.search_paged(&mut d2, 5, 32);
+            let warm = cached.search(&mut d2, 5, 32);
             assert_eq!(plain.results, warm.results);
             assert_eq!(
                 plain.stats.pages_read,
@@ -772,9 +682,9 @@ mod tests {
         let mut warm_cache_hits = 0u64;
         for q in &queries {
             let mut d1 = FlatDistance::new(&s, q, Metric::L2).unwrap();
-            let plain = uncached.search_paged(&mut d1, 5, 32);
+            let plain = uncached.search(&mut d1, 5, 32);
             let mut d2 = FlatDistance::new(&s, q, Metric::L2).unwrap();
-            let warm = cached.search_paged(&mut d2, 5, 32);
+            let warm = cached.search(&mut d2, 5, 32);
             assert_eq!(plain.results, warm.results);
             warm_device_reads += warm.stats.pages_read;
             warm_cache_hits += warm.stats.pages_cached;
@@ -793,9 +703,9 @@ mod tests {
         // Quiesced: live-filtered search is exactly the plain path.
         let q: Vec<f32> = vec![0.2; 8];
         let mut d0 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
-        let plain = paged.search_paged(&mut d0, 5, 32);
+        let plain = paged.search(&mut d0, 5, 32);
         let mut d1 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
-        let quiesced = paged.search_paged_live(&mut d1, 5, 32, &tomb);
+        let quiesced = search_live(&paged, &mut d1, 5, 32, &tomb);
         assert_eq!(plain.results, quiesced.results);
         // Kill the whole top-5 and search again: none may surface, and
         // the beam still fills k with live objects.
@@ -803,7 +713,7 @@ mod tests {
             tomb.kill(id);
         }
         let mut d2 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
-        let filtered = paged.search_paged_live(&mut d2, 5, 32, &tomb);
+        let filtered = search_live(&paged, &mut d2, 5, 32, &tomb);
         assert_eq!(filtered.ids().len(), 5);
         for id in filtered.ids() {
             assert!(!tomb.is_dead(id), "dead id {id} surfaced");
@@ -821,7 +731,7 @@ mod tests {
         // Warm the cache.
         let q: Vec<f32> = vec![-0.1; 8];
         let mut d0 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
-        paged.search_paged(&mut d0, 5, 32);
+        paged.search(&mut d0, 5, 32);
         assert!(!cache.is_empty());
         let mut tomb = Tombstones::new(600);
         for id in (0..600u32).step_by(5) {
@@ -849,8 +759,7 @@ mod tests {
         for id in (1..600u32).step_by(13).filter(|&id| !tomb.is_dead(id)) {
             probed += 1;
             let mut d = FlatDistance::new(&s, s.get(id), Metric::L2).unwrap();
-            if paged
-                .search_paged_live(&mut d, 5, 32, &tomb)
+            if search_live(&paged, &mut d, 5, 32, &tomb)
                 .ids()
                 .contains(&id)
             {

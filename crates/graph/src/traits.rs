@@ -180,52 +180,23 @@ impl VectorIndex {
         }
     }
 
-    /// Searches for the `k` nearest stored vectors to `query`.
+    /// Searches for the `k` nearest stored vectors to `query` on the
+    /// calling thread's pooled scratch.
     ///
     /// # Panics
-    /// Panics if the query dimension does not match the store; use
-    /// [`VectorIndex::try_search`] for a recoverable error.
+    /// Panics if the query dimension does not match the store
+    /// ([`FlatDistance::new`] is the recoverable check).
     pub fn search(&self, query: &[f32], k: usize, ef: usize) -> SearchOutput {
         assert_eq!(query.len(), self.store.dim(), "query dimension mismatch");
-        self.try_search(query, k, ef).unwrap_or_default()
-    }
-
-    /// Searches for the `k` nearest stored vectors to `query`.
-    ///
-    /// # Errors
-    /// Returns [`GraphError::DimensionMismatch`] if the query dimension
-    /// does not match the store.
-    pub fn try_search(
-        &self,
-        query: &[f32],
-        k: usize,
-        ef: usize,
-    ) -> Result<SearchOutput, GraphError> {
         let sw = mqa_obs::Stopwatch::start();
-        let mut dist = FlatDistance::new(&self.store, query, self.metric)?;
+        let mut dist = FlatDistance {
+            store: &self.store,
+            query,
+            metric: self.metric,
+        };
         let out = self.searcher.search(&mut dist, k, ef);
         out.stats.record(self.algorithm.name(), sw.elapsed_us());
-        Ok(out)
-    }
-
-    /// [`VectorIndex::try_search`] on a caller-supplied scratch — the
-    /// entry point for engine workers that own their per-thread state.
-    ///
-    /// # Errors
-    /// Returns [`GraphError::DimensionMismatch`] if the query dimension
-    /// does not match the store.
-    pub fn try_search_with(
-        &self,
-        query: &[f32],
-        k: usize,
-        ef: usize,
-        scratch: &mut SearchScratch,
-    ) -> Result<SearchOutput, GraphError> {
-        let sw = mqa_obs::Stopwatch::start();
-        let mut dist = FlatDistance::new(&self.store, query, self.metric)?;
-        let out = self.searcher.search_with(&mut dist, k, ef, scratch);
-        out.stats.record(self.algorithm.name(), sw.elapsed_us());
-        Ok(out)
+        out
     }
 
     /// The backing store.

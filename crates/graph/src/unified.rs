@@ -486,22 +486,8 @@ impl UnifiedIndex {
         k: usize,
         ef: usize,
     ) -> UnifiedSearchOutput {
-        self.search_with_pruning(query, weight_override, k, ef, true)
-    }
-
-    /// [`UnifiedIndex::search`] with an explicit incremental-scanning
-    /// switch (`prune = false` evaluates every fused distance in full —
-    /// the E8 ablation baseline; result sets are identical either way).
-    pub fn search_with_pruning(
-        &self,
-        query: &MultiVector,
-        weight_override: Option<&Weights>,
-        k: usize,
-        ef: usize,
-        prune: bool,
-    ) -> UnifiedSearchOutput {
         crate::scratch::with_pooled(|scratch| {
-            self.search_scratch_pruning(query, weight_override, k, ef, prune, scratch)
+            self.search_scratch(query, weight_override, k, ef, scratch)
         })
     }
 
@@ -515,42 +501,18 @@ impl UnifiedIndex {
         ef: usize,
         scratch: &mut crate::scratch::SearchScratch,
     ) -> UnifiedSearchOutput {
-        self.search_scratch_pruning(query, weight_override, k, ef, true, scratch)
-    }
-
-    fn search_scratch_pruning(
-        &self,
-        query: &MultiVector,
-        weight_override: Option<&Weights>,
-        k: usize,
-        ef: usize,
-        prune: bool,
-        scratch: &mut crate::scratch::SearchScratch,
-    ) -> UnifiedSearchOutput {
         let sw = mqa_obs::Stopwatch::start();
         let snap = self.published.load();
         mqa_obs::trace::note_index_state(snap.epoch(), self.mutating.load(Ordering::Relaxed));
         let weights = weight_override.unwrap_or(&self.weights);
         let mut dist = FusedDistance::new(snap.store(), query, weights, self.metric);
-        if !prune {
-            dist = dist.without_pruning();
-        }
-        let dead = snap.tombstones().dead_count();
-        let out = if dead == 0 {
-            // Quiesced fast path: identical to the pre-mutation index.
-            snap.searcher().search_with(&mut dist, k, ef, scratch)
-        } else {
-            // Over-fetch so the post-filter can still fill k live results,
-            // then drop tombstoned ids at collection time.
-            let k_eff = (k + dead).min(snap.store().len());
-            let ef_eff = ef.max(k_eff);
-            let mut out = snap
-                .searcher()
-                .search_with(&mut dist, k_eff, ef_eff, scratch);
-            out.results.retain(|c| !snap.tombstones().is_dead(c.id));
-            out.results.truncate(k);
-            out
-        };
+        // Over-fetch so the post-filter can still fill k live results,
+        // then drop tombstoned ids at collection time.
+        let (k_eff, ef_eff) = snap.tombstones().overfetch(k, ef);
+        let mut out = snap
+            .searcher()
+            .search_with(&mut dist, k_eff, ef_eff, scratch);
+        snap.tombstones().retain_live(&mut out.results, k);
         out.stats.record(self.algorithm.name(), sw.elapsed_us());
         UnifiedSearchOutput {
             output: out,
@@ -571,16 +533,9 @@ impl UnifiedIndex {
         let weights = weight_override.unwrap_or(&self.weights);
         let mut dist = FusedDistance::new(snap.store(), query, weights, self.metric);
         let flat = crate::flat::FlatSearcher::new(snap.store().len());
-        let dead = snap.tombstones().dead_count();
-        let out = if dead == 0 {
-            flat.search(&mut dist, k, k)
-        } else {
-            let k_eff = (k + dead).min(snap.store().len());
-            let mut out = flat.search(&mut dist, k_eff, k_eff);
-            out.results.retain(|c| !snap.tombstones().is_dead(c.id));
-            out.results.truncate(k);
-            out
-        };
+        let (k_eff, ef_eff) = snap.tombstones().overfetch(k, k);
+        let mut out = flat.search(&mut dist, k_eff, ef_eff);
+        snap.tombstones().retain_live(&mut out.results, k);
         out.stats.record("flat", sw.elapsed_us());
         UnifiedSearchOutput {
             output: out,
@@ -876,11 +831,14 @@ mod tests {
         let (idx, _) = build_default(8);
         let schema = idx.store().schema().clone();
         let q = MultiVector::complete(&schema, vec![vec![0.1; 8], vec![-0.3; 8]]);
-        let pruned = idx.search_with_pruning(&q, None, 10, 64, true);
-        let full = idx.search_with_pruning(&q, None, 10, 64, false);
-        assert_eq!(pruned.ids(), full.ids());
-        assert_eq!(full.scan.terms_skipped, 0);
-        assert!(pruned.scan.terms < full.scan.terms);
+        let pruned = idx.search(&q, None, 10, 64);
+        let snap = idx.current();
+        let mut full =
+            FusedDistance::new(snap.store(), &q, idx.weights(), idx.metric()).without_pruning();
+        let full_ids = snap.searcher().search(&mut full, 10, 64).ids();
+        assert_eq!(pruned.ids(), full_ids);
+        assert_eq!(full.scan_stats().terms_skipped, 0);
+        assert!(pruned.scan.terms < full.scan_stats().terms);
     }
 
     #[test]

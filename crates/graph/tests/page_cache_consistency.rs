@@ -14,7 +14,7 @@
 
 use mqa_cache::PageCache;
 use mqa_graph::starling::{LayoutStrategy, PageLayout, PagedIndex};
-use mqa_graph::{hnsw, nsg, vamana, Adjacency, FlatDistance};
+use mqa_graph::{hnsw, nsg, vamana, Adjacency, FlatDistance, GraphSearcher};
 use mqa_rng::StdRng;
 use mqa_vector::{Metric, VecId, VectorStore};
 use std::sync::Arc;
@@ -65,9 +65,9 @@ fn cached_paged_search_is_bit_identical_across_algorithms_and_regimes() {
                 for pass in ["cold", "warm"] {
                     for (qi, q) in queries.iter().enumerate() {
                         let mut d1 = FlatDistance::new(&s, q, Metric::L2).unwrap();
-                        let plain = uncached.search_paged(&mut d1, 5, 24);
+                        let plain = uncached.search(&mut d1, 5, 24);
                         let mut d2 = FlatDistance::new(&s, q, Metric::L2).unwrap();
-                        let with_cache = cached.search_paged(&mut d2, 5, 24);
+                        let with_cache = cached.search(&mut d2, 5, 24);
                         assert_eq!(
                             plain.results, with_cache.results,
                             "{name}/{strategy:?}/cap={capacity}/{pass} query {qi}: \

@@ -1,11 +1,11 @@
 //! Property tests for scratch reuse: one [`SearchScratch`] driven through
 //! interleaved searches over every index family must produce bit-identical
-//! results and work counters to a fresh pooled search — including straight
-//! through a visited-epoch wraparound. This is the correctness contract
+//! results and work counters to a search on a fresh scratch — including
+//! straight through a visited-epoch wraparound. This is the correctness contract
 //! that lets engine workers own one scratch for their whole lifetime.
 
 use mqa_graph::starling::{LayoutStrategy, PageLayout, PagedIndex};
-use mqa_graph::{FlatDistance, IndexAlgorithm, SearchOutput, SearchScratch, VectorIndex};
+use mqa_graph::{FlatDistance, GraphSearcher, IndexAlgorithm, SearchOutput, SearchScratch};
 use mqa_rng::StdRng;
 use mqa_vector::{Metric, VectorStore};
 use std::sync::Arc;
@@ -32,47 +32,49 @@ fn assert_identical(a: &SearchOutput, b: &SearchOutput, what: &str) {
     assert_eq!(a.stats, b.stats, "{what}: work counters diverged");
 }
 
+/// `searcher` driven on `scratch` must answer exactly like on a fresh one.
+fn assert_reuse_matches_fresh(
+    searcher: &dyn GraphSearcher,
+    store: &VectorStore,
+    q: &[f32],
+    (k, ef): (usize, usize),
+    scratch: &mut SearchScratch,
+    what: &str,
+) {
+    let mut d1 = FlatDistance::new(store, q, Metric::L2).expect("dims match");
+    let reused = searcher.search_with(&mut d1, k, ef, scratch);
+    let mut d2 = FlatDistance::new(store, q, Metric::L2).expect("dims match");
+    let fresh = searcher.search_with(&mut d2, k, ef, &mut SearchScratch::new());
+    assert_identical(&reused, &fresh, what);
+}
+
 /// Every index family, one shared scratch, interleaved round-robin: each
-/// `*_with` answer must equal the fresh pooled-path answer.
+/// answer must equal the fresh-scratch answer.
 #[test]
 fn interleaved_reuse_matches_fresh_search_everywhere() {
     let dim = 8;
-    let indexes: Vec<(&str, VectorIndex)> = [
+    let store = Arc::new(random_store(300, dim, 11));
+    let indexes: Vec<(&str, Box<dyn GraphSearcher>)> = [
         ("flat", IndexAlgorithm::Flat),
         ("hnsw", IndexAlgorithm::hnsw()),
         ("nsg", IndexAlgorithm::nsg()),
         ("vamana", IndexAlgorithm::vamana()),
     ]
     .into_iter()
-    .map(|(name, algo)| {
-        (
-            name,
-            VectorIndex::build(random_store(300, dim, 11), Metric::L2, &algo),
-        )
-    })
+    .map(|(name, algo)| (name, algo.build(&store, Metric::L2)))
     .collect();
 
-    let paged_store = Arc::new(random_store(300, dim, 11));
-    let nav = mqa_graph::vamana::build(&paged_store, Metric::L2, 16, 48, 1.2, 3);
+    let nav = mqa_graph::vamana::build(&store, Metric::L2, 16, 48, 1.2, 3);
     let layout = PageLayout::build(nav.graph(), 4, LayoutStrategy::BfsCluster);
     let paged = PagedIndex::new(nav.graph().clone(), nav.entries().to_vec(), layout);
 
     let mut scratch = SearchScratch::new();
     for (round, q) in random_queries(12, dim, 99).iter().enumerate() {
-        let k = 1 + round % 7;
-        let ef = 16 + round * 3;
+        let shape = (1 + round % 7, 16 + round * 3);
         for (name, idx) in &indexes {
-            let reused = idx
-                .try_search_with(q, k, ef, &mut scratch)
-                .expect("dims match");
-            let fresh = idx.search(q, k, ef);
-            assert_identical(&reused, &fresh, name);
+            assert_reuse_matches_fresh(idx.as_ref(), &store, q, shape, &mut scratch, name);
         }
-        let mut d1 = FlatDistance::new(&paged_store, q, Metric::L2).expect("dims match");
-        let reused = paged.search_paged_with(&mut d1, k, ef, &mut scratch);
-        let mut d2 = FlatDistance::new(&paged_store, q, Metric::L2).expect("dims match");
-        let fresh = paged.search_paged(&mut d2, k, ef);
-        assert_identical(&reused, &fresh, "starling");
+        assert_reuse_matches_fresh(&paged, &store, q, shape, &mut scratch, "starling");
     }
 }
 
@@ -82,19 +84,13 @@ fn interleaved_reuse_matches_fresh_search_everywhere() {
 #[test]
 fn epoch_wraparound_is_invisible() {
     let dim = 6;
-    let idx = VectorIndex::build(
-        random_store(250, dim, 21),
-        Metric::L2,
-        &IndexAlgorithm::hnsw(),
-    );
+    let store = Arc::new(random_store(250, dim, 21));
+    let idx = IndexAlgorithm::hnsw().build(&store, Metric::L2);
     let mut scratch = SearchScratch::new();
     // Three epochs of headroom before the stamp array must re-zero.
     scratch.force_epoch(u32::MAX - 3);
     for (i, q) in random_queries(10, dim, 77).iter().enumerate() {
-        let reused = idx
-            .try_search_with(q, 5, 32, &mut scratch)
-            .expect("dims match");
-        let fresh = idx.search(q, 5, 32);
-        assert_identical(&reused, &fresh, &format!("query {i} around wraparound"));
+        let what = format!("query {i} around wraparound");
+        assert_reuse_matches_fresh(idx.as_ref(), &store, q, (5, 32), &mut scratch, &what);
     }
 }

@@ -149,6 +149,15 @@ fn brute_force_live(store: &VectorStore, q: &[f32], tomb: &Tombstones, k: usize)
     scored.into_iter().map(|(_, id)| id).collect()
 }
 
+/// Paged search as a mutated index serves it: over-fetched by the dead
+/// count, dead ids dropped at collection time.
+fn paged_search_live(paged: &PagedIndex, dist: &mut FlatDistance, tomb: &Tombstones) -> Vec<VecId> {
+    let (k, ef) = tomb.overfetch(K, 48);
+    let mut out = paged.search(dist, k, ef);
+    tomb.retain_live(&mut out.results, K);
+    out.ids()
+}
+
 #[test]
 fn paged_index_filters_dead_and_survives_compaction() {
     let dim = 8usize;
@@ -192,7 +201,7 @@ fn paged_index_filters_dead_and_survives_compaction() {
         }
         for q in &queries {
             let mut dist = FlatDistance::new(&store, q, Metric::L2).expect("dim matches");
-            let ids = paged.search_paged_live(&mut dist, K, 48, &tomb).ids();
+            let ids = paged_search_live(&paged, &mut dist, &tomb);
             assert!(!ids.is_empty(), "paged live search stopped answering");
             for id in &ids {
                 assert!(
@@ -223,7 +232,7 @@ fn paged_index_filters_dead_and_survives_compaction() {
     for q in &queries {
         let truth = brute_force_live(&store, q, &tomb, K);
         let mut dist = FlatDistance::new(&store, q, Metric::L2).expect("dim matches");
-        let got = paged.search_paged_live(&mut dist, K, 48, &tomb).ids();
+        let got = paged_search_live(&paged, &mut dist, &tomb);
         mutated_hits += got.iter().filter(|id| truth.contains(id)).count();
         let mut fdist = FlatDistance::new(&fresh_store, q, Metric::L2).expect("dim matches");
         let fresh_got = fresh_nav.search(&mut fdist, K, 48).ids();

@@ -60,22 +60,6 @@ pub trait RetrievalFramework: Send + Sync {
         self.search(query, k, ef)
     }
 
-    /// Answers a batch of queries on one reused scratch, in order. Results
-    /// are identical to calling [`RetrievalFramework::search`] per query.
-    fn retrieve_many(
-        &self,
-        queries: &[MultiModalQuery],
-        k: usize,
-        ef: usize,
-    ) -> Vec<RetrievalOutput> {
-        mqa_graph::with_pooled(|scratch| {
-            queries
-                .iter()
-                .map(|q| self.search_scratch(q, k, ef, scratch))
-                .collect()
-        })
-    }
-
     /// Inserts a batch of already-encoded objects into the live index,
     /// publishing a new snapshot for subsequent searches; in-flight
     /// searches keep reading the generation they pinned. The default

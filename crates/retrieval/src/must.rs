@@ -102,7 +102,7 @@ impl RetrievalFramework for MustFramework {
                 .search_scratch(&qv, override_w.as_ref(), k, ef, scratch)
         };
         RetrievalOutput {
-            results: out.output.results.clone(),
+            results: out.output.results,
             stats: out.output.stats,
             scan: Some(out.scan),
             latency: outer.finish(),
@@ -308,26 +308,5 @@ mod tests {
                 framework: FrameworkKind::Mr
             })
         );
-    }
-
-    #[test]
-    fn retrieve_many_matches_per_query_search() {
-        let f = framework();
-        let rec = f.corpus.kb().get(0);
-        let img = match rec.content(1).unwrap() {
-            mqa_encoders::RawContent::Image(i) => i.clone(),
-            _ => panic!(),
-        };
-        let queries = vec![
-            MultiModalQuery::text(f.corpus.kb().get(5).title.clone()),
-            MultiModalQuery::image(img),
-            MultiModalQuery::text(f.corpus.kb().get(9).title.clone()),
-        ];
-        let batched = f.retrieve_many(&queries, 5, 48);
-        assert_eq!(batched.len(), queries.len());
-        for (q, b) in queries.iter().zip(&batched) {
-            let single = f.search(q, 5, 48);
-            assert_eq!(single.results, b.results, "batched answer diverged");
-        }
     }
 }

@@ -25,8 +25,9 @@
 //! the catch-all for what the heuristic cannot see.
 //!
 //! **Entry points** ([`ALLOC_ENTRY_POINTS`]) are the *steady-state* query
-//! path: every `search_with` impl, `QueryEngine::{submit,retrieve,
-//! retrieve_batch}` (whose bodies include the worker-job closure),
+//! path: every `search_with` impl, `QueryEngine::{submit,
+//! submit_with_deadline,retrieve,retrieve_batch}` (whose bodies include
+//! the worker-job closure),
 //! `PageCache::probe`, `ResultCache::get`, `mmr_diversify`, and the
 //! trace record path (`record_stage`/`add_search_work`). Build,
 //! mutation, and dialogue-turn paths allocate by design and are out of
@@ -293,7 +294,7 @@ fn callgraph_skip_angles(toks: &[&Tok], i: usize) -> usize {
 /// *narrower* than flow's panic entry points: submission/retrieval and
 /// the search kernel, but not the dialogue/build/mutation paths, which
 /// allocate by design.
-pub const ALLOC_ENTRY_POINTS: [EntryPoint; 9] = [
+pub const ALLOC_ENTRY_POINTS: [EntryPoint; 10] = [
     EntryPoint {
         owner: EntryOwner::AnyImpl,
         name: "search_with",
@@ -301,6 +302,10 @@ pub const ALLOC_ENTRY_POINTS: [EntryPoint; 9] = [
     EntryPoint {
         owner: EntryOwner::Named("QueryEngine"),
         name: "submit",
+    },
+    EntryPoint {
+        owner: EntryOwner::Named("QueryEngine"),
+        name: "submit_with_deadline",
     },
     EntryPoint {
         owner: EntryOwner::Named("QueryEngine"),

@@ -21,7 +21,7 @@ use mqa_core::{Config, MqaSystem};
 use mqa_engine::sync::witness;
 use mqa_engine::{EngineOptions, QueryEngine, WorkerPool};
 use mqa_graph::starling::{DeviceProfile, LayoutStrategy, PageLayout, PagedIndex};
-use mqa_graph::FlatDistance;
+use mqa_graph::{FlatDistance, GraphSearcher};
 use mqa_kb::DatasetSpec;
 use mqa_retrieval::MultiModalQuery;
 use mqa_rng::StdRng;
@@ -323,7 +323,7 @@ fn check_paged_speedup(seed: u64) -> Result<(f64, f64, u64), String> {
                 let answered = Arc::clone(&answered);
                 pool.submit(Box::new(move |scratch| {
                     if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi], Metric::L2) {
-                        let out = paged.search_paged_with(&mut dist, 10, 32, scratch);
+                        let out = paged.search_with(&mut dist, 10, 32, scratch);
                         if !out.results.is_empty() {
                             answered.fetch_add(1, Ordering::SeqCst);
                         }
@@ -380,7 +380,7 @@ fn check_page_cache(seed: u64) -> Result<(u64, u64), String> {
         for q in &query_vecs {
             let mut dist = FlatDistance::new(&store, q, Metric::L2)
                 .map_err(|e| format!("distance setup failed: {e}"))?;
-            let out = index.search_paged(&mut dist, 10, 32);
+            let out = index.search(&mut dist, 10, 32);
             pages_read += out.stats.pages_read;
             answers.push(out.results.iter().map(|c| (c.id, c.dist)).collect());
         }

@@ -16,7 +16,7 @@
 //!    `overflow-checks` owns the debug run.
 //! 2. **Reachability** — the panic cone is computed from the designated
 //!    serving entry points ([`ENTRY_POINTS`]): `QueryEngine::{submit,
-//!    try_submit,retrieve,retrieve_batch}`, the `MqaSystem`/
+//!    submit_with_deadline,retrieve,retrieve_batch}`, the `MqaSystem`/
 //!    `DialogueSession` turn path, every `GraphSearcher::search_with`
 //!    impl, and `PageCache`/`ResultCache` lookups. Any panic-capable
 //!    site inside a reachable function is a [`Rule::ReachablePanic`]
@@ -394,7 +394,7 @@ pub const ENTRY_POINTS: [EntryPoint; 10] = [
     },
     EntryPoint {
         owner: EntryOwner::Named("QueryEngine"),
-        name: "try_submit",
+        name: "submit_with_deadline",
     },
     EntryPoint {
         owner: EntryOwner::Named("QueryEngine"),

@@ -1,10 +1,12 @@
-//! `serve` — the interactive serving front-end: a line-protocol REPL that
-//! drives a [`DialogueSession`] through the deadline-aware scheduler.
+//! `serve` — the interactive front-end, and the closest this
+//! reproduction gets to the paper's live demonstration: a line-protocol
+//! REPL that drives a [`DialogueSession`] through the deadline-aware
+//! scheduler. Type multi-modal queries, click results by number, refine,
+//! and watch the retrieval statistics.
 //!
-//! Unlike `examples/repl.rs` (which searches on the calling thread), this
-//! binary routes every turn through [`QueryEngine`]'s micro-batch
-//! scheduler with admission control enabled, so overload surfaces as
-//! *typed* shed outcomes at the prompt instead of unbounded queueing.
+//! Every turn is routed through [`QueryEngine`]'s micro-batch scheduler
+//! with admission control enabled, so overload surfaces as *typed* shed
+//! outcomes at the prompt instead of unbounded queueing.
 //!
 //! Line protocol:
 //!
@@ -15,9 +17,14 @@
 //!   subsequent turns (`:deadline off` clears it; off by default);
 //! * `:pick N [text]` — select result `N` of the previous reply, its
 //!   image augments the next query (optionally refine in one turn);
+//! * `:reject N <text>` — "not this one": exclude result `N` for the rest
+//!   of the session and re-ask;
+//! * `:weights a b` — set a per-modality weight override for the next
+//!   turns (`:weights off` clears it);
 //! * `:stats` — print the scheduler instruments (batches formed, shed
 //!   counts, pending depth);
 //! * `:status` — print the system status panel;
+//! * `:config` — print the configuration panel;
 //! * `:quit` — exit.
 //!
 //! ```bash
@@ -53,6 +60,13 @@ fn shed_notice(err: TicketError) -> &'static str {
     }
 }
 
+/// Splits `N [text]` into the result rank and the optional trailing text.
+fn rank_and_text(rest: &str) -> Option<(usize, Option<&str>)> {
+    let mut parts = rest.splitn(2, ' ');
+    let rank = parts.next()?.parse().ok()?;
+    Some((rank, parts.next()))
+}
+
 fn main() {
     println!("building the MQA system (weather corpus, 5k objects)…");
     let kb = DatasetSpec::weather()
@@ -75,6 +89,7 @@ fn main() {
 
     let mut session = system.open_session();
     let mut deadline_us: Option<u64> = None;
+    let mut weights: Option<Vec<f32>> = None;
     let stdin = std::io::stdin();
     loop {
         print!("you ▸ ");
@@ -120,18 +135,40 @@ fn main() {
             }
             continue;
         } else if let Some(rest) = line.strip_prefix(":pick ") {
-            let mut parts = rest.splitn(2, ' ');
-            let Some(Ok(rank)) = parts.next().map(str::parse::<usize>) else {
-                println!("usage: :pick N [refinement text]");
-                continue;
-            };
-            match parts.next() {
-                Some(text) => Turn::select_and_text(rank, text),
-                None => Turn {
+            match rank_and_text(rest) {
+                Some((rank, Some(text))) => Turn::select_and_text(rank, text),
+                Some((rank, None)) => Turn {
                     select: Some(rank),
                     ..Turn::default()
                 },
+                None => {
+                    println!("usage: :pick N [refinement text]");
+                    continue;
+                }
             }
+        } else if let Some(rest) = line.strip_prefix(":reject ") {
+            match rank_and_text(rest) {
+                Some((rank, Some(text))) => Turn::reject_and_text(rank, text),
+                _ => {
+                    println!("usage: :reject N <text>, e.g. `:reject 0 more clouds`");
+                    continue;
+                }
+            }
+        } else if let Some(rest) = line.strip_prefix(":weights ") {
+            if rest.trim() == "off" {
+                weights = None;
+                println!("weight override cleared");
+            } else {
+                let parsed: Result<Vec<f32>, _> = rest.split_whitespace().map(str::parse).collect();
+                match parsed {
+                    Ok(w) if !w.is_empty() => {
+                        println!("weight override set to {w:?}");
+                        weights = Some(w);
+                    }
+                    _ => println!("usage: :weights <w1> <w2> … | off"),
+                }
+            }
+            continue;
         } else {
             match line {
                 ":quit" | ":q" => break,
@@ -143,12 +180,20 @@ fn main() {
                     println!("{}", mqa::core::panels::render_status_panel(&system));
                     continue;
                 }
+                ":config" => {
+                    println!(
+                        "{}",
+                        mqa::core::panels::render_config_panel(system.config())
+                    );
+                    continue;
+                }
                 text => Turn::text(text),
             }
         };
-        let turn = match turn_deadline_us {
-            Some(us) => turn.with_deadline_us(us),
-            None => turn,
+        let turn = Turn {
+            weights: weights.clone(),
+            deadline_us: turn_deadline_us,
+            ..turn
         };
         match session.ask(turn) {
             Ok(reply) => {

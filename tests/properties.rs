@@ -262,7 +262,7 @@ fn robust_prune_output_well_formed() {
 
 #[test]
 fn beam_search_output_well_formed() {
-    use mqa::graph::{beam_search, FlatDistance};
+    use mqa::graph::{beam_search, FlatDistance, SearchScratch};
     use mqa::vector::VectorStore;
     let mut rng = StdRng::seed_from_u64(0xA00E);
     for case in 0..64 {
@@ -286,7 +286,7 @@ fn beam_search_output_well_formed() {
             g.add_edge(v, ((v as usize + n - 1) % n) as u32);
         }
         let mut dist = FlatDistance::new(&store, &query, Metric::L2).expect("dims match");
-        let out = beam_search(&g, &[0], &mut dist, k, ef);
+        let out = beam_search(&g, &[0], &mut dist, k, ef, &mut SearchScratch::new());
         assert!(out.results.len() <= k);
         assert!(!out.results.is_empty());
         // sorted ascending, unique ids
