@@ -36,7 +36,7 @@ cargo run -q --release --offline -p mqa-xtask -- trace --out results/trace
 echo "==> mqa-xtask mutate (online-mutation gate)"
 cargo run -q --release --offline -p mqa-xtask -- mutate --out results/mutate
 
-echo "==> mqa-xtask sched (deadline-scheduler overload gate)"
+echo "==> mqa-xtask sched (admission-control overload gate)"
 cargo run -q --release --offline -p mqa-xtask -- sched --out results/sched
 
 echo "==> introspection endpoint (feature build)"

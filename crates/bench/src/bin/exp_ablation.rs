@@ -19,7 +19,7 @@ use mqa_bench::{encode, two_round, SetupParams, Table};
 use mqa_graph::pipeline::{
     EntryStage, GraphPipeline, InitStage, RefineStage, RepairStage, SelectStage,
 };
-use mqa_graph::{BuiltGraph, IndexAlgorithm, UnifiedIndex};
+use mqa_graph::{BuiltGraph, IndexAlgorithm, Tombstones, UnifiedIndex};
 use mqa_kb::DatasetSpec;
 use mqa_retrieval::{JeFramework, JePartialPolicy, MustFramework};
 use mqa_vector::Metric;
@@ -120,12 +120,15 @@ fn main() {
         let nav = pipeline.run(&weighted, Metric::L2, name);
         let degree = nav.report().avg_degree;
         let connectivity = nav.report().connectivity;
+        let store = enc.corpus.store().clone();
+        let tombstones = Tombstones::new(store.len());
         let index = UnifiedIndex::from_parts(
-            enc.corpus.store().clone(),
+            store,
             enc.learned.weights.clone(),
             Metric::L2,
             BuiltGraph::Nav(nav),
             IndexAlgorithm::mqa_graph(),
+            tombstones,
         );
         let must = match MustFramework::from_index(Arc::clone(&enc.corpus), index) {
             Ok(m) => m,

@@ -19,7 +19,7 @@ pub type ThreadBody = Box<dyn FnOnce(&mut ThreadToken) + Send + 'static>;
 /// snapshot it is about to pick from (see [`CheckOptions::settle`]).
 const SETTLE_ROUNDS: usize = 8;
 
-/// Scheduler knobs. `Default` is tuned for engine-scale schedules: a
+/// Schedule-checker knobs. `Default` is tuned for engine-scale schedules: a
 /// sub-millisecond settle window and a stuck timeout two orders of
 /// magnitude above any legitimate wakeup handoff.
 #[derive(Debug, Clone)]

@@ -340,9 +340,12 @@ impl MqaSystem {
             .corpus
             .with_records(records)
             .map_err(|(i, e)| MqaError::Mutation(format!("record {i}: {e}")))?;
-        let encoded: Vec<mqa_vector::MultiVector> = records
-            .iter()
-            .map(|r| self.corpus.encoders().encode_record(r))
+        // The index receives the rows `with_records` just encoded into the
+        // grown store, so each record is encoded exactly once.
+        let vec_id = mqa_vector::cast::vec_id;
+        let encoded: Vec<mqa_vector::MultiVector> = (vec_id(self.corpus.store().len())
+            ..vec_id(grown.store().len()))
+            .map(|id| grown.store().multivector_of(id))
             .collect();
         let report = self
             .framework
@@ -579,6 +582,19 @@ mod tests {
         let report = sys.add_objects(std::slice::from_ref(&record)).unwrap();
         assert_eq!((report.epoch, report.applied), (1, 1));
         assert_eq!(sys.corpus().kb().len(), 81);
+        // The index row is the corpus row bit for bit: the record's own
+        // contents, encoded as a query, sit at distance exactly 0 from it.
+        let probe = match (record.content(0), record.content(1)) {
+            (Some(mqa_encoders::RawContent::Text(t)), Some(mqa_encoders::RawContent::Image(i))) => {
+                mqa_retrieval::MultiModalQuery::text_and_image(t.clone(), i.clone())
+            }
+            other => panic!("caption + image expected, got {other:?}"),
+        };
+        let hits = sys.framework.search(&probe, 2, 64).results;
+        assert!(
+            hits.iter().any(|c| c.id == 80 && c.dist == 0.0),
+            "index row 80 differs from corpus row 80: {hits:?}"
+        );
         assert!(
             cache.generation() > gen_before,
             "each mutation batch must bump the result-cache generation"

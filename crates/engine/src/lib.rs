@@ -29,15 +29,16 @@
 //! assert_eq!(answer.ids(), vec![5]);
 //! ```
 //!
-//! An optional [`sched`] stage (see [`EngineOptions::with_sched`]) fronts
-//! the pool with deadline-aware micro-batching and admission control:
-//! overload resolves to typed [`TicketError::Rejected`] /
-//! [`TicketError::Expired`] outcomes, never a silent drop.
+//! One [`BoundedQueue`] is the only thing between `submit` and a worker.
+//! Configuring [`sched`] admission control (see
+//! [`EngineOptions::with_sched`]) sizes that queue to the watermark and
+//! turns overload into typed [`TicketError::Rejected`] /
+//! [`TicketError::Expired`] outcomes, never a block or a silent drop.
 //!
 //! Instrumentation (all through `mqa-obs`): `engine.pool.queue_depth` gauge,
 //! `engine.query.latency_us` latency histogram, `engine.query.submitted` counter,
-//! per-worker `engine.worker.<i>.jobs` counters, and the scheduler's
-//! `engine.sched.{batches,batch_size,shed_rejected,shed_expired,pending_depth}`.
+//! per-worker `engine.worker.<i>.jobs` counters, and the shed counters
+//! `engine.sched.{shed_rejected,shed_expired}`.
 
 pub mod allocwitness;
 pub mod pool;
@@ -54,7 +55,6 @@ pub use ticket::{oneshot, Ticket, TicketAborter, TicketError, TicketSender};
 
 use mqa_retrieval::{MultiModalQuery, RetrievalFramework, RetrievalOutput};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Typed errors of the submission path.
@@ -65,8 +65,8 @@ pub enum EngineError {
     /// The job was abandoned before producing a result (worker panic or
     /// shutdown with the job still queued).
     Canceled,
-    /// Admission control shed the query: scheduler queue depth was at the
-    /// configured watermark.
+    /// Admission control shed the query: the queue was at the configured
+    /// watermark.
     Rejected,
     /// The query's deadline passed before a worker picked it up.
     Expired,
@@ -78,7 +78,7 @@ impl fmt::Display for EngineError {
             EngineError::ShuttingDown => write!(f, "engine is shutting down"),
             EngineError::Canceled => write!(f, "query was canceled before completion"),
             EngineError::Rejected => write!(f, "query rejected by admission control"),
-            EngineError::Expired => write!(f, "query deadline expired before dispatch"),
+            EngineError::Expired => write!(f, "query deadline expired before a worker took it"),
         }
     }
 }
@@ -100,11 +100,13 @@ impl From<TicketError> for EngineError {
 pub struct EngineOptions {
     /// Worker threads (each owns one scratch).
     pub workers: usize,
-    /// Submission-queue capacity (backpressure threshold).
+    /// Submission-queue capacity (backpressure threshold) when no
+    /// admission control is configured.
     pub queue_cap: usize,
-    /// When set, a scheduler stage sits in front of the pool: micro-batch
-    /// dispatch, admission watermark, and deadline shedding. `None` keeps
-    /// the original direct-to-queue path.
+    /// When set, admission control: the queue holds
+    /// [`SchedOptions::watermark`] jobs (`queue_cap` is not consulted) and
+    /// a submission that finds it full is shed with
+    /// [`TicketError::Rejected`]. `None` blocks the submitter instead.
     pub sched: Option<SchedOptions>,
 }
 
@@ -127,7 +129,7 @@ impl EngineOptions {
         }
     }
 
-    /// The same options with the scheduler stage enabled.
+    /// The same options with admission control enabled.
     #[must_use]
     pub fn with_sched(mut self, sched: SchedOptions) -> Self {
         self.sched = Some(sched);
@@ -135,13 +137,13 @@ impl EngineOptions {
     }
 }
 
-/// The engine: a retrieval framework served by a worker pool, optionally
-/// fronted by the deadline-aware [`sched`] stage.
+/// The engine: a retrieval framework served by a worker pool behind one
+/// bounded queue.
 pub struct QueryEngine {
-    // Field order is drop order: the scheduler joins its dispatcher (which
-    // still submits into the pool) before the pool closes and joins.
-    sched: Option<sched::Scheduler>,
-    pool: Arc<WorkerPool>,
+    pool: WorkerPool,
+    /// Whether a full queue sheds the submission ([`sched`] configured)
+    /// or blocks the submitter.
+    shed_when_full: bool,
     framework: Arc<dyn RetrievalFramework>,
 }
 
@@ -149,16 +151,13 @@ impl QueryEngine {
     /// Spawns the worker pool over `framework`.
     ///
     /// # Panics
-    /// Panics if `options.workers == 0` or `options.queue_cap == 0` (or,
-    /// with a scheduler, a zero watermark / max batch).
+    /// Panics if `options.workers == 0` or the queue capacity in force
+    /// (`sched.watermark` when configured, `queue_cap` otherwise) is 0.
     pub fn new(framework: Arc<dyn RetrievalFramework>, options: EngineOptions) -> Self {
-        let pool = Arc::new(WorkerPool::new(options.workers, options.queue_cap));
-        let sched = options
-            .sched
-            .map(|opts| sched::Scheduler::new(opts, Arc::clone(&pool)));
+        let capacity = options.sched.map_or(options.queue_cap, |s| s.watermark);
         Self {
-            sched,
-            pool,
+            pool: WorkerPool::new(options.workers, capacity),
+            shed_when_full: options.sched.is_some(),
             framework,
         }
     }
@@ -169,20 +168,9 @@ impl QueryEngine {
         k: usize,
         ef: usize,
         deadline: Option<Deadline>,
-    ) -> (
-        Ticket<RetrievalOutput>,
-        TicketAborter<RetrievalOutput>,
-        Arc<AtomicU64>,
-        pool::Job,
-    ) {
+    ) -> (Ticket<RetrievalOutput>, pool::Job) {
         let (ticket, sender) = ticket::oneshot();
-        let aborter = sender.aborter();
         let worker_aborter = sender.aborter();
-        // ALLOC: per-query control-plane cell (like the ticket itself);
-        // the dispatcher writes the formed batch size, the worker reads
-        // it into the trace — the search it annotates stays allocation-free.
-        let batch_cell = Arc::new(AtomicU64::new(0));
-        let worker_batch_cell = Arc::clone(&batch_cell);
         let framework = Arc::clone(&self.framework);
         // Inherit the caller's trace when one is active (the session path
         // began it); otherwise mint a detached root so raw engine
@@ -201,8 +189,8 @@ impl QueryEngine {
             let adopted = ctx.as_ref().map(mqa_obs::TraceContext::adopt);
             if let Some(d) = deadline {
                 mqa_obs::trace::note_deadline_budget(d.budget_us());
-                // Last-chance expiry check: the deadline may have passed
-                // while the job sat in the pool queue. Shedding here (no
+                // Last-look expiry check: the deadline may have passed
+                // while the job sat in the queue. Shedding here (no
                 // search run, no queue-wait sample recorded) keeps the
                 // served-query latency histograms clean, and `fail`
                 // resolves the ticket typed — the closure's sender then
@@ -214,10 +202,6 @@ impl QueryEngine {
                     // with outcome "canceled" — still a complete trace.
                     return;
                 }
-            }
-            let batch = worker_batch_cell.load(Ordering::Relaxed);
-            if batch > 0 {
-                mqa_obs::trace::note_sched_batch(batch);
             }
             let queue_us = queue_sw.elapsed_us();
             mqa_obs::histogram("engine.query.queue_wait_us").record(queue_us);
@@ -244,15 +228,15 @@ impl QueryEngine {
             if let Some(handle) = owned {
                 handle.finish();
             }
-            // `false` means a shed raced ahead and won the ticket; the
-            // result is discarded but the outcome stays typed either way.
+            // First resolution wins: `false` would mean an aborter had
+            // already failed the ticket, and the typed outcome stands.
             let _delivered = sender.send(out);
         });
-        (ticket, aborter, batch_cell, job)
+        (ticket, job)
     }
 
     /// Submits a query; blocks while the queue is full (backpressure).
-    /// With the scheduler stage enabled the submission never blocks —
+    /// With admission control configured the submission never blocks —
     /// overload resolves to [`EngineError::Rejected`] instead.
     ///
     /// # Errors
@@ -273,14 +257,13 @@ impl QueryEngine {
             })
     }
 
-    /// Submits a query carrying an optional deadline. Requires no
-    /// scheduler: on the direct path the deadline is still checked at
-    /// submit and on the worker; with the scheduler it additionally
-    /// gates admission and dispatch.
+    /// Submits a query carrying an optional deadline, checked here and
+    /// again on the worker as the job leaves the queue.
     ///
     /// # Errors
     /// The typed shed outcome: [`TicketError::Expired`] if the deadline
-    /// already passed, [`TicketError::Rejected`] at the watermark,
+    /// already passed, [`TicketError::Rejected`] if admission control is
+    /// configured and the queue is at the watermark,
     /// [`TicketError::Canceled`] if the engine is shutting down.
     pub fn submit_with_deadline(
         &self,
@@ -289,31 +272,25 @@ impl QueryEngine {
         ef: usize,
         deadline: Option<Deadline>,
     ) -> Result<Ticket<RetrievalOutput>, TicketError> {
-        let (ticket, aborter, batch_cell, job) = self.job(query, k, ef, deadline);
-        match &self.sched {
-            Some(s) => s.submit(sched::Entry {
-                job,
-                deadline,
-                aborter,
-                batch_cell,
-            })?,
-            None => {
-                if let Some(d) = deadline {
-                    if d.expired() {
-                        aborter.fail(TicketError::Expired);
-                        mqa_obs::counter("engine.sched.shed_expired").inc();
-                        drop(job);
-                        return Err(TicketError::Expired);
-                    }
-                }
-                if self.pool.submit(job).is_err() {
-                    // The job was consumed and its sender dropped; make
-                    // the shutdown outcome explicit regardless.
-                    aborter.fail(TicketError::Canceled);
-                    return Err(TicketError::Canceled);
-                }
-            }
+        // A shed submission's ticket is never handed out, so dropping the
+        // job (and with it the ticket's sender) is all the cleanup it needs.
+        let (ticket, job) = self.job(query, k, ef, deadline);
+        if deadline.is_some_and(|d| d.expired()) {
+            mqa_obs::counter("engine.sched.shed_expired").inc();
+            return Err(TicketError::Expired);
         }
+        let pushed = if self.shed_when_full {
+            self.pool.try_submit(job)
+        } else {
+            self.pool.submit(job)
+        };
+        pushed.map_err(|refused| match refused {
+            EngineError::Rejected => {
+                mqa_obs::counter("engine.sched.shed_rejected").inc();
+                TicketError::Rejected
+            }
+            _ => TicketError::Canceled,
+        })?;
         mqa_obs::counter("engine.query.submitted").inc();
         Ok(ticket)
     }

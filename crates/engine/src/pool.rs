@@ -74,12 +74,29 @@ impl WorkerPool {
     /// # Errors
     /// Returns [`EngineError::ShuttingDown`] if the pool closed.
     pub fn submit(&self, job: Job) -> Result<(), EngineError> {
-        match self.queue.push(job) {
+        self.admitted(self.queue.push(job))
+    }
+
+    /// Non-blocking submit: a full queue refuses the job instead of
+    /// waiting for a slot.
+    ///
+    /// # Errors
+    /// Returns [`EngineError::Rejected`] if the queue is at capacity, or
+    /// [`EngineError::ShuttingDown`] if the pool closed.
+    pub fn try_submit(&self, job: Job) -> Result<(), EngineError> {
+        self.admitted(self.queue.try_push(job))
+    }
+
+    /// The typed outcome of one push; a refused job is dropped here (its
+    /// ticket resolves through its sender's drop).
+    fn admitted(&self, pushed: Result<(), PushError<Job>>) -> Result<(), EngineError> {
+        match pushed {
             Ok(()) => {
                 mqa_obs::gauge("engine.pool.queue_depth").set(self.queue.len() as f64);
                 Ok(())
             }
-            Err(PushError::Closed(_)) | Err(PushError::Full(_)) => Err(EngineError::ShuttingDown),
+            Err(PushError::Full(_)) => Err(EngineError::Rejected),
+            Err(PushError::Closed(_)) => Err(EngineError::ShuttingDown),
         }
     }
 

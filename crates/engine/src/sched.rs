@@ -1,42 +1,33 @@
-//! Deadline-aware micro-batch scheduler with admission control.
+//! Deadlines and admission control for the engine's one queue.
 //!
-//! Sits between [`QueryEngine::submit`](crate::QueryEngine::submit) and
-//! the [`WorkerPool`]: submissions land in a pending queue, a dispatcher
-//! thread drains them in arrival order as micro-batches of up to
-//! `max_batch` jobs (consecutive dispatch amortizes `PageCache` and
-//! `SearchScratch` locality on the workers), and overload resolves to a
-//! *typed* outcome instead of unbounded queueing or a silent drop:
+//! There is no scheduler thread and no second queue: the pool's
+//! [`BoundedQueue`](crate::BoundedQueue) is the only thing between
+//! [`QueryEngine::submit`](crate::QueryEngine::submit) and a worker, and
+//! admission is decided by the submitting thread at the push. Configuring
+//! [`SchedOptions`] sizes that queue to the `watermark` and turns a full
+//! queue from backpressure into a *typed* shed:
 //!
-//! * [`TicketError::Rejected`] — the pending queue was at the configured
-//!   `watermark` when the job arrived (admission control).
-//! * [`TicketError::Expired`] — the job carried a [`Deadline`] and it
-//!   passed before a worker picked the job up. Expiry is checked at
-//!   admission, at dispatch, and again on the worker, so a stale job
-//!   never burns search work.
+//! * [`TicketError::Rejected`](crate::TicketError::Rejected) — the queue
+//!   already held `watermark` jobs when this one arrived.
+//! * [`TicketError::Expired`](crate::TicketError::Expired) — the job
+//!   carried a [`Deadline`] that passed before a worker picked it up.
+//!   Expiry is checked twice: at submit, and on the worker as the job
+//!   leaves the queue, so a stale job never burns search work.
 //!
 //! The deadline clock is [`mqa_obs::Stopwatch`] — the process-wide
 //! monotonic clock (`std::time::Instant` under the hood, read only
 //! through the sanctioned obs wrapper), captured once at
 //! [`Deadline::in_us`] and carried by value with the job.
 //!
-//! Instruments: `engine.sched.batches` / `engine.sched.batch_size` for
-//! batch formation, `engine.sched.shed_rejected` / `engine.sched.shed_expired`
-//! for the two shed outcomes, `engine.sched.pending_depth` for the queue.
+//! Instruments: `engine.sched.shed_rejected` / `engine.sched.shed_expired`
+//! for the two shed outcomes; `engine.pool.queue_depth` is the backlog.
 
-use crate::pool::{Job, WorkerPool};
-use crate::sync::TracedMutex;
-use crate::ticket::{TicketAborter, TicketError};
 use mqa_obs::Stopwatch;
-use mqa_retrieval::RetrievalOutput;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
-use std::thread::JoinHandle;
 
 /// A per-query latency budget, measured from the moment of construction
 /// on the process monotonic clock ([`mqa_obs::Stopwatch`]). `Copy`, so it
-/// travels with the job through the scheduler and is re-checked at every
-/// stage without any shared clock state.
+/// travels with the job and is re-checked on the worker without any
+/// shared clock state.
 #[derive(Clone, Copy)]
 pub struct Deadline {
     started: Stopwatch,
@@ -78,203 +69,21 @@ impl std::fmt::Debug for Deadline {
     }
 }
 
-/// Scheduler sizing knobs.
+/// The admission-control knob: with it set in
+/// [`EngineOptions::sched`](crate::EngineOptions) a full queue sheds,
+/// without it a full queue blocks the submitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedOptions {
-    /// Admission watermark: a submission that finds this many jobs
-    /// already pending is shed with [`TicketError::Rejected`].
+    /// Admission watermark — the capacity of the engine's one queue, and
+    /// so the whole admitted backlog beyond the jobs in service: a
+    /// submission that finds this many jobs queued is shed with
+    /// [`TicketError::Rejected`](crate::TicketError::Rejected).
     pub watermark: usize,
-    /// Upper bound on jobs dispatched per micro-batch.
-    pub max_batch: usize,
 }
 
 impl Default for SchedOptions {
     fn default() -> Self {
-        Self {
-            watermark: 64,
-            max_batch: 8,
-        }
-    }
-}
-
-/// One scheduled unit: the boxed job plus the control handles the
-/// scheduler needs to shed it without running it.
-pub(crate) struct Entry {
-    pub(crate) job: Job,
-    pub(crate) deadline: Option<Deadline>,
-    pub(crate) aborter: TicketAborter<RetrievalOutput>,
-    /// Written by the dispatcher with the size of the micro-batch this
-    /// job shipped in; the worker reads it into the query trace. 0 means
-    /// "not batch-dispatched".
-    pub(crate) batch_cell: Arc<AtomicU64>,
-}
-
-struct SchedState {
-    pending: VecDeque<Entry>,
-    closed: bool,
-}
-
-struct Inner {
-    state: TracedMutex<SchedState>,
-    cv: Condvar,
-    opts: SchedOptions,
-    pool: Arc<WorkerPool>,
-}
-
-/// The scheduler stage. Owns one dispatcher thread; dropping it drains
-/// the pending queue (accepted work still dispatches) and joins the
-/// thread.
-pub(crate) struct Scheduler {
-    inner: Arc<Inner>,
-    dispatcher: Option<JoinHandle<()>>,
-}
-
-impl Scheduler {
-    pub(crate) fn new(opts: SchedOptions, pool: Arc<WorkerPool>) -> Self {
-        assert!(opts.watermark > 0, "a zero watermark admits nothing");
-        assert!(opts.max_batch > 0, "a zero max_batch dispatches nothing");
-        // ALLOC: one scheduler per engine; control-plane, not the search kernel.
-        let inner = Arc::new(Inner {
-            state: TracedMutex::new(
-                "engine.sched.state",
-                SchedState {
-                    pending: VecDeque::with_capacity(opts.watermark),
-                    closed: false,
-                },
-            ),
-            cv: Condvar::new(),
-            opts,
-            pool,
-        });
-        let dispatcher = {
-            let inner = Arc::clone(&inner);
-            Some(std::thread::spawn(move || dispatch_loop(&inner)))
-        };
-        Self { inner, dispatcher }
-    }
-
-    /// Admits `entry` into the pending queue, or sheds it with a typed
-    /// outcome. Shedding resolves the entry's ticket through its aborter
-    /// before returning, so the error the caller sees and the outcome the
-    /// ticket's waiter sees always agree.
-    ///
-    /// # Errors
-    /// [`TicketError::Expired`] if the deadline already passed,
-    /// [`TicketError::Rejected`] if pending depth is at the watermark,
-    /// [`TicketError::Canceled`] if the scheduler is shutting down.
-    pub(crate) fn submit(&self, entry: Entry) -> Result<(), TicketError> {
-        if let Some(d) = entry.deadline {
-            if d.expired() {
-                entry.aborter.fail(TicketError::Expired);
-                mqa_obs::counter("engine.sched.shed_expired").inc();
-                return Err(TicketError::Expired);
-            }
-        }
-        let verdict = {
-            let mut state = self.inner.state.lock();
-            if state.closed {
-                Err(TicketError::Canceled)
-            } else if state.pending.len() >= self.inner.opts.watermark {
-                Err(TicketError::Rejected)
-            } else {
-                state.pending.push_back(entry);
-                Ok(state.pending.len())
-            }
-        };
-        match verdict {
-            Ok(depth) => {
-                mqa_obs::gauge("engine.sched.pending_depth").set(depth as f64);
-                self.inner.cv.notify_one();
-                Ok(())
-            }
-            Err(err) => {
-                // `entry` was not queued; fail its ticket (the dropped
-                // job's sender-drop is then a no-op) and count the shed.
-                if err == TicketError::Rejected {
-                    mqa_obs::counter("engine.sched.shed_rejected").inc();
-                }
-                Err(err)
-            }
-        }
-    }
-}
-
-/// The dispatcher: waits for pending work, drains up to `max_batch`
-/// entries under the lock, then dispatches them *outside* the lock
-/// (pool submission blocks under backpressure, and a guard must never be
-/// held across a blocking call). Exits once closed *and* drained, so
-/// every accepted entry is dispatched or shed before shutdown completes.
-fn dispatch_loop(inner: &Inner) {
-    let batches = mqa_obs::counter("engine.sched.batches");
-    let batch_size = mqa_obs::histogram("engine.sched.batch_size");
-    let shed_expired = mqa_obs::counter("engine.sched.shed_expired");
-    let depth_gauge = mqa_obs::gauge("engine.sched.pending_depth");
-    // ALLOC: dispatcher-local batch buffer, reused across iterations.
-    let mut batch: Vec<Entry> = Vec::with_capacity(inner.opts.max_batch);
-    loop {
-        {
-            let mut state = inner.state.lock();
-            loop {
-                if !state.pending.is_empty() {
-                    break;
-                }
-                if state.closed {
-                    return;
-                }
-                state = inner.state.wait(&inner.cv, state);
-            }
-            let n = state.pending.len().min(inner.opts.max_batch);
-            batch.extend(state.pending.drain(..n));
-            depth_gauge.set(state.pending.len() as f64);
-        }
-        let mut dispatched: u64 = 0;
-        let formed = batch.len() as u64;
-        for entry in batch.drain(..) {
-            if let Some(d) = entry.deadline {
-                // Shed without dispatching: resolving the ticket first
-                // makes the dropped job's sender-drop a no-op, so the
-                // waiter sees exactly one typed outcome.
-                if d.expired() && entry.aborter.fail(TicketError::Expired) {
-                    shed_expired.inc();
-                    continue;
-                }
-            }
-            entry.batch_cell.store(formed, Ordering::Relaxed);
-            if inner.pool.submit(entry.job).is_err() {
-                // Pool refused (shutdown mid-dispatch): the job was
-                // consumed, its sender dropped, the ticket resolved as
-                // Canceled. Record the typed outcome explicitly anyway in
-                // case a send raced ahead.
-                entry.aborter.fail(TicketError::Canceled);
-                continue;
-            }
-            dispatched += 1;
-        }
-        if dispatched > 0 {
-            batches.inc();
-            batch_size.record(dispatched);
-        }
-    }
-}
-
-impl Drop for Scheduler {
-    fn drop(&mut self) {
-        {
-            let mut state = self.inner.state.lock();
-            state.closed = true;
-        }
-        self.inner.cv.notify_one();
-        if let Some(handle) = self.dispatcher.take() {
-            // The dispatcher drains the backlog before exiting; a
-            // panicked dispatcher must not cascade out of drop.
-            drop(handle.join());
-        }
-        // Anything still pending after the join (dispatcher panicked
-        // mid-loop) resolves typed rather than hanging its waiters.
-        let mut state = self.inner.state.lock();
-        for entry in state.pending.drain(..) {
-            entry.aborter.fail(TicketError::Canceled);
-        }
+        Self { watermark: 64 }
     }
 }
 
@@ -304,6 +113,5 @@ mod tests {
     fn default_options_are_sane() {
         let opts = SchedOptions::default();
         assert!(opts.watermark > 0);
-        assert!(opts.max_batch > 0);
     }
 }

@@ -17,8 +17,8 @@ use std::sync::{Arc, Condvar};
 /// to decide between retry, fallback, and surfacing the shed to the user.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TicketError {
-    /// Admission control refused the job: scheduler queue depth was at or
-    /// above the configured watermark when it was submitted.
+    /// Admission control refused the job: the queue was at the
+    /// configured watermark when it was submitted.
     Rejected,
     /// The job's deadline passed before a worker picked it up.
     Expired,
@@ -31,7 +31,7 @@ impl std::fmt::Display for TicketError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Rejected => write!(f, "rejected by admission control (queue over watermark)"),
-            Self::Expired => write!(f, "deadline expired before dispatch"),
+            Self::Expired => write!(f, "deadline expired before a worker took the job"),
             Self::Canceled => write!(f, "job abandoned before completion"),
         }
     }
@@ -62,9 +62,9 @@ pub struct TicketSender<T> {
     sent: bool,
 }
 
-/// A clonable failure handle: lets the scheduler resolve a ticket to a
-/// typed error (`Expired`, `Rejected`, `Canceled`) from outside the
-/// worker that holds the [`TicketSender`]. First resolution wins — if the
+/// A clonable failure handle: resolves a ticket to a typed error
+/// (`Expired`, `Rejected`, `Canceled`) without consuming the
+/// [`TicketSender`]. First resolution wins — if the
 /// worker already sent a value, `fail` is a no-op, and vice versa.
 pub struct TicketAborter<T> {
     shared: Arc<Shared<T>>,
@@ -135,8 +135,8 @@ impl<T> TicketSender<T> {
         }
     }
 
-    /// A failure handle bound to the same ticket, for resolving it from
-    /// outside the worker (scheduler shed paths).
+    /// A failure handle bound to the same ticket, for resolving it to a
+    /// typed error (the shed paths).
     pub fn aborter(&self) -> TicketAborter<T> {
         TicketAborter {
             shared: Arc::clone(&self.shared),

@@ -1,7 +1,8 @@
-//! Deadline semantics, end to end: expired-at-submit shedding, order
-//! preservation across partially-shed batches, and exact agreement
-//! between the `engine.sched.shed_*` instruments and the typed ticket
-//! outcomes callers observe.
+//! Deadline and admission semantics, end to end: expired-at-submit
+//! shedding, order preservation across partially-shed batches, exact
+//! agreement between the `engine.sched.shed_*` instruments and the typed
+//! ticket outcomes callers observe, and the one queue's two full-queue
+//! behaviours (shed at the watermark, block at `queue_cap`).
 //!
 //! The shed counters live in the global metrics registry, so every test
 //! here serializes on [`scenario_lock`] and measures counter *deltas*.
@@ -10,7 +11,7 @@ use mqa_engine::{Deadline, EngineOptions, QueryEngine, SchedOptions, TicketError
 use mqa_retrieval::{FrameworkKind, MultiModalQuery, RetrievalFramework, RetrievalOutput};
 use mqa_vector::Candidate;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 fn scenario_lock() -> MutexGuard<'static, ()> {
@@ -21,34 +22,38 @@ fn scenario_lock() -> MutexGuard<'static, ()> {
     }
 }
 
-/// Answers after a fixed delay with the query's text length as the
-/// distance — enough to pin per-slot identity in batch outcomes.
-struct SlowProbe {
+/// Answers after a fixed delay — and, when [`gated`], not before
+/// [`Probe::open`] — with the query's text length as the distance: enough
+/// to pin per-slot identity. Logs the order queries were served in.
+struct Probe {
     calls: AtomicUsize,
     delay: Duration,
+    open: Mutex<bool>,
+    opened: Condvar,
+    served: Mutex<Vec<usize>>,
 }
 
-impl RetrievalFramework for SlowProbe {
+impl Probe {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+impl RetrievalFramework for Probe {
     fn kind(&self) -> FrameworkKind {
         FrameworkKind::Must
     }
 
-    fn search(&self, query: &MultiModalQuery, k: usize, ef: usize) -> RetrievalOutput {
-        mqa_graph::with_pooled(|scratch| self.search_scratch(query, k, ef, scratch))
-    }
-
-    fn search_scratch(
-        &self,
-        query: &MultiModalQuery,
-        k: usize,
-        _ef: usize,
-        _scratch: &mut mqa_graph::SearchScratch,
-    ) -> RetrievalOutput {
+    fn search(&self, query: &MultiModalQuery, k: usize, _ef: usize) -> RetrievalOutput {
         self.calls.fetch_add(1, Ordering::SeqCst);
-        if !self.delay.is_zero() {
-            std::thread::sleep(self.delay);
+        std::thread::sleep(self.delay);
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
         }
         let len = query.text.as_deref().map_or(0, str::len);
+        self.served.lock().unwrap().push(len);
         RetrievalOutput {
             results: vec![Candidate::new(k as u32, len as f32)],
             ..Default::default()
@@ -56,28 +61,35 @@ impl RetrievalFramework for SlowProbe {
     }
 
     fn describe(&self) -> String {
-        "slow probe".into()
+        "probe".into()
     }
 }
 
-fn probe(delay_ms: u64) -> Arc<SlowProbe> {
-    Arc::new(SlowProbe {
+fn probe(delay_ms: u64) -> Arc<Probe> {
+    Arc::new(Probe {
         calls: AtomicUsize::new(0),
         delay: Duration::from_millis(delay_ms),
+        open: Mutex::new(true),
+        opened: Condvar::new(),
+        served: Mutex::new(Vec::new()),
     })
+}
+
+/// A probe whose searches park until [`Probe::open`].
+fn gated() -> Arc<Probe> {
+    let f = probe(0);
+    *f.open.lock().unwrap() = false;
+    f
 }
 
 fn sched_options() -> EngineOptions {
-    EngineOptions::with_workers(1).with_sched(SchedOptions {
-        watermark: 4,
-        max_batch: 2,
-    })
+    EngineOptions::with_workers(1).with_sched(SchedOptions { watermark: 4 })
 }
 
 /// Property: a deadline that is already expired at submit time is shed
-/// with typed `Expired` before any work happens — on both the scheduler
-/// path and the direct path, for every budget, and the framework is
-/// never invoked for the shed query.
+/// with typed `Expired` before any work happens — with and without
+/// admission control, for every budget, and the framework is never
+/// invoked for the shed query.
 #[test]
 fn already_expired_deadline_is_rejected_at_submit() {
     let _guard = scenario_lock();
@@ -88,7 +100,7 @@ fn already_expired_deadline_is_rejected_at_submit() {
             EngineOptions::with_workers(1)
         };
         let f = probe(0);
-        let engine = QueryEngine::new(Arc::<SlowProbe>::clone(&f), opts);
+        let engine = QueryEngine::new(Arc::<Probe>::clone(&f), opts);
         for budget_us in [0u64, 1, 5, 50, 500, 2_000] {
             let deadline = Deadline::in_us(budget_us);
             // Let the budget drain fully so the deadline is expired by
@@ -217,4 +229,83 @@ fn shed_counters_equal_observed_ticket_outcomes_exactly() {
         submit_expired >= 1,
         "the zero-budget submissions must shed at submit"
     );
+}
+
+/// With admission control the admitted backlog *is* the watermark: one
+/// job in service plus `watermark` queued, and every further submission
+/// is `Rejected` on the spot — no second queue admits more behind it.
+#[test]
+fn admitted_backlog_is_the_watermark() {
+    let _guard = scenario_lock();
+    let rejected_before = mqa_obs::counter("engine.sched.shed_rejected").get();
+    let f = gated();
+    let engine = QueryEngine::new(Arc::<Probe>::clone(&f), sched_options());
+    let mut outcomes = Vec::new();
+    for i in 1..=12 {
+        let query = MultiModalQuery::text("x".repeat(i));
+        outcomes.push(engine.submit_with_deadline(query, 3, 16, None));
+        // The worker is parked inside query 1 before the rest arrive.
+        while f.calls.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+    }
+    let rejected = mqa_obs::counter("engine.sched.shed_rejected").get() - rejected_before;
+    // Everything observed; release the worker before any assertion can
+    // fail, so a red run reports instead of hanging in the engine's drop.
+    f.open();
+
+    let admitted: Vec<usize> = (0..12).filter(|&i| outcomes[i].is_ok()).collect();
+    assert_eq!(admitted, [0, 1, 2, 3, 4], "1 in service + 4 queued");
+    assert!(
+        outcomes[5..]
+            .iter()
+            .all(|got| matches!(got, Err(TicketError::Rejected))),
+        "every submission past the watermark is Rejected"
+    );
+    assert_eq!(rejected, 7, "one shed_rejected per Rejected outcome");
+    for (i, ticket) in outcomes.into_iter().take(5).enumerate() {
+        let out = ticket.and_then(|t| t.wait()).expect("admitted work serves");
+        assert_eq!(out.results[0].dist, (i + 1) as f32);
+    }
+    assert_eq!(*f.served.lock().unwrap(), [1, 2, 3, 4, 5], "FIFO service");
+}
+
+/// Without admission control a full queue is backpressure: the submitter
+/// blocks at `queue_cap` (nothing is rejected) and every submission
+/// completes once the worker drains.
+#[test]
+fn engine_without_admission_control_blocks_at_queue_cap() {
+    let _guard = scenario_lock();
+    let f = gated();
+    let options = EngineOptions {
+        workers: 1,
+        queue_cap: 2,
+        sched: None,
+    };
+    let engine = QueryEngine::new(Arc::<Probe>::clone(&f), options);
+    let returned = AtomicUsize::new(0);
+    let (returned_while_full, tickets) = std::thread::scope(|s| {
+        let submitter = s.spawn(|| {
+            let submit = |i| {
+                let ticket = engine.submit(MultiModalQuery::text("x".repeat(i)), 3, 16);
+                returned.fetch_add(1, Ordering::SeqCst);
+                ticket
+            };
+            (1..=6).map(submit).collect::<Vec<_>>()
+        });
+        // 1 in service + 2 queued return; the 4th submit has no slot, and
+        // stays blocked for as long as the worker is parked.
+        while returned.load(Ordering::SeqCst) < 3 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(30));
+        let returned_while_full = returned.load(Ordering::SeqCst);
+        f.open();
+        (returned_while_full, submitter.join().unwrap())
+    });
+    assert_eq!(returned_while_full, 3, "the 4th submit must block");
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        let out = ticket.expect("a blocking submit is never rejected").wait();
+        assert_eq!(out.expect("served").results[0].dist, (i + 1) as f32);
+    }
 }

@@ -266,27 +266,14 @@ impl Hnsw {
                 if !nb.iter().any(|&u| tomb.is_dead(u)) {
                     continue;
                 }
-                let vv = store.get(v);
-                let mut seen = std::collections::HashSet::new();
-                let mut pool: Vec<Candidate> = Vec::new();
-                for &u in nb.iter() {
-                    if tomb.is_dead(u) {
-                        // Splice: the dead neighbour's live neighbours at
-                        // the same layer keep v connected past the hole.
-                        let through = old
-                            .get(u as usize)
-                            .and_then(|ls| ls.get(level))
-                            .map(Vec::as_slice)
-                            .unwrap_or(&[]);
-                        for &w in through {
-                            if w != v && !tomb.is_dead(w) && seen.insert(w) {
-                                pool.push(Candidate::new(w, metric.distance(vv, store.get(w))));
-                            }
-                        }
-                    } else if seen.insert(u) {
-                        pool.push(Candidate::new(u, metric.distance(vv, store.get(u))));
-                    }
-                }
+                // The dead neighbours' same-layer lists, as they were
+                // before this pass touched them.
+                let pool = tomb.splice_pool(store, metric, v, nb, |u| {
+                    old.get(u as usize)
+                        .and_then(|ls| ls.get(level))
+                        .map(Vec::as_slice)
+                        .unwrap_or(&[])
+                });
                 let cap = if level == 0 { m * 2 } else { m };
                 *nb = hnsw_heuristic(store, metric, v, pool, cap);
             }

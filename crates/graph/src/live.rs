@@ -22,7 +22,7 @@
 //! idiom from per-search state to the index itself: a bumped counter makes
 //! an entire generation of state stale at once, with no per-element sweep.
 
-use mqa_vector::{Candidate, VecId};
+use mqa_vector::{Candidate, Metric, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -180,6 +180,36 @@ impl Tombstones {
     pub fn retain_live(&self, results: &mut Vec<Candidate>, k: usize) {
         results.retain(|c| !self.is_dead(c.id));
         results.truncate(k);
+    }
+
+    /// The candidate pool compaction re-prunes `v`'s neighbour list from:
+    /// each live neighbour in `nb` stands for itself, each dead one for
+    /// its own live neighbours (`old_neighbors` reads the pre-compaction
+    /// lists) — deduplicated and tagged with their distance to `v`.
+    pub(crate) fn splice_pool<'a>(
+        &self,
+        store: &VectorStore,
+        metric: Metric,
+        v: VecId,
+        nb: &[VecId],
+        old_neighbors: impl Fn(VecId) -> &'a [VecId],
+    ) -> Vec<Candidate> {
+        let vv = store.get(v);
+        let mut seen = std::collections::HashSet::new();
+        let mut pool = Vec::new();
+        for u in nb {
+            let through = if self.is_dead(*u) {
+                old_neighbors(*u)
+            } else {
+                std::slice::from_ref(u)
+            };
+            for &w in through {
+                if w != v && !self.is_dead(w) && seen.insert(w) {
+                    pool.push(Candidate::new(w, metric.distance(vv, store.get(w))));
+                }
+            }
+        }
+        pool
     }
 
     /// Records that compaction has rewired the graph around every

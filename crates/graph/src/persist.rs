@@ -70,7 +70,7 @@ impl UnifiedSnapshot {
     /// Reconstructs the live index, deletion state included: a restored
     /// index keeps filtering the same tombstoned ids as the original.
     pub fn restore(self) -> UnifiedIndex {
-        UnifiedIndex::from_parts_with_tombstones(
+        UnifiedIndex::from_parts(
             self.store,
             self.weights,
             self.metric,

@@ -311,36 +311,10 @@ impl NavGraph {
             return;
         }
         self.graph.grow(store.len());
-        let r = select.degree_bound();
         let mut scratch = crate::scratch::SearchScratch::new();
+        let (graph, entries, recipe) = (&mut self.graph, &self.entries, (l, select));
         for v in start as VecId..store.len() as VecId {
-            let mut pool = {
-                let mut dist = FlatDistance::for_vertex(store, v, metric);
-                crate::search::beam_search_collect(
-                    &self.graph,
-                    &self.entries,
-                    &mut dist,
-                    l,
-                    &mut scratch,
-                )
-            };
-            pool.retain(|c| c.id != v);
-            let selected = select.apply(store, metric, v, pool);
-            self.graph.set_neighbors(v, selected.clone());
-            for u in selected {
-                self.graph.add_edge(u, v);
-                if self.graph.degree(u) > r {
-                    let uv = store.get(u);
-                    let cands: Vec<Candidate> = self
-                        .graph
-                        .neighbors(u)
-                        .iter()
-                        .map(|&w| Candidate::new(w, metric.distance(uv, store.get(w))))
-                        .collect();
-                    let pruned = select.apply(store, metric, u, cands);
-                    self.graph.set_neighbors(u, pruned);
-                }
-            }
+            link_vertex(graph, entries, store, metric, recipe, v, &mut scratch);
         }
         self.refresh_report();
     }
@@ -369,20 +343,7 @@ impl NavGraph {
             if !nb.iter().any(|&u| tomb.is_dead(u)) {
                 continue;
             }
-            let vv = store.get(v);
-            let mut seen = std::collections::HashSet::new();
-            let mut pool: Vec<Candidate> = Vec::new();
-            for &u in nb {
-                if tomb.is_dead(u) {
-                    for &w in old.neighbors(u) {
-                        if w != v && !tomb.is_dead(w) && seen.insert(w) {
-                            pool.push(Candidate::new(w, metric.distance(vv, store.get(w))));
-                        }
-                    }
-                } else if seen.insert(u) {
-                    pool.push(Candidate::new(u, metric.distance(vv, store.get(u))));
-                }
-            }
+            let pool = tomb.splice_pool(store, metric, v, nb, |u| old.neighbors(u));
             let selected = select.apply(store, metric, v, pool);
             self.graph.set_neighbors(v, selected);
         }
@@ -582,50 +543,58 @@ fn run_refine(
     mut graph: Adjacency,
     entries: &[VecId],
 ) -> Adjacency {
-    let n = store.len();
-    let r = select.degree_bound();
     // One scratch serves every construction search of the stage.
     let mut scratch = crate::scratch::SearchScratch::new();
+    let recipe = (refine.l, select);
     for _pass in 0..refine.passes {
-        for v in 0..n as VecId {
-            // Candidate acquisition: search the evolving graph from the
-            // entry for the vertex's own vector, keeping the full visited
-            // list (path vertices supply long-range candidates).
-            let pool = {
-                let mut dist = FlatDistance::for_vertex(store, v, metric);
-                let mut pool = crate::search::beam_search_collect(
-                    &graph,
-                    entries,
-                    &mut dist,
-                    refine.l,
-                    &mut scratch,
-                );
-                // Merge current neighbours so established edges compete.
-                let qv = store.get(v);
-                for &u in graph.neighbors(v) {
-                    pool.push(Candidate::new(u, metric.distance(qv, store.get(u))));
-                }
-                pool
-            };
-            let selected = select.apply(store, metric, v, pool);
-            graph.set_neighbors(v, selected.clone());
-            // Reverse edges with re-pruning past the degree bound.
-            for u in selected {
-                graph.add_edge(u, v);
-                if graph.degree(u) > r {
-                    let uv = store.get(u);
-                    let cands: Vec<Candidate> = graph
-                        .neighbors(u)
-                        .iter()
-                        .map(|&w| Candidate::new(w, metric.distance(uv, store.get(w))))
-                        .collect();
-                    let pruned = select.apply(store, metric, u, cands);
-                    graph.set_neighbors(u, pruned);
-                }
-            }
+        for v in 0..store.len() as VecId {
+            link_vertex(&mut graph, entries, store, metric, recipe, v, &mut scratch);
         }
     }
     graph
+}
+
+/// One refinement step for `v` against the current graph, under the
+/// `(l, select)` recipe: acquire candidates, select out-edges, install
+/// reverse edges with re-pruning past the degree bound.
+fn link_vertex(
+    graph: &mut Adjacency,
+    entries: &[VecId],
+    store: &VectorStore,
+    metric: Metric,
+    (l, select): (usize, &SelectStage),
+    v: VecId,
+    scratch: &mut crate::scratch::SearchScratch,
+) {
+    // Candidate acquisition: search the evolving graph from the entries
+    // for the vertex's own vector, keeping the full visited list (path
+    // vertices supply long-range candidates).
+    let mut pool = {
+        let mut dist = FlatDistance::for_vertex(store, v, metric);
+        crate::search::beam_search_collect(graph, entries, &mut dist, l, scratch)
+    };
+    // Merge current neighbours so established edges compete (a newly
+    // grown vertex has none yet).
+    let qv = store.get(v);
+    for &u in graph.neighbors(v) {
+        pool.push(Candidate::new(u, metric.distance(qv, store.get(u))));
+    }
+    let r = select.degree_bound();
+    let selected = select.apply(store, metric, v, pool);
+    graph.set_neighbors(v, selected.clone());
+    for u in selected {
+        graph.add_edge(u, v);
+        if graph.degree(u) > r {
+            let uv = store.get(u);
+            let cands: Vec<Candidate> = graph
+                .neighbors(u)
+                .iter()
+                .map(|&w| Candidate::new(w, metric.distance(uv, store.get(w))))
+                .collect();
+            let pruned = select.apply(store, metric, u, cands);
+            graph.set_neighbors(u, pruned);
+        }
+    }
 }
 
 fn run_repair(

@@ -287,23 +287,13 @@ impl UnifiedIndex {
     }
 
     /// Reassembles an index from persisted parts (see
-    /// [`crate::persist::UnifiedSnapshot`]) with all-live tombstones; the
-    /// reported build time is zero since nothing was built.
+    /// [`crate::persist::UnifiedSnapshot`]). `tombstones` is the deletion
+    /// state to restore — `Tombstones::new(store.len())` for an all-live
+    /// index; the reported build time is zero since nothing was built.
+    ///
+    /// # Panics
+    /// Panics if `searcher` does not cover exactly the store population.
     pub fn from_parts(
-        store: MultiVectorStore,
-        weights: Weights,
-        metric: Metric,
-        searcher: BuiltGraph,
-        algorithm: IndexAlgorithm,
-    ) -> Self {
-        let tombstones = Tombstones::new(store.len());
-        Self::from_parts_with_tombstones(store, weights, metric, searcher, algorithm, tombstones)
-    }
-
-    /// [`UnifiedIndex::from_parts`] with explicit deletion state — what
-    /// snapshot restoration uses so persisted tombstones survive the
-    /// round trip.
-    pub fn from_parts_with_tombstones(
         store: MultiVectorStore,
         weights: Weights,
         metric: Metric,

@@ -4,14 +4,17 @@
 //! hashed and compared against constants recorded at the commit *before*
 //! the graph layer's four beam loops were collapsed into one. A refactor
 //! of the walk, the beam collector, or the construction searches must
-//! leave every hash unchanged.
+//! leave every hash unchanged. The Vamana/HNSW edge lists after one
+//! `compact_live` are pinned the same way, recorded at the commit before
+//! the link and splice routines were each written once.
 
 use mqa_graph::starling::{LayoutStrategy, PageLayout, PagedIndex};
 use mqa_graph::{
     BuiltGraph, FlatDistance, GraphSearcher, IndexAlgorithm, SearchOutput, SearchScratch,
+    Tombstones,
 };
 use mqa_rng::StdRng;
-use mqa_vector::{Metric, VectorStore};
+use mqa_vector::{Metric, VecId, VectorStore};
 use std::sync::Arc;
 
 const DIM: usize = 8;
@@ -163,5 +166,26 @@ fn construction_is_bit_identical() {
         assert_eq!(GraphSearcher::len(&built), GROWN);
         let got = edge_hash(&built);
         assert_eq!(got, want_grown, "{}: grown edges {got:#018x}", algo.name());
+    }
+}
+
+#[test]
+fn compaction_is_bit_identical() {
+    let store = store(N);
+    // A seeded 15 %-dead tombstone set.
+    let mut rng = StdRng::seed_from_u64(0xDEAD);
+    let mut tomb = Tombstones::new(N);
+    while tomb.dead_count() < N * 15 / 100 {
+        tomb.kill(rng.gen_range(0..N) as VecId);
+    }
+    let golden: [(IndexAlgorithm, u64); 2] = [
+        (IndexAlgorithm::vamana(), 0xe546_5483_f165_25a0),
+        (IndexAlgorithm::hnsw(), 0xe47c_400d_3055_3b0e),
+    ];
+    for (algo, want) in golden {
+        let mut built = algo.build_graph(&store, Metric::L2);
+        assert!(built.compact_live(&store, Metric::L2, &algo, &tomb));
+        let got = edge_hash(&built);
+        assert_eq!(got, want, "{}: compacted edges {got:#018x}", algo.name());
     }
 }

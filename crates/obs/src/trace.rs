@@ -173,10 +173,9 @@ pub struct QueryTrace {
     /// attributing tail latency.
     pub mutation_in_progress: bool,
     /// The per-query deadline budget in microseconds (0 = no deadline).
+    /// There is no per-batch scheduler field beside it: the engine has
+    /// one queue, so `queue_wait_us` is the query's whole wait.
     pub deadline_us: u64,
-    /// Size of the scheduler micro-batch the job was dispatched in
-    /// (0 = direct dispatch, no scheduler stage).
-    pub sched_batch: u64,
     /// Closed spans attributed to the trace, in close order.
     pub stages: Vec<StageRecord>,
     /// Stages discarded once [`MAX_STAGES`] was reached.
@@ -205,7 +204,6 @@ struct TraceInner {
     index_epoch: u64,
     mutation_in_progress: bool,
     deadline_us: u64,
-    sched_batch: u64,
     completed: bool,
 }
 
@@ -348,7 +346,6 @@ impl TraceHandle {
                 index_epoch: inner.index_epoch,
                 mutation_in_progress: inner.mutation_in_progress,
                 deadline_us: inner.deadline_us,
-                sched_batch: inner.sched_batch,
                 stages: std::mem::take(&mut inner.stages),
                 stages_dropped: inner.stages_dropped,
             };
@@ -580,11 +577,6 @@ pub fn note_index_state(epoch: u64, mutating: bool) {
 /// Records the query's deadline budget (microseconds) on the trace.
 pub fn note_deadline_budget(budget_us: u64) {
     with_current(|i| i.deadline_us = budget_us);
-}
-
-/// Records the size of the scheduler micro-batch the job shipped in.
-pub fn note_sched_batch(batch: u64) {
-    with_current(|i| i.sched_batch = batch);
 }
 
 /// Accumulates graph-walk work (`SearchStats`) into the trace.
@@ -839,7 +831,6 @@ mod tests {
                 completion_tokens: 0,
                 index_epoch: 0,
                 deadline_us: 0,
-                sched_batch: 0,
                 mutation_in_progress: false,
                 stages: Vec::new(),
                 stages_dropped: 0,
@@ -896,7 +887,6 @@ mod tests {
             completion_tokens: 0,
             index_epoch: 0,
             deadline_us: 0,
-            sched_batch: 0,
             mutation_in_progress: false,
             stages: vec![
                 stage("retrieval.must.encode"),
@@ -936,7 +926,6 @@ mod tests {
             completion_tokens: 7,
             index_epoch: 3,
             deadline_us: 0,
-            sched_batch: 0,
             mutation_in_progress: true,
             stages: vec![StageRecord {
                 name: "core.turn".into(),

@@ -276,6 +276,12 @@ mod tests {
         // Existing ids unchanged; the new record encodes like its twin.
         assert_eq!(grown.store().concat_of(4), c.store().concat_of(4));
         assert_eq!(grown.store().concat_of(30), c.store().concat_of(4));
+        // The new row, read back for the index, is the record's encoding
+        // bit for bit — online insertion never encodes a second time.
+        assert_eq!(
+            grown.store().multivector_of(30),
+            c.encoders().encode_record(&record)
+        );
         // The source corpus is untouched.
         assert_eq!(c.kb().len(), 30);
         // A schema-violating record is rejected with its position.

@@ -83,14 +83,14 @@ COMMANDS:
         (default results/trace).
 
     sched [--out <dir>] [--seed <n>]
-        Deadline-scheduler gate: open-loop arrivals at 2x the engine's
-        saturation rate, every query under a fixed latency budget. Fails
-        unless every submission resolves to exactly one typed outcome,
-        the engine.sched.shed_* counters equal the observed outcomes
-        exactly, the shed fraction is nonzero, served queue-wait p99
-        stays within the budget, and the dispatcher actually batched.
-        Writes BENCH_sched.json and metrics.json into <dir> (default
-        results/sched).
+        Admission-control gate: open-loop arrivals at 2x the engine's
+        saturation rate, every query under a fixed latency budget, one
+        queue sized to the watermark. Fails unless every submission
+        resolves to exactly one typed outcome, the engine.sched.shed_*
+        counters equal the observed outcomes exactly, the shed fraction
+        is strictly between 0 and 1, and served queue-wait p99 stays
+        within the budget. Writes BENCH_sched.json and metrics.json
+        into <dir> (default results/sched).
 
 EXIT CODES:
     0  clean
@@ -634,16 +634,13 @@ fn cmd_sched(args: &[String]) -> ExitCode {
             println!(
                 "sched: {} submitted at 2x saturation -> {} served, \
                  {} rejected + {} expired ({:.0}% shed, all typed), \
-                 queue-wait p99 {} us within budget, {} batch(es) \
-                 at {:.1} mean size -> {}",
+                 queue-wait p99 {} us within budget -> {}",
                 outcome.submitted,
                 outcome.served,
                 outcome.shed_rejected,
                 outcome.shed_expired,
                 outcome.shed_fraction * 100.0,
                 outcome.p99_queue_wait_us,
-                outcome.batches,
-                outcome.mean_batch_size,
                 out_dir.display()
             );
             ExitCode::SUCCESS

@@ -1,10 +1,12 @@
-//! The `sched` command: the deadline-scheduler admission-control gate.
+//! The `sched` command: the deadline / admission-control overload gate.
 //!
-//! An open-loop arrival process drives a 2-worker [`QueryEngine`] with the
-//! micro-batch scheduler enabled at **2× its saturation rate**: every query
+//! An open-loop arrival process drives a 2-worker [`QueryEngine`] with
+//! admission control configured at **2× its saturation rate**: every query
 //! carries a fixed latency budget, arrivals are paced by wall clock (not by
 //! completions), and nothing slows down when the queue builds — exactly the
-//! overload regime admission control exists for. The gate fails unless:
+//! overload regime admission control exists for. The engine has one queue,
+//! so the admitted backlog is stated once: [`WATERMARK`] queued jobs plus
+//! the [`WORKERS`] in service. The gate fails unless:
 //!
 //! * every submission resolves to exactly one *typed* outcome — served,
 //!   `Rejected`, or `Expired`; a `Canceled` against a live engine or an
@@ -13,19 +15,16 @@
 //!   counters equal the typed outcomes the driver observed — exactly, not
 //!   approximately;
 //! * the shed fraction is nonzero (a 2× overload that sheds nothing means
-//!   admission control never engaged) and below 1 (a scheduler that sheds
+//!   admission control never engaged) and below 1 (an engine that sheds
 //!   everything serves nobody);
 //! * queue-wait p99 for *served* queries stays bounded by the latency
 //!   budget — the deadline clamps the tail instead of letting it grow with
-//!   the backlog;
-//! * the scheduler actually batched: `engine.sched.batches` recorded, and
-//!   mean batch size is above 1 (overload with a batch size pinned at 1
-//!   means the dispatcher never amortized a wakeup).
+//!   the backlog.
 //!
 //! It writes `BENCH_sched.json` under the output directory: arrival vs
-//! saturation rate, served/shed split, queue-wait and service tails, and
-//! batch shape — the paper-facing evidence that overload degrades by
-//! policy, not by collapse.
+//! saturation rate, served/shed split, and queue-wait and service tails —
+//! the paper-facing evidence that overload degrades by policy, not by
+//! collapse.
 
 use mqa_engine::{Deadline, EngineOptions, QueryEngine, SchedOptions, TicketError};
 use mqa_retrieval::{FrameworkKind, MultiModalQuery, RetrievalFramework, RetrievalOutput};
@@ -35,20 +34,17 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Workers draining the scheduler.
+/// Workers draining the queue.
 const WORKERS: usize = 2;
 /// Fixed per-query service time of the synthetic framework.
 const SERVICE_US: u64 = 2_000;
-/// Worker-pool queue capacity (small, so overload reaches the scheduler's
-/// watermark instead of hiding in the pool queue).
-const QUEUE_CAP: usize = 8;
-/// Admission watermark: pending scheduler entries beyond this are
-/// Rejected. Sized below the backlog the deadline alone would allow
-/// (`DEADLINE_US / INTERARRIVAL_US` = 20 arrivals), so under sustained
-/// 2x overload the watermark engages before expiry shedding can hide it.
-const WATERMARK: usize = 8;
-/// Largest micro-batch the dispatcher forms.
-const MAX_BATCH: usize = 8;
+/// Admission watermark — the engine's whole queued backlog. The workers
+/// drain one job per `SERVICE_US / WORKERS` = 1000 us, so the deadline
+/// alone lets `DEADLINE_US * WORKERS / SERVICE_US` = 10 queued jobs reach
+/// a worker in time; two slots above that, both shed outcomes engage under
+/// sustained 2x overload: `Rejected` at the push once 12 are queued,
+/// `Expired` on the worker for the tail that outwaits its budget.
+const WATERMARK: usize = 12;
 /// Per-query latency budget.
 const DEADLINE_US: u64 = 10_000;
 /// Open-loop arrivals.
@@ -56,26 +52,12 @@ const QUERIES: usize = 400;
 /// Interarrival gap: `SERVICE_US / WORKERS / 2` = 2× the saturation rate.
 const INTERARRIVAL_US: u64 = SERVICE_US / WORKERS as u64 / 2;
 
-/// The `BENCH_sched.json` payload.
+/// What the gate measured: the `BENCH_sched.json` payload, also handed to
+/// the caller to print.
 #[derive(Debug, Serialize)]
-struct BenchSched {
+pub struct BenchSched {
     arrival_qps: f64,
     saturation_qps: f64,
-    submitted: u64,
-    served: u64,
-    shed_rejected: u64,
-    shed_expired: u64,
-    shed_fraction: f64,
-    deadline_us: u64,
-    p50_queue_wait_us: u64,
-    p99_queue_wait_us: u64,
-    p99_service_us: u64,
-    batches: u64,
-    mean_batch_size: f64,
-}
-
-/// What the gate measured, for the caller to print.
-pub struct SchedOutcome {
     /// Open-loop submissions.
     pub submitted: u64,
     /// Tickets that resolved with an answer.
@@ -86,12 +68,11 @@ pub struct SchedOutcome {
     pub shed_expired: u64,
     /// `(shed_rejected + shed_expired) / submitted`.
     pub shed_fraction: f64,
+    deadline_us: u64,
+    p50_queue_wait_us: u64,
     /// Queue-wait tail for served queries.
     pub p99_queue_wait_us: u64,
-    /// Micro-batches the dispatcher formed.
-    pub batches: u64,
-    /// Mean dispatched batch size.
-    pub mean_batch_size: f64,
+    p99_service_us: u64,
 }
 
 /// Answers after a fixed busy period — a framework whose service rate is
@@ -123,26 +104,21 @@ impl RetrievalFramework for SleepFramework {
 /// # Errors
 /// Returns a message when a ticket resolves to an untyped outcome, the
 /// shed counters disagree with observed outcomes, the shed fraction is
-/// degenerate (0 or 1), the served queue-wait tail exceeds the budget,
-/// the dispatcher never batched, or an artifact cannot be written.
-pub fn run(out_dir: &Path, seed: u64) -> Result<SchedOutcome, String> {
+/// degenerate (0 or 1), the served queue-wait tail exceeds the budget, or
+/// an artifact cannot be written.
+pub fn run(out_dir: &Path, seed: u64) -> Result<BenchSched, String> {
     mqa_obs::global().reset();
 
     let engine = QueryEngine::new(
         Arc::new(SleepFramework),
-        EngineOptions {
-            workers: WORKERS,
-            queue_cap: QUEUE_CAP,
-            sched: Some(SchedOptions {
-                watermark: WATERMARK,
-                max_batch: MAX_BATCH,
-            }),
-        },
+        EngineOptions::with_workers(WORKERS).with_sched(SchedOptions {
+            watermark: WATERMARK,
+        }),
     );
 
     // Open loop: arrival i is due at `i * INTERARRIVAL_US` on the wall
     // clock regardless of how far behind the workers are. The seed only
-    // varies query text (and hence nothing the scheduler keys on) — the
+    // varies query text (and hence nothing admission keys on) — the
     // gate's verdict must not depend on it.
     let clock = mqa_obs::Stopwatch::start();
     let mut tickets = Vec::with_capacity(QUERIES);
@@ -206,7 +182,7 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<SchedOutcome, String> {
         ));
     }
     if served == 0 {
-        return Err("sched gate failed: the scheduler shed every query — \
+        return Err("sched gate failed: the engine shed every query — \
              overload must degrade, not deny, service"
             .to_string());
     }
@@ -231,21 +207,6 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<SchedOutcome, String> {
         .histogram("engine.query.latency_us")
         .ok_or("sched gate failed: histogram `engine.query.latency_us` missing")?;
 
-    let batches = snapshot.counter("engine.sched.batches").unwrap_or(0);
-    let batch_size = snapshot
-        .histogram("engine.sched.batch_size")
-        .ok_or("sched gate failed: histogram `engine.sched.batch_size` missing")?;
-    if batches == 0 || batch_size.count == 0 {
-        return Err("sched gate failed: the dispatcher never formed a batch".to_string());
-    }
-    let mean_batch_size = batch_size.sum as f64 / batch_size.count as f64;
-    if mean_batch_size <= 1.0 {
-        return Err(format!(
-            "sched gate failed: mean batch size {mean_batch_size:.2} under 2x \
-             overload — the dispatcher is waking workers one query at a time"
-        ));
-    }
-
     let bench = BenchSched {
         arrival_qps: 1e6 / INTERARRIVAL_US as f64,
         saturation_qps: WORKERS as f64 * 1e6 / SERVICE_US as f64,
@@ -258,8 +219,6 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<SchedOutcome, String> {
         p50_queue_wait_us: queue_wait.p50,
         p99_queue_wait_us: queue_wait.p99,
         p99_service_us: service.p99,
-        batches,
-        mean_batch_size,
     };
     std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
     let payload = serde_json::to_string_pretty(&bench)
@@ -271,16 +230,7 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<SchedOutcome, String> {
     std::fs::write(out_dir.join("metrics.json"), metrics)
         .map_err(|e| format!("writing metrics.json: {e}"))?;
 
-    Ok(SchedOutcome {
-        submitted,
-        served,
-        shed_rejected,
-        shed_expired,
-        shed_fraction,
-        p99_queue_wait_us: queue_wait.p99,
-        batches,
-        mean_batch_size,
-    })
+    Ok(bench)
 }
 
 /// The instrument self-checks: the shed counters must equal the typed
@@ -326,19 +276,17 @@ mod tests {
             outcome.submitted
         );
         assert!(outcome.shed_fraction > 0.0 && outcome.shed_fraction < 1.0);
-        assert!(outcome.batches >= 1 && outcome.mean_batch_size > 1.0);
         let body = std::fs::read_to_string(dir.join("BENCH_sched.json")).expect("bench readable");
         for field in [
             "arrival_qps",
             "saturation_qps",
             "shed_fraction",
             "p99_queue_wait_us",
-            "mean_batch_size",
         ] {
             assert!(body.contains(field), "BENCH_sched.json missing {field}");
         }
         let metrics = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics readable");
-        assert!(metrics.contains("engine.sched.batch_size"));
+        assert!(metrics.contains("engine.sched.shed_rejected"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

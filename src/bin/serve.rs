@@ -1,11 +1,11 @@
 //! `serve` — the interactive front-end, and the closest this
 //! reproduction gets to the paper's live demonstration: a line-protocol
-//! REPL that drives a [`DialogueSession`] through the deadline-aware
-//! scheduler. Type multi-modal queries, click results by number, refine,
-//! and watch the retrieval statistics.
+//! REPL that drives a [`DialogueSession`] through the concurrent engine.
+//! Type multi-modal queries, click results by number, refine, and watch
+//! the retrieval statistics.
 //!
-//! Every turn is routed through [`QueryEngine`]'s micro-batch scheduler
-//! with admission control enabled, so overload surfaces as *typed* shed
+//! Every turn is routed through [`QueryEngine`]'s one queue with
+//! admission control enabled, so overload surfaces as *typed* shed
 //! outcomes at the prompt instead of unbounded queueing.
 //!
 //! Line protocol:
@@ -21,8 +21,8 @@
 //!   of the session and re-ask;
 //! * `:weights a b` — set a per-modality weight override for the next
 //!   turns (`:weights off` clears it);
-//! * `:stats` — print the scheduler instruments (batches formed, shed
-//!   counts, pending depth);
+//! * `:stats` — print the admission instruments (shed counts, queue
+//!   depth);
 //! * `:status` — print the system status panel;
 //! * `:config` — print the configuration panel;
 //! * `:quit` — exit.
@@ -36,22 +36,21 @@ use mqa::engine::{EngineOptions, SchedOptions, TicketError};
 use mqa::prelude::*;
 use std::io::{BufRead, Write};
 
-/// Workers behind the scheduler; small on purpose so a burst of turns
+/// Workers behind the queue; small on purpose so a burst of turns
 /// with tight budgets actually exercises admission control.
 const WORKERS: usize = 2;
 
 fn print_sched_stats() {
-    let batches = mqa::obs::counter("engine.sched.batches").get();
     let rejected = mqa::obs::counter("engine.sched.shed_rejected").get();
     let expired = mqa::obs::counter("engine.sched.shed_expired").get();
-    let depth = mqa::obs::gauge("engine.sched.pending_depth").get();
-    println!("scheduler ▸ batches={batches} shed_rejected={rejected} shed_expired={expired} pending_depth={depth}");
+    let depth = mqa::obs::gauge("engine.pool.queue_depth").get();
+    println!("admission ▸ shed_rejected={rejected} shed_expired={expired} queue_depth={depth}");
 }
 
 fn shed_notice(err: TicketError) -> &'static str {
     match err {
         TicketError::Rejected => {
-            "shed (rejected): the scheduler is over its admission watermark — retry, raise the budget, or drop the deadline"
+            "shed (rejected): the queue is at its admission watermark — retry, raise the budget, or drop the deadline"
         }
         TicketError::Expired => {
             "shed (expired): the latency budget ran out before a worker picked the query up — raise the budget with :deadline"
@@ -83,7 +82,7 @@ fn main() {
     system.enable_engine(EngineOptions::with_workers(WORKERS).with_sched(SchedOptions::default()));
     println!("{}", mqa::core::panels::render_status_panel(&system));
     println!(
-        "serving through the deadline-aware scheduler ({WORKERS} workers). \
+        "serving with deadlines and admission control ({WORKERS} workers). \
          try: \"foggy clouds over the mountain\", or `@20000 <text>` for a 20 ms budget — :quit to exit\n"
     );
 
