@@ -45,6 +45,11 @@ impl MqaSystem {
     pub fn build(config: Config, kb: mqa_kb::KnowledgeBase) -> Result<Self, MqaError> {
         let _build_span = mqa_obs::span("core.build");
         config.validate()?;
+        // Checked before the pipeline: stage errors cross the DAG as
+        // strings, and this one has a typed variant.
+        if kb.is_empty() {
+            return Err(MqaError::EmptyKnowledgeBase);
+        }
         let cfg = Arc::new(config);
         let kb_slot = Arc::new(Mutex::new(Some(kb)));
 
@@ -79,11 +84,7 @@ impl MqaSystem {
             .map_err(|e| match e {
                 // Surface the inner component error verbatim.
                 mqa_dag::DagError::TaskFailed { task, message } => {
-                    if message.contains("no objects") {
-                        MqaError::EmptyKnowledgeBase
-                    } else {
-                        MqaError::BuildFailed(format!("{task}: {message}"))
-                    }
+                    MqaError::BuildFailed(format!("{task}: {message}"))
                 }
                 other => MqaError::BuildFailed(other.to_string()),
             })?;

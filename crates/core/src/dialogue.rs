@@ -184,32 +184,30 @@ impl<'a> DialogueSession<'a> {
         let trace = mqa_obs::trace::begin("core.turn");
         let _turn_span = mqa_obs::span("core.turn");
         mqa_obs::counter("core.session.turns").inc();
-        // 1. Resolve the clicks (positive select, negative reject).
-        if let Some(rank) = turn.select {
+        // 1. Resolve the clicks (positive select, negative reject) into
+        //    locals: a turn that fails below must leave the session as it
+        //    was, so they are committed with the rest of the state in 5.
+        let clicked = |rank: usize| -> Result<ObjectId, MqaError> {
             if self.last_results.is_empty() {
                 return Err(MqaError::NothingToSelect);
             }
-            let id = *self.last_results.get(rank).ok_or(MqaError::BadSelection {
-                index: rank,
-                available: self.last_results.len(),
-            })?;
-            self.selected = Some(id);
+            self.last_results
+                .get(rank)
+                .copied()
+                .ok_or(MqaError::BadSelection {
+                    index: rank,
+                    available: self.last_results.len(),
+                })
+        };
+        let mut selected = match turn.select {
+            Some(rank) => Some(clicked(rank)?),
+            None => self.selected,
+        };
+        let rejected = turn.reject.map(clicked).transpose()?;
+        if rejected.is_some() && selected == rejected {
+            selected = None;
         }
-        if let Some(rank) = turn.reject {
-            if self.last_results.is_empty() {
-                return Err(MqaError::NothingToSelect);
-            }
-            let id = *self.last_results.get(rank).ok_or(MqaError::BadSelection {
-                index: rank,
-                available: self.last_results.len(),
-            })?;
-            if !self.excluded.contains(&id) {
-                self.excluded.push(id);
-            }
-            if self.selected == Some(id) {
-                self.selected = None;
-            }
-        }
+        let newly_excluded = rejected.filter(|id| !self.excluded.contains(id));
         if turn.text.is_none() && turn.image.is_none() && turn.select.is_none() {
             return Err(MqaError::EmptyTurn);
         }
@@ -228,7 +226,7 @@ impl<'a> DialogueSession<'a> {
             image: turn.image.clone(),
             weight_override: turn.weights.clone(),
         };
-        if let Some(sel) = self.selected {
+        if let Some(sel) = selected {
             QueryExecutor::augment_with_selection(&mut query, self.system.corpus().kb(), sel);
         }
         if !query.has_content() {
@@ -241,7 +239,8 @@ impl<'a> DialogueSession<'a> {
         //    then filter and (optionally) MMR-rerank back down to k.
         let k = self.system.executor().k();
         let diversify = self.system.config().diversify;
-        let fetch = k + self.excluded.len() + if diversify.is_some() { k } else { 0 };
+        let excluded = self.excluded.len() + usize::from(newly_excluded.is_some());
+        let fetch = k + excluded + if diversify.is_some() { k } else { 0 };
         // A deadline turn can be shed under load — the typed outcome
         // surfaces to the caller instead of queueing past the budget.
         let mut out = self
@@ -249,7 +248,8 @@ impl<'a> DialogueSession<'a> {
             .executor()
             .run_turn(&query, fetch, turn.deadline_us)
             .map_err(MqaError::Shed)?;
-        out.results.retain(|c| !self.excluded.contains(&c.id));
+        out.results
+            .retain(|c| !self.excluded.contains(&c.id) && newly_excluded != Some(c.id));
         if let Some(lambda) = diversify {
             // Config::validate already rejects lambda outside [0, 1]; this
             // mapping is the last line of defence for hand-built configs.
@@ -271,11 +271,8 @@ impl<'a> DialogueSession<'a> {
             .text
             .clone()
             .unwrap_or_else(|| "(image query)".to_string());
-        let entries = AnswerGenerator::context_entries(
-            self.system.corpus().kb(),
-            &out.results,
-            self.selected,
-        );
+        let entries =
+            AnswerGenerator::context_entries(self.system.corpus().kb(), &out.results, selected);
         let gen_span = mqa_obs::span("core.turn.generate");
         let message = self
             .system
@@ -285,6 +282,8 @@ impl<'a> DialogueSession<'a> {
         let _ = gen_span.finish();
 
         // 5. Update the session state.
+        self.selected = selected;
+        self.excluded.extend(newly_excluded);
         self.round += 1;
         self.history.push(query_text);
         self.last_results = out.ids();
@@ -431,6 +430,66 @@ mod tests {
         // ...and it stays excluded in later rounds too
         let r3 = session.ask(Turn::text(format!("more {phrase}"))).unwrap();
         assert!(r3.results.iter().all(|i| i.id != rejected));
+    }
+
+    /// A turn that errors — during click validation, as an empty turn, or
+    /// shed by the engine after both clicks resolved — commits nothing.
+    #[test]
+    fn failed_turns_leave_the_session_unchanged() {
+        let mut sys = system();
+        sys.enable_engine(mqa_engine::EngineOptions::with_workers(1));
+        let mut session = sys.open_session();
+        let phrase = concept_phrase(&sys, 0);
+        session
+            .ask(Turn::text(format!("show me {phrase}")))
+            .unwrap();
+        session
+            .ask(Turn::reject_and_text(1, format!("other {phrase}")))
+            .unwrap();
+        let state = |s: &DialogueSession<'_>| {
+            (
+                s.selected(),
+                s.excluded().to_vec(),
+                s.round(),
+                s.last_results().to_vec(),
+            )
+        };
+        let before = state(&session);
+        assert_eq!((before.0, before.1.len(), before.2), (None, 1, 2));
+
+        let failing = [
+            (
+                Turn {
+                    select: Some(0),
+                    reject: Some(99),
+                    ..Turn::default()
+                },
+                MqaError::BadSelection {
+                    index: 99,
+                    available: 5,
+                },
+            ),
+            (
+                Turn {
+                    reject: Some(0),
+                    ..Turn::default()
+                },
+                MqaError::EmptyTurn,
+            ),
+            (
+                // A zero budget has expired by the time it is submitted.
+                Turn {
+                    select: Some(0),
+                    reject: Some(2),
+                    ..Turn::text(format!("more {phrase}")).with_deadline_us(0)
+                },
+                MqaError::Shed(mqa_engine::TicketError::Expired),
+            ),
+        ];
+        for (turn, expected) in failing {
+            assert_eq!(session.ask(turn).unwrap_err(), expected);
+            assert_eq!(state(&session), before, "after {expected:?}");
+        }
     }
 
     #[test]

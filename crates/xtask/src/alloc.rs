@@ -42,13 +42,14 @@
 //!    waivers fail the gate; for sites shared across call sites where a
 //!    comment would mislead (e.g. whole encode stages).
 
-use crate::baseline::Baseline;
-use crate::callgraph::{self, build_cone, discharge_mask, EntryOwner, EntryPoint, Inventory, Site};
-use crate::flow::load_workspace_sources;
-use crate::lint::{strip, test_mask, Finding, Rule};
-use crate::rustlex::{lex, Kind, Tok};
+use crate::baseline::{apply_baseline, Baseline, Outcome};
+use crate::callgraph::{
+    analyze_cone, ConeAnalysis, ConeGate, ConeStats, EntryOwner, EntryPoint, Site,
+};
+use crate::lint::Rule;
+use crate::rustlex::{Kind, Tok};
+use crate::workspace::{skip_angles, Workspace};
 use std::collections::BTreeSet;
-use std::path::Path;
 
 /// Heap-container type names whose constructors allocate (or whose
 /// values own heap storage, for the clone heuristic).
@@ -119,13 +120,9 @@ impl AllocKind {
 /// One allocation-capable site.
 pub type AllocSite = Site<AllocKind>;
 
-/// Per-line mask from the *raw* source: `true` where an `// ALLOC:`
-/// comment on the same line or up to three lines above discharges an
-/// allocation site. See [`callgraph::discharge_mask`] for the window
-/// semantics.
-pub fn alloc_mask(source: &str) -> Vec<bool> {
-    discharge_mask(source, "ALLOC:")
-}
+/// The comment keyword that discharges an allocation site. See
+/// [`crate::callgraph::discharge_mask`] for the window semantics.
+pub const ALLOC: &str = "ALLOC:";
 
 /// Identifiers (locals, params, struct fields) whose declared type's
 /// first capitalized name is a heap container, split into all-heap and
@@ -191,8 +188,8 @@ fn heap_idents<'t>(toks: &[&'t Tok]) -> (BTreeSet<&'t str>, BTreeSet<&'t str>) {
 }
 
 /// Scans a (test-masked) token stream for allocation-capable sites.
-/// `mask` is the per-raw-line [`alloc_mask`]; sites on exempted lines are
-/// discharged.
+/// `mask` is the per-raw-line [`ALLOC`] discharge mask; sites on exempted
+/// lines are discharged.
 pub fn scan_alloc_sites(toks: &[&Tok], mask: &[bool]) -> Vec<AllocSite> {
     let exempt = |line: usize| mask.get(line - 1).copied().unwrap_or(false);
     let (heap, maps) = heap_idents(toks);
@@ -234,7 +231,7 @@ pub fn scan_alloc_sites(toks: &[&Tok], mask: &[bool]) -> Vec<AllocSite> {
             // Step over an optional `::<…>` turbofish.
             let mut j = i + 2;
             if toks.get(j).is_some_and(|n| n.is_punct("<")) {
-                j = callgraph_skip_angles(toks, j);
+                j = skip_angles(toks, j);
                 if toks.get(j).is_some_and(|n| n.is_punct("::")) {
                     j += 1;
                 } else {
@@ -284,12 +281,6 @@ pub fn scan_alloc_sites(toks: &[&Tok], mask: &[bool]) -> Vec<AllocSite> {
     sites
 }
 
-/// Thin wrapper so the scanner can use the same angle-bracket skipper the
-/// call-graph uses (re-exported via `conc`).
-fn callgraph_skip_angles(toks: &[&Tok], i: usize) -> usize {
-    crate::conc::skip_angles(toks, i)
-}
-
 /// The steady-state serving path's designated roots. Deliberately
 /// *narrower* than flow's panic entry points: submission/retrieval and
 /// the search kernel, but not the dialogue/build/mutation paths, which
@@ -337,176 +328,44 @@ pub const ALLOC_ENTRY_POINTS: [EntryPoint; 10] = [
     },
 ];
 
-/// Aggregate statistics of one analysis run.
-#[derive(Debug, Default, Clone)]
-pub struct AllocStats {
-    /// Functions inventoried.
-    pub fns: usize,
-    /// Resolved call edges.
-    pub edges: usize,
-    /// Entry-point functions found.
-    pub entry_fns: usize,
-    /// Functions reachable from an entry point.
-    pub reachable_fns: usize,
-    /// Allocation-capable sites inventoried workspace-wide (after
-    /// `// ALLOC:` discharge).
-    pub total_sites: usize,
-    /// Sites in reachable functions (the cone, pre-waiver).
-    pub cone_sites: usize,
+/// The allocation-freedom instance of the shared reachability analysis.
+/// Experiment binaries allocate freely; they are not serving code. The
+/// gate tooling itself never links into a serving process, and its
+/// generically named methods (`get`, `push`, `load`, `parse`) otherwise
+/// alias serving-path calls through the name+arity fallback, dragging
+/// phantom chains into the cone.
+const GATE: ConeGate<AllocKind> = ConeGate {
+    rule: Rule::ReachableAlloc,
+    entry_points: &ALLOC_ENTRY_POINTS,
+    discharge: ALLOC,
+    skip_file: |rel| rel.contains("/src/bin/") || rel.starts_with("crates/xtask/"),
+    scan: scan_alloc_sites,
+    describe: AllocKind::describe,
+    in_cone: |_| true,
+};
+
+/// Computes the allocation cone of the workspace, before baseline waivers.
+pub fn analyze(ws: &Workspace) -> ConeAnalysis {
+    analyze_cone(ws, &GATE)
 }
 
-/// The raw analysis result, before baseline waivers.
-#[derive(Debug, Default)]
-pub struct AllocAnalysis {
-    /// Cone findings, sorted by (file, line).
-    pub findings: Vec<Finding>,
-    /// Run statistics.
-    pub stats: AllocStats,
-}
-
-/// Runs the analysis over in-memory `(repo-relative path, source)` pairs.
-/// Unit tests and the mutation fixture enter here.
-pub fn analyze_sources(files: &[(String, String)]) -> AllocAnalysis {
-    let mut inv: Inventory<AllocKind> =
-        Inventory::for_files(files.iter().map(|(rel, _)| rel.clone()).collect());
-    let mut total_sites = 0usize;
-    for (fi, (rel, source)) in files.iter().enumerate() {
-        // Experiment binaries allocate freely; they are not serving code.
-        if rel.contains("/src/bin/") {
-            continue;
-        }
-        // The gate tooling itself never links into a serving process, and
-        // its generically named methods (`get`, `push`, `load`, `parse`)
-        // otherwise alias serving-path calls through the name+arity
-        // fallback, dragging phantom chains into the cone.
-        if rel.starts_with("crates/xtask/") {
-            continue;
-        }
-        let mask = test_mask(&strip(source));
-        let toks = lex(source);
-        let kept: Vec<&Tok> = toks
-            .iter()
-            .filter(|t| !mask.get(t.line - 1).copied().unwrap_or(false))
-            .collect();
-        let discharge = alloc_mask(source);
-        let sites = scan_alloc_sites(&kept, &discharge);
-        total_sites += sites.len();
-        callgraph::scan_file(fi, &kept, sites, &mut inv);
-    }
-
-    let cone = build_cone(&inv, &ALLOC_ENTRY_POINTS);
-
-    let mut findings = Vec::new();
-    let mut cone_sites = 0usize;
-    for (id, f) in inv.fns.iter().enumerate() {
-        if !cone.reached[id] {
-            continue;
-        }
-        for s in &f.sites {
-            cone_sites += 1;
-            let (rel, source) = &files[f.file];
-            let src_line = source
-                .lines()
-                .nth(s.line - 1)
-                .map_or(String::new(), |l| l.trim().to_string());
-            findings.push(Finding {
-                file: rel.clone(),
-                line: s.line,
-                rule: Rule::ReachableAlloc,
-                excerpt: format!(
-                    "{src_line} [{} in {}; via {}]",
-                    s.kind.describe(),
-                    f.display(),
-                    cone.path_to(&inv, id)
-                ),
-            });
-        }
-    }
-    findings.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
-
-    AllocAnalysis {
-        findings,
-        stats: AllocStats {
-            fns: inv.fns.len(),
-            edges: cone.edges,
-            entry_fns: cone.entries.len(),
-            reachable_fns: cone.reachable_fns(),
-            total_sites,
-            cone_sites,
-        },
-    }
-}
-
-/// The alloc run's aggregate result (mirror of `flow::FlowOutcome`).
-#[derive(Debug)]
-pub struct AllocOutcome {
-    /// Unwaived cone findings (the gate fails if non-empty).
-    pub findings: Vec<Finding>,
-    /// Findings suppressed by baseline waivers.
-    pub waived: Vec<Finding>,
-    /// Baseline entries that matched nothing (stale waivers fail the gate).
-    pub unused_waivers: Vec<String>,
-    /// Files scanned.
-    pub files_scanned: usize,
-    /// Analysis statistics.
-    pub stats: AllocStats,
-}
-
-impl AllocOutcome {
-    /// Whether the gate passes.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.unused_waivers.is_empty()
-    }
-}
-
-/// Runs the allocation-freedom analysis over the whole workspace,
-/// applying `baseline` waivers (default file: `alloc-baseline.toml`).
-///
-/// # Errors
-/// Returns a message if a directory or file cannot be read.
-pub fn run(repo_root: &Path, baseline: &Baseline) -> Result<AllocOutcome, String> {
-    let sources = load_workspace_sources(repo_root)?;
-    let files_scanned = sources.len();
-    let mut analysis = analyze_sources(&sources);
-    let all = std::mem::take(&mut analysis.findings);
-    let mut used = vec![0usize; baseline.waivers.len()];
-    let mut findings = Vec::new();
-    let mut waived = Vec::new();
-    for f in all {
-        let hit = baseline.matching(&f).next();
-        match hit {
-            Some(i) => {
-                used[i] += 1;
-                waived.push(f);
-            }
-            None => findings.push(f),
-        }
-    }
-    let unused_waivers = baseline
-        .waivers
-        .iter()
-        .zip(&used)
-        .filter(|(_, &u)| u == 0)
-        .map(|(w, _)| w.describe())
-        .collect();
-    Ok(AllocOutcome {
-        findings,
-        waived,
-        unused_waivers,
-        files_scanned,
-        stats: analysis.stats,
-    })
+/// Runs the allocation-freedom analysis, applying `baseline` waivers
+/// (default file: `alloc-baseline.toml`).
+pub fn run(ws: &Workspace, baseline: &Baseline) -> Outcome<ConeStats> {
+    let a = analyze(ws);
+    apply_baseline(a.findings, ws.files.len(), a.stats, baseline)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::callgraph::discharge_mask;
+    use crate::workspace::SourceFile;
 
     fn sites_of(src: &str) -> Vec<(AllocKind, usize)> {
-        let toks = lex(src);
-        let kept: Vec<&Tok> = toks.iter().collect();
-        let mask = alloc_mask(src);
-        scan_alloc_sites(&kept, &mask)
+        let file = SourceFile::new("f.rs", src);
+        let mask = discharge_mask(src, ALLOC);
+        scan_alloc_sites(&file.code(), &mask)
             .into_iter()
             .map(|s| (s.kind, s.line))
             .collect()
@@ -595,12 +454,8 @@ fn f(k: usize) -> Vec<u32> {
         assert_eq!(sites_of(src), vec![(AllocKind::Ctor, 1)]);
     }
 
-    fn analyze(files: &[(&str, &str)]) -> AllocAnalysis {
-        let owned: Vec<(String, String)> = files
-            .iter()
-            .map(|(a, b)| (a.to_string(), b.to_string()))
-            .collect();
-        analyze_sources(&owned)
+    fn analyze(files: &[(&str, &str)]) -> ConeAnalysis {
+        super::analyze(&Workspace::from_sources(files))
     }
 
     const SEARCHER_LIKE: &str = "\

@@ -5,6 +5,7 @@
 //! failure is always reproducible. Each audited structure contributes one
 //! [`AuditEntry`]; the run fails if any entry reports violations.
 
+use crate::workspace::{self, SourceFile, Workspace};
 use mqa_dag::DagBuilder;
 use mqa_graph::IndexAlgorithm;
 use mqa_graph::UnifiedIndex;
@@ -96,6 +97,15 @@ pub fn all_algorithms() -> Vec<IndexAlgorithm> {
     ]
 }
 
+/// The files the static name audits read: everything under `crates/`
+/// except this module, which defines the checkers and whose docs and
+/// tests mention instrument names without emitting them.
+fn audited_files(ws: &Workspace) -> impl Iterator<Item = &SourceFile> {
+    ws.files
+        .iter()
+        .filter(|f| f.rel.starts_with("crates/") && !f.rel.ends_with("xtask/src/audit.rs"))
+}
+
 /// How one source site uses an instrument name.
 #[derive(Debug, Default)]
 struct InstrumentUse {
@@ -119,37 +129,21 @@ struct InstrumentUse {
 /// Formatted names (`&format!(…)`) are skipped: their shape is checked by
 /// the naming convention of their literal prefix at review time, and they
 /// cannot be matched statically.
-pub fn audit_instruments(repo_root: &Path) -> Vec<String> {
+pub fn audit_instruments(ws: &Workspace) -> Vec<String> {
     // Built by concatenation so this file's own source never matches.
     let needles: Vec<(String, &str)> = ["counter", "gauge", "histogram"]
         .iter()
         .map(|kind| (format!("{kind}{}", "(\""), *kind))
         .collect();
-    let mut files = Vec::new();
-    let _ = crate::lint::collect_rs_files(&repo_root.join("crates"), &mut files);
-
     let mut uses: BTreeMap<String, InstrumentUse> = BTreeMap::new();
     let mut violations = Vec::new();
-    for path in files {
-        let rel = path
-            .strip_prefix(repo_root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        // This module defines the checker; its docs and tests mention
-        // instrument names without emitting them.
-        if rel.ends_with("xtask/src/audit.rs") {
-            continue;
-        }
-        let Ok(source) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        // Test code registers throwaway names (`t.c`, `x.lat`) that never
-        // ship; mask it the same way the lints do.
-        let mask = crate::lint::test_mask(&crate::lint::strip(&source));
-        let lines: Vec<&str> = source.lines().collect();
+    for file in audited_files(ws) {
+        let rel = &file.rel;
+        let lines: Vec<&str> = file.source.lines().collect();
         for (idx, line) in lines.iter().enumerate() {
-            if mask.get(idx).copied().unwrap_or(false) {
+            // Test code registers throwaway names (`t.c`, `x.lat`) that
+            // never ship; it is masked the same way the lints mask it.
+            if file.is_test_line(idx) {
                 continue;
             }
             let trimmed = line.trim_start();
@@ -253,7 +247,7 @@ fn span_site_boundary(line: &str, pos: usize) -> bool {
 ///   `span(…)`/`span_under(…)` site, either as a literal or under a
 ///   `format!` prefix (`dag.task.{name}`). A table entry nobody emits
 ///   renders a milestone `(not measured)` forever.
-pub fn audit_stages(repo_root: &Path) -> Vec<String> {
+pub fn audit_stages(ws: &Workspace) -> Vec<String> {
     let quote = "(\"";
     let literal_needles: Vec<String> = ["span_under", "span"]
         .iter()
@@ -263,26 +257,12 @@ pub fn audit_stages(repo_root: &Path) -> Vec<String> {
         .iter()
         .map(|kind| format!("{kind}(format!{quote}"))
         .collect();
-    let mut files = Vec::new();
-    let _ = crate::lint::collect_rs_files(&repo_root.join("crates"), &mut files);
-
     let mut literals: BTreeMap<String, String> = BTreeMap::new();
     let mut prefixes: Vec<String> = Vec::new();
-    for path in files {
-        let rel = path
-            .strip_prefix(repo_root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if rel.ends_with("xtask/src/audit.rs") {
-            continue;
-        }
-        let Ok(source) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let mask = crate::lint::test_mask(&crate::lint::strip(&source));
-        for (idx, line) in source.lines().enumerate() {
-            if mask.get(idx).copied().unwrap_or(false) || line.trim_start().starts_with("//") {
+    for file in audited_files(ws) {
+        let rel = &file.rel;
+        for (idx, line) in file.source.lines().enumerate() {
+            if file.is_test_line(idx) || line.trim_start().starts_with("//") {
                 continue;
             }
             // `span(` is a substring of `span_under(`; scanning the
@@ -359,8 +339,13 @@ pub fn audit_stages(repo_root: &Path) -> Vec<String> {
 pub fn run(repo_root: &Path) -> AuditReport {
     let mut report = AuditReport::default();
 
-    report.push("obs instruments", audit_instruments(repo_root));
-    report.push("trace stages", audit_stages(repo_root));
+    match workspace::load(repo_root) {
+        Ok(ws) => {
+            report.push("obs instruments", audit_instruments(&ws));
+            report.push("trace stages", audit_stages(&ws));
+        }
+        Err(e) => report.push("workspace sources", vec![e]),
+    }
 
     // Single-vector indexes, every variant.
     let store = Arc::new(synthetic_store(500, 16, 8, 0xA0D1));
@@ -422,59 +407,45 @@ mod tests {
 
     #[test]
     fn instrument_audit_is_clean_on_the_workspace() {
-        let violations = audit_instruments(&repo_root());
+        let violations = audit_instruments(&workspace::load(&repo_root()).unwrap());
         assert!(violations.is_empty(), "instrument audit: {violations:#?}");
     }
 
     #[test]
     fn instrument_audit_flags_bad_names_and_dead_instruments() {
-        let dir = std::env::temp_dir().join(format!("mqa-xtask-inst-audit-{}", std::process::id()));
-        let src = dir.join("crates").join("demo").join("src");
-        std::fs::create_dir_all(&src).unwrap();
         let obs = "mqa_obs::";
-        std::fs::write(
-            src.join("lib.rs"),
-            format!(
-                "pub fn f() {{\n    {obs}counter{}two.segments{}.inc();\n    let _ = {obs}counter{}demo.dead.reads{}.get();\n    {obs}histogram{}demo.live.lat_us{}.record(1);\n}}\n",
-                "(\"", "\")", "(\"", "\")", "(\"", "\")"
-            ),
-        )
-        .unwrap();
-        let violations = audit_instruments(&dir);
+        let src = format!(
+            "pub fn f() {{\n    {obs}counter{}two.segments{}.inc();\n    let _ = {obs}counter{}demo.dead.reads{}.get();\n    {obs}histogram{}demo.live.lat_us{}.record(1);\n}}\n",
+            "(\"", "\")", "(\"", "\")", "(\"", "\")"
+        );
+        let ws = Workspace::from_sources(&[("crates/demo/src/lib.rs", src)]);
+        let violations = audit_instruments(&ws);
         assert_eq!(violations.len(), 2, "{violations:#?}");
         assert!(violations.iter().any(|v| v.contains("`two.segments`")));
         assert!(violations
             .iter()
             .any(|v| v.contains("dead instrument `demo.dead.reads`")));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn stage_audit_is_clean_on_the_workspace() {
-        let violations = audit_stages(&repo_root());
+        let violations = audit_stages(&workspace::load(&repo_root()).unwrap());
         assert!(violations.is_empty(), "stage audit: {violations:#?}");
     }
 
     #[test]
     fn stage_audit_flags_bad_names_and_dead_stages() {
-        let dir =
-            std::env::temp_dir().join(format!("mqa-xtask-stage-audit-{}", std::process::id()));
-        let src = dir.join("crates").join("demo").join("src");
-        std::fs::create_dir_all(&src).unwrap();
         let obs = "mqa_obs::";
         // `BadName` has one segment; `record_span("core.turn")` must not
         // count as an emission site (word boundary); the `format!` site
         // covers the `dag.task.*` witnesses by prefix.
-        std::fs::write(
-            src.join("lib.rs"),
-            format!(
-                "pub fn f(n: &str) {{\n    let _a = {obs}span{q}BadName{p};\n    snap.record_span{q}core.turn{p};\n    let _b = {obs}span(format!{q}dag.task.{{n}}{p});\n}}\n",
-                q = "(\"",
-                p = "\")"
-            ),
-        )
-        .unwrap();
-        let violations = audit_stages(&dir);
+        let src = format!(
+            "pub fn f(n: &str) {{\n    let _a = {obs}span{q}BadName{p};\n    snap.record_span{q}core.turn{p};\n    let _b = {obs}span(format!{q}dag.task.{{n}}{p});\n}}\n",
+            q = "(\"",
+            p = "\")"
+        );
+        let ws = Workspace::from_sources(&[("crates/demo/src/lib.rs", src)]);
+        let violations = audit_stages(&ws);
         assert!(
             violations.iter().any(|v| v.contains("stage `BadName`")),
             "{violations:#?}"
@@ -491,7 +462,6 @@ mod tests {
                 .any(|v| v.contains("`dag.task.data_preprocessing`")),
             "format! prefix should witness dag.task.*: {violations:#?}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

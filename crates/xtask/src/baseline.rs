@@ -1,10 +1,11 @@
-//! The lint waiver baseline (`lint-baseline.toml`).
+//! The waiver baseline (`<gate>-baseline.toml`) and the gate verdict.
 //!
 //! The baseline is an allowlist of *justified* findings: each `[[waiver]]`
 //! entry names a file, a rule, an optional `pattern` substring narrowing
-//! the match to specific lines, and a mandatory human `reason`. The lint
-//! run fails on any finding without a waiver — and on any waiver without
-//! a finding, so stale entries cannot silently accumulate.
+//! the match to specific lines, and a mandatory human `reason`. A gate
+//! fails on any finding without a waiver — and on any waiver without a
+//! finding, so stale entries cannot silently accumulate. Every static gate
+//! reaches its verdict through the one [`apply_baseline`].
 //!
 //! The parser reads the small TOML subset the file needs (`[[waiver]]`
 //! tables with `key = "string"` pairs, `#` comments, blank lines) — no
@@ -169,6 +170,67 @@ impl Baseline {
         }
         finish(&mut current)?;
         Ok(Self { waivers })
+    }
+}
+
+/// A static gate's verdict: its findings split by the baseline, plus the
+/// gate's own statistics `S` (lock graph, cone sizes, …).
+#[derive(Debug)]
+pub struct Outcome<S> {
+    /// Unwaived findings (the gate fails if non-empty).
+    pub findings: Vec<Finding>,
+    /// Findings suppressed by baseline waivers.
+    pub waived: Vec<Finding>,
+    /// Baseline entries that matched nothing (the gate fails if non-empty:
+    /// a stale waiver hides drift).
+    pub unused_waivers: Vec<String>,
+    /// Files scanned.
+    pub files_scanned: usize,
+    /// Gate-specific statistics.
+    pub stats: S,
+}
+
+impl<S> Outcome<S> {
+    /// Whether the gate passes.
+    pub fn is_clean(&self) -> bool {
+        self.findings.is_empty() && self.unused_waivers.is_empty()
+    }
+}
+
+/// Splits a gate's raw findings into waived and unwaived under `baseline`
+/// and reports the waivers nothing matched.
+pub fn apply_baseline<S>(
+    all: Vec<Finding>,
+    files_scanned: usize,
+    stats: S,
+    baseline: &Baseline,
+) -> Outcome<S> {
+    let mut used = vec![false; baseline.waivers.len()];
+    let mut findings = Vec::new();
+    let mut waived = Vec::new();
+    for f in all {
+        let hit = baseline.matching(&f).next();
+        match hit {
+            Some(i) => {
+                used[i] = true;
+                waived.push(f);
+            }
+            None => findings.push(f),
+        }
+    }
+    let unused_waivers = baseline
+        .waivers
+        .iter()
+        .zip(&used)
+        .filter(|(_, &u)| !u)
+        .map(|(w, _)| w.describe())
+        .collect();
+    Outcome {
+        findings,
+        waived,
+        unused_waivers,
+        files_scanned,
+        stats,
     }
 }
 

@@ -8,11 +8,15 @@
 //! (receiver-typed where a `self` field, typed local, or parameter type
 //! is known; name + arity over-approximation otherwise, so `dyn Trait`
 //! dispatch reaches every impl) and computes the cone from designated
-//! entry points. This module owns the generic machinery; the analyses own
-//! their [`Site`] kinds, scanners, entry-point sets, and reporting.
+//! entry points. This module owns all of that, including the one
+//! workspace → cone → findings routine ([`analyze_cone`]); an analysis
+//! is a [`ConeGate`]: its [`Site`] kinds, scanner, entry points and rule.
 
-use crate::conc::{impl_type_name, matching_paren, receiver_path, skip_angles};
+use crate::lint::{Finding, Rule};
 use crate::rustlex::{Kind, Tok};
+use crate::workspace::{
+    matching_paren, owner_map, param_chunks, receiver_path, skip_angles, struct_fields, Workspace,
+};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Rust keywords that can precede `[` without being a value (so slice
@@ -75,81 +79,46 @@ pub fn discharge_mask(source: &str, keyword: &str) -> Vec<bool> {
 
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
-pub struct Call {
+struct Call {
     /// Callee name (last path segment).
-    pub name: String,
+    name: String,
     /// `Type::name(…)` qualifier, `Self`, or a lowercase module segment.
-    pub qualifier: Option<String>,
+    qualifier: Option<String>,
     /// `true` for `recv.name(…)` method syntax.
-    pub method: bool,
+    method: bool,
     /// Receiver type candidates from typed locals/params.
-    pub recv_hints: Vec<String>,
+    recv_hints: Vec<String>,
     /// `["self", "field"]`-style receiver path, for field-type lookup.
-    pub recv_path: Vec<String>,
+    recv_path: Vec<String>,
     /// Argument count (top-level commas + 1).
-    pub args: usize,
+    args: usize,
 }
 
 /// One function in the inventory.
 #[derive(Debug)]
-pub struct FnNode<K> {
+struct FnNode<K> {
     /// Impl/trait owner's type name, `None` for free functions.
-    pub owner: Option<String>,
+    owner: Option<String>,
     /// Function name.
-    pub name: String,
+    name: String,
     /// Index into the analyzed file list.
-    pub file: usize,
+    file: usize,
     /// Parameter count excluding `self`.
-    pub arity: usize,
+    arity: usize,
     /// Calls made by the body.
-    pub calls: Vec<Call>,
+    calls: Vec<Call>,
     /// Analysis sites in the body.
-    pub sites: Vec<Site<K>>,
+    sites: Vec<Site<K>>,
 }
 
 impl<K> FnNode<K> {
     /// `Owner::name` display form.
-    pub fn display(&self) -> String {
+    fn display(&self) -> String {
         match &self.owner {
             Some(o) => format!("{o}::{}", self.name),
             None => self.name.clone(),
         }
     }
-}
-
-/// Per-token innermost `impl`/`trait` owner name, plus the set of names
-/// introduced by `trait` blocks (dyn-dispatch widening needs to know
-/// which owners are traits).
-fn owner_map(toks: &[&Tok]) -> (Vec<Option<String>>, BTreeSet<String>) {
-    let mut out: Vec<Option<String>> = vec![None; toks.len()];
-    let mut traits = BTreeSet::new();
-    let mut depth = 0i64;
-    let mut stack: Vec<(String, i64)> = Vec::new();
-    let mut pending: Option<String> = None;
-    for i in 0..toks.len() {
-        let t = toks[i];
-        if t.is_ident("impl") {
-            pending = impl_type_name(toks, i);
-        } else if t.is_ident("trait") && toks.get(i + 1).is_some_and(|t| t.kind == Kind::Ident) {
-            let name = toks[i + 1].text.clone();
-            traits.insert(name.clone());
-            pending = Some(name);
-        } else if t.is_punct("{") {
-            if let Some(name) = pending.take() {
-                stack.push((name, depth));
-            }
-            depth += 1;
-        } else if t.is_punct("}") {
-            depth -= 1;
-            if stack.last().map(|s| s.1) == Some(depth) {
-                stack.pop();
-            }
-        } else if t.is_punct(";") {
-            pending = None;
-        }
-        out[i] = stack.last().map(|s| s.0.clone());
-    }
-    (out, traits)
 }
 
 /// Capitalized type names in a token slice, in order — the candidates a
@@ -195,61 +164,27 @@ fn count_args(args: &[&Tok]) -> usize {
     commas + 1
 }
 
-/// Splits a parameter list into top-level comma-separated chunks.
-fn param_chunks<'s, 't>(params: &'s [&'t Tok]) -> Vec<&'s [&'t Tok]> {
-    let mut out = Vec::new();
-    let mut depth = 0i64;
-    let mut start = 0;
-    for (j, t) in params.iter().enumerate() {
-        if t.is_punct("(") || t.is_punct("[") || t.is_punct("<") {
-            depth += 1;
-        } else if t.is_punct(")") || t.is_punct("]") || t.is_punct(">") {
-            depth -= 1;
-        } else if t.is_punct("<<") {
-            depth += 2;
-        } else if t.is_punct(">>") {
-            depth -= 2;
-        } else if depth == 0 && t.is_punct(",") {
-            out.push(&params[start..j]);
-            start = j + 1;
-        }
-    }
-    if start < params.len() {
-        out.push(&params[start..]);
-    }
-    out
-}
-
 /// The workspace-wide index an analysis builds in pass 1.
 #[derive(Debug)]
-pub struct Inventory<K> {
+struct Inventory<K> {
     /// Repo-relative paths of the analyzed files.
-    pub files: Vec<String>,
+    files: Vec<String>,
     /// Every function found, in scan order.
-    pub fns: Vec<FnNode<K>>,
+    fns: Vec<FnNode<K>>,
     /// `(struct, field)` -> candidate type names.
     field_types: BTreeMap<(String, String), Vec<String>>,
     /// Trait names (dyn-dispatch widening).
     traits: BTreeSet<String>,
 }
 
-impl<K> Default for Inventory<K> {
-    fn default() -> Self {
+impl<K> Inventory<K> {
+    /// An empty inventory over the given repo-relative file paths.
+    fn new(files: Vec<String>) -> Self {
         Self {
-            files: Vec::new(),
+            files,
             fns: Vec::new(),
             field_types: BTreeMap::new(),
             traits: BTreeSet::new(),
-        }
-    }
-}
-
-impl<K> Inventory<K> {
-    /// An inventory over the given repo-relative file paths.
-    pub fn for_files(files: Vec<String>) -> Self {
-        Self {
-            files,
-            ..Self::default()
         }
     }
 
@@ -265,62 +200,17 @@ impl<K> Inventory<K> {
     }
 }
 
-/// Records struct fields' type-name candidates.
-fn index_struct_fields<K>(toks: &[&Tok], inv: &mut Inventory<K>) {
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_ident("struct") && toks.get(i + 1).is_some_and(|t| t.kind == Kind::Ident) {
-            let name = toks[i + 1].text.clone();
-            let mut j = skip_angles(toks, i + 2);
-            while j < toks.len()
-                && !toks[j].is_punct("{")
-                && !toks[j].is_punct("(")
-                && !toks[j].is_punct(";")
-            {
-                j += 1;
-            }
-            if toks.get(j).is_some_and(|t| t.is_punct("{")) {
-                let mut depth = 1i64;
-                let mut k = j + 1;
-                let mut chunk_start = k;
-                while k < toks.len() && depth > 0 {
-                    let tk = toks[k];
-                    if tk.is_punct("{") || tk.is_punct("(") || tk.is_punct("[") {
-                        depth += 1;
-                    } else if tk.is_punct("}") || tk.is_punct(")") || tk.is_punct("]") {
-                        depth -= 1;
-                    }
-                    if depth == 0 || (depth == 1 && tk.is_punct(",")) {
-                        let chunk = &toks[chunk_start..k];
-                        // `field: Type` — find the first `ident :` pair.
-                        for (p, t) in chunk.iter().enumerate() {
-                            if t.kind == Kind::Ident
-                                && chunk.get(p + 1).is_some_and(|n| n.is_punct(":"))
-                            {
-                                let tys = type_names(&chunk[p + 2..]);
-                                if !tys.is_empty() {
-                                    inv.field_types.insert((name.clone(), t.text.clone()), tys);
-                                }
-                                break;
-                            }
-                        }
-                        chunk_start = k + 1;
-                    }
-                    k += 1;
-                }
-                i = k;
-                continue;
-            }
-        }
-        i += 1;
-    }
-}
-
 /// Scans one file's (test-masked) tokens into the inventory. `fi` is the
 /// file's index; `sites` are the analysis sites pre-scanned from the same
 /// token stream, attributed here to their innermost enclosing function.
-pub fn scan_file<K: Copy>(fi: usize, toks: &[&Tok], sites: Vec<Site<K>>, inv: &mut Inventory<K>) {
-    index_struct_fields(toks, inv);
+fn scan_file<K: Copy>(fi: usize, toks: &[&Tok], sites: Vec<Site<K>>, inv: &mut Inventory<K>) {
+    for f in struct_fields(toks) {
+        let tys = type_names(f.ty);
+        if !tys.is_empty() {
+            inv.field_types
+                .insert((f.strukt.to_string(), f.name.to_string()), tys);
+        }
+    }
     let (omap, traits) = owner_map(toks);
     inv.traits.extend(traits);
 
@@ -531,7 +421,7 @@ pub struct EntryPoint {
 
 impl EntryPoint {
     /// Whether `f` matches this entry point.
-    pub fn matches<K>(&self, f: &FnNode<K>) -> bool {
+    fn matches<K>(&self, f: &FnNode<K>) -> bool {
         f.name == self.name
             && match self.owner {
                 EntryOwner::AnyImpl => f.owner.is_some(),
@@ -690,15 +580,13 @@ impl<'a, K> Resolver<'a, K> {
 
 /// The resolved call graph with reachability from an entry-point set.
 #[derive(Debug)]
-pub struct Cone {
-    /// Resolved call edges, caller -> callees.
-    pub adj: Vec<Vec<usize>>,
+struct Cone {
     /// Total resolved edge count.
-    pub edges: usize,
+    edges: usize,
     /// Entry-point function ids.
-    pub entries: Vec<usize>,
+    entries: Vec<usize>,
     /// Per-function reachability from the entry set.
-    pub reached: Vec<bool>,
+    reached: Vec<bool>,
     /// BFS parent pointers (for sample call-chain excerpts).
     parent: Vec<Option<usize>>,
 }
@@ -706,7 +594,7 @@ pub struct Cone {
 impl Cone {
     /// A sample entry-to-`id` call chain, `a -> b -> c`, capped at six
     /// hops.
-    pub fn path_to<K>(&self, inv: &Inventory<K>, mut id: usize) -> String {
+    fn path_to<K>(&self, inv: &Inventory<K>, mut id: usize) -> String {
         let mut names = vec![inv.fns[id].display()];
         let mut hops = 0;
         while let Some(p) = self.parent[id] {
@@ -723,14 +611,14 @@ impl Cone {
     }
 
     /// Reachable function count.
-    pub fn reachable_fns(&self) -> usize {
+    fn reachable_fns(&self) -> usize {
         self.reached.iter().filter(|&&r| r).count()
     }
 }
 
 /// Resolves every call in the inventory and BFSes from the functions
 /// matching `entry_points`.
-pub fn build_cone<K>(inv: &Inventory<K>, entry_points: &[EntryPoint]) -> Cone {
+fn build_cone<K>(inv: &Inventory<K>, entry_points: &[EntryPoint]) -> Cone {
     let resolver = Resolver::new(inv);
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); inv.fns.len()];
     let mut edges = 0usize;
@@ -772,10 +660,113 @@ pub fn build_cone<K>(inv: &Inventory<K>, entry_points: &[EntryPoint]) -> Cone {
     }
 
     Cone {
-        adj,
         edges,
         entries,
         reached,
         parent,
     }
+}
+
+// ---------------------------------------------------------------------------
+// The gate: workspace -> inventory -> cone -> findings.
+// ---------------------------------------------------------------------------
+
+/// What distinguishes one reachability analysis from another.
+pub struct ConeGate<K: 'static> {
+    /// The rule a reachable site is reported under.
+    pub rule: Rule,
+    /// The roots of the cone.
+    pub entry_points: &'static [EntryPoint],
+    /// Comment keyword that discharges a site in source (see
+    /// [`discharge_mask`]).
+    pub discharge: &'static str,
+    /// Files (by repo-relative path) left out of the inventory.
+    pub skip_file: fn(&str) -> bool,
+    /// The site scanner: non-test tokens + per-line discharge mask.
+    pub scan: fn(&[&Tok], &[bool]) -> Vec<Site<K>>,
+    /// Short display name of a site kind, for finding excerpts.
+    pub describe: fn(K) -> &'static str,
+    /// Whether a site kind belongs in the cone (the rest is inventoried
+    /// and counted only).
+    pub in_cone: fn(K) -> bool,
+}
+
+/// Aggregate statistics of one analysis run.
+#[derive(Debug, Default, Clone)]
+pub struct ConeStats {
+    /// Functions inventoried.
+    pub fns: usize,
+    /// Resolved call edges.
+    pub edges: usize,
+    /// Entry-point functions found.
+    pub entry_fns: usize,
+    /// Functions reachable from an entry point.
+    pub reachable_fns: usize,
+    /// Sites inventoried workspace-wide (after in-source discharge).
+    pub total_sites: usize,
+    /// Sites in reachable functions (the cone, pre-waiver).
+    pub cone_sites: usize,
+    /// Sites inside functions whose kind is not part of the cone (flow's
+    /// lossy casts: value-corrupting, not panicking).
+    pub off_cone_sites: usize,
+}
+
+/// The raw analysis result, before baseline waivers.
+#[derive(Debug, Default)]
+pub struct ConeAnalysis {
+    /// Cone findings, sorted by (file, line).
+    pub findings: Vec<Finding>,
+    /// Run statistics.
+    pub stats: ConeStats,
+}
+
+/// Runs `gate` over the workspace: scan every included file into one
+/// inventory, build the cone from the gate's entry points, and report
+/// each in-cone site of a reachable function with a sample call chain.
+pub fn analyze_cone<K: Copy>(ws: &Workspace, gate: &ConeGate<K>) -> ConeAnalysis {
+    let mut inv: Inventory<K> = Inventory::new(ws.files.iter().map(|f| f.rel.clone()).collect());
+    let mut stats = ConeStats::default();
+    for (fi, file) in ws.files.iter().enumerate() {
+        if (gate.skip_file)(&file.rel) {
+            continue;
+        }
+        let toks = file.code();
+        let sites = (gate.scan)(&toks, &discharge_mask(&file.source, gate.discharge));
+        stats.total_sites += sites.len();
+        scan_file(fi, &toks, sites, &mut inv);
+    }
+
+    let cone = build_cone(&inv, gate.entry_points);
+
+    let mut findings = Vec::new();
+    for (id, f) in inv.fns.iter().enumerate() {
+        let in_cone = |s: &&Site<K>| (gate.in_cone)(s.kind);
+        stats.off_cone_sites += f.sites.iter().filter(|s| !in_cone(s)).count();
+        if !cone.reached[id] {
+            continue;
+        }
+        let file = &ws.files[f.file];
+        for s in f.sites.iter().filter(in_cone) {
+            stats.cone_sites += 1;
+            findings.push(Finding {
+                file: file.rel.clone(),
+                line: s.line,
+                rule: gate.rule,
+                excerpt: format!(
+                    "{} [{} in {}; via {}]",
+                    file.excerpt(s.line),
+                    (gate.describe)(s.kind),
+                    f.display(),
+                    cone.path_to(&inv, id)
+                ),
+            });
+        }
+    }
+    findings.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
+
+    stats.fns = inv.fns.len();
+    stats.edges = cone.edges;
+    stats.entry_fns = cone.entries.len();
+    stats.reachable_fns = cone.reachable_fns();
+    ConeAnalysis { findings, stats }
 }

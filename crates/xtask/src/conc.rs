@@ -37,11 +37,14 @@
 //! Findings reuse the [`crate::lint`] `Finding`/`Rule` types and the same
 //! baseline-waiver machinery (default baseline: `conc-baseline.toml`).
 
-use crate::baseline::Baseline;
-use crate::lint::{collect_rs_files, strip, test_mask, Finding, Rule, DEFAULT_ROOTS};
-use crate::rustlex::{lex, Kind, Tok};
+use crate::baseline::{apply_baseline, Baseline, Outcome};
+use crate::lint::{Finding, Rule};
+use crate::rustlex::{Kind, Tok};
+use crate::workspace::{
+    matching_paren, owner_map, param_chunks, receiver_path, skip_angles, struct_fields, SourceFile,
+    Workspace,
+};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
 
 /// What a lock-ish struct field or static is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,127 +124,6 @@ fn is_wait_name(name: &str) -> bool {
     WAIT_NAMES.contains(&name)
 }
 
-/// Index of the `)` matching the `(` at `open`, honoring nesting.
-pub(crate) fn matching_paren(toks: &[&Tok], open: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct("(") {
-            depth += 1;
-        } else if t.is_punct(")") {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-    }
-    None
-}
-
-/// Index just past a generics block starting at `i` (which must be `<`),
-/// counting `<<`/`>>` as two. Returns `i` unchanged if `toks[i]` is not `<`.
-pub(crate) fn skip_angles(toks: &[&Tok], i: usize) -> usize {
-    if !toks.get(i).is_some_and(|t| t.is_punct("<")) {
-        return i;
-    }
-    let mut depth = 0i64;
-    let mut j = i;
-    while j < toks.len() {
-        let t = toks[j];
-        if t.is_punct("<") {
-            depth += 1;
-        } else if t.is_punct(">") {
-            depth -= 1;
-        } else if t.is_punct("<<") {
-            depth += 2;
-        } else if t.is_punct(">>") {
-            depth -= 2;
-        }
-        j += 1;
-        if depth <= 0 {
-            return j;
-        }
-    }
-    j
-}
-
-/// Per-token innermost `impl` type name, so `self.field` resolves.
-fn impl_map(toks: &[&Tok]) -> Vec<Option<String>> {
-    let mut out: Vec<Option<String>> = vec![None; toks.len()];
-    let mut depth = 0i64;
-    let mut stack: Vec<(String, i64)> = Vec::new();
-    let mut pending: Option<String> = None;
-    for i in 0..toks.len() {
-        let t = toks[i];
-        if t.is_ident("impl") {
-            pending = impl_type_name(toks, i);
-        } else if t.is_punct("{") {
-            if let Some(name) = pending.take() {
-                stack.push((name, depth));
-            }
-            depth += 1;
-        } else if t.is_punct("}") {
-            depth -= 1;
-            if stack.last().map(|s| s.1) == Some(depth) {
-                stack.pop();
-            }
-        } else if t.is_punct(";") {
-            // `impl Trait for Type;` never happens, but a parse hiccup
-            // must not leak `pending` into an unrelated brace.
-            pending = None;
-        }
-        out[i] = stack.last().map(|s| s.0.clone());
-    }
-    out
-}
-
-/// The implemented type's last path segment for the `impl` at `at`.
-pub(crate) fn impl_type_name(toks: &[&Tok], at: usize) -> Option<String> {
-    let mut j = skip_angles(toks, at + 1);
-    // If a top-level `for` appears before the body brace, the type
-    // follows it (`impl Drop for TicketSender<T>`).
-    let mut k = j;
-    let mut angle = 0i64;
-    while k < toks.len() {
-        let t = toks[k];
-        if t.is_punct("{") || t.is_ident("where") {
-            break;
-        }
-        if t.is_punct("<") {
-            angle += 1;
-        } else if t.is_punct(">") {
-            angle -= 1;
-        } else if t.is_punct("<<") {
-            angle += 2;
-        } else if t.is_punct(">>") {
-            angle -= 2;
-        } else if angle == 0 && t.is_ident("for") {
-            j = k + 1;
-        }
-        k += 1;
-    }
-    // Skip `&`, `mut`, lifetimes; then take the last ident of the
-    // `::`-separated path before its generics.
-    let mut name = None;
-    let mut m = j;
-    while m < toks.len() {
-        let t = toks[m];
-        if t.is_punct("&") || t.is_ident("mut") || t.kind == Kind::Lifetime || t.is_punct("::") {
-            m += 1;
-            continue;
-        }
-        if t.kind == Kind::Ident && !t.is_ident("where") {
-            name = Some(t.text.clone());
-            m += 1;
-            // Path continues only through `::`.
-            if toks.get(m).is_some_and(|t| t.is_punct("::")) {
-                continue;
-            }
-        }
-        break;
-    }
-    name
-}
-
 fn classify_type(toks: &[&Tok]) -> Option<FieldKind> {
     let has = |s: &str| toks.iter().any(|t| t.is_ident(s));
     if has("TracedMutex") || has("Mutex") {
@@ -257,45 +139,21 @@ fn classify_type(toks: &[&Tok]) -> Option<FieldKind> {
     }
 }
 
-/// Pass 1: structs' lock-ish fields, statics, guard helpers, and
+/// Pass 1: structs' lock-ish fields (classified from the shared
+/// struct-field walker), statics, guard helpers, and
 /// `TracedMutex::new("…")` field-name associations.
-fn index_file(toks: &[&Tok], imap: &[Option<String>], idx: &mut Index) {
-    let mut i = 0;
-    while i < toks.len() {
-        let t = toks[i];
-        // struct Name { field: Type, … }
-        if t.is_ident("struct") && toks.get(i + 1).is_some_and(|t| t.kind == Kind::Ident) {
-            let name = toks[i + 1].text.clone();
-            let mut j = skip_angles(toks, i + 2);
-            while j < toks.len()
-                && !toks[j].is_punct("{")
-                && !toks[j].is_punct("(")
-                && !toks[j].is_punct(";")
-            {
-                j += 1;
-            }
-            if toks.get(j).is_some_and(|t| t.is_punct("{")) {
-                let mut depth = 1i64;
-                let mut k = j + 1;
-                let mut chunk_start = k;
-                while k < toks.len() && depth > 0 {
-                    let tk = toks[k];
-                    if tk.is_punct("{") || tk.is_punct("(") || tk.is_punct("[") {
-                        depth += 1;
-                    } else if tk.is_punct("}") || tk.is_punct(")") || tk.is_punct("]") {
-                        depth -= 1;
-                    }
-                    let field_ends = depth == 0 || (depth == 1 && tk.is_punct(","));
-                    if field_ends {
-                        record_field(&toks[chunk_start..k], &name, idx);
-                        chunk_start = k + 1;
-                    }
-                    k += 1;
-                }
-                i = k;
-                continue;
-            }
+fn index_file(toks: &[&Tok], owners: &[Option<String>], idx: &mut Index) {
+    for f in struct_fields(toks) {
+        if let Some(kind) = classify_type(f.ty) {
+            idx.fields
+                .insert((f.strukt.to_string(), f.name.to_string()), kind);
+            idx.by_field
+                .entry(f.name.to_string())
+                .or_default()
+                .insert(f.strukt.to_string());
         }
+    }
+    for (i, t) in toks.iter().enumerate() {
         // static NAME: Mutex<…> = …;
         if t.is_ident("static") {
             let mut j = i + 1;
@@ -322,23 +180,8 @@ fn index_file(toks: &[&Tok], imap: &[Option<String>], idx: &mut Index) {
             let j = skip_angles(toks, i + 2);
             if toks.get(j).is_some_and(|t| t.is_punct("(")) {
                 if let Some(close) = matching_paren(toks, j) {
-                    let params = &toks[j + 1..close];
-                    let first_param_end = {
-                        let mut depth = 0i64;
-                        let mut e = params.len();
-                        for (p, tk) in params.iter().enumerate() {
-                            if tk.is_punct("(") || tk.is_punct("[") || tk.is_punct("<") {
-                                depth += 1;
-                            } else if tk.is_punct(")") || tk.is_punct("]") || tk.is_punct(">") {
-                                depth -= 1;
-                            } else if depth == 0 && tk.is_punct(",") {
-                                e = p;
-                                break;
-                            }
-                        }
-                        e
-                    };
-                    let first = &params[..first_param_end];
+                    let chunks = param_chunks(&toks[j + 1..close]);
+                    let first = chunks.first().copied().unwrap_or_default();
                     let takes_lock = first
                         .iter()
                         .any(|t| t.is_ident("Mutex") || t.is_ident("TracedMutex"))
@@ -374,72 +217,10 @@ fn index_file(toks: &[&Tok], imap: &[Option<String>], idx: &mut Index) {
         {
             let field = t.text.clone();
             let literal = toks[i + 6].text.clone();
-            let ctx = imap.get(i).cloned().flatten();
-            // Resolved after all files are indexed (the declaring struct
-            // may not be indexed yet); stash under a sentinel key the
-            // resolver understands.
-            let ctx_key = ctx.unwrap_or_default();
+            // Keyed by the enclosing impl (empty outside one); resolved
+            // against the declaring struct once every file is indexed.
+            let ctx_key = owners.get(i).cloned().flatten().unwrap_or_default();
             idx.traced.insert((ctx_key, field), literal);
-        }
-        i += 1;
-    }
-}
-
-fn record_field(chunk: &[&Tok], struct_name: &str, idx: &mut Index) {
-    // Skip attributes and visibility: #[…] / pub / pub(crate).
-    let mut i = 0;
-    while i < chunk.len() {
-        let t = chunk[i];
-        if t.is_punct("#") {
-            // Skip the bracket group.
-            let mut depth = 0i64;
-            i += 1;
-            while i < chunk.len() {
-                if chunk[i].is_punct("[") {
-                    depth += 1;
-                } else if chunk[i].is_punct("]") {
-                    depth -= 1;
-                    if depth == 0 {
-                        i += 1;
-                        break;
-                    }
-                }
-                i += 1;
-            }
-            continue;
-        }
-        if t.is_ident("pub") {
-            i += 1;
-            if chunk.get(i).is_some_and(|t| t.is_punct("(")) {
-                let mut depth = 0i64;
-                while i < chunk.len() {
-                    if chunk[i].is_punct("(") {
-                        depth += 1;
-                    } else if chunk[i].is_punct(")") {
-                        depth -= 1;
-                        if depth == 0 {
-                            i += 1;
-                            break;
-                        }
-                    }
-                    i += 1;
-                }
-            }
-            continue;
-        }
-        break;
-    }
-    if chunk.get(i).is_some_and(|t| t.kind == Kind::Ident)
-        && chunk.get(i + 1).is_some_and(|t| t.is_punct(":"))
-    {
-        let field = chunk[i].text.clone();
-        if let Some(kind) = classify_type(&chunk[i + 2..]) {
-            idx.fields
-                .insert((struct_name.to_string(), field.clone()), kind);
-            idx.by_field
-                .entry(field)
-                .or_default()
-                .insert(struct_name.to_string());
         }
     }
 }
@@ -518,32 +299,6 @@ struct Scope {
     guards: Vec<GuardVar>,
 }
 
-/// The receiver path of the method call whose `.` is at `dot`:
-/// `self.shared.slot.lock()` -> `["self", "shared", "slot"]`. Empty when
-/// the receiver is a chained call or other non-path expression.
-pub(crate) fn receiver_path(toks: &[&Tok], dot: usize) -> Vec<String> {
-    let mut segs: Vec<String> = Vec::new();
-    let mut j = dot;
-    loop {
-        if j == 0 || !toks[j].is_punct(".") {
-            break;
-        }
-        let prev = toks[j - 1];
-        if prev.kind != Kind::Ident {
-            // `foo().lock()` or `map[k].lock()`: give up.
-            return Vec::new();
-        }
-        segs.push(prev.text.clone());
-        if j >= 2 && toks[j - 2].is_punct(".") {
-            j -= 2;
-            continue;
-        }
-        break;
-    }
-    segs.reverse();
-    segs
-}
-
 /// The `&`-stripped path of a helper call's first argument:
 /// `lock_ignore_poison(&self.inner)` -> `["self", "inner"]`.
 fn arg_path(args: &[&Tok]) -> Vec<String> {
@@ -578,25 +333,12 @@ fn arg_path(args: &[&Tok]) -> Vec<String> {
     segs
 }
 
-struct FileCtx<'a> {
-    rel: &'a str,
-    raw_lines: Vec<&'a str>,
-}
-
-impl FileCtx<'_> {
-    fn excerpt(&self, line: usize) -> String {
-        self.raw_lines
-            .get(line - 1)
-            .map_or(String::new(), |l| l.trim().to_string())
-    }
-}
-
 /// Pass 2 over one file: track scopes + guards, record edges and per-site
 /// findings.
 fn analyze_file(
-    ctx: &FileCtx<'_>,
+    ctx: &SourceFile,
     toks: &[&Tok],
-    imap: &[Option<String>],
+    owners: &[Option<String>],
     idx: &Index,
     out: &mut Analysis,
 ) {
@@ -692,7 +434,7 @@ fn analyze_file(
                         let args = &toks[i + 2..close];
                         let name = t.text.as_str();
                         let line = t.line;
-                        let ictx = imap.get(i).cloned().flatten();
+                        let ictx = owners.get(i).cloned().flatten();
 
                         let live = live_guards(&scopes);
                         let guard_args: Vec<String> = args
@@ -752,9 +494,9 @@ fn analyze_file(
                                         edges.insert(LockEdge {
                                             from: from.clone(),
                                             to: to.clone(),
-                                            file: ctx.rel.to_string(),
+                                            file: ctx.rel.clone(),
                                             line,
-                                            from_file: ctx.rel.to_string(),
+                                            from_file: ctx.rel.clone(),
                                             from_line: g.line,
                                             excerpt: ctx.excerpt(line),
                                         });
@@ -809,7 +551,7 @@ fn analyze_file(
                             }
                             if !in_loop {
                                 out.findings.push(Finding {
-                                    file: ctx.rel.to_string(),
+                                    file: ctx.rel.clone(),
                                     line,
                                     rule: Rule::CondvarNoLoop,
                                     excerpt: ctx.excerpt(line),
@@ -820,7 +562,7 @@ fn analyze_file(
                             for g in &live {
                                 if !guard_args.contains(&g.var) {
                                     out.findings.push(Finding {
-                                        file: ctx.rel.to_string(),
+                                        file: ctx.rel.clone(),
                                         line,
                                         rule: Rule::GuardAcrossBlocking,
                                         excerpt: format!(
@@ -835,7 +577,7 @@ fn analyze_file(
                         } else if let Some(what) = blocking {
                             for g in &live {
                                 out.findings.push(Finding {
-                                    file: ctx.rel.to_string(),
+                                    file: ctx.rel.clone(),
                                     line,
                                     rule: Rule::GuardAcrossBlocking,
                                     excerpt: format!(
@@ -857,46 +599,31 @@ fn analyze_file(
     out.edges = edges.into_iter().collect();
 }
 
-/// Runs the analysis over in-memory `(repo-relative path, source)` pairs.
-/// The unit tests and the engine gate's cross-validation both enter here.
-pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
-    let mut prepped: Vec<(String, Vec<Tok>, Vec<bool>)> = Vec::new();
-    for (rel, source) in files {
-        let mask = test_mask(&strip(source));
-        let toks = lex(source);
-        prepped.push((rel.clone(), toks, mask));
-    }
-
-    let mut idx = Index::default();
-    let mut filtered: Vec<(usize, Vec<&Tok>)> = Vec::new();
-    for (fi, (_, toks, mask)) in prepped.iter().enumerate() {
-        let kept: Vec<&Tok> = toks
-            .iter()
-            .filter(|t| !mask.get(t.line - 1).copied().unwrap_or(false))
-            .collect();
-        filtered.push((fi, kept));
-    }
+/// Runs the analysis over the workspace. The gate, the unit tests and
+/// the engine gate's cross-validation all enter here.
+pub fn analyze(ws: &Workspace) -> Analysis {
+    let files: Vec<(&SourceFile, Vec<&Tok>, Vec<Option<String>>)> = ws
+        .files
+        .iter()
+        .map(|f| {
+            let toks = f.code();
+            let owners = owner_map(&toks).0;
+            (f, toks, owners)
+        })
+        .collect();
     // Pass 1: the index needs every file before pass 2 can resolve
     // cross-file receivers.
-    let imaps: Vec<Vec<Option<String>>> = filtered.iter().map(|(_, kept)| impl_map(kept)).collect();
-    for ((_, kept), imap) in filtered.iter().zip(&imaps) {
-        index_file(kept, imap, &mut idx);
+    let mut idx = Index::default();
+    for (_, toks, owners) in &files {
+        index_file(toks, owners, &mut idx);
     }
 
     let mut out = Analysis::default();
-    for name in idx.traced.values() {
-        out.traced_names.insert(name.clone());
-    }
+    out.traced_names.extend(idx.traced.values().cloned());
 
     // Pass 2.
-    for ((fi, kept), imap) in filtered.iter().zip(&imaps) {
-        let (rel, _, _) = &prepped[*fi];
-        let source = &files[*fi].1;
-        let ctx = FileCtx {
-            rel,
-            raw_lines: source.lines().collect(),
-        };
-        analyze_file(&ctx, kept, imap, &idx, &mut out);
+    for (file, toks, owners) in &files {
+        analyze_file(file, toks, owners, &idx, &mut out);
     }
 
     // Cycle pass over the global graph.
@@ -941,106 +668,14 @@ pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
     out
 }
 
-/// The conc run's aggregate result (mirror of `lint::LintOutcome`).
-#[derive(Debug)]
-pub struct ConcOutcome {
-    /// Unwaived findings (the gate fails if non-empty).
-    pub findings: Vec<Finding>,
-    /// Findings suppressed by baseline waivers.
-    pub waived: Vec<Finding>,
-    /// Baseline entries that matched nothing (stale waivers fail the gate).
-    pub unused_waivers: Vec<String>,
-    /// Files scanned.
-    pub files_scanned: usize,
-    /// The lock-order graph and lock-name inventory, for the engine
-    /// gate's runtime-witness cross-check.
-    pub analysis: Analysis,
-}
-
-impl ConcOutcome {
-    /// Whether the gate passes.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.unused_waivers.is_empty()
-    }
-}
-
-fn load_workspace_sources(repo_root: &Path) -> Result<Vec<(String, String)>, String> {
-    let mut files = Vec::new();
-    for root in DEFAULT_ROOTS {
-        let dir = repo_root.join(root);
-        if dir.is_dir() {
-            collect_rs_files(&dir, &mut files)?;
-        }
-    }
-    if files.is_empty() {
-        return Err(format!(
-            "no .rs sources found under {} (looked in {})",
-            repo_root.display(),
-            DEFAULT_ROOTS.join(", ")
-        ));
-    }
-    files.sort();
-    let mut out = Vec::new();
-    for path in &files {
-        let rel = path
-            .strip_prefix(repo_root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        out.push((rel, source));
-    }
-    Ok(out)
-}
-
-/// Runs the static concurrency analysis over the whole workspace,
-/// applying `baseline` waivers (default file: `conc-baseline.toml`).
-///
-/// # Errors
-/// Returns a message if a directory or file cannot be read.
-pub fn run(repo_root: &Path, baseline: &Baseline) -> Result<ConcOutcome, String> {
-    let sources = load_workspace_sources(repo_root)?;
-    let files_scanned = sources.len();
-    let mut analysis = analyze_sources(&sources);
+/// Runs the static concurrency analysis, applying `baseline` waivers
+/// (default file: `conc-baseline.toml`). The outcome's `stats` is the
+/// [`Analysis`] minus its findings: the lock-order graph and lock-name
+/// inventory.
+pub fn run(ws: &Workspace, baseline: &Baseline) -> Outcome<Analysis> {
+    let mut analysis = analyze(ws);
     let all = std::mem::take(&mut analysis.findings);
-    let mut used = vec![0usize; baseline.waivers.len()];
-    let mut findings = Vec::new();
-    let mut waived = Vec::new();
-    for f in all {
-        let hit = baseline.matching(&f).next();
-        match hit {
-            Some(i) => {
-                used[i] += 1;
-                waived.push(f);
-            }
-            None => findings.push(f),
-        }
-    }
-    let unused_waivers = baseline
-        .waivers
-        .iter()
-        .zip(&used)
-        .filter(|(_, &u)| u == 0)
-        .map(|(w, _)| w.describe())
-        .collect();
-    Ok(ConcOutcome {
-        findings,
-        waived,
-        unused_waivers,
-        files_scanned,
-        analysis,
-    })
-}
-
-/// Convenience wrapper for the engine gate: workspace analysis with no
-/// baseline applied, exposing the lock graph and traced-name inventory.
-///
-/// # Errors
-/// Returns a message if the workspace sources cannot be read.
-pub fn analyze_workspace(repo_root: &Path) -> Result<Analysis, String> {
-    let sources = load_workspace_sources(repo_root)?;
-    Ok(analyze_sources(&sources))
+    apply_baseline(all, ws.files.len(), analysis, baseline)
 }
 
 #[cfg(test)]
@@ -1048,7 +683,7 @@ mod tests {
     use super::*;
 
     fn one(rel: &str, src: &str) -> Analysis {
-        analyze_sources(&[(rel.to_string(), src.to_string())])
+        analyze(&Workspace::from_sources(&[(rel, src)]))
     }
 
     const AB_BA: &str = r#"
@@ -1244,8 +879,8 @@ impl S {
         // their canonical names so the gate watches them — an empty
         // resolution here would mean mutation locking is invisible to
         // the cycle analysis.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let a = analyze_workspace(&root).expect("workspace sources readable");
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let a = analyze(&crate::workspace::load(&root).expect("workspace sources readable"));
         for name in ["SnapshotCell.slot", "UnifiedIndex.writer"] {
             assert!(
                 a.lock_names.contains(name),
@@ -1359,10 +994,10 @@ fn ba(p: &crate::Pair) {
     drop(b);
 }
 "#;
-        let a = analyze_sources(&[
-            ("x/src/fwd.rs".to_string(), fwd.to_string()),
-            ("x/src/rev.rs".to_string(), rev.to_string()),
-        ]);
+        let a = analyze(&Workspace::from_sources(&[
+            ("x/src/fwd.rs", fwd),
+            ("x/src/rev.rs", rev),
+        ]));
         let cycles = a
             .findings
             .iter()

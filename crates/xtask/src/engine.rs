@@ -215,7 +215,8 @@ fn check_lock_witness() -> Result<usize, String> {
     // The static graph comes from the sources, so anchor on this crate's
     // manifest dir — the gate's unit test runs with cwd=crates/xtask.
     let repo_root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let analysis = crate::conc::analyze_workspace(&repo_root)
+    let analysis = crate::workspace::load(&repo_root)
+        .map(|ws| crate::conc::analyze(&ws))
         .map_err(|e| format!("engine smoke failed: static lock graph unavailable: {e}"))?;
     for p in pairs.iter().filter(|p| p.held) {
         let known = analysis

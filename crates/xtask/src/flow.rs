@@ -36,14 +36,14 @@
 //! ([`crate::lint::SERVING_PREFIXES`]), `#[cfg(test)]`-masked and
 //! bin-exempt like every other rule.
 
-use crate::baseline::Baseline;
+use crate::baseline::{apply_baseline, Baseline, Outcome};
 use crate::callgraph::{
-    self, build_cone, discharge_mask, is_keyword, EntryOwner, EntryPoint, Inventory,
+    self, analyze_cone, is_keyword, ConeAnalysis, ConeGate, ConeStats, EntryOwner, EntryPoint,
 };
-use crate::lint::{collect_rs_files, strip, test_mask, Finding, Rule, DEFAULT_ROOTS};
-use crate::rustlex::{lex, Kind, Tok};
+use crate::lint::Rule;
+use crate::rustlex::{Kind, Tok};
+use crate::workspace::Workspace;
 use std::collections::BTreeSet;
-use std::path::Path;
 
 /// What kind of panic-capable (or value-corrupting) construct a site is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,13 +101,10 @@ impl SiteKind {
 /// One panic-capable site.
 pub type Site = callgraph::Site<SiteKind>;
 
-/// Per-line mask from the *raw* source: `true` where an `// INVARIANT:`
-/// comment on the same line or up to three lines above discharges an
-/// indexing/division/cast site (the `// SAFETY:` idiom for arithmetic).
-/// See [`callgraph::discharge_mask`] for the window semantics.
-pub fn invariant_mask(source: &str) -> Vec<bool> {
-    discharge_mask(source, "INVARIANT:")
-}
+/// The comment keyword that discharges an indexing/division/cast site
+/// (the `// SAFETY:` idiom for arithmetic). See
+/// [`callgraph::discharge_mask`] for the window semantics.
+pub const INVARIANT: &str = "INVARIANT:";
 
 /// Bit width and domain of a primitive numeric type name. `usize`/`isize`
 /// count as 64-bit: every supported target is 64-bit, and assuming
@@ -227,8 +224,8 @@ fn float_idents<'t>(toks: &[&'t Tok]) -> BTreeSet<&'t str> {
 }
 
 /// Scans a (test-masked) token stream for panic-capable sites.
-/// `invariant` is the per-raw-line [`invariant_mask`]; indexing,
-/// division, and cast sites on exempted lines are discharged.
+/// `invariant` is the per-raw-line [`INVARIANT`] discharge mask;
+/// indexing, division, and cast sites on exempted lines are discharged.
 pub fn scan_sites(toks: &[&Tok], invariant: &[bool]) -> Vec<Site> {
     let exempt = |line: usize| invariant.get(line - 1).copied().unwrap_or(false);
     let floats = float_idents(toks);
@@ -430,202 +427,39 @@ pub const ENTRY_POINTS: [EntryPoint; 10] = [
     },
 ];
 
-/// Aggregate statistics of one analysis run.
-#[derive(Debug, Default, Clone)]
-pub struct FlowStats {
-    /// Functions inventoried.
-    pub fns: usize,
-    /// Resolved call edges.
-    pub edges: usize,
-    /// Entry-point functions found.
-    pub entry_fns: usize,
-    /// Functions reachable from an entry point.
-    pub reachable_fns: usize,
-    /// Panic-capable sites in reachable functions (the cone, pre-waiver).
-    pub cone_sites: usize,
-    /// Lossy-cast sites inventoried workspace-wide (lint-only).
-    pub lossy_casts: usize,
+/// The panic-freedom instance of the shared reachability analysis.
+/// Experiment binaries abort by design; they are not serving code.
+const GATE: ConeGate<SiteKind> = ConeGate {
+    rule: Rule::ReachablePanic,
+    entry_points: &ENTRY_POINTS,
+    discharge: INVARIANT,
+    skip_file: |rel| rel.contains("/src/bin/"),
+    scan: scan_sites,
+    describe: SiteKind::describe,
+    in_cone: SiteKind::can_panic,
+};
+
+/// Computes the panic cone of the workspace, before baseline waivers.
+pub fn analyze(ws: &Workspace) -> ConeAnalysis {
+    analyze_cone(ws, &GATE)
 }
 
-/// The raw analysis result, before baseline waivers.
-#[derive(Debug, Default)]
-pub struct FlowAnalysis {
-    /// Cone findings, sorted by (file, line).
-    pub findings: Vec<Finding>,
-    /// Run statistics.
-    pub stats: FlowStats,
-}
-
-/// Runs the analysis over in-memory `(repo-relative path, source)` pairs.
-/// Unit tests and the mutation fixture enter here.
-pub fn analyze_sources(files: &[(String, String)]) -> FlowAnalysis {
-    let mut inv: Inventory<SiteKind> =
-        Inventory::for_files(files.iter().map(|(rel, _)| rel.clone()).collect());
-    for (fi, (rel, source)) in files.iter().enumerate() {
-        // Experiment binaries abort by design; they are not serving code.
-        if rel.contains("/src/bin/") {
-            continue;
-        }
-        let mask = test_mask(&strip(source));
-        let toks = lex(source);
-        let kept: Vec<&Tok> = toks
-            .iter()
-            .filter(|t| !mask.get(t.line - 1).copied().unwrap_or(false))
-            .collect();
-        let invariant = invariant_mask(source);
-        let sites = scan_sites(&kept, &invariant);
-        callgraph::scan_file(fi, &kept, sites, &mut inv);
-    }
-
-    let cone = build_cone(&inv, &ENTRY_POINTS);
-
-    let mut findings = Vec::new();
-    let mut cone_sites = 0usize;
-    let mut lossy = 0usize;
-    for (id, f) in inv.fns.iter().enumerate() {
-        lossy += f
-            .sites
-            .iter()
-            .filter(|s| s.kind == SiteKind::LossyCast)
-            .count();
-        if !cone.reached[id] {
-            continue;
-        }
-        for s in &f.sites {
-            if !s.kind.can_panic() {
-                continue;
-            }
-            cone_sites += 1;
-            let (rel, source) = &files[f.file];
-            let src_line = source
-                .lines()
-                .nth(s.line - 1)
-                .map_or(String::new(), |l| l.trim().to_string());
-            findings.push(Finding {
-                file: rel.clone(),
-                line: s.line,
-                rule: Rule::ReachablePanic,
-                excerpt: format!(
-                    "{src_line} [{} in {}; via {}]",
-                    s.kind.describe(),
-                    f.display(),
-                    cone.path_to(&inv, id)
-                ),
-            });
-        }
-    }
-    findings.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
-
-    FlowAnalysis {
-        findings,
-        stats: FlowStats {
-            fns: inv.fns.len(),
-            edges: cone.edges,
-            entry_fns: cone.entries.len(),
-            reachable_fns: cone.reachable_fns(),
-            cone_sites,
-            lossy_casts: lossy,
-        },
-    }
-}
-
-/// The flow run's aggregate result (mirror of `conc::ConcOutcome`).
-#[derive(Debug)]
-pub struct FlowOutcome {
-    /// Unwaived cone findings (the gate fails if non-empty).
-    pub findings: Vec<Finding>,
-    /// Findings suppressed by baseline waivers.
-    pub waived: Vec<Finding>,
-    /// Baseline entries that matched nothing (stale waivers fail the gate).
-    pub unused_waivers: Vec<String>,
-    /// Files scanned.
-    pub files_scanned: usize,
-    /// Analysis statistics.
-    pub stats: FlowStats,
-}
-
-impl FlowOutcome {
-    /// Whether the gate passes.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.unused_waivers.is_empty()
-    }
-}
-
-/// Loads the workspace sources exactly as the lint/conc gates do.
-///
-/// # Errors
-/// Returns a message if a directory or file cannot be read.
-pub fn load_workspace_sources(repo_root: &Path) -> Result<Vec<(String, String)>, String> {
-    let mut files = Vec::new();
-    for root in DEFAULT_ROOTS {
-        let dir = repo_root.join(root);
-        if dir.is_dir() {
-            collect_rs_files(&dir, &mut files)?;
-        }
-    }
-    files.sort();
-    let mut out = Vec::new();
-    for path in &files {
-        let rel = path
-            .strip_prefix(repo_root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        out.push((rel, source));
-    }
-    Ok(out)
-}
-
-/// Runs the panic-freedom analysis over the whole workspace, applying
-/// `baseline` waivers (default file: `flow-baseline.toml`).
-///
-/// # Errors
-/// Returns a message if a directory or file cannot be read.
-pub fn run(repo_root: &Path, baseline: &Baseline) -> Result<FlowOutcome, String> {
-    let sources = load_workspace_sources(repo_root)?;
-    let files_scanned = sources.len();
-    let mut analysis = analyze_sources(&sources);
-    let all = std::mem::take(&mut analysis.findings);
-    let mut used = vec![0usize; baseline.waivers.len()];
-    let mut findings = Vec::new();
-    let mut waived = Vec::new();
-    for f in all {
-        let hit = baseline.matching(&f).next();
-        match hit {
-            Some(i) => {
-                used[i] += 1;
-                waived.push(f);
-            }
-            None => findings.push(f),
-        }
-    }
-    let unused_waivers = baseline
-        .waivers
-        .iter()
-        .zip(&used)
-        .filter(|(_, &u)| u == 0)
-        .map(|(w, _)| w.describe())
-        .collect();
-    Ok(FlowOutcome {
-        findings,
-        waived,
-        unused_waivers,
-        files_scanned,
-        stats: analysis.stats,
-    })
+/// Runs the panic-freedom analysis, applying `baseline` waivers (default
+/// file: `flow-baseline.toml`).
+pub fn run(ws: &Workspace, baseline: &Baseline) -> Outcome<ConeStats> {
+    let a = analyze(ws);
+    apply_baseline(a.findings, ws.files.len(), a.stats, baseline)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workspace::SourceFile;
 
     fn sites_of(src: &str) -> Vec<(SiteKind, usize)> {
-        let toks = lex(src);
-        let kept: Vec<&Tok> = toks.iter().collect();
-        let invariant = invariant_mask(src);
-        scan_sites(&kept, &invariant)
+        let file = SourceFile::new("f.rs", src);
+        let invariant = callgraph::discharge_mask(src, INVARIANT);
+        scan_sites(&file.code(), &invariant)
             .into_iter()
             .map(|s| (s.kind, s.line))
             .collect()
@@ -732,12 +566,8 @@ fn f(o: Option<u32>) -> u32 {
         assert!(sites_of(src).is_empty());
     }
 
-    fn analyze(files: &[(&str, &str)]) -> FlowAnalysis {
-        let owned: Vec<(String, String)> = files
-            .iter()
-            .map(|(a, b)| (a.to_string(), b.to_string()))
-            .collect();
-        analyze_sources(&owned)
+    fn analyze(files: &[(&str, &str)]) -> ConeAnalysis {
+        super::analyze(&Workspace::from_sources(files))
     }
 
     const ENGINE_LIKE: &str = "\
@@ -919,6 +749,6 @@ impl PageCache {
 ";
         let a = analyze(&[("x/src/p.rs", src)]);
         assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
-        assert_eq!(a.stats.lossy_casts, 1);
+        assert_eq!(a.stats.off_cone_sites, 1);
     }
 }

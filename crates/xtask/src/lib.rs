@@ -1,51 +1,27 @@
 //! Workspace correctness tooling (`cargo run -p mqa-xtask -- <command>`).
 //!
-//! Two gates, both dependency-free and offline:
+//! Every command is dependency-free, offline, and exits 0 only when
+//! clean, which is what lets `ci.sh` chain them as hard gates.
 //!
-//! * [`lint`] — a source-walking static analyzer enforcing the workspace's
-//!   error-handling discipline (no `.unwrap()` / `.expect(` / `panic!` in
-//!   non-test library code, no float `==` in distance/weight kernels, no
-//!   `unsafe` without a `// SAFETY:` comment, no wildcard arms on
-//!   error-enum matches), with a checked-in waiver baseline
-//!   ([`baseline`]) for the justified exceptions.
-//! * [`audit`] — runtime structural validation: builds every index variant
-//!   over a synthetic corpus and runs the `validate` auditors the data
-//!   structures carry (`Hnsw`, `Ivf`, `NavGraph`, `Dag`,
-//!   `MultiVectorStore`).
+//! | command | what it proves | baseline file |
+//! |---|---|---|
+//! | [`lint`] | error-handling discipline in non-test library code: no `.unwrap()` / `.expect(` / `panic!`, no float `==` in kernels, no `unsafe` without `// SAFETY:`, no wildcard arm over an error enum, no ad-hoc `Instant::now()`, no unchecked index / narrowing cast / raw division on the serving crates | `lint-baseline.toml` |
+//! | [`conc`] | the global lock-order graph has no cycle, every `Condvar::wait` re-checks its predicate in a loop, no guard is held across a blocking call | `conc-baseline.toml` (absent: zero waivers) |
+//! | [`flow`] | no panic-capable site is reachable from a serving entry point | `flow-baseline.toml` |
+//! | [`alloc`] | no allocation-capable site is reachable from a steady-state serving entry point without an `// ALLOC:` discharge (cross-checked at runtime by `mqa-engine`'s `alloc-witness` allocator) | `alloc-baseline.toml` |
+//! | [`audit`] | every index variant, the unified index, the multi-vector store and a DAG schedule pass their structural validators; every literal instrument and span name is well-formed and live | — |
+//! | `rules` | (lists the lint rules with their rationales) | — |
+//! | [`obs`] | a seeded dialogue with the `mqa-obs` journal on shows every instrumented pipeline layer in the metrics snapshot | — |
+//! | [`engine`] | worker-pool answers equal the serial path, paged QPS scales with workers, the runtime lock-order witness agrees with `conc`'s static lock graph | — |
+//! | [`trace`] | one milestone-complete [`mqa_obs::QueryTrace`] per turn, queue-wait / service attribution that adds up, deterministic tail sampling, a valid `/metrics` exposition | — |
+//! | [`mutate`] | under a scripted insert/delete mix no tombstoned object surfaces, the result-cache generation bumps, compaction triggers, every `graph.mutate.*` instrument records | — |
+//! | [`sched`] | at 2x saturation every submission resolves to exactly one typed outcome, the shed counters match, served queue-wait p99 stays within the budget | — |
 //!
-//! Both exit non-zero on any finding, which is what lets `ci.sh` treat
-//! them as hard gates. A third command, [`obs`], is the observability
-//! smoke gate: it runs a seeded dialogue scenario with the `mqa-obs`
-//! journal enabled, writes the journal / metrics-snapshot / report
-//! artifacts, and fails unless every instrumented pipeline layer shows
-//! up in the snapshot. A fourth, [`engine`], is the concurrency smoke
-//! gate: worker-pool answers must match the serial path exactly, paged
-//! QPS must scale with workers, and the runtime lock-order witness must
-//! agree with the static lock graph. A fifth, [`conc`], is the static
-//! concurrency analysis: a token-level pass ([`rustlex`]) extracts
-//! every lock acquisition in the workspace, builds the global
-//! lock-order graph, and reports order cycles, non-looped
-//! `Condvar::wait`s, and guards held across blocking calls. A sixth,
-//! [`flow`], is the panic-freedom gate: it inventories every function
-//! and panic-capable construct, builds the workspace call graph, and
-//! fails if any panic site is reachable from a serving entry point
-//! without a reasoned waiver in `flow-baseline.toml`. A seventh,
-//! [`trace`], is the per-query tracing gate: a seeded dialogue through
-//! the concurrent engine with tracing enabled must yield exactly one
-//! milestone-complete [`mqa_obs::QueryTrace`] per turn, with queue-wait /
-//! service attribution that adds up, deterministic tail sampling, and a
-//! `/metrics` surface that parses as valid text exposition. An eighth,
-//! [`mutate`], is the online-mutation gate: a scripted insert/delete mix
-//! runs against a 2-worker engine, and the gate fails if a tombstoned
-//! object ever surfaces, the result-cache generation misses a bump, the
-//! delete volume never triggers compaction, or a `graph.mutate.*`
-//! instrument stays empty. A ninth, [`alloc`], is the allocation-freedom
-//! gate: the same call-graph machinery as [`flow`] (shared in
-//! [`callgraph`]) inventories every allocation-capable site, computes
-//! the allocation cone from the steady-state serving entry points, and
-//! fails if any reachable site lacks an `// ALLOC:` discharge or a
-//! reasoned waiver in `alloc-baseline.toml` — cross-validated at runtime
-//! by the `alloc-witness` counting allocator in `mqa-engine`.
+//! The four static gates share one path: [`workspace`] reads and lexes the
+//! tree once ([`rustlex`]) and masks `#[cfg(test)]` items; each gate is a
+//! scanner over that model (`flow` and `alloc` through the one
+//! inventory → cone → findings routine in [`callgraph`]); and
+//! [`baseline::apply_baseline`] turns raw findings into the verdict.
 
 pub mod alloc;
 pub mod audit;
@@ -60,6 +36,7 @@ pub mod obs;
 pub mod rustlex;
 pub mod sched;
 pub mod trace;
+pub mod workspace;
 
 /// Serializes scenario tests that reset the global `mqa-obs` registry or
 /// trace collector: the obs, engine, and trace gates all run real

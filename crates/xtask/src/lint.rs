@@ -1,16 +1,18 @@
-//! The source-walking lint engine.
+//! The lint rules.
 //!
-//! Dependency-free static analysis over the workspace's Rust sources. The
-//! engine is deliberately line-oriented: a [`strip`] pass removes comments
-//! and string/char literals (so rules never fire on prose), a mask pass
-//! hides `#[cfg(test)]` items (test code may unwrap freely), and each
-//! [`Rule`] then matches on what remains. Findings carry exact
-//! `file:line` coordinates so they are clickable in editors and stable
-//! enough to waive via the [`crate::baseline`] allowlist.
+//! Dependency-free static analysis over the [`crate::workspace`] source
+//! model: comments never reach the token stream, string and char literals
+//! are single tokens (so rules never fire on prose), `#[cfg(test)]` items
+//! are masked out (test code may unwrap freely), and each [`Rule`] matches
+//! on what remains. Findings carry exact `file:line` coordinates so they
+//! are clickable in editors and stable enough to waive via the
+//! [`crate::baseline`] allowlist.
 
-use crate::baseline::Baseline;
+use crate::baseline::{apply_baseline, Baseline, Outcome};
+use crate::callgraph::discharge_mask;
+use crate::rustlex::{Kind, Tok};
+use crate::workspace::{SourceFile, Workspace};
 use std::fmt;
-use std::path::{Path, PathBuf};
 
 /// The enforced rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -168,228 +170,6 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Replaces comments and string/char literal *contents* with spaces,
-/// preserving line structure, so rules never match inside prose. Handles
-/// line and (nested) block comments, plain/byte strings with escapes, raw
-/// strings (`r"…"`, `r#"…"#`), and char literals vs. lifetimes.
-pub fn strip(source: &str) -> String {
-    let b: Vec<char> = source.chars().collect();
-    let mut out = String::with_capacity(source.len());
-    let mut i = 0;
-    let n = b.len();
-    let blank = |c: char| if c == '\n' { '\n' } else { ' ' };
-    while i < n {
-        let c = b[i];
-        // Line comment.
-        if c == '/' && i + 1 < n && b[i + 1] == '/' {
-            while i < n && b[i] != '\n' {
-                out.push(' ');
-                i += 1;
-            }
-            continue;
-        }
-        // Block comment (Rust block comments nest).
-        if c == '/' && i + 1 < n && b[i + 1] == '*' {
-            let mut depth = 1;
-            out.push(' ');
-            out.push(' ');
-            i += 2;
-            while i < n && depth > 0 {
-                if b[i] == '/' && i + 1 < n && b[i + 1] == '*' {
-                    depth += 1;
-                    out.push(' ');
-                    out.push(' ');
-                    i += 2;
-                } else if b[i] == '*' && i + 1 < n && b[i + 1] == '/' {
-                    depth -= 1;
-                    out.push(' ');
-                    out.push(' ');
-                    i += 2;
-                } else {
-                    out.push(blank(b[i]));
-                    i += 1;
-                }
-            }
-            continue;
-        }
-        // Raw string: r"…" or r#"…"# (optionally b-prefixed).
-        let raw_start = if c == 'r' || (c == 'b' && i + 1 < n && b[i + 1] == 'r') {
-            let j = if c == 'r' { i + 1 } else { i + 2 };
-            let mut hashes = 0;
-            let mut k = j;
-            while k < n && b[k] == '#' {
-                hashes += 1;
-                k += 1;
-            }
-            if k < n && b[k] == '"' {
-                Some((k, hashes))
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        if let Some((quote, hashes)) = raw_start {
-            for _ in i..=quote {
-                out.push(' ');
-            }
-            i = quote + 1;
-            'raw: while i < n {
-                if b[i] == '"' {
-                    let mut ok = true;
-                    for h in 0..hashes {
-                        if i + 1 + h >= n || b[i + 1 + h] != '#' {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if ok {
-                        for _ in 0..=hashes {
-                            out.push(' ');
-                            i += 1;
-                        }
-                        break 'raw;
-                    }
-                }
-                out.push(blank(b[i]));
-                i += 1;
-            }
-            continue;
-        }
-        // Plain or byte string.
-        if c == '"' || (c == 'b' && i + 1 < n && b[i + 1] == '"') {
-            if c == 'b' {
-                out.push(' ');
-                i += 1;
-            }
-            out.push('"');
-            i += 1;
-            while i < n {
-                if b[i] == '\\' && i + 1 < n {
-                    // Preserve a line-continuation's newline: losing it
-                    // desynchronizes the per-line test mask (built on the
-                    // stripped text) from token line numbers (lexed from
-                    // the original source).
-                    out.push(' ');
-                    out.push(blank(b[i + 1]));
-                    i += 2;
-                } else if b[i] == '"' {
-                    out.push('"');
-                    i += 1;
-                    break;
-                } else {
-                    out.push(blank(b[i]));
-                    i += 1;
-                }
-            }
-            continue;
-        }
-        // Char literal vs. lifetime: a quote is a char literal if it
-        // closes as one (`'x'`, `'\n'`, `'\u{…}'`); otherwise a lifetime.
-        if c == '\'' {
-            let is_char = if i + 1 < n && b[i + 1] == '\\' {
-                true
-            } else {
-                i + 2 < n && b[i + 2] == '\''
-            };
-            if is_char {
-                out.push(' ');
-                i += 1;
-                if i < n && b[i] == '\\' {
-                    out.push(' ');
-                    i += 1;
-                    if i < n && b[i] == 'u' {
-                        // '\u{…}': blank through the closing brace.
-                        while i < n && b[i] != '}' {
-                            out.push(' ');
-                            i += 1;
-                        }
-                    }
-                }
-                while i < n && b[i] != '\'' {
-                    out.push(blank(b[i]));
-                    i += 1;
-                }
-                if i < n {
-                    out.push(' ');
-                    i += 1;
-                }
-                continue;
-            }
-        }
-        out.push(c);
-        i += 1;
-    }
-    out
-}
-
-/// Per-line mask: `true` where the line belongs to a `#[cfg(test)]` item
-/// (the attribute line itself, anything up to the opening brace, and the
-/// whole braced body).
-pub fn test_mask(stripped: &str) -> Vec<bool> {
-    let lines: Vec<&str> = stripped.lines().collect();
-    let mut mask = vec![false; lines.len()];
-    let mut depth: i64 = 0;
-    // `armed`: saw the attribute, waiting for the item's opening brace.
-    let mut armed = false;
-    // While inside a test item: the depth the mask releases at.
-    let mut release_at: Option<i64> = None;
-    for (idx, line) in lines.iter().enumerate() {
-        if release_at.is_none() && !armed && line.contains("#[cfg(test)]") {
-            armed = true;
-        }
-        if armed || release_at.is_some() {
-            mask[idx] = true;
-        }
-        for c in line.chars() {
-            match c {
-                '{' => {
-                    if armed {
-                        release_at = Some(depth);
-                        armed = false;
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth -= 1;
-                    if release_at == Some(depth) {
-                        release_at = None;
-                    }
-                }
-                _ => {}
-            }
-        }
-        // `#[cfg(test)] use …;` — an unbraced test-only item ends at `;`.
-        if armed && line.trim_end().ends_with(';') {
-            armed = false;
-        }
-    }
-    mask
-}
-
-fn has_word(line: &str, word: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = line[start..].find(word) {
-        let at = start + pos;
-        let before_ok = at == 0
-            || !line[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after = at + word.len();
-        let after_ok = after >= line.len()
-            || !line[after..]
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return true;
-        }
-        start = at + word.len();
-    }
-    false
-}
-
 /// Per-file switches for the path-scoped rules.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LintFlags {
@@ -408,6 +188,19 @@ pub struct LintFlags {
     pub fail_fast_bin: bool,
 }
 
+impl LintFlags {
+    /// The switches a repo-relative path gets in a workspace run.
+    pub fn for_path(rel: &str) -> Self {
+        Self {
+            kernel: KERNEL_PREFIXES.iter().any(|p| rel.starts_with(p)),
+            timing: !TIMING_EXEMPT_PREFIXES.iter().any(|p| rel.starts_with(p)),
+            arith: SERVING_PREFIXES.iter().any(|p| rel.starts_with(p))
+                && !rel.ends_with("/cast.rs"),
+            fail_fast_bin: rel.starts_with("src/bin/") || rel.contains("/src/bin/"),
+        }
+    }
+}
+
 /// Reporting order of a rule within one line.
 fn rule_order(rule: Rule) -> usize {
     Rule::ALL
@@ -416,37 +209,70 @@ fn rule_order(rule: Rule) -> usize {
         .unwrap_or(usize::MAX)
 }
 
-/// Lints one file's source with the given path-scoped [`LintFlags`].
-///
-/// The exactness-critical rules (no-unwrap, no-expect, float-eq,
-/// ad-hoc-timing) match on the [`crate::rustlex`] token stream, so
-/// call chains split across lines still fire and prose in strings and
-/// comments never does. The block-structure rules (no-panic, unsafe,
-/// wildcard-error-match) stay on the stripped line pass, which carries
-/// the adjacency context they need.
-pub fn lint_source(file: &str, source: &str, flags: &LintFlags) -> Vec<Finding> {
-    let stripped = strip(source);
-    let mask = test_mask(&stripped);
-    let raw_lines: Vec<&str> = source.lines().collect();
-    let code_lines: Vec<&str> = stripped.lines().collect();
-    let mut findings = Vec::new();
+/// The block-structure rules (no-panic, unsafe-no-safety,
+/// wildcard-error-match), one source line's tokens at a time: each fires
+/// at most once per line, and the wildcard rule needs to know whether the
+/// innermost open brace belongs to a `match` over an error value.
+fn block_rules(toks: &[&Tok], raw_lines: &[&str], hits: &mut Vec<(usize, Rule)>) {
+    // Stack of open braces; `true` marks a match-over-error block.
+    let mut match_stack: Vec<bool> = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        let line = toks[i].line;
+        let end = i + toks[i..].iter().take_while(|t| t.line == line).count();
+        let on_line = &toks[i..end];
+        let followed_by = |p: usize, s: &str| on_line.get(p + 1).is_some_and(|n| n.is_punct(s));
+        if on_line.iter().enumerate().any(|(p, t)| {
+            (t.is_ident("panic") || t.is_ident("todo") || t.is_ident("unimplemented"))
+                && followed_by(p, "!")
+        }) {
+            hits.push((line, Rule::NoPanic));
+        }
+        if on_line.iter().any(|t| t.is_ident("unsafe")) {
+            let lo = line.saturating_sub(4);
+            let nearby_safety = raw_lines
+                .get(lo..line)
+                .is_some_and(|w| w.iter().any(|l| l.contains("SAFETY:")));
+            if !nearby_safety {
+                hits.push((line, Rule::UnsafeNoSafety));
+            }
+        }
+        if on_line[0].is_ident("_")
+            && on_line
+                .get(1)
+                .is_some_and(|n| n.is_punct("=>") || n.is_ident("if"))
+            && match_stack.last() == Some(&true)
+        {
+            hits.push((line, Rule::WildcardErrorMatch));
+        }
+        let mut err_match_pending = on_line.iter().any(|t| t.is_ident("match"))
+            && on_line.iter().enumerate().any(|(p, t)| {
+                t.kind == Kind::Ident
+                    && (t.text.contains("Error")
+                        || (t.text.ends_with("Err") && followed_by(p, "(")))
+            });
+        for t in on_line {
+            if t.is_punct("{") {
+                match_stack.push(err_match_pending);
+                err_match_pending = false;
+            } else if t.is_punct("}") {
+                match_stack.pop();
+            }
+        }
+        i = end;
+    }
+}
 
-    // ---- token-stream rules ----
-    let all_toks = crate::rustlex::lex(source);
-    let toks: Vec<&crate::rustlex::Tok> = all_toks
-        .iter()
-        .filter(|t| !mask.get(t.line - 1).copied().unwrap_or(false))
-        .collect();
-    let push_tok = |line: usize, rule: Rule, findings: &mut Vec<Finding>| {
-        findings.push(Finding {
-            file: file.to_string(),
-            line,
-            rule,
-            excerpt: raw_lines
-                .get(line - 1)
-                .map_or(String::new(), |l| l.trim().to_string()),
-        });
-    };
+/// Lints one file with the given path-scoped [`LintFlags`].
+///
+/// Every rule matches on the file's non-test [`crate::rustlex`] token
+/// stream, so call chains split across lines still fire and prose in
+/// strings and comments never does.
+pub fn lint_file(file: &SourceFile, flags: &LintFlags) -> Vec<Finding> {
+    let toks = file.code();
+    let raw_lines: Vec<&str> = file.source.lines().collect();
+    let mut hits: Vec<(usize, Rule)> = Vec::new();
+
     if !flags.fail_fast_bin {
         for w in toks.windows(4) {
             if w[0].is_punct(".")
@@ -454,27 +280,27 @@ pub fn lint_source(file: &str, source: &str, flags: &LintFlags) -> Vec<Finding> 
                 && w[2].is_punct("(")
                 && w[3].is_punct(")")
             {
-                push_tok(w[1].line, Rule::NoUnwrap, &mut findings);
+                hits.push((w[1].line, Rule::NoUnwrap));
             }
         }
         for w in toks.windows(3) {
             if w[0].is_punct(".") && w[1].is_ident("expect") && w[2].is_punct("(") {
-                push_tok(w[1].line, Rule::NoExpect, &mut findings);
+                hits.push((w[1].line, Rule::NoExpect));
             }
         }
     }
     if flags.timing {
         for w in toks.windows(3) {
             if w[0].is_ident("Instant") && w[1].is_punct("::") && w[2].is_ident("now") {
-                push_tok(w[0].line, Rule::AdHocTiming, &mut findings);
+                hits.push((w[0].line, Rule::AdHocTiming));
             }
         }
     }
     if flags.arith && !flags.fail_fast_bin {
-        let invariant = crate::flow::invariant_mask(source);
+        let invariant = discharge_mask(&file.source, crate::flow::INVARIANT);
         for site in crate::flow::scan_sites(&toks, &invariant) {
             if let Some(rule) = site.kind.lint_rule() {
-                push_tok(site.line, rule, &mut findings);
+                hits.push((site.line, rule));
             }
         }
     }
@@ -488,103 +314,30 @@ pub fn lint_source(file: &str, source: &str, flags: &LintFlags) -> Vec<Finding> 
             let hi = (i + 9).min(toks.len());
             let floatish = toks[lo..hi].iter().any(|w| {
                 w.line == t.line
-                    && (w.kind == crate::rustlex::Kind::Float
-                        || (w.kind == crate::rustlex::Kind::Ident
+                    && (w.kind == Kind::Float
+                        || (w.kind == Kind::Ident
                             && matches!(
                                 w.text.as_str(),
                                 "f32" | "f64" | "EPSILON" | "INFINITY" | "NAN"
                             )))
             });
             if floatish && seen_lines.insert(t.line) {
-                push_tok(t.line, Rule::FloatEq, &mut findings);
+                hits.push((t.line, Rule::FloatEq));
             }
         }
     }
+    block_rules(&toks, &raw_lines, &mut hits);
 
-    // ---- line-oriented rules ----
-    // Stack of open braces; `true` marks a match-over-error block.
-    let mut match_stack: Vec<bool> = Vec::new();
-    for (idx, code) in code_lines.iter().enumerate() {
-        let lineno = idx + 1;
-        let excerpt = || {
-            raw_lines
-                .get(idx)
-                .map_or(String::new(), |l| l.trim().to_string())
-        };
-        let mut push = |rule: Rule| {
-            findings.push(Finding {
-                file: file.to_string(),
-                line: lineno,
-                rule,
-                excerpt: excerpt(),
-            })
-        };
-        let masked = mask[idx];
-        if !masked {
-            if has_word(code, "panic!")
-                || has_word(code, "todo!")
-                || has_word(code, "unimplemented!")
-            {
-                push(Rule::NoPanic);
-            }
-            if has_word(code, "unsafe") {
-                let lo = idx.saturating_sub(3);
-                let nearby_safety = raw_lines[lo..=idx].iter().any(|l| l.contains("SAFETY:"));
-                if !nearby_safety {
-                    push(Rule::UnsafeNoSafety);
-                }
-            }
-            let trimmed = code.trim_start();
-            if (trimmed.starts_with("_ =>") || trimmed.starts_with("_ if "))
-                && match_stack.last() == Some(&true)
-            {
-                push(Rule::WildcardErrorMatch);
-            }
-        }
-        // Track match-over-error blocks (even inside test code, so the
-        // stack stays balanced).
-        let mut err_match_pending =
-            has_word(code, "match") && !masked && (code.contains("Error") || code.contains("Err("));
-        for c in code.chars() {
-            match c {
-                '{' => {
-                    match_stack.push(err_match_pending);
-                    err_match_pending = false;
-                }
-                '}' => {
-                    match_stack.pop();
-                }
-                _ => {}
-            }
-        }
-    }
-    findings.sort_by_key(|f| (f.line, rule_order(f.rule)));
-    findings
+    hits.sort_by_key(|&(line, rule)| (line, rule_order(rule)));
+    hits.into_iter()
+        .map(|(line, rule)| Finding {
+            file: file.rel.clone(),
+            line,
+            rule,
+            excerpt: file.excerpt(line),
+        })
+        .collect()
 }
-
-/// The lint run's aggregate result.
-#[derive(Debug)]
-pub struct LintOutcome {
-    /// Unwaived findings (the run fails if non-empty).
-    pub findings: Vec<Finding>,
-    /// Findings suppressed by baseline waivers.
-    pub waived: Vec<Finding>,
-    /// Baseline entries that matched nothing (the run fails if non-empty:
-    /// a stale waiver hides drift).
-    pub unused_waivers: Vec<String>,
-    /// Files scanned.
-    pub files_scanned: usize,
-}
-
-impl LintOutcome {
-    /// Whether the gate passes.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.unused_waivers.is_empty()
-    }
-}
-
-/// Source roots linted by default, relative to the repo root.
-pub const DEFAULT_ROOTS: [&str; 3] = ["crates", "compat", "src"];
 
 /// Path prefixes where the float-comparison rule applies: the distance /
 /// weight / graph kernel crates.
@@ -611,135 +364,33 @@ pub const SERVING_PREFIXES: [&str; 5] = [
     "crates/retrieval/src",
 ];
 
-/// Directory names never descended into: test code may unwrap freely, and
-/// fixtures contain violations on purpose.
-const SKIP_DIRS: [&str; 5] = ["tests", "benches", "fixtures", "target", ".git"];
-
-pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("reading {}: {e}", dir.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("reading {}: {e}", dir.display()))?;
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if !SKIP_DIRS.contains(&name.as_ref()) {
-                collect_rs_files(&path, out)?;
-            }
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-/// Walks the workspace sources under `repo_root`, lints every `.rs` file
-/// outside test/bench/fixture directories, and applies `baseline` waivers.
-///
-/// # Errors
-/// Returns a message if a directory or file cannot be read.
-pub fn run(repo_root: &Path, baseline: &Baseline) -> Result<LintOutcome, String> {
-    let mut files = Vec::new();
-    for root in DEFAULT_ROOTS {
-        let dir = repo_root.join(root);
-        if dir.is_dir() {
-            collect_rs_files(&dir, &mut files)?;
-        }
-    }
-    if files.is_empty() {
-        // A gate that scans nothing passes vacuously — treat it as a
-        // misconfiguration (typo'd --root) instead.
-        return Err(format!(
-            "no .rs sources found under {} (looked in {})",
-            repo_root.display(),
-            DEFAULT_ROOTS.join(", ")
-        ));
-    }
-    files.sort();
-    let mut all = Vec::new();
-    for path in &files {
-        let rel = path
-            .strip_prefix(repo_root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let flags = LintFlags {
-            kernel: KERNEL_PREFIXES.iter().any(|p| rel.starts_with(p)),
-            timing: !TIMING_EXEMPT_PREFIXES.iter().any(|p| rel.starts_with(p)),
-            arith: SERVING_PREFIXES.iter().any(|p| rel.starts_with(p))
-                && !rel.ends_with("/cast.rs"),
-            fail_fast_bin: rel.starts_with("src/bin/") || rel.contains("/src/bin/"),
-        };
-        let source = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        all.extend(lint_source(&rel, &source, &flags));
-    }
-    let mut used = vec![0usize; baseline.waivers.len()];
-    let mut findings = Vec::new();
-    let mut waived = Vec::new();
-    for f in all {
-        let hit = baseline.matching(&f).next();
-        match hit {
-            Some(i) => {
-                used[i] += 1;
-                waived.push(f);
-            }
-            None => findings.push(f),
-        }
-    }
-    let unused_waivers = baseline
-        .waivers
+/// Lints every workspace file under its path's [`LintFlags`] and applies
+/// `baseline` waivers (default file: `lint-baseline.toml`).
+pub fn run(ws: &Workspace, baseline: &Baseline) -> Outcome<()> {
+    let all = ws
+        .files
         .iter()
-        .zip(&used)
-        .filter(|(_, &u)| u == 0)
-        .map(|(w, _)| w.describe())
+        .flat_map(|f| lint_file(f, &LintFlags::for_path(&f.rel)))
         .collect();
-    Ok(LintOutcome {
-        findings,
-        waived,
-        unused_waivers,
-        files_scanned: files.len(),
-    })
+    apply_baseline(all, ws.files.len(), (), baseline)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn strip_blanks_comments_and_strings() {
-        let src = "let x = \"panic!\"; // panic!\nlet y = 'a'; /* .unwrap() */ let z = 1;";
-        let s = strip(src);
-        assert!(!s.contains("panic!"));
-        assert!(!s.contains(".unwrap()"));
-        assert!(s.contains("let z = 1;"));
-        assert_eq!(s.lines().count(), src.lines().count());
-    }
-
-    #[test]
-    fn strip_handles_raw_strings_and_lifetimes() {
-        let src = "fn f<'a>(x: &'a str) { let r = r#\".unwrap()\"#; }";
-        let s = strip(src);
-        assert!(!s.contains(".unwrap()"));
-        assert!(s.contains("fn f<'a>(x: &'a str)"));
+    fn lint_source(file: &str, source: &str, flags: &LintFlags) -> Vec<Finding> {
+        lint_file(&SourceFile::new(file, source), flags)
     }
 
     /// Regression: a string line-continuation (`\` before the newline)
-    /// used to swallow the newline during stripping, so every line after
-    /// it mapped to the wrong mask slot and `#[cfg(test)]` items further
-    /// down leaked spurious no-unwrap/no-expect findings.
+    /// must still advance the line count, or every line after it maps to
+    /// the wrong mask slot and `#[cfg(test)]` items further down leak
+    /// spurious no-unwrap/no-expect findings.
     #[test]
     fn string_line_continuation_keeps_mask_aligned() {
         let src = "fn f() -> String {\n    format!(\n        \"two-line \\\n         message\"\n    )\n}\n#[cfg(test)]\nmod tests {\n    fn b() { x.expect(\"fine in tests\"); }\n}\n";
-        assert_eq!(strip(src).lines().count(), src.lines().count());
         assert!(lint_source("f.rs", src, &flags(false, false)).is_empty());
-    }
-
-    #[test]
-    fn test_mask_covers_cfg_test_items() {
-        let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n  fn b() {}\n}\nfn c() {}\n";
-        let mask = test_mask(&strip(src));
-        assert_eq!(mask, vec![false, true, true, true, true, false]);
     }
 
     fn flags(kernel: bool, timing: bool) -> LintFlags {

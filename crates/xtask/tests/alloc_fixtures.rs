@@ -10,9 +10,8 @@
 
 use mqa_xtask::alloc::{self, AllocKind};
 use mqa_xtask::baseline::Baseline;
-use mqa_xtask::flow::load_workspace_sources;
-use mqa_xtask::lint::{strip, test_mask};
-use mqa_xtask::rustlex::{lex, Tok};
+use mqa_xtask::callgraph::discharge_mask;
+use mqa_xtask::workspace::{self, SourceFile, Workspace};
 
 fn repo_root() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -22,20 +21,22 @@ fn repo_root() -> std::path::PathBuf {
         .to_path_buf()
 }
 
+/// The real workspace as mutable `(path, text)` pairs, for the mutation
+/// tests to edit before rebuilding the model with `from_sources`.
+fn workspace_sources() -> Vec<(String, String)> {
+    let ws = workspace::load(&repo_root()).expect("workspace sources load");
+    ws.files.into_iter().map(|f| (f.rel, f.source)).collect()
+}
+
 /// Every allocation kind fires exactly once at its pinned line; none of
 /// the decoys (comments, string literals, `#[cfg(test)]` code, the
 /// `// ALLOC:`-discharged site, Vec `.insert`, `Arc::clone`) leak in.
 #[test]
 fn alloc_fixture_fires_each_kind_at_pinned_line() {
     let src = include_str!("fixtures/fixture_alloc.rs");
-    let mask = test_mask(&strip(src));
-    let toks = lex(src);
-    let kept: Vec<&Tok> = toks
-        .iter()
-        .filter(|t| !mask.get(t.line - 1).copied().unwrap_or(false))
-        .collect();
-    let discharge = alloc::alloc_mask(src);
-    let got: Vec<(AllocKind, usize)> = alloc::scan_alloc_sites(&kept, &discharge)
+    let file = SourceFile::new("fixture_alloc.rs", src);
+    let discharge = discharge_mask(src, alloc::ALLOC);
+    let got: Vec<(AllocKind, usize)> = alloc::scan_alloc_sites(&file.code(), &discharge)
         .into_iter()
         .map(|s| (s.kind, s.line))
         .collect();
@@ -60,7 +61,8 @@ fn workspace_cone_is_clean_under_baseline() {
     let root = repo_root();
     let baseline_path = root.join("alloc-baseline.toml");
     let baseline = Baseline::load(&baseline_path).expect("alloc-baseline.toml parses");
-    let outcome = alloc::run(&root, &baseline).expect("alloc analysis runs");
+    let ws = workspace::load(&root).expect("workspace sources load");
+    let outcome = alloc::run(&ws, &baseline);
     assert!(
         outcome.is_clean(),
         "alloc gate dirty: findings={:?} unused={:?}",
@@ -74,10 +76,9 @@ fn workspace_cone_is_clean_under_baseline() {
 /// produce a new reachable-alloc finding (the gate goes red).
 #[test]
 fn reintroduced_reachable_vec_new_flips_the_gate_red() {
-    let root = repo_root();
-    let mut files = load_workspace_sources(&root).expect("workspace sources load");
+    let mut files = workspace_sources();
 
-    let before = alloc::analyze_sources(&files);
+    let before = alloc::analyze(&Workspace::from_sources(&files));
 
     // Mutate MustFramework::search_scratch — every QueryEngine::submit
     // traversal passes through it.
@@ -92,7 +93,7 @@ fn reintroduced_reachable_vec_new_flips_the_gate_red() {
         "assert!(k > 0, \"k must be >= 1\");\n        let _mutant: Vec<u32> = Vec::new();",
     );
 
-    let after = alloc::analyze_sources(&files);
+    let after = alloc::analyze(&Workspace::from_sources(&files));
     let new_ctors: Vec<_> = after
         .findings
         .iter()
@@ -128,10 +129,9 @@ fn reintroduced_reachable_vec_new_flips_the_gate_red() {
 /// must NOT appear in the cone (the gate stays green).
 #[test]
 fn unreachable_vec_new_control_stays_green() {
-    let root = repo_root();
-    let mut files = load_workspace_sources(&root).expect("workspace sources load");
+    let mut files = workspace_sources();
 
-    let before = alloc::analyze_sources(&files);
+    let before = alloc::analyze(&Workspace::from_sources(&files));
 
     // A free function nothing calls, appended at the end of a serving
     // crate file: inventoried, but outside every entry point's cone.
@@ -143,7 +143,7 @@ fn unreachable_vec_new_control_stays_green() {
         .1
         .push_str("\npub fn alloc_fixture_dead_code_probe() -> Vec<u32> {\n    Vec::new()\n}\n");
 
-    let after = alloc::analyze_sources(&files);
+    let after = alloc::analyze(&Workspace::from_sources(&files));
     assert_eq!(
         before.findings.len(),
         after.findings.len(),

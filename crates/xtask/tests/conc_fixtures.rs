@@ -9,10 +9,14 @@
 use mqa_xtask::baseline::Baseline;
 use mqa_xtask::conc;
 use mqa_xtask::lint::Rule;
+use mqa_xtask::workspace::{self, Workspace};
 
 fn fixture() -> conc::Analysis {
     let src = include_str!("fixtures/fixture_conc.rs");
-    conc::analyze_sources(&[("crates/x/src/fixture_conc.rs".to_string(), src.to_string())])
+    conc::analyze(&Workspace::from_sources(&[(
+        "crates/x/src/fixture_conc.rs",
+        src,
+    )]))
 }
 
 #[test]
@@ -146,19 +150,19 @@ fn lock_order_mutation_flips_the_gate_red() {
     std::fs::create_dir_all(&src_dir).unwrap();
 
     std::fs::write(src_dir.join("queue_like.rs"), QUEUE_LIKE_OK).unwrap();
-    let outcome = conc::run(&root, &Baseline::empty()).unwrap();
+    let outcome = conc::run(&workspace::load(&root).unwrap(), &Baseline::empty());
     assert!(
         outcome.is_clean(),
         "clean tree flagged: {:?}",
         outcome.findings
     );
     assert!(
-        !outcome.analysis.edges.is_empty(),
+        !outcome.stats.edges.is_empty(),
         "the consistent order must still appear as graph edges"
     );
 
     std::fs::write(src_dir.join("queue_like.rs"), QUEUE_LIKE_MUTATED).unwrap();
-    let outcome = conc::run(&root, &Baseline::empty()).unwrap();
+    let outcome = conc::run(&workspace::load(&root).unwrap(), &Baseline::empty());
     assert!(!outcome.is_clean(), "mutated tree must fail the gate");
     assert!(
         outcome
@@ -180,12 +184,12 @@ reason = "fixture exercise"
 "#,
     )
     .unwrap();
-    let outcome = conc::run(&root, &waived).unwrap();
+    let outcome = conc::run(&workspace::load(&root).unwrap(), &waived);
     assert!(outcome.is_clean());
     assert!(!outcome.waived.is_empty());
 
     std::fs::write(src_dir.join("queue_like.rs"), QUEUE_LIKE_OK).unwrap();
-    let outcome = conc::run(&root, &waived).unwrap();
+    let outcome = conc::run(&workspace::load(&root).unwrap(), &waived);
     assert!(!outcome.is_clean(), "stale waiver must fail the gate");
     assert_eq!(outcome.unused_waivers.len(), 1);
 
@@ -197,7 +201,7 @@ reason = "fixture exercise"
 #[test]
 fn workspace_is_clean_with_zero_waivers() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let outcome = conc::run(&root, &Baseline::empty()).unwrap();
+    let outcome = conc::run(&workspace::load(&root).unwrap(), &Baseline::empty());
     assert!(
         outcome.findings.is_empty(),
         "workspace conc findings: {:#?}",
@@ -205,6 +209,6 @@ fn workspace_is_clean_with_zero_waivers() {
     );
     // The engine's two traced locks must be in the inventory the runtime
     // witness is validated against.
-    assert!(outcome.analysis.traced_names.contains("engine.queue.state"));
-    assert!(outcome.analysis.traced_names.contains("engine.ticket.slot"));
+    assert!(outcome.stats.traced_names.contains("engine.queue.state"));
+    assert!(outcome.stats.traced_names.contains("engine.ticket.slot"));
 }

@@ -2,7 +2,7 @@
 //! lines — an AB/BA lock-order inversion, an `if`-guarded Condvar wait,
 //! and a guard held across a blocking `join()`. The source walker skips
 //! `fixtures` directories, so this file never reaches the real gate; the
-//! tests feed it to `conc::analyze_sources` directly and assert the
+//! tests feed it to `conc::analyze` directly and assert the
 //! exact `file:line` of every finding.
 
 use std::sync::{Condvar, Mutex};

@@ -9,6 +9,7 @@
 
 use mqa_xtask::baseline::Baseline;
 use mqa_xtask::flow;
+use mqa_xtask::workspace::{self, Workspace};
 
 fn repo_root() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -18,6 +19,13 @@ fn repo_root() -> std::path::PathBuf {
         .to_path_buf()
 }
 
+/// The real workspace as mutable `(path, text)` pairs, for the mutation
+/// tests to edit before rebuilding the model with `from_sources`.
+fn workspace_sources() -> Vec<(String, String)> {
+    let ws = workspace::load(&repo_root()).expect("workspace sources load");
+    ws.files.into_iter().map(|f| (f.rel, f.source)).collect()
+}
+
 /// The checked-in tree must be clean under the checked-in baseline —
 /// the same invariant CI enforces, runnable locally via `cargo test`.
 #[test]
@@ -25,7 +33,8 @@ fn workspace_cone_is_clean_under_baseline() {
     let root = repo_root();
     let baseline_path = root.join("flow-baseline.toml");
     let baseline = Baseline::load(&baseline_path).expect("flow-baseline.toml parses");
-    let outcome = flow::run(&root, &baseline).expect("flow analysis runs");
+    let ws = workspace::load(&root).expect("workspace sources load");
+    let outcome = flow::run(&ws, &baseline);
     assert!(
         outcome.is_clean(),
         "flow gate dirty: findings={:?} unused={:?}",
@@ -39,10 +48,9 @@ fn workspace_cone_is_clean_under_baseline() {
 /// produce a new reachable-panic finding (the gate goes red).
 #[test]
 fn reintroduced_reachable_unwrap_flips_the_gate_red() {
-    let root = repo_root();
-    let mut files = flow::load_workspace_sources(&root).expect("workspace sources load");
+    let mut files = workspace_sources();
 
-    let before = flow::analyze_sources(&files);
+    let before = flow::analyze(&Workspace::from_sources(&files));
 
     // Mutate MustFramework::search_scratch — every QueryEngine::submit
     // traversal passes through it.
@@ -57,7 +65,7 @@ fn reintroduced_reachable_unwrap_flips_the_gate_red() {
         "assert!(k > 0, \"k must be >= 1\");\n        let _mutant: Option<u32> = None; let _ = _mutant.unwrap();",
     );
 
-    let after = flow::analyze_sources(&files);
+    let after = flow::analyze(&Workspace::from_sources(&files));
     let new_unwraps: Vec<_> = after
         .findings
         .iter()
@@ -93,10 +101,9 @@ fn reintroduced_reachable_unwrap_flips_the_gate_red() {
 /// must NOT appear in the cone (the gate stays green).
 #[test]
 fn unreachable_unwrap_control_stays_green() {
-    let root = repo_root();
-    let mut files = flow::load_workspace_sources(&root).expect("workspace sources load");
+    let mut files = workspace_sources();
 
-    let before = flow::analyze_sources(&files);
+    let before = flow::analyze(&Workspace::from_sources(&files));
 
     // A free function nothing calls, appended at the end of a serving
     // crate file: inventoried, but outside every entry point's cone.
@@ -108,7 +115,7 @@ fn unreachable_unwrap_control_stays_green() {
         "\npub fn flow_fixture_dead_code_probe() -> u32 {\n    let x: Option<u32> = None;\n    x.unwrap()\n}\n",
     );
 
-    let after = flow::analyze_sources(&files);
+    let after = flow::analyze(&Workspace::from_sources(&files));
     assert_eq!(
         before.findings.len(),
         after.findings.len(),

@@ -7,6 +7,7 @@
 
 use mqa_xtask::baseline::Baseline;
 use mqa_xtask::lint::{self, LintFlags, Rule};
+use mqa_xtask::workspace::{self, SourceFile};
 
 fn findings(name: &str, source: &str, kernel: bool) -> Vec<(usize, Rule)> {
     findings_timed(name, source, kernel, false)
@@ -19,7 +20,7 @@ fn findings_timed(name: &str, source: &str, kernel: bool, timing: bool) -> Vec<(
         arith: false,
         fail_fast_bin: false,
     };
-    lint::lint_source(name, source, &flags)
+    lint::lint_file(&SourceFile::new(name, source), &flags)
         .into_iter()
         .map(|f| (f.line, f.rule))
         .collect()
@@ -103,10 +104,11 @@ fn flow_fixture_fires_each_arith_rule_at_pinned_lines() {
         arith: true,
         fail_fast_bin: false,
     };
-    let hits: Vec<(usize, Rule)> = lint::lint_source("fixture_flow.rs", src, &flags)
-        .into_iter()
-        .map(|f| (f.line, f.rule))
-        .collect();
+    let hits: Vec<(usize, Rule)> =
+        lint::lint_file(&SourceFile::new("fixture_flow.rs", src), &flags)
+            .into_iter()
+            .map(|f| (f.line, f.rule))
+            .collect();
     assert_eq!(
         hits,
         vec![
@@ -122,7 +124,10 @@ fn flow_fixture_fires_each_arith_rule_at_pinned_lines() {
 #[test]
 fn findings_render_as_file_line_rule_excerpt() {
     let src = include_str!("fixtures/fixture_unwrap.rs");
-    let all = lint::lint_source("crates/x/src/a.rs", src, &LintFlags::default());
+    let all = lint::lint_file(
+        &SourceFile::new("crates/x/src/a.rs", src),
+        &LintFlags::default(),
+    );
     assert_eq!(all.len(), 1);
     assert_eq!(
         all[0].to_string(),
@@ -144,7 +149,7 @@ fn run_applies_baseline_and_flags_stale_waivers() {
     )
     .unwrap();
 
-    let outcome = lint::run(&root, &Baseline::empty()).unwrap();
+    let outcome = lint::run(&workspace::load(&root).unwrap(), &Baseline::empty());
     assert_eq!(outcome.files_scanned, 1);
     assert!(!outcome.is_clean());
     assert_eq!(outcome.findings.len(), 1);
@@ -160,7 +165,7 @@ reason = "fixture exercise"
 "#,
     )
     .unwrap();
-    let outcome = lint::run(&root, &waived).unwrap();
+    let outcome = lint::run(&workspace::load(&root).unwrap(), &waived);
     assert!(outcome.is_clean());
     assert_eq!(outcome.findings.len(), 0);
     assert_eq!(outcome.waived.len(), 1);
@@ -179,7 +184,7 @@ reason = "matches nothing"
 "#,
     )
     .unwrap();
-    let outcome = lint::run(&root, &stale).unwrap();
+    let outcome = lint::run(&workspace::load(&root).unwrap(), &stale);
     assert!(!outcome.is_clean());
     assert_eq!(outcome.unused_waivers.len(), 1);
     assert!(outcome.unused_waivers[0].contains("src/gone.rs"));
