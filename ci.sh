@@ -45,6 +45,16 @@ cargo build -q --offline -p mqa-obs --features serve --examples
 echo "==> cargo build --release"
 cargo build --release --offline --workspace
 
+echo "==> mqa-benchmark smoke (mutate + paged_spill, test size)"
+# A construction change that breaks answer hashes or liveness must fail
+# here, not only under the benchmark driver: the run's last line is its
+# JSON verdict.
+for workload in mutate paged_spill; do
+    cargo run --release --offline --quiet --manifest-path crates/benchmark/Cargo.toml \
+        --bin mqa-benchmark -- run --workload "$workload" --quick |
+        tail -n 1 | grep -q '"correct":true'
+done
+
 echo "==> cargo test"
 cargo test -q --offline --workspace
 

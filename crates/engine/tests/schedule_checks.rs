@@ -82,44 +82,79 @@ fn close_racing_blocked_push_never_loses_accepted_jobs() {
 }
 
 /// Regression (shutdown edge 2): a worker panic mid-job surfaces
-/// `Canceled` on the ticket instead of hanging `wait()` — and jobs still
-/// queued behind the dead worker cancel on pool drop rather than leak.
+/// `Canceled` on the ticket instead of hanging `wait()`, and the worker
+/// survives to serve the job queued behind it.
+///
+/// The pool's worker is a real thread outside the checker, so this test
+/// orders it with gates instead of a wall-clock window: the job panics
+/// only once the `opener` body — scheduled like any other thread, so the
+/// seed decides whether that is before, between or after the two submits
+/// — opens its gate, and the submitter learns the unwind is over from the
+/// queued job reporting that it started (one worker, FIFO queue). Both
+/// tickets are therefore only waited on once they must already have
+/// resolved, and a `wait()` that blocks at all is the defect.
+///
+/// History: the earlier form waited on the panicking job's ticket inside
+/// `blocking()` against the shared 150 ms `stuck_timeout` and failed about
+/// one run in six. That was the timeout alone, not a late resolution: the
+/// ticket resolves when the unwind drops the job's sender, which is after
+/// the panic hook has run, and with `RUST_BACKTRACE=1` the first panic of
+/// a process symbolises a backtrace on the worker — 55–77 ms on an idle
+/// host against ~1 ms for every later one (and ≤ 3 ms with backtraces
+/// off), enough to cross 150 ms once other tests share the two cores.
+/// The timeout left here only turns a genuine hang into `Failure::Stuck`.
 #[test]
 fn worker_panic_cancels_ticket_instead_of_hanging() {
+    use std::sync::mpsc;
+
     let make = || -> Vec<ThreadBody> {
-        vec![Box::new(move |token| {
+        let (open_gate, gate) = mpsc::channel::<()>();
+        let submitter: ThreadBody = Box::new(move |token| {
             let pool = WorkerPool::new(1, 4);
             let (panicked_ticket, sender) = oneshot::<u32>();
             token.step();
             pool.submit(Box::new(move |_s| {
                 let _carry_into_job = sender;
+                // Opened or abandoned, the job panics all the same.
+                let _ = gate.recv();
                 panic!("deliberate mid-job panic");
             }))
             .expect("healthy pool must accept work");
 
             let (queued_ticket, queued_sender) = oneshot::<u32>();
+            let (started, queued_job_started) = mpsc::channel::<()>();
             token.step();
             pool.submit(Box::new(move |_s| {
+                let _ = started.send(());
                 queued_sender.send(5);
             }))
             .expect("queue has capacity");
 
-            // If either wait() hung, blocking() would never return and the
-            // scheduler would report this schedule Stuck.
-            let got = token.blocking(|| panicked_ticket.wait());
-            assert_eq!(got, Err(TicketError::Canceled));
             token.step();
+            token
+                .blocking(|| queued_job_started.recv())
+                .expect("the worker must outlive the panic and reach the backlog");
+            assert_eq!(panicked_ticket.wait(), Err(TicketError::Canceled));
             drop(pool);
-            let got = token.blocking(|| queued_ticket.wait());
-            assert!(
-                got == Err(TicketError::Canceled) || got == Ok(5),
-                "queued job must resolve (ran before the panic reached the \
-                 worker, or canceled on drop), got {got:?}"
-            );
-        })]
+            assert_eq!(queued_ticket.wait(), Ok(5));
+        });
+        let opener: ThreadBody = Box::new(move |token| {
+            token.step();
+            let _ = open_gate.send(());
+        });
+        vec![submitter, opener]
     };
-    let report = explore(0x5EED_0002, 20, &opts(), make);
+    let hang_only = CheckOptions {
+        stuck_timeout: Duration::from_secs(60),
+        ..opts()
+    };
+    let report = explore(0x5EED_0002, 20, &hang_only, make);
     assert!(report.all_ok(), "worker-panic edge: {}", report.failures[0]);
+    assert!(
+        report.distinct_traces >= 3,
+        "the gate must open before, between and after the submits: {} orders",
+        report.distinct_traces
+    );
 }
 
 /// A dropped `TicketSender` racing `Ticket::wait` always resolves to

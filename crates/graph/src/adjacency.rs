@@ -8,9 +8,18 @@ use serde::{Deserialize, Serialize};
 /// Navigation graphs are directed (pruning keeps out-degree bounded while
 /// in-degree floats); vertices are the dense object ids of the backing
 /// vector store.
+///
+/// Beside each list sits its *clean-prefix length*: how many leading
+/// entries are the unmodified output of a neighbour-selection prune
+/// ([`Adjacency::set_pruned`]) and therefore already sorted by distance to
+/// the vertex and pairwise undominated under the rule that produced them.
+/// [`Adjacency::add_edge`] appends behind that prefix (a *dirty* tail), so
+/// re-pruning an over-full list only has to test pairs that involve a
+/// dirty entry (see [`crate::prune::robust_reprune`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Adjacency {
     lists: Vec<Vec<VecId>>,
+    clean: Vec<u32>,
 }
 
 impl Adjacency {
@@ -18,6 +27,7 @@ impl Adjacency {
     pub fn new(n: usize) -> Self {
         Self {
             lists: vec![Vec::new(); n],
+            clean: vec![0; n],
         }
     }
 
@@ -39,11 +49,35 @@ impl Adjacency {
         self.lists.get(v as usize).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Replaces the out-neighbour list of `v`.
+    /// Recorded length of `v`'s clean prefix (see the type docs). At most
+    /// the degree in a sound graph; deserialized state may claim more, so
+    /// consumers clamp and [`crate::validate::check_clean_prefixes`] flags
+    /// it. Ids without a record read as zero.
+    #[inline]
+    pub fn clean_len(&self, v: VecId) -> usize {
+        self.clean.get(v as usize).map_or(0, |&c| c as usize)
+    }
+
+    /// Replaces the out-neighbour list of `v` with an arbitrary list (no
+    /// clean prefix).
     ///
     /// # Panics
     /// Panics (debug) if the list contains `v` itself or an out-of-range id.
     pub fn set_neighbors(&mut self, v: VecId, neighbors: Vec<VecId>) {
+        self.install(v, neighbors, 0);
+    }
+
+    /// Replaces the out-neighbour list of `v` with the output of a
+    /// neighbour-selection prune around `v`: the whole list is clean.
+    ///
+    /// # Panics
+    /// Panics (debug) if the list contains `v` itself or an out-of-range id.
+    pub fn set_pruned(&mut self, v: VecId, selected: Vec<VecId>) {
+        let clean = mqa_vector::cast::vec_id(selected.len());
+        self.install(v, selected, clean);
+    }
+
+    fn install(&mut self, v: VecId, neighbors: Vec<VecId>, clean: u32) {
         debug_assert!(
             neighbors
                 .iter()
@@ -52,6 +86,11 @@ impl Adjacency {
         );
         // INVARIANT: builders only pass vertex ids < n minted by new(n).
         self.lists[v as usize] = neighbors;
+        // A deserialized graph may carry too few records; a missing one
+        // reads as "nothing clean", which is always safe.
+        if let Some(slot) = self.clean.get_mut(v as usize) {
+            *slot = clean;
+        }
     }
 
     /// Extends the vertex population to `n` (new vertices are edgeless).
@@ -59,6 +98,7 @@ impl Adjacency {
     pub fn grow(&mut self, n: usize) {
         if n > self.lists.len() {
             self.lists.resize(n, Vec::new());
+            self.clean.resize(n, 0);
         }
     }
 
@@ -77,6 +117,13 @@ impl Adjacency {
     #[cfg(test)]
     pub(crate) fn lists_mut(&mut self) -> &mut Vec<Vec<VecId>> {
         &mut self.lists
+    }
+
+    /// Test-only raw access to the clean-prefix records, for forging a
+    /// clean length the way corrupted bytes could.
+    #[cfg(test)]
+    pub(crate) fn clean_mut(&mut self) -> &mut Vec<u32> {
+        &mut self.clean
     }
 
     /// Adds edge `v → u` unless already present. Returns whether it was
@@ -150,6 +197,7 @@ impl Adjacency {
             .map(|l| l.len() * std::mem::size_of::<VecId>())
             .sum::<usize>()
             + self.lists.len() * std::mem::size_of::<Vec<VecId>>()
+            + self.clean.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -173,6 +221,30 @@ mod tests {
         g.set_neighbors(2, vec![0, 1]);
         g.set_neighbors(2, vec![3]);
         assert_eq!(g.neighbors(2), &[3]);
+    }
+
+    #[test]
+    fn clean_prefix_follows_the_mutators() {
+        let mut g = Adjacency::new(5);
+        g.set_pruned(0, vec![1, 2, 3]);
+        assert_eq!(g.clean_len(0), 3);
+        // add_edge appends behind the prefix (and a refused duplicate
+        // changes nothing).
+        assert!(g.add_edge(0, 4));
+        assert!(!g.add_edge(0, 2));
+        assert_eq!(g.neighbors(0), &[1, 2, 3, 4]);
+        assert_eq!(g.clean_len(0), 3);
+        // An arbitrary list has no clean prefix.
+        g.set_neighbors(0, vec![4, 1]);
+        assert_eq!(g.clean_len(0), 0);
+        // Clone and grow carry the records; new vertices start dirty.
+        g.set_pruned(1, vec![0, 2]);
+        let mut h = g.clone();
+        h.grow(8);
+        assert_eq!(h.clean_len(1), 2);
+        assert_eq!(h.clean_len(7), 0);
+        assert_eq!(h.clean_len(99), 0, "out of range reads as zero");
+        assert_ne!(g, h);
     }
 
     #[test]
@@ -229,6 +301,7 @@ mod tests {
     fn serde_round_trip() {
         let mut g = Adjacency::new(2);
         g.add_edge(0, 1);
+        g.set_pruned(1, vec![0]);
         let j = serde_json::to_string(&g).unwrap();
         let back: Adjacency = serde_json::from_str(&j).unwrap();
         assert_eq!(g, back);

@@ -163,6 +163,59 @@ mod tests {
         assert_eq!(before, after, "restored search must keep filtering");
     }
 
+    /// A grown-and-compacted index saved and restored is the same index:
+    /// equal graph (clean-prefix records included), and it keeps growing
+    /// into exactly the graph the never-saved original grows into — the
+    /// restored vectors and records drive the same re-prunes to the bit.
+    #[test]
+    fn restored_index_keeps_growing_like_the_original() {
+        let donors = store(120, 12);
+        let batch = |from: u32, to: u32| -> Vec<MultiVector> {
+            (from..to)
+                .map(|id| {
+                    let parts = (0..2)
+                        .map(|m| donors.part_of(id, m).expect("complete").to_vec())
+                        .collect();
+                    MultiVector::complete(donors.schema(), parts)
+                })
+                .collect()
+        };
+        for algo in [IndexAlgorithm::vamana(), IndexAlgorithm::mqa_graph()] {
+            let idx = UnifiedIndex::build(
+                store(300, 11),
+                Weights::normalized(&[1.3, 0.7]),
+                Metric::L2,
+                &algo,
+            )
+            .with_compaction_threshold(0.1);
+            idx.add_objects(&batch(0, 40)).expect("first growth");
+            let doomed: Vec<u32> = (0..340).step_by(6).collect();
+            assert!(idx.remove_objects(&doomed).expect("in range").compacted);
+            idx.add_objects(&batch(40, 80))
+                .expect("growth after compaction");
+
+            let json = idx.snapshot().to_json().expect("finite snapshot");
+            let restored = UnifiedSnapshot::from_json(&json)
+                .expect("round trips")
+                .restore();
+            assert_eq!(restored.snapshot().graph, idx.snapshot().graph);
+            idx.add_objects(&batch(80, 120)).expect("original grows");
+            restored
+                .add_objects(&batch(80, 120))
+                .expect("restored grows");
+            assert_eq!(
+                restored.snapshot().graph,
+                idx.snapshot().graph,
+                "{}: growth diverged after the round trip",
+                algo.name()
+            );
+            let violations = restored
+                .current()
+                .validate(restored.weights(), restored.metric());
+            assert!(violations.is_empty(), "{}: {violations:?}", algo.name());
+        }
+    }
+
     #[test]
     fn restored_index_has_zero_build_time() {
         let idx = UnifiedIndex::build(

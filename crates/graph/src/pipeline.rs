@@ -33,10 +33,11 @@ use crate::flat::FlatSearcher;
 use crate::hnsw::{Hnsw, HnswParams};
 use crate::knn::{knn_graph, KnnParams};
 use crate::live::Tombstones;
-use crate::prune::{robust_prune, select_nearest};
+use crate::prune::{candidates_of, robust_prune, robust_reprune, select_nearest};
+use crate::scratch::{with_pooled, SearchScratch};
 use crate::search::SearchOutput;
 use crate::traits::{DistanceFn, FlatDistance, GraphSearcher};
-use crate::util::medoid;
+use crate::util::{medoid, parallel_map};
 use crate::validate::InvariantViolation;
 use mqa_dag::{Context, Pipeline};
 use mqa_rng::StdRng;
@@ -124,24 +125,67 @@ impl SelectStage {
         }
     }
 
+    /// Selects `v`'s out-neighbours from `candidates` (sorted and
+    /// deduplicated in place). The result is a *clean* list.
     fn apply(
         &self,
         store: &VectorStore,
         metric: Metric,
         v: VecId,
-        candidates: Vec<Candidate>,
+        candidates: &mut Vec<Candidate>,
     ) -> Vec<VecId> {
         match *self {
             SelectStage::Nearest { r } => {
-                let mut c = candidates;
-                c.retain(|x| x.id != v);
-                select_nearest(c, r)
+                candidates.retain(|x| x.id != v);
+                select_nearest(candidates, r)
             }
             SelectStage::RobustPrune { alpha, r } => {
                 robust_prune(store, metric, v, candidates, alpha, r)
             }
         }
     }
+
+    /// Selects again from `v`'s own out-list once reverse edges pushed it
+    /// past the degree bound — the same result as [`SelectStage::apply`]
+    /// over the whole list, skipping what its clean prefix already proves.
+    fn reapply(
+        &self,
+        store: &VectorStore,
+        metric: Metric,
+        v: VecId,
+        graph: &Adjacency,
+    ) -> Vec<VecId> {
+        let list = graph.neighbors(v);
+        match *self {
+            SelectStage::Nearest { .. } => {
+                let mut all = candidates_of(store, metric, v, list).collect();
+                self.apply(store, metric, v, &mut all)
+            }
+            SelectStage::RobustPrune { alpha, r } => {
+                let selected = robust_reprune(store, metric, v, list, graph.clean_len(v), alpha, r);
+                // Every overflow of every graph the unit tests build is
+                // checked against the from-scratch prune.
+                #[cfg(test)]
+                {
+                    let mut all = candidates_of(store, metric, v, list).collect();
+                    assert_eq!(
+                        selected,
+                        robust_prune(store, metric, v, &mut all, alpha, r),
+                        "incremental re-prune diverged at vertex {v}"
+                    );
+                    REPRUNES_CHECKED.with(|c| c.set(c.get() + 1));
+                }
+                selected
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Overflow re-prunes this thread compared against the from-scratch
+    /// prune (see [`SelectStage::reapply`]).
+    static REPRUNES_CHECKED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Stage 4: connectivity repair.
@@ -186,12 +230,19 @@ pub struct BuildReport {
 }
 
 /// A pipeline-built navigation graph ready for search.
+///
+/// It remembers the refinement recipe it was built under — the
+/// construction beam width and the neighbour-selection rule — so online
+/// growth and compaction link vertices exactly as the build did, and so
+/// every clean prefix in `graph` is clean under one known rule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NavGraph {
     graph: Adjacency,
     entries: Vec<VecId>,
     report: BuildReport,
     name: String,
+    l: usize,
+    select: SelectStage,
 }
 
 impl NavGraph {
@@ -210,21 +261,29 @@ impl NavGraph {
         &self.report
     }
 
-    /// Audits the structural invariants of the built graph and returns
-    /// every violation found (empty = sound).
+    /// Audits the structural invariants of the built graph against the
+    /// `store` it indexes and returns every violation found (empty =
+    /// sound).
     ///
     /// Checked invariants:
     /// - a non-empty graph has at least one entry; entries are in range
     ///   and distinct;
     /// - adjacency lists have in-range endpoints, no self-loops, no
     ///   duplicates;
+    /// - every clean prefix is what it claims to be
+    ///   ([`crate::validate::check_clean_prefixes`]);
     /// - the recorded [`BuildReport`] matches the structure it describes
     ///   (max degree, edge count, connectivity recomputed from the first
     ///   entry).
-    pub fn validate(&self) -> Vec<InvariantViolation> {
+    pub fn validate(&self, store: &VectorStore, metric: Metric) -> Vec<InvariantViolation> {
         let n = self.graph.len();
         let mut out =
             crate::validate::check_adjacency(&format!("navgraph {}", self.name), &self.graph);
+        // The prefix check reads vectors by neighbour id, so it runs only
+        // on lists the adjacency check found addressable.
+        if out.is_empty() && store.len() == n {
+            out.extend(self.check_clean_prefixes(store, metric));
+        }
         if n == 0 {
             return out;
         }
@@ -277,6 +336,29 @@ impl NavGraph {
         out
     }
 
+    /// Checks each vertex's recorded clean-prefix length against its list:
+    /// no longer than the list, sorted by distance to the vertex, and —
+    /// under an α rule — pairwise undominated under *this graph's* rule.
+    /// A prefix that fails would make the incremental re-prune skip tests
+    /// whose answer it does not know.
+    pub(crate) fn check_clean_prefixes(
+        &self,
+        store: &VectorStore,
+        metric: Metric,
+    ) -> Vec<InvariantViolation> {
+        let alpha = match self.select {
+            SelectStage::Nearest { .. } => None,
+            SelectStage::RobustPrune { alpha, .. } => Some(alpha),
+        };
+        crate::validate::check_clean_prefixes(
+            &format!("navgraph {}", self.name),
+            &self.graph,
+            store,
+            metric,
+            alpha,
+        )
+    }
+
     /// Recomputes the structural diagnostics of the report from the graph
     /// (stage timings are kept — they describe the original build). Every
     /// online mutation ends with this so [`NavGraph::validate`]'s
@@ -297,55 +379,48 @@ impl NavGraph {
     /// the graph — the online-insert path for the pipeline-built family
     /// (NSG / Vamana / MQA-graph). Each new vertex runs one iteration of
     /// the refinement stage against the *current* graph: beam-search from
-    /// the entries for a candidate pool, prune it with the family's own
+    /// the entries for a candidate pool, prune it with the graph's own
     /// selection rule, install reverse edges with overflow re-pruning.
-    pub fn extend_from(
-        &mut self,
-        store: &VectorStore,
-        metric: Metric,
-        l: usize,
-        select: &SelectStage,
-    ) {
+    pub fn extend_from(&mut self, store: &VectorStore, metric: Metric) {
         let start = self.graph.len();
         if store.len() <= start {
             return;
         }
         self.graph.grow(store.len());
-        let mut scratch = crate::scratch::SearchScratch::new();
-        let (graph, entries, recipe) = (&mut self.graph, &self.entries, (l, select));
-        for v in start as VecId..store.len() as VecId {
-            link_vertex(graph, entries, store, metric, recipe, v, &mut scratch);
-        }
+        let (graph, entries, recipe) = (&mut self.graph, &self.entries, (self.l, &self.select));
+        with_pooled(|scratch| {
+            for v in start as VecId..store.len() as VecId {
+                link_vertex(graph, entries, store, metric, recipe, v, scratch);
+            }
+        });
         self.refresh_report();
     }
 
     /// Rewires the graph around the dead vertices of `tomb`: a live
     /// vertex with dead neighbours splices in those neighbours' live
-    /// neighbours (re-pruned through `select`, so the degree bound
-    /// holds); dead vertices not serving as entries are unlinked; a dead
-    /// entry keeps live-spliced out-edges so it can continue to seed
+    /// neighbours (re-pruned through the graph's own rule, so the degree
+    /// bound holds); dead vertices not serving as entries are unlinked; a
+    /// dead entry keeps live-spliced out-edges so it can continue to seed
     /// searches. After this pass no edge points *into* a dead vertex.
-    pub fn compact(
-        &mut self,
-        store: &VectorStore,
-        metric: Metric,
-        select: &SelectStage,
-        tomb: &Tombstones,
-    ) {
-        let old = self.graph.clone();
-        for v in 0..self.graph.len() as VecId {
-            let is_entry = self.entries.contains(&v);
-            if tomb.is_dead(v) && !is_entry {
-                self.graph.set_neighbors(v, Vec::new());
-                continue;
+    pub fn compact(&mut self, store: &VectorStore, metric: Metric, tomb: &Tombstones) {
+        // Every new list is a function of the pre-compaction graph alone,
+        // so the vertices are rewired independently and installed after.
+        let (old, entries, select) = (&self.graph, &self.entries, &self.select);
+        let rewired: Vec<Option<Vec<VecId>>> = parallel_map(old.len(), |v| {
+            if tomb.is_dead(v) && !entries.contains(&v) {
+                return Some(Vec::new());
             }
             let nb = old.neighbors(v);
             if !nb.iter().any(|&u| tomb.is_dead(u)) {
-                continue;
+                return None;
             }
-            let pool = tomb.splice_pool(store, metric, v, nb, |u| old.neighbors(u));
-            let selected = select.apply(store, metric, v, pool);
-            self.graph.set_neighbors(v, selected);
+            let mut pool = tomb.splice_pool(store, metric, v, nb, |u| old.neighbors(u));
+            Some(select.apply(store, metric, v, &mut pool))
+        });
+        for (v, list) in rewired.into_iter().enumerate() {
+            if let Some(list) = list {
+                self.graph.set_pruned(v as VecId, list);
+            }
         }
         self.refresh_report();
     }
@@ -468,6 +543,8 @@ impl GraphPipeline {
             entries,
             report,
             name: name.to_string(),
+            l: self.refine.l,
+            select: self.select,
         }
     }
 }
@@ -544,13 +621,14 @@ fn run_refine(
     entries: &[VecId],
 ) -> Adjacency {
     // One scratch serves every construction search of the stage.
-    let mut scratch = crate::scratch::SearchScratch::new();
     let recipe = (refine.l, select);
-    for _pass in 0..refine.passes {
-        for v in 0..store.len() as VecId {
-            link_vertex(&mut graph, entries, store, metric, recipe, v, &mut scratch);
+    with_pooled(|scratch| {
+        for _pass in 0..refine.passes {
+            for v in 0..store.len() as VecId {
+                link_vertex(&mut graph, entries, store, metric, recipe, v, scratch);
+            }
         }
-    }
+    });
     graph
 }
 
@@ -564,35 +642,25 @@ fn link_vertex(
     metric: Metric,
     (l, select): (usize, &SelectStage),
     v: VecId,
-    scratch: &mut crate::scratch::SearchScratch,
+    scratch: &mut SearchScratch,
 ) {
     // Candidate acquisition: search the evolving graph from the entries
     // for the vertex's own vector, keeping the full visited list (path
-    // vertices supply long-range candidates).
-    let mut pool = {
-        let mut dist = FlatDistance::for_vertex(store, v, metric);
-        crate::search::beam_search_collect(graph, entries, &mut dist, l, scratch)
-    };
+    // vertices supply long-range candidates). The pool stays on the
+    // scratch.
+    let mut dist = FlatDistance::for_vertex(store, v, metric);
+    let pool = crate::search::beam_search_collect(graph, entries, &mut dist, l, scratch);
     // Merge current neighbours so established edges compete (a newly
     // grown vertex has none yet).
-    let qv = store.get(v);
-    for &u in graph.neighbors(v) {
-        pool.push(Candidate::new(u, metric.distance(qv, store.get(u))));
-    }
+    pool.extend(candidates_of(store, metric, v, graph.neighbors(v)));
     let r = select.degree_bound();
     let selected = select.apply(store, metric, v, pool);
-    graph.set_neighbors(v, selected.clone());
+    graph.set_pruned(v, selected.clone());
     for u in selected {
         graph.add_edge(u, v);
         if graph.degree(u) > r {
-            let uv = store.get(u);
-            let cands: Vec<Candidate> = graph
-                .neighbors(u)
-                .iter()
-                .map(|&w| Candidate::new(w, metric.distance(uv, store.get(w))))
-                .collect();
-            let pruned = select.apply(store, metric, u, cands);
-            graph.set_neighbors(u, pruned);
+            let pruned = select.reapply(store, metric, u, graph);
+            graph.set_pruned(u, pruned);
         }
     }
 }
@@ -612,7 +680,6 @@ fn run_repair(
                 return graph;
             };
             let mut reachable = graph.reachable_from(start);
-            let mut scratch = crate::scratch::SearchScratch::new();
             for v in 0..graph.len() as VecId {
                 // INVARIANT: reachable_from returns one flag per vertex
                 // and v iterates 0..len.
@@ -622,8 +689,9 @@ fn run_repair(
                 // Route toward v through the reachable component; the
                 // search can only return reachable vertices.
                 let mut dist = FlatDistance::for_vertex(store, v, metric);
-                let out =
-                    crate::search::beam_search(&graph, entries, &mut dist, 1, 16, &mut scratch);
+                let out = with_pooled(|scratch| {
+                    crate::search::beam_search(&graph, entries, &mut dist, 1, 16, scratch)
+                });
                 // A non-empty graph with a valid entry always yields at
                 // least one beam-search result; skip v defensively if not.
                 let Some(first) = out.results.first() else {
@@ -767,10 +835,10 @@ impl BuiltGraph {
     /// found (empty = sound). Dispatches to the per-index validators;
     /// `Flat` carries no structure to audit, and the IVF variant validates
     /// against its retained store copy.
-    pub fn validate(&self) -> Vec<InvariantViolation> {
+    pub fn validate(&self, store: &VectorStore, metric: Metric) -> Vec<InvariantViolation> {
         match self {
             BuiltGraph::Flat(_) => Vec::new(),
-            BuiltGraph::Nav(g) => g.validate(),
+            BuiltGraph::Nav(g) => g.validate(store, metric),
             BuiltGraph::Hnsw(h) => h.validate(),
             BuiltGraph::Ivf(s) => s.validate(),
         }
@@ -785,12 +853,7 @@ impl BuiltGraph {
         match self {
             BuiltGraph::Flat(s) => *s = FlatSearcher::new(store.len()),
             BuiltGraph::Hnsw(h) => h.extend_from(store, metric),
-            BuiltGraph::Nav(g) => match algo.incremental_recipe() {
-                Some((l, select)) => g.extend_from(store, metric, l, &select),
-                // A Nav graph whose algorithm carries no recipe cannot be
-                // extended in place; rebuild keeps the index correct.
-                None => *self = algo.build_graph(store, metric),
-            },
+            BuiltGraph::Nav(g) => g.extend_from(store, metric),
             BuiltGraph::Ivf(_) => *self = algo.build_graph(store, metric),
         }
     }
@@ -805,7 +868,6 @@ impl BuiltGraph {
         &mut self,
         store: &Arc<VectorStore>,
         metric: Metric,
-        algo: &IndexAlgorithm,
         tomb: &Tombstones,
     ) -> bool {
         match self {
@@ -815,14 +877,7 @@ impl BuiltGraph {
                 true
             }
             BuiltGraph::Nav(g) => {
-                let select = match algo.incremental_recipe() {
-                    Some((_, select)) => select,
-                    None => SelectStage::RobustPrune {
-                        alpha: 1.0,
-                        r: g.graph().max_degree().max(1),
-                    },
-                };
-                g.compact(store, metric, &select, tomb);
+                g.compact(store, metric, tomb);
                 true
             }
             BuiltGraph::Ivf(_) => false,
@@ -881,26 +936,6 @@ impl IndexAlgorithm {
             IndexAlgorithm::Nsg { .. } => "nsg",
             IndexAlgorithm::Vamana { .. } => "vamana",
             IndexAlgorithm::MqaGraph { .. } => "mqa-graph",
-        }
-    }
-
-    /// The per-vertex refinement recipe the family uses for *incremental*
-    /// linking (online inserts and compaction re-pruning): construction
-    /// beam width plus neighbour-selection rule. `None` for the families
-    /// without an incremental form (Flat needs none, HNSW carries its own
-    /// in [`Hnsw::extend_from`], IVF rebuilds).
-    pub fn incremental_recipe(&self) -> Option<(usize, SelectStage)> {
-        match *self {
-            IndexAlgorithm::Nsg { r, l, .. } => {
-                Some((l, SelectStage::RobustPrune { alpha: 1.0, r }))
-            }
-            IndexAlgorithm::Vamana { r, l, alpha, .. } => {
-                Some((l, SelectStage::RobustPrune { alpha, r }))
-            }
-            IndexAlgorithm::MqaGraph { r, l, alpha, .. } => {
-                Some((l, SelectStage::RobustPrune { alpha, r }))
-            }
-            IndexAlgorithm::Flat | IndexAlgorithm::Hnsw(_) | IndexAlgorithm::Ivf(_) => None,
         }
     }
 
@@ -1156,9 +1191,10 @@ mod tests {
         }
     }
 
-    fn built_navgraph(seed: u64) -> NavGraph {
+    fn built_navgraph(seed: u64) -> (Arc<VectorStore>, NavGraph) {
         let store = clustered_store(300, 8, 6, seed);
-        crate::nsg::pipeline(24, 48, 12, seed).run(&store, Metric::L2, "nsg")
+        let nav = crate::nsg::pipeline(24, 48, 12, seed).run(&store, Metric::L2, "nsg");
+        (store, nav)
     }
 
     #[test]
@@ -1172,7 +1208,8 @@ mod tests {
         let mut built = algo.build_graph(&Arc::new(half), Metric::L2);
         built.grow_to(&full, Metric::L2, &algo);
         assert_eq!(GraphSearcher::len(&built), 400);
-        assert!(built.validate().is_empty(), "{:?}", built.validate());
+        let violations = built.validate(&full, Metric::L2);
+        assert!(violations.is_empty(), "{violations:?}");
         // New objects are discoverable through the grown graph.
         let mut found = 0usize;
         for id in 300..400u32 {
@@ -1195,7 +1232,7 @@ mod tests {
         for id in (0..400u32).step_by(5) {
             tomb.kill(id);
         }
-        assert!(built.compact_live(&store, Metric::L2, &algo, &tomb));
+        assert!(built.compact_live(&store, Metric::L2, &tomb));
         let BuiltGraph::Nav(nav) = &built else {
             panic!("nsg builds a Nav graph");
         };
@@ -1204,10 +1241,10 @@ mod tests {
         }
         // The report was refreshed, so validate sees no staleness; only
         // entry-membership defects would remain, and there are none.
+        let violations = nav.validate(&store, Metric::L2);
         assert!(
-            nav.validate().is_empty(),
-            "post-compaction violations: {:?}",
-            nav.validate()
+            violations.is_empty(),
+            "post-compaction violations: {violations:?}"
         );
     }
 
@@ -1225,72 +1262,172 @@ mod tests {
         }
     }
 
+    /// The recipe a graph grows and compacts under is the one it was
+    /// built with, whatever the caller's `IndexAlgorithm` says later.
     #[test]
-    fn incremental_recipes_match_families() {
-        assert!(IndexAlgorithm::Flat.incremental_recipe().is_none());
-        assert!(IndexAlgorithm::hnsw().incremental_recipe().is_none());
-        assert!(IndexAlgorithm::ivf().incremental_recipe().is_none());
-        let Some((l, SelectStage::RobustPrune { alpha, r })) =
-            IndexAlgorithm::nsg().incremental_recipe()
-        else {
-            panic!("nsg has a recipe");
-        };
-        assert_eq!((l, r), (64, 24));
-        assert_eq!(alpha, 1.0);
-        let Some((_, SelectStage::RobustPrune { alpha, .. })) =
-            IndexAlgorithm::vamana().incremental_recipe()
-        else {
-            panic!("vamana has a recipe");
-        };
-        assert!(alpha > 1.0);
+    fn nav_graphs_remember_their_recipe() {
+        let store = clustered_store(300, 8, 6, 34);
+        for (algo, l, select) in [
+            (
+                IndexAlgorithm::nsg(),
+                64,
+                SelectStage::RobustPrune { alpha: 1.0, r: 24 },
+            ),
+            (
+                IndexAlgorithm::vamana(),
+                64,
+                SelectStage::RobustPrune { alpha: 1.2, r: 24 },
+            ),
+            (
+                IndexAlgorithm::mqa_graph(),
+                64,
+                SelectStage::RobustPrune { alpha: 1.2, r: 24 },
+            ),
+        ] {
+            let BuiltGraph::Nav(nav) = algo.build_graph(&store, Metric::L2) else {
+                panic!("{} builds a Nav graph", algo.name());
+            };
+            assert_eq!((nav.l, nav.select), (l, select), "{}", algo.name());
+        }
     }
 
     #[test]
     fn validate_accepts_pipeline_graphs() {
-        let g = built_navgraph(11);
-        let violations = g.validate();
+        let (store, g) = built_navgraph(11);
+        let violations = g.validate(&store, Metric::L2);
         assert!(violations.is_empty(), "sound graph flagged: {violations:?}");
     }
 
     #[test]
     fn validate_detects_corruption() {
         use crate::validate::InvariantViolation as V;
-        let sound = built_navgraph(12);
+        let (store, sound) = built_navgraph(12);
+        let audit = |g: &NavGraph| g.validate(&store, Metric::L2);
 
         // Adjacency defects surface through the shared checker.
         let mut g = sound.clone();
         g.graph.lists_mut()[0].push(0);
         // The edit also desynchronizes the report, so look specifically
         // for the self-loop.
-        assert!(g
-            .validate()
+        assert!(audit(&g)
             .iter()
             .any(|x| matches!(x, V::SelfLoop { id: 0, .. })));
 
         // No entries.
         let mut g = sound.clone();
         g.entries.clear();
-        assert!(g.validate().iter().any(|x| matches!(x, V::BadEntry { .. })));
+        assert!(audit(&g).iter().any(|x| matches!(x, V::BadEntry { .. })));
 
         // Duplicate entries.
         let mut g = sound.clone();
         g.entries.push(g.entries[0]);
-        assert!(g.validate().iter().any(|x| matches!(x, V::BadEntry { .. })));
+        assert!(audit(&g).iter().any(|x| matches!(x, V::BadEntry { .. })));
 
         // Forged report: edge count no longer matches the structure.
         let mut g = sound.clone();
         g.report.edges += 7;
-        assert!(g
-            .validate()
-            .iter()
-            .any(|x| matches!(x, V::StaleReport { .. })));
+        assert!(audit(&g).iter().any(|x| matches!(x, V::StaleReport { .. })));
 
         // Forged connectivity.
         let mut g = sound;
         g.report.connectivity /= 2.0;
-        assert!(g
-            .validate()
-            .iter()
-            .any(|x| matches!(x, V::StaleReport { .. })));
+        assert!(audit(&g).iter().any(|x| matches!(x, V::StaleReport { .. })));
+    }
+
+    /// A clean length forged over a list that is not a prune result is
+    /// flagged in each of its three shapes, and growing the forged graph
+    /// (which re-prunes through the false prefix) does not panic.
+    #[test]
+    fn validate_flags_a_forged_clean_prefix() {
+        use crate::validate::InvariantViolation as V;
+        let (store, sound) = built_navgraph(13);
+        let flagged = |g: &NavGraph, v: VecId| {
+            g.validate(&store, Metric::L2)
+                .iter()
+                .any(|x| matches!(x, V::FalseCleanPrefix { id, .. } if *id == v))
+        };
+        let v = (0..300)
+            .find(|&v| sound.graph.clean_len(v) >= 3)
+            .expect("some list kept three pruned edges");
+        assert!(!flagged(&sound, v));
+
+        // Longer than the list.
+        let mut g = sound.clone();
+        g.graph.clean_mut()[v as usize] = 99;
+        assert!(flagged(&g, v));
+
+        // Covering a list that is not sorted by distance.
+        let mut g = sound.clone();
+        g.graph.lists_mut()[v as usize].reverse();
+        assert!(flagged(&g, v));
+
+        // Covering a dirty tail: the vertex's nearest non-neighbours,
+        // appended and declared clean, are dominated by what is there.
+        let mut g = sound.clone();
+        let flat = FlatSearcher::new(store.len());
+        let mut d = FlatDistance::for_vertex(&store, v, Metric::L2);
+        for c in flat.search(&mut d, 40, 0).results {
+            if c.id != v {
+                g.graph.add_edge(v, c.id);
+            }
+        }
+        g.graph.clean_mut()[v as usize] = g.graph.degree(v) as u32;
+        g.refresh_report();
+        assert!(flagged(&g, v));
+        let full = clustered_store(340, 8, 6, 13);
+        g.extend_from(&full, Metric::L2);
+        assert_eq!(g.graph.len(), 340);
+    }
+
+    /// The clean-prefix bookkeeping through a real life cycle: at every
+    /// overflow of build → grow → compact → grow → save/load → grow the
+    /// incremental re-prune equals the from-scratch one (asserted inside
+    /// `SelectStage::reapply`), the validator stays silent, and a graph
+    /// that went through JSON keeps growing exactly like one that did not.
+    #[test]
+    fn clean_prefixes_survive_grow_compact_and_persistence() {
+        let full = clustered_store(420, 8, 6, 35);
+        let prefix = |n: u32| {
+            let mut s = VectorStore::new(8);
+            for id in 0..n {
+                s.push(full.get(id));
+            }
+            Arc::new(s)
+        };
+        let edges = |g: &BuiltGraph| match g {
+            BuiltGraph::Nav(nav) => nav.graph().edges().collect::<Vec<_>>(),
+            _ => unreachable!("pipeline families build Nav graphs"),
+        };
+        let checked = || REPRUNES_CHECKED.with(std::cell::Cell::get);
+        for algo in [IndexAlgorithm::vamana(), IndexAlgorithm::mqa_graph()] {
+            let mut at = checked();
+            let mut step = |what: &str| {
+                assert!(checked() > at, "{}: {what} re-pruned nothing", algo.name());
+                at = checked();
+            };
+            let mut built = algo.build_graph(&prefix(300), Metric::L2);
+            step("build");
+            built.grow_to(&prefix(340), Metric::L2, &algo);
+            step("first growth");
+            let mut tomb = Tombstones::new(340);
+            for id in (0..340u32).step_by(6) {
+                tomb.kill(id);
+            }
+            assert!(built.compact_live(&prefix(340), Metric::L2, &tomb));
+            built.grow_to(&prefix(380), Metric::L2, &algo);
+            step("growth after compaction");
+            let violations = built.validate(&prefix(380), Metric::L2);
+            assert!(violations.is_empty(), "{}: {violations:?}", algo.name());
+
+            let json = serde_json::to_string(&built).expect("graph serializes");
+            let mut reloaded: BuiltGraph = serde_json::from_str(&json).expect("round trips");
+            assert_eq!(reloaded, built, "{}: clean prefixes persist", algo.name());
+            built.grow_to(&full, Metric::L2, &algo);
+            reloaded.grow_to(&full, Metric::L2, &algo);
+            step("growth after reload");
+            assert_eq!(edges(&reloaded), edges(&built), "{}", algo.name());
+            assert_eq!(reloaded, built);
+            assert!(reloaded.validate(&full, Metric::L2).is_empty());
+        }
     }
 }

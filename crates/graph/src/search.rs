@@ -298,18 +298,22 @@ pub fn beam_search(
 /// not contain — without them, tightly clustered data yields graphs whose
 /// clusters are mutually unreachable in practice.
 ///
+/// The pool is the scratch's own buffer, lent until the next walk on it:
+/// callers select from it (and may append to it) in place, so its
+/// capacity survives from one construction search to the next.
+///
 /// # Panics
 /// Panics if `entries` is empty or `ef == 0`.
-pub fn beam_search_collect(
+pub fn beam_search_collect<'s>(
     graph: &Adjacency,
     entries: &[VecId],
     dist: &mut dyn DistanceFn,
     ef: usize,
-    scratch: &mut SearchScratch,
-) -> Vec<Candidate> {
+    scratch: &'s mut SearchScratch,
+) -> &'s mut Vec<Candidate> {
     let seeds = Seeds::Entries(entries);
     walk(graph, seeds, dist, ef, ef, WalkMode::CollectExact, scratch);
-    std::mem::take(&mut scratch.evaluated)
+    &mut scratch.evaluated
 }
 
 #[cfg(test)]
@@ -438,10 +442,31 @@ mod tests {
         let (store, g) = chain(10);
         let q = [5.0f32];
         let mut d = dist_to(&store, &q);
-        let pool = beam_search_collect(&g, &[0], &mut d, 3, &mut SearchScratch::new());
+        let mut scratch = SearchScratch::new();
+        let pool = beam_search_collect(&g, &[0], &mut d, 3, &mut scratch);
         let ids: Vec<VecId> = pool.iter().map(|c| c.id).collect();
         let dists: Vec<f32> = pool.iter().map(|c| c.dist).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(dists, vec![25.0, 16.0, 9.0, 4.0, 1.0, 0.0, 1.0, 4.0]);
+    }
+
+    /// Regression: the pool used to be moved out of the scratch, so every
+    /// construction search regrew it from nothing.
+    #[test]
+    fn collect_keeps_the_pool_capacity_on_the_scratch() {
+        let (store, g) = chain(40);
+        let q = [20.0f32];
+        let mut scratch = SearchScratch::new();
+        let mut d = dist_to(&store, &q);
+        let first = beam_search_collect(&g, &[0], &mut d, 4, &mut scratch).clone();
+        let (ptr, cap) = (scratch.evaluated.as_ptr(), scratch.evaluated.capacity());
+        assert!(cap >= first.len() && !first.is_empty());
+        let again = beam_search_collect(&g, &[0], &mut d, 4, &mut scratch);
+        assert_eq!(*again, first, "same walk, same pool");
+        assert_eq!(
+            (again.as_ptr(), again.capacity()),
+            (ptr, cap),
+            "buffer reused"
+        );
     }
 }

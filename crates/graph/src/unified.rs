@@ -117,19 +117,23 @@ impl IndexSnapshot {
     }
 
     /// Audits the snapshot's cross-structure invariants and returns every
-    /// violation found (empty = sound):
+    /// violation found (empty = sound). `weights` and `metric` are the
+    /// owning index's: the graph's edges were selected over the weighted
+    /// concatenation, which is what their clean prefixes are checked in.
     ///
     /// - the navigation structure covers exactly the store population;
     /// - the tombstone bitmaps are internally consistent
     ///   ([`crate::validate::check_tombstones`]);
     /// - no edge points into a compacted-away id
-    ///   ([`crate::validate::check_edges_live`]).
+    ///   ([`crate::validate::check_edges_live`]);
+    /// - a pipeline graph's clean prefixes are genuine
+    ///   ([`crate::validate::check_clean_prefixes`]).
     ///
     /// The per-family structural validators run only while no id has been
     /// compacted: compaction legitimately unlinks dead vertices, which the
     /// quiesced-shape validators (HNSW's reachability floor in particular)
     /// would misread as corruption.
-    pub fn validate(&self) -> Vec<InvariantViolation> {
+    pub fn validate(&self, weights: &Weights, metric: Metric) -> Vec<InvariantViolation> {
         let n = self.store.len();
         let mut out = Vec::new();
         if GraphSearcher::len(&self.searcher) != n {
@@ -144,15 +148,21 @@ impl IndexSnapshot {
             n,
             &self.tombstones,
         ));
+        let weighted = self.store.weighted_store(weights);
         if self.tombstones.compacted_count() == 0 {
-            out.extend(self.searcher.validate());
+            out.extend(self.searcher.validate(&weighted, metric));
         } else {
             match &self.searcher {
-                BuiltGraph::Nav(g) => out.extend(crate::validate::check_edges_live(
-                    "unified snapshot navgraph",
-                    g.graph().edges(),
-                    &self.tombstones,
-                )),
+                BuiltGraph::Nav(g) => {
+                    out.extend(crate::validate::check_edges_live(
+                        "unified snapshot navgraph",
+                        g.graph().edges(),
+                        &self.tombstones,
+                    ));
+                    if out.is_empty() {
+                        out.extend(g.check_clean_prefixes(&weighted, metric));
+                    }
+                }
                 BuiltGraph::Hnsw(h) => {
                     let mut edges = Vec::new();
                     h.for_each_edge(|_, v, u| edges.push((v, u)));
@@ -437,7 +447,7 @@ impl UnifiedIndex {
         let mut compacted = false;
         if tombstones.pending_fraction() > self.compact_threshold {
             let weighted = Arc::new(snap.store().weighted_store(&self.weights));
-            if searcher.compact_live(&weighted, self.metric, &self.algorithm, &tombstones) {
+            if searcher.compact_live(&weighted, self.metric, &tombstones) {
                 tombstones.mark_all_compacted();
                 compacted = true;
                 mqa_obs::counter("graph.mutate.compactions").inc();
@@ -858,7 +868,10 @@ mod tests {
             let got = idx.search(obj, None, 1, 64).ids();
             assert_eq!(got, vec![expect], "inserted object {expect} not found");
         }
-        assert!(idx.current().validate().is_empty());
+        assert!(idx
+            .current()
+            .validate(idx.weights(), idx.metric())
+            .is_empty());
     }
 
     #[test]
@@ -903,7 +916,8 @@ mod tests {
         assert!(report.compacted, "15% dead must compact at threshold 10%");
         let snap = idx.current();
         assert_eq!(snap.tombstones().pending_count(), 0);
-        assert!(snap.validate().is_empty(), "{:?}", snap.validate());
+        let violations = snap.validate(idx.weights(), idx.metric());
+        assert!(violations.is_empty(), "{violations:?}");
         // Live objects remain discoverable after the rewiring.
         let schema = idx.store().schema().clone();
         let mut found = 0usize;

@@ -8,7 +8,7 @@
 
 use crate::adjacency::Adjacency;
 use crate::live::Tombstones;
-use mqa_vector::VecId;
+use mqa_vector::{Candidate, Metric, VecId, VectorStore};
 use std::fmt;
 
 /// One structural invariant violation found by an index auditor.
@@ -148,6 +148,21 @@ pub enum InvariantViolation {
         /// The compacted-away target.
         to: VecId,
     },
+    /// A recorded clean-prefix length its list does not honour: longer
+    /// than the list, not sorted by distance to the vertex, or holding a
+    /// pair where one entry dominates the other under the graph's α rule.
+    /// The incremental re-prune trusts the record, so a false one makes
+    /// it keep edges a full prune would drop.
+    FalseCleanPrefix {
+        /// Which structure reported it.
+        context: String,
+        /// The vertex whose list is mislabelled.
+        id: VecId,
+        /// The recorded clean length.
+        clean: usize,
+        /// What the prefix fails.
+        detail: String,
+    },
 }
 
 impl fmt::Display for InvariantViolation {
@@ -232,6 +247,15 @@ impl fmt::Display for InvariantViolation {
             Self::EdgeIntoRetired { context, from, to } => {
                 write!(f, "{context}: edge {from} -> {to} into compacted-away id")
             }
+            Self::FalseCleanPrefix {
+                context,
+                id,
+                clean,
+                detail,
+            } => write!(
+                f,
+                "{context}: vertex {id} records a clean prefix of {clean}, but {detail}"
+            ),
         }
     }
 }
@@ -268,6 +292,68 @@ pub fn check_adjacency(context: &str, graph: &Adjacency) -> Vec<InvariantViolati
         }
     }
     out
+}
+
+/// Clean-prefix checks (see [`Adjacency`]): each recorded length is at most
+/// the degree, the prefix is sorted by ascending distance to its vertex,
+/// and — when the graph selects under an α rule (`alpha` is `Some`) — no
+/// prefix entry dominates a later one (`alpha · d(p, q) <= d(v, q)`).
+/// Reports the first defect of each vertex.
+///
+/// Reads vectors by neighbour id: call it on a graph
+/// [`check_adjacency`] accepted, over the store the graph indexes.
+pub fn check_clean_prefixes(
+    context: &str,
+    graph: &Adjacency,
+    store: &VectorStore,
+    metric: Metric,
+    alpha: Option<f32>,
+) -> Vec<InvariantViolation> {
+    let mut out = Vec::new();
+    for v in 0..graph.len() as VecId {
+        let (list, clean) = (graph.neighbors(v), graph.clean_len(v));
+        let defect = match list.get(..clean) {
+            Some(prefix) => clean_prefix_defect(store, metric, v, prefix, alpha),
+            None => Some(format!("the list holds {}", list.len())),
+        };
+        if let Some(detail) = defect {
+            out.push(InvariantViolation::FalseCleanPrefix {
+                context: context.to_string(),
+                id: v,
+                clean,
+                detail,
+            });
+        }
+    }
+    out
+}
+
+/// The first way `prefix` fails to be a prune result around `v`, if any.
+fn clean_prefix_defect(
+    store: &VectorStore,
+    metric: Metric,
+    v: VecId,
+    prefix: &[VecId],
+    alpha: Option<f32>,
+) -> Option<String> {
+    let ranked: Vec<Candidate> = crate::prune::candidates_of(store, metric, v, prefix).collect();
+    if let Some((a, b)) = ranked
+        .iter()
+        .zip(ranked.iter().skip(1))
+        .find(|(a, b)| a >= b)
+    {
+        return Some(format!("{} is listed before the closer {}", a.id, b.id));
+    }
+    let alpha = alpha?;
+    for (j, q) in ranked.iter().enumerate() {
+        let qv = store.get(q.id);
+        for p in ranked.iter().take(j) {
+            if alpha * metric.distance(store.get(p.id), qv) <= q.dist {
+                return Some(format!("{} dominates {}", p.id, q.id));
+            }
+        }
+    }
+    None
 }
 
 /// Tombstone lifecycle checks: the population matches the structure it

@@ -184,7 +184,7 @@ fn compaction_is_bit_identical() {
     ];
     for (algo, want) in golden {
         let mut built = algo.build_graph(&store, Metric::L2);
-        assert!(built.compact_live(&store, Metric::L2, &algo, &tomb));
+        assert!(built.compact_live(&store, Metric::L2, &tomb));
         let got = edge_hash(&built);
         assert_eq!(got, want, "{}: compacted edges {got:#018x}", algo.name());
     }

@@ -351,7 +351,10 @@ pub fn run(repo_root: &Path) -> AuditReport {
     let store = Arc::new(synthetic_store(500, 16, 8, 0xA0D1));
     for algo in all_algorithms() {
         let built = algo.build_graph(&store, Metric::L2);
-        report.push(&format!("index {}", algo.name()), built.validate());
+        report.push(
+            &format!("index {}", algo.name()),
+            built.validate(&store, Metric::L2),
+        );
     }
 
     // The unified multi-modal index (store + learned-weight layout), as
@@ -369,7 +372,13 @@ pub fn run(repo_root: &Path) -> AuditReport {
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>();
-        violations.extend(snapshot.graph.validate().iter().map(ToString::to_string));
+        violations.extend(
+            unified
+                .current()
+                .validate(&weights, Metric::L2)
+                .iter()
+                .map(ToString::to_string),
+        );
         report.push(&name, violations);
     }
 

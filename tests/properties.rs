@@ -240,11 +240,11 @@ fn robust_prune_output_well_formed() {
             store.push(&rand_vec(&mut rng, 4));
         }
         let v = 0u32;
-        let cands: Vec<Candidate> = (1..n as u32)
+        let mut cands: Vec<Candidate> = (1..n as u32)
             .map(|u| Candidate::new(u, Metric::L2.distance(store.get(v), store.get(u))))
             .collect();
         let nearest = cands.iter().min().map(|c| c.id);
-        let selected = robust_prune(&store, Metric::L2, v, cands, alpha, r);
+        let selected = robust_prune(&store, Metric::L2, v, &mut cands, alpha, r);
         assert!(selected.len() <= r);
         assert!(!selected.contains(&v), "self loop");
         let mut dedup = selected.clone();
