@@ -45,11 +45,11 @@ cargo build -q --offline -p mqa-obs --features serve --examples
 echo "==> cargo build --release"
 cargo build --release --offline --workspace
 
-echo "==> mqa-benchmark smoke (mutate + paged_spill, test size)"
-# A construction change that breaks answer hashes or liveness must fail
-# here, not only under the benchmark driver: the run's last line is its
-# JSON verdict.
-for workload in mutate paged_spill; do
+echo "==> mqa-benchmark smoke (all four workloads, test size)"
+# Every workload's setup runs the system and graph build paths, so a
+# change that breaks answer hashes or liveness must fail here, not only
+# under the benchmark driver: the run's last line is its JSON verdict.
+for workload in dialogue engine_pipelined mutate paged_spill; do
     cargo run --release --offline --quiet --manifest-path crates/benchmark/Cargo.toml \
         --bin mqa-benchmark -- run --workload "$workload" --quick |
         tail -n 1 | grep -q '"correct":true'
@@ -57,6 +57,12 @@ done
 
 echo "==> cargo test"
 cargo test -q --offline --workspace
+
+echo "==> search-instrumentation overhead guard (release)"
+# The guard compares the per-search recording bundle with an optimized
+# flat search; the debug run above slows the search more than the bundle
+# and so cannot see a bundle that got expensive.
+cargo test -q --offline --release -p mqa-graph --test obs_overhead
 
 echo "==> exp_cache snapshot (E13, quick)"
 cargo run -q --release --offline -p mqa-bench --bin exp_cache -- --quick

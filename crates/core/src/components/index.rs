@@ -19,7 +19,7 @@ pub struct BuiltFramework {
 ///
 /// # Errors
 /// Currently infallible beyond configuration validation (done by the
-/// coordinator before the pipeline starts); the `Result` keeps the stage
+/// coordinator before any component runs); the `Result` keeps the stage
 /// signature uniform for future index persistence errors.
 pub fn run(rep: &Represented, config: &Config) -> Result<BuiltFramework, MqaError> {
     let framework: Arc<dyn RetrievalFramework> = match config.framework {

@@ -1,8 +1,9 @@
 //! The five backend components of Figure 2.
 //!
-//! Each component is an independently testable unit; the coordinator wires
-//! the build-time ones (preprocessing → representation → indexing) into an
-//! `mqa-dag` pipeline and drives the query-time ones (execution →
+//! Each component is an independently testable unit; the coordinator calls
+//! the build-time ones in order (preprocessing → representation →
+//! indexing), passing each one's output to the next and its error to the
+//! caller unchanged, and drives the query-time ones (execution →
 //! answering) per dialogue turn.
 
 pub mod answer;

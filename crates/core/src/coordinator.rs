@@ -4,9 +4,9 @@
 //! component operations and facilitating smooth data transition across the
 //! system. Both the frontend and backend exclusively interact with the
 //! coordinator." [`MqaSystem`] is that single reference point: building it
-//! runs the three build-time components as an `mqa-dag` pipeline, and every
-//! frontend surface (config import/export, status panel, dialogue sessions)
-//! goes through it.
+//! calls the three build-time components in order, each under one span,
+//! and every frontend surface (config import/export, status panel,
+//! dialogue sessions) goes through it.
 
 use crate::components::{answer, execute, index, preprocess, represent};
 use crate::config::Config;
@@ -14,11 +14,25 @@ use crate::dialogue::{DialogueSession, Reply, Turn};
 use crate::error::MqaError;
 use crate::status::{Milestone, StatusMonitor};
 use mqa_cache::{Fingerprint, ResultCache};
-use mqa_dag::{Context, Pipeline};
 use mqa_retrieval::{EncodedCorpus, RetrievalFramework, RetrievalOutput};
 use mqa_vector::Weights;
 use std::sync::Arc;
-use std::sync::Mutex;
+
+/// Index Construction under its span — the one call path
+/// [`MqaSystem::build`] and [`MqaSystem::relearn_weights`] share, so the
+/// panel row always describes the framework in force and how long it took
+/// to build.
+fn construct_index(
+    rep: &represent::Represented,
+    config: &Config,
+    status: &mut StatusMonitor,
+) -> Result<Arc<dyn RetrievalFramework>, MqaError> {
+    let span = mqa_obs::span("core.build.index_construction");
+    let built = index::run(rep, config)?;
+    status.complete(Milestone::IndexConstruction, span.finish());
+    status.detail(Milestone::IndexConstruction, built.description);
+    Ok(built.framework)
+}
 
 /// The built MQA system.
 pub struct MqaSystem {
@@ -35,72 +49,22 @@ pub struct MqaSystem {
 
 impl MqaSystem {
     /// Validates `config`, then runs Data Preprocessing → Vector
-    /// Representation → Index Construction as a DAG pipeline and wires the
+    /// Representation → Index Construction, each under one span whose
+    /// duration is the milestone's time on the status panel, and wires the
     /// query-time components.
     ///
     /// # Errors
-    /// Configuration errors ([`MqaError::InvalidConfig`]), an empty base
-    /// ([`MqaError::EmptyKnowledgeBase`]), or a failed build stage
-    /// ([`MqaError::BuildFailed`]).
+    /// Whatever the failing component returned, unchanged: configuration
+    /// errors ([`MqaError::InvalidConfig`]) or an empty base
+    /// ([`MqaError::EmptyKnowledgeBase`]).
     pub fn build(config: Config, kb: mqa_kb::KnowledgeBase) -> Result<Self, MqaError> {
         let _build_span = mqa_obs::span("core.build");
         config.validate()?;
-        // Checked before the pipeline: stage errors cross the DAG as
-        // strings, and this one has a typed variant.
-        if kb.is_empty() {
-            return Err(MqaError::EmptyKnowledgeBase);
-        }
-        let cfg = Arc::new(config);
-        let kb_slot = Arc::new(Mutex::new(Some(kb)));
-
-        let mut ctx = Context::new();
-        let (c1, c2) = (Arc::clone(&cfg), Arc::clone(&cfg));
-        let kb_for_stage = Arc::clone(&kb_slot);
-        let trace = Pipeline::new()
-            .stage("data_preprocessing", move |_| {
-                let kb = kb_for_stage
-                    .lock()
-                    .map_err(|_| "knowledge base lock poisoned".to_string())?
-                    .take()
-                    .ok_or_else(|| "knowledge base already consumed".to_string())?;
-                let pre = preprocess::run(kb).map_err(|e| e.to_string())?;
-                Ok(vec![("pre".to_string(), Box::new(pre) as _)])
-            })
-            .stage("vector_representation", move |c| {
-                let pre = c
-                    .get::<preprocess::Preprocessed>("pre")
-                    .map_err(|e| e.to_string())?;
-                let rep = represent::run(pre, &c1).map_err(|e| e.to_string())?;
-                Ok(vec![("rep".to_string(), Box::new(rep) as _)])
-            })
-            .stage("index_construction", move |c| {
-                let rep = c
-                    .get::<represent::Represented>("rep")
-                    .map_err(|e| e.to_string())?;
-                let built = index::run(rep, &c2).map_err(|e| e.to_string())?;
-                Ok(vec![("built".to_string(), Box::new(built) as _)])
-            })
-            .run(&mut ctx)
-            .map_err(|e| match e {
-                // Surface the inner component error verbatim.
-                mqa_dag::DagError::TaskFailed { task, message } => {
-                    MqaError::BuildFailed(format!("{task}: {message}"))
-                }
-                other => MqaError::BuildFailed(other.to_string()),
-            })?;
-
-        let pre: preprocess::Preprocessed = ctx
-            .take("pre")
-            .map_err(|e| MqaError::BuildFailed(e.to_string()))?;
-        let rep: represent::Represented = ctx
-            .take("rep")
-            .map_err(|e| MqaError::BuildFailed(e.to_string()))?;
-        let built: index::BuiltFramework = ctx
-            .take("built")
-            .map_err(|e| MqaError::BuildFailed(e.to_string()))?;
-
-        // Assemble the status panel from component outputs + true timings.
         let mut status = StatusMonitor::new();
+
+        let span = mqa_obs::span("core.build.data_preprocessing");
+        let pre = preprocess::run(kb)?;
+        status.complete(Milestone::DataPreprocessing, span.finish());
         status.detail(
             Milestone::DataPreprocessing,
             format!(
@@ -112,6 +76,10 @@ impl MqaSystem {
             ),
         );
         status.detail(Milestone::DataPreprocessing, pre.stats.summary());
+
+        let span = mqa_obs::span("core.build.vector_representation");
+        let rep = represent::run(&pre, &config)?;
+        status.complete(Milestone::VectorRepresentation, span.finish());
         let choices: Vec<String> = rep
             .corpus
             .encoders()
@@ -131,26 +99,18 @@ impl MqaSystem {
             ),
         );
         status.detail(Milestone::VectorRepresentation, rep.weight_note.clone());
-        status.detail(Milestone::IndexConstruction, built.description.clone());
-        for timing in &trace.tasks {
-            let milestone = match timing.name.as_str() {
-                "data_preprocessing" => Milestone::DataPreprocessing,
-                "vector_representation" => Milestone::VectorRepresentation,
-                "index_construction" => Milestone::IndexConstruction,
-                _ => continue,
-            };
-            status.complete(milestone, timing.elapsed);
-        }
 
-        let executor = execute::QueryExecutor::new(Arc::clone(&built.framework), cfg.k, cfg.ef);
-        let answerer = answer::AnswerGenerator::from_choice(&cfg.llm, cfg.temperature);
+        let framework = construct_index(&rep, &config, &mut status)?;
+
+        let executor = execute::QueryExecutor::new(Arc::clone(&framework), config.k, config.ef);
+        let answerer = answer::AnswerGenerator::from_choice(&config.llm, config.temperature);
         status.detail(
             Milestone::QueryExecution,
             format!(
                 "framework: {} (k={}, ef={})",
-                cfg.framework.name(),
-                cfg.k,
-                cfg.ef
+                config.framework.name(),
+                config.k,
+                config.ef
             ),
         );
         status.complete(Milestone::QueryExecution, std::time::Duration::ZERO);
@@ -159,16 +119,16 @@ impl MqaSystem {
             format!(
                 "llm: {} (temperature {})",
                 answerer.model_name(),
-                cfg.temperature
+                config.temperature
             ),
         );
         status.complete(Milestone::AnswerGeneration, std::time::Duration::ZERO);
 
         Ok(Self {
-            config: Arc::try_unwrap(cfg).unwrap_or_else(|a| a.as_ref().clone()),
-            corpus: Arc::clone(&rep.corpus),
-            weights: rep.weights.clone(),
-            framework: built.framework,
+            config,
+            corpus: rep.corpus,
+            weights: rep.weights,
+            framework,
             executor,
             answerer,
             status,
@@ -301,9 +261,8 @@ impl MqaSystem {
             learned: Some(out),
             weight_note: note.clone(),
         };
-        let built = index::run(&rep, &self.config)?;
-        self.framework = Arc::clone(&built.framework);
-        self.executor.set_framework(built.framework);
+        self.framework = construct_index(&rep, &self.config, &mut self.status)?;
+        self.executor.set_framework(Arc::clone(&self.framework));
         if let Some(options) = self.engine_options {
             let engine = Arc::new(mqa_engine::QueryEngine::new(
                 Arc::clone(&self.framework),
@@ -454,22 +413,22 @@ mod tests {
     }
 
     #[test]
-    fn component_failure_surfaces_as_build_failed_with_stage_name() {
+    fn component_failure_reaches_the_caller_as_the_component_returned_it() {
         // Wrong encoder-choice count fails inside Vector Representation.
         let cfg = Config {
             encoders: Some(vec![mqa_encoders::EncoderChoice::HashingText { dim: 8 }]),
             ..Config::default()
         };
-        let err = match MqaSystem::build(cfg, kb()) {
+        let from_component = match represent::run(&preprocess::run(kb()).unwrap(), &cfg) {
             Err(e) => e,
             Ok(_) => panic!("mismatched encoder count must fail"),
         };
-        match err {
-            MqaError::BuildFailed(msg) => {
-                assert!(msg.contains("vector_representation"), "{msg}");
-            }
-            other => panic!("expected BuildFailed, got {other:?}"),
-        }
+        assert!(matches!(from_component, MqaError::InvalidConfig(_)));
+        let from_build = match MqaSystem::build(cfg, kb()) {
+            Err(e) => e,
+            Ok(_) => panic!("mismatched encoder count must fail"),
+        };
+        assert_eq!(from_build, from_component);
     }
 
     #[test]
@@ -540,6 +499,38 @@ mod tests {
         let expect = fresh.ask_once(Turn::text(phrase)).unwrap();
         let ids = |r: &Reply| r.results.iter().map(|x| x.id).collect::<Vec<_>>();
         assert_eq!(ids(&after), ids(&expect));
+    }
+
+    #[test]
+    fn relearn_updates_the_index_construction_row() {
+        // Noisy images so re-learning moves the weights the MUST
+        // description embeds.
+        let noisy = DatasetSpec::weather()
+            .objects(120)
+            .concepts(6)
+            .caption_noise(0.02)
+            .image_noise(0.9)
+            .seed(1)
+            .generate();
+        let cfg = Config {
+            weight_learning: false,
+            ..Config::default()
+        };
+        let mut sys = MqaSystem::build(cfg, noisy).unwrap();
+        let before = sys.framework().describe();
+        assert_eq!(
+            sys.status().details(Milestone::IndexConstruction),
+            std::slice::from_ref(&before)
+        );
+        sys.relearn_weights(sys.config().trainer).unwrap();
+        let after = sys.framework().describe();
+        assert_ne!(before, after, "re-learning must change the description");
+        assert_eq!(
+            sys.status().details(Milestone::IndexConstruction).last(),
+            Some(&after),
+            "{}",
+            sys.status().render()
+        );
     }
 
     #[test]

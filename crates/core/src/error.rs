@@ -10,8 +10,6 @@ pub enum MqaError {
     EmptyKnowledgeBase,
     /// Configuration rejected (message explains which knob).
     InvalidConfig(String),
-    /// A build pipeline stage failed.
-    BuildFailed(String),
     /// A dialogue turn carried no content at all.
     EmptyTurn,
     /// A turn selected a result index that the previous reply didn't have.
@@ -37,7 +35,6 @@ impl fmt::Display for MqaError {
         match self {
             MqaError::EmptyKnowledgeBase => write!(f, "the knowledge base holds no objects"),
             MqaError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            MqaError::BuildFailed(msg) => write!(f, "system build failed: {msg}"),
             MqaError::EmptyTurn => {
                 write!(
                     f,

@@ -9,8 +9,8 @@
 //! ([`status::StatusMonitor`]) and QA engagement
 //! ([`dialogue::DialogueSession`]).
 //!
-//! Build-time data flow (run as an `mqa-dag` pipeline, so the status panel
-//! gets true per-component timings):
+//! Build-time data flow (three function calls, each under one
+//! `core.build.*` span whose duration is the status panel's timing):
 //!
 //! ```text
 //! KnowledgeBase ──▶ DataPreprocessing ──▶ VectorRepresentation ──▶ IndexConstruction

@@ -22,9 +22,9 @@
 //! NSG and Vamana are expressed as instances of the five-stage construction
 //! pipeline in [`pipeline`] (initialization → candidate acquisition →
 //! neighbour selection → connectivity repair → entry-point selection),
-//! mirroring the paper's CGraph-based decomposition; each stage runs as a
-//! task of an `mqa-dag` pipeline. HNSW's layered structure is built
-//! directly but plugs into the same [`GraphSearcher`] interface.
+//! mirroring the paper's CGraph-based decomposition; the stages are plain
+//! function calls, one `graph.build.*` span each. HNSW's layered structure
+//! is built directly but plugs into the same [`GraphSearcher`] interface.
 //!
 //! ## Unified multi-vector index
 //!

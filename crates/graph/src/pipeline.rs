@@ -18,8 +18,9 @@
 //!    unreachable from the entry;
 //! 5. **Finalization** — statistics and the [`BuildReport`].
 //!
-//! Each stage runs as a task of an `mqa-dag` [`mqa_dag::Pipeline`], so a
-//! custom graph is literally a different stage configuration:
+//! [`GraphPipeline::run`] calls the stages in that order, each under one
+//! `graph.build.*` span, so a custom graph is literally a different stage
+//! configuration:
 //!
 //! * **NSG** = kNN init + single refine pass at `α = 1` + repair + medoid;
 //! * **Vamana/DiskANN** = random init + two refine passes at `α > 1` +
@@ -39,7 +40,6 @@ use crate::search::SearchOutput;
 use crate::traits::{DistanceFn, FlatDistance, GraphSearcher};
 use crate::util::{medoid, parallel_map};
 use crate::validate::InvariantViolation;
-use mqa_dag::{Context, Pipeline};
 use mqa_rng::StdRng;
 use mqa_vector::{Candidate, Metric, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
@@ -457,82 +457,44 @@ impl GraphSearcher for NavGraph {
 }
 
 impl GraphPipeline {
-    /// Runs the five stages (as an `mqa-dag` pipeline) and returns the
-    /// built graph.
+    /// Runs the five stages in order and returns the built graph. Each
+    /// stage runs under one `graph.build.*` span whose duration is its
+    /// entry in [`BuildReport::stage_timings`].
     ///
     /// # Panics
     /// Panics if the store is empty.
     pub fn run(&self, store: &Arc<VectorStore>, metric: Metric, name: &str) -> NavGraph {
         assert!(!store.is_empty(), "pipeline requires a non-empty store");
-        let cfg = self.clone();
-        let mut ctx = Context::new();
+        let mut stage_timings = Vec::with_capacity(5);
+        let mut timed = |stage: &str, span: mqa_obs::SpanGuard| {
+            stage_timings.push((stage.to_string(), span.finish()));
+        };
 
-        let s_init = Arc::clone(store);
-        let s_entry = Arc::clone(store);
-        let s_refine = Arc::clone(store);
-        let s_repair = Arc::clone(store);
+        let span = mqa_obs::span("graph.build.initialization");
+        let graph = run_init(&self.init, store, metric);
+        timed("initialization", span);
 
-        let init_cfg = cfg.init.clone();
-        let entry_cfg = cfg.entry.clone();
-        let refine_cfg = cfg.refine;
-        let select_cfg = cfg.select;
-        let repair_cfg = cfg.repair;
+        let span = mqa_obs::span("graph.build.entry_selection");
+        let entries = run_entry(&self.entry, store, metric);
+        timed("entry_selection", span);
 
-        let trace = Pipeline::new()
-            .stage("initialization", move |_| {
-                let graph = run_init(&init_cfg, &s_init, metric);
-                Ok(vec![("graph".to_string(), Box::new(graph) as _)])
-            })
-            .stage("entry_selection", move |c| {
-                let _ = c; // entries depend only on the store
-                let entries = run_entry(&entry_cfg, &s_entry, metric);
-                Ok(vec![("entries".to_string(), Box::new(entries) as _)])
-            })
-            .stage("refinement", move |c| {
-                let graph = c.get::<Adjacency>("graph").map_err(|e| e.to_string())?;
-                let entries = c.get::<Vec<VecId>>("entries").map_err(|e| e.to_string())?;
-                let refined = run_refine(
-                    &refine_cfg,
-                    &select_cfg,
-                    &s_refine,
-                    metric,
-                    graph.clone(),
-                    entries,
-                );
-                Ok(vec![("graph".to_string(), Box::new(refined) as _)])
-            })
-            .stage("connectivity_repair", move |c| {
-                let graph = c.get::<Adjacency>("graph").map_err(|e| e.to_string())?;
-                let entries = c.get::<Vec<VecId>>("entries").map_err(|e| e.to_string())?;
-                let repaired = run_repair(&repair_cfg, &s_repair, metric, graph.clone(), entries);
-                Ok(vec![("graph".to_string(), Box::new(repaired) as _)])
-            })
-            .stage("finalization", |c| {
-                let graph = c.get::<Adjacency>("graph").map_err(|e| e.to_string())?;
-                let entries = c.get::<Vec<VecId>>("entries").map_err(|e| e.to_string())?;
-                let connectivity = match entries.first() {
-                    Some(&e0) if !graph.is_empty() => {
-                        graph.reachable_count(e0) as f64 / graph.len() as f64
-                    }
-                    _ => 0.0,
-                };
-                Ok(vec![(
-                    "connectivity".to_string(),
-                    Box::new(connectivity) as _,
-                )])
-            })
-            .run(&mut ctx)
-            .expect("construction pipeline is well-formed");
+        let span = mqa_obs::span("graph.build.refinement");
+        let graph = run_refine(&self.refine, &self.select, store, metric, graph, &entries);
+        timed("refinement", span);
 
-        let graph: Adjacency = ctx.take("graph").expect("graph artifact present");
-        let entries: Vec<VecId> = ctx.take("entries").expect("entries artifact present");
-        let connectivity: f64 = *ctx.get("connectivity").expect("connectivity present");
+        let span = mqa_obs::span("graph.build.connectivity_repair");
+        let graph = run_repair(&self.repair, store, metric, graph, &entries);
+        timed("connectivity_repair", span);
+
+        let span = mqa_obs::span("graph.build.finalization");
+        let connectivity = match entries.first() {
+            Some(&e0) if !graph.is_empty() => graph.reachable_count(e0) as f64 / graph.len() as f64,
+            _ => 0.0,
+        };
+        timed("finalization", span);
+
         let report = BuildReport {
-            stage_timings: trace
-                .tasks
-                .iter()
-                .map(|t| (t.name.clone(), t.elapsed))
-                .collect(),
+            stage_timings,
             avg_degree: graph.avg_degree(),
             max_degree: graph.max_degree(),
             edges: graph.edge_count(),

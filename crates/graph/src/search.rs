@@ -21,6 +21,7 @@ use crate::adjacency::Adjacency;
 use crate::scratch::{SearchScratch, VisitedSet};
 use crate::traits::DistanceFn;
 use mqa_vector::{Candidate, MinCandidate, VecId};
+use std::sync::{Arc, OnceLock};
 
 /// Work counters of one search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,17 +62,16 @@ impl SearchStats {
     /// so paged (Starling) and resident indexes are comparable in one
     /// report.
     pub fn record(&self, algo: &str, elapsed_us: u64) {
-        let reg = mqa_obs::global();
-        reg.counter("graph.search.queries").inc();
-        reg.counter("graph.search.hops").add(self.hops);
-        reg.counter("graph.search.evals").add(self.evals);
-        reg.counter("graph.search.pruned").add(self.pruned);
-        reg.counter("graph.search.pages_read").add(self.pages_read);
-        reg.counter("graph.search.pages_cached")
-            .add(self.pages_cached);
-        let (latency_name, work_name) = per_algo_histogram_names(algo);
-        reg.histogram(latency_name).record(elapsed_us);
-        reg.histogram(work_name).record(self.total_distance_work());
+        let counters = SearchCounters::get();
+        counters.queries.inc();
+        counters.hops.add(self.hops);
+        counters.evals.add(self.evals);
+        counters.pruned.add(self.pruned);
+        counters.pages_read.add(self.pages_read);
+        counters.pages_cached.add(self.pages_cached);
+        let (latency, work) = algo_histograms(algo);
+        latency.record(elapsed_us);
+        work.record(self.total_distance_work());
         // Attribute the same work to the active query trace, if any.
         mqa_obs::trace::add_search_work(
             self.hops,
@@ -83,22 +83,71 @@ impl SearchStats {
     }
 }
 
-/// The per-algorithm histogram names for `algo`, precomputed for every
-/// index algorithm the workspace ships so the per-query record path never
-/// formats a metric name. Unknown algorithm names (external `GraphIndex`
-/// impls) fall back to the unlabeled workspace-wide histograms rather
-/// than allocating.
-fn per_algo_histogram_names(algo: &str) -> (&'static str, &'static str) {
-    match algo {
-        "flat" => ("graph.flat.search_us", "graph.flat.evals"),
-        "hnsw" => ("graph.hnsw.search_us", "graph.hnsw.evals"),
-        "ivf" => ("graph.ivf.search_us", "graph.ivf.evals"),
-        "nsg" => ("graph.nsg.search_us", "graph.nsg.evals"),
-        "vamana" => ("graph.vamana.search_us", "graph.vamana.evals"),
-        "mqa-graph" => ("graph.mqa-graph.search_us", "graph.mqa-graph.evals"),
-        "starling" => ("graph.starling.search_us", "graph.starling.evals"),
-        _ => ("graph.other.search_us", "graph.other.evals"),
+/// The workspace-wide counters [`SearchStats::record`] writes, resolved
+/// once per process: a per-query record is then relaxed atomic adds only,
+/// with no registry lock, map lookup or `Arc` clone on the search path.
+struct SearchCounters {
+    queries: mqa_obs::Counter,
+    hops: mqa_obs::Counter,
+    evals: mqa_obs::Counter,
+    pruned: mqa_obs::Counter,
+    pages_read: mqa_obs::Counter,
+    pages_cached: mqa_obs::Counter,
+}
+
+impl SearchCounters {
+    fn get() -> &'static Self {
+        static COUNTERS: OnceLock<SearchCounters> = OnceLock::new();
+        COUNTERS.get_or_init(|| SearchCounters {
+            queries: mqa_obs::counter("graph.search.queries"),
+            hops: mqa_obs::counter("graph.search.hops"),
+            evals: mqa_obs::counter("graph.search.evals"),
+            pruned: mqa_obs::counter("graph.search.pruned"),
+            pages_read: mqa_obs::counter("graph.search.pages_read"),
+            pages_cached: mqa_obs::counter("graph.search.pages_cached"),
+        })
     }
+}
+
+/// `(algorithm, (latency histogram, work histogram))` for every index
+/// algorithm the workspace ships.
+const ALGO_HISTOGRAMS: [(&str, (&str, &str)); 7] = [
+    ("flat", ("graph.flat.search_us", "graph.flat.evals")),
+    ("hnsw", ("graph.hnsw.search_us", "graph.hnsw.evals")),
+    ("ivf", ("graph.ivf.search_us", "graph.ivf.evals")),
+    ("nsg", ("graph.nsg.search_us", "graph.nsg.evals")),
+    ("vamana", ("graph.vamana.search_us", "graph.vamana.evals")),
+    (
+        "mqa-graph",
+        ("graph.mqa-graph.search_us", "graph.mqa-graph.evals"),
+    ),
+    (
+        "starling",
+        ("graph.starling.search_us", "graph.starling.evals"),
+    ),
+];
+
+/// Unknown algorithm names (external `GraphIndex` impls) share these
+/// unlabeled histograms rather than registering a name per caller.
+const OTHER_HISTOGRAMS: (&str, &str) = ("graph.other.search_us", "graph.other.evals");
+
+type HistogramPair = (Arc<mqa_obs::Histogram>, Arc<mqa_obs::Histogram>);
+
+/// The histogram pair of `algo`, registered on the algorithm's first
+/// search (so a snapshot lists only algorithms that ran) and read with one
+/// atomic load afterwards.
+fn algo_histograms(algo: &str) -> &'static HistogramPair {
+    static RESOLVED: [OnceLock<HistogramPair>; ALGO_HISTOGRAMS.len()] =
+        [const { OnceLock::new() }; ALGO_HISTOGRAMS.len()];
+    static OTHER: OnceLock<HistogramPair> = OnceLock::new();
+    let (names, pair) = ALGO_HISTOGRAMS
+        .iter()
+        .zip(&RESOLVED)
+        .find(|((name, _), _)| *name == algo)
+        .map_or((&OTHER_HISTOGRAMS, &OTHER), |((_, names), pair)| {
+            (names, pair)
+        });
+    pair.get_or_init(|| (mqa_obs::histogram(names.0), mqa_obs::histogram(names.1)))
 }
 
 /// Result of one search: the `k` best candidates (ascending distance) and

@@ -2,8 +2,8 @@
 //!
 //! Disabled by default: the fast path is one relaxed atomic load, so
 //! instrumented code pays nothing in production runs. When enabled (the
-//! `mqa-xtask obs` scenario, tests), span opens/closes, structured events,
-//! and metric snapshots are appended as one JSON object per line, up to a
+//! `mqa-xtask obs` scenario, tests), span opens/closes and metric
+//! snapshots are appended as one JSON object per line, up to a
 //! configured cap; lines past the cap are counted as dropped rather than
 //! evicting earlier context.
 //!
@@ -12,7 +12,6 @@
 //! ```text
 //! {"ts_us":12,"kind":"span_open","name":"core.turn","id":7,"parent":3,"depth":2}
 //! {"ts_us":90,"kind":"span_close","name":"core.turn","id":7,"dur_us":78}
-//! {"ts_us":95,"kind":"event","name":"dag.execute","mode":"parallel"}
 //! {"ts_us":99,"kind":"snapshot","metrics":{...}}
 //! ```
 
@@ -157,30 +156,6 @@ fn vs(s: &str) -> Value {
 /// Unsigned field helper.
 fn vu(n: u64) -> Value {
     Value::Number(Number::UInt(n))
-}
-
-/// Records a structured event named `name` with extra `fields` on the
-/// global journal.
-pub fn event(name: &str, fields: &[(&str, Value)]) {
-    let j = global();
-    if !j.is_enabled() {
-        return;
-    }
-    let mut entries = vec![("name".to_string(), vs(name))];
-    entries.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
-    j.push("event", entries);
-}
-
-/// [`event`] for callers whose extra fields are all strings — avoids a
-/// `serde` dependency at the instrumentation site.
-pub fn event_str(name: &str, fields: &[(&str, &str)]) {
-    let j = global();
-    if !j.is_enabled() {
-        return;
-    }
-    let mut entries = vec![("name".to_string(), vs(name))];
-    entries.extend(fields.iter().map(|(k, v)| (k.to_string(), vs(v))));
-    j.push("event", entries);
 }
 
 /// Embeds a full metrics snapshot as one journal record.

@@ -138,6 +138,16 @@ impl Histogram {
         }
     }
 
+    /// Forgets every sample and exemplar.
+    fn clear(&self) {
+        for cell in self.counts.iter().chain(&self.exemplars) {
+            cell.store(0, Ordering::Relaxed);
+        }
+        self.total.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
+    }
+
     /// The exemplar trace id of bucket `i` (0 = none), if `i` is in range.
     pub fn exemplar(&self, i: usize) -> Option<u64> {
         self.exemplars.get(i).map(|e| e.load(Ordering::Relaxed))
@@ -361,12 +371,21 @@ impl Registry {
         }
     }
 
-    /// Drops every registered metric. Handles obtained earlier keep
-    /// working but are detached from the registry afterwards.
+    /// Zeroes every counter, gauge and histogram in place and forgets every
+    /// span aggregate. Handles obtained earlier stay attached, so code that
+    /// resolves its instruments once per process (the per-search bundle in
+    /// `mqa-graph`) still reports into the registry afterwards; names
+    /// registered before the reset stay in snapshots, at zero.
     pub fn reset(&self) {
-        lock(&self.counters).clear();
-        lock(&self.gauges).clear();
-        lock(&self.histograms).clear();
+        for cell in lock(&self.counters).values() {
+            cell.store(0, Ordering::Relaxed);
+        }
+        for cell in lock(&self.gauges).values() {
+            cell.store(0f64.to_bits(), Ordering::Relaxed);
+        }
+        for hist in lock(&self.histograms).values() {
+            hist.clear();
+        }
         lock(&self.spans).clear();
     }
 }
@@ -591,8 +610,22 @@ mod tests {
         let root = snap.span("root").expect("root span");
         assert_eq!(root.parent, None, "roots carry a typed None parent");
         assert_eq!(child.count, 1);
+        // A reset zeroes in place: handles taken before it stay attached.
+        let held = r.counter("b.two");
+        let held_hist = r.histogram("h.lat");
         r.reset();
-        assert!(r.snapshot().counters.is_empty());
+        let zeroed = r.snapshot();
+        assert_eq!(zeroed.counter("b.two"), Some(0));
+        assert_eq!(
+            zeroed.histogram("h.lat").map(|h| (h.count, h.max)),
+            Some((0, 0))
+        );
+        assert!(zeroed.spans.is_empty());
+        held.inc();
+        held_hist.record(7);
+        let after = r.snapshot();
+        assert_eq!(after.counter("b.two"), Some(1));
+        assert_eq!(after.histogram("h.lat").map(|h| h.count), Some(1));
     }
 
     #[test]

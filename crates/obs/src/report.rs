@@ -12,9 +12,12 @@ use std::fmt::Write as _;
 /// The paper's five status milestones, each keyed to the span names whose
 /// aggregate timing backs it (first present name wins).
 pub const MILESTONE_SPANS: [(&str, &[&str]); 5] = [
-    ("Data Preprocessing", &["dag.task.data_preprocessing"]),
-    ("Vector Representation", &["dag.task.vector_representation"]),
-    ("Index Construction", &["dag.task.index_construction"]),
+    ("Data Preprocessing", &["core.build.data_preprocessing"]),
+    (
+        "Vector Representation",
+        &["core.build.vector_representation"],
+    ),
+    ("Index Construction", &["core.build.index_construction"]),
     (
         "Query Execution",
         &[
@@ -227,10 +230,14 @@ mod tests {
 
     fn sample_registry() -> Registry {
         let r = Registry::new();
-        r.record_span("dag.task.data_preprocessing", Some("dag.execute"), 1_500);
-        r.record_span("dag.task.vector_representation", Some("dag.execute"), 2_500);
-        r.record_span("dag.task.index_construction", Some("dag.execute"), 9_000);
-        r.record_span("dag.execute", None, 14_000);
+        r.record_span("core.build.data_preprocessing", Some("core.build"), 1_500);
+        r.record_span(
+            "core.build.vector_representation",
+            Some("core.build"),
+            2_500,
+        );
+        r.record_span("core.build.index_construction", Some("core.build"), 9_000);
+        r.record_span("core.build", None, 14_000);
         r.record_span("core.turn", None, 4_200);
         r.record_span("core.turn.generate", Some("core.turn"), 800);
         r.counter("graph.search.evals").add(1234);
@@ -260,17 +267,17 @@ mod tests {
     fn render_nests_children_under_parents() {
         let text = render(&sample_registry().snapshot());
         assert!(text.starts_with("\u{2500}\u{2500} Observability Report"));
-        let exec_line = text
+        let build_line = text
             .lines()
-            .find(|l| l.trim_start().starts_with("dag.execute"))
-            .expect("dag.execute line");
-        let task_line = text
+            .find(|l| l.trim_start().starts_with("core.build \u{00d7}"))
+            .expect("core.build line");
+        let stage_line = text
             .lines()
-            .find(|l| l.trim_start().starts_with("dag.task.index_construction"))
-            .expect("task line");
+            .find(|l| l.trim_start().starts_with("core.build.index_construction"))
+            .expect("stage line");
         let indent = |l: &str| l.len() - l.trim_start().len();
         assert!(
-            indent(task_line) > indent(exec_line),
+            indent(stage_line) > indent(build_line),
             "child indented deeper"
         );
         assert!(text.contains("graph.search.evals"));

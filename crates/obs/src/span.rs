@@ -6,7 +6,7 @@
 //! unwinding, so a task that returns `Err` (or panics) mid-span still
 //! closes its spans in order.
 //!
-//! Work handed to fresh threads (the parallel DAG executor) starts with an
+//! Work handed to fresh threads (the engine's workers) starts with an
 //! empty stack; use [`span_under`] there to attach the span to its logical
 //! parent by name.
 
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 /// A span name: either a `&'static str` (the common case — every
 /// fixed-name call site) or an owned `String` for genuinely dynamic names
-/// (per-task DAG spans). Taking `impl Into<SpanName>` instead of
+/// (per-algorithm build spans). Taking `impl Into<SpanName>` instead of
 /// `impl Into<String>` keeps static-name spans off the heap entirely:
 /// opening and closing such a span performs no allocation.
 pub type SpanName = Cow<'static, str>;

@@ -6,7 +6,6 @@
 //! [`AuditEntry`]; the run fails if any entry reports violations.
 
 use crate::workspace::{self, SourceFile, Workspace};
-use mqa_dag::DagBuilder;
 use mqa_graph::IndexAlgorithm;
 use mqa_graph::UnifiedIndex;
 use mqa_rng::StdRng;
@@ -244,8 +243,7 @@ fn span_site_boundary(line: &str, pos: usize) -> bool {
 /// * **dead stages** — every witness span the milestone tables reference
 ///   ([`mqa_obs::trace::QUERY_MILESTONES`] and
 ///   [`mqa_obs::report::MILESTONE_SPANS`]) must be emitted by at least one
-///   `span(…)`/`span_under(…)` site, either as a literal or under a
-///   `format!` prefix (`dag.task.{name}`). A table entry nobody emits
+///   literal `span(…)`/`span_under(…)` site. A table entry nobody emits
 ///   renders a milestone `(not measured)` forever.
 pub fn audit_stages(ws: &Workspace) -> Vec<String> {
     let quote = "(\"";
@@ -253,12 +251,7 @@ pub fn audit_stages(ws: &Workspace) -> Vec<String> {
         .iter()
         .map(|kind| format!("{kind}{quote}"))
         .collect();
-    let format_needles: Vec<String> = ["span_under", "span"]
-        .iter()
-        .map(|kind| format!("{kind}(format!{quote}"))
-        .collect();
     let mut literals: BTreeMap<String, String> = BTreeMap::new();
-    let mut prefixes: Vec<String> = Vec::new();
     for file in audited_files(ws) {
         let rel = &file.rel;
         for (idx, line) in file.source.lines().enumerate() {
@@ -269,8 +262,7 @@ pub fn audit_stages(ws: &Workspace) -> Vec<String> {
             // longer needle first and consuming the match keeps the two
             // from double-counting one site.
             let mut consumed: Vec<(usize, usize)> = Vec::new();
-            for needle in format_needles.iter().chain(literal_needles.iter()) {
-                let formatted = needle.contains("format!");
+            for needle in &literal_needles {
                 let mut from = 0usize;
                 while let Some(pos) = line[from..].find(needle.as_str()) {
                     let at = from + pos;
@@ -286,12 +278,7 @@ pub fn audit_stages(ws: &Workspace) -> Vec<String> {
                     };
                     consumed.push((at, name_start + name_len));
                     let name = &line[name_start..name_start + name_len];
-                    if formatted {
-                        let prefix = name.split('{').next().unwrap_or(name);
-                        prefixes.push(prefix.to_string());
-                    } else {
-                        literals.entry(name.to_string()).or_insert(rel.clone());
-                    }
+                    literals.entry(name.to_string()).or_insert(rel.clone());
                 }
             }
         }
@@ -319,9 +306,7 @@ pub fn audit_stages(ws: &Workspace) -> Vec<String> {
     for (table, milestones) in tables {
         for (milestone, witnesses) in milestones.iter() {
             for w in witnesses.iter() {
-                let live =
-                    literals.contains_key(*w) || prefixes.iter().any(|p| w.starts_with(p.as_str()));
-                if !live {
+                if !literals.contains_key(*w) {
                     violations.push(format!(
                         "dead stage `{w}`: {table} milestone `{milestone}` references it \
                          but no span site emits it"
@@ -334,8 +319,8 @@ pub fn audit_stages(ws: &Workspace) -> Vec<String> {
 }
 
 /// Runs the full audit: every index variant over the synthetic corpus,
-/// the unified multi-modal index, the multi-vector store, a
-/// representative DAG schedule, and the static instrument-name audit.
+/// the unified multi-modal index, the multi-vector store, and the static
+/// instrument-name audit.
 pub fn run(repo_root: &Path) -> AuditReport {
     let mut report = AuditReport::default();
 
@@ -380,23 +365,6 @@ pub fn run(repo_root: &Path) -> AuditReport {
                 .map(ToString::to_string),
         );
         report.push(&name, violations);
-    }
-
-    // A representative DAG schedule (the shape of the system build
-    // pipeline: ingest fans out to per-modality encoders, joins at the
-    // index, then the panel).
-    let dag = DagBuilder::new()
-        .task("ingest", &[], |_| Ok(Vec::new()))
-        .task("encode-text", &["ingest"], |_| Ok(Vec::new()))
-        .task("encode-image", &["ingest"], |_| Ok(Vec::new()))
-        .task("learn-weights", &["encode-text", "encode-image"], |_| {
-            Ok(Vec::new())
-        })
-        .task("build-index", &["learn-weights"], |_| Ok(Vec::new()))
-        .task("status-panel", &["build-index"], |_| Ok(Vec::new()));
-    match dag.build() {
-        Ok(dag) => report.push("dag schedule", dag.validate()),
-        Err(e) => report.push("dag schedule", vec![format!("failed to build: {e}")]),
     }
 
     report
@@ -446,10 +414,9 @@ mod tests {
     fn stage_audit_flags_bad_names_and_dead_stages() {
         let obs = "mqa_obs::";
         // `BadName` has one segment; `record_span("core.turn")` must not
-        // count as an emission site (word boundary); the `format!` site
-        // covers the `dag.task.*` witnesses by prefix.
+        // count as an emission site (word boundary).
         let src = format!(
-            "pub fn f(n: &str) {{\n    let _a = {obs}span{q}BadName{p};\n    snap.record_span{q}core.turn{p};\n    let _b = {obs}span(format!{q}dag.task.{{n}}{p});\n}}\n",
+            "pub fn f() {{\n    let _a = {obs}span{q}BadName{p};\n    snap.record_span{q}core.turn{p};\n}}\n",
             q = "(\"",
             p = "\")"
         );
@@ -465,12 +432,6 @@ mod tests {
                 .any(|v| v.contains("dead stage `core.turn`")),
             "record_span must not witness core.turn: {violations:#?}"
         );
-        assert!(
-            !violations
-                .iter()
-                .any(|v| v.contains("`dag.task.data_preprocessing`")),
-            "format! prefix should witness dag.task.*: {violations:#?}"
-        );
     }
 
     #[test]
@@ -485,7 +446,7 @@ mod tests {
                 .filter(|e| !e.violations.is_empty())
                 .collect::<Vec<_>>()
         );
-        // Every variant plus the unified/store/dag subjects are present.
+        // Every variant plus the unified/store subjects are present.
         assert!(
             report.entries.len() >= 9,
             "{} entries",

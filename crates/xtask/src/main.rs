@@ -93,7 +93,7 @@ alloc-baseline.toml.",
         name: "audit",
         options: "",
         help: "Build every index variant over a synthetic corpus and run the
-structural validators (HNSW, IVF, NavGraph, Dag, MultiVectorStore).",
+structural validators (HNSW, IVF, NavGraph, MultiVectorStore).",
         run: |_| cmd_audit(),
     },
     Command {

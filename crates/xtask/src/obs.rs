@@ -12,15 +12,20 @@ use mqa_obs::{report, Snapshot};
 use std::path::Path;
 
 /// Spans that must appear in the snapshot after the scenario: one per
-/// instrumented pipeline layer (build DAG, per-task stages, retrieval
-/// stages, diversification, generation, end-to-end turn).
-const REQUIRED_SPANS: [&str; 12] = [
+/// instrumented pipeline layer (system build and its three components,
+/// graph build and its five stages, retrieval stages, diversification,
+/// generation, end-to-end turn).
+const REQUIRED_SPANS: [&str; 16] = [
     "core.build",
-    "dag.execute",
-    "dag.wave",
-    "dag.task.data_preprocessing",
-    "dag.task.vector_representation",
-    "dag.task.index_construction",
+    "core.build.data_preprocessing",
+    "core.build.vector_representation",
+    "core.build.index_construction",
+    "graph.mqa-graph.build",
+    "graph.build.initialization",
+    "graph.build.entry_selection",
+    "graph.build.refinement",
+    "graph.build.connectivity_repair",
+    "graph.build.finalization",
     "retrieval.must.search",
     "retrieval.must.encode",
     "retrieval.must.index_search",

@@ -23,7 +23,7 @@ fn main() {
     );
 
     // 2. Build: Data Preprocessing → Vector Representation (with weight
-    //    learning) → Index Construction run as a DAG pipeline inside.
+    //    learning) → Index Construction run in that order inside.
     let config = Config::default();
     println!("{}", mqa::core::panels::render_config_panel(&config));
     let system = MqaSystem::build(config, kb).expect("system builds");

@@ -5,9 +5,9 @@
 //! Retrieval-Augmented Large Language Models* (PVLDB'24) together with all
 //! of the substrates the system depends on — the MUST multi-modal retrieval
 //! framework, a pluggable navigation-graph index family (HNSW, NSG, Vamana,
-//! Starling-style disk layout), contrastive vector weight learning, a
-//! CGraph-equivalent DAG pipeline engine, synthetic embedding encoders, and
-//! a retrieval-augmented answer-generation layer.
+//! Starling-style disk layout), the five-stage graph-construction pipeline
+//! the paper hosts on CGraph, contrastive vector weight learning, synthetic
+//! embedding encoders, and a retrieval-augmented answer-generation layer.
 //!
 //! Each subsystem lives in its own crate and is re-exported here under a
 //! stable module name, so downstream users can depend on `mqa` alone:
@@ -23,7 +23,6 @@
 //! ```
 
 pub use mqa_core as core;
-pub use mqa_dag as dag;
 pub use mqa_encoders as encoders;
 pub use mqa_engine as engine;
 pub use mqa_graph as graph;
