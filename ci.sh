@@ -64,6 +64,12 @@ echo "==> search-instrumentation overhead guard (release)"
 # and so cannot see a bundle that got expensive.
 cargo test -q --offline --release -p mqa-graph --test obs_overhead
 
+echo "==> walk equivalence (release)"
+# The pool's key mapping is shifts and sign tricks: the debug run above
+# checks them with overflow detection on, this one in the build that ships.
+cargo test -q --offline --release -p mqa-graph --test walk_golden
+cargo test -q --offline --release -p mqa-graph --lib -- pool:: walk_oracle::
+
 echo "==> exp_cache snapshot (E13, quick)"
 cargo run -q --release --offline -p mqa-bench --bin exp_cache -- --quick
 

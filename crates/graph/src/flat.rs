@@ -21,19 +21,9 @@ impl FlatSearcher {
     pub fn new(n: usize) -> Self {
         Self { n }
     }
-}
 
-impl GraphSearcher for FlatSearcher {
-    fn search_with(
-        &self,
-        dist: &mut dyn DistanceFn,
-        k: usize,
-        _ef: usize,
-        _scratch: &mut SearchScratch,
-    ) -> SearchOutput {
-        // The exhaustive scan keeps no visited state; the scratch is
-        // accepted (and ignored) so flat search slots into the same
-        // worker-pool plumbing as the graph indexes.
+    /// The scan itself, compiled around the evaluator's type.
+    pub(crate) fn scan<D: DistanceFn + ?Sized>(&self, dist: &mut D, k: usize) -> SearchOutput {
         assert!(k > 0, "search requires k >= 1");
         let mut stats = SearchStats::default();
         let mut top = TopK::new(k);
@@ -50,6 +40,21 @@ impl GraphSearcher for FlatSearcher {
             results: top.into_sorted(),
             stats,
         }
+    }
+}
+
+impl GraphSearcher for FlatSearcher {
+    fn search_with(
+        &self,
+        dist: &mut dyn DistanceFn,
+        k: usize,
+        _ef: usize,
+        _scratch: &mut SearchScratch,
+    ) -> SearchOutput {
+        // The exhaustive scan keeps no visited state; the scratch is
+        // accepted (and ignored) so flat search slots into the same
+        // worker-pool plumbing as the graph indexes.
+        self.scan(dist, k)
     }
 
     fn len(&self) -> usize {

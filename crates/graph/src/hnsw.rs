@@ -176,7 +176,12 @@ impl Hnsw {
     }
 
     /// One greedy (ef = 1) routing step through layer `lc`.
-    fn greedy_step(&self, dist: &mut dyn DistanceFn, mut ep: Candidate, lc: usize) -> Candidate {
+    fn greedy_step<D: DistanceFn + ?Sized>(
+        &self,
+        dist: &mut D,
+        mut ep: Candidate,
+        lc: usize,
+    ) -> Candidate {
         loop {
             let mut improved = false;
             for &u in self.neighbors(ep.id, lc) {
@@ -298,10 +303,12 @@ impl WalkGraph for Layer<'_> {
     }
 }
 
-impl GraphSearcher for Hnsw {
-    fn search_with(
+impl Hnsw {
+    /// Greedy descent through the upper layers, then the shared walk on
+    /// the base layer — compiled around the evaluator's type.
+    pub(crate) fn descend_and_walk<D: DistanceFn + ?Sized>(
         &self,
-        dist: &mut dyn DistanceFn,
+        dist: &mut D,
         k: usize,
         ef: usize,
         scratch: &mut SearchScratch,
@@ -312,7 +319,7 @@ impl GraphSearcher for Hnsw {
             ep = self.greedy_step(dist, ep, lc);
             routing_hops += 1;
         }
-        // ALLOC: the returned hit list, sized once by the drain.
+        // ALLOC: the returned hit list, sized once by the copy.
         let mut results = Vec::new();
         let base = self.layer(0);
         let seed = Seeds::Evaluated(ep);
@@ -321,6 +328,18 @@ impl GraphSearcher for Hnsw {
         stats.evals += 1;
         stats.hops += routing_hops;
         SearchOutput { results, stats }
+    }
+}
+
+impl GraphSearcher for Hnsw {
+    fn search_with(
+        &self,
+        dist: &mut dyn DistanceFn,
+        k: usize,
+        ef: usize,
+        scratch: &mut SearchScratch,
+    ) -> SearchOutput {
+        self.descend_and_walk(dist, k, ef, scratch)
     }
 
     fn len(&self) -> usize {

@@ -345,16 +345,14 @@ impl IvfSearcher {
     }
 }
 
-impl GraphSearcher for IvfSearcher {
-    fn search_with(
+impl IvfSearcher {
+    /// Cell probing through the evaluator, compiled around its type.
+    pub(crate) fn probe<D: DistanceFn + ?Sized>(
         &self,
-        dist: &mut dyn DistanceFn,
+        dist: &mut D,
         k: usize,
         ef: usize,
-        _scratch: &mut crate::scratch::SearchScratch,
     ) -> SearchOutput {
-        // Cell probing visits each member exactly once by construction;
-        // no visited set is needed, so the scratch goes unused.
         // Reconstruct the query's cell ranking through the evaluator: rank
         // cells by the distance of their *medoid member* under `dist`.
         // This keeps the DistanceFn abstraction intact (the evaluator owns
@@ -398,6 +396,20 @@ impl GraphSearcher for IvfSearcher {
             results: top.into_sorted(),
             stats,
         }
+    }
+}
+
+impl GraphSearcher for IvfSearcher {
+    fn search_with(
+        &self,
+        dist: &mut dyn DistanceFn,
+        k: usize,
+        ef: usize,
+        _scratch: &mut crate::scratch::SearchScratch,
+    ) -> SearchOutput {
+        // Cell probing visits each member exactly once by construction;
+        // no visited set is needed, so the scratch goes unused.
+        self.probe(dist, k, ef)
     }
 
     fn len(&self) -> usize {

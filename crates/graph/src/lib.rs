@@ -45,6 +45,7 @@ pub mod live;
 pub mod nsg;
 pub mod persist;
 pub mod pipeline;
+mod pool;
 pub mod prune;
 pub mod scratch;
 pub mod search;
@@ -54,6 +55,8 @@ pub mod unified;
 pub mod util;
 pub mod validate;
 pub mod vamana;
+#[cfg(test)]
+mod walk_oracle;
 
 pub use adjacency::Adjacency;
 pub use live::{MutationError, MutationReport, SnapshotCell, SnapshotGuard, Tombstones};

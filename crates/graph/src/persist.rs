@@ -216,6 +216,55 @@ mod tests {
         }
     }
 
+    /// Regression: `from_parts` checks lengths only, so a snapshot file
+    /// can carry edge and entry ids beyond the population; the walk used
+    /// to index its visited stamps with them and panic on the serving
+    /// path. They must dead-end (the documented behaviour of
+    /// `Adjacency::neighbors`) and change no answer, while validation
+    /// still reports them.
+    #[test]
+    fn forged_out_of_range_ids_dead_end_instead_of_panicking() {
+        const FORGED: u32 = 4_000_000_000;
+        let idx = UnifiedIndex::build(
+            store(150, 21),
+            Weights::normalized(&[1.3, 0.7]),
+            Metric::L2,
+            &IndexAlgorithm::mqa_graph(),
+        );
+        let json = idx.snapshot().to_json().expect("finite snapshot");
+        // One forged edge at the end of every adjacency list but the last,
+        // and a forged first entry vertex.
+        let start = json.find("\"lists\":[[").expect("navgraph lists");
+        let end = start + json[start..].find("]]").expect("end of lists");
+        let lists = json[start..end].replace("],[", &format!(",{FORGED}],["));
+        assert_ne!(lists, json[start..end]);
+        let forged = format!("{}{}{}", &json[..start], lists, &json[end..]).replacen(
+            "\"entries\":[",
+            &format!("\"entries\":[{FORGED},"),
+            1,
+        );
+        let restored = UnifiedSnapshot::from_json(&forged)
+            .expect("forged ids are well-formed JSON")
+            .restore();
+        for seed in 30..40 {
+            let q = query(seed);
+            let want = idx.search(&q, None, 10, 48);
+            let got = restored.search(&q, None, 10, 48);
+            assert_eq!(got.ids(), want.ids(), "query {seed}");
+            assert_eq!(got.output.stats, want.output.stats, "query {seed}");
+        }
+        let violations = restored
+            .current()
+            .validate(restored.weights(), restored.metric());
+        assert!(
+            violations.iter().any(|v| matches!(
+                v,
+                crate::validate::InvariantViolation::IdOutOfRange { id: FORGED, .. }
+            )),
+            "validation must still report the forged ids: {violations:?}"
+        );
+    }
+
     #[test]
     fn restored_index_has_zero_build_time() {
         let idx = UnifiedIndex::build(

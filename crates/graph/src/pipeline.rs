@@ -756,12 +756,7 @@ impl GraphSearcher for BuiltGraph {
         ef: usize,
         scratch: &mut crate::scratch::SearchScratch,
     ) -> crate::search::SearchOutput {
-        match self {
-            BuiltGraph::Flat(s) => s.search_with(dist, k, ef, scratch),
-            BuiltGraph::Nav(s) => s.search_with(dist, k, ef, scratch),
-            BuiltGraph::Hnsw(s) => s.search_with(dist, k, ef, scratch),
-            BuiltGraph::Ivf(s) => s.search_with(dist, k, ef, scratch),
-        }
+        self.search_on(dist, k, ef, scratch)
     }
 
     fn len(&self) -> usize {
@@ -793,6 +788,27 @@ impl GraphSearcher for BuiltGraph {
 }
 
 impl BuiltGraph {
+    /// [`GraphSearcher::search_with`] with the evaluator's type visible:
+    /// a caller holding a concrete evaluator (the unified index and its
+    /// fused scanner) gets each family's search compiled around it, and
+    /// the trait method is this one at `D = dyn DistanceFn`.
+    pub(crate) fn search_on<D: DistanceFn + ?Sized>(
+        &self,
+        dist: &mut D,
+        k: usize,
+        ef: usize,
+        scratch: &mut SearchScratch,
+    ) -> SearchOutput {
+        match self {
+            BuiltGraph::Flat(s) => s.scan(dist, k),
+            BuiltGraph::Nav(g) => {
+                crate::search::beam_search(&g.graph, &g.entries, dist, k, ef, scratch)
+            }
+            BuiltGraph::Hnsw(h) => h.descend_and_walk(dist, k, ef, scratch),
+            BuiltGraph::Ivf(s) => s.probe(dist, k, ef),
+        }
+    }
+
     /// Audits the inner structure and returns every invariant violation
     /// found (empty = sound). Dispatches to the per-index validators;
     /// `Flat` carries no structure to audit, and the IVF variant validates

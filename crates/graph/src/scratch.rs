@@ -1,16 +1,18 @@
 //! Reusable per-query search state: the allocation-free hot path.
 //!
 //! Every beam search needs a visited set over the whole vertex population,
-//! a frontier heap, and (for construction) an evaluated-candidate pool.
-//! Allocating those per query puts an O(n) `vec![false; n]` on the hot
-//! path; under concurrent serving that allocation traffic dominates. This
-//! module centralizes the state:
+//! the sorted candidate pool with its tie list, a buffer the walk gathers
+//! each vertex's unvisited neighbours into, and (for construction) the list
+//! of every candidate evaluated. Allocating those per query puts an O(n)
+//! `vec![false; n]` on the hot path; under concurrent serving that
+//! allocation traffic dominates. This module centralizes the state:
 //!
 //! * [`VisitedSet`] — an epoch-stamped `u32` array. "Clearing" is bumping
 //!   the epoch (O(1)); the backing array is only ever zeroed on epoch
 //!   wraparound, once every `u32::MAX - 1` queries.
 //! * [`SearchScratch`] — one visited set for vertices, one for pages
-//!   (Starling), the frontier heap, and the construction candidate pool.
+//!   (Starling), the candidate pool (`crate::pool`), the gather buffer,
+//!   and the construction candidate list.
 //! * [`with_pooled`] — a thread-local scratch pool so the pooled entry
 //!   points (`GraphSearcher::search`, `UnifiedIndex::search`) stay
 //!   allocation-free without threading a scratch through every caller.
@@ -21,9 +23,9 @@
 //! property tests in `tests/scratch_reuse.rs` pin this bit-for-bit across
 //! every index algorithm, including across an epoch wraparound.
 
-use mqa_vector::{Candidate, MinCandidate, TopK, VecId};
+use crate::pool::Pool;
+use mqa_vector::{Candidate, VecId};
 use std::cell::RefCell;
-use std::collections::BinaryHeap;
 
 /// Epoch-stamped visited set: membership is `stamp[v] == epoch`, so
 /// resetting between queries is one epoch increment instead of an O(n)
@@ -46,11 +48,11 @@ impl VisitedSet {
         }
     }
 
-    /// Grows the population to at least `n` vertices.
-    pub fn grow(&mut self, n: usize) {
-        if n > self.stamp.len() {
-            self.stamp.resize(n, 0);
-        }
+    /// Sets the population to exactly `n` vertices: ids from `n` up are
+    /// outside the set. Shrinking keeps the buffer; regrown slots start
+    /// unvisited.
+    pub fn resize(&mut self, n: usize) {
+        self.stamp.resize(n, 0);
     }
 
     /// Starts a new query: everything becomes unvisited in O(1). On epoch
@@ -64,25 +66,27 @@ impl VisitedSet {
         }
     }
 
-    /// Marks `v` visited; returns whether it was newly inserted.
+    /// Marks `v` visited; returns whether it was newly inserted. The
+    /// stamp is written unconditionally, so the only branch is the range
+    /// check: an id outside the population (a forged edge of a restored
+    /// graph) is never "new", which makes every walk skip it.
     #[inline]
     pub fn insert(&mut self, v: VecId) -> bool {
-        // INVARIANT: `stamp` is sized to the graph's vertex count and every
-        // id handed to the scratch comes from that graph's edge lists.
-        let s = &mut self.stamp[v as usize];
-        if *s == self.epoch {
-            false
-        } else {
-            *s = self.epoch;
-            true
+        match self.stamp.get_mut(v as usize) {
+            Some(s) => {
+                let fresh = *s != self.epoch;
+                *s = self.epoch;
+                fresh
+            }
+            None => false,
         }
     }
 
-    /// Whether `v` is visited in the current epoch.
+    /// Whether `v` is visited in the current epoch (ids outside the
+    /// population never are).
     #[inline]
     pub fn contains(&self, v: VecId) -> bool {
-        // INVARIANT: ids come from the owning graph (see `insert`).
-        self.stamp[v as usize] == self.epoch
+        self.stamp.get(v as usize) == Some(&self.epoch)
     }
 
     /// Current epoch (diagnostic / test hook).
@@ -107,12 +111,14 @@ pub struct SearchScratch {
     pub(crate) visited: VisitedSet,
     /// Pages read by the current query (Starling's I/O accounting).
     pub(crate) pages: VisitedSet,
-    /// The frontier min-heap.
-    pub(crate) frontier: BinaryHeap<MinCandidate>,
+    /// The best `ef` candidates of the current walk, sorted, with the
+    /// expansion cursor and the tie list.
+    pub(crate) pool: Pool,
+    /// The not-yet-visited neighbours of the vertex being expanded, in
+    /// list order.
+    pub(crate) gather: Vec<VecId>,
     /// Every candidate evaluated (construction's selection pool).
     pub(crate) evaluated: Vec<Candidate>,
-    /// The reusable top-`ef` beam collector every walk runs on.
-    pub(crate) beam: TopK,
 }
 
 impl SearchScratch {
@@ -122,32 +128,43 @@ impl SearchScratch {
         Self {
             visited: VisitedSet::new(0),
             pages: VisitedSet::new(0),
-            // ALLOC: `BinaryHeap::new` / `Vec::new` are capacity-0 and
-            // touch the heap only once buffers grow on first use; the
-            // scratch is pooled, so growth amortizes to zero per query.
-            frontier: BinaryHeap::new(),
+            pool: Pool::new(),
+            // ALLOC: `Vec::new` is capacity-0 and touches the heap only
+            // once buffers grow on first use; the scratch is pooled, so
+            // growth amortizes to zero per query.
+            gather: Vec::new(),
             evaluated: Vec::new(),
-            // ALLOC: the beam's k+1 slots are allocated once per scratch
-            // and re-armed per query via TopK::reset.
-            beam: TopK::new(1),
         }
     }
 
     /// Prepares for one walk over `n` vertices keeping the best `ef`:
-    /// visited set cleared (by epoch bump), frontier and pool emptied,
-    /// beam re-armed. Buffer capacity is kept.
+    /// visited set sized to the population and cleared (by epoch bump),
+    /// candidate pool and evaluated list emptied. Buffer capacity is kept.
     pub(crate) fn begin(&mut self, n: usize, ef: usize) {
-        self.visited.grow(n);
+        self.visited.resize(n);
         self.visited.next_epoch();
-        self.frontier.clear();
+        self.pool.begin(ef, n);
         self.evaluated.clear();
-        self.beam.reset(ef);
     }
 
     /// Prepares the page-visited set for one query over `pages` pages.
     pub(crate) fn begin_pages(&mut self, pages: usize) {
-        self.pages.grow(pages);
+        self.pages.resize(pages);
         self.pages.next_epoch();
+    }
+
+    /// `(pointer, capacity)` of every buffer a walk writes, for the
+    /// no-reallocation tests.
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> Vec<(usize, usize)> {
+        let of = |v: &Vec<u32>| (v.as_ptr() as usize, v.capacity());
+        let mut out = vec![
+            of(&self.visited.stamp),
+            of(&self.gather),
+            (self.evaluated.as_ptr() as usize, self.evaluated.capacity()),
+        ];
+        out.extend(self.pool.buffers());
+        out
     }
 
     /// Jumps both epoch counters to `epoch` — test hook for pinning that
@@ -233,13 +250,26 @@ mod tests {
     }
 
     #[test]
-    fn grow_preserves_membership() {
+    fn resize_preserves_membership_and_forgets_what_it_cut() {
         let mut v = VisitedSet::new(2);
         v.next_epoch();
         assert!(v.insert(1));
-        v.grow(5);
+        v.resize(5);
         assert!(v.contains(1));
         assert!(v.insert(4));
+        v.resize(3);
+        v.resize(5);
+        assert!(v.contains(1));
+        assert!(!v.contains(4), "a regrown slot starts unvisited");
+    }
+
+    #[test]
+    fn ids_outside_the_population_are_never_new() {
+        let mut v = VisitedSet::new(3);
+        v.next_epoch();
+        assert!(!v.insert(3));
+        assert!(!v.insert(u32::MAX));
+        assert!(!v.contains(3));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! This is the paper's Query Execution core: start from entry vertices,
 //! repeatedly expand the closest unexpanded candidate, keep the best `ef`
-//! results, stop when the closest frontier candidate is no better than the
-//! worst retained result. Distance evaluations go through
+//! results, stop when the closest unexpanded candidate is strictly farther
+//! than the worst retained result. Distance evaluations go through
 //! [`crate::traits::DistanceFn`] with the current result bound, so fused
 //! multi-modal evaluations can abandon early (incremental scanning); a
 //! candidate whose evaluation is abandoned is provably outside the beam and
@@ -12,21 +12,38 @@
 //! This module owns the **only** best-first loop in the workspace:
 //! `walk` is generic over a `WalkGraph` (a flat [`Adjacency`], one HNSW
 //! level, or the paged Starling layout, whose per-vertex touch hook
-//! counts page reads), runs entirely on a caller-supplied
-//! [`SearchScratch`], and leaves the top-`ef` beam on `scratch.beam`.
-//! `WalkMode` selects the evaluation policy (pruning query search or
+//! counts page reads) and over the distance evaluator (so a caller that
+//! knows its evaluator's type gets the loop compiled around it, while
+//! `&mut dyn DistanceFn` callers share one dynamically dispatched copy),
+//! and runs entirely on a caller-supplied [`SearchScratch`]. `WalkMode`
+//! selects the evaluation policy (pruning query search or
 //! exact-collecting construction search).
+//!
+//! Two things keep the loop's bookkeeping cheap. The candidates live in
+//! one sorted pool (`crate::pool`): its last entry is the bound, a cursor
+//! names the next vertex to expand, and candidates that left the pool
+//! while still tying the bound wait in its tie list, so the loop expands
+//! the same vertices in the same order as a frontier heap beside a result
+//! heap would. And each hop first *gathers* the vertex's not-yet-visited
+//! neighbours into a scratch buffer — the visited stamp is written
+//! unconditionally and the buffer's fill count advances by the returned
+//! flag, so no branch depends on whether a neighbour was seen — and only
+//! then touches, evaluates and offers them in list order. Marking the
+//! whole list before evaluating any of it changes nothing observable: a
+//! neighbour's freshness depends on earlier stamps only, never on a
+//! distance, so evaluation order, the bound each evaluation sees and the
+//! paged layout's page-touch order are those of the interleaved loop.
 
 use crate::adjacency::Adjacency;
 use crate::scratch::{SearchScratch, VisitedSet};
 use crate::traits::DistanceFn;
-use mqa_vector::{Candidate, MinCandidate, VecId};
+use mqa_vector::{Candidate, VecId};
 use std::sync::{Arc, OnceLock};
 
 /// Work counters of one search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Vertices expanded (frontier pops whose neighbours were visited).
+    /// Vertices expanded (their neighbour lists were read).
     pub hops: u64,
     /// Distance evaluations that ran to completion.
     pub evals: u64,
@@ -203,7 +220,8 @@ pub(crate) enum Seeds<'a> {
 }
 
 /// Evaluation policy of the walk.
-enum WalkMode {
+#[derive(Clone, Copy)]
+pub(crate) enum WalkMode {
     /// Query mode: evaluate against the running bound so fused scans can
     /// abandon early; abandoned candidates are counted as pruned.
     Prune,
@@ -214,16 +232,18 @@ enum WalkMode {
 }
 
 /// The one best-first loop. Keeps the best `ef.max(k)` candidates on
-/// `scratch.beam` (ascending order once drained), returns the work done,
-/// and in [`WalkMode::CollectExact`] appends every evaluated candidate to
-/// `scratch.evaluated`.
+/// `scratch.pool` (ascending), returns the work done, and in
+/// [`WalkMode::CollectExact`] appends every evaluated candidate to
+/// `scratch.evaluated`. Ids outside the graph's population — possible only
+/// in a restored graph that fails validation — are skipped like visited
+/// ones.
 ///
 /// # Panics
 /// Panics if `k == 0` or `seeds` names no entry vertex.
-fn walk<G: WalkGraph>(
+pub(crate) fn walk<G: WalkGraph, D: DistanceFn + ?Sized>(
     graph: &G,
     seeds: Seeds<'_>,
-    dist: &mut dyn DistanceFn,
+    dist: &mut D,
     k: usize,
     ef: usize,
     mode: WalkMode,
@@ -235,10 +255,11 @@ fn walk<G: WalkGraph>(
     let SearchScratch {
         visited,
         pages,
-        frontier,
+        pool,
+        gather,
         evaluated,
-        beam,
     } = scratch;
+    let collect = matches!(mode, WalkMode::CollectExact);
 
     match seeds {
         Seeds::Entries(entries) => {
@@ -253,70 +274,74 @@ fn walk<G: WalkGraph>(
                 graph.touch(e, pages, &mut stats);
                 let c = Candidate::new(e, dist.exact(e));
                 stats.evals += 1;
-                if matches!(mode, WalkMode::CollectExact) {
+                if collect {
                     evaluated.push(c);
                 }
-                beam.offer(c);
-                frontier.push(MinCandidate(c));
+                pool.seed(c);
             }
         }
         Seeds::Evaluated(c) => {
             visited.insert(c.id);
-            beam.offer(c);
-            frontier.push(MinCandidate(c));
+            pool.seed(c);
         }
     }
 
-    while let Some(MinCandidate(current)) = frontier.pop() {
-        if current.dist > beam.bound() {
-            break;
-        }
+    while let Some(current) = pool.next() {
         stats.hops += 1;
-        for &nb in graph.neighbors(current.id) {
-            if !visited.insert(nb) {
-                continue;
+        let neighbors = graph.neighbors(current.id);
+        if gather.len() < neighbors.len() {
+            // ALLOC: grows to the largest degree seen, then sticks.
+            gather.resize(neighbors.len(), 0);
+        }
+        let mut fresh = 0;
+        for &nb in neighbors {
+            // `fresh` never passes the position in the list, which the
+            // resize above put inside the buffer.
+            if let Some(slot) = gather.get_mut(fresh) {
+                *slot = nb;
             }
+            fresh += usize::from(visited.insert(nb));
+        }
+        for &nb in gather.iter().take(fresh) {
             graph.touch(nb, pages, &mut stats);
-            let c = match mode {
-                WalkMode::Prune => match dist.eval(nb, beam.bound()) {
+            let c = if collect {
+                // Construction needs exact distances for the pool, so no
+                // early abandonment here.
+                let c = Candidate::new(nb, dist.exact(nb));
+                evaluated.push(c);
+                c
+            } else {
+                match dist.eval(nb, pool.bound()) {
                     Some(d) => Candidate::new(nb, d),
                     None => {
-                        // Abandoned: distance >= bound, cannot enter the beam.
+                        // Abandoned: distance >= bound, cannot enter the pool.
                         stats.pruned += 1;
                         continue;
                     }
-                },
-                // Construction needs exact distances for the pool, so no
-                // early abandonment here.
-                WalkMode::CollectExact => {
-                    let c = Candidate::new(nb, dist.exact(nb));
-                    evaluated.push(c);
-                    c
                 }
             };
             stats.evals += 1;
-            if beam.offer(c) {
-                frontier.push(MinCandidate(c));
-            }
+            pool.offer(c);
         }
     }
     stats
 }
 
-/// Query-mode [`walk`] draining the `k` best into `out` (ascending
+/// Query-mode [`walk`] copying the `k` best into `out` (ascending
 /// distance) — the body of every graph family's `search_with`.
-pub(crate) fn search_into<G: WalkGraph>(
+pub(crate) fn search_into<G: WalkGraph, D: DistanceFn + ?Sized>(
     graph: &G,
     seeds: Seeds<'_>,
-    dist: &mut dyn DistanceFn,
+    dist: &mut D,
     k: usize,
     ef: usize,
     scratch: &mut SearchScratch,
     out: &mut Vec<Candidate>,
 ) -> SearchStats {
     let stats = walk(graph, seeds, dist, k, ef, WalkMode::Prune, scratch);
-    scratch.beam.drain_sorted_into(out);
-    out.truncate(k);
+    out.clear();
+    // ALLOC: out grows to the largest result set seen, then sticks.
+    out.extend(scratch.pool.best().take(k));
     stats
 }
 
@@ -325,15 +350,15 @@ pub(crate) fn search_into<G: WalkGraph>(
 ///
 /// # Panics
 /// Panics if `entries` is empty or `k == 0`.
-pub fn beam_search(
+pub fn beam_search<D: DistanceFn + ?Sized>(
     graph: &Adjacency,
     entries: &[VecId],
-    dist: &mut dyn DistanceFn,
+    dist: &mut D,
     k: usize,
     ef: usize,
     scratch: &mut SearchScratch,
 ) -> SearchOutput {
-    // ALLOC: the returned hit list, sized once by the drain.
+    // ALLOC: the returned hit list, sized once by the copy.
     let mut results = Vec::new();
     let seeds = Seeds::Entries(entries);
     let stats = search_into(graph, seeds, dist, k, ef, scratch, &mut results);
@@ -353,10 +378,10 @@ pub fn beam_search(
 ///
 /// # Panics
 /// Panics if `entries` is empty or `ef == 0`.
-pub fn beam_search_collect<'s>(
+pub fn beam_search_collect<'s, D: DistanceFn + ?Sized>(
     graph: &Adjacency,
     entries: &[VecId],
-    dist: &mut dyn DistanceFn,
+    dist: &mut D,
     ef: usize,
     scratch: &'s mut SearchScratch,
 ) -> &'s mut Vec<Candidate> {
@@ -481,8 +506,8 @@ mod tests {
         assert_eq!(wide.results[0].id, 99);
     }
 
-    /// Pins the exact output of `beam_search_collect` after the dedup into
-    /// the shared frontier walk: the walk from vertex 0 toward 5.0 on a
+    /// Pins the exact output of `beam_search_collect` on the shared walk:
+    /// the walk from vertex 0 toward 5.0 on a
     /// chain of 10 with ef = 3 touches exactly vertices 0..=7 in id order
     /// (the beam dies two steps past the optimum), each with its exact
     /// squared distance. Computed by hand against the pre-refactor loop.
@@ -499,23 +524,30 @@ mod tests {
         assert_eq!(dists, vec![25.0, 16.0, 9.0, 4.0, 1.0, 0.0, 1.0, 4.0]);
     }
 
-    /// Regression: the pool used to be moved out of the scratch, so every
-    /// construction search regrew it from nothing.
+    /// A warm walk allocates nothing: the evaluated list (which used to be
+    /// moved out of the scratch, so every construction search regrew it),
+    /// the visited stamps, the candidate pool, its tie list and the gather
+    /// buffer all sit where the first walk left them.
     #[test]
-    fn collect_keeps_the_pool_capacity_on_the_scratch() {
+    fn a_warm_walk_reuses_every_scratch_buffer() {
         let (store, g) = chain(40);
         let q = [20.0f32];
         let mut scratch = SearchScratch::new();
         let mut d = dist_to(&store, &q);
         let first = beam_search_collect(&g, &[0], &mut d, 4, &mut scratch).clone();
-        let (ptr, cap) = (scratch.evaluated.as_ptr(), scratch.evaluated.capacity());
-        assert!(cap >= first.len() && !first.is_empty());
-        let again = beam_search_collect(&g, &[0], &mut d, 4, &mut scratch);
-        assert_eq!(*again, first, "same walk, same pool");
-        assert_eq!(
-            (again.as_ptr(), again.capacity()),
-            (ptr, cap),
-            "buffer reused"
-        );
+        let warm = scratch.buffers();
+        assert!(!first.is_empty() && scratch.evaluated.capacity() >= first.len());
+        let again = beam_search_collect(&g, &[0], &mut d, 4, &mut scratch).clone();
+        assert_eq!(again, first, "same walk, same pool");
+        assert_eq!(scratch.buffers(), warm, "collecting walk reallocated");
+        // The query-mode walk on the same scratch, writing into a warmed
+        // result buffer.
+        let mut hits = Vec::new();
+        let seeds = || Seeds::Entries(&[0]);
+        search_into(&g, seeds(), &mut d, 3, 4, &mut scratch, &mut hits);
+        let (ptr, cap) = (hits.as_ptr(), hits.capacity());
+        search_into(&g, seeds(), &mut d, 3, 4, &mut scratch, &mut hits);
+        assert_eq!(scratch.buffers(), warm, "query walk reallocated");
+        assert_eq!((hits.as_ptr(), hits.capacity()), (ptr, cap));
     }
 }

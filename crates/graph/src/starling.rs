@@ -221,9 +221,9 @@ impl PagedIndex {
 
     /// Beam search that counts page reads: touching a vertex whose page has
     /// not been read this query costs one read; page residents are then
-    /// free. The hits land in a caller-owned buffer and the beam, frontier
-    /// and both visited sets all live on `scratch`, so a warmed
-    /// `(scratch, out)` pair serves a query with **zero heap
+    /// free. The hits land in a caller-owned buffer and the candidate pool,
+    /// the gather buffer and both visited sets all live on `scratch`, so a
+    /// warmed `(scratch, out)` pair serves a query with **zero heap
     /// allocations** — the property the `alloc-witness` counting
     /// allocator pins in the engine gate. Returns the work stats with
     /// `pages_read` / `pages_cached` populated.
@@ -439,16 +439,15 @@ impl PqPagedIndex {
 
         // Phase 2: read survivors' pages, rerank exactly.
         scratch.begin_pages(self.layout.pages());
-        scratch.beam.reset(k);
-        for c in &results {
+        for c in &mut results {
             if scratch.pages.insert(self.layout.page(c.id)) {
                 stats.pages_read += 1;
             }
-            let exact = mqa_vector::Metric::L2.distance(query, store.get(c.id));
+            c.dist = mqa_vector::Metric::L2.distance(query, store.get(c.id));
             stats.evals += 1;
-            scratch.beam.offer(Candidate::new(c.id, exact));
         }
-        scratch.beam.drain_sorted_into(&mut results);
+        results.sort_unstable();
+        results.truncate(k);
         SearchOutput { results, stats }
     }
 }

@@ -83,6 +83,7 @@ impl<'a> FusedDistance<'a> {
 }
 
 impl DistanceFn for FusedDistance<'_> {
+    #[inline]
     fn eval(&mut self, id: VecId, bound: f32) -> Option<f32> {
         let bound = if self.prune { bound } else { f32::INFINITY };
         self.scanner.distance(self.store.concat_of(id), bound)
@@ -509,9 +510,7 @@ impl UnifiedIndex {
         // Over-fetch so the post-filter can still fill k live results,
         // then drop tombstoned ids at collection time.
         let (k_eff, ef_eff) = snap.tombstones().overfetch(k, ef);
-        let mut out = snap
-            .searcher()
-            .search_with(&mut dist, k_eff, ef_eff, scratch);
+        let mut out = snap.searcher().search_on(&mut dist, k_eff, ef_eff, scratch);
         snap.tombstones().retain_live(&mut out.results, k);
         out.stats.record(self.algorithm.name(), sw.elapsed_us());
         UnifiedSearchOutput {

@@ -94,3 +94,42 @@ fn epoch_wraparound_is_invisible() {
         assert_reuse_matches_fresh(idx.as_ref(), &store, q, (5, 32), &mut scratch, &what);
     }
 }
+
+/// Every vector stored four times makes candidates tie at the bound, so a
+/// walk can end with candidates still waiting in the pool's tie list; two
+/// indexes of different sizes on one scratch make the visited set shrink
+/// and regrow between walks. Neither may leak into the next walk, on
+/// either side of the epoch wraparound.
+#[test]
+fn ties_and_population_changes_do_not_leak_between_walks() {
+    let dim = 4;
+    let duplicated = |distinct: usize, seed: u64| {
+        let base = random_store(distinct, dim, seed);
+        let mut s = VectorStore::new(dim);
+        for copy in 0..4 {
+            for id in 0..distinct {
+                // Interleave the copies so duplicates are not id-adjacent.
+                s.push(base.get(((id + copy * 7) % distinct) as u32));
+            }
+        }
+        Arc::new(s)
+    };
+    let (large, small) = (duplicated(60, 31), duplicated(18, 32));
+    let build = |store: &Arc<VectorStore>| {
+        [IndexAlgorithm::vamana(), IndexAlgorithm::hnsw()].map(|algo| algo.build(store, Metric::L2))
+    };
+    let (on_large, on_small) = (build(&large), build(&small));
+    let mut scratch = SearchScratch::new();
+    scratch.force_epoch(u32::MAX - 6);
+    for round in 0..8u32 {
+        // Stored vectors as queries: their copies tie at distance zero.
+        for (store, indexes) in [(&large, &on_large), (&small, &on_small)] {
+            let q = store.get(round * 5 % store.len() as u32).to_vec();
+            for (i, idx) in indexes.iter().enumerate() {
+                let shape = (1 + round as usize % 3, 2 + round as usize % 4);
+                let what = format!("round {round} n {} index {i}", store.len());
+                assert_reuse_matches_fresh(idx.as_ref(), store, &q, shape, &mut scratch, &what);
+            }
+        }
+    }
+}

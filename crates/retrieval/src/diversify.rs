@@ -58,14 +58,26 @@ pub fn mmr_diversify(
     // cannot panic.
     let relevance = |c: &Candidate| 1.0 - (c.dist - d_min) / span;
 
+    // Fused distance between two stored objects over the modalities both
+    // carry, read from the store's views — the sum `MultiVector::
+    // fused_distance` forms, in its order, without reassembling either
+    // object.
+    let arity = store.schema().arity();
     let pair_dist = |a: u32, b: u32| {
-        store
-            .multivector_of(a)
-            .fused_distance(&store.multivector_of(b), weights, metric)
+        let mut total = 0.0f32;
+        for m in 0..arity {
+            if let (Some(x), Some(y)) = (store.part_of(a, m), store.part_of(b, m)) {
+                total += weights.get(m) * metric.distance(x, y);
+            }
+        }
+        total
     };
 
+    // Each remaining candidate beside its similarity to the closest pick
+    // so far: a pick updates every running maximum once, so a candidate ×
+    // pick distance is computed once instead of once per later round.
     // ALLOC: MMR's per-call working copy and result list, bounded by the candidate count.
-    let mut remaining: Vec<Candidate> = candidates.to_vec();
+    let mut remaining: Vec<(Candidate, f32)> = candidates.iter().map(|&c| (c, 0.0f32)).collect();
     let mut picked: Vec<Candidate> = Vec::with_capacity(k);
     // Estimate the pool's internal distance scale for similarity
     // normalization from a deterministic stratified sample: up to
@@ -95,18 +107,22 @@ pub fn mmr_diversify(
     while picked.len() < k && !remaining.is_empty() {
         let mut best_idx = 0usize;
         let mut best_score = f32::NEG_INFINITY;
-        for (i, c) in remaining.iter().enumerate() {
-            let max_sim = picked
-                .iter()
-                .map(|p| 1.0 - (pair_dist(c.id, p.id) / pool_scale).min(1.0))
-                .fold(0.0f32, f32::max);
+        for (i, (c, max_sim)) in remaining.iter().enumerate() {
             let score = lambda * relevance(c) - (1.0 - lambda) * max_sim;
             if score > best_score {
                 best_score = score;
                 best_idx = i;
             }
         }
-        picked.push(remaining.swap_remove(best_idx));
+        let (pick, _) = remaining.swap_remove(best_idx);
+        picked.push(pick);
+        if picked.len() < k {
+            for (c, max_sim) in &mut remaining {
+                // INVARIANT: f32 division by pool_scale >= 1e-6.
+                let sim = 1.0 - (pair_dist(c.id, pick.id) / pool_scale).min(1.0);
+                *max_sim = max_sim.max(sim);
+            }
+        }
     }
     Ok(picked)
 }
@@ -144,6 +160,125 @@ mod tests {
             Candidate::new(5, 0.90),
         ];
         (store, candidates)
+    }
+
+    /// The pre-rewrite body, kept as the oracle: every round recomputes
+    /// each remaining candidate's similarity to every pick from
+    /// reassembled multivectors.
+    fn mmr_reference(
+        store: &MultiVectorStore,
+        weights: &Weights,
+        metric: Metric,
+        candidates: &[Candidate],
+        k: usize,
+        lambda: f32,
+    ) -> Vec<Candidate> {
+        let d_min = candidates
+            .iter()
+            .map(|c| c.dist)
+            .fold(f32::INFINITY, f32::min);
+        let d_max = candidates
+            .iter()
+            .map(|c| c.dist)
+            .fold(f32::NEG_INFINITY, f32::max);
+        let span = (d_max - d_min).max(1e-6);
+        let relevance = |c: &Candidate| 1.0 - (c.dist - d_min) / span;
+        let pair_dist = |a: u32, b: u32| {
+            store
+                .multivector_of(a)
+                .fused_distance(&store.multivector_of(b), weights, metric)
+        };
+        let mut remaining: Vec<Candidate> = candidates.to_vec();
+        let mut picked: Vec<Candidate> = Vec::with_capacity(k);
+        let stride = candidates.len().div_ceil(SCALE_SAMPLE).max(1);
+        let sample: Vec<u32> = candidates
+            .iter()
+            .step_by(stride)
+            .map(|c| c.id)
+            .chain(std::iter::once(candidates[candidates.len() - 1].id))
+            .collect();
+        let mut pool_scale = 0.0f32;
+        for (i, &a) in sample.iter().enumerate() {
+            for &b in sample.iter().skip(i + 1) {
+                pool_scale = pool_scale.max(pair_dist(a, b));
+            }
+        }
+        let pool_scale = pool_scale.max(1e-6);
+        while picked.len() < k && !remaining.is_empty() {
+            let mut best_idx = 0usize;
+            let mut best_score = f32::NEG_INFINITY;
+            for (i, c) in remaining.iter().enumerate() {
+                let max_sim = picked
+                    .iter()
+                    .map(|p| 1.0 - (pair_dist(c.id, p.id) / pool_scale).min(1.0))
+                    .fold(0.0f32, f32::max);
+                let score = lambda * relevance(c) - (1.0 - lambda) * max_sim;
+                if score > best_score {
+                    best_score = score;
+                    best_idx = i;
+                }
+            }
+            picked.push(remaining.swap_remove(best_idx));
+        }
+        picked
+    }
+
+    /// Seeded pools with exact duplicates and objects missing a modality:
+    /// the running-maximum body must pick what the reference picks, in its
+    /// order, with every distance bit intact.
+    #[test]
+    fn matches_the_reference_on_seeded_pools() {
+        use mqa_rng::StdRng;
+        let schema = Schema::text_image(4, 3);
+        let mut rng = StdRng::seed_from_u64(0x4D4D_5221);
+        for round in 0..12 {
+            let n = 20 + round * 7;
+            let mut store = MultiVectorStore::new(schema.clone());
+            let mut protos: Vec<(Vec<f32>, Vec<f32>)> = Vec::new();
+            for i in 0..n {
+                let (text, image) = if i % 4 == 3 {
+                    // An exact duplicate of an earlier object.
+                    protos[rng.gen_range(0..protos.len())].clone()
+                } else {
+                    (
+                        (0..4).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+                        (0..3).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+                    )
+                };
+                protos.push((text.clone(), image.clone()));
+                let parts = match i % 5 {
+                    1 => vec![Some(text), None],
+                    2 => vec![None, Some(image)],
+                    _ => vec![Some(text), Some(image)],
+                };
+                store.push(&MultiVector::partial(&schema, parts));
+            }
+            let weights = Weights::normalized(&[1.0 + round as f32 * 0.1, 0.6]);
+            let mut pool: Vec<Candidate> = Vec::new();
+            for id in 0..n as u32 {
+                if rng.gen_bool(0.7) {
+                    pool.push(Candidate::new(id, rng.gen_range(0.0f32..2.0)));
+                }
+            }
+            pool.sort();
+            for metric in [Metric::L2, Metric::Cosine] {
+                for lambda in [0.0f32, 0.4, 0.7, 1.0] {
+                    for k in [1, 5, pool.len() + 3] {
+                        let want = mmr_reference(&store, &weights, metric, &pool, k, lambda);
+                        let got = mmr_diversify(&store, &weights, metric, &pool, k, lambda)
+                            .expect("valid parameters");
+                        let bits = |v: &[Candidate]| -> Vec<(u32, u32)> {
+                            v.iter().map(|c| (c.id, c.dist.to_bits())).collect()
+                        };
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "round {round} {metric:?} lambda {lambda} k {k}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use multivec::{Modality, ModalityKind, MultiVector, Schema, Weights};
 pub use pq::{PqCodebook, PqCodes, PqParams, PqTable};
 pub use scan::{FusedScanner, ScanStats};
 pub use store::{MultiVectorStore, StoreViolation, VectorStore};
-pub use topk::{Candidate, MinCandidate, TopK};
+pub use topk::{Candidate, TopK};
 
 /// Identifier of an object inside a store / knowledge base / graph index.
 ///

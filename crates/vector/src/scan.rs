@@ -96,6 +96,9 @@ pub struct FusedScanner {
     metric: Metric,
     prunable: bool,
     total_dim: usize,
+    /// Scalar terms one complete evaluation computes (the blocks' lengths
+    /// summed), for the stats bookkeeping.
+    eval_terms: u64,
     stats: ScanStats,
 }
 
@@ -129,18 +132,15 @@ impl FusedScanner {
         // partial sum fastest, so the bound is crossed (and the rest of
         // the evaluation skipped) as early as possible.
         blocks.sort_by(|a, b| b.weight.total_cmp(&a.weight));
+        let eval_terms = blocks.iter().map(|b| b.query.len() as u64).sum();
         Self {
             blocks,
             metric,
             prunable: metric.supports_early_abandon(),
             total_dim: schema.total_dim(),
+            eval_terms,
             stats: ScanStats::default(),
         }
-    }
-
-    /// Total scorable terms per evaluation (for stats bookkeeping).
-    fn eval_terms(&self) -> u64 {
-        self.blocks.iter().map(|b| b.query.len() as u64).sum()
     }
 
     /// Fused distance between the query and an object stored as a flat
@@ -153,6 +153,7 @@ impl FusedScanner {
     /// # Panics
     /// Panics in debug builds if `flat` does not match the schema's total
     /// dimensionality.
+    #[inline]
     pub fn distance(&mut self, flat: &[f32], bound: f32) -> Option<f32> {
         debug_assert_eq!(flat.len(), self.total_dim, "object vector length mismatch");
         if !self.prunable || bound.is_infinite() {
@@ -177,7 +178,7 @@ impl FusedScanner {
                 if total >= bound {
                     self.stats.abandoned += 1;
                     self.stats.terms += done;
-                    self.stats.terms_skipped += self.eval_terms() - done;
+                    self.stats.terms_skipped += self.eval_terms - done;
                     return None;
                 }
             }
@@ -201,7 +202,7 @@ impl FusedScanner {
             total += b.weight * self.metric.distance(&b.query, obj);
         }
         self.stats.full_evals += 1;
-        self.stats.terms += self.eval_terms();
+        self.stats.terms += self.eval_terms;
         total
     }
 

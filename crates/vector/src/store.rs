@@ -191,7 +191,7 @@ impl MultiVectorStore {
     /// Reconstructs the full [`MultiVector`] of object `id`.
     pub fn multivector_of(&self, id: VecId) -> MultiVector {
         let parts = (0..self.schema.arity())
-            // ALLOC: reassembled multivector for diversification, bounded by the modality arity.
+            // ALLOC: an owned copy of the object's parts, bounded by the modality arity.
             .map(|m| self.part_of(id, m).map(|v| v.to_vec()))
             .collect();
         MultiVector::partial(&self.schema, parts)

@@ -1,10 +1,11 @@
 //! Bounded top-k collection and the candidate ordering shared by all search
 //! routines in the workspace.
 //!
-//! Graph search needs two orderings over `(id, distance)` pairs: a min-heap
-//! of candidates to expand and a bounded max-heap of current results. Both
-//! are built from [`Candidate`], whose `Ord` implementation is *total*
-//! (via [`f32::total_cmp`]) so NaN distances cannot poison heap invariants.
+//! Every search orders `(id, distance)` pairs by [`Candidate`], whose `Ord`
+//! implementation is *total* (via [`f32::total_cmp`]) so NaN distances
+//! cannot poison a heap's or a sorted pool's invariants. [`TopK`] is the
+//! bounded max-heap of current results the scans collect into; the graph
+//! walk keeps its candidates in a sorted pool of its own (`mqa-graph`).
 
 use crate::VecId;
 use std::cmp::Ordering;
@@ -46,23 +47,6 @@ impl PartialOrd for Candidate {
     }
 }
 
-/// Min-first wrapper: `BinaryHeap<MinCandidate>` pops the *closest*
-/// candidate, as needed for the expansion frontier of greedy/beam search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MinCandidate(pub Candidate);
-
-impl Ord for MinCandidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.0.cmp(&self.0)
-    }
-}
-
-impl PartialOrd for MinCandidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// A bounded collector keeping the `k` nearest candidates seen so far.
 ///
 /// Backed by a max-heap so insertion is `O(log k)` and the current worst
@@ -83,42 +67,9 @@ impl TopK {
         assert!(k > 0, "top-k requires k >= 1");
         Self {
             k,
-            // ALLOC: one beam buffer per collector; reusing callers hold a
-            // TopK and re-arm it with `reset` instead of constructing.
+            // ALLOC: one result buffer per collector.
             heap: BinaryHeap::with_capacity(k + 1),
         }
-    }
-
-    /// Re-arms the collector for a fresh query with bound `k`, keeping the
-    /// heap's buffer. A warmed collector (one whose capacity has already
-    /// reached `k + 1`) is re-armed without touching the heap.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn reset(&mut self, k: usize) {
-        assert!(k > 0, "top-k requires k >= 1");
-        self.k = k;
-        self.heap.clear();
-        // ALLOC: capacity grows to the largest beam seen, then sticks
-        // (reserve is a no-op once warmed).
-        self.heap.reserve(k + 1);
-    }
-
-    /// Drains the retained candidates into `out`, sorted by ascending
-    /// distance (ties broken by id), clearing `out` first. The heap's
-    /// buffer is kept, so a warmed `(collector, out)` pair round-trips a
-    /// query with zero allocations — this is the steady-state serving
-    /// path's result-materialization primitive.
-    pub fn drain_sorted_into(&mut self, out: &mut Vec<Candidate>) {
-        out.clear();
-        // ALLOC: out grows to the largest result set seen, then sticks
-        // (reserve is a no-op once warmed).
-        out.reserve(self.heap.len());
-        // Max-heap pops worst-first; reverse yields ascending distance.
-        while let Some(c) = self.heap.pop() {
-            out.push(c);
-        }
-        out.reverse();
     }
 
     /// Capacity `k`.
@@ -234,15 +185,5 @@ mod tests {
     #[should_panic(expected = "k >= 1")]
     fn zero_k_panics() {
         TopK::new(0);
-    }
-
-    #[test]
-    fn min_candidate_pops_closest() {
-        let mut h = BinaryHeap::new();
-        h.push(MinCandidate(Candidate::new(0, 3.0)));
-        h.push(MinCandidate(Candidate::new(1, 1.0)));
-        h.push(MinCandidate(Candidate::new(2, 2.0)));
-        assert_eq!(h.pop().unwrap().0.id, 1);
-        assert_eq!(h.pop().unwrap().0.id, 2);
     }
 }

@@ -126,7 +126,8 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<EngineOutcome, String> {
 /// Check 4 — allocation freedom (armed by `--features alloc-witness`):
 /// the runtime cross-check of the `mqa-xtask alloc` static cone. Builds
 /// the same Vamana-behind-Starling index as the throughput check, runs
-/// every query once to warm the scratch (visited sets, frontier, beam)
+/// every query once to warm the scratch (visited sets, candidate pool,
+/// gather buffer)
 /// and the metric registry, then runs the same queries again with the
 /// counting allocator bracketing each `search_paged_into` call. A warmed
 /// steady-state search must perform **zero** heap allocations; any count
@@ -159,7 +160,7 @@ fn check_alloc_freedom(seed: u64) -> Result<Option<(usize, u64)>, String> {
     let mut scratch = mqa_graph::SearchScratch::new();
     let mut hits = Vec::new();
     // Warmup: the same query set, so every buffer (visited stamps,
-    // frontier, beam, result list, metric-name registrations) reaches
+    // candidate pool, result list, metric-name registrations) reaches
     // its steady-state capacity before anything is measured.
     for q in &query_vecs {
         let mut dist = FlatDistance::new(&store, q, Metric::L2)
