@@ -39,9 +39,6 @@ cargo run -q --release --offline -p mqa-xtask -- mutate --out results/mutate
 echo "==> mqa-xtask sched (admission-control overload gate)"
 cargo run -q --release --offline -p mqa-xtask -- sched --out results/sched
 
-echo "==> introspection endpoint (feature build)"
-cargo build -q --offline -p mqa-obs --features serve --examples
-
 echo "==> cargo build --release"
 cargo build --release --offline --workspace
 
@@ -54,6 +51,10 @@ for workload in dialogue engine_pipelined mutate paged_spill; do
         --bin mqa-benchmark -- run --workload "$workload" --quick |
         tail -n 1 | grep -q '"correct":true'
 done
+
+echo "==> BENCH_e2e.json is a well-formed report file"
+cargo run --release --offline --quiet --manifest-path crates/benchmark/Cargo.toml \
+    --bin mqa-benchmark -- compare BENCH_e2e.json BENCH_e2e.json
 
 echo "==> cargo test"
 cargo test -q --offline --workspace
@@ -70,7 +71,7 @@ echo "==> walk equivalence (release)"
 cargo test -q --offline --release -p mqa-graph --test walk_golden
 cargo test -q --offline --release -p mqa-graph --lib -- pool:: walk_oracle::
 
-echo "==> exp_cache snapshot (E13, quick)"
+echo "==> exp_cache smoke (E13, quick)"
 cargo run -q --release --offline -p mqa-bench --bin exp_cache -- --quick
 
 echo "ci: all gates passed"

@@ -18,8 +18,6 @@
 //! ```bash
 //! cargo run --release -p mqa-bench --bin exp_cache [-- --quick]
 //! ```
-//!
-//! Writes the final obs snapshot to `results/exp_cache.json`.
 
 use mqa_bench::Table;
 use mqa_cache::PageCache;
@@ -156,13 +154,4 @@ fn main() {
         }
     }
     table.print();
-
-    let out = std::path::Path::new("results/exp_cache.json");
-    match mqa_bench::write_snapshot(out) {
-        Ok(()) => println!("\nobs snapshot -> {}", out.display()),
-        Err(e) => {
-            eprintln!("writing snapshot failed: {e}");
-            std::process::exit(1);
-        }
-    }
 }

@@ -15,8 +15,6 @@
 //! ```bash
 //! cargo run --release -p mqa-bench --bin exp_concurrent [-- --quick]
 //! ```
-//!
-//! Writes the final obs snapshot to `results/exp_concurrent.json`.
 
 use mqa_bench::{build_must_with, encode, SetupParams, Table};
 use mqa_engine::{EngineOptions, QueryEngine, WorkerPool};
@@ -165,13 +163,4 @@ fn main() {
     paged_io_sweep(quick, &mut table);
     must_engine_sweep(quick, &mut table);
     table.print();
-
-    let out = std::path::Path::new("results/exp_concurrent.json");
-    match mqa_bench::write_snapshot(out) {
-        Ok(()) => println!("\nobs snapshot -> {}", out.display()),
-        Err(e) => {
-            eprintln!("writing snapshot failed: {e}");
-            std::process::exit(1);
-        }
-    }
 }

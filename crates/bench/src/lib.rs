@@ -1,10 +1,9 @@
 //! # mqa-bench
 //!
 //! Shared harness utilities for the experiment binaries (`src/bin/fig*`,
-//! `src/bin/exp*`) and the micro-benchmarks (`benches/`). The
-//! per-experiment index — which binary regenerates which figure/claim of
-//! the paper — lives in `DESIGN.md` §5; measured outputs are recorded in
-//! `EXPERIMENTS.md`.
+//! `src/bin/exp*`). The per-experiment index — which binary regenerates
+//! which figure/claim of the paper — lives in `DESIGN.md` §5; measured
+//! outputs are recorded in `EXPERIMENTS.md`.
 //!
 //! Every harness is deterministic: corpora, workloads, and models all
 //! derive from fixed seeds, so reruns reproduce the recorded numbers up to
@@ -13,9 +12,7 @@
 pub mod protocol;
 pub mod setup;
 pub mod table;
-pub mod timing;
 
 pub use protocol::{two_round, RoundScores};
 pub use setup::{build_frameworks, build_must_with, encode, Frameworks, SetupParams};
 pub use table::Table;
-pub use timing::{write_snapshot, Bencher};

@@ -571,9 +571,12 @@ mod tests {
         // Re-ingest a copy of object 0, then retire the original: the
         // copy (id 80) must take over its answers.
         let record = sys.corpus().kb().get(0).clone();
+        let original = Arc::downgrade(sys.corpus());
         let report = sys.add_objects(std::slice::from_ref(&record)).unwrap();
         assert_eq!((report.epoch, report.applied), (1, 1));
         assert_eq!(sys.corpus().kb().len(), 81);
+        // The grown corpus took its place: nothing may pin the old one.
+        assert!(original.upgrade().is_none(), "pre-mutation corpus leaked");
         // The index row is the corpus row bit for bit: the record's own
         // contents, encoded as a query, sit at distance exactly 0 from it.
         let probe = match (record.content(0), record.content(1)) {

@@ -204,11 +204,6 @@ impl PagedIndex {
         self
     }
 
-    /// The shared page cache, if one is attached.
-    pub fn page_cache(&self) -> Option<&Arc<PageCache>> {
-        self.cache.as_ref()
-    }
-
     /// The layout in use.
     pub fn layout(&self) -> &PageLayout {
         &self.layout

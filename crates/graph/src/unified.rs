@@ -242,7 +242,6 @@ pub struct UnifiedIndex {
     /// Raised while a mutation batch is being applied (traces use it to
     /// distinguish quiesced from concurrent-mutation queries).
     mutating: AtomicBool,
-    compact_threshold: f64,
 }
 
 impl UnifiedIndex {
@@ -285,16 +284,7 @@ impl UnifiedIndex {
             }),
             writer: Mutex::new(()),
             mutating: AtomicBool::new(false),
-            compact_threshold: Self::DEFAULT_COMPACT_THRESHOLD,
         }
-    }
-
-    /// Overrides the pending-dead fraction that triggers compaction
-    /// (clamped to `(0, 1]`; the default is
-    /// [`UnifiedIndex::DEFAULT_COMPACT_THRESHOLD`]).
-    pub fn with_compaction_threshold(mut self, threshold: f64) -> Self {
-        self.compact_threshold = threshold.clamp(f64::EPSILON, 1.0);
-        self
     }
 
     /// Reassembles an index from persisted parts (see
@@ -330,7 +320,6 @@ impl UnifiedIndex {
             }),
             writer: Mutex::new(()),
             mutating: AtomicBool::new(false),
-            compact_threshold: Self::DEFAULT_COMPACT_THRESHOLD,
         }
     }
 
@@ -446,7 +435,7 @@ impl UnifiedIndex {
         }
         let mut searcher = snap.searcher().clone();
         let mut compacted = false;
-        if tombstones.pending_fraction() > self.compact_threshold {
+        if tombstones.pending_fraction() > Self::DEFAULT_COMPACT_THRESHOLD {
             let weighted = Arc::new(snap.store().weighted_store(&self.weights));
             if searcher.compact_live(&weighted, self.metric, &tombstones) {
                 tombstones.mark_all_compacted();
@@ -907,12 +896,11 @@ mod tests {
             Weights::uniform(2),
             Metric::L2,
             &IndexAlgorithm::vamana(),
-        )
-        .with_compaction_threshold(0.1);
-        // 45/300 = 15% dead crosses the 10% threshold in one batch.
-        let doomed: Vec<VecId> = (0..300).step_by(7).map(|i| i as VecId).collect();
+        );
+        // 75/300 = 25% dead crosses the 20% threshold in one batch.
+        let doomed: Vec<VecId> = (0..300).step_by(4).map(|i| i as VecId).collect();
         let report = idx.remove_objects(&doomed).unwrap();
-        assert!(report.compacted, "15% dead must compact at threshold 10%");
+        assert!(report.compacted, "25% dead must compact at threshold 20%");
         let snap = idx.current();
         assert_eq!(snap.tombstones().pending_count(), 0);
         let violations = snap.validate(idx.weights(), idx.metric());

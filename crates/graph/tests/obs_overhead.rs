@@ -1,8 +1,8 @@
 //! Overhead guard for the always-on search instrumentation.
 //!
 //! Every `VectorIndex::search` records one counter/histogram bundle into
-//! the `mqa-obs` registry. With the journal disabled (the default), that
-//! bundle must stay in the noise: this test pins it below 5% of a flat
+//! the `mqa-obs` registry. With tracing off (the default) and with it on,
+//! that bundle must stay in the noise: this test pins it below 5% of a flat
 //! exhaustive search over a modest store, measured on the same machine in
 //! the same process.
 
@@ -66,8 +66,8 @@ fn measure(idx: &VectorIndex, q: &[f32]) -> (f64, f64) {
 #[test]
 fn recording_overhead_below_five_percent_of_flat_search() {
     assert!(
-        !mqa_obs::journal::global().is_enabled(),
-        "overhead is specified with the journal disabled"
+        !mqa_obs::trace::enabled(),
+        "the first phase is specified with tracing off"
     );
     let (idx, q) = flat_index();
 

@@ -1,7 +1,7 @@
 //! Runs the live introspection endpoint against synthetic load.
 //!
 //! ```text
-//! cargo run -p mqa-obs --features serve --example introspect
+//! cargo run -p mqa-obs --example introspect
 //! curl http://127.0.0.1:9898/metrics
 //! curl http://127.0.0.1:9898/traces
 //! curl http://127.0.0.1:9898/report

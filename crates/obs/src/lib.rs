@@ -2,7 +2,7 @@
 //!
 //! Dependency-free (std plus the in-tree `compat/serde*` crates), so every
 //! other crate can instrument itself without changing the hermetic build.
-//! Three cooperating pieces:
+//! Four cooperating pieces:
 //!
 //! 1. **Metrics** ([`metrics`]): a global [`Registry`] of named counters,
 //!    gauges, and log2-bucketed histograms. Recording is lock-cheap —
@@ -10,15 +10,12 @@
 //!    mutex after the first lookup.
 //! 2. **Spans** ([`span`]): RAII timing guards with parent/child nesting
 //!    tracked on a per-thread stack. Closing a span folds its duration into
-//!    a per-name histogram in the registry and (when enabled) appends
-//!    open/close records to the journal.
-//! 3. **Journal** ([`journal`]): a bounded in-memory JSONL event log with
-//!    monotonic microsecond timestamps, flushed to `results/obs/*.jsonl`.
-//! 4. **Traces** ([`trace`]): per-query causal chains carried across the
+//!    a per-name histogram in the registry and into the active trace.
+//! 3. **Traces** ([`trace`]): per-query causal chains carried across the
 //!    engine's thread boundary, tail-sampled into a bounded collector
 //!    (slowest-N plus a deterministic 1-in-K sample). Histogram buckets
 //!    carry *exemplar* trace ids linking aggregates back to traces.
-//! 5. **Exposition** ([`expo`], and the feature-gated [`serve`] endpoint):
+//! 4. **Exposition** ([`expo`], and the [`serve`] endpoint):
 //!    Prometheus/OpenMetrics text rendering of a snapshot, with a
 //!    validating parser used by tests and the `mqa-xtask trace` gate.
 //!
@@ -34,15 +31,12 @@
 //! ```
 
 pub mod expo;
-pub mod journal;
 pub mod metrics;
 pub mod report;
-#[cfg(feature = "serve")]
 pub mod serve;
 pub mod span;
 pub mod trace;
 
-pub use journal::Journal;
 pub use metrics::{
     global, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramBucket,
     HistogramSnapshot, Registry, Snapshot, SpanSnapshot,

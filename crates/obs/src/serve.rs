@@ -1,15 +1,14 @@
-//! Live introspection endpoint (feature `serve`): a std-only
-//! `TcpListener` serving the observability surfaces over HTTP/1.0.
+//! Live introspection endpoint: a std-only `TcpListener` serving the
+//! observability surfaces over HTTP/1.0.
 //!
 //! Routes:
 //! - `/metrics` — Prometheus/OpenMetrics text exposition ([`crate::expo`])
 //! - `/traces`  — retained [`crate::trace::QueryTrace`]s as JSONL
 //! - `/report`  — the human-readable pipeline report ([`crate::report`])
 //!
-//! Off by default twice over: the module only compiles under the `serve`
-//! feature, and nothing listens until [`serve`] is called. The handler
-//! thread takes registry/collector snapshots per request and holds no
-//! lock across socket I/O.
+//! Nothing listens until [`serve`] is called. The handler thread takes
+//! registry/collector snapshots per request and holds no lock across
+//! socket I/O.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

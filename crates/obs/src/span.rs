@@ -1,8 +1,8 @@
 //! RAII timing spans with per-thread parent/child nesting.
 //!
 //! [`span`] opens a guard and pushes it on a thread-local stack; the guard
-//! records its duration into the global registry (and the journal, when
-//! enabled) on [`SpanGuard::finish`] or on drop — including drops during
+//! records its duration into the global registry on
+//! [`SpanGuard::finish`] or on drop — including drops during
 //! unwinding, so a task that returns `Err` (or panics) mid-span still
 //! closes its spans in order.
 //!
@@ -10,7 +10,6 @@
 //! empty stack; use [`span_under`] there to attach the span to its logical
 //! parent by name.
 
-use crate::journal;
 use crate::metrics::global;
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -69,18 +68,13 @@ pub fn span_under(name: impl Into<SpanName>, parent: &str) -> SpanGuard {
 
 fn open(name: SpanName, explicit_parent: Option<SpanName>) -> SpanGuard {
     let id = next_id();
-    let (stack_parent, parent_id, depth) = STACK.with(|s| {
+    let stack_parent = STACK.with(|s| {
         let mut s = s.borrow_mut();
-        let top = s.last().map(|(pid, pname)| (pname.clone(), *pid));
+        let top = s.last().map(|(_, pname)| pname.clone());
         s.push((id, name.clone()));
-        let depth = s.len();
-        match top {
-            Some((pname, pid)) => (Some(pname), Some(pid), depth),
-            None => (None, None, depth),
-        }
+        top
     });
     let parent = explicit_parent.or(stack_parent);
-    journal::span_open(id, &name, parent_id, depth);
     SpanGuard {
         id,
         name,
@@ -123,7 +117,6 @@ impl SpanGuard {
         let us = u64::try_from(dur.as_micros()).unwrap_or(u64::MAX);
         global().record_span(&self.name, self.parent.as_deref(), us);
         crate::trace::record_stage(&self.name, self.parent.as_deref(), us);
-        journal::span_close(self.id, &self.name, us);
         dur
     }
 }

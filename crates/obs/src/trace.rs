@@ -26,7 +26,7 @@
 //!
 //! # Sampling policy
 //!
-//! The collector is bounded like the journal: it retains full traces for
+//! The collector is bounded: it retains full traces for
 //! the slowest-N queries (by end-to-end duration) plus a deterministic
 //! 1-in-K sample decided by [`sample_hit`] — a `SplitMix64` draw keyed on
 //! `(seed, sequence number)`, so a fixed seed reproduces the exact same

@@ -6,7 +6,7 @@
 //! all modalities; a query makes a single merging-free traversal with
 //! incremental (early-abandon) distance scanning.
 
-use crate::encoding::EncodedCorpus;
+use crate::encoding::{EncodedCorpus, EncoderSet};
 use crate::error::RetrievalError;
 use crate::framework::{FrameworkKind, RetrievalFramework};
 use crate::query::MultiModalQuery;
@@ -15,9 +15,11 @@ use mqa_graph::{IndexAlgorithm, UnifiedIndex};
 use mqa_vector::{Metric, Weights};
 use std::sync::Arc;
 
-/// The MUST framework instance over one corpus.
+/// The MUST framework instance over one corpus. It keeps the encoders
+/// (all a search reads), not the corpus: once `MqaSystem::add_objects`
+/// swaps in the grown corpus, the one it was built over must be droppable.
 pub struct MustFramework {
-    corpus: Arc<EncodedCorpus>,
+    encoders: EncoderSet,
     index: UnifiedIndex,
 }
 
@@ -31,7 +33,10 @@ impl MustFramework {
         algorithm: &IndexAlgorithm,
     ) -> Self {
         let index = UnifiedIndex::build(corpus.store().clone(), weights, metric, algorithm);
-        Self { corpus, index }
+        Self {
+            encoders: corpus.encoders().clone(),
+            index,
+        }
     }
 
     /// Wraps an already-built (or snapshot-restored, or custom-pipeline)
@@ -50,7 +55,10 @@ impl MustFramework {
                 corpus: corpus.store().len(),
             });
         }
-        Ok(Self { corpus, index })
+        Ok(Self {
+            encoders: corpus.encoders().clone(),
+            index,
+        })
     }
 
     /// The unified index (exposed for the experiment harness: exact search,
@@ -87,7 +95,7 @@ impl RetrievalFramework for MustFramework {
         let outer = mqa_obs::span("retrieval.must.search");
         let qv = {
             let _stage = mqa_obs::span("retrieval.must.encode");
-            self.corpus.encoders().encode_query(query)
+            self.encoders.encode_query(query)
         };
         let override_w = {
             let _stage = mqa_obs::span("retrieval.must.weight_fuse");
@@ -144,7 +152,6 @@ impl RetrievalFramework for MustFramework {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoding::EncoderSet;
     use mqa_encoders::EncoderRegistry;
     use mqa_kb::{DatasetSpec, GroundTruth};
 
@@ -161,22 +168,24 @@ mod tests {
         Arc::new(EncodedCorpus::encode(kb, encoders))
     }
 
-    fn framework() -> MustFramework {
-        MustFramework::build(
-            corpus(),
+    fn framework() -> (Arc<EncodedCorpus>, MustFramework) {
+        let c = corpus();
+        let f = MustFramework::build(
+            Arc::clone(&c),
             Weights::uniform(2),
             Metric::L2,
             &IndexAlgorithm::mqa_graph(),
-        )
+        );
+        (c, f)
     }
 
     #[test]
     fn text_query_finds_concept_members() {
-        let f = framework();
-        let gt = GroundTruth::build(f.corpus.kb());
+        let (c, f) = framework();
+        let gt = GroundTruth::build(c.kb());
         // Use concept 0's canonical keywords from one of its members.
         let member = gt.members(0)[0];
-        let title = f.corpus.kb().get(member).title.clone();
+        let title = c.kb().get(member).title.clone();
         let phrase = title.rsplit_once(" #").map(|(p, _)| p.to_string()).unwrap();
         let out = f.search(&MultiModalQuery::text(phrase), 10, 64);
         let hits = out
@@ -191,9 +200,9 @@ mod tests {
 
     #[test]
     fn image_query_finds_same_style() {
-        let f = framework();
+        let (c, f) = framework();
         // reference image = object 0's raw descriptor
-        let rec = f.corpus.kb().get(0);
+        let rec = c.kb().get(0);
         let img = match rec.content(1).unwrap() {
             mqa_encoders::RawContent::Image(i) => i.clone(),
             _ => panic!(),
@@ -205,15 +214,15 @@ mod tests {
 
     #[test]
     fn weight_override_is_respected() {
-        let f = framework();
-        let rec = f.corpus.kb().get(3);
+        let (c, f) = framework();
+        let rec = c.kb().get(3);
         let img = match rec.content(1).unwrap() {
             mqa_encoders::RawContent::Image(i) => i.clone(),
             _ => panic!(),
         };
         // text from a *different* concept + image of object 3, image-only
         // weighting: the image must dominate.
-        let other_title = f.corpus.kb().get(1).title.clone();
+        let other_title = c.kb().get(1).title.clone();
         let phrase = other_title
             .rsplit_once(" #")
             .map(|(p, _)| p.to_string())
@@ -225,7 +234,7 @@ mod tests {
 
     #[test]
     fn describe_names_must() {
-        let f = framework();
+        let (_, f) = framework();
         assert!(f.describe().starts_with("MUST"));
         assert_eq!(f.kind(), FrameworkKind::Must);
     }
@@ -233,12 +242,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty query")]
     fn empty_query_panics() {
-        framework().search(&MultiModalQuery::default(), 5, 32);
+        framework().1.search(&MultiModalQuery::default(), 5, 32);
     }
 
     #[test]
     fn from_index_rejects_size_mismatch() {
-        let f = framework();
+        let (_, f) = framework();
         let small = DatasetSpec::weather()
             .objects(60)
             .concepts(4)
@@ -272,15 +281,15 @@ mod tests {
 
     #[test]
     fn must_supports_online_mutation_through_the_trait() {
-        let f = framework();
-        let shared: Arc<dyn RetrievalFramework> = Arc::new(framework());
+        let (c, f) = framework();
+        let shared: Arc<dyn RetrievalFramework> = Arc::new(f);
         // Behind the trait object: insert an encoded copy of object 0,
         // then retire the original — searches see only the replacement.
-        let qv = f.corpus.store().multivector_of(0);
+        let qv = c.store().multivector_of(0);
         let report = shared.add_objects(std::slice::from_ref(&qv)).unwrap();
         assert_eq!((report.epoch, report.applied), (1, 1));
         shared.remove_objects(&[0]).unwrap();
-        let rec = f.corpus.kb().get(0);
+        let rec = c.kb().get(0);
         let img = match rec.content(1).unwrap() {
             mqa_encoders::RawContent::Image(i) => i.clone(),
             _ => panic!(),

@@ -189,15 +189,6 @@ impl MultiVector {
         self.parts.get(m).and_then(Option::as_deref)
     }
 
-    /// Replaces the vector of modality `m` (used when a dialogue round
-    /// grafts a selected image onto the next query). Out-of-range `m`
-    /// is ignored.
-    pub fn set_part(&mut self, m: usize, v: Option<Vec<f32>>) {
-        if let Some(slot) = self.parts.get_mut(m) {
-            *slot = v;
-        }
-    }
-
     /// Iterator over `(modality, vector)` pairs for the present modalities.
     pub fn present(&self) -> impl Iterator<Item = (usize, &[f32])> {
         self.parts

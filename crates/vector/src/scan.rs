@@ -210,11 +210,6 @@ impl FusedScanner {
     pub fn stats(&self) -> ScanStats {
         self.stats
     }
-
-    /// Resets the work counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = ScanStats::default();
-    }
 }
 
 #[cfg(test)]

@@ -103,11 +103,7 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<EngineOutcome, String> {
 
     let snapshot = mqa_obs::global().snapshot();
     verify_instruments(&snapshot)?;
-    std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
-    let metrics =
-        serde_json::to_string_pretty(&snapshot).map_err(|e| format!("serializing metrics: {e}"))?;
-    std::fs::write(out_dir.join("metrics.json"), metrics)
-        .map_err(|e| format!("writing metrics.json: {e}"))?;
+    crate::write_json(out_dir, "metrics.json", &snapshot)?;
 
     Ok(EngineOutcome {
         identical_answers,

@@ -11,11 +11,15 @@
 //! | [`alloc`] | no allocation-capable site is reachable from a steady-state serving entry point without an `// ALLOC:` discharge (cross-checked at runtime by `mqa-engine`'s `alloc-witness` allocator) | `alloc-baseline.toml` |
 //! | [`audit`] | every index variant, the unified index and the multi-vector store pass their structural validators; every literal instrument and span name is well-formed and live | — |
 //! | `rules` | (lists the lint rules with their rationales) | — |
-//! | [`obs`] | a seeded dialogue with the `mqa-obs` journal on shows every instrumented pipeline layer in the metrics snapshot | — |
+//! | [`obs`] | a seeded dialogue shows every instrumented pipeline layer in the metrics snapshot | — |
 //! | [`engine`] | worker-pool answers equal the serial path, paged QPS scales with workers, the runtime lock-order witness agrees with `conc`'s static lock graph | — |
 //! | [`trace`] | one milestone-complete [`mqa_obs::QueryTrace`] per turn, queue-wait / service attribution that adds up, deterministic tail sampling, a valid `/metrics` exposition | — |
 //! | [`mutate`] | under a scripted insert/delete mix no tombstoned object surfaces, the result-cache generation bumps, compaction triggers, every `graph.mutate.*` instrument records | — |
 //! | [`sched`] | at 2x saturation every submission resolves to exactly one typed outcome, the shed counters match, served queue-wait p99 stays within the budget | — |
+//!
+//! The `mutate`, `sched` and `trace` gates file their numbers as
+//! `BENCH_<gate>.json` in the one artefact shape the repo has, the report
+//! file of [`mqa_benchmark::report`] (workload = the gate's name).
 //!
 //! The four static gates share one path: [`workspace`] reads and lexes the
 //! tree once ([`rustlex`]) and masks `#[cfg(test)]` items; each gate is a
@@ -37,6 +41,68 @@ pub mod rustlex;
 pub mod sched;
 pub mod trace;
 pub mod workspace;
+
+use mqa_benchmark::workload::{MetricValue, Report};
+use std::path::Path;
+
+/// Writes `out_dir/BENCH_<gate>.json` as a [`mqa_benchmark::report`] file
+/// of one report: workload `gate`, one single-reading metric per `(name,
+/// unit, value)` field, `attempted` operations checked and none failed (a
+/// gate that fails a check returns before it reports).
+pub(crate) fn write_bench(
+    out_dir: &Path,
+    gate: &str,
+    attempted: u64,
+    fields: &[(&str, &str, f64)],
+) -> Result<(), String> {
+    let metrics = fields
+        .iter()
+        .map(|&(name, unit, value)| MetricValue {
+            name: name.to_string(),
+            unit: unit.to_string(),
+            value,
+            samples: 1,
+            rounds: 1,
+        })
+        .collect();
+    let report = Report {
+        workload: gate.to_string(),
+        traced: false,
+        correct: true,
+        attempted,
+        failed: 0,
+        notes: Vec::new(),
+        cycles: 1,
+        metrics,
+        extras: Vec::new(),
+        spans: None,
+    };
+    let value = mqa_benchmark::report::file_value(&[report]);
+    write_json(out_dir, &format!("BENCH_{gate}.json"), &value)
+}
+
+/// Writes `value` as pretty JSON to `out_dir/file`, creating `out_dir`.
+pub(crate) fn write_json<T: serde::Serialize>(
+    out_dir: &Path,
+    file: &str,
+    value: &T,
+) -> Result<(), String> {
+    std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
+    let text =
+        serde_json::to_string_pretty(value).map_err(|e| format!("serializing {file}: {e}"))?;
+    std::fs::write(out_dir.join(file), text).map_err(|e| format!("writing {file}: {e}"))
+}
+
+/// The value `dir/BENCH_<gate>.json` reads back for `metric` of workload
+/// `gate`, through the one parser.
+#[cfg(test)]
+pub(crate) fn bench_reading(dir: &Path, gate: &str, metric: &str) -> f64 {
+    let body = std::fs::read_to_string(dir.join(format!("BENCH_{gate}.json"))).expect("readable");
+    let readings = mqa_benchmark::report::parse_file(&body).expect("a report file");
+    let mut of_gate = readings.iter().filter(|r| r.workload == gate);
+    let reading = of_gate.find(|r| r.metric == metric);
+    reading.expect("the gate reports the metric").value
+}
 
 /// Serializes scenario tests that reset the global `mqa-obs` registry or
 /// trace collector: the obs, engine, and trace gates all run real

@@ -105,17 +105,15 @@ structural validators (HNSW, IVF, NavGraph, MultiVectorStore).",
     Command {
         name: "obs",
         options: SCENARIO_OPTIONS,
-        help: "Run a seeded multi-turn dialogue scenario with the mqa-obs journal
-enabled, write journal.jsonl + metrics.json + report.txt into
-<dir> (default results/obs), and fail unless every instrumented
-pipeline layer appears in the snapshot.",
+        help: "Run a seeded multi-turn dialogue scenario, write metrics.json +
+report.txt into <dir> (default results/obs), and fail unless every
+instrumented pipeline layer appears in the snapshot.",
         run: |args| {
             scenario("obs", args, |out, seed| {
                 let o = obs::run(out, seed)?;
                 Ok(format!(
-                    "{}obs: {} journal line(s), {} span(s), {} counter(s), {} histogram(s)",
+                    "{}obs: {} span(s), {} counter(s), {} histogram(s)",
                     o.status_panel,
-                    o.journal_lines,
                     o.snapshot.spans.len(),
                     o.snapshot.counters.len(),
                     o.snapshot.histograms.len()

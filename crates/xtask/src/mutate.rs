@@ -14,16 +14,16 @@
 //!   (so graph rewiring runs under live traffic);
 //! * every `graph.mutate.*` instrument actually recorded.
 //!
-//! It writes `BENCH_mutate.json` under the output directory: insert and
-//! delete throughput, and search p50/p99 during mutation vs quiesced —
-//! the paper-facing evidence that readers are not stalled by writers.
+//! It writes `BENCH_mutate.json` (a [`mqa_benchmark::report`] file) under
+//! the output directory: insert and delete throughput, and search p50/p99
+//! during mutation vs quiesced — the paper-facing evidence that readers
+//! are not stalled by writers.
 
 use mqa_core::{Config, MqaSystem};
 use mqa_engine::EngineOptions;
 use mqa_kb::{DatasetSpec, ObjectRecord};
 use mqa_retrieval::MultiModalQuery;
 use mqa_vector::VecId;
-use serde::Serialize;
 use std::collections::HashSet;
 use std::path::Path;
 
@@ -42,23 +42,6 @@ const INSERT_BATCH: usize = 10;
 const DELETE_BATCH: usize = 20;
 /// Interleaved mutation batches (even = insert, odd = delete).
 const BATCHES: usize = 6;
-
-/// The `BENCH_mutate.json` payload.
-#[derive(Debug, Serialize)]
-struct BenchMutate {
-    inserted: usize,
-    removed: usize,
-    insert_per_sec: f64,
-    delete_per_sec: f64,
-    quiesced_p50_us: u64,
-    quiesced_p99_us: u64,
-    mutating_p50_us: u64,
-    mutating_p99_us: u64,
-    compactions: u64,
-    final_epoch: u64,
-    generation_bumps: u64,
-    live_objects: usize,
-}
 
 /// What the gate measured, for the caller to print.
 pub struct MutateOutcome {
@@ -251,7 +234,7 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<MutateOutcome, String> {
         ));
     }
 
-    let bench = BenchMutate {
+    let outcome = MutateOutcome {
         inserted,
         removed,
         insert_per_sec: per_second(inserted, insert_us),
@@ -263,32 +246,27 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<MutateOutcome, String> {
         compactions,
         final_epoch,
         generation_bumps,
-        live_objects: BASE_OBJECTS + inserted - removed,
-    };
-    std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
-    let payload = serde_json::to_string_pretty(&bench)
-        .map_err(|e| format!("serializing BENCH_mutate.json: {e}"))?;
-    std::fs::write(out_dir.join("BENCH_mutate.json"), payload)
-        .map_err(|e| format!("writing BENCH_mutate.json: {e}"))?;
-    let metrics =
-        serde_json::to_string_pretty(&snapshot).map_err(|e| format!("serializing metrics: {e}"))?;
-    std::fs::write(out_dir.join("metrics.json"), metrics)
-        .map_err(|e| format!("writing metrics.json: {e}"))?;
-
-    Ok(MutateOutcome {
-        inserted,
-        removed,
-        insert_per_sec: bench.insert_per_sec,
-        delete_per_sec: bench.delete_per_sec,
-        quiesced_p50_us: bench.quiesced_p50_us,
-        quiesced_p99_us: bench.quiesced_p99_us,
-        mutating_p50_us: bench.mutating_p50_us,
-        mutating_p99_us: bench.mutating_p99_us,
-        compactions,
-        final_epoch,
-        generation_bumps,
         queries_checked,
-    })
+    };
+    let live_objects = BASE_OBJECTS + inserted - removed;
+    let fields = [
+        ("inserted", "count", inserted as f64),
+        ("removed", "count", removed as f64),
+        ("insert_per_sec", "1/s", outcome.insert_per_sec),
+        ("delete_per_sec", "1/s", outcome.delete_per_sec),
+        ("quiesced_p50_us", "us", outcome.quiesced_p50_us as f64),
+        ("quiesced_p99_us", "us", outcome.quiesced_p99_us as f64),
+        ("mutating_p50_us", "us", outcome.mutating_p50_us as f64),
+        ("mutating_p99_us", "us", outcome.mutating_p99_us as f64),
+        ("compactions", "count", compactions as f64),
+        ("final_epoch", "count", final_epoch as f64),
+        ("generation_bumps", "count", generation_bumps as f64),
+        ("live_objects", "count", live_objects as f64),
+    ];
+    crate::write_bench(out_dir, "mutate", queries_checked as u64, &fields)?;
+    crate::write_json(out_dir, "metrics.json", &snapshot)?;
+
+    Ok(outcome)
 }
 
 /// Objects per second, guarding the zero-elapsed case.
@@ -366,16 +344,10 @@ mod tests {
         assert!(outcome.compactions >= 1);
         assert!(outcome.queries_checked >= BATCHES * 24);
         assert!(outcome.insert_per_sec > 0.0 && outcome.delete_per_sec > 0.0);
-        let body = std::fs::read_to_string(dir.join("BENCH_mutate.json")).expect("bench readable");
-        for field in [
-            "insert_per_sec",
-            "delete_per_sec",
-            "quiesced_p99_us",
-            "mutating_p99_us",
-            "compactions",
-        ] {
-            assert!(body.contains(field), "BENCH_mutate.json missing {field}");
-        }
+        let reading = |metric| crate::bench_reading(&dir, "mutate", metric);
+        assert_eq!(reading("insert_per_sec"), outcome.insert_per_sec);
+        assert_eq!(reading("mutating_p99_us"), outcome.mutating_p99_us as f64);
+        assert_eq!(reading("live_objects"), 210.0);
         let metrics = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics readable");
         assert!(metrics.contains("graph.mutate.publish_us"));
         std::fs::remove_dir_all(&dir).ok();

@@ -1,7 +1,7 @@
-//! The `obs` smoke command: run a seeded multi-turn dialogue scenario with
-//! the journal enabled, then write the three observability artifacts
-//! (`journal.jsonl`, `metrics.json`, `report.txt`) into an output
-//! directory and self-verify that the expected spans and metrics exist.
+//! The `obs` smoke command: run a seeded multi-turn dialogue scenario,
+//! then write the two observability artifacts (`metrics.json`,
+//! `report.txt`) into an output directory and self-verify that the
+//! expected spans and metrics exist.
 //!
 //! CI runs this as a hard gate: a refactor that silently drops the
 //! instrumentation from a pipeline layer fails the name checks below.
@@ -51,22 +51,19 @@ const REQUIRED_HISTOGRAMS: [&str; 2] = ["graph.mqa-graph.search_us", "graph.mqa-
 pub struct ObsOutcome {
     /// Metrics snapshot taken after the scenario.
     pub snapshot: Snapshot,
-    /// Number of journal lines written.
-    pub journal_lines: usize,
     /// The rendered status panel (milestone breakdown included).
     pub status_panel: String,
 }
 
-/// Runs the seeded scenario and writes `journal.jsonl`, `metrics.json`
-/// and `report.txt` under `out_dir`.
+/// Runs the seeded scenario and writes `metrics.json` and `report.txt`
+/// under `out_dir`.
 ///
 /// # Errors
 /// Returns a message when the scenario cannot be built, an artifact
 /// cannot be written, or a self-check fails (missing span / counter /
-/// histogram, empty journal).
+/// histogram).
 pub fn run(out_dir: &Path, seed: u64) -> Result<ObsOutcome, String> {
     mqa_obs::global().reset();
-    mqa_obs::journal::global().enable(mqa_obs::journal::DEFAULT_CAP);
 
     let kb = DatasetSpec::weather()
         .objects(120)
@@ -100,7 +97,6 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<ObsOutcome, String> {
     }
 
     let snapshot = mqa_obs::global().snapshot();
-    mqa_obs::journal::snapshot_event(&snapshot);
 
     // Feed the per-milestone obs breakdown into the status panel, the
     // paper's ② frontend surface.
@@ -111,39 +107,25 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<ObsOutcome, String> {
     );
     let status_panel = status.render();
 
-    std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
-    mqa_obs::journal::global()
-        .write_to(&out_dir.join("journal.jsonl"))
-        .map_err(|e| format!("writing journal.jsonl: {e}"))?;
-    let metrics =
-        serde_json::to_string_pretty(&snapshot).map_err(|e| format!("serializing metrics: {e}"))?;
-    std::fs::write(out_dir.join("metrics.json"), metrics)
-        .map_err(|e| format!("writing metrics.json: {e}"))?;
+    crate::write_json(out_dir, "metrics.json", &snapshot)?;
     let mut rendered = report::render(&snapshot);
     rendered.push('\n');
     rendered.push_str(&status_panel);
     std::fs::write(out_dir.join("report.txt"), &rendered)
         .map_err(|e| format!("writing report.txt: {e}"))?;
 
-    let journal_lines = mqa_obs::journal::global().lines().len();
-    mqa_obs::journal::global().disable();
-
-    verify(&snapshot, journal_lines)?;
+    verify(&snapshot)?;
     Ok(ObsOutcome {
         snapshot,
-        journal_lines,
         status_panel,
     })
 }
 
 /// The self-checks behind the CI smoke gate.
-fn verify(snapshot: &Snapshot, journal_lines: usize) -> Result<(), String> {
+fn verify(snapshot: &Snapshot) -> Result<(), String> {
     let mut missing = Vec::new();
     if snapshot.spans.is_empty() {
         missing.push("snapshot has zero spans".to_string());
-    }
-    if journal_lines == 0 {
-        missing.push("journal is empty".to_string());
     }
     for name in REQUIRED_SPANS {
         if snapshot.span(name).is_none() {
@@ -178,9 +160,8 @@ mod tests {
         let _serial = crate::scenario_lock();
         let dir = std::env::temp_dir().join(format!("mqa-xtask-obs-test-{}", std::process::id()));
         let outcome = run(&dir, 42).expect("obs scenario must pass its own smoke checks");
-        assert!(outcome.journal_lines > 0);
         assert!(outcome.status_panel.contains("Query Execution"));
-        for file in ["journal.jsonl", "metrics.json", "report.txt"] {
+        for file in ["metrics.json", "report.txt"] {
             let path = dir.join(file);
             let body = std::fs::read_to_string(&path).expect("artifact readable");
             assert!(!body.is_empty(), "{file} is empty");

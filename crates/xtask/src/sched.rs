@@ -21,15 +21,14 @@
 //!   budget — the deadline clamps the tail instead of letting it grow with
 //!   the backlog.
 //!
-//! It writes `BENCH_sched.json` under the output directory: arrival vs
-//! saturation rate, served/shed split, and queue-wait and service tails —
-//! the paper-facing evidence that overload degrades by policy, not by
-//! collapse.
+//! It writes `BENCH_sched.json` (a [`mqa_benchmark::report`] file) under
+//! the output directory: arrival vs saturation rate, served/shed split,
+//! and queue-wait and service tails — the paper-facing evidence that
+//! overload degrades by policy, not by collapse.
 
 use mqa_engine::{Deadline, EngineOptions, QueryEngine, SchedOptions, TicketError};
 use mqa_retrieval::{FrameworkKind, MultiModalQuery, RetrievalFramework, RetrievalOutput};
 use mqa_vector::Candidate;
-use serde::Serialize;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,12 +51,8 @@ const QUERIES: usize = 400;
 /// Interarrival gap: `SERVICE_US / WORKERS / 2` = 2× the saturation rate.
 const INTERARRIVAL_US: u64 = SERVICE_US / WORKERS as u64 / 2;
 
-/// What the gate measured: the `BENCH_sched.json` payload, also handed to
-/// the caller to print.
-#[derive(Debug, Serialize)]
-pub struct BenchSched {
-    arrival_qps: f64,
-    saturation_qps: f64,
+/// What the gate measured, for the caller to print.
+pub struct SchedOutcome {
     /// Open-loop submissions.
     pub submitted: u64,
     /// Tickets that resolved with an answer.
@@ -68,11 +63,8 @@ pub struct BenchSched {
     pub shed_expired: u64,
     /// `(shed_rejected + shed_expired) / submitted`.
     pub shed_fraction: f64,
-    deadline_us: u64,
-    p50_queue_wait_us: u64,
     /// Queue-wait tail for served queries.
     pub p99_queue_wait_us: u64,
-    p99_service_us: u64,
 }
 
 /// Answers after a fixed busy period — a framework whose service rate is
@@ -106,7 +98,7 @@ impl RetrievalFramework for SleepFramework {
 /// shed counters disagree with observed outcomes, the shed fraction is
 /// degenerate (0 or 1), the served queue-wait tail exceeds the budget, or
 /// an artifact cannot be written.
-pub fn run(out_dir: &Path, seed: u64) -> Result<BenchSched, String> {
+pub fn run(out_dir: &Path, seed: u64) -> Result<SchedOutcome, String> {
     mqa_obs::global().reset();
 
     let engine = QueryEngine::new(
@@ -207,30 +199,31 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<BenchSched, String> {
         .histogram("engine.query.latency_us")
         .ok_or("sched gate failed: histogram `engine.query.latency_us` missing")?;
 
-    let bench = BenchSched {
-        arrival_qps: 1e6 / INTERARRIVAL_US as f64,
-        saturation_qps: WORKERS as f64 * 1e6 / SERVICE_US as f64,
+    let saturation_qps = WORKERS as f64 * 1e6 / SERVICE_US as f64;
+    let fields = [
+        ("arrival_qps", "1/s", 1e6 / INTERARRIVAL_US as f64),
+        ("saturation_qps", "1/s", saturation_qps),
+        ("submitted", "count", submitted as f64),
+        ("served", "count", served as f64),
+        ("shed_rejected", "count", shed_rejected as f64),
+        ("shed_expired", "count", shed_expired as f64),
+        ("shed_fraction", "share", shed_fraction),
+        ("deadline_us", "us", DEADLINE_US as f64),
+        ("p50_queue_wait_us", "us", queue_wait.p50 as f64),
+        ("p99_queue_wait_us", "us", queue_wait.p99 as f64),
+        ("p99_service_us", "us", service.p99 as f64),
+    ];
+    crate::write_bench(out_dir, "sched", submitted, &fields)?;
+    crate::write_json(out_dir, "metrics.json", &snapshot)?;
+
+    Ok(SchedOutcome {
         submitted,
         served,
         shed_rejected,
         shed_expired,
         shed_fraction,
-        deadline_us: DEADLINE_US,
-        p50_queue_wait_us: queue_wait.p50,
         p99_queue_wait_us: queue_wait.p99,
-        p99_service_us: service.p99,
-    };
-    std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
-    let payload = serde_json::to_string_pretty(&bench)
-        .map_err(|e| format!("serializing BENCH_sched.json: {e}"))?;
-    std::fs::write(out_dir.join("BENCH_sched.json"), payload)
-        .map_err(|e| format!("writing BENCH_sched.json: {e}"))?;
-    let metrics =
-        serde_json::to_string_pretty(&snapshot).map_err(|e| format!("serializing metrics: {e}"))?;
-    std::fs::write(out_dir.join("metrics.json"), metrics)
-        .map_err(|e| format!("writing metrics.json: {e}"))?;
-
-    Ok(bench)
+    })
 }
 
 /// The instrument self-checks: the shed counters must equal the typed
@@ -276,15 +269,13 @@ mod tests {
             outcome.submitted
         );
         assert!(outcome.shed_fraction > 0.0 && outcome.shed_fraction < 1.0);
-        let body = std::fs::read_to_string(dir.join("BENCH_sched.json")).expect("bench readable");
-        for field in [
-            "arrival_qps",
-            "saturation_qps",
-            "shed_fraction",
-            "p99_queue_wait_us",
-        ] {
-            assert!(body.contains(field), "BENCH_sched.json missing {field}");
-        }
+        let reading = |metric| crate::bench_reading(&dir, "sched", metric);
+        assert_eq!(reading("arrival_qps"), 2.0 * reading("saturation_qps"));
+        assert_eq!(reading("shed_fraction"), outcome.shed_fraction);
+        assert_eq!(
+            reading("p99_queue_wait_us"),
+            outcome.p99_queue_wait_us as f64
+        );
         let metrics = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics readable");
         assert!(metrics.contains("engine.sched.shed_rejected"));
         std::fs::remove_dir_all(&dir).ok();

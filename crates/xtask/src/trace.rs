@@ -24,14 +24,13 @@
 //!
 //! Artifacts written under `--out` (default `results/trace`):
 //! `traces.jsonl`, `slow_queries.txt`, `metrics.txt` (the exposition),
-//! and `BENCH_trace.json` (p50/p99 end-to-end latency, queue-wait share,
-//! cache-hit rate).
+//! and `BENCH_trace.json` (a [`mqa_benchmark::report`] file: p50/p99
+//! end-to-end latency, queue-wait share, cache-hit rate).
 
 use mqa_core::{Config, MqaSystem, Turn};
 use mqa_kb::DatasetSpec;
 use mqa_obs::trace::{sample_hit, QUERY_MILESTONES};
 use mqa_obs::{QueryTrace, Snapshot, TraceConfig};
-use serde::Serialize;
 use std::path::Path;
 
 /// Turns the scenario runs: four distinct turns plus one repeat that must
@@ -58,18 +57,6 @@ const REQUIRED_COUNTERS: [&str; 3] = [
 
 /// Histograms the scenario must populate.
 const REQUIRED_HISTOGRAMS: [&str; 2] = ["engine.query.latency_us", "engine.query.queue_wait_us"];
-
-/// The `BENCH_trace.json` payload.
-#[derive(Debug, Serialize)]
-struct BenchTrace {
-    turns: usize,
-    engine_served: usize,
-    cache_hits: usize,
-    p50_total_us: u64,
-    p99_total_us: u64,
-    queue_wait_share: f64,
-    cache_hit_rate: f64,
-}
 
 /// What the gate measured, for the caller to print.
 pub struct TraceOutcome {
@@ -128,22 +115,20 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<TraceOutcome, String> {
 
     let stats = verify(&traces, &snapshot, &exposition, seed)?;
 
-    let bench = bench_summary(&traces);
-    let payload = serde_json::to_string_pretty(&bench)
-        .map_err(|e| format!("serializing BENCH_trace.json: {e}"))?;
-    std::fs::write(out_dir.join("BENCH_trace.json"), payload)
-        .map_err(|e| format!("writing BENCH_trace.json: {e}"))?;
-
-    Ok(TraceOutcome {
-        traces: traces.len(),
-        engine_served: bench.engine_served,
-        cache_hits: bench.cache_hits,
-        p50_total_us: bench.p50_total_us,
-        p99_total_us: bench.p99_total_us,
-        queue_wait_share: bench.queue_wait_share,
-        exposition_samples: stats.samples,
-        exposition_exemplars: stats.exemplars,
-    })
+    let outcome = summarize(&traces, &stats);
+    let turns = traces.len();
+    let cache_hit_rate = outcome.cache_hits as f64 / turns.max(1) as f64;
+    let fields = [
+        ("turns", "count", turns as f64),
+        ("engine_served", "count", outcome.engine_served as f64),
+        ("cache_hits", "count", outcome.cache_hits as f64),
+        ("p50_total_us", "us", outcome.p50_total_us as f64),
+        ("p99_total_us", "us", outcome.p99_total_us as f64),
+        ("queue_wait_share", "share", outcome.queue_wait_share),
+        ("cache_hit_rate", "share", cache_hit_rate),
+    ];
+    crate::write_bench(out_dir, "trace", turns as u64, &fields)?;
+    Ok(outcome)
 }
 
 /// Builds the system and runs the five turns: a four-round session (text,
@@ -193,25 +178,22 @@ fn scenario(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Summarizes the retained traces for `BENCH_trace.json`.
-fn bench_summary(traces: &[QueryTrace]) -> BenchTrace {
+/// Summarizes the retained traces and the parsed exposition.
+fn summarize(traces: &[QueryTrace], stats: &mqa_obs::expo::ExpoStats) -> TraceOutcome {
     let mut totals: Vec<u64> = traces.iter().map(|t| t.total_us).collect();
     totals.sort_unstable();
+    // With no traces the index saturates to 0 and `get` reads nothing.
     let pick = |q: f64| -> u64 {
-        if totals.is_empty() {
-            return 0;
-        }
         let idx = ((totals.len() as f64 - 1.0) * q).round() as usize;
         totals.get(idx).copied().unwrap_or(0)
     };
     let engine_served: Vec<&QueryTrace> = traces.iter().filter(|t| t.worker.is_some()).collect();
     let queued: u64 = engine_served.iter().map(|t| t.queue_wait_us).sum();
     let walled: u64 = engine_served.iter().map(|t| t.total_us).sum();
-    let cache_hits = traces.iter().filter(|t| t.cache_hit == Some(true)).count();
-    BenchTrace {
-        turns: traces.len(),
+    TraceOutcome {
+        traces: traces.len(),
         engine_served: engine_served.len(),
-        cache_hits,
+        cache_hits: traces.iter().filter(|t| t.cache_hit == Some(true)).count(),
         p50_total_us: pick(0.50),
         p99_total_us: pick(0.99),
         queue_wait_share: if walled == 0 {
@@ -219,11 +201,8 @@ fn bench_summary(traces: &[QueryTrace]) -> BenchTrace {
         } else {
             queued as f64 / walled as f64
         },
-        cache_hit_rate: if traces.is_empty() {
-            0.0
-        } else {
-            cache_hits as f64 / traces.len() as f64
-        },
+        exposition_samples: stats.samples,
+        exposition_exemplars: stats.exemplars,
     }
 }
 
@@ -430,9 +409,10 @@ mod tests {
         let first: mqa_obs::QueryTrace =
             serde_json::from_str(jsonl.lines().next().expect("a line")).expect("trace parses");
         assert_eq!(first.outcome, "completed");
-        let bench = std::fs::read_to_string(dir.join("BENCH_trace.json")).expect("bench");
-        assert!(bench.contains("\"p99_total_us\""));
-        assert!(bench.contains("\"queue_wait_share\""));
+        let reading = |metric| crate::bench_reading(&dir, "trace", metric);
+        assert_eq!(reading("p99_total_us"), outcome.p99_total_us as f64);
+        assert_eq!(reading("queue_wait_share"), outcome.queue_wait_share);
+        assert_eq!(reading("cache_hit_rate"), 0.2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
