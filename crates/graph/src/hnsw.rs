@@ -64,9 +64,10 @@ impl Hnsw {
             max_level: 0,
             params: *params,
         };
+        let live = Tombstones::new(0);
         let mut scratch = SearchScratch::new();
         for _ in 0..n {
-            hnsw.insert_next(store, metric, &mut scratch);
+            hnsw.insert_next(store, metric, &live, &mut scratch);
         }
         hnsw
     }
@@ -79,7 +80,13 @@ impl Hnsw {
     ///
     /// # Panics
     /// Panics if the store holds no vector beyond the indexed population.
-    fn insert_next(&mut self, store: &VectorStore, metric: Metric, scratch: &mut SearchScratch) {
+    fn insert_next(
+        &mut self,
+        store: &VectorStore,
+        metric: Metric,
+        tomb: &Tombstones,
+        scratch: &mut SearchScratch,
+    ) {
         let v = self.links.len() as VecId;
         assert!(
             (v as usize) < store.len(),
@@ -97,7 +104,7 @@ impl Hnsw {
             self.entry = 0;
             return;
         }
-        self.insert(store, metric, v, level, scratch);
+        self.insert(store, metric, tomb, v, level, scratch);
     }
 
     /// Appends every not-yet-indexed vector of `store` — incremental growth
@@ -105,11 +112,12 @@ impl Hnsw {
     /// *incremental* construction, which is how MQA can grow a knowledge
     /// base without a rebuild: push new objects to the store, then call
     /// this. Batch building and incremental growth produce identical
-    /// indexes (levels derive from `(seed, id)`).
-    pub fn extend_from(&mut self, store: &VectorStore, metric: Metric) {
+    /// indexes (levels derive from `(seed, id)`). Ids `tomb` marks
+    /// compacted may still route (a retired entry) but are never linked to.
+    pub fn extend_from(&mut self, store: &VectorStore, metric: Metric, tomb: &Tombstones) {
         let mut scratch = SearchScratch::new();
         while self.links.len() < store.len() {
-            self.insert_next(store, metric, &mut scratch);
+            self.insert_next(store, metric, tomb, &mut scratch);
         }
     }
 
@@ -117,6 +125,7 @@ impl Hnsw {
         &mut self,
         store: &VectorStore,
         metric: Metric,
+        tomb: &Tombstones,
         v: VecId,
         level: usize,
         scratch: &mut SearchScratch,
@@ -143,7 +152,10 @@ impl Hnsw {
             } else {
                 self.params.m
             };
-            let selected = hnsw_heuristic(store, metric, v, cands.clone(), cap);
+            // A retired entry still seeds the walk; it is never selected.
+            let mut pool = cands.clone();
+            pool.retain(|c| !tomb.is_compacted(c.id));
+            let selected = hnsw_heuristic(store, metric, v, pool, cap);
             for &u in &selected {
                 // INVARIANT: v and every candidate u are inserted vertices
                 // whose level lists extend past lc (selection is level-aware).
@@ -629,7 +641,7 @@ mod tests {
             half_store.push(store.get(id));
         }
         let mut grown = Hnsw::build(&half_store, Metric::L2, &HnswParams::default());
-        grown.extend_from(&store, Metric::L2);
+        grown.extend_from(&store, Metric::L2, &Tombstones::new(0));
         assert_eq!(grown.len(), 400);
         assert_eq!(batch.base_layer(), grown.base_layer());
         assert_eq!(batch.entry(), grown.entry());
@@ -645,7 +657,7 @@ mod tests {
             let v: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
             store.push(&v);
         }
-        h.extend_from(&store, Metric::L2);
+        h.extend_from(&store, Metric::L2, &Tombstones::new(0));
         for id in 300..350u32 {
             let mut d = FlatDistance::for_vertex(&store, id, Metric::L2);
             let out = h.search(&mut d, 1, 64);

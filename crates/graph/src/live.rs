@@ -1,16 +1,16 @@
 //! Online-mutation primitives: tombstoned deletes and epoch-published
 //! snapshots.
 //!
-//! The index family is refactored from owned-and-frozen to
-//! snapshot-published-and-mutable (the FreshDiskANN shape):
+//! The index family is snapshot-published-and-mutable (the FreshDiskANN shape):
 //!
 //! * **Readers** acquire an immutable snapshot through [`SnapshotCell::load`]
 //!   — an `Arc` clone out of a briefly-locked slot, stamped with the
 //!   publication epoch. A search holds its guard for the whole traversal;
 //!   the writer can publish underneath without ever blocking it.
-//! * **A single writer** (serialized by the owner's writer lock) applies
-//!   inserts and deletes to a private copy and publishes the result
-//!   atomically with [`SnapshotCell::publish`], bumping the epoch.
+//! * **A single writer** (serialized by the owner's writer lock) drafts the
+//!   next generation from the current one — sharing every part it does not
+//!   change — and publishes it atomically with [`SnapshotCell::publish`],
+//!   bumping the epoch.
 //! * **Deletes are tombstones** ([`Tombstones`]): a dead bitmap filtered at
 //!   result-collection time — never mid-traversal, so dead vertices keep
 //!   routing until compaction rewires the graph around them. A second
@@ -332,15 +332,6 @@ impl<T> std::ops::Deref for SnapshotGuard<T> {
 
     fn deref(&self) -> &T {
         &self.snapshot
-    }
-}
-
-impl<T> Clone for SnapshotGuard<T> {
-    fn clone(&self) -> Self {
-        Self {
-            snapshot: Arc::clone(&self.snapshot),
-            epoch: self.epoch,
-        }
     }
 }
 

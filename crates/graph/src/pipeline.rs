@@ -381,7 +381,9 @@ impl NavGraph {
     /// the refinement stage against the *current* graph: beam-search from
     /// the entries for a candidate pool, prune it with the graph's own
     /// selection rule, install reverse edges with overflow re-pruning.
-    pub fn extend_from(&mut self, store: &VectorStore, metric: Metric) {
+    /// Ids `tomb` marks compacted may still seed the search (a retired
+    /// entry) but are never selected as neighbours.
+    pub fn extend_from(&mut self, store: &VectorStore, metric: Metric, tomb: &Tombstones) {
         let start = self.graph.len();
         if store.len() <= start {
             return;
@@ -390,7 +392,7 @@ impl NavGraph {
         let (graph, entries, recipe) = (&mut self.graph, &self.entries, (self.l, &self.select));
         with_pooled(|scratch| {
             for v in start as VecId..store.len() as VecId {
-                link_vertex(graph, entries, store, metric, recipe, v, scratch);
+                link_vertex(graph, entries, store, metric, recipe, tomb, v, scratch);
             }
         });
         self.refresh_report();
@@ -582,12 +584,16 @@ fn run_refine(
     mut graph: Adjacency,
     entries: &[VecId],
 ) -> Adjacency {
-    // One scratch serves every construction search of the stage.
+    // One scratch serves every construction search of the stage; nothing
+    // is retired while a graph is being built.
     let recipe = (refine.l, select);
+    let live = Tombstones::new(0);
     with_pooled(|scratch| {
         for _pass in 0..refine.passes {
             for v in 0..store.len() as VecId {
-                link_vertex(&mut graph, entries, store, metric, recipe, v, scratch);
+                link_vertex(
+                    &mut graph, entries, store, metric, recipe, &live, v, scratch,
+                );
             }
         }
     });
@@ -597,12 +603,14 @@ fn run_refine(
 /// One refinement step for `v` against the current graph, under the
 /// `(l, select)` recipe: acquire candidates, select out-edges, install
 /// reverse edges with re-pruning past the degree bound.
+#[allow(clippy::too_many_arguments)]
 fn link_vertex(
     graph: &mut Adjacency,
     entries: &[VecId],
     store: &VectorStore,
     metric: Metric,
     (l, select): (usize, &SelectStage),
+    tomb: &Tombstones,
     v: VecId,
     scratch: &mut SearchScratch,
 ) {
@@ -612,6 +620,9 @@ fn link_vertex(
     // scratch.
     let mut dist = FlatDistance::for_vertex(store, v, metric);
     let pool = crate::search::beam_search_collect(graph, entries, &mut dist, l, scratch);
+    // Compaction keeps a retired entry as a search seed; it is the one
+    // retired id the walk can reach, and it must not become a neighbour.
+    pool.retain(|c| !tomb.is_compacted(c.id));
     // Merge current neighbours so established edges compete (a newly
     // grown vertex has none yet).
     pool.extend(candidates_of(store, metric, v, graph.neighbors(v)));
@@ -826,12 +837,19 @@ impl BuiltGraph {
     /// — the online-insert path. HNSW and the pipeline family link the new
     /// vertices incrementally (HNSW's growth is bit-identical to a batch
     /// build); `Flat` just widens its scan; IVF has no incremental form
-    /// and is rebuilt from scratch.
-    pub fn grow_to(&mut self, store: &Arc<VectorStore>, metric: Metric, algo: &IndexAlgorithm) {
+    /// and is rebuilt from scratch. No new edge points at an id `tomb`
+    /// marks compacted (`Tombstones::new(0)` for a never-compacted graph).
+    pub fn grow_to(
+        &mut self,
+        store: &Arc<VectorStore>,
+        metric: Metric,
+        algo: &IndexAlgorithm,
+        tomb: &Tombstones,
+    ) {
         match self {
             BuiltGraph::Flat(s) => *s = FlatSearcher::new(store.len()),
-            BuiltGraph::Hnsw(h) => h.extend_from(store, metric),
-            BuiltGraph::Nav(g) => g.extend_from(store, metric),
+            BuiltGraph::Hnsw(h) => h.extend_from(store, metric, tomb),
+            BuiltGraph::Nav(g) => g.extend_from(store, metric, tomb),
             BuiltGraph::Ivf(_) => *self = algo.build_graph(store, metric),
         }
     }
@@ -1184,7 +1202,7 @@ mod tests {
         }
         let algo = IndexAlgorithm::vamana();
         let mut built = algo.build_graph(&Arc::new(half), Metric::L2);
-        built.grow_to(&full, Metric::L2, &algo);
+        built.grow_to(&full, Metric::L2, &algo, &Tombstones::new(0));
         assert_eq!(GraphSearcher::len(&built), 400);
         let violations = built.validate(&full, Metric::L2);
         assert!(violations.is_empty(), "{violations:?}");
@@ -1235,7 +1253,7 @@ mod tests {
         }
         for algo in [IndexAlgorithm::Flat, IndexAlgorithm::ivf()] {
             let mut built = algo.build_graph(&Arc::new(half.clone()), Metric::L2);
-            built.grow_to(&full, Metric::L2, &algo);
+            built.grow_to(&full, Metric::L2, &algo, &Tombstones::new(0));
             assert_eq!(GraphSearcher::len(&built), 250, "{}", algo.name());
         }
     }
@@ -1353,7 +1371,7 @@ mod tests {
         g.refresh_report();
         assert!(flagged(&g, v));
         let full = clustered_store(340, 8, 6, 13);
-        g.extend_from(&full, Metric::L2);
+        g.extend_from(&full, Metric::L2, &Tombstones::new(0));
         assert_eq!(g.graph.len(), 340);
     }
 
@@ -1385,14 +1403,15 @@ mod tests {
             };
             let mut built = algo.build_graph(&prefix(300), Metric::L2);
             step("build");
-            built.grow_to(&prefix(340), Metric::L2, &algo);
+            built.grow_to(&prefix(340), Metric::L2, &algo, &Tombstones::new(0));
             step("first growth");
             let mut tomb = Tombstones::new(340);
             for id in (0..340u32).step_by(6) {
                 tomb.kill(id);
             }
             assert!(built.compact_live(&prefix(340), Metric::L2, &tomb));
-            built.grow_to(&prefix(380), Metric::L2, &algo);
+            tomb.mark_all_compacted();
+            built.grow_to(&prefix(380), Metric::L2, &algo, &tomb);
             step("growth after compaction");
             let violations = built.validate(&prefix(380), Metric::L2);
             assert!(violations.is_empty(), "{}: {violations:?}", algo.name());
@@ -1400,8 +1419,8 @@ mod tests {
             let json = serde_json::to_string(&built).expect("graph serializes");
             let mut reloaded: BuiltGraph = serde_json::from_str(&json).expect("round trips");
             assert_eq!(reloaded, built, "{}: clean prefixes persist", algo.name());
-            built.grow_to(&full, Metric::L2, &algo);
-            reloaded.grow_to(&full, Metric::L2, &algo);
+            built.grow_to(&full, Metric::L2, &algo, &tomb);
+            reloaded.grow_to(&full, Metric::L2, &algo, &tomb);
             step("growth after reload");
             assert_eq!(edges(&reloaded), edges(&built), "{}", algo.name());
             assert_eq!(reloaded, built);

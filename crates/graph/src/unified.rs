@@ -23,13 +23,16 @@
 //!
 //! The index is *snapshot-published-and-mutable*: searchers pin an
 //! immutable [`IndexSnapshot`] through an epoch-stamped
-//! [`crate::live::SnapshotCell`], while a single writer (serialized by an
-//! internal writer lock) applies [`UnifiedIndex::add_objects`] /
-//! [`UnifiedIndex::remove_objects`] against a private copy and publishes
-//! the result atomically. Deletes are tombstones filtered at
-//! result-collection time — dead vertices keep routing until the pending
-//! dead fraction crosses the compaction threshold, at which point the
-//! graph is rewired around them (see [`crate::live`]).
+//! [`crate::live::SnapshotCell`]. A generation is four parts — object
+//! store, weighted rows, graph, tombstones — and one routine makes the next
+//! one: under the writer lock it drafts the current parts by reference,
+//! [`UnifiedIndex::add_objects`] / [`UnifiedIndex::remove_objects`] edit
+//! the draft through `Arc::make_mut`, and the draft is published
+//! atomically, so a part a mutation does not change is shared, not copied.
+//! Deletes are tombstones filtered at result-collection time — dead
+//! vertices keep routing until the pending dead fraction crosses the
+//! compaction threshold, when the graph is rewired around them (see
+//! [`crate::live`]).
 
 use crate::live::{
     lock_ignore_poison, MutationError, MutationReport, SnapshotCell, SnapshotGuard, Tombstones,
@@ -37,7 +40,7 @@ use crate::live::{
 use crate::pipeline::{BuiltGraph, IndexAlgorithm};
 use crate::search::SearchOutput;
 use crate::traits::{DistanceFn, GraphSearcher};
-use crate::validate::InvariantViolation;
+use crate::validate::{check_tombstones, check_weighted_rows, InvariantViolation};
 use mqa_vector::{FusedScanner, Metric, MultiVector, MultiVectorStore, ScanStats, VecId, Weights};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -90,14 +93,16 @@ impl DistanceFn for FusedDistance<'_> {
     }
 }
 
-/// One published generation of the index: the object collection, the
-/// navigation structure built over it, and the deletion state. Immutable
-/// once published — the writer clones it, mutates the clone, and publishes
-/// the clone as the next generation.
+/// One published generation of the index, as four parts: the object
+/// collection, its weighted rows (what the graph's edges were selected
+/// over), the navigation structure, and the deletion state. Immutable once
+/// published; a clone shares the three `Arc` parts and copies the tombstone
+/// words — the writer's draft of the next generation.
 #[derive(Debug, Clone)]
 pub struct IndexSnapshot {
-    store: MultiVectorStore,
-    searcher: BuiltGraph,
+    store: Arc<MultiVectorStore>,
+    weighted: Arc<mqa_vector::VectorStore>,
+    searcher: Arc<BuiltGraph>,
     tombstones: Tombstones,
 }
 
@@ -119,10 +124,11 @@ impl IndexSnapshot {
 
     /// Audits the snapshot's cross-structure invariants and returns every
     /// violation found (empty = sound). `weights` and `metric` are the
-    /// owning index's: the graph's edges were selected over the weighted
-    /// concatenation, which is what their clean prefixes are checked in.
+    /// owning index's: the graph's edges were selected over the held
+    /// weighted rows, which is what their clean prefixes are checked in.
     ///
     /// - the navigation structure covers exactly the store population;
+    /// - the held weighted rows are the scaled store rows, bit for bit;
     /// - the tombstone bitmaps are internally consistent
     ///   ([`crate::validate::check_tombstones`]);
     /// - no edge points into a compacted-away id
@@ -137,23 +143,22 @@ impl IndexSnapshot {
     pub fn validate(&self, weights: &Weights, metric: Metric) -> Vec<InvariantViolation> {
         let n = self.store.len();
         let mut out = Vec::new();
-        if GraphSearcher::len(&self.searcher) != n {
+        if GraphSearcher::len(&*self.searcher) != n {
             out.push(InvariantViolation::SizeMismatch {
                 context: "unified snapshot population".to_string(),
                 expected: n,
-                got: GraphSearcher::len(&self.searcher),
+                got: GraphSearcher::len(&*self.searcher),
             });
         }
-        out.extend(crate::validate::check_tombstones(
-            "unified snapshot",
-            n,
-            &self.tombstones,
-        ));
-        let weighted = self.store.weighted_store(weights);
+        out.extend(check_tombstones("unified snapshot", n, &self.tombstones));
+        out.extend(check_weighted_rows(&self.store, &self.weighted, weights));
+        if self.weighted.len() != n {
+            return out; // the graph audits read the held rows by vertex id
+        }
         if self.tombstones.compacted_count() == 0 {
-            out.extend(self.searcher.validate(&weighted, metric));
+            out.extend(self.searcher.validate(&self.weighted, metric));
         } else {
-            match &self.searcher {
+            match &*self.searcher {
                 BuiltGraph::Nav(g) => {
                     out.extend(crate::validate::check_edges_live(
                         "unified snapshot navgraph",
@@ -161,7 +166,7 @@ impl IndexSnapshot {
                         &self.tombstones,
                     ));
                     if out.is_empty() {
-                        out.extend(g.check_clean_prefixes(&weighted, metric));
+                        out.extend(g.check_clean_prefixes(&self.weighted, metric));
                     }
                 }
                 BuiltGraph::Hnsw(h) => {
@@ -178,22 +183,6 @@ impl IndexSnapshot {
             }
         }
         out
-    }
-}
-
-/// A pinned, immutable view of the published object collection.
-/// Dereferences to the [`MultiVectorStore`]; the underlying snapshot stays
-/// alive (and unchanged) for as long as the guard is held, even across
-/// concurrent publishes.
-pub struct StoreGuard {
-    guard: SnapshotGuard<IndexSnapshot>,
-}
-
-impl std::ops::Deref for StoreGuard {
-    type Target = MultiVectorStore;
-
-    fn deref(&self) -> &MultiVectorStore {
-        self.guard.store()
     }
 }
 
@@ -267,24 +256,7 @@ impl UnifiedIndex {
             store.schema().arity(),
             "weights arity must match the schema"
         );
-        let build_span = mqa_obs::span(format!("graph.{}.build", algorithm.name()));
-        let weighted = Arc::new(store.weighted_store(&weights));
-        let searcher = algorithm.build_graph(&weighted, metric);
-        let build_time = build_span.finish();
-        let tombstones = Tombstones::new(store.len());
-        Self {
-            weights,
-            metric,
-            algorithm: algorithm.clone(),
-            build_time,
-            published: SnapshotCell::new(IndexSnapshot {
-                store,
-                searcher,
-                tombstones,
-            }),
-            writer: Mutex::new(()),
-            mutating: AtomicBool::new(false),
-        }
+        Self::assemble(store, weights, metric, algorithm.clone(), None)
     }
 
     /// Reassembles an index from persisted parts (see
@@ -300,8 +272,35 @@ impl UnifiedIndex {
         metric: Metric,
         searcher: BuiltGraph,
         algorithm: IndexAlgorithm,
-        mut tombstones: Tombstones,
+        tombstones: Tombstones,
     ) -> Self {
+        Self::assemble(
+            store,
+            weights,
+            metric,
+            algorithm,
+            Some((searcher, tombstones)),
+        )
+    }
+
+    /// Generation 0 from its parts — the one full weighted-rows pass; with
+    /// nothing `restored`, the graph is built over the rows (and timed).
+    fn assemble(
+        store: MultiVectorStore,
+        weights: Weights,
+        metric: Metric,
+        algorithm: IndexAlgorithm,
+        restored: Option<(BuiltGraph, Tombstones)>,
+    ) -> Self {
+        let build_span = restored
+            .is_none()
+            .then(|| mqa_obs::span(format!("graph.{}.build", algorithm.name())));
+        let weighted = Arc::new(store.weighted_store(&weights));
+        let (searcher, mut tombstones) = restored.unwrap_or_else(|| {
+            let built = algorithm.build_graph(&weighted, metric);
+            (built, Tombstones::new(store.len()))
+        });
+        let build_time = build_span.map_or(Duration::ZERO, |span| span.finish());
         assert_eq!(
             GraphSearcher::len(&searcher),
             store.len(),
@@ -312,10 +311,11 @@ impl UnifiedIndex {
             weights,
             metric,
             algorithm,
-            build_time: Duration::ZERO,
+            build_time,
             published: SnapshotCell::new(IndexSnapshot {
-                store,
-                searcher,
+                store: Arc::new(store),
+                weighted,
+                searcher: Arc::new(searcher),
                 tombstones,
             }),
             writer: Mutex::new(()),
@@ -349,6 +349,41 @@ impl UnifiedIndex {
         self.published.epoch()
     }
 
+    /// The generation protocol, owned here and nowhere else: writer lock,
+    /// draft of the current generation, `edit` (a part it takes through
+    /// `Arc::make_mut` is copied once, a part it leaves alone stays shared),
+    /// publish, instruments. `edit` returns `(applied, compacted)`.
+    fn publish_next(
+        &self,
+        applied_counter: mqa_obs::Counter,
+        edit: impl FnOnce(&mut IndexSnapshot) -> (usize, bool),
+    ) -> MutationReport {
+        let _writer = lock_ignore_poison(&self.writer);
+        let _mutating = MutatingFlag::raise(&self.mutating);
+        let sw = mqa_obs::Stopwatch::start();
+        // Pinned so the parts the edit replaces are freed after the publish,
+        // not under the slot lock readers load through.
+        let pinned = self.published.load();
+        let mut draft = IndexSnapshot::clone(&pinned);
+        let (applied, compacted) = edit(&mut draft);
+        let (live, dead) = (draft.tombstones.live_count(), draft.tombstones.dead_count());
+        let dead_fraction = draft.tombstones.dead_fraction();
+        let epoch = self.published.publish(draft);
+        applied_counter.add(applied as u64);
+        if compacted {
+            mqa_obs::counter("graph.mutate.compactions").inc();
+        }
+        mqa_obs::histogram("graph.mutate.publish_us").record(sw.elapsed_us());
+        mqa_obs::gauge("graph.mutate.dead_fraction").set(dead_fraction);
+        MutationReport {
+            epoch,
+            applied,
+            compacted,
+            live,
+            dead,
+        }
+    }
+
     /// Inserts a batch of complete multi-vector objects, assigning them
     /// the next dense ids. The new generation is published atomically
     /// after the navigation structure has been grown over the batch;
@@ -361,10 +396,8 @@ impl UnifiedIndex {
         if objects.is_empty() {
             return Err(MutationError::EmptyBatch);
         }
-        let _writer = lock_ignore_poison(&self.writer);
-        let _mutating = MutatingFlag::raise(&self.mutating);
-        let snap = self.published.load();
-        let want = snap.store().schema().arity();
+        // Checked against any generation: the schema never changes.
+        let want = self.published.load().store.schema().arity();
         for object in objects {
             if object.arity() != want {
                 return Err(MutationError::ArityMismatch {
@@ -376,33 +409,33 @@ impl UnifiedIndex {
                 return Err(MutationError::IncompleteObject { modality });
             }
         }
-        let sw = mqa_obs::Stopwatch::start();
-        let mut store = snap.store().clone();
-        for object in objects {
-            store.push(object);
-        }
-        let weighted = Arc::new(store.weighted_store(&self.weights));
-        let mut searcher = snap.searcher().clone();
-        searcher.grow_to(&weighted, self.metric, &self.algorithm);
-        let mut tombstones = snap.tombstones().clone();
-        tombstones.grow(store.len());
-        let (live, dead) = (tombstones.live_count(), tombstones.dead_count());
-        let dead_fraction = tombstones.dead_fraction();
-        let epoch = self.published.publish(IndexSnapshot {
-            store,
-            searcher,
-            tombstones,
-        });
-        mqa_obs::counter("graph.mutate.inserts").add(objects.len() as u64);
-        mqa_obs::histogram("graph.mutate.publish_us").record(sw.elapsed_us());
-        mqa_obs::gauge("graph.mutate.dead_fraction").set(dead_fraction);
-        Ok(MutationReport {
-            epoch,
-            applied: objects.len(),
-            compacted: false,
-            live,
-            dead,
-        })
+        let inserts = mqa_obs::counter("graph.mutate.inserts");
+        Ok(self.publish_next(inserts, |draft| {
+            // The held rows are copied by hand at their final capacity (a
+            // `make_mut` clone is full; its first push doubles it) and before the
+            // store is cloned: the order that fragments the heap least (§15).
+            let rows = draft.store.len() + objects.len();
+            let mut weighted = mqa_vector::VectorStore::with_capacity(draft.weighted.dim(), rows);
+            for (_, row) in draft.weighted.iter() {
+                weighted.push(row);
+            }
+            let store = Arc::make_mut(&mut draft.store);
+            for object in objects {
+                let id = store.push(object);
+                weighted.push(store.concat_of(id));
+                self.weights
+                    .scale_concat(store.schema(), weighted.get_mut(id));
+            }
+            draft.weighted = Arc::new(weighted);
+            draft.tombstones.grow(store.len());
+            Arc::make_mut(&mut draft.searcher).grow_to(
+                &draft.weighted,
+                self.metric,
+                &self.algorithm,
+                &draft.tombstones,
+            );
+            (objects.len(), false)
+        }))
     }
 
     /// Tombstones a batch of objects. Dead objects never surface in
@@ -418,48 +451,25 @@ impl UnifiedIndex {
         if ids.is_empty() {
             return Err(MutationError::EmptyBatch);
         }
-        let _writer = lock_ignore_poison(&self.writer);
-        let _mutating = MutatingFlag::raise(&self.mutating);
-        let snap = self.published.load();
-        let n = snap.store().len();
+        // Checked against any generation: the population only grows.
+        let n = self.len();
         if let Some(&id) = ids.iter().find(|&&id| id as usize >= n) {
             return Err(MutationError::IdOutOfRange { id, n });
         }
-        let sw = mqa_obs::Stopwatch::start();
-        let mut tombstones = snap.tombstones().clone();
-        let mut applied = 0usize;
-        for &id in ids {
-            if tombstones.kill(id) {
-                applied += 1;
+        let deletes = mqa_obs::counter("graph.mutate.deletes");
+        Ok(self.publish_next(deletes, |draft| {
+            let applied = ids.iter().filter(|&&id| draft.tombstones.kill(id)).count();
+            let compacted = draft.tombstones.pending_fraction() > Self::DEFAULT_COMPACT_THRESHOLD
+                && Arc::make_mut(&mut draft.searcher).compact_live(
+                    &draft.weighted,
+                    self.metric,
+                    &draft.tombstones,
+                );
+            if compacted {
+                draft.tombstones.mark_all_compacted();
             }
-        }
-        let mut searcher = snap.searcher().clone();
-        let mut compacted = false;
-        if tombstones.pending_fraction() > Self::DEFAULT_COMPACT_THRESHOLD {
-            let weighted = Arc::new(snap.store().weighted_store(&self.weights));
-            if searcher.compact_live(&weighted, self.metric, &tombstones) {
-                tombstones.mark_all_compacted();
-                compacted = true;
-                mqa_obs::counter("graph.mutate.compactions").inc();
-            }
-        }
-        let (live, dead) = (tombstones.live_count(), tombstones.dead_count());
-        let dead_fraction = tombstones.dead_fraction();
-        let epoch = self.published.publish(IndexSnapshot {
-            store: snap.store().clone(),
-            searcher,
-            tombstones,
-        });
-        mqa_obs::counter("graph.mutate.deletes").add(applied as u64);
-        mqa_obs::histogram("graph.mutate.publish_us").record(sw.elapsed_us());
-        mqa_obs::gauge("graph.mutate.dead_fraction").set(dead_fraction);
-        Ok(MutationReport {
-            epoch,
-            applied,
-            compacted,
-            live,
-            dead,
-        })
+            (applied, compacted)
+        }))
     }
 
     /// Merging-free multi-modal search.
@@ -531,12 +541,10 @@ impl UnifiedIndex {
         }
     }
 
-    /// The object collection, pinned at the current generation (live and
-    /// dead slots; ids are never reclaimed).
-    pub fn store(&self) -> StoreGuard {
-        StoreGuard {
-            guard: self.published.load(),
-        }
+    /// The current generation's object collection (live and dead slots;
+    /// ids are never reclaimed), unchanged by later publishes.
+    pub fn store(&self) -> Arc<MultiVectorStore> {
+        Arc::clone(&self.published.load().store)
     }
 
     /// The build-time (learned) weights.
@@ -622,7 +630,7 @@ impl UnifiedSearchOutput {
 mod tests {
     use super::*;
     use mqa_rng::StdRng;
-    use mqa_vector::Schema;
+    use mqa_vector::{Schema, VectorStore};
 
     /// Clustered multi-modal store: objects around per-class centers in
     /// both modalities, with the image modality noisier.
@@ -930,16 +938,6 @@ mod tests {
 
     #[test]
     fn mutation_batches_reject_bad_input() {
-        let (idx, _) = build_default(13);
-        assert_eq!(idx.add_objects(&[]), Err(MutationError::EmptyBatch));
-        assert_eq!(idx.remove_objects(&[]), Err(MutationError::EmptyBatch));
-        assert_eq!(
-            idx.remove_objects(&[600]),
-            Err(MutationError::IdOutOfRange { id: 600, n: 600 })
-        );
-        let wrong = MultiVector::complete(&Schema::text_image(3, 3), vec![vec![0.0; 3]; 2]);
-        // Same arity, wrong dims would panic in the store; wrong arity is
-        // the typed error.
         let three = mqa_vector::Schema::new(vec![
             mqa_vector::Modality {
                 name: "a".into(),
@@ -957,20 +955,37 @@ mod tests {
                 dim: 8,
             },
         ]);
+        // Same arity, wrong dims would panic in the store; wrong arity is
+        // the typed error.
         let wrong_arity = MultiVector::complete(&three, vec![vec![0.0; 8]; 3]);
-        assert_eq!(
-            idx.add_objects(std::slice::from_ref(&wrong_arity)),
-            Err(MutationError::ArityMismatch { got: 3, want: 2 })
-        );
-        let schema = idx.store().schema().clone();
-        let partial = MultiVector::partial(&schema, vec![Some(vec![0.0; 8]), None]);
-        assert_eq!(
-            idx.add_objects(std::slice::from_ref(&partial)),
-            Err(MutationError::IncompleteObject { modality: 1 })
-        );
-        let _ = wrong;
-        // Rejected batches publish nothing.
-        assert_eq!(idx.epoch(), 0);
+        for algo in families() {
+            let idx = build_small(200, 13, &algo);
+            let before = idx.current();
+            assert_eq!(idx.add_objects(&[]), Err(MutationError::EmptyBatch));
+            assert_eq!(idx.remove_objects(&[]), Err(MutationError::EmptyBatch));
+            assert_eq!(
+                idx.remove_objects(&[3, 200]),
+                Err(MutationError::IdOutOfRange { id: 200, n: 200 })
+            );
+            assert_eq!(
+                idx.add_objects(std::slice::from_ref(&wrong_arity)),
+                Err(MutationError::ArityMismatch { got: 3, want: 2 })
+            );
+            let schema = idx.store().schema().clone();
+            let partial = MultiVector::partial(&schema, vec![Some(vec![0.0; 8]), None]);
+            assert_eq!(
+                idx.add_objects(std::slice::from_ref(&partial)),
+                Err(MutationError::IncompleteObject { modality: 1 })
+            );
+            // Rejected batches publish nothing and copy nothing: the published
+            // generation is still the very allocation pinned before them, so
+            // all four parts are the parts it held.
+            let after = idx.current();
+            assert_eq!(idx.epoch(), 0, "{}", algo.name());
+            assert!(Arc::ptr_eq(before.snapshot(), after.snapshot()));
+            assert_eq!(shared(&before, &after), (true, true, true));
+            assert_eq!(before.tombstones(), after.tombstones());
+        }
     }
 
     #[test]
@@ -1006,5 +1021,205 @@ mod tests {
         let got = idx.search(&q, None, 10, 64).ids();
         let overlap = got.iter().filter(|id| truth.contains(id)).count();
         assert!(overlap >= 8, "post-mutation recall {overlap}/10");
+    }
+
+    fn families() -> [IndexAlgorithm; 5] {
+        [
+            IndexAlgorithm::Flat,
+            IndexAlgorithm::hnsw(),
+            IndexAlgorithm::nsg(),
+            IndexAlgorithm::vamana(),
+            IndexAlgorithm::mqa_graph(),
+        ]
+    }
+
+    fn build_small(n: usize, seed: u64, algo: &IndexAlgorithm) -> UnifiedIndex {
+        let (store, _) = clustered(n, 6, 0.2, 0.6, seed);
+        UnifiedIndex::build(store, Weights::normalized(&[1.5, 0.5]), Metric::L2, algo)
+    }
+
+    /// Which of (store, weighted rows, graph) two generations share.
+    fn shared(a: &IndexSnapshot, b: &IndexSnapshot) -> (bool, bool, bool) {
+        (
+            Arc::ptr_eq(&a.store, &b.store),
+            Arc::ptr_eq(&a.weighted, &b.weighted),
+            Arc::ptr_eq(&a.searcher, &b.searcher),
+        )
+    }
+
+    #[test]
+    fn mutations_copy_only_the_parts_they_change() {
+        for algo in families() {
+            let name = algo.name();
+            let idx = build_small(200, 21, &algo);
+            // Below the threshold a delete copies the tombstone words only.
+            let g0 = idx.current();
+            assert!(!idx.remove_objects(&[3, 5]).unwrap().compacted);
+            let g1 = idx.current();
+            assert_eq!(shared(&g0, &g1), (true, true, true), "{name}: delete");
+            assert!(!g0.tombstones().is_dead(3) && g1.tombstones().is_dead(3));
+            // A compacting delete copies the graph and nothing else.
+            let doomed: Vec<VecId> = (0..200).step_by(4).collect();
+            assert!(idx.remove_objects(&doomed).unwrap().compacted);
+            let g2 = idx.current();
+            assert_eq!(shared(&g1, &g2), (true, true, false), "{name}: compaction");
+            // An insert copies what it appends to; the generation pinned
+            // before it still equals its deep clone.
+            let frozen = (
+                g2.store().clone(),
+                VectorStore::clone(&g2.weighted),
+                g2.searcher().clone(),
+                g2.tombstones().clone(),
+            );
+            let mut rng = StdRng::seed_from_u64(22);
+            let batch: Vec<MultiVector> = (0..10)
+                .map(|_| random_object(g2.store().schema(), &mut rng))
+                .collect();
+            idx.add_objects(&batch).unwrap();
+            assert_eq!(shared(&g2, &idx.current()), (false, false, false), "{name}");
+            assert_eq!(g2.store(), &frozen.0, "{name}: pinned store moved");
+            assert_eq!(*g2.weighted, frozen.1, "{name}: pinned rows moved");
+            assert_eq!(g2.searcher(), &frozen.2, "{name}: pinned graph moved");
+            assert_eq!(g2.tombstones(), &frozen.3, "{name}: pinned tombstones");
+        }
+    }
+
+    /// After every step of a seeded add / delete / compact / add script the
+    /// rows appended per batch are the full pass's rows to the bit, and the
+    /// index answers exactly like one assembled by `from_parts` (the full
+    /// pass) from the same store, graph and tombstones.
+    #[test]
+    fn incremental_generations_equal_the_full_pass() {
+        for algo in families() {
+            let idx = build_small(240, 23, &algo);
+            let schema = idx.store().schema().clone();
+            let mut rng = StdRng::seed_from_u64(24);
+            let mut objects = |n: usize| -> Vec<MultiVector> {
+                (0..n).map(|_| random_object(&schema, &mut rng)).collect()
+            };
+            let queries = objects(8);
+            let check = |step: &str| {
+                let context = format!("{} after {step}", algo.name());
+                let snap = idx.current();
+                let violations = snap.validate(idx.weights(), idx.metric());
+                assert!(violations.is_empty(), "{context}: {violations:?}");
+                let full = snap.store().weighted_store(idx.weights());
+                let bits =
+                    |s: &VectorStore| s.raw().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&snap.weighted), bits(&full), "{context}");
+                let assembled = idx.snapshot().restore();
+                for q in &queries {
+                    assert_eq!(
+                        idx.search(q, None, 10, 48).output.results,
+                        assembled.search(q, None, 10, 48).output.results,
+                        "{context}"
+                    );
+                    assert_eq!(
+                        idx.search_exact(q, None, 10).output.results,
+                        assembled.search_exact(q, None, 10).output.results,
+                        "{context}"
+                    );
+                }
+            };
+            idx.add_objects(&objects(20)).unwrap();
+            check("add");
+            assert!(!idx.remove_objects(&[1, 7, 250]).unwrap().compacted);
+            check("delete");
+            let doomed: Vec<VecId> = (0..260).step_by(4).collect();
+            assert!(idx.remove_objects(&doomed).unwrap().compacted);
+            check("compaction");
+            idx.add_objects(&objects(20)).unwrap();
+            check("add after compaction");
+        }
+    }
+
+    /// Regression: compaction keeps a retired entry as a search seed, and
+    /// growth used to link new vertices to it (`EdgeIntoRetired`). Retire
+    /// every entry, then insert copies of the entries' own vectors — at
+    /// distance zero the retired ids head every candidate pool.
+    #[test]
+    fn retired_entries_seed_inserts_but_are_never_linked_to() {
+        let assert_sound = |idx: &UnifiedIndex, step: &str| {
+            let snap = idx.current();
+            let context = format!("{} after {step}", idx.algorithm().name());
+            let violations = snap.validate(idx.weights(), idx.metric());
+            assert!(violations.is_empty(), "{context}: {violations:?}");
+            let mut edges = Vec::new();
+            match snap.searcher() {
+                BuiltGraph::Nav(g) => edges.extend(g.graph().edges()),
+                BuiltGraph::Hnsw(h) => h.for_each_edge(|_, v, u| edges.push((v, u))),
+                BuiltGraph::Flat(_) | BuiltGraph::Ivf(_) => unreachable!("graph families only"),
+            }
+            for (v, u) in edges {
+                assert!(!snap.tombstones().is_compacted(u), "{context}: {v} -> {u}");
+            }
+        };
+        for algo in [
+            IndexAlgorithm::mqa_graph(),
+            IndexAlgorithm::vamana(),
+            IndexAlgorithm::hnsw(),
+        ] {
+            let idx = build_small(300, 25, &algo);
+            let entries: Vec<VecId> = match idx.current().searcher() {
+                BuiltGraph::Nav(g) => g.entries().to_vec(),
+                BuiltGraph::Hnsw(h) => vec![h.entry()],
+                BuiltGraph::Flat(_) | BuiltGraph::Ivf(_) => unreachable!("graph families only"),
+            };
+            // Every entry plus a quarter of the ids: past the 20 % threshold.
+            let doomed: Vec<VecId> = entries.iter().copied().chain((0..300).step_by(4)).collect();
+            assert!(idx.remove_objects(&doomed).unwrap().compacted);
+            assert_sound(&idx, "compaction");
+            let store = idx.store();
+            let twins: Vec<MultiVector> =
+                entries.iter().map(|&e| store.multivector_of(e)).collect();
+            idx.add_objects(&twins).unwrap();
+            assert_sound(&idx, "entry twins");
+            let mut rng = StdRng::seed_from_u64(26);
+            let batch: Vec<MultiVector> = (0..30)
+                .map(|_| random_object(store.schema(), &mut rng))
+                .collect();
+            idx.add_objects(&batch).unwrap();
+            assert_sound(&idx, "growth");
+            // The twins are live and findable where the retired entries were.
+            for (i, twin) in twins.iter().enumerate() {
+                assert_eq!(idx.search(twin, None, 1, 64).ids(), vec![300 + i as VecId]);
+            }
+        }
+    }
+
+    /// Red path for the held-rows audit: one forged value, one missing row.
+    #[test]
+    fn validate_flags_forged_weighted_rows() {
+        let idx = build_small(150, 27, &IndexAlgorithm::vamana());
+        let snap = idx.current();
+        let audit = |weighted: VectorStore| {
+            let forged = IndexSnapshot {
+                weighted: Arc::new(weighted),
+                ..IndexSnapshot::clone(&snap)
+            };
+            forged.validate(idx.weights(), idx.metric())
+        };
+        assert!(audit(VectorStore::clone(&snap.weighted)).is_empty());
+        let mut one_value = VectorStore::clone(&snap.weighted);
+        one_value.get_mut(7)[3] += 0.5;
+        let violations = audit(one_value);
+        assert!(
+            violations.contains(&InvariantViolation::StaleWeightedRow { id: 7 }),
+            "{violations:?}"
+        );
+        // A missing row is reported alone: the rows can no longer be paired
+        // with objects or vertices, so nothing past it is audited.
+        let mut one_short = VectorStore::new(snap.weighted.dim());
+        for id in 0..149 {
+            one_short.push(snap.weighted.get(id));
+        }
+        assert_eq!(
+            audit(one_short),
+            vec![InvariantViolation::SizeMismatch {
+                context: "unified snapshot weighted rows".to_string(),
+                expected: 150,
+                got: 149,
+            }]
+        );
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::adjacency::Adjacency;
 use crate::live::Tombstones;
-use mqa_vector::{Candidate, Metric, VecId, VectorStore};
+use mqa_vector::{Candidate, Metric, MultiVectorStore, VecId, VectorStore, Weights};
 use std::fmt;
 
 /// One structural invariant violation found by an index auditor.
@@ -163,6 +163,14 @@ pub enum InvariantViolation {
         /// What the prefix fails.
         detail: String,
     },
+    /// A held weighted row that is not `Weights::scale_concat` of its
+    /// store row, bit for bit. The graph's edges were selected over the
+    /// held rows, so growth and compaction would prune against vectors
+    /// the queries never see.
+    StaleWeightedRow {
+        /// The object whose weighted row disagrees.
+        id: VecId,
+    },
 }
 
 impl fmt::Display for InvariantViolation {
@@ -256,8 +264,42 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "{context}: vertex {id} records a clean prefix of {clean}, but {detail}"
             ),
+            Self::StaleWeightedRow { id } => {
+                write!(f, "weighted row {id} is not the scaled store row")
+            }
         }
     }
+}
+
+/// Audits held weighted rows against their authority: one row per object
+/// of `store`, each `Weights::scale_concat` of the store row bit for bit.
+/// A row-count mismatch is reported alone (the rows cannot be paired).
+pub(crate) fn check_weighted_rows(
+    store: &MultiVectorStore,
+    weighted: &VectorStore,
+    weights: &Weights,
+) -> Vec<InvariantViolation> {
+    if weighted.len() != store.len() {
+        return vec![InvariantViolation::SizeMismatch {
+            context: "unified snapshot weighted rows".to_string(),
+            expected: store.len(),
+            got: weighted.len(),
+        }];
+    }
+    let mut out = Vec::new();
+    let mut row = vec![0.0f32; store.schema().total_dim()];
+    for (id, held) in weighted.iter() {
+        row.copy_from_slice(store.concat_of(id));
+        weights.scale_concat(store.schema(), &mut row);
+        if row
+            .iter()
+            .zip(held)
+            .any(|(a, b)| a.to_bits() != b.to_bits())
+        {
+            out.push(InvariantViolation::StaleWeightedRow { id });
+        }
+    }
+    out
 }
 
 /// Shared adjacency-list checks: every endpoint in range, no self-loops, no

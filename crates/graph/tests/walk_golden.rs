@@ -162,7 +162,7 @@ fn construction_is_bit_identical() {
         let mut built = algo.build_graph(&store, Metric::L2);
         let got = edge_hash(&built);
         assert_eq!(got, want_built, "{}: built edges {got:#018x}", algo.name());
-        built.grow_to(&grown, Metric::L2, &algo);
+        built.grow_to(&grown, Metric::L2, &algo, &Tombstones::new(0));
         assert_eq!(GraphSearcher::len(&built), GROWN);
         let got = edge_hash(&built);
         assert_eq!(got, want_grown, "{}: grown edges {got:#018x}", algo.name());

@@ -6,8 +6,7 @@
 //! [`AuditEntry`]; the run fails if any entry reports violations.
 
 use crate::workspace::{self, SourceFile, Workspace};
-use mqa_graph::IndexAlgorithm;
-use mqa_graph::UnifiedIndex;
+use mqa_graph::{BuiltGraph, IndexAlgorithm, MutationError, MutationReport, UnifiedIndex};
 use mqa_rng::StdRng;
 use mqa_vector::{Metric, MultiVector, MultiVectorStore, Schema, VectorStore, Weights};
 use std::collections::BTreeMap;
@@ -319,8 +318,8 @@ pub fn audit_stages(ws: &Workspace) -> Vec<String> {
 }
 
 /// Runs the full audit: every index variant over the synthetic corpus,
-/// the unified multi-modal index, the multi-vector store, and the static
-/// instrument-name audit.
+/// the unified multi-modal index through a scripted mutation life cycle,
+/// the multi-vector store, and the static instrument-name audit.
 pub fn run(repo_root: &Path) -> AuditReport {
     let mut report = AuditReport::default();
 
@@ -343,11 +342,27 @@ pub fn run(repo_root: &Path) -> AuditReport {
     }
 
     // The unified multi-modal index (store + learned-weight layout), as
-    // assembled by the real system path.
+    // assembled by the real system path, then driven through one scripted
+    // life cycle of the generation routine — grow, retire a quarter of the
+    // ids (every entry among them, which compacts), grow again — with
+    // every generation it publishes validated.
     let mv = synthetic_multivector_store(300, 0xA0D2);
     report.push("multivector store", mv.validate());
     let weights = Weights::normalized(&[2.0, 1.0]);
-    for algo in [IndexAlgorithm::hnsw(), IndexAlgorithm::mqa_graph()] {
+    let donors = synthetic_multivector_store(80, 0xA0D3);
+    let batch = |from: u32, to: u32| -> Vec<MultiVector> {
+        (from..to)
+            .filter(|id| id % 4 != 3) // online inserts must be complete
+            .map(|id| donors.multivector_of(id))
+            .collect()
+    };
+    for algo in [
+        IndexAlgorithm::Flat,
+        IndexAlgorithm::hnsw(),
+        IndexAlgorithm::nsg(),
+        IndexAlgorithm::vamana(),
+        IndexAlgorithm::mqa_graph(),
+    ] {
         let name = format!("unified index ({})", algo.name());
         let unified = UnifiedIndex::build(mv.clone(), weights.clone(), Metric::L2, &algo);
         let snapshot = unified.snapshot();
@@ -363,6 +378,29 @@ pub fn run(repo_root: &Path) -> AuditReport {
                 .validate(&weights, Metric::L2)
                 .iter()
                 .map(ToString::to_string),
+        );
+        let mut doomed: Vec<u32> = match unified.current().searcher() {
+            BuiltGraph::Nav(nav) => nav.entries().to_vec(),
+            BuiltGraph::Hnsw(hnsw) => vec![hnsw.entry()],
+            BuiltGraph::Flat(_) | BuiltGraph::Ivf(_) => Vec::new(),
+        };
+        doomed.extend((0..300).step_by(4));
+        type Outcome = Result<MutationReport, MutationError>;
+        let mut ran = |step: &str, compacts: bool, outcome: Outcome| {
+            match outcome {
+                Ok(done) if done.compacted == compacts => {}
+                Ok(done) => violations.push(format!("{step}: unexpected outcome {done:?}")),
+                Err(e) => violations.push(format!("{step}: rejected ({e})")),
+            }
+            let found = unified.current().validate(&weights, Metric::L2);
+            violations.extend(found.iter().map(|v| format!("after {step}: {v}")));
+        };
+        ran("add", false, unified.add_objects(&batch(0, 40)));
+        ran("compacting delete", true, unified.remove_objects(&doomed));
+        ran(
+            "add after compaction",
+            false,
+            unified.add_objects(&batch(40, 80)),
         );
         report.push(&name, violations);
     }

@@ -9,7 +9,7 @@
 //! | [`conc`] | the global lock-order graph has no cycle, every `Condvar::wait` re-checks its predicate in a loop, no guard is held across a blocking call | `conc-baseline.toml` (absent: zero waivers) |
 //! | [`flow`] | no panic-capable site is reachable from a serving entry point | `flow-baseline.toml` |
 //! | [`alloc`] | no allocation-capable site is reachable from a steady-state serving entry point without an `// ALLOC:` discharge (cross-checked at runtime by `mqa-engine`'s `alloc-witness` allocator) | `alloc-baseline.toml` |
-//! | [`audit`] | every index variant, the unified index and the multi-vector store pass their structural validators; every literal instrument and span name is well-formed and live | — |
+//! | [`audit`] | every index variant, the multi-vector store and every generation the unified index publishes under a scripted add / compacting delete / add pass their structural validators; every literal instrument and span name is well-formed and live | — |
 //! | `rules` | (lists the lint rules with their rationales) | — |
 //! | [`obs`] | a seeded dialogue shows every instrumented pipeline layer in the metrics snapshot | — |
 //! | [`engine`] | worker-pool answers equal the serial path, paged QPS scales with workers, the runtime lock-order witness agrees with `conc`'s static lock graph | — |

@@ -93,7 +93,8 @@ alloc-baseline.toml.",
         name: "audit",
         options: "",
         help: "Build every index variant over a synthetic corpus and run the
-structural validators (HNSW, IVF, NavGraph, MultiVectorStore).",
+structural validators (HNSW, IVF, NavGraph, MultiVectorStore); validate every
+generation a scripted add / compacting delete / add publishes on the unified index.",
         run: |_| cmd_audit(),
     },
     Command {
