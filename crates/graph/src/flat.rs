@@ -22,12 +22,20 @@ impl FlatSearcher {
         Self { n }
     }
 
-    /// The scan itself, compiled around the evaluator's type.
-    pub(crate) fn scan<D: DistanceFn + ?Sized>(&self, dist: &mut D, k: usize) -> SearchOutput {
+    /// The scan itself, compiled around the evaluator's type and around
+    /// `keep`: an id it rejects (a tombstoned one, for the live-only recall
+    /// oracle) is skipped before it is evaluated, so the result stays
+    /// `k`-bounded whatever the delete history.
+    pub(crate) fn scan<D: DistanceFn + ?Sized>(
+        &self,
+        dist: &mut D,
+        k: usize,
+        keep: impl Fn(VecId) -> bool,
+    ) -> SearchOutput {
         assert!(k > 0, "search requires k >= 1");
         let mut stats = SearchStats::default();
         let mut top = TopK::new(k);
-        for id in 0..self.n as VecId {
+        for id in (0..self.n as VecId).filter(|&id| keep(id)) {
             match dist.eval(id, top.bound()) {
                 Some(d) => {
                     stats.evals += 1;
@@ -54,7 +62,7 @@ impl GraphSearcher for FlatSearcher {
         // The exhaustive scan keeps no visited state; the scratch is
         // accepted (and ignored) so flat search slots into the same
         // worker-pool plumbing as the graph indexes.
-        self.scan(dist, k)
+        self.scan(dist, k, |_| true)
     }
 
     fn len(&self) -> usize {

@@ -13,7 +13,10 @@
 //!   bumping the epoch.
 //! * **Deletes are tombstones** ([`Tombstones`]): a dead bitmap filtered at
 //!   result-collection time — never mid-traversal, so dead vertices keep
-//!   routing until compaction rewires the graph around them. A second
+//!   routing until compaction rewires the graph around them — by the one
+//!   routine a mutated index is read through, [`Tombstones::search_live`],
+//!   whose beam widens by the share of dead vertices a walk can still
+//!   reach, not by how many ids were ever deleted. A second
 //!   bitmap records which dead ids compaction has already unlinked
 //!   (`compacted ⊆ dead`); edges into *compacted* ids are a structural
 //!   violation, while edges into merely-dead ids are legal routing.
@@ -22,11 +25,12 @@
 //! idiom from per-search state to the index itself: a bumped counter makes
 //! an entire generation of state stale at once, with no per-element sweep.
 
+use crate::search::{SearchOutput, SearchStats};
 use mqa_vector::{Candidate, Metric, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Recovers the guard from a poisoned lock. A poisoned snapshot slot only
 /// means another thread panicked mid-publish; the slot always holds a
@@ -155,31 +159,72 @@ impl Tombstones {
         }
     }
 
-    /// Fraction of the population that is dead but not yet compacted —
-    /// the compaction trigger quantity (resets to zero after a pass).
+    /// Share of the *reachable* population — live plus pending, the ids a
+    /// walk can still meet — that is dead but not yet compacted: the
+    /// compaction trigger quantity (resets to zero after a pass). Compacted
+    /// ids are left out of the denominator: they never shrink, so counting
+    /// them would make the trigger lazier with every generation.
     pub fn pending_fraction(&self) -> f64 {
-        if self.n == 0 {
+        let reachable = self.n.saturating_sub(self.compacted_count);
+        if reachable == 0 {
             0.0
         } else {
-            self.pending_count() as f64 / self.n as f64
+            self.pending_count() as f64 / reachable as f64
         }
     }
 
-    /// Widens a `(k, ef)` request so `k` live results can still fill once
-    /// [`Tombstones::retain_live`] has dropped the dead ones: `k` grows by
-    /// the dead count (capped at the population) and `ef` follows. With
-    /// nothing dead this is the request itself (searchers clamp `ef` to
-    /// at least `k` anyway).
-    pub fn overfetch(&self, k: usize, ef: usize) -> (usize, usize) {
-        let k = k + self.dead_count.min(self.n.saturating_sub(k));
-        (k, ef.max(k))
+    /// The beam a `(k, ef)` request walks with so that the configured
+    /// width is still there once the dead entries are dropped:
+    /// `ceil(max(ef, k) · (live + pending) / live)` — the request's own
+    /// width while nothing is pending. Only dead vertices a walk can
+    /// *reach* crowd a beam: compacted ids have no in-edges (a retired
+    /// entry is met as a seed only), so they earn no allowance however
+    /// many there have ever been.
+    fn live_beam(&self, k: usize, ef: usize) -> usize {
+        let (live, width) = (self.live_count(), ef.max(k));
+        if live == 0 {
+            return width;
+        }
+        width
+            .saturating_mul(live + self.pending_count())
+            .div_ceil(live)
     }
 
-    /// Drops dead ids from ranked `results` and keeps the best `k` — the
-    /// result-collection-time filter (never applied mid-traversal).
-    pub fn retain_live(&self, results: &mut Vec<Candidate>, k: usize) {
-        results.retain(|c| !self.is_dead(c.id));
-        results.truncate(k);
+    /// Searches a tombstoned index for the best `k` *live* results — the
+    /// one routine every mutated index is read through. `walk(k, ef)` runs
+    /// the index's own search (dead vertices keep routing; nothing is
+    /// filtered mid-traversal); it is asked for the whole
+    /// [beam](Self::live_beam) and the dead entries are dropped from what
+    /// it returns. Should fewer than `min(k, live)` live results survive —
+    /// a dense pocket of dead around the query — the walk runs again with
+    /// the beam doubled, up to the population, so `k` live results come
+    /// back whenever the walk can reach `k` live objects. The stats are
+    /// those of every pass; a retry counts in `graph.search.widened`, and
+    /// the final beam is noted on the active query trace.
+    pub fn search_live(
+        &self,
+        k: usize,
+        ef: usize,
+        mut walk: impl FnMut(usize, usize) -> SearchOutput,
+    ) -> SearchOutput {
+        let want = k.min(self.live_count());
+        let mut beam = self.live_beam(k, ef);
+        let mut spent = SearchStats::default();
+        loop {
+            // At most `dead_count` of the results can be dropped, so with
+            // nothing dead the request is the caller's own `(k, ef)`.
+            let mut out = walk(beam.min(k + self.dead_count), beam);
+            out.results.retain(|c| !self.is_dead(c.id));
+            out.results.truncate(k);
+            out.stats.merge(&spent);
+            if out.results.len() >= want || beam >= self.n {
+                mqa_obs::trace::note_beam_width(beam as u64);
+                return out;
+            }
+            spent = out.stats;
+            beam = beam.saturating_mul(2).min(self.n);
+            LiveCounters::get().widened.inc();
+        }
     }
 
     /// The candidate pool compaction re-prunes `v`'s neighbour list from:
@@ -243,6 +288,22 @@ impl Tombstones {
             compacted += c.count_ones() as usize;
         }
         Some((dead, compacted))
+    }
+}
+
+/// The counter [`Tombstones::search_live`] writes, resolved once per
+/// process (the `search.rs` idiom): a widened search is one relaxed add,
+/// with no registry lookup on the search path.
+struct LiveCounters {
+    widened: mqa_obs::Counter,
+}
+
+impl LiveCounters {
+    fn get() -> &'static Self {
+        static COUNTERS: OnceLock<LiveCounters> = OnceLock::new();
+        COUNTERS.get_or_init(|| LiveCounters {
+            widened: mqa_obs::counter("graph.search.widened"),
+        })
     }
 }
 
@@ -447,7 +508,8 @@ mod tests {
         t.kill(3);
         assert!(!t.is_compacted(3), "new deaths start uncompacted");
         assert_eq!(t.pending_count(), 1);
-        assert!((t.pending_fraction() - 0.01).abs() < 1e-12);
+        // One pending among the 98 ids a walk can reach; three dead of 100.
+        assert!((t.pending_fraction() - 1.0 / 98.0).abs() < 1e-12);
         assert!((t.dead_fraction() - 0.03).abs() < 1e-12);
     }
 
@@ -468,25 +530,105 @@ mod tests {
         assert_eq!(bad.recount(), None);
     }
 
-    #[test]
-    fn overfetch_and_retain_live_are_the_identity_with_nothing_dead() {
-        let tomb = Tombstones::new(60);
-        for (k, ef) in [(1usize, 16usize), (5, 3), (60, 60), (75, 16)] {
-            assert_eq!(tomb.overfetch(k, ef), (k, ef.max(k)));
+    /// A stand-in walk for [`Tombstones::search_live`]: the `k` best of
+    /// `ranked`, as an exact searcher with beam `ef` would return them.
+    fn ranked_walk(ranked: &[Candidate], k: usize, ef: usize) -> SearchOutput {
+        assert!(k <= ef, "asked for {k} results of a {ef}-wide beam");
+        SearchOutput {
+            results: ranked.iter().take(k).copied().collect(),
+            stats: SearchStats {
+                evals: ef as u64,
+                ..SearchStats::default()
+            },
         }
-        let ranked: Vec<Candidate> = (0..10).map(|i| Candidate::new(i, i as f32)).collect();
-        let mut kept = ranked.clone();
-        tomb.retain_live(&mut kept, 10);
-        assert_eq!(kept, ranked);
     }
 
-    /// Over-fetch + live filter against the brute-force oracle: with `d`
-    /// dead the filtered results are exactly the top-`k` of the live set,
-    /// including `k` beyond the live count.
     #[test]
-    fn overfetch_and_retain_live_equal_exact_live_top_k() {
+    fn search_live_is_the_request_itself_with_nothing_dead() {
+        let tomb = Tombstones::new(60);
+        let ranked: Vec<Candidate> = (0..60).map(|i| Candidate::new(i, i as f32)).collect();
+        for (k, ef) in [(1usize, 16usize), (5, 3), (60, 60), (75, 16)] {
+            let mut asked = Vec::new();
+            let out = tomb.search_live(k, ef, |k, ef| {
+                asked.push((k, ef));
+                ranked_walk(&ranked, k, ef)
+            });
+            assert_eq!(asked, [(k, ef.max(k))], "one pass, the caller's request");
+            assert_eq!(out.results, ranked[..k.min(60)]);
+        }
+    }
+
+    /// The allowance is the share of dead vertices a walk can still reach:
+    /// pending ids widen the beam in proportion, compacted ids not at all —
+    /// so a delete history of any length leaves the configured width alone.
+    /// (Restoring the lifetime-count allowance reads 197 and 64 + 5 000.)
+    #[test]
+    fn the_beam_widens_by_the_pending_share_and_not_by_compacted_ids() {
+        let mut tomb = Tombstones::new(1192);
+        assert_eq!(tomb.live_beam(5, 64), 64);
+        assert_eq!(tomb.live_beam(80, 64), 80, "ef is clamped to k first");
+        for id in 0..192 {
+            tomb.kill(id);
+        }
+        assert_eq!(tomb.live_beam(5, 64), 77, "ceil(64 * 1192 / 1000)");
+        tomb.mark_all_compacted();
+        assert_eq!(tomb.live_beam(5, 64), 64, "compacted ids earn nothing");
+        // Fifty generations of churn at constant live size.
+        for generation in 0..50u32 {
+            let n = tomb.len();
+            tomb.grow(n + 100);
+            for id in 0..100 {
+                tomb.kill(192 + generation * 100 + id);
+            }
+            assert_eq!(tomb.live_count(), 1000);
+            assert_eq!(tomb.live_beam(5, 64), 71, "ceil(64 * 1100 / 1000)");
+            tomb.mark_all_compacted();
+            assert_eq!(tomb.live_beam(5, 64), 64);
+        }
+        // Nothing live: no share to take, the request's own width.
+        let mut all_dead = Tombstones::new(3);
+        (0..3).for_each(|id| assert!(all_dead.kill(id)));
+        assert_eq!(all_dead.live_beam(2, 8), 8);
+    }
+
+    /// A dense pocket of dead around the query: the first beam holds too
+    /// few live results, so the walk runs again, doubled, until `k` live
+    /// results survive — every pass counted, every pass's work reported.
+    #[test]
+    fn search_live_widens_until_k_live_results_survive() {
+        let n = 1000u32;
+        let ranked: Vec<Candidate> = (0..n).map(|i| Candidate::new(i, i as f32)).collect();
+        let mut tomb = Tombstones::new(n as usize);
+        for id in 0..100 {
+            tomb.kill(id); // the hundred nearest
+        }
+        assert_eq!(tomb.live_beam(5, 16), 18, "ceil(16 * 1000 / 900)");
+        let widened = || mqa_obs::counter("graph.search.widened").get();
+        let before = widened();
+        let mut asked = Vec::new();
+        let out = tomb.search_live(5, 16, |k, ef| {
+            asked.push((k, ef));
+            ranked_walk(&ranked, k, ef)
+        });
+        assert_eq!(asked, [(18, 18), (36, 36), (72, 72), (105, 144)]);
+        assert_eq!(out.ids(), [100, 101, 102, 103, 104]);
+        assert_eq!(out.stats.evals, 18 + 36 + 72 + 144, "all four passes");
+        assert!(widened() >= before + 3, "three retries counted");
+        // More asked for than is alive: everything live comes back.
+        let mut few = Tombstones::new(8);
+        (0..6).for_each(|id| assert!(few.kill(id)));
+        let out = few.search_live(5, 2, |k, ef| ranked_walk(&ranked[..8], k, ef));
+        assert_eq!(out.ids(), [6, 7]);
+    }
+
+    /// The live filters against the brute-force oracle: with `d` dead, the
+    /// filtered flat scan and `search_live` over the unfiltered one both
+    /// return exactly the top-`k` of the live set, including `k` beyond the
+    /// live count.
+    #[test]
+    fn live_scan_and_search_live_equal_exact_live_top_k() {
         use crate::flat::FlatSearcher;
-        use crate::traits::{FlatDistance, GraphSearcher};
+        use crate::traits::FlatDistance;
         use mqa_rng::StdRng;
         use mqa_vector::{Metric, VectorStore};
 
@@ -506,18 +648,18 @@ mod tests {
             for k in [1usize, 5, 30, 60, 75] {
                 let q: Vec<f32> = (0..4).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
                 let mut d = FlatDistance::new(&store, &q, Metric::L2).unwrap();
-                let (k_eff, ef_eff) = tomb.overfetch(k, 16);
-                let mut got = flat.search(&mut d, k_eff, ef_eff).results;
-                tomb.retain_live(&mut got, k);
-                let want: Vec<Candidate> = flat
-                    .search(&mut d, n, n)
-                    .results
-                    .into_iter()
-                    .filter(|c| !tomb.is_dead(c.id))
-                    .take(k)
+                let mut want: Vec<Candidate> = (0..n as VecId)
+                    .filter(|&id| !tomb.is_dead(id))
+                    .map(|id| Candidate::new(id, Metric::L2.distance(&q, store.get(id))))
                     .collect();
-                assert_eq!(got, want, "dead {dead}, k {k}");
-                assert_eq!(got.len(), k.min(n - dead));
+                want.sort_unstable();
+                want.truncate(k);
+                let scanned = flat.scan(&mut d, k, |id| !tomb.is_dead(id));
+                assert_eq!(scanned.results, want, "scan: dead {dead}, k {k}");
+                assert_eq!(scanned.stats.evals as usize, n - dead, "dead ids skipped");
+                let walked = tomb.search_live(k, 16, |k, _| flat.scan(&mut d, k, |_| true));
+                assert_eq!(walked.results, want, "search_live: dead {dead}, k {k}");
+                assert_eq!(want.len(), k.min(n - dead));
             }
         }
     }

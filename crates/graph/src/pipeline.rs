@@ -811,7 +811,7 @@ impl BuiltGraph {
         scratch: &mut SearchScratch,
     ) -> SearchOutput {
         match self {
-            BuiltGraph::Flat(s) => s.scan(dist, k),
+            BuiltGraph::Flat(s) => s.scan(dist, k, |_| true),
             BuiltGraph::Nav(g) => {
                 crate::search::beam_search(&g.graph, &g.entries, dist, k, ef, scratch)
             }

@@ -223,10 +223,9 @@ impl PagedIndex {
     /// allocator pins in the engine gate. Returns the work stats with
     /// `pages_read` / `pages_cached` populated.
     ///
-    /// Over a mutated index, widen the request with
-    /// [`Tombstones::overfetch`] and filter `out` with
-    /// [`Tombstones::retain_live`]: tombstoned vertices still route the
-    /// walk and are dropped at result-collection time only.
+    /// Over a mutated index, search through [`Tombstones::search_live`]:
+    /// tombstoned vertices still route the walk and are dropped at
+    /// result-collection time only.
     pub fn search_paged_into(
         &self,
         dist: &mut dyn DistanceFn,
@@ -501,8 +500,7 @@ mod tests {
         Arc::new(s)
     }
 
-    /// Paged search as a mutated index serves it: over-fetched by the dead
-    /// count, dead ids dropped at collection time.
+    /// Paged search as a mutated index serves it.
     fn search_live(
         paged: &PagedIndex,
         dist: &mut dyn DistanceFn,
@@ -510,10 +508,7 @@ mod tests {
         ef: usize,
         tomb: &Tombstones,
     ) -> SearchOutput {
-        let (k_eff, ef_eff) = tomb.overfetch(k, ef);
-        let mut out = paged.search(dist, k_eff, ef_eff);
-        tomb.retain_live(&mut out.results, k);
-        out
+        tomb.search_live(k, ef, |k, ef| paged.search(dist, k, ef))
     }
 
     #[test]

@@ -149,13 +149,10 @@ fn brute_force_live(store: &VectorStore, q: &[f32], tomb: &Tombstones, k: usize)
     scored.into_iter().map(|(_, id)| id).collect()
 }
 
-/// Paged search as a mutated index serves it: over-fetched by the dead
-/// count, dead ids dropped at collection time.
+/// Paged search as a mutated index serves it.
 fn paged_search_live(paged: &PagedIndex, dist: &mut FlatDistance, tomb: &Tombstones) -> Vec<VecId> {
-    let (k, ef) = tomb.overfetch(K, 48);
-    let mut out = paged.search(dist, k, ef);
-    tomb.retain_live(&mut out.results, K);
-    out.ids()
+    tomb.search_live(K, 48, |k, ef| paged.search(dist, k, ef))
+        .ids()
 }
 
 #[test]

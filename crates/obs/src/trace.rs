@@ -172,6 +172,11 @@ pub struct QueryTrace {
     /// distinguishes quiesced queries from concurrent-mutation ones when
     /// attributing tail latency.
     pub mutation_in_progress: bool,
+    /// Beam width the index search finished with (0 = no index search
+    /// noted). Above the configured `ef` it is the tombstone allowance —
+    /// pending deletes widen the beam by their share of the reachable
+    /// vertices — or a widening retry after too few live results.
+    pub beam_width: u64,
     /// The per-query deadline budget in microseconds (0 = no deadline).
     /// There is no per-batch scheduler field beside it: the engine has
     /// one queue, so `queue_wait_us` is the query's whole wait.
@@ -203,6 +208,7 @@ struct TraceInner {
     completion_tokens: u64,
     index_epoch: u64,
     mutation_in_progress: bool,
+    beam_width: u64,
     deadline_us: u64,
     completed: bool,
 }
@@ -345,6 +351,7 @@ impl TraceHandle {
                 completion_tokens: inner.completion_tokens,
                 index_epoch: inner.index_epoch,
                 mutation_in_progress: inner.mutation_in_progress,
+                beam_width: inner.beam_width,
                 deadline_us: inner.deadline_us,
                 stages: std::mem::take(&mut inner.stages),
                 stages_dropped: inner.stages_dropped,
@@ -574,6 +581,12 @@ pub fn note_index_state(epoch: u64, mutating: bool) {
     });
 }
 
+/// Records the beam width the query's index search finished with (last
+/// writer wins, like the epoch).
+pub fn note_beam_width(width: u64) {
+    with_current(|i| i.beam_width = width);
+}
+
 /// Records the query's deadline budget (microseconds) on the trace.
 pub fn note_deadline_budget(budget_us: u64) {
     with_current(|i| i.deadline_us = budget_us);
@@ -703,6 +716,8 @@ mod tests {
             note_framework("must");
             add_tokens(5, 7);
             add_search_work(1, 2, 3, 4, 5);
+            note_index_state(9, true);
+            note_beam_width(77);
             handle.finish();
         }
         let traces = snapshot_traces();
@@ -717,6 +732,8 @@ mod tests {
         assert_eq!((t.prompt_tokens, t.completion_tokens), (5, 7));
         assert_eq!((t.hops, t.evals, t.pruned), (1, 2, 3));
         assert_eq!((t.pages_read, t.pages_cached), (4, 5));
+        assert_eq!((t.index_epoch, t.mutation_in_progress), (9, true));
+        assert_eq!(t.beam_width, 77);
         assert!(t.stages.iter().any(|s| s.name == "test.trace.stage"));
         assert!(current().is_none(), "handle drop must uninstall");
         disable();
@@ -832,6 +849,7 @@ mod tests {
                 index_epoch: 0,
                 deadline_us: 0,
                 mutation_in_progress: false,
+                beam_width: 0,
                 stages: Vec::new(),
                 stages_dropped: 0,
             };
@@ -888,6 +906,7 @@ mod tests {
             index_epoch: 0,
             deadline_us: 0,
             mutation_in_progress: false,
+            beam_width: 0,
             stages: vec![
                 stage("retrieval.must.encode"),
                 stage("retrieval.must.weight_fuse"),
@@ -927,6 +946,7 @@ mod tests {
             index_epoch: 3,
             deadline_us: 0,
             mutation_in_progress: true,
+            beam_width: 77,
             stages: vec![StageRecord {
                 name: "core.turn".into(),
                 parent: String::new(),

@@ -137,7 +137,8 @@ fn type_names(toks: &[&Tok]) -> Vec<String> {
 }
 
 /// Counts top-level commas in a call's argument tokens, skipping
-/// turbofish `::<…>` blocks.
+/// turbofish `::<…>` blocks and the parameter lists of closure arguments
+/// (`f(a, |x, y| …)` passes two arguments, not three).
 fn count_args(args: &[&Tok]) -> usize {
     if args.is_empty() {
         return 0;
@@ -150,6 +151,13 @@ fn count_args(args: &[&Tok]) -> usize {
         if t.is_punct("::") && args.get(j + 1).is_some_and(|n| n.is_punct("<")) {
             // skip_angles works on the tail sub-slice; translate back.
             j += skip_angles(&args[j + 1..], 0) + 1;
+            continue;
+        }
+        // A `|` where an argument starts opens a closure's parameters.
+        let starts_arg = j == 0 || args[j - 1].is_punct(",") || args[j - 1].is_ident("move");
+        if depth == 0 && starts_arg && t.is_punct("|") {
+            let params = args[j + 1..].iter().position(|n| n.is_punct("|"));
+            j += params.map_or(1, |len| len + 2);
             continue;
         }
         if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {

@@ -691,6 +691,32 @@ fn helper() -> Clean { Clean }
     }
 
     #[test]
+    fn a_closure_argument_counts_once_whatever_its_parameters() {
+        // `|k, ef|` is one argument: the call must still resolve to the
+        // 2-parameter method (it read as arity 3 and resolved to nothing,
+        // leaving the callee outside the cone).
+        let src = "\
+pub struct ResultCache;
+impl ResultCache {
+    pub fn get(&self, k: usize) -> u32 {
+        helper().retry(k, move |k, ef| k + ef)
+    }
+}
+struct Tomb;
+impl Tomb {
+    fn retry(&self, k: usize, mut walk: impl FnMut(usize, usize) -> usize) -> u32 {
+        let v = vec![0u32];
+        v[walk(k, k)]
+    }
+}
+fn helper() -> Tomb { Tomb }
+";
+        let a = analyze(&[("x/src/c.rs", src)]);
+        assert_eq!(a.findings.len(), 1, "findings: {:?}", a.findings);
+        assert_eq!(a.findings[0].line, 11);
+    }
+
+    #[test]
     fn typed_local_receiver_resolves_precisely() {
         let src = "\
 pub struct PageCache;

@@ -162,18 +162,39 @@ metrics.json into <dir> (default results/engine).",
         help: "Online-mutation gate: run a scripted insert/delete/query mix on a
 2-worker engine. Fails if a tombstoned object surfaces, the
 result-cache generation misses a bump, the delete volume never
-triggers compaction, or a graph.mutate.* instrument stays empty.
-Writes BENCH_mutate.json (insert/delete throughput, search
-p50/p99 during mutation vs quiesced) and metrics.json into <dir>
-(default results/mutate).",
+triggers compaction, a graph.mutate.* instrument stays empty, or
+ten generations of churn at constant live size (1 000 and 8 000
+objects in a release build, 400 otherwise) move evaluations per
+query by more than 10 % or away from a fresh build's. Writes
+BENCH_mutate.json (insert/delete throughput, search p50/p99
+during mutation vs quiesced, the churn block's per-generation
+readings) and metrics.json into <dir> (default results/mutate).",
         run: |args| {
             scenario("mutate", args, |out, seed| {
                 let o = mutate::run(out, seed)?;
+                let churn: String = o
+                    .churn
+                    .iter()
+                    .filter_map(|c| Some((c, c.generations.first()?, c.generations.last()?)))
+                    .map(|(c, first, last)| {
+                        format!(
+                            "; churn at {} objects: {:.1} -> {:.1} evals/query over {} \
+                             generations ({:.1} on a fresh build), {} -> {} rows",
+                            c.objects,
+                            first.evals,
+                            last.evals,
+                            c.generations.len(),
+                            last.fresh_evals,
+                            first.rows,
+                            last.rows
+                        )
+                    })
+                    .collect();
                 Ok(format!(
                     "mutate: {} insert(s) at {:.0}/s, {} delete(s) at {:.0}/s, \
                      {} compaction(s), epoch {}, {} cache bump(s), \
                      {} quer(ies) clean of dead objects, search p50/p99 \
-                     {}/{} us quiesced vs {}/{} us mutating",
+                     {}/{} us quiesced vs {}/{} us mutating{churn}",
                     o.inserted,
                     o.insert_per_sec,
                     o.removed,

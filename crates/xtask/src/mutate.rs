@@ -12,18 +12,30 @@
 //! * the result-cache generation bumps exactly once per mutation batch;
 //! * the delete volume crosses the compaction threshold at least once
 //!   (so graph rewiring runs under live traffic);
-//! * every `graph.mutate.*` instrument actually recorded.
+//! * every `graph.mutate.*` instrument actually recorded;
+//! * under churn ([`churn`]: ten generations of deletes and re-inserts at
+//!   constant live size) every generation compacts, a read costs the same
+//!   number of distance evaluations in the tenth generation as in the
+//!   first — dirty or compacted — and a compacted index reads like a
+//!   fresh build over the same live objects. A delete that taxed every
+//!   later read (a beam widened by every id ever deleted) fails here.
 //!
 //! It writes `BENCH_mutate.json` (a [`mqa_benchmark::report`] file) under
-//! the output directory: insert and delete throughput, and search p50/p99
+//! the output directory: insert and delete throughput, search p50/p99
 //! during mutation vs quiesced — the paper-facing evidence that readers
-//! are not stalled by writers.
+//! are not stalled by writers — and the churn block's per-generation
+//! evaluations, recall, store rows and peak RSS (ids, rows and tombstone
+//! words are never reclaimed, so the last two only grow: the curve is
+//! recorded for the reclaim decision, not gated).
 
+use mqa_benchmark::inputs::{InputSizes, Inputs};
 use mqa_core::{Config, MqaSystem};
 use mqa_engine::EngineOptions;
+use mqa_graph::UnifiedIndex;
 use mqa_kb::{DatasetSpec, ObjectRecord};
 use mqa_retrieval::MultiModalQuery;
-use mqa_vector::VecId;
+use mqa_rng::StdRng;
+use mqa_vector::{MultiVectorStore, VecId};
 use std::collections::HashSet;
 use std::path::Path;
 
@@ -42,6 +54,29 @@ const INSERT_BATCH: usize = 10;
 const DELETE_BATCH: usize = 20;
 /// Interleaved mutation batches (even = insert, odd = delete).
 const BATCHES: usize = 6;
+
+/// Live objects of the churn block in the release run `ci.sh` makes. An
+/// unoptimized build (the unit test under `cargo test`) runs the same
+/// script at one small size: ten builds and 3 000 inserts at 1 000 objects
+/// take it two minutes.
+const CHURN_OBJECTS: &[usize] = if cfg!(debug_assertions) {
+    &[400]
+} else {
+    &[1000, 8000]
+};
+/// Generations of the churn block.
+const CHURN_GENERATIONS: usize = 10;
+/// Delete batches per generation, each a tenth of the live objects. The
+/// threshold is 20 % pending, so one tenth cannot compact: the second
+/// batch leaves 2/12 of the reachable ids pending (the dirty read), the
+/// third crosses the threshold and compacts (the clean read), and the
+/// three tenths are then inserted again under new ids.
+const CHURN_DELETES: usize = 3;
+/// Text queries read after each step of a generation.
+const CHURN_QUERIES: usize = 64;
+/// How far evaluations per query may sit from their ten-generation mean,
+/// and a compacted index's from a fresh build's.
+const CHURN_TOLERANCE: f64 = 0.10;
 
 /// What the gate measured, for the caller to print.
 pub struct MutateOutcome {
@@ -69,6 +104,38 @@ pub struct MutateOutcome {
     pub generation_bumps: u64,
     /// Queries checked for dead-object leakage.
     pub queries_checked: usize,
+    /// The churn block, one entry per corpus size it ran at.
+    pub churn: Vec<Churn>,
+}
+
+/// What one generation of the churn block read.
+pub struct Generation {
+    /// Evaluations per query with two tenths of the live objects deleted
+    /// and not yet compacted.
+    pub dirty_evals: f64,
+    /// Evaluations per query once the third tenth compacted the index.
+    pub evals: f64,
+    /// The same queries on an index freshly built over the live objects.
+    pub fresh_evals: f64,
+    /// Recall of the compacted read against exact search over the live
+    /// objects.
+    pub recall: f64,
+    /// Store rows (live and dead; never reclaimed) after the re-insert.
+    pub rows: usize,
+    /// Peak resident set of the process so far, MiB.
+    pub peak_rss_mb: f64,
+}
+
+/// The churn block at one corpus size.
+pub struct Churn {
+    /// Live objects, constant across the generations.
+    pub objects: usize,
+    /// One entry per generation.
+    pub generations: Vec<Generation>,
+    /// Objects inserted over the whole block.
+    pub inserted: usize,
+    /// Objects deleted over the whole block (the dead pocket included).
+    pub removed: usize,
 }
 
 /// Runs the scripted mutation mix and writes `BENCH_mutate.json` and
@@ -222,9 +289,7 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<MutateOutcome, String> {
         }
     }
 
-    let snapshot = mqa_obs::global().snapshot();
-    verify_instruments(&snapshot, inserted as u64, removed as u64)?;
-    let compactions = snapshot.counter("graph.mutate.compactions").unwrap_or(0);
+    let compactions = mqa_obs::counter("graph.mutate.compactions").get();
     if compactions == 0 {
         return Err(format!(
             "mutate gate failed: {removed} deletes over {} slots never \
@@ -232,6 +297,36 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<MutateOutcome, String> {
              graph rewiring under live traffic",
             BASE_OBJECTS + inserted
         ));
+    }
+
+    // Phase 3 — churn, on systems of its own.
+    let churn: Vec<Churn> = CHURN_OBJECTS
+        .iter()
+        .map(|&objects| churn(objects, seed))
+        .collect::<Result<_, _>>()?;
+
+    let snapshot = mqa_obs::global().snapshot();
+    let churned = |count: fn(&Churn) -> usize| churn.iter().map(count).sum::<usize>() as u64;
+    verify_instruments(
+        &snapshot,
+        inserted as u64 + churned(|c| c.inserted),
+        removed as u64 + churned(|c| c.removed),
+    )?;
+
+    let mut churn_fields: Vec<(String, &str, f64)> = Vec::new();
+    for c in &churn {
+        for (g, generation) in c.generations.iter().enumerate() {
+            let mut field = |name: &str, unit, value| {
+                let name = format!("churn_{}.g{:02}.{name}", c.objects, g + 1);
+                churn_fields.push((name, unit, value));
+            };
+            field("dirty_evals_per_query", "count", generation.dirty_evals);
+            field("evals_per_query", "count", generation.evals);
+            field("fresh_evals_per_query", "count", generation.fresh_evals);
+            field("recall_at_k", "share", generation.recall);
+            field("store_rows", "count", generation.rows as f64);
+            field("peak_rss_mb", "MiB", generation.peak_rss_mb);
+        }
     }
 
     let outcome = MutateOutcome {
@@ -247,6 +342,7 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<MutateOutcome, String> {
         final_epoch,
         generation_bumps,
         queries_checked,
+        churn,
     };
     let live_objects = BASE_OBJECTS + inserted - removed;
     let fields = [
@@ -263,10 +359,217 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<MutateOutcome, String> {
         ("generation_bumps", "count", generation_bumps as f64),
         ("live_objects", "count", live_objects as f64),
     ];
+    let fields: Vec<(&str, &str, f64)> = fields
+        .into_iter()
+        .chain(churn_fields.iter().map(|(n, u, v)| (n.as_str(), *u, *v)))
+        .collect();
     crate::write_bench(out_dir, "mutate", queries_checked as u64, &fields)?;
     crate::write_json(out_dir, "metrics.json", &snapshot)?;
 
     Ok(outcome)
+}
+
+/// One read of the churn block: mean evaluations per query over `queries`
+/// and every answer's ids.
+///
+/// # Errors
+/// A message when an answer is short or holds a dead object.
+fn churn_read(
+    sys: &MqaSystem,
+    queries: &[MultiModalQuery],
+    dead: &HashSet<VecId>,
+    step: &str,
+) -> Result<(f64, Vec<Vec<VecId>>), String> {
+    let mut evals = 0u64;
+    let mut answers = Vec::with_capacity(queries.len());
+    for q in queries {
+        let out = sys.framework().search(q, K, EF);
+        let ids = out.ids();
+        if ids.len() != K || ids.iter().any(|id| dead.contains(id)) {
+            return Err(format!(
+                "mutate gate failed: {step} answered {ids:?} ({K} live objects wanted)"
+            ));
+        }
+        evals += out.stats.evals;
+        answers.push(ids);
+    }
+    Ok((evals as f64 / queries.len() as f64, answers))
+}
+
+/// A fresh build over exactly the `live` objects of `sys`: what a
+/// compacted index's reads should cost, and the exact oracle for its
+/// `answers`. Returns the fresh index's mean evaluations per query and the
+/// answers' recall@K against its exhaustive search.
+fn fresh_baseline(
+    sys: &MqaSystem,
+    live: &[VecId],
+    queries: &[MultiModalQuery],
+    answers: &[Vec<VecId>],
+) -> (f64, f64) {
+    let cfg = sys.config();
+    let store = sys.corpus().store();
+    let mut rows = MultiVectorStore::new(store.schema().clone());
+    for &id in live {
+        rows.push(&store.multivector_of(id));
+    }
+    let fresh = UnifiedIndex::build(rows, sys.weights().clone(), cfg.metric, &cfg.index);
+    let (mut evals, mut hits) = (0u64, 0usize);
+    for (q, got) in queries.iter().zip(answers) {
+        let qv = sys.corpus().encoders().encode_query(q);
+        evals += fresh.search(&qv, None, K, EF).output.stats.evals;
+        let truth = fresh.search_exact(&qv, None, K).ids();
+        // INVARIANT: the fresh store holds one row per entry of `live`.
+        let truth: Vec<VecId> = truth.iter().map(|&row| live[row as usize]).collect();
+        hits += got.iter().filter(|id| truth.contains(id)).count();
+    }
+    (
+        evals as f64 / queries.len() as f64,
+        hits as f64 / (queries.len() * K) as f64,
+    )
+}
+
+/// The churn block: [`CHURN_GENERATIONS`] generations of
+/// delete-three-tenths / re-insert at a constant `objects` live objects on
+/// MUST over MQA-graph, read with text queries — the workload under which
+/// a delete that taxes every later read shows, because the ids ever
+/// deleted outgrow the live set while the set itself never changes.
+///
+/// # Errors
+/// A message when a generation does not compact exactly once (on its third
+/// delete batch), an answer is short or holds a dead object, evaluations
+/// per query drift by more than [`CHURN_TOLERANCE`] across the generations
+/// (dirty or compacted) or sit further than that from a fresh build's, or
+/// a dead pocket around a query does not widen its search.
+fn churn(objects: usize, seed: u64) -> Result<Churn, String> {
+    // The corpus and the text queries of the benchmark's `mutate` workload,
+    // at this size.
+    let sizes = InputSizes {
+        objects,
+        concepts: (objects / 25).max(4),
+        dialogues: CHURN_QUERIES,
+        recall_dialogues: 0,
+        mm_queries: 0,
+        add_batches: 0,
+        remove_batches: 0,
+        skewed_draws: 0,
+    };
+    let Inputs {
+        kb,
+        text_queries: queries,
+        ..
+    } = Inputs::from_seed(&sizes, seed)?;
+    let mut sys =
+        MqaSystem::build(Config::default(), kb).map_err(|e| format!("churn build failed: {e}"))?;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut live: Vec<VecId> = (0..mqa_vector::cast::vec_id(objects)).collect();
+    let mut dead: HashSet<VecId> = HashSet::new();
+    let mut generations = Vec::with_capacity(CHURN_GENERATIONS);
+
+    for generation in 1..=CHURN_GENERATIONS {
+        rng.shuffle(&mut live);
+        let mut removed: Vec<VecId> = Vec::new();
+        let mut dirty_evals = 0.0;
+        for batch in 1..=CHURN_DELETES {
+            let doomed = live.split_off(live.len() - objects / 10);
+            let report = sys
+                .remove_objects(&doomed)
+                .map_err(|e| format!("churn generation {generation}: delete failed: {e}"))?;
+            if report.compacted != (batch == CHURN_DELETES) {
+                return Err(format!(
+                    "mutate gate failed: churn generation {generation}, delete batch {batch} of \
+                     {CHURN_DELETES}: compacted = {} ({} live, {} dead)",
+                    report.compacted, report.live, report.dead
+                ));
+            }
+            dead.extend(&doomed);
+            removed.extend(doomed);
+            if batch + 1 == CHURN_DELETES {
+                let step = format!("churn generation {generation}, dirty read");
+                dirty_evals = churn_read(&sys, &queries, &dead, &step)?.0;
+            }
+        }
+        let step = format!("churn generation {generation}, compacted read");
+        let (evals, answers) = churn_read(&sys, &queries, &dead, &step)?;
+
+        let (fresh_evals, recall) = fresh_baseline(&sys, &live, &queries, &answers);
+
+        // The deleted objects come back under new ids: same live content,
+        // a longer id space.
+        let records: Vec<ObjectRecord> = removed
+            .iter()
+            .map(|&id| sys.corpus().kb().get(id).clone())
+            .collect();
+        let first = mqa_vector::cast::vec_id(sys.corpus().store().len());
+        sys.add_objects(&records)
+            .map_err(|e| format!("churn generation {generation}: insert failed: {e}"))?;
+        live.extend(first..mqa_vector::cast::vec_id(sys.corpus().store().len()));
+        generations.push(Generation {
+            dirty_evals,
+            evals,
+            fresh_evals,
+            recall,
+            rows: sys.corpus().store().len(),
+            peak_rss_mb: mqa_benchmark::blocks::peak_rss_mb(),
+        });
+    }
+
+    let flat = |what: &str, read: fn(&Generation) -> f64| {
+        let mean = generations.iter().map(read).sum::<f64>() / generations.len() as f64;
+        match generations
+            .iter()
+            .position(|g| (read(g) / mean - 1.0).abs() > CHURN_TOLERANCE)
+        {
+            None => Ok(()),
+            Some(at) => Err(format!(
+                "mutate gate failed: churn at {objects} objects: {what} evaluations per query \
+                 are not flat — generation {} reads {:.1} against a mean of {mean:.1}",
+                at + 1,
+                read(&generations[at]),
+            )),
+        }
+    };
+    flat("dirty", |g| g.dirty_evals)?;
+    flat("compacted", |g| g.evals)?;
+    if let Some(at) = generations
+        .iter()
+        .position(|g| (g.evals / g.fresh_evals - 1.0).abs() > CHURN_TOLERANCE)
+    {
+        let g = &generations[at];
+        return Err(format!(
+            "mutate gate failed: churn at {objects} objects, generation {}: {:.1} evaluations \
+             per query after compaction against {:.1} on a fresh build",
+            at + 1,
+            g.evals,
+            g.fresh_evals
+        ));
+    }
+
+    // A dead pocket: everything the first beam of the first query can hold
+    // is deleted (under the threshold, so it stays pending) — the search
+    // must widen and still return K live objects.
+    let pocket = sys.framework().search(&queries[0], EF + K, 4 * EF).ids();
+    let report = sys
+        .remove_objects(&pocket)
+        .map_err(|e| format!("churn pocket delete failed: {e}"))?;
+    dead.extend(&pocket);
+    let widened = || mqa_obs::counter("graph.search.widened").get();
+    let before = widened();
+    churn_read(&sys, &queries[..1], &dead, "the dead-pocket read")?;
+    if report.compacted || widened() == before {
+        return Err(format!(
+            "mutate gate failed: churn at {objects} objects: a pocket of {} dead objects around \
+             a query did not widen its search (compacted = {})",
+            pocket.len(),
+            report.compacted
+        ));
+    }
+    let inserted = CHURN_GENERATIONS * CHURN_DELETES * (objects / 10);
+    Ok(Churn {
+        objects,
+        generations,
+        inserted,
+        removed: inserted + pocket.len(),
+    })
 }
 
 /// Objects per second, guarding the zero-elapsed case.
@@ -316,6 +619,11 @@ fn verify_instruments(
     {
         missing.push("gauge `graph.mutate.dead_fraction` never set".to_string());
     }
+    // The churn block ends on a search that must widen.
+    match snapshot.counter("graph.search.widened") {
+        Some(v) if v > 0 => {}
+        _ => missing.push("counter `graph.search.widened` missing or zero".to_string()),
+    }
     match snapshot.counter("cache.result.invalidations") {
         Some(v) if v > 0 => {}
         _ => missing.push("counter `cache.result.invalidations` missing or zero".to_string()),
@@ -345,11 +653,26 @@ mod tests {
         assert!(outcome.queries_checked >= BATCHES * 24);
         assert!(outcome.insert_per_sec > 0.0 && outcome.delete_per_sec > 0.0);
         let reading = |metric| crate::bench_reading(&dir, "mutate", metric);
+        let metrics = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics readable");
+        assert!(metrics.contains("graph.mutate.publish_us"));
         assert_eq!(reading("insert_per_sec"), outcome.insert_per_sec);
         assert_eq!(reading("mutating_p99_us"), outcome.mutating_p99_us as f64);
         assert_eq!(reading("live_objects"), 210.0);
-        let metrics = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics readable");
-        assert!(metrics.contains("graph.mutate.publish_us"));
+        // The churn block: ten generations at constant live size, each one
+        // compacting, with rows growing by three tenths per generation.
+        let [churn] = outcome.churn.as_slice() else {
+            panic!("an unoptimized build churns at one size");
+        };
+        assert_eq!((churn.objects, churn.generations.len()), (400, 10));
+        assert_eq!((churn.inserted, churn.removed), (1200, 1200 + EF + K));
+        for (g, generation) in churn.generations.iter().enumerate() {
+            assert_eq!(generation.rows, 400 + 120 * (g + 1));
+            assert!(generation.recall > 0.9, "generation {}", g + 1);
+        }
+        let last = &churn.generations[9];
+        assert_eq!(reading("churn_400.g10.evals_per_query"), last.evals);
+        assert_eq!(reading("churn_400.g10.store_rows"), 1600.0);
+        assert!(metrics.contains("graph.search.widened"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -11,7 +11,13 @@ const GATE_FIELDS: [(&str, &str); 3] = [
     (
         "mutate",
         "inserted removed insert_per_sec delete_per_sec quiesced_p50_us quiesced_p99_us \
-         mutating_p50_us mutating_p99_us compactions final_epoch generation_bumps live_objects",
+         mutating_p50_us mutating_p99_us compactions final_epoch generation_bumps live_objects \
+         churn_1000.g01.evals_per_query churn_1000.g10.evals_per_query \
+         churn_1000.g10.dirty_evals_per_query churn_1000.g10.fresh_evals_per_query \
+         churn_1000.g10.recall_at_k churn_1000.g10.store_rows churn_1000.g10.peak_rss_mb \
+         churn_8000.g01.evals_per_query churn_8000.g10.evals_per_query \
+         churn_8000.g10.dirty_evals_per_query churn_8000.g10.fresh_evals_per_query \
+         churn_8000.g10.recall_at_k churn_8000.g10.store_rows churn_8000.g10.peak_rss_mb",
     ),
     (
         "sched",
