@@ -6,6 +6,14 @@
 //! clear one it finds. Every entry is therefore granted one "second
 //! chance" sweep before leaving — hot entries keep getting re-armed and
 //! effectively pin themselves.
+//!
+//! That pinning needs a key to come back before the hand does. A
+//! presence probe ([`ClockCore::touch`]) whose keys recur less often than
+//! the cache turns over — a scan wider than the capacity, repeated —
+//! would evict every entry just before its next use, so the probe also
+//! keeps a frequency sketch ([`Frequency`]) and a newcomer takes the
+//! swept victim's slot only when it has been asked for more often
+//! (TinyLFU's admission rule in front of Clock's replacement).
 
 use crate::lock_ignore_poison;
 use std::collections::HashMap;
@@ -23,8 +31,97 @@ struct Slot<V> {
 pub struct Touch {
     /// The key was already resident.
     pub hit: bool,
+    /// The key was missing and is resident now. A miss that is not
+    /// admitted lost the frequency comparison against the swept victim.
+    pub admitted: bool,
     /// Admitting the key evicted another entry.
     pub evicted: bool,
+}
+
+/// How often each key has been probed lately: a count-min sketch of
+/// saturating 4-bit counts, halved periodically so a key that stops being
+/// asked for fades. Every size follows from the cache capacity. A row is
+/// [`Frequency::CELLS_PER_SLOT`] cells per cache slot, and the counts are
+/// halved every [`Frequency::PROBES_PER_SLOT`] probes per slot, so between
+/// two halvings a cell collects four probes on average — room under the
+/// cap of 15 for the keys that matter to stand out — and a key needs an
+/// eighth of a slot's fair share of the traffic to reach half the cap.
+struct Frequency {
+    /// `ROWS` rows of `1 << (64 - shift)` counts each, row-major.
+    cells: Vec<u8>,
+    shift: u32,
+    probes: usize,
+    period: usize,
+}
+
+impl Frequency {
+    const ROWS: usize = 4;
+    const MAX: u8 = 15;
+    const CELLS_PER_SLOT: usize = 16;
+    const PROBES_PER_SLOT: usize = 64;
+    /// One odd multiplier per row (multiplicative hashing on the top bits).
+    const MULTIPLIERS: [u64; Self::ROWS] = [
+        0x9e37_79b9_7f4a_7c15,
+        0xc2b2_ae3d_27d4_eb4f,
+        0x1656_67b1_9e37_79f9,
+        0xd6e8_feb8_6659_fd93,
+    ];
+
+    fn new(capacity: usize) -> Self {
+        let width = capacity
+            .saturating_mul(Self::CELLS_PER_SLOT)
+            .next_power_of_two();
+        Self {
+            cells: vec![0; Self::ROWS * width],
+            shift: u64::BITS - width.trailing_zeros(),
+            probes: 0,
+            period: capacity.saturating_mul(Self::PROBES_PER_SLOT),
+        }
+    }
+
+    /// The cell of `key` in each row.
+    fn cells_of(&self, key: u64) -> [usize; Self::ROWS] {
+        let mut row_start = 0;
+        Self::MULTIPLIERS.map(|multiplier| {
+            // INVARIANT: the shift leaves log2(row width) bits, so the
+            // offset is below the row width and fits usize.
+            let cell = row_start + (key.wrapping_mul(multiplier) >> self.shift) as usize;
+            row_start += 1 << (u64::BITS - self.shift);
+            cell
+        })
+    }
+
+    /// The smallest of `key`'s counts — an upper bound on how often it
+    /// was recorded since the counts last faded.
+    fn estimate(&self, key: u64) -> u8 {
+        self.cells_of(key)
+            .iter()
+            .map(|&i| self.cells.get(i).copied().unwrap_or(0))
+            .min()
+            .unwrap_or(0)
+    }
+
+    /// Counts one probe of `key`, halving every count first when a period
+    /// has passed.
+    fn record(&mut self, key: u64) {
+        self.probes += 1;
+        if self.probes >= self.period {
+            self.probes = 0;
+            for c in &mut self.cells {
+                *c >>= 1;
+            }
+        }
+        for i in self.cells_of(key) {
+            if let Some(c) = self.cells.get_mut(i) {
+                *c = (*c + 1).min(Self::MAX);
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.cells.fill(0);
+        self.probes = 0;
+    }
 }
 
 /// The single-threaded Clock core: a fixed-capacity key → value map with
@@ -34,10 +131,13 @@ pub struct ClockCore<V> {
     slots: Vec<Slot<V>>,
     map: HashMap<u64, usize>,
     hand: usize,
+    frequency: Frequency,
 }
 
 impl<V> ClockCore<V> {
-    /// An empty core holding at most `capacity` entries.
+    /// An empty core holding at most `capacity` entries. The probe's
+    /// frequency sketch (64 bytes a slot, rounded up to a power of two) is
+    /// allocated here, so no probe ever allocates for it.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
@@ -48,6 +148,7 @@ impl<V> ClockCore<V> {
             slots: Vec::with_capacity(capacity.min(1024)),
             map: HashMap::new(),
             hand: 0,
+            frequency: Frequency::new(capacity),
         }
     }
 
@@ -81,7 +182,8 @@ impl<V> ClockCore<V> {
     }
 
     /// Inserts (or refreshes) `key`, evicting a victim when full.
-    /// Returns the evicted key, if any.
+    /// Returns the evicted key, if any. The caller has already paid for
+    /// `value`, so it is always kept: no frequency comparison here.
     pub fn insert(&mut self, key: u64, value: V) -> Option<u64> {
         if let Some(&idx) = self.map.get(&key) {
             // INVARIANT: map values are always valid slot indices.
@@ -90,72 +192,106 @@ impl<V> ClockCore<V> {
             return None;
         }
         if self.slots.len() < self.capacity {
-            // ALLOC: cache admission on a miss; the steady-state hit path never inserts.
-            self.map.insert(key, self.slots.len());
-            // New entries enter unarmed: only a subsequent hit earns the
-            // second chance, so a one-shot scan can never flush the
-            // re-referenced working set (scan resistance).
-            self.slots.push(Slot {
-                key,
-                value,
-                referenced: false,
-            });
+            self.push(key, value);
             return None;
         }
-        // Sweep the hand: clear armed bits until an unarmed victim turns
-        // up. Terminates within two revolutions — the first pass can at
-        // worst clear every bit.
+        let victim = self.sweep();
+        Some(self.replace(victim, key, value))
+    }
+
+    /// Appends an absent `key` to a core that still has room.
+    fn push(&mut self, key: u64, value: V) {
+        // ALLOC: cache admission on a miss; the steady-state hit path never inserts.
+        self.map.insert(key, self.slots.len());
+        // New entries enter unarmed: only a subsequent hit earns the
+        // second chance, so a one-shot scan can never flush the
+        // re-referenced working set (scan resistance).
+        self.slots.push(Slot {
+            key,
+            value,
+            referenced: false,
+        });
+    }
+
+    /// Sweeps the hand over a full core: clears armed bits until an
+    /// unarmed victim turns up and returns its slot, leaving the hand
+    /// just past it. Terminates within two revolutions — the first pass
+    /// can at worst clear every bit.
+    fn sweep(&mut self) -> usize {
         loop {
             let idx = self.hand;
-            // INVARIANT: this branch runs only when slots.len() == capacity,
+            // INVARIANT: callers sweep only when slots.len() == capacity,
             // and capacity >= 1 is asserted in `new`; `idx` wraps mod len.
             self.hand = (self.hand + 1) % self.slots.len();
-            if self.slots[idx].referenced {
-                self.slots[idx].referenced = false;
-                continue;
+            let armed = &mut self.slots[idx].referenced;
+            if !*armed {
+                return idx;
             }
-            // INVARIANT: idx < slots.len() (wrapped above), so the victim
-            // slot reads and rewrite stay in bounds.
-            let old = self.slots[idx].key;
-            self.slots[idx] = Slot {
-                key,
-                value,
-                referenced: false,
-            };
-            self.map.remove(&old);
-            // ALLOC: cache admission on a miss; the steady-state hit path never inserts.
-            self.map.insert(key, idx);
-            return Some(old);
+            *armed = false;
         }
     }
 
-    /// Drops every resident entry, returning how many were dropped. The
-    /// capacity and hand position survive, so refill behaviour matches a
-    /// fresh core.
+    /// Puts an absent `key` in the swept slot `idx`; returns the key it
+    /// displaced.
+    fn replace(&mut self, idx: usize, key: u64, value: V) -> u64 {
+        // INVARIANT: `idx` comes from `sweep`, which wraps it mod len.
+        let old = self.slots[idx].key;
+        self.slots[idx] = Slot {
+            key,
+            value,
+            referenced: false,
+        };
+        self.map.remove(&old);
+        // ALLOC: cache admission on a miss; the steady-state hit path never inserts.
+        self.map.insert(key, idx);
+        old
+    }
+
+    /// Drops every resident entry and every recorded frequency, returning
+    /// how many entries were dropped. Only the capacity survives, so
+    /// refill behaviour matches a fresh core.
     pub fn clear(&mut self) -> usize {
         let dropped = self.slots.len();
         self.slots.clear();
         self.map.clear();
         self.hand = 0;
+        self.frequency.clear();
         dropped
     }
 
-    /// Presence probe: arms the bit on a hit, admits the key on a miss.
+    /// Presence probe: arms the bit on a hit; on a miss the key is kept
+    /// while there is room, and after that only if it has been probed
+    /// more often than the victim the sweep offers. A key that loses
+    /// leaves the victim in place (unarmed, the hand past it), so the
+    /// next miss is weighed against the next entry round the clock.
     pub fn touch(&mut self, key: u64) -> Touch
     where
         V: Default,
     {
-        if self.get(key).is_some() {
-            return Touch {
-                hit: true,
-                evicted: false,
-            };
+        self.frequency.record(key);
+        let hit = self.get(key).is_some();
+        let mut touch = Touch {
+            hit,
+            admitted: false,
+            evicted: false,
+        };
+        if hit {
+            return touch;
         }
-        let evicted = self.insert(key, V::default()).is_some();
-        Touch {
-            hit: false,
-            evicted,
+        if self.slots.len() < self.capacity {
+            self.push(key, V::default());
+            touch.admitted = true;
+            return touch;
         }
+        let victim = self.sweep();
+        // INVARIANT: `victim` comes from `sweep`, which wraps it mod len.
+        let resident = self.slots[victim].key;
+        if self.frequency.estimate(key) > self.frequency.estimate(resident) {
+            self.replace(victim, key, V::default());
+            touch.admitted = true;
+            touch.evicted = true;
+        }
+        touch
     }
 }
 
@@ -197,7 +333,8 @@ impl<V> CacheShard<V> {
     }
 
     /// Presence probe: hit arms the second-chance bit, miss admits the
-    /// key (possibly evicting).
+    /// key if there is room or it is asked for more often than the
+    /// victim it would evict (see [`ClockCore::touch`]).
     pub fn touch(&self, key: u64) -> Touch
     where
         V: Default,
@@ -282,32 +419,88 @@ mod tests {
 
     #[test]
     fn touch_reports_hits_misses_evictions() {
+        let miss = |admitted, evicted| Touch {
+            hit: false,
+            admitted,
+            evicted,
+        };
         let mut c: ClockCore<()> = ClockCore::new(2);
-        assert_eq!(
-            c.touch(7),
-            Touch {
-                hit: false,
-                evicted: false
-            }
-        );
+        assert_eq!(c.touch(7), miss(true, false));
         assert_eq!(
             c.touch(7),
             Touch {
                 hit: true,
+                admitted: false,
                 evicted: false
             }
         );
-        c.touch(8);
-        // 7 and 8 are both armed; admitting 9 sweeps both bits clear and
-        // evicts one of them.
-        assert_eq!(
-            c.touch(9),
-            Touch {
-                hit: false,
-                evicted: true
-            }
-        );
+        assert_eq!(c.touch(8), miss(true, false));
+        // The sweep clears 7's bit and offers 8; 9 has been probed once,
+        // like 8, and a tie keeps the resident.
+        assert_eq!(c.touch(9), miss(false, false));
+        assert!(c.contains(7) && c.contains(8));
+        // Probed a second time, 9 outweighs whichever resident the sweep
+        // offers next only if that one was probed once: 7 (twice) stays.
+        assert_eq!(c.touch(9), miss(false, false));
+        assert_eq!(c.touch(9), miss(true, true));
         assert_eq!(c.len(), 2);
+        assert!(c.contains(9));
+    }
+
+    /// One pass of the stream the page cache sees from queries: the
+    /// `shared` keys every pass touches, then thirty keys never asked for
+    /// again. Returns how many of the shared probes hit.
+    fn pass(c: &mut ClockCore<()>, shared: std::ops::Range<u64>, fresh: &mut u64) -> usize {
+        let hits = shared.filter(|&key| c.touch(key).hit).count();
+        for _ in 0..30 {
+            *fresh += 1;
+            c.touch(*fresh);
+        }
+        hits
+    }
+
+    #[test]
+    fn shared_keys_stay_resident_through_scans_wider_than_the_cache() {
+        let mut c: ClockCore<()> = ClockCore::new(8);
+        let mut fresh = 1_000_000u64;
+        for _ in 0..2 {
+            pass(&mut c, 0..6, &mut fresh);
+        }
+        let passes = 40;
+        let hits: usize = (0..passes).map(|_| pass(&mut c, 0..6, &mut fresh)).sum();
+        assert!(
+            hits * 10 >= passes * 6 * 9,
+            "{hits} of {} shared probes hit",
+            passes * 6
+        );
+    }
+
+    #[test]
+    fn a_hot_set_that_moves_is_followed() {
+        let mut c: ClockCore<()> = ClockCore::new(8);
+        let mut fresh = 1_000_000u64;
+        for _ in 0..50 {
+            pass(&mut c, 0..6, &mut fresh);
+        }
+        // The old set's counts sit at the cap of 15 and are halved every
+        // 64 x 8 = 512 probes (about 14 passes of 36 probes); a new key
+        // gains one per pass. Whatever the phase of the switch, by the
+        // second halving the old counts are at most 7 and every new key
+        // is past that: two periods bound the hand-over (measured from
+        // this phase: 9 passes).
+        let settle = 2 * 512 / 36 + 1;
+        for _ in 0..settle {
+            pass(&mut c, 100..106, &mut fresh);
+        }
+        let passes = 20;
+        let hits: usize = (0..passes)
+            .map(|_| pass(&mut c, 100..106, &mut fresh))
+            .sum();
+        assert!(
+            hits * 10 >= passes * 6 * 9,
+            "{hits} of {} probes of the new hot set hit",
+            passes * 6
+        );
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! A presence cache over 4 KiB page ids: the paged index asks
 //! [`PageCache::probe`] before charging the simulated device latency for
 //! a page read. Hits are free (the page is "resident in the block
-//! cache"), misses admit the page and pay the device. Sharded so the
+//! cache"), misses pay the device, and a missed page is kept while its
+//! shard has room or when it is asked for more often than the page it
+//! would evict (see [`crate::ClockCore::touch`]). Sharded so the
 //! `QueryEngine` workers contend on different mutexes — consecutive page
 //! ids land on different shards.
 //!
@@ -13,8 +15,7 @@
 //! been dropped.
 
 use crate::clock::CacheShard;
-use mqa_obs::{Counter, Gauge, Histogram, Stopwatch};
-use std::sync::Arc;
+use mqa_obs::{Counter, Gauge};
 
 /// Shard count (power of two; page id low bits select the shard).
 const SHARDS: usize = 8;
@@ -26,9 +27,9 @@ pub struct PageCache {
     hits: Counter,
     misses: Counter,
     evictions: Counter,
+    rejected: Counter,
     invalidations: Counter,
     hit_rate: Gauge,
-    lookup_us: Arc<Histogram>,
 }
 
 impl PageCache {
@@ -48,9 +49,9 @@ impl PageCache {
             hits: mqa_obs::counter("cache.page.hits"),
             misses: mqa_obs::counter("cache.page.misses"),
             evictions: mqa_obs::counter("cache.page.evictions"),
+            rejected: mqa_obs::counter("cache.page.rejected"),
             invalidations: mqa_obs::counter("cache.page.invalidations"),
             hit_rate: mqa_obs::gauge("cache.page.hit_rate"),
-            lookup_us: mqa_obs::histogram("cache.page.lookup_us"),
         }
     }
 
@@ -75,30 +76,35 @@ impl PageCache {
     }
 
     /// Probes the cache for `page`. Returns `true` on a hit (the page is
-    /// resident — no device read needed); on a miss the page is admitted
-    /// (possibly evicting a cold one) and `false` says the caller must
-    /// pay the device read.
+    /// resident — no device read needed); `false` says the caller must
+    /// pay the device read, after which the page is resident unless the
+    /// shard was full and the page it would have evicted is asked for at
+    /// least as often (`cache.page.rejected`). The counters keep
+    /// `hits + misses` = probes and `misses − rejected − evictions` =
+    /// pages resident (until an invalidation drops them).
     pub fn probe(&self, page: u32) -> bool {
-        let sw = Stopwatch::start();
         // INVARIANT: `% SHARDS` keeps the index in 0..SHARDS and the const
         // divisor is non-zero, so shard selection cannot panic.
         let touch = self.shards[page as usize % SHARDS].touch(u64::from(page));
         // The shard guard is gone; record on pre-resolved handles.
         if touch.hit {
             self.hits.inc();
-        } else {
-            self.misses.inc();
+            return true;
         }
+        self.misses.inc();
         if touch.evicted {
             self.evictions.inc();
         }
+        if !touch.admitted {
+            self.rejected.inc();
+        }
+        // The gauge moves on misses only: a hit costs one counter, and
+        // while every probe hits the rate only drifts towards 1.
         let h = self.hits.get() as f64;
         let m = self.misses.get() as f64;
-        // INVARIANT: f64 division — the `.max(1.0)` clamp avoids 0/0 NaN
-        // and float division cannot panic.
-        self.hit_rate.set(h / (h + m).max(1.0));
-        self.lookup_us.record(sw.elapsed_us());
-        touch.hit
+        // INVARIANT: f64 division cannot panic, and `m >= 1` here.
+        self.hit_rate.set(h / (h + m));
+        false
     }
 
     /// Drops every resident page and returns how many were dropped. Used
@@ -153,6 +159,30 @@ mod tests {
         cache.probe(9);
         assert!(mqa_obs::counter("cache.page.hits").get() > before_h);
         assert!(mqa_obs::counter("cache.page.misses").get() > before_m);
+    }
+
+    #[test]
+    fn full_shard_rejects_a_page_probed_no_more_than_the_resident() {
+        let before = mqa_obs::counter("cache.page.rejected").get();
+        let cache = PageCache::new(SHARDS); // one slot per shard
+        for page in 0..SHARDS as u32 {
+            assert!(!cache.probe(page));
+        }
+        // One probe each against residents probed once: every one loses.
+        for page in SHARDS as u32..2 * SHARDS as u32 {
+            assert!(!cache.probe(page));
+        }
+        assert!(mqa_obs::counter("cache.page.rejected").get() >= before + SHARDS as u64);
+        for page in 0..SHARDS as u32 {
+            assert!(cache.probe(page), "resident page {page} was displaced");
+        }
+        // Residents have been probed twice, newcomers once: a second
+        // probe ties and loses, the third takes the slot, the fourth hits.
+        for page in SHARDS as u32..2 * SHARDS as u32 {
+            assert!(!cache.probe(page));
+            assert!(!cache.probe(page));
+            assert!(cache.probe(page), "page {page} never admitted");
+        }
     }
 
     #[test]

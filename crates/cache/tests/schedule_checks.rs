@@ -23,13 +23,16 @@ fn opts() -> CheckOptions {
 struct Tally {
     hits: AtomicU64,
     misses: AtomicU64,
+    admitted: AtomicU64,
     evictions: AtomicU64,
 }
 
 /// Three threads hammer overlapping keys on a capacity-2 shard. In every
-/// explored interleaving the shard's accounting must balance: each miss
-/// admits exactly one entry, each eviction removes exactly one, so
-/// `misses - evictions == len` and residency never exceeds capacity.
+/// explored interleaving the shard's accounting must balance: a miss
+/// admits at most one entry (none when the key loses the frequency
+/// comparison), each eviction removes exactly one and only to make room
+/// for an admission, so `admitted - evictions == len` and residency
+/// never exceeds capacity.
 #[test]
 fn insert_evict_races_keep_accounting_balanced() {
     let mut traces = std::collections::HashSet::new();
@@ -44,11 +47,20 @@ fn insert_evict_races_keep_accounting_balanced() {
                 // Overlapping key sets: thread t touches {t, t+1, t+2}.
                 for key in t..t + 3 {
                     token.step();
-                    let Touch { hit, evicted } = shard.touch(key);
+                    let Touch {
+                        hit,
+                        admitted,
+                        evicted,
+                    } = shard.touch(key);
+                    assert!(!(hit && admitted), "a hit admits nothing");
+                    assert!(admitted || !evicted, "evicted for a rejected key");
                     if hit {
                         tally.hits.fetch_add(1, Ordering::SeqCst);
                     } else {
                         tally.misses.fetch_add(1, Ordering::SeqCst);
+                    }
+                    if admitted {
+                        tally.admitted.fetch_add(1, Ordering::SeqCst);
                     }
                     if evicted {
                         tally.evictions.fetch_add(1, Ordering::SeqCst);
@@ -61,11 +73,13 @@ fn insert_evict_races_keep_accounting_balanced() {
         assert!(outcome.is_ok(), "seed {seed} failed: {:?}", outcome.failure);
         let hits = tally.hits.load(Ordering::SeqCst);
         let misses = tally.misses.load(Ordering::SeqCst);
+        let admitted = tally.admitted.load(Ordering::SeqCst);
         let evictions = tally.evictions.load(Ordering::SeqCst);
         assert_eq!(hits + misses, 9, "every touch reports hit xor miss");
+        assert!(admitted <= misses, "only a miss admits (seed {seed})");
         assert!(shard.len() <= 2, "capacity exceeded (seed {seed})");
         assert_eq!(
-            misses - evictions,
+            admitted - evictions,
             shard.len() as u64,
             "admissions minus evictions must equal residency \
              (seed {seed}, trace {:?})",

@@ -50,9 +50,12 @@ impl DeviceProfile {
 pub enum LayoutStrategy {
     /// Vertices packed in insertion (id) order — the naive baseline.
     InsertionOrder,
-    /// BFS neighbourhood clustering: pages are filled by walking the graph
-    /// breadth-first, so a page holds a connected patch (Starling's
-    /// in-memory navigation-graph/page-layout idea distilled).
+    /// Pages packed by shared neighbours (Starling's block shuffling, one
+    /// greedy pass): the breadth-first order supplies each page's seed,
+    /// and the page then grows by repeatedly taking the unassigned vertex
+    /// with the most edges, in either direction, to the vertices already
+    /// on it — lower id on a tie, the next vertex in breadth-first order
+    /// when none shares an edge. Every page but the last is full.
     BfsCluster,
 }
 
@@ -78,36 +81,14 @@ impl PageLayout {
         assert!(per_page > 0, "a page must hold at least one vertex");
         assert!(!graph.is_empty(), "layout over an empty graph");
         let n = graph.len();
-        let order: Vec<VecId> = match strategy {
-            LayoutStrategy::InsertionOrder => (0..n as VecId).collect(),
-            LayoutStrategy::BfsCluster => {
-                let mut order = Vec::with_capacity(n);
-                let mut seen = VisitedSet::new(n);
-                seen.next_epoch();
-                for start in 0..n as VecId {
-                    if !seen.insert(start) {
-                        continue;
-                    }
-                    let mut queue = std::collections::VecDeque::new();
-                    queue.push_back(start);
-                    while let Some(v) = queue.pop_front() {
-                        order.push(v);
-                        for &u in graph.neighbors(v) {
-                            if seen.insert(u) {
-                                queue.push_back(u);
-                            }
-                        }
-                    }
-                }
-                order
-            }
+        let page_of = match strategy {
+            // INVARIANT: per_page >= 1 (asserted above); page numbers fit
+            // u32 since pos < n.
+            LayoutStrategy::InsertionOrder => (0..n)
+                .map(|pos| mqa_vector::cast::vec_id(pos / per_page))
+                .collect(),
+            LayoutStrategy::BfsCluster => pack_by_shared_neighbours(graph, per_page),
         };
-        let mut page_of = vec![0u32; n];
-        for (pos, &v) in order.iter().enumerate() {
-            // INVARIANT: order permutes 0..n and per_page >= 1 (clamped
-            // at construction); page numbers fit u32 since pos < n.
-            page_of[v as usize] = mqa_vector::cast::vec_id(pos / per_page);
-        }
         let pages = n.div_ceil(per_page);
         Self {
             page_of,
@@ -148,6 +129,94 @@ impl PageLayout {
     pub fn strategy(&self) -> LayoutStrategy {
         self.strategy
     }
+}
+
+/// Every vertex once, breadth-first from vertex 0, restarting at the
+/// lowest unseen id whenever a component is exhausted.
+fn bfs_order(graph: &Adjacency) -> Vec<VecId> {
+    let n = graph.len();
+    let mut order = Vec::with_capacity(n);
+    let mut seen = VisitedSet::new(n);
+    seen.next_epoch();
+    let mut queue = std::collections::VecDeque::new();
+    for start in 0..n as VecId {
+        if !seen.insert(start) {
+            continue;
+        }
+        queue.push_back(start);
+        while let Some(v) = queue.pop_front() {
+            order.push(v);
+            for &u in graph.neighbors(v) {
+                if seen.insert(u) {
+                    queue.push_back(u);
+                }
+            }
+        }
+    }
+    order
+}
+
+/// The [`LayoutStrategy::BfsCluster`] assignment. A search that reads a
+/// page evaluates one vertex on it and then, most likely, that vertex's
+/// neighbours; the page is worth most when those are already on it, so
+/// each slot goes to the vertex sharing the most edges with the page so
+/// far. Scoring scans only the vertices adjacent to the page's members,
+/// so the pass is O(n · per_page · degree).
+fn pack_by_shared_neighbours(graph: &Adjacency, per_page: usize) -> Vec<u32> {
+    const UNASSIGNED: u32 = u32::MAX;
+    let n = graph.len();
+    // In-neighbours: a new member credits the vertices that point at it
+    // as well as those it points at.
+    let mut sources: Vec<Vec<VecId>> = vec![Vec::new(); n];
+    for (v, u) in graph.edges() {
+        // INVARIANT: edge endpoints are vertices of `graph`; so is every
+        // id indexing the per-vertex tables below.
+        sources[u as usize].push(v);
+    }
+    let mut page_of = vec![UNASSIGNED; n];
+    // Edges between each unassigned vertex and the page being filled,
+    // and the vertices for which that count is non-zero.
+    let mut shared = vec![0u32; n];
+    let mut frontier: Vec<VecId> = Vec::new();
+    let order = bfs_order(graph);
+    let mut cursor = 0usize;
+    for pos in 0..n {
+        // INVARIANT: per_page >= 1, asserted by `PageLayout::build`.
+        let (page, slot) = (pos / per_page, pos % per_page);
+        if slot == 0 {
+            // INVARIANT: the frontier holds vertex ids.
+            frontier.drain(..).for_each(|u| shared[u as usize] = 0);
+        }
+        // INVARIANT: `i` ranges over the frontier, which holds vertex ids.
+        let best = (0..frontier.len())
+            .max_by_key(|&i| (shared[frontier[i] as usize], std::cmp::Reverse(frontier[i])));
+        let v = match best {
+            Some(i) => frontier.swap_remove(i),
+            None => loop {
+                // INVARIANT: `order` permutes 0..n and only `pos < n`
+                // vertices are placed, so the cursor stops on an
+                // unassigned vertex before it runs off the end.
+                let u = order[cursor];
+                if page_of[u as usize] == UNASSIGNED {
+                    break u;
+                }
+                cursor += 1;
+            },
+        };
+        // INVARIANT: `v` is a vertex id.
+        page_of[v as usize] = mqa_vector::cast::vec_id(page);
+        for &u in graph.neighbors(v).iter().chain(&sources[v as usize]) {
+            // INVARIANT: so are its neighbours in both directions.
+            if page_of[u as usize] == UNASSIGNED {
+                let count = &mut shared[u as usize];
+                if *count == 0 {
+                    frontier.push(u);
+                }
+                *count += 1;
+            }
+        }
+    }
+    page_of
 }
 
 /// A graph index with a paged on-"disk" layout and per-query I/O counting.
@@ -579,10 +648,53 @@ mod tests {
             let mut d2 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
             clustered_reads += clustered.search(&mut d2, 10, 48).stats.pages_read;
         }
+        // Insertion order reads 6 522 pages over the 20 queries; the plain
+        // breadth-first fill read 5 705, packing by shared neighbours
+        // reads 5 248.
         assert!(
-            clustered_reads < naive_reads,
-            "clustered {clustered_reads} >= naive {naive_reads}"
+            clustered_reads <= 5_450 && clustered_reads < naive_reads,
+            "clustered {clustered_reads} against naive {naive_reads}"
         );
+    }
+
+    #[test]
+    fn shared_neighbour_packing_reads_fewer_pages_on_clustered_vectors() {
+        // 2 000 vectors around 100 centres: twenty to a neighbourhood,
+        // three pages' worth, so which twenty-one share those pages counts.
+        let mut rng = StdRng::seed_from_u64(23);
+        let centres: Vec<Vec<f32>> = (0..100)
+            .map(|_| (0..16).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+            .collect();
+        let mut s = VectorStore::new(16);
+        for i in 0..2_000 {
+            let v: Vec<f32> = centres[i % centres.len()]
+                .iter()
+                .map(|x| x + rng.gen_range(-0.2f32..0.2))
+                .collect();
+            s.push(&v);
+        }
+        let s = Arc::new(s);
+        let nav = vamana::build(&s, Metric::L2, 16, 48, 1.2, 0);
+        let paged = PagedIndex::new(
+            nav.graph().clone(),
+            nav.entries().to_vec(),
+            PageLayout::build(nav.graph(), 7, LayoutStrategy::BfsCluster),
+        );
+        let queries = 40;
+        let mut reads = 0u64;
+        for _ in 0..queries {
+            let near = s.get(rng.gen_range(0..s.len()) as u32);
+            let q: Vec<f32> = near
+                .iter()
+                .map(|x| x + rng.gen_range(-0.05f32..0.05))
+                .collect();
+            let mut d = FlatDistance::new(&s, &q, Metric::L2).unwrap();
+            reads += paged.search(&mut d, 10, 48).stats.pages_read;
+        }
+        // The plain breadth-first fill read 4 853 pages over these 40
+        // queries (121.3 a query); packing by shared neighbours reads
+        // 4 090 (102.3).
+        assert!(reads <= 4_400, "{reads} page reads over {queries} queries");
     }
 
     #[test]

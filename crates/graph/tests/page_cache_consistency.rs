@@ -2,15 +2,21 @@
 //! answers — only where page touches are served from.
 //!
 //! For every navigation-graph algorithm (HNSW base layer, NSG, Vamana),
-//! both page-layout strategies, and both cache regimes (a tiny capacity
-//! that thrashes and evicts, a large capacity that goes fully warm), a
-//! cached [`PagedIndex`] must return results bit-identical to an uncached
-//! twin, and every distinct page touch must be accounted for as exactly
-//! one of a device read or a cache hit:
+//! both page-layout strategies, and three cache regimes (a tiny capacity
+//! that turns most missed pages away, a middling one that both evicts and
+//! rejects, a large one that goes fully warm), a cached [`PagedIndex`]
+//! must return results bit-identical to an uncached twin, and every
+//! distinct page touch must be accounted for as exactly one of a device
+//! read or a cache hit:
 //!
 //! ```text
 //! cached.pages_read + cached.pages_cached == uncached.pages_read
 //! ```
+//!
+//! The cache's own counters must tell the same story (this file holds
+//! one test, so the process-wide `cache.page.*` counters are its alone):
+//! `hits + misses` = probes and `misses − rejected − evictions` = pages
+//! resident.
 
 use mqa_cache::PageCache;
 use mqa_graph::starling::{LayoutStrategy, PageLayout, PagedIndex};
@@ -41,6 +47,36 @@ fn graphs(s: &Arc<VectorStore>) -> Vec<(&'static str, Adjacency, Vec<VecId>)> {
     ]
 }
 
+/// The process-wide page-cache counters.
+#[derive(Debug)]
+struct PageCounters {
+    hits: u64,
+    misses: u64,
+    rejected: u64,
+    evictions: u64,
+}
+
+impl PageCounters {
+    fn read() -> Self {
+        let get = |name: &str| mqa_obs::counter(name).get();
+        Self {
+            hits: get("cache.page.hits"),
+            misses: get("cache.page.misses"),
+            rejected: get("cache.page.rejected"),
+            evictions: get("cache.page.evictions"),
+        }
+    }
+
+    fn since(&self, earlier: &Self) -> Self {
+        Self {
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            rejected: self.rejected - earlier.rejected,
+            evictions: self.evictions - earlier.evictions,
+        }
+    }
+}
+
 #[test]
 fn cached_paged_search_is_bit_identical_across_algorithms_and_regimes() {
     let s = store(500, 8, 3);
@@ -53,10 +89,14 @@ fn cached_paged_search_is_bit_identical_across_algorithms_and_regimes() {
         for strategy in [LayoutStrategy::InsertionOrder, LayoutStrategy::BfsCluster] {
             let layout = PageLayout::build(&graph, 4, strategy);
             let uncached = PagedIndex::new(graph.clone(), entries.clone(), layout.clone());
-            // Tiny capacity: far fewer slots than distinct pages, so the
-            // clock sweeps and evicts constantly. Large capacity: the
+            // Tiny capacity: one slot a shard against 125 pages, so a
+            // missed page almost always finds a resident asked for at
+            // least as often and is not kept. Middling: room for the
+            // pages every query crosses, the rest compete. Large: the
             // whole working set becomes resident.
-            for capacity in [4usize, 4096] {
+            for capacity in [4usize, 32, 4096] {
+                let before = PageCounters::read();
+                let mut touches = 0u64;
                 let cache = Arc::new(PageCache::new(capacity));
                 let cached = PagedIndex::new(graph.clone(), entries.clone(), layout.clone())
                     .with_page_cache(Arc::clone(&cache));
@@ -79,22 +119,30 @@ fn cached_paged_search_is_bit_identical_across_algorithms_and_regimes() {
                             "{name}/{strategy:?}/cap={capacity}/{pass} query {qi}: \
                              page touches unaccounted for"
                         );
+                        touches += plain.stats.pages_read;
                     }
                 }
                 assert!(
                     cache.len() <= cache.capacity(),
                     "{name}/{strategy:?}: cache overfilled"
                 );
-                if capacity == 4 {
-                    // The working set dwarfs 4 pages (8-entry slots after
-                    // shard rounding), so the thrashing regime must have
-                    // filled the cache completely — evictions happened.
-                    assert_eq!(
-                        cache.len(),
-                        cache.capacity(),
-                        "{name}/{strategy:?}: tiny cache never reached \
-                         capacity, eviction path untested"
-                    );
+                let moved = PageCounters::read().since(&before);
+                let tag = format!("{name}/{strategy:?}/cap={capacity}");
+                assert_eq!(moved.hits + moved.misses, touches, "{tag}: probes");
+                assert_eq!(
+                    moved.misses - moved.rejected - moved.evictions,
+                    cache.len() as u64,
+                    "{tag}: admissions minus evictions must equal residency ({moved:?})"
+                );
+                if capacity == 4096 {
+                    assert_eq!(moved.rejected + moved.evictions, 0, "{tag}: {moved:?}");
+                } else {
+                    // The working set dwarfs the cache, so it filled
+                    // completely and both verdicts on a full shard — take
+                    // the victim's slot, be turned away — were exercised.
+                    assert_eq!(cache.len(), cache.capacity(), "{tag}: never filled");
+                    assert!(moved.rejected > 0, "{tag}: nothing rejected ({moved:?})");
+                    assert!(moved.evictions > 0, "{tag}: nothing evicted ({moved:?})");
                 }
             }
         }

@@ -440,10 +440,6 @@ fn verify_instruments(snapshot: &mqa_obs::Snapshot) -> Result<(), String> {
         Some(v) if v > 0 => {}
         _ => missing.push("counter `cache.page.misses` missing or zero".to_string()),
     }
-    match snapshot.histogram("cache.page.lookup_us") {
-        Some(h) if h.count > 0 => {}
-        _ => missing.push("histogram `cache.page.lookup_us` missing or empty".to_string()),
-    }
     if snapshot
         .gauges
         .iter()

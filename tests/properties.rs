@@ -205,21 +205,36 @@ fn page_layout_partitions_vertices() {
     for _ in 0..CASES {
         let n = rng.gen_range(1usize..200);
         let per_page = rng.gen_range(1usize..10);
+        // Several components, some of them single isolated vertices: a
+        // run of ids is chained and given random directed edges of its
+        // own, and a new run starts at every fifth vertex or so.
         let mut g = Adjacency::new(n);
+        let mut run_start = 0u32;
         for v in 1..n as u32 {
+            if rng.gen_bool(0.2) {
+                run_start = v;
+                continue;
+            }
             g.add_edge(v - 1, v);
+            g.add_edge(v, rng.gen_range(run_start..v));
         }
         for strategy in [
             mqa::graph::starling::LayoutStrategy::InsertionOrder,
             mqa::graph::starling::LayoutStrategy::BfsCluster,
         ] {
             let layout = PageLayout::build(&g, per_page, strategy);
+            assert_eq!(layout.pages(), n.div_ceil(per_page), "{strategy:?}");
             let mut counts = vec![0usize; layout.pages()];
             for v in 0..n as u32 {
                 counts[layout.page(v) as usize] += 1;
             }
-            assert_eq!(counts.iter().sum::<usize>(), n);
-            assert!(counts.iter().all(|&c| c <= per_page));
+            let (last, full) = counts.split_last().expect("n >= 1 gives a page");
+            assert!(
+                full.iter().all(|&c| c == per_page),
+                "{strategy:?}: {counts:?}"
+            );
+            assert_eq!(full.len() * per_page + last, n, "{strategy:?}: {counts:?}");
+            assert!((1..=per_page).contains(last), "{strategy:?}: {counts:?}");
         }
     }
 }
