@@ -52,6 +52,13 @@ for workload in dialogue engine_pipelined mutate paged_spill; do
         tail -n 1 | grep -q '"correct":true'
 done
 
+echo "==> mqa-xtask counts (exact counts against BENCH_counts.json)"
+# The smoke loop proves each run is correct and the compare below that the
+# timing file parses; neither can fail on a count. This one does: a change
+# that reads one page more, evaluates one vertex more or gets one cache
+# verdict differently moves a last digit here.
+cargo run -q --release --offline -p mqa-xtask -- counts
+
 echo "==> BENCH_e2e.json is a well-formed report file"
 cargo run --release --offline --quiet --manifest-path crates/benchmark/Cargo.toml \
     --bin mqa-benchmark -- compare BENCH_e2e.json BENCH_e2e.json

@@ -1,8 +1,9 @@
 //! **E13 — Shared page cache: capacity × workers sweep.**
 //!
 //! A Vamana graph behind the Starling paged layout with a simulated
-//! 200 µs device read per distinct page, searched through the worker
-//! pool with a shared [`mqa_cache::PageCache`] at several capacities.
+//! 200 µs device read (the pages one hop misses are one submission,
+//! waited for once), searched through the worker pool with a shared
+//! [`mqa_cache::PageCache`] at several capacities.
 //! Each cell runs the query set twice on a fresh cache:
 //!
 //! - **cold** — the cache starts empty. At small capacities this tracks
@@ -43,16 +44,17 @@ fn random_store(n: usize, dim: usize, seed: u64) -> Arc<VectorStore> {
 }
 
 /// One pass of the query set through the pool. Returns per-query
-/// latencies (µs) and the total distinct device page reads.
+/// latencies (µs), the total distinct device page reads and the times a
+/// query waited for the device.
 fn run_pass(
     paged: &Arc<PagedIndex>,
     store: &Arc<VectorStore>,
     query_vecs: &Arc<Vec<Vec<f32>>>,
     workers: usize,
-) -> (Vec<u64>, u64) {
+) -> (Vec<u64>, u64, u64) {
     let queries = query_vecs.len();
-    let tallies: Arc<Mutex<(Vec<u64>, u64)>> =
-        Arc::new(Mutex::new((Vec::with_capacity(queries), 0)));
+    let tallies: Arc<Mutex<(Vec<u64>, u64, u64)>> =
+        Arc::new(Mutex::new((Vec::with_capacity(queries), 0, 0)));
     {
         let pool = WorkerPool::new(workers, 2 * queries);
         for qi in 0..queries {
@@ -69,6 +71,7 @@ fn run_pass(
                     if let Ok(mut t) = tallies.lock() {
                         t.0.push(us);
                         t.1 += out.stats.pages_read;
+                        t.2 += out.stats.device_waits;
                     }
                 }
             }));
@@ -76,12 +79,12 @@ fn run_pass(
         }
         // Dropping the pool drains the queue and joins the workers.
     }
-    let (mut lats, reads) = match Arc::try_unwrap(tallies) {
+    let (mut lats, reads, waits) = match Arc::try_unwrap(tallies) {
         Ok(m) => m.into_inner().unwrap_or_else(|p| p.into_inner()),
         Err(_) => unreachable!("workers joined; no other owner remains"),
     };
     lats.sort_unstable();
-    (lats, reads)
+    (lats, reads, waits)
 }
 
 fn quantile(sorted: &[u64], q: f64) -> u64 {
@@ -127,6 +130,8 @@ fn main() {
         "cold reads",
         "warm reads",
         "reduction",
+        "cold waits",
+        "warm waits",
     ]);
     for &capacity in capacities {
         for workers in WORKER_SWEEP {
@@ -138,8 +143,8 @@ fn main() {
                     .with_device(device)
                     .with_page_cache(Arc::clone(&cache)),
             );
-            let (cold_lat, cold_reads) = run_pass(&paged, &store, &query_vecs, workers);
-            let (warm_lat, warm_reads) = run_pass(&paged, &store, &query_vecs, workers);
+            let (cold_lat, cold_reads, cold_waits) = run_pass(&paged, &store, &query_vecs, workers);
+            let (warm_lat, warm_reads, warm_waits) = run_pass(&paged, &store, &query_vecs, workers);
             table.row(vec![
                 capacity.to_string(),
                 workers.to_string(),
@@ -150,6 +155,8 @@ fn main() {
                 cold_reads.to_string(),
                 warm_reads.to_string(),
                 format!("{:.1}x", cold_reads as f64 / (warm_reads.max(1)) as f64),
+                cold_waits.to_string(),
+                warm_waits.to_string(),
             ]);
         }
     }

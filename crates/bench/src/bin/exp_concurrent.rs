@@ -3,10 +3,11 @@
 //! Two workloads, each swept over 1/2/4 engine workers:
 //!
 //! 1. **I/O-bound paged search** — a Vamana graph behind the Starling
-//!    paged layout with a simulated device latency per distinct page read.
-//!    Latency-dominated search is exactly what the pool overlaps: with the
-//!    device stalling one worker, another walks its own beam, so QPS
-//!    scales with workers even on one core.
+//!    paged layout with a simulated device latency (the pages one hop
+//!    misses are read together and waited for once). Latency-dominated
+//!    search is exactly what the pool overlaps: with the device stalling
+//!    one worker, another walks its own beam, so QPS scales with workers
+//!    even on one core.
 //! 2. **End-to-end MUST retrieval** — real multi-modal queries through a
 //!    [`mqa_engine::QueryEngine`] over the MUST framework (CPU-bound; on a
 //!    single core this measures pool overhead and p50/p99 tail shape from
@@ -24,6 +25,7 @@ use mqa_kb::{DatasetSpec, WorkloadSpec};
 use mqa_retrieval::MultiModalQuery;
 use mqa_rng::StdRng;
 use mqa_vector::{Metric, VectorStore};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,7 +42,7 @@ fn random_store(n: usize, dim: usize, seed: u64) -> Arc<VectorStore> {
     Arc::new(s)
 }
 
-/// Workload 1: paged search with a simulated per-page read latency.
+/// Workload 1: paged search behind a simulated device latency.
 fn paged_io_sweep(quick: bool, table: &mut Table) {
     let (n, queries) = if quick { (1_500, 48) } else { (6_000, 120) };
     let dim = 16;
@@ -60,6 +62,8 @@ fn paged_io_sweep(quick: bool, table: &mut Table) {
 
     let mut baseline_qps = 0.0f64;
     for workers in WORKER_SWEEP {
+        let reads = Arc::new(AtomicU64::new(0));
+        let waits = Arc::new(AtomicU64::new(0));
         let sw = mqa_obs::Stopwatch::start();
         {
             let pool = WorkerPool::new(workers, 2 * queries);
@@ -67,10 +71,13 @@ fn paged_io_sweep(quick: bool, table: &mut Table) {
                 let paged = Arc::clone(&paged);
                 let store = Arc::clone(&store);
                 let query_vecs = Arc::clone(&query_vecs);
+                let (reads, waits) = (Arc::clone(&reads), Arc::clone(&waits));
                 let submitted = pool.submit(Box::new(move |scratch| {
                     if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi], Metric::L2) {
                         let out = paged.search_with(&mut dist, K, 32, scratch);
                         assert!(!out.results.is_empty());
+                        reads.fetch_add(out.stats.pages_read, Ordering::Relaxed);
+                        waits.fetch_add(out.stats.device_waits, Ordering::Relaxed);
                     }
                 }));
                 assert!(submitted.is_ok(), "pool refused work mid-benchmark");
@@ -89,6 +96,14 @@ fn paged_io_sweep(quick: bool, table: &mut Table) {
             format!("{:.2}x", qps / baseline_qps),
             "-".to_string(),
             "-".to_string(),
+            format!(
+                "{:.1}",
+                reads.load(Ordering::Relaxed) as f64 / queries as f64
+            ),
+            format!(
+                "{:.1}",
+                waits.load(Ordering::Relaxed) as f64 / queries as f64
+            ),
         ]);
     }
 }
@@ -148,6 +163,8 @@ fn must_engine_sweep(quick: bool, table: &mut Table) {
             format!("{:.2}x", qps / baseline_qps),
             format!("{}", lat.quantile(0.5)),
             format!("{}", lat.quantile(0.99)),
+            "-".to_string(),
+            "-".to_string(),
         ]);
     }
 }
@@ -159,7 +176,16 @@ fn main() {
         WORKER_SWEEP,
         if quick { " (quick)" } else { "" }
     );
-    let mut table = Table::new(&["workload", "workers", "QPS", "speedup", "p50 µs", "p99 µs"]);
+    let mut table = Table::new(&[
+        "workload",
+        "workers",
+        "QPS",
+        "speedup",
+        "p50 µs",
+        "p99 µs",
+        "reads/query",
+        "waits/query",
+    ]);
     paged_io_sweep(quick, &mut table);
     must_engine_sweep(quick, &mut table);
     table.print();

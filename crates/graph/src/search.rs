@@ -11,8 +11,8 @@
 //!
 //! This module owns the **only** best-first loop in the workspace:
 //! `walk` is generic over a `WalkGraph` (a flat [`Adjacency`], one HNSW
-//! level, or the paged Starling layout, whose per-vertex touch hook
-//! counts page reads) and over the distance evaluator (so a caller that
+//! level, or the paged Starling layout, whose per-hop fetch hook reads
+//! pages) and over the distance evaluator (so a caller that
 //! knows its evaluator's type gets the loop compiled around it, while
 //! `&mut dyn DistanceFn` callers share one dynamically dispatched copy),
 //! and runs entirely on a caller-supplied [`SearchScratch`]. `WalkMode`
@@ -27,12 +27,15 @@
 //! heap would. And each hop first *gathers* the vertex's not-yet-visited
 //! neighbours into a scratch buffer — the visited stamp is written
 //! unconditionally and the buffer's fill count advances by the returned
-//! flag, so no branch depends on whether a neighbour was seen — and only
-//! then touches, evaluates and offers them in list order. Marking the
-//! whole list before evaluating any of it changes nothing observable: a
-//! neighbour's freshness depends on earlier stamps only, never on a
-//! distance, so evaluation order, the bound each evaluation sees and the
-//! paged layout's page-touch order are those of the interleaved loop.
+//! flag, so no branch depends on whether a neighbour was seen — then hands
+//! the whole fresh list to the graph's fetch hook, and only then evaluates
+//! and offers them in list order. Marking the whole list before
+//! evaluating any of it changes nothing observable: a neighbour's
+//! freshness depends on earlier stamps only, never on a distance, so
+//! evaluation order, the bound each evaluation sees and the order the
+//! paged layout meets pages in are those of the interleaved loop. What
+//! the gathered list buys the paged layout is one device submission a
+//! hop: the pages the hop misses are in flight together.
 
 use crate::adjacency::Adjacency;
 use crate::scratch::{SearchScratch, VisitedSet};
@@ -55,6 +58,10 @@ pub struct SearchStats {
     /// Distinct page touches served by the shared page cache instead of
     /// the device (zero unless a cache is attached).
     pub pages_cached: u64,
+    /// Submissions to the (simulated) device: hops, the seeds counting as
+    /// one, that missed at least one page and so waited for it. Never more
+    /// than `pages_read`; zero elsewhere than the paged index.
+    pub device_waits: u64,
 }
 
 impl SearchStats {
@@ -65,6 +72,7 @@ impl SearchStats {
         self.pruned += other.pruned;
         self.pages_read += other.pages_read;
         self.pages_cached += other.pages_cached;
+        self.device_waits += other.device_waits;
     }
 
     /// Total distance-evaluation work: completed plus abandoned
@@ -86,6 +94,7 @@ impl SearchStats {
         counters.pruned.add(self.pruned);
         counters.pages_read.add(self.pages_read);
         counters.pages_cached.add(self.pages_cached);
+        counters.device_waits.add(self.device_waits);
         let (latency, work) = algo_histograms(algo);
         latency.record(elapsed_us);
         work.record(self.total_distance_work());
@@ -96,6 +105,7 @@ impl SearchStats {
             self.pruned,
             self.pages_read,
             self.pages_cached,
+            self.device_waits,
         );
     }
 }
@@ -110,6 +120,7 @@ struct SearchCounters {
     pruned: mqa_obs::Counter,
     pages_read: mqa_obs::Counter,
     pages_cached: mqa_obs::Counter,
+    device_waits: mqa_obs::Counter,
 }
 
 impl SearchCounters {
@@ -122,6 +133,7 @@ impl SearchCounters {
             pruned: mqa_obs::counter("graph.search.pruned"),
             pages_read: mqa_obs::counter("graph.search.pages_read"),
             pages_cached: mqa_obs::counter("graph.search.pages_cached"),
+            device_waits: mqa_obs::counter("graph.search.device_waits"),
         })
     }
 }
@@ -185,8 +197,9 @@ impl SearchOutput {
 }
 
 /// What the walk needs from an index: the population, each vertex's
-/// out-neighbours, and a hook run once per newly visited vertex before
-/// its distance is evaluated (a no-op everywhere but the paged layout).
+/// out-neighbours, and a hook run once per hop on the newly visited
+/// vertices before any of their distances is evaluated (a no-op
+/// everywhere but the paged layout).
 pub(crate) trait WalkGraph {
     /// Number of vertices (sizes the visited set).
     fn vertices(&self) -> usize;
@@ -194,9 +207,10 @@ pub(crate) trait WalkGraph {
     /// Out-neighbours of `v`.
     fn neighbors(&self, v: VecId) -> &[VecId];
 
-    /// First touch of `v` by this query.
+    /// Brings in what evaluating `ids` needs: the vertices one hop (or the
+    /// seeding) visits for the first time this query, in evaluation order.
     #[inline]
-    fn touch(&self, _v: VecId, _pages: &mut VisitedSet, _stats: &mut SearchStats) {}
+    fn fetch(&self, _ids: &[VecId], _pages: &mut VisitedSet, _stats: &mut SearchStats) {}
 }
 
 impl WalkGraph for Adjacency {
@@ -267,11 +281,9 @@ pub(crate) fn walk<G: WalkGraph, D: DistanceFn + ?Sized>(
                 !entries.is_empty(),
                 "beam search requires at least one entry vertex"
             );
-            for &e in entries {
-                if !visited.insert(e) {
-                    continue;
-                }
-                graph.touch(e, pages, &mut stats);
+            let fresh = gather_fresh(entries, visited, gather);
+            graph.fetch(fresh, pages, &mut stats);
+            for &e in fresh {
                 let c = Candidate::new(e, dist.exact(e));
                 stats.evals += 1;
                 if collect {
@@ -288,22 +300,9 @@ pub(crate) fn walk<G: WalkGraph, D: DistanceFn + ?Sized>(
 
     while let Some(current) = pool.next() {
         stats.hops += 1;
-        let neighbors = graph.neighbors(current.id);
-        if gather.len() < neighbors.len() {
-            // ALLOC: grows to the largest degree seen, then sticks.
-            gather.resize(neighbors.len(), 0);
-        }
-        let mut fresh = 0;
-        for &nb in neighbors {
-            // `fresh` never passes the position in the list, which the
-            // resize above put inside the buffer.
-            if let Some(slot) = gather.get_mut(fresh) {
-                *slot = nb;
-            }
-            fresh += usize::from(visited.insert(nb));
-        }
-        for &nb in gather.iter().take(fresh) {
-            graph.touch(nb, pages, &mut stats);
+        let fresh = gather_fresh(graph.neighbors(current.id), visited, gather);
+        graph.fetch(fresh, pages, &mut stats);
+        for &nb in fresh {
             let c = if collect {
                 // Construction needs exact distances for the pool, so no
                 // early abandonment here.
@@ -325,6 +324,34 @@ pub(crate) fn walk<G: WalkGraph, D: DistanceFn + ?Sized>(
         }
     }
     stats
+}
+
+/// Marks every id of `ids` visited and returns those met for the first
+/// time, in list order, at the front of `gather`. The stamp is written
+/// unconditionally and the fill count advances by the returned flag, so
+/// no branch depends on whether an id was seen; a repeated id is fresh
+/// once.
+#[inline]
+fn gather_fresh<'g>(
+    ids: &[VecId],
+    visited: &mut VisitedSet,
+    gather: &'g mut Vec<VecId>,
+) -> &'g [VecId] {
+    if gather.len() < ids.len() {
+        // ALLOC: grows to the longest list seen (the largest degree, or
+        // the entry list), then sticks.
+        gather.resize(ids.len(), 0);
+    }
+    let mut fresh = 0;
+    for &id in ids {
+        // `fresh` never passes the position in the list, which the
+        // resize above put inside the buffer.
+        if let Some(slot) = gather.get_mut(fresh) {
+            *slot = id;
+        }
+        fresh += usize::from(visited.insert(id));
+    }
+    gather.get(..fresh).unwrap_or_default()
 }
 
 /// Query-mode [`walk`] copying the `k` best into `out` (ascending

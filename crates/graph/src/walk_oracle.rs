@@ -1,7 +1,7 @@
 //! The two-heap best-first loop the sorted-pool walk replaced, kept as the
 //! reference the differential tests below compare [`crate::search::walk`]
-//! against: same results, same work counters, same evaluation and
-//! page-touch order — including the corner the pool's tie list exists for
+//! against: same results, same work counters, same evaluation order and
+//! the same fetch calls — including the corner the pool's tie list exists for
 //! (a candidate pushed out of a full beam whose distance still equals the
 //! bound is expanded, because the stop test is strict).
 
@@ -27,6 +27,10 @@ struct OracleRun {
 
 /// The pre-pool loop, statement for statement: a frontier min-heap beside
 /// a bounded result max-heap, visited check interleaved with evaluation.
+/// It notes the vertices each hop (and the seeding) meets for the first
+/// time as it meets them and fetches that list when the hop ends — a
+/// fetch reads no distance and no evaluation reads a page, so the hop's
+/// end is as good as its start.
 fn two_heap_walk<G: WalkGraph>(
     graph: &G,
     seeds: Seeds<'_>,
@@ -42,6 +46,7 @@ fn two_heap_walk<G: WalkGraph>(
     let mut frontier: BinaryHeap<Reverse<Candidate>> = BinaryHeap::new();
     let mut beam = TopK::new(ef.max(k));
     let collect = matches!(mode, WalkMode::CollectExact);
+    let mut met: Vec<VecId> = Vec::new();
 
     match seeds {
         Seeds::Entries(entries) => {
@@ -49,7 +54,7 @@ fn two_heap_walk<G: WalkGraph>(
                 if !visited.insert(e) {
                     continue;
                 }
-                graph.touch(e, pages, &mut run.stats);
+                met.push(e);
                 let c = Candidate::new(e, dist.exact(e));
                 run.stats.evals += 1;
                 if collect {
@@ -58,6 +63,7 @@ fn two_heap_walk<G: WalkGraph>(
                 beam.offer(c);
                 frontier.push(Reverse(c));
             }
+            graph.fetch(&met, pages, &mut run.stats);
         }
         Seeds::Evaluated(c) => {
             visited.insert(c.id);
@@ -74,11 +80,12 @@ fn two_heap_walk<G: WalkGraph>(
             run.tie_expansions += 1;
         }
         run.stats.hops += 1;
+        met.clear();
         for &nb in graph.neighbors(current.id) {
             if !visited.insert(nb) {
                 continue;
             }
-            graph.touch(nb, pages, &mut run.stats);
+            met.push(nb);
             let c = if collect {
                 let c = Candidate::new(nb, dist.exact(nb));
                 run.evaluated.push(c);
@@ -97,6 +104,7 @@ fn two_heap_walk<G: WalkGraph>(
                 frontier.push(Reverse(c));
             }
         }
+        graph.fetch(&met, pages, &mut run.stats);
     }
     run.results = beam.into_sorted();
     run.results.truncate(k);
@@ -146,10 +154,11 @@ mod tests {
         }
     }
 
-    /// Records the order vertices are first touched in.
+    /// Records every fetch call: the list each hop, and the seeding,
+    /// asked for.
     struct Recording<'a> {
         graph: &'a Adjacency,
-        touched: RefCell<Vec<VecId>>,
+        fetched: RefCell<Vec<Vec<VecId>>>,
     }
 
     impl WalkGraph for Recording<'_> {
@@ -161,8 +170,8 @@ mod tests {
             self.graph.neighbors(v)
         }
 
-        fn touch(&self, v: VecId, _pages: &mut VisitedSet, _stats: &mut SearchStats) {
-            self.touched.borrow_mut().push(v);
+        fn fetch(&self, ids: &[VecId], _pages: &mut VisitedSet, _stats: &mut SearchStats) {
+            self.fetched.borrow_mut().push(ids.to_vec());
         }
     }
 
@@ -236,7 +245,7 @@ mod tests {
             };
             let recording = Recording {
                 graph: &graph,
-                touched: RefCell::new(Vec::new()),
+                fetched: RefCell::new(Vec::new()),
             };
             for shape in seed_shapes(&table, &mut rng) {
                 for k in [1usize, 5] {
@@ -262,7 +271,7 @@ mod tests {
                                     mode,
                                     &mut pages,
                                 );
-                                let want_touched = recording.touched.take();
+                                let want_fetched = recording.fetched.take();
                                 let got = pool_walk(
                                     &recording,
                                     seeds_of(&shape),
@@ -272,11 +281,24 @@ mod tests {
                                     mode,
                                     &mut scratch,
                                 );
-                                let got_touched = recording.touched.take();
+                                let got_fetched = recording.fetched.take();
                                 tie_expansions += std::mem::take(&mut want.tie_expansions);
                                 cases += 1;
                                 assert_eq!(got, want, "{what}");
-                                assert_eq!(got_touched, want_touched, "{what}: touch order");
+                                assert_eq!(got_fetched, want_fetched, "{what}: fetch calls");
+                                // One call a hop, one more for entry seeds;
+                                // no vertex is asked for twice.
+                                let seedings = u64::from(shape.1.is_none());
+                                assert_eq!(
+                                    got_fetched.len() as u64,
+                                    got.stats.hops + seedings,
+                                    "{what}"
+                                );
+                                let mut ids = got_fetched.concat();
+                                let asked = ids.len();
+                                ids.sort_unstable();
+                                ids.dedup();
+                                assert_eq!(ids.len(), asked, "{what}: an id fetched twice");
                             }
                         }
                     }
@@ -331,10 +353,56 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// Entry lists may repeat a vertex; the seeding asks for each distinct
+    /// entry once, in first-mention order, as one call.
+    #[test]
+    fn repeated_entry_seeds_are_fetched_once() {
+        let mut rng = StdRng::seed_from_u64(0x5345_4544);
+        let graph = random_graph(24, 3, &mut rng);
+        let recording = Recording {
+            graph: &graph,
+            fetched: RefCell::new(Vec::new()),
+        };
+        let entries = [15, 19, 15, 17, 19];
+        let mut dist = TableDistance {
+            table: grid_table(24, 4, &mut rng),
+            abandon: false,
+        };
+        let mut pages = VisitedSet::new(0);
+        let want = two_heap_walk(
+            &recording,
+            Seeds::Entries(&entries),
+            &mut dist,
+            3,
+            6,
+            WalkMode::Prune,
+            &mut pages,
+        );
+        let want_fetched = recording.fetched.take();
+        let mut got = pool_walk(
+            &recording,
+            Seeds::Entries(&entries),
+            &mut dist,
+            3,
+            6,
+            WalkMode::Prune,
+            &mut SearchScratch::new(),
+        );
+        got.tie_expansions = want.tie_expansions;
+        assert_eq!(got, want);
+        let got_fetched = recording.fetched.take();
+        assert_eq!(got_fetched.first(), Some(&vec![15, 19, 17]));
+        assert_eq!(got_fetched, want_fetched);
+        // Every vertex asked for is evaluated, and nothing else is.
+        let asked: usize = got_fetched.iter().map(Vec::len).sum();
+        assert_eq!(got.stats.total_distance_work(), asked as u64);
+    }
+
     /// Paged layout behind a small shared cache: the cache's verdicts
-    /// depend on the exact touch sequence of every earlier query, so equal
-    /// `pages_read` / `pages_cached` per query over a whole stream means
-    /// the sequences were equal.
+    /// depend on the exact probe sequence of every earlier query, so equal
+    /// `pages_read` / `pages_cached` / `device_waits` per query over a whole
+    /// stream means the sequences, and the submissions they were cut into,
+    /// were equal.
     #[test]
     fn paged_walk_reads_and_hits_the_same_pages() {
         let mut rng = StdRng::seed_from_u64(0x5041_4745);

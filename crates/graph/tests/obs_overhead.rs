@@ -45,6 +45,7 @@ const STATS: SearchStats = SearchStats {
     pruned: 10,
     pages_read: 0,
     pages_cached: 0,
+    device_waits: 0,
 };
 
 /// Per-op cost of one flat search and of the recording bundle alone.

@@ -13,6 +13,9 @@
 //! cached.pages_read + cached.pages_cached == uncached.pages_read
 //! ```
 //!
+//! A query waits for the device once per hop that missed a page: never
+//! more often than it reads, and not at all when every page hits.
+//!
 //! The cache's own counters must tell the same story (this file holds
 //! one test, so the process-wide `cache.page.*` counters are its alone):
 //! `hits + misses` = probes and `misses − rejected − evictions` = pages
@@ -120,6 +123,25 @@ fn cached_paged_search_is_bit_identical_across_algorithms_and_regimes() {
                              page touches unaccounted for"
                         );
                         touches += plain.stats.pages_read;
+                        if capacity == 4096 && pass == "warm" {
+                            assert_eq!(
+                                (with_cache.stats.pages_read, with_cache.stats.device_waits),
+                                (0, 0),
+                                "{name}/{strategy:?}/warm query {qi}: every page hits, nothing to wait for"
+                            );
+                        }
+                        for (side, stats) in
+                            [("uncached", plain.stats), ("cached", with_cache.stats)]
+                        {
+                            assert!(
+                                stats.device_waits <= stats.pages_read
+                                    && (stats.device_waits == 0) == (stats.pages_read == 0),
+                                "{name}/{strategy:?}/cap={capacity}/{pass} query {qi}: \
+                                 {side} waited {} times for {} reads",
+                                stats.device_waits,
+                                stats.pages_read
+                            );
+                        }
                     }
                 }
                 assert!(

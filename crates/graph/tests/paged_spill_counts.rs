@@ -1,6 +1,7 @@
-//! Exact-count gate for the two things that decide what a paged query
-//! costs: how many pages it touches (the layout) and how many of those
-//! touches reach the device (the page cache).
+//! Exact-count gate for the three things that decide what a paged query
+//! costs: how many pages it touches (the layout), how many of those
+//! touches reach the device (the page cache), and how many times it waits
+//! for the device (one submission per hop that missed).
 //!
 //! The shape is the benchmark's `paged_spill` workload in miniature —
 //! Vamana R = 16, L = 48 over 1 000 vectors in ten clusters, 7 vertices a
@@ -11,7 +12,7 @@
 
 use mqa_cache::PageCache;
 use mqa_graph::starling::{DeviceProfile, LayoutStrategy, PageLayout, PagedIndex};
-use mqa_graph::{vamana, FlatDistance, SearchScratch};
+use mqa_graph::{vamana, FlatDistance, SearchScratch, SearchStats};
 use mqa_rng::StdRng;
 use mqa_vector::{Metric, VectorStore};
 use std::sync::Arc;
@@ -24,12 +25,16 @@ const CHUNK: usize = 16;
 const ROUNDS: u64 = 2;
 
 /// Device reads and page touches (reads + cache hits) over the 32 timed
-/// queries, as recorded at the commit before `BfsCluster` packed pages by
-/// shared neighbours and the page cache admitted by frequency. That
-/// change brought them to 882 and 1 780 (x0.48 and x0.877; the benchmark's
-/// own ratios on its encoded corpus are x0.53 and x0.84).
-const PARENT_READS: u64 = 1_836;
-const PARENT_TOUCHED: u64 = 2_030;
+/// queries. Packing pages by shared neighbours and admitting to the page
+/// cache by frequency brought them here from 1 836 and 2 030; submitting
+/// a hop's reads together must not move either.
+const READS: u64 = 882;
+const TOUCHED: u64 = 1_780;
+
+/// Device waits over the same queries: 371 for the 882 reads (x0.42),
+/// where one read at a time waited 882 times. The benchmark's own ratio
+/// on its encoded corpus is x0.45.
+const WAITS: u64 = 371;
 
 #[test]
 fn paged_spill_shape_reads_and_touches_fewer_pages() {
@@ -68,32 +73,41 @@ fn paged_spill_shape_reads_and_touches_fewer_pages() {
 
     let mut scratch = SearchScratch::new();
     let mut hits = Vec::new();
-    let mut round = |draws: &[usize]| -> (u64, u64) {
-        let (mut read, mut cached) = (0, 0);
+    let mut round = |draws: &[usize]| -> SearchStats {
+        let mut total = SearchStats::default();
         for &qi in draws {
             let mut dist = FlatDistance::new(&store, &queries[qi], Metric::L2).unwrap();
             let stats = paged.search_paged_into(&mut dist, 10, 32, &mut scratch, &mut hits);
-            read += stats.pages_read;
-            cached += stats.pages_cached;
+            assert!(
+                stats.device_waits <= stats.pages_read
+                    && (stats.device_waits > 0) == (stats.pages_read > 0)
+                    && stats.device_waits <= stats.hops + 1,
+                "a wait is a hop (or the seeding) that read something: {stats:?}"
+            );
+            total.merge(&stats);
         }
-        (read, cached)
+        total
     };
     let (warm, timed) = draws.split_at(CHUNK);
     round(warm);
-    let (mut reads, mut touched) = (0, 0);
+    let mut total = SearchStats::default();
     for _ in 0..ROUNDS {
-        let (read, cached) = round(timed);
-        reads += read;
-        touched += read + cached;
+        total.merge(&round(timed));
     }
-    assert!(
-        reads * 100 <= PARENT_READS * 65,
-        "{reads} device reads against the parent's {PARENT_READS}: \
-         the cache is not keeping what queries share"
+    assert_eq!(
+        total.pages_read, READS,
+        "device reads: the cache's verdicts moved"
     );
+    assert_eq!(
+        total.pages_read + total.pages_cached,
+        TOUCHED,
+        "pages touched: the layout or the walk moved"
+    );
+    assert_eq!(total.device_waits, WAITS, "device waits");
     assert!(
-        touched * 100 <= PARENT_TOUCHED * 90,
-        "{touched} pages touched against the parent's {PARENT_TOUCHED}: \
-         the layout is not keeping neighbourhoods together"
+        total.device_waits * 100 <= total.pages_read * 55,
+        "{} waits for {} reads: a hop's reads are not going down together",
+        total.device_waits,
+        total.pages_read
     );
 }

@@ -13,6 +13,7 @@ fn random_stats(rng: &mut StdRng) -> SearchStats {
         pruned: rng.gen_range(0..1_000_000u64),
         pages_read: rng.gen_range(0..1_000_000u64),
         pages_cached: rng.gen_range(0..1_000_000u64),
+        device_waits: rng.gen_range(0..1_000_000u64),
     }
 }
 
@@ -65,6 +66,7 @@ fn total_distance_work_sums_completed_and_abandoned() {
         pruned: 4,
         pages_read: 0,
         pages_cached: 0,
+        device_waits: 0,
     };
     assert_eq!(s.total_distance_work(), 14);
     assert_eq!(SearchStats::default().total_distance_work(), 0);

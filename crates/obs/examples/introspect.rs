@@ -47,7 +47,7 @@ fn run() -> Result<(), std::io::Error> {
                 // Vary the work so the slowest-N set is non-trivial.
                 std::thread::sleep(Duration::from_millis(1 + tick % 7));
             }
-            mqa_obs::trace::add_search_work(2, 40, 3, 8, 5);
+            mqa_obs::trace::add_search_work(2, 40, 3, 8, 5, 2);
             mqa_obs::trace::add_tokens(64, 24);
             mqa_obs::counter("example.load.queries").inc();
         }

@@ -137,10 +137,11 @@ pub fn render_slow_queries(traces: &[QueryTrace]) -> String {
         );
         let _ = writeln!(
             out,
-            "  work: {} hops, {} evals, {} pages read ({} cached); tokens {}+{}{}{}",
+            "  work: {} hops, {} evals, {} pages read in {} waits ({} cached); tokens {}+{}{}{}",
             t.hops,
             t.evals,
             t.pages_read,
+            t.device_waits,
             t.pages_cached,
             t.prompt_tokens,
             t.completion_tokens,

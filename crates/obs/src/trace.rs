@@ -161,6 +161,9 @@ pub struct QueryTrace {
     pub pages_read: u64,
     /// Pages served by the shared page cache.
     pub pages_cached: u64,
+    /// Times the query waited for the device: one per hop that missed at
+    /// least one page (its misses are one submission).
+    pub device_waits: u64,
     /// Mock-LLM prompt tokens consumed by the turn.
     pub prompt_tokens: u64,
     /// Mock-LLM completion tokens produced by the turn.
@@ -204,6 +207,7 @@ struct TraceInner {
     pruned: u64,
     pages_read: u64,
     pages_cached: u64,
+    device_waits: u64,
     prompt_tokens: u64,
     completion_tokens: u64,
     index_epoch: u64,
@@ -347,6 +351,7 @@ impl TraceHandle {
                 pruned: inner.pruned,
                 pages_read: inner.pages_read,
                 pages_cached: inner.pages_cached,
+                device_waits: inner.device_waits,
                 prompt_tokens: inner.prompt_tokens,
                 completion_tokens: inner.completion_tokens,
                 index_epoch: inner.index_epoch,
@@ -593,13 +598,21 @@ pub fn note_deadline_budget(budget_us: u64) {
 }
 
 /// Accumulates graph-walk work (`SearchStats`) into the trace.
-pub fn add_search_work(hops: u64, evals: u64, pruned: u64, pages_read: u64, pages_cached: u64) {
+pub fn add_search_work(
+    hops: u64,
+    evals: u64,
+    pruned: u64,
+    pages_read: u64,
+    pages_cached: u64,
+    device_waits: u64,
+) {
     with_current(|i| {
         i.hops += hops;
         i.evals += evals;
         i.pruned += pruned;
         i.pages_read += pages_read;
         i.pages_cached += pages_cached;
+        i.device_waits += device_waits;
     });
 }
 
@@ -715,7 +728,7 @@ mod tests {
             note_cache(false);
             note_framework("must");
             add_tokens(5, 7);
-            add_search_work(1, 2, 3, 4, 5);
+            add_search_work(1, 2, 3, 4, 5, 2);
             note_index_state(9, true);
             note_beam_width(77);
             handle.finish();
@@ -731,7 +744,7 @@ mod tests {
         assert_eq!(t.framework, "must");
         assert_eq!((t.prompt_tokens, t.completion_tokens), (5, 7));
         assert_eq!((t.hops, t.evals, t.pruned), (1, 2, 3));
-        assert_eq!((t.pages_read, t.pages_cached), (4, 5));
+        assert_eq!((t.pages_read, t.pages_cached, t.device_waits), (4, 5, 2));
         assert_eq!((t.index_epoch, t.mutation_in_progress), (9, true));
         assert_eq!(t.beam_width, 77);
         assert!(t.stages.iter().any(|s| s.name == "test.trace.stage"));
@@ -844,6 +857,7 @@ mod tests {
                 pruned: 0,
                 pages_read: 0,
                 pages_cached: 0,
+                device_waits: 0,
                 prompt_tokens: 0,
                 completion_tokens: 0,
                 index_epoch: 0,
@@ -901,6 +915,7 @@ mod tests {
             pruned: 0,
             pages_read: 0,
             pages_cached: 0,
+            device_waits: 0,
             prompt_tokens: 0,
             completion_tokens: 0,
             index_epoch: 0,
@@ -941,6 +956,7 @@ mod tests {
             pruned: 3,
             pages_read: 4,
             pages_cached: 5,
+            device_waits: 2,
             prompt_tokens: 6,
             completion_tokens: 7,
             index_epoch: 3,

@@ -447,6 +447,16 @@ fn verify_instruments(snapshot: &mqa_obs::Snapshot) -> Result<(), String> {
     {
         missing.push("gauge `cache.page.hit_rate` never set".to_string());
     }
+    // The throughput check searched behind a timed device: it waited, and
+    // never more often than it read (a wait is a hop's whole submission).
+    let waits = snapshot.counter("graph.search.device_waits").unwrap_or(0);
+    let reads = snapshot.counter("graph.search.pages_read").unwrap_or(0);
+    if waits == 0 || waits > reads {
+        missing.push(format!(
+            "counter `graph.search.device_waits` = {waits} outside \
+             (0, `graph.search.pages_read` = {reads}]"
+        ));
+    }
     if missing.is_empty() {
         Ok(())
     } else {

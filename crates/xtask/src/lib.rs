@@ -15,6 +15,7 @@
 //! | [`engine`] | worker-pool answers equal the serial path, paged QPS scales with workers, the runtime lock-order witness agrees with `conc`'s static lock graph | — |
 //! | [`trace`] | one milestone-complete [`mqa_obs::QueryTrace`] per turn, queue-wait / service attribution that adds up, deterministic tail sampling, a valid `/metrics` exposition | — |
 //! | [`mutate`] | under a scripted insert/delete mix no tombstoned object surfaces, the result-cache generation bumps, compaction triggers, every `graph.mutate.*` instrument records | — |
+//! | [`counts`] | the benchmark's exact counts (evaluations, hops, page reads, cache verdicts, hit shares, prompt tokens, recall) equal the committed ones bit for bit | `BENCH_counts.json` (re-recorded with `--write`) |
 //! | [`sched`] | at 2x saturation every submission resolves to exactly one typed outcome, the shed counters match, served queue-wait p99 stays within the budget | — |
 //!
 //! The `mutate`, `sched` and `trace` gates file their numbers as
@@ -32,6 +33,7 @@ pub mod audit;
 pub mod baseline;
 pub mod callgraph;
 pub mod conc;
+pub mod counts;
 pub mod engine;
 pub mod flow;
 pub mod lint;

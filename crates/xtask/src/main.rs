@@ -11,7 +11,7 @@
 
 use mqa_xtask::baseline::{Baseline, Outcome};
 use mqa_xtask::workspace::{self, Workspace};
-use mqa_xtask::{alloc, audit, conc, engine, flow, lint, mutate, obs, sched, trace};
+use mqa_xtask::{alloc, audit, conc, counts, engine, flow, lint, mutate, obs, sched, trace};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -27,7 +27,7 @@ struct Command {
 const STATIC_OPTIONS: &str = " [--baseline <path>] [--root <dir>]";
 const SCENARIO_OPTIONS: &str = " [--out <dir>] [--seed <n>]";
 
-const COMMANDS: [Command; 11] = [
+const COMMANDS: [Command; 12] = [
     Command {
         name: "lint",
         options: STATIC_OPTIONS,
@@ -268,6 +268,17 @@ into <dir> (default results/sched).",
             })
         },
     },
+    Command {
+        name: "counts",
+        options: " [--write]",
+        help: "Count trajectory: run the four benchmark workloads at seed 1 for
+two cycles, traced and untraced, and hold the counts that repeat
+to the last digit (evaluations, hops, page reads and cache
+verdicts per query, hit shares, prompt tokens, recall) bit for
+bit against the committed BENCH_counts.json. --write stores
+this tree's counts instead.",
+        run: cmd_counts,
+    },
 ];
 
 /// The usage text, rendered from [`COMMANDS`].
@@ -459,6 +470,27 @@ fn cmd_audit() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+fn cmd_counts(args: &[String]) -> ExitCode {
+    let write = match args {
+        [] => false,
+        [flag] if flag == "--write" => true,
+        _ => {
+            eprintln!("counts takes no option but --write");
+            return ExitCode::from(2);
+        }
+    };
+    match counts::run(Path::new("."), write) {
+        Ok(summary) => {
+            println!("{summary} -> {}", counts::FILE);
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
     }
 }
 

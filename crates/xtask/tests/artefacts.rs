@@ -84,6 +84,12 @@ fn committed_artefacts_are_report_files_with_every_declared_field() {
         .iter()
         .flat_map(|w| END_TO_END.iter().map(move |spec| (w.name, spec.name)));
     check_report(&root.join("BENCH_e2e.json"), e2e);
+    let counts = WORKLOADS.iter().flat_map(|w| {
+        mqa_xtask::counts::KEPT
+            .iter()
+            .map(move |&kept| (w.name, kept))
+    });
+    check_report(&root.join(mqa_xtask::counts::FILE), counts);
 }
 
 /// What `BENCH_sched.json` held before the gates reported through
