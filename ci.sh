@@ -24,9 +24,6 @@ cargo run -q --offline -p mqa-xtask -- alloc
 echo "==> mqa-xtask audit"
 cargo run -q --offline -p mqa-xtask -- audit
 
-echo "==> mqa-xtask obs (observability smoke)"
-cargo run -q --offline -p mqa-xtask -- obs --out results/obs
-
 echo "==> mqa-xtask engine (concurrency smoke)"
 cargo run -q --release --offline -p mqa-xtask -- engine --out results/engine
 

@@ -24,7 +24,7 @@ use mqa_bench::Table;
 use mqa_cache::PageCache;
 use mqa_engine::WorkerPool;
 use mqa_graph::starling::{DeviceProfile, LayoutStrategy, PageLayout, PagedIndex};
-use mqa_graph::{FlatDistance, GraphSearcher};
+use mqa_graph::FlatDistance;
 use mqa_rng::StdRng;
 use mqa_vector::{Metric, VectorStore};
 use std::sync::{Arc, Mutex};
@@ -65,13 +65,14 @@ fn run_pass(
             let submitted = pool.submit(Box::new(move |scratch| {
                 let sw = mqa_obs::Stopwatch::start();
                 if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi], Metric::L2) {
-                    let out = paged.search_with(&mut dist, K, 32, scratch);
-                    assert!(!out.results.is_empty());
+                    let mut hits = Vec::new();
+                    let stats = paged.search_paged_into(&mut dist, K, 32, scratch, &mut hits);
+                    assert!(!hits.is_empty());
                     let us = sw.elapsed_us();
                     if let Ok(mut t) = tallies.lock() {
                         t.0.push(us);
-                        t.1 += out.stats.pages_read;
-                        t.2 += out.stats.device_waits;
+                        t.1 += stats.pages_read;
+                        t.2 += stats.device_waits;
                     }
                 }
             }));

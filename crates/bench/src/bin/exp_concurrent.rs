@@ -20,7 +20,7 @@
 use mqa_bench::{build_must_with, encode, SetupParams, Table};
 use mqa_engine::{EngineOptions, QueryEngine, WorkerPool};
 use mqa_graph::starling::{DeviceProfile, LayoutStrategy, PageLayout, PagedIndex};
-use mqa_graph::{FlatDistance, GraphSearcher};
+use mqa_graph::FlatDistance;
 use mqa_kb::{DatasetSpec, WorkloadSpec};
 use mqa_retrieval::MultiModalQuery;
 use mqa_rng::StdRng;
@@ -74,10 +74,11 @@ fn paged_io_sweep(quick: bool, table: &mut Table) {
                 let (reads, waits) = (Arc::clone(&reads), Arc::clone(&waits));
                 let submitted = pool.submit(Box::new(move |scratch| {
                     if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi], Metric::L2) {
-                        let out = paged.search_with(&mut dist, K, 32, scratch);
-                        assert!(!out.results.is_empty());
-                        reads.fetch_add(out.stats.pages_read, Ordering::Relaxed);
-                        waits.fetch_add(out.stats.device_waits, Ordering::Relaxed);
+                        let mut hits = Vec::new();
+                        let stats = paged.search_paged_into(&mut dist, K, 32, scratch, &mut hits);
+                        assert!(!hits.is_empty());
+                        reads.fetch_add(stats.pages_read, Ordering::Relaxed);
+                        waits.fetch_add(stats.device_waits, Ordering::Relaxed);
                     }
                 }));
                 assert!(submitted.is_ok(), "pool refused work mid-benchmark");

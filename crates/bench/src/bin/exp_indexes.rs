@@ -15,7 +15,7 @@
 use mqa_bench::{encode, SetupParams, Table};
 use mqa_graph::{
     starling::{LayoutStrategy, PageLayout, PagedIndex},
-    FlatDistance, GraphSearcher, IndexAlgorithm, VectorIndex,
+    FlatDistance, IndexAlgorithm, SearchScratch, VectorIndex,
 };
 use mqa_kb::DatasetSpec;
 use mqa_rng::StdRng;
@@ -118,6 +118,7 @@ fn main() {
         let paged = PagedIndex::new(nav.graph().clone(), nav.entries().to_vec(), layout);
         let mut reads = 0u64;
         let mut hits = 0usize;
+        let (mut scratch, mut found) = (SearchScratch::new(), Vec::new());
         for (q, t) in queries.iter().zip(&truth) {
             let mut dist = match FlatDistance::new(&store, q, mqa_vector::Metric::L2) {
                 Ok(d) => d,
@@ -126,9 +127,9 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-            let out = paged.search(&mut dist, K, EF);
-            reads += out.stats.pages_read;
-            hits += out.ids().iter().filter(|id| t.contains(id)).count();
+            let stats = paged.search_paged_into(&mut dist, K, EF, &mut scratch, &mut found);
+            reads += stats.pages_read;
+            hits += found.iter().filter(|c| t.contains(&c.id)).count();
         }
         st.row(vec![
             format!("one-phase, {strategy:?}"),
@@ -142,15 +143,13 @@ fn main() {
     // pages only for the beam's survivors, rerank exactly.
     let layout = PageLayout::build(nav.graph(), per_page, LayoutStrategy::BfsCluster);
     let pq = mqa_graph::PqPagedIndex::build(
-        nav.graph().clone(),
-        nav.entries().to_vec(),
-        layout,
+        PagedIndex::new(nav.graph().clone(), nav.entries().to_vec(), layout),
         &store,
         &mqa_vector::PqParams::default(),
     );
     let mut reads = 0u64;
     let mut hits = 0usize;
-    let mut scratch = mqa_graph::SearchScratch::new();
+    let mut scratch = SearchScratch::new();
     for (q, t) in queries.iter().zip(&truth) {
         let out = pq.search_two_phase(q, &store, K, EF, &mut scratch);
         reads += out.stats.pages_read;

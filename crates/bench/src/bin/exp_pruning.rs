@@ -15,7 +15,7 @@
 use mqa_bench::{encode, SetupParams, Table};
 use mqa_encoders::RawContent;
 use mqa_graph::unified::FusedDistance;
-use mqa_graph::{GraphSearcher, UnifiedIndex};
+use mqa_graph::{SearchScratch, UnifiedIndex};
 use mqa_kb::{DatasetSpec, WorkloadSpec};
 use mqa_retrieval::MultiModalQuery;
 use mqa_vector::Metric;
@@ -65,7 +65,10 @@ fn main() {
     let search = |q: &mqa_vector::MultiVector, ef: usize, prune: bool| {
         let dist = FusedDistance::new(snap.store(), q, index.weights(), index.metric());
         let mut dist = if prune { dist } else { dist.without_pruning() };
-        let ids = snap.searcher().search(&mut dist, K, ef).ids();
+        let ids = snap
+            .searcher()
+            .search(&mut dist, K, ef, &mut SearchScratch::new())
+            .ids();
         (ids, dist.scan_stats())
     };
 

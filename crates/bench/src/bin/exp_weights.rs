@@ -35,12 +35,13 @@ fn recall_with(
     weights: &Weights,
 ) -> f64 {
     use mqa_graph::unified::FusedDistance;
-    use mqa_graph::{flat::FlatSearcher, GraphSearcher};
-    let flat = FlatSearcher::new(corpus.store().len());
+    use mqa_graph::{flat::FlatSearcher, BuiltGraph, SearchScratch};
+    let flat = BuiltGraph::Flat(FlatSearcher::new(corpus.store().len()));
+    let mut scratch = SearchScratch::new();
     let mut total = 0.0;
     for (qv, concept) in queries {
         let mut dist = FusedDistance::new(corpus.store(), qv, weights, Metric::L2);
-        let out = flat.search(&mut dist, K, K);
+        let out = flat.search(&mut dist, K, K, &mut scratch);
         total += recall_at_k(gt, &out.ids(), *concept, K);
     }
     total / queries.len() as f64

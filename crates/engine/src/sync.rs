@@ -10,9 +10,9 @@
 //! both helpers as lock-acquisition sites.
 //!
 //! [`TracedMutex`] wraps a `Mutex` with a stable `&'static str` name and —
-//! when the `lock-witness` cargo feature is enabled *and* the witness is
-//! switched on at runtime — records per-thread acquisition order into the
-//! [`witness`] module and `mqa-obs` counters:
+//! while the witness is switched on ([`witness::enable`]) — records
+//! per-thread acquisition order into the [`witness`] module and `mqa-obs`
+//! counters:
 //!
 //! * `engine.lockwitness.acquire.<name>` — acquisitions of `<name>`;
 //! * `engine.lockwitness.held.<A>-><B>` — `<B>` acquired while `<A>` was
@@ -22,8 +22,8 @@
 //!   immediately after the same thread released `<A>` (program-order
 //!   pairs; proof the witness actually saw traffic).
 //!
-//! With the feature off (the default), `TracedMutex` compiles down to a
-//! named `Mutex` and the witness functions are empty inline stubs.
+//! Switched off (the default), an acquisition costs one relaxed load and a
+//! release one look at this thread's (empty) held-stack.
 
 use std::sync::{Condvar, Mutex, MutexGuard};
 
@@ -49,8 +49,8 @@ pub fn wait_ignore_poison<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> Mute
     }
 }
 
-/// A named mutex: `lock()` ignores poisoning and (feature `lock-witness`)
-/// reports every acquisition/release to the [`witness`].
+/// A named mutex: `lock()` ignores poisoning and reports every
+/// acquisition/release to the [`witness`].
 pub struct TracedMutex<T> {
     name: &'static str,
     inner: Mutex<T>,
@@ -137,8 +137,7 @@ impl<T> Drop for TracedGuard<'_, T> {
     }
 }
 
-/// The runtime lock-order witness (active build: feature `lock-witness`).
-#[cfg(feature = "lock-witness")]
+/// The runtime lock-order witness, off until [`witness::enable`].
 pub mod witness {
     use std::cell::RefCell;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -247,42 +246,6 @@ pub mod witness {
     }
 }
 
-/// The runtime lock-order witness (stub build: feature `lock-witness`
-/// off). Every function is an inline no-op so call sites compile
-/// unchanged with zero overhead.
-#[cfg(not(feature = "lock-witness"))]
-pub mod witness {
-    /// One observed acquisition pair (never produced in the stub build).
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct WitnessPair {
-        /// Lock the thread touched first.
-        pub from: String,
-        /// Lock acquired second.
-        pub to: String,
-        /// Whether `from` was held when `to` was acquired.
-        pub held: bool,
-        /// Times the pair was observed.
-        pub count: u64,
-    }
-
-    /// No-op: the witness is compiled out.
-    pub fn enable(_on: bool) {}
-
-    /// No-op: the witness is compiled out.
-    pub fn reset() {}
-
-    /// Always empty: the witness is compiled out.
-    pub fn pairs() -> Vec<WitnessPair> {
-        Vec::new()
-    }
-
-    #[inline(always)]
-    pub(crate) fn acquire(_name: &'static str) {}
-
-    #[inline(always)]
-    pub(crate) fn release(_name: &'static str) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,7 +293,6 @@ mod tests {
         assert!(waiter.join().unwrap());
     }
 
-    #[cfg(feature = "lock-witness")]
     #[test]
     fn witness_records_held_and_seq_pairs() {
         let a = TracedMutex::new("test.sync.wa", 0u32);

@@ -5,9 +5,8 @@
 //! candidate through [`DistanceFn::eval`] with the running top-k bound — as
 //! the cleanest demonstration of incremental-scanning savings (E8).
 
-use crate::scratch::SearchScratch;
 use crate::search::{SearchOutput, SearchStats};
-use crate::traits::{DistanceFn, GraphSearcher};
+use crate::traits::DistanceFn;
 use mqa_vector::{Candidate, TopK, VecId};
 
 /// Brute-force searcher over `n` stored vectors.
@@ -20,6 +19,11 @@ impl FlatSearcher {
     /// Creates a searcher over a population of `n`.
     pub fn new(n: usize) -> Self {
         Self { n }
+    }
+
+    /// Size of the scanned population.
+    pub(crate) fn len(&self) -> usize {
+        self.n
     }
 
     /// The scan itself, compiled around the evaluator's type and around
@@ -51,33 +55,6 @@ impl FlatSearcher {
     }
 }
 
-impl GraphSearcher for FlatSearcher {
-    fn search_with(
-        &self,
-        dist: &mut dyn DistanceFn,
-        k: usize,
-        _ef: usize,
-        _scratch: &mut SearchScratch,
-    ) -> SearchOutput {
-        // The exhaustive scan keeps no visited state; the scratch is
-        // accepted (and ignored) so flat search slots into the same
-        // worker-pool plumbing as the graph indexes.
-        self.scan(dist, k, |_| true)
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn avg_degree(&self) -> f64 {
-        0.0
-    }
-
-    fn describe(&self) -> String {
-        format!("flat exhaustive scan over {} vectors", self.n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,7 +69,7 @@ mod tests {
         }
         let q = [2.2f32];
         let mut d = FlatDistance::new(&store, &q, Metric::L2).unwrap();
-        let out = FlatSearcher::new(5).search(&mut d, 2, 0);
+        let out = FlatSearcher::new(5).scan(&mut d, 2, |_| true);
         assert_eq!(out.ids(), vec![3, 2]); // 2.0 then 3.0
         assert_eq!(out.stats.evals, 5);
     }
@@ -103,14 +80,7 @@ mod tests {
         store.push(&[0.0]);
         let q = [1.0f32];
         let mut d = FlatDistance::new(&store, &q, Metric::L2).unwrap();
-        let out = FlatSearcher::new(1).search(&mut d, 5, 0);
+        let out = FlatSearcher::new(1).scan(&mut d, 5, |_| true);
         assert_eq!(out.results.len(), 1);
-    }
-
-    #[test]
-    fn describe_mentions_flat() {
-        assert!(FlatSearcher::new(3).describe().contains("flat"));
-        assert_eq!(FlatSearcher::new(3).avg_degree(), 0.0);
-        assert_eq!(FlatSearcher::new(3).len(), 3);
     }
 }

@@ -4,15 +4,15 @@
 //! descent through the upper layers, beam search with
 //! `SELECT-NEIGHBORS-HEURISTIC` diversification at insertion, bidirectional
 //! linking with overflow re-pruning. Built directly (its layered structure
-//! does not flatten into the five-stage pipeline) but exposed through the
-//! same [`GraphSearcher`] interface as the pipeline-built graphs, which is
-//! what makes it selectable from the configuration panel.
+//! does not flatten into the five-stage pipeline) and searched through the
+//! same [`crate::BuiltGraph`] dispatcher as the pipeline-built graphs,
+//! which is what makes it selectable from the configuration panel.
 
 use crate::live::Tombstones;
 use crate::prune::hnsw_heuristic;
 use crate::scratch::{SearchScratch, VisitedSet};
 use crate::search::{search_into, SearchOutput, Seeds, WalkGraph};
-use crate::traits::{DistanceFn, FlatDistance, GraphSearcher};
+use crate::traits::{DistanceFn, FlatDistance};
 use crate::validate::InvariantViolation;
 use mqa_rng::StdRng;
 use mqa_vector::{Candidate, Metric, VecId, VectorStore};
@@ -341,24 +341,14 @@ impl Hnsw {
         stats.hops += routing_hops;
         SearchOutput { results, stats }
     }
-}
 
-impl GraphSearcher for Hnsw {
-    fn search_with(
-        &self,
-        dist: &mut dyn DistanceFn,
-        k: usize,
-        ef: usize,
-        scratch: &mut SearchScratch,
-    ) -> SearchOutput {
-        self.descend_and_walk(dist, k, ef, scratch)
-    }
-
-    fn len(&self) -> usize {
+    /// Number of indexed vertices.
+    pub(crate) fn len(&self) -> usize {
         self.links.len()
     }
 
-    fn avg_degree(&self) -> f64 {
+    /// Mean base-layer out-degree.
+    pub(crate) fn avg_degree(&self) -> f64 {
         if self.links.is_empty() {
             return 0.0;
         }
@@ -367,7 +357,8 @@ impl GraphSearcher for Hnsw {
         total as f64 / self.links.len() as f64
     }
 
-    fn describe(&self) -> String {
+    /// Status-panel description.
+    pub(crate) fn describe(&self) -> String {
         format!(
             "hnsw over {} vertices ({} layers, M={}, efC={})",
             self.links.len(),
@@ -536,6 +527,12 @@ mod tests {
     use crate::flat::FlatSearcher;
     use mqa_rng::StdRng;
 
+    impl Hnsw {
+        fn search(&self, dist: &mut FlatDistance<'_>, k: usize, ef: usize) -> SearchOutput {
+            self.descend_and_walk(dist, k, ef, &mut SearchScratch::new())
+        }
+    }
+
     fn random_store(n: usize, dim: usize, seed: u64) -> VectorStore {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut s = VectorStore::new(dim);
@@ -569,7 +566,7 @@ mod tests {
         for _ in 0..queries {
             let q: Vec<f32> = (0..12).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let mut d1 = FlatDistance::new(&store, &q, Metric::L2).unwrap();
-            let truth = flat.search(&mut d1, k, 0).ids();
+            let truth = flat.scan(&mut d1, k, |_| true).ids();
             let mut d2 = FlatDistance::new(&store, &q, Metric::L2).unwrap();
             let got = h.search(&mut d2, k, 80).ids();
             hits += got.iter().filter(|id| truth.contains(id)).count();

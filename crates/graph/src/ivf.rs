@@ -9,17 +9,17 @@
 //! proportional to the *fraction of the corpus probed* rather than to a
 //! traversal depth.
 //!
-//! Plugs into the same [`GraphSearcher`] interface as the graph family, so
-//! it is selectable from the configuration panel and composable with the
-//! unified multi-vector store like every other algorithm. The search maps
-//! `ef` onto `nprobe` (clamped to `[nprobe_min, nlist]`) so the common
-//! "raise ef for more recall" workflow applies unchanged.
+//! Searched through the same [`crate::BuiltGraph`] dispatcher as the graph
+//! family, so it is selectable from the configuration panel and composable
+//! with the unified multi-vector store like every other algorithm. The
+//! search maps `ef` onto `nprobe` (`max(1, ef / 8)`) so the common "raise
+//! ef for more recall" workflow applies unchanged.
 
 use crate::search::{SearchOutput, SearchStats};
-use crate::traits::{DistanceFn, GraphSearcher};
+use crate::traits::DistanceFn;
 use crate::validate::InvariantViolation;
 use mqa_rng::StdRng;
-use mqa_vector::{ops, Candidate, Metric, TopK, VecId, VectorStore};
+use mqa_vector::{ops, Candidate, TopK, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
 
 /// IVF hyper-parameters.
@@ -57,7 +57,9 @@ impl IvfParams {
     }
 }
 
-/// A built IVF index: centroids plus per-cell member lists.
+/// A built IVF index: centroids plus per-cell member lists. It holds no
+/// vector: queries rank cells through the evaluator, and the validator
+/// reads the store it is handed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Ivf {
     dim: usize,
@@ -66,7 +68,6 @@ pub struct Ivf {
     /// Member ids per cell.
     cells: Vec<Vec<VecId>>,
     params: IvfParams,
-    n: usize,
 }
 
 impl Ivf {
@@ -146,7 +147,6 @@ impl Ivf {
             centroids,
             cells,
             params: IvfParams { nlist, ..*params },
-            n,
         }
     }
 
@@ -155,42 +155,63 @@ impl Ivf {
         self.cells.len()
     }
 
-    /// Mean cell population.
-    pub fn avg_cell_size(&self) -> f64 {
-        self.n as f64 / self.cells.len() as f64
+    /// Number of indexed vectors: the population the cells partition.
+    pub(crate) fn len(&self) -> usize {
+        self.cells.iter().map(Vec::len).sum()
     }
 
-    /// Searches with an explicit probe count.
-    pub fn search_nprobe(
+    /// Mean cell population.
+    pub fn avg_cell_size(&self) -> f64 {
+        self.len() as f64 / self.cells.len() as f64
+    }
+
+    /// Status-panel description.
+    pub(crate) fn describe(&self) -> String {
+        format!(
+            "ivf over {} vectors ({} cells, ~{:.0}/cell)",
+            self.len(),
+            self.nlist(),
+            self.avg_cell_size()
+        )
+    }
+
+    /// Cell probing through the evaluator, compiled around its type: the
+    /// `max(1, ef / 8)` best-ranked cells are scanned — at the conventional
+    /// ef range (16–256) that is 2–32 cells, spanning the same recall band
+    /// the graph family covers. Each member is visited exactly once by
+    /// construction, so no visited set (and no scratch) is needed.
+    pub(crate) fn probe<D: DistanceFn + ?Sized>(
         &self,
-        dist: &mut dyn DistanceFn,
-        query_for_cells: &[f32],
+        dist: &mut D,
         k: usize,
-        nprobe: usize,
+        ef: usize,
     ) -> SearchOutput {
-        assert!(k > 0, "search requires k >= 1");
-        assert_eq!(query_for_cells.len(), self.dim, "query dimension mismatch");
-        let nprobe = nprobe.clamp(1, self.cells.len());
-        // Rank cells by centroid distance.
-        let mut cell_rank: Vec<(usize, f32)> = (0..self.cells.len())
-            .map(|c| {
-                (
-                    c,
-                    Metric::L2.distance(
-                        query_for_cells,
-                        // INVARIANT: c < nlist rows of dim floats each.
-                        &self.centroids[c * self.dim..(c + 1) * self.dim],
-                    ),
-                )
+        // The evaluator owns the query, so cells are ranked by the distance
+        // of their *median member* under `dist` — one evaluation per cell.
+        let nprobe = (ef / 8).max(1);
+        let mut cell_rank: Vec<(usize, f32)> = self
+            .cells
+            .iter()
+            .enumerate()
+            .filter(|(_, members)| !members.is_empty())
+            .map(|(c, members)| {
+                // INVARIANT: members is non-empty (filtered above), so the
+                // median index is in bounds.
+                let probe = members[members.len() / 2];
+                (c, dist.exact(probe))
             })
+            // ALLOC: per-query cell ranking, one entry per non-empty IVF cell.
             .collect();
         cell_rank.sort_by(|a, b| a.1.total_cmp(&b.1));
 
-        let mut stats = SearchStats::default();
+        let mut stats = SearchStats {
+            evals: cell_rank.len() as u64,
+            ..Default::default()
+        };
         let mut top = TopK::new(k);
-        for &(c, _) in cell_rank.iter().take(nprobe) {
-            stats.hops += 1; // one "hop" per probed cell
-                             // INVARIANT: cell_rank enumerates 0..cells.len().
+        for &(c, _) in cell_rank.iter().take(nprobe.min(cell_rank.len())) {
+            stats.hops += 1;
+            // INVARIANT: c was produced by enumerate() over cells above.
             for &id in &self.cells[c] {
                 match dist.eval(id, top.bound()) {
                     Some(d) => {
@@ -214,7 +235,7 @@ impl Ivf {
     /// sound).
     ///
     /// Checked invariants:
-    /// - the recorded population and dimension match the store;
+    /// - the cells' population and the dimension match the store;
     /// - the centroid matrix has exactly `nlist × dim` finite entries;
     /// - the cell member lists exactly partition `0..n` (every id in
     ///   exactly one cell, none out of range);
@@ -222,11 +243,12 @@ impl Ivf {
     ///   assignment pass is deterministic, so this recheck is exact).
     pub fn validate(&self, store: &VectorStore) -> Vec<InvariantViolation> {
         let mut out = Vec::new();
-        if self.n != store.len() {
+        let n = store.len();
+        if self.len() != n {
             out.push(InvariantViolation::SizeMismatch {
                 context: "ivf population".to_string(),
-                expected: store.len(),
-                got: self.n,
+                expected: n,
+                got: self.len(),
             });
         }
         if self.dim != store.dim() {
@@ -253,7 +275,7 @@ impl Ivf {
                 });
             }
         }
-        let mut counts = vec![0usize; self.n];
+        let mut counts = vec![0usize; n];
         for (c, members) in self.cells.iter().enumerate() {
             for &id in members {
                 match counts.get_mut(id as usize) {
@@ -261,7 +283,7 @@ impl Ivf {
                     None => out.push(InvariantViolation::IdOutOfRange {
                         context: format!("ivf cell {c}"),
                         id,
-                        n: self.n,
+                        n,
                     }),
                 }
             }
@@ -273,7 +295,7 @@ impl Ivf {
                 });
             }
         }
-        if self.dim == store.dim() && self.n == store.len() {
+        if self.dim == store.dim() && self.len() == n {
             for (c, members) in self.cells.iter().enumerate() {
                 for &id in members {
                     if (id as usize) >= store.len() {
@@ -309,131 +331,11 @@ fn nearest_centroid(centroids: &[f32], dim: usize, nlist: usize, v: &[f32]) -> (
     (best, best_d)
 }
 
-/// [`GraphSearcher`] adapter: pairs the IVF structure with its store so
-/// cell ranking can reuse the stored vectors. `ef` maps to `nprobe` as
-/// `max(1, ef / 8)` — at the conventional ef range (16–256) this probes
-/// 2–32 cells, spanning the same recall band the graph family covers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IvfSearcher {
-    ivf: Ivf,
-    /// The query vector must be reconstructible for cell ranking; the
-    /// adapter keeps its own copy of the store's vectors (centroid ranking
-    /// only needs the query, which [`DistanceFn`] hides, so the adapter
-    /// requires callers to use [`crate::traits::FlatDistance`]-compatible
-    /// stores — see `search`).
-    store: VectorStore,
-}
-
-impl IvfSearcher {
-    /// Builds IVF over `store` and retains the store for cell ranking.
-    pub fn build(store: &VectorStore, params: &IvfParams) -> Self {
-        Self {
-            ivf: Ivf::build(store, params),
-            store: store.clone(),
-        }
-    }
-
-    /// The underlying structure.
-    pub fn ivf(&self) -> &Ivf {
-        &self.ivf
-    }
-
-    /// Audits the adapter: delegates to [`Ivf::validate`] against the
-    /// retained store copy.
-    pub fn validate(&self) -> Vec<InvariantViolation> {
-        self.ivf.validate(&self.store)
-    }
-}
-
-impl IvfSearcher {
-    /// Cell probing through the evaluator, compiled around its type.
-    pub(crate) fn probe<D: DistanceFn + ?Sized>(
-        &self,
-        dist: &mut D,
-        k: usize,
-        ef: usize,
-    ) -> SearchOutput {
-        // Reconstruct the query's cell ranking through the evaluator: rank
-        // cells by the distance of their *medoid member* under `dist`.
-        // This keeps the DistanceFn abstraction intact (the evaluator owns
-        // the query) at the cost of one evaluation per cell.
-        let nprobe = (ef / 8).max(1);
-        let mut cell_rank: Vec<(usize, f32)> = self
-            .ivf
-            .cells
-            .iter()
-            .enumerate()
-            .filter(|(_, members)| !members.is_empty())
-            .map(|(c, members)| {
-                // INVARIANT: members is non-empty (filtered above), so the
-                // median index is in bounds.
-                let probe = members[members.len() / 2];
-                (c, dist.exact(probe))
-            })
-            // ALLOC: per-query cell ranking, one entry per non-empty IVF cell.
-            .collect();
-        cell_rank.sort_by(|a, b| a.1.total_cmp(&b.1));
-
-        let mut stats = SearchStats {
-            evals: cell_rank.len() as u64,
-            ..Default::default()
-        };
-        let mut top = TopK::new(k);
-        for &(c, _) in cell_rank.iter().take(nprobe.min(cell_rank.len())) {
-            stats.hops += 1;
-            // INVARIANT: c was produced by enumerate() over cells above.
-            for &id in &self.ivf.cells[c] {
-                match dist.eval(id, top.bound()) {
-                    Some(d) => {
-                        stats.evals += 1;
-                        top.offer(Candidate::new(id, d));
-                    }
-                    None => stats.pruned += 1,
-                }
-            }
-        }
-        SearchOutput {
-            results: top.into_sorted(),
-            stats,
-        }
-    }
-}
-
-impl GraphSearcher for IvfSearcher {
-    fn search_with(
-        &self,
-        dist: &mut dyn DistanceFn,
-        k: usize,
-        ef: usize,
-        _scratch: &mut crate::scratch::SearchScratch,
-    ) -> SearchOutput {
-        // Cell probing visits each member exactly once by construction;
-        // no visited set is needed, so the scratch goes unused.
-        self.probe(dist, k, ef)
-    }
-
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    fn avg_degree(&self) -> f64 {
-        0.0
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "ivf over {} vectors ({} cells, ~{:.0}/cell)",
-            self.store.len(),
-            self.ivf.nlist(),
-            self.ivf.avg_cell_size()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::traits::FlatDistance;
+    use mqa_vector::Metric;
 
     fn clustered_store(n: usize, dim: usize, clusters: usize, seed: u64) -> VectorStore {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -476,9 +378,12 @@ mod tests {
         );
         let q = store.get(5).to_vec();
         let mut d = FlatDistance::new(&store, &q, Metric::L2).unwrap();
-        let out = ivf.search_nprobe(&mut d, &q, 10, 12);
+        // ef = 8 x nlist probes every cell.
+        let out = ivf.probe(&mut d, 10, 8 * 12);
         assert_eq!(out.results[0].id, 5);
-        assert_eq!(out.stats.evals, 300);
+        // Every member once, plus one ranking evaluation per cell.
+        let ranked = ivf.cells.iter().filter(|c| !c.is_empty()).count() as u64;
+        assert_eq!(out.stats.evals, 300 + ranked);
     }
 
     #[test]
@@ -493,18 +398,18 @@ mod tests {
         );
         let q = store.get(0).to_vec();
         let mut d1 = FlatDistance::new(&store, &q, Metric::L2).unwrap();
-        let narrow = ivf.search_nprobe(&mut d1, &q, 10, 2);
+        let narrow = ivf.probe(&mut d1, 10, 8 * 2);
         let mut d2 = FlatDistance::new(&store, &q, Metric::L2).unwrap();
-        let wide = ivf.search_nprobe(&mut d2, &q, 10, 24);
+        let wide = ivf.probe(&mut d2, 10, 8 * 24);
         assert!(narrow.stats.evals < wide.stats.evals);
         // the query's own cell is probed first, so the self-match holds
         assert_eq!(narrow.results[0].id, 0);
     }
 
     #[test]
-    fn searcher_adapter_reaches_high_recall() {
+    fn probe_reaches_high_recall() {
         let store = clustered_store(800, 12, 16, 4);
-        let searcher = IvfSearcher::build(&store, &IvfParams::auto(800));
+        let ivf = Ivf::build(&store, &IvfParams::auto(800));
         let flat = crate::flat::FlatSearcher::new(store.len());
         let mut rng = StdRng::seed_from_u64(9);
         let mut hits = 0usize;
@@ -517,9 +422,9 @@ mod tests {
                 .map(|x| x + rng.gen_range(-0.1f32..0.1))
                 .collect();
             let mut d1 = FlatDistance::new(&store, &q, Metric::L2).unwrap();
-            let truth = flat.search(&mut d1, k, k).ids();
+            let truth = flat.scan(&mut d1, k, |_| true).ids();
             let mut d2 = FlatDistance::new(&store, &q, Metric::L2).unwrap();
-            let got = searcher.search(&mut d2, k, 64).ids();
+            let got = ivf.probe(&mut d2, k, 64).ids();
             hits += got.iter().filter(|id| truth.contains(id)).count();
         }
         let recall = hits as f64 / (queries * k) as f64;
@@ -529,7 +434,7 @@ mod tests {
     #[test]
     fn describe_reports_cells() {
         let store = clustered_store(100, 4, 4, 5);
-        let s = IvfSearcher::build(
+        let s = Ivf::build(
             &store,
             &IvfParams {
                 nlist: 8,
@@ -537,7 +442,7 @@ mod tests {
             },
         );
         assert!(s.describe().contains("8 cells"));
-        assert_eq!(GraphSearcher::len(&s), 100);
+        assert_eq!(s.len(), 100);
     }
 
     #[test]
@@ -556,15 +461,28 @@ mod tests {
     #[test]
     fn serde_round_trip() {
         let store = clustered_store(60, 4, 3, 7);
-        let s = IvfSearcher::build(
+        let s = Ivf::build(
             &store,
             &IvfParams {
                 nlist: 6,
                 ..Default::default()
             },
         );
-        let back: IvfSearcher = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
+        let back: Ivf = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
         assert_eq!(s, back);
+    }
+
+    /// The index is centroids and member ids, not a second copy of the
+    /// vectors it partitions.
+    #[test]
+    fn a_persisted_index_is_smaller_than_its_store() {
+        let store = std::sync::Arc::new(clustered_store(400, 16, 8, 11));
+        let built = crate::IndexAlgorithm::ivf().build_graph(&store, Metric::L2);
+        assert!(matches!(built, crate::BuiltGraph::Ivf(_)));
+        let index = serde_json::to_string(&built).unwrap().len();
+        let vectors = serde_json::to_string(&*store).unwrap().len();
+        assert!(index < vectors, "index {index} B, store {vectors} B");
+        assert!(built.validate(&store, Metric::L2).is_empty());
     }
 
     #[test]
@@ -585,14 +503,6 @@ mod tests {
         );
         let violations = ivf.validate(&store);
         assert!(violations.is_empty(), "sound index flagged: {violations:?}");
-        let s = IvfSearcher::build(
-            &store,
-            &IvfParams {
-                nlist: 10,
-                ..Default::default()
-            },
-        );
-        assert!(s.validate().is_empty());
     }
 
     #[test]

@@ -23,8 +23,11 @@
 //! pipeline in [`pipeline`] (initialization → candidate acquisition →
 //! neighbour selection → connectivity repair → entry-point selection),
 //! mirroring the paper's CGraph-based decomposition; the stages are plain
-//! function calls, one `graph.build.*` span each. HNSW's layered structure
-//! is built directly but plugs into the same [`GraphSearcher`] interface.
+//! function calls, one `graph.build.*` span each — that pipeline is the
+//! backend API a custom graph comes in through. HNSW's layered structure
+//! and IVF's cells are built directly. Every built structure is one
+//! [`BuiltGraph`] and is searched through [`BuiltGraph::search`], the one
+//! dispatcher over the families.
 //!
 //! ## Unified multi-vector index
 //!
@@ -65,6 +68,6 @@ pub use pipeline::{BuildReport, BuiltGraph, IndexAlgorithm};
 pub use scratch::{with_pooled, SearchScratch, VisitedSet};
 pub use search::{beam_search, SearchOutput, SearchStats};
 pub use starling::{DeviceProfile, PageLayout, PagedIndex, PqPagedIndex};
-pub use traits::{DistanceFn, FlatDistance, GraphError, GraphSearcher, VectorIndex};
+pub use traits::{DistanceFn, FlatDistance, GraphError, VectorIndex};
 pub use unified::UnifiedIndex;
 pub use validate::InvariantViolation;

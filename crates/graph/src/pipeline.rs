@@ -32,12 +32,13 @@
 use crate::adjacency::Adjacency;
 use crate::flat::FlatSearcher;
 use crate::hnsw::{Hnsw, HnswParams};
+use crate::ivf::{Ivf, IvfParams};
 use crate::knn::{knn_graph, KnnParams};
 use crate::live::Tombstones;
 use crate::prune::{candidates_of, robust_prune, robust_reprune, select_nearest};
 use crate::scratch::{with_pooled, SearchScratch};
 use crate::search::SearchOutput;
-use crate::traits::{DistanceFn, FlatDistance, GraphSearcher};
+use crate::traits::{DistanceFn, FlatDistance};
 use crate::util::{medoid, parallel_map};
 use crate::validate::InvariantViolation;
 use mqa_rng::StdRng;
@@ -428,36 +429,6 @@ impl NavGraph {
     }
 }
 
-impl GraphSearcher for NavGraph {
-    fn search_with(
-        &self,
-        dist: &mut dyn DistanceFn,
-        k: usize,
-        ef: usize,
-        scratch: &mut crate::scratch::SearchScratch,
-    ) -> SearchOutput {
-        crate::search::beam_search(&self.graph, &self.entries, dist, k, ef, scratch)
-    }
-
-    fn len(&self) -> usize {
-        self.graph.len()
-    }
-
-    fn avg_degree(&self) -> f64 {
-        self.graph.avg_degree()
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "{} over {} vertices (avg degree {:.1}, {} entries)",
-            self.name,
-            self.graph.len(),
-            self.graph.avg_degree(),
-            self.entries.len()
-        )
-    }
-}
-
 impl GraphPipeline {
     /// Runs the five stages in order and returns the built graph. Each
     /// stage runs under one `graph.build.*` span whose duration is its
@@ -694,9 +665,9 @@ fn run_repair(
     }
 }
 
-/// The configuration-panel index choices. `build` dispatches to the
-/// pipeline (NSG / Vamana / MQA-graph), to the direct HNSW implementation,
-/// or to the exhaustive baseline.
+/// The configuration-panel index choices. `build_graph` dispatches to the
+/// pipeline (NSG / Vamana / MQA-graph), to the direct HNSW and IVF
+/// implementations, or to the exhaustive baseline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum IndexAlgorithm {
     /// Exhaustive scan (exact).
@@ -715,7 +686,7 @@ pub enum IndexAlgorithm {
         seed: u64,
     },
     /// Inverted-file cluster index (the Milvus-default family).
-    Ivf(crate::ivf::IvfParams),
+    Ivf(IvfParams),
     /// DiskANN's Vamana graph.
     Vamana {
         /// Degree bound.
@@ -743,10 +714,11 @@ pub enum IndexAlgorithm {
     },
 }
 
-/// A built navigation structure in concrete (serializable) form. This is
-/// what [`IndexAlgorithm::build_graph`] produces and what index snapshots
-/// persist; [`crate::traits::VectorIndex`] and [`crate::UnifiedIndex`]
-/// search through it via the common [`GraphSearcher`] interface.
+/// A built navigation structure in concrete (serializable) form: what
+/// [`IndexAlgorithm::build_graph`] produces, what index snapshots persist,
+/// and the one dispatcher every search of a built structure goes through
+/// ([`BuiltGraph::search`]). A custom graph comes in as a
+/// [`GraphPipeline`] stage configuration and lands here as `Nav`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BuiltGraph {
     /// Exhaustive scan (no structure).
@@ -756,54 +728,20 @@ pub enum BuiltGraph {
     /// Layered HNSW.
     Hnsw(Hnsw),
     /// Inverted-file cluster index.
-    Ivf(crate::ivf::IvfSearcher),
-}
-
-impl GraphSearcher for BuiltGraph {
-    fn search_with(
-        &self,
-        dist: &mut dyn crate::traits::DistanceFn,
-        k: usize,
-        ef: usize,
-        scratch: &mut crate::scratch::SearchScratch,
-    ) -> crate::search::SearchOutput {
-        self.search_on(dist, k, ef, scratch)
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            BuiltGraph::Flat(s) => s.len(),
-            BuiltGraph::Nav(s) => GraphSearcher::len(s),
-            BuiltGraph::Hnsw(s) => GraphSearcher::len(s),
-            BuiltGraph::Ivf(s) => GraphSearcher::len(s),
-        }
-    }
-
-    fn avg_degree(&self) -> f64 {
-        match self {
-            BuiltGraph::Flat(s) => s.avg_degree(),
-            BuiltGraph::Nav(s) => GraphSearcher::avg_degree(s),
-            BuiltGraph::Hnsw(s) => GraphSearcher::avg_degree(s),
-            BuiltGraph::Ivf(s) => GraphSearcher::avg_degree(s),
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            BuiltGraph::Flat(s) => s.describe(),
-            BuiltGraph::Nav(s) => s.describe(),
-            BuiltGraph::Hnsw(s) => s.describe(),
-            BuiltGraph::Ivf(s) => s.describe(),
-        }
-    }
+    Ivf(Ivf),
 }
 
 impl BuiltGraph {
-    /// [`GraphSearcher::search_with`] with the evaluator's type visible:
-    /// a caller holding a concrete evaluator (the unified index and its
-    /// fused scanner) gets each family's search compiled around it, and
-    /// the trait method is this one at `D = dyn DistanceFn`.
-    pub(crate) fn search_on<D: DistanceFn + ?Sized>(
+    /// Searches for the `k` nearest objects with beam width `ef` (`ef >=
+    /// k`; families clamp), running all per-query state on `scratch` —
+    /// compiled around the evaluator's type, so the unified index's fused
+    /// scanner and the single-vector [`FlatDistance`] each get their own
+    /// copy. Callers without a scratch of their own use
+    /// [`crate::scratch::with_pooled`].
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub fn search<D: DistanceFn + ?Sized>(
         &self,
         dist: &mut D,
         k: usize,
@@ -820,16 +758,55 @@ impl BuiltGraph {
         }
     }
 
-    /// Audits the inner structure and returns every invariant violation
-    /// found (empty = sound). Dispatches to the per-index validators;
-    /// `Flat` carries no structure to audit, and the IVF variant validates
-    /// against its retained store copy.
+    /// Number of indexed objects.
+    pub fn len(&self) -> usize {
+        match self {
+            BuiltGraph::Flat(s) => s.len(),
+            BuiltGraph::Nav(g) => g.graph.len(),
+            BuiltGraph::Hnsw(h) => h.len(),
+            BuiltGraph::Ivf(s) => s.len(),
+        }
+    }
+
+    /// Whether the structure indexes nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Mean out-degree of the graph (0 for the flat scan and IVF).
+    pub fn avg_degree(&self) -> f64 {
+        match self {
+            BuiltGraph::Flat(_) | BuiltGraph::Ivf(_) => 0.0,
+            BuiltGraph::Nav(g) => g.graph.avg_degree(),
+            BuiltGraph::Hnsw(h) => h.avg_degree(),
+        }
+    }
+
+    /// Short human-readable description for the status panel.
+    pub fn describe(&self) -> String {
+        match self {
+            BuiltGraph::Flat(s) => format!("flat exhaustive scan over {} vectors", s.len()),
+            BuiltGraph::Nav(g) => format!(
+                "{} over {} vertices (avg degree {:.1}, {} entries)",
+                g.name,
+                g.graph.len(),
+                g.graph.avg_degree(),
+                g.entries.len()
+            ),
+            BuiltGraph::Hnsw(h) => h.describe(),
+            BuiltGraph::Ivf(s) => s.describe(),
+        }
+    }
+
+    /// Audits the inner structure against the `store` it indexes and
+    /// returns every invariant violation found (empty = sound). Dispatches
+    /// to the per-index validators; `Flat` carries no structure to audit.
     pub fn validate(&self, store: &VectorStore, metric: Metric) -> Vec<InvariantViolation> {
         match self {
             BuiltGraph::Flat(_) => Vec::new(),
             BuiltGraph::Nav(g) => g.validate(store, metric),
             BuiltGraph::Hnsw(h) => h.validate(),
-            BuiltGraph::Ivf(s) => s.validate(),
+            BuiltGraph::Ivf(s) => s.validate(store),
         }
     }
 
@@ -909,7 +886,7 @@ impl IndexAlgorithm {
 
     /// Default IVF configuration.
     pub fn ivf() -> Self {
-        IndexAlgorithm::Ivf(crate::ivf::IvfParams::default())
+        IndexAlgorithm::Ivf(IvfParams::default())
     }
 
     /// Default MQA-graph configuration.
@@ -935,19 +912,12 @@ impl IndexAlgorithm {
         }
     }
 
-    /// Builds a boxed searcher over the store.
-    pub fn build(&self, store: &Arc<VectorStore>, metric: Metric) -> Box<dyn GraphSearcher> {
-        Box::new(self.build_graph(store, metric))
-    }
-
     /// Builds the concrete (serializable) navigation structure.
     pub fn build_graph(&self, store: &Arc<VectorStore>, metric: Metric) -> BuiltGraph {
         match self {
             IndexAlgorithm::Flat => BuiltGraph::Flat(FlatSearcher::new(store.len())),
             IndexAlgorithm::Hnsw(params) => BuiltGraph::Hnsw(Hnsw::build(store, metric, params)),
-            IndexAlgorithm::Ivf(params) => {
-                BuiltGraph::Ivf(crate::ivf::IvfSearcher::build(store, params))
-            }
+            IndexAlgorithm::Ivf(params) => BuiltGraph::Ivf(Ivf::build(store, params)),
             IndexAlgorithm::Nsg { r, l, knn_k, seed } => {
                 BuiltGraph::Nav(crate::nsg::build(store, metric, *r, *l, *knn_k, *seed))
             }
@@ -1012,8 +982,9 @@ mod tests {
 
     fn recall_of(algo: &IndexAlgorithm, store: &Arc<VectorStore>, queries: usize) -> f64 {
         let metric = Metric::L2;
-        let searcher = algo.build(store, metric);
+        let searcher = algo.build_graph(store, metric);
         let flat = FlatSearcher::new(store.len());
+        let mut scratch = SearchScratch::new();
         let mut rng = StdRng::seed_from_u64(77);
         let dim = store.dim();
         let k = 10;
@@ -1021,9 +992,9 @@ mod tests {
         for _ in 0..queries {
             let q: Vec<f32> = (0..dim).map(|_| rng.gen_range(-4.0..4.0)).collect();
             let mut d1 = FlatDistance::new(store, &q, metric).unwrap();
-            let truth = flat.search(&mut d1, k, 0).ids();
+            let truth = flat.scan(&mut d1, k, |_| true).ids();
             let mut d2 = FlatDistance::new(store, &q, metric).unwrap();
-            let got = searcher.search(&mut d2, k, 64).ids();
+            let got = searcher.search(&mut d2, k, 64, &mut scratch).ids();
             hits += got.iter().filter(|id| truth.contains(id)).count();
         }
         hits as f64 / (queries * k) as f64
@@ -1172,6 +1143,22 @@ mod tests {
     }
 
     #[test]
+    fn describe_names_each_family() {
+        let store = clustered_store(200, 8, 4, 9);
+        for (algo, name, degree) in [
+            (IndexAlgorithm::Flat, "flat exhaustive scan over 200", false),
+            (IndexAlgorithm::nsg(), "nsg over 200 vertices", true),
+            (IndexAlgorithm::hnsw(), "hnsw over 200 vertices", true),
+            (IndexAlgorithm::ivf(), "ivf over 200 vectors", false),
+        ] {
+            let built = algo.build_graph(&store, Metric::L2);
+            assert!(built.describe().starts_with(name), "{}", built.describe());
+            assert_eq!(built.avg_degree() > 0.0, degree, "{}", algo.name());
+            assert_eq!(built.len(), 200);
+        }
+    }
+
+    #[test]
     fn algorithm_serde_round_trip() {
         for algo in [
             IndexAlgorithm::Flat,
@@ -1203,7 +1190,7 @@ mod tests {
         let algo = IndexAlgorithm::vamana();
         let mut built = algo.build_graph(&Arc::new(half), Metric::L2);
         built.grow_to(&full, Metric::L2, &algo, &Tombstones::new(0));
-        assert_eq!(GraphSearcher::len(&built), 400);
+        assert_eq!(built.len(), 400);
         let violations = built.validate(&full, Metric::L2);
         assert!(violations.is_empty(), "{violations:?}");
         // New objects are discoverable through the grown graph.
@@ -1211,7 +1198,7 @@ mod tests {
         for id in 300..400u32 {
             let mut d = FlatDistance::for_vertex(&full, id, Metric::L2);
             let mut scratch = crate::scratch::SearchScratch::new();
-            let out = built.search_with(&mut d, 5, 64, &mut scratch);
+            let out = built.search(&mut d, 5, 64, &mut scratch);
             if out.results.iter().any(|c| c.id == id) {
                 found += 1;
             }
@@ -1254,7 +1241,7 @@ mod tests {
         for algo in [IndexAlgorithm::Flat, IndexAlgorithm::ivf()] {
             let mut built = algo.build_graph(&Arc::new(half.clone()), Metric::L2);
             built.grow_to(&full, Metric::L2, &algo, &Tombstones::new(0));
-            assert_eq!(GraphSearcher::len(&built), 250, "{}", algo.name());
+            assert_eq!(built.len(), 250, "{}", algo.name());
         }
     }
 
@@ -1362,7 +1349,7 @@ mod tests {
         let mut g = sound.clone();
         let flat = FlatSearcher::new(store.len());
         let mut d = FlatDistance::for_vertex(&store, v, Metric::L2);
-        for c in flat.search(&mut d, 40, 0).results {
+        for c in flat.scan(&mut d, 40, |_| true).results {
             if c.id != v {
                 g.graph.add_edge(v, c.id);
             }

@@ -14,7 +14,7 @@
 //!   (Starling), the candidate pool (`crate::pool`), the gather buffer,
 //!   and the construction candidate list.
 //! * [`with_pooled`] — a thread-local scratch pool so the pooled entry
-//!   points (`GraphSearcher::search`, `UnifiedIndex::search`) stay
+//!   points (`VectorIndex::search`, `UnifiedIndex::search`) stay
 //!   allocation-free without threading a scratch through every caller.
 //!
 //! Determinism guarantee: a search driven through a reused scratch visits

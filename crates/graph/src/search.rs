@@ -355,7 +355,7 @@ fn gather_fresh<'g>(
 }
 
 /// Query-mode [`walk`] copying the `k` best into `out` (ascending
-/// distance) — the body of every graph family's `search_with`.
+/// distance) — the body of every graph family's search.
 pub(crate) fn search_into<G: WalkGraph, D: DistanceFn + ?Sized>(
     graph: &G,
     seeds: Seeds<'_>,

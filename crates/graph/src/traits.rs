@@ -1,8 +1,7 @@
-//! Core abstractions: distance evaluators, graph searchers, and the
-//! user-facing [`VectorIndex`] facade.
+//! Core abstractions: distance evaluators and the user-facing
+//! [`VectorIndex`] facade.
 
-use crate::pipeline::IndexAlgorithm;
-use crate::scratch::SearchScratch;
+use crate::pipeline::{BuiltGraph, IndexAlgorithm};
 use crate::search::SearchOutput;
 use mqa_vector::{Metric, VecId, VectorStore};
 use std::fmt;
@@ -109,52 +108,13 @@ impl DistanceFn for FlatDistance<'_> {
     }
 }
 
-/// A built navigation structure that can route any [`DistanceFn`] to the
-/// query's nearest neighbours.
-///
-/// Implementations: flat exhaustive scan, pipeline-built graphs
-/// (NSG/Vamana/custom), HNSW, and the Starling paged wrapper.
-pub trait GraphSearcher: Send + Sync {
-    /// Searches for the `k` nearest objects with beam width `ef`
-    /// (`ef >= k`; implementations clamp), running all per-query state on
-    /// `scratch` — the allocation-free entry point concurrent workers
-    /// drive with their own scratch.
-    fn search_with(
-        &self,
-        dist: &mut dyn DistanceFn,
-        k: usize,
-        ef: usize,
-        scratch: &mut SearchScratch,
-    ) -> SearchOutput;
-
-    /// Searches on the calling thread's pooled scratch — identical results
-    /// to [`GraphSearcher::search_with`].
-    fn search(&self, dist: &mut dyn DistanceFn, k: usize, ef: usize) -> SearchOutput {
-        crate::scratch::with_pooled(|scratch| self.search_with(dist, k, ef, scratch))
-    }
-
-    /// Number of indexed objects.
-    fn len(&self) -> usize;
-
-    /// Whether the index is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Mean out-degree of the underlying graph (0 for flat scans).
-    fn avg_degree(&self) -> f64;
-
-    /// Short human-readable description for the status panel.
-    fn describe(&self) -> String;
-}
-
 /// A complete single-vector index: store + metric + built navigation
 /// structure. This is what the MR baseline builds per modality and what the
 /// JE baseline builds over joint vectors.
 pub struct VectorIndex {
     store: Arc<VectorStore>,
     metric: Metric,
-    searcher: Box<dyn GraphSearcher>,
+    graph: BuiltGraph,
     algorithm: IndexAlgorithm,
     build_time: Duration,
 }
@@ -169,12 +129,12 @@ impl VectorIndex {
         assert!(!store.is_empty(), "cannot index an empty vector store");
         let store = Arc::new(store);
         let build_span = mqa_obs::span(format!("graph.{}.build", algorithm.name()));
-        let searcher = algorithm.build(&store, metric);
+        let graph = algorithm.build_graph(&store, metric);
         let build_time = build_span.finish();
         Self {
             store,
             metric,
-            searcher,
+            graph,
             algorithm: algorithm.clone(),
             build_time,
         }
@@ -194,7 +154,8 @@ impl VectorIndex {
             query,
             metric: self.metric,
         };
-        let out = self.searcher.search(&mut dist, k, ef);
+        let out =
+            crate::scratch::with_pooled(|scratch| self.graph.search(&mut dist, k, ef, scratch));
         out.stats.record(self.algorithm.name(), sw.elapsed_us());
         out
     }
@@ -221,12 +182,12 @@ impl VectorIndex {
 
     /// Mean out-degree of the graph.
     pub fn avg_degree(&self) -> f64 {
-        self.searcher.avg_degree()
+        self.graph.avg_degree()
     }
 
     /// Status-panel description.
     pub fn describe(&self) -> String {
-        self.searcher.describe()
+        self.graph.describe()
     }
 
     /// Number of indexed vectors.

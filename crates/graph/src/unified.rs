@@ -39,7 +39,7 @@ use crate::live::{
 };
 use crate::pipeline::{BuiltGraph, IndexAlgorithm};
 use crate::search::SearchOutput;
-use crate::traits::{DistanceFn, GraphSearcher};
+use crate::traits::DistanceFn;
 use crate::validate::{check_tombstones, check_weighted_rows, InvariantViolation};
 use mqa_vector::{FusedScanner, Metric, MultiVector, MultiVectorStore, ScanStats, VecId, Weights};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -143,11 +143,11 @@ impl IndexSnapshot {
     pub fn validate(&self, weights: &Weights, metric: Metric) -> Vec<InvariantViolation> {
         let n = self.store.len();
         let mut out = Vec::new();
-        if GraphSearcher::len(&*self.searcher) != n {
+        if self.searcher.len() != n {
             out.push(InvariantViolation::SizeMismatch {
                 context: "unified snapshot population".to_string(),
                 expected: n,
-                got: GraphSearcher::len(&*self.searcher),
+                got: self.searcher.len(),
             });
         }
         out.extend(check_tombstones("unified snapshot", n, &self.tombstones));
@@ -302,7 +302,7 @@ impl UnifiedIndex {
         });
         let build_time = build_span.map_or(Duration::ZERO, |span| span.finish());
         assert_eq!(
-            GraphSearcher::len(&searcher),
+            searcher.len(),
             store.len(),
             "navigation structure does not match the store"
         );
@@ -507,7 +507,7 @@ impl UnifiedIndex {
         let weights = weight_override.unwrap_or(&self.weights);
         let mut dist = FusedDistance::new(snap.store(), query, weights, self.metric);
         let out = snap.tombstones().search_live(k, ef, |k, ef| {
-            snap.searcher().search_on(&mut dist, k, ef, scratch)
+            snap.searcher().search(&mut dist, k, ef, scratch)
         });
         out.stats.record(self.algorithm.name(), sw.elapsed_us());
         UnifiedSearchOutput {
@@ -827,7 +827,11 @@ mod tests {
         let snap = idx.current();
         let mut full =
             FusedDistance::new(snap.store(), &q, idx.weights(), idx.metric()).without_pruning();
-        let full_ids = snap.searcher().search(&mut full, 10, 64).ids();
+        let mut scratch = crate::scratch::SearchScratch::new();
+        let full_ids = snap
+            .searcher()
+            .search(&mut full, 10, 64, &mut scratch)
+            .ids();
         assert_eq!(pruned.ids(), full_ids);
         assert_eq!(full.scan_stats().terms_skipped, 0);
         assert!(pruned.scan.terms < full.scan_stats().terms);
@@ -1157,6 +1161,7 @@ mod tests {
                 &mut FusedDistance::new(&idx.store(), &q, idx.weights(), idx.metric()),
                 k,
                 ef,
+                &mut crate::scratch::SearchScratch::new(),
             );
             assert!(out.output.stats.evals > narrow.stats.evals, "{name}");
         }

@@ -44,7 +44,9 @@ pub fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{FlatDistance, GraphSearcher};
+    use crate::scratch::SearchScratch;
+    use crate::search::beam_search;
+    use crate::traits::FlatDistance;
     use mqa_rng::StdRng;
 
     fn store(n: usize, dim: usize, seed: u64) -> Arc<VectorStore> {
@@ -68,9 +70,10 @@ mod tests {
     fn vamana_self_search_finds_self() {
         let s = store(400, 6, 2);
         let nav = build(&s, Metric::L2, 16, 40, 1.2, 0);
+        let mut scratch = SearchScratch::new();
         for v in (0..400u32).step_by(41) {
             let mut d = FlatDistance::for_vertex(&s, v, Metric::L2);
-            let out = nav.search(&mut d, 1, 32);
+            let out = beam_search(nav.graph(), nav.entries(), &mut d, 1, 32, &mut scratch);
             assert_eq!(out.results[0].id, v, "vertex {v} should find itself");
         }
     }

@@ -23,10 +23,17 @@
 
 use mqa_cache::PageCache;
 use mqa_graph::starling::{LayoutStrategy, PageLayout, PagedIndex};
-use mqa_graph::{hnsw, nsg, vamana, Adjacency, FlatDistance, GraphSearcher};
+use mqa_graph::{hnsw, nsg, vamana, Adjacency, FlatDistance, SearchOutput, SearchScratch};
 use mqa_rng::StdRng;
 use mqa_vector::{Metric, VecId, VectorStore};
 use std::sync::Arc;
+
+/// One paged search on a fresh scratch, hits returned.
+fn search(paged: &PagedIndex, dist: &mut FlatDistance, k: usize, ef: usize) -> SearchOutput {
+    let mut results = Vec::new();
+    let stats = paged.search_paged_into(dist, k, ef, &mut SearchScratch::new(), &mut results);
+    SearchOutput { results, stats }
+}
 
 fn store(n: usize, dim: usize, seed: u64) -> Arc<VectorStore> {
     let mut s = VectorStore::new(dim);
@@ -108,9 +115,9 @@ fn cached_paged_search_is_bit_identical_across_algorithms_and_regimes() {
                 for pass in ["cold", "warm"] {
                     for (qi, q) in queries.iter().enumerate() {
                         let mut d1 = FlatDistance::new(&s, q, Metric::L2).unwrap();
-                        let plain = uncached.search(&mut d1, 5, 24);
+                        let plain = search(&uncached, &mut d1, 5, 24);
                         let mut d2 = FlatDistance::new(&s, q, Metric::L2).unwrap();
-                        let with_cache = cached.search(&mut d2, 5, 24);
+                        let with_cache = search(&cached, &mut d2, 5, 24);
                         assert_eq!(
                             plain.results, with_cache.results,
                             "{name}/{strategy:?}/cap={capacity}/{pass} query {qi}: \

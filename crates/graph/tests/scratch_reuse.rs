@@ -5,7 +5,7 @@
 //! that lets engine workers own one scratch for their whole lifetime.
 
 use mqa_graph::starling::{LayoutStrategy, PageLayout, PagedIndex};
-use mqa_graph::{FlatDistance, GraphSearcher, IndexAlgorithm, SearchOutput, SearchScratch};
+use mqa_graph::{BuiltGraph, FlatDistance, IndexAlgorithm, SearchOutput, SearchScratch};
 use mqa_rng::StdRng;
 use mqa_vector::{Metric, VectorStore};
 use std::sync::Arc;
@@ -32,9 +32,10 @@ fn assert_identical(a: &SearchOutput, b: &SearchOutput, what: &str) {
     assert_eq!(a.stats, b.stats, "{what}: work counters diverged");
 }
 
-/// `searcher` driven on `scratch` must answer exactly like on a fresh one.
+/// `search` — `(evaluator, k, ef, scratch) -> output` — driven on
+/// `scratch` must answer exactly like on a fresh one.
 fn assert_reuse_matches_fresh(
-    searcher: &dyn GraphSearcher,
+    search: impl Fn(&mut FlatDistance<'_>, usize, usize, &mut SearchScratch) -> SearchOutput,
     store: &VectorStore,
     q: &[f32],
     (k, ef): (usize, usize),
@@ -42,9 +43,9 @@ fn assert_reuse_matches_fresh(
     what: &str,
 ) {
     let mut d1 = FlatDistance::new(store, q, Metric::L2).expect("dims match");
-    let reused = searcher.search_with(&mut d1, k, ef, scratch);
+    let reused = search(&mut d1, k, ef, scratch);
     let mut d2 = FlatDistance::new(store, q, Metric::L2).expect("dims match");
-    let fresh = searcher.search_with(&mut d2, k, ef, &mut SearchScratch::new());
+    let fresh = search(&mut d2, k, ef, &mut SearchScratch::new());
     assert_identical(&reused, &fresh, what);
 }
 
@@ -54,27 +55,39 @@ fn assert_reuse_matches_fresh(
 fn interleaved_reuse_matches_fresh_search_everywhere() {
     let dim = 8;
     let store = Arc::new(random_store(300, dim, 11));
-    let indexes: Vec<(&str, Box<dyn GraphSearcher>)> = [
+    let indexes: Vec<(&str, BuiltGraph)> = [
         ("flat", IndexAlgorithm::Flat),
         ("hnsw", IndexAlgorithm::hnsw()),
         ("nsg", IndexAlgorithm::nsg()),
         ("vamana", IndexAlgorithm::vamana()),
     ]
     .into_iter()
-    .map(|(name, algo)| (name, algo.build(&store, Metric::L2)))
+    .map(|(name, algo)| (name, algo.build_graph(&store, Metric::L2)))
     .collect();
 
     let nav = mqa_graph::vamana::build(&store, Metric::L2, 16, 48, 1.2, 3);
     let layout = PageLayout::build(nav.graph(), 4, LayoutStrategy::BfsCluster);
     let paged = PagedIndex::new(nav.graph().clone(), nav.entries().to_vec(), layout);
+    let paged_search = |d: &mut FlatDistance<'_>, k, ef, s: &mut SearchScratch| {
+        let mut results = Vec::new();
+        let stats = paged.search_paged_into(d, k, ef, s, &mut results);
+        SearchOutput { results, stats }
+    };
 
     let mut scratch = SearchScratch::new();
     for (round, q) in random_queries(12, dim, 99).iter().enumerate() {
         let shape = (1 + round % 7, 16 + round * 3);
         for (name, idx) in &indexes {
-            assert_reuse_matches_fresh(idx.as_ref(), &store, q, shape, &mut scratch, name);
+            assert_reuse_matches_fresh(
+                |d, k, ef, s| idx.search(d, k, ef, s),
+                &store,
+                q,
+                shape,
+                &mut scratch,
+                name,
+            );
         }
-        assert_reuse_matches_fresh(&paged, &store, q, shape, &mut scratch, "starling");
+        assert_reuse_matches_fresh(paged_search, &store, q, shape, &mut scratch, "starling");
     }
 }
 
@@ -85,13 +98,20 @@ fn interleaved_reuse_matches_fresh_search_everywhere() {
 fn epoch_wraparound_is_invisible() {
     let dim = 6;
     let store = Arc::new(random_store(250, dim, 21));
-    let idx = IndexAlgorithm::hnsw().build(&store, Metric::L2);
+    let idx = IndexAlgorithm::hnsw().build_graph(&store, Metric::L2);
     let mut scratch = SearchScratch::new();
     // Three epochs of headroom before the stamp array must re-zero.
     scratch.force_epoch(u32::MAX - 3);
     for (i, q) in random_queries(10, dim, 77).iter().enumerate() {
         let what = format!("query {i} around wraparound");
-        assert_reuse_matches_fresh(idx.as_ref(), &store, q, (5, 32), &mut scratch, &what);
+        assert_reuse_matches_fresh(
+            |d, k, ef, s| idx.search(d, k, ef, s),
+            &store,
+            q,
+            (5, 32),
+            &mut scratch,
+            &what,
+        );
     }
 }
 
@@ -116,7 +136,8 @@ fn ties_and_population_changes_do_not_leak_between_walks() {
     };
     let (large, small) = (duplicated(60, 31), duplicated(18, 32));
     let build = |store: &Arc<VectorStore>| {
-        [IndexAlgorithm::vamana(), IndexAlgorithm::hnsw()].map(|algo| algo.build(store, Metric::L2))
+        [IndexAlgorithm::vamana(), IndexAlgorithm::hnsw()]
+            .map(|algo| algo.build_graph(store, Metric::L2))
     };
     let (on_large, on_small) = (build(&large), build(&small));
     let mut scratch = SearchScratch::new();
@@ -128,7 +149,14 @@ fn ties_and_population_changes_do_not_leak_between_walks() {
             for (i, idx) in indexes.iter().enumerate() {
                 let shape = (1 + round as usize % 3, 2 + round as usize % 4);
                 let what = format!("round {round} n {} index {i}", store.len());
-                assert_reuse_matches_fresh(idx.as_ref(), store, &q, shape, &mut scratch, &what);
+                assert_reuse_matches_fresh(
+                    |d, k, ef, s| idx.search(d, k, ef, s),
+                    store,
+                    &q,
+                    shape,
+                    &mut scratch,
+                    &what,
+                );
             }
         }
     }

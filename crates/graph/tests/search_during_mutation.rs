@@ -7,12 +7,13 @@
 //! The unified families (flat / HNSW / NSG / Vamana) run through
 //! [`UnifiedIndex::add_objects`] / [`UnifiedIndex::remove_objects`] so the
 //! epoch-published snapshot path itself is exercised; the paged (Starling)
-//! index runs its filter-then-compact path directly.
+//! index filters dead ids at collection time and, once compaction runs,
+//! is laid out again over the compacted navigation graph.
 
 use mqa_graph::starling::LayoutStrategy;
 use mqa_graph::{
-    BuiltGraph, FlatDistance, GraphSearcher, IndexAlgorithm, PageLayout, PagedIndex, Tombstones,
-    UnifiedIndex,
+    with_pooled, BuiltGraph, FlatDistance, IndexAlgorithm, PageLayout, PagedIndex, SearchOutput,
+    SearchScratch, Tombstones, UnifiedIndex,
 };
 use mqa_rng::StdRng;
 use mqa_vector::{Metric, MultiVector, MultiVectorStore, Schema, VecId, VectorStore, Weights};
@@ -151,8 +152,21 @@ fn brute_force_live(store: &VectorStore, q: &[f32], tomb: &Tombstones, k: usize)
 
 /// Paged search as a mutated index serves it.
 fn paged_search_live(paged: &PagedIndex, dist: &mut FlatDistance, tomb: &Tombstones) -> Vec<VecId> {
-    tomb.search_live(K, 48, |k, ef| paged.search(dist, k, ef))
-        .ids()
+    let search = |k, ef| {
+        let mut results = Vec::new();
+        let stats = with_pooled(|s| paged.search_paged_into(dist, k, ef, s, &mut results));
+        SearchOutput { results, stats }
+    };
+    tomb.search_live(K, 48, search).ids()
+}
+
+/// The pipeline graph inside `built`, laid out on 4-vertex pages.
+fn paged_over(built: &BuiltGraph) -> PagedIndex {
+    let BuiltGraph::Nav(nav) = built else {
+        panic!("vamana must build a Nav graph, got {}", built.describe());
+    };
+    let layout = PageLayout::build(nav.graph(), 4, LayoutStrategy::BfsCluster);
+    PagedIndex::new(nav.graph().clone(), nav.entries().to_vec(), layout)
 }
 
 #[test]
@@ -165,13 +179,8 @@ fn paged_index_filters_dead_and_survives_compaction() {
         store.push(&v);
     }
     let store = std::sync::Arc::new(store);
-    let built = IndexAlgorithm::vamana().build_graph(&store, Metric::L2);
-    let nav = match &built {
-        BuiltGraph::Nav(nav) => nav,
-        other => panic!("vamana must build a Nav graph, got {}", other.describe()),
-    };
-    let layout = PageLayout::build(nav.graph(), 4, LayoutStrategy::BfsCluster);
-    let mut paged = PagedIndex::new(nav.graph().clone(), nav.entries().to_vec(), layout);
+    let mut built = IndexAlgorithm::vamana().build_graph(&store, Metric::L2);
+    let mut paged = paged_over(&built);
     let mut tomb = Tombstones::new(500);
     let queries: Vec<Vec<f32>> = (0..12)
         .map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
@@ -192,7 +201,9 @@ fn paged_index_filters_dead_and_survives_compaction() {
         }
         killed.extend(batch);
         if tomb.pending_fraction() > 0.2 {
-            paged.apply_compaction(&tomb);
+            // The graph's own compaction rule, then a fresh layout.
+            assert!(built.compact_live(&store, Metric::L2, &tomb));
+            paged = paged_over(&built);
             tomb.mark_all_compacted();
             compactions += 1;
         }
@@ -221,10 +232,7 @@ fn paged_index_filters_dead_and_survives_compaction() {
     }
     let fresh_store = std::sync::Arc::new(fresh_store);
     let fresh_built = IndexAlgorithm::vamana().build_graph(&fresh_store, Metric::L2);
-    let fresh_nav = match &fresh_built {
-        BuiltGraph::Nav(nav) => nav,
-        other => panic!("vamana must build a Nav graph, got {}", other.describe()),
-    };
+    let mut scratch = SearchScratch::new();
     let (mut mutated_hits, mut fresh_hits) = (0usize, 0usize);
     for q in &queries {
         let truth = brute_force_live(&store, q, &tomb, K);
@@ -232,7 +240,7 @@ fn paged_index_filters_dead_and_survives_compaction() {
         let got = paged_search_live(&paged, &mut dist, &tomb);
         mutated_hits += got.iter().filter(|id| truth.contains(id)).count();
         let mut fdist = FlatDistance::new(&fresh_store, q, Metric::L2).expect("dim matches");
-        let fresh_got = fresh_nav.search(&mut fdist, K, 48).ids();
+        let fresh_got = fresh_built.search(&mut fdist, K, 48, &mut scratch).ids();
         fresh_hits += fresh_got
             .iter()
             // INVARIANT: fresh-store ids index live_ids by construction.

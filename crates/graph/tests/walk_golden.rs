@@ -10,8 +10,7 @@
 
 use mqa_graph::starling::{LayoutStrategy, PageLayout, PagedIndex};
 use mqa_graph::{
-    BuiltGraph, FlatDistance, GraphSearcher, IndexAlgorithm, SearchOutput, SearchScratch,
-    Tombstones,
+    BuiltGraph, FlatDistance, IndexAlgorithm, SearchOutput, SearchScratch, Tombstones,
 };
 use mqa_rng::StdRng;
 use mqa_vector::{Metric, VecId, VectorStore};
@@ -117,7 +116,7 @@ fn search_traversals_are_bit_identical() {
     ];
     for (algo, want) in golden {
         let built = algo.build_graph(&store, Metric::L2);
-        let got = search_hash(&store, |d, k, ef, s| built.search_with(d, k, ef, s));
+        let got = search_hash(&store, |d, k, ef, s| built.search(d, k, ef, s));
         assert_eq!(got, want, "{}: search hash {got:#018x}", algo.name());
     }
 }
@@ -140,7 +139,7 @@ fn paged_traversal_is_bit_identical() {
         let stats = paged.search_paged_into(d, k, ef, s, &mut results);
         // What no layout and no cache may move: ids, distance bits and the
         // walk's own counters are those of the unpaged search.
-        let plain = built.search_with(d, k, ef, s);
+        let plain = built.search(d, k, ef, s);
         let bits = |c: &[mqa_vector::Candidate]| -> Vec<(VecId, u32)> {
             c.iter().map(|c| (c.id, c.dist.to_bits())).collect()
         };
@@ -178,7 +177,7 @@ fn construction_is_bit_identical() {
         let got = edge_hash(&built);
         assert_eq!(got, want_built, "{}: built edges {got:#018x}", algo.name());
         built.grow_to(&grown, Metric::L2, &algo, &Tombstones::new(0));
-        assert_eq!(GraphSearcher::len(&built), GROWN);
+        assert_eq!(built.len(), GROWN);
         let got = edge_hash(&built);
         assert_eq!(got, want_grown, "{}: grown edges {got:#018x}", algo.name());
     }

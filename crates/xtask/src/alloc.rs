@@ -25,7 +25,8 @@
 //! the catch-all for what the heuristic cannot see.
 //!
 //! **Entry points** ([`ALLOC_ENTRY_POINTS`]) are the *steady-state* query
-//! path: every `search_with` impl, `QueryEngine::{submit,
+//! path: `BuiltGraph::search`, `PagedIndex::search_paged_into`,
+//! `QueryEngine::{submit,
 //! submit_with_deadline,retrieve,retrieve_batch}` (whose bodies include
 //! the worker-job closure),
 //! `PageCache::probe`, `ResultCache::get`, `mmr_diversify`, and the
@@ -285,10 +286,14 @@ pub fn scan_alloc_sites(toks: &[&Tok], mask: &[bool]) -> Vec<AllocSite> {
 /// *narrower* than flow's panic entry points: submission/retrieval and
 /// the search kernel, but not the dialogue/build/mutation paths, which
 /// allocate by design.
-pub const ALLOC_ENTRY_POINTS: [EntryPoint; 10] = [
+pub const ALLOC_ENTRY_POINTS: [EntryPoint; 11] = [
     EntryPoint {
-        owner: EntryOwner::AnyImpl,
-        name: "search_with",
+        owner: EntryOwner::Named("BuiltGraph"),
+        name: "search",
+    },
+    EntryPoint {
+        owner: EntryOwner::Named("PagedIndex"),
+        name: "search_paged_into",
     },
     EntryPoint {
         owner: EntryOwner::Named("QueryEngine"),
@@ -459,9 +464,9 @@ fn f(k: usize) -> Vec<u32> {
     }
 
     const SEARCHER_LIKE: &str = "\
-pub struct Flat;
-impl Flat {
-    pub fn search_with(&self, k: usize) -> u32 {
+pub struct BuiltGraph;
+impl BuiltGraph {
+    pub fn search(&self, k: usize) -> u32 {
         helper(k)
     }
 }
@@ -482,7 +487,7 @@ fn dead_helper(k: usize) -> Vec<u32> {
         assert_eq!(f.line, 8);
         assert_eq!(f.rule, Rule::ReachableAlloc);
         assert!(f.excerpt.contains("vec-macro"), "{}", f.excerpt);
-        assert!(f.excerpt.contains("Flat::search_with"), "{}", f.excerpt);
+        assert!(f.excerpt.contains("BuiltGraph::search"), "{}", f.excerpt);
     }
 
     #[test]
@@ -512,9 +517,9 @@ fn scoring_pool(k: usize) -> Vec<u32> {
     #[test]
     fn alloc_comment_keeps_site_out_of_the_cone() {
         let src = "\
-pub struct Flat;
-impl Flat {
-    pub fn search_with(&self, k: usize) -> usize {
+pub struct PagedIndex;
+impl PagedIndex {
+    pub fn search_paged_into(&self, k: usize) -> usize {
         // ALLOC: one sized buffer per query, handed to the caller.
         let out = Vec::with_capacity(k);
         out.len()

@@ -409,9 +409,6 @@ fn scan_file<K: Copy>(fi: usize, toks: &[&Tok], sites: Vec<Site<K>>, inv: &mut I
 /// What owner shape an entry point requires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryOwner {
-    /// The method on every impl (dyn-dispatch families like
-    /// `search_with`).
-    AnyImpl,
     /// The method on one named impl owner.
     Named(&'static str),
     /// A free function (no impl owner), e.g. `mmr_diversify`.
@@ -432,7 +429,6 @@ impl EntryPoint {
     fn matches<K>(&self, f: &FnNode<K>) -> bool {
         f.name == self.name
             && match self.owner {
-                EntryOwner::AnyImpl => f.owner.is_some(),
                 EntryOwner::Named(o) => f.owner.as_deref() == Some(o),
                 EntryOwner::Free => f.owner.is_none(),
             }

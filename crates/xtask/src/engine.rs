@@ -3,13 +3,13 @@
 //! and *worth having* (QPS on a latency-bound paged workload scales with
 //! workers), then write a metrics snapshot for the CI artifact trail.
 //!
-//! CI runs this as a hard gate after `obs`: a refactor that breaks
+//! CI runs this as a hard gate: a refactor that breaks
 //! scratch-threading shows up as an answer mismatch, and a regression
 //! that serializes the pool (an accidental global lock on the search
 //! path) shows up as a speedup below [`MIN_SPEEDUP`].
 //!
-//! The correctness phase also runs with the engine's `lock-witness`
-//! enabled: every `TracedMutex` acquisition order observed at runtime is
+//! The correctness phase also runs with the engine's lock witness
+//! switched on: every `TracedMutex` acquisition order observed at runtime is
 //! cross-validated against the static lock-order graph extracted by
 //! [`crate::conc`] — a runtime-held edge the static analysis lacks means
 //! the `conc` gate is blind to a real acquisition order and fails here.
@@ -21,7 +21,7 @@ use mqa_core::{Config, MqaSystem};
 use mqa_engine::sync::witness;
 use mqa_engine::{EngineOptions, QueryEngine, WorkerPool};
 use mqa_graph::starling::{DeviceProfile, LayoutStrategy, PageLayout, PagedIndex};
-use mqa_graph::{FlatDistance, GraphSearcher};
+use mqa_graph::{FlatDistance, SearchScratch};
 use mqa_kb::DatasetSpec;
 use mqa_retrieval::MultiModalQuery;
 use mqa_rng::StdRng;
@@ -153,7 +153,7 @@ fn check_alloc_freedom(seed: u64) -> Result<Option<(usize, u64)>, String> {
         .map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect())
         .collect();
 
-    let mut scratch = mqa_graph::SearchScratch::new();
+    let mut scratch = SearchScratch::new();
     let mut hits = Vec::new();
     // Warmup: the same query set, so every buffer (visited stamps,
     // candidate pool, result list, metric-name registrations) reaches
@@ -321,8 +321,9 @@ fn check_paged_speedup(seed: u64) -> Result<(f64, f64, u64), String> {
                 let answered = Arc::clone(&answered);
                 pool.submit(Box::new(move |scratch| {
                     if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi], Metric::L2) {
-                        let out = paged.search_with(&mut dist, 10, 32, scratch);
-                        if !out.results.is_empty() {
+                        let mut hits = Vec::new();
+                        paged.search_paged_into(&mut dist, 10, 32, scratch, &mut hits);
+                        if !hits.is_empty() {
                             answered.fetch_add(1, Ordering::SeqCst);
                         }
                     }
@@ -375,12 +376,13 @@ fn check_page_cache(seed: u64) -> Result<(u64, u64), String> {
     let run_pass = |index: &PagedIndex| -> Result<(Vec<Vec<(u32, f32)>>, u64), String> {
         let mut answers = Vec::with_capacity(queries);
         let mut pages_read = 0u64;
+        let (mut scratch, mut hits) = (SearchScratch::new(), Vec::new());
         for q in &query_vecs {
             let mut dist = FlatDistance::new(&store, q, Metric::L2)
                 .map_err(|e| format!("distance setup failed: {e}"))?;
-            let out = index.search(&mut dist, 10, 32);
-            pages_read += out.stats.pages_read;
-            answers.push(out.results.iter().map(|c| (c.id, c.dist)).collect());
+            let stats = index.search_paged_into(&mut dist, 10, 32, &mut scratch, &mut hits);
+            pages_read += stats.pages_read;
+            answers.push(hits.iter().map(|c| (c.id, c.dist)).collect());
         }
         Ok((answers, pages_read))
     };

@@ -17,8 +17,9 @@
 //! 2. **Reachability** — the panic cone is computed from the designated
 //!    serving entry points ([`ENTRY_POINTS`]): `QueryEngine::{submit,
 //!    submit_with_deadline,retrieve,retrieve_batch}`, the `MqaSystem`/
-//!    `DialogueSession` turn path, every `GraphSearcher::search_with`
-//!    impl, and `PageCache`/`ResultCache` lookups. Any panic-capable
+//!    `DialogueSession` turn path, the two searches of a built index
+//!    (`BuiltGraph::search`, `PagedIndex::search_paged_into`), and
+//!    `PageCache`/`ResultCache` lookups. Any panic-capable
 //!    site inside a reachable function is a [`Rule::ReachablePanic`]
 //!    finding unless waived in `flow-baseline.toml` (same machinery as
 //!    `lint-baseline.toml`, mandatory reasons, stale-waiver detection).
@@ -382,9 +383,9 @@ pub fn scan_sites(toks: &[&Tok], invariant: &[bool]) -> Vec<Site> {
 }
 
 /// The serving path's designated roots: engine submission and retrieval,
-/// the dialogue turn path, every `GraphSearcher::search_with` impl, and
-/// both cache lookup surfaces.
-pub const ENTRY_POINTS: [EntryPoint; 10] = [
+/// the dialogue turn path, the in-memory and the paged search of a built
+/// index, and both cache lookup surfaces.
+pub const ENTRY_POINTS: [EntryPoint; 11] = [
     EntryPoint {
         owner: EntryOwner::Named("QueryEngine"),
         name: "submit",
@@ -410,8 +411,12 @@ pub const ENTRY_POINTS: [EntryPoint; 10] = [
         name: "ask_once",
     },
     EntryPoint {
-        owner: EntryOwner::AnyImpl,
-        name: "search_with",
+        owner: EntryOwner::Named("BuiltGraph"),
+        name: "search",
+    },
+    EntryPoint {
+        owner: EntryOwner::Named("PagedIndex"),
+        name: "search_paged_into",
     },
     EntryPoint {
         owner: EntryOwner::Named("PageCache"),

@@ -11,9 +11,8 @@
 //! | [`alloc`] | no allocation-capable site is reachable from a steady-state serving entry point without an `// ALLOC:` discharge (cross-checked at runtime by `mqa-engine`'s `alloc-witness` allocator) | `alloc-baseline.toml` |
 //! | [`audit`] | every index variant, the multi-vector store and every generation the unified index publishes under a scripted add / compacting delete / add pass their structural validators; every literal instrument and span name is well-formed and live | — |
 //! | `rules` | (lists the lint rules with their rationales) | — |
-//! | [`obs`] | a seeded dialogue shows every instrumented pipeline layer in the metrics snapshot | — |
 //! | [`engine`] | worker-pool answers equal the serial path, paged QPS scales with workers, the runtime lock-order witness agrees with `conc`'s static lock graph | — |
-//! | [`trace`] | one milestone-complete [`mqa_obs::QueryTrace`] per turn, queue-wait / service attribution that adds up, deterministic tail sampling, a valid `/metrics` exposition | — |
+//! | [`trace`] | one milestone-complete [`mqa_obs::QueryTrace`] per turn, queue-wait / service attribution that adds up, deterministic tail sampling, a valid `/metrics` exposition, every instrumented pipeline layer in the metrics snapshot | — |
 //! | [`mutate`] | under a scripted insert/delete mix no tombstoned object surfaces, the result-cache generation bumps, compaction triggers, every `graph.mutate.*` instrument records | — |
 //! | [`counts`] | the benchmark's exact counts (evaluations, hops, page reads, cache verdicts, hit shares, prompt tokens, recall) equal the committed ones bit for bit | `BENCH_counts.json` (re-recorded with `--write`) |
 //! | [`sched`] | at 2x saturation every submission resolves to exactly one typed outcome, the shed counters match, served queue-wait p99 stays within the budget | — |
@@ -38,7 +37,6 @@ pub mod engine;
 pub mod flow;
 pub mod lint;
 pub mod mutate;
-pub mod obs;
 pub mod rustlex;
 pub mod sched;
 pub mod trace;
@@ -107,7 +105,7 @@ pub(crate) fn bench_reading(dir: &Path, gate: &str, metric: &str) -> f64 {
 }
 
 /// Serializes scenario tests that reset the global `mqa-obs` registry or
-/// trace collector: the obs, engine, and trace gates all run real
+/// trace collector: the engine, trace, mutate and sched gates run real
 /// workloads against process-global state, so their in-crate tests must
 /// not interleave.
 #[cfg(test)]

@@ -11,7 +11,7 @@
 
 use mqa_xtask::baseline::{Baseline, Outcome};
 use mqa_xtask::workspace::{self, Workspace};
-use mqa_xtask::{alloc, audit, conc, counts, engine, flow, lint, mutate, obs, sched, trace};
+use mqa_xtask::{alloc, audit, conc, counts, engine, flow, lint, mutate, sched, trace};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -27,7 +27,7 @@ struct Command {
 const STATIC_OPTIONS: &str = " [--baseline <path>] [--root <dir>]";
 const SCENARIO_OPTIONS: &str = " [--out <dir>] [--seed <n>]";
 
-const COMMANDS: [Command; 12] = [
+const COMMANDS: [Command; 11] = [
     Command {
         name: "lint",
         options: STATIC_OPTIONS,
@@ -102,25 +102,6 @@ generation a scripted add / compacting delete / add publishes on the unified ind
         options: "",
         help: "List the lint rules with their rationales.",
         run: |_| cmd_rules(),
-    },
-    Command {
-        name: "obs",
-        options: SCENARIO_OPTIONS,
-        help: "Run a seeded multi-turn dialogue scenario, write metrics.json +
-report.txt into <dir> (default results/obs), and fail unless every
-instrumented pipeline layer appears in the snapshot.",
-        run: |args| {
-            scenario("obs", args, |out, seed| {
-                let o = obs::run(out, seed)?;
-                Ok(format!(
-                    "{}obs: {} span(s), {} counter(s), {} histogram(s)",
-                    o.status_panel,
-                    o.snapshot.spans.len(),
-                    o.snapshot.counters.len(),
-                    o.snapshot.histograms.len()
-                ))
-            })
-        },
     },
     Command {
         name: "engine",
@@ -217,17 +198,19 @@ readings) and metrics.json into <dir> (default results/mutate).",
         help: "Per-query tracing gate: run a seeded dialogue through the
 concurrent engine with tracing enabled; every turn must yield
 exactly one milestone-complete trace with queue-wait / service
-attribution that adds up, deterministic tail sampling, and a
-valid /metrics exposition. Writes traces.jsonl,
-slow_queries.txt, metrics.txt and BENCH_trace.json into <dir>
-(default results/trace).",
+attribution that adds up, deterministic tail sampling, a valid
+/metrics exposition, and every instrumented pipeline layer in
+the metrics snapshot. Writes traces.jsonl, slow_queries.txt,
+metrics.txt, metrics.json, report.txt (snapshot + status panel)
+and BENCH_trace.json into <dir> (default results/trace).",
         run: |args| {
             scenario("trace", args, |out, seed| {
                 let o = trace::run(out, seed)?;
                 Ok(format!(
-                    "trace: {} trace(s) ({} engine-served, {} cache hit(s)), \
+                    "{}trace: {} trace(s) ({} engine-served, {} cache hit(s)), \
                      p50 {} us / p99 {} us end-to-end, {:.1}% queue wait, \
                      {} exposition sample(s) with {} exemplar(s)",
+                    o.status_panel,
                     o.traces,
                     o.engine_served,
                     o.cache_hits,

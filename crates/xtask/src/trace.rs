@@ -20,17 +20,22 @@
 //!    and the slowest-N set is ordered slowest-first;
 //! 6. the `/metrics` surface parses as valid Prometheus/OpenMetrics text
 //!    exposition and carries at least one histogram exemplar linking a
-//!    latency bucket back to a trace id.
+//!    latency bucket back to a trace id;
+//! 7. every instrumented pipeline layer shows in the metrics snapshot
+//!    (`REQUIRED_SPANS`, `REQUIRED_COUNTERS`, `REQUIRED_HISTOGRAMS`)
+//!    — a refactor that silently drops a layer's instrumentation fails here.
 //!
 //! Artifacts written under `--out` (default `results/trace`):
 //! `traces.jsonl`, `slow_queries.txt`, `metrics.txt` (the exposition),
-//! and `BENCH_trace.json` (a [`mqa_benchmark::report`] file: p50/p99
+//! `metrics.json` (the snapshot), `report.txt` (the rendered snapshot and
+//! the status panel with its per-milestone breakdown), and
+//! `BENCH_trace.json` (a [`mqa_benchmark::report`] file: p50/p99
 //! end-to-end latency, queue-wait share, cache-hit rate).
 
-use mqa_core::{Config, MqaSystem, Turn};
+use mqa_core::{Config, Milestone, MqaSystem, StatusMonitor, Turn};
 use mqa_kb::DatasetSpec;
 use mqa_obs::trace::{sample_hit, QUERY_MILESTONES};
-use mqa_obs::{QueryTrace, Snapshot, TraceConfig};
+use mqa_obs::{report, QueryTrace, Snapshot, TraceConfig};
 use std::path::Path;
 
 /// Turns the scenario runs: four distinct turns plus one repeat that must
@@ -48,15 +53,49 @@ const SAMPLE_EVERY: u64 = 2;
 /// the inner stop and the outer stop).
 const CLOCK_SLACK_US: u64 = 5_000;
 
+/// Spans that must appear in the snapshot after the scenario: one per
+/// instrumented pipeline layer (system build and its three components,
+/// graph build and its five stages, retrieval stages, diversification,
+/// generation, end-to-end turn).
+const REQUIRED_SPANS: [&str; 16] = [
+    "core.build",
+    "core.build.data_preprocessing",
+    "core.build.vector_representation",
+    "core.build.index_construction",
+    "graph.mqa-graph.build",
+    "graph.build.initialization",
+    "graph.build.entry_selection",
+    "graph.build.refinement",
+    "graph.build.connectivity_repair",
+    "graph.build.finalization",
+    "retrieval.must.search",
+    "retrieval.must.encode",
+    "retrieval.must.index_search",
+    "retrieval.diversify",
+    "core.turn",
+    "llm.generate",
+];
+
 /// Counters the scenario must leave non-zero.
-const REQUIRED_COUNTERS: [&str; 3] = [
+const REQUIRED_COUNTERS: [&str; 8] = [
+    "graph.search.queries",
+    "graph.search.evals",
+    "llm.mock.calls",
+    "llm.mock.prompt_tokens",
+    "core.session.turns",
     "obs.trace.started",
     "obs.trace.completed",
     "engine.query.submitted",
 ];
 
-/// Histograms the scenario must populate.
-const REQUIRED_HISTOGRAMS: [&str; 2] = ["engine.query.latency_us", "engine.query.queue_wait_us"];
+/// Histograms the scenario must populate: per-index search latency and
+/// distance-evaluation work, engine latency and queue wait.
+const REQUIRED_HISTOGRAMS: [&str; 4] = [
+    "graph.mqa-graph.search_us",
+    "graph.mqa-graph.evals",
+    "engine.query.latency_us",
+    "engine.query.queue_wait_us",
+];
 
 /// What the gate measured, for the caller to print.
 pub struct TraceOutcome {
@@ -76,6 +115,8 @@ pub struct TraceOutcome {
     pub exposition_samples: usize,
     /// Histogram exemplars in the rendered text exposition.
     pub exposition_exemplars: usize,
+    /// The rendered status panel (milestone breakdown included).
+    pub status_panel: String,
 }
 
 /// Runs the traced scenario and writes the artifacts under `out_dir`.
@@ -96,11 +137,18 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<TraceOutcome, String> {
     // Tracing must come back off even when the scenario fails, so a gate
     // failure cannot leak trace minting into unrelated code.
     mqa_obs::trace::disable();
-    result?;
+    let mut status = result?;
 
     let traces = mqa_obs::trace::snapshot_traces();
     let snapshot = mqa_obs::global().snapshot();
     let exposition = mqa_obs::expo::render(&snapshot);
+    // Feed the per-milestone obs breakdown into the status panel, the
+    // paper's ② frontend surface.
+    status.detail(
+        Milestone::QueryExecution,
+        report::milestone_breakdown(&snapshot),
+    );
+    let status_panel = status.render();
 
     std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
     std::fs::write(out_dir.join("traces.jsonl"), mqa_obs::trace::to_jsonl())
@@ -112,10 +160,14 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<TraceOutcome, String> {
     .map_err(|e| format!("writing slow_queries.txt: {e}"))?;
     std::fs::write(out_dir.join("metrics.txt"), &exposition)
         .map_err(|e| format!("writing metrics.txt: {e}"))?;
+    crate::write_json(out_dir, "metrics.json", &snapshot)?;
+    let rendered = format!("{}\n{status_panel}", report::render(&snapshot));
+    std::fs::write(out_dir.join("report.txt"), rendered)
+        .map_err(|e| format!("writing report.txt: {e}"))?;
 
     let stats = verify(&traces, &snapshot, &exposition, seed)?;
 
-    let outcome = summarize(&traces, &stats);
+    let outcome = summarize(&traces, &stats, status_panel);
     let turns = traces.len();
     let cache_hit_rate = outcome.cache_hits as f64 / turns.max(1) as f64;
     let fields = [
@@ -134,7 +186,8 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<TraceOutcome, String> {
 /// Builds the system and runs the five turns: a four-round session (text,
 /// click-refine, reject-refine, history-carried follow-up), then a fresh
 /// session repeating the opening turn so the result cache serves it.
-fn scenario(seed: u64) -> Result<(), String> {
+/// Returns the system's status panel.
+fn scenario(seed: u64) -> Result<StatusMonitor, String> {
     let kb = DatasetSpec::weather()
         .objects(120)
         .concepts(6)
@@ -175,11 +228,15 @@ fn scenario(seed: u64) -> Result<(), String> {
             .ask(Turn::text(format!("show me {phrase}")))
             .map_err(|e| format!("repeat turn failed: {e}"))?;
     }
-    Ok(())
+    Ok(sys.status().clone())
 }
 
 /// Summarizes the retained traces and the parsed exposition.
-fn summarize(traces: &[QueryTrace], stats: &mqa_obs::expo::ExpoStats) -> TraceOutcome {
+fn summarize(
+    traces: &[QueryTrace],
+    stats: &mqa_obs::expo::ExpoStats,
+    status_panel: String,
+) -> TraceOutcome {
     let mut totals: Vec<u64> = traces.iter().map(|t| t.total_us).collect();
     totals.sort_unstable();
     // With no traces the index saturates to 0 and `get` reads nothing.
@@ -203,6 +260,7 @@ fn summarize(traces: &[QueryTrace], stats: &mqa_obs::expo::ExpoStats) -> TraceOu
         },
         exposition_samples: stats.samples,
         exposition_exemplars: stats.exemplars,
+        status_panel,
     }
 }
 
@@ -341,6 +399,12 @@ fn verify(
         problems.push("slowest-N set is not ordered slowest-first".to_string());
     }
 
+    // 7. Every instrumented pipeline layer recorded.
+    for name in REQUIRED_SPANS {
+        if snapshot.span(name).is_none() {
+            problems.push(format!("span `{name}` not recorded"));
+        }
+    }
     for name in REQUIRED_COUNTERS {
         match snapshot.counter(name) {
             Some(v) if v > 0 => {}
@@ -395,10 +459,13 @@ mod tests {
         assert_eq!(outcome.engine_served, TURNS - 1);
         assert_eq!(outcome.cache_hits, 1);
         assert!(outcome.exposition_exemplars >= 1);
+        assert!(outcome.status_panel.contains("Query Execution"));
         for file in [
             "traces.jsonl",
             "slow_queries.txt",
             "metrics.txt",
+            "metrics.json",
+            "report.txt",
             "BENCH_trace.json",
         ] {
             let body = std::fs::read_to_string(dir.join(file)).expect("artifact readable");
@@ -409,6 +476,18 @@ mod tests {
         let first: mqa_obs::QueryTrace =
             serde_json::from_str(jsonl.lines().next().expect("a line")).expect("trace parses");
         assert_eq!(first.outcome, "completed");
+        let report = std::fs::read_to_string(dir.join("report.txt")).expect("report");
+        assert!(report.contains("Milestones") && report.contains("core.turn"));
+        assert!(report.contains("Query Execution"), "status panel missing");
+        let snapshot: Snapshot =
+            serde_json::from_str(&std::fs::read_to_string(dir.join("metrics.json")).unwrap())
+                .expect("metrics.json is a snapshot");
+        for name in REQUIRED_SPANS {
+            assert!(
+                snapshot.span(name).is_some(),
+                "metrics.json lacks span {name}"
+            );
+        }
         let reading = |metric| crate::bench_reading(&dir, "trace", metric);
         assert_eq!(reading("p99_total_us"), outcome.p99_total_us as f64);
         assert_eq!(reading("queue_wait_share"), outcome.queue_wait_share);

@@ -11,6 +11,7 @@
 use mqa_xtask::alloc::{self, AllocKind};
 use mqa_xtask::baseline::Baseline;
 use mqa_xtask::callgraph::discharge_mask;
+use mqa_xtask::lint::Finding;
 use mqa_xtask::workspace::{self, SourceFile, Workspace};
 
 fn repo_root() -> std::path::PathBuf {
@@ -72,56 +73,69 @@ fn workspace_cone_is_clean_under_baseline() {
     assert!(outcome.stats.entry_fns > 0, "no entry points recognized");
 }
 
-/// Injecting `Vec::new()` into a searcher on the serving path must
-/// produce a new reachable-alloc finding (the gate goes red).
-#[test]
-fn reintroduced_reachable_vec_new_flips_the_gate_red() {
+/// The findings in `rel` that replacing `marker` with `seeded` adds to
+/// the cone.
+fn seeded_findings(rel: &str, marker: &str, seeded: &str) -> Vec<Finding> {
     let mut files = workspace_sources();
-
     let before = alloc::analyze(&Workspace::from_sources(&files));
-
-    // Mutate MustFramework::search_scratch — every QueryEngine::submit
-    // traversal passes through it.
     let target = files
         .iter_mut()
-        .find(|(rel, _)| rel == "crates/retrieval/src/must.rs")
-        .expect("must.rs present");
-    let marker = "assert!(k > 0, \"k must be >= 1\");";
+        .find(|(r, _)| r == rel)
+        .expect("target file present");
     assert!(target.1.contains(marker), "mutation anchor moved");
-    target.1 = target.1.replace(
-        marker,
-        "assert!(k > 0, \"k must be >= 1\");\n        let _mutant: Vec<u32> = Vec::new();",
-    );
-
+    target.1 = target.1.replacen(marker, seeded, 1);
     let after = alloc::analyze(&Workspace::from_sources(&files));
-    let new_ctors: Vec<_> = after
+    after
         .findings
-        .iter()
-        .filter(|f| {
-            f.file == "crates/retrieval/src/must.rs"
-                && f.excerpt.contains("[alloc-ctor in ")
-                && !before
-                    .findings
-                    .iter()
-                    .any(|b| b.file == f.file && b.excerpt == f.excerpt)
-        })
-        .collect();
-    assert_eq!(
-        new_ctors.len(),
-        1,
-        "reachable Vec::new not caught: {:?}",
-        after
-            .findings
-            .iter()
-            .filter(|f| f.file.ends_with("must.rs"))
-            .collect::<Vec<_>>()
+        .into_iter()
+        .filter(|f| f.file == rel && !before.findings.iter().any(|b| b.excerpt == f.excerpt))
+        .collect()
+}
+
+/// Injecting `Vec::new()` into a function on the serving path must
+/// produce a new reachable-alloc finding (the gate goes red). Every
+/// `QueryEngine::submit` traversal passes through
+/// `MustFramework::search_scratch`.
+#[test]
+fn reintroduced_reachable_vec_new_flips_the_gate_red() {
+    let marker = "assert!(k > 0, \"k must be >= 1\");";
+    let found = seeded_findings(
+        "crates/retrieval/src/must.rs",
+        marker,
+        &format!("{marker}\n        let _: Vec<u32> = Vec::new();"),
+    );
+    assert_eq!(found.len(), 1, "reachable Vec::new not caught: {found:?}");
+    assert!(
+        found[0].excerpt.contains("[alloc-ctor in "),
+        "{}",
+        found[0].excerpt
     );
     assert!(
-        new_ctors[0]
-            .excerpt
-            .contains("MustFramework::search_scratch"),
+        found[0].excerpt.contains("MustFramework::search_scratch"),
         "finding not attributed to the mutated fn: {}",
-        new_ctors[0].excerpt
+        found[0].excerpt
+    );
+}
+
+/// The one search of a built index is an entry point by name: a
+/// `Vec::new()` seeded in `BuiltGraph::search` is a finding of its own.
+#[test]
+fn seeded_vec_new_in_the_built_graph_search_is_a_finding() {
+    let found = seeded_findings(
+        "crates/graph/src/pipeline.rs",
+        ") -> SearchOutput {\n        match self {",
+        ") -> SearchOutput {\n        let _: Vec<u32> = Vec::new();\n        match self {",
+    );
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(
+        found[0].excerpt.contains("[alloc-ctor in "),
+        "{}",
+        found[0].excerpt
+    );
+    assert!(
+        found[0].excerpt.contains("BuiltGraph::search"),
+        "{}",
+        found[0].excerpt
     );
 }
 

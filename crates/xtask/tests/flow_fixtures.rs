@@ -9,6 +9,7 @@
 
 use mqa_xtask::baseline::Baseline;
 use mqa_xtask::flow;
+use mqa_xtask::lint::Finding;
 use mqa_xtask::workspace::{self, Workspace};
 
 fn repo_root() -> std::path::PathBuf {
@@ -44,56 +45,69 @@ fn workspace_cone_is_clean_under_baseline() {
     assert!(outcome.stats.entry_fns > 0, "no entry points recognized");
 }
 
-/// Injecting `.unwrap()` into a function on the serving path must
-/// produce a new reachable-panic finding (the gate goes red).
-#[test]
-fn reintroduced_reachable_unwrap_flips_the_gate_red() {
+/// The findings in `rel` that replacing `marker` with `seeded` adds to
+/// the cone.
+fn seeded_findings(rel: &str, marker: &str, seeded: &str) -> Vec<Finding> {
     let mut files = workspace_sources();
-
     let before = flow::analyze(&Workspace::from_sources(&files));
-
-    // Mutate MustFramework::search_scratch — every QueryEngine::submit
-    // traversal passes through it.
     let target = files
         .iter_mut()
-        .find(|(rel, _)| rel == "crates/retrieval/src/must.rs")
-        .expect("must.rs present");
-    let marker = "assert!(k > 0, \"k must be >= 1\");";
+        .find(|(r, _)| r == rel)
+        .expect("target file present");
     assert!(target.1.contains(marker), "mutation anchor moved");
-    target.1 = target.1.replace(
-        marker,
-        "assert!(k > 0, \"k must be >= 1\");\n        let _mutant: Option<u32> = None; let _ = _mutant.unwrap();",
-    );
-
+    target.1 = target.1.replacen(marker, seeded, 1);
     let after = flow::analyze(&Workspace::from_sources(&files));
-    let new_unwraps: Vec<_> = after
+    after
         .findings
-        .iter()
-        .filter(|f| {
-            f.file == "crates/retrieval/src/must.rs"
-                && f.excerpt.contains("[unwrap in ")
-                && !before
-                    .findings
-                    .iter()
-                    .any(|b| b.file == f.file && b.excerpt == f.excerpt)
-        })
-        .collect();
-    assert_eq!(
-        new_unwraps.len(),
-        1,
-        "reachable unwrap not caught: {:?}",
-        after
-            .findings
-            .iter()
-            .filter(|f| f.file.ends_with("must.rs"))
-            .collect::<Vec<_>>()
+        .into_iter()
+        .filter(|f| f.file == rel && !before.findings.iter().any(|b| b.excerpt == f.excerpt))
+        .collect()
+}
+
+/// Injecting `.unwrap()` into a function on the serving path must
+/// produce a new reachable-panic finding (the gate goes red). Every
+/// `QueryEngine::submit` traversal passes through
+/// `MustFramework::search_scratch`.
+#[test]
+fn reintroduced_reachable_unwrap_flips_the_gate_red() {
+    let marker = "assert!(k > 0, \"k must be >= 1\");";
+    let found = seeded_findings(
+        "crates/retrieval/src/must.rs",
+        marker,
+        &format!("{marker}\n        let _: u32 = None.unwrap();"),
+    );
+    assert_eq!(found.len(), 1, "reachable unwrap not caught: {found:?}");
+    assert!(
+        found[0].excerpt.contains("[unwrap in "),
+        "{}",
+        found[0].excerpt
     );
     assert!(
-        new_unwraps[0]
-            .excerpt
-            .contains("MustFramework::search_scratch"),
+        found[0].excerpt.contains("MustFramework::search_scratch"),
         "finding not attributed to the mutated fn: {}",
-        new_unwraps[0].excerpt
+        found[0].excerpt
+    );
+}
+
+/// The paged search is an entry point by name: an `.unwrap()` seeded in
+/// `PagedIndex::search_paged_into` is a finding of its own.
+#[test]
+fn seeded_unwrap_in_the_paged_search_is_a_finding() {
+    let found = seeded_findings(
+        "crates/graph/src/starling.rs",
+        "scratch.begin_pages(self.layout.pages());",
+        "scratch.begin_pages(self.layout.pages());\n        let _: u32 = None.unwrap();",
+    );
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(
+        found[0].excerpt.contains("[unwrap in "),
+        "{}",
+        found[0].excerpt
+    );
+    assert!(
+        found[0].excerpt.contains("PagedIndex::search_paged_into"),
+        "{}",
+        found[0].excerpt
     );
 }
 

@@ -15,7 +15,7 @@
 use mqa::graph::pipeline::{
     EntryStage, GraphPipeline, InitStage, RefineStage, RepairStage, SelectStage,
 };
-use mqa::graph::{FlatDistance, GraphSearcher, IndexAlgorithm, UnifiedIndex};
+use mqa::graph::{BuiltGraph, FlatDistance, IndexAlgorithm, SearchScratch, UnifiedIndex};
 use mqa::kb::DatasetSpec;
 use mqa::retrieval::{EncodedCorpus, EncoderSet, MultiModalQuery};
 use mqa::vector::{Metric, Weights};
@@ -46,13 +46,14 @@ fn main() {
     };
     let t0 = std::time::Instant::now();
     let nav = custom.run(&store, Metric::L2, "custom-cheap");
+    let (report, nav) = (nav.report().clone(), BuiltGraph::Nav(nav));
     println!(
         "custom graph: built in {:.2}s, {}, connectivity {:.3}",
         t0.elapsed().as_secs_f64(),
         nav.describe(),
-        nav.report().connectivity
+        report.connectivity
     );
-    for (stage, d) in &nav.report().stage_timings {
+    for (stage, d) in &report.stage_timings {
         println!("  stage {:<20} {:.1} ms", stage, d.as_secs_f64() * 1e3);
     }
 
@@ -61,11 +62,13 @@ fn main() {
         .map(|i| store.get((i * 37) % store.len() as u32).to_vec())
         .collect();
     println!("\nself-search recall (query = stored vector, k=1, ef=32):");
-    let hit_rate = |s: &dyn GraphSearcher| {
+    let mut scratch = SearchScratch::new();
+    let mut hit_rate = |g: &BuiltGraph| {
         let mut hits = 0;
         for (i, q) in queries.iter().enumerate() {
             let mut d = FlatDistance::new(&store, q, Metric::L2).expect("query dim matches store");
-            if s.search(&mut d, 1, 32).results[0].id == ((i as u32 * 37) % store.len() as u32) {
+            let top = g.search(&mut d, 1, 32, &mut scratch).results[0].id;
+            if top == ((i as u32 * 37) % store.len() as u32) {
                 hits += 1;
             }
         }
@@ -77,8 +80,8 @@ fn main() {
         IndexAlgorithm::vamana(),
         IndexAlgorithm::hnsw(),
     ] {
-        let built = algo.build(&store, Metric::L2);
-        println!("  {:<13}: {:.2}", algo.name(), hit_rate(built.as_ref()));
+        let built = algo.build_graph(&store, Metric::L2);
+        println!("  {:<13}: {:.2}", algo.name(), hit_rate(&built));
     }
 
     // Persist and restore a full unified index (deployment workflow).
