@@ -8,12 +8,15 @@
 //! effectively pin themselves.
 //!
 //! That pinning needs a key to come back before the hand does. A
-//! presence probe ([`ClockCore::touch`]) whose keys recur less often than
+//! presence probe ([`ProbeCore::touch`]) whose keys recur less often than
 //! the cache turns over — a scan wider than the capacity, repeated —
 //! would evict every entry just before its next use, so the probe also
 //! keeps a frequency sketch ([`Frequency`]) and a newcomer takes the
 //! swept victim's slot only when it has been asked for more often
-//! (TinyLFU's admission rule in front of Clock's replacement).
+//! (TinyLFU's admission rule in front of Clock's replacement). Only the
+//! probe side ([`ProbeCore`]) carries the sketch: a value cache's caller
+//! has already paid for what it inserts, so [`ClockCore::insert`] always
+//! keeps it.
 
 use crate::lock_ignore_poison;
 use std::collections::HashMap;
@@ -26,7 +29,7 @@ struct Slot<V> {
     referenced: bool,
 }
 
-/// Outcome of a presence probe ([`CacheShard::touch`]).
+/// Outcome of a presence probe ([`ProbeCore::touch`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Touch {
     /// The key was already resident.
@@ -131,13 +134,10 @@ pub struct ClockCore<V> {
     slots: Vec<Slot<V>>,
     map: HashMap<u64, usize>,
     hand: usize,
-    frequency: Frequency,
 }
 
 impl<V> ClockCore<V> {
-    /// An empty core holding at most `capacity` entries. The probe's
-    /// frequency sketch (64 bytes a slot, rounded up to a power of two) is
-    /// allocated here, so no probe ever allocates for it.
+    /// An empty core holding at most `capacity` entries.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
@@ -148,7 +148,6 @@ impl<V> ClockCore<V> {
             slots: Vec::with_capacity(capacity.min(1024)),
             map: HashMap::new(),
             hand: 0,
-            frequency: Frequency::new(capacity),
         }
     }
 
@@ -160,11 +159,6 @@ impl<V> ClockCore<V> {
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// Maximum resident entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Whether `key` is resident (does not arm the reference bit).
@@ -247,16 +241,42 @@ impl<V> ClockCore<V> {
         old
     }
 
-    /// Drops every resident entry and every recorded frequency, returning
-    /// how many entries were dropped. Only the capacity survives, so
-    /// refill behaviour matches a fresh core.
+    /// Drops every resident entry, returning how many were dropped. Only
+    /// the capacity survives, so refill behaviour matches a fresh core.
     pub fn clear(&mut self) -> usize {
         let dropped = self.slots.len();
         self.slots.clear();
         self.map.clear();
         self.hand = 0;
-        self.frequency.clear();
         dropped
+    }
+}
+
+/// A key-only [`ClockCore`] and the frequency sketch its admission rule
+/// reads: the page cache's core. The sketch (64 bytes a slot, rounded up
+/// to a power of two) is allocated here, so no probe ever allocates for it.
+pub struct ProbeCore {
+    clock: ClockCore<()>,
+    frequency: Frequency,
+}
+
+impl ProbeCore {
+    /// An empty core holding at most `capacity` keys.
+    ///
+    /// # Panics
+    /// Panics if `capacity == 0`.
+    pub fn new(capacity: usize) -> Self {
+        Self {
+            clock: ClockCore::new(capacity),
+            frequency: Frequency::new(capacity),
+        }
+    }
+
+    /// Drops every resident key and every recorded frequency, returning
+    /// how many keys were dropped.
+    pub fn clear(&mut self) -> usize {
+        self.frequency.clear();
+        self.clock.clear()
     }
 
     /// Presence probe: arms the bit on a hit; on a miss the key is kept
@@ -264,12 +284,9 @@ impl<V> ClockCore<V> {
     /// more often than the victim the sweep offers. A key that loses
     /// leaves the victim in place (unarmed, the hand past it), so the
     /// next miss is weighed against the next entry round the clock.
-    pub fn touch(&mut self, key: u64) -> Touch
-    where
-        V: Default,
-    {
+    pub fn touch(&mut self, key: u64) -> Touch {
         self.frequency.record(key);
-        let hit = self.get(key).is_some();
+        let hit = self.clock.get(key).is_some();
         let mut touch = Touch {
             hit,
             admitted: false,
@@ -278,16 +295,16 @@ impl<V> ClockCore<V> {
         if hit {
             return touch;
         }
-        if self.slots.len() < self.capacity {
-            self.push(key, V::default());
+        if self.clock.slots.len() < self.clock.capacity {
+            self.clock.push(key, ());
             touch.admitted = true;
             return touch;
         }
-        let victim = self.sweep();
+        let victim = self.clock.sweep();
         // INVARIANT: `victim` comes from `sweep`, which wraps it mod len.
-        let resident = self.slots[victim].key;
+        let resident = self.clock.slots[victim].key;
         if self.frequency.estimate(key) > self.frequency.estimate(resident) {
-            self.replace(victim, key, V::default());
+            self.clock.replace(victim, key, ());
             touch.admitted = true;
             touch.evicted = true;
         }
@@ -295,25 +312,25 @@ impl<V> ClockCore<V> {
     }
 }
 
-/// A [`ClockCore`] behind one mutex — the unit of sharding. All lock
+/// A cache core behind one mutex — the unit of sharding: a [`ClockCore`]
+/// for the result cache, a [`ProbeCore`] for the page cache. All lock
 /// acquisitions go through `lock_ignore_poison` and every method drops
 /// the guard before returning, so a shard can never participate in a
 /// lock-order cycle.
-pub struct CacheShard<V> {
-    slots: Mutex<ClockCore<V>>,
+pub struct CacheShard<C> {
+    slots: Mutex<C>,
 }
 
-impl<V> CacheShard<V> {
-    /// An empty shard holding at most `capacity` entries.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
+impl<C> CacheShard<C> {
+    /// A shard guarding `core`.
+    pub fn new(core: C) -> Self {
         Self {
-            slots: Mutex::new(ClockCore::new(capacity)),
+            slots: Mutex::new(core),
         }
     }
+}
 
+impl<V> CacheShard<ClockCore<V>> {
     /// Resident entries.
     pub fn len(&self) -> usize {
         let core = lock_ignore_poison(&self.slots);
@@ -324,23 +341,6 @@ impl<V> CacheShard<V> {
     pub fn is_empty(&self) -> bool {
         let core = lock_ignore_poison(&self.slots);
         core.is_empty()
-    }
-
-    /// Maximum resident entries.
-    pub fn capacity(&self) -> usize {
-        let core = lock_ignore_poison(&self.slots);
-        core.capacity()
-    }
-
-    /// Presence probe: hit arms the second-chance bit, miss admits the
-    /// key if there is room or it is asked for more often than the
-    /// victim it would evict (see [`ClockCore::touch`]).
-    pub fn touch(&self, key: u64) -> Touch
-    where
-        V: Default,
-    {
-        let mut core = lock_ignore_poison(&self.slots);
-        core.touch(key)
     }
 
     /// Clones the value under `key`, arming its bit on a hit.
@@ -358,8 +358,31 @@ impl<V> CacheShard<V> {
         let mut core = lock_ignore_poison(&self.slots);
         core.insert(key, value).is_some()
     }
+}
 
-    /// Drops every resident entry; returns how many were dropped.
+impl CacheShard<ProbeCore> {
+    /// Resident keys.
+    pub fn len(&self) -> usize {
+        let core = lock_ignore_poison(&self.slots);
+        core.clock.len()
+    }
+
+    /// Whether the shard holds nothing.
+    pub fn is_empty(&self) -> bool {
+        let core = lock_ignore_poison(&self.slots);
+        core.clock.is_empty()
+    }
+
+    /// Presence probe: hit arms the second-chance bit, miss admits the
+    /// key if there is room or it is asked for more often than the
+    /// victim it would evict (see [`ProbeCore::touch`]).
+    pub fn touch(&self, key: u64) -> Touch {
+        let mut core = lock_ignore_poison(&self.slots);
+        core.touch(key)
+    }
+
+    /// Drops every resident key and every recorded frequency; returns how
+    /// many keys were dropped.
     pub fn clear(&self) -> usize {
         let mut core = lock_ignore_poison(&self.slots);
         core.clear()
@@ -424,7 +447,7 @@ mod tests {
             admitted,
             evicted,
         };
-        let mut c: ClockCore<()> = ClockCore::new(2);
+        let mut c = ProbeCore::new(2);
         assert_eq!(c.touch(7), miss(true, false));
         assert_eq!(
             c.touch(7),
@@ -438,19 +461,19 @@ mod tests {
         // The sweep clears 7's bit and offers 8; 9 has been probed once,
         // like 8, and a tie keeps the resident.
         assert_eq!(c.touch(9), miss(false, false));
-        assert!(c.contains(7) && c.contains(8));
+        assert!(c.clock.contains(7) && c.clock.contains(8));
         // Probed a second time, 9 outweighs whichever resident the sweep
         // offers next only if that one was probed once: 7 (twice) stays.
         assert_eq!(c.touch(9), miss(false, false));
         assert_eq!(c.touch(9), miss(true, true));
-        assert_eq!(c.len(), 2);
-        assert!(c.contains(9));
+        assert_eq!(c.clock.len(), 2);
+        assert!(c.clock.contains(9));
     }
 
     /// One pass of the stream the page cache sees from queries: the
     /// `shared` keys every pass touches, then thirty keys never asked for
     /// again. Returns how many of the shared probes hit.
-    fn pass(c: &mut ClockCore<()>, shared: std::ops::Range<u64>, fresh: &mut u64) -> usize {
+    fn pass(c: &mut ProbeCore, shared: std::ops::Range<u64>, fresh: &mut u64) -> usize {
         let hits = shared.filter(|&key| c.touch(key).hit).count();
         for _ in 0..30 {
             *fresh += 1;
@@ -461,7 +484,7 @@ mod tests {
 
     #[test]
     fn shared_keys_stay_resident_through_scans_wider_than_the_cache() {
-        let mut c: ClockCore<()> = ClockCore::new(8);
+        let mut c = ProbeCore::new(8);
         let mut fresh = 1_000_000u64;
         for _ in 0..2 {
             pass(&mut c, 0..6, &mut fresh);
@@ -477,7 +500,7 @@ mod tests {
 
     #[test]
     fn a_hot_set_that_moves_is_followed() {
-        let mut c: ClockCore<()> = ClockCore::new(8);
+        let mut c = ProbeCore::new(8);
         let mut fresh = 1_000_000u64;
         for _ in 0..50 {
             pass(&mut c, 0..6, &mut fresh);
@@ -522,7 +545,7 @@ mod tests {
     #[test]
     fn shard_len_never_exceeds_capacity_under_threads() {
         use std::sync::Arc;
-        let shard: Arc<CacheShard<()>> = Arc::new(CacheShard::new(8));
+        let shard = Arc::new(CacheShard::new(ProbeCore::new(8)));
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let shard = Arc::clone(&shard);

@@ -30,7 +30,7 @@ pub mod fingerprint;
 pub mod page;
 pub mod result;
 
-pub use clock::{CacheShard, ClockCore, Touch};
+pub use clock::{CacheShard, ClockCore, ProbeCore, Touch};
 pub use fingerprint::Fingerprint;
 pub use page::PageCache;
 pub use result::ResultCache;

@@ -5,7 +5,7 @@
 //! a page read. Hits are free (the page is "resident in the block
 //! cache"), misses pay the device, and a missed page is kept while its
 //! shard has room or when it is asked for more often than the page it
-//! would evict (see [`crate::ClockCore::touch`]). Sharded so the
+//! would evict (see [`crate::ProbeCore::touch`]). Sharded so the
 //! `QueryEngine` workers contend on different mutexes — consecutive page
 //! ids land on different shards.
 //!
@@ -14,7 +14,7 @@
 //! registry mutex, and they are recorded only after the shard guard has
 //! been dropped.
 
-use crate::clock::CacheShard;
+use crate::clock::{CacheShard, ProbeCore};
 use mqa_obs::{Counter, Gauge};
 
 /// Shard count (power of two; page id low bits select the shard).
@@ -22,7 +22,7 @@ const SHARDS: usize = 8;
 
 /// A sharded presence cache over page ids, shared across search threads.
 pub struct PageCache {
-    shards: Vec<CacheShard<()>>,
+    shards: Vec<CacheShard<ProbeCore>>,
     capacity: usize,
     hits: Counter,
     misses: Counter,
@@ -44,7 +44,9 @@ impl PageCache {
         let capacity = capacity.max(1);
         let per_shard = capacity.div_ceil(SHARDS).max(1);
         Self {
-            shards: (0..SHARDS).map(|_| CacheShard::new(per_shard)).collect(),
+            shards: (0..SHARDS)
+                .map(|_| CacheShard::new(ProbeCore::new(per_shard)))
+                .collect(),
             capacity: per_shard * SHARDS,
             hits: mqa_obs::counter("cache.page.hits"),
             misses: mqa_obs::counter("cache.page.misses"),
@@ -67,12 +69,12 @@ impl PageCache {
 
     /// Pages currently resident.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(CacheShard::len).sum()
+        self.shards.iter().map(CacheShard::<ProbeCore>::len).sum()
     }
 
     /// Whether no page is resident.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(CacheShard::is_empty)
+        self.shards.iter().all(CacheShard::<ProbeCore>::is_empty)
     }
 
     /// Probes the cache for `page`. Returns `true` on a hit (the page is
@@ -112,7 +114,7 @@ impl PageCache {
     /// compaction re-lays vertices onto pages), at which point resident
     /// page ids no longer name the same contents.
     pub fn invalidate_all(&self) -> usize {
-        let dropped: usize = self.shards.iter().map(CacheShard::clear).sum();
+        let dropped: usize = self.shards.iter().map(CacheShard::<ProbeCore>::clear).sum();
         self.invalidations.add(dropped as u64);
         dropped
     }

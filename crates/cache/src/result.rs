@@ -10,7 +10,7 @@
 //! Instrumented under `cache.result.*` with handles resolved at
 //! construction; metrics are recorded after shard guards drop.
 
-use crate::clock::CacheShard;
+use crate::clock::{CacheShard, ClockCore};
 use crate::fingerprint::Fingerprint;
 use mqa_obs::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +21,7 @@ const SHARDS: usize = 4;
 /// A sharded, generation-versioned value cache keyed by `u64`
 /// fingerprints.
 pub struct ResultCache<V> {
-    shards: Vec<CacheShard<V>>,
+    shards: Vec<CacheShard<ClockCore<V>>>,
     generation: AtomicU64,
     capacity: usize,
     hits: Counter,
@@ -37,7 +37,9 @@ impl<V: Clone> ResultCache<V> {
         let capacity = capacity.max(1);
         let per_shard = capacity.div_ceil(SHARDS).max(1);
         Self {
-            shards: (0..SHARDS).map(|_| CacheShard::new(per_shard)).collect(),
+            shards: (0..SHARDS)
+                .map(|_| CacheShard::new(ClockCore::new(per_shard)))
+                .collect(),
             generation: AtomicU64::new(0),
             capacity: per_shard * SHARDS,
             hits: mqa_obs::counter("cache.result.hits"),
@@ -55,12 +57,15 @@ impl<V: Clone> ResultCache<V> {
     /// Entries currently resident (stale generations included until they
     /// age out).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(CacheShard::len).sum()
+        self.shards
+            .iter()
+            .map(CacheShard::<ClockCore<V>>::len)
+            .sum()
     }
 
     /// Whether no entry is resident.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(CacheShard::is_empty)
+        self.shards.iter().all(CacheShard::<ClockCore<V>>::is_empty)
     }
 
     /// The current generation (bumped by [`ResultCache::invalidate_all`]).
@@ -81,7 +86,7 @@ impl<V: Clone> ResultCache<V> {
         Fingerprint::new().u64(key).u64(self.generation()).finish()
     }
 
-    fn shard(&self, slot_key: u64) -> &CacheShard<V> {
+    fn shard(&self, slot_key: u64) -> &CacheShard<ClockCore<V>> {
         // INVARIANT: `% SHARDS` keeps the index in 0..SHARDS and the const
         // divisor is non-zero, so shard selection cannot panic.
         &self.shards[(slot_key as usize) % SHARDS]

@@ -5,7 +5,7 @@
 //! would need millions of runs to produce are explored directly — and
 //! any failure replays from its seed.
 
-use mqa_cache::{CacheShard, Touch};
+use mqa_cache::{CacheShard, ProbeCore, Touch};
 use mqa_check::{run_schedule, CheckOptions, ThreadBody};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,7 +37,7 @@ struct Tally {
 fn insert_evict_races_keep_accounting_balanced() {
     let mut traces = std::collections::HashSet::new();
     for seed in 0xCAC4E_001u64..0xCAC4E_001 + 150 {
-        let shard: Arc<CacheShard<()>> = Arc::new(CacheShard::new(2));
+        let shard = Arc::new(CacheShard::new(ProbeCore::new(2)));
         let tally = Arc::new(Tally::default());
         let mut bodies: Vec<ThreadBody> = Vec::new();
         for t in 0..3u64 {
@@ -100,7 +100,7 @@ fn insert_evict_races_keep_accounting_balanced() {
 #[test]
 fn same_seed_replays_to_identical_counts() {
     let run = |seed: u64| {
-        let shard: Arc<CacheShard<()>> = Arc::new(CacheShard::new(2));
+        let shard = Arc::new(CacheShard::new(ProbeCore::new(2)));
         let hits = Arc::new(AtomicU64::new(0));
         let mut bodies: Vec<ThreadBody> = Vec::new();
         for t in 0..3u64 {
@@ -135,7 +135,7 @@ fn same_seed_replays_to_identical_counts() {
 fn single_key_admitted_exactly_once_across_schedules() {
     let mut traces = std::collections::HashSet::new();
     for seed in 0xCAC4E_777u64..0xCAC4E_777 + 120 {
-        let shard: Arc<CacheShard<()>> = Arc::new(CacheShard::new(2));
+        let shard = Arc::new(CacheShard::new(ProbeCore::new(2)));
         let misses = Arc::new(AtomicU64::new(0));
         let mut bodies: Vec<ThreadBody> = Vec::new();
         for _ in 0..3 {

@@ -40,7 +40,6 @@
 //! per-worker `engine.worker.<i>.jobs` counters, and the shed counters
 //! `engine.sched.{shed_rejected,shed_expired}`.
 
-pub mod allocwitness;
 pub mod pool;
 pub mod queue;
 pub mod sched;
@@ -54,46 +53,7 @@ pub use sync::{lock_ignore_poison, wait_ignore_poison, TracedGuard, TracedMutex}
 pub use ticket::{oneshot, Ticket, TicketAborter, TicketError, TicketSender};
 
 use mqa_retrieval::{MultiModalQuery, RetrievalFramework, RetrievalOutput};
-use std::fmt;
 use std::sync::Arc;
-
-/// Typed errors of the submission path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineError {
-    /// The engine is shutting down and refuses new work.
-    ShuttingDown,
-    /// The job was abandoned before producing a result (worker panic or
-    /// shutdown with the job still queued).
-    Canceled,
-    /// Admission control shed the query: the queue was at the configured
-    /// watermark.
-    Rejected,
-    /// The query's deadline passed before a worker picked it up.
-    Expired,
-}
-
-impl fmt::Display for EngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineError::ShuttingDown => write!(f, "engine is shutting down"),
-            EngineError::Canceled => write!(f, "query was canceled before completion"),
-            EngineError::Rejected => write!(f, "query rejected by admission control"),
-            EngineError::Expired => write!(f, "query deadline expired before a worker took it"),
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
-
-impl From<TicketError> for EngineError {
-    fn from(err: TicketError) -> Self {
-        match err {
-            TicketError::Rejected => EngineError::Rejected,
-            TicketError::Expired => EngineError::Expired,
-            TicketError::Canceled => EngineError::Canceled,
-        }
-    }
-}
 
 /// Engine sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,7 +143,7 @@ impl QueryEngine {
                 (handle.as_ref().map(mqa_obs::TraceHandle::context), handle)
             }
         };
-        // ALLOC: per-query control-plane rendezvous (the boxed job); the worker-side search it carries is allocation-free (alloc-witness gate).
+        // ALLOC: per-query control-plane rendezvous (the boxed job); the worker-side search it carries is allocation-free (graph tests/alloc_free.rs).
         let queue_sw = mqa_obs::Stopwatch::start();
         let job: pool::Job = Box::new(move |scratch| {
             let adopted = ctx.as_ref().map(mqa_obs::TraceContext::adopt);
@@ -237,24 +197,18 @@ impl QueryEngine {
 
     /// Submits a query; blocks while the queue is full (backpressure).
     /// With admission control configured the submission never blocks —
-    /// overload resolves to [`EngineError::Rejected`] instead.
+    /// overload resolves to [`TicketError::Rejected`] instead.
     ///
     /// # Errors
-    /// Returns [`EngineError::ShuttingDown`] if the engine closed, or
-    /// [`EngineError::Rejected`] when admission control sheds the query.
+    /// Returns [`TicketError::Canceled`] if the engine closed, or
+    /// [`TicketError::Rejected`] when admission control sheds the query.
     pub fn submit(
         &self,
         query: MultiModalQuery,
         k: usize,
         ef: usize,
-    ) -> Result<Ticket<RetrievalOutput>, EngineError> {
+    ) -> Result<Ticket<RetrievalOutput>, TicketError> {
         self.submit_with_deadline(query, k, ef, None)
-            .map_err(|shed| match shed {
-                // Without a deadline nothing expires: a submission that
-                // was not shed at the watermark met a closed engine.
-                TicketError::Canceled => EngineError::ShuttingDown,
-                shed => EngineError::from(shed),
-            })
     }
 
     /// Submits a query carrying an optional deadline, checked here and
@@ -284,13 +238,10 @@ impl QueryEngine {
         } else {
             self.pool.submit(job)
         };
-        pushed.map_err(|refused| match refused {
-            EngineError::Rejected => {
-                mqa_obs::counter("engine.sched.shed_rejected").inc();
-                TicketError::Rejected
-            }
-            _ => TicketError::Canceled,
-        })?;
+        if pushed == Err(TicketError::Rejected) {
+            mqa_obs::counter("engine.sched.shed_rejected").inc();
+        }
+        pushed?;
         mqa_obs::counter("engine.query.submitted").inc();
         Ok(ticket)
     }
@@ -298,15 +249,15 @@ impl QueryEngine {
     /// Submit-and-wait convenience: one query, answered on a worker.
     ///
     /// # Errors
-    /// Returns [`EngineError::ShuttingDown`] if the engine closed, or
-    /// [`EngineError::Canceled`] if the job was abandoned.
+    /// Returns what [`QueryEngine::submit`] refused with, or
+    /// [`TicketError::Canceled`] if the job was abandoned.
     pub fn retrieve(
         &self,
         query: MultiModalQuery,
         k: usize,
         ef: usize,
-    ) -> Result<RetrievalOutput, EngineError> {
-        self.submit(query, k, ef)?.wait().map_err(EngineError::from)
+    ) -> Result<RetrievalOutput, TicketError> {
+        self.submit(query, k, ef)?.wait()
     }
 
     /// Answers a whole batch concurrently, preserving input order.
@@ -318,7 +269,7 @@ impl QueryEngine {
         queries: Vec<MultiModalQuery>,
         k: usize,
         ef: usize,
-    ) -> Result<Vec<RetrievalOutput>, EngineError> {
+    ) -> Result<Vec<RetrievalOutput>, TicketError> {
         let tickets: Vec<Ticket<RetrievalOutput>> = queries
             .into_iter()
             // ALLOC: the batch API materializes one ticket/result list per call.
@@ -326,7 +277,7 @@ impl QueryEngine {
             .collect::<Result<_, _>>()?;
         tickets
             .into_iter()
-            .map(|t| t.wait().map_err(EngineError::from))
+            .map(Ticket::wait)
             // ALLOC: the batch API materializes one ticket/result list per call.
             .collect()
     }
@@ -444,11 +395,8 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        assert!(EngineError::ShuttingDown
-            .to_string()
-            .contains("shutting down"));
-        assert!(EngineError::Canceled.to_string().contains("canceled"));
-        assert!(EngineError::Rejected.to_string().contains("admission"));
-        assert!(EngineError::Expired.to_string().contains("deadline"));
+        assert!(TicketError::Canceled.to_string().contains("abandoned"));
+        assert!(TicketError::Rejected.to_string().contains("admission"));
+        assert!(TicketError::Expired.to_string().contains("deadline"));
     }
 }

@@ -7,7 +7,7 @@
 //! drains the backlog, and joins every thread.
 
 use crate::queue::{BoundedQueue, PushError};
-use crate::EngineError;
+use crate::TicketError;
 use mqa_graph::SearchScratch;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -47,15 +47,9 @@ impl WorkerPool {
                         // and so is the span stack: guards leaked by the
                         // unwind would otherwise pin a stale parent onto
                         // the next job's spans.
-                        let alloc_before = crate::allocwitness::checkpoint();
                         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             job(&mut scratch)
                         }));
-                        // Job-side allocation accounting (feature
-                        // `alloc-witness`): the delta is read before any
-                        // recording so the histograms never measure
-                        // their own bookkeeping.
-                        crate::allocwitness::record_job(&alloc_before);
                         if caught.is_err() {
                             mqa_obs::counter("engine.worker.job_panics").inc();
                             scratch = SearchScratch::new();
@@ -72,8 +66,8 @@ impl WorkerPool {
     /// Blocking submit: applies backpressure while the queue is full.
     ///
     /// # Errors
-    /// Returns [`EngineError::ShuttingDown`] if the pool closed.
-    pub fn submit(&self, job: Job) -> Result<(), EngineError> {
+    /// Returns [`TicketError::Canceled`] if the pool closed.
+    pub fn submit(&self, job: Job) -> Result<(), TicketError> {
         self.admitted(self.queue.push(job))
     }
 
@@ -81,22 +75,22 @@ impl WorkerPool {
     /// waiting for a slot.
     ///
     /// # Errors
-    /// Returns [`EngineError::Rejected`] if the queue is at capacity, or
-    /// [`EngineError::ShuttingDown`] if the pool closed.
-    pub fn try_submit(&self, job: Job) -> Result<(), EngineError> {
+    /// Returns [`TicketError::Rejected`] if the queue is at capacity, or
+    /// [`TicketError::Canceled`] if the pool closed.
+    pub fn try_submit(&self, job: Job) -> Result<(), TicketError> {
         self.admitted(self.queue.try_push(job))
     }
 
     /// The typed outcome of one push; a refused job is dropped here (its
     /// ticket resolves through its sender's drop).
-    fn admitted(&self, pushed: Result<(), PushError<Job>>) -> Result<(), EngineError> {
+    fn admitted(&self, pushed: Result<(), PushError<Job>>) -> Result<(), TicketError> {
         match pushed {
             Ok(()) => {
                 mqa_obs::gauge("engine.pool.queue_depth").set(self.queue.len() as f64);
                 Ok(())
             }
-            Err(PushError::Full(_)) => Err(EngineError::Rejected),
-            Err(PushError::Closed(_)) => Err(EngineError::ShuttingDown),
+            Err(PushError::Full(_)) => Err(TicketError::Rejected),
+            Err(PushError::Closed(_)) => Err(TicketError::Canceled),
         }
     }
 

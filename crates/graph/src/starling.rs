@@ -313,8 +313,9 @@ impl PagedIndex {
     /// are then free to fetch. The hits land in a caller-owned buffer and
     /// the candidate pool, the gather buffer and both visited sets all live
     /// on `scratch`, so a warmed `(scratch, out)` pair serves a query with
-    /// **zero heap allocations** — the property the `alloc-witness`
-    /// counting allocator pins in the engine gate. Returns the work stats
+    /// **zero heap allocations**, with or without a page cache and a
+    /// device — the property the counting allocator of
+    /// `tests/alloc_free.rs` pins. Returns the work stats
     /// with `pages_read` / `pages_cached` / `device_waits` populated.
     ///
     /// Over a mutated index, search through

@@ -8,8 +8,9 @@
 //! with a sample call chain. PR 3 made search allocation-free by
 //! construction (epoch-stamped `SearchScratch`); this gate turns that
 //! convention into a machine-checked invariant, cross-validated at
-//! runtime by the feature-gated counting allocator in
-//! `mqa-engine` (`--features alloc-witness`).
+//! runtime by the counting allocator of `mqa-graph`'s tier-1 test
+//! `tests/alloc_free.rs`, which measures warmed `search_paged_into` calls
+//! at zero allocations.
 //!
 //! **Allocation-capable sites** ([`AllocKind`]):
 //! `Vec`/`Box`/`Arc`/`Rc`/`String`/`HashMap`/`BTreeMap`/… constructor

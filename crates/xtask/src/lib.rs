@@ -8,10 +8,9 @@
 //! | [`lint`] | error-handling discipline in non-test library code: no `.unwrap()` / `.expect(` / `panic!`, no float `==` in kernels, no `unsafe` without `// SAFETY:`, no wildcard arm over an error enum, no ad-hoc `Instant::now()`, no unchecked index / narrowing cast / raw division on the serving crates | `lint-baseline.toml` |
 //! | [`conc`] | the global lock-order graph has no cycle, every `Condvar::wait` re-checks its predicate in a loop, no guard is held across a blocking call | `conc-baseline.toml` (absent: zero waivers) |
 //! | [`flow`] | no panic-capable site is reachable from a serving entry point | `flow-baseline.toml` |
-//! | [`alloc`] | no allocation-capable site is reachable from a steady-state serving entry point without an `// ALLOC:` discharge (cross-checked at runtime by `mqa-engine`'s `alloc-witness` allocator) | `alloc-baseline.toml` |
+//! | [`alloc`] | no allocation-capable site is reachable from a steady-state serving entry point without an `// ALLOC:` discharge (cross-checked at runtime by the counting allocator of `mqa-graph`'s `alloc_free` test) | `alloc-baseline.toml` |
 //! | [`audit`] | every index variant, the multi-vector store and every generation the unified index publishes under a scripted add / compacting delete / add pass their structural validators; every literal instrument and span name is well-formed and live | — |
 //! | `rules` | (lists the lint rules with their rationales) | — |
-//! | [`engine`] | worker-pool answers equal the serial path, paged QPS scales with workers, the runtime lock-order witness agrees with `conc`'s static lock graph | — |
 //! | [`trace`] | one milestone-complete [`mqa_obs::QueryTrace`] per turn, queue-wait / service attribution that adds up, deterministic tail sampling, a valid `/metrics` exposition, every instrumented pipeline layer in the metrics snapshot | — |
 //! | [`mutate`] | under a scripted insert/delete mix no tombstoned object surfaces, the result-cache generation bumps, compaction triggers, every `graph.mutate.*` instrument records | — |
 //! | [`counts`] | the benchmark's exact counts (evaluations, hops, page reads, cache verdicts, hit shares, prompt tokens, recall) equal the committed ones bit for bit | `BENCH_counts.json` (re-recorded with `--write`) |
@@ -26,6 +25,11 @@
 //! scanner over that model (`flow` and `alloc` through the one
 //! inventory → cone → findings routine in [`callgraph`]); and
 //! [`baseline::apply_baseline`] turns raw findings into the verdict.
+//!
+//! The engine gate is a test of this crate (`engine`): worker-pool
+//! answers equal the serial path, paged QPS scales with workers, a warm
+//! page cache reads fewer pages, and the runtime lock-order witness agrees
+//! with `conc`'s static lock graph.
 
 pub mod alloc;
 pub mod audit;
@@ -33,7 +37,8 @@ pub mod baseline;
 pub mod callgraph;
 pub mod conc;
 pub mod counts;
-pub mod engine;
+#[cfg(test)]
+mod engine;
 pub mod flow;
 pub mod lint;
 pub mod mutate;
@@ -105,9 +110,9 @@ pub(crate) fn bench_reading(dir: &Path, gate: &str, metric: &str) -> f64 {
 }
 
 /// Serializes scenario tests that reset the global `mqa-obs` registry or
-/// trace collector: the engine, trace, mutate and sched gates run real
-/// workloads against process-global state, so their in-crate tests must
-/// not interleave.
+/// trace collector: the engine, trace, mutate and sched gates (and the
+/// audit's mutation pass) run real workloads against process-global
+/// state, so their in-crate tests must not interleave.
 #[cfg(test)]
 pub(crate) fn scenario_lock() -> std::sync::MutexGuard<'static, ()> {
     use std::sync::{Mutex, OnceLock};

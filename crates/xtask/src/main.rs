@@ -11,7 +11,7 @@
 
 use mqa_xtask::baseline::{Baseline, Outcome};
 use mqa_xtask::workspace::{self, Workspace};
-use mqa_xtask::{alloc, audit, conc, counts, engine, flow, lint, mutate, sched, trace};
+use mqa_xtask::{alloc, audit, conc, counts, flow, lint, mutate, sched, trace};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -27,7 +27,7 @@ struct Command {
 const STATIC_OPTIONS: &str = " [--baseline <path>] [--root <dir>]";
 const SCENARIO_OPTIONS: &str = " [--out <dir>] [--seed <n>]";
 
-const COMMANDS: [Command; 11] = [
+const COMMANDS: [Command; 10] = [
     Command {
         name: "lint",
         options: STATIC_OPTIONS,
@@ -102,40 +102,6 @@ generation a scripted add / compacting delete / add publishes on the unified ind
         options: "",
         help: "List the lint rules with their rationales.",
         run: |_| cmd_rules(),
-    },
-    Command {
-        name: "engine",
-        options: SCENARIO_OPTIONS,
-        help: "Concurrency smoke gate: verify worker-pool answers are identical
-to the serial query path, that paged-search QPS scales with
-workers, and that every engine instrument recorded. Writes
-metrics.json into <dir> (default results/engine).",
-        run: |args| {
-            scenario("engine", args, |out, seed| {
-                let o = engine::run(out, seed)?;
-                let alloc_phase = match o.alloc_witness {
-                    Some((queries, allocs)) => {
-                        format!("alloc witness {allocs} alloc(s) over {queries} warmed search(es)")
-                    }
-                    None => "alloc witness off (build with --features alloc-witness)".to_string(),
-                };
-                Ok(format!(
-                    "engine: {} answer(s) identical to serial, paged QPS {:.0} -> {:.0} \
-                     ({:.2}x at 4 workers), {} pool job(s), {} witness pair(s), \
-                     page cache {} -> {} read(s) ({:.1}x), {}",
-                    o.identical_answers,
-                    o.serial_qps,
-                    o.concurrent_qps,
-                    o.speedup,
-                    o.jobs_executed,
-                    o.witness_pairs,
-                    o.cold_page_reads,
-                    o.warm_page_reads,
-                    o.cache_read_reduction,
-                    alloc_phase
-                ))
-            })
-        },
     },
     Command {
         name: "mutate",
