@@ -1,9 +1,9 @@
 //! **E13 — Shared page cache: capacity × workers sweep.**
 //!
 //! A Vamana graph behind the Starling paged layout with a simulated
-//! 200 µs device read (the pages one hop misses are one submission,
-//! waited for once), searched through the worker pool with a shared
-//! [`mqa_cache::PageCache`] at several capacities.
+//! 200 µs device read (the pages one hop and its read-ahead miss are one
+//! submission, waited for once), searched through the worker pool with a
+//! shared [`mqa_cache::PageCache`] at several capacities.
 //! Each cell runs the query set twice on a fresh cache:
 //!
 //! - **cold** — the cache starts empty. At small capacities this tracks

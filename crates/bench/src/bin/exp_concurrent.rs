@@ -3,11 +3,11 @@
 //! Two workloads, each swept over 1/2/4 engine workers:
 //!
 //! 1. **I/O-bound paged search** — a Vamana graph behind the Starling
-//!    paged layout with a simulated device latency (the pages one hop
-//!    misses are read together and waited for once). Latency-dominated
-//!    search is exactly what the pool overlaps: with the device stalling
-//!    one worker, another walks its own beam, so QPS scales with workers
-//!    even on one core.
+//!    paged layout with a simulated device latency (the pages one hop and
+//!    its read-ahead miss are read together and waited for once).
+//!    Latency-dominated search is exactly what the pool overlaps: with the
+//!    device stalling one worker, another walks its own beam, so QPS
+//!    scales with workers even on one core.
 //! 2. **End-to-end MUST retrieval** — real multi-modal queries through a
 //!    [`mqa_engine::QueryEngine`] over the MUST framework (CPU-bound; on a
 //!    single core this measures pool overhead and p50/p99 tail shape from

@@ -203,6 +203,16 @@ impl Pool {
         self.slots.iter().map(|s| candidate_of(s.key))
     }
 
+    /// The retained candidates not yet expanded, closest first: the order
+    /// [`Pool::next`] would hand them out in if nothing else arrived. The
+    /// tie list is not included.
+    pub(crate) fn upcoming(&self) -> impl Iterator<Item = Candidate> + '_ {
+        let rest = self.slots.get(self.cursor..).unwrap_or_default();
+        rest.iter()
+            .filter(|s| !s.expanded)
+            .map(|s| candidate_of(s.key))
+    }
+
     /// `(pointer, capacity)` of both buffers, for the no-reallocation
     /// tests.
     #[cfg(test)]
@@ -334,6 +344,27 @@ mod tests {
         pool.offer(Candidate::new(2, 1.0));
         pool.offer(Candidate::new(3, 3.0));
         assert_eq!(drain_ids(&mut pool), vec![2, 3, 1]);
+    }
+
+    #[test]
+    fn upcoming_lists_the_unexpanded_closest_first() {
+        let mut pool = Pool::new();
+        pool.begin(4, 10);
+        for (id, d) in [(0, 2.0), (1, 4.0), (2, 1.0)] {
+            pool.offer(Candidate::new(id, d));
+        }
+        let upcoming = |pool: &Pool| pool.upcoming().map(|c| c.id).collect::<Vec<_>>();
+        assert_eq!(pool.next().map(|c| c.id), Some(2));
+        assert_eq!(upcoming(&pool), vec![0, 1]);
+        // In below the cursor, past the expanded 2.
+        pool.offer(Candidate::new(3, 0.5));
+        assert_eq!(upcoming(&pool), vec![3, 0, 1]);
+        // A full pool: 1 leaves beyond the new bound.
+        pool.offer(Candidate::new(4, 3.0));
+        let ahead = upcoming(&pool);
+        assert_eq!(ahead, vec![3, 0, 4]);
+        assert_eq!(drain_ids(&mut pool), ahead, "the order `next` hands out");
+        assert_eq!(upcoming(&pool), Vec::<VecId>::new());
     }
 
     #[test]

@@ -35,7 +35,11 @@
 //! evaluation order, the bound each evaluation sees and the order the
 //! paged layout meets pages in are those of the interleaved loop. What
 //! the gathered list buys the paged layout is one device submission a
-//! hop: the pages the hop misses are in flight together.
+//! hop: the pages the hop misses are in flight together. The hook is also
+//! shown the pool's unexpanded candidates as the hop found them (before
+//! its offers), closest first, so the paged layout can read ahead for the
+//! vertices the walk expands next; the hook returns nothing, so what it
+//! does with them cannot steer the walk.
 
 use crate::adjacency::Adjacency;
 use crate::scratch::{SearchScratch, VisitedSet};
@@ -52,15 +56,18 @@ pub struct SearchStats {
     pub evals: u64,
     /// Distance evaluations abandoned by incremental scanning.
     pub pruned: u64,
-    /// Distinct 4 KiB page reads that went to the (simulated) device
-    /// (populated only by the Starling paged index; zero elsewhere).
+    /// Distinct 4 KiB page reads that went to the (simulated) device,
+    /// pages read ahead for upcoming candidates included, whether or not
+    /// the walk reached them (populated only by the Starling paged index;
+    /// zero elsewhere).
     pub pages_read: u64,
     /// Distinct page touches served by the shared page cache instead of
-    /// the device (zero unless a cache is attached).
+    /// the device, read-ahead included (zero unless a cache is attached).
     pub pages_cached: u64,
-    /// Submissions to the (simulated) device: hops, the seeds counting as
-    /// one, that missed at least one page and so waited for it. Never more
-    /// than `pages_read`; zero elsewhere than the paged index.
+    /// Submissions to the (simulated) device, each waited for once: hops,
+    /// the seeds counting as one, whose pages and read-ahead missed at
+    /// least one page. Never more than `pages_read`; zero elsewhere than
+    /// the paged index.
     pub device_waits: u64,
 }
 
@@ -209,8 +216,20 @@ pub(crate) trait WalkGraph {
 
     /// Brings in what evaluating `ids` needs: the vertices one hop (or the
     /// seeding) visits for the first time this query, in evaluation order.
+    /// `upcoming` names the pool's unexpanded candidates as the hop found
+    /// them — after taking its own vertex, before any of its offers —
+    /// closest first (none for the seeding): the vertices the walk expands
+    /// next unless the hop's offers displace them, which an implementation
+    /// may read ahead for. It decides nothing the walk does.
     #[inline]
-    fn fetch(&self, _ids: &[VecId], _pages: &mut VisitedSet, _stats: &mut SearchStats) {}
+    fn fetch(
+        &self,
+        _ids: &[VecId],
+        _upcoming: impl Iterator<Item = VecId>,
+        _pages: &mut VisitedSet,
+        _stats: &mut SearchStats,
+    ) {
+    }
 }
 
 impl WalkGraph for Adjacency {
@@ -282,7 +301,7 @@ pub(crate) fn walk<G: WalkGraph, D: DistanceFn + ?Sized>(
                 "beam search requires at least one entry vertex"
             );
             let fresh = gather_fresh(entries, visited, gather);
-            graph.fetch(fresh, pages, &mut stats);
+            graph.fetch(fresh, std::iter::empty(), pages, &mut stats);
             for &e in fresh {
                 let c = Candidate::new(e, dist.exact(e));
                 stats.evals += 1;
@@ -301,7 +320,8 @@ pub(crate) fn walk<G: WalkGraph, D: DistanceFn + ?Sized>(
     while let Some(current) = pool.next() {
         stats.hops += 1;
         let fresh = gather_fresh(graph.neighbors(current.id), visited, gather);
-        graph.fetch(fresh, pages, &mut stats);
+        let upcoming = pool.upcoming().map(|c| c.id);
+        graph.fetch(fresh, upcoming, pages, &mut stats);
         for &nb in fresh {
             let c = if collect {
                 // Construction needs exact distances for the pool, so no

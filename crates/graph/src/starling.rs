@@ -14,7 +14,15 @@
 //! The reads of one expansion step go to the device together, as they do
 //! in Starling and in the DiskANN search under it: the walk hands each
 //! hop's newly visited vertices to [`PagedIndex`] as one list, and the
-//! pages among them that miss are one submission, waited for once.
+//! pages among them that miss are one submission, waited for once. That
+//! submission also reads ahead, as DiskANN's beam of `W` reads in flight
+//! does, but with the expansion order left alone: it carries the pages of
+//! the neighbours of the next [`LOOKAHEAD`] unexpanded pool candidates, up
+//! to [`QUEUE_DEPTH`] pages. Their adjacency is known — their pages were
+//! read when they were evaluated — and read-ahead evaluates nothing and
+//! marks nothing visited, so only which pages are read, when, and the
+//! cache's verdicts on them move; a page is then usually in before the
+//! hop that needs it, which waits for nothing.
 //!
 //! ## Substitution note (see DESIGN.md §2)
 //!
@@ -36,18 +44,27 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Reads the simulated device completes side by side: an NVMe-class
-/// submission queue. A hop submits at most one read per out-neighbour, so
-/// no hop of a graph whose degree bound is 32 or less can exceed it (the
-/// benchmark's bound is 16, its largest submission 12 pages); a longer
-/// list is served in rounds of this many.
+/// submission queue. A hop's own reads are at most one per out-neighbour,
+/// so no hop of a graph whose degree bound is 32 or less exceeds it; a
+/// hop's read-ahead stops when the submission holds this many pages; and a
+/// longer list (a hub's, or the seeding's) is served in rounds of this
+/// many.
 pub const QUEUE_DEPTH: u32 = 32;
+
+/// Upcoming pool candidates whose neighbours' pages a hop's submission
+/// reads ahead for (DiskANN's beam width, with the expansion order left
+/// alone). Chosen from a sweep on the benchmark's `paged_spill` workload
+/// (EXPERIMENTS.md, E13): 8 is the knee — 7.2 waits a query where none
+/// waited 23.5 and the best width 6.1 — for 21 % more reads, where reading
+/// ahead for every upcoming candidate costs 58 %.
+pub const LOOKAHEAD: usize = 8;
 
 /// Timing profile of the simulated block device. The default profile is
 /// free (pure counters); a non-zero [`DeviceProfile::read_latency`]
-/// charges wall-clock time per submission — the reads of one hop are in
-/// flight together and each takes `read_latency` to complete — which is
-/// what makes paged search I/O-bound, and what the concurrent engine
-/// overlaps across workers.
+/// charges wall-clock time per submission — the reads of one hop, its
+/// read-ahead included, are in flight together and each takes
+/// `read_latency` to complete — which is what makes paged search
+/// I/O-bound, and what the concurrent engine overlaps across workers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceProfile {
     /// Time one 4 KiB page read takes to complete.
@@ -274,7 +291,7 @@ impl PagedIndex {
     }
 
     /// Attaches a timing profile to the simulated device; every
-    /// submission — the pages one hop misses — then costs
+    /// submission — the pages one hop and its read-ahead miss — then costs
     /// [`DeviceProfile::wait_for`] its size of wall-clock time on the
     /// searching thread.
     pub fn with_device(mut self, device: DeviceProfile) -> Self {
@@ -350,16 +367,36 @@ impl WalkGraph for PagedIndex {
     }
 
     /// Reads the pages of `ids`, in list order, that this query has not
-    /// read yet: a page found in the shared block cache is free, the rest
-    /// are counted and go to the device as one submission, waited for
-    /// once.
-    fn fetch(&self, ids: &[VecId], pages: &mut VisitedSet, stats: &mut SearchStats) {
-        let mut missed = 0u32;
-        for &v in ids {
+    /// read yet. If at least one was new, the submission then reads ahead:
+    /// the pages of the neighbours of the first [`LOOKAHEAD`] `upcoming`
+    /// candidates, in order, until it holds [`QUEUE_DEPTH`] pages. A page
+    /// found in the shared block cache is free; the rest are counted and
+    /// go to the device as one submission, waited for once.
+    ///
+    /// Whether and how far it reads ahead counts pages new to the query,
+    /// not misses, so which pages a query touches never depends on the
+    /// cache. A visited vertex's page is already in, so no visited check
+    /// is needed to skip it.
+    fn fetch(
+        &self,
+        ids: &[VecId],
+        upcoming: impl Iterator<Item = VecId>,
+        pages: &mut VisitedSet,
+        stats: &mut SearchStats,
+    ) {
+        let ahead = upcoming
+            .take(LOOKAHEAD)
+            .flat_map(|c| self.graph.neighbors(c));
+        let (mut touched, mut missed) = (0u32, 0u32);
+        for (at, &v) in ids.iter().chain(ahead).enumerate() {
+            if at >= ids.len() && (touched == 0 || touched >= QUEUE_DEPTH) {
+                break; // the hop's own pages were all in, or the queue is full
+            }
             let page = self.layout.page(v);
             if !pages.insert(page) {
                 continue; // already read by this query
             }
+            touched += 1;
             match &self.cache {
                 Some(cache) if cache.probe(page) => stats.pages_cached += 1,
                 _ => missed += 1,
@@ -471,7 +508,9 @@ impl PqPagedIndex {
         let SearchScratch { pages, gather, .. } = scratch;
         gather.clear();
         gather.extend(results.iter().map(|c| c.id));
-        self.paged.fetch(gather, pages, &mut stats);
+        // Nothing to read ahead for: the survivors are all phase 2 reads.
+        let upcoming = std::iter::empty();
+        self.paged.fetch(gather, upcoming, pages, &mut stats);
         for c in &mut results {
             c.dist = mqa_vector::Metric::L2.distance(query, store.get(c.id));
             stats.evals += 1;
@@ -599,11 +638,11 @@ mod tests {
             let mut d2 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
             clustered_reads += clustered.search(&mut d2, 10, 48).stats.pages_read;
         }
-        // Insertion order reads 6 522 pages over the 20 queries; the plain
-        // breadth-first fill read 5 705, packing by shared neighbours
-        // reads 5 248.
+        // Insertion order read 6 522 pages over the 20 queries; the plain
+        // breadth-first fill read 5 705, packing by shared neighbours 5 248.
+        // Reads now include each hop's read-ahead: 6 703 against 5 524.
         assert!(
-            clustered_reads <= 5_450 && clustered_reads < naive_reads,
+            clustered_reads <= 5_750 && clustered_reads < naive_reads,
             "clustered {clustered_reads} against naive {naive_reads}"
         );
     }
@@ -643,9 +682,9 @@ mod tests {
             reads += paged.search(&mut d, 10, 48).stats.pages_read;
         }
         // The plain breadth-first fill read 4 853 pages over these 40
-        // queries (121.3 a query); packing by shared neighbours reads
-        // 4 090 (102.3).
-        assert!(reads <= 4_400, "{reads} page reads over {queries} queries");
+        // queries (121.3 a query); packing by shared neighbours read 4 090
+        // (102.3). Reads now include each hop's read-ahead: 4 911 (122.8).
+        assert!(reads <= 5_250, "{reads} page reads over {queries} queries");
     }
 
     #[test]
@@ -812,17 +851,70 @@ mod tests {
         let mut pages = VisitedSet::new(paged.layout().pages());
         pages.next_epoch();
         let mut stats = SearchStats::default();
-        paged.fetch(paged.graph().neighbors(0), &mut pages, &mut stats);
+        let hub = paged.graph().neighbors(0);
+        paged.fetch(hub, std::iter::empty(), &mut pages, &mut stats);
         assert_eq!((stats.pages_read, stats.device_waits), (40, 1));
         // Asked again, every page is already in: nothing read, no wait.
-        paged.fetch(paged.graph().neighbors(0), &mut pages, &mut stats);
+        paged.fetch(hub, std::iter::empty(), &mut pages, &mut stats);
         assert_eq!((stats.pages_read, stats.device_waits), (40, 1));
-        // The whole query: the seed's page, then the hub's hop; the leaves
+        // Read-ahead fills the queue and no further: eight leaves of the
+        // hop's own, then the hub's list as what lies ahead.
+        pages.next_epoch();
+        let mut stats = SearchStats::default();
+        paged.fetch(&hub[..8], std::iter::once(0), &mut pages, &mut stats);
+        let full = u64::from(QUEUE_DEPTH);
+        assert_eq!((stats.pages_read, stats.device_waits), (full, 1));
+        // The whole query: the seed's page, then the hub's hop, which
+        // fills the queue by itself, so nothing is read ahead; the leaves
         // have no neighbours to fetch.
         let mut d = FlatDistance::new(&s, &[0.0], Metric::L2).unwrap();
         let out = paged.search(&mut d, 5, 64);
         assert_eq!(out.stats.hops, 41);
         assert_eq!((out.stats.pages_read, out.stats.device_waits), (41, 2));
+    }
+
+    /// A fork, one vertex a page, no cache: the entry 0 leads to 1 and 2,
+    /// 1 leads to 3 and 2 to 4. Vertex 1 is nearest a query at 0.0, so it
+    /// is expanded before 2.
+    fn fork() -> (Arc<VectorStore>, PagedIndex) {
+        let mut s = VectorStore::new(1);
+        for x in [10.0, 1.0, 2.0, 30.0, 40.0] {
+            s.push(&[x]);
+        }
+        let mut g = Adjacency::new(5);
+        g.set_neighbors(0, vec![1, 2]);
+        g.set_neighbors(1, vec![3]);
+        g.set_neighbors(2, vec![4]);
+        let layout = PageLayout::build(&g, 1, LayoutStrategy::InsertionOrder);
+        (Arc::new(s), PagedIndex::new(g, vec![0], layout))
+    }
+
+    #[test]
+    fn reading_ahead_for_the_next_candidate_saves_a_wait() {
+        let (s, paged) = fork();
+        let hops = |upcoming: &[VecId]| {
+            let mut pages = VisitedSet::new(paged.layout().pages());
+            pages.next_epoch();
+            let mut stats = SearchStats::default();
+            // Expanding 1 with 2 next, then expanding 2.
+            let (one, two) = (paged.graph().neighbors(1), paged.graph().neighbors(2));
+            paged.fetch(one, upcoming.iter().copied(), &mut pages, &mut stats);
+            paged.fetch(two, std::iter::empty(), &mut pages, &mut stats);
+            (stats.pages_read, stats.device_waits)
+        };
+        // Without read-ahead the two hops wait twice; with it, 2's
+        // neighbour is in before 2 is expanded.
+        assert_eq!(hops(&[]), (2, 2));
+        assert_eq!(hops(&[2]), (2, 1));
+        // The whole query: the seeding, 0's hop, and 1's hop carrying 4's
+        // page; 2's hop then reads nothing. Five pages, three waits where
+        // the hop-by-hop submissions waited four times, and the answer of
+        // the unpaged walk.
+        let mut d = FlatDistance::new(&s, &[0.0], Metric::L2).unwrap();
+        let out = paged.search(&mut d, 5, 64);
+        assert_eq!(out.ids(), vec![1, 2, 0, 3, 4]);
+        assert_eq!(out.stats.hops, 5);
+        assert_eq!((out.stats.pages_read, out.stats.device_waits), (5, 3));
     }
 
     /// The one wall-clock assertion, and a lower bound only (`sleep` never

@@ -30,7 +30,10 @@ struct OracleRun {
 /// It notes the vertices each hop (and the seeding) meets for the first
 /// time as it meets them and fetches that list when the hop ends — a
 /// fetch reads no distance and no evaluation reads a page, so the hop's
-/// end is as good as its start.
+/// end is as good as its start. What the fetch is told lies ahead is not
+/// as good at the end: the hop's offers reshape the beam. So each hop
+/// notes the beam's unexpanded candidates when it starts, and passes that
+/// list.
 fn two_heap_walk<G: WalkGraph>(
     graph: &G,
     seeds: Seeds<'_>,
@@ -47,6 +50,9 @@ fn two_heap_walk<G: WalkGraph>(
     let mut beam = TopK::new(ef.max(k));
     let collect = matches!(mode, WalkMode::CollectExact);
     let mut met: Vec<VecId> = Vec::new();
+    let mut expanded = VisitedSet::new(graph.vertices());
+    expanded.next_epoch();
+    let mut ahead: Vec<VecId> = Vec::new();
 
     match seeds {
         Seeds::Entries(entries) => {
@@ -63,7 +69,7 @@ fn two_heap_walk<G: WalkGraph>(
                 beam.offer(c);
                 frontier.push(Reverse(c));
             }
-            graph.fetch(&met, pages, &mut run.stats);
+            graph.fetch(&met, std::iter::empty(), pages, &mut run.stats);
         }
         Seeds::Evaluated(c) => {
             visited.insert(c.id);
@@ -76,9 +82,14 @@ fn two_heap_walk<G: WalkGraph>(
         if current.dist > beam.bound() {
             break;
         }
-        if !beam.clone().into_sorted().contains(&current) {
+        let in_beam = beam.clone().into_sorted();
+        if !in_beam.contains(&current) {
             run.tie_expansions += 1;
         }
+        expanded.insert(current.id);
+        ahead.clear();
+        let unexpanded = in_beam.iter().filter(|c| !expanded.contains(c.id));
+        ahead.extend(unexpanded.map(|c| c.id));
         run.stats.hops += 1;
         met.clear();
         for &nb in graph.neighbors(current.id) {
@@ -104,7 +115,7 @@ fn two_heap_walk<G: WalkGraph>(
                 frontier.push(Reverse(c));
             }
         }
-        graph.fetch(&met, pages, &mut run.stats);
+        graph.fetch(&met, ahead.iter().copied(), pages, &mut run.stats);
     }
     run.results = beam.into_sorted();
     run.results.truncate(k);
@@ -154,11 +165,18 @@ mod tests {
         }
     }
 
-    /// Records every fetch call: the list each hop, and the seeding,
-    /// asked for.
+    /// One fetch call: the fresh ids, and the upcoming candidates it was
+    /// told of.
+    #[derive(Debug, PartialEq)]
+    struct Fetch {
+        ids: Vec<VecId>,
+        upcoming: Vec<VecId>,
+    }
+
+    /// Records every fetch call: what each hop, and the seeding, asked for.
     struct Recording<'a> {
         graph: &'a Adjacency,
-        fetched: RefCell<Vec<Vec<VecId>>>,
+        fetched: RefCell<Vec<Fetch>>,
     }
 
     impl WalkGraph for Recording<'_> {
@@ -170,8 +188,17 @@ mod tests {
             self.graph.neighbors(v)
         }
 
-        fn fetch(&self, ids: &[VecId], _pages: &mut VisitedSet, _stats: &mut SearchStats) {
-            self.fetched.borrow_mut().push(ids.to_vec());
+        fn fetch(
+            &self,
+            ids: &[VecId],
+            upcoming: impl Iterator<Item = VecId>,
+            _pages: &mut VisitedSet,
+            _stats: &mut SearchStats,
+        ) {
+            self.fetched.borrow_mut().push(Fetch {
+                ids: ids.to_vec(),
+                upcoming: upcoming.collect(),
+            });
         }
     }
 
@@ -234,7 +261,7 @@ mod tests {
     fn pool_walk_matches_the_two_heap_walk_on_tied_distances() {
         let mut rng = StdRng::seed_from_u64(0x5449_4553);
         let mut scratch = SearchScratch::new();
-        let (mut cases, mut tie_expansions) = (0u64, 0u64);
+        let (mut cases, mut tie_expansions, mut lookaheads) = (0u64, 0u64, 0usize);
         for round in 0..24 {
             let n = [40, 90, 150][round % 3];
             let graph = random_graph(n, 4 + round % 5, &mut rng);
@@ -294,11 +321,16 @@ mod tests {
                                     got.stats.hops + seedings,
                                     "{what}"
                                 );
-                                let mut ids = got_fetched.concat();
+                                let mut ids: Vec<VecId> =
+                                    got_fetched.iter().flat_map(|f| f.ids.clone()).collect();
                                 let asked = ids.len();
                                 ids.sort_unstable();
                                 ids.dedup();
                                 assert_eq!(ids.len(), asked, "{what}: an id fetched twice");
+                                lookaheads += got_fetched
+                                    .iter()
+                                    .filter(|f| !f.upcoming.is_empty())
+                                    .count();
                             }
                         }
                     }
@@ -309,6 +341,7 @@ mod tests {
             tie_expansions > 0,
             "no case made the oracle expand a candidate outside its beam ({cases} cases)"
         );
+        assert!(lookaheads > 0, "no hop had an upcoming candidate");
     }
 
     /// The corner by hand: beam of two, a candidate that ties the worst
@@ -391,10 +424,14 @@ mod tests {
         got.tie_expansions = want.tie_expansions;
         assert_eq!(got, want);
         let got_fetched = recording.fetched.take();
-        assert_eq!(got_fetched.first(), Some(&vec![15, 19, 17]));
+        let seeding = Fetch {
+            ids: vec![15, 19, 17],
+            upcoming: Vec::new(),
+        };
+        assert_eq!(got_fetched.first(), Some(&seeding));
         assert_eq!(got_fetched, want_fetched);
         // Every vertex asked for is evaluated, and nothing else is.
-        let asked: usize = got_fetched.iter().map(Vec::len).sum();
+        let asked: usize = got_fetched.iter().map(|f| f.ids.len()).sum();
         assert_eq!(got.stats.total_distance_work(), asked as u64);
     }
 

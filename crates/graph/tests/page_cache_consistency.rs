@@ -13,8 +13,9 @@
 //! cached.pages_read + cached.pages_cached == uncached.pages_read
 //! ```
 //!
-//! A query waits for the device once per hop that missed a page: never
-//! more often than it reads, and not at all when every page hits.
+//! A query waits for the device once per submission that missed a page —
+//! a hop's pages and its read-ahead go down together: never more often
+//! than it reads, and not at all when every page hits.
 //!
 //! The cache's own counters must tell the same story (this file holds
 //! one test, so the process-wide `cache.page.*` counters are its alone):

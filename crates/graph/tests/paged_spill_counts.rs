@@ -1,7 +1,8 @@
 //! Exact-count gate for the three things that decide what a paged query
 //! costs: how many pages it touches (the layout), how many of those
 //! touches reach the device (the page cache), and how many times it waits
-//! for the device (one submission per hop that missed).
+//! for the device (one submission per hop that touched a new page and
+//! missed one, its read-ahead included).
 //!
 //! The shape is the benchmark's `paged_spill` workload in miniature —
 //! Vamana R = 16, L = 48 over 1 000 vectors in ten clusters, 7 vertices a
@@ -26,15 +27,17 @@ const ROUNDS: u64 = 2;
 
 /// Device reads and page touches (reads + cache hits) over the 32 timed
 /// queries. Packing pages by shared neighbours and admitting to the page
-/// cache by frequency brought them here from 1 836 and 2 030; submitting
-/// a hop's reads together must not move either.
-const READS: u64 = 882;
-const TOUCHED: u64 = 1_780;
+/// cache by frequency brought them from 1 836 and 2 030 to 882 and 1 780;
+/// submitting a hop's reads together did not move either. Reading ahead
+/// for the next candidates' neighbours then touched pages the walk never
+/// reaches, re-recorded once: 1 292 and 2 352.
+const READS: u64 = 1_292;
+const TOUCHED: u64 = 2_352;
 
-/// Device waits over the same queries: 371 for the 882 reads (x0.42),
-/// where one read at a time waited 882 times. The benchmark's own ratio
-/// on its encoded corpus is x0.45.
-const WAITS: u64 = 371;
+/// Device waits over the same queries: one read at a time waited 882
+/// times, one submission a hop 371 (x0.42 of the reads), and a submission
+/// that also reads ahead 231 (x0.18).
+const WAITS: u64 = 231;
 
 #[test]
 fn paged_spill_shape_reads_and_touches_fewer_pages() {
@@ -105,8 +108,8 @@ fn paged_spill_shape_reads_and_touches_fewer_pages() {
     );
     assert_eq!(total.device_waits, WAITS, "device waits");
     assert!(
-        total.device_waits * 100 <= total.pages_read * 55,
-        "{} waits for {} reads: a hop's reads are not going down together",
+        total.device_waits * 100 <= total.pages_read * 20,
+        "{} waits for {} reads: a hop's reads, and its read-ahead, are not going down together",
         total.device_waits,
         total.pages_read
     );

@@ -161,8 +161,9 @@ pub struct QueryTrace {
     pub pages_read: u64,
     /// Pages served by the shared page cache.
     pub pages_cached: u64,
-    /// Times the query waited for the device: one per hop that missed at
-    /// least one page (its misses are one submission).
+    /// Times the query waited for the device: one per submission — a
+    /// hop's pages and the pages it reads ahead — that missed at least
+    /// one page.
     pub device_waits: u64,
     /// Mock-LLM prompt tokens consumed by the turn.
     pub prompt_tokens: u64,

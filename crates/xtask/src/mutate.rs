@@ -652,26 +652,32 @@ mod tests {
         assert!(outcome.compactions >= 1);
         assert!(outcome.queries_checked >= BATCHES * 24);
         assert!(outcome.insert_per_sec > 0.0 && outcome.delete_per_sec > 0.0);
-        let reading = |metric| crate::bench_reading(&dir, "mutate", metric);
+        let reading = |metric: &str| crate::bench_reading(&dir, "mutate", metric);
         let metrics = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics readable");
         assert!(metrics.contains("graph.mutate.publish_us"));
         assert_eq!(reading("insert_per_sec"), outcome.insert_per_sec);
         assert_eq!(reading("mutating_p99_us"), outcome.mutating_p99_us as f64);
         assert_eq!(reading("live_objects"), 210.0);
-        // The churn block: ten generations at constant live size, each one
-        // compacting, with rows growing by three tenths per generation.
-        let [churn] = outcome.churn.as_slice() else {
-            panic!("an unoptimized build churns at one size");
-        };
-        assert_eq!((churn.objects, churn.generations.len()), (400, 10));
-        assert_eq!((churn.inserted, churn.removed), (1200, 1200 + EF + K));
-        for (g, generation) in churn.generations.iter().enumerate() {
-            assert_eq!(generation.rows, 400 + 120 * (g + 1));
-            assert!(generation.recall > 0.9, "generation {}", g + 1);
+        // The churn block at each of its sizes: ten generations at constant
+        // live size, each one compacting, with rows growing by three
+        // tenths per generation.
+        assert_eq!(outcome.churn.len(), CHURN_OBJECTS.len());
+        for (churn, &objects) in outcome.churn.iter().zip(CHURN_OBJECTS) {
+            assert_eq!((churn.objects, churn.generations.len()), (objects, 10));
+            let inserted = 3 * objects;
+            assert_eq!(
+                (churn.inserted, churn.removed),
+                (inserted, inserted + EF + K)
+            );
+            for (g, generation) in churn.generations.iter().enumerate() {
+                assert_eq!(generation.rows, objects + 3 * objects / 10 * (g + 1));
+                assert!(generation.recall > 0.9, "{objects}: generation {}", g + 1);
+            }
+            let last = &churn.generations[9];
+            let g10 = |metric: &str| reading(&format!("churn_{objects}.g10.{metric}"));
+            assert_eq!(g10("evals_per_query"), last.evals);
+            assert_eq!(g10("store_rows"), (4 * objects) as f64);
         }
-        let last = &churn.generations[9];
-        assert_eq!(reading("churn_400.g10.evals_per_query"), last.evals);
-        assert_eq!(reading("churn_400.g10.store_rows"), 1600.0);
         assert!(metrics.contains("graph.search.widened"));
         std::fs::remove_dir_all(&dir).ok();
     }
