@@ -21,9 +21,6 @@ cargo run -q --offline -p mqa-xtask -- flow
 echo "==> mqa-xtask alloc (allocation-freedom reachability)"
 cargo run -q --offline -p mqa-xtask -- alloc
 
-echo "==> mqa-xtask audit"
-cargo run -q --offline -p mqa-xtask -- audit
-
 echo "==> mqa-xtask trace (per-query tracing gate)"
 cargo run -q --release --offline -p mqa-xtask -- trace --out results/trace
 

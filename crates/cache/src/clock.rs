@@ -120,11 +120,6 @@ impl Frequency {
             }
         }
     }
-
-    fn clear(&mut self) {
-        self.cells.fill(0);
-        self.probes = 0;
-    }
 }
 
 /// The single-threaded Clock core: a fixed-capacity key → value map with
@@ -240,16 +235,6 @@ impl<V> ClockCore<V> {
         self.map.insert(key, idx);
         old
     }
-
-    /// Drops every resident entry, returning how many were dropped. Only
-    /// the capacity survives, so refill behaviour matches a fresh core.
-    pub fn clear(&mut self) -> usize {
-        let dropped = self.slots.len();
-        self.slots.clear();
-        self.map.clear();
-        self.hand = 0;
-        dropped
-    }
 }
 
 /// A key-only [`ClockCore`] and the frequency sketch its admission rule
@@ -270,13 +255,6 @@ impl ProbeCore {
             clock: ClockCore::new(capacity),
             frequency: Frequency::new(capacity),
         }
-    }
-
-    /// Drops every resident key and every recorded frequency, returning
-    /// how many keys were dropped.
-    pub fn clear(&mut self) -> usize {
-        self.frequency.clear();
-        self.clock.clear()
     }
 
     /// Presence probe: arms the bit on a hit; on a miss the key is kept
@@ -379,13 +357,6 @@ impl CacheShard<ProbeCore> {
     pub fn touch(&self, key: u64) -> Touch {
         let mut core = lock_ignore_poison(&self.slots);
         core.touch(key)
-    }
-
-    /// Drops every resident key and every recorded frequency; returns how
-    /// many keys were dropped.
-    pub fn clear(&self) -> usize {
-        let mut core = lock_ignore_poison(&self.slots);
-        core.clear()
     }
 }
 
@@ -524,22 +495,6 @@ mod tests {
             "{hits} of {} probes of the new hot set hit",
             passes * 6
         );
-    }
-
-    #[test]
-    fn clear_empties_and_refills_cleanly() {
-        let mut c = ClockCore::new(4);
-        for k in 0..4u64 {
-            c.insert(k, ());
-        }
-        assert_eq!(c.clear(), 4);
-        assert!(c.is_empty());
-        assert!(!c.contains(1));
-        // Refill works exactly like a fresh core.
-        for k in 10..14u64 {
-            assert_eq!(c.insert(k, ()), None);
-        }
-        assert_eq!(c.len(), 4);
     }
 
     #[test]

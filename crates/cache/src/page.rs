@@ -28,7 +28,6 @@ pub struct PageCache {
     misses: Counter,
     evictions: Counter,
     rejected: Counter,
-    invalidations: Counter,
     hit_rate: Gauge,
 }
 
@@ -52,7 +51,6 @@ impl PageCache {
             misses: mqa_obs::counter("cache.page.misses"),
             evictions: mqa_obs::counter("cache.page.evictions"),
             rejected: mqa_obs::counter("cache.page.rejected"),
-            invalidations: mqa_obs::counter("cache.page.invalidations"),
             hit_rate: mqa_obs::gauge("cache.page.hit_rate"),
         }
     }
@@ -83,7 +81,7 @@ impl PageCache {
     /// shard was full and the page it would have evicted is asked for at
     /// least as often (`cache.page.rejected`). The counters keep
     /// `hits + misses` = probes and `misses − rejected − evictions` =
-    /// pages resident (until an invalidation drops them).
+    /// pages resident.
     pub fn probe(&self, page: u32) -> bool {
         // INVARIANT: `% SHARDS` keeps the index in 0..SHARDS and the const
         // divisor is non-zero, so shard selection cannot panic.
@@ -107,16 +105,6 @@ impl PageCache {
         // INVARIANT: f64 division cannot panic, and `m >= 1` here.
         self.hit_rate.set(h / (h + m));
         false
-    }
-
-    /// Drops every resident page and returns how many were dropped. Used
-    /// when the page *layout* changes underneath the cache (index
-    /// compaction re-lays vertices onto pages), at which point resident
-    /// page ids no longer name the same contents.
-    pub fn invalidate_all(&self) -> usize {
-        let dropped: usize = self.shards.iter().map(CacheShard::<ProbeCore>::clear).sum();
-        self.invalidations.add(dropped as u64);
-        dropped
     }
 }
 
@@ -185,24 +173,6 @@ mod tests {
             assert!(!cache.probe(page));
             assert!(cache.probe(page), "page {page} never admitted");
         }
-    }
-
-    #[test]
-    fn invalidate_all_empties_and_counts() {
-        let before = mqa_obs::counter("cache.page.invalidations").get();
-        let cache = PageCache::new(64);
-        for page in 0..10u32 {
-            cache.probe(page);
-        }
-        assert_eq!(cache.len(), 10);
-        assert_eq!(cache.invalidate_all(), 10);
-        assert!(cache.is_empty());
-        assert_eq!(
-            mqa_obs::counter("cache.page.invalidations").get(),
-            before + 10
-        );
-        // Every former resident now misses again.
-        assert!(!cache.probe(3));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Every index variant carries a `validate` method returning the list of
 //! [`InvariantViolation`]s it found (empty = structurally sound). The
-//! `mqa-xtask audit` command builds each variant over a synthetic corpus and
-//! fails if any validator reports a violation; the owning modules unit-test
+//! structural audit (the `mqa-xtask` test `audit::tests::full_audit_is_clean`)
+//! builds each variant over a synthetic corpus and fails if any validator
+//! reports a violation; the owning modules unit-test
 //! the validators against deliberately corrupted structures.
 
 use crate::adjacency::Adjacency;

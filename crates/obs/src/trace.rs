@@ -122,7 +122,7 @@ pub struct StageRecord {
 }
 
 /// The complete record of one query's path through the system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QueryTrace {
     /// Trace id (allocated from the span id space).
     pub trace_id: u64,
@@ -191,30 +191,12 @@ pub struct QueryTrace {
     pub stages_dropped: u64,
 }
 
-/// Mutable trace state shared by every thread contributing to the query.
+/// Mutable trace state shared by every thread contributing to the query:
+/// the record it accumulates (identity, outcome and end-to-end duration
+/// are stamped at finalization) and whether the query was answered.
 #[derive(Default)]
 struct TraceInner {
-    stages: Vec<StageRecord>,
-    stages_dropped: u64,
-    worker: Option<u64>,
-    queue_wait_us: u64,
-    service_us: u64,
-    engine_total_us: u64,
-    cache_hit: Option<bool>,
-    serial_fallback: bool,
-    framework: String,
-    hops: u64,
-    evals: u64,
-    pruned: u64,
-    pages_read: u64,
-    pages_cached: u64,
-    device_waits: u64,
-    prompt_tokens: u64,
-    completion_tokens: u64,
-    index_epoch: u64,
-    mutation_in_progress: bool,
-    beam_width: u64,
-    deadline_us: u64,
+    trace: QueryTrace,
     completed: bool,
 }
 
@@ -244,7 +226,7 @@ impl TraceContext {
     pub fn adopt(&self) -> AdoptGuard {
         let worker = WORKER.with(Cell::get);
         if worker != u64::MAX {
-            lock(&self.inner).worker = Some(worker);
+            lock(&self.inner).trace.worker = Some(worker);
         }
         let prev = CURRENT.with(|c| c.borrow_mut().replace(self.clone()));
         AdoptGuard { prev }
@@ -253,11 +235,12 @@ impl TraceContext {
     fn push_stage(&self, name: &str, parent: Option<&str>, dur_us: u64) {
         let dropped = {
             let mut inner = lock(&self.inner);
-            if inner.stages.len() >= MAX_STAGES {
-                inner.stages_dropped += 1;
+            let trace = &mut inner.trace;
+            if trace.stages.len() >= MAX_STAGES {
+                trace.stages_dropped += 1;
                 true
             } else {
-                inner.stages.push(StageRecord {
+                trace.stages.push(StageRecord {
                     // ALLOC: stage attribution copies names only while a trace is active.
                     name: name.to_string(),
                     parent: parent.unwrap_or("").to_string(),
@@ -330,40 +313,14 @@ impl TraceHandle {
             CURRENT.with(|c| *c.borrow_mut() = prev);
         }
         let total_us = u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let (trace, completed) = {
+        let (mut trace, completed) = {
             let mut inner = lock(&self.ctx.inner);
-            let completed = inner.completed;
-            let trace = QueryTrace {
-                trace_id: self.ctx.id,
-                root: self.ctx.root.to_string(),
-                seq: 0,
-                sampled: false,
-                outcome: if completed { "completed" } else { "canceled" }.to_string(),
-                total_us,
-                queue_wait_us: inner.queue_wait_us,
-                service_us: inner.service_us,
-                engine_total_us: inner.engine_total_us,
-                worker: inner.worker,
-                cache_hit: inner.cache_hit,
-                serial_fallback: inner.serial_fallback,
-                framework: std::mem::take(&mut inner.framework),
-                hops: inner.hops,
-                evals: inner.evals,
-                pruned: inner.pruned,
-                pages_read: inner.pages_read,
-                pages_cached: inner.pages_cached,
-                device_waits: inner.device_waits,
-                prompt_tokens: inner.prompt_tokens,
-                completion_tokens: inner.completion_tokens,
-                index_epoch: inner.index_epoch,
-                mutation_in_progress: inner.mutation_in_progress,
-                beam_width: inner.beam_width,
-                deadline_us: inner.deadline_us,
-                stages: std::mem::take(&mut inner.stages),
-                stages_dropped: inner.stages_dropped,
-            };
-            (trace, completed)
+            (std::mem::take(&mut inner.trace), inner.completed)
         };
+        trace.trace_id = self.ctx.id;
+        trace.root = self.ctx.root.to_string();
+        trace.outcome = if completed { "completed" } else { "canceled" }.to_string();
+        trace.total_us = total_us;
         if completed {
             crate::counter("obs.trace.completed").inc();
         } else {
@@ -525,10 +482,10 @@ pub(crate) fn record_stage(name: &str, parent: Option<&str>, dur_us: u64) {
     }
 }
 
-fn with_current<F: FnOnce(&mut TraceInner)>(f: F) {
+fn with_current<F: FnOnce(&mut QueryTrace)>(f: F) {
     let ctx = current();
     if let Some(ctx) = ctx {
-        f(&mut lock(&ctx.inner));
+        f(&mut lock(&ctx.inner).trace);
     }
 }
 
@@ -842,31 +799,9 @@ mod tests {
             let trace = QueryTrace {
                 trace_id: 1000 + i,
                 root: "core.turn".into(),
-                seq: 0,
-                sampled: false,
                 outcome: "completed".into(),
                 total_us: 10 * (i + 1),
-                queue_wait_us: 0,
-                service_us: 0,
-                engine_total_us: 0,
-                worker: None,
-                cache_hit: None,
-                serial_fallback: false,
-                framework: String::new(),
-                hops: 0,
-                evals: 0,
-                pruned: 0,
-                pages_read: 0,
-                pages_cached: 0,
-                device_waits: 0,
-                prompt_tokens: 0,
-                completion_tokens: 0,
-                index_epoch: 0,
-                deadline_us: 0,
-                mutation_in_progress: false,
-                beam_width: 0,
-                stages: Vec::new(),
-                stages_dropped: 0,
+                ..QueryTrace::default()
             };
             offer(trace);
             if sample_hit(seed, i + 1, 3) {
@@ -901,35 +836,15 @@ mod tests {
             trace_id: 1,
             root: "core.turn".into(),
             seq: 1,
-            sampled: false,
             outcome: "completed".into(),
             total_us: 1,
-            queue_wait_us: 0,
-            service_us: 0,
-            engine_total_us: 0,
-            worker: None,
-            cache_hit: None,
-            serial_fallback: false,
-            framework: String::new(),
-            hops: 0,
-            evals: 0,
-            pruned: 0,
-            pages_read: 0,
-            pages_cached: 0,
-            device_waits: 0,
-            prompt_tokens: 0,
-            completion_tokens: 0,
-            index_epoch: 0,
-            deadline_us: 0,
-            mutation_in_progress: false,
-            beam_width: 0,
             stages: vec![
                 stage("retrieval.must.encode"),
                 stage("retrieval.must.weight_fuse"),
                 stage("retrieval.must.index_search"),
                 stage("llm.generate"),
             ],
-            stages_dropped: 0,
+            ..QueryTrace::default()
         };
         assert!(missing_milestones(&trace).is_empty());
         trace.stages.retain(|s| s.name != "retrieval.must.encode");
@@ -950,7 +865,6 @@ mod tests {
             engine_total_us: 104,
             worker: Some(1),
             cache_hit: Some(true),
-            serial_fallback: false,
             framework: "must".into(),
             hops: 1,
             evals: 2,
@@ -961,7 +875,6 @@ mod tests {
             prompt_tokens: 6,
             completion_tokens: 7,
             index_epoch: 3,
-            deadline_us: 0,
             mutation_in_progress: true,
             beam_width: 77,
             stages: vec![StageRecord {
@@ -969,7 +882,7 @@ mod tests {
                 parent: String::new(),
                 dur_us: 123,
             }],
-            stages_dropped: 0,
+            ..QueryTrace::default()
         };
         let json = serde_json::to_string(&trace).expect("serialize trace");
         let back: QueryTrace = serde_json::from_str(&json).expect("parse trace");

@@ -1,9 +1,11 @@
-//! The structural audit: build every index variant over a synthetic
-//! corpus and run the validators the data structures carry.
+//! The structural audit, a tier-1 test: build every index variant over a
+//! synthetic corpus and run the validators the data structures carry, and
+//! check every literal instrument and span name in the workspace.
 //!
 //! The corpus is deterministic (seeded [`mqa_rng::StdRng`]), so an audit
 //! failure is always reproducible. Each audited structure contributes one
-//! [`AuditEntry`]; the run fails if any entry reports violations.
+//! `(subject, violations)` entry; the audit fails if any entry reports
+//! violations.
 
 use crate::workspace::{self, SourceFile, Workspace};
 use mqa_graph::{BuiltGraph, IndexAlgorithm, MutationError, MutationReport, UnifiedIndex};
@@ -13,44 +15,16 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-/// One audited structure's result.
-#[derive(Debug)]
-pub struct AuditEntry {
-    /// What was audited (e.g. `"index hnsw"`).
-    pub subject: String,
-    /// Rendered violations; empty = sound.
-    pub violations: Vec<String>,
-}
-
-/// The whole audit's results.
-#[derive(Debug, Default)]
-pub struct AuditReport {
-    /// Per-structure entries, in audit order.
-    pub entries: Vec<AuditEntry>,
-}
-
-impl AuditReport {
-    /// Whether every audited structure was sound.
-    pub fn is_clean(&self) -> bool {
-        self.entries.iter().all(|e| e.violations.is_empty())
-    }
-
-    /// Total violation count.
-    pub fn violation_count(&self) -> usize {
-        self.entries.iter().map(|e| e.violations.len()).sum()
-    }
-
-    fn push<V: std::fmt::Display>(&mut self, subject: &str, violations: Vec<V>) {
-        self.entries.push(AuditEntry {
-            subject: subject.to_string(),
-            violations: violations.iter().map(V::to_string).collect(),
-        });
-    }
+/// One audited structure: what was audited (e.g. `"index hnsw"`) and its
+/// rendered violations (empty = sound).
+fn entry<V: std::fmt::Display>(subject: &str, violations: &[V]) -> (String, Vec<String>) {
+    let violations = violations.iter().map(V::to_string).collect();
+    (subject.to_string(), violations)
 }
 
 /// A clustered synthetic store: `clusters` Gaussian-ish blobs in `dim`
 /// dimensions, `n` vectors, fully determined by `seed`.
-pub fn synthetic_store(n: usize, dim: usize, clusters: usize, seed: u64) -> VectorStore {
+fn synthetic_store(n: usize, dim: usize, clusters: usize, seed: u64) -> VectorStore {
     let mut rng = StdRng::seed_from_u64(seed);
     let centers: Vec<Vec<f32>> = (0..clusters)
         .map(|_| (0..dim).map(|_| rng.gen_range(-4.0f32..4.0)).collect())
@@ -66,7 +40,7 @@ pub fn synthetic_store(n: usize, dim: usize, clusters: usize, seed: u64) -> Vect
 
 /// A two-modal synthetic object store with a mix of complete and partial
 /// objects (every fourth object lacks its image modality).
-pub fn synthetic_multivector_store(n: usize, seed: u64) -> MultiVectorStore {
+fn synthetic_multivector_store(n: usize, seed: u64) -> MultiVectorStore {
     let schema = Schema::text_image(8, 12);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut store = MultiVectorStore::new(schema.clone());
@@ -84,7 +58,7 @@ pub fn synthetic_multivector_store(n: usize, seed: u64) -> MultiVectorStore {
 }
 
 /// Every selectable index configuration, by panel name.
-pub fn all_algorithms() -> Vec<IndexAlgorithm> {
+fn all_algorithms() -> Vec<IndexAlgorithm> {
     vec![
         IndexAlgorithm::Flat,
         IndexAlgorithm::ivf(),
@@ -127,7 +101,7 @@ struct InstrumentUse {
 /// Formatted names (`&format!(…)`) are skipped: their shape is checked by
 /// the naming convention of their literal prefix at review time, and they
 /// cannot be matched statically.
-pub fn audit_instruments(ws: &Workspace) -> Vec<String> {
+fn audit_instruments(ws: &Workspace) -> Vec<String> {
     // Built by concatenation so this file's own source never matches.
     let needles: Vec<(String, &str)> = ["counter", "gauge", "histogram"]
         .iter()
@@ -244,7 +218,7 @@ fn span_site_boundary(line: &str, pos: usize) -> bool {
 ///   [`mqa_obs::report::MILESTONE_SPANS`]) must be emitted by at least one
 ///   literal `span(…)`/`span_under(…)` site. A table entry nobody emits
 ///   renders a milestone `(not measured)` forever.
-pub fn audit_stages(ws: &Workspace) -> Vec<String> {
+fn audit_stages(ws: &Workspace) -> Vec<String> {
     let quote = "(\"";
     let literal_needles: Vec<String> = ["span_under", "span"]
         .iter()
@@ -320,25 +294,23 @@ pub fn audit_stages(ws: &Workspace) -> Vec<String> {
 /// Runs the full audit: every index variant over the synthetic corpus,
 /// the unified multi-modal index through a scripted mutation life cycle,
 /// the multi-vector store, and the static instrument-name audit.
-pub fn run(repo_root: &Path) -> AuditReport {
-    let mut report = AuditReport::default();
+fn run(repo_root: &Path) -> Vec<(String, Vec<String>)> {
+    let mut entries = Vec::new();
 
     match workspace::load(repo_root) {
         Ok(ws) => {
-            report.push("obs instruments", audit_instruments(&ws));
-            report.push("trace stages", audit_stages(&ws));
+            entries.push(entry("obs instruments", &audit_instruments(&ws)));
+            entries.push(entry("trace stages", &audit_stages(&ws)));
         }
-        Err(e) => report.push("workspace sources", vec![e]),
+        Err(e) => entries.push(entry("workspace sources", &[e])),
     }
 
     // Single-vector indexes, every variant.
     let store = Arc::new(synthetic_store(500, 16, 8, 0xA0D1));
     for algo in all_algorithms() {
         let built = algo.build_graph(&store, Metric::L2);
-        report.push(
-            &format!("index {}", algo.name()),
-            built.validate(&store, Metric::L2),
-        );
+        let subject = format!("index {}", algo.name());
+        entries.push(entry(&subject, &built.validate(&store, Metric::L2)));
     }
 
     // The unified multi-modal index (store + learned-weight layout), as
@@ -347,7 +319,7 @@ pub fn run(repo_root: &Path) -> AuditReport {
     // ids (every entry among them, which compacts), grow again — with
     // every generation it publishes validated.
     let mv = synthetic_multivector_store(300, 0xA0D2);
-    report.push("multivector store", mv.validate());
+    entries.push(entry("multivector store", &mv.validate()));
     let weights = Weights::normalized(&[2.0, 1.0]);
     let donors = synthetic_multivector_store(80, 0xA0D3);
     let batch = |from: u32, to: u32| -> Vec<MultiVector> {
@@ -402,10 +374,10 @@ pub fn run(repo_root: &Path) -> AuditReport {
             false,
             unified.add_objects(&batch(40, 80)),
         );
-        report.push(&name, violations);
+        entries.push((name, violations));
     }
 
-    report
+    entries
 }
 
 #[cfg(test)]
@@ -477,22 +449,11 @@ mod tests {
         // The audit's add / delete pass moves the global `graph.mutate.*`
         // counters the mutate gate's test asserts exact values of.
         let _serial = crate::scenario_lock();
-        let report = run(&repo_root());
-        assert!(
-            report.is_clean(),
-            "audit found violations: {:?}",
-            report
-                .entries
-                .iter()
-                .filter(|e| !e.violations.is_empty())
-                .collect::<Vec<_>>()
-        );
+        let entries = run(&repo_root());
+        let dirty: Vec<_> = entries.iter().filter(|(_, v)| !v.is_empty()).collect();
+        assert!(dirty.is_empty(), "audit found violations: {dirty:?}");
         // Every variant plus the unified/store subjects are present.
-        assert!(
-            report.entries.len() >= 9,
-            "{} entries",
-            report.entries.len()
-        );
+        assert!(entries.len() >= 9, "{} entries", entries.len());
     }
 
     #[test]

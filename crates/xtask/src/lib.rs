@@ -9,16 +9,17 @@
 //! | [`conc`] | the global lock-order graph has no cycle, every `Condvar::wait` re-checks its predicate in a loop, no guard is held across a blocking call | `conc-baseline.toml` (absent: zero waivers) |
 //! | [`flow`] | no panic-capable site is reachable from a serving entry point | `flow-baseline.toml` |
 //! | [`alloc`] | no allocation-capable site is reachable from a steady-state serving entry point without an `// ALLOC:` discharge (cross-checked at runtime by the counting allocator of `mqa-graph`'s `alloc_free` test) | `alloc-baseline.toml` |
-//! | [`audit`] | every index variant, the multi-vector store and every generation the unified index publishes under a scripted add / compacting delete / add pass their structural validators; every literal instrument and span name is well-formed and live | — |
 //! | `rules` | (lists the lint rules with their rationales) | — |
 //! | [`trace`] | one milestone-complete [`mqa_obs::QueryTrace`] per turn, queue-wait / service attribution that adds up, deterministic tail sampling, a valid `/metrics` exposition, every instrumented pipeline layer in the metrics snapshot | — |
 //! | [`mutate`] | under a scripted insert/delete mix no tombstoned object surfaces, the result-cache generation bumps, compaction triggers, every `graph.mutate.*` instrument records | — |
 //! | [`counts`] | the benchmark's exact counts (evaluations, hops, page reads, cache verdicts, hit shares, prompt tokens, recall) equal the committed ones bit for bit | `BENCH_counts.json` (re-recorded with `--write`) |
 //! | [`sched`] | at 2x saturation every submission resolves to exactly one typed outcome, the shed counters match, served queue-wait p99 stays within the budget | — |
 //!
-//! The `mutate`, `sched` and `trace` gates file their numbers as
-//! `BENCH_<gate>.json` in the one artefact shape the repo has, the report
-//! file of [`mqa_benchmark::report`] (workload = the gate's name).
+//! The `mutate`, `sched` and `trace` gates return their numbers as one
+//! [`mqa_benchmark::workload::Report`] (workload = the gate's name), file
+//! it as `BENCH_<gate>.json` in the one artefact shape the repo has, the
+//! report file of [`mqa_benchmark::report`], and the CLI prints it through
+//! the benchmark's own table.
 //!
 //! The four static gates share one path: [`workspace`] reads and lexes the
 //! tree once ([`rustlex`]) and masks `#[cfg(test)]` items; each gate is a
@@ -29,10 +30,15 @@
 //! The engine gate is a test of this crate (`engine`): worker-pool
 //! answers equal the serial path, paged QPS scales with workers, a warm
 //! page cache reads fewer pages, and the runtime lock-order witness agrees
-//! with `conc`'s static lock graph.
+//! with `conc`'s static lock graph. So is the structural audit (`audit`):
+//! every index variant, the multi-vector store and every generation the
+//! unified index publishes under a scripted add / compacting delete / add
+//! pass their structural validators, and every literal instrument and
+//! span name is well-formed and live.
 
 pub mod alloc;
-pub mod audit;
+#[cfg(test)]
+mod audit;
 pub mod baseline;
 pub mod callgraph;
 pub mod conc;
@@ -51,18 +57,19 @@ use mqa_benchmark::workload::{MetricValue, Report};
 use std::path::Path;
 
 /// Writes `out_dir/BENCH_<gate>.json` as a [`mqa_benchmark::report`] file
-/// of one report: workload `gate`, one single-reading metric per `(name,
-/// unit, value)` field, `attempted` operations checked and none failed (a
-/// gate that fails a check returns before it reports).
-pub(crate) fn write_bench(
+/// of one report and returns that report: workload `gate`, one
+/// single-reading metric per `(name, unit, value)` field, `attempted`
+/// operations checked and none failed (a gate that fails a check returns
+/// before it reports).
+pub(crate) fn write_bench<'f>(
     out_dir: &Path,
     gate: &str,
     attempted: u64,
-    fields: &[(&str, &str, f64)],
-) -> Result<(), String> {
+    fields: impl IntoIterator<Item = (&'f str, &'f str, f64)>,
+) -> Result<Report, String> {
     let metrics = fields
-        .iter()
-        .map(|&(name, unit, value)| MetricValue {
+        .into_iter()
+        .map(|(name, unit, value)| MetricValue {
             name: name.to_string(),
             unit: unit.to_string(),
             value,
@@ -70,7 +77,7 @@ pub(crate) fn write_bench(
             rounds: 1,
         })
         .collect();
-    let report = Report {
+    let report = [Report {
         workload: gate.to_string(),
         traced: false,
         correct: true,
@@ -81,9 +88,11 @@ pub(crate) fn write_bench(
         metrics,
         extras: Vec::new(),
         spans: None,
-    };
-    let value = mqa_benchmark::report::file_value(&[report]);
-    write_json(out_dir, &format!("BENCH_{gate}.json"), &value)
+    }];
+    let value = mqa_benchmark::report::file_value(&report);
+    write_json(out_dir, &format!("BENCH_{gate}.json"), &value)?;
+    let [report] = report;
+    Ok(report)
 }
 
 /// Writes `value` as pretty JSON to `out_dir/file`, creating `out_dir`.
@@ -98,15 +107,32 @@ pub(crate) fn write_json<T: serde::Serialize>(
     std::fs::write(out_dir.join(file), text).map_err(|e| format!("writing {file}: {e}"))
 }
 
-/// The value `dir/BENCH_<gate>.json` reads back for `metric` of workload
-/// `gate`, through the one parser.
+/// The value a gate's report holds for `metric`.
 #[cfg(test)]
-pub(crate) fn bench_reading(dir: &Path, gate: &str, metric: &str) -> f64 {
+pub(crate) fn reading(report: &Report, metric: &str) -> f64 {
+    let found = report.metrics.iter().find(|m| m.name == metric);
+    found
+        .unwrap_or_else(|| panic!("the gate reports no `{metric}`"))
+        .value
+}
+
+/// Asserts that `dir/BENCH_<gate>.json` reads back, through the one
+/// parser, exactly the metrics of the gate's returned `report`.
+#[cfg(test)]
+pub(crate) fn assert_bench_file_holds(dir: &Path, report: &Report) {
+    let gate = report.workload.as_str();
     let body = std::fs::read_to_string(dir.join(format!("BENCH_{gate}.json"))).expect("readable");
     let readings = mqa_benchmark::report::parse_file(&body).expect("a report file");
-    let mut of_gate = readings.iter().filter(|r| r.workload == gate);
-    let reading = of_gate.find(|r| r.metric == metric);
-    reading.expect("the gate reports the metric").value
+    let read: Vec<(&str, &str, f64)> = readings
+        .iter()
+        .map(|r| (r.workload.as_str(), r.metric.as_str(), r.value))
+        .collect();
+    let reported: Vec<(&str, &str, f64)> = report
+        .metrics
+        .iter()
+        .map(|m| (gate, m.name.as_str(), m.value))
+        .collect();
+    assert_eq!(read, reported, "BENCH_{gate}.json");
 }
 
 /// Serializes scenario tests that reset the global `mqa-obs` registry or

@@ -1,17 +1,18 @@
 //! `mqa-xtask` — the workspace correctness gate.
 //!
 //! ```text
-//! cargo run -p mqa-xtask -- lint   # static source rules + waiver baseline
-//! cargo run -p mqa-xtask -- audit  # structural invariant validation
+//! cargo run -p mqa-xtask -- lint    # static source rules + waiver baseline
+//! cargo run -p mqa-xtask -- trace   # a scenario gate: prints its report table
 //! ```
 //!
 //! Every command exits 0 only when clean, so `ci.sh` can chain them. The
 //! commands live in one table ([`COMMANDS`]) that both dispatches them and
 //! renders the usage text.
 
+use mqa_benchmark::workload::Report;
 use mqa_xtask::baseline::{Baseline, Outcome};
 use mqa_xtask::workspace::{self, Workspace};
-use mqa_xtask::{alloc, audit, conc, counts, flow, lint, mutate, sched, trace};
+use mqa_xtask::{alloc, conc, counts, flow, lint, mutate, sched, trace};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -27,7 +28,7 @@ struct Command {
 const STATIC_OPTIONS: &str = " [--baseline <path>] [--root <dir>]";
 const SCENARIO_OPTIONS: &str = " [--out <dir>] [--seed <n>]";
 
-const COMMANDS: [Command; 10] = [
+const COMMANDS: [Command; 9] = [
     Command {
         name: "lint",
         options: STATIC_OPTIONS,
@@ -90,14 +91,6 @@ alloc-baseline.toml.",
         },
     },
     Command {
-        name: "audit",
-        options: "",
-        help: "Build every index variant over a synthetic corpus and run the
-structural validators (HNSW, IVF, NavGraph, MultiVectorStore); validate every
-generation a scripted add / compacting delete / add publishes on the unified index.",
-        run: |_| cmd_audit(),
-    },
-    Command {
         name: "rules",
         options: "",
         help: "List the lint rules with their rationales.",
@@ -116,47 +109,7 @@ query by more than 10 % or away from a fresh build's. Writes
 BENCH_mutate.json (insert/delete throughput, search p50/p99
 during mutation vs quiesced, the churn block's per-generation
 readings) and metrics.json into <dir> (default results/mutate).",
-        run: |args| {
-            scenario("mutate", args, |out, seed| {
-                let o = mutate::run(out, seed)?;
-                let churn: String = o
-                    .churn
-                    .iter()
-                    .filter_map(|c| Some((c, c.generations.first()?, c.generations.last()?)))
-                    .map(|(c, first, last)| {
-                        format!(
-                            "; churn at {} objects: {:.1} -> {:.1} evals/query over {} \
-                             generations ({:.1} on a fresh build), {} -> {} rows",
-                            c.objects,
-                            first.evals,
-                            last.evals,
-                            c.generations.len(),
-                            last.fresh_evals,
-                            first.rows,
-                            last.rows
-                        )
-                    })
-                    .collect();
-                Ok(format!(
-                    "mutate: {} insert(s) at {:.0}/s, {} delete(s) at {:.0}/s, \
-                     {} compaction(s), epoch {}, {} cache bump(s), \
-                     {} quer(ies) clean of dead objects, search p50/p99 \
-                     {}/{} us quiesced vs {}/{} us mutating{churn}",
-                    o.inserted,
-                    o.insert_per_sec,
-                    o.removed,
-                    o.delete_per_sec,
-                    o.compactions,
-                    o.final_epoch,
-                    o.generation_bumps,
-                    o.queries_checked,
-                    o.quiesced_p50_us,
-                    o.quiesced_p99_us,
-                    o.mutating_p50_us,
-                    o.mutating_p99_us
-                ))
-            })
-        },
+        run: |args| scenario("mutate", args, mutate::run),
     },
     Command {
         name: "trace",
@@ -169,25 +122,7 @@ attribution that adds up, deterministic tail sampling, a valid
 the metrics snapshot. Writes traces.jsonl, slow_queries.txt,
 metrics.txt, metrics.json, report.txt (snapshot + status panel)
 and BENCH_trace.json into <dir> (default results/trace).",
-        run: |args| {
-            scenario("trace", args, |out, seed| {
-                let o = trace::run(out, seed)?;
-                Ok(format!(
-                    "{}trace: {} trace(s) ({} engine-served, {} cache hit(s)), \
-                     p50 {} us / p99 {} us end-to-end, {:.1}% queue wait, \
-                     {} exposition sample(s) with {} exemplar(s)",
-                    o.status_panel,
-                    o.traces,
-                    o.engine_served,
-                    o.cache_hits,
-                    o.p50_total_us,
-                    o.p99_total_us,
-                    o.queue_wait_share * 100.0,
-                    o.exposition_samples,
-                    o.exposition_exemplars
-                ))
-            })
-        },
+        run: |args| scenario("trace", args, trace::run),
     },
     Command {
         name: "sched",
@@ -200,22 +135,7 @@ counters equal the observed outcomes exactly, the shed fraction
 is strictly between 0 and 1, and served queue-wait p99 stays
 within the budget. Writes BENCH_sched.json and metrics.json
 into <dir> (default results/sched).",
-        run: |args| {
-            scenario("sched", args, |out, seed| {
-                let o = sched::run(out, seed)?;
-                Ok(format!(
-                    "sched: {} submitted at 2x saturation -> {} served, \
-                     {} rejected + {} expired ({:.0}% shed, all typed), \
-                     queue-wait p99 {} us within budget",
-                    o.submitted,
-                    o.served,
-                    o.shed_rejected,
-                    o.shed_expired,
-                    o.shed_fraction * 100.0,
-                    o.p99_queue_wait_us
-                ))
-            })
-        },
+        run: |args| scenario("sched", args, sched::run),
     },
     Command {
         name: "counts",
@@ -363,11 +283,12 @@ fn static_gate<S>(
 
 /// The one handler behind the scenario gates: parse `--out` (default
 /// `results/<name>`) and `--seed` (default 42), run the scenario, print
-/// its summary line followed by the output directory.
+/// the report it filed as `BENCH_<name>.json` through the benchmark's
+/// table, followed by the output directory.
 fn scenario(
     name: &str,
     args: &[String],
-    run: impl FnOnce(&Path, u64) -> Result<String, String>,
+    run: fn(&Path, u64) -> Result<Report, String>,
 ) -> ExitCode {
     let mut out_dir = PathBuf::from("results").join(name);
     let mut seed = 42u64;
@@ -383,42 +304,15 @@ fn scenario(
         return code;
     }
     match run(&out_dir, seed) {
-        Ok(summary) => {
-            println!("{summary} -> {}", out_dir.display());
+        Ok(report) => {
+            print!("{}", mqa_benchmark::report::table(&report));
+            println!("-> {}", out_dir.display());
             ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("{e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-fn cmd_audit() -> ExitCode {
-    let report = audit::run(Path::new("."));
-    for entry in &report.entries {
-        if entry.violations.is_empty() {
-            println!("audit: {:<28} ok", entry.subject);
-        } else {
-            println!(
-                "audit: {:<28} {} violation(s)",
-                entry.subject,
-                entry.violations.len()
-            );
-            for v in &entry.violations {
-                println!("    {v}");
-            }
-        }
-    }
-    println!(
-        "audit: {} structure(s), {} violation(s)",
-        report.entries.len(),
-        report.violation_count()
-    );
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 

@@ -29,6 +29,7 @@
 //! recorded for the reclaim decision, not gated).
 
 use mqa_benchmark::inputs::{InputSizes, Inputs};
+use mqa_benchmark::workload::Report;
 use mqa_core::{Config, MqaSystem};
 use mqa_engine::EngineOptions;
 use mqa_graph::UnifiedIndex;
@@ -78,74 +79,45 @@ const CHURN_QUERIES: usize = 64;
 /// and a compacted index's from a fresh build's.
 const CHURN_TOLERANCE: f64 = 0.10;
 
-/// What the gate measured, for the caller to print.
-pub struct MutateOutcome {
-    /// Objects inserted across all batches.
-    pub inserted: usize,
-    /// Objects tombstoned across all batches.
-    pub removed: usize,
-    /// Insert throughput (objects/s, index work only).
-    pub insert_per_sec: f64,
-    /// Delete throughput (objects/s, index work only).
-    pub delete_per_sec: f64,
-    /// Median search latency with no writer active.
-    pub quiesced_p50_us: u64,
-    /// Tail search latency with no writer active.
-    pub quiesced_p99_us: u64,
-    /// Median search latency for queries in flight during a batch.
-    pub mutating_p50_us: u64,
-    /// Tail search latency for queries in flight during a batch.
-    pub mutating_p99_us: u64,
-    /// Graph compactions triggered by the delete volume.
-    pub compactions: u64,
-    /// Index epoch after the full script (one publish per batch).
-    pub final_epoch: u64,
-    /// Result-cache generation bumps observed (one per batch).
-    pub generation_bumps: u64,
-    /// Queries checked for dead-object leakage.
-    pub queries_checked: usize,
-    /// The churn block, one entry per corpus size it ran at.
-    pub churn: Vec<Churn>,
-}
-
 /// What one generation of the churn block read.
-pub struct Generation {
+struct Generation {
     /// Evaluations per query with two tenths of the live objects deleted
     /// and not yet compacted.
-    pub dirty_evals: f64,
+    dirty_evals: f64,
     /// Evaluations per query once the third tenth compacted the index.
-    pub evals: f64,
+    evals: f64,
     /// The same queries on an index freshly built over the live objects.
-    pub fresh_evals: f64,
+    fresh_evals: f64,
     /// Recall of the compacted read against exact search over the live
     /// objects.
-    pub recall: f64,
+    recall: f64,
     /// Store rows (live and dead; never reclaimed) after the re-insert.
-    pub rows: usize,
+    rows: usize,
     /// Peak resident set of the process so far, MiB.
-    pub peak_rss_mb: f64,
+    peak_rss_mb: f64,
 }
 
 /// The churn block at one corpus size.
-pub struct Churn {
+struct Churn {
     /// Live objects, constant across the generations.
-    pub objects: usize,
+    objects: usize,
     /// One entry per generation.
-    pub generations: Vec<Generation>,
+    generations: Vec<Generation>,
     /// Objects inserted over the whole block.
-    pub inserted: usize,
+    inserted: usize,
     /// Objects deleted over the whole block (the dead pocket included).
-    pub removed: usize,
+    removed: usize,
 }
 
-/// Runs the scripted mutation mix and writes `BENCH_mutate.json` and
-/// `metrics.json` under `out_dir`.
+/// Runs the scripted mutation mix, writes `BENCH_mutate.json` and
+/// `metrics.json` under `out_dir`, and returns the report filed in the
+/// first.
 ///
 /// # Errors
 /// Returns a message when the system cannot be built, a mutation or
 /// query fails, a dead object surfaces, the cache generation fails to
 /// bump, an instrument stayed empty, or an artifact cannot be written.
-pub fn run(out_dir: &Path, seed: u64) -> Result<MutateOutcome, String> {
+pub fn run(out_dir: &Path, seed: u64) -> Result<Report, String> {
     mqa_obs::global().reset();
 
     let kb = DatasetSpec::weather()
@@ -329,44 +301,30 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<MutateOutcome, String> {
         }
     }
 
-    let outcome = MutateOutcome {
-        inserted,
-        removed,
-        insert_per_sec: per_second(inserted, insert_us),
-        delete_per_sec: per_second(removed, delete_us),
-        quiesced_p50_us: percentile(&mut quiesced_us, 50),
-        quiesced_p99_us: percentile(&mut quiesced_us, 99),
-        mutating_p50_us: percentile(&mut mutating_us, 50),
-        mutating_p99_us: percentile(&mut mutating_us, 99),
-        compactions,
-        final_epoch,
-        generation_bumps,
-        queries_checked,
-        churn,
-    };
     let live_objects = BASE_OBJECTS + inserted - removed;
     let fields = [
         ("inserted", "count", inserted as f64),
         ("removed", "count", removed as f64),
-        ("insert_per_sec", "1/s", outcome.insert_per_sec),
-        ("delete_per_sec", "1/s", outcome.delete_per_sec),
-        ("quiesced_p50_us", "us", outcome.quiesced_p50_us as f64),
-        ("quiesced_p99_us", "us", outcome.quiesced_p99_us as f64),
-        ("mutating_p50_us", "us", outcome.mutating_p50_us as f64),
-        ("mutating_p99_us", "us", outcome.mutating_p99_us as f64),
+        ("insert_per_sec", "1/s", per_second(inserted, insert_us)),
+        ("delete_per_sec", "1/s", per_second(removed, delete_us)),
+        ("quiesced_p50_us", "us", percentile(&mut quiesced_us, 50)),
+        ("quiesced_p99_us", "us", percentile(&mut quiesced_us, 99)),
+        ("mutating_p50_us", "us", percentile(&mut mutating_us, 50)),
+        ("mutating_p99_us", "us", percentile(&mut mutating_us, 99)),
         ("compactions", "count", compactions as f64),
         ("final_epoch", "count", final_epoch as f64),
         ("generation_bumps", "count", generation_bumps as f64),
         ("live_objects", "count", live_objects as f64),
     ];
-    let fields: Vec<(&str, &str, f64)> = fields
-        .into_iter()
-        .chain(churn_fields.iter().map(|(n, u, v)| (n.as_str(), *u, *v)))
-        .collect();
-    crate::write_bench(out_dir, "mutate", queries_checked as u64, &fields)?;
+    let churn_fields = churn_fields.iter().map(|(n, u, v)| (n.as_str(), *u, *v));
+    let report = crate::write_bench(
+        out_dir,
+        "mutate",
+        queries_checked as u64,
+        fields.into_iter().chain(churn_fields),
+    )?;
     crate::write_json(out_dir, "metrics.json", &snapshot)?;
-
-    Ok(outcome)
+    Ok(report)
 }
 
 /// One read of the churn block: mean evaluations per query over `queries`
@@ -577,15 +535,15 @@ fn per_second(objects: usize, elapsed_us: u64) -> f64 {
     objects as f64 / (elapsed_us.max(1) as f64 / 1e6)
 }
 
-/// The `p`-th percentile of `samples` (sorted in place).
-fn percentile(samples: &mut [u64], p: usize) -> u64 {
+/// The `p`-th percentile of `samples` (sorted in place), in microseconds.
+fn percentile(samples: &mut [u64], p: usize) -> f64 {
     if samples.is_empty() {
-        return 0;
+        return 0.0;
     }
     samples.sort_unstable();
     // INVARIANT: the rank is (len-1)*p/100 <= len-1, so the index is
     // always in bounds for a non-empty slice.
-    samples[(samples.len() - 1) * p / 100]
+    samples[(samples.len() - 1) * p / 100] as f64
 }
 
 /// The instrument self-checks: every mutation metric wired by the
@@ -644,40 +602,49 @@ mod tests {
         let _serial = crate::scenario_lock();
         let dir =
             std::env::temp_dir().join(format!("mqa-xtask-mutate-test-{}", std::process::id()));
-        let outcome = run(&dir, 42).expect("mutate gate must pass on a healthy tree");
-        assert_eq!(outcome.inserted, 30);
-        assert_eq!(outcome.removed, 60);
-        assert_eq!(outcome.final_epoch, 6, "one publish per batch");
-        assert_eq!(outcome.generation_bumps, 6, "one cache bump per batch");
-        assert!(outcome.compactions >= 1);
-        assert!(outcome.queries_checked >= BATCHES * 24);
-        assert!(outcome.insert_per_sec > 0.0 && outcome.delete_per_sec > 0.0);
-        let reading = |metric: &str| crate::bench_reading(&dir, "mutate", metric);
+        let report = run(&dir, 42).expect("mutate gate must pass on a healthy tree");
+        let reading = |metric: &str| crate::reading(&report, metric);
+        assert_eq!(reading("inserted"), 30.0);
+        assert_eq!(reading("removed"), 60.0);
+        assert_eq!(reading("final_epoch"), 6.0, "one publish per batch");
+        assert_eq!(reading("generation_bumps"), 6.0, "one cache bump per batch");
+        assert!(reading("compactions") >= 1.0);
+        assert!(report.attempted >= (BATCHES * 24) as u64, "queries checked");
+        assert!(reading("insert_per_sec") > 0.0 && reading("delete_per_sec") > 0.0);
+        assert_eq!(reading("live_objects"), 210.0);
+        crate::assert_bench_file_holds(&dir, &report);
         let metrics = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics readable");
         assert!(metrics.contains("graph.mutate.publish_us"));
-        assert_eq!(reading("insert_per_sec"), outcome.insert_per_sec);
-        assert_eq!(reading("mutating_p99_us"), outcome.mutating_p99_us as f64);
-        assert_eq!(reading("live_objects"), 210.0);
         // The churn block at each of its sizes: ten generations at constant
         // live size, each one compacting, with rows growing by three
         // tenths per generation.
-        assert_eq!(outcome.churn.len(), CHURN_OBJECTS.len());
-        for (churn, &objects) in outcome.churn.iter().zip(CHURN_OBJECTS) {
-            assert_eq!((churn.objects, churn.generations.len()), (objects, 10));
-            let inserted = 3 * objects;
-            assert_eq!(
-                (churn.inserted, churn.removed),
-                (inserted, inserted + EF + K)
-            );
-            for (g, generation) in churn.generations.iter().enumerate() {
-                assert_eq!(generation.rows, objects + 3 * objects / 10 * (g + 1));
-                assert!(generation.recall > 0.9, "{objects}: generation {}", g + 1);
+        let churn_rows = report
+            .metrics
+            .iter()
+            .filter(|m| m.name.starts_with("churn_"));
+        assert_eq!(churn_rows.count(), CHURN_OBJECTS.len() * 10 * 6);
+        for &objects in CHURN_OBJECTS {
+            for g in 1..=10 {
+                let at = |metric: &str| reading(&format!("churn_{objects}.g{g:02}.{metric}"));
+                assert_eq!(at("store_rows"), (objects + 3 * objects / 10 * g) as f64);
+                assert!(at("recall_at_k") > 0.9, "{objects}: generation {g}");
             }
-            let last = &churn.generations[9];
             let g10 = |metric: &str| reading(&format!("churn_{objects}.g10.{metric}"));
-            assert_eq!(g10("evals_per_query"), last.evals);
             assert_eq!(g10("store_rows"), (4 * objects) as f64);
         }
+        // Each churn block inserts three tenths of its objects per
+        // generation and deletes those plus the dead pocket (EF + K).
+        let snapshot: mqa_obs::Snapshot = serde_json::from_str(&metrics).expect("a snapshot");
+        let churned: usize = CHURN_OBJECTS.iter().map(|&objects| 3 * objects).sum();
+        let pockets = CHURN_OBJECTS.len() * (EF + K);
+        assert_eq!(
+            snapshot.counter("graph.mutate.inserts"),
+            Some((30 + churned) as u64)
+        );
+        assert_eq!(
+            snapshot.counter("graph.mutate.deletes"),
+            Some((60 + churned + pockets) as u64)
+        );
         assert!(metrics.contains("graph.search.widened"));
         std::fs::remove_dir_all(&dir).ok();
     }

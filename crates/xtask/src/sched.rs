@@ -26,6 +26,7 @@
 //! and queue-wait and service tails — the paper-facing evidence that
 //! overload degrades by policy, not by collapse.
 
+use mqa_benchmark::workload::Report;
 use mqa_engine::{Deadline, EngineOptions, QueryEngine, SchedOptions, TicketError};
 use mqa_retrieval::{FrameworkKind, MultiModalQuery, RetrievalFramework, RetrievalOutput};
 use mqa_vector::Candidate;
@@ -51,22 +52,6 @@ const QUERIES: usize = 400;
 /// Interarrival gap: `SERVICE_US / WORKERS / 2` = 2× the saturation rate.
 const INTERARRIVAL_US: u64 = SERVICE_US / WORKERS as u64 / 2;
 
-/// What the gate measured, for the caller to print.
-pub struct SchedOutcome {
-    /// Open-loop submissions.
-    pub submitted: u64,
-    /// Tickets that resolved with an answer.
-    pub served: u64,
-    /// Typed `Rejected` outcomes (admission watermark).
-    pub shed_rejected: u64,
-    /// Typed `Expired` outcomes (budget ran out before pickup).
-    pub shed_expired: u64,
-    /// `(shed_rejected + shed_expired) / submitted`.
-    pub shed_fraction: f64,
-    /// Queue-wait tail for served queries.
-    pub p99_queue_wait_us: u64,
-}
-
 /// Answers after a fixed busy period — a framework whose service rate is
 /// known exactly, so the 2× overload factor is by construction.
 struct SleepFramework;
@@ -90,15 +75,16 @@ impl RetrievalFramework for SleepFramework {
     }
 }
 
-/// Runs the open-loop overload scenario and writes `BENCH_sched.json` and
-/// `metrics.json` under `out_dir`.
+/// Runs the open-loop overload scenario, writes `BENCH_sched.json` and
+/// `metrics.json` under `out_dir`, and returns the report filed in the
+/// first.
 ///
 /// # Errors
 /// Returns a message when a ticket resolves to an untyped outcome, the
 /// shed counters disagree with observed outcomes, the shed fraction is
 /// degenerate (0 or 1), the served queue-wait tail exceeds the budget, or
 /// an artifact cannot be written.
-pub fn run(out_dir: &Path, seed: u64) -> Result<SchedOutcome, String> {
+pub fn run(out_dir: &Path, seed: u64) -> Result<Report, String> {
     mqa_obs::global().reset();
 
     let engine = QueryEngine::new(
@@ -213,17 +199,9 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<SchedOutcome, String> {
         ("p99_queue_wait_us", "us", queue_wait.p99 as f64),
         ("p99_service_us", "us", service.p99 as f64),
     ];
-    crate::write_bench(out_dir, "sched", submitted, &fields)?;
+    let report = crate::write_bench(out_dir, "sched", submitted, fields)?;
     crate::write_json(out_dir, "metrics.json", &snapshot)?;
-
-    Ok(SchedOutcome {
-        submitted,
-        served,
-        shed_rejected,
-        shed_expired,
-        shed_fraction,
-        p99_queue_wait_us: queue_wait.p99,
-    })
+    Ok(report)
 }
 
 /// The instrument self-checks: the shed counters must equal the typed
@@ -263,19 +241,15 @@ mod tests {
     fn gate_passes_and_writes_bench() {
         let _serial = crate::scenario_lock();
         let dir = std::env::temp_dir().join(format!("mqa-xtask-sched-test-{}", std::process::id()));
-        let outcome = run(&dir, 42).expect("sched gate must pass on a healthy tree");
+        let report = run(&dir, 42).expect("sched gate must pass on a healthy tree");
+        let reading = |metric| crate::reading(&report, metric);
         assert_eq!(
-            outcome.served + outcome.shed_rejected + outcome.shed_expired,
-            outcome.submitted
+            reading("served") + reading("shed_rejected") + reading("shed_expired"),
+            reading("submitted")
         );
-        assert!(outcome.shed_fraction > 0.0 && outcome.shed_fraction < 1.0);
-        let reading = |metric| crate::bench_reading(&dir, "sched", metric);
+        assert!(reading("shed_fraction") > 0.0 && reading("shed_fraction") < 1.0);
         assert_eq!(reading("arrival_qps"), 2.0 * reading("saturation_qps"));
-        assert_eq!(reading("shed_fraction"), outcome.shed_fraction);
-        assert_eq!(
-            reading("p99_queue_wait_us"),
-            outcome.p99_queue_wait_us as f64
-        );
+        crate::assert_bench_file_holds(&dir, &report);
         let metrics = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics readable");
         assert!(metrics.contains("engine.sched.shed_rejected"));
         std::fs::remove_dir_all(&dir).ok();

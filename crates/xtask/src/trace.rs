@@ -30,10 +30,13 @@
 //! `metrics.json` (the snapshot), `report.txt` (the rendered snapshot and
 //! the status panel with its per-milestone breakdown), and
 //! `BENCH_trace.json` (a [`mqa_benchmark::report`] file: p50/p99
-//! end-to-end latency, queue-wait share, cache-hit rate).
+//! end-to-end latency, queue-wait share, cache-hit rate, exposition
+//! samples and exemplars).
 
+use mqa_benchmark::workload::Report;
 use mqa_core::{Config, Milestone, MqaSystem, StatusMonitor, Turn};
 use mqa_kb::DatasetSpec;
+use mqa_obs::expo::ExpoStats;
 use mqa_obs::trace::{sample_hit, QUERY_MILESTONES};
 use mqa_obs::{report, QueryTrace, Snapshot, TraceConfig};
 use std::path::Path;
@@ -97,34 +100,13 @@ const REQUIRED_HISTOGRAMS: [&str; 4] = [
     "engine.query.queue_wait_us",
 ];
 
-/// What the gate measured, for the caller to print.
-pub struct TraceOutcome {
-    /// Finalized traces retained by the collector.
-    pub traces: usize,
-    /// Traces that crossed the worker pool.
-    pub engine_served: usize,
-    /// Traces answered from the result cache.
-    pub cache_hits: usize,
-    /// Median end-to-end turn latency.
-    pub p50_total_us: u64,
-    /// Tail end-to-end turn latency.
-    pub p99_total_us: u64,
-    /// Fraction of engine-served wall time spent queued.
-    pub queue_wait_share: f64,
-    /// Samples in the rendered text exposition.
-    pub exposition_samples: usize,
-    /// Histogram exemplars in the rendered text exposition.
-    pub exposition_exemplars: usize,
-    /// The rendered status panel (milestone breakdown included).
-    pub status_panel: String,
-}
-
-/// Runs the traced scenario and writes the artifacts under `out_dir`.
+/// Runs the traced scenario, writes the artifacts under `out_dir`, and
+/// returns the report filed as `BENCH_trace.json`.
 ///
 /// # Errors
 /// Returns a message when the scenario cannot be built, an artifact
 /// cannot be written, or any tracing-contract check fails.
-pub fn run(out_dir: &Path, seed: u64) -> Result<TraceOutcome, String> {
+pub fn run(out_dir: &Path, seed: u64) -> Result<Report, String> {
     mqa_obs::global().reset();
     mqa_obs::trace::configure(TraceConfig {
         slowest: 64,
@@ -148,7 +130,6 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<TraceOutcome, String> {
         Milestone::QueryExecution,
         report::milestone_breakdown(&snapshot),
     );
-    let status_panel = status.render();
 
     std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
     std::fs::write(out_dir.join("traces.jsonl"), mqa_obs::trace::to_jsonl())
@@ -161,26 +142,13 @@ pub fn run(out_dir: &Path, seed: u64) -> Result<TraceOutcome, String> {
     std::fs::write(out_dir.join("metrics.txt"), &exposition)
         .map_err(|e| format!("writing metrics.txt: {e}"))?;
     crate::write_json(out_dir, "metrics.json", &snapshot)?;
-    let rendered = format!("{}\n{status_panel}", report::render(&snapshot));
+    let rendered = format!("{}\n{}", report::render(&snapshot), status.render());
     std::fs::write(out_dir.join("report.txt"), rendered)
         .map_err(|e| format!("writing report.txt: {e}"))?;
 
     let stats = verify(&traces, &snapshot, &exposition, seed)?;
-
-    let outcome = summarize(&traces, &stats, status_panel);
-    let turns = traces.len();
-    let cache_hit_rate = outcome.cache_hits as f64 / turns.max(1) as f64;
-    let fields = [
-        ("turns", "count", turns as f64),
-        ("engine_served", "count", outcome.engine_served as f64),
-        ("cache_hits", "count", outcome.cache_hits as f64),
-        ("p50_total_us", "us", outcome.p50_total_us as f64),
-        ("p99_total_us", "us", outcome.p99_total_us as f64),
-        ("queue_wait_share", "share", outcome.queue_wait_share),
-        ("cache_hit_rate", "share", cache_hit_rate),
-    ];
-    crate::write_bench(out_dir, "trace", turns as u64, &fields)?;
-    Ok(outcome)
+    let fields = summarize(&traces, &stats);
+    crate::write_bench(out_dir, "trace", traces.len() as u64, fields)
 }
 
 /// Builds the system and runs the five turns: a four-round session (text,
@@ -231,37 +199,41 @@ fn scenario(seed: u64) -> Result<StatusMonitor, String> {
     Ok(sys.status().clone())
 }
 
-/// Summarizes the retained traces and the parsed exposition.
-fn summarize(
-    traces: &[QueryTrace],
-    stats: &mqa_obs::expo::ExpoStats,
-    status_panel: String,
-) -> TraceOutcome {
+/// The report's fields: turn latency, queue-wait share and cache hits of
+/// the retained traces, and the size of the parsed exposition.
+fn summarize(traces: &[QueryTrace], stats: &ExpoStats) -> [(&'static str, &'static str, f64); 9] {
     let mut totals: Vec<u64> = traces.iter().map(|t| t.total_us).collect();
     totals.sort_unstable();
     // With no traces the index saturates to 0 and `get` reads nothing.
-    let pick = |q: f64| -> u64 {
+    let pick = |q: f64| {
         let idx = ((totals.len() as f64 - 1.0) * q).round() as usize;
-        totals.get(idx).copied().unwrap_or(0)
+        totals.get(idx).copied().unwrap_or(0) as f64
     };
     let engine_served: Vec<&QueryTrace> = traces.iter().filter(|t| t.worker.is_some()).collect();
     let queued: u64 = engine_served.iter().map(|t| t.queue_wait_us).sum();
     let walled: u64 = engine_served.iter().map(|t| t.total_us).sum();
-    TraceOutcome {
-        traces: traces.len(),
-        engine_served: engine_served.len(),
-        cache_hits: traces.iter().filter(|t| t.cache_hit == Some(true)).count(),
-        p50_total_us: pick(0.50),
-        p99_total_us: pick(0.99),
-        queue_wait_share: if walled == 0 {
-            0.0
-        } else {
-            queued as f64 / walled as f64
-        },
-        exposition_samples: stats.samples,
-        exposition_exemplars: stats.exemplars,
-        status_panel,
-    }
+    let queue_wait_share = if walled == 0 {
+        0.0
+    } else {
+        queued as f64 / walled as f64
+    };
+    let turns = traces.len();
+    let cache_hits = traces.iter().filter(|t| t.cache_hit == Some(true)).count();
+    [
+        ("turns", "count", turns as f64),
+        ("engine_served", "count", engine_served.len() as f64),
+        ("cache_hits", "count", cache_hits as f64),
+        ("p50_total_us", "us", pick(0.50)),
+        ("p99_total_us", "us", pick(0.99)),
+        ("queue_wait_share", "share", queue_wait_share),
+        (
+            "cache_hit_rate",
+            "share",
+            cache_hits as f64 / turns.max(1) as f64,
+        ),
+        ("exposition_samples", "count", stats.samples as f64),
+        ("exposition_exemplars", "count", stats.exemplars as f64),
+    ]
 }
 
 /// Stage-parent linkage check: every recorded stage must hang off the
@@ -285,7 +257,7 @@ fn verify(
     snapshot: &Snapshot,
     exposition: &str,
     seed: u64,
-) -> Result<mqa_obs::expo::ExpoStats, String> {
+) -> Result<ExpoStats, String> {
     let mut problems = Vec::new();
 
     // 1. Exactly one finalized trace per turn, none lost, none duplicated.
@@ -431,7 +403,7 @@ fn verify(
         }
         Err(e) => {
             problems.push(format!("/metrics exposition invalid: {e}"));
-            mqa_obs::expo::ExpoStats {
+            ExpoStats {
                 families: 0,
                 samples: 0,
                 exemplars: 0,
@@ -454,12 +426,12 @@ mod tests {
     fn gate_passes_and_writes_artifacts() {
         let _serial = crate::scenario_lock();
         let dir = std::env::temp_dir().join(format!("mqa-xtask-trace-test-{}", std::process::id()));
-        let outcome = run(&dir, 42).expect("trace gate must pass its own checks");
-        assert_eq!(outcome.traces, TURNS);
-        assert_eq!(outcome.engine_served, TURNS - 1);
-        assert_eq!(outcome.cache_hits, 1);
-        assert!(outcome.exposition_exemplars >= 1);
-        assert!(outcome.status_panel.contains("Query Execution"));
+        let bench = run(&dir, 42).expect("trace gate must pass its own checks");
+        let reading = |metric| crate::reading(&bench, metric);
+        assert_eq!(reading("turns"), TURNS as f64);
+        assert_eq!(reading("engine_served"), (TURNS - 1) as f64);
+        assert_eq!(reading("cache_hits"), 1.0);
+        assert!(reading("exposition_exemplars") >= 1.0);
         for file in [
             "traces.jsonl",
             "slow_queries.txt",
@@ -488,9 +460,7 @@ mod tests {
                 "metrics.json lacks span {name}"
             );
         }
-        let reading = |metric| crate::bench_reading(&dir, "trace", metric);
-        assert_eq!(reading("p99_total_us"), outcome.p99_total_us as f64);
-        assert_eq!(reading("queue_wait_share"), outcome.queue_wait_share);
+        crate::assert_bench_file_holds(&dir, &bench);
         assert_eq!(reading("cache_hit_rate"), 0.2);
         std::fs::remove_dir_all(&dir).ok();
     }

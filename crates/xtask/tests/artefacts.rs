@@ -26,7 +26,8 @@ const GATE_FIELDS: [(&str, &str); 3] = [
     ),
     (
         "trace",
-        "turns engine_served cache_hits p50_total_us p99_total_us queue_wait_share cache_hit_rate",
+        "turns engine_served cache_hits p50_total_us p99_total_us queue_wait_share cache_hit_rate \
+         exposition_samples exposition_exemplars",
     ),
 ];
 
