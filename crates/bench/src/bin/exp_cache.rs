@@ -62,11 +62,13 @@ fn run_pass(
             let store = Arc::clone(store);
             let query_vecs = Arc::clone(query_vecs);
             let tallies = Arc::clone(&tallies);
-            let submitted = pool.submit(Box::new(move |scratch| {
+            let submitted = pool.submit(Box::new(move || {
                 let sw = mqa_obs::Stopwatch::start();
                 if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi], Metric::L2) {
                     let mut hits = Vec::new();
-                    let stats = paged.search_paged_into(&mut dist, K, 32, scratch, &mut hits);
+                    let stats = mqa_graph::with_pooled(|scratch| {
+                        paged.search_paged_into(&mut dist, K, 32, scratch, &mut hits)
+                    });
                     assert!(!hits.is_empty());
                     let us = sw.elapsed_us();
                     if let Ok(mut t) = tallies.lock() {

@@ -72,10 +72,12 @@ fn paged_io_sweep(quick: bool, table: &mut Table) {
                 let store = Arc::clone(&store);
                 let query_vecs = Arc::clone(&query_vecs);
                 let (reads, waits) = (Arc::clone(&reads), Arc::clone(&waits));
-                let submitted = pool.submit(Box::new(move |scratch| {
+                let submitted = pool.submit(Box::new(move || {
                     if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi], Metric::L2) {
                         let mut hits = Vec::new();
-                        let stats = paged.search_paged_into(&mut dist, K, 32, scratch, &mut hits);
+                        let stats = mqa_graph::with_pooled(|scratch| {
+                            paged.search_paged_into(&mut dist, K, 32, scratch, &mut hits)
+                        });
                         assert!(!hits.is_empty());
                         reads.fetch_add(stats.pages_read, Ordering::Relaxed);
                         waits.fetch_add(stats.device_waits, Ordering::Relaxed);

@@ -13,7 +13,8 @@ use mqa_retrieval::{MultiModalQuery, RetrievalFramework, RetrievalOutput};
 use mqa_vector::ModalityKind;
 use std::sync::Arc;
 
-/// The per-turn execution unit: framework + result-set parameters.
+/// The per-turn execution unit and the one owner of turn state: the
+/// framework, the engine, the result cache and the result-set parameters.
 pub struct QueryExecutor {
     framework: Arc<dyn RetrievalFramework>,
     engine: Option<Arc<QueryEngine>>,
@@ -39,6 +40,11 @@ impl QueryExecutor {
             k,
             ef: ef.max(k),
         }
+    }
+
+    /// The framework turns search.
+    pub(crate) fn framework(&self) -> &Arc<dyn RetrievalFramework> {
+        &self.framework
     }
 
     /// Routes subsequent turns through `engine`'s worker pool instead of
@@ -67,9 +73,19 @@ impl QueryExecutor {
     }
 
     /// Swaps the framework searches go to (weight re-learning rebuilds
-    /// the index over the same corpus).
-    pub(crate) fn set_framework(&mut self, framework: Arc<dyn RetrievalFramework>) {
+    /// the index over the same corpus) under the new context `context_fp`,
+    /// and invalidates the result cache: its answers were computed under
+    /// the old context.
+    pub(crate) fn set_framework(
+        &mut self,
+        framework: Arc<dyn RetrievalFramework>,
+        context_fp: u64,
+    ) {
         self.framework = framework;
+        self.context_fp = context_fp;
+        if let Some(cache) = &self.cache {
+            cache.invalidate_all();
+        }
     }
 
     /// Fingerprints everything that determines a turn's retrieval answer:

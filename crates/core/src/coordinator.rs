@@ -39,12 +39,10 @@ pub struct MqaSystem {
     config: Config,
     corpus: Arc<EncodedCorpus>,
     weights: Weights,
-    framework: Arc<dyn RetrievalFramework>,
     executor: execute::QueryExecutor,
     answerer: answer::AnswerGenerator,
     status: StatusMonitor,
     engine_options: Option<mqa_engine::EngineOptions>,
-    result_cache: Option<Arc<ResultCache<RetrievalOutput>>>,
 }
 
 impl MqaSystem {
@@ -102,7 +100,7 @@ impl MqaSystem {
 
         let framework = construct_index(&rep, &config, &mut status)?;
 
-        let executor = execute::QueryExecutor::new(Arc::clone(&framework), config.k, config.ef);
+        let executor = execute::QueryExecutor::new(framework, config.k, config.ef);
         let answerer = answer::AnswerGenerator::from_choice(&config.llm, config.temperature);
         status.detail(
             Milestone::QueryExecution,
@@ -128,12 +126,10 @@ impl MqaSystem {
             config,
             corpus: rep.corpus,
             weights: rep.weights,
-            framework,
             executor,
             answerer,
             status,
             engine_options: None,
-            result_cache: None,
         })
     }
 
@@ -172,7 +168,7 @@ impl MqaSystem {
 
     /// The retrieval framework.
     pub fn framework(&self) -> &Arc<dyn RetrievalFramework> {
-        &self.framework
+        self.executor.framework()
     }
 
     /// Spawns a concurrent [`mqa_engine::QueryEngine`] over the framework
@@ -184,7 +180,7 @@ impl MqaSystem {
         options: mqa_engine::EngineOptions,
     ) -> Arc<mqa_engine::QueryEngine> {
         let engine = Arc::new(mqa_engine::QueryEngine::new(
-            Arc::clone(&self.framework),
+            Arc::clone(self.framework()),
             options,
         ));
         self.executor.set_engine(Arc::clone(&engine));
@@ -217,14 +213,7 @@ impl MqaSystem {
         let cache = Arc::new(ResultCache::new(capacity));
         self.executor
             .set_cache(Arc::clone(&cache), self.context_fingerprint());
-        self.result_cache = Some(Arc::clone(&cache));
         cache
-    }
-
-    /// The turn-level result cache, if [`MqaSystem::enable_result_cache`]
-    /// was called.
-    pub fn result_cache(&self) -> Option<&Arc<ResultCache<RetrievalOutput>>> {
-        self.result_cache.as_ref()
     }
 
     /// Re-learns the modality weights with `trainer`, rebuilds the
@@ -261,19 +250,11 @@ impl MqaSystem {
             learned: Some(out),
             weight_note: note.clone(),
         };
-        self.framework = construct_index(&rep, &self.config, &mut self.status)?;
-        self.executor.set_framework(Arc::clone(&self.framework));
+        let framework = construct_index(&rep, &self.config, &mut self.status)?;
+        self.executor
+            .set_framework(framework, self.context_fingerprint());
         if let Some(options) = self.engine_options {
-            let engine = Arc::new(mqa_engine::QueryEngine::new(
-                Arc::clone(&self.framework),
-                options,
-            ));
-            self.executor.set_engine(engine);
-        }
-        if let Some(cache) = &self.result_cache {
-            cache.invalidate_all();
-            self.executor
-                .set_cache(Arc::clone(cache), self.context_fingerprint());
+            self.enable_engine(options);
         }
         self.status.detail(Milestone::VectorRepresentation, note);
         Ok(())
@@ -308,7 +289,7 @@ impl MqaSystem {
             .map(|id| grown.store().multivector_of(id))
             .collect();
         let report = self
-            .framework
+            .framework()
             .add_objects(&encoded)
             .map_err(|e| MqaError::Mutation(e.to_string()))?;
         self.corpus = Arc::new(grown);
@@ -334,7 +315,7 @@ impl MqaSystem {
     ) -> Result<mqa_graph::MutationReport, MqaError> {
         let _span = mqa_obs::span("core.mutate.remove");
         let report = self
-            .framework
+            .framework()
             .remove_objects(ids)
             .map_err(|e| MqaError::Mutation(e.to_string()))?;
         self.note_mutation(&format!(
@@ -350,7 +331,7 @@ impl MqaSystem {
     /// Post-mutation bookkeeping shared by add and remove: one result-cache
     /// generation bump per mutation batch, plus a status-panel note.
     fn note_mutation(&mut self, note: &str) {
-        if let Some(cache) = &self.result_cache {
+        if let Some(cache) = self.executor.cache() {
             cache.invalidate_all();
         }
         self.status
@@ -585,7 +566,7 @@ mod tests {
             }
             other => panic!("caption + image expected, got {other:?}"),
         };
-        let hits = sys.framework.search(&probe, 2, 64).results;
+        let hits = sys.framework().search(&probe, 2, 64).results;
         assert!(
             hits.iter().any(|c| c.id == 80 && c.dist == 0.0),
             "index row 80 differs from corpus row 80: {hits:?}"

@@ -2,15 +2,15 @@
 //!
 //! The concurrent query engine: MQA's interactive sessions stop sharing a
 //! single serial query path and instead submit turns to a fixed pool of
-//! worker threads, each owning its own [`mqa_graph::SearchScratch`]
-//! (shared-nothing), behind a bounded submission queue (backpressure, not
+//! worker threads behind a bounded submission queue (backpressure, not
 //! unbounded memory) with graceful shutdown (drop drains the backlog and
 //! joins every worker).
 //!
 //! The engine works over any [`RetrievalFramework`] — MUST, MR, or JE —
-//! because frameworks are `Send + Sync` by contract and expose
-//! [`RetrievalFramework::search_scratch`], the entry point that reuses a
-//! worker's per-thread search state instead of allocating per query.
+//! because frameworks are `Send + Sync` by contract. A worker searches the
+//! way every other thread does, through [`RetrievalFramework::search`],
+//! which borrows the thread's pooled search scratch, so a worker reuses
+//! its per-thread search state instead of allocating per query.
 //!
 //! ```
 //! # use mqa_engine::{EngineOptions, QueryEngine};
@@ -50,7 +50,7 @@ pub use pool::{Job, WorkerPool};
 pub use queue::BoundedQueue;
 pub use sched::{Deadline, SchedOptions};
 pub use sync::{lock_ignore_poison, wait_ignore_poison, TracedGuard, TracedMutex};
-pub use ticket::{oneshot, Ticket, TicketAborter, TicketError, TicketSender};
+pub use ticket::{oneshot, Ticket, TicketError, TicketSender};
 
 use mqa_retrieval::{MultiModalQuery, RetrievalFramework, RetrievalOutput};
 use std::sync::Arc;
@@ -58,7 +58,7 @@ use std::sync::Arc;
 /// Engine sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineOptions {
-    /// Worker threads (each owns one scratch).
+    /// Worker threads.
     pub workers: usize,
     /// Submission-queue capacity (backpressure threshold) when no
     /// admission control is configured.
@@ -130,7 +130,6 @@ impl QueryEngine {
         deadline: Option<Deadline>,
     ) -> (Ticket<RetrievalOutput>, pool::Job) {
         let (ticket, sender) = ticket::oneshot();
-        let worker_aborter = sender.aborter();
         let framework = Arc::clone(&self.framework);
         // Inherit the caller's trace when one is active (the session path
         // began it); otherwise mint a detached root so raw engine
@@ -145,7 +144,7 @@ impl QueryEngine {
         };
         // ALLOC: per-query control-plane rendezvous (the boxed job); the worker-side search it carries is allocation-free (graph tests/alloc_free.rs).
         let queue_sw = mqa_obs::Stopwatch::start();
-        let job: pool::Job = Box::new(move |scratch| {
+        let job: pool::Job = Box::new(move || {
             let adopted = ctx.as_ref().map(mqa_obs::TraceContext::adopt);
             if let Some(d) = deadline {
                 mqa_obs::trace::note_deadline_budget(d.budget_us());
@@ -153,10 +152,10 @@ impl QueryEngine {
                 // while the job sat in the queue. Shedding here (no
                 // search run, no queue-wait sample recorded) keeps the
                 // served-query latency histograms clean, and `fail`
-                // resolves the ticket typed — the closure's sender then
-                // drops as a no-op.
-                if d.expired() && worker_aborter.fail(TicketError::Expired) {
+                // resolves the ticket typed.
+                if d.expired() {
                     mqa_obs::counter("engine.sched.shed_expired").inc();
+                    sender.fail(TicketError::Expired);
                     drop(adopted);
                     // A detached trace (owned handle) finalizes on drop
                     // with outcome "canceled" — still a complete trace.
@@ -172,7 +171,7 @@ impl QueryEngine {
                     Some(c) => mqa_obs::span_under("engine.query.service", c.root()),
                     None => mqa_obs::span("engine.query.service"),
                 };
-                framework.search_scratch(&query, k, ef, scratch)
+                framework.search(&query, k, ef)
             };
             let service_us = service_sw.elapsed_us();
             mqa_obs::trace::note_service(service_us);
@@ -188,9 +187,7 @@ impl QueryEngine {
             if let Some(handle) = owned {
                 handle.finish();
             }
-            // First resolution wins: `false` would mean an aborter had
-            // already failed the ticket, and the typed outcome stands.
-            let _delivered = sender.send(out);
+            sender.send(out);
         });
         (ticket, job)
     }
@@ -282,11 +279,6 @@ impl QueryEngine {
             .collect()
     }
 
-    /// The framework the engine serves.
-    pub fn framework(&self) -> &Arc<dyn RetrievalFramework> {
-        &self.framework
-    }
-
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.pool.workers()
@@ -301,7 +293,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A framework whose answer encodes (k, query text length) — enough to
-    /// verify routing, ordering, and scratch-threading without a corpus.
+    /// verify routing and ordering without a corpus.
     struct Probe {
         calls: AtomicUsize,
         delay: std::time::Duration,
@@ -312,18 +304,7 @@ mod tests {
             FrameworkKind::Must
         }
 
-        fn search(&self, query: &MultiModalQuery, k: usize, ef: usize) -> RetrievalOutput {
-            mqa_graph::with_pooled(|scratch| self.search_scratch(query, k, ef, scratch))
-        }
-
-        fn search_scratch(
-            &self,
-            query: &MultiModalQuery,
-            k: usize,
-            _ef: usize,
-            scratch: &mut mqa_graph::SearchScratch,
-        ) -> RetrievalOutput {
-            scratch.force_epoch(1); // prove the scratch is live
+        fn search(&self, query: &MultiModalQuery, k: usize, _ef: usize) -> RetrievalOutput {
             self.calls.fetch_add(1, Ordering::SeqCst);
             if !self.delay.is_zero() {
                 std::thread::sleep(self.delay);

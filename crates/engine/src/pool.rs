@@ -1,19 +1,18 @@
 //! The fixed worker pool.
 //!
-//! `workers` OS threads, each owning one [`SearchScratch`] for its whole
-//! lifetime — the shared-nothing design: no lock is held while searching,
-//! and the per-query visited set never reallocates in steady state. Jobs
-//! arrive through a [`BoundedQueue`]; dropping the pool closes the queue,
-//! drains the backlog, and joins every thread.
+//! `workers` OS threads draining one [`BoundedQueue`] — the shared-nothing
+//! design: no lock is held while a job runs, and a job that searches
+//! borrows its thread's pooled scratch (`mqa_graph::with_pooled`), so the
+//! per-query visited set never reallocates in steady state. Dropping the
+//! pool closes the queue, drains the backlog, and joins every thread.
 
 use crate::queue::{BoundedQueue, PushError};
 use crate::TicketError;
-use mqa_graph::SearchScratch;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// A unit of work: runs on a worker thread with that worker's scratch.
-pub type Job = Box<dyn FnOnce(&mut SearchScratch) + Send>;
+/// A unit of work, run once on a worker thread.
+pub type Job = Box<dyn FnOnce() + Send>;
 
 /// The pool. Worker threads live exactly as long as this value.
 pub struct WorkerPool {
@@ -36,23 +35,19 @@ impl WorkerPool {
                     mqa_obs::trace::set_worker_id(u64::try_from(i).unwrap_or(u64::MAX));
                     let jobs = mqa_obs::counter(&format!("engine.worker.{i}.jobs"));
                     let depth = mqa_obs::gauge("engine.pool.queue_depth");
-                    let mut scratch = SearchScratch::new();
                     while let Some(job) = queue.pop() {
                         depth.set(queue.len() as f64);
                         // A panicking job must not take the worker down:
                         // the unwind drops the job's [`TicketSender`]
                         // (resolving its ticket as Canceled) and this
-                        // thread moves on to the backlog. The scratch is
-                        // rebuilt — the panic may have left it mid-epoch —
-                        // and so is the span stack: guards leaked by the
-                        // unwind would otherwise pin a stale parent onto
-                        // the next job's spans.
-                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            job(&mut scratch)
-                        }));
+                        // thread moves on to the backlog. A pooled scratch
+                        // the job borrowed is dropped by the unwind, not
+                        // returned mid-epoch. The span stack is reset:
+                        // guards leaked by the unwind would otherwise pin
+                        // a stale parent onto the next job's spans.
+                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                         if caught.is_err() {
                             mqa_obs::counter("engine.worker.job_panics").inc();
-                            scratch = SearchScratch::new();
                             mqa_obs::span::reset_thread_stack();
                         }
                         jobs.inc();
@@ -122,27 +117,13 @@ mod tests {
         let pool = WorkerPool::new(3, 8);
         for _ in 0..20 {
             let ran = Arc::clone(&ran);
-            pool.submit(Box::new(move |_s| {
+            pool.submit(Box::new(move || {
                 ran.fetch_add(1, Ordering::SeqCst);
             }))
             .unwrap();
         }
         drop(pool);
         assert_eq!(ran.load(Ordering::SeqCst), 20);
-    }
-
-    #[test]
-    fn jobs_see_a_real_scratch() {
-        let saw = Arc::new(AtomicUsize::new(0));
-        let pool = WorkerPool::new(1, 2);
-        let saw2 = Arc::clone(&saw);
-        pool.submit(Box::new(move |s| {
-            s.force_epoch(5);
-            saw2.store(1, Ordering::SeqCst);
-        }))
-        .unwrap();
-        drop(pool);
-        assert_eq!(saw.load(Ordering::SeqCst), 1);
     }
 
     #[test]

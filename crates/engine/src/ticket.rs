@@ -55,27 +55,12 @@ pub struct Ticket<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// The worker's half: fulfils the ticket exactly once. Dropping it
-/// unfulfilled cancels the paired [`Ticket`].
+/// The worker's half: resolves the ticket exactly once, by construction —
+/// [`TicketSender::send`], [`TicketSender::fail`] and dropping it
+/// unfulfilled (`Canceled`) all consume the sender.
 pub struct TicketSender<T> {
     shared: Arc<Shared<T>>,
-    sent: bool,
-}
-
-/// A clonable failure handle: resolves a ticket to a typed error
-/// (`Expired`, `Rejected`, `Canceled`) without consuming the
-/// [`TicketSender`]. First resolution wins — if the
-/// worker already sent a value, `fail` is a no-op, and vice versa.
-pub struct TicketAborter<T> {
-    shared: Arc<Shared<T>>,
-}
-
-impl<T> Clone for TicketAborter<T> {
-    fn clone(&self) -> Self {
-        Self {
-            shared: Arc::clone(&self.shared),
-        }
-    }
+    resolved: bool,
 }
 
 /// Creates a connected ticket/sender pair.
@@ -91,7 +76,7 @@ pub fn oneshot<T>() -> (Ticket<T>, TicketSender<T>) {
         },
         TicketSender {
             shared,
-            sent: false,
+            resolved: false,
         },
     )
 }
@@ -119,58 +104,30 @@ impl<T> Ticket<T> {
 }
 
 impl<T> TicketSender<T> {
-    /// Fulfils the ticket and wakes the waiter. Returns `false` (and
-    /// discards `value`) if the ticket was already resolved to a typed
-    /// failure by a [`TicketAborter`] — a shed outcome is never
-    /// overwritten, so a ticket resolves exactly once.
-    pub fn send(mut self, value: T) -> bool {
-        let mut state = self.shared.slot.lock();
-        self.sent = true;
-        if matches!(*state, TicketState::Pending) {
-            *state = TicketState::Done(value);
-            self.shared.cv.notify_all();
-            true
-        } else {
-            false
-        }
+    /// Fulfils the ticket with `value` and wakes the waiter.
+    pub fn send(self, value: T) {
+        self.resolve(TicketState::Done(value));
     }
 
-    /// A failure handle bound to the same ticket, for resolving it to a
-    /// typed error (the shed paths).
-    pub fn aborter(&self) -> TicketAborter<T> {
-        TicketAborter {
-            shared: Arc::clone(&self.shared),
-        }
+    /// Resolves the ticket to the typed failure `err` (a shed outcome)
+    /// and wakes the waiter.
+    pub fn fail(self, err: TicketError) {
+        self.resolve(TicketState::Failed(err));
     }
-}
 
-impl<T> TicketAborter<T> {
-    /// Resolves the ticket to `err` if it is still pending. Returns
-    /// `true` iff this call won the resolution race — exactly one of
-    /// `send`/`fail` reaches the waiter, so the caller can use the return
-    /// value to attribute the outcome to exactly one shed counter.
-    pub fn fail(&self, err: TicketError) -> bool {
-        let mut state = self.shared.slot.lock();
-        if matches!(*state, TicketState::Pending) {
-            *state = TicketState::Failed(err);
-            self.shared.cv.notify_all();
-            true
-        } else {
-            false
-        }
+    fn resolve(mut self, outcome: TicketState<T>) {
+        self.resolved = true;
+        *self.shared.slot.lock() = outcome;
+        self.shared.cv.notify_all();
     }
 }
 
 impl<T> Drop for TicketSender<T> {
     fn drop(&mut self) {
-        if self.sent {
-            return;
+        if !self.resolved {
+            *self.shared.slot.lock() = TicketState::Failed(TicketError::Canceled);
+            self.shared.cv.notify_all();
         }
-        let mut state = self.shared.slot.lock();
-        if matches!(*state, TicketState::Pending) {
-            *state = TicketState::Failed(TicketError::Canceled);
-        }
-        self.shared.cv.notify_all();
     }
 }
 
@@ -181,7 +138,7 @@ mod tests {
     #[test]
     fn send_then_wait_delivers() {
         let (t, s) = oneshot();
-        assert!(s.send(42u32));
+        s.send(42u32);
         assert_eq!(t.wait(), Ok(42));
     }
 
@@ -202,39 +159,9 @@ mod tests {
     }
 
     #[test]
-    fn aborter_resolves_typed_failure() {
+    fn fail_resolves_typed_failure() {
         let (t, s) = oneshot::<u32>();
-        let a = s.aborter();
-        assert!(a.fail(TicketError::Expired));
-        // The sender's value arrives too late and is discarded.
-        assert!(!s.send(9));
+        s.fail(TicketError::Expired);
         assert_eq!(t.wait(), Err(TicketError::Expired));
-    }
-
-    #[test]
-    fn first_resolution_wins() {
-        let (t, s) = oneshot::<u32>();
-        let a = s.aborter();
-        assert!(s.send(5));
-        assert!(!a.fail(TicketError::Rejected));
-        assert_eq!(t.wait(), Ok(5));
-    }
-
-    #[test]
-    fn aborter_race_yields_exactly_one_outcome() {
-        for _ in 0..64 {
-            let (t, s) = oneshot::<u32>();
-            let a = s.aborter();
-            let sender = std::thread::spawn(move || s.send(1));
-            let aborter = std::thread::spawn(move || a.fail(TicketError::Expired));
-            let sent = sender.join().unwrap();
-            let failed = aborter.join().unwrap();
-            assert!(sent ^ failed, "exactly one side must win the ticket");
-            match t.wait() {
-                Ok(1) => assert!(sent),
-                Err(TicketError::Expired) => assert!(failed),
-                other => panic!("unexpected outcome {other:?}"),
-            }
-        }
     }
 }

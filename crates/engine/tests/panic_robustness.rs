@@ -20,17 +20,7 @@ impl RetrievalFramework for Volatile {
         FrameworkKind::Must
     }
 
-    fn search(&self, query: &MultiModalQuery, k: usize, ef: usize) -> RetrievalOutput {
-        mqa_graph::with_pooled(|scratch| self.search_scratch(query, k, ef, scratch))
-    }
-
-    fn search_scratch(
-        &self,
-        query: &MultiModalQuery,
-        k: usize,
-        _ef: usize,
-        _scratch: &mut mqa_graph::SearchScratch,
-    ) -> RetrievalOutput {
+    fn search(&self, query: &MultiModalQuery, k: usize, _ef: usize) -> RetrievalOutput {
         if query.text.as_deref() == Some("boom") {
             panic!("injected job panic");
         }

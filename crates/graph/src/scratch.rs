@@ -16,6 +16,9 @@
 //! * [`with_pooled`] — a thread-local scratch pool so the pooled entry
 //!   points (`VectorIndex::search`, `UnifiedIndex::search`) stay
 //!   allocation-free without threading a scratch through every caller.
+//!   Every thread borrows its scratch here, engine workers included; a
+//!   search that unwinds drops the scratch it borrowed, so the next one on
+//!   that thread starts on a fresh scratch, never on a half-finished walk.
 //!
 //! Determinism guarantee: a search driven through a reused scratch visits
 //! vertices in exactly the order a fresh allocation would — the epoch trick
@@ -26,6 +29,7 @@
 use crate::pool::Pool;
 use mqa_vector::{Candidate, VecId};
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 /// Epoch-stamped visited set: membership is `stamp[v] == epoch`, so
 /// resetting between queries is one epoch increment instead of an O(n)
@@ -103,8 +107,8 @@ impl VisitedSet {
 }
 
 /// All per-query mutable state of a beam search, reusable across queries
-/// and owned by exactly one thread at a time (workers own theirs; the
-/// thread-local pool backs everyone else).
+/// and owned by exactly one thread at a time: a caller that keeps its own
+/// across a query loop, or else the thread-local pool ([`with_pooled`]).
 #[derive(Debug)]
 pub struct SearchScratch {
     /// Visited vertices of the current walk.
@@ -189,19 +193,40 @@ thread_local! {
     static POOL: RefCell<Option<Box<SearchScratch>>> = const { RefCell::new(None) };
 }
 
+/// The counters [`with_pooled`] writes, resolved once per process (the
+/// `search.rs` idiom): a borrow is one relaxed add, with no registry
+/// lookup on the search path.
+struct ScratchCounters {
+    reuses: mqa_obs::Counter,
+    allocs: mqa_obs::Counter,
+}
+
+impl ScratchCounters {
+    fn get() -> &'static Self {
+        static COUNTERS: OnceLock<ScratchCounters> = OnceLock::new();
+        COUNTERS.get_or_init(|| ScratchCounters {
+            reuses: mqa_obs::counter("graph.scratch.reuses"),
+            allocs: mqa_obs::counter("graph.scratch.allocs"),
+        })
+    }
+}
+
 /// Runs `f` with this thread's pooled [`SearchScratch`], allocating one
 /// only on the first (or a reentrant) use. Steady-state searches through
 /// the pooled `search` entry points therefore perform zero O(n)
-/// allocations.
+/// allocations. The scratch goes back to the pool only when `f` returns:
+/// if `f` unwinds, the scratch is dropped with it and the thread's next
+/// call starts on a fresh one.
 pub fn with_pooled<R>(f: impl FnOnce(&mut SearchScratch) -> R) -> R {
     let taken = POOL.with(|p| p.borrow_mut().take());
+    let counters = ScratchCounters::get();
     let mut scratch = match taken {
         Some(s) => {
-            mqa_obs::counter("graph.scratch.reuses").inc();
+            counters.reuses.inc();
             s
         }
         None => {
-            mqa_obs::counter("graph.scratch.allocs").inc();
+            counters.allocs.inc();
             // ALLOC: one scratch per thread (or per reentrant search);
             // every later query on this thread reuses it.
             Box::new(SearchScratch::new())
@@ -288,6 +313,27 @@ mod tests {
             reuses.get() > before_reuses,
             "second call must reuse the pooled scratch"
         );
+    }
+
+    #[test]
+    fn a_panic_inside_with_pooled_leaves_the_next_call_a_fresh_scratch() {
+        let allocs = mqa_obs::counter("graph.scratch.allocs");
+        with_pooled(|s| s.begin(8, 1));
+        let unwound = std::panic::catch_unwind(|| {
+            with_pooled(|s| {
+                s.begin(8, 1);
+                s.visited.insert(5);
+                panic!("deliberate mid-search panic");
+            })
+        });
+        assert!(unwound.is_err());
+        let before = allocs.get();
+        with_pooled(|s| {
+            s.begin(8, 1);
+            assert_eq!(s.visited.epoch(), 1, "a fresh scratch");
+            assert!(!s.visited.contains(5));
+        });
+        assert!(allocs.get() > before, "the call after the panic allocates");
     }
 
     #[test]

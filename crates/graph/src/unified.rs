@@ -491,8 +491,8 @@ impl UnifiedIndex {
         })
     }
 
-    /// [`UnifiedIndex::search`] on a caller-supplied scratch — what engine
-    /// workers drive so each thread reuses its own per-query state.
+    /// [`UnifiedIndex::search`] on a caller-supplied scratch, for a caller
+    /// that keeps its own across a loop of queries.
     pub fn search_scratch(
         &self,
         query: &MultiVector,

@@ -2,7 +2,8 @@
 //! interleaved searches over every index family must produce bit-identical
 //! results and work counters to a search on a fresh scratch — including
 //! straight through a visited-epoch wraparound. This is the correctness contract
-//! that lets engine workers own one scratch for their whole lifetime.
+//! that lets every thread, engine workers included, reuse one pooled scratch
+//! for its whole lifetime.
 
 use mqa_graph::starling::{LayoutStrategy, PageLayout, PagedIndex};
 use mqa_graph::{BuiltGraph, FlatDistance, IndexAlgorithm, SearchOutput, SearchScratch};

@@ -37,28 +37,15 @@ pub trait RetrievalFramework: Send + Sync {
     fn kind(&self) -> FrameworkKind;
 
     /// Retrieves the `k` objects most relevant to `query`, with search
-    /// effort `ef` (beam width; frameworks clamp to `>= k`).
+    /// effort `ef` (beam width; frameworks clamp to `>= k`). Graph searches
+    /// borrow the calling thread's pooled scratch
+    /// ([`mqa_graph::with_pooled`]), so every caller, an engine worker
+    /// included, searches through this one method.
     ///
     /// # Panics
     /// Implementations panic on an empty query (`query.has_content()` is
     /// the caller's guard) and on `k == 0`.
     fn search(&self, query: &MultiModalQuery, k: usize, ef: usize) -> RetrievalOutput;
-
-    /// [`RetrievalFramework::search`] on a caller-supplied scratch — the
-    /// entry point for engine workers that own per-thread search state.
-    /// The default forwards to [`RetrievalFramework::search`] (correct for
-    /// frameworks whose inner searches pool their own scratch); frameworks
-    /// with a scratch-aware index override it to avoid the pool.
-    fn search_scratch(
-        &self,
-        query: &MultiModalQuery,
-        k: usize,
-        ef: usize,
-        scratch: &mut mqa_graph::SearchScratch,
-    ) -> RetrievalOutput {
-        let _ = scratch;
-        self.search(query, k, ef)
-    }
 
     /// Inserts a batch of already-encoded objects into the live index,
     /// publishing a new snapshot for subsequent searches; in-flight

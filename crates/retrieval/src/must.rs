@@ -79,16 +79,6 @@ impl RetrievalFramework for MustFramework {
     }
 
     fn search(&self, query: &MultiModalQuery, k: usize, ef: usize) -> RetrievalOutput {
-        mqa_graph::with_pooled(|scratch| self.search_scratch(query, k, ef, scratch))
-    }
-
-    fn search_scratch(
-        &self,
-        query: &MultiModalQuery,
-        k: usize,
-        ef: usize,
-        scratch: &mut mqa_graph::SearchScratch,
-    ) -> RetrievalOutput {
         assert!(query.has_content(), "empty query");
         assert!(k > 0, "k must be >= 1");
         mqa_obs::trace::note_framework("must");
@@ -106,8 +96,7 @@ impl RetrievalFramework for MustFramework {
         };
         let out = {
             let _stage = mqa_obs::span("retrieval.must.index_search");
-            self.index
-                .search_scratch(&qv, override_w.as_ref(), k, ef, scratch)
+            self.index.search(&qv, override_w.as_ref(), k, ef)
         };
         RetrievalOutput {
             results: out.output.results,

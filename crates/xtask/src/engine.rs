@@ -3,7 +3,7 @@
 //! and *worth having* (QPS on a latency-bound paged workload scales with
 //! workers).
 //!
-//! A refactor that breaks scratch-threading shows up as an answer
+//! A refactor that breaks per-thread scratch reuse shows up as an answer
 //! mismatch, and a regression that serializes the pool (an accidental
 //! global lock on the search path) shows up as a speedup below
 //! [`MIN_SPEEDUP`].
@@ -200,10 +200,12 @@ fn check_paged_speedup(fixture: &PagedFixture) -> Result<(), String> {
                 let store = Arc::clone(&fixture.store);
                 let query_vecs = Arc::clone(&fixture.queries);
                 let answered = Arc::clone(&answered);
-                pool.submit(Box::new(move |scratch| {
+                pool.submit(Box::new(move || {
                     if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi], Metric::L2) {
                         let mut hits = Vec::new();
-                        paged.search_paged_into(&mut dist, 10, 32, scratch, &mut hits);
+                        mqa_graph::with_pooled(|scratch| {
+                            paged.search_paged_into(&mut dist, 10, 32, scratch, &mut hits)
+                        });
                         if !hits.is_empty() {
                             answered.fetch_add(1, Ordering::SeqCst);
                         }

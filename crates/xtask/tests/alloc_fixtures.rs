@@ -95,7 +95,7 @@ fn seeded_findings(rel: &str, marker: &str, seeded: &str) -> Vec<Finding> {
 /// Injecting `Vec::new()` into a function on the serving path must
 /// produce a new reachable-alloc finding (the gate goes red). Every
 /// `QueryEngine::submit` traversal passes through
-/// `MustFramework::search_scratch`.
+/// `MustFramework::search`.
 #[test]
 fn reintroduced_reachable_vec_new_flips_the_gate_red() {
     let marker = "assert!(k > 0, \"k must be >= 1\");";
@@ -111,7 +111,7 @@ fn reintroduced_reachable_vec_new_flips_the_gate_red() {
         found[0].excerpt
     );
     assert!(
-        found[0].excerpt.contains("MustFramework::search_scratch"),
+        found[0].excerpt.contains("MustFramework::search"),
         "finding not attributed to the mutated fn: {}",
         found[0].excerpt
     );

@@ -67,7 +67,7 @@ fn seeded_findings(rel: &str, marker: &str, seeded: &str) -> Vec<Finding> {
 /// Injecting `.unwrap()` into a function on the serving path must
 /// produce a new reachable-panic finding (the gate goes red). Every
 /// `QueryEngine::submit` traversal passes through
-/// `MustFramework::search_scratch`.
+/// `MustFramework::search`.
 #[test]
 fn reintroduced_reachable_unwrap_flips_the_gate_red() {
     let marker = "assert!(k > 0, \"k must be >= 1\");";
@@ -83,7 +83,7 @@ fn reintroduced_reachable_unwrap_flips_the_gate_red() {
         found[0].excerpt
     );
     assert!(
-        found[0].excerpt.contains("MustFramework::search_scratch"),
+        found[0].excerpt.contains("MustFramework::search"),
         "finding not attributed to the mutated fn: {}",
         found[0].excerpt
     );
