@@ -33,20 +33,12 @@ cargo run -q --release --offline -p mqa-xtask -- sched --out results/sched
 echo "==> cargo build --release"
 cargo build --release --offline --workspace
 
-echo "==> mqa-benchmark smoke (all four workloads, test size)"
-# Every workload's setup runs the system and graph build paths, so a
-# change that breaks answer hashes or liveness must fail here, not only
-# under the benchmark driver: the run's last line is its JSON verdict.
-for workload in dialogue engine_pipelined mutate paged_spill; do
-    cargo run --release --offline --quiet --manifest-path crates/benchmark/Cargo.toml \
-        --bin mqa-benchmark -- run --workload "$workload" --quick |
-        tail -n 1 | grep -q '"correct":true'
-done
-
 echo "==> mqa-xtask counts (exact counts against BENCH_counts.json)"
-# The smoke loop proves each run is correct but cannot fail on a count.
-# This one does: a change that reads one page more, evaluates one vertex
-# more or gets one cache verdict differently moves a last digit here.
+# Runs every workload's full plan, traced and untraced, and fails on an
+# incorrect run or on a count: a change that reads one page more,
+# evaluates one vertex more or gets one cache verdict differently moves a
+# last digit here. (Each workload's `--quick` run and the driver's
+# one-line verdict are held by `crates/benchmark/tests/contract.rs`.)
 cargo run -q --release --offline -p mqa-xtask -- counts
 
 echo "==> cargo test"

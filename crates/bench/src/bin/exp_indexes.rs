@@ -70,7 +70,6 @@ fn main() {
     ]);
     let algos = [
         IndexAlgorithm::Flat,
-        IndexAlgorithm::ivf(),
         IndexAlgorithm::hnsw(),
         IndexAlgorithm::nsg(),
         IndexAlgorithm::vamana(),

@@ -181,4 +181,18 @@ mod tests {
     fn bad_json_rejected() {
         assert!(Config::from_json("{").is_err());
     }
+
+    /// A panel export that selects the removed IVF family is a typed
+    /// configuration error, not a panic.
+    #[test]
+    fn removed_ivf_index_rejected() {
+        let json = serde_json::to_string(&Config::default()).unwrap();
+        let ivf = json.replacen("\"index\":{\"MqaGraph\":", "\"index\":{\"Ivf\":", 1);
+        assert_ne!(ivf, json);
+        let err = Config::from_json(&ivf).unwrap_err();
+        assert!(
+            matches!(&err, MqaError::InvalidConfig(m) if m.contains("Ivf")),
+            "{err:?}"
+        );
+    }
 }

@@ -28,7 +28,6 @@
 //! | [`LstmTextEncoder`] | LSTM sentence encoders | text | token-chained state updates (order-sensitive) |
 //! | [`VisualEncoder`] | ResNet | image | dense random projection + tanh of raw descriptors |
 //! | [`ClipPair`] | CLIP | text+image | aligned text/image projections into one space |
-//! | [`JointEncoder`] | joint-embedding models (JE baseline) | whole object | weighted concatenation of per-modality encodings |
 //!
 //! All encoders are pure functions of `(seed, input)` — two processes with
 //! the same configuration produce bit-identical embeddings, which keeps the
@@ -36,7 +35,6 @@
 
 pub mod clip;
 pub mod image;
-pub mod joint;
 pub mod project;
 pub mod registry;
 pub mod text;
@@ -44,7 +42,6 @@ pub mod traits;
 
 pub use clip::ClipPair;
 pub use image::{ImageData, VisualEncoder};
-pub use joint::JointEncoder;
 pub use project::ProjectionMatrix;
 pub use registry::{EncoderChoice, EncoderRegistry};
 pub use text::{HashingTextEncoder, LstmTextEncoder};

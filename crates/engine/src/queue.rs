@@ -30,7 +30,7 @@ struct State<T> {
 /// poisoned lock (a panicking job elsewhere) is recovered rather than
 /// propagated, since queue state is a plain buffer that cannot be left
 /// logically inconsistent by a reader. The mutex is a [`TracedMutex`]
-/// so the lock-order witness can watch it during the engine smoke gate.
+/// so the lock-order witness can watch it during the engine gate test.
 pub struct BoundedQueue<T> {
     capacity: usize,
     state: TracedMutex<State<T>>,

@@ -59,8 +59,9 @@ pub struct TracedMutex<T> {
 impl<T> TracedMutex<T> {
     /// Wraps `value` under the witness name `name`. Names should be stable
     /// dotted paths (`engine.queue.state`) — the static analyzer collects
-    /// them from these constructor literals and the smoke gate checks the
-    /// runtime-observed set is a subset.
+    /// them from these constructor literals and the engine gate test
+    /// (`mqa-xtask`'s `engine::tests::gate_passes_and_writes_metrics`)
+    /// checks the runtime-observed set is a subset.
     pub const fn new(name: &'static str, value: T) -> Self {
         Self {
             name,

@@ -25,9 +25,9 @@
 //! mirroring the paper's CGraph-based decomposition; the stages are plain
 //! function calls, one `graph.build.*` span each — that pipeline is the
 //! backend API a custom graph comes in through. HNSW's layered structure
-//! and IVF's cells are built directly. Every built structure is one
-//! [`BuiltGraph`] and is searched through [`BuiltGraph::search`], the one
-//! dispatcher over the families.
+//! is built directly. Every built structure is one [`BuiltGraph`]: it is
+//! searched through [`BuiltGraph::search`], the one dispatcher over the
+//! families, and grows and compacts in place.
 //!
 //! ## Unified multi-vector index
 //!
@@ -42,7 +42,6 @@
 pub mod adjacency;
 pub mod flat;
 pub mod hnsw;
-pub mod ivf;
 pub mod knn;
 pub mod live;
 pub mod nsg;

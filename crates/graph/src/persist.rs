@@ -297,6 +297,23 @@ mod tests {
         assert!(UnifiedSnapshot::from_json("{nope").is_err());
     }
 
+    /// A snapshot whose graph is of the removed IVF family fails to load
+    /// with an error that names the family.
+    #[test]
+    fn removed_ivf_graph_rejected() {
+        let idx = UnifiedIndex::build(
+            store(20, 7),
+            Weights::uniform(2),
+            Metric::L2,
+            &IndexAlgorithm::Flat,
+        );
+        let json = idx.snapshot().to_json().expect("finite snapshot");
+        let ivf = json.replacen("\"graph\":{\"Flat\":", "\"graph\":{\"Ivf\":", 1);
+        assert_ne!(ivf, json);
+        let err = UnifiedSnapshot::from_json(&ivf).expect_err("IVF must not load");
+        assert!(err.contains("IVF index family was removed"), "{err}");
+    }
+
     /// Regression: a snapshot holding a non-finite value used to
     /// serialize "successfully" (the value became JSON `null`, or any
     /// failure became `""`), producing a snapshot that silently refused

@@ -32,7 +32,6 @@
 use crate::adjacency::Adjacency;
 use crate::flat::FlatSearcher;
 use crate::hnsw::{Hnsw, HnswParams};
-use crate::ivf::{Ivf, IvfParams};
 use crate::knn::{knn_graph, KnnParams};
 use crate::live::Tombstones;
 use crate::prune::{candidates_of, robust_prune, robust_reprune, select_nearest};
@@ -666,8 +665,8 @@ fn run_repair(
 }
 
 /// The configuration-panel index choices. `build_graph` dispatches to the
-/// pipeline (NSG / Vamana / MQA-graph), to the direct HNSW and IVF
-/// implementations, or to the exhaustive baseline.
+/// pipeline (NSG / Vamana / MQA-graph), to the direct HNSW implementation,
+/// or to the exhaustive baseline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum IndexAlgorithm {
     /// Exhaustive scan (exact).
@@ -685,8 +684,6 @@ pub enum IndexAlgorithm {
         /// Seed.
         seed: u64,
     },
-    /// Inverted-file cluster index (the Milvus-default family).
-    Ivf(IvfParams),
     /// DiskANN's Vamana graph.
     Vamana {
         /// Degree bound.
@@ -718,7 +715,9 @@ pub enum IndexAlgorithm {
 /// [`IndexAlgorithm::build_graph`] produces, what index snapshots persist,
 /// and the one dispatcher every search of a built structure goes through
 /// ([`BuiltGraph::search`]). A custom graph comes in as a
-/// [`GraphPipeline`] stage configuration and lands here as `Nav`.
+/// [`GraphPipeline`] stage configuration and lands here as `Nav`. Every
+/// variant that can hold a value grows ([`BuiltGraph::grow_to`]) and
+/// compacts ([`BuiltGraph::compact_live`]) in place.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BuiltGraph {
     /// Exhaustive scan (no structure).
@@ -727,8 +726,30 @@ pub enum BuiltGraph {
     Nav(NavGraph),
     /// Layered HNSW.
     Hnsw(Hnsw),
-    /// Inverted-file cluster index.
-    Ivf(Ivf),
+    /// The removed inverted-file family. Its payload is uninhabited, so no
+    /// value of this variant exists: a snapshot that names it fails to
+    /// load with an error naming the family. The variant is kept only
+    /// because `crates/benchmark/src/system.rs:137` matches on it; the
+    /// `[benchmark]` change that drops that arm deletes it.
+    Ivf(RemovedFamily),
+}
+
+/// The payload of [`BuiltGraph::Ivf`]: an enum with no variants.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RemovedFamily {}
+
+impl Serialize for RemovedFamily {
+    fn to_value(&self) -> serde::Value {
+        match *self {}
+    }
+}
+
+impl Deserialize for RemovedFamily {
+    fn from_value(_: &serde::Value) -> Result<Self, serde::Error> {
+        Err(serde::Error::new(
+            "the IVF index family was removed; rebuild the index with another algorithm",
+        ))
+    }
 }
 
 impl BuiltGraph {
@@ -754,7 +775,7 @@ impl BuiltGraph {
                 crate::search::beam_search(&g.graph, &g.entries, dist, k, ef, scratch)
             }
             BuiltGraph::Hnsw(h) => h.descend_and_walk(dist, k, ef, scratch),
-            BuiltGraph::Ivf(s) => s.probe(dist, k, ef),
+            BuiltGraph::Ivf(never) => match *never {},
         }
     }
 
@@ -764,7 +785,7 @@ impl BuiltGraph {
             BuiltGraph::Flat(s) => s.len(),
             BuiltGraph::Nav(g) => g.graph.len(),
             BuiltGraph::Hnsw(h) => h.len(),
-            BuiltGraph::Ivf(s) => s.len(),
+            BuiltGraph::Ivf(never) => match *never {},
         }
     }
 
@@ -773,12 +794,13 @@ impl BuiltGraph {
         self.len() == 0
     }
 
-    /// Mean out-degree of the graph (0 for the flat scan and IVF).
+    /// Mean out-degree of the graph (0 for the flat scan).
     pub fn avg_degree(&self) -> f64 {
         match self {
-            BuiltGraph::Flat(_) | BuiltGraph::Ivf(_) => 0.0,
+            BuiltGraph::Flat(_) => 0.0,
             BuiltGraph::Nav(g) => g.graph.avg_degree(),
             BuiltGraph::Hnsw(h) => h.avg_degree(),
+            BuiltGraph::Ivf(never) => match *never {},
         }
     }
 
@@ -794,7 +816,7 @@ impl BuiltGraph {
                 g.entries.len()
             ),
             BuiltGraph::Hnsw(h) => h.describe(),
-            BuiltGraph::Ivf(s) => s.describe(),
+            BuiltGraph::Ivf(never) => match *never {},
         }
     }
 
@@ -806,54 +828,34 @@ impl BuiltGraph {
             BuiltGraph::Flat(_) => Vec::new(),
             BuiltGraph::Nav(g) => g.validate(store, metric),
             BuiltGraph::Hnsw(h) => h.validate(),
-            BuiltGraph::Ivf(s) => s.validate(store),
+            BuiltGraph::Ivf(never) => match *never {},
         }
     }
 
     /// Extends the structure over every not-yet-indexed vector of `store`
     /// — the online-insert path. HNSW and the pipeline family link the new
     /// vertices incrementally (HNSW's growth is bit-identical to a batch
-    /// build); `Flat` just widens its scan; IVF has no incremental form
-    /// and is rebuilt from scratch. No new edge points at an id `tomb`
-    /// marks compacted (`Tombstones::new(0)` for a never-compacted graph).
-    pub fn grow_to(
-        &mut self,
-        store: &Arc<VectorStore>,
-        metric: Metric,
-        algo: &IndexAlgorithm,
-        tomb: &Tombstones,
-    ) {
+    /// build); `Flat` just widens its scan. No new edge points at an id
+    /// `tomb` marks compacted (`Tombstones::new(0)` for a never-compacted
+    /// graph).
+    pub fn grow_to(&mut self, store: &Arc<VectorStore>, metric: Metric, tomb: &Tombstones) {
         match self {
             BuiltGraph::Flat(s) => *s = FlatSearcher::new(store.len()),
             BuiltGraph::Hnsw(h) => h.extend_from(store, metric, tomb),
             BuiltGraph::Nav(g) => g.extend_from(store, metric, tomb),
-            BuiltGraph::Ivf(_) => *self = algo.build_graph(store, metric),
+            BuiltGraph::Ivf(never) => match *never {},
         }
     }
 
-    /// Rewires the structure around the dead ids of `tomb`. Returns
-    /// whether the dead ids were actually unlinked (and may therefore be
-    /// marked compacted): `Flat` trivially succeeds (no edges exist), the
-    /// graph families splice neighbours around the holes, and IVF returns
-    /// `false` — its cell lists keep every id and deletion stays
-    /// filter-only there.
-    pub fn compact_live(
-        &mut self,
-        store: &Arc<VectorStore>,
-        metric: Metric,
-        tomb: &Tombstones,
-    ) -> bool {
+    /// Rewires the structure around the dead ids of `tomb`, after which
+    /// they may be marked compacted: the graph families splice neighbours
+    /// around the holes, and `Flat` has no edges to rewire.
+    pub fn compact_live(&mut self, store: &Arc<VectorStore>, metric: Metric, tomb: &Tombstones) {
         match self {
-            BuiltGraph::Flat(_) => true,
-            BuiltGraph::Hnsw(h) => {
-                h.compact(store, metric, tomb);
-                true
-            }
-            BuiltGraph::Nav(g) => {
-                g.compact(store, metric, tomb);
-                true
-            }
-            BuiltGraph::Ivf(_) => false,
+            BuiltGraph::Flat(_) => {}
+            BuiltGraph::Hnsw(h) => h.compact(store, metric, tomb),
+            BuiltGraph::Nav(g) => g.compact(store, metric, tomb),
+            BuiltGraph::Ivf(never) => match *never {},
         }
     }
 }
@@ -884,11 +886,6 @@ impl IndexAlgorithm {
         IndexAlgorithm::Hnsw(HnswParams::default())
     }
 
-    /// Default IVF configuration.
-    pub fn ivf() -> Self {
-        IndexAlgorithm::Ivf(IvfParams::default())
-    }
-
     /// Default MQA-graph configuration.
     pub fn mqa_graph() -> Self {
         IndexAlgorithm::MqaGraph {
@@ -905,7 +902,6 @@ impl IndexAlgorithm {
         match self {
             IndexAlgorithm::Flat => "flat",
             IndexAlgorithm::Hnsw(_) => "hnsw",
-            IndexAlgorithm::Ivf(_) => "ivf",
             IndexAlgorithm::Nsg { .. } => "nsg",
             IndexAlgorithm::Vamana { .. } => "vamana",
             IndexAlgorithm::MqaGraph { .. } => "mqa-graph",
@@ -917,7 +913,6 @@ impl IndexAlgorithm {
         match self {
             IndexAlgorithm::Flat => BuiltGraph::Flat(FlatSearcher::new(store.len())),
             IndexAlgorithm::Hnsw(params) => BuiltGraph::Hnsw(Hnsw::build(store, metric, params)),
-            IndexAlgorithm::Ivf(params) => BuiltGraph::Ivf(Ivf::build(store, params)),
             IndexAlgorithm::Nsg { r, l, knn_k, seed } => {
                 BuiltGraph::Nav(crate::nsg::build(store, metric, *r, *l, *knn_k, *seed))
             }
@@ -1149,7 +1144,6 @@ mod tests {
             (IndexAlgorithm::Flat, "flat exhaustive scan over 200", false),
             (IndexAlgorithm::nsg(), "nsg over 200 vertices", true),
             (IndexAlgorithm::hnsw(), "hnsw over 200 vertices", true),
-            (IndexAlgorithm::ivf(), "ivf over 200 vectors", false),
         ] {
             let built = algo.build_graph(&store, Metric::L2);
             assert!(built.describe().starts_with(name), "{}", built.describe());
@@ -1166,7 +1160,6 @@ mod tests {
             IndexAlgorithm::vamana(),
             IndexAlgorithm::mqa_graph(),
             IndexAlgorithm::hnsw(),
-            IndexAlgorithm::ivf(),
         ] {
             let j = serde_json::to_string(&algo).unwrap();
             let back: IndexAlgorithm = serde_json::from_str(&j).unwrap();
@@ -1189,7 +1182,7 @@ mod tests {
         }
         let algo = IndexAlgorithm::vamana();
         let mut built = algo.build_graph(&Arc::new(half), Metric::L2);
-        built.grow_to(&full, Metric::L2, &algo, &Tombstones::new(0));
+        built.grow_to(&full, Metric::L2, &Tombstones::new(0));
         assert_eq!(built.len(), 400);
         let violations = built.validate(&full, Metric::L2);
         assert!(violations.is_empty(), "{violations:?}");
@@ -1215,7 +1208,7 @@ mod tests {
         for id in (0..400u32).step_by(5) {
             tomb.kill(id);
         }
-        assert!(built.compact_live(&store, Metric::L2, &tomb));
+        built.compact_live(&store, Metric::L2, &tomb);
         let BuiltGraph::Nav(nav) = &built else {
             panic!("nsg builds a Nav graph");
         };
@@ -1232,21 +1225,20 @@ mod tests {
     }
 
     #[test]
-    fn grow_to_rebuild_families_cover_new_vectors() {
+    fn grow_to_widens_the_flat_scan() {
         let full = clustered_store(250, 8, 5, 33);
         let mut half = VectorStore::new(8);
         for id in 0..200u32 {
             half.push(full.get(id));
         }
-        for algo in [IndexAlgorithm::Flat, IndexAlgorithm::ivf()] {
-            let mut built = algo.build_graph(&Arc::new(half.clone()), Metric::L2);
-            built.grow_to(&full, Metric::L2, &algo, &Tombstones::new(0));
-            assert_eq!(built.len(), 250, "{}", algo.name());
-        }
+        let mut built = IndexAlgorithm::Flat.build_graph(&Arc::new(half), Metric::L2);
+        built.grow_to(&full, Metric::L2, &Tombstones::new(0));
+        assert_eq!(built.len(), 250);
     }
 
     /// The recipe a graph grows and compacts under is the one it was
-    /// built with, whatever the caller's `IndexAlgorithm` says later.
+    /// built with: the graph carries it, and growth and compaction take
+    /// no recipe argument.
     #[test]
     fn nav_graphs_remember_their_recipe() {
         let store = clustered_store(300, 8, 6, 34);
@@ -1390,15 +1382,15 @@ mod tests {
             };
             let mut built = algo.build_graph(&prefix(300), Metric::L2);
             step("build");
-            built.grow_to(&prefix(340), Metric::L2, &algo, &Tombstones::new(0));
+            built.grow_to(&prefix(340), Metric::L2, &Tombstones::new(0));
             step("first growth");
             let mut tomb = Tombstones::new(340);
             for id in (0..340u32).step_by(6) {
                 tomb.kill(id);
             }
-            assert!(built.compact_live(&prefix(340), Metric::L2, &tomb));
+            built.compact_live(&prefix(340), Metric::L2, &tomb);
             tomb.mark_all_compacted();
-            built.grow_to(&prefix(380), Metric::L2, &algo, &tomb);
+            built.grow_to(&prefix(380), Metric::L2, &tomb);
             step("growth after compaction");
             let violations = built.validate(&prefix(380), Metric::L2);
             assert!(violations.is_empty(), "{}: {violations:?}", algo.name());
@@ -1406,8 +1398,8 @@ mod tests {
             let json = serde_json::to_string(&built).expect("graph serializes");
             let mut reloaded: BuiltGraph = serde_json::from_str(&json).expect("round trips");
             assert_eq!(reloaded, built, "{}: clean prefixes persist", algo.name());
-            built.grow_to(&full, Metric::L2, &algo, &tomb);
-            reloaded.grow_to(&full, Metric::L2, &algo, &tomb);
+            built.grow_to(&full, Metric::L2, &tomb);
+            reloaded.grow_to(&full, Metric::L2, &tomb);
             step("growth after reload");
             assert_eq!(edges(&reloaded), edges(&built), "{}", algo.name());
             assert_eq!(reloaded, built);

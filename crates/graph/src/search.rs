@@ -147,10 +147,9 @@ impl SearchCounters {
 
 /// `(algorithm, (latency histogram, work histogram))` for every index
 /// algorithm the workspace ships.
-const ALGO_HISTOGRAMS: [(&str, (&str, &str)); 7] = [
+const ALGO_HISTOGRAMS: [(&str, (&str, &str)); 6] = [
     ("flat", ("graph.flat.search_us", "graph.flat.evals")),
     ("hnsw", ("graph.hnsw.search_us", "graph.hnsw.evals")),
-    ("ivf", ("graph.ivf.search_us", "graph.ivf.evals")),
     ("nsg", ("graph.nsg.search_us", "graph.nsg.evals")),
     ("vamana", ("graph.vamana.search_us", "graph.vamana.evals")),
     (
@@ -163,8 +162,8 @@ const ALGO_HISTOGRAMS: [(&str, (&str, &str)); 7] = [
     ),
 ];
 
-/// Unknown algorithm names (external `GraphIndex` impls) share these
-/// unlabeled histograms rather than registering a name per caller.
+/// Any other name passed to [`SearchStats::record`] shares these unlabeled
+/// histograms rather than registering a name per caller.
 const OTHER_HISTOGRAMS: (&str, &str) = ("graph.other.search_us", "graph.other.evals");
 
 type HistogramPair = (Arc<mqa_obs::Histogram>, Arc<mqa_obs::Histogram>);

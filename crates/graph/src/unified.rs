@@ -178,8 +178,9 @@ impl IndexSnapshot {
                         &self.tombstones,
                     ));
                 }
-                // Flat has no edges; IVF never compacts (filter-only).
-                BuiltGraph::Flat(_) | BuiltGraph::Ivf(_) => {}
+                // Flat has no edges.
+                BuiltGraph::Flat(_) => {}
+                BuiltGraph::Ivf(never) => match *never {},
             }
         }
         out
@@ -431,7 +432,6 @@ impl UnifiedIndex {
             Arc::make_mut(&mut draft.searcher).grow_to(
                 &draft.weighted,
                 self.metric,
-                &self.algorithm,
                 &draft.tombstones,
             );
             (objects.len(), false)
@@ -459,13 +459,13 @@ impl UnifiedIndex {
         let deletes = mqa_obs::counter("graph.mutate.deletes");
         Ok(self.publish_next(deletes, |draft| {
             let applied = ids.iter().filter(|&&id| draft.tombstones.kill(id)).count();
-            let compacted = draft.tombstones.pending_fraction() > Self::DEFAULT_COMPACT_THRESHOLD
-                && Arc::make_mut(&mut draft.searcher).compact_live(
+            let compacted = draft.tombstones.pending_fraction() > Self::DEFAULT_COMPACT_THRESHOLD;
+            if compacted {
+                Arc::make_mut(&mut draft.searcher).compact_live(
                     &draft.weighted,
                     self.metric,
                     &draft.tombstones,
                 );
-            if compacted {
                 draft.tombstones.mark_all_compacted();
             }
             (applied, compacted)
@@ -1260,7 +1260,7 @@ mod tests {
             match snap.searcher() {
                 BuiltGraph::Nav(g) => edges.extend(g.graph().edges()),
                 BuiltGraph::Hnsw(h) => h.for_each_edge(|_, v, u| edges.push((v, u))),
-                BuiltGraph::Flat(_) | BuiltGraph::Ivf(_) => unreachable!("graph families only"),
+                _ => unreachable!("graph families only"),
             }
             for (v, u) in edges {
                 assert!(!snap.tombstones().is_compacted(u), "{context}: {v} -> {u}");
@@ -1275,7 +1275,7 @@ mod tests {
             let entries: Vec<VecId> = match idx.current().searcher() {
                 BuiltGraph::Nav(g) => g.entries().to_vec(),
                 BuiltGraph::Hnsw(h) => vec![h.entry()],
-                BuiltGraph::Flat(_) | BuiltGraph::Ivf(_) => unreachable!("graph families only"),
+                _ => unreachable!("graph families only"),
             };
             // Every entry plus a quarter of the ids: past the 20 % threshold.
             let doomed: Vec<VecId> = entries.iter().copied().chain((0..300).step_by(4)).collect();

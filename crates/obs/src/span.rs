@@ -137,8 +137,7 @@ impl Drop for SpanGuard {
 /// entries when the job leaked a guard (e.g. `mem::forget`) or panicked
 /// between the stack push and guard construction. Those stale entries
 /// would silently become the *parent* of every span the next job opens on
-/// the same thread — call this after catching a job panic, alongside the
-/// scratch rebuild.
+/// the same thread — call this after catching a job panic.
 pub fn reset_thread_stack() -> usize {
     let discarded = STACK.with(|s| {
         let mut s = s.borrow_mut();

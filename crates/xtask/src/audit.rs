@@ -58,10 +58,9 @@ fn synthetic_multivector_store(n: usize, seed: u64) -> MultiVectorStore {
 }
 
 /// Every selectable index configuration, by panel name.
-fn all_algorithms() -> Vec<IndexAlgorithm> {
-    vec![
+fn all_algorithms() -> [IndexAlgorithm; 5] {
+    [
         IndexAlgorithm::Flat,
-        IndexAlgorithm::ivf(),
         IndexAlgorithm::hnsw(),
         IndexAlgorithm::nsg(),
         IndexAlgorithm::vamana(),
@@ -328,13 +327,7 @@ fn run(repo_root: &Path) -> Vec<(String, Vec<String>)> {
             .map(|id| donors.multivector_of(id))
             .collect()
     };
-    for algo in [
-        IndexAlgorithm::Flat,
-        IndexAlgorithm::hnsw(),
-        IndexAlgorithm::nsg(),
-        IndexAlgorithm::vamana(),
-        IndexAlgorithm::mqa_graph(),
-    ] {
+    for algo in all_algorithms() {
         let name = format!("unified index ({})", algo.name());
         let unified = UnifiedIndex::build(mv.clone(), weights.clone(), Metric::L2, &algo);
         let snapshot = unified.snapshot();
@@ -354,7 +347,7 @@ fn run(repo_root: &Path) -> Vec<(String, Vec<String>)> {
         let mut doomed: Vec<u32> = match unified.current().searcher() {
             BuiltGraph::Nav(nav) => nav.entries().to_vec(),
             BuiltGraph::Hnsw(hnsw) => vec![hnsw.entry()],
-            BuiltGraph::Flat(_) | BuiltGraph::Ivf(_) => Vec::new(),
+            _ => Vec::new(), // flat: no entry points
         };
         doomed.extend((0..300).step_by(4));
         type Outcome = Result<MutationReport, MutationError>;

@@ -120,7 +120,6 @@ fn all_index_algorithms_work_end_to_end() {
     let gt = GroundTruth::build(&kb);
     for index in [
         IndexAlgorithm::Flat,
-        IndexAlgorithm::ivf(),
         IndexAlgorithm::hnsw(),
         IndexAlgorithm::nsg(),
         IndexAlgorithm::vamana(),
