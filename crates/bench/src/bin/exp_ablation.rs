@@ -22,7 +22,6 @@ use mqa_graph::pipeline::{
 use mqa_graph::{BuiltGraph, IndexAlgorithm, Tombstones, UnifiedIndex};
 use mqa_kb::DatasetSpec;
 use mqa_retrieval::{JeFramework, JePartialPolicy, MustFramework};
-use mqa_vector::Metric;
 use mqa_weights::{TrainerConfig, WeightLearner};
 use std::sync::Arc;
 
@@ -117,7 +116,7 @@ fn main() {
     ];
     for (name, pipeline) in variants {
         let weighted = Arc::new(enc.corpus.store().weighted_store(&enc.learned.weights));
-        let nav = pipeline.run(&weighted, Metric::L2, name);
+        let nav = pipeline.run(&weighted, name);
         let degree = nav.report().avg_degree;
         let connectivity = nav.report().connectivity;
         let store = enc.corpus.store().clone();
@@ -125,7 +124,6 @@ fn main() {
         let index = UnifiedIndex::from_parts(
             store,
             enc.learned.weights.clone(),
-            Metric::L2,
             BuiltGraph::Nav(nav),
             IndexAlgorithm::mqa_graph(),
             tombstones,
@@ -161,7 +159,6 @@ fn main() {
         let must = MustFramework::build(
             Arc::clone(&enc.corpus),
             learned.weights.clone(),
-            Metric::L2,
             &params.algo,
         );
         let s = two_round(&enc, &must, queries, K, EF, 777);
@@ -185,12 +182,7 @@ fn main() {
         ("placeholder (faithful)", JePartialPolicy::Placeholder),
         ("zero-fill (idealized)", JePartialPolicy::ZeroFill),
     ] {
-        let je = JeFramework::build_with_policy(
-            Arc::clone(&enc.corpus),
-            Metric::L2,
-            &params.algo,
-            policy,
-        );
+        let je = JeFramework::build_with_policy(Arc::clone(&enc.corpus), &params.algo, policy);
         let s = two_round(&enc, &je, queries, K, EF, 777);
         tc.row(vec![
             name.to_string(),

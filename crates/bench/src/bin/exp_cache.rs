@@ -26,7 +26,7 @@ use mqa_engine::WorkerPool;
 use mqa_graph::starling::{DeviceProfile, LayoutStrategy, PageLayout, PagedIndex};
 use mqa_graph::FlatDistance;
 use mqa_rng::StdRng;
-use mqa_vector::{Metric, VectorStore};
+use mqa_vector::VectorStore;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -64,7 +64,7 @@ fn run_pass(
             let tallies = Arc::clone(&tallies);
             let submitted = pool.submit(Box::new(move || {
                 let sw = mqa_obs::Stopwatch::start();
-                if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi], Metric::L2) {
+                if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi]) {
                     let mut hits = Vec::new();
                     let stats = mqa_graph::with_pooled(|scratch| {
                         paged.search_paged_into(&mut dist, K, 32, scratch, &mut hits)
@@ -113,7 +113,7 @@ fn main() {
     );
 
     let store = random_store(n, dim, 42);
-    let nav = mqa_graph::vamana::build(&store, Metric::L2, 16, 48, 1.2, 7);
+    let nav = mqa_graph::vamana::build(&store, 16, 48, 1.2, 7);
     let layout = PageLayout::build(nav.graph(), 8, LayoutStrategy::BfsCluster);
     let device = DeviceProfile::with_read_latency(Duration::from_micros(200));
     let mut rng = StdRng::seed_from_u64(99);

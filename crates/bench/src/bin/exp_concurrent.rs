@@ -24,7 +24,7 @@ use mqa_graph::FlatDistance;
 use mqa_kb::{DatasetSpec, WorkloadSpec};
 use mqa_retrieval::MultiModalQuery;
 use mqa_rng::StdRng;
-use mqa_vector::{Metric, VectorStore};
+use mqa_vector::VectorStore;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,7 +47,7 @@ fn paged_io_sweep(quick: bool, table: &mut Table) {
     let (n, queries) = if quick { (1_500, 48) } else { (6_000, 120) };
     let dim = 16;
     let store = random_store(n, dim, 42);
-    let nav = mqa_graph::vamana::build(&store, Metric::L2, 16, 48, 1.2, 7);
+    let nav = mqa_graph::vamana::build(&store, 16, 48, 1.2, 7);
     let layout = PageLayout::build(nav.graph(), 8, LayoutStrategy::BfsCluster);
     let device = DeviceProfile::with_read_latency(Duration::from_micros(200));
     let paged = Arc::new(
@@ -73,7 +73,7 @@ fn paged_io_sweep(quick: bool, table: &mut Table) {
                 let query_vecs = Arc::clone(&query_vecs);
                 let (reads, waits) = (Arc::clone(&reads), Arc::clone(&waits));
                 let submitted = pool.submit(Box::new(move || {
-                    if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi], Metric::L2) {
+                    if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi]) {
                         let mut hits = Vec::new();
                         let stats = mqa_graph::with_pooled(|scratch| {
                             paged.search_paged_into(&mut dist, K, 32, scratch, &mut hits)

@@ -56,7 +56,7 @@ fn main() {
         .collect();
 
     // Exact ground truth from the flat index.
-    let flat = VectorIndex::build(store.clone(), mqa_vector::Metric::L2, &IndexAlgorithm::Flat);
+    let flat = VectorIndex::build(store.clone(), &IndexAlgorithm::Flat);
     let truth: Vec<Vec<u32>> = queries.iter().map(|q| flat.search(q, K, K).ids()).collect();
 
     let mut table = Table::new(&[
@@ -76,7 +76,7 @@ fn main() {
         IndexAlgorithm::mqa_graph(),
     ];
     for algo in &algos {
-        let idx = VectorIndex::build(store.clone(), mqa_vector::Metric::L2, algo);
+        let idx = VectorIndex::build(store.clone(), algo);
         let t0 = std::time::Instant::now();
         let mut hits = 0usize;
         let mut evals = 0u64;
@@ -103,7 +103,7 @@ fn main() {
     // ── Starling layout ablation on the Vamana graph ──
     println!("\nStarling page-layout ablation (4 KiB pages):");
     let store_arc = std::sync::Arc::new(store.clone());
-    let nav = mqa_graph::vamana::build(&store_arc, mqa_vector::Metric::L2, 24, 64, 1.2, 0);
+    let nav = mqa_graph::vamana::build(&store_arc, 24, 64, 1.2, 0);
     let per_page = PageLayout::vertices_per_page(dim, 24);
     let mut st = Table::new(&[
         "variant",
@@ -119,7 +119,7 @@ fn main() {
         let mut hits = 0usize;
         let (mut scratch, mut found) = (SearchScratch::new(), Vec::new());
         for (q, t) in queries.iter().zip(&truth) {
-            let mut dist = match FlatDistance::new(&store, q, mqa_vector::Metric::L2) {
+            let mut dist = match FlatDistance::new(&store, q) {
                 Ok(d) => d,
                 Err(e) => {
                     eprintln!("query construction failed: {e}");

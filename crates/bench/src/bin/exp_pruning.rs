@@ -63,7 +63,7 @@ fn main() {
     // evaluator's pruning switch differs.
     let snap = index.current();
     let search = |q: &mqa_vector::MultiVector, ef: usize, prune: bool| {
-        let dist = FusedDistance::new(snap.store(), q, index.weights(), index.metric());
+        let dist = FusedDistance::new(snap.store(), q, index.weights(), Metric::L2);
         let mut dist = if prune { dist } else { dist.without_pruning() };
         let ids = snap
             .searcher()

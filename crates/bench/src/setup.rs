@@ -4,7 +4,7 @@ use mqa_encoders::EncoderRegistry;
 use mqa_graph::IndexAlgorithm;
 use mqa_kb::{DatasetInfo, DatasetSpec, GroundTruth};
 use mqa_retrieval::{EncodedCorpus, EncoderSet, JeFramework, MrFramework, MustFramework};
-use mqa_vector::{Metric, Weights};
+use mqa_vector::Weights;
 use mqa_weights::{LearnedWeights, WeightLearner};
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,18 +88,13 @@ pub struct Frameworks {
 /// Builds MUST (learned weights), MR, and JE over the encoded corpus.
 pub fn build_frameworks(enc: &Encoded, algo: &IndexAlgorithm) -> Frameworks {
     let t0 = std::time::Instant::now();
-    let must = MustFramework::build(
-        Arc::clone(&enc.corpus),
-        enc.learned.weights.clone(),
-        Metric::L2,
-        algo,
-    );
+    let must = MustFramework::build(Arc::clone(&enc.corpus), enc.learned.weights.clone(), algo);
     let t_must = t0.elapsed();
     let t0 = std::time::Instant::now();
-    let mr = MrFramework::build(Arc::clone(&enc.corpus), Metric::L2, algo);
+    let mr = MrFramework::build(Arc::clone(&enc.corpus), algo);
     let t_mr = t0.elapsed();
     let t0 = std::time::Instant::now();
-    let je = JeFramework::build(Arc::clone(&enc.corpus), Metric::L2, algo);
+    let je = JeFramework::build(Arc::clone(&enc.corpus), algo);
     let t_je = t0.elapsed();
     Frameworks {
         must,
@@ -111,7 +106,7 @@ pub fn build_frameworks(enc: &Encoded, algo: &IndexAlgorithm) -> Frameworks {
 
 /// A MUST framework built with explicit weights (for the E6 ablation).
 pub fn build_must_with(enc: &Encoded, weights: Weights, algo: &IndexAlgorithm) -> MustFramework {
-    MustFramework::build(Arc::clone(&enc.corpus), weights, Metric::L2, algo)
+    MustFramework::build(Arc::clone(&enc.corpus), weights, algo)
 }
 
 #[cfg(test)]

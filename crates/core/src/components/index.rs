@@ -26,19 +26,10 @@ pub fn run(rep: &Represented, config: &Config) -> Result<BuiltFramework, MqaErro
         FrameworkKind::Must => Arc::new(MustFramework::build(
             Arc::clone(&rep.corpus),
             rep.weights.clone(),
-            config.metric,
             &config.index,
         )),
-        FrameworkKind::Mr => Arc::new(MrFramework::build(
-            Arc::clone(&rep.corpus),
-            config.metric,
-            &config.index,
-        )),
-        FrameworkKind::Je => Arc::new(JeFramework::build(
-            Arc::clone(&rep.corpus),
-            config.metric,
-            &config.index,
-        )),
+        FrameworkKind::Mr => Arc::new(MrFramework::build(Arc::clone(&rep.corpus), &config.index)),
+        FrameworkKind::Je => Arc::new(JeFramework::build(Arc::clone(&rep.corpus), &config.index)),
     };
     let description = framework.describe();
     Ok(BuiltFramework {

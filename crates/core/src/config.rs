@@ -30,7 +30,8 @@ pub struct Config {
     pub weight_learning: bool,
     /// Hyper-parameters of the weight learner.
     pub trainer: TrainerConfig,
-    /// Distance metric.
+    /// Distance metric: always [`Metric::L2`], the only distance. Kept only
+    /// because the benchmark crate still reads it.
     pub metric: Metric,
     /// Index method and parameters.
     pub index: IndexAlgorithm,
@@ -192,6 +193,20 @@ mod tests {
         let err = Config::from_json(&ivf).unwrap_err();
         assert!(
             matches!(&err, MqaError::InvalidConfig(m) if m.contains("Ivf")),
+            "{err:?}"
+        );
+    }
+
+    /// A panel export that selects a removed distance (L2 is the only
+    /// one) is a typed configuration error, not a panic.
+    #[test]
+    fn removed_metric_rejected() {
+        let json = serde_json::to_string(&Config::default()).unwrap();
+        let cosine = json.replacen("\"metric\":\"L2\"", "\"metric\":\"Cosine\"", 1);
+        assert_ne!(cosine, json);
+        let err = Config::from_json(&cosine).unwrap_err();
+        assert!(
+            matches!(&err, MqaError::InvalidConfig(m) if m.contains("Cosine")),
             "{err:?}"
         );
     }

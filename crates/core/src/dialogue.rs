@@ -256,7 +256,7 @@ impl<'a> DialogueSession<'a> {
             out.results = mqa_retrieval::mmr_diversify(
                 self.system.corpus().store(),
                 self.system.weights(),
-                self.system.config().metric,
+                mqa_vector::Metric::L2,
                 &out.results,
                 k,
                 lambda,

@@ -112,7 +112,7 @@ impl Encoder for VisualEncoder {
 mod tests {
     use super::*;
     use mqa_rng::StdRng;
-    use mqa_vector::Metric;
+    use mqa_vector::ops;
 
     fn random_image(rng: &mut StdRng, dim: usize) -> ImageData {
         ImageData::new((0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect())
@@ -140,7 +140,7 @@ mod tests {
         let vb = e.encode(&RawContent::Image(base));
         let vn = e.encode(&RawContent::Image(near));
         let vf = e.encode(&RawContent::Image(far));
-        assert!(Metric::L2.distance(&vb, &vn) < Metric::L2.distance(&vb, &vf));
+        assert!(ops::l2_sq(&vb, &vn) < ops::l2_sq(&vb, &vf));
     }
 
     #[test]

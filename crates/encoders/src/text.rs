@@ -180,7 +180,7 @@ impl Encoder for LstmTextEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mqa_vector::Metric;
+    use mqa_vector::ops;
 
     #[test]
     fn tokenize_splits_and_lowercases() {
@@ -202,7 +202,7 @@ mod tests {
         let q = e.encode(&RawContent::text("moldy blue cheese wheel"));
         let near = e.encode(&RawContent::text("a wheel of moldy cheese"));
         let far = e.encode(&RawContent::text("red racing car engine"));
-        assert!(Metric::L2.distance(&q, &near) < Metric::L2.distance(&q, &far));
+        assert!(ops::l2_sq(&q, &near) < ops::l2_sq(&q, &far));
     }
 
     #[test]
@@ -242,7 +242,7 @@ mod tests {
         let e = LstmTextEncoder::new(32, 5);
         let ab = e.encode(&RawContent::text("dog bites man"));
         let ba = e.encode(&RawContent::text("man bites dog"));
-        assert!(Metric::L2.distance(&ab, &ba) > 1e-4);
+        assert!(ops::l2_sq(&ab, &ba) > 1e-4);
     }
 
     #[test]
@@ -253,7 +253,7 @@ mod tests {
         let q = e.encode(&RawContent::text("dawn foggy clouds"));
         let near = e.encode(&RawContent::text("dusk foggy clouds"));
         let far = e.encode(&RawContent::text("spreadsheet quarterly revenue"));
-        assert!(Metric::L2.distance(&q, &near) < Metric::L2.distance(&q, &far));
+        assert!(ops::l2_sq(&q, &near) < ops::l2_sq(&q, &far));
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl FlatSearcher {
 mod tests {
     use super::*;
     use crate::traits::FlatDistance;
-    use mqa_vector::{Metric, VectorStore};
+    use mqa_vector::VectorStore;
 
     #[test]
     fn finds_exact_nearest() {
@@ -68,7 +68,7 @@ mod tests {
             store.push(&[x]);
         }
         let q = [2.2f32];
-        let mut d = FlatDistance::new(&store, &q, Metric::L2).unwrap();
+        let mut d = FlatDistance::new(&store, &q).unwrap();
         let out = FlatSearcher::new(5).scan(&mut d, 2, |_| true);
         assert_eq!(out.ids(), vec![3, 2]); // 2.0 then 3.0
         assert_eq!(out.stats.evals, 5);
@@ -79,7 +79,7 @@ mod tests {
         let mut store = VectorStore::new(1);
         store.push(&[0.0]);
         let q = [1.0f32];
-        let mut d = FlatDistance::new(&store, &q, Metric::L2).unwrap();
+        let mut d = FlatDistance::new(&store, &q).unwrap();
         let out = FlatSearcher::new(1).scan(&mut d, 5, |_| true);
         assert_eq!(out.results.len(), 1);
     }

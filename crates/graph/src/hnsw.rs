@@ -15,7 +15,7 @@ use crate::search::{search_into, SearchOutput, Seeds, WalkGraph};
 use crate::traits::{DistanceFn, FlatDistance};
 use crate::validate::InvariantViolation;
 use mqa_rng::StdRng;
-use mqa_vector::{Candidate, Metric, VecId, VectorStore};
+use mqa_vector::{ops, Candidate, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
 
 /// HNSW hyper-parameters.
@@ -54,7 +54,7 @@ impl Hnsw {
     ///
     /// # Panics
     /// Panics if the store is empty or `m == 0`.
-    pub fn build(store: &VectorStore, metric: Metric, params: &HnswParams) -> Self {
+    pub fn build(store: &VectorStore, params: &HnswParams) -> Self {
         assert!(!store.is_empty(), "HNSW over an empty store");
         assert!(params.m > 0, "HNSW requires m >= 1");
         let n = store.len();
@@ -67,7 +67,7 @@ impl Hnsw {
         let live = Tombstones::new(0);
         let mut scratch = SearchScratch::new();
         for _ in 0..n {
-            hnsw.insert_next(store, metric, &live, &mut scratch);
+            hnsw.insert_next(store, &live, &mut scratch);
         }
         hnsw
     }
@@ -80,13 +80,7 @@ impl Hnsw {
     ///
     /// # Panics
     /// Panics if the store holds no vector beyond the indexed population.
-    fn insert_next(
-        &mut self,
-        store: &VectorStore,
-        metric: Metric,
-        tomb: &Tombstones,
-        scratch: &mut SearchScratch,
-    ) {
+    fn insert_next(&mut self, store: &VectorStore, tomb: &Tombstones, scratch: &mut SearchScratch) {
         let v = self.links.len() as VecId;
         assert!(
             (v as usize) < store.len(),
@@ -104,7 +98,7 @@ impl Hnsw {
             self.entry = 0;
             return;
         }
-        self.insert(store, metric, tomb, v, level, scratch);
+        self.insert(store, tomb, v, level, scratch);
     }
 
     /// Appends every not-yet-indexed vector of `store` — incremental growth
@@ -114,23 +108,22 @@ impl Hnsw {
     /// this. Batch building and incremental growth produce identical
     /// indexes (levels derive from `(seed, id)`). Ids `tomb` marks
     /// compacted may still route (a retired entry) but are never linked to.
-    pub fn extend_from(&mut self, store: &VectorStore, metric: Metric, tomb: &Tombstones) {
+    pub fn extend_from(&mut self, store: &VectorStore, tomb: &Tombstones) {
         let mut scratch = SearchScratch::new();
         while self.links.len() < store.len() {
-            self.insert_next(store, metric, tomb, &mut scratch);
+            self.insert_next(store, tomb, &mut scratch);
         }
     }
 
     fn insert(
         &mut self,
         store: &VectorStore,
-        metric: Metric,
         tomb: &Tombstones,
         v: VecId,
         level: usize,
         scratch: &mut SearchScratch,
     ) {
-        let mut dist = FlatDistance::for_vertex(store, v, metric);
+        let mut dist = FlatDistance::for_vertex(store, v);
         let mut ep = Candidate::new(self.entry, dist.exact(self.entry));
 
         // Greedy descent through layers above the node's level.
@@ -155,7 +148,7 @@ impl Hnsw {
             // A retired entry still seeds the walk; it is never selected.
             let mut pool = cands.clone();
             pool.retain(|c| !tomb.is_compacted(c.id));
-            let selected = hnsw_heuristic(store, metric, v, pool, cap);
+            let selected = hnsw_heuristic(store, v, pool, cap);
             for &u in &selected {
                 // INVARIANT: v and every candidate u are inserted vertices
                 // whose level lists extend past lc (selection is level-aware).
@@ -168,10 +161,10 @@ impl Hnsw {
                         let uv = store.get(u);
                         let pool: Vec<Candidate> = ul
                             .iter()
-                            .map(|&w| Candidate::new(w, metric.distance(uv, store.get(w))))
+                            .map(|&w| Candidate::new(w, ops::l2_sq(uv, store.get(w))))
                             .collect();
                         // INVARIANT: u's level list reaches lc (checked on entry).
-                        self.links[u as usize][lc] = hnsw_heuristic(store, metric, u, pool, cap);
+                        self.links[u as usize][lc] = hnsw_heuristic(store, u, pool, cap);
                     }
                 }
             }
@@ -268,7 +261,7 @@ impl Hnsw {
     /// entry are unlinked entirely; a dead entry keeps live-spliced
     /// out-edges so it can continue to seed searches. After this pass no
     /// edge points *into* a dead vertex.
-    pub fn compact(&mut self, store: &VectorStore, metric: Metric, tomb: &Tombstones) {
+    pub fn compact(&mut self, store: &VectorStore, tomb: &Tombstones) {
         let entry = self.entry;
         let m = self.params.m;
         let old = self.links.clone();
@@ -285,14 +278,14 @@ impl Hnsw {
                 }
                 // The dead neighbours' same-layer lists, as they were
                 // before this pass touched them.
-                let pool = tomb.splice_pool(store, metric, v, nb, |u| {
+                let pool = tomb.splice_pool(store, v, nb, |u| {
                     old.get(u as usize)
                         .and_then(|ls| ls.get(level))
                         .map(Vec::as_slice)
                         .unwrap_or(&[])
                 });
                 let cap = if level == 0 { m * 2 } else { m };
-                *nb = hnsw_heuristic(store, metric, v, pool, cap);
+                *nb = hnsw_heuristic(store, v, pool, cap);
             }
         }
     }
@@ -547,9 +540,9 @@ mod tests {
     fn single_vector_index() {
         let mut store = VectorStore::new(2);
         store.push(&[1.0, 2.0]);
-        let h = Hnsw::build(&store, Metric::L2, &HnswParams::default());
+        let h = Hnsw::build(&store, &HnswParams::default());
         let q = [1.0f32, 2.0];
-        let mut d = FlatDistance::new(&store, &q, Metric::L2).unwrap();
+        let mut d = FlatDistance::new(&store, &q).unwrap();
         let out = h.search(&mut d, 1, 10);
         assert_eq!(out.ids(), vec![0]);
     }
@@ -557,7 +550,7 @@ mod tests {
     #[test]
     fn recall_against_flat() {
         let store = random_store(1_500, 12, 1);
-        let h = Hnsw::build(&store, Metric::L2, &HnswParams::default());
+        let h = Hnsw::build(&store, &HnswParams::default());
         let flat = FlatSearcher::new(store.len());
         let mut rng = StdRng::seed_from_u64(9);
         let k = 10;
@@ -565,9 +558,9 @@ mod tests {
         let queries = 30;
         for _ in 0..queries {
             let q: Vec<f32> = (0..12).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let mut d1 = FlatDistance::new(&store, &q, Metric::L2).unwrap();
+            let mut d1 = FlatDistance::new(&store, &q).unwrap();
             let truth = flat.scan(&mut d1, k, |_| true).ids();
-            let mut d2 = FlatDistance::new(&store, &q, Metric::L2).unwrap();
+            let mut d2 = FlatDistance::new(&store, &q).unwrap();
             let got = h.search(&mut d2, k, 80).ids();
             hits += got.iter().filter(|id| truth.contains(id)).count();
         }
@@ -583,7 +576,7 @@ mod tests {
             ef_construction: 60,
             seed: 0,
         };
-        let h = Hnsw::build(&store, Metric::L2, &params);
+        let h = Hnsw::build(&store, &params);
         let base = h.base_layer();
         assert!(
             base.max_degree() <= 16,
@@ -598,7 +591,7 @@ mod tests {
     #[test]
     fn base_layer_is_mostly_connected() {
         let store = random_store(800, 8, 3);
-        let h = Hnsw::build(&store, Metric::L2, &HnswParams::default());
+        let h = Hnsw::build(&store, &HnswParams::default());
         let base = h.base_layer();
         // Bidirectional linking keeps layer 0 connected in practice.
         let reach = base.reachable_count(h.entry());
@@ -608,8 +601,8 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let store = random_store(300, 6, 4);
-        let a = Hnsw::build(&store, Metric::L2, &HnswParams::default());
-        let b = Hnsw::build(&store, Metric::L2, &HnswParams::default());
+        let a = Hnsw::build(&store, &HnswParams::default());
+        let b = Hnsw::build(&store, &HnswParams::default());
         assert_eq!(a.base_layer(), b.base_layer());
         assert_eq!(a.entry(), b.entry());
     }
@@ -617,7 +610,7 @@ mod tests {
     #[test]
     fn describe_reports_layers() {
         let store = random_store(200, 4, 5);
-        let h = Hnsw::build(&store, Metric::L2, &HnswParams::default());
+        let h = Hnsw::build(&store, &HnswParams::default());
         assert!(h.describe().contains("hnsw"));
         assert!(h.max_level() < 10);
     }
@@ -625,20 +618,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty store")]
     fn empty_store_panics() {
-        Hnsw::build(&VectorStore::new(2), Metric::L2, &HnswParams::default());
+        Hnsw::build(&VectorStore::new(2), &HnswParams::default());
     }
 
     #[test]
     fn incremental_growth_matches_batch_build() {
         let store = random_store(400, 8, 7);
-        let batch = Hnsw::build(&store, Metric::L2, &HnswParams::default());
+        let batch = Hnsw::build(&store, &HnswParams::default());
         // Build over the first half, then grow to the full store.
         let mut half_store = VectorStore::new(8);
         for id in 0..200u32 {
             half_store.push(store.get(id));
         }
-        let mut grown = Hnsw::build(&half_store, Metric::L2, &HnswParams::default());
-        grown.extend_from(&store, Metric::L2, &Tombstones::new(0));
+        let mut grown = Hnsw::build(&half_store, &HnswParams::default());
+        grown.extend_from(&store, &Tombstones::new(0));
         assert_eq!(grown.len(), 400);
         assert_eq!(batch.base_layer(), grown.base_layer());
         assert_eq!(batch.entry(), grown.entry());
@@ -647,16 +640,16 @@ mod tests {
     #[test]
     fn grown_index_finds_new_objects() {
         let mut store = random_store(300, 8, 8);
-        let mut h = Hnsw::build(&store, Metric::L2, &HnswParams::default());
+        let mut h = Hnsw::build(&store, &HnswParams::default());
         // Ingest 50 new objects and grow the index.
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..50 {
             let v: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
             store.push(&v);
         }
-        h.extend_from(&store, Metric::L2, &Tombstones::new(0));
+        h.extend_from(&store, &Tombstones::new(0));
         for id in 300..350u32 {
-            let mut d = FlatDistance::for_vertex(&store, id, Metric::L2);
+            let mut d = FlatDistance::for_vertex(&store, id);
             let out = h.search(&mut d, 1, 64);
             assert_eq!(out.results[0].id, id, "new object {id} not found");
         }
@@ -665,7 +658,7 @@ mod tests {
     #[test]
     fn compact_unlinks_dead_vertices() {
         let store = random_store(400, 8, 21);
-        let mut h = Hnsw::build(&store, Metric::L2, &HnswParams::default());
+        let mut h = Hnsw::build(&store, &HnswParams::default());
         let mut tomb = Tombstones::new(400);
         // Kill a spread of vertices (skip the entry so the entry-exception
         // path is exercised separately below).
@@ -674,7 +667,7 @@ mod tests {
                 tomb.kill(id);
             }
         }
-        h.compact(&store, Metric::L2, &tomb);
+        h.compact(&store, &tomb);
         let mut into_dead = 0usize;
         h.for_each_edge(|_, _, u| {
             if tomb.is_dead(u) {
@@ -695,7 +688,7 @@ mod tests {
         let mut probed = 0usize;
         for id in (1..400u32).step_by(13).filter(|&id| !tomb.is_dead(id)) {
             probed += 1;
-            let mut d = FlatDistance::for_vertex(&store, id, Metric::L2);
+            let mut d = FlatDistance::for_vertex(&store, id);
             let out = h.search(&mut d, 5, 64);
             if out.ids().contains(&id) {
                 found += 1;
@@ -710,11 +703,11 @@ mod tests {
     #[test]
     fn compact_keeps_dead_entry_routing() {
         let store = random_store(200, 6, 22);
-        let mut h = Hnsw::build(&store, Metric::L2, &HnswParams::default());
+        let mut h = Hnsw::build(&store, &HnswParams::default());
         let entry = h.entry();
         let mut tomb = Tombstones::new(200);
         tomb.kill(entry);
-        h.compact(&store, Metric::L2, &tomb);
+        h.compact(&store, &tomb);
         // The dead entry keeps out-edges (to live targets only) so search
         // can still seed from it.
         assert!(!h.neighbors(entry, 0).is_empty());
@@ -731,7 +724,7 @@ mod tests {
     #[test]
     fn validate_accepts_built_index() {
         let store = random_store(400, 8, 3);
-        let h = Hnsw::build(&store, Metric::L2, &HnswParams::default());
+        let h = Hnsw::build(&store, &HnswParams::default());
         let violations = h.validate();
         assert!(violations.is_empty(), "sound index flagged: {violations:?}");
     }
@@ -740,7 +733,7 @@ mod tests {
     fn validate_detects_corruption() {
         use crate::validate::InvariantViolation as V;
         let store = random_store(200, 6, 4);
-        let sound = Hnsw::build(&store, Metric::L2, &HnswParams::default());
+        let sound = Hnsw::build(&store, &HnswParams::default());
 
         // Out-of-range neighbour.
         let mut h = sound.clone();

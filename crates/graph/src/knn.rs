@@ -10,7 +10,7 @@
 use crate::adjacency::Adjacency;
 use crate::util::parallel_map;
 use mqa_rng::StdRng;
-use mqa_vector::{Candidate, Metric, TopK, VecId, VectorStore};
+use mqa_vector::{ops, Candidate, TopK, VecId, VectorStore};
 
 /// Below this population the exact kNN graph is computed directly.
 const EXACT_THRESHOLD: usize = 2_000;
@@ -43,19 +43,19 @@ impl Default for KnnParams {
 ///
 /// # Panics
 /// Panics if the store is empty or `k == 0`.
-pub fn knn_graph(store: &VectorStore, metric: Metric, params: &KnnParams) -> Adjacency {
+pub fn knn_graph(store: &VectorStore, params: &KnnParams) -> Adjacency {
     assert!(!store.is_empty(), "kNN graph over an empty store");
     assert!(params.k > 0, "kNN graph requires k >= 1");
     let n = store.len();
     if n <= EXACT_THRESHOLD {
-        exact_knn(store, metric, params.k)
+        exact_knn(store, params.k)
     } else {
-        nn_expansion(store, metric, params)
+        nn_expansion(store, params)
     }
 }
 
 /// Exact kNN graph by full pairwise scan (small stores only).
-pub fn exact_knn(store: &VectorStore, metric: Metric, k: usize) -> Adjacency {
+pub fn exact_knn(store: &VectorStore, k: usize) -> Adjacency {
     let n = store.len();
     let lists = parallel_map(n, |v| {
         let mut top = TopK::new(k.min(n.saturating_sub(1)).max(1));
@@ -64,7 +64,7 @@ pub fn exact_knn(store: &VectorStore, metric: Metric, k: usize) -> Adjacency {
             if u == v {
                 continue;
             }
-            top.offer(Candidate::new(u, metric.distance(qv, uv)));
+            top.offer(Candidate::new(u, ops::l2_sq(qv, uv)));
         }
         top.into_sorted()
             .into_iter()
@@ -79,7 +79,7 @@ pub fn exact_knn(store: &VectorStore, metric: Metric, k: usize) -> Adjacency {
 }
 
 /// NN-descent-style neighbour expansion.
-fn nn_expansion(store: &VectorStore, metric: Metric, params: &KnnParams) -> Adjacency {
+fn nn_expansion(store: &VectorStore, params: &KnnParams) -> Adjacency {
     let n = store.len();
     let k = params.k.min(n - 1);
     let mut rng = StdRng::seed_from_u64(params.seed ^ 0x6E6E);
@@ -127,7 +127,7 @@ fn nn_expansion(store: &VectorStore, metric: Metric, params: &KnnParams) -> Adja
                 }
             }
             for u in seen {
-                top.offer(Candidate::new(u, metric.distance(qv, store.get(u))));
+                top.offer(Candidate::new(u, ops::l2_sq(qv, store.get(u))));
             }
             top.into_sorted()
                 .into_iter()
@@ -162,7 +162,7 @@ mod tests {
         for i in 0..6 {
             store.push(&[i as f32]);
         }
-        let g = exact_knn(&store, Metric::L2, 2);
+        let g = exact_knn(&store, 2);
         // vertex 0's nearest are 1 and 2
         assert_eq!(g.neighbors(0), &[1, 2]);
         // vertex 3's nearest are 2 and 4 (either order by distance ties)
@@ -175,7 +175,6 @@ mod tests {
         let store = random_store(300, 8, 1);
         let g = knn_graph(
             &store,
-            Metric::L2,
             &KnnParams {
                 k: 10,
                 ..Default::default()
@@ -191,7 +190,6 @@ mod tests {
         let store = random_store(100, 4, 2);
         let g = knn_graph(
             &store,
-            Metric::L2,
             &KnnParams {
                 k: 5,
                 ..Default::default()
@@ -209,7 +207,6 @@ mod tests {
         let k = 10;
         let approx = nn_expansion(
             &store,
-            Metric::L2,
             &KnnParams {
                 k,
                 iters: 6,
@@ -217,7 +214,7 @@ mod tests {
                 seed: 0,
             },
         );
-        let exact = exact_knn(&store, Metric::L2, k);
+        let exact = exact_knn(&store, k);
         // measure recall on a sample of vertices
         let mut hit = 0usize;
         let mut total = 0usize;
@@ -239,7 +236,6 @@ mod tests {
         let store = random_store(3, 2, 4);
         let g = knn_graph(
             &store,
-            Metric::L2,
             &KnnParams {
                 k: 10,
                 ..Default::default()
@@ -253,6 +249,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty store")]
     fn empty_store_panics() {
-        knn_graph(&VectorStore::new(2), Metric::L2, &KnnParams::default());
+        knn_graph(&VectorStore::new(2), &KnnParams::default());
     }
 }

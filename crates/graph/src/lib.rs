@@ -38,6 +38,12 @@
 //! traverse the graph once, evaluating fused distances incrementally with
 //! early abandonment ([`mqa_vector::FusedScanner`]). No per-modality result
 //! merging ever happens — the "merging-free search" of the paper.
+//!
+//! Both mechanisms hold for L2 only — the `sqrt(w_m)` reduction needs a
+//! sum of squared block differences, and abandoning a partial sum needs
+//! every term non-negative — so every build, repair, prune, validator and
+//! search here computes squared L2 (`mqa_vector::ops::l2_sq`) and takes no
+//! metric argument.
 
 pub mod adjacency;
 pub mod flat;

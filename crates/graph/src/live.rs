@@ -26,7 +26,7 @@
 //! an entire generation of state stale at once, with no per-element sweep.
 
 use crate::search::{SearchOutput, SearchStats};
-use mqa_vector::{Candidate, Metric, VecId, VectorStore};
+use mqa_vector::{ops, Candidate, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -234,7 +234,6 @@ impl Tombstones {
     pub(crate) fn splice_pool<'a>(
         &self,
         store: &VectorStore,
-        metric: Metric,
         v: VecId,
         nb: &[VecId],
         old_neighbors: impl Fn(VecId) -> &'a [VecId],
@@ -250,7 +249,7 @@ impl Tombstones {
             };
             for &w in through {
                 if w != v && !self.is_dead(w) && seen.insert(w) {
-                    pool.push(Candidate::new(w, metric.distance(vv, store.get(w))));
+                    pool.push(Candidate::new(w, ops::l2_sq(vv, store.get(w))));
                 }
             }
         }
@@ -630,7 +629,7 @@ mod tests {
         use crate::flat::FlatSearcher;
         use crate::traits::FlatDistance;
         use mqa_rng::StdRng;
-        use mqa_vector::{Metric, VectorStore};
+        use mqa_vector::VectorStore;
 
         let mut rng = StdRng::seed_from_u64(0x70B5);
         let n = 60usize;
@@ -647,10 +646,10 @@ mod tests {
             }
             for k in [1usize, 5, 30, 60, 75] {
                 let q: Vec<f32> = (0..4).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-                let mut d = FlatDistance::new(&store, &q, Metric::L2).unwrap();
+                let mut d = FlatDistance::new(&store, &q).unwrap();
                 let mut want: Vec<Candidate> = (0..n as VecId)
                     .filter(|&id| !tomb.is_dead(id))
-                    .map(|id| Candidate::new(id, Metric::L2.distance(&q, store.get(id))))
+                    .map(|id| Candidate::new(id, ops::l2_sq(&q, store.get(id))))
                     .collect();
                 want.sort_unstable();
                 want.truncate(k);

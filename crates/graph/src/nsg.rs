@@ -10,7 +10,7 @@
 use crate::pipeline::{
     EntryStage, GraphPipeline, InitStage, NavGraph, RefineStage, RepairStage, SelectStage,
 };
-use mqa_vector::{Metric, VectorStore};
+use mqa_vector::VectorStore;
 use std::sync::Arc;
 
 /// The canonical NSG pipeline configuration.
@@ -30,15 +30,8 @@ pub fn pipeline(r: usize, l: usize, knn_k: usize, seed: u64) -> GraphPipeline {
 }
 
 /// Builds an NSG over `store`.
-pub fn build(
-    store: &Arc<VectorStore>,
-    metric: Metric,
-    r: usize,
-    l: usize,
-    knn_k: usize,
-    seed: u64,
-) -> NavGraph {
-    pipeline(r, l, knn_k, seed).run(store, metric, "nsg")
+pub fn build(store: &Arc<VectorStore>, r: usize, l: usize, knn_k: usize, seed: u64) -> NavGraph {
+    pipeline(r, l, knn_k, seed).run(store, "nsg")
 }
 
 #[cfg(test)]
@@ -62,7 +55,7 @@ mod tests {
     #[test]
     fn nsg_is_connected_and_bounded() {
         let s = store(600, 8, 1);
-        let nav = build(&s, Metric::L2, 16, 40, 12, 0);
+        let nav = build(&s, 16, 40, 12, 0);
         assert!((nav.report().connectivity - 1.0).abs() < 1e-9);
         // Repair may add a handful of overflow edges beyond r.
         assert!(
@@ -75,10 +68,10 @@ mod tests {
     #[test]
     fn nsg_self_search_finds_self() {
         let s = store(400, 6, 2);
-        let nav = build(&s, Metric::L2, 16, 40, 12, 0);
+        let nav = build(&s, 16, 40, 12, 0);
         let mut scratch = SearchScratch::new();
         for v in (0..400u32).step_by(37) {
-            let mut d = FlatDistance::for_vertex(&s, v, Metric::L2);
+            let mut d = FlatDistance::for_vertex(&s, v);
             let out = beam_search(nav.graph(), nav.entries(), &mut d, 1, 32, &mut scratch);
             assert_eq!(out.results[0].id, v, "vertex {v} should find itself");
         }

@@ -4,7 +4,7 @@
 //! The paper's Flexibility feature includes index *deployment*: once a
 //! navigation graph is built over a knowledge base it should be reusable
 //! across sessions. A [`UnifiedSnapshot`] captures everything search needs
-//! — the multi-vector store, the weights, the metric, the algorithm
+//! — the multi-vector store, the weights, the algorithm
 //! configuration, and the built navigation structure
 //! ([`crate::pipeline::BuiltGraph`]) — so a restored index answers queries
 //! identically to the original, with none of the build cost.
@@ -12,7 +12,7 @@
 use crate::live::Tombstones;
 use crate::pipeline::{BuiltGraph, IndexAlgorithm};
 use crate::unified::UnifiedIndex;
-use mqa_vector::{Metric, MultiVectorStore, Weights};
+use mqa_vector::{MultiVectorStore, Weights};
 use serde::{Deserialize, Serialize};
 
 /// A complete persisted unified index.
@@ -22,8 +22,6 @@ pub struct UnifiedSnapshot {
     pub store: MultiVectorStore,
     /// The build-time modality weights.
     pub weights: Weights,
-    /// The metric.
-    pub metric: Metric,
     /// The algorithm configuration (for provenance / re-builds).
     pub algorithm: IndexAlgorithm,
     /// The built navigation structure.
@@ -73,7 +71,6 @@ impl UnifiedSnapshot {
         UnifiedIndex::from_parts(
             self.store,
             self.weights,
-            self.metric,
             self.graph,
             self.algorithm,
             self.tombstones,
@@ -85,7 +82,7 @@ impl UnifiedSnapshot {
 mod tests {
     use super::*;
     use mqa_rng::StdRng;
-    use mqa_vector::{MultiVector, Schema};
+    use mqa_vector::{Metric, MultiVector, Schema};
 
     fn store(n: usize, seed: u64) -> MultiVectorStore {
         let schema = Schema::text_image(6, 6);
@@ -209,9 +206,7 @@ mod tests {
                 "{}: growth diverged after the round trip",
                 algo.name()
             );
-            let violations = restored
-                .current()
-                .validate(restored.weights(), restored.metric());
+            let violations = restored.current().validate(restored.weights());
             assert!(violations.is_empty(), "{}: {violations:?}", algo.name());
         }
     }
@@ -253,9 +248,7 @@ mod tests {
             assert_eq!(got.ids(), want.ids(), "query {seed}");
             assert_eq!(got.output.stats, want.output.stats, "query {seed}");
         }
-        let violations = restored
-            .current()
-            .validate(restored.weights(), restored.metric());
+        let violations = restored.current().validate(restored.weights());
         assert!(
             violations.iter().any(|v| matches!(
                 v,

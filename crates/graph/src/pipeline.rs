@@ -41,7 +41,7 @@ use crate::traits::{DistanceFn, FlatDistance};
 use crate::util::{medoid, parallel_map};
 use crate::validate::InvariantViolation;
 use mqa_rng::StdRng;
-use mqa_vector::{Candidate, Metric, VecId, VectorStore};
+use mqa_vector::{Candidate, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
@@ -127,50 +127,36 @@ impl SelectStage {
 
     /// Selects `v`'s out-neighbours from `candidates` (sorted and
     /// deduplicated in place). The result is a *clean* list.
-    fn apply(
-        &self,
-        store: &VectorStore,
-        metric: Metric,
-        v: VecId,
-        candidates: &mut Vec<Candidate>,
-    ) -> Vec<VecId> {
+    fn apply(&self, store: &VectorStore, v: VecId, candidates: &mut Vec<Candidate>) -> Vec<VecId> {
         match *self {
             SelectStage::Nearest { r } => {
                 candidates.retain(|x| x.id != v);
                 select_nearest(candidates, r)
             }
-            SelectStage::RobustPrune { alpha, r } => {
-                robust_prune(store, metric, v, candidates, alpha, r)
-            }
+            SelectStage::RobustPrune { alpha, r } => robust_prune(store, v, candidates, alpha, r),
         }
     }
 
     /// Selects again from `v`'s own out-list once reverse edges pushed it
     /// past the degree bound — the same result as [`SelectStage::apply`]
     /// over the whole list, skipping what its clean prefix already proves.
-    fn reapply(
-        &self,
-        store: &VectorStore,
-        metric: Metric,
-        v: VecId,
-        graph: &Adjacency,
-    ) -> Vec<VecId> {
+    fn reapply(&self, store: &VectorStore, v: VecId, graph: &Adjacency) -> Vec<VecId> {
         let list = graph.neighbors(v);
         match *self {
             SelectStage::Nearest { .. } => {
-                let mut all = candidates_of(store, metric, v, list).collect();
-                self.apply(store, metric, v, &mut all)
+                let mut all = candidates_of(store, v, list).collect();
+                self.apply(store, v, &mut all)
             }
             SelectStage::RobustPrune { alpha, r } => {
-                let selected = robust_reprune(store, metric, v, list, graph.clean_len(v), alpha, r);
+                let selected = robust_reprune(store, v, list, graph.clean_len(v), alpha, r);
                 // Every overflow of every graph the unit tests build is
                 // checked against the from-scratch prune.
                 #[cfg(test)]
                 {
-                    let mut all = candidates_of(store, metric, v, list).collect();
+                    let mut all = candidates_of(store, v, list).collect();
                     assert_eq!(
                         selected,
-                        robust_prune(store, metric, v, &mut all, alpha, r),
+                        robust_prune(store, v, &mut all, alpha, r),
                         "incremental re-prune diverged at vertex {v}"
                     );
                     REPRUNES_CHECKED.with(|c| c.set(c.get() + 1));
@@ -275,14 +261,14 @@ impl NavGraph {
     /// - the recorded [`BuildReport`] matches the structure it describes
     ///   (max degree, edge count, connectivity recomputed from the first
     ///   entry).
-    pub fn validate(&self, store: &VectorStore, metric: Metric) -> Vec<InvariantViolation> {
+    pub fn validate(&self, store: &VectorStore) -> Vec<InvariantViolation> {
         let n = self.graph.len();
         let mut out =
             crate::validate::check_adjacency(&format!("navgraph {}", self.name), &self.graph);
         // The prefix check reads vectors by neighbour id, so it runs only
         // on lists the adjacency check found addressable.
         if out.is_empty() && store.len() == n {
-            out.extend(self.check_clean_prefixes(store, metric));
+            out.extend(self.check_clean_prefixes(store));
         }
         if n == 0 {
             return out;
@@ -341,11 +327,7 @@ impl NavGraph {
     /// under an α rule — pairwise undominated under *this graph's* rule.
     /// A prefix that fails would make the incremental re-prune skip tests
     /// whose answer it does not know.
-    pub(crate) fn check_clean_prefixes(
-        &self,
-        store: &VectorStore,
-        metric: Metric,
-    ) -> Vec<InvariantViolation> {
+    pub(crate) fn check_clean_prefixes(&self, store: &VectorStore) -> Vec<InvariantViolation> {
         let alpha = match self.select {
             SelectStage::Nearest { .. } => None,
             SelectStage::RobustPrune { alpha, .. } => Some(alpha),
@@ -354,7 +336,6 @@ impl NavGraph {
             &format!("navgraph {}", self.name),
             &self.graph,
             store,
-            metric,
             alpha,
         )
     }
@@ -383,7 +364,7 @@ impl NavGraph {
     /// selection rule, install reverse edges with overflow re-pruning.
     /// Ids `tomb` marks compacted may still seed the search (a retired
     /// entry) but are never selected as neighbours.
-    pub fn extend_from(&mut self, store: &VectorStore, metric: Metric, tomb: &Tombstones) {
+    pub fn extend_from(&mut self, store: &VectorStore, tomb: &Tombstones) {
         let start = self.graph.len();
         if store.len() <= start {
             return;
@@ -392,7 +373,7 @@ impl NavGraph {
         let (graph, entries, recipe) = (&mut self.graph, &self.entries, (self.l, &self.select));
         with_pooled(|scratch| {
             for v in start as VecId..store.len() as VecId {
-                link_vertex(graph, entries, store, metric, recipe, tomb, v, scratch);
+                link_vertex(graph, entries, store, recipe, tomb, v, scratch);
             }
         });
         self.refresh_report();
@@ -404,7 +385,7 @@ impl NavGraph {
     /// bound holds); dead vertices not serving as entries are unlinked; a
     /// dead entry keeps live-spliced out-edges so it can continue to seed
     /// searches. After this pass no edge points *into* a dead vertex.
-    pub fn compact(&mut self, store: &VectorStore, metric: Metric, tomb: &Tombstones) {
+    pub fn compact(&mut self, store: &VectorStore, tomb: &Tombstones) {
         // Every new list is a function of the pre-compaction graph alone,
         // so the vertices are rewired independently and installed after.
         let (old, entries, select) = (&self.graph, &self.entries, &self.select);
@@ -416,8 +397,8 @@ impl NavGraph {
             if !nb.iter().any(|&u| tomb.is_dead(u)) {
                 return None;
             }
-            let mut pool = tomb.splice_pool(store, metric, v, nb, |u| old.neighbors(u));
-            Some(select.apply(store, metric, v, &mut pool))
+            let mut pool = tomb.splice_pool(store, v, nb, |u| old.neighbors(u));
+            Some(select.apply(store, v, &mut pool))
         });
         for (v, list) in rewired.into_iter().enumerate() {
             if let Some(list) = list {
@@ -435,7 +416,7 @@ impl GraphPipeline {
     ///
     /// # Panics
     /// Panics if the store is empty.
-    pub fn run(&self, store: &Arc<VectorStore>, metric: Metric, name: &str) -> NavGraph {
+    pub fn run(&self, store: &Arc<VectorStore>, name: &str) -> NavGraph {
         assert!(!store.is_empty(), "pipeline requires a non-empty store");
         let mut stage_timings = Vec::with_capacity(5);
         let mut timed = |stage: &str, span: mqa_obs::SpanGuard| {
@@ -443,19 +424,19 @@ impl GraphPipeline {
         };
 
         let span = mqa_obs::span("graph.build.initialization");
-        let graph = run_init(&self.init, store, metric);
+        let graph = run_init(&self.init, store);
         timed("initialization", span);
 
         let span = mqa_obs::span("graph.build.entry_selection");
-        let entries = run_entry(&self.entry, store, metric);
+        let entries = run_entry(&self.entry, store);
         timed("entry_selection", span);
 
         let span = mqa_obs::span("graph.build.refinement");
-        let graph = run_refine(&self.refine, &self.select, store, metric, graph, &entries);
+        let graph = run_refine(&self.refine, &self.select, store, graph, &entries);
         timed("refinement", span);
 
         let span = mqa_obs::span("graph.build.connectivity_repair");
-        let graph = run_repair(&self.repair, store, metric, graph, &entries);
+        let graph = run_repair(&self.repair, store, graph, &entries);
         timed("connectivity_repair", span);
 
         let span = mqa_obs::span("graph.build.finalization");
@@ -483,7 +464,7 @@ impl GraphPipeline {
     }
 }
 
-fn run_init(cfg: &InitStage, store: &VectorStore, metric: Metric) -> Adjacency {
+fn run_init(cfg: &InitStage, store: &VectorStore) -> Adjacency {
     let n = store.len();
     match *cfg {
         InitStage::Random { degree, seed } => {
@@ -504,7 +485,6 @@ fn run_init(cfg: &InitStage, store: &VectorStore, metric: Metric) -> Adjacency {
         }
         InitStage::Knn { k, seed } => knn_graph(
             store,
-            metric,
             &KnnParams {
                 k,
                 seed,
@@ -514,9 +494,9 @@ fn run_init(cfg: &InitStage, store: &VectorStore, metric: Metric) -> Adjacency {
     }
 }
 
-fn run_entry(cfg: &EntryStage, store: &VectorStore, metric: Metric) -> Vec<VecId> {
+fn run_entry(cfg: &EntryStage, store: &VectorStore) -> Vec<VecId> {
     match *cfg {
-        EntryStage::Medoid => vec![medoid(store, metric)],
+        EntryStage::Medoid => vec![medoid(store)],
         EntryStage::Random { count, seed } => {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xE217);
             let n = store.len();
@@ -532,7 +512,7 @@ fn run_entry(cfg: &EntryStage, store: &VectorStore, metric: Metric) -> Vec<VecId
         }
         EntryStage::First => vec![0],
         EntryStage::MedoidPlusRandom { extra, seed } => {
-            let mut out = vec![medoid(store, metric)];
+            let mut out = vec![medoid(store)];
             let mut rng = StdRng::seed_from_u64(seed ^ 0xE218);
             let n = store.len();
             while out.len() < (extra + 1).min(n) {
@@ -550,7 +530,6 @@ fn run_refine(
     refine: &RefineStage,
     select: &SelectStage,
     store: &VectorStore,
-    metric: Metric,
     mut graph: Adjacency,
     entries: &[VecId],
 ) -> Adjacency {
@@ -561,9 +540,7 @@ fn run_refine(
     with_pooled(|scratch| {
         for _pass in 0..refine.passes {
             for v in 0..store.len() as VecId {
-                link_vertex(
-                    &mut graph, entries, store, metric, recipe, &live, v, scratch,
-                );
+                link_vertex(&mut graph, entries, store, recipe, &live, v, scratch);
             }
         }
     });
@@ -578,7 +555,6 @@ fn link_vertex(
     graph: &mut Adjacency,
     entries: &[VecId],
     store: &VectorStore,
-    metric: Metric,
     (l, select): (usize, &SelectStage),
     tomb: &Tombstones,
     v: VecId,
@@ -588,21 +564,21 @@ fn link_vertex(
     // for the vertex's own vector, keeping the full visited list (path
     // vertices supply long-range candidates). The pool stays on the
     // scratch.
-    let mut dist = FlatDistance::for_vertex(store, v, metric);
+    let mut dist = FlatDistance::for_vertex(store, v);
     let pool = crate::search::beam_search_collect(graph, entries, &mut dist, l, scratch);
     // Compaction keeps a retired entry as a search seed; it is the one
     // retired id the walk can reach, and it must not become a neighbour.
     pool.retain(|c| !tomb.is_compacted(c.id));
     // Merge current neighbours so established edges compete (a newly
     // grown vertex has none yet).
-    pool.extend(candidates_of(store, metric, v, graph.neighbors(v)));
+    pool.extend(candidates_of(store, v, graph.neighbors(v)));
     let r = select.degree_bound();
-    let selected = select.apply(store, metric, v, pool);
+    let selected = select.apply(store, v, pool);
     graph.set_pruned(v, selected.clone());
     for u in selected {
         graph.add_edge(u, v);
         if graph.degree(u) > r {
-            let pruned = select.reapply(store, metric, u, graph);
+            let pruned = select.reapply(store, u, graph);
             graph.set_pruned(u, pruned);
         }
     }
@@ -611,7 +587,6 @@ fn link_vertex(
 fn run_repair(
     cfg: &RepairStage,
     store: &VectorStore,
-    metric: Metric,
     mut graph: Adjacency,
     entries: &[VecId],
 ) -> Adjacency {
@@ -631,7 +606,7 @@ fn run_repair(
                 }
                 // Route toward v through the reachable component; the
                 // search can only return reachable vertices.
-                let mut dist = FlatDistance::for_vertex(store, v, metric);
+                let mut dist = FlatDistance::for_vertex(store, v);
                 let out = with_pooled(|scratch| {
                     crate::search::beam_search(&graph, entries, &mut dist, 1, 16, scratch)
                 });
@@ -823,10 +798,10 @@ impl BuiltGraph {
     /// Audits the inner structure against the `store` it indexes and
     /// returns every invariant violation found (empty = sound). Dispatches
     /// to the per-index validators; `Flat` carries no structure to audit.
-    pub fn validate(&self, store: &VectorStore, metric: Metric) -> Vec<InvariantViolation> {
+    pub fn validate(&self, store: &VectorStore) -> Vec<InvariantViolation> {
         match self {
             BuiltGraph::Flat(_) => Vec::new(),
-            BuiltGraph::Nav(g) => g.validate(store, metric),
+            BuiltGraph::Nav(g) => g.validate(store),
             BuiltGraph::Hnsw(h) => h.validate(),
             BuiltGraph::Ivf(never) => match *never {},
         }
@@ -838,11 +813,11 @@ impl BuiltGraph {
     /// build); `Flat` just widens its scan. No new edge points at an id
     /// `tomb` marks compacted (`Tombstones::new(0)` for a never-compacted
     /// graph).
-    pub fn grow_to(&mut self, store: &Arc<VectorStore>, metric: Metric, tomb: &Tombstones) {
+    pub fn grow_to(&mut self, store: &Arc<VectorStore>, tomb: &Tombstones) {
         match self {
             BuiltGraph::Flat(s) => *s = FlatSearcher::new(store.len()),
-            BuiltGraph::Hnsw(h) => h.extend_from(store, metric, tomb),
-            BuiltGraph::Nav(g) => g.extend_from(store, metric, tomb),
+            BuiltGraph::Hnsw(h) => h.extend_from(store, tomb),
+            BuiltGraph::Nav(g) => g.extend_from(store, tomb),
             BuiltGraph::Ivf(never) => match *never {},
         }
     }
@@ -850,11 +825,11 @@ impl BuiltGraph {
     /// Rewires the structure around the dead ids of `tomb`, after which
     /// they may be marked compacted: the graph families splice neighbours
     /// around the holes, and `Flat` has no edges to rewire.
-    pub fn compact_live(&mut self, store: &Arc<VectorStore>, metric: Metric, tomb: &Tombstones) {
+    pub fn compact_live(&mut self, store: &Arc<VectorStore>, tomb: &Tombstones) {
         match self {
             BuiltGraph::Flat(_) => {}
-            BuiltGraph::Hnsw(h) => h.compact(store, metric, tomb),
-            BuiltGraph::Nav(g) => g.compact(store, metric, tomb),
+            BuiltGraph::Hnsw(h) => h.compact(store, tomb),
+            BuiltGraph::Nav(g) => g.compact(store, tomb),
             BuiltGraph::Ivf(never) => match *never {},
         }
     }
@@ -909,15 +884,15 @@ impl IndexAlgorithm {
     }
 
     /// Builds the concrete (serializable) navigation structure.
-    pub fn build_graph(&self, store: &Arc<VectorStore>, metric: Metric) -> BuiltGraph {
+    pub fn build_graph(&self, store: &Arc<VectorStore>) -> BuiltGraph {
         match self {
             IndexAlgorithm::Flat => BuiltGraph::Flat(FlatSearcher::new(store.len())),
-            IndexAlgorithm::Hnsw(params) => BuiltGraph::Hnsw(Hnsw::build(store, metric, params)),
+            IndexAlgorithm::Hnsw(params) => BuiltGraph::Hnsw(Hnsw::build(store, params)),
             IndexAlgorithm::Nsg { r, l, knn_k, seed } => {
-                BuiltGraph::Nav(crate::nsg::build(store, metric, *r, *l, *knn_k, *seed))
+                BuiltGraph::Nav(crate::nsg::build(store, *r, *l, *knn_k, *seed))
             }
             IndexAlgorithm::Vamana { r, l, alpha, seed } => {
-                BuiltGraph::Nav(crate::vamana::build(store, metric, *r, *l, *alpha, *seed))
+                BuiltGraph::Nav(crate::vamana::build(store, *r, *l, *alpha, *seed))
             }
             IndexAlgorithm::MqaGraph {
                 r,
@@ -946,7 +921,7 @@ impl IndexAlgorithm {
                     },
                     repair: RepairStage::GrowFromEntry,
                 };
-                BuiltGraph::Nav(pipeline.run(store, metric, "mqa-graph"))
+                BuiltGraph::Nav(pipeline.run(store, "mqa-graph"))
             }
         }
     }
@@ -976,8 +951,7 @@ mod tests {
     }
 
     fn recall_of(algo: &IndexAlgorithm, store: &Arc<VectorStore>, queries: usize) -> f64 {
-        let metric = Metric::L2;
-        let searcher = algo.build_graph(store, metric);
+        let searcher = algo.build_graph(store);
         let flat = FlatSearcher::new(store.len());
         let mut scratch = SearchScratch::new();
         let mut rng = StdRng::seed_from_u64(77);
@@ -986,9 +960,9 @@ mod tests {
         let mut hits = 0usize;
         for _ in 0..queries {
             let q: Vec<f32> = (0..dim).map(|_| rng.gen_range(-4.0..4.0)).collect();
-            let mut d1 = FlatDistance::new(store, &q, metric).unwrap();
+            let mut d1 = FlatDistance::new(store, &q).unwrap();
             let truth = flat.scan(&mut d1, k, |_| true).ids();
-            let mut d2 = FlatDistance::new(store, &q, metric).unwrap();
+            let mut d2 = FlatDistance::new(store, &q).unwrap();
             let got = searcher.search(&mut d2, k, 64, &mut scratch).ids();
             hits += got.iter().filter(|id| truth.contains(id)).count();
         }
@@ -1027,10 +1001,10 @@ mod tests {
             // Rebuild through the pipeline to read the report.
             let nav = match &algo {
                 IndexAlgorithm::Nsg { r, l, knn_k, seed } => {
-                    crate::nsg::pipeline(*r, *l, *knn_k, *seed).run(&store, Metric::L2, "nsg")
+                    crate::nsg::pipeline(*r, *l, *knn_k, *seed).run(&store, "nsg")
                 }
                 IndexAlgorithm::Vamana { r, l, alpha, seed } => {
-                    crate::vamana::pipeline(*r, *l, *alpha, *seed).run(&store, Metric::L2, "vamana")
+                    crate::vamana::pipeline(*r, *l, *alpha, *seed).run(&store, "vamana")
                 }
                 IndexAlgorithm::MqaGraph {
                     r,
@@ -1051,7 +1025,7 @@ mod tests {
                     },
                     repair: RepairStage::GrowFromEntry,
                 }
-                .run(&store, Metric::L2, "mqa-graph"),
+                .run(&store, "mqa-graph"),
                 _ => unreachable!(),
             };
             assert!(
@@ -1077,7 +1051,7 @@ mod tests {
             select: SelectStage::RobustPrune { alpha: 1.2, r: 12 },
             repair: RepairStage::None,
         }
-        .run(&store, Metric::L2, "test");
+        .run(&store, "test");
         // Repair can add one extra edge per unreachable vertex; without
         // repair the bound holds strictly.
         assert!(
@@ -1097,7 +1071,7 @@ mod tests {
             select: SelectStage::Nearest { r: 8 },
             repair: RepairStage::GrowFromEntry,
         }
-        .run(&store, Metric::L2, "test");
+        .run(&store, "test");
         let names: Vec<&str> = nav
             .report()
             .stage_timings
@@ -1119,14 +1093,10 @@ mod tests {
     #[test]
     fn entry_stage_variants() {
         let store = clustered_store(50, 4, 5, 7);
-        assert_eq!(run_entry(&EntryStage::First, &store, Metric::L2), vec![0]);
-        let rnd = run_entry(
-            &EntryStage::Random { count: 3, seed: 1 },
-            &store,
-            Metric::L2,
-        );
+        assert_eq!(run_entry(&EntryStage::First, &store), vec![0]);
+        let rnd = run_entry(&EntryStage::Random { count: 3, seed: 1 }, &store);
         assert_eq!(rnd.len(), 3);
-        let m = run_entry(&EntryStage::Medoid, &store, Metric::L2);
+        let m = run_entry(&EntryStage::Medoid, &store);
         assert_eq!(m.len(), 1);
     }
 
@@ -1145,7 +1115,7 @@ mod tests {
             (IndexAlgorithm::nsg(), "nsg over 200 vertices", true),
             (IndexAlgorithm::hnsw(), "hnsw over 200 vertices", true),
         ] {
-            let built = algo.build_graph(&store, Metric::L2);
+            let built = algo.build_graph(&store);
             assert!(built.describe().starts_with(name), "{}", built.describe());
             assert_eq!(built.avg_degree() > 0.0, degree, "{}", algo.name());
             assert_eq!(built.len(), 200);
@@ -1169,7 +1139,7 @@ mod tests {
 
     fn built_navgraph(seed: u64) -> (Arc<VectorStore>, NavGraph) {
         let store = clustered_store(300, 8, 6, seed);
-        let nav = crate::nsg::pipeline(24, 48, 12, seed).run(&store, Metric::L2, "nsg");
+        let nav = crate::nsg::pipeline(24, 48, 12, seed).run(&store, "nsg");
         (store, nav)
     }
 
@@ -1181,15 +1151,15 @@ mod tests {
             half.push(full.get(id));
         }
         let algo = IndexAlgorithm::vamana();
-        let mut built = algo.build_graph(&Arc::new(half), Metric::L2);
-        built.grow_to(&full, Metric::L2, &Tombstones::new(0));
+        let mut built = algo.build_graph(&Arc::new(half));
+        built.grow_to(&full, &Tombstones::new(0));
         assert_eq!(built.len(), 400);
-        let violations = built.validate(&full, Metric::L2);
+        let violations = built.validate(&full);
         assert!(violations.is_empty(), "{violations:?}");
         // New objects are discoverable through the grown graph.
         let mut found = 0usize;
         for id in 300..400u32 {
-            let mut d = FlatDistance::for_vertex(&full, id, Metric::L2);
+            let mut d = FlatDistance::for_vertex(&full, id);
             let mut scratch = crate::scratch::SearchScratch::new();
             let out = built.search(&mut d, 5, 64, &mut scratch);
             if out.results.iter().any(|c| c.id == id) {
@@ -1203,12 +1173,12 @@ mod tests {
     fn nav_compact_unlinks_dead_vertices() {
         let store = clustered_store(400, 8, 8, 32);
         let algo = IndexAlgorithm::nsg();
-        let mut built = algo.build_graph(&store, Metric::L2);
+        let mut built = algo.build_graph(&store);
         let mut tomb = Tombstones::new(400);
         for id in (0..400u32).step_by(5) {
             tomb.kill(id);
         }
-        built.compact_live(&store, Metric::L2, &tomb);
+        built.compact_live(&store, &tomb);
         let BuiltGraph::Nav(nav) = &built else {
             panic!("nsg builds a Nav graph");
         };
@@ -1217,7 +1187,7 @@ mod tests {
         }
         // The report was refreshed, so validate sees no staleness; only
         // entry-membership defects would remain, and there are none.
-        let violations = nav.validate(&store, Metric::L2);
+        let violations = nav.validate(&store);
         assert!(
             violations.is_empty(),
             "post-compaction violations: {violations:?}"
@@ -1231,8 +1201,8 @@ mod tests {
         for id in 0..200u32 {
             half.push(full.get(id));
         }
-        let mut built = IndexAlgorithm::Flat.build_graph(&Arc::new(half), Metric::L2);
-        built.grow_to(&full, Metric::L2, &Tombstones::new(0));
+        let mut built = IndexAlgorithm::Flat.build_graph(&Arc::new(half));
+        built.grow_to(&full, &Tombstones::new(0));
         assert_eq!(built.len(), 250);
     }
 
@@ -1259,7 +1229,7 @@ mod tests {
                 SelectStage::RobustPrune { alpha: 1.2, r: 24 },
             ),
         ] {
-            let BuiltGraph::Nav(nav) = algo.build_graph(&store, Metric::L2) else {
+            let BuiltGraph::Nav(nav) = algo.build_graph(&store) else {
                 panic!("{} builds a Nav graph", algo.name());
             };
             assert_eq!((nav.l, nav.select), (l, select), "{}", algo.name());
@@ -1269,7 +1239,7 @@ mod tests {
     #[test]
     fn validate_accepts_pipeline_graphs() {
         let (store, g) = built_navgraph(11);
-        let violations = g.validate(&store, Metric::L2);
+        let violations = g.validate(&store);
         assert!(violations.is_empty(), "sound graph flagged: {violations:?}");
     }
 
@@ -1277,7 +1247,7 @@ mod tests {
     fn validate_detects_corruption() {
         use crate::validate::InvariantViolation as V;
         let (store, sound) = built_navgraph(12);
-        let audit = |g: &NavGraph| g.validate(&store, Metric::L2);
+        let audit = |g: &NavGraph| g.validate(&store);
 
         // Adjacency defects surface through the shared checker.
         let mut g = sound.clone();
@@ -1317,7 +1287,7 @@ mod tests {
         use crate::validate::InvariantViolation as V;
         let (store, sound) = built_navgraph(13);
         let flagged = |g: &NavGraph, v: VecId| {
-            g.validate(&store, Metric::L2)
+            g.validate(&store)
                 .iter()
                 .any(|x| matches!(x, V::FalseCleanPrefix { id, .. } if *id == v))
         };
@@ -1340,7 +1310,7 @@ mod tests {
         // appended and declared clean, are dominated by what is there.
         let mut g = sound.clone();
         let flat = FlatSearcher::new(store.len());
-        let mut d = FlatDistance::for_vertex(&store, v, Metric::L2);
+        let mut d = FlatDistance::for_vertex(&store, v);
         for c in flat.scan(&mut d, 40, |_| true).results {
             if c.id != v {
                 g.graph.add_edge(v, c.id);
@@ -1350,7 +1320,7 @@ mod tests {
         g.refresh_report();
         assert!(flagged(&g, v));
         let full = clustered_store(340, 8, 6, 13);
-        g.extend_from(&full, Metric::L2, &Tombstones::new(0));
+        g.extend_from(&full, &Tombstones::new(0));
         assert_eq!(g.graph.len(), 340);
     }
 
@@ -1380,30 +1350,30 @@ mod tests {
                 assert!(checked() > at, "{}: {what} re-pruned nothing", algo.name());
                 at = checked();
             };
-            let mut built = algo.build_graph(&prefix(300), Metric::L2);
+            let mut built = algo.build_graph(&prefix(300));
             step("build");
-            built.grow_to(&prefix(340), Metric::L2, &Tombstones::new(0));
+            built.grow_to(&prefix(340), &Tombstones::new(0));
             step("first growth");
             let mut tomb = Tombstones::new(340);
             for id in (0..340u32).step_by(6) {
                 tomb.kill(id);
             }
-            built.compact_live(&prefix(340), Metric::L2, &tomb);
+            built.compact_live(&prefix(340), &tomb);
             tomb.mark_all_compacted();
-            built.grow_to(&prefix(380), Metric::L2, &tomb);
+            built.grow_to(&prefix(380), &tomb);
             step("growth after compaction");
-            let violations = built.validate(&prefix(380), Metric::L2);
+            let violations = built.validate(&prefix(380));
             assert!(violations.is_empty(), "{}: {violations:?}", algo.name());
 
             let json = serde_json::to_string(&built).expect("graph serializes");
             let mut reloaded: BuiltGraph = serde_json::from_str(&json).expect("round trips");
             assert_eq!(reloaded, built, "{}: clean prefixes persist", algo.name());
-            built.grow_to(&full, Metric::L2, &tomb);
-            reloaded.grow_to(&full, Metric::L2, &tomb);
+            built.grow_to(&full, &tomb);
+            reloaded.grow_to(&full, &tomb);
             step("growth after reload");
             assert_eq!(edges(&reloaded), edges(&built), "{}", algo.name());
             assert_eq!(reloaded, built);
-            assert!(reloaded.validate(&full, Metric::L2).is_empty());
+            assert!(reloaded.validate(&full).is_empty());
         }
     }
 }

@@ -12,7 +12,7 @@
 //! already selected and the loop stops at the degree bound — nothing
 //! ranked after the last pick is ever looked at.
 
-use mqa_vector::{Candidate, Metric, VecId, VectorStore};
+use mqa_vector::{ops, Candidate, VecId, VectorStore};
 
 /// Keeps the `r` nearest candidates — no diversification. The baseline
 /// selection (and what a raw kNN graph amounts to). Sorts and deduplicates
@@ -32,21 +32,20 @@ thread_local! {
 
 /// The one distance call site of the α-rule routines (counted under test).
 #[inline]
-fn distance(store: &VectorStore, metric: Metric, a: VecId, b: VecId) -> f32 {
+fn distance(store: &VectorStore, a: VecId, b: VecId) -> f32 {
     #[cfg(test)]
     DISTANCE_CALLS.with(|c| c.set(c.get() + 1));
-    metric.distance(store.get(a), store.get(b))
+    ops::l2_sq(store.get(a), store.get(b))
 }
 
 /// The ids of `list` tagged with their distance to `v`.
 pub(crate) fn candidates_of<'a>(
     store: &'a VectorStore,
-    metric: Metric,
     v: VecId,
     list: &'a [VecId],
 ) -> impl Iterator<Item = Candidate> + 'a {
     list.iter()
-        .map(move |&w| Candidate::new(w, distance(store, metric, v, w)))
+        .map(move |&w| Candidate::new(w, distance(store, v, w)))
 }
 
 /// The best-candidate-first selection loop under the α rule.
@@ -59,7 +58,6 @@ pub(crate) fn candidates_of<'a>(
 /// of clean candidates is known not to dominate and is never evaluated.
 fn select_undominated(
     store: &VectorStore,
-    metric: Metric,
     pool: impl Iterator<Item = (Candidate, bool)>,
     alpha: f32,
     r: usize,
@@ -71,7 +69,7 @@ fn select_undominated(
             break;
         }
         let dominated = selected.iter().zip(&selected_clean).any(|(&p, &p_clean)| {
-            !(p_clean && q_clean) && alpha * distance(store, metric, p, q.id) <= q.dist
+            !(p_clean && q_clean) && alpha * distance(store, p, q.id) <= q.dist
         });
         if !dominated {
             selected.push(q.id);
@@ -96,7 +94,6 @@ fn select_undominated(
 /// certificate) or `r == 0`.
 pub fn robust_prune(
     store: &VectorStore,
-    metric: Metric,
     v: VecId,
     candidates: &mut Vec<Candidate>,
     alpha: f32,
@@ -108,7 +105,7 @@ pub fn robust_prune(
     candidates.dedup_by_key(|c| c.id);
     candidates.retain(|c| c.id != v);
     let pool = candidates.iter().map(|&c| (c, false));
-    select_undominated(store, metric, pool, alpha, r)
+    select_undominated(store, pool, alpha, r)
 }
 
 /// [`robust_prune`] of `v`'s own out-list, given that its first `clean`
@@ -128,7 +125,6 @@ pub fn robust_prune(
 /// As [`robust_prune`].
 pub fn robust_reprune(
     store: &VectorStore,
-    metric: Metric,
     v: VecId,
     list: &[VecId],
     clean: usize,
@@ -137,14 +133,14 @@ pub fn robust_reprune(
 ) -> Vec<VecId> {
     assert!(alpha >= 1.0, "robust prune requires alpha >= 1.0");
     assert!(r > 0, "robust prune requires r >= 1");
-    let mut pool: Vec<(Candidate, bool)> = candidates_of(store, metric, v, list)
+    let mut pool: Vec<(Candidate, bool)> = candidates_of(store, v, list)
         .enumerate()
         .map(|(i, c)| (c, i < clean))
         .collect();
     pool.sort_unstable_by_key(|c| c.0);
     pool.dedup_by_key(|c| c.0.id);
     pool.retain(|c| c.0.id != v);
-    select_undominated(store, metric, pool.into_iter(), alpha, r)
+    select_undominated(store, pool.into_iter(), alpha, r)
 }
 
 /// HNSW's `SELECT-NEIGHBORS-HEURISTIC`: scan candidates by increasing
@@ -152,7 +148,6 @@ pub fn robust_reprune(
 /// already kept.
 pub fn hnsw_heuristic(
     store: &VectorStore,
-    metric: Metric,
     v: VecId,
     mut candidates: Vec<Candidate>,
     m: usize,
@@ -170,7 +165,7 @@ pub fn hnsw_heuristic(
         let cv = store.get(c.id);
         let dominated = selected
             .iter()
-            .any(|&s| metric.distance(cv, store.get(s)) < c.dist);
+            .any(|&s| ops::l2_sq(cv, store.get(s)) < c.dist);
         if !dominated {
             selected.push(c.id);
         }
@@ -203,7 +198,7 @@ mod tests {
     }
 
     fn cands(store: &VectorStore, v: VecId, ids: &[VecId]) -> Vec<Candidate> {
-        candidates_of(store, Metric::L2, v, ids).collect()
+        candidates_of(store, v, ids).collect()
     }
 
     #[test]
@@ -227,7 +222,7 @@ mod tests {
         // (d(1,2)=1 <= d(0,2)=4), so only 1 survives with alpha=1.
         let store = line_store(4);
         let mut c = cands(&store, 0, &[1, 2, 3]);
-        assert_eq!(robust_prune(&store, Metric::L2, 0, &mut c, 1.0, 3), vec![1]);
+        assert_eq!(robust_prune(&store, 0, &mut c, 1.0, 3), vec![1]);
     }
 
     #[test]
@@ -238,7 +233,7 @@ mod tests {
         store.push(&[1.0]);
         store.push(&[-1.0]);
         let mut c = cands(&store, 0, &[1, 2]);
-        let sel = robust_prune(&store, Metric::L2, 0, &mut c, 1.0, 4);
+        let sel = robust_prune(&store, 0, &mut c, 1.0, 4);
         assert_eq!(sel.len(), 2);
     }
 
@@ -246,8 +241,8 @@ mod tests {
     fn higher_alpha_keeps_more_edges() {
         let store = line_store(6);
         let mut c = cands(&store, 0, &[1, 2, 3, 4, 5]);
-        let strict = robust_prune(&store, Metric::L2, 0, &mut c, 1.0, 5);
-        let loose = robust_prune(&store, Metric::L2, 0, &mut c, 2.0, 5);
+        let strict = robust_prune(&store, 0, &mut c, 1.0, 5);
+        let loose = robust_prune(&store, 0, &mut c, 2.0, 5);
         assert!(loose.len() >= strict.len());
     }
 
@@ -261,21 +256,21 @@ mod tests {
         store.push(&[0.0, 1.0]);
         store.push(&[0.0, -1.0]);
         let mut c = cands(&store, 0, &[1, 2, 3, 4]);
-        assert_eq!(robust_prune(&store, Metric::L2, 0, &mut c, 1.0, 2).len(), 2);
+        assert_eq!(robust_prune(&store, 0, &mut c, 1.0, 2).len(), 2);
     }
 
     #[test]
     fn robust_prune_excludes_self() {
         let store = line_store(3);
         let mut c = cands(&store, 0, &[0, 1]);
-        assert_eq!(robust_prune(&store, Metric::L2, 0, &mut c, 1.0, 3), vec![1]);
+        assert_eq!(robust_prune(&store, 0, &mut c, 1.0, 3), vec![1]);
     }
 
     #[test]
     #[should_panic(expected = "alpha >= 1.0")]
     fn alpha_below_one_panics() {
         let store = line_store(2);
-        robust_prune(&store, Metric::L2, 0, &mut vec![], 0.5, 1);
+        robust_prune(&store, 0, &mut vec![], 0.5, 1);
     }
 
     /// The selection routine as it stood before the pull-form rewrite,
@@ -284,7 +279,6 @@ mod tests {
     /// through the same counted [`distance`] so work can be compared.
     fn robust_prune_push_form(
         store: &VectorStore,
-        metric: Metric,
         v: VecId,
         mut candidates: Vec<Candidate>,
         alpha: f32,
@@ -305,7 +299,7 @@ mod tests {
                 break;
             }
             for (j, q) in candidates.iter().enumerate().skip(i + 1) {
-                if alive[j] && alpha * distance(store, metric, p.id, q.id) <= q.dist {
+                if alive[j] && alpha * distance(store, p.id, q.id) <= q.dist {
                     alive[j] = false;
                 }
             }
@@ -368,12 +362,10 @@ mod tests {
             let pool = seeded_pool(&mut rng, &store, v);
             for alpha in [1.0f32, 1.2, 2.0] {
                 for r in [1usize, 4, 24, pool.len() + 1] {
-                    let (want, push) = counted(|| {
-                        robust_prune_push_form(&store, Metric::L2, v, pool.clone(), alpha, r)
-                    });
-                    let (got, pull) = counted(|| {
-                        robust_prune(&store, Metric::L2, v, &mut pool.clone(), alpha, r)
-                    });
+                    let (want, push) =
+                        counted(|| robust_prune_push_form(&store, v, pool.clone(), alpha, r));
+                    let (got, pull) =
+                        counted(|| robust_prune(&store, v, &mut pool.clone(), alpha, r));
                     assert_eq!(got, want, "case {case}, alpha {alpha}, r {r}");
                     assert!(pull <= push, "case {case}: pull {pull} > push {push} calls");
                     pools += 1;
@@ -401,10 +393,8 @@ mod tests {
         let store = seeded_store(&mut rng, 451, 16, false);
         let ids: Vec<VecId> = (1..451).collect();
         let pool = cands(&store, 0, &ids);
-        let (want, push) =
-            counted(|| robust_prune_push_form(&store, Metric::L2, 0, pool.clone(), 1.2, 24));
-        let (got, pull) =
-            counted(|| robust_prune(&store, Metric::L2, 0, &mut pool.clone(), 1.2, 24));
+        let (want, push) = counted(|| robust_prune_push_form(&store, 0, pool.clone(), 1.2, 24));
+        let (got, pull) = counted(|| robust_prune(&store, 0, &mut pool.clone(), 1.2, 24));
         assert_eq!(got, want);
         assert_eq!(got.len(), 24);
         assert!(pull * 2 <= push, "pull {pull} vs push {push} calls");
@@ -420,19 +410,16 @@ mod tests {
         let mut checked = 0usize;
         for v in 0..100 as VecId {
             let ids: Vec<VecId> = (0..300).filter(|&u| u != v).collect();
-            let mut list =
-                robust_prune(&store, Metric::L2, v, &mut cands(&store, v, &ids), 1.2, 24);
+            let mut list = robust_prune(&store, v, &mut cands(&store, v, &ids), 1.2, 24);
             if list.len() < 24 {
                 continue;
             }
             for extra in 300..310 as VecId {
                 list.push(extra);
-                let (got, calls) =
-                    counted(|| robust_reprune(&store, Metric::L2, v, &list, 24, 1.2, 24));
+                let (got, calls) = counted(|| robust_reprune(&store, v, &list, 24, 1.2, 24));
                 assert!(calls <= 49, "24 clean + 1 dirty cost {calls} calls");
-                let (want, scratch_calls) = counted(|| {
-                    robust_prune(&store, Metric::L2, v, &mut cands(&store, v, &list), 1.2, 24)
-                });
+                let (want, scratch_calls) =
+                    counted(|| robust_prune(&store, v, &mut cands(&store, v, &list), 1.2, 24));
                 assert_eq!(got, want, "vertex {v}, extra {extra}");
                 assert!(scratch_calls > 49, "from scratch is the dearer route");
                 list.pop();
@@ -452,7 +439,7 @@ mod tests {
             let alpha = [1.0f32, 1.2, 2.0][case % 3];
             let r = [1usize, 4, 24][case % 3];
             let first = seeded_pool(&mut rng, &store, v);
-            let mut list = robust_prune(&store, Metric::L2, v, &mut first.clone(), alpha, r);
+            let mut list = robust_prune(&store, v, &mut first.clone(), alpha, r);
             let clean = list.len();
             for _ in 0..rng.gen_range(0..6) {
                 let u = rng.gen_range(0..n) as VecId;
@@ -460,15 +447,8 @@ mod tests {
                     list.push(u);
                 }
             }
-            let got = robust_reprune(&store, Metric::L2, v, &list, clean, alpha, r);
-            let want = robust_prune(
-                &store,
-                Metric::L2,
-                v,
-                &mut cands(&store, v, &list),
-                alpha,
-                r,
-            );
+            let got = robust_reprune(&store, v, &list, clean, alpha, r);
+            let want = robust_prune(&store, v, &mut cands(&store, v, &list), alpha, r);
             assert_eq!(got, want, "case {case}");
         }
     }
@@ -482,11 +462,11 @@ mod tests {
         let store = seeded_store(&mut rng, 30, 3, true);
         let list: Vec<VecId> = (1..30).collect();
         for clean in [0usize, 7, 29, 30, usize::MAX] {
-            let got = robust_reprune(&store, Metric::L2, 0, &list, clean, 1.2, 8);
+            let got = robust_reprune(&store, 0, &list, clean, 1.2, 8);
             assert!(!got.is_empty() && got.len() <= 8);
             assert!(got.iter().all(|u| list.contains(u)));
         }
-        assert!(robust_reprune(&store, Metric::L2, 0, &[], 5, 1.2, 8).is_empty());
+        assert!(robust_reprune(&store, 0, &[], 5, 1.2, 8).is_empty());
     }
 
     #[test]
@@ -498,7 +478,7 @@ mod tests {
         store.push(&[2.0]);
         store.push(&[-1.5]);
         let c = cands(&store, 0, &[1, 2, 3]);
-        let sel = hnsw_heuristic(&store, Metric::L2, 0, c, 3);
+        let sel = hnsw_heuristic(&store, 0, c, 3);
         // 1 kept; 2 dominated by 1 but refilled afterwards; 3 kept (diverse)
         assert_eq!(sel[0], 1);
         assert!(sel.contains(&3));
@@ -509,6 +489,6 @@ mod tests {
     fn heuristic_cap() {
         let store = line_store(10);
         let c = cands(&store, 0, &[1, 2, 3, 4, 5, 6]);
-        assert_eq!(hnsw_heuristic(&store, Metric::L2, 0, c, 2).len(), 2);
+        assert_eq!(hnsw_heuristic(&store, 0, c, 2).len(), 2);
     }
 }

@@ -440,7 +440,7 @@ pub fn beam_search_collect<'s, D: DistanceFn + ?Sized>(
 mod tests {
     use super::*;
     use crate::traits::FlatDistance;
-    use mqa_vector::{Metric, VectorStore};
+    use mqa_vector::VectorStore;
 
     /// A line of points 0..n at x = id; fully connected chain.
     fn chain(n: usize) -> (VectorStore, Adjacency) {
@@ -463,7 +463,7 @@ mod tests {
     }
 
     fn dist_to<'a>(store: &'a VectorStore, q: &'a [f32]) -> FlatDistance<'a> {
-        FlatDistance::new(store, q, Metric::L2).expect("test query dims match")
+        FlatDistance::new(store, q).expect("test query dims match")
     }
 
     #[test]

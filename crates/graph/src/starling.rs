@@ -512,7 +512,7 @@ impl PqPagedIndex {
         let upcoming = std::iter::empty();
         self.paged.fetch(gather, upcoming, pages, &mut stats);
         for c in &mut results {
-            c.dist = mqa_vector::Metric::L2.distance(query, store.get(c.id));
+            c.dist = mqa_vector::ops::l2_sq(query, store.get(c.id));
             stats.evals += 1;
         }
         results.sort_unstable();
@@ -528,7 +528,7 @@ mod tests {
     use crate::traits::FlatDistance;
     use crate::vamana;
     use mqa_rng::StdRng;
-    use mqa_vector::{Metric, VectorStore};
+    use mqa_vector::VectorStore;
     use std::sync::Arc;
 
     /// Phase-2 page reads per query of `two_phase_pq_search_cuts_page_reads`,
@@ -597,15 +597,15 @@ mod tests {
     #[test]
     fn paged_search_matches_unpaged_results() {
         let s = store(500, 8, 1);
-        let nav = vamana::build(&s, Metric::L2, 12, 32, 1.2, 0);
+        let nav = vamana::build(&s, 12, 32, 1.2, 0);
         let layout = PageLayout::build(nav.graph(), 4, LayoutStrategy::BfsCluster);
         let paged = PagedIndex::new(nav.graph().clone(), nav.entries().to_vec(), layout);
         let q: Vec<f32> = vec![0.1; 8];
-        let mut d1 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
+        let mut d1 = FlatDistance::new(&s, &q).unwrap();
         let (graph, entries) = (nav.graph(), nav.entries());
         let plain =
             crate::search::beam_search(graph, entries, &mut d1, 5, 32, &mut SearchScratch::new());
-        let mut d2 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
+        let mut d2 = FlatDistance::new(&s, &q).unwrap();
         let paged_out = paged.search(&mut d2, 5, 32);
         assert_eq!(plain.ids(), paged_out.ids());
         assert!(paged_out.stats.pages_read > 0);
@@ -614,7 +614,7 @@ mod tests {
     #[test]
     fn bfs_layout_reads_fewer_pages_than_insertion_order() {
         let s = store(2_000, 16, 2);
-        let nav = vamana::build(&s, Metric::L2, 16, 48, 1.2, 0);
+        let nav = vamana::build(&s, 16, 48, 1.2, 0);
         // Scramble ids' spatial meaning by hashing: insertion order in this
         // synthetic store is random, so BFS clustering should win clearly.
         let per_page = 4;
@@ -633,9 +633,9 @@ mod tests {
         let mut clustered_reads = 0u64;
         for _ in 0..20 {
             let q: Vec<f32> = (0..16).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let mut d1 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
+            let mut d1 = FlatDistance::new(&s, &q).unwrap();
             naive_reads += naive.search(&mut d1, 10, 48).stats.pages_read;
-            let mut d2 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
+            let mut d2 = FlatDistance::new(&s, &q).unwrap();
             clustered_reads += clustered.search(&mut d2, 10, 48).stats.pages_read;
         }
         // Insertion order read 6 522 pages over the 20 queries; the plain
@@ -664,7 +664,7 @@ mod tests {
             s.push(&v);
         }
         let s = Arc::new(s);
-        let nav = vamana::build(&s, Metric::L2, 16, 48, 1.2, 0);
+        let nav = vamana::build(&s, 16, 48, 1.2, 0);
         let paged = PagedIndex::new(
             nav.graph().clone(),
             nav.entries().to_vec(),
@@ -678,7 +678,7 @@ mod tests {
                 .iter()
                 .map(|x| x + rng.gen_range(-0.05f32..0.05))
                 .collect();
-            let mut d = FlatDistance::new(&s, &q, Metric::L2).unwrap();
+            let mut d = FlatDistance::new(&s, &q).unwrap();
             reads += paged.search(&mut d, 10, 48).stats.pages_read;
         }
         // The plain breadth-first fill read 4 853 pages over these 40
@@ -690,7 +690,7 @@ mod tests {
     #[test]
     fn two_phase_pq_search_cuts_page_reads() {
         let s = store(2_000, 16, 5);
-        let nav = vamana::build(&s, Metric::L2, 16, 48, 1.2, 0);
+        let nav = vamana::build(&s, 16, 48, 1.2, 0);
         let per_page = 4;
         let layout = PageLayout::build(nav.graph(), per_page, LayoutStrategy::BfsCluster);
         let one_phase =
@@ -722,7 +722,7 @@ mod tests {
                 .iter()
                 .map(|x| x + rng.gen_range(-0.05f32..0.05))
                 .collect();
-            let mut d = FlatDistance::new(&s, &q, Metric::L2).unwrap();
+            let mut d = FlatDistance::new(&s, &q).unwrap();
             let exact = one_phase.search(&mut d, k, 48);
             reads_1p += exact.stats.pages_read;
             let approx = two_phase.search_two_phase(&q, &s, k, 48, &mut SearchScratch::new());
@@ -748,7 +748,7 @@ mod tests {
     #[test]
     fn page_cache_keeps_results_bit_identical_and_absorbs_warm_reads() {
         let s = store(800, 8, 7);
-        let nav = vamana::build(&s, Metric::L2, 12, 32, 1.2, 0);
+        let nav = vamana::build(&s, 12, 32, 1.2, 0);
         let layout = PageLayout::build(nav.graph(), 4, LayoutStrategy::BfsCluster);
         let uncached = PagedIndex::new(nav.graph().clone(), nav.entries().to_vec(), layout.clone());
         let cached = PagedIndex::new(nav.graph().clone(), nav.entries().to_vec(), layout)
@@ -760,9 +760,9 @@ mod tests {
         // Cold pass: every page misses, so device reads match the
         // uncached index exactly and results are bit-identical.
         for q in &queries {
-            let mut d1 = FlatDistance::new(&s, q, Metric::L2).unwrap();
+            let mut d1 = FlatDistance::new(&s, q).unwrap();
             let plain = uncached.search(&mut d1, 5, 32);
-            let mut d2 = FlatDistance::new(&s, q, Metric::L2).unwrap();
+            let mut d2 = FlatDistance::new(&s, q).unwrap();
             let warm = cached.search(&mut d2, 5, 32);
             assert_eq!(plain.results, warm.results);
             assert_eq!(
@@ -775,9 +775,9 @@ mod tests {
         let mut warm_device_reads = 0u64;
         let mut warm_cache_hits = 0u64;
         for q in &queries {
-            let mut d1 = FlatDistance::new(&s, q, Metric::L2).unwrap();
+            let mut d1 = FlatDistance::new(&s, q).unwrap();
             let plain = uncached.search(&mut d1, 5, 32);
-            let mut d2 = FlatDistance::new(&s, q, Metric::L2).unwrap();
+            let mut d2 = FlatDistance::new(&s, q).unwrap();
             let warm = cached.search(&mut d2, 5, 32);
             assert_eq!(plain.results, warm.results);
             warm_device_reads += warm.stats.pages_read;
@@ -790,15 +790,15 @@ mod tests {
     #[test]
     fn live_filtered_search_never_surfaces_dead() {
         let s = store(600, 8, 17);
-        let nav = vamana::build(&s, Metric::L2, 12, 32, 1.2, 0);
+        let nav = vamana::build(&s, 12, 32, 1.2, 0);
         let layout = PageLayout::build(nav.graph(), 4, LayoutStrategy::BfsCluster);
         let paged = PagedIndex::new(nav.graph().clone(), nav.entries().to_vec(), layout);
         let mut tomb = Tombstones::new(600);
         // Quiesced: live-filtered search is exactly the plain path.
         let q: Vec<f32> = vec![0.2; 8];
-        let mut d0 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
+        let mut d0 = FlatDistance::new(&s, &q).unwrap();
         let plain = paged.search(&mut d0, 5, 32);
-        let mut d1 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
+        let mut d1 = FlatDistance::new(&s, &q).unwrap();
         let quiesced = search_live(&paged, &mut d1, 5, 32, &tomb);
         assert_eq!(plain.results, quiesced.results);
         // Kill the whole top-5 and search again: none may surface, and
@@ -806,7 +806,7 @@ mod tests {
         for &id in &plain.ids() {
             tomb.kill(id);
         }
-        let mut d2 = FlatDistance::new(&s, &q, Metric::L2).unwrap();
+        let mut d2 = FlatDistance::new(&s, &q).unwrap();
         let filtered = search_live(&paged, &mut d2, 5, 32, &tomb);
         assert_eq!(filtered.ids().len(), 5);
         for id in filtered.ids() {
@@ -867,7 +867,7 @@ mod tests {
         // The whole query: the seed's page, then the hub's hop, which
         // fills the queue by itself, so nothing is read ahead; the leaves
         // have no neighbours to fetch.
-        let mut d = FlatDistance::new(&s, &[0.0], Metric::L2).unwrap();
+        let mut d = FlatDistance::new(&s, &[0.0]).unwrap();
         let out = paged.search(&mut d, 5, 64);
         assert_eq!(out.stats.hops, 41);
         assert_eq!((out.stats.pages_read, out.stats.device_waits), (41, 2));
@@ -910,7 +910,7 @@ mod tests {
         // page; 2's hop then reads nothing. Five pages, three waits where
         // the hop-by-hop submissions waited four times, and the answer of
         // the unpaged walk.
-        let mut d = FlatDistance::new(&s, &[0.0], Metric::L2).unwrap();
+        let mut d = FlatDistance::new(&s, &[0.0]).unwrap();
         let out = paged.search(&mut d, 5, 64);
         assert_eq!(out.ids(), vec![1, 2, 0, 3, 4]);
         assert_eq!(out.stats.hops, 5);
@@ -923,7 +923,7 @@ mod tests {
     fn a_query_takes_at_least_its_waits_times_the_latency() {
         let latency = Duration::from_millis(2);
         let (s, paged) = star(latency);
-        let mut d = FlatDistance::new(&s, &[0.0], Metric::L2).unwrap();
+        let mut d = FlatDistance::new(&s, &[0.0]).unwrap();
         let sw = mqa_obs::Stopwatch::start();
         let out = paged.search(&mut d, 5, 64);
         let elapsed_us = sw.elapsed_us();

@@ -3,7 +3,7 @@
 
 use crate::pipeline::{BuiltGraph, IndexAlgorithm};
 use crate::search::SearchOutput;
-use mqa_vector::{Metric, VecId, VectorStore};
+use mqa_vector::{ops, VecId, VectorStore};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,13 +54,12 @@ pub trait DistanceFn {
     }
 }
 
-/// Plain metric distance against a [`VectorStore`] — the evaluator for
+/// Plain L2 distance against a [`VectorStore`] — the evaluator for
 /// single-vector indexes (JE, the MR per-modality channels, E7's index
 /// comparisons).
 pub struct FlatDistance<'a> {
     store: &'a VectorStore,
     query: &'a [f32],
-    metric: Metric,
 }
 
 impl<'a> FlatDistance<'a> {
@@ -69,51 +68,41 @@ impl<'a> FlatDistance<'a> {
     /// # Errors
     /// Returns [`GraphError::DimensionMismatch`] if the query dimension
     /// does not match the store.
-    pub fn new(
-        store: &'a VectorStore,
-        query: &'a [f32],
-        metric: Metric,
-    ) -> Result<Self, GraphError> {
+    pub fn new(store: &'a VectorStore, query: &'a [f32]) -> Result<Self, GraphError> {
         if query.len() != store.dim() {
             return Err(GraphError::DimensionMismatch {
                 query: query.len(),
                 store: store.dim(),
             });
         }
-        Ok(Self {
-            store,
-            query,
-            metric,
-        })
+        Ok(Self { store, query })
     }
 
     /// Evaluator whose query is the stored vector `v` itself — the
     /// construction-time case (refinement, repair, HNSW insertion), where
     /// the dimensions match by definition.
-    pub fn for_vertex(store: &'a VectorStore, v: VecId, metric: Metric) -> Self {
+    pub fn for_vertex(store: &'a VectorStore, v: VecId) -> Self {
         Self {
             store,
             query: store.get(v),
-            metric,
         }
     }
 }
 
 impl DistanceFn for FlatDistance<'_> {
     fn eval(&mut self, id: VecId, _bound: f32) -> Option<f32> {
-        // Single-vector evaluation is one metric kernel call; chunked
+        // Single-vector evaluation is one `l2_sq` kernel call; chunked
         // early abandonment pays off only for fused multi-block scans, so
         // the flat evaluator always completes.
-        Some(self.metric.distance(self.query, self.store.get(id)))
+        Some(ops::l2_sq(self.query, self.store.get(id)))
     }
 }
 
-/// A complete single-vector index: store + metric + built navigation
+/// A complete single-vector index: store + built navigation
 /// structure. This is what the MR baseline builds per modality and what the
 /// JE baseline builds over joint vectors.
 pub struct VectorIndex {
     store: Arc<VectorStore>,
-    metric: Metric,
     graph: BuiltGraph,
     algorithm: IndexAlgorithm,
     build_time: Duration,
@@ -125,15 +114,14 @@ impl VectorIndex {
     /// # Panics
     /// Panics if the store is empty — an index over nothing is a
     /// configuration error the coordinator reports before reaching here.
-    pub fn build(store: VectorStore, metric: Metric, algorithm: &IndexAlgorithm) -> Self {
+    pub fn build(store: VectorStore, algorithm: &IndexAlgorithm) -> Self {
         assert!(!store.is_empty(), "cannot index an empty vector store");
         let store = Arc::new(store);
         let build_span = mqa_obs::span(format!("graph.{}.build", algorithm.name()));
-        let graph = algorithm.build_graph(&store, metric);
+        let graph = algorithm.build_graph(&store);
         let build_time = build_span.finish();
         Self {
             store,
-            metric,
             graph,
             algorithm: algorithm.clone(),
             build_time,
@@ -152,7 +140,6 @@ impl VectorIndex {
         let mut dist = FlatDistance {
             store: &self.store,
             query,
-            metric: self.metric,
         };
         let out =
             crate::scratch::with_pooled(|scratch| self.graph.search(&mut dist, k, ef, scratch));
@@ -163,11 +150,6 @@ impl VectorIndex {
     /// The backing store.
     pub fn store(&self) -> &VectorStore {
         &self.store
-    }
-
-    /// The metric in use.
-    pub fn metric(&self) -> Metric {
-        self.metric
     }
 
     /// The algorithm configuration the index was built with.
@@ -211,7 +193,7 @@ mod tests {
         store.push(&[0.0, 0.0]);
         store.push(&[3.0, 4.0]);
         let q = [0.0f32, 0.0];
-        let mut d = FlatDistance::new(&store, &q, Metric::L2).expect("dims match");
+        let mut d = FlatDistance::new(&store, &q).expect("dims match");
         assert_eq!(d.exact(0), 0.0);
         assert_eq!(d.exact(1), 25.0);
         assert_eq!(d.eval(1, 0.1), Some(25.0)); // flat never abandons
@@ -221,7 +203,7 @@ mod tests {
     fn flat_distance_checks_dim() {
         let store = VectorStore::new(3);
         let q = [0.0f32; 2];
-        let err = match FlatDistance::new(&store, &q, Metric::L2) {
+        let err = match FlatDistance::new(&store, &q) {
             Err(e) => e,
             Ok(_) => panic!("dims differ"),
         };
@@ -234,9 +216,9 @@ mod tests {
         let mut store = VectorStore::new(2);
         store.push(&[1.0, 2.0]);
         store.push(&[4.0, 6.0]);
-        let mut a = FlatDistance::for_vertex(&store, 0, Metric::L2);
+        let mut a = FlatDistance::for_vertex(&store, 0);
         let q = [1.0f32, 2.0];
-        let mut b = FlatDistance::new(&store, &q, Metric::L2).expect("dims match");
+        let mut b = FlatDistance::new(&store, &q).expect("dims match");
         assert_eq!(a.exact(1), b.exact(1));
     }
 }

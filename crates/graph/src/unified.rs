@@ -56,6 +56,9 @@ pub struct FusedDistance<'a> {
 
 impl<'a> FusedDistance<'a> {
     /// Creates the evaluator for `query` under `weights`.
+    ///
+    /// The `Metric` argument is ignored (L2 is the only distance); it
+    /// remains only because the benchmark crate still passes it.
     pub fn new(
         store: &'a MultiVectorStore,
         query: &MultiVector,
@@ -123,9 +126,9 @@ impl IndexSnapshot {
     }
 
     /// Audits the snapshot's cross-structure invariants and returns every
-    /// violation found (empty = sound). `weights` and `metric` are the
-    /// owning index's: the graph's edges were selected over the held
-    /// weighted rows, which is what their clean prefixes are checked in.
+    /// violation found (empty = sound). `weights` are the owning index's:
+    /// the graph's edges were selected over the held weighted rows, which
+    /// is what their clean prefixes are checked in.
     ///
     /// - the navigation structure covers exactly the store population;
     /// - the held weighted rows are the scaled store rows, bit for bit;
@@ -140,7 +143,7 @@ impl IndexSnapshot {
     /// compacted: compaction legitimately unlinks dead vertices, which the
     /// quiesced-shape validators (HNSW's reachability floor in particular)
     /// would misread as corruption.
-    pub fn validate(&self, weights: &Weights, metric: Metric) -> Vec<InvariantViolation> {
+    pub fn validate(&self, weights: &Weights) -> Vec<InvariantViolation> {
         let n = self.store.len();
         let mut out = Vec::new();
         if self.searcher.len() != n {
@@ -156,7 +159,7 @@ impl IndexSnapshot {
             return out; // the graph audits read the held rows by vertex id
         }
         if self.tombstones.compacted_count() == 0 {
-            out.extend(self.searcher.validate(&self.weighted, metric));
+            out.extend(self.searcher.validate(&self.weighted));
         } else {
             match &*self.searcher {
                 BuiltGraph::Nav(g) => {
@@ -166,7 +169,7 @@ impl IndexSnapshot {
                         &self.tombstones,
                     ));
                     if out.is_empty() {
-                        out.extend(g.check_clean_prefixes(&self.weighted, metric));
+                        out.extend(g.check_clean_prefixes(&self.weighted));
                     }
                 }
                 BuiltGraph::Hnsw(h) => {
@@ -222,7 +225,6 @@ impl IndexSnapshot {
 /// ```
 pub struct UnifiedIndex {
     weights: Weights,
-    metric: Metric,
     algorithm: IndexAlgorithm,
     build_time: Duration,
     /// The published generation searchers read through an epoch guard.
@@ -242,13 +244,16 @@ impl UnifiedIndex {
     /// Builds the index: weights each object's concatenated representation,
     /// then constructs the chosen navigation graph over it.
     ///
+    /// The `Metric` argument is ignored (L2 is the only distance); it
+    /// remains only because the benchmark crate still passes it.
+    ///
     /// # Panics
     /// Panics if the store is empty or the weights' arity mismatches the
     /// store schema.
     pub fn build(
         store: MultiVectorStore,
         weights: Weights,
-        metric: Metric,
+        _metric: Metric,
         algorithm: &IndexAlgorithm,
     ) -> Self {
         assert!(!store.is_empty(), "cannot index an empty object collection");
@@ -257,7 +262,7 @@ impl UnifiedIndex {
             store.schema().arity(),
             "weights arity must match the schema"
         );
-        Self::assemble(store, weights, metric, algorithm.clone(), None)
+        Self::assemble(store, weights, algorithm.clone(), None)
     }
 
     /// Reassembles an index from persisted parts (see
@@ -270,18 +275,11 @@ impl UnifiedIndex {
     pub fn from_parts(
         store: MultiVectorStore,
         weights: Weights,
-        metric: Metric,
         searcher: BuiltGraph,
         algorithm: IndexAlgorithm,
         tombstones: Tombstones,
     ) -> Self {
-        Self::assemble(
-            store,
-            weights,
-            metric,
-            algorithm,
-            Some((searcher, tombstones)),
-        )
+        Self::assemble(store, weights, algorithm, Some((searcher, tombstones)))
     }
 
     /// Generation 0 from its parts — the one full weighted-rows pass; with
@@ -289,7 +287,6 @@ impl UnifiedIndex {
     fn assemble(
         store: MultiVectorStore,
         weights: Weights,
-        metric: Metric,
         algorithm: IndexAlgorithm,
         restored: Option<(BuiltGraph, Tombstones)>,
     ) -> Self {
@@ -298,7 +295,7 @@ impl UnifiedIndex {
             .then(|| mqa_obs::span(format!("graph.{}.build", algorithm.name())));
         let weighted = Arc::new(store.weighted_store(&weights));
         let (searcher, mut tombstones) = restored.unwrap_or_else(|| {
-            let built = algorithm.build_graph(&weighted, metric);
+            let built = algorithm.build_graph(&weighted);
             (built, Tombstones::new(store.len()))
         });
         let build_time = build_span.map_or(Duration::ZERO, |span| span.finish());
@@ -310,7 +307,6 @@ impl UnifiedIndex {
         tombstones.grow(store.len());
         Self {
             weights,
-            metric,
             algorithm,
             build_time,
             published: SnapshotCell::new(IndexSnapshot {
@@ -330,7 +326,6 @@ impl UnifiedIndex {
         crate::persist::UnifiedSnapshot {
             store: snap.store().clone(),
             weights: self.weights.clone(),
-            metric: self.metric,
             algorithm: self.algorithm.clone(),
             graph: snap.searcher().clone(),
             tombstones: snap.tombstones().clone(),
@@ -429,11 +424,7 @@ impl UnifiedIndex {
             }
             draft.weighted = Arc::new(weighted);
             draft.tombstones.grow(store.len());
-            Arc::make_mut(&mut draft.searcher).grow_to(
-                &draft.weighted,
-                self.metric,
-                &draft.tombstones,
-            );
+            Arc::make_mut(&mut draft.searcher).grow_to(&draft.weighted, &draft.tombstones);
             (objects.len(), false)
         }))
     }
@@ -461,11 +452,7 @@ impl UnifiedIndex {
             let applied = ids.iter().filter(|&&id| draft.tombstones.kill(id)).count();
             let compacted = draft.tombstones.pending_fraction() > Self::DEFAULT_COMPACT_THRESHOLD;
             if compacted {
-                Arc::make_mut(&mut draft.searcher).compact_live(
-                    &draft.weighted,
-                    self.metric,
-                    &draft.tombstones,
-                );
+                Arc::make_mut(&mut draft.searcher).compact_live(&draft.weighted, &draft.tombstones);
                 draft.tombstones.mark_all_compacted();
             }
             (applied, compacted)
@@ -505,7 +492,7 @@ impl UnifiedIndex {
         let snap = self.published.load();
         mqa_obs::trace::note_index_state(snap.epoch(), self.mutating.load(Ordering::Relaxed));
         let weights = weight_override.unwrap_or(&self.weights);
-        let mut dist = FusedDistance::new(snap.store(), query, weights, self.metric);
+        let mut dist = FusedDistance::new(snap.store(), query, weights, Metric::L2);
         let out = snap.tombstones().search_live(k, ef, |k, ef| {
             snap.searcher().search(&mut dist, k, ef, scratch)
         });
@@ -527,7 +514,7 @@ impl UnifiedIndex {
         let sw = mqa_obs::Stopwatch::start();
         let snap = self.published.load();
         let weights = weight_override.unwrap_or(&self.weights);
-        let mut dist = FusedDistance::new(snap.store(), query, weights, self.metric);
+        let mut dist = FusedDistance::new(snap.store(), query, weights, Metric::L2);
         let flat = crate::flat::FlatSearcher::new(snap.store().len());
         let out = flat.scan(&mut dist, k, |id| !snap.tombstones().is_dead(id));
         out.stats.record("flat", sw.elapsed_us());
@@ -548,9 +535,10 @@ impl UnifiedIndex {
         &self.weights
     }
 
-    /// The metric in use.
+    /// The metric in use: always [`Metric::L2`]. Kept only because the
+    /// benchmark crate still calls it.
     pub fn metric(&self) -> Metric {
-        self.metric
+        Metric::L2
     }
 
     /// The graph algorithm configuration.
@@ -826,7 +814,7 @@ mod tests {
         let pruned = idx.search(&q, None, 10, 64);
         let snap = idx.current();
         let mut full =
-            FusedDistance::new(snap.store(), &q, idx.weights(), idx.metric()).without_pruning();
+            FusedDistance::new(snap.store(), &q, idx.weights(), Metric::L2).without_pruning();
         let mut scratch = crate::scratch::SearchScratch::new();
         let full_ids = snap
             .searcher()
@@ -864,10 +852,7 @@ mod tests {
             let got = idx.search(obj, None, 1, 64).ids();
             assert_eq!(got, vec![expect], "inserted object {expect} not found");
         }
-        assert!(idx
-            .current()
-            .validate(idx.weights(), idx.metric())
-            .is_empty());
+        assert!(idx.current().validate(idx.weights()).is_empty());
     }
 
     #[test]
@@ -911,7 +896,7 @@ mod tests {
         assert!(report.compacted, "25% dead must compact at threshold 20%");
         let snap = idx.current();
         assert_eq!(snap.tombstones().pending_count(), 0);
-        let violations = snap.validate(idx.weights(), idx.metric());
+        let violations = snap.validate(idx.weights());
         assert!(violations.is_empty(), "{violations:?}");
         // Live objects remain discoverable after the rewiring.
         let schema = idx.store().schema().clone();
@@ -1158,7 +1143,7 @@ mod tests {
             assert!(out.ids().iter().all(|id| !pocket.contains(id)), "{name}");
             // The retry's work is reported on top of the first pass's.
             let narrow = idx.current().searcher().search(
-                &mut FusedDistance::new(&idx.store(), &q, idx.weights(), idx.metric()),
+                &mut FusedDistance::new(&idx.store(), &q, idx.weights(), Metric::L2),
                 k,
                 ef,
                 &mut crate::scratch::SearchScratch::new(),
@@ -1192,7 +1177,7 @@ mod tests {
         }
         let snap = idx.current();
         assert_eq!(snap.tombstones().compacted_count(), 1000);
-        let violations = snap.validate(idx.weights(), idx.metric());
+        let violations = snap.validate(idx.weights());
         assert!(violations.is_empty(), "{violations:?}");
     }
 
@@ -1213,7 +1198,7 @@ mod tests {
             let check = |step: &str| {
                 let context = format!("{} after {step}", algo.name());
                 let snap = idx.current();
-                let violations = snap.validate(idx.weights(), idx.metric());
+                let violations = snap.validate(idx.weights());
                 assert!(violations.is_empty(), "{context}: {violations:?}");
                 let full = snap.store().weighted_store(idx.weights());
                 let bits =
@@ -1254,7 +1239,7 @@ mod tests {
         let assert_sound = |idx: &UnifiedIndex, step: &str| {
             let snap = idx.current();
             let context = format!("{} after {step}", idx.algorithm().name());
-            let violations = snap.validate(idx.weights(), idx.metric());
+            let violations = snap.validate(idx.weights());
             assert!(violations.is_empty(), "{context}: {violations:?}");
             let mut edges = Vec::new();
             match snap.searcher() {
@@ -1309,7 +1294,7 @@ mod tests {
                 weighted: Arc::new(weighted),
                 ..IndexSnapshot::clone(&snap)
             };
-            forged.validate(idx.weights(), idx.metric())
+            forged.validate(idx.weights())
         };
         assert!(audit(VectorStore::clone(&snap.weighted)).is_empty());
         let mut one_value = VectorStore::clone(&snap.weighted);

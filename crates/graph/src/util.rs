@@ -1,6 +1,6 @@
 //! Small shared utilities for index construction.
 
-use mqa_vector::{ops, Metric, VecId, VectorStore};
+use mqa_vector::{ops, VecId, VectorStore};
 
 /// Runs `f(id)` for every id in `0..n` across scoped worker threads and
 /// collects the results in id order. `f` must be pure with respect to the
@@ -39,12 +39,12 @@ where
     out
 }
 
-/// The medoid of a store: the vector closest (under `metric`) to the
+/// The medoid of a store: the vector closest (under L2) to the
 /// elementwise mean. Standard entry-point choice of NSG/Vamana.
 ///
 /// # Panics
 /// Panics if the store is empty.
-pub fn medoid(store: &VectorStore, metric: Metric) -> VecId {
+pub fn medoid(store: &VectorStore) -> VecId {
     assert!(!store.is_empty(), "medoid of an empty store");
     let dim = store.dim();
     let mut mean = vec![0.0f32; dim];
@@ -55,7 +55,7 @@ pub fn medoid(store: &VectorStore, metric: Metric) -> VecId {
     let mut best = 0 as VecId;
     let mut best_d = f32::INFINITY;
     for (id, v) in store.iter() {
-        let d = metric.distance(&mean, v);
+        let d = ops::l2_sq(&mean, v);
         if d < best_d {
             best_d = d;
             best = id;
@@ -89,12 +89,12 @@ mod tests {
             store.push(&[x]);
         }
         // mean = 3.25; closest point is 2.0 (id 2)
-        assert_eq!(medoid(&store, Metric::L2), 2);
+        assert_eq!(medoid(&store), 2);
     }
 
     #[test]
     #[should_panic(expected = "empty")]
     fn medoid_empty_panics() {
-        medoid(&VectorStore::new(2), Metric::L2);
+        medoid(&VectorStore::new(2));
     }
 }

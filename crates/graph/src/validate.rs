@@ -9,7 +9,7 @@
 
 use crate::adjacency::Adjacency;
 use crate::live::Tombstones;
-use mqa_vector::{Candidate, Metric, MultiVectorStore, VecId, VectorStore, Weights};
+use mqa_vector::{ops, Candidate, MultiVectorStore, VecId, VectorStore, Weights};
 use std::fmt;
 
 /// One structural invariant violation found by an index auditor.
@@ -328,14 +328,13 @@ pub fn check_clean_prefixes(
     context: &str,
     graph: &Adjacency,
     store: &VectorStore,
-    metric: Metric,
     alpha: Option<f32>,
 ) -> Vec<InvariantViolation> {
     let mut out = Vec::new();
     for v in 0..graph.len() as VecId {
         let (list, clean) = (graph.neighbors(v), graph.clean_len(v));
         let defect = match list.get(..clean) {
-            Some(prefix) => clean_prefix_defect(store, metric, v, prefix, alpha),
+            Some(prefix) => clean_prefix_defect(store, v, prefix, alpha),
             None => Some(format!("the list holds {}", list.len())),
         };
         if let Some(detail) = defect {
@@ -353,12 +352,11 @@ pub fn check_clean_prefixes(
 /// The first way `prefix` fails to be a prune result around `v`, if any.
 fn clean_prefix_defect(
     store: &VectorStore,
-    metric: Metric,
     v: VecId,
     prefix: &[VecId],
     alpha: Option<f32>,
 ) -> Option<String> {
-    let ranked: Vec<Candidate> = crate::prune::candidates_of(store, metric, v, prefix).collect();
+    let ranked: Vec<Candidate> = crate::prune::candidates_of(store, v, prefix).collect();
     if let Some((a, b)) = ranked
         .iter()
         .zip(ranked.iter().skip(1))
@@ -370,7 +368,7 @@ fn clean_prefix_defect(
     for (j, q) in ranked.iter().enumerate() {
         let qv = store.get(q.id);
         for p in ranked.iter().take(j) {
-            if alpha * metric.distance(store.get(p.id), qv) <= q.dist {
+            if alpha * ops::l2_sq(store.get(p.id), qv) <= q.dist {
                 return Some(format!("{} dominates {}", p.id, q.id));
             }
         }

@@ -10,7 +10,7 @@
 use crate::pipeline::{
     EntryStage, GraphPipeline, InitStage, NavGraph, RefineStage, RepairStage, SelectStage,
 };
-use mqa_vector::{Metric, VectorStore};
+use mqa_vector::VectorStore;
 use std::sync::Arc;
 
 /// The canonical Vamana pipeline configuration.
@@ -30,15 +30,8 @@ pub fn pipeline(r: usize, l: usize, alpha: f32, seed: u64) -> GraphPipeline {
 }
 
 /// Builds a Vamana graph over `store`.
-pub fn build(
-    store: &Arc<VectorStore>,
-    metric: Metric,
-    r: usize,
-    l: usize,
-    alpha: f32,
-    seed: u64,
-) -> NavGraph {
-    pipeline(r, l, alpha, seed).run(store, metric, "vamana")
+pub fn build(store: &Arc<VectorStore>, r: usize, l: usize, alpha: f32, seed: u64) -> NavGraph {
+    pipeline(r, l, alpha, seed).run(store, "vamana")
 }
 
 #[cfg(test)]
@@ -62,17 +55,17 @@ mod tests {
     #[test]
     fn vamana_is_connected() {
         let s = store(600, 8, 1);
-        let nav = build(&s, Metric::L2, 16, 40, 1.2, 0);
+        let nav = build(&s, 16, 40, 1.2, 0);
         assert!((nav.report().connectivity - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn vamana_self_search_finds_self() {
         let s = store(400, 6, 2);
-        let nav = build(&s, Metric::L2, 16, 40, 1.2, 0);
+        let nav = build(&s, 16, 40, 1.2, 0);
         let mut scratch = SearchScratch::new();
         for v in (0..400u32).step_by(41) {
-            let mut d = FlatDistance::for_vertex(&s, v, Metric::L2);
+            let mut d = FlatDistance::for_vertex(&s, v);
             let out = beam_search(nav.graph(), nav.entries(), &mut d, 1, 32, &mut scratch);
             assert_eq!(out.results[0].id, v, "vertex {v} should find itself");
         }
@@ -81,8 +74,8 @@ mod tests {
     #[test]
     fn alpha_above_one_yields_denser_graph_than_nsg_rule() {
         let s = store(500, 8, 3);
-        let tight = build(&s, Metric::L2, 16, 40, 1.0, 0);
-        let loose = build(&s, Metric::L2, 16, 40, 1.6, 0);
+        let tight = build(&s, 16, 40, 1.0, 0);
+        let loose = build(&s, 16, 40, 1.6, 0);
         assert!(
             loose.report().avg_degree >= tight.report().avg_degree,
             "alpha 1.6 degree {} < alpha 1.0 degree {}",

@@ -22,7 +22,7 @@ use mqa_graph::pipeline::NavGraph;
 use mqa_graph::starling::{DeviceProfile, LayoutStrategy, PageLayout, PagedIndex};
 use mqa_graph::{vamana, FlatDistance, SearchScratch, SearchStats};
 use mqa_rng::StdRng;
-use mqa_vector::{Metric, VectorStore};
+use mqa_vector::VectorStore;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
@@ -102,7 +102,7 @@ fn fixture() -> &'static Fixture {
             store.push(&v);
         }
         let store = Arc::new(store);
-        let nav = vamana::build(&store, Metric::L2, 16, 48, 1.2, 45);
+        let nav = vamana::build(&store, 16, 48, 1.2, 45);
         let layout = PageLayout::build(nav.graph(), 8, LayoutStrategy::BfsCluster);
         let queries = (0..queries)
             .map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect())
@@ -137,7 +137,7 @@ impl Fixture {
             counts.clear();
             total = SearchStats::default();
             for q in &self.queries {
-                let mut dist = FlatDistance::new(&self.store, q, Metric::L2).unwrap();
+                let mut dist = FlatDistance::new(&self.store, q).unwrap();
                 if measured && fresh_scratch {
                     scratch = SearchScratch::new();
                 }

@@ -8,7 +8,7 @@
 
 use mqa_graph::{IndexAlgorithm, SearchStats, VectorIndex};
 use mqa_rng::StdRng;
-use mqa_vector::{Metric, VectorStore};
+use mqa_vector::VectorStore;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -34,7 +34,7 @@ fn flat_index() -> (VectorIndex, Vec<f32>) {
         let v: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         store.push(&v);
     }
-    let idx = VectorIndex::build(store, Metric::L2, &IndexAlgorithm::Flat);
+    let idx = VectorIndex::build(store, &IndexAlgorithm::Flat);
     let q: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     (idx, q)
 }

@@ -26,7 +26,7 @@ use mqa_cache::PageCache;
 use mqa_graph::starling::{LayoutStrategy, PageLayout, PagedIndex};
 use mqa_graph::{hnsw, nsg, vamana, Adjacency, FlatDistance, SearchOutput, SearchScratch};
 use mqa_rng::StdRng;
-use mqa_vector::{Metric, VecId, VectorStore};
+use mqa_vector::{VecId, VectorStore};
 use std::sync::Arc;
 
 /// One paged search on a fresh scratch, hits returned.
@@ -48,9 +48,9 @@ fn store(n: usize, dim: usize, seed: u64) -> Arc<VectorStore> {
 
 /// Builds `(name, adjacency, entry points)` for every algorithm under test.
 fn graphs(s: &Arc<VectorStore>) -> Vec<(&'static str, Adjacency, Vec<VecId>)> {
-    let h = hnsw::Hnsw::build(s, Metric::L2, &hnsw::HnswParams::default());
-    let n = nsg::build(s, Metric::L2, 12, 32, 12, 5);
-    let v = vamana::build(s, Metric::L2, 12, 32, 1.2, 5);
+    let h = hnsw::Hnsw::build(s, &hnsw::HnswParams::default());
+    let n = nsg::build(s, 12, 32, 12, 5);
+    let v = vamana::build(s, 12, 32, 1.2, 5);
     vec![
         ("hnsw", h.base_layer(), vec![h.entry()]),
         ("nsg", n.graph().clone(), n.entries().to_vec()),
@@ -115,9 +115,9 @@ fn cached_paged_search_is_bit_identical_across_algorithms_and_regimes() {
                 // tiny capacity). The invariants hold in both.
                 for pass in ["cold", "warm"] {
                     for (qi, q) in queries.iter().enumerate() {
-                        let mut d1 = FlatDistance::new(&s, q, Metric::L2).unwrap();
+                        let mut d1 = FlatDistance::new(&s, q).unwrap();
                         let plain = search(&uncached, &mut d1, 5, 24);
-                        let mut d2 = FlatDistance::new(&s, q, Metric::L2).unwrap();
+                        let mut d2 = FlatDistance::new(&s, q).unwrap();
                         let with_cache = search(&cached, &mut d2, 5, 24);
                         assert_eq!(
                             plain.results, with_cache.results,

@@ -15,7 +15,7 @@ use mqa_cache::PageCache;
 use mqa_graph::starling::{DeviceProfile, LayoutStrategy, PageLayout, PagedIndex};
 use mqa_graph::{vamana, FlatDistance, SearchScratch, SearchStats};
 use mqa_rng::StdRng;
-use mqa_vector::{Metric, VectorStore};
+use mqa_vector::VectorStore;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -67,7 +67,7 @@ fn paged_spill_shape_reads_and_touches_fewer_pages() {
         })
         .collect();
 
-    let nav = vamana::build(&store, Metric::L2, 16, 48, 1.2, 0);
+    let nav = vamana::build(&store, 16, 48, 1.2, 0);
     let layout = PageLayout::build(nav.graph(), 7, LayoutStrategy::BfsCluster);
     let cache = Arc::new(PageCache::new(layout.pages() / 4));
     let paged = PagedIndex::new(nav.graph().clone(), nav.entries().to_vec(), layout)
@@ -79,7 +79,7 @@ fn paged_spill_shape_reads_and_touches_fewer_pages() {
     let mut round = |draws: &[usize]| -> SearchStats {
         let mut total = SearchStats::default();
         for &qi in draws {
-            let mut dist = FlatDistance::new(&store, &queries[qi], Metric::L2).unwrap();
+            let mut dist = FlatDistance::new(&store, &queries[qi]).unwrap();
             let stats = paged.search_paged_into(&mut dist, 10, 32, &mut scratch, &mut hits);
             assert!(
                 stats.device_waits <= stats.pages_read

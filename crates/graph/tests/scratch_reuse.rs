@@ -8,7 +8,7 @@
 use mqa_graph::starling::{LayoutStrategy, PageLayout, PagedIndex};
 use mqa_graph::{BuiltGraph, FlatDistance, IndexAlgorithm, SearchOutput, SearchScratch};
 use mqa_rng::StdRng;
-use mqa_vector::{Metric, VectorStore};
+use mqa_vector::VectorStore;
 use std::sync::Arc;
 
 fn random_store(n: usize, dim: usize, seed: u64) -> VectorStore {
@@ -43,9 +43,9 @@ fn assert_reuse_matches_fresh(
     scratch: &mut SearchScratch,
     what: &str,
 ) {
-    let mut d1 = FlatDistance::new(store, q, Metric::L2).expect("dims match");
+    let mut d1 = FlatDistance::new(store, q).expect("dims match");
     let reused = search(&mut d1, k, ef, scratch);
-    let mut d2 = FlatDistance::new(store, q, Metric::L2).expect("dims match");
+    let mut d2 = FlatDistance::new(store, q).expect("dims match");
     let fresh = search(&mut d2, k, ef, &mut SearchScratch::new());
     assert_identical(&reused, &fresh, what);
 }
@@ -63,10 +63,10 @@ fn interleaved_reuse_matches_fresh_search_everywhere() {
         ("vamana", IndexAlgorithm::vamana()),
     ]
     .into_iter()
-    .map(|(name, algo)| (name, algo.build_graph(&store, Metric::L2)))
+    .map(|(name, algo)| (name, algo.build_graph(&store)))
     .collect();
 
-    let nav = mqa_graph::vamana::build(&store, Metric::L2, 16, 48, 1.2, 3);
+    let nav = mqa_graph::vamana::build(&store, 16, 48, 1.2, 3);
     let layout = PageLayout::build(nav.graph(), 4, LayoutStrategy::BfsCluster);
     let paged = PagedIndex::new(nav.graph().clone(), nav.entries().to_vec(), layout);
     let paged_search = |d: &mut FlatDistance<'_>, k, ef, s: &mut SearchScratch| {
@@ -99,7 +99,7 @@ fn interleaved_reuse_matches_fresh_search_everywhere() {
 fn epoch_wraparound_is_invisible() {
     let dim = 6;
     let store = Arc::new(random_store(250, dim, 21));
-    let idx = IndexAlgorithm::hnsw().build_graph(&store, Metric::L2);
+    let idx = IndexAlgorithm::hnsw().build_graph(&store);
     let mut scratch = SearchScratch::new();
     // Three epochs of headroom before the stamp array must re-zero.
     scratch.force_epoch(u32::MAX - 3);
@@ -137,8 +137,7 @@ fn ties_and_population_changes_do_not_leak_between_walks() {
     };
     let (large, small) = (duplicated(60, 31), duplicated(18, 32));
     let build = |store: &Arc<VectorStore>| {
-        [IndexAlgorithm::vamana(), IndexAlgorithm::hnsw()]
-            .map(|algo| algo.build_graph(store, Metric::L2))
+        [IndexAlgorithm::vamana(), IndexAlgorithm::hnsw()].map(|algo| algo.build_graph(store))
     };
     let (on_large, on_small) = (build(&large), build(&small));
     let mut scratch = SearchScratch::new();

@@ -179,7 +179,7 @@ fn paged_index_filters_dead_and_survives_compaction() {
         store.push(&v);
     }
     let store = std::sync::Arc::new(store);
-    let mut built = IndexAlgorithm::vamana().build_graph(&store, Metric::L2);
+    let mut built = IndexAlgorithm::vamana().build_graph(&store);
     let mut paged = paged_over(&built);
     let mut tomb = Tombstones::new(500);
     let queries: Vec<Vec<f32>> = (0..12)
@@ -202,13 +202,13 @@ fn paged_index_filters_dead_and_survives_compaction() {
         killed.extend(batch);
         if tomb.pending_fraction() > 0.2 {
             // The graph's own compaction rule, then a fresh layout.
-            built.compact_live(&store, Metric::L2, &tomb);
+            built.compact_live(&store, &tomb);
             paged = paged_over(&built);
             tomb.mark_all_compacted();
             compactions += 1;
         }
         for q in &queries {
-            let mut dist = FlatDistance::new(&store, q, Metric::L2).expect("dim matches");
+            let mut dist = FlatDistance::new(&store, q).expect("dim matches");
             let ids = paged_search_live(&paged, &mut dist, &tomb);
             assert!(!ids.is_empty(), "paged live search stopped answering");
             for id in &ids {
@@ -231,15 +231,15 @@ fn paged_index_filters_dead_and_survives_compaction() {
         fresh_store.push(store.get(id));
     }
     let fresh_store = std::sync::Arc::new(fresh_store);
-    let fresh_built = IndexAlgorithm::vamana().build_graph(&fresh_store, Metric::L2);
+    let fresh_built = IndexAlgorithm::vamana().build_graph(&fresh_store);
     let mut scratch = SearchScratch::new();
     let (mut mutated_hits, mut fresh_hits) = (0usize, 0usize);
     for q in &queries {
         let truth = brute_force_live(&store, q, &tomb, K);
-        let mut dist = FlatDistance::new(&store, q, Metric::L2).expect("dim matches");
+        let mut dist = FlatDistance::new(&store, q).expect("dim matches");
         let got = paged_search_live(&paged, &mut dist, &tomb);
         mutated_hits += got.iter().filter(|id| truth.contains(id)).count();
-        let mut fdist = FlatDistance::new(&fresh_store, q, Metric::L2).expect("dim matches");
+        let mut fdist = FlatDistance::new(&fresh_store, q).expect("dim matches");
         let fresh_got = fresh_built.search(&mut fdist, K, 48, &mut scratch).ids();
         fresh_hits += fresh_got
             .iter()

@@ -13,7 +13,7 @@ use mqa_graph::{
     BuiltGraph, FlatDistance, IndexAlgorithm, SearchOutput, SearchScratch, Tombstones,
 };
 use mqa_rng::StdRng;
-use mqa_vector::{Metric, VecId, VectorStore};
+use mqa_vector::{VecId, VectorStore};
 use std::sync::Arc;
 
 const DIM: usize = 8;
@@ -62,7 +62,7 @@ fn search_hash(
     let mut scratch = SearchScratch::new();
     for (i, q) in random_vectors(QUERIES, 0xBEA7).iter().enumerate() {
         let (k, ef) = (1 + i % 10, 8 + 3 * i);
-        let mut dist = FlatDistance::new(store, q, Metric::L2).expect("dims match");
+        let mut dist = FlatDistance::new(store, q).expect("dims match");
         let SearchOutput { results, stats } = search(&mut dist, k, ef, &mut scratch);
         h.word(results.len() as u64);
         for c in &results {
@@ -115,7 +115,7 @@ fn search_traversals_are_bit_identical() {
         (IndexAlgorithm::mqa_graph(), 0xafb3_235f_49f0_5122),
     ];
     for (algo, want) in golden {
-        let built = algo.build_graph(&store, Metric::L2);
+        let built = algo.build_graph(&store);
         let got = search_hash(&store, |d, k, ef, s| built.search(d, k, ef, s));
         assert_eq!(got, want, "{}: search hash {got:#018x}", algo.name());
     }
@@ -124,7 +124,7 @@ fn search_traversals_are_bit_identical() {
 #[test]
 fn paged_traversal_is_bit_identical() {
     let store = store(N);
-    let built = IndexAlgorithm::vamana().build_graph(&store, Metric::L2);
+    let built = IndexAlgorithm::vamana().build_graph(&store);
     let BuiltGraph::Nav(nav) = &built else {
         panic!("vamana builds a Nav graph");
     };
@@ -175,10 +175,10 @@ fn construction_is_bit_identical() {
         ),
     ];
     for (algo, want_built, want_grown) in golden {
-        let mut built = algo.build_graph(&store, Metric::L2);
+        let mut built = algo.build_graph(&store);
         let got = edge_hash(&built);
         assert_eq!(got, want_built, "{}: built edges {got:#018x}", algo.name());
-        built.grow_to(&grown, Metric::L2, &Tombstones::new(0));
+        built.grow_to(&grown, &Tombstones::new(0));
         assert_eq!(built.len(), GROWN);
         let got = edge_hash(&built);
         assert_eq!(got, want_grown, "{}: grown edges {got:#018x}", algo.name());
@@ -199,8 +199,8 @@ fn compaction_is_bit_identical() {
         (IndexAlgorithm::hnsw(), 0xe47c_400d_3055_3b0e),
     ];
     for (algo, want) in golden {
-        let mut built = algo.build_graph(&store, Metric::L2);
-        built.compact_live(&store, Metric::L2, &tomb);
+        let mut built = algo.build_graph(&store);
+        built.compact_live(&store, &tomb);
         let got = edge_hash(&built);
         assert_eq!(got, want, "{}: compacted edges {got:#018x}", algo.name());
     }

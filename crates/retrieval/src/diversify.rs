@@ -14,7 +14,7 @@
 //! relevance for spread.
 
 use crate::error::RetrievalError;
-use mqa_vector::{Candidate, Metric, MultiVectorStore, Weights};
+use mqa_vector::{ops, Candidate, Metric, MultiVectorStore, Weights};
 
 /// Pool-scale sample size: up to this many candidates, evenly spaced
 /// across the whole pool, feed the all-pairs scale estimate (16² / 2 =
@@ -24,13 +24,16 @@ const SCALE_SAMPLE: usize = 16;
 /// Re-ranks `candidates` (ascending distance, as produced by any
 /// framework) into a diversified top-`k` under the MMR criterion.
 ///
+/// The `Metric` argument is ignored (L2 is the only distance); it remains
+/// only because the benchmark crate still passes it.
+///
 /// # Errors
 /// [`RetrievalError::BadDiversification`] if `lambda` is outside
 /// `[0, 1]` (NaN included) or `k == 0`.
 pub fn mmr_diversify(
     store: &MultiVectorStore,
     weights: &Weights,
-    metric: Metric,
+    _metric: Metric,
     candidates: &[Candidate],
     k: usize,
     lambda: f32,
@@ -67,7 +70,7 @@ pub fn mmr_diversify(
         let mut total = 0.0f32;
         for m in 0..arity {
             if let (Some(x), Some(y)) = (store.part_of(a, m), store.part_of(b, m)) {
-                total += weights.get(m) * metric.distance(x, y);
+                total += weights.get(m) * ops::l2_sq(x, y);
             }
         }
         total
@@ -168,7 +171,6 @@ mod tests {
     fn mmr_reference(
         store: &MultiVectorStore,
         weights: &Weights,
-        metric: Metric,
         candidates: &[Candidate],
         k: usize,
         lambda: f32,
@@ -186,7 +188,7 @@ mod tests {
         let pair_dist = |a: u32, b: u32| {
             store
                 .multivector_of(a)
-                .fused_distance(&store.multivector_of(b), weights, metric)
+                .fused_distance(&store.multivector_of(b), weights)
         };
         let mut remaining: Vec<Candidate> = candidates.to_vec();
         let mut picked: Vec<Candidate> = Vec::with_capacity(k);
@@ -261,21 +263,19 @@ mod tests {
                 }
             }
             pool.sort();
-            for metric in [Metric::L2, Metric::Cosine] {
-                for lambda in [0.0f32, 0.4, 0.7, 1.0] {
-                    for k in [1, 5, pool.len() + 3] {
-                        let want = mmr_reference(&store, &weights, metric, &pool, k, lambda);
-                        let got = mmr_diversify(&store, &weights, metric, &pool, k, lambda)
-                            .expect("valid parameters");
-                        let bits = |v: &[Candidate]| -> Vec<(u32, u32)> {
-                            v.iter().map(|c| (c.id, c.dist.to_bits())).collect()
-                        };
-                        assert_eq!(
-                            bits(&got),
-                            bits(&want),
-                            "round {round} {metric:?} lambda {lambda} k {k}"
-                        );
-                    }
+            for lambda in [0.0f32, 0.4, 0.7, 1.0] {
+                for k in [1, 5, pool.len() + 3] {
+                    let want = mmr_reference(&store, &weights, &pool, k, lambda);
+                    let got = mmr_diversify(&store, &weights, Metric::L2, &pool, k, lambda)
+                        .expect("valid parameters");
+                    let bits = |v: &[Candidate]| -> Vec<(u32, u32)> {
+                        v.iter().map(|c| (c.id, c.dist.to_bits())).collect()
+                    };
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "round {round} lambda {lambda} k {k}"
+                    );
                 }
             }
         }

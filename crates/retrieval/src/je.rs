@@ -18,7 +18,7 @@ use crate::query::MultiModalQuery;
 use crate::result::RetrievalOutput;
 use mqa_encoders::ImageData;
 use mqa_graph::{IndexAlgorithm, VectorIndex};
-use mqa_vector::{ops, Metric, ModalityKind, MultiVector, VectorStore};
+use mqa_vector::{ops, ModalityKind, MultiVector, VectorStore};
 use std::sync::Arc;
 
 /// How JE handles query modalities the user did not supply.
@@ -60,14 +60,13 @@ fn joint_vector(corpus: &EncodedCorpus, mv: &MultiVector) -> Vec<f32> {
 impl JeFramework {
     /// Jointly encodes every object and builds one index (with the
     /// faithful [`JePartialPolicy::Placeholder`]).
-    pub fn build(corpus: Arc<EncodedCorpus>, metric: Metric, algorithm: &IndexAlgorithm) -> Self {
-        Self::build_with_policy(corpus, metric, algorithm, JePartialPolicy::default())
+    pub fn build(corpus: Arc<EncodedCorpus>, algorithm: &IndexAlgorithm) -> Self {
+        Self::build_with_policy(corpus, algorithm, JePartialPolicy::default())
     }
 
     /// [`JeFramework::build`] with an explicit partial-query policy.
     pub fn build_with_policy(
         corpus: Arc<EncodedCorpus>,
-        metric: Metric,
         algorithm: &IndexAlgorithm,
         policy: JePartialPolicy,
     ) -> Self {
@@ -77,7 +76,7 @@ impl JeFramework {
             let mv = corpus.store().multivector_of(id);
             joint.push(&joint_vector(&corpus, &mv));
         }
-        let index = VectorIndex::build(joint, metric, algorithm);
+        let index = VectorIndex::build(joint, algorithm);
         Self {
             corpus,
             index,
@@ -183,7 +182,7 @@ mod tests {
     }
 
     fn framework() -> JeFramework {
-        JeFramework::build(corpus(), Metric::L2, &IndexAlgorithm::mqa_graph())
+        JeFramework::build(corpus(), &IndexAlgorithm::mqa_graph())
     }
 
     #[test]

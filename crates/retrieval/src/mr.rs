@@ -17,7 +17,7 @@ use crate::query::MultiModalQuery;
 use crate::result::RetrievalOutput;
 use mqa_graph::{IndexAlgorithm, VectorIndex};
 use mqa_kb::ObjectId;
-use mqa_vector::{Candidate, Metric};
+use mqa_vector::Candidate;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -36,10 +36,10 @@ pub struct MrFramework {
 
 impl MrFramework {
     /// Builds one index per modality.
-    pub fn build(corpus: Arc<EncodedCorpus>, metric: Metric, algorithm: &IndexAlgorithm) -> Self {
+    pub fn build(corpus: Arc<EncodedCorpus>, algorithm: &IndexAlgorithm) -> Self {
         let arity = corpus.store().schema().arity();
         let channels = (0..arity)
-            .map(|m| VectorIndex::build(corpus.store().modality_store(m), metric, algorithm))
+            .map(|m| VectorIndex::build(corpus.store().modality_store(m), algorithm))
             .collect();
         Self { corpus, channels }
     }
@@ -140,7 +140,7 @@ mod tests {
     }
 
     fn framework() -> MrFramework {
-        MrFramework::build(corpus(), Metric::L2, &IndexAlgorithm::mqa_graph())
+        MrFramework::build(corpus(), &IndexAlgorithm::mqa_graph())
     }
 
     #[test]

@@ -26,13 +26,8 @@ pub struct MustFramework {
 impl MustFramework {
     /// Builds the unified index under `weights` (typically the learned
     /// weights; `Weights::uniform` disables weighting for ablations).
-    pub fn build(
-        corpus: Arc<EncodedCorpus>,
-        weights: Weights,
-        metric: Metric,
-        algorithm: &IndexAlgorithm,
-    ) -> Self {
-        let index = UnifiedIndex::build(corpus.store().clone(), weights, metric, algorithm);
+    pub fn build(corpus: Arc<EncodedCorpus>, weights: Weights, algorithm: &IndexAlgorithm) -> Self {
+        let index = UnifiedIndex::build(corpus.store().clone(), weights, Metric::L2, algorithm);
         Self {
             encoders: corpus.encoders().clone(),
             index,
@@ -162,7 +157,6 @@ mod tests {
         let f = MustFramework::build(
             Arc::clone(&c),
             Weights::uniform(2),
-            Metric::L2,
             &IndexAlgorithm::mqa_graph(),
         );
         (c, f)
@@ -292,7 +286,7 @@ mod tests {
     fn mr_and_je_refuse_mutation() {
         use crate::error::RetrievalError;
         let c = corpus();
-        let mr = crate::mr::MrFramework::build(Arc::clone(&c), Metric::L2, &IndexAlgorithm::hnsw());
+        let mr = crate::mr::MrFramework::build(Arc::clone(&c), &IndexAlgorithm::hnsw());
         let qv = c.store().multivector_of(0);
         assert_eq!(
             mr.add_objects(std::slice::from_ref(&qv)),

@@ -1,7 +1,7 @@
 //! # mqa-vector
 //!
-//! Vector substrate for the MQA system: dense `f32` vectors, distance
-//! metrics, multi-vector (multi-modal) objects, weighted fused distances,
+//! Vector substrate for the MQA system: dense `f32` vectors, the L2
+//! distance, multi-vector (multi-modal) objects, weighted fused distances,
 //! and the *incremental scanning* (early-abandon) kernel that the paper's
 //! Query Execution component uses to skip unnecessary distance computation.
 //!
@@ -12,8 +12,9 @@
 //!
 //! ## Layout
 //!
-//! * [`metric`] — distance metrics ([`Metric::L2`], [`Metric::InnerProduct`],
-//!   [`Metric::Cosine`]) over `&[f32]` slices.
+//! * [`metric`] — the one distance, squared L2 ([`Metric::L2`], computed by
+//!   [`ops::l2_sq`]): the √w block scaling and early abandonment both rest
+//!   on it.
 //! * [`ops`] — elementwise vector helpers (norms, axpy, normalization).
 //! * [`multivec`] — [`MultiVector`] objects, the modality [`Schema`], and
 //!   per-modality [`Weights`].

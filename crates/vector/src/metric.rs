@@ -1,75 +1,36 @@
-//! Distance metrics over dense `f32` vectors.
+//! The distance of the MQA pipeline: squared Euclidean (L2).
 //!
-//! All metrics are expressed as *distances* (lower is closer) so that graph
-//! search, top-k collection, and fused multi-modal scoring can share a single
-//! ordering convention:
-//!
-//! * [`Metric::L2`] — squared Euclidean distance. This is the default metric
-//!   of the MQA pipeline and the only one for which partial sums are
-//!   monotone, enabling early-abandon incremental scanning
-//!   (see [`crate::scan`]).
-//! * [`Metric::InnerProduct`] — negated dot product (maximum inner product
-//!   search expressed as a minimization).
-//! * [`Metric::Cosine`] — cosine *distance*, `1 - cos(a, b)`.
+//! Distances are lower-is-closer, so graph search, top-k collection and
+//! fused multi-modal scoring share one ordering convention. L2 is the one
+//! metric the MUST design rests on: scaling modality block `m` by
+//! `sqrt(w_m)` turns the fused weighted distance into one plain L2 per row
+//! (see [`crate::Weights::scale_concat`]), and its prefix partial sums are
+//! monotone, which is what makes early-abandon incremental scanning sound
+//! (see [`crate::scan`]). Every layer computes it with [`crate::ops::l2_sq`].
 
 use crate::ops;
 use serde::{Deserialize, Serialize};
 
-/// A distance metric. Lower values mean "more similar" for every variant.
+/// The distance metric, kept as a configuration value.
+///
+/// L2 is the only distance; this type remains only because the benchmark
+/// crate still names it (`Config::metric` and the `Metric` argument of a
+/// few entry points). The next benchmark change deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Metric {
     /// Squared Euclidean distance `Σ (a_i - b_i)^2`.
     #[default]
     L2,
-    /// Negative inner product `-Σ a_i b_i`.
-    InnerProduct,
-    /// Cosine distance `1 - (a·b)/(|a||b|)`; zero vectors are assigned the
-    /// maximum distance of `1.0` against anything.
-    Cosine,
 }
 
 impl Metric {
-    /// Distance between `a` and `b` under this metric.
+    /// Distance between `a` and `b`: [`ops::l2_sq`].
     ///
     /// # Panics
     /// Panics in debug builds if `a.len() != b.len()`.
     #[inline]
     pub fn distance(self, a: &[f32], b: &[f32]) -> f32 {
-        match self {
-            Metric::L2 => ops::l2_sq(a, b),
-            Metric::InnerProduct => -ops::dot(a, b),
-            Metric::Cosine => {
-                let na = ops::norm(a);
-                let nb = ops::norm(b);
-                if na == 0.0 || nb == 0.0 {
-                    1.0
-                } else {
-                    // INVARIANT: f32 division with a non-zero divisor
-                    // (guarded above); float division cannot panic.
-                    1.0 - ops::dot(a, b) / (na * nb)
-                }
-            }
-        }
-    }
-
-    /// Whether prefix partial sums of this metric are monotone
-    /// non-decreasing, i.e. whether early-abandon scanning is sound.
-    ///
-    /// Only [`Metric::L2`] qualifies: every term `(a_i - b_i)^2` is
-    /// non-negative, so a partial sum already exceeding a bound can never
-    /// come back below it.
-    #[inline]
-    pub fn supports_early_abandon(self) -> bool {
-        matches!(self, Metric::L2)
-    }
-
-    /// Human-readable metric name, used by status panels.
-    pub fn name(self) -> &'static str {
-        match self {
-            Metric::L2 => "l2",
-            Metric::InnerProduct => "inner_product",
-            Metric::Cosine => "cosine",
-        }
+        ops::l2_sq(a, b)
     }
 }
 
@@ -86,59 +47,16 @@ mod tests {
     }
 
     #[test]
-    fn inner_product_prefers_aligned() {
-        let q = [1.0f32, 0.0];
-        let aligned = [2.0f32, 0.0];
-        let orthogonal = [0.0f32, 2.0];
-        assert!(
-            Metric::InnerProduct.distance(&q, &aligned)
-                < Metric::InnerProduct.distance(&q, &orthogonal)
-        );
-    }
-
-    #[test]
-    fn cosine_scale_invariant() {
-        let a = [1.0f32, 2.0, 3.0];
-        let b = [2.0f32, 4.0, 6.0];
-        assert!(Metric::Cosine.distance(&a, &b).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cosine_zero_vector_max_distance() {
-        let z = [0.0f32; 3];
-        let a = [1.0f32, 0.0, 0.0];
-        assert_eq!(Metric::Cosine.distance(&z, &a), 1.0);
-        assert_eq!(Metric::Cosine.distance(&a, &z), 1.0);
-    }
-
-    #[test]
-    fn cosine_opposite_is_two() {
-        let a = [1.0f32, 0.0];
-        let b = [-1.0f32, 0.0];
-        assert!((Metric::Cosine.distance(&a, &b) - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn only_l2_supports_early_abandon() {
-        assert!(Metric::L2.supports_early_abandon());
-        assert!(!Metric::InnerProduct.supports_early_abandon());
-        assert!(!Metric::Cosine.supports_early_abandon());
-    }
-
-    #[test]
-    fn symmetry_l2_and_cosine() {
+    fn symmetry_l2() {
         let a = [0.3f32, -1.2, 0.7];
         let b = [1.1f32, 0.4, -0.5];
         assert!((Metric::L2.distance(&a, &b) - Metric::L2.distance(&b, &a)).abs() < 1e-6);
-        assert!((Metric::Cosine.distance(&a, &b) - Metric::Cosine.distance(&b, &a)).abs() < 1e-6);
     }
 
     #[test]
     fn serde_round_trip() {
-        for m in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
-            let s = serde_json::to_string(&m).unwrap();
-            let back: Metric = serde_json::from_str(&s).unwrap();
-            assert_eq!(m, back);
-        }
+        let s = serde_json::to_string(&Metric::L2).unwrap();
+        let back: Metric = serde_json::from_str(&s).unwrap();
+        assert_eq!(Metric::L2, back);
     }
 }

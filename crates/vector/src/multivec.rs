@@ -16,7 +16,7 @@
 //! * [`Weights`] — non-negative per-modality weights with the normalization
 //!   used by MUST.
 
-use crate::{Dim, Metric};
+use crate::Dim;
 use serde::{Deserialize, Serialize};
 
 /// The kind of data a modality carries. Purely descriptive — the numeric
@@ -239,16 +239,16 @@ impl MultiVector {
         Self { parts }
     }
 
-    /// Fused weighted distance to another multi-vector, skipping modalities
+    /// Fused weighted L2 distance to another multi-vector, skipping modalities
     /// missing on *either* side.
     ///
     /// This is the reference (non-pruned) implementation; the production
     /// search path uses [`crate::scan::FusedScanner`].
-    pub fn fused_distance(&self, other: &MultiVector, weights: &Weights, metric: Metric) -> f32 {
+    pub fn fused_distance(&self, other: &MultiVector, weights: &Weights) -> f32 {
         let mut total = 0.0;
         for (m, q) in self.present() {
             if let Some(o) = other.part(m) {
-                total += weights.get(m) * metric.distance(q, o);
+                total += weights.get(m) * crate::ops::l2_sq(q, o);
             }
         }
         total
@@ -397,10 +397,10 @@ mod tests {
         let q = MultiVector::complete(&s, vec![vec![0.0, 0.0], vec![0.0, 0.0]]);
         let o = MultiVector::complete(&s, vec![vec![1.0, 0.0], vec![0.0, 2.0]]);
         let uniform = Weights::uniform(2);
-        assert!((q.fused_distance(&o, &uniform, Metric::L2) - 5.0).abs() < 1e-6);
+        assert!((q.fused_distance(&o, &uniform) - 5.0).abs() < 1e-6);
         let text_only = Weights::normalized(&[1.0, 0.0]);
         // text weight normalized to 2.0, image to 0.0
-        assert!((q.fused_distance(&o, &text_only, Metric::L2) - 2.0).abs() < 1e-6);
+        assert!((q.fused_distance(&o, &text_only) - 2.0).abs() < 1e-6);
     }
 
     #[test]
@@ -409,7 +409,7 @@ mod tests {
         let q = MultiVector::partial(&s, vec![Some(vec![0.0, 0.0]), None]);
         let o = MultiVector::complete(&s, vec![vec![3.0, 4.0], vec![9.0, 9.0]]);
         let w = Weights::uniform(2);
-        assert!((q.fused_distance(&o, &w, Metric::L2) - 25.0).abs() < 1e-6);
+        assert!((q.fused_distance(&o, &w) - 25.0).abs() < 1e-6);
     }
 
     #[test]
@@ -440,12 +440,12 @@ mod tests {
         let q = MultiVector::complete(&s, vec![vec![0.1, 0.2, 0.3], vec![0.9, -0.4]]);
         let o = MultiVector::complete(&s, vec![vec![-0.5, 0.0, 1.0], vec![0.2, 0.7]]);
         let w = Weights::normalized(&[2.0, 0.5]);
-        let fused = q.fused_distance(&o, &w, Metric::L2);
+        let fused = q.fused_distance(&o, &w);
         let mut qf = q.concat(&s);
         let mut of = o.concat(&s);
         w.scale_concat(&s, &mut qf);
         w.scale_concat(&s, &mut of);
-        let flat = Metric::L2.distance(&qf, &of);
+        let flat = crate::ops::l2_sq(&qf, &of);
         assert!((fused - flat).abs() < 1e-5, "fused={fused} flat={flat}");
     }
 

@@ -328,7 +328,7 @@ impl PqTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Metric;
+    use crate::ops;
 
     fn clustered_store(n: usize, dim: usize, clusters: usize, seed: u64) -> VectorStore {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -360,7 +360,7 @@ mod tests {
         let mut err = 0.0f32;
         for (_, v) in store.iter() {
             let rec = cb.decode(&cb.encode(v));
-            err += Metric::L2.distance(v, &rec);
+            err += ops::l2_sq(v, &rec);
         }
         let avg_err = err / store.len() as f32;
         // Cluster spread is ±0.2 per dim; reconstruction should land well
@@ -377,7 +377,7 @@ mod tests {
         let table = cb.table(&query);
         for id in (0..200u32).step_by(17) {
             let via_table = table.distance(codes.code(id));
-            let via_decode = Metric::L2.distance(&query, &cb.decode(codes.code(id)));
+            let via_decode = ops::l2_sq(&query, &cb.decode(codes.code(id)));
             assert!(
                 (via_table - via_decode).abs() < 1e-3 * (1.0 + via_decode),
                 "id {id}: {via_table} vs {via_decode}"
@@ -395,7 +395,7 @@ mod tests {
         // exact top-20
         let mut exact: Vec<(u32, f32)> = store
             .iter()
-            .map(|(id, v)| (id, Metric::L2.distance(&query, v)))
+            .map(|(id, v)| (id, ops::l2_sq(&query, v)))
             .collect();
         exact.sort_by(|a, b| a.1.total_cmp(&b.1));
         let exact_top: Vec<u32> = exact.iter().take(20).map(|(id, _)| *id).collect();

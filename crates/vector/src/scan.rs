@@ -18,7 +18,7 @@
 //! scalar operations saved by pruning.
 
 use crate::multivec::{MultiVector, Schema, Weights};
-use crate::Metric;
+use crate::{ops, Metric};
 
 /// Granularity (in scalar terms) at which the running partial sum is
 /// compared against the pruning bound. Small enough to abandon early, large
@@ -66,8 +66,7 @@ struct Block {
     query: Vec<f32>,
 }
 
-/// Fused weighted distance evaluator for one query, with optional early
-/// abandonment.
+/// Fused weighted L2 evaluator for one query, with early abandonment.
 ///
 /// Construct once per query, then call [`FusedScanner::distance`] for every
 /// candidate the graph search touches. Missing query modalities contribute
@@ -93,8 +92,6 @@ struct Block {
 /// ```
 pub struct FusedScanner {
     blocks: Vec<Block>,
-    metric: Metric,
-    prunable: bool,
     total_dim: usize,
     /// Scalar terms one complete evaluation computes (the blocks' lengths
     /// summed), for the stats bookkeeping.
@@ -103,12 +100,11 @@ pub struct FusedScanner {
 }
 
 impl FusedScanner {
-    /// Builds a scanner for `query` under `weights` and `metric`.
+    /// Builds a scanner for `query` under `weights`.
     ///
-    /// Early abandonment activates only when the metric supports it
-    /// ([`Metric::supports_early_abandon`]); for other metrics
-    /// [`FusedScanner::distance`] silently computes the full distance.
-    pub fn new(schema: &Schema, query: &MultiVector, weights: &Weights, metric: Metric) -> Self {
+    /// The `Metric` argument is ignored (L2 is the only distance); it
+    /// remains only because the benchmark crate still passes it.
+    pub fn new(schema: &Schema, query: &MultiVector, weights: &Weights, _metric: Metric) -> Self {
         assert_eq!(query.arity(), schema.arity(), "query arity mismatch");
         assert_eq!(weights.arity(), schema.arity(), "weights arity mismatch");
         // ALLOC: per-scanner block list and query copy, built once per query.
@@ -135,8 +131,6 @@ impl FusedScanner {
         let eval_terms = blocks.iter().map(|b| b.query.len() as u64).sum();
         Self {
             blocks,
-            metric,
-            prunable: metric.supports_early_abandon(),
             total_dim: schema.total_dim(),
             eval_terms,
             stats: ScanStats::default(),
@@ -156,7 +150,7 @@ impl FusedScanner {
     #[inline]
     pub fn distance(&mut self, flat: &[f32], bound: f32) -> Option<f32> {
         debug_assert_eq!(flat.len(), self.total_dim, "object vector length mismatch");
-        if !self.prunable || bound.is_infinite() {
+        if bound.is_infinite() {
             return Some(self.full(flat));
         }
         let mut total = 0.0f32;
@@ -171,7 +165,7 @@ impl FusedScanner {
                 // Reuse the unrolled kernel so the pruned path pays no
                 // per-term penalty over a full evaluation.
                 // INVARIANT: i <= end <= query.len() == obj.len().
-                let part = crate::ops::l2_sq(&b.query[i..end], &obj[i..end]);
+                let part = ops::l2_sq(&b.query[i..end], &obj[i..end]);
                 total += b.weight * part;
                 done += (end - i) as u64;
                 i = end;
@@ -199,7 +193,7 @@ impl FusedScanner {
             // INVARIANT: block offsets/lengths partition 0..total_dim (see
             // `distance`).
             let obj = &flat[b.offset..b.offset + b.query.len()];
-            total += b.weight * self.metric.distance(&b.query, obj);
+            total += b.weight * ops::l2_sq(&b.query, obj);
         }
         self.stats.full_evals += 1;
         self.stats.terms += self.eval_terms;
@@ -240,7 +234,7 @@ mod tests {
         let mut scanner = FusedScanner::new(&schema, &q, &w, Metric::L2);
         for flat in &objs {
             let mv = MultiVector::from_concat(&schema, flat);
-            let reference = q.fused_distance(&mv, &w, Metric::L2);
+            let reference = q.fused_distance(&mv, &w);
             let got = scanner.exact(flat);
             assert!((reference - got).abs() < 1e-4, "ref={reference} got={got}");
         }
@@ -253,7 +247,7 @@ mod tests {
         for flat in &objs {
             let exact = {
                 let mv = MultiVector::from_concat(&schema, flat);
-                q.fused_distance(&mv, &w, Metric::L2)
+                q.fused_distance(&mv, &w)
             };
             for bound in [0.5, 5.0, 20.0] {
                 match scanner.distance(flat, bound) {
@@ -327,16 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn non_l2_metric_never_abandons() {
-        let (schema, q, w, objs) = setup(5);
-        let mut scanner = FusedScanner::new(&schema, &q, &w, Metric::Cosine);
-        for flat in &objs {
-            assert!(scanner.distance(flat, 0.0).is_some());
-        }
-        assert_eq!(scanner.stats().abandoned, 0);
-    }
-
-    #[test]
     fn stats_merge_adds_fields() {
         let a = ScanStats {
             full_evals: 1,
@@ -377,7 +361,7 @@ mod tests {
         for flat in &objs {
             let exact = {
                 let mv = MultiVector::from_concat(&schema, flat);
-                q.fused_distance(&mv, &w, Metric::L2)
+                q.fused_distance(&mv, &w)
             };
             let bound: f32 = rng.gen_range(0.0..40.0);
             match scanner.distance(flat, bound) {

@@ -357,7 +357,7 @@ impl std::fmt::Display for StoreViolation {
 mod tests {
     use super::*;
     use crate::multivec::Weights;
-    use crate::Metric;
+    use crate::ops;
 
     #[test]
     fn push_get_round_trip() {
@@ -455,8 +455,8 @@ mod tests {
         store.push(&b);
         let w = Weights::normalized(&[3.0, 1.0]);
         let ws = store.weighted_store(&w);
-        let flat_dist = Metric::L2.distance(ws.get(0), ws.get(1));
-        let fused = a.fused_distance(&b, &w, Metric::L2);
+        let flat_dist = ops::l2_sq(ws.get(0), ws.get(1));
+        let fused = a.fused_distance(&b, &w);
         assert!((flat_dist - fused).abs() < 1e-5);
     }
 

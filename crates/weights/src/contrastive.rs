@@ -1,7 +1,7 @@
 //! Contrastive loss and gradient for one triplet.
 
 use crate::triplet::Triplet;
-use mqa_vector::{Metric, MultiVectorStore};
+use mqa_vector::{ops, MultiVectorStore};
 
 /// Per-modality distances between two stored objects, in schema order.
 /// Modalities missing on either side contribute `0.0` (they carry no
@@ -10,12 +10,11 @@ pub fn modality_distances(
     store: &MultiVectorStore,
     a: mqa_vector::VecId,
     b: mqa_vector::VecId,
-    metric: Metric,
 ) -> Vec<f32> {
     let arity = store.schema().arity();
     (0..arity)
         .map(|m| match (store.part_of(a, m), store.part_of(b, m)) {
-            (Some(x), Some(y)) => metric.distance(x, y),
+            (Some(x), Some(y)) => ops::l2_sq(x, y),
             _ => 0.0,
         })
         .collect()
@@ -32,10 +31,9 @@ pub fn triplet_loss(
     t: &Triplet,
     w: &[f32],
     margin: f32,
-    metric: Metric,
 ) -> (f32, Vec<f32>) {
-    let dp = modality_distances(store, t.anchor, t.positive, metric);
-    let dn = modality_distances(store, t.anchor, t.negative, metric);
+    let dp = modality_distances(store, t.anchor, t.positive);
+    let dn = modality_distances(store, t.anchor, t.negative);
     debug_assert_eq!(w.len(), dp.len(), "weight arity mismatch");
     let score: f32 = w
         .iter()
@@ -78,7 +76,7 @@ mod tests {
     #[test]
     fn modality_distances_per_block() {
         let s = store();
-        let d = modality_distances(&s, 0, 1, Metric::L2);
+        let d = modality_distances(&s, 0, 1);
         assert!((d[0] - 0.01).abs() < 1e-5);
         assert!((d[1] - 4.0).abs() < 1e-5);
     }
@@ -95,7 +93,7 @@ mod tests {
             &schema,
             vec![vec![1.0, 0.0], vec![9.0, 9.0]],
         ));
-        let d = modality_distances(&s, 0, 1, Metric::L2);
+        let d = modality_distances(&s, 0, 1);
         assert!((d[0] - 1.0).abs() < 1e-6);
         assert_eq!(d[1], 0.0);
     }
@@ -109,7 +107,7 @@ mod tests {
             negative: 2,
         };
         // text-only weights: dp=0.01, dn=9.0 -> margin easily satisfied
-        let (loss, grad) = triplet_loss(&s, &t, &[2.0, 0.0], 1.0, Metric::L2);
+        let (loss, grad) = triplet_loss(&s, &t, &[2.0, 0.0], 1.0);
         assert_eq!(loss, 0.0);
         assert!(grad.iter().all(|&g| g == 0.0));
     }
@@ -123,7 +121,7 @@ mod tests {
             positive: 2,
             negative: 1,
         };
-        let (loss, grad) = triplet_loss(&s, &t, &[1.0, 1.0], 1.0, Metric::L2);
+        let (loss, grad) = triplet_loss(&s, &t, &[1.0, 1.0], 1.0);
         assert!(loss > 0.0);
         // text: dp=9, dn=0.01 -> grad strongly positive (decrease weight)
         assert!(grad[0] > 0.0);
@@ -141,11 +139,11 @@ mod tests {
             negative: 2,
         };
         let w = [1.0f32, 1.0];
-        let (loss, _) = triplet_loss(&s, &t, &w, 1.0, Metric::L2);
+        let (loss, _) = triplet_loss(&s, &t, &w, 1.0);
         // dp = [0.01, 4], dn = [9, 9]; score = 0.01+4-9-9 = -13.99
         // loss = max(0, 1 - 13.99) = 0
         assert_eq!(loss, 0.0);
-        let (loss2, _) = triplet_loss(&s, &t, &w, 20.0, Metric::L2);
+        let (loss2, _) = triplet_loss(&s, &t, &w, 20.0);
         assert!((loss2 - (20.0 - 13.99)).abs() < 1e-3);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::contrastive::triplet_loss;
 use crate::triplet::{sample_triplets, Triplet};
-use mqa_vector::{Metric, MultiVectorStore, Weights};
+use mqa_vector::{MultiVectorStore, Weights};
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the weight learner. The defaults train in
@@ -20,8 +20,6 @@ pub struct TrainerConfig {
     pub n_triplets: usize,
     /// Sampling / shuffling seed.
     pub seed: u64,
-    /// Distance metric for per-modality distances.
-    pub metric: Metric,
     /// Pull toward uniform weights (`λ` of an L2 penalty `λ‖w − 1‖²/2`).
     ///
     /// Without it, one strongly informative modality drives the others'
@@ -42,7 +40,6 @@ impl Default for TrainerConfig {
             epochs: 20,
             n_triplets: 2_000,
             seed: 0,
-            metric: Metric::L2,
             uniform_reg: 0.6,
         }
     }
@@ -103,7 +100,7 @@ impl WeightLearner {
             let lr = cfg.learning_rate / (1.0 + epoch as f32 * 0.3);
             let mut epoch_loss = 0.0f64;
             for t in &triplets {
-                let (loss, grad) = triplet_loss(store, t, &w, cfg.margin, cfg.metric);
+                let (loss, grad) = triplet_loss(store, t, &w, cfg.margin);
                 epoch_loss += loss as f64;
                 if loss > 0.0 {
                     for (wm, g) in w.iter_mut().zip(&grad) {
@@ -116,7 +113,7 @@ impl WeightLearner {
         }
 
         let weights = Weights::normalized(&w);
-        let accuracy = triplet_accuracy(store, &triplets, weights.as_slice(), cfg.metric);
+        let accuracy = triplet_accuracy(store, &triplets, weights.as_slice());
         LearnedWeights {
             weights,
             loss_history: history,
@@ -141,17 +138,12 @@ fn project(w: &mut [f32]) {
 }
 
 /// Fraction of triplets ranked correctly (`d_w(a,p) < d_w(a,n)`) under `w`.
-pub(crate) fn triplet_accuracy(
-    store: &MultiVectorStore,
-    triplets: &[Triplet],
-    w: &[f32],
-    metric: Metric,
-) -> f64 {
+pub(crate) fn triplet_accuracy(store: &MultiVectorStore, triplets: &[Triplet], w: &[f32]) -> f64 {
     if triplets.is_empty() {
         return 0.0;
     }
     let fused = |a, b| -> f32 {
-        crate::contrastive::modality_distances(store, a, b, metric)
+        crate::contrastive::modality_distances(store, a, b)
             .iter()
             .zip(w)
             .map(|(d, wm)| d * wm)
@@ -234,8 +226,8 @@ mod tests {
         });
         let out = learner.learn(&store, &labels);
         let triplets = sample_triplets(&labels, 1_000, 999);
-        let uniform_acc = triplet_accuracy(&store, &triplets, &[1.0, 1.0], Metric::L2);
-        let learned_acc = triplet_accuracy(&store, &triplets, out.weights.as_slice(), Metric::L2);
+        let uniform_acc = triplet_accuracy(&store, &triplets, &[1.0, 1.0]);
+        let learned_acc = triplet_accuracy(&store, &triplets, out.weights.as_slice());
         assert!(
             learned_acc > uniform_acc,
             "learned {learned_acc} <= uniform {uniform_acc}"

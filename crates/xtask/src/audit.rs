@@ -307,9 +307,9 @@ fn run(repo_root: &Path) -> Vec<(String, Vec<String>)> {
     // Single-vector indexes, every variant.
     let store = Arc::new(synthetic_store(500, 16, 8, 0xA0D1));
     for algo in all_algorithms() {
-        let built = algo.build_graph(&store, Metric::L2);
+        let built = algo.build_graph(&store);
         let subject = format!("index {}", algo.name());
-        entries.push(entry(&subject, &built.validate(&store, Metric::L2)));
+        entries.push(entry(&subject, &built.validate(&store)));
     }
 
     // The unified multi-modal index (store + learned-weight layout), as
@@ -340,7 +340,7 @@ fn run(repo_root: &Path) -> Vec<(String, Vec<String>)> {
         violations.extend(
             unified
                 .current()
-                .validate(&weights, Metric::L2)
+                .validate(&weights)
                 .iter()
                 .map(ToString::to_string),
         );
@@ -357,7 +357,7 @@ fn run(repo_root: &Path) -> Vec<(String, Vec<String>)> {
                 Ok(done) => violations.push(format!("{step}: unexpected outcome {done:?}")),
                 Err(e) => violations.push(format!("{step}: rejected ({e})")),
             }
-            let found = unified.current().validate(&weights, Metric::L2);
+            let found = unified.current().validate(&weights);
             violations.extend(found.iter().map(|v| format!("after {step}: {v}")));
         };
         ran("add", false, unified.add_objects(&batch(0, 40)));

@@ -26,7 +26,7 @@ use mqa_graph::{FlatDistance, SearchScratch};
 use mqa_kb::DatasetSpec;
 use mqa_retrieval::MultiModalQuery;
 use mqa_rng::StdRng;
-use mqa_vector::{Metric, VectorStore};
+use mqa_vector::VectorStore;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -67,7 +67,7 @@ impl PagedFixture {
             store.push(&v);
         }
         let store = Arc::new(store);
-        let nav = mqa_graph::vamana::build(&store, Metric::L2, 16, 48, 1.2, seed.wrapping_add(3));
+        let nav = mqa_graph::vamana::build(&store, 16, 48, 1.2, seed.wrapping_add(3));
         let layout = PageLayout::build(nav.graph(), 8, LayoutStrategy::BfsCluster);
         let queries = (0..queries)
             .map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect())
@@ -201,7 +201,7 @@ fn check_paged_speedup(fixture: &PagedFixture) -> Result<(), String> {
                 let query_vecs = Arc::clone(&fixture.queries);
                 let answered = Arc::clone(&answered);
                 pool.submit(Box::new(move || {
-                    if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi], Metric::L2) {
+                    if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi]) {
                         let mut hits = Vec::new();
                         mqa_graph::with_pooled(|scratch| {
                             paged.search_paged_into(&mut dist, 10, 32, scratch, &mut hits)
@@ -251,7 +251,7 @@ fn check_page_cache(fixture: &PagedFixture) -> Result<(), String> {
         let mut pages_read = 0u64;
         let (mut scratch, mut hits) = (SearchScratch::new(), Vec::new());
         for q in fixture.queries.iter() {
-            let mut dist = FlatDistance::new(&fixture.store, q, Metric::L2)
+            let mut dist = FlatDistance::new(&fixture.store, q)
                 .map_err(|e| format!("distance setup failed: {e}"))?;
             let stats = index.search_paged_into(&mut dist, 10, 32, &mut scratch, &mut hits);
             pages_read += stats.pages_read;

@@ -45,7 +45,7 @@ fn main() {
         repair: RepairStage::None,
     };
     let t0 = std::time::Instant::now();
-    let nav = custom.run(&store, Metric::L2, "custom-cheap");
+    let nav = custom.run(&store, "custom-cheap");
     let (report, nav) = (nav.report().clone(), BuiltGraph::Nav(nav));
     println!(
         "custom graph: built in {:.2}s, {}, connectivity {:.3}",
@@ -66,7 +66,7 @@ fn main() {
     let mut hit_rate = |g: &BuiltGraph| {
         let mut hits = 0;
         for (i, q) in queries.iter().enumerate() {
-            let mut d = FlatDistance::new(&store, q, Metric::L2).expect("query dim matches store");
+            let mut d = FlatDistance::new(&store, q).expect("query dim matches store");
             let top = g.search(&mut d, 1, 32, &mut scratch).results[0].id;
             if top == ((i as u32 * 37) % store.len() as u32) {
                 hits += 1;
@@ -80,7 +80,7 @@ fn main() {
         IndexAlgorithm::vamana(),
         IndexAlgorithm::hnsw(),
     ] {
-        let built = algo.build_graph(&store, Metric::L2);
+        let built = algo.build_graph(&store);
         println!("  {:<13}: {:.2}", algo.name(), hit_rate(&built));
     }
 

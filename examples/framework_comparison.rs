@@ -18,7 +18,7 @@ use mqa::retrieval::{
     EncodedCorpus, EncoderSet, JeFramework, MrFramework, MultiModalQuery, MustFramework,
     RetrievalFramework,
 };
-use mqa::vector::{ops, Metric};
+use mqa::vector::ops;
 use mqa::weights::WeightLearner;
 use std::sync::Arc;
 
@@ -53,14 +53,9 @@ fn main() {
     );
 
     let algo = IndexAlgorithm::mqa_graph();
-    let must = MustFramework::build(
-        Arc::clone(&corpus),
-        learned.weights.clone(),
-        Metric::L2,
-        &algo,
-    );
-    let mr = MrFramework::build(Arc::clone(&corpus), Metric::L2, &algo);
-    let je = JeFramework::build(Arc::clone(&corpus), Metric::L2, &algo);
+    let must = MustFramework::build(Arc::clone(&corpus), learned.weights.clone(), &algo);
+    let mr = MrFramework::build(Arc::clone(&corpus), &algo);
+    let je = JeFramework::build(Arc::clone(&corpus), &algo);
     let frameworks: Vec<&dyn RetrievalFramework> = vec![&must, &mr, &je];
 
     // The scripted dialogue: Figure 5's "foggy clouds" request, mapped to

@@ -9,7 +9,7 @@ use mqa::retrieval::{
     EncodedCorpus, EncoderSet, FrameworkKind, JeFramework, MrFramework, MultiModalQuery,
     MustFramework, RetrievalFramework,
 };
-use mqa::vector::{Metric, Weights};
+use mqa::vector::Weights;
 use mqa::weights::WeightLearner;
 use std::sync::Arc;
 
@@ -44,9 +44,9 @@ fn setup() -> Bench {
     let learned = WeightLearner::default().learn(corpus.store(), &labels);
     let algo = IndexAlgorithm::mqa_graph();
     Bench {
-        must: MustFramework::build(Arc::clone(&corpus), learned.weights, Metric::L2, &algo),
-        mr: MrFramework::build(Arc::clone(&corpus), Metric::L2, &algo),
-        je: JeFramework::build(Arc::clone(&corpus), Metric::L2, &algo),
+        must: MustFramework::build(Arc::clone(&corpus), learned.weights, &algo),
+        mr: MrFramework::build(Arc::clone(&corpus), &algo),
+        je: JeFramework::build(Arc::clone(&corpus), &algo),
         corpus,
         gt,
         info,
@@ -160,7 +160,6 @@ fn learned_weights_beat_uniform_on_round1_recall() {
     let uniform = MustFramework::build(
         Arc::clone(&b.corpus),
         Weights::uniform(2),
-        Metric::L2,
         &IndexAlgorithm::mqa_graph(),
     );
     let (learned_r1, _) = two_round_protocol(&b, &b.must, 40);

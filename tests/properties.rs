@@ -13,15 +13,15 @@ fn rand_vec(rng: &mut StdRng, dim: usize) -> Vec<f32> {
     (0..dim).map(|_| rng.gen_range(-10.0f32..10.0)).collect()
 }
 
-// ── metric axioms ────────────────────────────────────────────────────────
+// ── L2 axioms ────────────────────────────────────────────────────────────
 
 #[test]
 fn l2_symmetry() {
     let mut rng = StdRng::seed_from_u64(0xA001);
     for _ in 0..CASES {
         let (a, b) = (rand_vec(&mut rng, 16), rand_vec(&mut rng, 16));
-        let d1 = Metric::L2.distance(&a, &b);
-        let d2 = Metric::L2.distance(&b, &a);
+        let d1 = ops::l2_sq(&a, &b);
+        let d2 = ops::l2_sq(&b, &a);
         assert!((d1 - d2).abs() <= 1e-3 * (1.0 + d1.abs()));
     }
 }
@@ -31,8 +31,8 @@ fn l2_identity_and_nonnegativity() {
     let mut rng = StdRng::seed_from_u64(0xA002);
     for _ in 0..CASES {
         let a = rand_vec(&mut rng, 16);
-        assert_eq!(Metric::L2.distance(&a, &a), 0.0);
-        assert!(Metric::L2.distance(&a, &[0.0; 16]) >= 0.0);
+        assert_eq!(ops::l2_sq(&a, &a), 0.0);
+        assert!(ops::l2_sq(&a, &[0.0; 16]) >= 0.0);
     }
 }
 
@@ -44,20 +44,10 @@ fn l2_triangle_inequality_on_sqrt() {
         let b = rand_vec(&mut rng, 8);
         let c = rand_vec(&mut rng, 8);
         // L2 is squared; the triangle inequality holds for its square root.
-        let ab = Metric::L2.distance(&a, &b).sqrt();
-        let bc = Metric::L2.distance(&b, &c).sqrt();
-        let ac = Metric::L2.distance(&a, &c).sqrt();
+        let ab = ops::l2_sq(&a, &b).sqrt();
+        let bc = ops::l2_sq(&b, &c).sqrt();
+        let ac = ops::l2_sq(&a, &c).sqrt();
         assert!(ac <= ab + bc + 1e-3);
-    }
-}
-
-#[test]
-fn cosine_bounded() {
-    let mut rng = StdRng::seed_from_u64(0xA004);
-    for _ in 0..CASES {
-        let (a, b) = (rand_vec(&mut rng, 8), rand_vec(&mut rng, 8));
-        let d = Metric::Cosine.distance(&a, &b);
-        assert!((-1e-5..=2.0 + 1e-5).contains(&d), "cosine distance {d}");
     }
 }
 
@@ -113,12 +103,12 @@ fn weighted_concat_identity() {
         let wt = rng.gen_range(0.1f32..4.0);
         let wi = rng.gen_range(0.1f32..4.0);
         let w = Weights::normalized(&[wt, wi]);
-        let fused = a.fused_distance(&b, &w, Metric::L2);
+        let fused = a.fused_distance(&b, &w);
         let mut fa = a.concat(&schema);
         let mut fb = b.concat(&schema);
         w.scale_concat(&schema, &mut fa);
         w.scale_concat(&schema, &mut fb);
-        let flat = Metric::L2.distance(&fa, &fb);
+        let flat = ops::l2_sq(&fa, &fb);
         assert!(
             (fused - flat).abs() <= 1e-2 * (1.0 + fused.abs()),
             "fused {fused} flat {flat}"
@@ -138,7 +128,7 @@ fn scan_decision_matches_exact_comparison() {
         let bound = rng.gen_range(0.0f32..500.0);
         let wt = rng.gen_range(0.1f32..3.0);
         let w = Weights::normalized(&[wt, 2.0 - wt.min(1.9)]);
-        let exact = q.fused_distance(&o, &w, Metric::L2);
+        let exact = q.fused_distance(&o, &w);
         let mut scanner = FusedScanner::new(&schema, &q, &w, Metric::L2);
         match scanner.distance(&o.concat(&schema), bound) {
             Some(d) => assert!((d - exact).abs() <= 1e-2 * (1.0 + exact)),
@@ -256,10 +246,10 @@ fn robust_prune_output_well_formed() {
         }
         let v = 0u32;
         let mut cands: Vec<Candidate> = (1..n as u32)
-            .map(|u| Candidate::new(u, Metric::L2.distance(store.get(v), store.get(u))))
+            .map(|u| Candidate::new(u, ops::l2_sq(store.get(v), store.get(u))))
             .collect();
         let nearest = cands.iter().min().map(|c| c.id);
-        let selected = robust_prune(&store, Metric::L2, v, &mut cands, alpha, r);
+        let selected = robust_prune(&store, v, &mut cands, alpha, r);
         assert!(selected.len() <= r);
         assert!(!selected.contains(&v), "self loop");
         let mut dedup = selected.clone();
@@ -300,7 +290,7 @@ fn beam_search_output_well_formed() {
             g.add_edge(v, ((v as usize + 1) % n) as u32);
             g.add_edge(v, ((v as usize + n - 1) % n) as u32);
         }
-        let mut dist = FlatDistance::new(&store, &query, Metric::L2).expect("dims match");
+        let mut dist = FlatDistance::new(&store, &query).expect("dims match");
         let out = beam_search(&g, &[0], &mut dist, k, ef, &mut SearchScratch::new());
         assert!(out.results.len() <= k);
         assert!(!out.results.is_empty());
@@ -311,7 +301,7 @@ fn beam_search_output_well_formed() {
         }
         // every reported distance is the true distance
         for c in &out.results {
-            let true_d = Metric::L2.distance(&query, store.get(c.id));
+            let true_d = ops::l2_sq(&query, store.get(c.id));
             assert!((c.dist - true_d).abs() < 1e-3);
         }
         // with ef >= n on a connected graph the true nearest is found
@@ -319,7 +309,7 @@ fn beam_search_output_well_formed() {
             let best = (0..n as u32).min_by(|&a, &b| {
                 Metric::L2
                     .distance(&query, store.get(a))
-                    .total_cmp(&Metric::L2.distance(&query, store.get(b)))
+                    .total_cmp(&ops::l2_sq(&query, store.get(b)))
             });
             assert_eq!(Some(out.results[0].id), best);
         }
@@ -341,7 +331,7 @@ fn repaired_graphs_reach_every_vertex() {
             store.push(&v);
         }
         let store = Arc::new(store);
-        let nav = mqa::graph::vamana::build(&store, Metric::L2, 10, 24, 1.2, trial as u64);
+        let nav = mqa::graph::vamana::build(&store, 10, 24, 1.2, trial as u64);
         assert_eq!(
             nav.graph().reachable_count(nav.entries()[0]),
             n,
