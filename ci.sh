@@ -21,6 +21,11 @@ cargo run -q --offline -p mqa-xtask -- flow
 echo "==> mqa-xtask alloc (allocation-freedom reachability)"
 cargo run -q --offline -p mqa-xtask -- alloc
 
+echo "==> cargo doc (intra-doc links)"
+# A doc link to a renamed or deleted item fails here instead of rotting
+# into plain text.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace --offline
+
 echo "==> mqa-xtask trace (per-query tracing gate)"
 cargo run -q --release --offline -p mqa-xtask -- trace --out results/trace
 

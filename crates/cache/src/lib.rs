@@ -6,8 +6,9 @@
 //! 1. **Page cache** ([`PageCache`]): a presence cache over Starling's
 //!    4 KiB page ids, shared by every worker of the concurrent
 //!    `QueryEngine`. The paged index consults it before charging the
-//!    simulated [`DeviceProfile`] read latency, so repeated queries over
-//!    hot graph neighbourhoods pay the device cost once — results stay
+//!    simulated `DeviceProfile` read latency (`mqa-graph`'s Starling
+//!    module), so repeated queries over hot graph neighbourhoods pay the
+//!    device cost once — results stay
 //!    bit-identical because only the *timing* of a page read changes,
 //!    never the search decisions.
 //! 2. **Result cache** ([`ResultCache`]): a turn-level value cache keyed
@@ -22,8 +23,6 @@
 //! lock acquisition, an observability call, or a blocking operation.
 //! Metrics are recorded on handles cached at construction time, after
 //! the shard guard has been dropped.
-//!
-//! [`DeviceProfile`]: https://docs.rs/ — see `mqa-graph`'s Starling module.
 
 pub mod clock;
 pub mod fingerprint;

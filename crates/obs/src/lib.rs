@@ -8,7 +8,7 @@
 //!    gauges, and log2-bucketed histograms. Recording is lock-cheap —
 //!    handles hold `Arc<AtomicU64>`s, so hot loops never touch the registry
 //!    mutex after the first lookup.
-//! 2. **Spans** ([`span`]): RAII timing guards with parent/child nesting
+//! 2. **Spans** ([`mod@span`]): RAII timing guards with parent/child nesting
 //!    tracked on a per-thread stack. Closing a span folds its duration into
 //!    a per-name histogram in the registry and into the active trace.
 //! 3. **Traces** ([`trace`]): per-query causal chains carried across the

@@ -1,6 +1,6 @@
 //! The `mutate` command: the online-mutation gate.
 //!
-//! A seeded corpus is served by a 2-worker [`QueryEngine`] while the main
+//! A seeded corpus is served by a 2-worker [`mqa_engine::QueryEngine`] while the main
 //! thread runs a scripted insert/delete mix through
 //! [`MqaSystem::add_objects`] / [`MqaSystem::remove_objects`] — the
 //! configuration the snapshot-publication refactor exists for. The gate

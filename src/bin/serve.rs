@@ -4,7 +4,7 @@
 //! Type multi-modal queries, click results by number, refine, and watch
 //! the retrieval statistics.
 //!
-//! Every turn is routed through [`QueryEngine`]'s one queue with
+//! Every turn is routed through [`QueryEngine`](mqa::engine::QueryEngine)'s one queue with
 //! admission control enabled, so overload surfaces as *typed* shed
 //! outcomes at the prompt instead of unbounded queueing.
 //!
