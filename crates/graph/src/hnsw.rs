@@ -11,7 +11,7 @@
 use crate::live::Tombstones;
 use crate::prune::hnsw_heuristic;
 use crate::scratch::{SearchScratch, VisitedSet};
-use crate::search::{search_into, SearchOutput, Seeds, WalkGraph};
+use crate::search::{search_into, SearchOutput, SearchStats, Seeds, WalkGraph};
 use crate::traits::{DistanceFn, FlatDistance};
 use crate::validate::InvariantViolation;
 use mqa_rng::StdRng;
@@ -129,7 +129,7 @@ impl Hnsw {
         // Greedy descent through layers above the node's level.
         let mut lc = self.max_level;
         while lc > level {
-            ep = self.greedy_step(&mut dist, ep, lc);
+            ep = self.greedy_step(&mut dist, ep, lc, &mut SearchStats::default());
             lc -= 1;
         }
 
@@ -180,16 +180,21 @@ impl Hnsw {
         }
     }
 
-    /// One greedy (ef = 1) routing step through layer `lc`.
+    /// One greedy (ef = 1) routing step through layer `lc`, counting each
+    /// neighbour list read as a hop and each evaluation in `stats`.
     fn greedy_step<D: DistanceFn + ?Sized>(
         &self,
         dist: &mut D,
         mut ep: Candidate,
         lc: usize,
+        stats: &mut SearchStats,
     ) -> Candidate {
         loop {
             let mut improved = false;
-            for &u in self.neighbors(ep.id, lc) {
+            let neighbors = self.neighbors(ep.id, lc);
+            stats.hops += 1;
+            stats.evals += neighbors.len() as u64;
+            for &u in neighbors {
                 let d = dist.exact(u);
                 if d < ep.dist {
                     ep = Candidate::new(u, d);
@@ -318,20 +323,21 @@ impl Hnsw {
         ef: usize,
         scratch: &mut SearchScratch,
     ) -> SearchOutput {
+        // The entry evaluation, then the upper-layer routing.
+        let mut routing = SearchStats {
+            evals: 1,
+            ..SearchStats::default()
+        };
         let mut ep = Candidate::new(self.entry, dist.exact(self.entry));
-        let mut routing_hops = 0;
         for lc in (1..=self.max_level).rev() {
-            ep = self.greedy_step(dist, ep, lc);
-            routing_hops += 1;
+            ep = self.greedy_step(dist, ep, lc, &mut routing);
         }
         // ALLOC: the returned hit list, sized once by the copy.
         let mut results = Vec::new();
         let base = self.layer(0);
         let seed = Seeds::Evaluated(ep);
         let mut stats = search_into(&base, seed, dist, k, ef, scratch, &mut results);
-        // Plus the entry evaluation and one routing hop per upper layer.
-        stats.evals += 1;
-        stats.hops += routing_hops;
+        stats.merge(&routing);
         SearchOutput { results, stats }
     }
 

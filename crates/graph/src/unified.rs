@@ -1069,6 +1069,30 @@ mod tests {
         }
     }
 
+    /// A search's walk counters and its scanner's counters describe the
+    /// same evaluations: every completed one (HNSW's upper-layer routing
+    /// included) is a `SearchStats::evals`, every abandoned one a
+    /// `SearchStats::pruned`, for every family.
+    #[test]
+    fn search_stats_count_every_scanner_evaluation() {
+        for algo in families() {
+            let name = algo.name();
+            let idx = build_small(400, 41, &algo);
+            let schema = idx.store().schema().clone();
+            let mut rng = StdRng::seed_from_u64(42);
+            for i in 0..20 {
+                let mut q = random_object(&schema, &mut rng);
+                if i % 2 == 1 {
+                    q = MultiVector::partial(&schema, vec![q.part(0).map(<[f32]>::to_vec), None]);
+                }
+                let out = idx.search(&q, None, 5, 32);
+                let (walk, scan) = (out.output.stats, out.scan);
+                assert_eq!(walk.evals, scan.full_evals, "{name} query {i}: evals");
+                assert_eq!(walk.pruned, scan.abandoned, "{name} query {i}: pruned");
+            }
+        }
+    }
+
     /// Mean completed evaluations per query over `queries`, none of whose
     /// answers may be dead.
     fn mean_evals(idx: &UnifiedIndex, queries: &[MultiVector]) -> f64 {
