@@ -117,8 +117,8 @@ fn main() {
     for (name, pipeline) in variants {
         let weighted = Arc::new(enc.corpus.store().weighted_store(&enc.learned.weights));
         let nav = pipeline.run(&weighted, name);
-        let degree = nav.report().avg_degree;
-        let connectivity = nav.report().connectivity;
+        let degree = nav.graph().avg_degree();
+        let connectivity = nav.connectivity();
         let store = enc.corpus.store().clone();
         let tombstones = Tombstones::new(store.len());
         let index = UnifiedIndex::from_parts(

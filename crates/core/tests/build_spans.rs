@@ -26,7 +26,6 @@ fn one_build_records_one_span_per_stage_under_its_layer() {
         ("graph.build.entry_selection", "graph.mqa-graph.build"),
         ("graph.build.refinement", "graph.mqa-graph.build"),
         ("graph.build.connectivity_repair", "graph.mqa-graph.build"),
-        ("graph.build.finalization", "graph.mqa-graph.build"),
     ];
     for (name, parent) in stages {
         let span = snap

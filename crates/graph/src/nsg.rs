@@ -56,12 +56,12 @@ mod tests {
     fn nsg_is_connected_and_bounded() {
         let s = store(600, 8, 1);
         let nav = build(&s, 16, 40, 12, 0);
-        assert!((nav.report().connectivity - 1.0).abs() < 1e-9);
+        assert!((nav.connectivity() - 1.0).abs() < 1e-9);
         // Repair may add a handful of overflow edges beyond r.
         assert!(
-            nav.report().max_degree <= 16 + 4,
+            nav.graph().max_degree() <= 16 + 4,
             "max {}",
-            nav.report().max_degree
+            nav.graph().max_degree()
         );
     }
 

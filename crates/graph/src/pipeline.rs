@@ -15,12 +15,11 @@
 //!    the evolving graph from the entry, Vamana-style) and prune it to a
 //!    bounded diverse out-neighbour set, inserting pruned reverse edges;
 //! 4. **Connectivity repair** ([`RepairStage`]) — attach any vertex
-//!    unreachable from the entry;
-//! 5. **Finalization** — statistics and the [`BuildReport`].
+//!    unreachable from the entry.
 //!
 //! [`GraphPipeline::run`] calls the stages in that order, each under one
-//! `graph.build.*` span, so a custom graph is literally a different stage
-//! configuration:
+//! `graph.build.*` span whose duration is the [`BuildReport`], so a custom
+//! graph is literally a different stage configuration:
 //!
 //! * **NSG** = kNN init + single refine pass at `α = 1` + repair + medoid;
 //! * **Vamana/DiskANN** = random init + two refine passes at `α > 1` +
@@ -199,20 +198,13 @@ pub struct GraphPipeline {
     pub repair: RepairStage,
 }
 
-/// Construction diagnostics, surfaced by the status-monitoring panel and
-/// recorded by the E7 index experiments.
+/// What the build took, stage by stage. The graph's shape (degrees, edge
+/// count, [`NavGraph::connectivity`]) is read from the graph itself, so it
+/// cannot go stale when the graph grows or compacts.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BuildReport {
     /// Per-stage wall-clock timings, in execution order.
     pub stage_timings: Vec<(String, Duration)>,
-    /// Mean out-degree of the final graph.
-    pub avg_degree: f64,
-    /// Maximum out-degree.
-    pub max_degree: usize,
-    /// Directed edge count.
-    pub edges: usize,
-    /// Fraction of vertices reachable from the first entry.
-    pub connectivity: f64,
 }
 
 /// A pipeline-built navigation graph ready for search.
@@ -242,9 +234,20 @@ impl NavGraph {
         &self.entries
     }
 
-    /// Construction diagnostics.
+    /// Construction timings.
     pub fn report(&self) -> &BuildReport {
         &self.report
+    }
+
+    /// Fraction of vertices reachable from the first entry (0 for an
+    /// empty graph or one without an in-range entry).
+    pub fn connectivity(&self) -> f64 {
+        match self.entries.first() {
+            Some(&e0) if (e0 as usize) < self.graph.len() => {
+                self.graph.reachable_count(e0) as f64 / self.graph.len() as f64
+            }
+            _ => 0.0,
+        }
     }
 
     /// Audits the structural invariants of the built graph against the
@@ -257,10 +260,7 @@ impl NavGraph {
     /// - adjacency lists have in-range endpoints, no self-loops, no
     ///   duplicates;
     /// - every clean prefix is what it claims to be
-    ///   ([`crate::validate::check_clean_prefixes`]);
-    /// - the recorded [`BuildReport`] matches the structure it describes
-    ///   (max degree, edge count, connectivity recomputed from the first
-    ///   entry).
+    ///   ([`crate::validate::check_clean_prefixes`]).
     pub fn validate(&self, store: &VectorStore) -> Vec<InvariantViolation> {
         let n = self.graph.len();
         let mut out =
@@ -294,31 +294,6 @@ impl NavGraph {
                 });
             }
         }
-        if self.report.max_degree != self.graph.max_degree() {
-            out.push(InvariantViolation::StaleReport {
-                context: format!("navgraph {} max_degree", self.name),
-                expected: self.graph.max_degree().to_string(),
-                got: self.report.max_degree.to_string(),
-            });
-        }
-        if self.report.edges != self.graph.edge_count() {
-            out.push(InvariantViolation::StaleReport {
-                context: format!("navgraph {} edges", self.name),
-                expected: self.graph.edge_count().to_string(),
-                got: self.report.edges.to_string(),
-            });
-        }
-        let entry0 = self.entries.first().copied();
-        if let Some(e0) = entry0.filter(|&e| (e as usize) < n) {
-            let conn = self.graph.reachable_count(e0) as f64 / n as f64;
-            if (conn - self.report.connectivity).abs() > 1e-9 {
-                out.push(InvariantViolation::StaleReport {
-                    context: format!("navgraph {} connectivity", self.name),
-                    expected: format!("{conn:.6}"),
-                    got: format!("{:.6}", self.report.connectivity),
-                });
-            }
-        }
         out
     }
 
@@ -338,22 +313,6 @@ impl NavGraph {
             store,
             alpha,
         )
-    }
-
-    /// Recomputes the structural diagnostics of the report from the graph
-    /// (stage timings are kept — they describe the original build). Every
-    /// online mutation ends with this so [`NavGraph::validate`]'s
-    /// stale-report checks keep holding on mutated graphs.
-    fn refresh_report(&mut self) {
-        self.report.avg_degree = self.graph.avg_degree();
-        self.report.max_degree = self.graph.max_degree();
-        self.report.edges = self.graph.edge_count();
-        self.report.connectivity = match self.entries.first() {
-            Some(&e0) if !self.graph.is_empty() && (e0 as usize) < self.graph.len() => {
-                self.graph.reachable_count(e0) as f64 / self.graph.len() as f64
-            }
-            _ => 0.0,
-        };
     }
 
     /// Incrementally links every not-yet-indexed vector of `store` into
@@ -376,7 +335,6 @@ impl NavGraph {
                 link_vertex(graph, entries, store, recipe, tomb, v, scratch);
             }
         });
-        self.refresh_report();
     }
 
     /// Rewires the graph around the dead vertices of `tomb`: a live
@@ -405,12 +363,11 @@ impl NavGraph {
                 self.graph.set_pruned(v as VecId, list);
             }
         }
-        self.refresh_report();
     }
 }
 
 impl GraphPipeline {
-    /// Runs the five stages in order and returns the built graph. Each
+    /// Runs the stages in order and returns the built graph. Each
     /// stage runs under one `graph.build.*` span whose duration is its
     /// entry in [`BuildReport::stage_timings`].
     ///
@@ -418,7 +375,7 @@ impl GraphPipeline {
     /// Panics if the store is empty.
     pub fn run(&self, store: &Arc<VectorStore>, name: &str) -> NavGraph {
         assert!(!store.is_empty(), "pipeline requires a non-empty store");
-        let mut stage_timings = Vec::with_capacity(5);
+        let mut stage_timings = Vec::with_capacity(4);
         let mut timed = |stage: &str, span: mqa_obs::SpanGuard| {
             stage_timings.push((stage.to_string(), span.finish()));
         };
@@ -439,24 +396,10 @@ impl GraphPipeline {
         let graph = run_repair(&self.repair, store, graph, &entries);
         timed("connectivity_repair", span);
 
-        let span = mqa_obs::span("graph.build.finalization");
-        let connectivity = match entries.first() {
-            Some(&e0) if !graph.is_empty() => graph.reachable_count(e0) as f64 / graph.len() as f64,
-            _ => 0.0,
-        };
-        timed("finalization", span);
-
-        let report = BuildReport {
-            stage_timings,
-            avg_degree: graph.avg_degree(),
-            max_degree: graph.max_degree(),
-            edges: graph.edge_count(),
-            connectivity,
-        };
         NavGraph {
             graph,
             entries,
-            report,
+            report: BuildReport { stage_timings },
             name: name.to_string(),
             l: self.refine.l,
             select: self.select,
@@ -1029,12 +972,12 @@ mod tests {
                 _ => unreachable!(),
             };
             assert!(
-                (nav.report().connectivity - 1.0).abs() < 1e-9,
+                (nav.connectivity() - 1.0).abs() < 1e-9,
                 "{} connectivity {}",
                 algo.name(),
-                nav.report().connectivity
+                nav.connectivity()
             );
-            assert!(nav.report().max_degree > 0);
+            assert!(nav.graph().max_degree() > 0);
         }
     }
 
@@ -1055,9 +998,9 @@ mod tests {
         // Repair can add one extra edge per unreachable vertex; without
         // repair the bound holds strictly.
         assert!(
-            nav.report().max_degree <= 12,
+            nav.graph().max_degree() <= 12,
             "max degree {}",
-            nav.report().max_degree
+            nav.graph().max_degree()
         );
     }
 
@@ -1085,7 +1028,6 @@ mod tests {
                 "entry_selection",
                 "refinement",
                 "connectivity_repair",
-                "finalization"
             ]
         );
     }
@@ -1252,8 +1194,6 @@ mod tests {
         // Adjacency defects surface through the shared checker.
         let mut g = sound.clone();
         g.graph.lists_mut()[0].push(0);
-        // The edit also desynchronizes the report, so look specifically
-        // for the self-loop.
         assert!(audit(&g)
             .iter()
             .any(|x| matches!(x, V::SelfLoop { id: 0, .. })));
@@ -1264,19 +1204,9 @@ mod tests {
         assert!(audit(&g).iter().any(|x| matches!(x, V::BadEntry { .. })));
 
         // Duplicate entries.
-        let mut g = sound.clone();
+        let mut g = sound;
         g.entries.push(g.entries[0]);
         assert!(audit(&g).iter().any(|x| matches!(x, V::BadEntry { .. })));
-
-        // Forged report: edge count no longer matches the structure.
-        let mut g = sound.clone();
-        g.report.edges += 7;
-        assert!(audit(&g).iter().any(|x| matches!(x, V::StaleReport { .. })));
-
-        // Forged connectivity.
-        let mut g = sound;
-        g.report.connectivity /= 2.0;
-        assert!(audit(&g).iter().any(|x| matches!(x, V::StaleReport { .. })));
     }
 
     /// A clean length forged over a list that is not a prune result is
@@ -1317,7 +1247,6 @@ mod tests {
             }
         }
         g.graph.clean_mut()[v as usize] = g.graph.degree(v) as u32;
-        g.refresh_report();
         assert!(flagged(&g, v));
         let full = clustered_store(340, 8, 6, 13);
         g.extend_from(&full, &Tombstones::new(0));

@@ -96,16 +96,6 @@ pub enum InvariantViolation {
         /// Where the NaN/infinity sits.
         context: String,
     },
-    /// A recorded build diagnostic that disagrees with the structure it
-    /// describes (stale or forged report).
-    StaleReport {
-        /// Which diagnostic disagrees.
-        context: String,
-        /// The value recomputed from the structure.
-        expected: String,
-        /// The recorded value.
-        got: String,
-    },
     /// A tombstone count disagreeing with its bitmap (corrupted or forged
     /// deletion state).
     DeadCountMismatch {
@@ -211,16 +201,6 @@ impl fmt::Display for InvariantViolation {
                 write!(f, "{context}: expected {expected}, got {got}")
             }
             Self::NonFinite { context } => write!(f, "{context}: non-finite value"),
-            Self::StaleReport {
-                context,
-                expected,
-                got,
-            } => {
-                write!(
-                    f,
-                    "stale report: {context} recorded as {got}, recomputed {expected}"
-                )
-            }
             Self::DeadCountMismatch {
                 context,
                 recorded,

@@ -56,7 +56,7 @@ mod tests {
     fn vamana_is_connected() {
         let s = store(600, 8, 1);
         let nav = build(&s, 16, 40, 1.2, 0);
-        assert!((nav.report().connectivity - 1.0).abs() < 1e-9);
+        assert!((nav.connectivity() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -77,10 +77,10 @@ mod tests {
         let tight = build(&s, 16, 40, 1.0, 0);
         let loose = build(&s, 16, 40, 1.6, 0);
         assert!(
-            loose.report().avg_degree >= tight.report().avg_degree,
+            loose.graph().avg_degree() >= tight.graph().avg_degree(),
             "alpha 1.6 degree {} < alpha 1.0 degree {}",
-            loose.report().avg_degree,
-            tight.report().avg_degree
+            loose.graph().avg_degree(),
+            tight.graph().avg_degree()
         );
     }
 

@@ -58,9 +58,9 @@ const CLOCK_SLACK_US: u64 = 5_000;
 
 /// Spans that must appear in the snapshot after the scenario: one per
 /// instrumented pipeline layer (system build and its three components,
-/// graph build and its five stages, retrieval stages, diversification,
+/// graph build and its four stages, retrieval stages, diversification,
 /// generation, end-to-end turn).
-const REQUIRED_SPANS: [&str; 16] = [
+const REQUIRED_SPANS: [&str; 15] = [
     "core.build",
     "core.build.data_preprocessing",
     "core.build.vector_representation",
@@ -70,7 +70,6 @@ const REQUIRED_SPANS: [&str; 16] = [
     "graph.build.entry_selection",
     "graph.build.refinement",
     "graph.build.connectivity_repair",
-    "graph.build.finalization",
     "retrieval.must.search",
     "retrieval.must.encode",
     "retrieval.must.index_search",

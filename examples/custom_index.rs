@@ -46,12 +46,12 @@ fn main() {
     };
     let t0 = std::time::Instant::now();
     let nav = custom.run(&store, "custom-cheap");
-    let (report, nav) = (nav.report().clone(), BuiltGraph::Nav(nav));
+    let (report, connectivity) = (nav.report().clone(), nav.connectivity());
+    let nav = BuiltGraph::Nav(nav);
     println!(
-        "custom graph: built in {:.2}s, {}, connectivity {:.3}",
+        "custom graph: built in {:.2}s, {}, connectivity {connectivity:.3}",
         t0.elapsed().as_secs_f64(),
         nav.describe(),
-        report.connectivity
     );
     for (stage, d) in &report.stage_timings {
         println!("  stage {:<20} {:.1} ms", stage, d.as_secs_f64() * 1e3);
