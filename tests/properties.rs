@@ -307,9 +307,7 @@ fn beam_search_output_well_formed() {
         // with ef >= n on a connected graph the true nearest is found
         if ef >= n {
             let best = (0..n as u32).min_by(|&a, &b| {
-                Metric::L2
-                    .distance(&query, store.get(a))
-                    .total_cmp(&ops::l2_sq(&query, store.get(b)))
+                ops::l2_sq(&query, store.get(a)).total_cmp(&ops::l2_sq(&query, store.get(b)))
             });
             assert_eq!(Some(out.results[0].id), best);
         }
