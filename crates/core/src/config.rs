@@ -112,7 +112,16 @@ impl Config {
                 )));
             }
         }
-        Ok(())
+        match index_rules(&self.index)
+            .into_iter()
+            .find(|(_, holds)| !holds)
+        {
+            Some((rule, _)) => Err(MqaError::InvalidConfig(format!(
+                "{} index: {rule}",
+                self.index.name()
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Exports the panel state as JSON.
@@ -127,6 +136,38 @@ impl Config {
     /// Returns [`MqaError::InvalidConfig`] with the parse error message.
     pub fn from_json(json: &str) -> Result<Self, MqaError> {
         serde_json::from_str(json).map_err(|e| MqaError::InvalidConfig(e.to_string()))
+    }
+}
+
+/// The index parameters the builders assert on, each named with whether
+/// `index` meets it: a configuration that breaks one would panic inside
+/// `MqaSystem::build`.
+fn index_rules(index: &IndexAlgorithm) -> Vec<(&'static str, bool)> {
+    let alpha_rule = |alpha: f32| ("alpha must be >= 1.0", alpha >= 1.0);
+    match *index {
+        IndexAlgorithm::Flat => Vec::new(),
+        IndexAlgorithm::Hnsw(p) => vec![
+            ("m must be >= 2", p.m >= 2),
+            ("ef_construction must be >= 1", p.ef_construction >= 1),
+        ],
+        IndexAlgorithm::Nsg { r, l, knn_k, .. } => vec![
+            ("r must be >= 1", r >= 1),
+            ("l must be >= 1", l >= 1),
+            ("knn_k must be >= 1", knn_k >= 1),
+        ],
+        IndexAlgorithm::Vamana { r, l, alpha, .. } => vec![
+            ("r must be >= 1", r >= 1),
+            ("l must be >= 1", l >= 1),
+            alpha_rule(alpha),
+        ],
+        IndexAlgorithm::MqaGraph {
+            r, l, alpha, knn_k, ..
+        } => vec![
+            ("r must be >= 1", r >= 1),
+            ("l must be >= 1", l >= 1),
+            alpha_rule(alpha),
+            ("knn_k must be >= 1", knn_k >= 1),
+        ],
     }
 }
 
@@ -165,6 +206,78 @@ mod tests {
             ..Config::default()
         };
         assert!(cfg.validate().is_err());
+    }
+
+    /// Every index parameter a builder panics or aborts on is a typed
+    /// configuration error naming the knob.
+    #[test]
+    fn index_parameters_that_panic_the_builders_are_rejected() {
+        use mqa_graph::hnsw::HnswParams;
+        let hnsw = |m, ef_construction| {
+            IndexAlgorithm::Hnsw(HnswParams {
+                m,
+                ef_construction,
+                ..HnswParams::default()
+            })
+        };
+        let nsg = |r, l, knn_k| IndexAlgorithm::Nsg {
+            r,
+            l,
+            knn_k,
+            seed: 0,
+        };
+        let vamana = |r, l, alpha| IndexAlgorithm::Vamana {
+            r,
+            l,
+            alpha,
+            seed: 0,
+        };
+        let mqa = |r, l, alpha, knn_k| IndexAlgorithm::MqaGraph {
+            r,
+            l,
+            alpha,
+            knn_k,
+            seed: 0,
+        };
+        let rows = [
+            (hnsw(0, 100), "m must be"),
+            (hnsw(1, 100), "m must be"),
+            (hnsw(16, 0), "ef_construction"),
+            (nsg(0, 64, 20), "r must be"),
+            (nsg(24, 0, 20), "l must be"),
+            (nsg(24, 64, 0), "knn_k"),
+            (vamana(0, 64, 1.2), "r must be"),
+            (vamana(24, 0, 1.2), "l must be"),
+            (vamana(24, 64, 0.5), "alpha"),
+            (mqa(0, 64, 1.2, 20), "r must be"),
+            (mqa(24, 0, 1.2, 20), "l must be"),
+            (mqa(24, 64, 0.5, 20), "alpha"),
+            (mqa(24, 64, f32::NAN, 20), "alpha"),
+            (mqa(24, 64, 1.2, 0), "knn_k"),
+        ];
+        for (index, knob) in rows {
+            let cfg = Config {
+                index: index.clone(),
+                ..Config::default()
+            };
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                matches!(&err, MqaError::InvalidConfig(m) if m.contains(knob)),
+                "{index:?}: {err:?}"
+            );
+        }
+        for index in [
+            hnsw(2, 1),
+            nsg(1, 1, 1),
+            vamana(1, 1, 1.0),
+            mqa(1, 1, 1.0, 1),
+        ] {
+            let cfg = Config {
+                index,
+                ..Config::default()
+            };
+            assert!(cfg.validate().is_ok(), "{:?}", cfg.index);
+        }
     }
 
     #[test]

@@ -6,16 +6,19 @@
 //! linking with overflow re-pruning. Built directly (its layered structure
 //! does not flatten into the five-stage pipeline) and searched through the
 //! same [`crate::BuiltGraph`] dispatcher as the pipeline-built graphs,
-//! which is what makes it selectable from the configuration panel.
+//! which is what makes it selectable from the configuration panel. Each
+//! layer is an [`Adjacency`] over the whole population, so the layers are
+//! edited, walked, compacted and checked by the code the flat graphs use.
 
+use crate::adjacency::Adjacency;
 use crate::live::Tombstones;
-use crate::prune::hnsw_heuristic;
-use crate::scratch::{SearchScratch, VisitedSet};
-use crate::search::{search_into, SearchOutput, SearchStats, Seeds, WalkGraph};
+use crate::prune::{candidates_of, hnsw_heuristic};
+use crate::scratch::SearchScratch;
+use crate::search::{search_into, SearchOutput, SearchStats, Seeds};
 use crate::traits::{DistanceFn, FlatDistance};
-use crate::validate::InvariantViolation;
+use crate::validate::{check_adjacency, InvariantViolation};
 use mqa_rng::StdRng;
-use mqa_vector::{ops, Candidate, VecId, VectorStore};
+use mqa_vector::{Candidate, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
 
 /// HNSW hyper-parameters.
@@ -39,13 +42,26 @@ impl Default for HnswParams {
     }
 }
 
+impl HnswParams {
+    /// Degree cap of layer `level`: `2m` at the base, `m` above.
+    fn cap(&self, level: usize) -> usize {
+        if level == 0 {
+            self.m * 2
+        } else {
+            self.m
+        }
+    }
+}
+
 /// A built HNSW index.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Hnsw {
-    /// `links[v][level]` = out-neighbours of `v` at `level`.
-    links: Vec<Vec<Vec<VecId>>>,
+    /// `layers[l]` = every vertex's out-neighbours at level `l`; a vertex's
+    /// lists above its own level stay empty.
+    layers: Vec<Adjacency>,
+    /// Each vertex's top level.
+    levels: Vec<u8>,
     entry: VecId,
-    max_level: usize,
     params: HnswParams,
 }
 
@@ -53,52 +69,23 @@ impl Hnsw {
     /// Builds the index over every vector of `store`.
     ///
     /// # Panics
-    /// Panics if the store is empty or `m == 0`.
+    /// Panics if the store is empty, `m < 2` (the level multiplier is
+    /// `1 / ln m`) or `ef_construction == 0`.
     pub fn build(store: &VectorStore, params: &HnswParams) -> Self {
         assert!(!store.is_empty(), "HNSW over an empty store");
-        assert!(params.m > 0, "HNSW requires m >= 1");
-        let n = store.len();
+        assert!(params.m >= 2, "HNSW requires m >= 2");
+        assert!(
+            params.ef_construction > 0,
+            "HNSW requires ef_construction >= 1"
+        );
         let mut hnsw = Hnsw {
-            links: Vec::with_capacity(n),
+            layers: Vec::new(),
+            levels: Vec::with_capacity(store.len()),
             entry: 0,
-            max_level: 0,
             params: *params,
         };
-        let live = Tombstones::new(0);
-        let mut scratch = SearchScratch::new();
-        for _ in 0..n {
-            hnsw.insert_next(store, &live, &mut scratch);
-        }
+        hnsw.extend_from(store, &Tombstones::new(0));
         hnsw
-    }
-
-    /// Inserts the next not-yet-indexed vector of `store`.
-    ///
-    /// The vertex inserted is always `self.len()`; its level derives
-    /// deterministically from `(seed, id)`, so batch builds and incremental
-    /// growth produce identical indexes.
-    ///
-    /// # Panics
-    /// Panics if the store holds no vector beyond the indexed population.
-    fn insert_next(&mut self, store: &VectorStore, tomb: &Tombstones, scratch: &mut SearchScratch) {
-        let v = self.links.len() as VecId;
-        assert!(
-            (v as usize) < store.len(),
-            "no unindexed vector: index covers {} of {}",
-            self.links.len(),
-            store.len()
-        );
-        let level_mult = 1.0 / (self.params.m as f64).ln().max(f64::EPSILON);
-        let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0x9A55 ^ (v as u64) << 17);
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let level = (-u.ln() * level_mult).floor() as usize;
-        self.links.push(vec![Vec::new(); level + 1]);
-        if v == 0 {
-            self.max_level = level;
-            self.entry = 0;
-            return;
-        }
-        self.insert(store, tomb, v, level, scratch);
     }
 
     /// Appends every not-yet-indexed vector of `store` — incremental growth
@@ -106,66 +93,72 @@ impl Hnsw {
     /// *incremental* construction, which is how MQA can grow a knowledge
     /// base without a rebuild: push new objects to the store, then call
     /// this. Batch building and incremental growth produce identical
-    /// indexes (levels derive from `(seed, id)`). Ids `tomb` marks
-    /// compacted may still route (a retired entry) but are never linked to.
+    /// indexes: the vertex inserted is always `self.len()`, and its level
+    /// derives from `(seed, id)`. Ids `tomb` marks compacted may still
+    /// route (a retired entry) but are never linked to.
     pub fn extend_from(&mut self, store: &VectorStore, tomb: &Tombstones) {
         let mut scratch = SearchScratch::new();
-        while self.links.len() < store.len() {
-            self.insert_next(store, tomb, &mut scratch);
+        let level_mult = 1.0 / (self.params.m as f64).ln();
+        for v in self.len() as VecId..store.len() as VecId {
+            let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0x9A55 ^ (v as u64) << 17);
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            // INVARIANT: the cast saturates, and m >= 2 bounds the level
+            // by -ln(ε) / ln 2 < 53 anyway.
+            let level = (-u.ln() * level_mult).floor() as u8;
+            self.levels.push(level);
+            let n = self.levels.len();
+            for layer in &mut self.layers {
+                layer.grow(n);
+            }
+            if let Some(top) = self.layers.len().checked_sub(1) {
+                self.insert(store, tomb, v, usize::from(level), top, &mut scratch);
+            }
+            if usize::from(level) >= self.layers.len() {
+                self.layers
+                    .resize(usize::from(level) + 1, Adjacency::new(n));
+                self.entry = v;
+            }
         }
     }
 
+    /// Links `v` (top level `level`) into every layer up to `level` of an
+    /// index whose highest layer is `top`.
     fn insert(
         &mut self,
         store: &VectorStore,
         tomb: &Tombstones,
         v: VecId,
         level: usize,
+        top: usize,
         scratch: &mut SearchScratch,
     ) {
         let mut dist = FlatDistance::for_vertex(store, v);
         let mut ep = Candidate::new(self.entry, dist.exact(self.entry));
 
         // Greedy descent through layers above the node's level.
-        let mut lc = self.max_level;
-        while lc > level {
-            ep = self.greedy_step(&mut dist, ep, lc, &mut SearchStats::default());
-            lc -= 1;
+        for layer in self.layers.iter().take(top + 1).skip(level + 1).rev() {
+            ep = greedy_step(layer, &mut dist, ep, &mut SearchStats::default());
         }
 
-        // Beam insertion from min(level, max_level) down to 0.
+        // Beam insertion from min(level, top) down to 0.
         let ef = self.params.ef_construction;
         let mut cands = Vec::new();
-        for lc in (0..=level.min(self.max_level)).rev() {
-            let layer = self.layer(lc);
+        for lc in (0..=level.min(top)).rev() {
+            let cap = self.params.cap(lc);
+            // INVARIANT: lc <= top, the index of the last layer.
+            let layer = &mut self.layers[lc];
             let seed = Seeds::Evaluated(ep);
-            search_into(&layer, seed, &mut dist, ef, ef, scratch, &mut cands);
-            let cap = if lc == 0 {
-                self.params.m * 2
-            } else {
-                self.params.m
-            };
+            search_into(&*layer, seed, &mut dist, ef, ef, scratch, &mut cands);
             // A retired entry still seeds the walk; it is never selected.
             let mut pool = cands.clone();
             pool.retain(|c| !tomb.is_compacted(c.id));
             let selected = hnsw_heuristic(store, v, pool, cap);
-            for &u in &selected {
-                // INVARIANT: v and every candidate u are inserted vertices
-                // whose level lists extend past lc (selection is level-aware).
-                self.links[v as usize][lc].push(u);
-                let ul = &mut self.links[u as usize][lc];
-                if !ul.contains(&v) {
-                    ul.push(v);
-                    if ul.len() > cap {
-                        // Overflow: re-prune u's neighbours.
-                        let uv = store.get(u);
-                        let pool: Vec<Candidate> = ul
-                            .iter()
-                            .map(|&w| Candidate::new(w, ops::l2_sq(uv, store.get(w))))
-                            .collect();
-                        // INVARIANT: u's level list reaches lc (checked on entry).
-                        self.links[u as usize][lc] = hnsw_heuristic(store, u, pool, cap);
-                    }
+            layer.set_neighbors(v, selected.clone());
+            for u in selected {
+                if layer.add_edge(u, v) && layer.degree(u) > cap {
+                    // Overflow: re-prune u's neighbours.
+                    let pool = candidates_of(store, u, layer.neighbors(u)).collect();
+                    layer.set_neighbors(u, hnsw_heuristic(store, u, pool, cap));
                 }
             }
             // Best candidate of this layer seeds the next one down.
@@ -173,73 +166,22 @@ impl Hnsw {
                 ep = *best;
             }
         }
-
-        if level > self.max_level {
-            self.max_level = level;
-            self.entry = v;
-        }
-    }
-
-    /// One greedy (ef = 1) routing step through layer `lc`, counting each
-    /// neighbour list read as a hop and each evaluation in `stats`.
-    fn greedy_step<D: DistanceFn + ?Sized>(
-        &self,
-        dist: &mut D,
-        mut ep: Candidate,
-        lc: usize,
-        stats: &mut SearchStats,
-    ) -> Candidate {
-        loop {
-            let mut improved = false;
-            let neighbors = self.neighbors(ep.id, lc);
-            stats.hops += 1;
-            stats.evals += neighbors.len() as u64;
-            for &u in neighbors {
-                let d = dist.exact(u);
-                if d < ep.dist {
-                    ep = Candidate::new(u, d);
-                    improved = true;
-                }
-            }
-            if !improved {
-                return ep;
-            }
-        }
-    }
-
-    fn neighbors(&self, v: VecId, level: usize) -> &[VecId] {
-        // An out-of-range id or level reads as "no neighbours" — the beam
-        // dead-ends instead of panicking mid-search.
-        self.links
-            .get(v as usize)
-            .and_then(|levels| levels.get(level))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Layer `level` as a walkable graph.
-    fn layer(&self, level: usize) -> Layer<'_> {
-        Layer { hnsw: self, level }
     }
 
     /// Highest populated layer.
     pub fn max_level(&self) -> usize {
-        self.max_level
+        self.layers.len().saturating_sub(1)
     }
 
-    /// The parameters the index was built with.
-    pub fn params(&self) -> &HnswParams {
-        &self.params
+    /// The layers, base first.
+    pub(crate) fn layers(&self) -> &[Adjacency] {
+        &self.layers
     }
 
-    /// Base-layer adjacency as a flat [`crate::Adjacency`] (used by the
-    /// Starling layout, which pages the base layer).
-    pub fn base_layer(&self) -> crate::adjacency::Adjacency {
-        let mut g = crate::adjacency::Adjacency::new(self.links.len());
-        for v in 0..self.links.len() as VecId {
-            g.set_neighbors(v, self.neighbors(v, 0).to_vec());
-        }
-        g
+    /// The base layer (used by the Starling layout, which pages it).
+    pub fn base_layer(&self) -> &Adjacency {
+        // INVARIANT: a built index has at least its base layer.
+        &self.layers[0]
     }
 
     /// The current global entry vertex.
@@ -247,73 +189,42 @@ impl Hnsw {
         self.entry
     }
 
-    /// Visits every directed edge of every layer as `(level, from, to)`.
-    /// Feeds the tombstone-aware structural validator.
+    /// Visits every directed edge of every layer as `(level, from, to)`,
+    /// vertex by vertex, each vertex's layers base first.
     pub fn for_each_edge(&self, mut f: impl FnMut(usize, VecId, VecId)) {
-        for (vi, layers) in self.links.iter().enumerate() {
-            for (level, nb) in layers.iter().enumerate() {
-                for &u in nb {
-                    f(level, vi as VecId, u);
+        for v in 0..self.len() as VecId {
+            for (level, layer) in self.layers.iter().enumerate() {
+                for &u in layer.neighbors(v) {
+                    f(level, v, u);
                 }
             }
         }
     }
 
-    /// Rewires every layer around the dead vertices of `tomb`: a live
-    /// vertex with dead neighbours splices in those neighbours' live
-    /// same-layer neighbours (re-pruned through the construction
-    /// heuristic, so the degree caps hold); dead vertices other than the
-    /// entry are unlinked entirely; a dead entry keeps live-spliced
-    /// out-edges so it can continue to seed searches. After this pass no
-    /// edge points *into* a dead vertex.
+    /// Rewires every layer around the dead vertices of `tomb` through
+    /// [`Tombstones::rewire`], re-pruning with the construction heuristic
+    /// at the layer's cap; the entry is the one dead vertex that keeps
+    /// (live-spliced) out-edges, so it can continue to seed searches. Then
+    /// the pipeline's repair step re-attaches every live vertex the base
+    /// layer no longer reaches from the entry. After this pass no edge
+    /// points *into* a dead vertex.
     pub fn compact(&mut self, store: &VectorStore, tomb: &Tombstones) {
-        let entry = self.entry;
-        let m = self.params.m;
-        let old = self.links.clone();
-        for (vi, layers) in self.links.iter_mut().enumerate() {
-            let v = vi as VecId;
-            let dead_v = tomb.is_dead(v);
-            for (level, nb) in layers.iter_mut().enumerate() {
-                if dead_v && v != entry {
-                    nb.clear();
-                    continue;
-                }
-                if !nb.iter().any(|&u| tomb.is_dead(u)) {
-                    continue;
-                }
-                // The dead neighbours' same-layer lists, as they were
-                // before this pass touched them.
-                let pool = tomb.splice_pool(store, v, nb, |u| {
-                    old.get(u as usize)
-                        .and_then(|ls| ls.get(level))
-                        .map(Vec::as_slice)
-                        .unwrap_or(&[])
-                });
-                let cap = if level == 0 { m * 2 } else { m };
-                *nb = hnsw_heuristic(store, v, pool, cap);
-            }
+        let (entry, params) = (self.entry, self.params);
+        for (level, layer) in self.layers.iter_mut().enumerate() {
+            let cap = params.cap(level);
+            tomb.rewire(
+                layer,
+                store,
+                |v| v == entry,
+                |v, pool| hnsw_heuristic(store, v, pool, cap),
+                Adjacency::set_neighbors,
+            );
+        }
+        if let Some(base) = self.layers.first_mut() {
+            crate::pipeline::reattach(store, base, &[entry], tomb);
         }
     }
-}
 
-/// One level of the hierarchy as a walkable graph.
-struct Layer<'a> {
-    hnsw: &'a Hnsw,
-    level: usize,
-}
-
-impl WalkGraph for Layer<'_> {
-    fn vertices(&self) -> usize {
-        self.hnsw.links.len()
-    }
-
-    #[inline]
-    fn neighbors(&self, v: VecId) -> &[VecId] {
-        self.hnsw.neighbors(v, self.level)
-    }
-}
-
-impl Hnsw {
     /// Greedy descent through the upper layers, then the shared walk on
     /// the base layer — compiled around the evaluator's type.
     pub(crate) fn descend_and_walk<D: DistanceFn + ?Sized>(
@@ -329,46 +240,36 @@ impl Hnsw {
             ..SearchStats::default()
         };
         let mut ep = Candidate::new(self.entry, dist.exact(self.entry));
-        for lc in (1..=self.max_level).rev() {
-            ep = self.greedy_step(dist, ep, lc, &mut routing);
+        let Some((base, upper)) = self.layers.split_first() else {
+            return SearchOutput::default();
+        };
+        for layer in upper.iter().rev() {
+            ep = greedy_step(layer, dist, ep, &mut routing);
         }
         // ALLOC: the returned hit list, sized once by the copy.
         let mut results = Vec::new();
-        let base = self.layer(0);
         let seed = Seeds::Evaluated(ep);
-        let mut stats = search_into(&base, seed, dist, k, ef, scratch, &mut results);
+        let mut stats = search_into(base, seed, dist, k, ef, scratch, &mut results);
         stats.merge(&routing);
         SearchOutput { results, stats }
     }
 
     /// Number of indexed vertices.
     pub(crate) fn len(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Mean base-layer out-degree.
-    pub(crate) fn avg_degree(&self) -> f64 {
-        if self.links.is_empty() {
-            return 0.0;
-        }
-        // INVARIANT: every inserted vertex has at least a base layer.
-        let total: usize = self.links.iter().map(|l| l[0].len()).sum();
-        total as f64 / self.links.len() as f64
+        self.levels.len()
     }
 
     /// Status-panel description.
     pub(crate) fn describe(&self) -> String {
         format!(
             "hnsw over {} vertices ({} layers, M={}, efC={})",
-            self.links.len(),
-            self.max_level + 1,
+            self.len(),
+            self.layers.len(),
             self.params.m,
             self.params.ef_construction
         )
     }
-}
 
-impl Hnsw {
     /// Fraction of vertices that must be reachable from the entry over the
     /// base layer for [`Hnsw::validate`] to accept the index. HNSW gives no
     /// hard connectivity guarantee (neighbour re-pruning can orphan
@@ -380,12 +281,11 @@ impl Hnsw {
     /// every violation found (empty = sound).
     ///
     /// Checked invariants:
-    /// - the entry vertex is in range and populated up to `max_level`;
-    /// - `max_level` equals the highest populated layer over all vertices;
-    /// - every vertex has at least the base layer;
-    /// - per layer: degree within the cap (`2m` at layer 0, `m` above), no
-    ///   self-loops, no duplicate neighbours, endpoints in range;
-    /// - layer-`l` edges only point at vertices populated at layer `l`
+    /// - one layer per level up to the highest vertex level, each over the
+    ///   whole population, and the entry on the top layer;
+    /// - per layer: [`check_adjacency`] and the degree cap (`2m` at layer
+    ///   0, `m` above, none above the vertex's own level);
+    /// - layer-`l` edges only point at vertices whose level reaches `l`
     ///   (the HNSW hierarchy property);
     /// - at least [`Hnsw::REACHABILITY_FLOOR`] of the vertices are
     ///   reachable from the entry over the base layer.
@@ -394,119 +294,68 @@ impl Hnsw {
     /// re-prunes the reverse lists, so a forward edge may legally lack its
     /// mirror.
     pub fn validate(&self) -> Vec<InvariantViolation> {
-        let n = self.links.len();
+        let n = self.len();
         let mut out = Vec::new();
-        if n == 0 {
+        let Some(&highest) = self.levels.iter().max() else {
             return out;
-        }
-        if self.entry as usize >= n {
-            out.push(InvariantViolation::BadEntry {
-                detail: format!("entry {} out of range (n = {n})", self.entry),
-            });
-        // INVARIANT: the else-if branch only runs with entry < n checked.
-        } else if self.links[self.entry as usize].len() != self.max_level + 1 {
-            out.push(InvariantViolation::BadEntry {
-                detail: format!(
-                    "entry {} has {} layer(s), expected max_level + 1 = {}",
-                    self.entry,
-                    // INVARIANT: entry < n re-checked in this branch.
-                    self.links[self.entry as usize].len(),
-                    self.max_level + 1
-                ),
-            });
-        }
-        let highest = self.links.iter().map(Vec::len).max().unwrap_or(1) - 1;
-        if highest != self.max_level {
+        };
+        let layers = usize::from(highest) + 1;
+        if self.layers.len() != layers {
             out.push(InvariantViolation::SizeMismatch {
-                context: "hnsw max_level".to_string(),
-                expected: highest,
-                got: self.max_level,
+                context: "hnsw layer count".to_string(),
+                expected: layers,
+                got: self.layers.len(),
             });
         }
-        for (vi, layers) in self.links.iter().enumerate() {
-            let v = vi as VecId;
-            if layers.is_empty() {
+        match self.levels.get(self.entry as usize) {
+            None => out.push(InvariantViolation::BadEntry {
+                detail: format!("entry {} out of range (n = {n})", self.entry),
+            }),
+            Some(&l) if l != highest => out.push(InvariantViolation::BadEntry {
+                detail: format!("entry {} has level {l}, the top is {highest}", self.entry),
+            }),
+            Some(_) => {}
+        }
+        let level_of = |v: VecId| self.levels.get(v as usize).map(|&l| usize::from(l));
+        for (level, layer) in self.layers.iter().enumerate() {
+            let context = format!("hnsw layer {level}");
+            if layer.len() != n {
                 out.push(InvariantViolation::SizeMismatch {
-                    context: format!("hnsw vertex {v} layer count"),
-                    expected: 1,
-                    got: 0,
+                    context: format!("{context} population"),
+                    expected: n,
+                    got: layer.len(),
                 });
-                continue;
             }
-            for (level, nb) in layers.iter().enumerate() {
-                let context = format!("hnsw layer {level}");
-                let cap = if level == 0 {
-                    self.params.m * 2
-                } else {
-                    self.params.m
+            out.extend(check_adjacency(&context, layer));
+            for v in 0..layer.len() as VecId {
+                // A vertex holds no edges above its own level.
+                let cap = match level_of(v) {
+                    Some(l) if l >= level => self.params.cap(level),
+                    _ => 0,
                 };
-                if nb.len() > cap {
+                let degree = layer.degree(v);
+                if degree > cap {
                     out.push(InvariantViolation::DegreeOverflow {
                         context: context.clone(),
                         id: v,
-                        degree: nb.len(),
+                        degree,
                         cap,
                     });
                 }
-                let mut seen = std::collections::HashSet::new();
-                for &u in nb {
-                    if u as usize >= n {
-                        out.push(InvariantViolation::IdOutOfRange {
-                            context: context.clone(),
-                            id: u,
-                            n,
-                        });
-                        continue;
-                    }
-                    if u == v {
-                        out.push(InvariantViolation::SelfLoop {
-                            context: context.clone(),
-                            id: v,
-                        });
-                    }
-                    if !seen.insert(u) {
-                        out.push(InvariantViolation::DuplicateNeighbor {
-                            context: context.clone(),
-                            id: v,
-                            neighbor: u,
-                        });
-                    }
-                    // INVARIANT: out-of-range u was reported + skipped above.
-                    let u_levels = self.links[u as usize].len();
-                    if u_levels <= level {
+                for &u in layer.neighbors(v) {
+                    if let Some(l) = level_of(u).filter(|&l| l < level) {
                         out.push(InvariantViolation::CrossLevelEdge {
                             vertex: v,
                             level,
                             neighbor: u,
-                            neighbor_levels: u_levels,
+                            neighbor_levels: l + 1,
                         });
                     }
                 }
             }
         }
-        if (self.entry as usize) < n {
-            // BFS over the raw base layer (not `base_layer()`, whose
-            // construction would debug-assert on the very defects this
-            // audit exists to report). Out-of-range ids are skipped; they
-            // are already reported above.
-            let mut seen = VisitedSet::new(n);
-            seen.next_epoch();
-            let mut queue = std::collections::VecDeque::from([self.entry]);
-            seen.insert(self.entry);
-            let mut reached = 1usize;
-            while let Some(v) = queue.pop_front() {
-                // INVARIANT: only ids < n are enqueued (guarded below).
-                for &u in self.links[v as usize]
-                    .first()
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[])
-                {
-                    if (u as usize) < n && seen.insert(u) {
-                        reached += 1;
-                        queue.push_back(u);
-                    }
-                }
-            }
+        if let Some(base) = self.layers.first().filter(|_| (self.entry as usize) < n) {
+            let reached = base.reachable_count(self.entry);
             if (reached as f64) < Self::REACHABILITY_FLOOR * n as f64 {
                 out.push(InvariantViolation::LowReachability {
                     context: "hnsw base layer".to_string(),
@@ -517,6 +366,32 @@ impl Hnsw {
             }
         }
         out
+    }
+}
+
+/// One greedy (ef = 1) routing step through `layer`, counting each
+/// neighbour list read as a hop and each evaluation in `stats`.
+fn greedy_step<D: DistanceFn + ?Sized>(
+    layer: &Adjacency,
+    dist: &mut D,
+    mut ep: Candidate,
+    stats: &mut SearchStats,
+) -> Candidate {
+    loop {
+        let mut improved = false;
+        let neighbors = layer.neighbors(ep.id);
+        stats.hops += 1;
+        stats.evals += neighbors.len() as u64;
+        for &u in neighbors {
+            let d = dist.exact(u);
+            if d < ep.dist {
+                ep = Candidate::new(u, d);
+                improved = true;
+            }
+        }
+        if !improved {
+            return ep;
+        }
     }
 }
 
@@ -609,8 +484,7 @@ mod tests {
         let store = random_store(300, 6, 4);
         let a = Hnsw::build(&store, &HnswParams::default());
         let b = Hnsw::build(&store, &HnswParams::default());
-        assert_eq!(a.base_layer(), b.base_layer());
-        assert_eq!(a.entry(), b.entry());
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -639,8 +513,8 @@ mod tests {
         let mut grown = Hnsw::build(&half_store, &HnswParams::default());
         grown.extend_from(&store, &Tombstones::new(0));
         assert_eq!(grown.len(), 400);
-        assert_eq!(batch.base_layer(), grown.base_layer());
-        assert_eq!(batch.entry(), grown.entry());
+        // Every layer, every level and the entry.
+        assert_eq!(batch, grown);
     }
 
     #[test]
@@ -683,7 +557,10 @@ mod tests {
         assert_eq!(into_dead, 0, "compaction left edges into dead vertices");
         // Dead vertices are fully unlinked; live ones keep bounded degree.
         for id in tomb.iter_dead() {
-            assert!(h.neighbors(id, 0).is_empty(), "dead {id} still linked");
+            assert!(
+                h.base_layer().neighbors(id).is_empty(),
+                "dead {id} still linked"
+            );
         }
         assert!(h
             .validate()
@@ -716,8 +593,12 @@ mod tests {
         h.compact(&store, &tomb);
         // The dead entry keeps out-edges (to live targets only) so search
         // can still seed from it.
-        assert!(!h.neighbors(entry, 0).is_empty());
-        assert!(h.neighbors(entry, 0).iter().all(|&u| !tomb.is_dead(u)));
+        assert!(!h.base_layer().neighbors(entry).is_empty());
+        assert!(h
+            .base_layer()
+            .neighbors(entry)
+            .iter()
+            .all(|&u| !tomb.is_dead(u)));
         let mut into_dead = 0usize;
         h.for_each_edge(|_, _, u| {
             if tomb.is_dead(u) {
@@ -743,7 +624,7 @@ mod tests {
 
         // Out-of-range neighbour.
         let mut h = sound.clone();
-        h.links[3][0].push(10_000);
+        h.layers[0].lists_mut()[3].push(10_000);
         assert!(h
             .validate()
             .iter()
@@ -751,7 +632,7 @@ mod tests {
 
         // Self-loop.
         let mut h = sound.clone();
-        h.links[5][0].push(5);
+        h.layers[0].lists_mut()[5].push(5);
         assert!(h
             .validate()
             .iter()
@@ -759,8 +640,8 @@ mod tests {
 
         // Duplicate neighbour.
         let mut h = sound.clone();
-        if let Some(&u) = h.links[7][0].first() {
-            h.links[7][0].push(u);
+        if let Some(&u) = h.base_layer().neighbors(7).first() {
+            h.layers[0].lists_mut()[7].push(u);
         }
         assert!(h
             .validate()
@@ -770,7 +651,7 @@ mod tests {
         // Degree overflow at layer 0 (cap 2m).
         let mut h = sound.clone();
         let cap = h.params.m * 2;
-        h.links[2][0] = (0..=cap as VecId).map(|i| (i + 10) % 200).collect();
+        h.layers[0].lists_mut()[2] = (0..=cap as VecId).map(|i| (i + 10) % 200).collect();
         assert!(h
             .validate()
             .iter()
@@ -778,10 +659,10 @@ mod tests {
 
         // Cross-level edge: a layer-1 edge to a base-only vertex.
         let mut h = sound.clone();
-        let tall = (0..h.links.len()).find(|&v| h.links[v].len() > 1);
-        let short = (0..h.links.len()).find(|&v| h.links[v].len() == 1);
+        let tall = h.levels.iter().position(|&l| l > 0);
+        let short = h.levels.iter().position(|&l| l == 0);
         if let (Some(t), Some(s)) = (tall, short) {
-            h.links[t][1].insert(0, s as VecId);
+            h.layers[1].lists_mut()[t].insert(0, s as VecId);
             assert!(h
                 .validate()
                 .iter()
@@ -795,10 +676,20 @@ mod tests {
             assert!(h.validate().iter().any(|v| matches!(v, V::BadEntry { .. })));
         }
 
+        // A list above the vertex's own level: its cap there is 0.
+        let mut h = sound.clone();
+        if let (Some(t), Some(s)) = (tall, short) {
+            h.layers[1].lists_mut()[s].push(t as VecId);
+            assert!(h
+                .validate()
+                .iter()
+                .any(|v| matches!(v, V::DegreeOverflow { id, cap: 0, .. } if *id == s as VecId)));
+        }
+
         // Severed base layer: isolate most of the graph from the entry.
         let mut h = sound;
         for v in 0..150usize {
-            h.links[v][0].clear();
+            h.layers[0].lists_mut()[v].clear();
         }
         assert!(h
             .validate()

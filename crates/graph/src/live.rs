@@ -25,7 +25,9 @@
 //! idiom from per-search state to the index itself: a bumped counter makes
 //! an entire generation of state stale at once, with no per-element sweep.
 
+use crate::adjacency::Adjacency;
 use crate::search::{SearchOutput, SearchStats};
+use crate::util::parallel_map;
 use mqa_vector::{ops, Candidate, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -227,33 +229,53 @@ impl Tombstones {
         }
     }
 
-    /// The candidate pool compaction re-prunes `v`'s neighbour list from:
-    /// each live neighbour in `nb` stands for itself, each dead one for
-    /// its own live neighbours (`old_neighbors` reads the pre-compaction
-    /// lists) — deduplicated and tagged with their distance to `v`.
-    pub(crate) fn splice_pool<'a>(
+    /// Rewires `layer` around the dead ids — the one compaction routine of
+    /// every graph family, run once per layer. A dead vertex `keep` does
+    /// not claim is unlinked; any other vertex with a dead neighbour gets
+    /// `select(v, pool)`, where the pool is its live neighbours plus each
+    /// dead neighbour's live neighbours, deduplicated and tagged with their
+    /// distance to `v`. Every new list is a function of the pre-compaction
+    /// layer alone, so the vertices are rewired in parallel and `install`ed
+    /// after.
+    pub(crate) fn rewire(
         &self,
+        layer: &mut Adjacency,
         store: &VectorStore,
-        v: VecId,
-        nb: &[VecId],
-        old_neighbors: impl Fn(VecId) -> &'a [VecId],
-    ) -> Vec<Candidate> {
-        let vv = store.get(v);
-        let mut seen = std::collections::HashSet::new();
-        let mut pool = Vec::new();
-        for u in nb {
-            let through = if self.is_dead(*u) {
-                old_neighbors(*u)
-            } else {
-                std::slice::from_ref(u)
-            };
-            for &w in through {
-                if w != v && !self.is_dead(w) && seen.insert(w) {
-                    pool.push(Candidate::new(w, ops::l2_sq(vv, store.get(w))));
+        keep: impl Fn(VecId) -> bool + Sync,
+        select: impl Fn(VecId, Vec<Candidate>) -> Vec<VecId> + Sync,
+        install: fn(&mut Adjacency, VecId, Vec<VecId>),
+    ) {
+        let old = &*layer;
+        let rewired = parallel_map(old.len(), |v| {
+            if self.is_dead(v) && !keep(v) {
+                return Some(Vec::new());
+            }
+            let nb = old.neighbors(v);
+            if !nb.iter().any(|&u| self.is_dead(u)) {
+                return None;
+            }
+            let vv = store.get(v);
+            let mut seen = std::collections::HashSet::new();
+            let mut pool = Vec::new();
+            for u in nb {
+                let through = if self.is_dead(*u) {
+                    old.neighbors(*u)
+                } else {
+                    std::slice::from_ref(u)
+                };
+                for &w in through {
+                    if w != v && !self.is_dead(w) && seen.insert(w) {
+                        pool.push(Candidate::new(w, ops::l2_sq(vv, store.get(w))));
+                    }
                 }
             }
+            Some(select(v, pool))
+        });
+        for (v, list) in rewired.into_iter().enumerate() {
+            if let Some(list) = list {
+                install(layer, v as VecId, list);
+            }
         }
-        pool
     }
 
     /// Records that compaction has rewired the graph around every

@@ -258,6 +258,40 @@ mod tests {
         );
     }
 
+    /// Regression: a compacted generation skipped the adjacency check and
+    /// went straight to the clean-prefix check, which read the vector of a
+    /// forged neighbour id and panicked. The forgery is reported instead,
+    /// as it is in a generation that never compacted.
+    #[test]
+    fn forged_id_in_a_compacted_snapshot_is_reported() {
+        const FORGED: u32 = 4_000_000;
+        let idx = UnifiedIndex::build(
+            store(300, 23),
+            Weights::normalized(&[1.3, 0.7]),
+            Metric::L2,
+            &IndexAlgorithm::mqa_graph(),
+        );
+        let doomed: Vec<u32> = (0..300).step_by(3).collect();
+        assert!(idx.remove_objects(&doomed).expect("in range").compacted);
+        let json = idx.snapshot().to_json().expect("finite snapshot");
+        // Vertex 1's list is the second one; the forged id goes in front,
+        // inside its clean prefix.
+        let start = json.find("\"lists\":[[").expect("navgraph lists");
+        let second = start + json[start..].find("],[").expect("a second list") + 3;
+        let forged = format!("{}{FORGED},{}", &json[..second], &json[second..]);
+        let restored = UnifiedSnapshot::from_json(&forged)
+            .expect("a forged id is well-formed JSON")
+            .restore();
+        let violations = restored.current().validate(restored.weights());
+        assert!(
+            violations.iter().any(|v| matches!(
+                v,
+                crate::validate::InvariantViolation::IdOutOfRange { id: FORGED, .. }
+            )),
+            "{violations:?}"
+        );
+    }
+
     #[test]
     fn restored_index_has_zero_build_time() {
         let idx = UnifiedIndex::build(

@@ -37,7 +37,7 @@ use crate::prune::{candidates_of, robust_prune, robust_reprune, select_nearest};
 use crate::scratch::{with_pooled, SearchScratch};
 use crate::search::SearchOutput;
 use crate::traits::{DistanceFn, FlatDistance};
-use crate::util::{medoid, parallel_map};
+use crate::util::medoid;
 use crate::validate::InvariantViolation;
 use mqa_rng::StdRng;
 use mqa_vector::{Candidate, VecId, VectorStore};
@@ -337,32 +337,22 @@ impl NavGraph {
         });
     }
 
-    /// Rewires the graph around the dead vertices of `tomb`: a live
-    /// vertex with dead neighbours splices in those neighbours' live
-    /// neighbours (re-pruned through the graph's own rule, so the degree
-    /// bound holds); dead vertices not serving as entries are unlinked; a
-    /// dead entry keeps live-spliced out-edges so it can continue to seed
-    /// searches. After this pass no edge points *into* a dead vertex.
+    /// Rewires the graph around the dead vertices of `tomb` through
+    /// [`Tombstones::rewire`], re-pruning with the graph's own rule (so the
+    /// degree bound holds); dead entries keep live-spliced out-edges so
+    /// they can continue to seed searches. Then the build's repair step
+    /// re-attaches every live vertex the rewiring left unreachable from the
+    /// first entry. After this pass no edge points *into* a dead vertex.
     pub fn compact(&mut self, store: &VectorStore, tomb: &Tombstones) {
-        // Every new list is a function of the pre-compaction graph alone,
-        // so the vertices are rewired independently and installed after.
-        let (old, entries, select) = (&self.graph, &self.entries, &self.select);
-        let rewired: Vec<Option<Vec<VecId>>> = parallel_map(old.len(), |v| {
-            if tomb.is_dead(v) && !entries.contains(&v) {
-                return Some(Vec::new());
-            }
-            let nb = old.neighbors(v);
-            if !nb.iter().any(|&u| tomb.is_dead(u)) {
-                return None;
-            }
-            let mut pool = tomb.splice_pool(store, v, nb, |u| old.neighbors(u));
-            Some(select.apply(store, v, &mut pool))
-        });
-        for (v, list) in rewired.into_iter().enumerate() {
-            if let Some(list) = list {
-                self.graph.set_pruned(v as VecId, list);
-            }
-        }
+        let (entries, select) = (&self.entries, &self.select);
+        tomb.rewire(
+            &mut self.graph,
+            store,
+            |v| entries.contains(&v),
+            |v, mut pool| select.apply(store, v, &mut pool),
+            Adjacency::set_pruned,
+        );
+        reattach(store, &mut self.graph, entries, tomb);
     }
 }
 
@@ -389,11 +379,13 @@ impl GraphPipeline {
         timed("entry_selection", span);
 
         let span = mqa_obs::span("graph.build.refinement");
-        let graph = run_refine(&self.refine, &self.select, store, graph, &entries);
+        let mut graph = run_refine(&self.refine, &self.select, store, graph, &entries);
         timed("refinement", span);
 
         let span = mqa_obs::span("graph.build.connectivity_repair");
-        let graph = run_repair(&self.repair, store, graph, &entries);
+        if self.repair == RepairStage::GrowFromEntry {
+            reattach(store, &mut graph, &entries, &Tombstones::new(0));
+        }
         timed("connectivity_repair", span);
 
         NavGraph {
@@ -527,57 +519,52 @@ fn link_vertex(
     }
 }
 
-fn run_repair(
-    cfg: &RepairStage,
+/// Connectivity repair: attaches every live vertex unreachable from the
+/// first entry to its nearest reachable vertex (NSG's spanning-growth
+/// step); vertices `tomb` marks dead stay detached.
+pub(crate) fn reattach(
     store: &VectorStore,
-    mut graph: Adjacency,
+    graph: &mut Adjacency,
     entries: &[VecId],
-) -> Adjacency {
-    match cfg {
-        RepairStage::None => graph,
-        RepairStage::GrowFromEntry => {
-            // No entry vertex means nothing to grow from.
-            let Some(&start) = entries.first() else {
-                return graph;
-            };
-            let mut reachable = graph.reachable_from(start);
-            for v in 0..graph.len() as VecId {
-                // INVARIANT: reachable_from returns one flag per vertex
-                // and v iterates 0..len.
-                if reachable[v as usize] {
-                    continue;
-                }
-                // Route toward v through the reachable component; the
-                // search can only return reachable vertices.
-                let mut dist = FlatDistance::for_vertex(store, v);
-                let out = with_pooled(|scratch| {
-                    crate::search::beam_search(&graph, entries, &mut dist, 1, 16, scratch)
-                });
-                // A non-empty graph with a valid entry always yields at
-                // least one beam-search result; skip v defensively if not.
-                let Some(first) = out.results.first() else {
-                    continue;
-                };
-                graph.add_edge(first.id, v);
-                // Everything v reaches is now reachable.
-                let mut queue = std::collections::VecDeque::new();
-                // INVARIANT: v < len, and neighbour ids of a well-formed
-                // graph are < len (set_neighbors debug-rejects others).
-                if !reachable[v as usize] {
-                    reachable[v as usize] = true;
-                    queue.push_back(v);
-                }
-                while let Some(x) = queue.pop_front() {
-                    for &y in graph.neighbors(x) {
-                        // INVARIANT: neighbour ids stay < len (as above).
-                        if !reachable[y as usize] {
-                            reachable[y as usize] = true;
-                            queue.push_back(y);
-                        }
-                    }
+    tomb: &Tombstones,
+) {
+    // No entry vertex means nothing to grow from.
+    let Some(&start) = entries.first() else {
+        return;
+    };
+    let mut reachable = graph.reachable_from(start);
+    for v in 0..graph.len() as VecId {
+        // INVARIANT: reachable_from returns one flag per vertex and v
+        // iterates 0..len.
+        if reachable[v as usize] || tomb.is_dead(v) {
+            continue;
+        }
+        // Route toward v through the reachable component; the search can
+        // only return reachable vertices.
+        let mut dist = FlatDistance::for_vertex(store, v);
+        let out = with_pooled(|scratch| {
+            crate::search::beam_search(&*graph, entries, &mut dist, 1, 16, scratch)
+        });
+        // A non-empty graph with a valid entry always yields at least one
+        // beam-search result; skip v defensively if not.
+        let Some(first) = out.results.first() else {
+            continue;
+        };
+        graph.add_edge(first.id, v);
+        // Everything v reaches is now reachable.
+        let mut queue = std::collections::VecDeque::new();
+        // INVARIANT: v < len, and neighbour ids of a well-formed graph are
+        // < len (set_neighbors debug-rejects others).
+        reachable[v as usize] = true;
+        queue.push_back(v);
+        while let Some(x) = queue.pop_front() {
+            for &y in graph.neighbors(x) {
+                // INVARIANT: neighbour ids stay < len (as above).
+                if !reachable[y as usize] {
+                    reachable[y as usize] = true;
+                    queue.push_back(y);
                 }
             }
-            graph
         }
     }
 }
@@ -717,7 +704,7 @@ impl BuiltGraph {
         match self {
             BuiltGraph::Flat(_) => 0.0,
             BuiltGraph::Nav(g) => g.graph.avg_degree(),
-            BuiltGraph::Hnsw(h) => h.avg_degree(),
+            BuiltGraph::Hnsw(h) => h.layers().first().map_or(0.0, Adjacency::avg_degree),
             BuiltGraph::Ivf(never) => match *never {},
         }
     }

@@ -40,7 +40,9 @@ use crate::live::{
 use crate::pipeline::{BuiltGraph, IndexAlgorithm};
 use crate::search::SearchOutput;
 use crate::traits::DistanceFn;
-use crate::validate::{check_tombstones, check_weighted_rows, InvariantViolation};
+use crate::validate::{
+    check_adjacency, check_edges_live, check_tombstones, check_weighted_rows, InvariantViolation,
+};
 use mqa_vector::{FusedScanner, Metric, MultiVector, MultiVectorStore, ScanStats, VecId, Weights};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -134,15 +136,15 @@ impl IndexSnapshot {
     /// - the held weighted rows are the scaled store rows, bit for bit;
     /// - the tombstone bitmaps are internally consistent
     ///   ([`crate::validate::check_tombstones`]);
-    /// - no edge points into a compacted-away id
-    ///   ([`crate::validate::check_edges_live`]);
-    /// - a pipeline graph's clean prefixes are genuine
+    /// - the per-family structural validator, while no id has been
+    ///   compacted. Compaction legitimately unlinks dead vertices, which the
+    ///   quiesced-shape validators (HNSW's reachability floor in particular)
+    ///   would misread as corruption, so a compacted generation instead
+    ///   runs [`crate::validate::check_adjacency`] and
+    ///   [`crate::validate::check_edges_live`] (no edge into a
+    ///   compacted-away id) on every layer, then — only if those pass — a
+    ///   pipeline graph's clean-prefix check
     ///   ([`crate::validate::check_clean_prefixes`]).
-    ///
-    /// The per-family structural validators run only while no id has been
-    /// compacted: compaction legitimately unlinks dead vertices, which the
-    /// quiesced-shape validators (HNSW's reachability floor in particular)
-    /// would misread as corruption.
     pub fn validate(&self, weights: &Weights) -> Vec<InvariantViolation> {
         let n = self.store.len();
         let mut out = Vec::new();
@@ -160,31 +162,23 @@ impl IndexSnapshot {
         }
         if self.tombstones.compacted_count() == 0 {
             out.extend(self.searcher.validate(&self.weighted));
-        } else {
-            match &*self.searcher {
-                BuiltGraph::Nav(g) => {
-                    out.extend(crate::validate::check_edges_live(
-                        "unified snapshot navgraph",
-                        g.graph().edges(),
-                        &self.tombstones,
-                    ));
-                    if out.is_empty() {
-                        out.extend(g.check_clean_prefixes(&self.weighted));
-                    }
-                }
-                BuiltGraph::Hnsw(h) => {
-                    let mut edges = Vec::new();
-                    h.for_each_edge(|_, v, u| edges.push((v, u)));
-                    out.extend(crate::validate::check_edges_live(
-                        "unified snapshot hnsw",
-                        edges.into_iter(),
-                        &self.tombstones,
-                    ));
-                }
-                // Flat has no edges.
-                BuiltGraph::Flat(_) => {}
-                BuiltGraph::Ivf(never) => match *never {},
-            }
+            return out;
+        }
+        let (context, layers) = match &*self.searcher {
+            BuiltGraph::Nav(g) => ("unified snapshot navgraph", std::slice::from_ref(g.graph())),
+            BuiltGraph::Hnsw(h) => ("unified snapshot hnsw", h.layers()),
+            // Flat has no edges.
+            BuiltGraph::Flat(_) => return out,
+            BuiltGraph::Ivf(never) => match *never {},
+        };
+        for layer in layers {
+            out.extend(check_adjacency(context, layer));
+            out.extend(check_edges_live(context, layer.edges(), &self.tombstones));
+        }
+        // The prefix check reads vectors by neighbour id, so it runs only
+        // on lists the adjacency check found addressable.
+        if let (BuiltGraph::Nav(g), true) = (&*self.searcher, out.is_empty()) {
+            out.extend(g.check_clean_prefixes(&self.weighted));
         }
         out
     }

@@ -263,8 +263,9 @@ pub(crate) fn check_weighted_rows(
 }
 
 /// Shared adjacency-list checks: every endpoint in range, no self-loops, no
-/// duplicate neighbours. Used by the flat-graph validators (`NavGraph`,
-/// the Starling base layer) — HNSW runs the same checks per layer itself.
+/// duplicate neighbours. Every graph validator runs it: `NavGraph`, the
+/// Starling base layer, each HNSW layer, and a compacted snapshot's graph
+/// before anything reads vectors by neighbour id.
 pub fn check_adjacency(context: &str, graph: &Adjacency) -> Vec<InvariantViolation> {
     let n = graph.len();
     let mut out = Vec::new();

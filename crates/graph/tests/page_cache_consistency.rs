@@ -52,7 +52,7 @@ fn graphs(s: &Arc<VectorStore>) -> Vec<(&'static str, Adjacency, Vec<VecId>)> {
     let n = nsg::build(s, 12, 32, 12, 5);
     let v = vamana::build(s, 12, 32, 1.2, 5);
     vec![
-        ("hnsw", h.base_layer(), vec![h.entry()]),
+        ("hnsw", h.base_layer().clone(), vec![h.entry()]),
         ("nsg", n.graph().clone(), n.entries().to_vec()),
         ("vamana", v.graph().clone(), v.entries().to_vec()),
     ]

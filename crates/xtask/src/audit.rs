@@ -315,8 +315,9 @@ fn run(repo_root: &Path) -> Vec<(String, Vec<String>)> {
     // The unified multi-modal index (store + learned-weight layout), as
     // assembled by the real system path, then driven through one scripted
     // life cycle of the generation routine — grow, retire a quarter of the
-    // ids (every entry among them, which compacts), grow again — with
-    // every generation it publishes validated.
+    // ids (every entry among them, which compacts), grow again, retire all
+    // but three (which compacts again) — with every generation it
+    // publishes validated and the last three survivors searched for.
     let mv = synthetic_multivector_store(300, 0xA0D2);
     entries.push(entry("multivector store", &mv.validate()));
     let weights = Weights::normalized(&[2.0, 1.0]);
@@ -367,6 +368,25 @@ fn run(repo_root: &Path) -> Vec<(String, Vec<String>)> {
             false,
             unified.add_objects(&batch(40, 80)),
         );
+        // Compact down to three survivors: each must find all three.
+        let before = unified.current();
+        let live: Vec<u32> = (0..before.store().len() as u32)
+            .filter(|&id| !before.tombstones().is_dead(id))
+            .collect();
+        let (doomed, survivors) = live.split_at(live.len() - 3);
+        ran(
+            "compaction to three survivors",
+            true,
+            unified.remove_objects(doomed),
+        );
+        for &id in survivors {
+            let query = before.store().multivector_of(id);
+            let mut found = unified.search(&query, None, 3, 16).ids();
+            found.sort_unstable();
+            if found != survivors {
+                violations.push(format!("survivor {id} found {found:?} of {survivors:?}"));
+            }
+        }
         entries.push((name, violations));
     }
 
