@@ -64,4 +64,9 @@ cargo test -q --offline --release -p mqa-graph --lib -- pool:: walk_oracle::
 echo "==> exp_cache smoke (E13, quick)"
 cargo run -q --release --offline -p mqa-bench --bin exp_cache -- --quick
 
+echo "==> exp_pruning smoke (E8, quick)"
+# Exits non-zero if a pruned search's results (ids and distance bits)
+# differ from the unpruned search's at any ef.
+cargo run -q --release --offline -p mqa-bench --bin exp_pruning -- --quick
+
 echo "ci: all gates passed"

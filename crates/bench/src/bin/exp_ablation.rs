@@ -52,7 +52,7 @@ fn main() {
             init,
             entry,
             refine: RefineStage { l: 64, passes: 2 },
-            select: SelectStage::RobustPrune { alpha, r: 24 },
+            select: SelectStage { alpha, r: 24 },
             repair,
         };
     let variants: Vec<(&str, GraphPipeline)> = vec![

@@ -5,8 +5,9 @@
 //! calculations". This experiment runs identical unified-graph searches
 //! with pruning on and off and reports: scalar multiply-accumulate terms
 //! per query, the fraction saved, wall-clock speedup, and a verification
-//! that the result sets are bit-identical (the abandonment rule is exact,
-//! not approximate).
+//! that the result sets are bit-identical — ids and distance bits — (the
+//! abandonment rule is exact, not approximate). Exits non-zero if any
+//! query's results differ.
 //!
 //! ```bash
 //! cargo run --release -p mqa-bench --bin exp_pruning [-- --quick]
@@ -15,12 +16,22 @@
 use mqa_bench::{encode, SetupParams, Table};
 use mqa_encoders::RawContent;
 use mqa_graph::unified::FusedDistance;
-use mqa_graph::{SearchScratch, UnifiedIndex};
+use mqa_graph::{DistanceFn, SearchScratch, UnifiedIndex};
 use mqa_kb::{DatasetSpec, WorkloadSpec};
 use mqa_retrieval::MultiModalQuery;
-use mqa_vector::Metric;
+use mqa_vector::{Metric, VecId};
 
 const K: usize = 10;
+
+/// The unpruned arm's evaluator: the fused scanner handed an infinite bound
+/// on every evaluation, so none abandons.
+struct Unpruned<'a, 'q>(&'a mut FusedDistance<'q>);
+
+impl DistanceFn for Unpruned<'_, '_> {
+    fn eval(&mut self, id: VecId, _bound: f32) -> Option<f32> {
+        self.0.eval(id, f32::INFINITY)
+    }
+}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -59,17 +70,25 @@ fn main() {
         })
         .collect();
 
-    // Both arms walk the pinned snapshot's graph directly; only the
-    // evaluator's pruning switch differs.
+    // Both arms walk the pinned snapshot's graph directly; only the bound
+    // the evaluator sees differs. A result is compared whole: id and
+    // distance bits.
     let snap = index.current();
     let search = |q: &mqa_vector::MultiVector, ef: usize, prune: bool| {
-        let dist = FusedDistance::new(snap.store(), q, index.weights(), Metric::L2);
-        let mut dist = if prune { dist } else { dist.without_pruning() };
-        let ids = snap
-            .searcher()
-            .search(&mut dist, K, ef, &mut SearchScratch::new())
-            .ids();
-        (ids, dist.scan_stats())
+        let mut dist = FusedDistance::new(snap.store(), q, index.weights(), Metric::L2);
+        let mut scratch = SearchScratch::new();
+        let out = if prune {
+            snap.searcher().search(&mut dist, K, ef, &mut scratch)
+        } else {
+            let mut unpruned = Unpruned(&mut dist);
+            snap.searcher().search(&mut unpruned, K, ef, &mut scratch)
+        };
+        let hits: Vec<(VecId, u32)> = out
+            .results
+            .iter()
+            .map(|c| (c.id, c.dist.to_bits()))
+            .collect();
+        (hits, dist.scan_stats())
     };
 
     let mut table = Table::new(&[
@@ -80,6 +99,7 @@ fn main() {
         "speedup",
         "results identical",
     ]);
+    let mut all_identical = true;
     for ef in [16usize, 32, 64, 128] {
         let mut terms_full = 0u64;
         let mut terms_pruned = 0u64;
@@ -87,23 +107,24 @@ fn main() {
         let mut identical = true;
 
         let t0 = std::time::Instant::now();
-        let full_out: Vec<Vec<u32>> = queries
+        let full_out: Vec<Vec<(VecId, u32)>> = queries
             .iter()
             .map(|q| {
-                let (ids, scan) = search(q, ef, false);
+                let (hits, scan) = search(q, ef, false);
                 terms_full += scan.terms;
-                ids
+                hits
             })
             .collect();
         let t_full = t0.elapsed().as_secs_f64();
 
         let t0 = std::time::Instant::now();
-        for (q, full_ids) in queries.iter().zip(&full_out) {
-            let (ids, scan) = search(q, ef, true);
+        for (q, full_hits) in queries.iter().zip(&full_out) {
+            let (hits, scan) = search(q, ef, true);
             terms_pruned += scan.terms;
             skipped += scan.terms_skipped;
-            identical &= &ids == full_ids;
+            identical &= &hits == full_hits;
         }
+        all_identical &= identical;
         let t_pruned = t0.elapsed().as_secs_f64();
 
         table.row(vec![
@@ -121,4 +142,8 @@ fn main() {
     table.print();
     println!("\nshape check: a large fraction of scalar terms is skipped at every ef,");
     println!("with measurable wall-clock speedup and exactly identical results.");
+    if !all_identical {
+        eprintln!("E8: pruned and unpruned searches returned different results");
+        std::process::exit(1);
+    }
 }

@@ -15,42 +15,26 @@ use mqa_vector::{ops, Candidate, TopK, VecId, VectorStore};
 /// Below this population the exact kNN graph is computed directly.
 const EXACT_THRESHOLD: usize = 2_000;
 
-/// Parameters of the approximate construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KnnParams {
-    /// Neighbours per vertex.
-    pub k: usize,
-    /// Expansion rounds.
-    pub iters: usize,
-    /// Maximum candidates examined per vertex per round.
-    pub sample: usize,
-    /// RNG seed for the random initialization.
-    pub seed: u64,
-}
+/// Expansion rounds of the approximate construction.
+const ITERS: usize = 5;
 
-impl Default for KnnParams {
-    fn default() -> Self {
-        Self {
-            k: 20,
-            iters: 5,
-            sample: 60,
-            seed: 0,
-        }
-    }
-}
+/// Maximum candidates examined per vertex per round.
+const SAMPLE: usize = 60;
 
-/// Builds a (possibly approximate) kNN graph over `store`.
+/// Builds a (possibly approximate) kNN graph over `store` with `k`
+/// neighbours per vertex; `seed` drives the approximate construction's
+/// random initialization.
 ///
 /// # Panics
 /// Panics if the store is empty or `k == 0`.
-pub fn knn_graph(store: &VectorStore, params: &KnnParams) -> Adjacency {
+pub fn knn_graph(store: &VectorStore, k: usize, seed: u64) -> Adjacency {
     assert!(!store.is_empty(), "kNN graph over an empty store");
-    assert!(params.k > 0, "kNN graph requires k >= 1");
+    assert!(k > 0, "kNN graph requires k >= 1");
     let n = store.len();
     if n <= EXACT_THRESHOLD {
-        exact_knn(store, params.k)
+        exact_knn(store, k)
     } else {
-        nn_expansion(store, params)
+        nn_expansion(store, k, seed)
     }
 }
 
@@ -79,10 +63,10 @@ pub fn exact_knn(store: &VectorStore, k: usize) -> Adjacency {
 }
 
 /// NN-descent-style neighbour expansion.
-fn nn_expansion(store: &VectorStore, params: &KnnParams) -> Adjacency {
+fn nn_expansion(store: &VectorStore, k: usize, seed: u64) -> Adjacency {
     let n = store.len();
-    let k = params.k.min(n - 1);
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0x6E6E);
+    let k = k.min(n - 1);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x6E6E);
 
     // Random initialization.
     let mut g = Adjacency::new(n);
@@ -97,11 +81,11 @@ fn nn_expansion(store: &VectorStore, params: &KnnParams) -> Adjacency {
         g.set_neighbors(v as VecId, nb);
     }
 
-    for round in 0..params.iters {
+    for round in 0..ITERS {
         let lists = parallel_map(n, |v| {
             let qv = store.get(v);
             let mut top = TopK::new(k);
-            let mut seen: Vec<VecId> = Vec::with_capacity(params.sample + k);
+            let mut seen: Vec<VecId> = Vec::with_capacity(SAMPLE + k);
             // current neighbours
             for &u in g.neighbors(v) {
                 seen.push(u);
@@ -111,7 +95,7 @@ fn nn_expansion(store: &VectorStore, params: &KnnParams) -> Adjacency {
                 for &w in g.neighbors(u) {
                     if w != v && !seen.contains(&w) {
                         seen.push(w);
-                        if seen.len() >= params.sample + k {
+                        if seen.len() >= SAMPLE + k {
                             break 'outer;
                         }
                     }
@@ -119,7 +103,7 @@ fn nn_expansion(store: &VectorStore, params: &KnnParams) -> Adjacency {
             }
             // a pinch of random restarts keeps disconnected clumps merging;
             // derive per-vertex randomness from the round and vertex id.
-            let mut local = StdRng::seed_from_u64(params.seed ^ (round as u64) << 32 ^ v as u64);
+            let mut local = StdRng::seed_from_u64(seed ^ (round as u64) << 32 ^ v as u64);
             for _ in 0..4 {
                 let u = local.gen_range(0..n) as VecId;
                 if u != v && !seen.contains(&u) {
@@ -173,13 +157,7 @@ mod tests {
     #[test]
     fn knn_graph_has_requested_degree() {
         let store = random_store(300, 8, 1);
-        let g = knn_graph(
-            &store,
-            &KnnParams {
-                k: 10,
-                ..Default::default()
-            },
-        );
+        let g = knn_graph(&store, 10, 0);
         for v in 0..300u32 {
             assert_eq!(g.degree(v), 10);
         }
@@ -188,13 +166,7 @@ mod tests {
     #[test]
     fn no_self_loops() {
         let store = random_store(100, 4, 2);
-        let g = knn_graph(
-            &store,
-            &KnnParams {
-                k: 5,
-                ..Default::default()
-            },
-        );
+        let g = knn_graph(&store, 5, 0);
         for v in 0..100u32 {
             assert!(!g.neighbors(v).contains(&v));
         }
@@ -205,15 +177,7 @@ mod tests {
         // Force the approximate path by exceeding the threshold.
         let store = random_store(EXACT_THRESHOLD + 500, 8, 3);
         let k = 10;
-        let approx = nn_expansion(
-            &store,
-            &KnnParams {
-                k,
-                iters: 6,
-                sample: 60,
-                seed: 0,
-            },
-        );
+        let approx = nn_expansion(&store, k, 0);
         let exact = exact_knn(&store, k);
         // measure recall on a sample of vertices
         let mut hit = 0usize;
@@ -234,13 +198,7 @@ mod tests {
     #[test]
     fn k_capped_by_population() {
         let store = random_store(3, 2, 4);
-        let g = knn_graph(
-            &store,
-            &KnnParams {
-                k: 10,
-                ..Default::default()
-            },
-        );
+        let g = knn_graph(&store, 10, 0);
         for v in 0..3u32 {
             assert_eq!(g.degree(v), 2);
         }
@@ -249,6 +207,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty store")]
     fn empty_store_panics() {
-        knn_graph(&VectorStore::new(2), &KnnParams::default());
+        knn_graph(&VectorStore::new(2), 20, 0);
     }
 }

@@ -444,6 +444,21 @@ pub enum MutationError {
         /// The first absent modality.
         modality: usize,
     },
+    /// An inserted object's modality vector has the wrong dimension (even
+    /// when the total length matches, its blocks would be misread).
+    DimensionMismatch {
+        /// The modality whose vector is off.
+        modality: usize,
+        /// Its dimension in the offered object.
+        got: usize,
+        /// The dimension the schema requires.
+        want: usize,
+    },
+    /// An inserted object holds a NaN or infinite component.
+    NonFinite {
+        /// The first modality holding one.
+        modality: usize,
+    },
 }
 
 impl fmt::Display for MutationError {
@@ -458,6 +473,17 @@ impl fmt::Display for MutationError {
             }
             Self::IncompleteObject { modality } => {
                 write!(f, "inserted object is missing modality {modality}")
+            }
+            Self::DimensionMismatch {
+                modality,
+                got,
+                want,
+            } => write!(
+                f,
+                "modality {modality} has dimension {got}, schema requires {want}"
+            ),
+            Self::NonFinite { modality } => {
+                write!(f, "modality {modality} holds a non-finite component")
             }
         }
     }
@@ -741,6 +767,12 @@ mod tests {
             MutationError::IdOutOfRange { id: 9, n: 3 },
             MutationError::ArityMismatch { got: 1, want: 2 },
             MutationError::IncompleteObject { modality: 1 },
+            MutationError::DimensionMismatch {
+                modality: 0,
+                got: 3,
+                want: 4,
+            },
+            MutationError::NonFinite { modality: 1 },
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -24,7 +24,7 @@ pub fn pipeline(r: usize, l: usize, knn_k: usize, seed: u64) -> GraphPipeline {
         init: InitStage::Knn { k: knn_k, seed },
         entry: EntryStage::Medoid,
         refine: RefineStage { l, passes: 1 },
-        select: SelectStage::RobustPrune { alpha: 1.0, r },
+        select: SelectStage { alpha: 1.0, r },
         repair: RepairStage::GrowFromEntry,
     }
 }
@@ -80,7 +80,7 @@ mod tests {
     #[test]
     fn mrng_rule_is_alpha_one() {
         let p = pipeline(10, 20, 8, 0);
-        assert_eq!(p.select, SelectStage::RobustPrune { alpha: 1.0, r: 10 });
+        assert_eq!(p.select, SelectStage { alpha: 1.0, r: 10 });
         assert_eq!(p.refine.passes, 1);
     }
 }

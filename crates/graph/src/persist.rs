@@ -12,6 +12,7 @@
 use crate::live::Tombstones;
 use crate::pipeline::{BuiltGraph, IndexAlgorithm};
 use crate::unified::UnifiedIndex;
+use crate::validate::InvariantViolation;
 use mqa_vector::{MultiVectorStore, Weights};
 use serde::{Deserialize, Serialize};
 
@@ -67,14 +68,33 @@ impl UnifiedSnapshot {
 
     /// Reconstructs the live index, deletion state included: a restored
     /// index keeps filtering the same tombstoned ids as the original.
-    pub fn restore(self) -> UnifiedIndex {
-        UnifiedIndex::from_parts(
+    ///
+    /// # Errors
+    /// Returns what is wrong with a snapshot whose graph does not cover
+    /// exactly the store population, or which assembles into an index that
+    /// fails [`crate::unified::IndexSnapshot::validate`] (weights of the
+    /// wrong arity included).
+    pub fn restore(self) -> Result<UnifiedIndex, Vec<InvariantViolation>> {
+        if self.graph.len() != self.store.len() {
+            return Err(vec![InvariantViolation::SizeMismatch {
+                context: "snapshot graph population".to_string(),
+                expected: self.store.len(),
+                got: self.graph.len(),
+            }]);
+        }
+        let index = UnifiedIndex::from_parts(
             self.store,
             self.weights,
             self.graph,
             self.algorithm,
             self.tombstones,
-        )
+        );
+        let violations = index.current().validate(index.weights());
+        if violations.is_empty() {
+            Ok(index)
+        } else {
+            Err(violations)
+        }
     }
 }
 
@@ -129,7 +149,8 @@ mod tests {
             let json = snapshot.to_json().expect("finite snapshot serializes");
             let restored = UnifiedSnapshot::from_json(&json)
                 .expect("round trips")
-                .restore();
+                .restore()
+                .expect("sound snapshot");
             let after = restored.search(&q, None, 10, 48).ids();
             assert_eq!(before, after, "algorithm {}", algo.name());
             assert_eq!(restored.algorithm(), &algo);
@@ -150,7 +171,8 @@ mod tests {
         let json = idx.snapshot().to_json().expect("finite snapshot");
         let restored = UnifiedSnapshot::from_json(&json)
             .expect("round trips")
-            .restore();
+            .restore()
+            .expect("sound snapshot");
         assert_eq!(restored.live_len(), 197);
         let snap = restored.current();
         for id in [3u32, 64, 127] {
@@ -194,7 +216,8 @@ mod tests {
             let json = idx.snapshot().to_json().expect("finite snapshot");
             let restored = UnifiedSnapshot::from_json(&json)
                 .expect("round trips")
-                .restore();
+                .restore()
+                .expect("sound snapshot");
             assert_eq!(restored.snapshot().graph, idx.snapshot().graph);
             idx.add_objects(&batch(80, 120)).expect("original grows");
             restored
@@ -214,8 +237,9 @@ mod tests {
     /// Regression: `from_parts` checks lengths only, so a snapshot file
     /// can carry edge and entry ids beyond the population; the walk used
     /// to index its visited stamps with them and panic on the serving
-    /// path. They must dead-end (the documented behaviour of
-    /// `Adjacency::neighbors`) and change no answer, while validation
+    /// path. `restore` refuses such a snapshot; an index assembled from it
+    /// anyway dead-ends on them (the documented behaviour of
+    /// `Adjacency::neighbors`) and changes no answer, while validation
     /// still reports them.
     #[test]
     fn forged_out_of_range_ids_dead_end_instead_of_panicking() {
@@ -238,9 +262,19 @@ mod tests {
             &format!("\"entries\":[{FORGED},"),
             1,
         );
-        let restored = UnifiedSnapshot::from_json(&forged)
-            .expect("forged ids are well-formed JSON")
-            .restore();
+        let forged = UnifiedSnapshot::from_json(&forged).expect("forged ids are well-formed JSON");
+        let refused = forged.clone().restore().err().expect("forged ids");
+        assert!(refused.iter().any(|v| matches!(
+            v,
+            crate::validate::InvariantViolation::IdOutOfRange { id: FORGED, .. }
+        )));
+        let restored = UnifiedIndex::from_parts(
+            forged.store,
+            forged.weights,
+            forged.graph,
+            forged.algorithm,
+            forged.tombstones,
+        );
         for seed in 30..40 {
             let q = query(seed);
             let want = idx.search(&q, None, 10, 48);
@@ -279,10 +313,11 @@ mod tests {
         let start = json.find("\"lists\":[[").expect("navgraph lists");
         let second = start + json[start..].find("],[").expect("a second list") + 3;
         let forged = format!("{}{FORGED},{}", &json[..second], &json[second..]);
-        let restored = UnifiedSnapshot::from_json(&forged)
+        let violations = UnifiedSnapshot::from_json(&forged)
             .expect("a forged id is well-formed JSON")
-            .restore();
-        let violations = restored.current().validate(restored.weights());
+            .restore()
+            .err()
+            .expect("a forged id does not restore");
         assert!(
             violations.iter().any(|v| matches!(
                 v,
@@ -300,23 +335,67 @@ mod tests {
             Metric::L2,
             &IndexAlgorithm::Flat,
         );
-        let restored = idx.snapshot().restore();
+        let restored = idx.snapshot().restore().expect("sound snapshot");
         assert_eq!(restored.build_time(), std::time::Duration::ZERO);
         assert_eq!(restored.len(), 100);
     }
 
+    /// What `restore` reports for a snapshot it must refuse.
+    fn refused(snap: UnifiedSnapshot) -> Vec<InvariantViolation> {
+        snap.restore()
+            .err()
+            .expect("a broken snapshot must not restore")
+    }
+
+    /// A graph that does not cover exactly the store population — more
+    /// objects than the store holds, or 60 of its 100 — is refused; both
+    /// used to panic inside `restore`.
     #[test]
-    #[should_panic(expected = "does not match the store")]
     fn mismatched_parts_rejected() {
+        let snapshot = |n| {
+            let idx = UnifiedIndex::build(
+                store(n, 3),
+                Weights::uniform(2),
+                Metric::L2,
+                &IndexAlgorithm::mqa_graph(),
+            );
+            idx.snapshot()
+        };
+        for (objects, vertices) in [(10, 50), (100, 60)] {
+            let mut snap = snapshot(objects);
+            snap.graph = snapshot(vertices).graph;
+            assert_eq!(
+                refused(snap),
+                vec![InvariantViolation::SizeMismatch {
+                    context: "snapshot graph population".to_string(),
+                    expected: objects,
+                    got: vertices,
+                }]
+            );
+        }
+    }
+
+    /// Weights of arity 3 over a 2-modality schema used to restore and
+    /// validate clean, and the first search then panicked in the scanner.
+    #[test]
+    fn weights_of_the_wrong_arity_are_refused() {
         let idx = UnifiedIndex::build(
-            store(50, 3),
+            store(100, 14),
             Weights::uniform(2),
             Metric::L2,
-            &IndexAlgorithm::Flat,
+            &IndexAlgorithm::mqa_graph(),
         );
         let mut snap = idx.snapshot();
-        snap.store = store(10, 4); // wrong population
-        snap.restore();
+        snap.weights = Weights::uniform(3);
+        let violations = refused(snap);
+        assert!(
+            violations.contains(&InvariantViolation::SizeMismatch {
+                context: "unified snapshot weights arity".to_string(),
+                expected: 2,
+                got: 3,
+            }),
+            "{violations:?}"
+        );
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //!
 //! 1. **Initialization** ([`InitStage`]) — a starting graph: random regular
 //!    or (approximate) kNN;
-//! 2. **Entry selection** ([`EntryStage`]) — medoid, random, or fixed entry
-//!    vertices;
+//! 2. **Entry selection** ([`EntryStage`]) — the medoid, alone or with
+//!    spread random entries;
 //! 3. **Candidate acquisition + neighbour selection** ([`RefineStage`],
 //!    [`SelectStage`]) — per vertex, gather a candidate pool (by searching
 //!    the evolving graph from the entry, Vamana-style) and prune it to a
-//!    bounded diverse out-neighbour set, inserting pruned reverse edges;
+//!    bounded diverse out-neighbour set under the α-robust rule, inserting
+//!    pruned reverse edges;
 //! 4. **Connectivity repair** ([`RepairStage`]) — attach any vertex
 //!    unreachable from the entry.
 //!
@@ -31,9 +32,9 @@
 use crate::adjacency::Adjacency;
 use crate::flat::FlatSearcher;
 use crate::hnsw::{Hnsw, HnswParams};
-use crate::knn::{knn_graph, KnnParams};
+use crate::knn::knn_graph;
 use crate::live::Tombstones;
-use crate::prune::{candidates_of, robust_prune, robust_reprune, select_nearest};
+use crate::prune::{candidates_of, robust_prune, robust_reprune};
 use crate::scratch::{with_pooled, SearchScratch};
 use crate::search::SearchOutput;
 use crate::traits::{DistanceFn, FlatDistance};
@@ -69,15 +70,6 @@ pub enum InitStage {
 pub enum EntryStage {
     /// The store's medoid (NSG / Vamana convention).
     Medoid,
-    /// `count` uniformly random vertices.
-    Random {
-        /// Number of entry vertices.
-        count: usize,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// Vertex 0.
-    First,
     /// The medoid plus `extra` random vertices. Multiple spatially spread
     /// entries make beam search robust to *metric mismatch* — e.g. a
     /// text-only query walking a graph whose edges were selected under an
@@ -100,40 +92,22 @@ pub struct RefineStage {
     pub passes: usize,
 }
 
-/// Stage 3b: neighbour selection applied to each candidate pool.
+/// Stage 3b: neighbour selection applied to each candidate pool — the
+/// α-robust pruning rule with degree bound `r` (`α = 1` is the MRNG rule
+/// NSG uses).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SelectStage {
-    /// Keep the `r` nearest (no diversification).
-    Nearest {
-        /// Degree bound.
-        r: usize,
-    },
-    /// α-robust pruning with degree bound `r` (`α = 1` ⇒ MRNG/NSG rule).
-    RobustPrune {
-        /// Diversification slack (≥ 1.0).
-        alpha: f32,
-        /// Degree bound.
-        r: usize,
-    },
+pub struct SelectStage {
+    /// Diversification slack (≥ 1.0).
+    pub alpha: f32,
+    /// Degree bound.
+    pub r: usize,
 }
 
 impl SelectStage {
-    fn degree_bound(&self) -> usize {
-        match *self {
-            SelectStage::Nearest { r } | SelectStage::RobustPrune { r, .. } => r,
-        }
-    }
-
     /// Selects `v`'s out-neighbours from `candidates` (sorted and
     /// deduplicated in place). The result is a *clean* list.
     fn apply(&self, store: &VectorStore, v: VecId, candidates: &mut Vec<Candidate>) -> Vec<VecId> {
-        match *self {
-            SelectStage::Nearest { r } => {
-                candidates.retain(|x| x.id != v);
-                select_nearest(candidates, r)
-            }
-            SelectStage::RobustPrune { alpha, r } => robust_prune(store, v, candidates, alpha, r),
-        }
+        robust_prune(store, v, candidates, self.alpha, self.r)
     }
 
     /// Selects again from `v`'s own out-list once reverse edges pushed it
@@ -141,28 +115,20 @@ impl SelectStage {
     /// over the whole list, skipping what its clean prefix already proves.
     fn reapply(&self, store: &VectorStore, v: VecId, graph: &Adjacency) -> Vec<VecId> {
         let list = graph.neighbors(v);
-        match *self {
-            SelectStage::Nearest { .. } => {
-                let mut all = candidates_of(store, v, list).collect();
-                self.apply(store, v, &mut all)
-            }
-            SelectStage::RobustPrune { alpha, r } => {
-                let selected = robust_reprune(store, v, list, graph.clean_len(v), alpha, r);
-                // Every overflow of every graph the unit tests build is
-                // checked against the from-scratch prune.
-                #[cfg(test)]
-                {
-                    let mut all = candidates_of(store, v, list).collect();
-                    assert_eq!(
-                        selected,
-                        robust_prune(store, v, &mut all, alpha, r),
-                        "incremental re-prune diverged at vertex {v}"
-                    );
-                    REPRUNES_CHECKED.with(|c| c.set(c.get() + 1));
-                }
-                selected
-            }
+        let selected = robust_reprune(store, v, list, graph.clean_len(v), self.alpha, self.r);
+        // Every overflow of every graph the unit tests build is checked
+        // against the from-scratch prune.
+        #[cfg(test)]
+        {
+            let mut all = candidates_of(store, v, list).collect();
+            assert_eq!(
+                selected,
+                self.apply(store, v, &mut all),
+                "incremental re-prune diverged at vertex {v}"
+            );
+            REPRUNES_CHECKED.with(|c| c.set(c.get() + 1));
         }
+        selected
     }
 }
 
@@ -298,20 +264,16 @@ impl NavGraph {
     }
 
     /// Checks each vertex's recorded clean-prefix length against its list:
-    /// no longer than the list, sorted by distance to the vertex, and —
-    /// under an α rule — pairwise undominated under *this graph's* rule.
-    /// A prefix that fails would make the incremental re-prune skip tests
-    /// whose answer it does not know.
+    /// no longer than the list, sorted by distance to the vertex, and
+    /// pairwise undominated under *this graph's* α. A prefix that fails
+    /// would make the incremental re-prune skip tests whose answer it does
+    /// not know.
     pub(crate) fn check_clean_prefixes(&self, store: &VectorStore) -> Vec<InvariantViolation> {
-        let alpha = match self.select {
-            SelectStage::Nearest { .. } => None,
-            SelectStage::RobustPrune { alpha, .. } => Some(alpha),
-        };
         crate::validate::check_clean_prefixes(
             &format!("navgraph {}", self.name),
             &self.graph,
             store,
-            alpha,
+            self.select.alpha,
         )
     }
 
@@ -418,34 +380,13 @@ fn run_init(cfg: &InitStage, store: &VectorStore) -> Adjacency {
             }
             g
         }
-        InitStage::Knn { k, seed } => knn_graph(
-            store,
-            &KnnParams {
-                k,
-                seed,
-                ..KnnParams::default()
-            },
-        ),
+        InitStage::Knn { k, seed } => knn_graph(store, k, seed),
     }
 }
 
 fn run_entry(cfg: &EntryStage, store: &VectorStore) -> Vec<VecId> {
     match *cfg {
         EntryStage::Medoid => vec![medoid(store)],
-        EntryStage::Random { count, seed } => {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xE217);
-            let n = store.len();
-            let count = count.clamp(1, n);
-            let mut out = Vec::with_capacity(count);
-            while out.len() < count {
-                let v = rng.gen_range(0..n) as VecId;
-                if !out.contains(&v) {
-                    out.push(v);
-                }
-            }
-            out
-        }
-        EntryStage::First => vec![0],
         EntryStage::MedoidPlusRandom { extra, seed } => {
             let mut out = vec![medoid(store)];
             let mut rng = StdRng::seed_from_u64(seed ^ 0xE218);
@@ -507,12 +448,11 @@ fn link_vertex(
     // Merge current neighbours so established edges compete (a newly
     // grown vertex has none yet).
     pool.extend(candidates_of(store, v, graph.neighbors(v)));
-    let r = select.degree_bound();
     let selected = select.apply(store, v, pool);
     graph.set_pruned(v, selected.clone());
     for u in selected {
         graph.add_edge(u, v);
-        if graph.degree(u) > r {
+        if graph.degree(u) > select.r {
             let pruned = select.reapply(store, u, graph);
             graph.set_pruned(u, pruned);
         }
@@ -845,7 +785,7 @@ impl IndexAlgorithm {
                         seed: *seed,
                     },
                     refine: RefineStage { l: *l, passes: 2 },
-                    select: SelectStage::RobustPrune {
+                    select: SelectStage {
                         alpha: *alpha,
                         r: *r,
                     },
@@ -949,7 +889,7 @@ mod tests {
                     },
                     entry: EntryStage::Medoid,
                     refine: RefineStage { l: *l, passes: 2 },
-                    select: SelectStage::RobustPrune {
+                    select: SelectStage {
                         alpha: *alpha,
                         r: *r,
                     },
@@ -978,7 +918,7 @@ mod tests {
             },
             entry: EntryStage::Medoid,
             refine: RefineStage { l: 32, passes: 2 },
-            select: SelectStage::RobustPrune { alpha: 1.2, r: 12 },
+            select: SelectStage { alpha: 1.2, r: 12 },
             repair: RepairStage::None,
         }
         .run(&store, "test");
@@ -996,9 +936,9 @@ mod tests {
         let store = clustered_store(300, 4, 5, 6);
         let nav = GraphPipeline {
             init: InitStage::Knn { k: 8, seed: 0 },
-            entry: EntryStage::First,
+            entry: EntryStage::Medoid,
             refine: RefineStage { l: 16, passes: 1 },
-            select: SelectStage::Nearest { r: 8 },
+            select: SelectStage { alpha: 1.0, r: 8 },
             repair: RepairStage::GrowFromEntry,
         }
         .run(&store, "test");
@@ -1022,11 +962,10 @@ mod tests {
     #[test]
     fn entry_stage_variants() {
         let store = clustered_store(50, 4, 5, 7);
-        assert_eq!(run_entry(&EntryStage::First, &store), vec![0]);
-        let rnd = run_entry(&EntryStage::Random { count: 3, seed: 1 }, &store);
-        assert_eq!(rnd.len(), 3);
         let m = run_entry(&EntryStage::Medoid, &store);
         assert_eq!(m.len(), 1);
+        let spread = run_entry(&EntryStage::MedoidPlusRandom { extra: 3, seed: 1 }, &store);
+        assert_eq!((spread.len(), spread[0]), (4, m[0]));
     }
 
     #[test]
@@ -1142,20 +1081,16 @@ mod tests {
     fn nav_graphs_remember_their_recipe() {
         let store = clustered_store(300, 8, 6, 34);
         for (algo, l, select) in [
-            (
-                IndexAlgorithm::nsg(),
-                64,
-                SelectStage::RobustPrune { alpha: 1.0, r: 24 },
-            ),
+            (IndexAlgorithm::nsg(), 64, SelectStage { alpha: 1.0, r: 24 }),
             (
                 IndexAlgorithm::vamana(),
                 64,
-                SelectStage::RobustPrune { alpha: 1.2, r: 24 },
+                SelectStage { alpha: 1.2, r: 24 },
             ),
             (
                 IndexAlgorithm::mqa_graph(),
                 64,
-                SelectStage::RobustPrune { alpha: 1.2, r: 24 },
+                SelectStage { alpha: 1.2, r: 24 },
             ),
         ] {
             let BuiltGraph::Nav(nav) = algo.build_graph(&store) else {

@@ -14,15 +14,6 @@
 
 use mqa_vector::{ops, Candidate, VecId, VectorStore};
 
-/// Keeps the `r` nearest candidates — no diversification. The baseline
-/// selection (and what a raw kNN graph amounts to). Sorts and deduplicates
-/// `candidates` in place.
-pub fn select_nearest(candidates: &mut Vec<Candidate>, r: usize) -> Vec<VecId> {
-    candidates.sort_unstable();
-    candidates.dedup_by_key(|c| c.id);
-    candidates.iter().take(r).map(|c| c.id).collect()
-}
-
 #[cfg(test)]
 thread_local! {
     /// Distance evaluations made by this thread's selection calls — what
@@ -199,21 +190,6 @@ mod tests {
 
     fn cands(store: &VectorStore, v: VecId, ids: &[VecId]) -> Vec<Candidate> {
         candidates_of(store, v, ids).collect()
-    }
-
-    #[test]
-    fn select_nearest_takes_closest() {
-        let store = line_store(10);
-        let mut c = cands(&store, 0, &[5, 1, 9, 2]);
-        assert_eq!(select_nearest(&mut c, 2), vec![1, 2]);
-    }
-
-    #[test]
-    fn select_nearest_dedups() {
-        let store = line_store(5);
-        let mut c = cands(&store, 0, &[1, 2]);
-        c.extend(cands(&store, 0, &[1]));
-        assert_eq!(select_nearest(&mut c, 5), vec![1, 2]);
     }
 
     #[test]

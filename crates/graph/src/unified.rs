@@ -43,7 +43,9 @@ use crate::traits::DistanceFn;
 use crate::validate::{
     check_adjacency, check_edges_live, check_tombstones, check_weighted_rows, InvariantViolation,
 };
-use mqa_vector::{FusedScanner, Metric, MultiVector, MultiVectorStore, ScanStats, VecId, Weights};
+use mqa_vector::{
+    FusedScanner, Metric, MultiVector, MultiVectorStore, ScanStats, Schema, VecId, Weights,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -53,7 +55,6 @@ use std::time::Duration;
 pub struct FusedDistance<'a> {
     store: &'a MultiVectorStore,
     scanner: FusedScanner,
-    prune: bool,
 }
 
 impl<'a> FusedDistance<'a> {
@@ -68,20 +69,7 @@ impl<'a> FusedDistance<'a> {
         metric: Metric,
     ) -> Self {
         let scanner = FusedScanner::new(store.schema(), query, weights, metric);
-        Self {
-            store,
-            scanner,
-            prune: true,
-        }
-    }
-
-    /// Disables early abandonment (every evaluation runs to completion).
-    /// The E8 ablation uses this to measure what incremental scanning
-    /// saves; search results are identical either way (see
-    /// `mqa_vector::scan` for the soundness argument).
-    pub fn without_pruning(mut self) -> Self {
-        self.prune = false;
-        self
+        Self { store, scanner }
     }
 
     /// Scanner work counters (terms computed vs skipped).
@@ -93,7 +81,6 @@ impl<'a> FusedDistance<'a> {
 impl DistanceFn for FusedDistance<'_> {
     #[inline]
     fn eval(&mut self, id: VecId, bound: f32) -> Option<f32> {
-        let bound = if self.prune { bound } else { f32::INFINITY };
         self.scanner.distance(self.store.concat_of(id), bound)
     }
 }
@@ -133,6 +120,7 @@ impl IndexSnapshot {
     /// is what their clean prefixes are checked in.
     ///
     /// - the navigation structure covers exactly the store population;
+    /// - `weights` cover exactly the schema's modalities;
     /// - the held weighted rows are the scaled store rows, bit for bit;
     /// - the tombstone bitmaps are internally consistent
     ///   ([`crate::validate::check_tombstones`]);
@@ -153,6 +141,14 @@ impl IndexSnapshot {
                 context: "unified snapshot population".to_string(),
                 expected: n,
                 got: self.searcher.len(),
+            });
+        }
+        let arity = self.store.schema().arity();
+        if weights.arity() != arity {
+            out.push(InvariantViolation::SizeMismatch {
+                context: "unified snapshot weights arity".to_string(),
+                expected: arity,
+                got: weights.arity(),
             });
         }
         out.extend(check_tombstones("unified snapshot", n, &self.tombstones));
@@ -381,23 +377,16 @@ impl UnifiedIndex {
     ///
     /// # Errors
     /// Rejects the whole batch (publishing nothing) on an empty batch, an
-    /// arity mismatch, or an incomplete object.
+    /// arity mismatch, an incomplete object, a modality vector of the wrong
+    /// dimension, or a non-finite component.
     pub fn add_objects(&self, objects: &[MultiVector]) -> Result<MutationReport, MutationError> {
         if objects.is_empty() {
             return Err(MutationError::EmptyBatch);
         }
         // Checked against any generation: the schema never changes.
-        let want = self.published.load().store.schema().arity();
+        let pinned = self.published.load();
         for object in objects {
-            if object.arity() != want {
-                return Err(MutationError::ArityMismatch {
-                    got: object.arity(),
-                    want,
-                });
-            }
-            if let Some(modality) = (0..want).find(|&m| object.part(m).is_none()) {
-                return Err(MutationError::IncompleteObject { modality });
-            }
+            check_object(pinned.store.schema(), object)?;
         }
         let inserts = mqa_obs::counter("graph.mutate.inserts");
         Ok(self.publish_next(inserts, |draft| {
@@ -571,6 +560,33 @@ impl UnifiedIndex {
     }
 }
 
+/// Why `object` cannot be inserted under `schema`, if it cannot.
+fn check_object(schema: &Schema, object: &MultiVector) -> Result<(), MutationError> {
+    let want = schema.arity();
+    if object.arity() != want {
+        return Err(MutationError::ArityMismatch {
+            got: object.arity(),
+            want,
+        });
+    }
+    for (modality, spec) in schema.modalities().iter().enumerate() {
+        let Some(part) = object.part(modality) else {
+            return Err(MutationError::IncompleteObject { modality });
+        };
+        if part.len() != spec.dim {
+            return Err(MutationError::DimensionMismatch {
+                modality,
+                got: part.len(),
+                want: spec.dim,
+            });
+        }
+        if part.iter().any(|x| !x.is_finite()) {
+            return Err(MutationError::NonFinite { modality });
+        }
+    }
+    Ok(())
+}
+
 /// RAII marker for the mutation-in-progress flag: raised on construction,
 /// lowered on drop so a panicking writer cannot leave the flag stuck.
 struct MutatingFlag<'a>(&'a AtomicBool);
@@ -608,7 +624,7 @@ impl UnifiedSearchOutput {
 mod tests {
     use super::*;
     use mqa_rng::StdRng;
-    use mqa_vector::{Schema, VectorStore};
+    use mqa_vector::VectorStore;
 
     /// Clustered multi-modal store: objects around per-class centers in
     /// both modalities, with the image modality noisier.
@@ -618,15 +634,16 @@ mod tests {
         text_noise: f32,
         image_noise: f32,
         seed: u64,
+        dim: usize,
     ) -> (MultiVectorStore, Vec<u32>) {
-        let schema = Schema::text_image(8, 8);
+        let schema = Schema::text_image(dim, dim);
         let mut store = MultiVectorStore::new(schema.clone());
         let mut rng = StdRng::seed_from_u64(seed);
         let centers: Vec<(Vec<f32>, Vec<f32>)> = (0..classes)
             .map(|_| {
                 (
-                    (0..8).map(|_| rng.gen_range(-2.0..2.0)).collect(),
-                    (0..8).map(|_| rng.gen_range(-2.0..2.0)).collect(),
+                    (0..dim).map(|_| rng.gen_range(-2.0..2.0)).collect(),
+                    (0..dim).map(|_| rng.gen_range(-2.0..2.0)).collect(),
                 )
             })
             .collect();
@@ -650,7 +667,7 @@ mod tests {
     }
 
     fn build_default(seed: u64) -> (UnifiedIndex, Vec<u32>) {
-        let (store, labels) = clustered(600, 12, 0.2, 0.6, seed);
+        let (store, labels) = clustered(600, 12, 0.2, 0.6, seed, 8);
         let weights = Weights::normalized(&[1.5, 0.5]);
         let idx = UnifiedIndex::build(store, weights, Metric::L2, &IndexAlgorithm::mqa_graph());
         (idx, labels)
@@ -732,7 +749,7 @@ mod tests {
 
     #[test]
     fn weight_override_changes_ranking() {
-        let (store, _) = clustered(300, 6, 0.2, 0.2, 4);
+        let (store, _) = clustered(300, 6, 0.2, 0.2, 4, 8);
         let idx = UnifiedIndex::build(
             store,
             Weights::uniform(2),
@@ -800,23 +817,49 @@ mod tests {
         );
     }
 
+    /// The evaluator with early abandonment switched off: every bound it
+    /// is handed becomes infinite.
+    struct Unpruned<'a, 'q>(&'a mut FusedDistance<'q>);
+
+    impl DistanceFn for Unpruned<'_, '_> {
+        fn eval(&mut self, id: VecId, _bound: f32) -> Option<f32> {
+            self.0.eval(id, f32::INFINITY)
+        }
+    }
+
+    /// Pruning never changes an answer: at the system's 64-dim blocks (two
+    /// chunks each) a search whose evaluations never abandon returns the
+    /// same ids and distance bits, for more terms.
     #[test]
     fn pruning_toggle_preserves_results() {
-        let (idx, _) = build_default(8);
-        let schema = idx.store().schema().clone();
-        let q = MultiVector::complete(&schema, vec![vec![0.1; 8], vec![-0.3; 8]]);
-        let pruned = idx.search(&q, None, 10, 64);
+        let (store, _) = clustered(400, 12, 0.2, 0.6, 8, 64);
+        let idx = UnifiedIndex::build(
+            store,
+            Weights::normalized(&[1.5, 0.5]),
+            Metric::L2,
+            &IndexAlgorithm::mqa_graph(),
+        );
         let snap = idx.current();
-        let mut full =
-            FusedDistance::new(snap.store(), &q, idx.weights(), Metric::L2).without_pruning();
-        let mut scratch = crate::scratch::SearchScratch::new();
-        let full_ids = snap
-            .searcher()
-            .search(&mut full, 10, 64, &mut scratch)
-            .ids();
-        assert_eq!(pruned.ids(), full_ids);
-        assert_eq!(full.scan_stats().terms_skipped, 0);
-        assert!(pruned.scan.terms < full.scan_stats().terms);
+        let bits = |out: &SearchOutput| {
+            out.results
+                .iter()
+                .map(|c| (c.id, c.dist.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let mut rng = StdRng::seed_from_u64(9);
+        for i in 0..20 {
+            let q = random_object(snap.store().schema(), &mut rng);
+            let pruned = idx.search(&q, None, 10, 64);
+            let mut dist = FusedDistance::new(snap.store(), &q, idx.weights(), Metric::L2);
+            let mut scratch = crate::scratch::SearchScratch::new();
+            let unpruned = snap
+                .searcher()
+                .search(&mut Unpruned(&mut dist), 10, 64, &mut scratch);
+            assert_eq!(bits(&pruned.output), bits(&unpruned), "query {i}");
+            let full = dist.scan_stats();
+            assert_eq!(full.terms_skipped, 0);
+            assert!(pruned.scan.terms < full.terms, "query {i}");
+        }
     }
 
     #[test]
@@ -877,7 +920,7 @@ mod tests {
 
     #[test]
     fn deletes_past_threshold_trigger_compaction() {
-        let (store, _) = clustered(300, 6, 0.2, 0.6, 12);
+        let (store, _) = clustered(300, 6, 0.2, 0.6, 12, 8);
         let idx = UnifiedIndex::build(
             store,
             Weights::uniform(2),
@@ -967,6 +1010,45 @@ mod tests {
         }
     }
 
+    /// Asserts `idx` rejects `object` with `want` and publishes nothing.
+    fn rejects(idx: &UnifiedIndex, object: &MultiVector, want: MutationError) {
+        let before = idx.current();
+        let got = idx.add_objects(std::slice::from_ref(object));
+        assert_eq!(got, Err(want), "{}", idx.algorithm().name());
+        assert_eq!(idx.epoch(), 0);
+        assert!(Arc::ptr_eq(before.snapshot(), idx.current().snapshot()));
+    }
+
+    /// An object built for `text_image(3, 13)` has the total length of
+    /// this `text_image(8, 8)` index, and its blocks used to be misread.
+    #[test]
+    fn add_objects_rejects_a_per_modality_dimension_mismatch() {
+        let other = Schema::text_image(3, 13);
+        let object = MultiVector::complete(&other, vec![vec![0.5; 3], vec![0.5; 13]]);
+        let want = MutationError::DimensionMismatch {
+            modality: 0,
+            got: 3,
+            want: 8,
+        };
+        for algo in families() {
+            rejects(&build_small(200, 17, &algo), &object, want);
+        }
+    }
+
+    /// A NaN or infinite component used to be accepted, validate clean,
+    /// and make every later snapshot unsavable.
+    #[test]
+    fn add_objects_rejects_non_finite_components() {
+        let idx = build_small(200, 18, &IndexAlgorithm::mqa_graph());
+        let schema = idx.store().schema().clone();
+        for (m, bad) in [(0, f32::NAN), (1, f32::INFINITY), (1, f32::NEG_INFINITY)] {
+            let mut parts = vec![vec![0.5; 8], vec![0.5; 8]];
+            parts[m][3] = bad;
+            let object = MultiVector::complete(&schema, parts);
+            rejects(&idx, &object, MutationError::NonFinite { modality: m });
+        }
+    }
+
     #[test]
     fn readers_pin_their_generation_across_publishes() {
         let (idx, _) = build_default(14);
@@ -1013,7 +1095,7 @@ mod tests {
     }
 
     fn build_small(n: usize, seed: u64, algo: &IndexAlgorithm) -> UnifiedIndex {
-        let (store, _) = clustered(n, 6, 0.2, 0.6, seed);
+        let (store, _) = clustered(n, 6, 0.2, 0.6, seed, 8);
         UnifiedIndex::build(store, Weights::normalized(&[1.5, 0.5]), Metric::L2, algo)
     }
 
@@ -1222,7 +1304,7 @@ mod tests {
                 let bits =
                     |s: &VectorStore| s.raw().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&snap.weighted), bits(&full), "{context}");
-                let assembled = idx.snapshot().restore();
+                let assembled = idx.snapshot().restore().expect("sound snapshot");
                 for q in &queries {
                     assert_eq!(
                         idx.search(q, None, 10, 48).output.results,

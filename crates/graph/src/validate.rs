@@ -91,11 +91,6 @@ pub enum InvariantViolation {
         /// The stored value.
         got: usize,
     },
-    /// A non-finite number where the structure requires finite values.
-    NonFinite {
-        /// Where the NaN/infinity sits.
-        context: String,
-    },
     /// A tombstone count disagreeing with its bitmap (corrupted or forged
     /// deletion state).
     DeadCountMismatch {
@@ -200,7 +195,6 @@ impl fmt::Display for InvariantViolation {
             } => {
                 write!(f, "{context}: expected {expected}, got {got}")
             }
-            Self::NonFinite { context } => write!(f, "{context}: non-finite value"),
             Self::DeadCountMismatch {
                 context,
                 recorded,
@@ -299,8 +293,8 @@ pub fn check_adjacency(context: &str, graph: &Adjacency) -> Vec<InvariantViolati
 
 /// Clean-prefix checks (see [`Adjacency`]): each recorded length is at most
 /// the degree, the prefix is sorted by ascending distance to its vertex,
-/// and — when the graph selects under an α rule (`alpha` is `Some`) — no
-/// prefix entry dominates a later one (`alpha · d(p, q) <= d(v, q)`).
+/// and no prefix entry dominates a later one under the graph's α rule
+/// (`alpha · d(p, q) <= d(v, q)`).
 /// Reports the first defect of each vertex.
 ///
 /// Reads vectors by neighbour id: call it on a graph
@@ -309,7 +303,7 @@ pub fn check_clean_prefixes(
     context: &str,
     graph: &Adjacency,
     store: &VectorStore,
-    alpha: Option<f32>,
+    alpha: f32,
 ) -> Vec<InvariantViolation> {
     let mut out = Vec::new();
     for v in 0..graph.len() as VecId {
@@ -335,7 +329,7 @@ fn clean_prefix_defect(
     store: &VectorStore,
     v: VecId,
     prefix: &[VecId],
-    alpha: Option<f32>,
+    alpha: f32,
 ) -> Option<String> {
     let ranked: Vec<Candidate> = crate::prune::candidates_of(store, v, prefix).collect();
     if let Some((a, b)) = ranked
@@ -345,7 +339,6 @@ fn clean_prefix_defect(
     {
         return Some(format!("{} is listed before the closer {}", a.id, b.id));
     }
-    let alpha = alpha?;
     for (j, q) in ranked.iter().enumerate() {
         let qv = store.get(q.id);
         for p in ranked.iter().take(j) {

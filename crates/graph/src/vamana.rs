@@ -24,7 +24,7 @@ pub fn pipeline(r: usize, l: usize, alpha: f32, seed: u64) -> GraphPipeline {
         init: InitStage::Random { degree: r, seed },
         entry: EntryStage::Medoid,
         refine: RefineStage { l, passes: 2 },
-        select: SelectStage::RobustPrune { alpha, r },
+        select: SelectStage { alpha, r },
         repair: RepairStage::GrowFromEntry,
     }
 }

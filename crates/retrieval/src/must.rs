@@ -240,7 +240,8 @@ mod tests {
         let schema = small.schema().clone();
         let encoders = EncoderSet::default_for(&registry, &schema, 32);
         let small_corpus = Arc::new(EncodedCorpus::encode(small, encoders));
-        let err = match MustFramework::from_index(small_corpus, f.index.snapshot().restore()) {
+        let restored = f.index.snapshot().restore().expect("sound snapshot");
+        let err = match MustFramework::from_index(small_corpus, restored) {
             Err(e) => e,
             Ok(_) => panic!("mismatched sizes must be rejected"),
         };

@@ -142,7 +142,9 @@ impl FusedScanner {
     ///
     /// Returns `None` if the evaluation was abandoned — in that case the
     /// true distance is *provably* `>= bound` and the candidate can be
-    /// discarded. With `bound = f32::INFINITY` the result is always `Some`.
+    /// discarded. Every evaluation sums the same chunks in the same order,
+    /// so one that completes returns the same bits whatever its bound; an
+    /// infinite bound never abandons (short of a sum that overflows).
     ///
     /// # Panics
     /// Panics in debug builds if `flat` does not match the schema's total
@@ -150,9 +152,6 @@ impl FusedScanner {
     #[inline]
     pub fn distance(&mut self, flat: &[f32], bound: f32) -> Option<f32> {
         debug_assert_eq!(flat.len(), self.total_dim, "object vector length mismatch");
-        if bound.is_infinite() {
-            return Some(self.full(flat));
-        }
         let mut total = 0.0f32;
         let mut done: u64 = 0;
         for b in &self.blocks {
@@ -182,22 +181,10 @@ impl FusedScanner {
         Some(total)
     }
 
-    /// Fused distance without pruning (always complete).
+    /// Fused distance without pruning (always complete): `distance` under
+    /// an infinite bound.
     pub fn exact(&mut self, flat: &[f32]) -> f32 {
-        self.full(flat)
-    }
-
-    fn full(&mut self, flat: &[f32]) -> f32 {
-        let mut total = 0.0f32;
-        for b in &self.blocks {
-            // INVARIANT: block offsets/lengths partition 0..total_dim (see
-            // `distance`).
-            let obj = &flat[b.offset..b.offset + b.query.len()];
-            total += b.weight * ops::l2_sq(&b.query, obj);
-        }
-        self.stats.full_evals += 1;
-        self.stats.terms += self.eval_terms;
-        total
+        self.distance(flat, f32::INFINITY).unwrap_or(f32::INFINITY)
     }
 
     /// Work counters accumulated so far.
@@ -272,6 +259,32 @@ mod tests {
             assert!(scanner.distance(flat, f32::INFINITY).is_some());
         }
         assert_eq!(scanner.stats().abandoned, 0);
+    }
+
+    /// One summation: an evaluation that completes under a finite bound
+    /// returns the unbounded evaluation's bits, on blocks that span several
+    /// chunks (the system's 64-dim blocks).
+    #[test]
+    fn completed_bounded_evaluation_equals_unbounded_bits() {
+        let schema = Schema::text_image(64, 64);
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut randv =
+            |d: usize| -> Vec<f32> { (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+        let q = MultiVector::complete(&schema, vec![randv(64), randv(64)]);
+        let w = Weights::normalized(&[1.3, 0.7]);
+        let objs: Vec<Vec<f32>> = (0..300)
+            .map(|_| MultiVector::complete(&schema, vec![randv(64), randv(64)]).concat(&schema))
+            .collect();
+        let mut scanner = FusedScanner::new(&schema, &q, &w, Metric::L2);
+        for (i, flat) in objs.iter().enumerate() {
+            let unbounded = scanner.exact(flat);
+            for bound in [unbounded * 1.5, unbounded * 1.000_001, unbounded + 1.0] {
+                let bounded = scanner
+                    .distance(flat, bound)
+                    .expect("bound above the distance");
+                assert_eq!(bounded.to_bits(), unbounded.to_bits(), "object {i}");
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn main() {
         init: InitStage::Knn { k: 12, seed: 7 },
         entry: EntryStage::MedoidPlusRandom { extra: 2, seed: 7 },
         refine: RefineStage { l: 24, passes: 1 },
-        select: SelectStage::RobustPrune { alpha: 1.1, r: 12 },
+        select: SelectStage { alpha: 1.1, r: 12 },
         repair: RepairStage::None,
     };
     let t0 = std::time::Instant::now();
@@ -98,7 +98,8 @@ fn main() {
     );
     let restored = mqa::graph::UnifiedSnapshot::from_json(&json)
         .unwrap()
-        .restore();
+        .restore()
+        .expect("a snapshot of a sound index restores");
     let q = corpus
         .encoders()
         .encode_query(&MultiModalQuery::text("golden sunset coast"));

@@ -37,7 +37,10 @@ fn must_framework_served_from_restored_snapshot() {
     let json = index.snapshot().to_json().expect("finite index serializes");
 
     let original = MustFramework::from_index(Arc::clone(&corpus), index).expect("sizes match");
-    let restored_index = UnifiedSnapshot::from_json(&json).unwrap().restore();
+    let restored_index = UnifiedSnapshot::from_json(&json)
+        .unwrap()
+        .restore()
+        .expect("sound snapshot");
     let restored =
         MustFramework::from_index(Arc::clone(&corpus), restored_index).expect("sizes match");
 
@@ -80,7 +83,7 @@ fn snapshot_survives_weight_override_queries() {
         Metric::L2,
         &IndexAlgorithm::nsg(),
     );
-    let restored = index.snapshot().restore();
+    let restored = index.snapshot().restore().expect("sound snapshot");
     let q = corpus
         .encoders()
         .encode_query(&MultiModalQuery::text(corpus.kb().get(0).title.clone()));

@@ -140,6 +140,40 @@ fn scan_decision_matches_exact_comparison() {
     }
 }
 
+/// One summation: whatever the bound, an evaluation that completes returns
+/// the bits of the unbounded one, on blocks of one to several chunks.
+#[test]
+fn completed_scan_is_bit_identical_to_unbounded() {
+    let mut rng = StdRng::seed_from_u64(0xA00B);
+    let mut completed = 0;
+    for _ in 0..CASES {
+        let (dt, di) = (rng.gen_range(1usize..130), rng.gen_range(1usize..130));
+        let schema = Schema::text_image(dt, di);
+        let q = MultiVector::complete(
+            &schema,
+            vec![rand_vec(&mut rng, dt), rand_vec(&mut rng, di)],
+        );
+        let o = MultiVector::complete(
+            &schema,
+            vec![rand_vec(&mut rng, dt), rand_vec(&mut rng, di)],
+        );
+        let wt = rng.gen_range(0.1f32..3.0);
+        let w = Weights::normalized(&[wt, 2.0 - wt.min(1.9)]);
+        let flat = o.concat(&schema);
+        let mut scanner = FusedScanner::new(&schema, &q, &w, Metric::L2);
+        let unbounded = scanner.exact(&flat);
+        let bound = unbounded * rng.gen_range(0.5f32..2.0);
+        if let Some(d) = scanner.distance(&flat, bound) {
+            assert_eq!(d.to_bits(), unbounded.to_bits(), "dims {dt}+{di}");
+            completed += 1;
+        }
+    }
+    assert!(
+        completed >= CASES / 3,
+        "only {completed} evaluations completed"
+    );
+}
+
 // ── vector ops ───────────────────────────────────────────────────────────
 
 #[test]
