@@ -62,7 +62,12 @@ cargo test -q --offline --release -p mqa-graph --test walk_golden
 cargo test -q --offline --release -p mqa-graph --lib -- pool:: walk_oracle::
 
 echo "==> exp_cache smoke (E13, quick)"
+# E13 and E12 share mqa_bench::paged's fixture and pool pass; each exits
+# non-zero if any query of a pass went unanswered.
 cargo run -q --release --offline -p mqa-bench --bin exp_cache -- --quick
+
+echo "==> exp_concurrent smoke (E12, quick)"
+cargo run -q --release --offline -p mqa-bench --bin exp_concurrent -- --quick
 
 echo "==> exp_pruning smoke (E8, quick)"
 # Exits non-zero if a pruned search's results (ids and distance bits)

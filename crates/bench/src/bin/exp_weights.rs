@@ -17,32 +17,24 @@
 //! cargo run --release -p mqa-bench --bin exp_weights [-- --quick]
 //! ```
 
-use mqa_bench::Table;
-use mqa_encoders::EncoderRegistry;
-use mqa_kb::{recall_at_k, DatasetSpec, GroundTruth, WorkloadSpec};
-use mqa_retrieval::{EncodedCorpus, EncoderSet, MultiModalQuery};
+use mqa_bench::{encode, Encoded, SetupParams, Table};
+use mqa_kb::{recall_at_k, DatasetSpec, WorkloadSpec};
+use mqa_retrieval::MultiModalQuery;
 use mqa_vector::{Metric, MultiVector, Weights};
-use mqa_weights::WeightLearner;
-use std::sync::Arc;
 
 const K: usize = 10;
 
 /// Exact fused recall of a weight setting over a text+image workload.
-fn recall_with(
-    corpus: &Arc<EncodedCorpus>,
-    gt: &GroundTruth,
-    queries: &[(MultiVector, u32)],
-    weights: &Weights,
-) -> f64 {
+fn recall_with(enc: &Encoded, queries: &[(MultiVector, u32)], weights: &Weights) -> f64 {
     use mqa_graph::unified::FusedDistance;
     use mqa_graph::{flat::FlatSearcher, BuiltGraph, SearchScratch};
-    let flat = BuiltGraph::Flat(FlatSearcher::new(corpus.store().len()));
+    let flat = BuiltGraph::Flat(FlatSearcher::new(enc.corpus.store().len()));
     let mut scratch = SearchScratch::new();
     let mut total = 0.0;
     for (qv, concept) in queries {
-        let mut dist = FusedDistance::new(corpus.store(), qv, weights, Metric::L2);
+        let mut dist = FusedDistance::new(enc.corpus.store(), qv, weights, Metric::L2);
         let out = flat.search(&mut dist, K, K, &mut scratch);
-        total += recall_at_k(gt, &out.ids(), *concept, K);
+        total += recall_at_k(&enc.gt, &out.ids(), *concept, K);
     }
     total / queries.len() as f64
 }
@@ -71,26 +63,21 @@ fn main() {
         (0.85, 0.40),
         (0.95, 0.25),
     ] {
-        let (kb, info) = DatasetSpec::weather()
-            .objects(objects)
-            .concepts(240)
-            .styles(3)
-            .caption_noise(cap_noise)
-            .image_noise(img_noise)
-            .seed(99)
-            .generate_with_info();
-        let gt = GroundTruth::build(&kb);
-        let registry = EncoderRegistry::new(0);
-        let schema = kb.schema().clone();
-        let encoders = EncoderSet::default_for(&registry, &schema, 48);
-        let corpus = Arc::new(EncodedCorpus::encode(kb, encoders));
-        let labels = corpus.concept_labels().unwrap();
-        let learned = WeightLearner::default()
-            .learn(corpus.store(), &labels)
-            .weights;
+        let enc = encode(&SetupParams {
+            spec: DatasetSpec::weather()
+                .objects(objects)
+                .concepts(240)
+                .styles(3)
+                .caption_noise(cap_noise)
+                .image_noise(img_noise)
+                .seed(99),
+            dim: 48,
+            ..SetupParams::default()
+        });
+        let (gt, corpus, learned) = (&enc.gt, &enc.corpus, &enc.learned.weights);
 
         // Workload: round-2-style text + reference image queries.
-        let workload = WorkloadSpec::new(n_queries, 31).generate(&info);
+        let workload = WorkloadSpec::new(n_queries, 31).generate(&enc.info);
         let queries: Vec<(MultiVector, u32)> = workload
             .cases
             .iter()
@@ -105,18 +92,15 @@ fn main() {
             })
             .collect();
 
-        let r_learned = recall_with(&corpus, &gt, &queries, &learned);
-        let r_uniform = recall_with(&corpus, &gt, &queries, &Weights::uniform(2));
-        let r_user = recall_with(&corpus, &gt, &queries, &Weights::normalized(&[1.5, 0.5]));
+        let r_learned = recall_with(&enc, &queries, learned);
+        let r_uniform = recall_with(&enc, &queries, &Weights::uniform(2));
+        let r_user = recall_with(&enc, &queries, &Weights::normalized(&[1.5, 0.5]));
         // Oracle: best of an 11-point weight grid.
         let mut r_oracle = 0.0f64;
         for i in 0..=10 {
             let wt = i as f32 / 10.0;
-            if wt == 0.0 && i == 0 {
-                // avoid the all-zero corner for the other modality too
-            }
             let w = Weights::normalized(&[wt.max(0.01), (1.0 - wt).max(0.01)]);
-            r_oracle = r_oracle.max(recall_with(&corpus, &gt, &queries, &w));
+            r_oracle = r_oracle.max(recall_with(&enc, &queries, &w));
         }
 
         table.row(vec![

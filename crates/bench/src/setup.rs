@@ -1,11 +1,12 @@
-//! Shared experiment setup: corpus generation, encoding, framework builds.
+//! Shared experiment setup: corpus generation, the system's encoding
+//! pipeline, framework builds.
 
-use mqa_encoders::EncoderRegistry;
+use mqa_core::components::{preprocess, represent};
+use mqa_core::Config;
 use mqa_graph::IndexAlgorithm;
 use mqa_kb::{DatasetInfo, DatasetSpec, GroundTruth};
-use mqa_retrieval::{EncodedCorpus, EncoderSet, JeFramework, MrFramework, MustFramework};
-use mqa_vector::Weights;
-use mqa_weights::{LearnedWeights, WeightLearner};
+use mqa_retrieval::{EncodedCorpus, JeFramework, MrFramework, MustFramework};
+use mqa_weights::LearnedWeights;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -53,18 +54,22 @@ pub struct Encoded {
     pub learned: LearnedWeights,
 }
 
-/// Generates and encodes the corpus, and learns modality weights.
+/// Generates the corpus and runs it through the preprocessing and
+/// representation components `MqaSystem::build` runs: encoding at
+/// `params.dim` dimensions a modality, then modality-weight learning.
 pub fn encode(params: &SetupParams) -> Encoded {
     let (kb, info) = params.spec.generate_with_info();
     let gt = GroundTruth::build(&kb);
-    let registry = EncoderRegistry::new(params.model_seed);
-    let schema = kb.schema().clone();
-    let encoders = EncoderSet::default_for(&registry, &schema, params.dim);
-    let corpus = Arc::new(EncodedCorpus::encode(kb, encoders));
-    let labels = corpus
-        .concept_labels()
-        .expect("generated corpora are labelled");
-    let learned = WeightLearner::default().learn(corpus.store(), &labels);
+    let config = Config {
+        embedding_dim: params.dim,
+        encoder_seed: params.model_seed,
+        ..Config::default()
+    };
+    let (corpus, learned) = preprocess::run(kb)
+        .and_then(|pre| represent::run(&pre, &config))
+        .ok()
+        .and_then(|rep| Some((rep.corpus, rep.learned?)))
+        .expect("generated corpora are labelled and non-empty");
     Encoded {
         corpus,
         info,
@@ -102,11 +107,6 @@ pub fn build_frameworks(enc: &Encoded, algo: &IndexAlgorithm) -> Frameworks {
         je,
         build_times: [t_must, t_mr, t_je],
     }
-}
-
-/// A MUST framework built with explicit weights (for the E6 ablation).
-pub fn build_must_with(enc: &Encoded, weights: Weights, algo: &IndexAlgorithm) -> MustFramework {
-    MustFramework::build(Arc::clone(&enc.corpus), weights, algo)
 }
 
 #[cfg(test)]

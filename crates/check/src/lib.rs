@@ -53,9 +53,7 @@
 //! ```
 
 mod explore;
-mod rng;
 mod sched;
 
 pub use explore::{explore, ExploreReport, SeededFailure};
-pub use rng::SplitMix64;
 pub use sched::{run_schedule, CheckOptions, Failure, RunOutcome, ThreadBody, ThreadToken};

@@ -5,7 +5,7 @@
 //! `Finished`) and the driving thread — the caller of [`run_schedule`] —
 //! owns the only decision: which `Wants` thread gets the token next.
 
-use crate::rng::SplitMix64;
+use mqa_rng::SplitMix64;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -362,17 +362,44 @@ fn drive(
         if steps > opts.max_steps {
             return Some(Failure::MaxSteps);
         }
-        let pick = wants[rng.next_index(wants.len())];
+        let pick = wants[next_index(rng, wants.len())];
         s.granted = Some(pick);
         trace.push(pick);
         ctl.cv.notify_all();
     }
 }
 
+/// A uniform index in `0..bound` (`bound` must be non-zero). Splitmix64
+/// mixes every 64-bit seed, 0 included, so sequential seed sweeps
+/// (`base..base+n`) still explore unrelated schedules.
+fn next_index(rng: &mut SplitMix64, bound: usize) -> usize {
+    debug_assert!(bound > 0, "next_index bound must be non-zero");
+    (rng.next_u64() % bound.max(1) as u64) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
+
+    #[test]
+    fn streams_are_seed_deterministic_and_distinct() {
+        let stream = |seed| {
+            let mut r = SplitMix64::new(seed);
+            (0..8).map(|_| r.next_u64()).collect::<Vec<u64>>()
+        };
+        assert_eq!(stream(3), stream(3));
+        assert_ne!(stream(3), stream(4));
+    }
+
+    #[test]
+    fn zero_seed_is_well_mixed() {
+        let mut r = SplitMix64::new(0);
+        let vals: Vec<usize> = (0..100).map(|_| next_index(&mut r, 3)).collect();
+        for i in 0..3 {
+            assert!(vals.contains(&i), "index {i} never drawn from seed 0");
+        }
+    }
 
     fn counter_bodies(shared: &Arc<AtomicU32>, threads: usize, steps: usize) -> Vec<ThreadBody> {
         (0..threads)

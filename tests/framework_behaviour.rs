@@ -1,94 +1,54 @@
 //! Cross-framework behavioural checks: the qualitative claims of the
 //! paper's Figure 5, verified statistically at integration scale (the
-//! full-scale version is the `fig5_comparative` bench harness).
+//! full-scale version is the `fig5_comparative` bench harness). The corpus,
+//! frameworks and two-round protocol are the bench harness's, built once
+//! for the whole suite.
 
-use mqa::encoders::{EncoderRegistry, RawContent};
 use mqa::graph::IndexAlgorithm;
-use mqa::kb::{recall_at_k, round2_recall_at_k, DatasetSpec, GroundTruth, WorkloadSpec};
-use mqa::retrieval::{
-    EncodedCorpus, EncoderSet, FrameworkKind, JeFramework, MrFramework, MultiModalQuery,
-    MustFramework, RetrievalFramework,
-};
+use mqa::kb::{DatasetSpec, WorkloadSpec};
+use mqa::retrieval::{FrameworkKind, MultiModalQuery, MustFramework, RetrievalFramework};
 use mqa::vector::Weights;
-use mqa::weights::WeightLearner;
-use std::sync::Arc;
+use mqa_bench::{build_frameworks, encode, two_round, Encoded, Frameworks, SetupParams};
+use std::sync::{Arc, OnceLock};
 
 const K: usize = 5;
 const EF: usize = 64;
-
-struct Bench {
-    corpus: Arc<EncodedCorpus>,
-    gt: GroundTruth,
-    must: MustFramework,
-    mr: MrFramework,
-    je: JeFramework,
-    info: mqa::kb::datasets::DatasetInfo,
-}
+const WORKLOAD_SEED: u64 = 99;
 
 /// Corpus with noisy captions and clean images: modality weighting matters.
-fn setup() -> Bench {
-    let (kb, info) = DatasetSpec::weather()
-        .objects(1_200)
-        .concepts(30)
-        .styles(3)
-        .caption_noise(0.35)
-        .image_noise(0.15)
-        .seed(21)
-        .generate_with_info();
-    let gt = GroundTruth::build(&kb);
-    let registry = EncoderRegistry::new(0);
-    let schema = kb.schema().clone();
-    let encoders = EncoderSet::default_for(&registry, &schema, 48);
-    let corpus = Arc::new(EncodedCorpus::encode(kb, encoders));
-    let labels = corpus.concept_labels().unwrap();
-    let learned = WeightLearner::default().learn(corpus.store(), &labels);
-    let algo = IndexAlgorithm::mqa_graph();
-    Bench {
-        must: MustFramework::build(Arc::clone(&corpus), learned.weights, &algo),
-        mr: MrFramework::build(Arc::clone(&corpus), &algo),
-        je: JeFramework::build(Arc::clone(&corpus), &algo),
-        corpus,
-        gt,
-        info,
-    }
+fn setup() -> &'static (Encoded, Frameworks) {
+    static FIXTURE: OnceLock<(Encoded, Frameworks)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let params = SetupParams {
+            spec: DatasetSpec::weather()
+                .objects(1_200)
+                .concepts(30)
+                .styles(3)
+                .caption_noise(0.35)
+                .image_noise(0.15)
+                .seed(21),
+            dim: 48,
+            model_seed: 0,
+            algo: IndexAlgorithm::mqa_graph(),
+        };
+        let enc = encode(&params);
+        let fws = build_frameworks(&enc, &params.algo);
+        (enc, fws)
+    })
 }
 
-/// Runs the Figure 5 two-round protocol for one framework over a workload;
-/// returns (mean round-1 recall, mean round-2 style recall).
-fn two_round_protocol(b: &Bench, fw: &dyn RetrievalFramework, queries: usize) -> (f64, f64) {
-    let workload = WorkloadSpec::new(queries, 99).generate(&b.info);
-    let (mut r1_sum, mut r2_sum) = (0.0, 0.0);
-    for case in &workload.cases {
-        let out1 = fw.search(&MultiModalQuery::text(&case.round1_text), K, EF);
-        r1_sum += recall_at_k(&b.gt, &out1.ids(), case.concept, K);
-        // The user clicks the first on-concept result (or the top one).
-        let pick = out1
-            .ids()
-            .iter()
-            .copied()
-            .find(|&id| b.gt.is_relevant(id, case.concept))
-            .unwrap_or(out1.ids()[0]);
-        let style = b.corpus.kb().get(pick).style.unwrap();
-        let img = match b.corpus.kb().get(pick).content(1) {
-            Some(RawContent::Image(i)) => i.clone(),
-            _ => unreachable!(),
-        };
-        let out2 = fw.search(
-            &MultiModalQuery::text_and_image(&case.round2_text, img),
-            K,
-            EF,
-        );
-        r2_sum += round2_recall_at_k(&b.gt, &out2.ids(), pick, case.concept, style, K);
-    }
-    (r1_sum / queries as f64, r2_sum / queries as f64)
+/// Mean (round-1 recall, round-2 style recall) of the Figure 5 protocol.
+fn recalls(enc: &Encoded, fw: &dyn RetrievalFramework, queries: usize) -> (f64, f64) {
+    let s = two_round(enc, fw, queries, K, EF, WORKLOAD_SEED);
+    (s.round1, s.round2)
 }
 
 #[test]
 fn figure5_shape_must_wins_round2_mr_ties_round1() {
-    let b = setup();
-    let (must_r1, must_r2) = two_round_protocol(&b, &b.must, 40);
-    let (mr_r1, mr_r2) = two_round_protocol(&b, &b.mr, 40);
-    let (je_r1, je_r2) = two_round_protocol(&b, &b.je, 40);
+    let (enc, fws) = setup();
+    let (must_r1, must_r2) = recalls(enc, &fws.must, 40);
+    let (mr_r1, mr_r2) = recalls(enc, &fws.mr, 40);
+    let (je_r1, je_r2) = recalls(enc, &fws.je, 40);
     println!("round1: MUST {must_r1:.3} MR {mr_r1:.3} JE {je_r1:.3}");
     println!("round2: MUST {must_r2:.3} MR {mr_r2:.3} JE {je_r2:.3}");
 
@@ -111,15 +71,15 @@ fn figure5_shape_must_wins_round2_mr_ties_round1() {
 
 #[test]
 fn must_graph_search_agrees_with_exact_search() {
-    let b = setup();
-    let workload = WorkloadSpec::new(15, 5).generate(&b.info);
+    let (enc, fws) = setup();
+    let workload = WorkloadSpec::new(15, 5).generate(&enc.info);
     let mut agree = 0usize;
     let mut total = 0usize;
     for case in &workload.cases {
         let q = MultiModalQuery::text(&case.round1_text);
-        let approx = b.must.search(&q, K, 128);
-        let qv = b.corpus.encoders().encode_query(&q);
-        let exact = b.must.index().search_exact(&qv, None, K);
+        let approx = fws.must.search(&q, K, 128);
+        let qv = enc.corpus.encoders().encode_query(&q);
+        let exact = fws.must.index().search_exact(&qv, None, K);
         total += K;
         agree += approx
             .ids()
@@ -133,8 +93,8 @@ fn must_graph_search_agrees_with_exact_search() {
 
 #[test]
 fn must_reports_incremental_scanning_savings() {
-    let b = setup();
-    let out = b
+    let (_, fws) = setup();
+    let out = fws
         .must
         .search(&MultiModalQuery::text("heavy storm mountain"), K, EF);
     let scan = out.scan.expect("MUST reports scan stats");
@@ -147,23 +107,23 @@ fn must_reports_incremental_scanning_savings() {
 
 #[test]
 fn framework_kinds_are_distinct() {
-    let b = setup();
-    assert_eq!(b.must.kind(), FrameworkKind::Must);
-    assert_eq!(b.mr.kind(), FrameworkKind::Mr);
-    assert_eq!(b.je.kind(), FrameworkKind::Je);
-    assert_ne!(b.must.describe(), b.mr.describe());
+    let (_, fws) = setup();
+    assert_eq!(fws.must.kind(), FrameworkKind::Must);
+    assert_eq!(fws.mr.kind(), FrameworkKind::Mr);
+    assert_eq!(fws.je.kind(), FrameworkKind::Je);
+    assert_ne!(fws.must.describe(), fws.mr.describe());
 }
 
 #[test]
 fn learned_weights_beat_uniform_on_round1_recall() {
-    let b = setup();
+    let (enc, fws) = setup();
     let uniform = MustFramework::build(
-        Arc::clone(&b.corpus),
+        Arc::clone(&enc.corpus),
         Weights::uniform(2),
         &IndexAlgorithm::mqa_graph(),
     );
-    let (learned_r1, _) = two_round_protocol(&b, &b.must, 40);
-    let (uniform_r1, _) = two_round_protocol(&b, &uniform, 40);
+    let (learned_r1, _) = recalls(enc, &fws.must, 40);
+    let (uniform_r1, _) = recalls(enc, &uniform, 40);
     println!("learned {learned_r1:.3} uniform {uniform_r1:.3}");
     assert!(
         learned_r1 >= uniform_r1 - 0.02,
