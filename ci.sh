@@ -9,6 +9,9 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> cargo clippy (warnings are errors)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 echo "==> mqa-xtask lint"
 cargo run -q --offline -p mqa-xtask -- lint
 

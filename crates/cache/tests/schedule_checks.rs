@@ -36,7 +36,7 @@ struct Tally {
 #[test]
 fn insert_evict_races_keep_accounting_balanced() {
     let mut traces = std::collections::HashSet::new();
-    for seed in 0xCAC4E_001u64..0xCAC4E_001 + 150 {
+    for seed in 0xCAC4_E001_u64..0xCAC4_E001 + 150 {
         let shard = Arc::new(CacheShard::new(ProbeCore::new(2)));
         let tally = Arc::new(Tally::default());
         let mut bodies: Vec<ThreadBody> = Vec::new();
@@ -134,7 +134,7 @@ fn same_seed_replays_to_identical_counts() {
 #[test]
 fn single_key_admitted_exactly_once_across_schedules() {
     let mut traces = std::collections::HashSet::new();
-    for seed in 0xCAC4E_777u64..0xCAC4E_777 + 120 {
+    for seed in 0xCAC4_E777_u64..0xCAC4_E777 + 120 {
         let shard = Arc::new(CacheShard::new(ProbeCore::new(2)));
         let misses = Arc::new(AtomicU64::new(0));
         let mut bodies: Vec<ThreadBody> = Vec::new();

@@ -313,7 +313,7 @@ fn drive(
 
         // Settle: while any thread is in a blocking region, give wakeups
         // triggered by the previous step time to land before picking.
-        if s.stat.iter().any(|&t| t == TStat::Blocked) {
+        if s.stat.contains(&TStat::Blocked) {
             for _ in 0..SETTLE_ROUNDS {
                 let before = s.stat.clone();
                 let (guard, _) = wait_timeout(ctl, s, opts.settle);
@@ -343,7 +343,7 @@ fn drive(
             // window to surface, then declare the schedule dead.
             let (guard, timed_out) = wait_timeout(ctl, s, opts.stuck_timeout);
             s = guard;
-            let still_none = !s.stat.iter().any(|&t| t == TStat::Wants);
+            let still_none = !s.stat.contains(&TStat::Wants);
             let all_done = s.stat.iter().all(|&t| t == TStat::Finished);
             if timed_out && still_none && !all_done {
                 let blocked: Vec<usize> = s

@@ -110,12 +110,15 @@ impl QueryExecutor {
     ///
     /// With a per-turn latency budget a load shed is a *typed outcome*,
     /// not a silent serial retry: `Rejected` / `Expired` propagate to the
-    /// caller, who chose the budget. Without one the turn is always
-    /// answered.
+    /// caller, who chose the budget. Without one a turn the engine's
+    /// admission control rejects is answered on the calling thread. A job
+    /// that was abandoned (it panicked on a worker) resolves `Canceled`
+    /// and is not re-run here, so the pool keeps the panic isolated.
     ///
     /// # Errors
     /// [`TicketError::Rejected`] or [`TicketError::Expired`] when the
-    /// engine sheds a budgeted query.
+    /// engine sheds a budgeted query; [`TicketError::Canceled`] when the
+    /// engine abandoned the job.
     pub fn run_turn(
         &self,
         query: &MultiModalQuery,
@@ -144,18 +147,13 @@ impl QueryExecutor {
         });
         let out = match served {
             Some(Ok(out)) => out,
-            Some(Err(shed @ (TicketError::Rejected | TicketError::Expired)))
-                if deadline.is_some() =>
-            {
-                return Err(shed)
-            }
-            // Shutdown (or, without a budget, admission control) is racing
-            // this turn; it still deserves an answer, so degrade to the
-            // serial path.
-            Some(Err(_)) => {
+            // Without a budget the turn still deserves an answer, so a
+            // full queue degrades to the serial path.
+            Some(Err(TicketError::Rejected)) if deadline.is_none() => {
                 mqa_obs::trace::note_serial_fallback();
                 self.framework.search(query, k, ef)
             }
+            Some(Err(err)) => return Err(err),
             // No engine: the serial path cannot be overloaded by other
             // sessions, so the turn is simply served.
             None => self.framework.search(query, k, ef),
@@ -207,7 +205,46 @@ impl QueryExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mqa_engine::EngineOptions;
     use mqa_kb::DatasetSpec;
+    use mqa_retrieval::FrameworkKind;
+
+    /// A framework that panics on the query text `"boom"` and otherwise
+    /// returns nothing.
+    struct PanicsOnMarker;
+
+    impl RetrievalFramework for PanicsOnMarker {
+        fn kind(&self) -> FrameworkKind {
+            FrameworkKind::Must
+        }
+
+        fn search(&self, query: &MultiModalQuery, _k: usize, _ef: usize) -> RetrievalOutput {
+            assert_ne!(query.text.as_deref(), Some("boom"), "marker query");
+            RetrievalOutput::default()
+        }
+
+        fn describe(&self) -> String {
+            "panics on marker".into()
+        }
+    }
+
+    #[test]
+    fn a_panicked_engine_job_is_canceled_not_rerun() {
+        let framework: Arc<dyn RetrievalFramework> = Arc::new(PanicsOnMarker);
+        let mut exec = QueryExecutor::new(Arc::clone(&framework), 5, 16);
+        exec.set_engine(Arc::new(QueryEngine::new(
+            framework,
+            EngineOptions::with_workers(1),
+        )));
+        let boom = MultiModalQuery::text("boom");
+        assert_eq!(
+            exec.run_turn(&boom, 5, None).map(|o| o.results),
+            Err(TicketError::Canceled)
+        );
+        // The worker survived the panic and serves the next turn.
+        let calm = MultiModalQuery::text("calm");
+        assert!(exec.run_turn(&calm, 5, None).is_ok());
+    }
 
     #[test]
     fn augmentation_grafts_selected_image() {

@@ -7,17 +7,11 @@
 //!
 //! Entries are uniform in `[-1, 1]` scaled by `1/sqrt(rows)`; for random
 //! projection purposes sub-gaussian rows preserve distances (the
-//! Johnson–Lindenstrauss property) just as well as gaussian ones.
+//! Johnson–Lindenstrauss property) just as well as gaussian ones. The
+//! hash is the first output of a [`SplitMix64`] seeded with the mixed
+//! `(seed, row, col)`.
 
-/// SplitMix64: tiny, high-quality 64-bit mixer used to derive matrix
-/// entries and token hashes deterministically.
-#[inline]
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use mqa_rng::SplitMix64;
 
 /// Maps a u64 hash to a uniform f32 in `[-1, 1)`.
 #[inline]
@@ -64,11 +58,12 @@ impl ProjectionMatrix {
     #[inline]
     pub fn entry(&self, i: usize, j: usize) -> f32 {
         debug_assert!(i < self.rows && j < self.cols);
-        let h = splitmix64(
+        let h = SplitMix64::new(
             self.seed
                 ^ (i as u64).wrapping_mul(0xA24B_AED4_963E_E407)
                 ^ (j as u64).wrapping_mul(0x9FB2_1C65_1E98_DF25),
-        );
+        )
+        .next_u64();
         to_unit(h) / (self.rows as f32).sqrt()
     }
 
@@ -119,6 +114,9 @@ mod tests {
                 assert_eq!(a.entry(i, j), b.entry(i, j));
             }
         }
+        // Pinned values: a change to the hash moves every embedding.
+        assert_eq!(a.entry(0, 0).to_bits(), 0xbd9f_8b2c);
+        assert_eq!(a.entry(3, 57).to_bits(), 0xbea6_cd73);
     }
 
     #[test]

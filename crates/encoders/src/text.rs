@@ -1,8 +1,9 @@
 //! Text encoders: feature-hashing bag-of-n-grams and an order-sensitive
 //! LSTM stand-in.
 
-use crate::project::{splitmix64, ProjectionMatrix};
+use crate::project::ProjectionMatrix;
 use crate::traits::{Encoder, RawContent};
+use mqa_rng::SplitMix64;
 use mqa_vector::{ops, Dim, ModalityKind};
 
 /// Size of the virtual hashed feature space for bag-of-n-grams.
@@ -34,7 +35,7 @@ pub(crate) fn tokenize(text: &str) -> Vec<String> {
 fn token_hash(seed: u64, token: &str) -> u64 {
     let mut h = seed ^ 0xCBF2_9CE4_8422_2325;
     for b in token.as_bytes() {
-        h = splitmix64(h ^ *b as u64);
+        h = SplitMix64::new(h ^ *b as u64).next_u64();
     }
     h
 }
@@ -57,7 +58,7 @@ impl HashingTextEncoder {
     pub fn new(dim: Dim, seed: u64) -> Self {
         Self {
             name: "hashing-text".to_string(),
-            proj: ProjectionMatrix::new(splitmix64(seed), dim, HASH_SPACE),
+            proj: ProjectionMatrix::new(SplitMix64::new(seed).next_u64(), dim, HASH_SPACE),
             seed,
         }
     }
@@ -139,7 +140,7 @@ impl LstmTextEncoder {
     fn token_embedding(&self, token: &str, out: &mut [f32]) {
         let h0 = token_hash(self.seed ^ 0x5151, token);
         for (i, o) in out.iter_mut().enumerate() {
-            let h = splitmix64(h0 ^ (i as u64).wrapping_mul(0x2545_F491_4F6C_DD1D));
+            let h = SplitMix64::new(h0 ^ (i as u64).wrapping_mul(0x2545_F491_4F6C_DD1D)).next_u64();
             *o = ((h >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0;
         }
     }
@@ -194,6 +195,8 @@ mod tests {
         let a = e.encode(&RawContent::text("foggy clouds over hills"));
         let b = e.encode(&RawContent::text("foggy clouds over hills"));
         assert_eq!(a, b);
+        // Pinned value: a change to the token hash moves every embedding.
+        assert_eq!(a[0].to_bits(), 0x3e30_c77b);
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //! assert_eq!(answer.ids(), vec![5]);
 //! ```
 //!
-//! One [`BoundedQueue`] is the only thing between `submit` and a worker.
+//! One [`BoundedQueue`] is the only thing between `submit` and a worker,
+//! and its mutex is the engine's only lock: a [`Ticket`] is a one-slot
+//! `std::sync::mpsc` channel, and no lock is held while a job runs.
 //! Configuring [`sched`] admission control (see
 //! [`EngineOptions::with_sched`]) sizes that queue to the watermark and
 //! turns overload into typed [`TicketError::Rejected`] /
@@ -43,13 +45,11 @@
 pub mod pool;
 pub mod queue;
 pub mod sched;
-pub mod sync;
 pub mod ticket;
 
 pub use pool::{Job, WorkerPool};
 pub use queue::BoundedQueue;
 pub use sched::{Deadline, SchedOptions};
-pub use sync::{lock_ignore_poison, wait_ignore_poison, TracedGuard, TracedMutex};
 pub use ticket::{oneshot, Ticket, TicketError, TicketSender};
 
 use mqa_retrieval::{MultiModalQuery, RetrievalFramework, RetrievalOutput};

@@ -7,9 +7,8 @@
 //! which is how the pool shuts down gracefully: queued work still runs,
 //! new work is refused.
 
-use crate::sync::{TracedGuard, TracedMutex};
 use std::collections::VecDeque;
-use std::sync::Condvar;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Why a push was refused.
 #[derive(Debug)]
@@ -26,14 +25,34 @@ struct State<T> {
     closed: bool,
 }
 
+/// Locks the queue state, recovering the guard from a poisoned lock.
+///
+/// Poisoning only marks that *some* holder panicked; every exit path
+/// leaves the state a consistent plain buffer, so recovery is safe and a
+/// panic cascade would only turn one failed job into a dead engine.
+fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    match m.lock() {
+        Ok(guard) => guard,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+/// Waits on `cv`, recovering the reacquired guard from a poisoned lock
+/// (same policy as [`lock_ignore_poison`]).
+fn wait_ignore_poison<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    match cv.wait(guard) {
+        Ok(guard) => guard,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
 /// The queue. All synchronization is two condvars over one mutex; a
 /// poisoned lock (a panicking job elsewhere) is recovered rather than
 /// propagated, since queue state is a plain buffer that cannot be left
-/// logically inconsistent by a reader. The mutex is a [`TracedMutex`]
-/// so the lock-order witness can watch it during the engine gate test.
+/// logically inconsistent by a reader.
 pub struct BoundedQueue<T> {
     capacity: usize,
-    state: TracedMutex<State<T>>,
+    state: Mutex<State<T>>,
     not_empty: Condvar,
     not_full: Condvar,
 }
@@ -48,13 +67,10 @@ impl<T> BoundedQueue<T> {
         assert!(capacity > 0, "queue capacity must be >= 1");
         Self {
             capacity,
-            state: TracedMutex::new(
-                "engine.queue.state",
-                State {
-                    items: VecDeque::with_capacity(capacity),
-                    closed: false,
-                },
-            ),
+            state: Mutex::new(State {
+                items: VecDeque::with_capacity(capacity),
+                closed: false,
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
@@ -66,7 +82,7 @@ impl<T> BoundedQueue<T> {
     /// Returns [`PushError::Closed`] (with the item) if the queue closed
     /// before a slot opened.
     pub fn push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut state: TracedGuard<'_, State<T>> = self.state.lock();
+        let mut state = lock_ignore_poison(&self.state);
         loop {
             if state.closed {
                 return Err(PushError::Closed(item));
@@ -76,7 +92,7 @@ impl<T> BoundedQueue<T> {
                 self.not_empty.notify_one();
                 return Ok(());
             }
-            state = self.state.wait(&self.not_full, state);
+            state = wait_ignore_poison(&self.not_full, state);
         }
     }
 
@@ -86,7 +102,7 @@ impl<T> BoundedQueue<T> {
     /// Returns [`PushError::Full`] if at capacity or [`PushError::Closed`]
     /// if closed, handing the item back either way.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut state = self.state.lock();
+        let mut state = lock_ignore_poison(&self.state);
         if state.closed {
             return Err(PushError::Closed(item));
         }
@@ -101,7 +117,7 @@ impl<T> BoundedQueue<T> {
     /// Blocking pop: waits for an item; `None` means the queue is closed
     /// *and* drained — the consumer's signal to exit.
     pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock();
+        let mut state = lock_ignore_poison(&self.state);
         loop {
             if let Some(item) = state.items.pop_front() {
                 // INVARIANT: `notify_one` here cannot lose a wakeup even
@@ -124,14 +140,14 @@ impl<T> BoundedQueue<T> {
             if state.closed {
                 return None;
             }
-            state = self.state.wait(&self.not_empty, state);
+            state = wait_ignore_poison(&self.not_empty, state);
         }
     }
 
     /// Closes the queue: further pushes fail, queued items still drain,
     /// and every blocked producer/consumer wakes.
     pub fn close(&self) {
-        let mut state = self.state.lock();
+        let mut state = lock_ignore_poison(&self.state);
         state.closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
@@ -139,7 +155,7 @@ impl<T> BoundedQueue<T> {
 
     /// Items currently queued.
     pub fn len(&self) -> usize {
-        self.state.lock().items.len()
+        lock_ignore_poison(&self.state).items.len()
     }
 
     /// Whether nothing is queued.
@@ -202,6 +218,19 @@ mod tests {
         assert_eq!(q.pop(), Some(0));
         assert!(producer.join().unwrap());
         assert_eq!(q.pop(), Some(1));
+    }
+
+    #[test]
+    fn lock_ignore_poison_recovers_after_holder_panic() {
+        let m = Arc::new(Mutex::new(7u32));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = m2.lock().unwrap();
+            panic!("poison the lock");
+        })
+        .join();
+        assert!(m.lock().is_err(), "lock must actually be poisoned");
+        assert_eq!(*lock_ignore_poison(&m), 7);
     }
 
     #[test]

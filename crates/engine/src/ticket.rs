@@ -1,16 +1,17 @@
 //! One-shot result handles for submitted queries.
 //!
 //! `submit` hands the caller a [`Ticket`]; the worker that runs the job
-//! fulfils it through the paired [`TicketSender`]. Every ticket resolves
-//! to exactly one typed outcome: a value, or a [`TicketError`] naming why
-//! no value will arrive — shed at admission ([`TicketError::Rejected`]),
-//! shed by deadline expiry ([`TicketError::Expired`]), or abandoned
-//! ([`TicketError::Canceled`], e.g. the job panicked or the pool shut
-//! down). There is no silent-drop path: if the sender is dropped
-//! unfulfilled the ticket reports `Canceled` instead of hanging forever.
+//! fulfils it through the paired [`TicketSender`]. The pair is a one-slot
+//! `std::sync::mpsc` channel carrying the job's outcome, so a ticket holds
+//! no lock of its own. Every ticket resolves to exactly one typed outcome:
+//! a value, or a [`TicketError`] naming why no value will arrive — shed at
+//! admission ([`TicketError::Rejected`]), shed by deadline expiry
+//! ([`TicketError::Expired`]), or abandoned ([`TicketError::Canceled`],
+//! e.g. the job panicked or the pool shut down). There is no silent-drop
+//! path: a sender dropped unfulfilled disconnects the channel, and the
+//! ticket reports `Canceled` instead of hanging forever.
 
-use crate::sync::TracedMutex;
-use std::sync::{Arc, Condvar};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 
 /// Why a ticket resolved without a value. Each variant is a distinct
 /// load-shedding or cancellation outcome; callers can match exhaustively
@@ -39,46 +40,23 @@ impl std::fmt::Display for TicketError {
 
 impl std::error::Error for TicketError {}
 
-enum TicketState<T> {
-    Pending,
-    Done(T),
-    Failed(TicketError),
-}
-
-struct Shared<T> {
-    slot: TracedMutex<TicketState<T>>,
-    cv: Condvar,
-}
-
 /// The caller's handle to one in-flight query result.
 pub struct Ticket<T> {
-    shared: Arc<Shared<T>>,
+    rx: Receiver<Result<T, TicketError>>,
 }
 
 /// The worker's half: resolves the ticket exactly once, by construction —
 /// [`TicketSender::send`], [`TicketSender::fail`] and dropping it
 /// unfulfilled (`Canceled`) all consume the sender.
 pub struct TicketSender<T> {
-    shared: Arc<Shared<T>>,
-    resolved: bool,
+    tx: SyncSender<Result<T, TicketError>>,
 }
 
 /// Creates a connected ticket/sender pair.
 pub fn oneshot<T>() -> (Ticket<T>, TicketSender<T>) {
-    // ALLOC: one rendezvous cell per submitted query; control-plane, not the search kernel.
-    let shared = Arc::new(Shared {
-        slot: TracedMutex::new("engine.ticket.slot", TicketState::Pending),
-        cv: Condvar::new(),
-    });
-    (
-        Ticket {
-            shared: Arc::clone(&shared),
-        },
-        TicketSender {
-            shared,
-            resolved: false,
-        },
-    )
+    // ALLOC: one rendezvous channel per submitted query; control-plane, not the search kernel.
+    let (tx, rx) = mpsc::sync_channel(1);
+    (Ticket { rx }, TicketSender { tx })
 }
 
 impl<T> Ticket<T> {
@@ -89,45 +67,26 @@ impl<T> Ticket<T> {
     /// or `Expired` when it was shed, `Canceled` when it was abandoned
     /// before producing a result.
     pub fn wait(self) -> Result<T, TicketError> {
-        let mut state = self.shared.slot.lock();
-        loop {
-            match std::mem::replace(&mut *state, TicketState::Failed(TicketError::Canceled)) {
-                TicketState::Done(value) => return Ok(value),
-                TicketState::Failed(err) => return Err(err),
-                TicketState::Pending => {
-                    *state = TicketState::Pending;
-                    state = self.shared.slot.wait(&self.shared.cv, state);
-                }
-            }
-        }
+        self.rx.recv().unwrap_or(Err(TicketError::Canceled))
     }
 }
 
 impl<T> TicketSender<T> {
     /// Fulfils the ticket with `value` and wakes the waiter.
     pub fn send(self, value: T) {
-        self.resolve(TicketState::Done(value));
+        self.resolve(Ok(value));
     }
 
     /// Resolves the ticket to the typed failure `err` (a shed outcome)
     /// and wakes the waiter.
     pub fn fail(self, err: TicketError) {
-        self.resolve(TicketState::Failed(err));
+        self.resolve(Err(err));
     }
 
-    fn resolve(mut self, outcome: TicketState<T>) {
-        self.resolved = true;
-        *self.shared.slot.lock() = outcome;
-        self.shared.cv.notify_all();
-    }
-}
-
-impl<T> Drop for TicketSender<T> {
-    fn drop(&mut self) {
-        if !self.resolved {
-            *self.shared.slot.lock() = TicketState::Failed(TicketError::Canceled);
-            self.shared.cv.notify_all();
-        }
+    /// The one message this sender carries fills the slot without
+    /// blocking; a ticket already dropped has nobody left to tell.
+    fn resolve(self, outcome: Result<T, TicketError>) {
+        drop(self.tx.try_send(outcome));
     }
 }
 
@@ -156,6 +115,13 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         s.send(7u32);
         assert_eq!(waiter.join().unwrap(), Ok(7));
+    }
+
+    #[test]
+    fn send_to_a_dropped_ticket_is_a_no_op() {
+        let (t, s) = oneshot();
+        drop(t);
+        s.send(1u32);
     }
 
     #[test]

@@ -218,13 +218,10 @@ fn pipeline_sweep_reaches_200_distinct_schedules() {
         }
         for _ in 0..2 {
             let q = Arc::clone(&q);
-            bodies.push(Box::new(move |token| loop {
-                match token.blocking(|| q.pop()) {
-                    Some(sender) => {
-                        token.step();
-                        sender.send(7);
-                    }
-                    None => break,
+            bodies.push(Box::new(move |token| {
+                while let Some(sender) = token.blocking(|| q.pop()) {
+                    token.step();
+                    sender.send(7);
                 }
             }));
         }

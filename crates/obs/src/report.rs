@@ -157,7 +157,7 @@ pub fn render_slow_queries(traces: &[QueryTrace]) -> String {
             },
         );
         let mut stages: Vec<_> = t.stages.iter().collect();
-        stages.sort_by(|a, b| b.dur_us.cmp(&a.dur_us));
+        stages.sort_by_key(|s| std::cmp::Reverse(s.dur_us));
         for stage in stages.iter().take(5) {
             let _ = writeln!(out, "    {:<36} {}", stage.name, fmt_us(stage.dur_us));
         }

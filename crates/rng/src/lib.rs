@@ -22,11 +22,13 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// A generator starting from `seed`.
+    #[inline]
     pub fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 
     /// The next 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -299,7 +301,7 @@ mod tests {
             let v: f32 = rng.gen_range(-1.0f32..1.0);
             assert!((-1.0..1.0).contains(&v));
             let w: f64 = rng.gen_range(f64::EPSILON..1.0);
-            assert!(w >= f64::EPSILON && w < 1.0);
+            assert!((f64::EPSILON..1.0).contains(&w));
         }
     }
 

@@ -204,7 +204,7 @@ fn span_site_boundary(line: &str, pos: usize) -> bool {
     line[..pos]
         .chars()
         .next_back()
-        .map_or(true, |c| !c.is_ascii_alphanumeric() && c != '_' && c != '.')
+        .is_none_or(|c| !c.is_ascii_alphanumeric() && c != '_' && c != '.')
 }
 
 /// Statically audits every literal span name in the workspace sources.
@@ -271,7 +271,7 @@ fn audit_stages(ws: &Workspace) -> Vec<String> {
             ));
         }
     }
-    let tables: [(&str, &[(&str, &[&str])]); 2] = [
+    let tables = [
         ("trace::QUERY_MILESTONES", &mqa_obs::trace::QUERY_MILESTONES),
         ("report::MILESTONE_SPANS", &mqa_obs::report::MILESTONE_SPANS),
     ];

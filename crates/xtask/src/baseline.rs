@@ -60,6 +60,16 @@ pub struct Baseline {
     pub waivers: Vec<Waiver>,
 }
 
+/// A `[[waiver]]` table being read: file, rule, pattern, reason and the
+/// line of its header.
+type Draft = (
+    Option<String>,
+    Option<String>,
+    Option<String>,
+    Option<String>,
+    usize,
+);
+
 impl Baseline {
     /// A baseline waiving nothing.
     pub fn empty() -> Self {
@@ -96,22 +106,8 @@ impl Baseline {
     /// waivers missing `file`, `rule`, or a non-empty `reason`.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut waivers = Vec::new();
-        // (file, rule, pattern, reason, header line)
-        let mut current: Option<(
-            Option<String>,
-            Option<String>,
-            Option<String>,
-            Option<String>,
-            usize,
-        )> = None;
-        let mut finish = |cur: &mut Option<(
-            Option<String>,
-            Option<String>,
-            Option<String>,
-            Option<String>,
-            usize,
-        )>|
-         -> Result<(), String> {
+        let mut current: Option<Draft> = None;
+        let mut finish = |cur: &mut Option<Draft>| -> Result<(), String> {
             if let Some((file, rule, pattern, reason, line)) = cur.take() {
                 let file = file.ok_or(format!("waiver at line {line}: missing `file`"))?;
                 let rule = rule.ok_or(format!("waiver at line {line}: missing `rule`"))?;

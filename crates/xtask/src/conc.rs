@@ -4,10 +4,9 @@
 //! that understands just enough Rust structure to check three properties
 //! without a compiler front-end:
 //!
-//! 1. **Lock ordering** — every acquisition of a `Mutex` / `RwLock` /
-//!    `TracedMutex` *field* is resolved to a canonical lock name (the
-//!    `TracedMutex::new("…")` literal when one exists, else
-//!    `Struct.field` / `static.NAME`). Acquiring lock `B` while a guard
+//! 1. **Lock ordering** — every acquisition of a `Mutex` / `RwLock`
+//!    *field* is resolved to a canonical lock name, `Struct.field` or
+//!    `static.NAME`. Acquiring lock `B` while a guard
 //!    of lock `A` is live adds the edge `A -> B` to a global lock-order
 //!    graph; any edge on a cycle (including self-loops — std mutexes are
 //!    not reentrant) is reported as [`Rule::LockOrderCycle`] with both
@@ -16,7 +15,7 @@
 //!    live tracked guard must have an enclosing `loop` / `while` / `for`
 //!    inside its function, or it is a spurious-wakeup bug
 //!    ([`Rule::CondvarNoLoop`]). Wait *wrappers* (functions that receive
-//!    the guard as a parameter, like `TracedMutex::wait`) are exempt
+//!    the guard as a parameter, like `wait_ignore_poison`) are exempt
 //!    automatically: parameters are not tracked acquisitions.
 //! 3. **Guards across blocking calls** — a live guard at a blocking call
 //!    site (`.join()`, `thread::sleep`, `Ticket::wait`'s empty-arg
@@ -49,7 +48,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// What a lock-ish struct field or static is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FieldKind {
-    /// `Mutex<T>` or `TracedMutex<T>`: acquired via `.lock()` or a
+    /// `Mutex<T>`: acquired via `.lock()` or a
     /// guard-returning helper.
     Lock,
     /// `RwLock<T>`: acquired via `.read()` / `.write()`.
@@ -68,12 +67,10 @@ struct Index {
     /// field name -> structs declaring it (global-unique fallback for
     /// nested receivers like `self.shared.slot`).
     by_field: BTreeMap<String, BTreeSet<String>>,
-    /// `(struct, field)` -> `TracedMutex::new` name literal.
-    traced: BTreeMap<(String, String), String>,
     /// `static NAME: Mutex<…>` items.
     statics: BTreeMap<String, FieldKind>,
     /// Guard-returning acquisition helpers (first param `&Mutex`-ish,
-    /// return type contains `MutexGuard` / `TracedGuard`).
+    /// return type contains `MutexGuard`).
     helpers: BTreeSet<String>,
 }
 
@@ -105,8 +102,6 @@ pub struct Analysis {
     pub edges: Vec<LockEdge>,
     /// Every canonical lock name that was acquired somewhere.
     pub lock_names: BTreeSet<String>,
-    /// The `TracedMutex::new("…")` name literals found in non-test code.
-    pub traced_names: BTreeSet<String>,
 }
 
 /// Condvar-family call names. Deliberately exact (not a `wait*` prefix):
@@ -126,7 +121,7 @@ fn is_wait_name(name: &str) -> bool {
 
 fn classify_type(toks: &[&Tok]) -> Option<FieldKind> {
     let has = |s: &str| toks.iter().any(|t| t.is_ident(s));
-    if has("TracedMutex") || has("Mutex") {
+    if has("Mutex") {
         Some(FieldKind::Lock)
     } else if has("RwLock") {
         Some(FieldKind::Rw)
@@ -140,9 +135,8 @@ fn classify_type(toks: &[&Tok]) -> Option<FieldKind> {
 }
 
 /// Pass 1: structs' lock-ish fields (classified from the shared
-/// struct-field walker), statics, guard helpers, and
-/// `TracedMutex::new("…")` field-name associations.
-fn index_file(toks: &[&Tok], owners: &[Option<String>], idx: &mut Index) {
+/// struct-field walker), statics and guard helpers.
+fn index_file(toks: &[&Tok], idx: &mut Index) {
     for f in struct_fields(toks) {
         if let Some(kind) = classify_type(f.ty) {
             idx.fields
@@ -182,9 +176,7 @@ fn index_file(toks: &[&Tok], owners: &[Option<String>], idx: &mut Index) {
                 if let Some(close) = matching_paren(toks, j) {
                     let chunks = param_chunks(&toks[j + 1..close]);
                     let first = chunks.first().copied().unwrap_or_default();
-                    let takes_lock = first
-                        .iter()
-                        .any(|t| t.is_ident("Mutex") || t.is_ident("TracedMutex"))
+                    let takes_lock = first.iter().any(|t| t.is_ident("Mutex"))
                         && !first.iter().any(|t| t.is_ident("MutexGuard"));
                     if takes_lock && toks.get(close + 1).is_some_and(|t| t.is_punct("->")) {
                         let mut k = close + 2;
@@ -194,7 +186,7 @@ fn index_file(toks: &[&Tok], owners: &[Option<String>], idx: &mut Index) {
                             && !toks[k].is_punct(";")
                             && !toks[k].is_ident("where")
                         {
-                            if toks[k].is_ident("MutexGuard") || toks[k].is_ident("TracedGuard") {
+                            if toks[k].is_ident("MutexGuard") {
                                 returns_guard = true;
                             }
                             k += 1;
@@ -205,22 +197,6 @@ fn index_file(toks: &[&Tok], owners: &[Option<String>], idx: &mut Index) {
                     }
                 }
             }
-        }
-        // field: TracedMutex::new("name", …) — associate literal to field.
-        if t.kind == Kind::Ident
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(":"))
-            && toks.get(i + 2).is_some_and(|t| t.is_ident("TracedMutex"))
-            && toks.get(i + 3).is_some_and(|t| t.is_punct("::"))
-            && toks.get(i + 4).is_some_and(|t| t.is_ident("new"))
-            && toks.get(i + 5).is_some_and(|t| t.is_punct("("))
-            && toks.get(i + 6).is_some_and(|t| t.kind == Kind::Str)
-        {
-            let field = t.text.clone();
-            let literal = toks[i + 6].text.clone();
-            // Keyed by the enclosing impl (empty outside one); resolved
-            // against the declaring struct once every file is indexed.
-            let ctx_key = owners.get(i).cloned().flatten().unwrap_or_default();
-            idx.traced.insert((ctx_key, field), literal);
         }
     }
 }
@@ -256,25 +232,9 @@ impl Index {
                     }
                 })?;
                 let kind = *self.fields.get(&(strukt.clone(), field.clone()))?;
-                Some((self.canonical(&strukt, field), kind))
+                Some((format!("{strukt}.{field}"), kind))
             }
         }
-    }
-
-    /// The canonical display name for a `(struct, field)` lock: the
-    /// `TracedMutex::new` literal when one was found, else `Struct.field`.
-    fn canonical(&self, strukt: &str, field: &str) -> String {
-        if let Some(name) = self.traced.get(&(strukt.to_string(), field.to_string())) {
-            return name.clone();
-        }
-        // Initializer seen outside an impl (free constructor fn): keyed
-        // under the empty context if the field is globally unique.
-        if let Some(name) = self.traced.get(&(String::new(), field.to_string())) {
-            if self.by_field.get(field).is_some_and(|o| o.len() == 1) {
-                return name.clone();
-            }
-        }
-        format!("{strukt}.{field}")
     }
 }
 
@@ -599,31 +559,23 @@ fn analyze_file(
     out.edges = edges.into_iter().collect();
 }
 
-/// Runs the analysis over the workspace. The gate, the unit tests and
-/// the engine gate's cross-validation all enter here.
+/// Runs the analysis over the workspace. The gate and the unit tests both
+/// enter here.
 pub fn analyze(ws: &Workspace) -> Analysis {
-    let files: Vec<(&SourceFile, Vec<&Tok>, Vec<Option<String>>)> = ws
-        .files
-        .iter()
-        .map(|f| {
-            let toks = f.code();
-            let owners = owner_map(&toks).0;
-            (f, toks, owners)
-        })
-        .collect();
+    let files: Vec<(&SourceFile, Vec<&Tok>)> = ws.files.iter().map(|f| (f, f.code())).collect();
     // Pass 1: the index needs every file before pass 2 can resolve
     // cross-file receivers.
     let mut idx = Index::default();
-    for (_, toks, owners) in &files {
-        index_file(toks, owners, &mut idx);
+    for (_, toks) in &files {
+        index_file(toks, &mut idx);
     }
 
     let mut out = Analysis::default();
-    out.traced_names.extend(idx.traced.values().cloned());
 
     // Pass 2.
-    for (file, toks, owners) in &files {
-        analyze_file(file, toks, owners, &idx, &mut out);
+    for (file, toks) in &files {
+        let owners = owner_map(toks).0;
+        analyze_file(file, toks, &owners, &idx, &mut out);
     }
 
     // Cycle pass over the global graph.
@@ -904,26 +856,6 @@ impl S {
 "#;
         let a = one("x/src/s.rs", src);
         assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
-    }
-
-    #[test]
-    fn traced_mutex_literal_becomes_canonical_name() {
-        let src = r#"
-struct Q { state: TracedMutex<u32> }
-impl Q {
-    fn new() -> Self {
-        Self { state: TracedMutex::new("engine.q.state", 0) }
-    }
-    fn f(&self, h: std::thread::JoinHandle<()>) {
-        let g = self.state.lock();
-        h.join();
-        drop(g);
-    }
-}
-"#;
-        let a = one("x/src/q.rs", src);
-        assert!(a.traced_names.contains("engine.q.state"));
-        assert!(a.lock_names.contains("engine.q.state"));
     }
 
     #[test]

@@ -6,29 +6,17 @@
 //! A refactor that breaks per-thread scratch reuse shows up as an answer
 //! mismatch, and a regression that serializes the pool (an accidental
 //! global lock on the search path) shows up as a speedup below
-//! [`MIN_SPEEDUP`].
-//!
-//! The correctness phase also runs with the engine's lock witness
-//! switched on: every `TracedMutex` acquisition order observed at runtime is
-//! cross-validated against the static lock-order graph extracted by
-//! [`crate::conc`] — a runtime-held edge the static analysis lacks means
-//! the `conc` gate is blind to a real acquisition order and fails here.
-//! The witness is switched off again before the throughput phase so the
-//! recording mutex never touches the measured speedup.
+//! [`MIN_SPEEDUP`]. The paged checks run `mqa_bench`'s one paged fixture
+//! and pool pass, the same ones E12 and E13 report from.
 
+use mqa_bench::paged::uniform_vectors;
+use mqa_bench::{PagedFixture, Pass};
 use mqa_cache::PageCache;
 use mqa_core::{Config, MqaSystem};
-use mqa_engine::sync::witness;
-use mqa_engine::{EngineOptions, QueryEngine, WorkerPool};
-use mqa_graph::pipeline::NavGraph;
-use mqa_graph::starling::{DeviceProfile, LayoutStrategy, PageLayout, PagedIndex};
-use mqa_graph::{FlatDistance, SearchScratch};
+use mqa_engine::{EngineOptions, QueryEngine};
+use mqa_graph::starling::{DeviceProfile, PagedIndex};
 use mqa_kb::DatasetSpec;
 use mqa_retrieval::MultiModalQuery;
-use mqa_rng::StdRng;
-use mqa_vector::VectorStore;
-use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,94 +35,32 @@ const READ_LATENCY: Duration = Duration::from_micros(200);
 /// default-capacity page cache is warm versus uncached.
 const MIN_CACHE_REDUCTION: f64 = 3.0;
 
-/// The paged workload the throughput and cache checks share, built once:
-/// 1 200 uniform 8-d vectors under Vamana (R 16, L 48, α 1.2), 8 vertices
-/// a page, and 40 queries drawn from the same distribution.
-struct PagedFixture {
-    store: Arc<VectorStore>,
-    nav: NavGraph,
-    layout: PageLayout,
-    queries: Arc<Vec<Vec<f32>>>,
+/// The paged workload the throughput and cache checks share: the shared
+/// fixture over 1 200 uniform 8-d vectors, and 40 queries drawn from the
+/// same distribution.
+fn paged_workload(seed: u64) -> (PagedFixture, Arc<Vec<Vec<f32>>>) {
+    let fixture = PagedFixture::uniform(1_200, 8, seed);
+    let queries = uniform_vectors(40, 8, seed.wrapping_add(57));
+    (fixture, Arc::new(queries))
 }
 
-impl PagedFixture {
-    fn build(seed: u64) -> Self {
-        let (n, dim, queries) = (1_200, 8, 40);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut store = VectorStore::new(dim);
-        for _ in 0..n {
-            let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            store.push(&v);
-        }
-        let store = Arc::new(store);
-        let nav = mqa_graph::vamana::build(&store, 16, 48, 1.2, seed.wrapping_add(3));
-        let layout = PageLayout::build(nav.graph(), 8, LayoutStrategy::BfsCluster);
-        let queries = (0..queries)
-            .map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect())
-            .collect();
-        Self {
-            store,
-            nav,
-            layout,
-            queries: Arc::new(queries),
-        }
+/// One pool pass that must answer every query.
+fn full_pass(
+    fixture: &PagedFixture,
+    index: &Arc<PagedIndex>,
+    queries: &Arc<Vec<Vec<f32>>>,
+    workers: usize,
+) -> Result<Pass, String> {
+    let pass = fixture.pass(index, queries, workers);
+    let (answered, total) = (pass.answered(), queries.len());
+    if answered == total {
+        Ok(pass)
+    } else {
+        Err(format!(
+            "engine gate failed: {answered}/{total} paged searches \
+             produced results at {workers} worker(s)"
+        ))
     }
-
-    /// A paged index over the fixture on a free device with no cache.
-    fn index(&self) -> PagedIndex {
-        PagedIndex::new(
-            self.nav.graph().clone(),
-            self.nav.entries().to_vec(),
-            self.layout.clone(),
-        )
-    }
-}
-
-/// Check 1b — the runtime lock-order witness agrees with the static
-/// analysis: the traced locks saw real traffic (at least one sequential
-/// pair), every runtime-held edge exists in the static lock graph, and
-/// every observed lock name traces back to a `TracedMutex::new` literal.
-fn check_lock_witness() -> Result<(), String> {
-    let pairs = witness::pairs();
-    if !pairs.iter().any(|p| !p.held) {
-        return Err(
-            "engine gate failed: the lock witness recorded no sequential \
-             acquisition pairs — the traced engine locks saw no traffic \
-             during the correctness phase"
-                .to_string(),
-        );
-    }
-    // The static graph comes from the sources, so anchor on this crate's
-    // manifest dir — the test runs with cwd=crates/xtask.
-    let repo_root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let analysis = crate::workspace::load(&repo_root)
-        .map(|ws| crate::conc::analyze(&ws))
-        .map_err(|e| format!("engine gate failed: static lock graph unavailable: {e}"))?;
-    for p in pairs.iter().filter(|p| p.held) {
-        let known = analysis
-            .edges
-            .iter()
-            .any(|e| e.from == p.from && e.to == p.to);
-        if !known {
-            return Err(format!(
-                "engine gate failed: runtime lock-order edge `{}` -> `{}` \
-                 (held, observed {}x) is absent from the static lock graph — \
-                 `mqa-xtask conc` is blind to a real acquisition order",
-                p.from, p.to, p.count
-            ));
-        }
-    }
-    for p in &pairs {
-        for name in [&p.from, &p.to] {
-            if !analysis.traced_names.contains(name.as_str()) {
-                return Err(format!(
-                    "engine gate failed: witness observed lock `{name}` with no \
-                     matching TracedMutex::new(\"{name}\", …) in the workspace sources"
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Check 1 — correctness: route real multi-modal queries through a
@@ -180,49 +106,21 @@ fn check_answers_match_serial(seed: u64) -> Result<usize, String> {
 }
 
 /// Check 2 — throughput: the paged fixture behind a simulated device
-/// latency, swept at 1 worker then [`WORKERS`]; the QPS ratio must reach
-/// [`MIN_SPEEDUP`].
-fn check_paged_speedup(fixture: &PagedFixture) -> Result<(), String> {
+/// latency, passed through the pool at 1 worker then [`WORKERS`]; the QPS
+/// ratio must reach [`MIN_SPEEDUP`]. Returns the speedup.
+fn check_paged_speedup(
+    fixture: &PagedFixture,
+    queries: &Arc<Vec<Vec<f32>>>,
+) -> Result<f64, String> {
     let paged = Arc::new(
         fixture
             .index()
             .with_device(DeviceProfile::with_read_latency(READ_LATENCY)),
     );
-    let queries = fixture.queries.len();
     let mut qps = [0.0f64; 2];
     for (slot, workers) in [(0, 1), (1, WORKERS)] {
-        let answered = Arc::new(AtomicUsize::new(0));
-        let sw = mqa_obs::Stopwatch::start();
-        {
-            let pool = WorkerPool::new(workers, 2 * queries);
-            for qi in 0..queries {
-                let paged = Arc::clone(&paged);
-                let store = Arc::clone(&fixture.store);
-                let query_vecs = Arc::clone(&fixture.queries);
-                let answered = Arc::clone(&answered);
-                pool.submit(Box::new(move || {
-                    if let Ok(mut dist) = FlatDistance::new(&store, &query_vecs[qi]) {
-                        let mut hits = Vec::new();
-                        mqa_graph::with_pooled(|scratch| {
-                            paged.search_paged_into(&mut dist, 10, 32, scratch, &mut hits)
-                        });
-                        if !hits.is_empty() {
-                            answered.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                }))
-                .map_err(|e| format!("pool refused work: {e}"))?;
-            }
-            // Dropping the pool drains the queue and joins the workers.
-        }
-        let answered = answered.load(Ordering::SeqCst);
-        if answered != queries {
-            return Err(format!(
-                "engine gate failed: {answered}/{queries} paged searches \
-                 produced results at {workers} worker(s)"
-            ));
-        }
-        qps[slot] = queries as f64 / (sw.elapsed_us().max(1) as f64 / 1e6);
+        let wall = full_pass(fixture, &paged, queries, workers)?.wall;
+        qps[slot] = queries.len() as f64 / wall.as_secs_f64().max(1e-6);
     }
     let speedup = qps[1] / qps[0];
     if speedup < MIN_SPEEDUP {
@@ -232,45 +130,43 @@ fn check_paged_speedup(fixture: &PagedFixture) -> Result<(), String> {
             qps[0], qps[1]
         ));
     }
-    Ok(())
+    Ok(speedup)
 }
 
 /// Check 3 — the shared page cache: the paged fixture queried uncached
 /// and then through a default-capacity [`PageCache`], cold pass then warm
-/// pass. Answers must be bit-identical in every pass, and the warm pass
-/// must issue at least [`MIN_CACHE_REDUCTION`]× fewer distinct simulated
-/// page reads than the uncached baseline.
-fn check_page_cache(fixture: &PagedFixture) -> Result<(), String> {
-    let plain = fixture.index();
-    let cached = fixture
-        .index()
-        .with_page_cache(Arc::new(PageCache::with_default_capacity()));
-
-    let run_pass = |index: &PagedIndex| -> Result<(Vec<Vec<(u32, f32)>>, u64), String> {
-        let mut answers = Vec::with_capacity(fixture.queries.len());
-        let mut pages_read = 0u64;
-        let (mut scratch, mut hits) = (SearchScratch::new(), Vec::new());
-        for q in fixture.queries.iter() {
-            let mut dist = FlatDistance::new(&fixture.store, q)
-                .map_err(|e| format!("distance setup failed: {e}"))?;
-            let stats = index.search_paged_into(&mut dist, 10, 32, &mut scratch, &mut hits);
-            pages_read += stats.pages_read;
-            answers.push(hits.iter().map(|c| (c.id, c.dist)).collect());
-        }
-        Ok((answers, pages_read))
+/// pass, each on one worker. Answers must be bit-identical in every pass,
+/// and the warm pass must issue at least [`MIN_CACHE_REDUCTION`]× fewer
+/// distinct simulated page reads than the uncached baseline. Returns the
+/// reduction.
+fn check_page_cache(fixture: &PagedFixture, queries: &Arc<Vec<Vec<f32>>>) -> Result<f64, String> {
+    let plain = Arc::new(fixture.index());
+    let cached = Arc::new(
+        fixture
+            .index()
+            .with_page_cache(Arc::new(PageCache::with_default_capacity())),
+    );
+    let hits = |pass: &Pass| -> Vec<_> {
+        pass.answers
+            .iter()
+            .flatten()
+            .map(|a| a.hits.clone())
+            .collect()
     };
 
-    let (baseline, cold_page_reads) = run_pass(&plain)?;
-    let (cold_cached, _) = run_pass(&cached)?; // populates the cache
-    let (warm_cached, warm_page_reads) = run_pass(&cached)?;
-    for (label, answers) in [("cold", &cold_cached), ("warm", &warm_cached)] {
-        if answers != &baseline {
+    let baseline = full_pass(fixture, &plain, queries, 1)?;
+    let cold_cached = full_pass(fixture, &cached, queries, 1)?; // populates the cache
+    let warm_cached = full_pass(fixture, &cached, queries, 1)?;
+    for (label, pass) in [("cold", &cold_cached), ("warm", &warm_cached)] {
+        if hits(pass) != hits(&baseline) {
             return Err(format!(
                 "engine gate failed: {label}-cache paged answers diverge from \
                  the uncached baseline — the cache must never change results"
             ));
         }
     }
+    let cold_page_reads = baseline.total().pages_read;
+    let warm_page_reads = warm_cached.total().pages_read;
     let reduction = cold_page_reads as f64 / (warm_page_reads.max(1)) as f64;
     if reduction < MIN_CACHE_REDUCTION {
         return Err(format!(
@@ -279,7 +175,7 @@ fn check_page_cache(fixture: &PagedFixture) -> Result<(), String> {
              below the {MIN_CACHE_REDUCTION}x gate)"
         ));
     }
-    Ok(())
+    Ok(reduction)
 }
 
 /// The instrument self-checks: every engine and cache metric the checks
@@ -338,27 +234,16 @@ mod tests {
         let _serial = crate::scenario_lock();
         let seed = 42;
         mqa_obs::global().reset();
-        witness::reset();
-        witness::enable(true);
         let answers = check_answers_match_serial(seed);
-        witness::enable(false);
         assert_eq!(answers, Ok(12), "every engine answer equals the serial one");
-        check_lock_witness().unwrap();
-        let fixture = PagedFixture::build(seed);
-        check_paged_speedup(&fixture).unwrap();
-        check_page_cache(&fixture).unwrap();
+        let (fixture, queries) = paged_workload(seed);
+        check_paged_speedup(&fixture, &queries).unwrap();
+        check_page_cache(&fixture, &queries).unwrap();
 
         let snapshot = mqa_obs::global().snapshot();
         verify_instruments(&snapshot).unwrap();
         assert!(snapshot
             .histogram("engine.query.latency_us")
             .is_some_and(|h| h.count > 0));
-        assert!(
-            snapshot
-                .counters
-                .iter()
-                .any(|c| c.name.starts_with("engine.lockwitness.") && c.value > 0),
-            "witness counters must land in the metrics snapshot"
-        );
     }
 }

@@ -28,9 +28,9 @@
 //! [`baseline::apply_baseline`] turns raw findings into the verdict.
 //!
 //! The engine gate is a test of this crate (`engine`): worker-pool
-//! answers equal the serial path, paged QPS scales with workers, a warm
-//! page cache reads fewer pages, and the runtime lock-order witness agrees
-//! with `conc`'s static lock graph. So is the structural audit (`audit`):
+//! answers equal the serial path, and on `mqa_bench`'s shared paged
+//! fixture paged QPS scales with workers and a warm page cache reads
+//! fewer pages. So is the structural audit (`audit`):
 //! every index variant, the multi-vector store and every generation the
 //! unified index publishes under a scripted add / compacting delete / add
 //! pass their structural validators, and every literal instrument and

@@ -41,7 +41,7 @@ also fail the gate.",
         name: "conc",
         options: STATIC_OPTIONS,
         help: "Static concurrency analysis: build the global lock-order graph
-from every Mutex/RwLock/TracedMutex acquisition and fail on
+from every Mutex/RwLock acquisition and fail on
 order cycles, non-looped Condvar waits, and guards held across
 blocking calls. Waivers live in conc-baseline.toml.",
         run: |args| {

@@ -3,8 +3,7 @@
 //! Upgrades the line-oriented `strip` pass to real tokens with line
 //! spans, which is what the concurrency analysis needs: matching
 //! `guard = self.state.lock()` as a *token sequence* instead of a
-//! substring, resolving `self.<field>` receivers, and reading the
-//! string literal out of `TracedMutex::new("…")`.
+//! substring, and resolving `self.<field>` receivers.
 //!
 //! The lexer covers the Rust surface that appears in source the
 //! workspace lints: identifiers (including raw `r#ident`), lifetimes,
@@ -392,9 +391,9 @@ mod tests {
 
     #[test]
     fn string_tokens_keep_inner_content() {
-        let toks = lex(r#"TracedMutex::new("engine.queue.state", v)"#);
+        let toks = lex(r#"counter("engine.query.submitted").inc()"#);
         let s = toks.iter().find(|t| t.kind == Kind::Str).expect("str tok");
-        assert_eq!(s.text, "engine.queue.state");
+        assert_eq!(s.text, "engine.query.submitted");
         let toks = lex(r###"let r = r#"raw content"#;"###);
         let s = toks.iter().find(|t| t.kind == Kind::Str).expect("raw str");
         assert_eq!(s.text, "raw content");

@@ -207,8 +207,28 @@ fn workspace_is_clean_with_zero_waivers() {
         "workspace conc findings: {:#?}",
         outcome.findings
     );
-    // The engine's two traced locks must be in the inventory the runtime
-    // witness is validated against.
-    assert!(outcome.stats.traced_names.contains("engine.queue.state"));
-    assert!(outcome.stats.traced_names.contains("engine.ticket.slot"));
+    // The lock census: a new lock anywhere, a second engine lock or a
+    // ticket that grows a mutex again changes this list. The engine's only
+    // lock is its submission queue's.
+    let census: Vec<&str> = outcome
+        .stats
+        .lock_names
+        .iter()
+        .map(String::as_str)
+        .collect();
+    assert_eq!(
+        census,
+        [
+            "BoundedQueue.state",
+            "CacheShard.slots",
+            "Ctl.m",
+            "Registry.counters",
+            "Registry.gauges",
+            "Registry.histograms",
+            "Registry.spans",
+            "SnapshotCell.slot",
+            "TraceContext.inner",
+            "UnifiedIndex.writer",
+        ]
+    );
 }
