@@ -134,10 +134,14 @@ impl Hnsw {
     ) {
         let mut dist = FlatDistance::for_vertex(store, v);
         let mut ep = Candidate::new(self.entry, dist.exact(self.entry));
+        let mut walked = SearchStats {
+            evals: 1,
+            ..SearchStats::default()
+        };
 
         // Greedy descent through layers above the node's level.
         for layer in self.layers.iter().take(top + 1).skip(level + 1).rev() {
-            ep = greedy_step(layer, &mut dist, ep, &mut SearchStats::default());
+            ep = greedy_step(layer, &mut dist, ep, &mut walked);
         }
 
         // Beam insertion from min(level, top) down to 0.
@@ -148,7 +152,8 @@ impl Hnsw {
             // INVARIANT: lc <= top, the index of the last layer.
             let layer = &mut self.layers[lc];
             let seed = Seeds::Evaluated(ep);
-            search_into(&*layer, seed, &mut dist, ef, ef, scratch, &mut cands);
+            let stats = search_into(&*layer, seed, &mut dist, ef, ef, scratch, &mut cands);
+            walked.merge(&stats);
             // A retired entry still seeds the walk; it is never selected.
             let mut pool = cands.clone();
             pool.retain(|c| !tomb.is_compacted(c.id));
@@ -166,6 +171,7 @@ impl Hnsw {
                 ep = *best;
             }
         }
+        crate::prune::record_construction(walked.evals);
     }
 
     /// Highest populated layer.

@@ -28,7 +28,7 @@
 use crate::adjacency::Adjacency;
 use crate::search::{SearchOutput, SearchStats};
 use crate::util::parallel_map;
-use mqa_vector::{ops, Candidate, VecId, VectorStore};
+use mqa_vector::{Candidate, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -254,7 +254,6 @@ impl Tombstones {
             if !nb.iter().any(|&u| self.is_dead(u)) {
                 return None;
             }
-            let vv = store.get(v);
             let mut seen = std::collections::HashSet::new();
             let mut pool = Vec::new();
             for u in nb {
@@ -265,11 +264,13 @@ impl Tombstones {
                 };
                 for &w in through {
                     if w != v && !self.is_dead(w) && seen.insert(w) {
-                        pool.push(Candidate::new(w, ops::l2_sq(vv, store.get(w))));
+                        pool.push(Candidate::new(w, crate::prune::distance(store, v, w)));
                     }
                 }
             }
-            Some(select(v, pool))
+            let list = select(v, pool);
+            crate::prune::record_construction(0);
+            Some(list)
         });
         for (v, list) in rewired.into_iter().enumerate() {
             if let Some(list) = list {
@@ -677,7 +678,7 @@ mod tests {
         use crate::flat::FlatSearcher;
         use crate::traits::FlatDistance;
         use mqa_rng::StdRng;
-        use mqa_vector::VectorStore;
+        use mqa_vector::{ops, VectorStore};
 
         let mut rng = StdRng::seed_from_u64(0x70B5);
         let n = 60usize;

@@ -34,7 +34,7 @@ use crate::flat::FlatSearcher;
 use crate::hnsw::{Hnsw, HnswParams};
 use crate::knn::knn_graph;
 use crate::live::Tombstones;
-use crate::prune::{candidates_of, robust_prune, robust_reprune};
+use crate::prune::{candidates_of, record_construction, robust_prune, robust_reprune};
 use crate::scratch::{with_pooled, SearchScratch};
 use crate::search::SearchOutput;
 use crate::traits::{DistanceFn, FlatDistance};
@@ -442,6 +442,8 @@ fn link_vertex(
     // scratch.
     let mut dist = FlatDistance::for_vertex(store, v);
     let pool = crate::search::beam_search_collect(graph, entries, &mut dist, l, scratch);
+    // The pool holds every candidate the walk evaluated.
+    let walk_evals = pool.len() as u64;
     // Compaction keeps a retired entry as a search seed; it is the one
     // retired id the walk can reach, and it must not become a neighbour.
     pool.retain(|c| !tomb.is_compacted(c.id));
@@ -457,6 +459,7 @@ fn link_vertex(
             graph.set_pruned(u, pruned);
         }
     }
+    record_construction(walk_evals);
 }
 
 /// Connectivity repair: attaches every live vertex unreachable from the
@@ -491,6 +494,7 @@ pub(crate) fn reattach(
             continue;
         };
         graph.add_edge(first.id, v);
+        record_construction(out.stats.evals);
         // Everything v reaches is now reachable.
         let mut queue = std::collections::VecDeque::new();
         // INVARIANT: v < len, and neighbour ids of a well-formed graph are

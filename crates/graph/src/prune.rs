@@ -14,19 +14,42 @@
 
 use mqa_vector::{ops, Candidate, VecId, VectorStore};
 
-#[cfg(test)]
 thread_local! {
-    /// Distance evaluations made by this thread's selection calls — what
-    /// the work-pinning tests read.
+    /// Selection and ranking distances this thread computed since its last
+    /// [`record_construction`] — what the work-pinning tests read.
     static DISTANCE_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// The one distance call site of the α-rule routines (counted under test).
+/// The one distance call site of selection and ranking (counted).
 #[inline]
-fn distance(store: &VectorStore, a: VecId, b: VecId) -> f32 {
-    #[cfg(test)]
+pub(crate) fn distance(store: &VectorStore, a: VecId, b: VecId) -> f32 {
     DISTANCE_CALLS.with(|c| c.set(c.get() + 1));
     ops::l2_sq(store.get(a), store.get(b))
+}
+
+/// Adds one construction step's distance evaluations — `walk_evals` from
+/// its searches plus this thread's selection and ranking distances since
+/// the last step — to `graph.construct.distance_evals`. Called once per
+/// link, repair attachment or rewired vertex, never once per distance.
+pub(crate) fn record_construction(walk_evals: u64) {
+    let selected = DISTANCE_CALLS.with(|c| c.replace(0));
+    ConstructionCounter::get().evals.add(walk_evals + selected);
+}
+
+/// The counter [`record_construction`] writes, resolved once per process
+/// (the `search.rs` idiom): a step is one relaxed add, with no registry
+/// lookup.
+struct ConstructionCounter {
+    evals: mqa_obs::Counter,
+}
+
+impl ConstructionCounter {
+    fn get() -> &'static Self {
+        static COUNTER: std::sync::OnceLock<ConstructionCounter> = std::sync::OnceLock::new();
+        COUNTER.get_or_init(|| ConstructionCounter {
+            evals: mqa_obs::counter("graph.construct.distance_evals"),
+        })
+    }
 }
 
 /// The ids of `list` tagged with their distance to `v`.
@@ -153,10 +176,7 @@ pub fn hnsw_heuristic(
         if selected.len() == m {
             break;
         }
-        let cv = store.get(c.id);
-        let dominated = selected
-            .iter()
-            .any(|&s| ops::l2_sq(cv, store.get(s)) < c.dist);
+        let dominated = selected.iter().any(|&s| distance(store, c.id, s) < c.dist);
         if !dominated {
             selected.push(c.id);
         }
