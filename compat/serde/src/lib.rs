@@ -326,6 +326,18 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+impl<T: Serialize> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        T::from_value(value).map(std::sync::Arc::new)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
@@ -452,6 +464,14 @@ mod tests {
         let none: Option<u8> = None;
         assert_eq!(none.to_value(), Value::Null);
         assert_eq!(Option::<u8>::from_value(&Value::Null), Ok(None));
+    }
+
+    #[test]
+    fn arc_is_written_as_its_value() {
+        let shared = std::sync::Arc::new(vec![1u8, 2]);
+        assert_eq!(shared.to_value(), vec![1u8, 2].to_value());
+        let back = std::sync::Arc::<Vec<u8>>::from_value(&shared.to_value());
+        assert_eq!(back, Ok(shared));
     }
 
     #[test]

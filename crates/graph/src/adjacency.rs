@@ -1,7 +1,7 @@
 //! Compact adjacency storage for navigation graphs.
 
-use mqa_vector::VecId;
-use serde::{Deserialize, Serialize};
+use mqa_vector::{ops, Candidate, VecId, VectorStore};
+use serde::{Deserialize, Serialize, Value};
 
 /// Out-neighbour lists for a fixed vertex population.
 ///
@@ -9,16 +9,30 @@ use serde::{Deserialize, Serialize};
 /// in-degree floats); vertices are the dense object ids of the backing
 /// vector store.
 ///
-/// Beside each list sits its *clean-prefix length*: how many leading
+/// Beside each list sits the distance of each of its edges from the
+/// vertex — the exact bits `ops::l2_sq` gives for the pair, written by
+/// whoever made the edge (it already held the distance), so construction
+/// ranks a held list without evaluating it again. Search reads only the
+/// ids ([`Adjacency::neighbors`]). The distances are derived state: the
+/// JSON form leaves them out, and a graph read back carries NaN until
+/// [`Adjacency::restore_distances`] recomputes them from its store.
+///
+/// Beside each list also sits its *clean-prefix length*: how many leading
 /// entries are the unmodified output of a neighbour-selection prune
 /// ([`Adjacency::set_pruned`]) and therefore already sorted by distance to
 /// the vertex and pairwise undominated under the rule that produced them.
 /// [`Adjacency::add_edge`] appends behind that prefix (a *dirty* tail), so
 /// re-pruning an over-full list only has to test pairs that involve a
 /// dirty entry (see [`crate::prune::robust_reprune`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Two graphs are equal when their lists and clean records are: the
+/// distances are a function of those and the store, so a graph read back
+/// equals the one written (validation, not equality, catches a stored
+/// distance that disagrees with its store).
+#[derive(Debug, Clone)]
 pub struct Adjacency {
     lists: Vec<Vec<VecId>>,
+    dists: Vec<Vec<f32>>,
     clean: Vec<u32>,
 }
 
@@ -27,6 +41,7 @@ impl Adjacency {
     pub fn new(n: usize) -> Self {
         Self {
             lists: vec![Vec::new(); n],
+            dists: vec![Vec::new(); n],
             clean: vec![0; n],
         }
     }
@@ -49,6 +64,20 @@ impl Adjacency {
         self.lists.get(v as usize).map(Vec::as_slice).unwrap_or(&[])
     }
 
+    /// The stored distance of each of `v`'s out-edges, in
+    /// [`Adjacency::neighbors`] order (see the type docs).
+    pub fn distances(&self, v: VecId) -> &[f32] {
+        self.dists.get(v as usize).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// `v`'s out-neighbours tagged with their stored distances.
+    pub fn edges_of(&self, v: VecId) -> impl Iterator<Item = Candidate> + '_ {
+        self.neighbors(v)
+            .iter()
+            .zip(self.distances(v))
+            .map(|(&u, &d)| Candidate::new(u, d))
+    }
+
     /// Recorded length of `v`'s clean prefix (see the type docs). At most
     /// the degree in a sound graph; deserialized state may claim more, so
     /// consumers clamp and [`crate::validate::check_clean_prefixes`] flags
@@ -58,34 +87,37 @@ impl Adjacency {
         self.clean.get(v as usize).map_or(0, |&c| c as usize)
     }
 
-    /// Replaces the out-neighbour list of `v` with an arbitrary list (no
-    /// clean prefix).
+    /// Replaces the out-edges of `v` with an arbitrary list of neighbours
+    /// and their distances from `v` (no clean prefix).
     ///
     /// # Panics
     /// Panics (debug) if the list contains `v` itself or an out-of-range id.
-    pub fn set_neighbors(&mut self, v: VecId, neighbors: Vec<VecId>) {
-        self.install(v, neighbors, 0);
+    pub fn set_neighbors(&mut self, v: VecId, edges: &[Candidate]) {
+        self.install(v, edges, 0);
     }
 
-    /// Replaces the out-neighbour list of `v` with the output of a
+    /// Replaces the out-edges of `v` with the output of a
     /// neighbour-selection prune around `v`: the whole list is clean.
     ///
     /// # Panics
     /// Panics (debug) if the list contains `v` itself or an out-of-range id.
-    pub fn set_pruned(&mut self, v: VecId, selected: Vec<VecId>) {
-        let clean = mqa_vector::cast::vec_id(selected.len());
-        self.install(v, selected, clean);
+    pub fn set_pruned(&mut self, v: VecId, selected: &[Candidate]) {
+        self.install(v, selected, mqa_vector::cast::vec_id(selected.len()));
     }
 
-    fn install(&mut self, v: VecId, neighbors: Vec<VecId>, clean: u32) {
+    fn install(&mut self, v: VecId, edges: &[Candidate], clean: u32) {
         debug_assert!(
-            neighbors
+            edges
                 .iter()
-                .all(|&u| u != v && (u as usize) < self.lists.len()),
+                .all(|c| c.id != v && (c.id as usize) < self.lists.len()),
             "invalid neighbour list for {v}"
         );
         // INVARIANT: builders only pass vertex ids < n minted by new(n).
-        self.lists[v as usize] = neighbors;
+        let (list, dists) = (&mut self.lists[v as usize], &mut self.dists[v as usize]);
+        list.clear();
+        list.extend(edges.iter().map(|c| c.id));
+        dists.clear();
+        dists.extend(edges.iter().map(|c| c.dist));
         // A deserialized graph may carry too few records; a missing one
         // reads as "nothing clean", which is always safe.
         if let Some(slot) = self.clean.get_mut(v as usize) {
@@ -98,7 +130,25 @@ impl Adjacency {
     pub fn grow(&mut self, n: usize) {
         if n > self.lists.len() {
             self.lists.resize(n, Vec::new());
+            self.dists.resize(n, Vec::new());
             self.clean.resize(n, 0);
+        }
+    }
+
+    /// Recomputes every stored edge distance from `store`, the vectors the
+    /// graph indexes — what a graph read back from JSON needs before it
+    /// grows, compacts or is validated. An edge naming an id outside the
+    /// store keeps NaN, which [`crate::validate::check_edge_distances`]
+    /// never accepts.
+    pub fn restore_distances(&mut self, store: &VectorStore) {
+        let row = |id: VecId| ((id as usize) < store.len()).then(|| store.get(id));
+        for (v, (list, dists)) in self.lists.iter().zip(&mut self.dists).enumerate() {
+            let from = row(mqa_vector::cast::vec_id(v));
+            dists.clear();
+            dists.extend(list.iter().map(|&u| match (from, row(u)) {
+                (Some(a), Some(b)) => ops::l2_sq(a, b),
+                _ => f32::NAN,
+            }));
         }
     }
 
@@ -119,6 +169,19 @@ impl Adjacency {
         &mut self.lists
     }
 
+    /// Test-only edges to `ids` at distance zero, for hand-built graphs
+    /// whose stored distances no check reads.
+    #[cfg(test)]
+    pub(crate) fn edges_to(ids: &[VecId]) -> Vec<Candidate> {
+        ids.iter().map(|&u| Candidate::new(u, 0.0)).collect()
+    }
+
+    /// Test-only raw access to the stored distances, for forging one.
+    #[cfg(test)]
+    pub(crate) fn dists_mut(&mut self) -> &mut Vec<Vec<f32>> {
+        &mut self.dists
+    }
+
     /// Test-only raw access to the clean-prefix records, for forging a
     /// clean length the way corrupted bytes could.
     #[cfg(test)]
@@ -126,16 +189,18 @@ impl Adjacency {
         &mut self.clean
     }
 
-    /// Adds edge `v → u` unless already present. Returns whether it was
-    /// added.
-    pub fn add_edge(&mut self, v: VecId, u: VecId) -> bool {
+    /// Adds edge `v → u`, whose distance from `v` is `dist`, unless already
+    /// present. Returns whether it was added.
+    pub fn add_edge(&mut self, v: VecId, u: VecId, dist: f32) -> bool {
         debug_assert_ne!(v, u, "self loop");
-        // INVARIANT: builders only pass vertex ids < n minted by new(n).
-        let list = &mut self.lists[v as usize];
+        // INVARIANT: builders only pass vertex ids < n minted by new(n),
+        // and `lists` and `dists` always hold n entries.
+        let (list, dists) = (&mut self.lists[v as usize], &mut self.dists[v as usize]);
         if list.contains(&u) {
             false
         } else {
             list.push(u);
+            dists.push(dist);
             true
         }
     }
@@ -190,14 +255,47 @@ impl Adjacency {
         self.reachable_from(start).iter().filter(|&&b| b).count()
     }
 
-    /// Approximate resident bytes of the adjacency lists.
+    /// Approximate resident bytes of the adjacency lists, their stored
+    /// distances and the clean records.
     pub fn bytes(&self) -> usize {
-        self.lists
-            .iter()
-            .map(|l| l.len() * std::mem::size_of::<VecId>())
-            .sum::<usize>()
-            + self.lists.len() * std::mem::size_of::<Vec<VecId>>()
-            + self.clean.len() * std::mem::size_of::<u32>()
+        let edge = std::mem::size_of::<VecId>() + std::mem::size_of::<f32>();
+        let vertex = std::mem::size_of::<Vec<VecId>>()
+            + std::mem::size_of::<Vec<f32>>()
+            + std::mem::size_of::<u32>();
+        self.edge_count() * edge + self.lists.len() * vertex
+    }
+}
+
+impl PartialEq for Adjacency {
+    fn eq(&self, other: &Self) -> bool {
+        self.lists == other.lists && self.clean == other.clean
+    }
+}
+
+impl Eq for Adjacency {}
+
+/// The JSON form holds the lists and clean records only: the distances
+/// are a function of the store, recomputed on restore, so a snapshot's
+/// bytes do not depend on them.
+impl Serialize for Adjacency {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("lists".to_string(), self.lists.to_value()),
+            ("clean".to_string(), self.clean.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Adjacency {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let entries = value.as_object_for("Adjacency")?;
+        let lists: Vec<Vec<VecId>> = serde::field(entries, "lists")?;
+        let dists = lists.iter().map(|l| vec![f32::NAN; l.len()]).collect();
+        Ok(Self {
+            lists,
+            dists,
+            clean: serde::field(entries, "clean")?,
+        })
     }
 }
 
@@ -205,12 +303,18 @@ impl Adjacency {
 mod tests {
     use super::*;
 
+    /// Edges to `ids`, each at a distance equal to its id.
+    fn to(ids: &[VecId]) -> Vec<Candidate> {
+        ids.iter().map(|&u| Candidate::new(u, u as f32)).collect()
+    }
+
     #[test]
     fn add_edge_deduplicates() {
         let mut g = Adjacency::new(3);
-        assert!(g.add_edge(0, 1));
-        assert!(!g.add_edge(0, 1));
+        assert!(g.add_edge(0, 1, 1.0));
+        assert!(!g.add_edge(0, 1, 7.0));
         assert_eq!(g.neighbors(0), &[1]);
+        assert_eq!(g.distances(0), &[1.0]);
         assert_eq!(g.degree(0), 1);
         assert_eq!(g.edge_count(), 1);
     }
@@ -218,27 +322,29 @@ mod tests {
     #[test]
     fn set_neighbors_replaces() {
         let mut g = Adjacency::new(4);
-        g.set_neighbors(2, vec![0, 1]);
-        g.set_neighbors(2, vec![3]);
+        g.set_neighbors(2, &to(&[0, 1]));
+        g.set_neighbors(2, &to(&[3]));
         assert_eq!(g.neighbors(2), &[3]);
+        assert_eq!(g.edges_of(2).collect::<Vec<_>>(), to(&[3]));
     }
 
     #[test]
     fn clean_prefix_follows_the_mutators() {
         let mut g = Adjacency::new(5);
-        g.set_pruned(0, vec![1, 2, 3]);
+        g.set_pruned(0, &to(&[1, 2, 3]));
         assert_eq!(g.clean_len(0), 3);
         // add_edge appends behind the prefix (and a refused duplicate
         // changes nothing).
-        assert!(g.add_edge(0, 4));
-        assert!(!g.add_edge(0, 2));
+        assert!(g.add_edge(0, 4, 4.0));
+        assert!(!g.add_edge(0, 2, 2.0));
         assert_eq!(g.neighbors(0), &[1, 2, 3, 4]);
+        assert_eq!(g.distances(0), &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(g.clean_len(0), 3);
         // An arbitrary list has no clean prefix.
-        g.set_neighbors(0, vec![4, 1]);
+        g.set_neighbors(0, &to(&[4, 1]));
         assert_eq!(g.clean_len(0), 0);
         // Clone and grow carry the records; new vertices start dirty.
-        g.set_pruned(1, vec![0, 2]);
+        g.set_pruned(1, &to(&[0, 2]));
         let mut h = g.clone();
         h.grow(8);
         assert_eq!(h.clean_len(1), 2);
@@ -250,8 +356,8 @@ mod tests {
     #[test]
     fn degree_statistics() {
         let mut g = Adjacency::new(3);
-        g.set_neighbors(0, vec![1, 2]);
-        g.set_neighbors(1, vec![0]);
+        g.set_neighbors(0, &to(&[1, 2]));
+        g.set_neighbors(1, &to(&[0]));
         assert!((g.avg_degree() - 1.0).abs() < 1e-9);
         assert_eq!(g.max_degree(), 2);
     }
@@ -259,8 +365,8 @@ mod tests {
     #[test]
     fn reachability_on_chain() {
         let mut g = Adjacency::new(4);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
+        g.add_edge(0, 1, 1.0);
+        g.add_edge(1, 2, 1.0);
         // 3 is isolated
         assert_eq!(g.reachable_count(0), 3);
         assert_eq!(g.reachable_count(3), 1);
@@ -279,7 +385,7 @@ mod tests {
     #[test]
     fn grow_adds_edgeless_vertices() {
         let mut g = Adjacency::new(2);
-        g.add_edge(0, 1);
+        g.add_edge(0, 1, 1.0);
         g.grow(5);
         assert_eq!(g.len(), 5);
         assert_eq!(g.neighbors(0), &[1]);
@@ -291,19 +397,42 @@ mod tests {
     #[test]
     fn edges_iterates_all() {
         let mut g = Adjacency::new(3);
-        g.set_neighbors(0, vec![1, 2]);
-        g.set_neighbors(2, vec![0]);
+        g.set_neighbors(0, &to(&[1, 2]));
+        g.set_neighbors(2, &to(&[0]));
         let e: Vec<(VecId, VecId)> = g.edges().collect();
         assert_eq!(e, vec![(0, 1), (0, 2), (2, 0)]);
     }
 
+    /// The JSON form is the lists and clean records alone; what comes back
+    /// equals the original but holds NaN distances until they are
+    /// recomputed from the store.
     #[test]
     fn serde_round_trip() {
-        let mut g = Adjacency::new(2);
-        g.add_edge(0, 1);
-        g.set_pruned(1, vec![0]);
+        let mut store = VectorStore::new(1);
+        for x in [0.0f32, 3.0, -1.0] {
+            store.push(&[x]);
+        }
+        let d = |a: VecId, b: VecId| ops::l2_sq(store.get(a), store.get(b));
+        let mut g = Adjacency::new(3);
+        g.add_edge(0, 1, d(0, 1));
+        g.set_pruned(1, &[Candidate::new(0, d(1, 0)), Candidate::new(2, d(1, 2))]);
         let j = serde_json::to_string(&g).unwrap();
-        let back: Adjacency = serde_json::from_str(&j).unwrap();
+        assert_eq!(j, r#"{"lists":[[1],[0,2],[]],"clean":[0,2,0]}"#);
+        let mut back: Adjacency = serde_json::from_str(&j).unwrap();
         assert_eq!(g, back);
+        assert!(back.distances(1).iter().all(|x| x.is_nan()));
+        back.restore_distances(&store);
+        for v in 0..3 {
+            assert_eq!(back.distances(v), g.distances(v));
+        }
+        assert_eq!(back.distances(1), &[9.0, 16.0]);
+    }
+
+    #[test]
+    fn bytes_count_ids_and_distances() {
+        let mut g = Adjacency::new(2);
+        let empty = g.bytes();
+        g.add_edge(0, 1, 1.0);
+        assert_eq!(g.bytes() - empty, 8, "4 B of id and 4 B of distance");
     }
 }

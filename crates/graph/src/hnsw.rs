@@ -3,20 +3,22 @@
 //! A faithful HNSW implementation: geometric level assignment, greedy
 //! descent through the upper layers, beam search with
 //! `SELECT-NEIGHBORS-HEURISTIC` diversification at insertion, bidirectional
-//! linking with overflow re-pruning. Built directly (its layered structure
-//! does not flatten into the five-stage pipeline) and searched through the
-//! same [`crate::BuiltGraph`] dispatcher as the pipeline-built graphs,
-//! which is what makes it selectable from the configuration panel. Each
+//! linking with overflow re-pruning (ranked by the stored edge distances,
+//! so a re-prune evaluates only the heuristic's tests). Built directly
+//! (its layered structure does not flatten into the five-stage pipeline)
+//! and searched through the same [`crate::BuiltGraph`] dispatcher as the
+//! pipeline-built graphs, which is what makes it selectable from the
+//! configuration panel. Each
 //! layer is an [`Adjacency`] over the whole population, so the layers are
 //! edited, walked, compacted and checked by the code the flat graphs use.
 
 use crate::adjacency::Adjacency;
 use crate::live::Tombstones;
-use crate::prune::{candidates_of, hnsw_heuristic};
+use crate::prune::hnsw_heuristic;
 use crate::scratch::SearchScratch;
 use crate::search::{search_into, SearchOutput, SearchStats, Seeds};
 use crate::traits::{DistanceFn, FlatDistance};
-use crate::validate::{check_adjacency, InvariantViolation};
+use crate::validate::{check_adjacency, check_edge_distances, InvariantViolation};
 use mqa_rng::StdRng;
 use mqa_vector::{Candidate, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
@@ -158,12 +160,16 @@ impl Hnsw {
             let mut pool = cands.clone();
             pool.retain(|c| !tomb.is_compacted(c.id));
             let selected = hnsw_heuristic(store, v, pool, cap);
-            layer.set_neighbors(v, selected.clone());
-            for u in selected {
-                if layer.add_edge(u, v) && layer.degree(u) > cap {
-                    // Overflow: re-prune u's neighbours.
-                    let pool = candidates_of(store, u, layer.neighbors(u)).collect();
-                    layer.set_neighbors(u, hnsw_heuristic(store, u, pool, cap));
+            layer.set_neighbors(v, &selected);
+            for p in selected {
+                // `l2_sq` is symmetric to the bit: the reverse edge carries
+                // the forward distance.
+                if layer.add_edge(p.id, v, p.dist) && layer.degree(p.id) > cap {
+                    // Overflow: re-prune p's neighbours, ranked by their
+                    // stored distances.
+                    let pool = layer.edges_of(p.id).collect();
+                    let pruned = hnsw_heuristic(store, p.id, pool, cap);
+                    layer.set_neighbors(p.id, &pruned);
                 }
             }
             // Best candidate of this layer seeds the next one down.
@@ -172,6 +178,14 @@ impl Hnsw {
             }
         }
         crate::prune::record_construction(walked.evals);
+    }
+
+    /// Recomputes every layer's stored edge distances from `store` (see
+    /// [`Adjacency::restore_distances`]).
+    pub(crate) fn restore_distances(&mut self, store: &VectorStore) {
+        for layer in &mut self.layers {
+            layer.restore_distances(store);
+        }
     }
 
     /// Highest populated layer.
@@ -283,14 +297,16 @@ impl Hnsw {
     /// essentially 1; a structurally corrupted graph falls far below this.
     pub const REACHABILITY_FLOOR: f64 = 0.9;
 
-    /// Audits the structural invariants of the built index and returns
-    /// every violation found (empty = sound).
+    /// Audits the structural invariants of the built index against the
+    /// `store` it indexes and returns every violation found (empty =
+    /// sound).
     ///
     /// Checked invariants:
     /// - one layer per level up to the highest vertex level, each over the
     ///   whole population, and the entry on the top layer;
-    /// - per layer: [`check_adjacency`] and the degree cap (`2m` at layer
-    ///   0, `m` above, none above the vertex's own level);
+    /// - per layer: [`check_adjacency`], then, on a layer it accepts,
+    ///   [`check_edge_distances`], and the degree cap (`2m` at layer 0, `m`
+    ///   above, none above the vertex's own level);
     /// - layer-`l` edges only point at vertices whose level reaches `l`
     ///   (the HNSW hierarchy property);
     /// - at least [`Hnsw::REACHABILITY_FLOOR`] of the vertices are
@@ -299,7 +315,7 @@ impl Hnsw {
     /// Strict edge *symmetry* is deliberately not required: insertion
     /// re-prunes the reverse lists, so a forward edge may legally lack its
     /// mirror.
-    pub fn validate(&self) -> Vec<InvariantViolation> {
+    pub fn validate(&self, store: &VectorStore) -> Vec<InvariantViolation> {
         let n = self.len();
         let mut out = Vec::new();
         let Some(&highest) = self.levels.iter().max() else {
@@ -332,7 +348,11 @@ impl Hnsw {
                     got: layer.len(),
                 });
             }
-            out.extend(check_adjacency(&context, layer));
+            let defects = check_adjacency(&context, layer);
+            if defects.is_empty() && store.len() == layer.len() {
+                out.extend(check_edge_distances(&context, layer, store));
+            }
+            out.extend(defects);
             for v in 0..layer.len() as VecId {
                 // A vertex holds no edges above its own level.
                 let cap = match level_of(v) {
@@ -569,7 +589,7 @@ mod tests {
             );
         }
         assert!(h
-            .validate()
+            .validate(&store)
             .iter()
             .all(|v| matches!(v, InvariantViolation::LowReachability { .. })));
         // Live objects are still discoverable after the rewiring.
@@ -618,7 +638,7 @@ mod tests {
     fn validate_accepts_built_index() {
         let store = random_store(400, 8, 3);
         let h = Hnsw::build(&store, &HnswParams::default());
-        let violations = h.validate();
+        let violations = h.validate(&store);
         assert!(violations.is_empty(), "sound index flagged: {violations:?}");
     }
 
@@ -632,15 +652,31 @@ mod tests {
         let mut h = sound.clone();
         h.layers[0].lists_mut()[3].push(10_000);
         assert!(h
-            .validate()
+            .validate(&store)
             .iter()
             .any(|v| matches!(v, V::IdOutOfRange { id: 10_000, .. })));
+
+        // A stored distance off by one ulp.
+        let mut h = sound.clone();
+        let d = &mut h.layers[0].dists_mut()[4][0];
+        *d = f32::from_bits(d.to_bits() + 1);
+        let u = h.base_layer().neighbors(4)[0];
+        assert_eq!(
+            h.validate(&store),
+            vec![V::WrongEdgeDistance {
+                context: "hnsw layer 0".to_string(),
+                from: 4,
+                to: u,
+                stored: h.base_layer().distances(4)[0],
+                actual: sound.base_layer().distances(4)[0],
+            }]
+        );
 
         // Self-loop.
         let mut h = sound.clone();
         h.layers[0].lists_mut()[5].push(5);
         assert!(h
-            .validate()
+            .validate(&store)
             .iter()
             .any(|v| matches!(v, V::SelfLoop { id: 5, .. })));
 
@@ -650,7 +686,7 @@ mod tests {
             h.layers[0].lists_mut()[7].push(u);
         }
         assert!(h
-            .validate()
+            .validate(&store)
             .iter()
             .any(|v| matches!(v, V::DuplicateNeighbor { id: 7, .. })));
 
@@ -659,7 +695,7 @@ mod tests {
         let cap = h.params.m * 2;
         h.layers[0].lists_mut()[2] = (0..=cap as VecId).map(|i| (i + 10) % 200).collect();
         assert!(h
-            .validate()
+            .validate(&store)
             .iter()
             .any(|v| matches!(v, V::DegreeOverflow { id: 2, .. })));
 
@@ -670,7 +706,7 @@ mod tests {
         if let (Some(t), Some(s)) = (tall, short) {
             h.layers[1].lists_mut()[t].insert(0, s as VecId);
             assert!(h
-                .validate()
+                .validate(&store)
                 .iter()
                 .any(|v| matches!(v, V::CrossLevelEdge { .. })));
         }
@@ -679,7 +715,10 @@ mod tests {
         let mut h = sound.clone();
         if let Some(s) = short {
             h.entry = s as VecId;
-            assert!(h.validate().iter().any(|v| matches!(v, V::BadEntry { .. })));
+            assert!(h
+                .validate(&store)
+                .iter()
+                .any(|v| matches!(v, V::BadEntry { .. })));
         }
 
         // A list above the vertex's own level: its cap there is 0.
@@ -687,7 +726,7 @@ mod tests {
         if let (Some(t), Some(s)) = (tall, short) {
             h.layers[1].lists_mut()[s].push(t as VecId);
             assert!(h
-                .validate()
+                .validate(&store)
                 .iter()
                 .any(|v| matches!(v, V::DegreeOverflow { id, cap: 0, .. } if *id == s as VecId)));
         }
@@ -698,7 +737,7 @@ mod tests {
             h.layers[0].lists_mut()[v].clear();
         }
         assert!(h
-            .validate()
+            .validate(&store)
             .iter()
             .any(|v| matches!(v, V::LowReachability { .. })));
     }

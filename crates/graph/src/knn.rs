@@ -51,13 +51,10 @@ pub fn exact_knn(store: &VectorStore, k: usize) -> Adjacency {
             top.offer(Candidate::new(u, ops::l2_sq(qv, uv)));
         }
         top.into_sorted()
-            .into_iter()
-            .map(|c| c.id)
-            .collect::<Vec<_>>()
     });
     let mut g = Adjacency::new(n);
     for (v, list) in lists.into_iter().enumerate() {
-        g.set_neighbors(v as VecId, list);
+        g.set_neighbors(v as VecId, &list);
     }
     g
 }
@@ -70,15 +67,15 @@ fn nn_expansion(store: &VectorStore, k: usize, seed: u64) -> Adjacency {
 
     // Random initialization.
     let mut g = Adjacency::new(n);
-    for v in 0..n {
-        let mut nb = Vec::with_capacity(k);
+    for v in 0..n as VecId {
+        let mut nb: Vec<Candidate> = Vec::with_capacity(k);
         while nb.len() < k {
             let u = rng.gen_range(0..n) as VecId;
-            if u as usize != v && !nb.contains(&u) {
-                nb.push(u);
+            if u != v && !nb.iter().any(|c| c.id == u) {
+                nb.push(Candidate::new(u, ops::l2_sq(store.get(v), store.get(u))));
             }
         }
-        g.set_neighbors(v as VecId, nb);
+        g.set_neighbors(v, &nb);
     }
 
     for round in 0..ITERS {
@@ -114,12 +111,9 @@ fn nn_expansion(store: &VectorStore, k: usize, seed: u64) -> Adjacency {
                 top.offer(Candidate::new(u, ops::l2_sq(qv, store.get(u))));
             }
             top.into_sorted()
-                .into_iter()
-                .map(|c| c.id)
-                .collect::<Vec<_>>()
         });
         for (v, list) in lists.into_iter().enumerate() {
-            g.set_neighbors(v as VecId, list);
+            g.set_neighbors(v as VecId, &list);
         }
     }
     g

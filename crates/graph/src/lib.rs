@@ -29,6 +29,19 @@
 //! searched through [`BuiltGraph::search`], the one dispatcher over the
 //! families, and grows and compacts in place.
 //!
+//! Construction pays for each distance once. Every edge is stored with its
+//! distance from its vertex ([`Adjacency`]), passed in by whoever made it:
+//! selection returns its picks with their distances, and a reverse edge
+//! carries the forward one (`l2_sq` is symmetric to the bit). So when
+//! reverse edges push a list past its degree bound, the re-prune ranks the
+//! held list from the stored distances and spends evaluations only on
+//! dominance tests ([`prune::robust_reprune`], HNSW's overflow
+//! re-prune); the α rule tests the latest pick first. Every link, repair
+//! attachment and rewired vertex adds its evaluations to the
+//! `graph.construct.distance_evals` counter. The distances are not
+//! persisted: [`BuiltGraph::restore_distances`] recomputes them when a
+//! snapshot is restored.
+//!
 //! ## Unified multi-vector index
 //!
 //! [`unified::UnifiedIndex`] assigns *multiple vectors per object* to one

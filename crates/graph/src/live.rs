@@ -232,37 +232,37 @@ impl Tombstones {
     /// Rewires `layer` around the dead ids — the one compaction routine of
     /// every graph family, run once per layer. A dead vertex `keep` does
     /// not claim is unlinked; any other vertex with a dead neighbour gets
-    /// `select(v, pool)`, where the pool is its live neighbours plus each
-    /// dead neighbour's live neighbours, deduplicated and tagged with their
-    /// distance to `v`. Every new list is a function of the pre-compaction
-    /// layer alone, so the vertices are rewired in parallel and `install`ed
-    /// after.
+    /// `select(v, pool)`, where the pool is its live neighbours (at their
+    /// stored distances) plus each dead neighbour's live neighbours
+    /// (evaluated), deduplicated, and `install`s the picks with their
+    /// distances. Every new list is a function of the pre-compaction layer
+    /// alone, so the vertices are rewired in parallel and installed after.
     pub(crate) fn rewire(
         &self,
         layer: &mut Adjacency,
         store: &VectorStore,
         keep: impl Fn(VecId) -> bool + Sync,
-        select: impl Fn(VecId, Vec<Candidate>) -> Vec<VecId> + Sync,
-        install: fn(&mut Adjacency, VecId, Vec<VecId>),
+        select: impl Fn(VecId, Vec<Candidate>) -> Vec<Candidate> + Sync,
+        install: fn(&mut Adjacency, VecId, &[Candidate]),
     ) {
         let old = &*layer;
         let rewired = parallel_map(old.len(), |v| {
             if self.is_dead(v) && !keep(v) {
                 return Some(Vec::new());
             }
-            let nb = old.neighbors(v);
-            if !nb.iter().any(|&u| self.is_dead(u)) {
+            if !old.neighbors(v).iter().any(|&u| self.is_dead(u)) {
                 return None;
             }
             let mut seen = std::collections::HashSet::new();
             let mut pool = Vec::new();
-            for u in nb {
-                let through = if self.is_dead(*u) {
-                    old.neighbors(*u)
-                } else {
-                    std::slice::from_ref(u)
-                };
-                for &w in through {
+            for c in old.edges_of(v) {
+                if !self.is_dead(c.id) {
+                    if c.id != v && seen.insert(c.id) {
+                        pool.push(c);
+                    }
+                    continue;
+                }
+                for &w in old.neighbors(c.id) {
                     if w != v && !self.is_dead(w) && seen.insert(w) {
                         pool.push(Candidate::new(w, crate::prune::distance(store, v, w)));
                     }
@@ -274,7 +274,7 @@ impl Tombstones {
         });
         for (v, list) in rewired.into_iter().enumerate() {
             if let Some(list) = list {
-                install(layer, v as VecId, list);
+                install(layer, v as VecId, &list);
             }
         }
     }

@@ -182,10 +182,31 @@ mod tests {
         assert_eq!(before, after, "restored search must keep filtering");
     }
 
+    /// Every edge of every layer with the bits of its stored distance.
+    fn stored_edges(graph: &BuiltGraph) -> Vec<(usize, u32, u32, u32)> {
+        let layers = match graph {
+            BuiltGraph::Nav(nav) => std::slice::from_ref(nav.graph()),
+            BuiltGraph::Hnsw(h) => h.layers(),
+            _ => &[],
+        };
+        let mut out = Vec::new();
+        for (level, layer) in layers.iter().enumerate() {
+            for v in 0..layer.len() as u32 {
+                for c in layer.edges_of(v) {
+                    out.push((level, v, c.id, c.dist.to_bits()));
+                }
+            }
+        }
+        out
+    }
+
     /// A grown-and-compacted index saved and restored is the same index:
-    /// equal graph (clean-prefix records included), and it keeps growing
+    /// equal graph (clean-prefix records included, and — compared bit for
+    /// bit, since graph equality does not look at them — the stored edge
+    /// distances the JSON leaves out, recomputed), and it keeps growing
     /// into exactly the graph the never-saved original grows into — the
-    /// restored vectors and records drive the same re-prunes to the bit.
+    /// restored vectors, records and distances drive the same re-prunes to
+    /// the bit.
     #[test]
     fn restored_index_keeps_growing_like_the_original() {
         let donors = store(120, 12);
@@ -199,7 +220,11 @@ mod tests {
                 })
                 .collect()
         };
-        for algo in [IndexAlgorithm::vamana(), IndexAlgorithm::mqa_graph()] {
+        for algo in [
+            IndexAlgorithm::vamana(),
+            IndexAlgorithm::mqa_graph(),
+            IndexAlgorithm::hnsw(),
+        ] {
             let idx = UnifiedIndex::build(
                 store(300, 11),
                 Weights::normalized(&[1.3, 0.7]),
@@ -218,17 +243,21 @@ mod tests {
                 .expect("round trips")
                 .restore()
                 .expect("sound snapshot");
+            let saved = stored_edges(&idx.snapshot().graph);
+            assert!(saved.len() > 1_000, "{}: a real graph", algo.name());
+            assert_eq!(stored_edges(&restored.snapshot().graph), saved);
             assert_eq!(restored.snapshot().graph, idx.snapshot().graph);
             idx.add_objects(&batch(80, 120)).expect("original grows");
             restored
                 .add_objects(&batch(80, 120))
                 .expect("restored grows");
             assert_eq!(
-                restored.snapshot().graph,
-                idx.snapshot().graph,
+                stored_edges(&restored.snapshot().graph),
+                stored_edges(&idx.snapshot().graph),
                 "{}: growth diverged after the round trip",
                 algo.name()
             );
+            assert_eq!(restored.snapshot().graph, idx.snapshot().graph);
             let violations = restored.current().validate(restored.weights());
             assert!(violations.is_empty(), "{}: {violations:?}", algo.name());
         }

@@ -34,14 +34,16 @@ use crate::flat::FlatSearcher;
 use crate::hnsw::{Hnsw, HnswParams};
 use crate::knn::knn_graph;
 use crate::live::Tombstones;
-use crate::prune::{candidates_of, record_construction, robust_prune, robust_reprune};
+#[cfg(test)]
+use crate::prune::candidates_of;
+use crate::prune::{record_construction, robust_prune, robust_reprune};
 use crate::scratch::{with_pooled, SearchScratch};
 use crate::search::SearchOutput;
 use crate::traits::{DistanceFn, FlatDistance};
 use crate::util::medoid;
 use crate::validate::InvariantViolation;
 use mqa_rng::StdRng;
-use mqa_vector::{Candidate, VecId, VectorStore};
+use mqa_vector::{ops, Candidate, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
@@ -104,23 +106,31 @@ pub struct SelectStage {
 }
 
 impl SelectStage {
-    /// Selects `v`'s out-neighbours from `candidates` (sorted and
-    /// deduplicated in place). The result is a *clean* list.
-    fn apply(&self, store: &VectorStore, v: VecId, candidates: &mut Vec<Candidate>) -> Vec<VecId> {
+    /// Selects `v`'s out-neighbours, with their distances, from
+    /// `candidates` (sorted and deduplicated in place). The result is a
+    /// *clean* list.
+    fn apply(
+        &self,
+        store: &VectorStore,
+        v: VecId,
+        candidates: &mut Vec<Candidate>,
+    ) -> Vec<Candidate> {
         robust_prune(store, v, candidates, self.alpha, self.r)
     }
 
-    /// Selects again from `v`'s own out-list once reverse edges pushed it
-    /// past the degree bound — the same result as [`SelectStage::apply`]
-    /// over the whole list, skipping what its clean prefix already proves.
-    fn reapply(&self, store: &VectorStore, v: VecId, graph: &Adjacency) -> Vec<VecId> {
-        let list = graph.neighbors(v);
-        let selected = robust_reprune(store, v, list, graph.clean_len(v), self.alpha, self.r);
+    /// Selects again from `v`'s own out-edges once reverse edges pushed the
+    /// list past the degree bound — the same result as
+    /// [`SelectStage::apply`] over the whole list, ranked by the stored
+    /// distances and skipping what its clean prefix already proves.
+    fn reapply(&self, store: &VectorStore, v: VecId, graph: &Adjacency) -> Vec<Candidate> {
+        let edges = graph.edges_of(v);
+        let selected = robust_reprune(store, v, edges, graph.clean_len(v), self.alpha, self.r);
         // Every overflow of every graph the unit tests build is checked
-        // against the from-scratch prune.
+        // against the from-scratch prune over evaluated distances, so a
+        // stored distance off by a bit fails here too.
         #[cfg(test)]
         {
-            let mut all = candidates_of(store, v, list).collect();
+            let mut all = candidates_of(store, v, graph.neighbors(v)).collect();
             assert_eq!(
                 selected,
                 self.apply(store, v, &mut all),
@@ -225,15 +235,22 @@ impl NavGraph {
     ///   and distinct;
     /// - adjacency lists have in-range endpoints, no self-loops, no
     ///   duplicates;
+    /// - every stored edge distance is the distance its endpoints give, to
+    ///   the bit ([`crate::validate::check_edge_distances`]);
     /// - every clean prefix is what it claims to be
     ///   ([`crate::validate::check_clean_prefixes`]).
     pub fn validate(&self, store: &VectorStore) -> Vec<InvariantViolation> {
         let n = self.graph.len();
-        let mut out =
-            crate::validate::check_adjacency(&format!("navgraph {}", self.name), &self.graph);
-        // The prefix check reads vectors by neighbour id, so it runs only
-        // on lists the adjacency check found addressable.
+        let context = format!("navgraph {}", self.name);
+        let mut out = crate::validate::check_adjacency(&context, &self.graph);
+        // The store-reading checks read vectors by neighbour id, so they
+        // run only on lists the adjacency check found addressable.
         if out.is_empty() && store.len() == n {
+            out.extend(crate::validate::check_edge_distances(
+                &context,
+                &self.graph,
+                store,
+            ));
             out.extend(self.check_clean_prefixes(store));
         }
         if n == 0 {
@@ -368,15 +385,15 @@ fn run_init(cfg: &InitStage, store: &VectorStore) -> Adjacency {
             let degree = degree.min(n.saturating_sub(1));
             let mut rng = StdRng::seed_from_u64(seed ^ 0x1217);
             let mut g = Adjacency::new(n);
-            for v in 0..n {
-                let mut nb = Vec::with_capacity(degree);
+            for v in 0..n as VecId {
+                let mut nb: Vec<Candidate> = Vec::with_capacity(degree);
                 while nb.len() < degree {
                     let u = rng.gen_range(0..n) as VecId;
-                    if u as usize != v && !nb.contains(&u) {
-                        nb.push(u);
+                    if u != v && !nb.iter().any(|c| c.id == u) {
+                        nb.push(Candidate::new(u, ops::l2_sq(store.get(v), store.get(u))));
                     }
                 }
-                g.set_neighbors(v as VecId, nb);
+                g.set_neighbors(v, &nb);
             }
             g
         }
@@ -447,16 +464,18 @@ fn link_vertex(
     // Compaction keeps a retired entry as a search seed; it is the one
     // retired id the walk can reach, and it must not become a neighbour.
     pool.retain(|c| !tomb.is_compacted(c.id));
-    // Merge current neighbours so established edges compete (a newly
-    // grown vertex has none yet).
-    pool.extend(candidates_of(store, v, graph.neighbors(v)));
+    // Merge current neighbours, at their stored distances, so established
+    // edges compete (a newly grown vertex has none yet).
+    pool.extend(graph.edges_of(v));
     let selected = select.apply(store, v, pool);
-    graph.set_pruned(v, selected.clone());
-    for u in selected {
-        graph.add_edge(u, v);
-        if graph.degree(u) > select.r {
-            let pruned = select.reapply(store, u, graph);
-            graph.set_pruned(u, pruned);
+    graph.set_pruned(v, &selected);
+    for p in selected {
+        // The reverse edge's distance is the forward one: `l2_sq` is
+        // symmetric to the bit.
+        graph.add_edge(p.id, v, p.dist);
+        if graph.degree(p.id) > select.r {
+            let pruned = select.reapply(store, p.id, graph);
+            graph.set_pruned(p.id, &pruned);
         }
     }
     record_construction(walk_evals);
@@ -493,7 +512,7 @@ pub(crate) fn reattach(
         let Some(first) = out.results.first() else {
             continue;
         };
-        graph.add_edge(first.id, v);
+        graph.add_edge(first.id, v, first.dist);
         record_construction(out.stats.evals);
         // Everything v reaches is now reachable.
         let mut queue = std::collections::VecDeque::new();
@@ -676,7 +695,20 @@ impl BuiltGraph {
         match self {
             BuiltGraph::Flat(_) => Vec::new(),
             BuiltGraph::Nav(g) => g.validate(store),
-            BuiltGraph::Hnsw(h) => h.validate(),
+            BuiltGraph::Hnsw(h) => h.validate(store),
+            BuiltGraph::Ivf(never) => match *never {},
+        }
+    }
+
+    /// Recomputes every stored edge distance from `store`, the vectors the
+    /// structure indexes ([`Adjacency::restore_distances`] on each graph or
+    /// layer): a structure read back from JSON carries none, and needs
+    /// them before it grows, compacts or validates.
+    pub fn restore_distances(&mut self, store: &VectorStore) {
+        match self {
+            BuiltGraph::Flat(_) => {}
+            BuiltGraph::Nav(g) => g.graph.restore_distances(store),
+            BuiltGraph::Hnsw(h) => h.restore_distances(store),
             BuiltGraph::Ivf(never) => match *never {},
         }
     }
@@ -1135,6 +1167,29 @@ mod tests {
         assert!(audit(&g).iter().any(|x| matches!(x, V::BadEntry { .. })));
     }
 
+    /// One stored distance forged off by one ulp is reported as exactly
+    /// that edge, and nothing else moves: the clean-prefix check evaluates
+    /// its own distances.
+    #[test]
+    fn validate_flags_a_forged_edge_distance() {
+        use crate::validate::InvariantViolation as V;
+        let (store, sound) = built_navgraph(14);
+        let v = 7;
+        let mut g = sound.clone();
+        let d = &mut g.graph.dists_mut()[v as usize][2];
+        *d = f32::from_bits(d.to_bits() + 1);
+        assert_eq!(
+            g.validate(&store),
+            vec![V::WrongEdgeDistance {
+                context: format!("navgraph {}", sound.name),
+                from: v,
+                to: sound.graph.neighbors(v)[2],
+                stored: g.graph.distances(v)[2],
+                actual: sound.graph.distances(v)[2],
+            }]
+        );
+    }
+
     /// A clean length forged over a list that is not a prune result is
     /// flagged in each of its three shapes, and growing the forged graph
     /// (which re-prunes through the false prefix) does not panic.
@@ -1160,6 +1215,7 @@ mod tests {
         // Covering a list that is not sorted by distance.
         let mut g = sound.clone();
         g.graph.lists_mut()[v as usize].reverse();
+        g.graph.dists_mut()[v as usize].reverse();
         assert!(flagged(&g, v));
 
         // Covering a dirty tail: the vertex's nearest non-neighbours,
@@ -1169,7 +1225,7 @@ mod tests {
         let mut d = FlatDistance::for_vertex(&store, v);
         for c in flat.scan(&mut d, 40, |_| true).results {
             if c.id != v {
-                g.graph.add_edge(v, c.id);
+                g.graph.add_edge(v, c.id, c.dist);
             }
         }
         g.graph.clean_mut()[v as usize] = g.graph.degree(v) as u32;
@@ -1222,6 +1278,7 @@ mod tests {
 
             let json = serde_json::to_string(&built).expect("graph serializes");
             let mut reloaded: BuiltGraph = serde_json::from_str(&json).expect("round trips");
+            reloaded.restore_distances(&prefix(380));
             assert_eq!(reloaded, built, "{}: clean prefixes persist", algo.name());
             built.grow_to(&full, &tomb);
             reloaded.grow_to(&full, &tomb);

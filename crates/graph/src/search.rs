@@ -457,7 +457,7 @@ mod tests {
             if i + 1 < n {
                 nb.push((i + 1) as VecId);
             }
-            g.set_neighbors(i as VecId, nb);
+            g.set_neighbors(i as VecId, &Adjacency::edges_to(&nb));
         }
         (store, g)
     }

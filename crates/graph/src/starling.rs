@@ -572,7 +572,7 @@ mod tests {
     fn layout_assigns_every_vertex() {
         let mut g = Adjacency::new(10);
         for v in 0..9u32 {
-            g.add_edge(v, v + 1);
+            g.add_edge(v, v + 1, 0.0);
         }
         for strategy in [LayoutStrategy::InsertionOrder, LayoutStrategy::BfsCluster] {
             let l = PageLayout::build(&g, 3, strategy);
@@ -837,7 +837,7 @@ mod tests {
         for v in 0..=leaves {
             s.push(&[v as f32]);
         }
-        g.set_neighbors(0, (1..=leaves).collect());
+        g.set_neighbors(0, &Adjacency::edges_to(&(1..=leaves).collect::<Vec<_>>()));
         let layout = PageLayout::build(&g, 1, LayoutStrategy::InsertionOrder);
         let paged = PagedIndex::new(g, vec![0], layout)
             .with_device(DeviceProfile::with_read_latency(latency));
@@ -882,9 +882,9 @@ mod tests {
             s.push(&[x]);
         }
         let mut g = Adjacency::new(5);
-        g.set_neighbors(0, vec![1, 2]);
-        g.set_neighbors(1, vec![3]);
-        g.set_neighbors(2, vec![4]);
+        g.set_neighbors(0, &Adjacency::edges_to(&[1, 2]));
+        g.set_neighbors(1, &Adjacency::edges_to(&[3]));
+        g.set_neighbors(2, &Adjacency::edges_to(&[4]));
         let layout = PageLayout::build(&g, 1, LayoutStrategy::InsertionOrder);
         (Arc::new(s), PagedIndex::new(g, vec![0], layout))
     }

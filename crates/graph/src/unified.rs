@@ -41,7 +41,8 @@ use crate::pipeline::{BuiltGraph, IndexAlgorithm};
 use crate::search::SearchOutput;
 use crate::traits::DistanceFn;
 use crate::validate::{
-    check_adjacency, check_edges_live, check_tombstones, check_weighted_rows, InvariantViolation,
+    check_adjacency, check_edge_distances, check_edges_live, check_tombstones, check_weighted_rows,
+    InvariantViolation,
 };
 use mqa_vector::{
     FusedScanner, Metric, MultiVector, MultiVectorStore, ScanStats, Schema, VecId, Weights,
@@ -128,7 +129,9 @@ impl IndexSnapshot {
     ///   compacted. Compaction legitimately unlinks dead vertices, which the
     ///   quiesced-shape validators (HNSW's reachability floor in particular)
     ///   would misread as corruption, so a compacted generation instead
-    ///   runs [`crate::validate::check_adjacency`] and
+    ///   runs [`crate::validate::check_adjacency`], the stored-distance
+    ///   check on a layer that passes it
+    ///   ([`crate::validate::check_edge_distances`]) and
     ///   [`crate::validate::check_edges_live`] (no edge into a
     ///   compacted-away id) on every layer, then — only if those pass — a
     ///   pipeline graph's clean-prefix check
@@ -168,7 +171,11 @@ impl IndexSnapshot {
             BuiltGraph::Ivf(never) => match *never {},
         };
         for layer in layers {
-            out.extend(check_adjacency(context, layer));
+            let defects = check_adjacency(context, layer);
+            if defects.is_empty() {
+                out.extend(check_edge_distances(context, layer, &self.weighted));
+            }
+            out.extend(defects);
             out.extend(check_edges_live(context, layer.edges(), &self.tombstones));
         }
         // The prefix check reads vectors by neighbour id, so it runs only
@@ -284,10 +291,17 @@ impl UnifiedIndex {
             .is_none()
             .then(|| mqa_obs::span(format!("graph.{}.build", algorithm.name())));
         let weighted = Arc::new(store.weighted_store(&weights));
-        let (searcher, mut tombstones) = restored.unwrap_or_else(|| {
-            let built = algorithm.build_graph(&weighted);
-            (built, Tombstones::new(store.len()))
-        });
+        let (searcher, mut tombstones) = match restored {
+            // Persisted edges carry no distances; they are the held rows'.
+            Some((mut searcher, tombstones)) => {
+                searcher.restore_distances(&weighted);
+                (searcher, tombstones)
+            }
+            None => (
+                algorithm.build_graph(&weighted),
+                Tombstones::new(store.len()),
+            ),
+        };
         let build_time = build_span.map_or(Duration::ZERO, |span| span.finish());
         assert_eq!(
             searcher.len(),
@@ -395,9 +409,7 @@ impl UnifiedIndex {
             // store is cloned: the order that fragments the heap least (§15).
             let rows = draft.store.len() + objects.len();
             let mut weighted = mqa_vector::VectorStore::with_capacity(draft.weighted.dim(), rows);
-            for (_, row) in draft.weighted.iter() {
-                weighted.push(row);
-            }
+            weighted.extend_from_store(&draft.weighted);
             let store = Arc::make_mut(&mut draft.store);
             for object in objects {
                 let id = store.push(object);

@@ -135,6 +135,22 @@ pub enum InvariantViolation {
         /// What the prefix fails.
         detail: String,
     },
+    /// A stored edge distance (see [`Adjacency`]) that is not, bit for bit,
+    /// the distance between the edge's endpoints. Construction ranks held
+    /// lists by these, so a wrong one steers every later re-prune of the
+    /// list.
+    WrongEdgeDistance {
+        /// Which structure reported it.
+        context: String,
+        /// The edge source.
+        from: VecId,
+        /// The edge target.
+        to: VecId,
+        /// The stored distance (NaN when none is stored).
+        stored: f32,
+        /// The distance the endpoints' vectors give.
+        actual: f32,
+    },
     /// A held weighted row that is not `Weights::scale_concat` of its
     /// store row, bit for bit. The graph's edges were selected over the
     /// held rows, so growth and compaction would prune against vectors
@@ -218,6 +234,16 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "{context}: vertex {id} records a clean prefix of {clean}, but {detail}"
             ),
+            Self::WrongEdgeDistance {
+                context,
+                from,
+                to,
+                stored,
+                actual,
+            } => write!(
+                f,
+                "{context}: edge {from} -> {to} stores distance {stored}, its endpoints give {actual}"
+            ),
             Self::StaleWeightedRow { id } => {
                 write!(f, "weighted row {id} is not the scaled store row")
             }
@@ -291,6 +317,38 @@ pub fn check_adjacency(context: &str, graph: &Adjacency) -> Vec<InvariantViolati
     out
 }
 
+/// Stored-distance check (see [`Adjacency`]): every edge's stored distance
+/// is `ops::l2_sq` of its endpoints, bit for bit. Reports the first wrong
+/// edge of each vertex.
+///
+/// Reads vectors by neighbour id: call it on a graph
+/// [`check_adjacency`] accepted, over the store the graph indexes.
+pub fn check_edge_distances(
+    context: &str,
+    graph: &Adjacency,
+    store: &VectorStore,
+) -> Vec<InvariantViolation> {
+    let mut out = Vec::new();
+    for v in 0..graph.len() as VecId {
+        let stored = graph.distances(v);
+        let wrong = graph.neighbors(v).iter().enumerate().find_map(|(i, &u)| {
+            let stored = stored.get(i).copied().unwrap_or(f32::NAN);
+            let actual = ops::l2_sq(store.get(v), store.get(u));
+            (stored.to_bits() != actual.to_bits()).then_some((u, stored, actual))
+        });
+        if let Some((to, stored, actual)) = wrong {
+            out.push(InvariantViolation::WrongEdgeDistance {
+                context: context.to_string(),
+                from: v,
+                to,
+                stored,
+                actual,
+            });
+        }
+    }
+    out
+}
+
 /// Clean-prefix checks (see [`Adjacency`]): each recorded length is at most
 /// the degree, the prefix is sorted by ascending distance to its vertex,
 /// and no prefix entry dominates a later one under the graph's α rule
@@ -331,7 +389,10 @@ fn clean_prefix_defect(
     prefix: &[VecId],
     alpha: f32,
 ) -> Option<String> {
-    let ranked: Vec<Candidate> = crate::prune::candidates_of(store, v, prefix).collect();
+    let ranked: Vec<Candidate> = prefix
+        .iter()
+        .map(|&u| Candidate::new(u, ops::l2_sq(store.get(v), store.get(u))))
+        .collect();
     if let Some((a, b)) = ranked
         .iter()
         .zip(ranked.iter().skip(1))
@@ -430,9 +491,9 @@ mod tests {
     #[test]
     fn check_adjacency_accepts_sound_graph() {
         let mut g = Adjacency::new(3);
-        g.set_neighbors(0, vec![1, 2]);
-        g.set_neighbors(1, vec![0]);
-        g.set_neighbors(2, vec![0, 1]);
+        g.set_neighbors(0, &Adjacency::edges_to(&[1, 2]));
+        g.set_neighbors(1, &Adjacency::edges_to(&[0]));
+        g.set_neighbors(2, &Adjacency::edges_to(&[0, 1]));
         assert!(check_adjacency("test", &g).is_empty());
     }
 

@@ -212,7 +212,7 @@ mod tests {
                     nb.push(u);
                 }
             }
-            g.set_neighbors(v as VecId, nb);
+            g.set_neighbors(v as VecId, &Adjacency::edges_to(&nb));
         }
         g
     }
@@ -351,8 +351,8 @@ mod tests {
     fn an_evicted_tie_still_routes_the_walk() {
         // 0 -> {9, 7}; 9 -> {3}; distances: 0:1, 9:2, 7:2, 3:0.5
         let mut g = Adjacency::new(10);
-        g.set_neighbors(0, vec![9, 7]);
-        g.set_neighbors(9, vec![3]);
+        g.set_neighbors(0, &Adjacency::edges_to(&[9, 7]));
+        g.set_neighbors(9, &Adjacency::edges_to(&[3]));
         let mut table = vec![50.0f32; 10];
         for (id, d) in [(0, 1.0), (9, 2.0), (7, 2.0), (3, 0.5)] {
             table[id] = d;

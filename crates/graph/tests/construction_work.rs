@@ -88,12 +88,12 @@ fn construction_work_and_edges_are_pinned() {
     let golden: [(IndexAlgorithm, [u64; 3], u64); 2] = [
         (
             IndexAlgorithm::mqa_graph(),
-            [4_792_049, 88_546, 622_448],
+            [1_843_106, 35_123, 351_741],
             0xd2d9_e776_cc4d_bccb,
         ),
         (
             IndexAlgorithm::hnsw(),
-            [3_635_907, 129_072, 130_839],
+            [2_604_691, 94_736, 124_962],
             0x8c63_7f83_61d2_ef4f,
         ),
     ];

@@ -5,17 +5,22 @@ use crate::schema::ContentSchema;
 use mqa_encoders::RawContent;
 use mqa_vector::ModalityKind;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A named multi-modal object collection with a fixed content schema.
 ///
 /// This is the paper's Data Preprocessing target: "data is stored as an
 /// object collection with unique IDs for indexing". Ids are dense and equal
 /// to the ids the vector stores and graph indexes use downstream.
+///
+/// Records are immutable once ingested and shared: cloning the base (as
+/// every online insert does, to draft the next generation) copies one
+/// pointer per record, not the record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KnowledgeBase {
     name: String,
     schema: ContentSchema,
-    records: Vec<ObjectRecord>,
+    records: Vec<Arc<ObjectRecord>>,
 }
 
 /// Ingestion failures.
@@ -147,7 +152,7 @@ impl KnowledgeBase {
             }
         }
         let id = self.records.len() as ObjectId;
-        self.records.push(record);
+        self.records.push(Arc::new(record));
         Ok(id)
     }
 
@@ -181,7 +186,7 @@ impl KnowledgeBase {
 
     /// The record with id `id`, if it exists.
     pub fn try_get(&self, id: ObjectId) -> Option<&ObjectRecord> {
-        self.records.get(id as usize)
+        self.records.get(id as usize).map(|r| &**r)
     }
 
     /// Iterator over `(id, record)` pairs in id order.
@@ -189,7 +194,7 @@ impl KnowledgeBase {
         self.records
             .iter()
             .enumerate()
-            .map(|(i, r)| (i as ObjectId, r))
+            .map(|(i, r)| (i as ObjectId, &**r))
     }
 
     /// Serializes the whole base to JSON (export path of the configuration
@@ -337,6 +342,17 @@ mod tests {
         kb.ingest(ok_record()).unwrap();
         let back = KnowledgeBase::from_json(&kb.to_json()).unwrap();
         assert_eq!(kb, back);
+    }
+
+    /// A clone shares the records, and the JSON is the records' own.
+    #[test]
+    fn clones_share_records_and_json_is_unchanged() {
+        let mut kb = base();
+        kb.ingest(ok_record()).unwrap();
+        let copy = kb.clone();
+        assert!(Arc::ptr_eq(&kb.records[0], &copy.records[0]));
+        let plain = serde_json::to_string(&*kb.records[0]).unwrap();
+        assert!(kb.to_json().contains(&format!(r#""records":[{plain}]"#)));
     }
 
     #[test]

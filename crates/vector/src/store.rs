@@ -11,7 +11,7 @@
 
 use crate::multivec::{MultiVector, Schema};
 use crate::{Dim, VecId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A growable collection of fixed-dimension `f32` vectors in contiguous
 /// memory. Ids are dense and assigned in insertion order.
@@ -72,6 +72,21 @@ impl VectorStore {
         id as VecId
     }
 
+    /// Appends every vector of `other`, in id order — one copy of its flat
+    /// buffer.
+    ///
+    /// # Panics
+    /// Panics if the dimensions differ, or if the store would exceed
+    /// `u32::MAX` vectors.
+    pub fn extend_from_store(&mut self, other: &VectorStore) {
+        assert_eq!(other.dim, self.dim, "extend: dimension mismatch");
+        assert!(
+            self.len() + other.len() <= u32::MAX as usize + 1,
+            "vector store overflow"
+        );
+        self.data.extend_from_slice(&other.data);
+    }
+
     /// Borrow of vector `id`.
     ///
     /// # Panics
@@ -112,14 +127,15 @@ impl VectorStore {
 }
 
 /// Multi-modal object storage: concatenated layout plus per-modality views.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiVectorStore {
     schema: Schema,
     /// Concatenated (schema.total_dim) representation per object.
     concat: VectorStore,
-    /// Presence mask per object per modality (missing modalities are stored
-    /// as zero blocks in `concat`).
-    present: Vec<Vec<bool>>,
+    /// One presence flag per object per modality, `arity` flags per object
+    /// in id order (missing modalities are stored as zero blocks in
+    /// `concat`). One flat buffer, so a clone is one copy.
+    present: Vec<bool>,
 }
 
 impl MultiVectorStore {
@@ -156,9 +172,8 @@ impl MultiVectorStore {
             "push: modality arity mismatch"
         );
         let flat = mv.concat(&self.schema);
-        // ALLOC: per-inserted-object presence mask (build/mutation path).
-        let mask = (0..mv.arity()).map(|m| mv.part(m).is_some()).collect();
-        self.present.push(mask);
+        self.present
+            .extend((0..mv.arity()).map(|m| mv.part(m).is_some()));
         self.concat.push(&flat)
     }
 
@@ -174,12 +189,11 @@ impl MultiVectorStore {
     pub fn part_of(&self, id: VecId, m: usize) -> Option<&[f32]> {
         // An unknown id or modality index reads as a missing part rather
         // than panicking mid-retrieval.
-        if !*self
-            .present
-            .get(id as usize)
-            .and_then(|mask| mask.get(m))
-            .unwrap_or(&false)
-        {
+        let arity = self.schema.arity();
+        let flag = (id as usize)
+            .checked_mul(arity)
+            .and_then(|row| self.present.get(row + m));
+        if m >= arity || flag != Some(&true) {
             return None;
         }
         let off = self.schema.offset(m);
@@ -227,7 +241,7 @@ impl MultiVectorStore {
 
     /// Approximate resident size in bytes.
     pub fn bytes(&self) -> usize {
-        self.concat.bytes() + self.present.len() * self.schema.arity()
+        self.concat.bytes() + self.present.len()
     }
 
     /// Audits the store's structural invariants and returns every
@@ -235,8 +249,7 @@ impl MultiVectorStore {
     ///
     /// Checked invariants:
     /// - the flat buffer's dimension equals the schema's total dimension;
-    /// - there is exactly one presence mask per object, each with one flag
-    ///   per modality;
+    /// - there is exactly one presence flag per object per modality;
     /// - every stored component is finite;
     /// - a modality flagged absent is stored as an all-zero block (the
     ///   layout contract `push` establishes and distance kernels rely on).
@@ -249,23 +262,19 @@ impl MultiVectorStore {
             });
             return out; // block offsets below would be meaningless
         }
-        if self.present.len() != self.concat.len() {
+        let arity = self.schema.arity();
+        if self.present.len() != self.concat.len() * arity {
             out.push(StoreViolation::MaskCount {
-                expected: self.concat.len(),
+                expected: self.concat.len() * arity,
                 got: self.present.len(),
             });
         }
-        let arity = self.schema.arity();
-        for (id, mask) in self.present.iter().enumerate().take(self.concat.len()) {
-            let id = id as VecId;
-            if mask.len() != arity {
-                out.push(StoreViolation::MaskArity {
-                    id,
-                    expected: arity,
-                    got: mask.len(),
-                });
-                continue;
-            }
+        // A short mask leaves its last objects unchecked; the count above
+        // already reports it.
+        for (id, mask) in self.present.chunks_exact(arity.max(1)).enumerate() {
+            let Some(id) = (id < self.concat.len()).then_some(id as VecId) else {
+                break;
+            };
             let flat = self.concat.get(id);
             if flat.iter().any(|x| !x.is_finite()) {
                 out.push(StoreViolation::NonFinite { id });
@@ -294,20 +303,11 @@ pub enum StoreViolation {
         /// The buffer's dimension.
         got: usize,
     },
-    /// Presence-mask count differs from the object count.
+    /// Presence-flag count differs from objects × modalities.
     MaskCount {
-        /// The object count.
+        /// The object count times the schema arity.
         expected: usize,
-        /// The mask count.
-        got: usize,
-    },
-    /// A presence mask with the wrong number of modality flags.
-    MaskArity {
-        /// The affected object.
-        id: VecId,
-        /// The schema arity.
-        expected: usize,
-        /// The mask's flag count.
+        /// The flag count.
         got: usize,
     },
     /// A NaN or infinite component in an object's stored data.
@@ -334,12 +334,9 @@ impl std::fmt::Display for StoreViolation {
                 )
             }
             Self::MaskCount { expected, got } => {
-                write!(f, "{got} presence masks for {expected} objects")
-            }
-            Self::MaskArity { id, expected, got } => {
                 write!(
                     f,
-                    "object {id}: mask has {got} flags, schema arity is {expected}"
+                    "{got} presence flags where objects × modalities is {expected}"
                 )
             }
             Self::NonFinite { id } => write!(f, "object {id}: non-finite component"),
@@ -350,6 +347,44 @@ impl std::fmt::Display for StoreViolation {
                 )
             }
         }
+    }
+}
+
+/// The JSON form keeps one presence array per object (the layout the
+/// store has always been written in); reading it back flattens them, and
+/// refuses an array whose length is not the schema's arity.
+impl Serialize for MultiVectorStore {
+    fn to_value(&self) -> Value {
+        let masks = self
+            .present
+            .chunks(self.schema.arity().max(1))
+            .map(|mask| Value::Array(mask.iter().map(Serialize::to_value).collect()))
+            .collect();
+        Value::Object(vec![
+            ("schema".to_string(), self.schema.to_value()),
+            ("concat".to_string(), self.concat.to_value()),
+            ("present".to_string(), Value::Array(masks)),
+        ])
+    }
+}
+
+impl Deserialize for MultiVectorStore {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let entries = value.as_object_for("MultiVectorStore")?;
+        let schema: Schema = serde::field(entries, "schema")?;
+        let masks: Vec<Vec<bool>> = serde::field(entries, "present")?;
+        let arity = schema.arity();
+        if let Some((id, mask)) = masks.iter().enumerate().find(|(_, m)| m.len() != arity) {
+            return Err(serde::Error::new(format!(
+                "object {id}: presence mask has {} flags, schema arity is {arity}",
+                mask.len()
+            )));
+        }
+        Ok(Self {
+            concat: serde::field(entries, "concat")?,
+            present: masks.concat(),
+            schema,
+        })
     }
 }
 
@@ -384,6 +419,19 @@ mod tests {
         }
         let ids: Vec<VecId> = s.iter().map(|(i, _)| i).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn extend_from_store_appends_in_id_order() {
+        let mut a = VectorStore::with_capacity(2, 3);
+        a.push(&[1.0, 2.0]);
+        let mut b = VectorStore::new(2);
+        b.push(&[3.0, 4.0]);
+        b.push(&[5.0, 6.0]);
+        a.extend_from_store(&b);
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.get(2), &[5.0, 6.0]);
+        assert_eq!(a.raw(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]
@@ -467,9 +515,21 @@ mod tests {
             &schema,
             vec![vec![1.0, 2.0], vec![3.0, 4.0, 5.0]],
         ));
+        store.push(&MultiVector::partial(
+            &schema,
+            vec![None, Some(vec![6.0, 7.0, 8.0])],
+        ));
         let j = serde_json::to_string(&store).unwrap();
+        assert!(
+            j.ends_with(r#""present":[[true,true],[false,true]]}"#),
+            "{j}"
+        );
         let back: MultiVectorStore = serde_json::from_str(&j).unwrap();
         assert_eq!(store, back);
+        // A mask of the wrong arity does not load.
+        let forged = j.replace("[false,true]", "[false,true,true]");
+        let err = serde_json::from_str::<MultiVectorStore>(&forged).unwrap_err();
+        assert!(err.to_string().contains("schema arity is 2"), "{err}");
     }
 
     #[test]
@@ -516,24 +576,17 @@ mod tests {
             .iter()
             .any(|v| matches!(v, StoreViolation::GhostBlock { id: 1, modality: 1 })));
 
-        // A lost presence mask.
-        let mut store = sound.clone();
+        // A lost presence flag.
+        let mut store = sound;
         store.present.pop();
-        assert!(store.validate().iter().any(|v| matches!(
+        let v = store.validate();
+        assert!(v.iter().any(|v| matches!(
             v,
             StoreViolation::MaskCount {
-                expected: 2,
-                got: 1
+                expected: 4,
+                got: 3
             }
         )));
-
-        // A mask with the wrong arity.
-        let mut store = sound;
-        store.present[0].push(true);
-        let v = store.validate();
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, StoreViolation::MaskArity { id: 0, .. })));
         for x in &v {
             assert!(!x.to_string().is_empty());
         }

@@ -209,7 +209,7 @@ fn adjacency_edges_are_deduplicated() {
             let a = rng.gen_range(0u32..20);
             let b = rng.gen_range(0u32..20);
             if a != b {
-                g.add_edge(a, b);
+                g.add_edge(a, b, 0.0);
             }
         }
         for v in 0..20u32 {
@@ -239,8 +239,8 @@ fn page_layout_partitions_vertices() {
                 run_start = v;
                 continue;
             }
-            g.add_edge(v - 1, v);
-            g.add_edge(v, rng.gen_range(run_start..v));
+            g.add_edge(v - 1, v, 0.0);
+            g.add_edge(v, rng.gen_range(run_start..v), 0.0);
         }
         for strategy in [
             mqa::graph::starling::LayoutStrategy::InsertionOrder,
@@ -283,7 +283,10 @@ fn robust_prune_output_well_formed() {
             .map(|u| Candidate::new(u, ops::l2_sq(store.get(v), store.get(u))))
             .collect();
         let nearest = cands.iter().min().map(|c| c.id);
-        let selected = robust_prune(&store, v, &mut cands, alpha, r);
+        let selected: Vec<u32> = robust_prune(&store, v, &mut cands, alpha, r)
+            .iter()
+            .map(|c| c.id)
+            .collect();
         assert!(selected.len() <= r);
         assert!(!selected.contains(&v), "self loop");
         let mut dedup = selected.clone();
@@ -321,8 +324,8 @@ fn beam_search_output_well_formed() {
         // Ring graph: always connected.
         let mut g = Adjacency::new(n);
         for v in 0..n as u32 {
-            g.add_edge(v, ((v as usize + 1) % n) as u32);
-            g.add_edge(v, ((v as usize + n - 1) % n) as u32);
+            g.add_edge(v, ((v as usize + 1) % n) as u32, 0.0);
+            g.add_edge(v, ((v as usize + n - 1) % n) as u32, 0.0);
         }
         let mut dist = FlatDistance::new(&store, &query).expect("dims match");
         let out = beam_search(&g, &[0], &mut dist, k, ef, &mut SearchScratch::new());
