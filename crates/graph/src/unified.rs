@@ -172,7 +172,7 @@ impl IndexSnapshot {
         };
         for layer in layers {
             let defects = check_adjacency(context, layer);
-            if defects.is_empty() {
+            if defects.is_empty() && layer.len() == n {
                 out.extend(check_edge_distances(context, layer, &self.weighted));
             }
             out.extend(defects);
@@ -266,6 +266,9 @@ impl UnifiedIndex {
     /// [`crate::persist::UnifiedSnapshot`]). `tombstones` is the deletion
     /// state to restore — `Tombstones::new(store.len())` for an all-live
     /// index; the reported build time is zero since nothing was built.
+    /// The graph's stored edge distances, which a snapshot does not carry,
+    /// are recomputed from the weighted rows
+    /// ([`BuiltGraph::restore_distances`]).
     ///
     /// # Panics
     /// Panics if `searcher` does not cover exactly the store population.

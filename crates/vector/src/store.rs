@@ -190,10 +190,11 @@ impl MultiVectorStore {
         // An unknown id or modality index reads as a missing part rather
         // than panicking mid-retrieval.
         let arity = self.schema.arity();
-        let flag = (id as usize)
-            .checked_mul(arity)
+        let flag = (m < arity)
+            .then(|| (id as usize).checked_mul(arity))
+            .flatten()
             .and_then(|row| self.present.get(row + m));
-        if m >= arity || flag != Some(&true) {
+        if flag != Some(&true) {
             return None;
         }
         let off = self.schema.offset(m);
@@ -271,10 +272,9 @@ impl MultiVectorStore {
         }
         // A short mask leaves its last objects unchecked; the count above
         // already reports it.
-        for (id, mask) in self.present.chunks_exact(arity.max(1)).enumerate() {
-            let Some(id) = (id < self.concat.len()).then_some(id as VecId) else {
-                break;
-            };
+        let masks = self.present.chunks_exact(arity.max(1));
+        for (id, mask) in masks.take(self.concat.len()).enumerate() {
+            let id = id as VecId;
             let flat = self.concat.get(id);
             if flat.iter().any(|x| !x.is_finite()) {
                 out.push(StoreViolation::NonFinite { id });
