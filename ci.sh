@@ -63,6 +63,9 @@ echo "==> walk equivalence (release)"
 # checks them with overflow detection on, this one in the build that ships.
 cargo test -q --offline --release -p mqa-graph --test walk_golden
 cargo test -q --offline --release -p mqa-graph --lib -- pool:: walk_oracle::
+# The pinned construction edge hashes and evaluation counts, in the
+# profile the benchmark builds its graphs with.
+cargo test -q --offline --release -p mqa-graph --test construction_work
 
 echo "==> exp_cache smoke (E13, quick)"
 # E13 and E12 share mqa_bench::paged's fixture and pool pass; each exits

@@ -17,23 +17,26 @@ use serde::{Deserialize, Serialize, Value};
 /// JSON form leaves them out, and a graph read back carries NaN until
 /// [`Adjacency::restore_distances`] recomputes them from its store.
 ///
-/// Beside each list also sits its *clean-prefix length*: how many leading
-/// entries are the unmodified output of a neighbour-selection prune
-/// ([`Adjacency::set_pruned`]) and therefore already sorted by distance to
-/// the vertex and pairwise undominated under the rule that produced them.
-/// [`Adjacency::add_edge`] appends behind that prefix (a *dirty* tail), so
-/// re-pruning an over-full list only has to test pairs that involve a
-/// dirty entry (see [`crate::prune::robust_reprune`]).
+/// Beside each list also sit two records of the neighbour-selection prune
+/// that installed it ([`Adjacency::set_pruned`]): its *clean-prefix
+/// length*, how many leading entries the rule *kept* — sorted by distance
+/// to the vertex and pairwise undominated under that rule — and its
+/// *filler count*, how many entries follow them that HNSW's heuristic
+/// back-filled — each dominated by a kept entry ranked before it (the α
+/// rule never fills). [`Adjacency::add_edge`] appends behind both (a
+/// *dirty* tail), so re-pruning an over-full list only has to test what
+/// the records do not settle (see [`crate::prune::Reprune`]).
 ///
-/// Two graphs are equal when their lists and clean records are: the
-/// distances are a function of those and the store, so a graph read back
-/// equals the one written (validation, not equality, catches a stored
-/// distance that disagrees with its store).
+/// Two graphs are equal when their lists and records are: the distances
+/// are a function of those and the store, so a graph read back equals the
+/// one written (validation, not equality, catches a stored distance that
+/// disagrees with its store).
 #[derive(Debug, Clone)]
 pub struct Adjacency {
     lists: Vec<Vec<VecId>>,
     dists: Vec<Vec<f32>>,
     clean: Vec<u32>,
+    fillers: Vec<u32>,
 }
 
 impl Adjacency {
@@ -43,6 +46,7 @@ impl Adjacency {
             lists: vec![Vec::new(); n],
             dists: vec![Vec::new(); n],
             clean: vec![0; n],
+            fillers: vec![0; n],
         }
     }
 
@@ -87,25 +91,42 @@ impl Adjacency {
         self.clean.get(v as usize).map_or(0, |&c| c as usize)
     }
 
+    /// Recorded number of fillers behind `v`'s clean prefix (see the type
+    /// docs), read like [`Adjacency::clean_len`]: deserialized state may
+    /// claim more than the list holds, and ids without a record read as
+    /// zero.
+    #[inline]
+    pub fn filler_len(&self, v: VecId) -> usize {
+        self.fillers.get(v as usize).map_or(0, |&c| c as usize)
+    }
+
     /// Replaces the out-edges of `v` with an arbitrary list of neighbours
-    /// and their distances from `v` (no clean prefix).
+    /// and their distances from `v` (no clean prefix, no fillers).
     ///
     /// # Panics
     /// Panics (debug) if the list contains `v` itself or an out-of-range id.
     pub fn set_neighbors(&mut self, v: VecId, edges: &[Candidate]) {
-        self.install(v, edges, 0);
+        self.install(v, edges, 0, 0);
     }
 
     /// Replaces the out-edges of `v` with the output of a
-    /// neighbour-selection prune around `v`: the whole list is clean.
+    /// neighbour-selection prune around `v`: the first `kept` picks are its
+    /// clean prefix, the rest fillers (none under the α rule).
     ///
     /// # Panics
-    /// Panics (debug) if the list contains `v` itself or an out-of-range id.
-    pub fn set_pruned(&mut self, v: VecId, selected: &[Candidate]) {
-        self.install(v, selected, mqa_vector::cast::vec_id(selected.len()));
+    /// Panics (debug) if the list contains `v` itself or an out-of-range
+    /// id, or if `kept` exceeds the list.
+    pub fn set_pruned(&mut self, v: VecId, picks: &[Candidate], kept: usize) {
+        debug_assert!(kept <= picks.len(), "{kept} kept of {}", picks.len());
+        let fillers = picks.len().saturating_sub(kept);
+        let (kept, fillers) = (
+            mqa_vector::cast::vec_id(kept),
+            mqa_vector::cast::vec_id(fillers),
+        );
+        self.install(v, picks, kept, fillers);
     }
 
-    fn install(&mut self, v: VecId, edges: &[Candidate], clean: u32) {
+    fn install(&mut self, v: VecId, edges: &[Candidate], clean: u32, fillers: u32) {
         debug_assert!(
             edges
                 .iter()
@@ -119,9 +140,12 @@ impl Adjacency {
         dists.clear();
         dists.extend(edges.iter().map(|c| c.dist));
         // A deserialized graph may carry too few records; a missing one
-        // reads as "nothing clean", which is always safe.
+        // reads as "nothing known", which is always safe.
         if let Some(slot) = self.clean.get_mut(v as usize) {
             *slot = clean;
+        }
+        if let Some(slot) = self.fillers.get_mut(v as usize) {
+            *slot = fillers;
         }
     }
 
@@ -132,6 +156,7 @@ impl Adjacency {
             self.lists.resize(n, Vec::new());
             self.dists.resize(n, Vec::new());
             self.clean.resize(n, 0);
+            self.fillers.resize(n, 0);
         }
     }
 
@@ -187,6 +212,12 @@ impl Adjacency {
     #[cfg(test)]
     pub(crate) fn clean_mut(&mut self) -> &mut Vec<u32> {
         &mut self.clean
+    }
+
+    /// Test-only raw access to the filler records, for forging one.
+    #[cfg(test)]
+    pub(crate) fn fillers_mut(&mut self) -> &mut Vec<u32> {
+        &mut self.fillers
     }
 
     /// Adds edge `v → u`, whose distance from `v` is `dist`, unless already
@@ -256,32 +287,35 @@ impl Adjacency {
     }
 
     /// Approximate resident bytes of the adjacency lists, their stored
-    /// distances and the clean records.
+    /// distances and the two records.
     pub fn bytes(&self) -> usize {
         let edge = std::mem::size_of::<VecId>() + std::mem::size_of::<f32>();
         let vertex = std::mem::size_of::<Vec<VecId>>()
             + std::mem::size_of::<Vec<f32>>()
-            + std::mem::size_of::<u32>();
+            + 2 * std::mem::size_of::<u32>();
         self.edge_count() * edge + self.lists.len() * vertex
     }
 }
 
 impl PartialEq for Adjacency {
     fn eq(&self, other: &Self) -> bool {
-        self.lists == other.lists && self.clean == other.clean
+        self.lists == other.lists && self.clean == other.clean && self.fillers == other.fillers
     }
 }
 
 impl Eq for Adjacency {}
 
-/// The JSON form holds the lists and clean records only: the distances
+/// The JSON form holds the lists and the two records only: the distances
 /// are a function of the store, recomputed on restore, so a snapshot's
-/// bytes do not depend on them.
+/// bytes do not depend on them. A snapshot written before the filler
+/// records existed reads as holding no fillers, which only makes the first
+/// re-prune of each list test more.
 impl Serialize for Adjacency {
     fn to_value(&self) -> Value {
         Value::Object(vec![
             ("lists".to_string(), self.lists.to_value()),
             ("clean".to_string(), self.clean.to_value()),
+            ("fillers".to_string(), self.fillers.to_value()),
         ])
     }
 }
@@ -291,10 +325,15 @@ impl Deserialize for Adjacency {
         let entries = value.as_object_for("Adjacency")?;
         let lists: Vec<Vec<VecId>> = serde::field(entries, "lists")?;
         let dists = lists.iter().map(|l| vec![f32::NAN; l.len()]).collect();
+        let fillers = match entries.iter().any(|(k, _)| k == "fillers") {
+            true => serde::field(entries, "fillers")?,
+            false => vec![0; lists.len()],
+        };
         Ok(Self {
             lists,
             dists,
             clean: serde::field(entries, "clean")?,
+            fillers,
         })
     }
 }
@@ -331,26 +370,33 @@ mod tests {
     #[test]
     fn clean_prefix_follows_the_mutators() {
         let mut g = Adjacency::new(5);
-        g.set_pruned(0, &to(&[1, 2, 3]));
-        assert_eq!(g.clean_len(0), 3);
-        // add_edge appends behind the prefix (and a refused duplicate
+        g.set_pruned(0, &to(&[1, 3, 2]), 2);
+        assert_eq!((g.clean_len(0), g.filler_len(0)), (2, 1));
+        // add_edge appends behind the records (and a refused duplicate
         // changes nothing).
         assert!(g.add_edge(0, 4, 4.0));
         assert!(!g.add_edge(0, 2, 2.0));
-        assert_eq!(g.neighbors(0), &[1, 2, 3, 4]);
-        assert_eq!(g.distances(0), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(g.clean_len(0), 3);
-        // An arbitrary list has no clean prefix.
+        assert_eq!(g.neighbors(0), &[1, 3, 2, 4]);
+        assert_eq!(g.distances(0), &[1.0, 3.0, 2.0, 4.0]);
+        assert_eq!((g.clean_len(0), g.filler_len(0)), (2, 1));
+        // An arbitrary list has neither record.
         g.set_neighbors(0, &to(&[4, 1]));
-        assert_eq!(g.clean_len(0), 0);
+        assert_eq!((g.clean_len(0), g.filler_len(0)), (0, 0));
         // Clone and grow carry the records; new vertices start dirty.
-        g.set_pruned(1, &to(&[0, 2]));
+        g.set_pruned(1, &to(&[0, 2]), 2);
+        g.set_pruned(2, &to(&[0, 1]), 1);
         let mut h = g.clone();
         h.grow(8);
-        assert_eq!(h.clean_len(1), 2);
-        assert_eq!(h.clean_len(7), 0);
+        assert_eq!((h.clean_len(1), h.filler_len(1)), (2, 0));
+        assert_eq!((h.clean_len(2), h.filler_len(2)), (1, 1));
+        assert_eq!((h.clean_len(7), h.filler_len(7)), (0, 0));
         assert_eq!(h.clean_len(99), 0, "out of range reads as zero");
+        assert_eq!(h.filler_len(99), 0, "out of range reads as zero");
         assert_ne!(g, h);
+        // Equality reads the filler records too.
+        let mut f = g.clone();
+        f.fillers_mut()[2] = 0;
+        assert_ne!(f, g);
     }
 
     #[test]
@@ -403,9 +449,10 @@ mod tests {
         assert_eq!(e, vec![(0, 1), (0, 2), (2, 0)]);
     }
 
-    /// The JSON form is the lists and clean records alone; what comes back
-    /// equals the original but holds NaN distances until they are
-    /// recomputed from the store.
+    /// The JSON form is the lists and the two records alone; what comes
+    /// back equals the original but holds NaN distances until they are
+    /// recomputed from the store. JSON without filler records reads as
+    /// holding none.
     #[test]
     fn serde_round_trip() {
         let mut store = VectorStore::new(1);
@@ -415,9 +462,20 @@ mod tests {
         let d = |a: VecId, b: VecId| ops::l2_sq(store.get(a), store.get(b));
         let mut g = Adjacency::new(3);
         g.add_edge(0, 1, d(0, 1));
-        g.set_pruned(1, &[Candidate::new(0, d(1, 0)), Candidate::new(2, d(1, 2))]);
+        g.set_pruned(
+            1,
+            &[Candidate::new(0, d(1, 0)), Candidate::new(2, d(1, 2))],
+            1,
+        );
         let j = serde_json::to_string(&g).unwrap();
-        assert_eq!(j, r#"{"lists":[[1],[0,2],[]],"clean":[0,2,0]}"#);
+        assert_eq!(
+            j,
+            r#"{"lists":[[1],[0,2],[]],"clean":[0,1,0],"fillers":[0,1,0]}"#
+        );
+        let older: Adjacency =
+            serde_json::from_str(r#"{"lists":[[1],[0,2],[]],"clean":[0,1,0]}"#).unwrap();
+        assert_eq!(older.filler_len(1), 0);
+        assert_ne!(older, g);
         let mut back: Adjacency = serde_json::from_str(&j).unwrap();
         assert_eq!(g, back);
         assert!(back.distances(1).iter().all(|x| x.is_nan()));

@@ -3,22 +3,36 @@
 //! A faithful HNSW implementation: geometric level assignment, greedy
 //! descent through the upper layers, beam search with
 //! `SELECT-NEIGHBORS-HEURISTIC` diversification at insertion, bidirectional
-//! linking with overflow re-pruning (ranked by the stored edge distances,
-//! so a re-prune evaluates only the heuristic's tests). Built directly
-//! (its layered structure does not flatten into the five-stage pipeline)
-//! and searched through the same [`crate::BuiltGraph`] dispatcher as the
-//! pipeline-built graphs, which is what makes it selectable from the
-//! configuration panel. Each
+//! linking with overflow re-pruning. Built directly (its layered structure
+//! does not flatten into the five-stage pipeline) and searched through the
+//! same [`crate::BuiltGraph`] dispatcher as the pipeline-built graphs,
+//! which is what makes it selectable from the configuration panel. Each
 //! layer is an [`Adjacency`] over the whole population, so the layers are
 //! edited, walked, compacted and checked by the code the flat graphs use.
+//!
+//! Every list the heuristic installs — a vertex's own selection, an
+//! overflow re-prune, compaction's rewire — is stored as its output is
+//! ordered: the entries it *kept* ascending, then the *fillers* it
+//! back-filled ascending, and the list records both counts
+//! ([`Adjacency::clean_len`], [`Adjacency::filler_len`]). When a reverse
+//! edge pushes a list past its cap, the re-prune ([`Reprune`]) ranks the
+//! list by its stored distances and trusts the records: two kept entries
+//! are known not to dominate each other, and a filler is known to be
+//! dominated by a kept entry before it unless a kept entry was dominated
+//! earlier in the pass. So it tests only the new edge, the kept entries
+//! the new edge might dominate, and the fillers after such a demotion,
+//! and installs the same list, order included, as the heuristic from
+//! scratch.
 
 use crate::adjacency::Adjacency;
 use crate::live::Tombstones;
-use crate::prune::hnsw_heuristic;
-use crate::scratch::SearchScratch;
+use crate::prune::{hnsw_heuristic, Reprune, Rule};
+use crate::scratch::{with_pooled, SearchScratch};
 use crate::search::{search_into, SearchOutput, SearchStats, Seeds};
 use crate::traits::{DistanceFn, FlatDistance};
-use crate::validate::{check_adjacency, check_edge_distances, InvariantViolation};
+use crate::validate::{
+    check_adjacency, check_clean_prefixes, check_edge_distances, InvariantViolation,
+};
 use mqa_rng::StdRng;
 use mqa_vector::{Candidate, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
@@ -99,41 +113,42 @@ impl Hnsw {
     /// derives from `(seed, id)`. Ids `tomb` marks compacted may still
     /// route (a retired entry) but are never linked to.
     pub fn extend_from(&mut self, store: &VectorStore, tomb: &Tombstones) {
-        let mut scratch = SearchScratch::new();
         let level_mult = 1.0 / (self.params.m as f64).ln();
-        for v in self.len() as VecId..store.len() as VecId {
-            let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0x9A55 ^ (v as u64) << 17);
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            // INVARIANT: the cast saturates, and m >= 2 bounds the level
-            // by -ln(ε) / ln 2 < 53 anyway.
-            let level = (-u.ln() * level_mult).floor() as u8;
-            self.levels.push(level);
-            let n = self.levels.len();
-            for layer in &mut self.layers {
-                layer.grow(n);
+        with_pooled(|scratch| {
+            for v in self.len() as VecId..store.len() as VecId {
+                let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0x9A55 ^ (v as u64) << 17);
+                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                // INVARIANT: the cast saturates, and m >= 2 bounds the level
+                // by -ln(ε) / ln 2 < 53 anyway.
+                let level = (-u.ln() * level_mult).floor() as u8;
+                self.levels.push(level);
+                let n = self.levels.len();
+                for layer in &mut self.layers {
+                    layer.grow(n);
+                }
+                self.insert(store, tomb, v, usize::from(level), scratch);
+                if usize::from(level) >= self.layers.len() {
+                    self.layers
+                        .resize(usize::from(level) + 1, Adjacency::new(n));
+                    self.entry = v;
+                }
             }
-            if let Some(top) = self.layers.len().checked_sub(1) {
-                self.insert(store, tomb, v, usize::from(level), top, &mut scratch);
-            }
-            if usize::from(level) >= self.layers.len() {
-                self.layers
-                    .resize(usize::from(level) + 1, Adjacency::new(n));
-                self.entry = v;
-            }
-        }
+        });
     }
 
-    /// Links `v` (top level `level`) into every layer up to `level` of an
-    /// index whose highest layer is `top`.
+    /// Links `v` (top level `level`) into every existing layer up to
+    /// `level`; the first vertex of an empty index has nothing to link to.
     fn insert(
         &mut self,
         store: &VectorStore,
         tomb: &Tombstones,
         v: VecId,
         level: usize,
-        top: usize,
         scratch: &mut SearchScratch,
     ) {
+        let Some(top) = self.layers.len().checked_sub(1) else {
+            return;
+        };
         let mut dist = FlatDistance::for_vertex(store, v);
         let mut ep = Candidate::new(self.entry, dist.exact(self.entry));
         let mut walked = SearchStats {
@@ -156,25 +171,20 @@ impl Hnsw {
             let seed = Seeds::Evaluated(ep);
             let stats = search_into(&*layer, seed, &mut dist, ef, ef, scratch, &mut cands);
             walked.merge(&stats);
-            // A retired entry still seeds the walk; it is never selected.
-            let mut pool = cands.clone();
-            pool.retain(|c| !tomb.is_compacted(c.id));
-            let selected = hnsw_heuristic(store, v, pool, cap);
-            layer.set_neighbors(v, &selected);
+            // Best candidate of this layer seeds the next one down, a
+            // retired entry included; a retired entry is never selected.
+            if let Some(best) = cands.first() {
+                ep = *best;
+            }
+            cands.retain(|c| !tomb.is_compacted(c.id));
+            let (selected, kept) = hnsw_heuristic(store, v, &mut cands, cap);
+            layer.set_pruned(v, &selected, kept);
             for p in selected {
                 // `l2_sq` is symmetric to the bit: the reverse edge carries
                 // the forward distance.
                 if layer.add_edge(p.id, v, p.dist) && layer.degree(p.id) > cap {
-                    // Overflow: re-prune p's neighbours, ranked by their
-                    // stored distances.
-                    let pool = layer.edges_of(p.id).collect();
-                    let pruned = hnsw_heuristic(store, p.id, pool, cap);
-                    layer.set_neighbors(p.id, &pruned);
+                    reprune_overflow(store, layer, p.id, cap, &mut scratch.reprune);
                 }
-            }
-            // Best candidate of this layer seeds the next one down.
-            if let Some(best) = cands.first() {
-                ep = *best;
             }
         }
         crate::prune::record_construction(walked.evals);
@@ -236,8 +246,7 @@ impl Hnsw {
                 layer,
                 store,
                 |v| v == entry,
-                |v, pool| hnsw_heuristic(store, v, pool, cap),
-                Adjacency::set_neighbors,
+                |v, mut pool| hnsw_heuristic(store, v, &mut pool, cap),
             );
         }
         if let Some(base) = self.layers.first_mut() {
@@ -305,8 +314,11 @@ impl Hnsw {
     /// - one layer per level up to the highest vertex level, each over the
     ///   whole population, and the entry on the top layer;
     /// - per layer: [`check_adjacency`], then, on a layer it accepts,
-    ///   [`check_edge_distances`], and the degree cap (`2m` at layer 0, `m`
-    ///   above, none above the vertex's own level);
+    ///   [`check_edge_distances`] and the records the re-prune trusts
+    ///   ([`check_clean_prefixes`] under [`Rule::Hnsw`]: the kept prefix
+    ///   pairwise undominated, each filler dominated by a kept entry ranked
+    ///   before it), and the degree cap (`2m` at layer 0, `m` above, none
+    ///   above the vertex's own level);
     /// - layer-`l` edges only point at vertices whose level reaches `l`
     ///   (the HNSW hierarchy property);
     /// - at least [`Hnsw::REACHABILITY_FLOOR`] of the vertices are
@@ -351,6 +363,7 @@ impl Hnsw {
             let defects = check_adjacency(&context, layer);
             if defects.is_empty() && store.len() == layer.len() {
                 out.extend(check_edge_distances(&context, layer, store));
+                out.extend(check_clean_prefixes(&context, layer, store, Rule::Hnsw));
             }
             out.extend(defects);
             for v in 0..layer.len() as VecId {
@@ -393,6 +406,40 @@ impl Hnsw {
         }
         out
     }
+}
+
+/// Re-prunes `p`'s over-full list in `layer` to `cap` incrementally
+/// ([`Reprune`]) and installs the result with its records. Every overflow
+/// of every index the unit tests build is checked against the heuristic
+/// from scratch over evaluated distances, order and records included.
+fn reprune_overflow(
+    store: &VectorStore,
+    layer: &mut Adjacency,
+    p: VecId,
+    cap: usize,
+    reprune: &mut Reprune,
+) {
+    let records = (layer.clean_len(p), layer.filler_len(p));
+    let (picks, kept) = reprune.run(store, p, layer.edges_of(p), records, Rule::Hnsw, cap);
+    #[cfg(test)]
+    {
+        let mut all = crate::prune::candidates_of(store, p, layer.neighbors(p)).collect();
+        let (want, want_kept) = hnsw_heuristic(store, p, &mut all, cap);
+        assert_eq!(
+            (picks, kept),
+            (want.as_slice(), want_kept),
+            "incremental re-prune diverged at vertex {p}"
+        );
+        REPRUNES_CHECKED.with(|c| c.set(c.get() + 1));
+    }
+    layer.set_pruned(p, picks, kept);
+}
+
+#[cfg(test)]
+thread_local! {
+    /// HNSW overflow re-prunes this thread compared against the heuristic
+    /// from scratch (see [`reprune_overflow`]).
+    static REPRUNES_CHECKED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// One greedy (ef = 1) routing step through `layer`, counting each
@@ -634,6 +681,62 @@ mod tests {
         assert_eq!(into_dead, 0);
     }
 
+    /// The records through a real life cycle: at every overflow of build →
+    /// grow → compact → grow, at m = 2, 4 and 16, the incremental re-prune
+    /// equals the heuristic from scratch (asserted inside
+    /// `reprune_overflow`, and counted here so the check cannot silently
+    /// stop running), and the validator, which checks every record, finds
+    /// no false one. (Compaction's repair attaches an orphan with one edge
+    /// past the cap, which the validator reports as an overflow, and may
+    /// cost reachability; neither touches a record.)
+    #[test]
+    fn every_overflow_reprune_is_checked_against_the_heuristic() {
+        let full = random_store(360, 6, 31);
+        let prefix = |n: u32| {
+            let mut s = VectorStore::new(6);
+            for id in 0..n {
+                s.push(full.get(id));
+            }
+            s
+        };
+        let checked = || REPRUNES_CHECKED.with(std::cell::Cell::get);
+        for m in [2usize, 4, 16] {
+            let params = HnswParams {
+                m,
+                ef_construction: 40,
+                seed: m as u64,
+            };
+            let mut at = checked();
+            let mut step = |what: &str| {
+                assert!(checked() > at, "m {m}: {what} re-pruned nothing");
+                at = checked();
+            };
+            let mut h = Hnsw::build(&prefix(240), &params);
+            step("build");
+            assert!(h.validate(&prefix(240)).is_empty(), "m {m}");
+            h.extend_from(&prefix(300), &Tombstones::new(0));
+            step("growth");
+            let mut tomb = Tombstones::new(300);
+            for id in (0..300u32).step_by(5).filter(|&id| id != h.entry()) {
+                tomb.kill(id);
+            }
+            h.compact(&prefix(300), &tomb);
+            tomb.mark_all_compacted();
+            tomb.grow(360);
+            h.extend_from(&full, &tomb);
+            step("growth after compaction");
+            let violations = h.validate(&full);
+            assert!(
+                violations.iter().all(|v| matches!(
+                    v,
+                    InvariantViolation::LowReachability { .. }
+                        | InvariantViolation::DegreeOverflow { .. }
+                )),
+                "m {m}: {violations:?}"
+            );
+        }
+    }
+
     #[test]
     fn validate_accepts_built_index() {
         let store = random_store(400, 8, 3);
@@ -670,6 +773,43 @@ mod tests {
                 stored: h.base_layer().distances(4)[0],
                 actual: sound.base_layer().distances(4)[0],
             }]
+        );
+
+        // A kept count one too high: the first filler of a list that has
+        // one claimed kept, though a kept entry before it dominates it.
+        let base = sound.base_layer();
+        let v = (0..200)
+            .find(|&v| base.clean_len(v) > 0 && base.filler_len(v) > 0)
+            .expect("some list holds kept entries and fillers");
+        let mut h = sound.clone();
+        h.layers[0].clean_mut()[v as usize] += 1;
+        h.layers[0].fillers_mut()[v as usize] -= 1;
+        let flagged = h.validate(&store);
+        assert!(
+            matches!(flagged.as_slice(), [V::FalseCleanPrefix { id, .. }] if *id == v),
+            "{flagged:?}"
+        );
+
+        // A filler count reaching past the list.
+        let mut h = sound.clone();
+        h.layers[0].fillers_mut()[v as usize] += 1;
+        let flagged = h.validate(&store);
+        assert!(
+            matches!(flagged.as_slice(), [V::FalseCleanPrefix { id, .. }] if *id == v),
+            "{flagged:?}"
+        );
+
+        // A kept entry relabelled a filler: nothing before it dominates it.
+        let mut h = sound.clone();
+        let w = (0..200)
+            .find(|&w| base.clean_len(w) > 1)
+            .expect("some list kept two entries");
+        h.layers[0].clean_mut()[w as usize] -= 1;
+        h.layers[0].fillers_mut()[w as usize] += 1;
+        let flagged = h.validate(&store);
+        assert!(
+            matches!(flagged.as_slice(), [V::FalseCleanPrefix { id, .. }] if *id == w),
+            "{flagged:?}"
         );
 
         // Self-loop.

@@ -33,10 +33,11 @@
 //! distance from its vertex ([`Adjacency`]), passed in by whoever made it:
 //! selection returns its picks with their distances, and a reverse edge
 //! carries the forward one (`l2_sq` is symmetric to the bit). So when
-//! reverse edges push a list past its degree bound, the re-prune ranks the
-//! held list from the stored distances and spends evaluations only on
-//! dominance tests ([`prune::robust_reprune`], HNSW's overflow
-//! re-prune); the α rule tests the latest pick first. Every link, repair
+//! reverse edges push a list past its degree bound, the re-prune
+//! ([`prune::Reprune`]) ranks the held list from the stored distances and
+//! spends evaluations only on the dominance tests that the list's records
+//! — what the prune that installed it kept and, under HNSW, back-filled —
+//! do not settle; the α rule tests the latest pick first. Every link, repair
 //! attachment and rewired vertex adds its evaluations to the
 //! `graph.construct.distance_evals` counter. The distances are not
 //! persisted: [`BuiltGraph::restore_distances`] recomputes them when a

@@ -234,21 +234,22 @@ impl Tombstones {
     /// not claim is unlinked; any other vertex with a dead neighbour gets
     /// `select(v, pool)`, where the pool is its live neighbours (at their
     /// stored distances) plus each dead neighbour's live neighbours
-    /// (evaluated), deduplicated, and `install`s the picks with their
-    /// distances. Every new list is a function of the pre-compaction layer
-    /// alone, so the vertices are rewired in parallel and installed after.
+    /// (evaluated), deduplicated. `select` returns the picks with their
+    /// distances and how many of them its rule kept, and they are
+    /// installed as a prune result ([`Adjacency::set_pruned`]). Every new
+    /// list is a function of the pre-compaction layer alone, so the
+    /// vertices are rewired in parallel and installed after.
     pub(crate) fn rewire(
         &self,
         layer: &mut Adjacency,
         store: &VectorStore,
         keep: impl Fn(VecId) -> bool + Sync,
-        select: impl Fn(VecId, Vec<Candidate>) -> Vec<Candidate> + Sync,
-        install: fn(&mut Adjacency, VecId, &[Candidate]),
+        select: impl Fn(VecId, Vec<Candidate>) -> (Vec<Candidate>, usize) + Sync,
     ) {
         let old = &*layer;
         let rewired = parallel_map(old.len(), |v| {
             if self.is_dead(v) && !keep(v) {
-                return Some(Vec::new());
+                return Some((Vec::new(), 0));
             }
             if !old.neighbors(v).iter().any(|&u| self.is_dead(u)) {
                 return None;
@@ -272,9 +273,9 @@ impl Tombstones {
             crate::prune::record_construction(0);
             Some(list)
         });
-        for (v, list) in rewired.into_iter().enumerate() {
-            if let Some(list) = list {
-                install(layer, v as VecId, &list);
+        for (v, picks) in rewired.into_iter().enumerate() {
+            if let Some((list, kept)) = picks {
+                layer.set_pruned(v as VecId, &list, kept);
             }
         }
     }

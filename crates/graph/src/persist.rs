@@ -263,6 +263,164 @@ mod tests {
         }
     }
 
+    /// The first adjacency object (the one with a `clean` record) in a
+    /// parsed snapshot: a navgraph's graph, or an HNSW index's base layer.
+    fn first_adjacency(value: &mut serde::Value) -> Option<&mut Vec<(String, serde::Value)>> {
+        match value {
+            serde::Value::Object(entries) => {
+                if entries.iter().any(|(k, _)| k == "clean") {
+                    return Some(entries);
+                }
+                entries.iter_mut().find_map(|(_, v)| first_adjacency(v))
+            }
+            serde::Value::Array(items) => items.iter_mut().find_map(first_adjacency),
+            _ => None,
+        }
+    }
+
+    /// The `u32` records `name` of a parsed adjacency object.
+    fn records(adjacency: &mut [(String, serde::Value)], name: &str) -> Vec<u32> {
+        let (_, v) = adjacency.iter().find(|(k, _)| k == name).expect(name);
+        <Vec<u32> as serde::Deserialize>::from_value(v).expect("a record array")
+    }
+
+    /// Replaces the `u32` records `name` of a parsed adjacency object.
+    fn set_records(adjacency: &mut [(String, serde::Value)], name: &str, to: &[u32]) {
+        if let Some((_, v)) = adjacency.iter_mut().find(|(k, _)| k == name) {
+            *v = serde::Serialize::to_value(&to.to_vec());
+        }
+    }
+
+    /// `json` as an HNSW snapshot was written before its lists recorded
+    /// what the heuristic kept and filled: every `clean` record zero and
+    /// no `fillers` record.
+    fn without_records(json: &str) -> String {
+        fn strip(value: &mut serde::Value) {
+            match value {
+                serde::Value::Object(entries) => {
+                    entries.retain(|(k, _)| k != "fillers");
+                    for (k, v) in entries.iter_mut() {
+                        match (k.as_str(), v) {
+                            ("clean", serde::Value::Array(items)) => items
+                                .iter_mut()
+                                .for_each(|c| *c = serde::Value::Number(serde::Number::UInt(0))),
+                            (_, v) => strip(v),
+                        }
+                    }
+                }
+                serde::Value::Array(items) => items.iter_mut().for_each(strip),
+                _ => {}
+            }
+        }
+        let mut value = serde_json::parse_value_str(json).expect("snapshot JSON");
+        strip(&mut value);
+        serde_json::to_string(&value).expect("serializes")
+    }
+
+    /// An HNSW snapshot in the format written before the kept and filler
+    /// records — `clean` all zero, no `fillers` — still restores, validates
+    /// clean and grows into the same lists as the original: a list without
+    /// records is re-pruned testing everything, and records itself from
+    /// then on.
+    #[test]
+    fn hnsw_snapshot_without_records_grows_like_the_original() {
+        let donors = store(60, 14);
+        let batch = |from: u32, to: u32| -> Vec<MultiVector> {
+            (from..to)
+                .map(|id| {
+                    let parts = (0..2)
+                        .map(|m| donors.part_of(id, m).expect("complete").to_vec())
+                        .collect();
+                    MultiVector::complete(donors.schema(), parts)
+                })
+                .collect()
+        };
+        let idx = UnifiedIndex::build(
+            store(300, 13),
+            Weights::normalized(&[1.3, 0.7]),
+            Metric::L2,
+            &IndexAlgorithm::hnsw(),
+        );
+        idx.add_objects(&batch(0, 30)).expect("growth");
+        let doomed: Vec<u32> = (0..330).step_by(4).collect();
+        assert!(idx.remove_objects(&doomed).expect("in range").compacted);
+        let json = idx.snapshot().to_json().expect("finite snapshot");
+        let older = without_records(&json);
+        assert!(!older.contains("fillers") && json.contains("fillers"));
+        let restored = UnifiedSnapshot::from_json(&older)
+            .expect("the older format parses")
+            .restore()
+            .expect("the older format restores");
+        assert_ne!(
+            restored.snapshot().graph,
+            idx.snapshot().graph,
+            "no records"
+        );
+        assert_eq!(
+            stored_edges(&restored.snapshot().graph),
+            stored_edges(&idx.snapshot().graph)
+        );
+        idx.add_objects(&batch(30, 60)).expect("original grows");
+        restored
+            .add_objects(&batch(30, 60))
+            .expect("restored grows");
+        assert_eq!(
+            stored_edges(&restored.snapshot().graph),
+            stored_edges(&idx.snapshot().graph),
+            "growth diverged without the records"
+        );
+        let violations = restored.current().validate(restored.weights());
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    /// Red path: a restored HNSW snapshot whose base layer claims one more
+    /// kept entry for a vertex — its first filler, relabelled — is refused
+    /// with exactly one violation, for that vertex, whether or not the
+    /// index has compacted (the two generations are validated by
+    /// different paths).
+    #[test]
+    fn forged_hnsw_kept_count_is_refused() {
+        for compacted in [false, true] {
+            let idx = UnifiedIndex::build(
+                store(300, 15),
+                Weights::normalized(&[1.3, 0.7]),
+                Metric::L2,
+                &IndexAlgorithm::hnsw(),
+            );
+            if compacted {
+                let doomed: Vec<u32> = (1..300).step_by(4).collect();
+                assert!(idx.remove_objects(&doomed).expect("in range").compacted);
+            }
+            let json = idx.snapshot().to_json().expect("finite snapshot");
+            let restored = UnifiedSnapshot::from_json(&json)
+                .expect("round trips")
+                .restore()
+                .expect("sound snapshot");
+            let json = restored.snapshot().to_json().expect("finite snapshot");
+            let mut value = serde_json::parse_value_str(&json).expect("snapshot JSON");
+            let base = first_adjacency(&mut value).expect("an HNSW base layer");
+            let (mut clean, mut fillers) = (records(base, "clean"), records(base, "fillers"));
+            let v = (0..clean.len())
+                .find(|&v| clean[v] > 0 && fillers[v] > 0)
+                .expect("some list holds kept entries and fillers");
+            clean[v] += 1;
+            fillers[v] -= 1;
+            set_records(base, "clean", &clean);
+            set_records(base, "fillers", &fillers);
+            let forged = serde_json::to_string(&value).expect("serializes");
+            let violations = refused(UnifiedSnapshot::from_json(&forged).expect("well-formed"));
+            let forged_clean = clean[v] as usize;
+            assert!(
+                matches!(
+                    violations.as_slice(),
+                    [InvariantViolation::FalseCleanPrefix { id, clean, .. }]
+                        if *id as usize == v && *clean == forged_clean
+                ),
+                "compacted {compacted}: {violations:?}"
+            );
+        }
+    }
+
     /// Regression: `from_parts` checks lengths only, so a snapshot file
     /// can carry edge and entry ids beyond the population; the walk used
     /// to index its visited stamps with them and panic on the serving

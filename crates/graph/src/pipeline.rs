@@ -36,7 +36,7 @@ use crate::knn::knn_graph;
 use crate::live::Tombstones;
 #[cfg(test)]
 use crate::prune::candidates_of;
-use crate::prune::{record_construction, robust_prune, robust_reprune};
+use crate::prune::{record_construction, robust_prune, Reprune, Rule};
 use crate::scratch::{with_pooled, SearchScratch};
 use crate::search::SearchOutput;
 use crate::traits::{DistanceFn, FlatDistance};
@@ -121,10 +121,17 @@ impl SelectStage {
     /// Selects again from `v`'s own out-edges once reverse edges pushed the
     /// list past the degree bound — the same result as
     /// [`SelectStage::apply`] over the whole list, ranked by the stored
-    /// distances and skipping what its clean prefix already proves.
-    fn reapply(&self, store: &VectorStore, v: VecId, graph: &Adjacency) -> Vec<Candidate> {
-        let edges = graph.edges_of(v);
-        let selected = robust_reprune(store, v, edges, graph.clean_len(v), self.alpha, self.r);
+    /// distances and skipping what its records already prove ([`Reprune`]).
+    fn reapply<'r>(
+        &self,
+        store: &VectorStore,
+        v: VecId,
+        graph: &Adjacency,
+        reprune: &'r mut Reprune,
+    ) -> &'r [Candidate] {
+        let records = (graph.clean_len(v), graph.filler_len(v));
+        let rule = Rule::Alpha(self.alpha);
+        let (selected, _) = reprune.run(store, v, graph.edges_of(v), records, rule, self.r);
         // Every overflow of every graph the unit tests build is checked
         // against the from-scratch prune over evaluated distances, so a
         // stored distance off by a bit fails here too.
@@ -290,7 +297,7 @@ impl NavGraph {
             &format!("navgraph {}", self.name),
             &self.graph,
             store,
-            self.select.alpha,
+            Rule::Alpha(self.select.alpha),
         )
     }
 
@@ -328,8 +335,11 @@ impl NavGraph {
             &mut self.graph,
             store,
             |v| entries.contains(&v),
-            |v, mut pool| select.apply(store, v, &mut pool),
-            Adjacency::set_pruned,
+            |v, mut pool| {
+                let picks = select.apply(store, v, &mut pool);
+                let kept = picks.len();
+                (picks, kept)
+            },
         );
         reattach(store, &mut self.graph, entries, tomb);
     }
@@ -468,14 +478,14 @@ fn link_vertex(
     // edges compete (a newly grown vertex has none yet).
     pool.extend(graph.edges_of(v));
     let selected = select.apply(store, v, pool);
-    graph.set_pruned(v, &selected);
+    graph.set_pruned(v, &selected, selected.len());
     for p in selected {
         // The reverse edge's distance is the forward one: `l2_sq` is
         // symmetric to the bit.
         graph.add_edge(p.id, v, p.dist);
         if graph.degree(p.id) > select.r {
-            let pruned = select.reapply(store, p.id, graph);
-            graph.set_pruned(p.id, &pruned);
+            let pruned = select.reapply(store, p.id, graph, &mut scratch.reprune);
+            graph.set_pruned(p.id, pruned, pruned.len());
         }
     }
     record_construction(walk_evals);

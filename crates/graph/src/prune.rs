@@ -7,12 +7,16 @@
 //! escape local neighbourhoods with few hops.
 //!
 //! Selection is where construction spends its distance evaluations, so
-//! [`robust_prune`] and [`robust_reprune`] share one loop written in *pull*
-//! form: each candidate, best first, is tested against the neighbours
-//! already selected — the latest pick first, the likeliest to dominate it
-//! on clustered data — and the loop stops at the degree bound: nothing
-//! ranked after the last pick is ever looked at. Every routine returns its
-//! picks with their distances from the vertex, which
+//! both rules — the α rule of [`robust_prune`] and HNSW's
+//! [`hnsw_heuristic`] — and both of their re-prunes share one loop written
+//! in *pull* form: each candidate, best first, is tested against the
+//! neighbours already selected, and the loop stops at the degree bound:
+//! nothing ranked after the last pick is ever looked at. A re-prune of a
+//! held list ([`Reprune`]) tags each entry with what the list's records
+//! say of it ([`crate::Adjacency::clean_len`],
+//! [`crate::Adjacency::filler_len`]) and skips every test whose answer the
+//! prune that installed the list already established. Every routine
+//! returns its picks with their distances from the vertex, which
 //! [`crate::Adjacency`] stores beside the edges, so a list re-pruned later
 //! is ranked without evaluating a distance.
 
@@ -69,42 +73,122 @@ pub(crate) fn candidates_of<'a>(
         .map(move |&w| Candidate::new(w, distance(store, v, w)))
 }
 
-/// The best-candidate-first selection loop under the α rule.
-///
-/// `pool` yields candidates around the vertex in ascending order, each
-/// tagged *clean* or not. A candidate `q` is dropped when an already
-/// selected `p` has `alpha · d(p, q) <= d(v, q)` — `q` is reachable
-/// *through* `p`, so the direct edge is redundant. Whether `q` survives
-/// does not depend on the order the picks are tried in, only what it
-/// costs does: they are tried latest first (the pick nearest `q` in
-/// rank, on clustered data the likeliest dominator) and the first
-/// dominator ends the scan; a pair of clean candidates is known not to
-/// dominate and is never evaluated.
-fn select_undominated(
-    store: &VectorStore,
-    pool: impl Iterator<Item = (Candidate, bool)>,
-    alpha: f32,
-    r: usize,
-) -> Vec<Candidate> {
-    let mut selected: Vec<Candidate> = Vec::with_capacity(r);
-    let mut selected_clean: Vec<bool> = Vec::with_capacity(r);
-    for (q, q_clean) in pool {
-        if selected.len() == r {
-            break;
-        }
-        let dominated = selected
-            .iter()
-            .zip(&selected_clean)
-            .rev()
-            .any(|(p, &p_clean)| {
-                !(p_clean && q_clean) && alpha * distance(store, p.id, q.id) <= q.dist
-            });
-        if !dominated {
-            selected.push(q);
-            selected_clean.push(q_clean);
+/// A neighbour-selection rule: when an already selected `p` *dominates* a
+/// candidate `q` around the vertex `v` — `q` is reachable through `p`, so
+/// the direct edge is redundant.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rule {
+    /// The α rule of Vamana/DiskANN (MRNG's with `alpha = 1.0`): `p`
+    /// dominates `q` when `alpha · d(p, q) <= d(v, q)`. Keeps only what no
+    /// pick dominates.
+    Alpha(f32),
+    /// HNSW's `SELECT-NEIGHBORS-HEURISTIC`: `p` dominates `q` when
+    /// `d(q, p) < d(v, q)`, strictly. Back-fills the list to the degree
+    /// bound with the nearest dominated candidates.
+    Hnsw,
+}
+
+impl Rule {
+    /// Whether a pick at distance `d_pq` from the candidate `q` dominates
+    /// it, `q` being at `d_vq` from the vertex.
+    #[inline]
+    pub fn dominates(self, d_pq: f32, d_vq: f32) -> bool {
+        match self {
+            Rule::Alpha(alpha) => alpha * d_pq <= d_vq,
+            Rule::Hnsw => d_pq < d_vq,
         }
     }
-    selected
+}
+
+/// What a held list's records say about one of its entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    /// Kept by the prune that installed the list: no other kept entry
+    /// dominates it.
+    Kept,
+    /// Back-filled by that prune: a kept entry ranked before it dominates
+    /// it.
+    Filler,
+    /// Appended since, or unrecorded: nothing is known.
+    Dirty,
+}
+
+/// The selection loop of both rules.
+///
+/// `pool` yields candidates around the vertex in ascending order, each
+/// tagged; the picks go to `picks` (`known[i]`: pick `i` is tagged kept)
+/// and the number of undominated picks is returned. A candidate is tested
+/// against the picks so far, and the first dominator ends the test:
+///
+/// - a pair of kept candidates is known not to dominate and is never
+///   evaluated;
+/// - a filler is known to be dominated, by a kept entry ranked before it
+///   that is still picked — unless a kept candidate was itself dominated
+///   earlier in this pass, after which fillers are tested like the rest;
+/// - under [`Rule::Alpha`] the picks are tried latest first (whether `q`
+///   survives does not depend on the order, only what it costs, and on
+///   clustered data the pick nearest `q` in rank is the likeliest
+///   dominator); under [`Rule::Hnsw`] in selection order, which costs that
+///   strict rule fewer tests.
+///
+/// Under [`Rule::Hnsw`], when the pool runs out before `r` picks, the
+/// dominated candidates fill the list up to `r`, nearest first, behind
+/// the undominated ones.
+fn select(
+    store: &VectorStore,
+    pool: impl Iterator<Item = (Candidate, Tag)> + Clone,
+    rule: Rule,
+    r: usize,
+    picks: &mut Vec<Candidate>,
+    known: &mut Vec<bool>,
+) -> usize {
+    picks.clear();
+    known.clear();
+    let mut demoted = false;
+    for (q, tag) in pool.clone() {
+        if picks.len() == r {
+            return r;
+        }
+        let dominated = match tag {
+            Tag::Filler if !demoted => true,
+            _ => {
+                let q_kept = tag == Tag::Kept;
+                let test = |(&p, &p_kept): (&Candidate, &bool)| {
+                    !(p_kept && q_kept) && rule.dominates(distance(store, p.id, q.id), q.dist)
+                };
+                let mut tried = picks.iter().zip(known.iter());
+                match rule {
+                    Rule::Alpha(_) => tried.rev().any(test),
+                    Rule::Hnsw => tried.any(test),
+                }
+            }
+        };
+        if !dominated {
+            picks.push(q);
+            known.push(tag == Tag::Kept);
+        } else if tag == Tag::Kept {
+            demoted = true;
+        }
+    }
+    let kept = picks.len();
+    if rule == Rule::Hnsw {
+        for (q, _) in pool {
+            if picks.len() == r {
+                break;
+            }
+            if !picks.iter().any(|p| p.id == q.id) {
+                picks.push(q);
+            }
+        }
+    }
+    kept
+}
+
+/// Sorts `candidates` and drops repeated ids and `v` itself, in place.
+fn rank(v: VecId, candidates: &mut Vec<Candidate>) {
+    candidates.sort_unstable();
+    candidates.dedup_by_key(|c| c.id);
+    candidates.retain(|c| c.id != v);
 }
 
 /// The α-robust pruning rule of Vamana/DiskANN; with `alpha = 1.0` it is
@@ -130,90 +214,94 @@ pub fn robust_prune(
 ) -> Vec<Candidate> {
     assert!(alpha >= 1.0, "robust prune requires alpha >= 1.0");
     assert!(r > 0, "robust prune requires r >= 1");
-    candidates.sort_unstable();
-    candidates.dedup_by_key(|c| c.id);
-    candidates.retain(|c| c.id != v);
-    let pool = candidates.iter().map(|&c| (c, false));
-    select_undominated(store, pool, alpha, r)
-}
-
-/// [`robust_prune`] of `v`'s own out-edges — each id with its stored
-/// distance from `v`, in list order — given that the first `clean` are
-/// the unmodified output of an earlier prune around `v` under the same
-/// `alpha` (see [`crate::Adjacency::clean_len`]): returns exactly what
-/// pruning the whole list from scratch would, without evaluating a
-/// distance to rank it and without re-testing the clean entries against
-/// each other. The common overflow — a full clean list plus one reverse
-/// edge — costs at most one test per clean entry, instead of one per pair.
-///
-/// `clean` only tags positions, so a forged record (even one past the list
-/// length) cannot index out of bounds; it can only make the result differ
-/// from a from-scratch prune, and [`crate::validate::check_clean_prefixes`]
-/// reports it.
-///
-/// # Panics
-/// As [`robust_prune`].
-pub fn robust_reprune(
-    store: &VectorStore,
-    v: VecId,
-    edges: impl IntoIterator<Item = Candidate>,
-    clean: usize,
-    alpha: f32,
-    r: usize,
-) -> Vec<Candidate> {
-    assert!(alpha >= 1.0, "robust prune requires alpha >= 1.0");
-    assert!(r > 0, "robust prune requires r >= 1");
-    let mut pool: Vec<(Candidate, bool)> = edges
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| (c, i < clean))
-        .collect();
-    pool.sort_unstable_by_key(|c| c.0);
-    pool.dedup_by_key(|c| c.0.id);
-    pool.retain(|c| c.0.id != v);
-    select_undominated(store, pool.into_iter(), alpha, r)
+    rank(v, candidates);
+    let (mut picks, mut known) = (Vec::with_capacity(r), Vec::with_capacity(r));
+    let pool = candidates.iter().map(|&c| (c, Tag::Dirty));
+    select(store, pool, Rule::Alpha(alpha), r, &mut picks, &mut known);
+    picks
 }
 
 /// HNSW's `SELECT-NEIGHBORS-HEURISTIC`: scan candidates by increasing
 /// distance; keep one only if it is closer to `v` than to every neighbour
-/// already kept. Returns the picks with their distances. The kept
-/// neighbours are tried in selection order: unlike the α rule, reversing
-/// it costs this rule more tests than it saves.
+/// already kept ([`Rule::Hnsw`]), then, if fewer than `m` were kept, fill
+/// up to `m` with the nearest of the rest. Returns the picks with their
+/// distances — the kept ones ascending, then the fillers ascending — and
+/// how many were kept: the two records [`crate::Adjacency::set_pruned`]
+/// stores, which let [`Reprune`] re-prune the list incrementally when it
+/// overflows. Sorts and deduplicates `candidates` in place.
+///
+/// # Panics
+/// Panics if `m == 0`.
 pub fn hnsw_heuristic(
     store: &VectorStore,
     v: VecId,
-    mut candidates: Vec<Candidate>,
+    candidates: &mut Vec<Candidate>,
     m: usize,
-) -> Vec<Candidate> {
+) -> (Vec<Candidate>, usize) {
     assert!(m > 0, "heuristic selection requires m >= 1");
-    candidates.sort_unstable();
-    candidates.dedup_by_key(|c| c.id);
-    candidates.retain(|c| c.id != v);
+    rank(v, candidates);
+    let (mut picks, mut known) = (Vec::with_capacity(m), Vec::with_capacity(m));
+    let pool = candidates.iter().map(|&c| (c, Tag::Dirty));
+    let kept = select(store, pool, Rule::Hnsw, m, &mut picks, &mut known);
+    (picks, kept)
+}
 
-    let mut selected: Vec<Candidate> = Vec::with_capacity(m);
-    for c in &candidates {
-        if selected.len() == m {
-            break;
-        }
-        let dominated = selected
-            .iter()
-            .any(|s| distance(store, c.id, s.id) < c.dist);
-        if !dominated {
-            selected.push(*c);
-        }
+/// The re-prune of a held list, with buffers that are reused from one
+/// call to the next (construction keeps one on its pooled
+/// [`crate::SearchScratch`]): once they have grown to the list length, an
+/// overflow allocates nothing.
+///
+/// A list installed by a prune records how many leading entries it *kept*
+/// and how many *fillers* follow them ([`crate::Adjacency::clean_len`],
+/// [`crate::Adjacency::filler_len`]); entries appended since are dirty.
+/// [`Reprune::run`] ranks the list by its stored distances and runs the
+/// selection loop with each entry tagged by those records, so it tests
+/// only the dirty entries, the kept entries a picked dirty one might
+/// dominate, and the fillers ranked after a kept entry that was dominated.
+/// The common α overflow — a full clean list plus one reverse edge — costs
+/// at most one test per clean entry, instead of one per pair. Under valid
+/// records the result equals the from-scratch prune under the same rule
+/// and bound, order included (the unit tests assert it at every overflow
+/// of both rules); the records only tag positions, so a forged one (even
+/// one past the list length) cannot index out of bounds, and
+/// [`crate::validate::check_clean_prefixes`] reports it.
+#[derive(Debug, Default)]
+pub struct Reprune {
+    pool: Vec<(Candidate, Tag)>,
+    picks: Vec<Candidate>,
+    known: Vec<bool>,
+}
+
+impl Reprune {
+    /// Re-prunes `v`'s out-edges — `edges` in list order with their stored
+    /// distances, the first `records.0` kept and the next `records.1`
+    /// fillers — under `rule` to at most `r`. Returns the picks and how
+    /// many of them were kept (the rest are fillers).
+    pub fn run(
+        &mut self,
+        store: &VectorStore,
+        v: VecId,
+        edges: impl IntoIterator<Item = Candidate>,
+        records: (usize, usize),
+        rule: Rule,
+        r: usize,
+    ) -> (&[Candidate], usize) {
+        let (kept, fillers) = records;
+        let tag = |i: usize| match i {
+            i if i < kept => Tag::Kept,
+            i if i - kept < fillers => Tag::Filler,
+            _ => Tag::Dirty,
+        };
+        self.pool.clear();
+        self.pool
+            .extend(edges.into_iter().enumerate().map(|(i, c)| (c, tag(i))));
+        self.pool.sort_unstable_by_key(|c| c.0);
+        self.pool.dedup_by_key(|c| c.0.id);
+        self.pool.retain(|c| c.0.id != v);
+        let pool = self.pool.iter().copied();
+        let kept = select(store, pool, rule, r, &mut self.picks, &mut self.known);
+        (&self.picks, kept)
     }
-    // HNSW keeps discarded candidates as fallback to fill up to m.
-    if selected.len() < m {
-        for c in &candidates {
-            if selected.len() == m {
-                break;
-            }
-            if !selected.iter().any(|s| s.id == c.id) {
-                selected.push(*c);
-            }
-        }
-    }
-    selected
 }
 
 #[cfg(test)]
@@ -235,6 +323,23 @@ mod tests {
 
     fn ids(picks: &[Candidate]) -> Vec<VecId> {
         picks.iter().map(|c| c.id).collect()
+    }
+
+    /// The α re-prune of `list` (ids with their distances from `v`, in list
+    /// order) whose first `clean` entries are recorded kept.
+    fn alpha_reprune(
+        store: &VectorStore,
+        v: VecId,
+        list: impl IntoIterator<Item = Candidate>,
+        clean: usize,
+        alpha: f32,
+        r: usize,
+    ) -> Vec<Candidate> {
+        let rule = Rule::Alpha(alpha);
+        Reprune::default()
+            .run(store, v, list, (clean, 0), rule, r)
+            .0
+            .to_vec()
     }
 
     #[test]
@@ -521,7 +626,7 @@ mod tests {
             }
             for extra in 300..310 as VecId {
                 list.extend(cands(&store, v, &[extra]));
-                let (got, calls) = counted(|| robust_reprune(&store, v, list.clone(), 24, 1.2, 24));
+                let (got, calls) = counted(|| alpha_reprune(&store, v, list.clone(), 24, 1.2, 24));
                 assert!(calls <= 24, "24 clean + 1 dirty cost {calls} calls");
                 let (want, scratch_calls) = counted(|| {
                     robust_prune(&store, v, &mut cands(&store, v, &ids(&list)), 1.2, 24)
@@ -553,7 +658,7 @@ mod tests {
                     list.extend(cands(&store, v, &[u]));
                 }
             }
-            let got = robust_reprune(&store, v, list.clone(), clean, alpha, r);
+            let got = alpha_reprune(&store, v, list.clone(), clean, alpha, r);
             let want = robust_prune(&store, v, &mut cands(&store, v, &ids(&list)), alpha, r);
             assert_eq!(got, want, "case {case}");
         }
@@ -568,11 +673,138 @@ mod tests {
         let store = seeded_store(&mut rng, 30, 3, true);
         let list = cands(&store, 0, &(1..30).collect::<Vec<_>>());
         for clean in [0usize, 7, 29, 30, usize::MAX] {
-            let got = robust_reprune(&store, 0, list.clone(), clean, 1.2, 8);
+            let got = alpha_reprune(&store, 0, list.clone(), clean, 1.2, 8);
             assert!(!got.is_empty() && got.len() <= 8);
             assert!(got.iter().all(|c| list.contains(c)));
         }
-        assert!(robust_reprune(&store, 0, [], 5, 1.2, 8).is_empty());
+        assert!(alpha_reprune(&store, 0, [], 5, 1.2, 8).is_empty());
+    }
+
+    /// A list as HNSW holds it: the heuristic's picks over `first` with
+    /// their records, then `extra` ids appended behind them (dirty).
+    fn hnsw_list(
+        store: &VectorStore,
+        v: VecId,
+        first: &mut Vec<Candidate>,
+        extra: &[VecId],
+        m: usize,
+    ) -> (Vec<Candidate>, (usize, usize)) {
+        let (mut list, kept) = hnsw_heuristic(store, v, first, m);
+        let records = (kept, list.len() - kept);
+        for &u in extra {
+            if u != v && !list.iter().any(|c| c.id == u) {
+                list.extend(cands(store, v, &[u]));
+            }
+        }
+        (list, records)
+    }
+
+    /// The incremental HNSW re-prune equals the heuristic from scratch —
+    /// picks, order and kept count — for any dirty tail behind any list the
+    /// heuristic installed, on grids full of ties and in general position,
+    /// and again on the list it returns with a further tail.
+    #[test]
+    fn hnsw_reprune_equals_from_scratch_for_any_dirty_tail() {
+        let mut rng = mqa_rng::StdRng::seed_from_u64(0x9017);
+        let mut reprune = Reprune::default();
+        let mut fillers_seen = 0usize;
+        for case in 0..400 {
+            let n = rng.gen_range(8usize..80);
+            let store = seeded_store(&mut rng, n, 2 + case % 4, case % 3 == 0);
+            let v = rng.gen_range(0..n) as VecId;
+            let m = [1usize, 2, 4, 8, 32][case % 5];
+            let mut first = seeded_pool(&mut rng, &store, v);
+            let extra: Vec<VecId> = (0..rng.gen_range(0..6))
+                .map(|_| rng.gen_range(0..n) as VecId)
+                .collect();
+            let (mut list, mut records) = hnsw_list(&store, v, &mut first, &extra, m);
+            fillers_seen += records.1;
+            for round in 0..2 {
+                let (got, kept) = reprune.run(&store, v, list.clone(), records, Rule::Hnsw, m);
+                let mut all = cands(&store, v, &ids(&list));
+                let want = hnsw_heuristic(&store, v, &mut all, m);
+                assert_eq!((got.to_vec(), kept), want, "case {case}, round {round}");
+                records = (kept, got.len() - kept);
+                list = got.to_vec();
+                for _ in 0..rng.gen_range(0..4) {
+                    let u = rng.gen_range(0..n) as VecId;
+                    if u != v && !list.iter().any(|c| c.id == u) {
+                        list.extend(cands(&store, v, &[u]));
+                    }
+                }
+            }
+        }
+        assert!(fillers_seen > 100, "only {fillers_seen} fillers exercised");
+    }
+
+    /// The HNSW overflow a build runs tens of thousands of times: a full
+    /// base-layer list (cap 32) on clustered points plus one reverse edge.
+    /// The records settle every test between two kept entries and every
+    /// filler's fate unless a kept entry falls, so the re-prune makes at
+    /// most a tenth of the tests the heuristic from scratch makes (1 741
+    /// against 35 691 over these 600 overflows) — and evaluates no
+    /// distance to rank the list.
+    #[test]
+    fn one_reverse_edge_reprunes_an_hnsw_list_in_a_tenth_of_the_work() {
+        let mut rng = mqa_rng::StdRng::seed_from_u64(0x9018);
+        let store = clustered_store(&mut rng, 400, 32, 12);
+        let mut reprune = Reprune::default();
+        let (mut incremental, mut scratch, mut checked) = (0u64, 0u64, 0usize);
+        for v in 0..60 as VecId {
+            let near: Vec<VecId> = (0..300).filter(|&u| u != v).collect();
+            let mut first = cands(&store, v, &near);
+            first.sort_unstable();
+            first.truncate(100);
+            for extra in (300..400 as VecId).step_by(10) {
+                let (list, records) = hnsw_list(&store, v, &mut first.clone(), &[extra], 32);
+                if list.len() <= 32 {
+                    continue;
+                }
+                let ((got, kept), fast) = counted(|| {
+                    let (got, kept) = reprune.run(&store, v, list.clone(), records, Rule::Hnsw, 32);
+                    (got.to_vec(), kept)
+                });
+                let (want, slow) =
+                    counted(|| hnsw_heuristic(&store, v, &mut cands(&store, v, &ids(&list)), 32));
+                assert_eq!((got, kept), want, "vertex {v}, extra {extra}");
+                incremental += fast;
+                // The from-scratch route ranks the list too: one
+                // evaluation per entry that the stored distances save.
+                scratch += slow - list.len() as u64;
+                checked += 1;
+            }
+        }
+        assert!(checked >= 300, "only {checked} overflows exercised");
+        assert!(
+            incremental * 10 <= scratch,
+            "incremental {incremental} vs from-scratch {scratch} tests"
+        );
+    }
+
+    /// Records that lie — longer than the list, fillers claimed kept, kept
+    /// entries claimed fillers — can cost the result its equality with the
+    /// heuristic but must not panic or break its shape.
+    #[test]
+    fn forged_records_cannot_panic_the_hnsw_reprune() {
+        let mut rng = mqa_rng::StdRng::seed_from_u64(0x9019);
+        let store = seeded_store(&mut rng, 30, 3, true);
+        let list = cands(&store, 0, &(1..30).collect::<Vec<_>>());
+        let mut reprune = Reprune::default();
+        for records in [
+            (0, 0),
+            (7, 3),
+            (0, 29),
+            (29, 29),
+            (usize::MAX, usize::MAX),
+            (3, usize::MAX),
+        ] {
+            let (got, kept) = reprune.run(&store, 0, list.clone(), records, Rule::Hnsw, 8);
+            assert_eq!(got.len(), 8);
+            assert!(kept <= got.len());
+            assert!(got.iter().all(|c| list.contains(c)));
+        }
+        let (got, kept) = reprune.run(&store, 0, [], (5, 5), Rule::Hnsw, 8);
+        assert!(got.is_empty() && kept == 0);
     }
 
     #[test]
@@ -583,18 +815,17 @@ mod tests {
         store.push(&[1.0]);
         store.push(&[2.0]);
         store.push(&[-1.5]);
-        let c = cands(&store, 0, &[1, 2, 3]);
-        let sel = ids(&hnsw_heuristic(&store, 0, c, 3));
-        // 1 kept; 2 dominated by 1 but refilled afterwards; 3 kept (diverse)
-        assert_eq!(sel[0], 1);
-        assert!(sel.contains(&3));
-        assert_eq!(sel.len(), 3);
+        let mut c = cands(&store, 0, &[1, 2, 3]);
+        let (sel, kept) = hnsw_heuristic(&store, 0, &mut c, 3);
+        // 1 kept; 3 kept (diverse); 2 dominated by 1 but filled in behind
+        // the kept ones.
+        assert_eq!((ids(&sel), kept), (vec![1, 3, 2], 2));
     }
 
     #[test]
     fn heuristic_cap() {
         let store = line_store(10);
-        let c = cands(&store, 0, &[1, 2, 3, 4, 5, 6]);
-        assert_eq!(hnsw_heuristic(&store, 0, c, 2).len(), 2);
+        let mut c = cands(&store, 0, &[1, 2, 3, 4, 5, 6]);
+        assert_eq!(hnsw_heuristic(&store, 0, &mut c, 2).0.len(), 2);
     }
 }

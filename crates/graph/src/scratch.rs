@@ -12,7 +12,7 @@
 //!   wraparound, once every `u32::MAX - 1` queries.
 //! * [`SearchScratch`] — one visited set for vertices, one for pages
 //!   (Starling), the candidate pool (`crate::pool`), the gather buffer,
-//!   and the construction candidate list.
+//!   and construction's candidate list and re-prune buffers.
 //! * [`with_pooled`] — a thread-local scratch pool so the pooled entry
 //!   points (`VectorIndex::search`, `UnifiedIndex::search`) stay
 //!   allocation-free without threading a scratch through every caller.
@@ -27,6 +27,7 @@
 //! every index algorithm, including across an epoch wraparound.
 
 use crate::pool::Pool;
+use crate::prune::Reprune;
 use mqa_vector::{Candidate, VecId};
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -123,6 +124,8 @@ pub struct SearchScratch {
     pub(crate) gather: Vec<VecId>,
     /// Every candidate evaluated (construction's selection pool).
     pub(crate) evaluated: Vec<Candidate>,
+    /// Construction's re-prune of an overflowing list.
+    pub(crate) reprune: Reprune,
 }
 
 impl SearchScratch {
@@ -138,6 +141,7 @@ impl SearchScratch {
             // growth amortizes to zero per query.
             gather: Vec::new(),
             evaluated: Vec::new(),
+            reprune: Reprune::default(),
         }
     }
 

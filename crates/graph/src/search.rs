@@ -290,6 +290,7 @@ pub(crate) fn walk<G: WalkGraph, D: DistanceFn + ?Sized>(
         pool,
         gather,
         evaluated,
+        reprune: _,
     } = scratch;
     let collect = matches!(mode, WalkMode::CollectExact);
 

@@ -65,6 +65,14 @@ pub const LOOKAHEAD: usize = 8;
 /// read-ahead included, are in flight together and each takes
 /// `read_latency` to complete — which is what makes paged search
 /// I/O-bound, and what the concurrent engine overlaps across workers.
+///
+/// The wait is a `std::thread::sleep`, and a sleep lasts at least what it
+/// asks for plus the thread's timer slack: on Linux the default slack is
+/// 50 µs, so on a 2-vCPU host a 50 µs `read_latency` measures ~107 µs a
+/// submission (2 000 sleeps of 50 µs: p10 105 µs, p50 107 µs, p90
+/// 110 µs; 100 µs sleeps take ~158 µs). A paged query's latency
+/// therefore reads as its [`SearchStats::device_waits`] times the
+/// measured sleep plus its CPU time, not times `read_latency`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceProfile {
     /// Time one 4 KiB page read takes to complete.

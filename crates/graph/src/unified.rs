@@ -38,11 +38,12 @@ use crate::live::{
     lock_ignore_poison, MutationError, MutationReport, SnapshotCell, SnapshotGuard, Tombstones,
 };
 use crate::pipeline::{BuiltGraph, IndexAlgorithm};
+use crate::prune::Rule;
 use crate::search::SearchOutput;
 use crate::traits::DistanceFn;
 use crate::validate::{
-    check_adjacency, check_edge_distances, check_edges_live, check_tombstones, check_weighted_rows,
-    InvariantViolation,
+    check_adjacency, check_clean_prefixes, check_edge_distances, check_edges_live,
+    check_tombstones, check_weighted_rows, InvariantViolation,
 };
 use mqa_vector::{
     FusedScanner, Metric, MultiVector, MultiVectorStore, ScanStats, Schema, VecId, Weights,
@@ -133,9 +134,11 @@ impl IndexSnapshot {
     ///   check on a layer that passes it
     ///   ([`crate::validate::check_edge_distances`]) and
     ///   [`crate::validate::check_edges_live`] (no edge into a
-    ///   compacted-away id) on every layer, then — only if those pass — a
-    ///   pipeline graph's clean-prefix check
-    ///   ([`crate::validate::check_clean_prefixes`]).
+    ///   compacted-away id) on every layer, then — only if those pass — the
+    ///   check of every layer's records
+    ///   ([`crate::validate::check_clean_prefixes`], under the graph's
+    ///   own rule: its α for a pipeline graph, the strict heuristic for
+    ///   HNSW).
     pub fn validate(&self, weights: &Weights) -> Vec<InvariantViolation> {
         let n = self.store.len();
         let mut out = Vec::new();
@@ -178,10 +181,21 @@ impl IndexSnapshot {
             out.extend(defects);
             out.extend(check_edges_live(context, layer.edges(), &self.tombstones));
         }
-        // The prefix check reads vectors by neighbour id, so it runs only
+        // The record check reads vectors by neighbour id, so it runs only
         // on lists the adjacency check found addressable.
-        if let (BuiltGraph::Nav(g), true) = (&*self.searcher, out.is_empty()) {
-            out.extend(g.check_clean_prefixes(&self.weighted));
+        if out.is_empty() {
+            if let BuiltGraph::Nav(g) = &*self.searcher {
+                out.extend(g.check_clean_prefixes(&self.weighted));
+            } else {
+                for layer in layers {
+                    out.extend(check_clean_prefixes(
+                        context,
+                        layer,
+                        &self.weighted,
+                        Rule::Hnsw,
+                    ));
+                }
+            }
         }
         out
     }

@@ -9,6 +9,7 @@
 
 use crate::adjacency::Adjacency;
 use crate::live::Tombstones;
+use crate::prune::Rule;
 use mqa_vector::{ops, Candidate, MultiVectorStore, VecId, VectorStore, Weights};
 use std::fmt;
 
@@ -120,11 +121,13 @@ pub enum InvariantViolation {
         /// The compacted-away target.
         to: VecId,
     },
-    /// A recorded clean-prefix length its list does not honour: longer
-    /// than the list, not sorted by distance to the vertex, or holding a
-    /// pair where one entry dominates the other under the graph's α rule.
-    /// The incremental re-prune trusts the record, so a false one makes
-    /// it keep edges a full prune would drop.
+    /// A list's records (see [`Adjacency`]) that it does not honour: a
+    /// clean prefix and fillers longer than the list, a clean prefix not
+    /// sorted by distance to the vertex or holding a pair where one entry
+    /// dominates the other under the graph's rule, or a filler no clean
+    /// entry ranked before it dominates. The incremental re-prune trusts
+    /// the records, so a false one makes it keep edges a full prune would
+    /// drop.
     FalseCleanPrefix {
         /// Which structure reported it.
         context: String,
@@ -349,11 +352,11 @@ pub fn check_edge_distances(
     out
 }
 
-/// Clean-prefix checks (see [`Adjacency`]): each recorded length is at most
-/// the degree, the prefix is sorted by ascending distance to its vertex,
-/// and no prefix entry dominates a later one under the graph's α rule
-/// (`alpha · d(p, q) <= d(v, q)`).
-/// Reports the first defect of each vertex.
+/// Record checks (see [`Adjacency`]), under the `rule` the graph prunes
+/// with: the clean prefix and the fillers behind it fit in the list, the
+/// prefix is sorted by ascending distance to its vertex, no prefix entry
+/// dominates a later one, and a prefix entry ranked before each filler
+/// dominates it. Reports the first defect of each vertex.
 ///
 /// Reads vectors by neighbour id: call it on a graph
 /// [`check_adjacency`] accepted, over the store the graph indexes.
@@ -361,14 +364,19 @@ pub fn check_clean_prefixes(
     context: &str,
     graph: &Adjacency,
     store: &VectorStore,
-    alpha: f32,
+    rule: Rule,
 ) -> Vec<InvariantViolation> {
     let mut out = Vec::new();
     for v in 0..graph.len() as VecId {
         let (list, clean) = (graph.neighbors(v), graph.clean_len(v));
-        let defect = match list.get(..clean) {
-            Some(prefix) => clean_prefix_defect(store, v, prefix, alpha),
-            None => Some(format!("the list holds {}", list.len())),
+        let recorded = clean.saturating_add(graph.filler_len(v));
+        let defect = match (list.get(..clean), list.get(clean..recorded)) {
+            (Some(prefix), Some(fillers)) => records_defect(store, v, prefix, fillers, rule),
+            _ => Some(format!(
+                "{} fillers follow it and the list holds {}",
+                graph.filler_len(v),
+                list.len()
+            )),
         };
         if let Some(detail) = defect {
             out.push(InvariantViolation::FalseCleanPrefix {
@@ -382,17 +390,17 @@ pub fn check_clean_prefixes(
     out
 }
 
-/// The first way `prefix` fails to be a prune result around `v`, if any.
-fn clean_prefix_defect(
+/// The first way `prefix` fails to be what a prune around `v` kept, or
+/// `fillers` what it back-filled, if any.
+fn records_defect(
     store: &VectorStore,
     v: VecId,
     prefix: &[VecId],
-    alpha: f32,
+    fillers: &[VecId],
+    rule: Rule,
 ) -> Option<String> {
-    let ranked: Vec<Candidate> = prefix
-        .iter()
-        .map(|&u| Candidate::new(u, ops::l2_sq(store.get(v), store.get(u))))
-        .collect();
+    let rank = |u: VecId| Candidate::new(u, ops::l2_sq(store.get(v), store.get(u)));
+    let ranked: Vec<Candidate> = prefix.iter().map(|&u| rank(u)).collect();
     if let Some((a, b)) = ranked
         .iter()
         .zip(ranked.iter().skip(1))
@@ -400,15 +408,21 @@ fn clean_prefix_defect(
     {
         return Some(format!("{} is listed before the closer {}", a.id, b.id));
     }
+    let dominates = |p: &Candidate, q: &Candidate| {
+        rule.dominates(ops::l2_sq(store.get(p.id), store.get(q.id)), q.dist)
+    };
     for (j, q) in ranked.iter().enumerate() {
-        let qv = store.get(q.id);
-        for p in ranked.iter().take(j) {
-            if alpha * ops::l2_sq(store.get(p.id), qv) <= q.dist {
-                return Some(format!("{} dominates {}", p.id, q.id));
-            }
+        if let Some(p) = ranked.iter().take(j).find(|p| dominates(p, q)) {
+            return Some(format!("{} dominates {}", p.id, q.id));
         }
     }
-    None
+    fillers.iter().map(|&u| rank(u)).find_map(|f| {
+        let covered = ranked
+            .iter()
+            .take_while(|p| **p < f)
+            .any(|p| dominates(p, &f));
+        (!covered).then(|| format!("no clean entry before filler {} dominates it", f.id))
+    })
 }
 
 /// Tombstone lifecycle checks: the population matches the structure it

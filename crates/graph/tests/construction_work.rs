@@ -93,7 +93,7 @@ fn construction_work_and_edges_are_pinned() {
         ),
         (
             IndexAlgorithm::hnsw(),
-            [2_604_691, 94_736, 124_962],
+            [673_875, 24_235, 124_962],
             0x8c63_7f83_61d2_ef4f,
         ),
     ];

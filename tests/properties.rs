@@ -374,3 +374,75 @@ fn repaired_graphs_reach_every_vertex() {
         );
     }
 }
+
+/// HNSW growth is insertion, so an index built over a prefix and grown,
+/// compacted and grown again is, list for list and record for record, the
+/// index built over the larger prefix at once and put through the same
+/// compaction and growth — across degree bounds small enough that nearly
+/// every link overflows a list and the heuristic back-fills most of them.
+/// Every record stays true: the validator finds nothing but what a
+/// compaction's repair may cost (reachability, and an orphan attached past
+/// the degree cap).
+#[test]
+fn hnsw_grow_compact_grow_equals_one_build_and_the_same_mutations() {
+    use mqa::graph::hnsw::{Hnsw, HnswParams};
+    use mqa::graph::{InvariantViolation, Tombstones};
+    use mqa::vector::VectorStore;
+    let mut rng = StdRng::seed_from_u64(0xA00F);
+    for case in 0..40 {
+        let m = [2usize, 3, 4, 8][case % 4];
+        let dim = 2 + case % 3;
+        let n2 = rng.gen_range(40usize..120);
+        let n1 = rng.gen_range(n2 / 2..n2);
+        let n0 = rng.gen_range(1..n1);
+        let mut full = VectorStore::new(dim);
+        for _ in 0..n2 {
+            // Every other case on a coarse grid: ties and coincident points.
+            let v: Vec<f32> = (0..dim)
+                .map(|_| match case % 2 {
+                    0 => rng.gen_range(0..4) as f32,
+                    _ => rng.gen_range(-1.0f32..1.0),
+                })
+                .collect();
+            full.push(&v);
+        }
+        let prefix = |n: usize| {
+            let mut s = VectorStore::new(dim);
+            for id in 0..n as u32 {
+                s.push(full.get(id));
+            }
+            s
+        };
+        let params = HnswParams {
+            m,
+            ef_construction: rng.gen_range(4usize..48),
+            seed: case as u64,
+        };
+        let mut grown = Hnsw::build(&prefix(n0), &params);
+        grown.extend_from(&prefix(n1), &Tombstones::new(0));
+        let mut once = Hnsw::build(&prefix(n1), &params);
+        assert_eq!(grown, once, "case {case}: growth");
+        let mut tomb = Tombstones::new(n1);
+        while tomb.dead_count() < n1 / 5 {
+            tomb.kill(rng.gen_range(0..n1) as u32);
+        }
+        for h in [&mut grown, &mut once] {
+            h.compact(&prefix(n1), &tomb);
+        }
+        tomb.mark_all_compacted();
+        tomb.grow(n2);
+        for h in [&mut grown, &mut once] {
+            h.extend_from(&full, &tomb);
+        }
+        assert_eq!(grown, once, "case {case}: compaction and growth");
+        let violations = grown.validate(&full);
+        assert!(
+            violations.iter().all(|v| matches!(
+                v,
+                InvariantViolation::LowReachability { .. }
+                    | InvariantViolation::DegreeOverflow { .. }
+            )),
+            "case {case}, m {m}: {violations:?}"
+        );
+    }
+}
