@@ -236,8 +236,9 @@ impl Hnsw {
     /// at the layer's cap; the entry is the one dead vertex that keeps
     /// (live-spliced) out-edges, so it can continue to seed searches. Then
     /// the pipeline's repair step re-attaches every live vertex the base
-    /// layer no longer reaches from the entry. After this pass no edge
-    /// points *into* a dead vertex.
+    /// layer no longer reaches from the entry, from a list with room under
+    /// the cap where one is near ([`attach_within_cap`]). After this pass
+    /// no edge points *into* a dead vertex and no list exceeds its cap.
     pub fn compact(&mut self, store: &VectorStore, tomb: &Tombstones) {
         let (entry, params) = (self.entry, self.params);
         for (level, layer) in self.layers.iter_mut().enumerate() {
@@ -250,7 +251,10 @@ impl Hnsw {
             );
         }
         if let Some(base) = self.layers.first_mut() {
-            crate::pipeline::reattach(store, base, &[entry], tomb);
+            let cap = params.cap(0);
+            crate::pipeline::reattach(store, base, &[entry], tomb, |base, v, near| {
+                with_pooled(|s| attach_within_cap(store, base, v, near, cap, &mut s.reprune))
+            });
         }
     }
 
@@ -317,10 +321,11 @@ impl Hnsw {
     ///   [`check_edge_distances`] and the records the re-prune trusts
     ///   ([`check_clean_prefixes`] under [`Rule::Hnsw`]: the kept prefix
     ///   pairwise undominated, each filler dominated by a kept entry ranked
-    ///   before it), and the degree cap (`2m` at layer 0, `m` above, none
-    ///   above the vertex's own level);
-    /// - layer-`l` edges only point at vertices whose level reaches `l`
-    ///   (the HNSW hierarchy property);
+    ///   before it);
+    /// - every list within its layer's degree cap (`2m` at layer 0, `m`
+    ///   above, none above the vertex's own level), and layer-`l` edges
+    ///   only pointing at vertices whose level reaches `l` (the HNSW
+    ///   hierarchy property) — the two checks a compacted generation keeps;
     /// - at least [`Hnsw::REACHABILITY_FLOOR`] of the vertices are
     ///   reachable from the entry over the base layer.
     ///
@@ -350,7 +355,6 @@ impl Hnsw {
             }),
             Some(_) => {}
         }
-        let level_of = |v: VecId| self.levels.get(v as usize).map(|&l| usize::from(l));
         for (level, layer) in self.layers.iter().enumerate() {
             let context = format!("hnsw layer {level}");
             if layer.len() != n {
@@ -366,6 +370,29 @@ impl Hnsw {
                 out.extend(check_clean_prefixes(&context, layer, store, Rule::Hnsw));
             }
             out.extend(defects);
+        }
+        out.extend(self.check_levels());
+        if let Some(base) = self.layers.first().filter(|_| (self.entry as usize) < n) {
+            let reached = base.reachable_count(self.entry);
+            if (reached as f64) < Self::REACHABILITY_FLOOR * n as f64 {
+                out.push(InvariantViolation::LowReachability {
+                    context: "hnsw base layer".to_string(),
+                    reached,
+                    n,
+                    floor: Self::REACHABILITY_FLOOR,
+                });
+            }
+        }
+        out
+    }
+
+    /// The degree-cap and hierarchy checks of [`Hnsw::validate`], which a
+    /// compacted generation keeps too: they read no vector and ask for no
+    /// reachability.
+    pub(crate) fn check_levels(&self) -> Vec<InvariantViolation> {
+        let level_of = |v: VecId| self.levels.get(v as usize).map(|&l| usize::from(l));
+        let mut out = Vec::new();
+        for (level, layer) in self.layers.iter().enumerate() {
             for v in 0..layer.len() as VecId {
                 // A vertex holds no edges above its own level.
                 let cap = match level_of(v) {
@@ -375,7 +402,7 @@ impl Hnsw {
                 let degree = layer.degree(v);
                 if degree > cap {
                     out.push(InvariantViolation::DegreeOverflow {
-                        context: context.clone(),
+                        context: format!("hnsw layer {level}"),
                         id: v,
                         degree,
                         cap,
@@ -391,17 +418,6 @@ impl Hnsw {
                         });
                     }
                 }
-            }
-        }
-        if let Some(base) = self.layers.first().filter(|_| (self.entry as usize) < n) {
-            let reached = base.reachable_count(self.entry);
-            if (reached as f64) < Self::REACHABILITY_FLOOR * n as f64 {
-                out.push(InvariantViolation::LowReachability {
-                    context: "hnsw base layer".to_string(),
-                    reached,
-                    n,
-                    floor: Self::REACHABILITY_FLOOR,
-                });
             }
         }
         out
@@ -433,6 +449,29 @@ fn reprune_overflow(
         REPRUNES_CHECKED.with(|c| c.set(c.get() + 1));
     }
     layer.set_pruned(p, picks, kept);
+}
+
+/// Links the orphan `v` from the nearest of `near` whose list has room
+/// under `cap`. When every one is full, from each in turn, nearest first,
+/// re-pruning its list to the cap like any overflow, until the heuristic
+/// keeps `v`; a list that drops `v` is left as the re-prune made it. Returns
+/// whether `v` is linked.
+fn attach_within_cap(
+    store: &VectorStore,
+    layer: &mut Adjacency,
+    v: VecId,
+    near: &[Candidate],
+    cap: usize,
+    reprune: &mut Reprune,
+) -> bool {
+    if let Some(p) = near.iter().find(|p| layer.degree(p.id) < cap) {
+        return layer.add_edge(p.id, v, p.dist);
+    }
+    near.iter().any(|p| {
+        layer.add_edge(p.id, v, p.dist);
+        reprune_overflow(store, layer, p.id, cap, reprune);
+        layer.neighbors(p.id).contains(&v)
+    })
 }
 
 #[cfg(test)]
@@ -685,10 +724,10 @@ mod tests {
     /// grow → compact → grow, at m = 2, 4 and 16, the incremental re-prune
     /// equals the heuristic from scratch (asserted inside
     /// `reprune_overflow`, and counted here so the check cannot silently
-    /// stop running), and the validator, which checks every record, finds
-    /// no false one. (Compaction's repair attaches an orphan with one edge
-    /// past the cap, which the validator reports as an overflow, and may
-    /// cost reachability; neither touches a record.)
+    /// stop running), and the validator, which checks every record and
+    /// every degree cap, finds nothing but the reachability compaction may
+    /// cost. Compaction's repair attaches its orphans within the cap, at
+    /// m = 2 by re-pruning full lists.
     #[test]
     fn every_overflow_reprune_is_checked_against_the_heuristic() {
         let full = random_store(360, 6, 31);
@@ -727,11 +766,9 @@ mod tests {
             step("growth after compaction");
             let violations = h.validate(&full);
             assert!(
-                violations.iter().all(|v| matches!(
-                    v,
-                    InvariantViolation::LowReachability { .. }
-                        | InvariantViolation::DegreeOverflow { .. }
-                )),
+                violations
+                    .iter()
+                    .all(|v| matches!(v, InvariantViolation::LowReachability { .. })),
                 "m {m}: {violations:?}"
             );
         }

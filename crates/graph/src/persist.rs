@@ -421,6 +421,103 @@ mod tests {
         }
     }
 
+    /// The `layers` array of a parsed HNSW snapshot.
+    fn hnsw_layers(value: &mut serde::Value) -> Option<&mut Vec<serde::Value>> {
+        match value {
+            serde::Value::Object(entries) => entries.iter_mut().find_map(|(k, v)| {
+                if k != "layers" {
+                    return hnsw_layers(v);
+                }
+                match v {
+                    serde::Value::Array(layers) => Some(layers),
+                    _ => None,
+                }
+            }),
+            serde::Value::Array(items) => items.iter_mut().find_map(hnsw_layers),
+            _ => None,
+        }
+    }
+
+    /// Red path: an HNSW upper layer one vertex longer than the store,
+    /// with records that name that vertex — as the list holding a kept
+    /// entry, or as a kept entry of another list — is refused with
+    /// violations instead of panicking on a read of the missing row. Both
+    /// used to panic in the compacted path of
+    /// [`crate::unified::IndexSnapshot::validate`], which checked the
+    /// records of a layer it had not checked the length of.
+    #[test]
+    fn over_long_hnsw_layer_is_refused_without_reading_past_the_store() {
+        const N: u32 = 300;
+        for (compacted, kept_id_past_the_store) in
+            [(false, false), (false, true), (true, false), (true, true)]
+        {
+            let idx = UnifiedIndex::build(
+                store(N as usize, 15),
+                Weights::normalized(&[1.3, 0.7]),
+                Metric::L2,
+                &IndexAlgorithm::hnsw(),
+            );
+            if compacted {
+                let doomed: Vec<u32> = (1..N).step_by(4).collect();
+                assert!(idx.remove_objects(&doomed).expect("in range").compacted);
+            }
+            let json = idx.snapshot().to_json().expect("finite snapshot");
+            let mut value = serde_json::parse_value_str(&json).expect("snapshot JSON");
+            let Some(serde::Value::Object(layer)) =
+                hnsw_layers(&mut value).and_then(|layers| layers.get_mut(1))
+            else {
+                panic!("an HNSW layer above the base");
+            };
+            let (_, lists) = layer.iter().find(|(k, _)| k == "lists").expect("lists");
+            let mut lists =
+                <Vec<Vec<u32>> as serde::Deserialize>::from_value(lists).expect("adjacency lists");
+            let (mut clean, mut fillers) = (records(layer, "clean"), records(layer, "fillers"));
+            if kept_id_past_the_store {
+                let v = lists
+                    .iter()
+                    .position(|l| !l.is_empty())
+                    .expect("an upper list");
+                lists[v].insert(0, N);
+                clean[v] += 1;
+                lists.push(Vec::new());
+                clean.push(0);
+            } else {
+                let u = lists
+                    .iter()
+                    .position(|l| !l.is_empty())
+                    .expect("an upper vertex");
+                lists.push(vec![u as u32]);
+                clean.push(1);
+            }
+            fillers.push(0);
+            if let Some((_, v)) = layer.iter_mut().find(|(k, _)| k == "lists") {
+                *v = serde::Serialize::to_value(&lists);
+            }
+            set_records(layer, "clean", &clean);
+            set_records(layer, "fillers", &fillers);
+            let forged = serde_json::to_string(&value).expect("serializes");
+            let violations = refused(UnifiedSnapshot::from_json(&forged).expect("well-formed"));
+            let context = match compacted {
+                true => "unified snapshot hnsw layer 1 population",
+                false => "hnsw layer 1 population",
+            };
+            assert!(
+                violations.contains(&InvariantViolation::SizeMismatch {
+                    context: context.to_string(),
+                    expected: N as usize,
+                    got: N as usize + 1,
+                }),
+                "compacted {compacted}: {violations:?}"
+            );
+            assert!(
+                !violations
+                    .iter()
+                    .any(|v| matches!(v, InvariantViolation::FalseCleanPrefix { .. })),
+                "compacted {compacted}: records read past the store: {violations:?}"
+            );
+        }
+    }
+
     /// Regression: `from_parts` checks lengths only, so a snapshot file
     /// can carry edge and entry ids beyond the population; the walk used
     /// to index its visited stamps with them and panic on the serving

@@ -341,7 +341,7 @@ impl NavGraph {
                 (picks, kept)
             },
         );
-        reattach(store, &mut self.graph, entries, tomb);
+        reattach(store, &mut self.graph, entries, tomb, attach_nearest);
     }
 }
 
@@ -373,7 +373,13 @@ impl GraphPipeline {
 
         let span = mqa_obs::span("graph.build.connectivity_repair");
         if self.repair == RepairStage::GrowFromEntry {
-            reattach(store, &mut graph, &entries, &Tombstones::new(0));
+            reattach(
+                store,
+                &mut graph,
+                &entries,
+                &Tombstones::new(0),
+                attach_nearest,
+            );
         }
         timed("connectivity_repair", span);
 
@@ -491,14 +497,19 @@ fn link_vertex(
     record_construction(walk_evals);
 }
 
-/// Connectivity repair: attaches every live vertex unreachable from the
-/// first entry to its nearest reachable vertex (NSG's spanning-growth
-/// step); vertices `tomb` marks dead stay detached.
+/// Connectivity repair: links every live vertex unreachable from the
+/// first entry from the reachable component (NSG's spanning-growth step);
+/// vertices `tomb` marks dead stay detached. `attach(graph, v, near)` adds
+/// the link for the orphan `v`, given the reachable vertices nearest to it
+/// (nearest first, never empty), and returns whether `v` is now linked.
+/// [`attach_nearest`] links it from the nearest; HNSW picks a list with
+/// room under its degree cap.
 pub(crate) fn reattach(
     store: &VectorStore,
     graph: &mut Adjacency,
     entries: &[VecId],
     tomb: &Tombstones,
+    mut attach: impl FnMut(&mut Adjacency, VecId, &[Candidate]) -> bool,
 ) {
     // No entry vertex means nothing to grow from.
     let Some(&start) = entries.first() else {
@@ -515,15 +526,14 @@ pub(crate) fn reattach(
         // only return reachable vertices.
         let mut dist = FlatDistance::for_vertex(store, v);
         let out = with_pooled(|scratch| {
-            crate::search::beam_search(&*graph, entries, &mut dist, 1, 16, scratch)
+            crate::search::beam_search(&*graph, entries, &mut dist, 16, 16, scratch)
         });
+        record_construction(out.stats.evals);
         // A non-empty graph with a valid entry always yields at least one
         // beam-search result; skip v defensively if not.
-        let Some(first) = out.results.first() else {
+        if out.results.is_empty() || !attach(graph, v, &out.results) {
             continue;
-        };
-        graph.add_edge(first.id, v, first.dist);
-        record_construction(out.stats.evals);
+        }
         // Everything v reaches is now reachable.
         let mut queue = std::collections::VecDeque::new();
         // INVARIANT: v < len, and neighbour ids of a well-formed graph are
@@ -540,6 +550,13 @@ pub(crate) fn reattach(
             }
         }
     }
+}
+
+/// The pipeline graphs' [`reattach`] link: from the nearest reachable
+/// vertex, whatever its degree.
+pub(crate) fn attach_nearest(graph: &mut Adjacency, v: VecId, near: &[Candidate]) -> bool {
+    near.first()
+        .is_some_and(|p| graph.add_edge(p.id, v, p.dist))
 }
 
 /// The configuration-panel index choices. `build_graph` dispatches to the

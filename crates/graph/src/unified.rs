@@ -121,7 +121,8 @@ impl IndexSnapshot {
     /// the graph's edges were selected over the held weighted rows, which
     /// is what their clean prefixes are checked in.
     ///
-    /// - the navigation structure covers exactly the store population;
+    /// - the navigation structure, and in a compacted generation each of
+    ///   its layers, covers exactly the store population;
     /// - `weights` cover exactly the schema's modalities;
     /// - the held weighted rows are the scaled store rows, bit for bit;
     /// - the tombstone bitmaps are internally consistent
@@ -134,7 +135,8 @@ impl IndexSnapshot {
     ///   check on a layer that passes it
     ///   ([`crate::validate::check_edge_distances`]) and
     ///   [`crate::validate::check_edges_live`] (no edge into a
-    ///   compacted-away id) on every layer, then — only if those pass — the
+    ///   compacted-away id) on every layer, HNSW's degree caps and
+    ///   hierarchy, then — only if those pass — the
     ///   check of every layer's records
     ///   ([`crate::validate::check_clean_prefixes`], under the graph's
     ///   own rule: its α for a pipeline graph, the strict heuristic for
@@ -173,7 +175,16 @@ impl IndexSnapshot {
             BuiltGraph::Flat(_) => return out,
             BuiltGraph::Ivf(never) => match *never {},
         };
-        for layer in layers {
+        for (level, layer) in layers.iter().enumerate() {
+            // An HNSW layer longer than the population names vertices the
+            // held rows do not have: report it, and read no vector through it.
+            if layer.len() != n {
+                out.push(InvariantViolation::SizeMismatch {
+                    context: format!("{context} layer {level} population"),
+                    expected: n,
+                    got: layer.len(),
+                });
+            }
             let defects = check_adjacency(context, layer);
             if defects.is_empty() && layer.len() == n {
                 out.extend(check_edge_distances(context, layer, &self.weighted));
@@ -181,8 +192,12 @@ impl IndexSnapshot {
             out.extend(defects);
             out.extend(check_edges_live(context, layer.edges(), &self.tombstones));
         }
-        // The record check reads vectors by neighbour id, so it runs only
-        // on lists the adjacency check found addressable.
+        if let BuiltGraph::Hnsw(h) = &*self.searcher {
+            out.extend(h.check_levels());
+        }
+        // The record check reads vectors by vertex and neighbour id, so it
+        // runs only once every layer covers exactly the population and the
+        // adjacency check found every list addressable.
         if out.is_empty() {
             if let BuiltGraph::Nav(g) = &*self.searcher {
                 out.extend(g.check_clean_prefixes(&self.weighted));
