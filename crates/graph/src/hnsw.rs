@@ -237,8 +237,8 @@ impl Hnsw {
     /// (live-spliced) out-edges, so it can continue to seed searches. Then
     /// the pipeline's repair step re-attaches every live vertex the base
     /// layer no longer reaches from the entry, from a list with room under
-    /// the cap where one is near ([`attach_within_cap`]). After this pass
-    /// no edge points *into* a dead vertex and no list exceeds its cap.
+    /// the cap where one is near. After this pass no edge points *into* a
+    /// dead vertex and no list exceeds its cap.
     pub fn compact(&mut self, store: &VectorStore, tomb: &Tombstones) {
         let (entry, params) = (self.entry, self.params);
         for (level, layer) in self.layers.iter_mut().enumerate() {
