@@ -24,8 +24,8 @@ use serde::{Deserialize, Serialize, Value};
 /// *filler count*, how many entries follow them that HNSW's heuristic
 /// back-filled — each dominated by a kept entry ranked before it (the α
 /// rule never fills). [`Adjacency::add_edge`] appends behind both (a
-/// *dirty* tail), so re-pruning an over-full list only has to test what
-/// the records do not settle (see [`crate::prune::Reprune`]).
+/// *dirty* tail), so re-pruning a full list with a new edge only has to
+/// test what the records do not settle (see [`crate::prune::Reprune`]).
 ///
 /// Two graphs are equal when their lists and records are: the distances
 /// are a function of those and the store, so a graph read back equals the

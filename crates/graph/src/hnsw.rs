@@ -15,14 +15,15 @@
 //! ordered: the entries it *kept* ascending, then the *fillers* it
 //! back-filled ascending, and the list records both counts
 //! ([`Adjacency::clean_len`], [`Adjacency::filler_len`]). When a reverse
-//! edge pushes a list past its cap, the re-prune ([`Reprune`]) ranks the
-//! list by its stored distances and trusts the records: two kept entries
-//! are known not to dominate each other, and a filler is known to be
-//! dominated by a kept entry before it unless a kept entry was dominated
-//! earlier in the pass. So it tests only the new edge, the kept entries
-//! the new edge might dominate, and the fillers after such a demotion,
-//! and installs the same list, order included, as the heuristic from
-//! scratch.
+//! edge meets a full list, the re-prune ([`Reprune::add_edge`]) runs over
+//! the list plus the new edge before the list grows. It ranks them by
+//! merging the recorded runs at their stored distances and trusts the
+//! records: two kept entries are known not to dominate each other, and a
+//! filler is known to be dominated by a kept entry before it unless a kept
+//! entry was dominated earlier in the pass. So it tests only the new edge,
+//! the kept entries the new edge might dominate, and the fillers after
+//! such a demotion, and installs the same list, order included, as the
+//! heuristic from scratch.
 
 use crate::adjacency::Adjacency;
 use crate::live::Tombstones;
@@ -182,9 +183,10 @@ impl Hnsw {
             for p in selected {
                 // `l2_sq` is symmetric to the bit: the reverse edge carries
                 // the forward distance.
-                if layer.add_edge(p.id, v, p.dist) && layer.degree(p.id) > cap {
-                    reprune_overflow(store, layer, p.id, cap, &mut scratch.reprune);
-                }
+                let back = Candidate::new(v, p.dist);
+                scratch
+                    .reprune
+                    .add_edge(store, layer, p.id, back, Rule::Hnsw, cap);
             }
         }
         crate::prune::record_construction(walked.evals);
@@ -424,38 +426,12 @@ impl Hnsw {
     }
 }
 
-/// Re-prunes `p`'s over-full list in `layer` to `cap` incrementally
-/// ([`Reprune`]) and installs the result with its records. Every overflow
-/// of every index the unit tests build is checked against the heuristic
-/// from scratch over evaluated distances, order and records included.
-fn reprune_overflow(
-    store: &VectorStore,
-    layer: &mut Adjacency,
-    p: VecId,
-    cap: usize,
-    reprune: &mut Reprune,
-) {
-    let records = (layer.clean_len(p), layer.filler_len(p));
-    let (picks, kept) = reprune.run(store, p, layer.edges_of(p), records, Rule::Hnsw, cap);
-    #[cfg(test)]
-    {
-        let mut all = crate::prune::candidates_of(store, p, layer.neighbors(p)).collect();
-        let (want, want_kept) = hnsw_heuristic(store, p, &mut all, cap);
-        assert_eq!(
-            (picks, kept),
-            (want.as_slice(), want_kept),
-            "incremental re-prune diverged at vertex {p}"
-        );
-        REPRUNES_CHECKED.with(|c| c.set(c.get() + 1));
-    }
-    layer.set_pruned(p, picks, kept);
-}
-
 /// Links the orphan `v` from the nearest of `near` whose list has room
 /// under `cap`. When every one is full, from each in turn, nearest first,
-/// re-pruning its list to the cap like any overflow, until the heuristic
-/// keeps `v`; a list that drops `v` is left as the re-prune made it. Returns
-/// whether `v` is linked.
+/// re-pruning its list with the new edge to the cap like any overflow
+/// ([`Reprune::add_edge`]), until the heuristic keeps `v`; a list that
+/// drops `v` is left as the re-prune made it. Returns whether `v` is
+/// linked.
 fn attach_within_cap(
     store: &VectorStore,
     layer: &mut Adjacency,
@@ -468,17 +444,9 @@ fn attach_within_cap(
         return layer.add_edge(p.id, v, p.dist);
     }
     near.iter().any(|p| {
-        layer.add_edge(p.id, v, p.dist);
-        reprune_overflow(store, layer, p.id, cap, reprune);
-        layer.neighbors(p.id).contains(&v)
+        let edge = Candidate::new(v, p.dist);
+        reprune.add_edge(store, layer, p.id, edge, Rule::Hnsw, cap)
     })
-}
-
-#[cfg(test)]
-thread_local! {
-    /// HNSW overflow re-prunes this thread compared against the heuristic
-    /// from scratch (see [`reprune_overflow`]).
-    static REPRUNES_CHECKED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// One greedy (ef = 1) routing step through `layer`, counting each
@@ -723,7 +691,7 @@ mod tests {
     /// The records through a real life cycle: at every overflow of build →
     /// grow → compact → grow, at m = 2, 4 and 16, the incremental re-prune
     /// equals the heuristic from scratch (asserted inside
-    /// `reprune_overflow`, and counted here so the check cannot silently
+    /// `Reprune::add_edge`, and counted here so the check cannot silently
     /// stop running), and the validator, which checks every record and
     /// every degree cap, finds nothing but the reachability compaction may
     /// cost. Compaction's repair attaches its orphans within the cap, at
@@ -738,7 +706,7 @@ mod tests {
             }
             s
         };
-        let checked = || REPRUNES_CHECKED.with(std::cell::Cell::get);
+        let checked = || crate::prune::REPRUNES_CHECKED.with(std::cell::Cell::get);
         for m in [2usize, 4, 16] {
             let params = HnswParams {
                 m,

@@ -32,14 +32,16 @@
 //! Construction pays for each distance once. Every edge is stored with its
 //! distance from its vertex ([`Adjacency`]), passed in by whoever made it:
 //! selection returns its picks with their distances, and a reverse edge
-//! carries the forward one (`l2_sq` is symmetric to the bit). So when
-//! reverse edges push a list past its degree bound, the re-prune
-//! ([`prune::Reprune`]) ranks the held list from the stored distances and
-//! spends evaluations only on the dominance tests that the list's records
-//! — what the prune that installed it kept and, under HNSW, back-filled —
-//! do not settle; the α rule tests the latest pick first. Every link, repair
+//! carries the forward one (`l2_sq` is symmetric to the bit). So when a
+//! reverse edge meets a list at its degree bound, the re-prune
+//! ([`prune::Reprune`]) ranks the held list and the new edge from the
+//! stored distances, merging the runs the list's records describe — what
+//! the prune that installed it kept and, under HNSW, back-filled — and
+//! spends evaluations only on the dominance tests that those records do
+//! not settle; the α rule tests the latest pick first. Every link, repair
 //! attachment and rewired vertex adds its evaluations to the
-//! `graph.construct.distance_evals` counter. The distances are not
+//! `graph.construct.distance_evals` counter and its re-prunes to
+//! `graph.construct.reprunes`. The distances are not
 //! persisted: [`BuiltGraph::restore_distances`] recomputes them when a
 //! snapshot is restored.
 //!

@@ -34,9 +34,7 @@ use crate::flat::FlatSearcher;
 use crate::hnsw::{Hnsw, HnswParams};
 use crate::knn::knn_graph;
 use crate::live::Tombstones;
-#[cfg(test)]
-use crate::prune::candidates_of;
-use crate::prune::{record_construction, robust_prune, Reprune, Rule};
+use crate::prune::{record_construction, robust_prune, Rule};
 use crate::scratch::{with_pooled, SearchScratch};
 use crate::search::SearchOutput;
 use crate::traits::{DistanceFn, FlatDistance};
@@ -117,43 +115,6 @@ impl SelectStage {
     ) -> Vec<Candidate> {
         robust_prune(store, v, candidates, self.alpha, self.r)
     }
-
-    /// Selects again from `v`'s own out-edges once reverse edges pushed the
-    /// list past the degree bound — the same result as
-    /// [`SelectStage::apply`] over the whole list, ranked by the stored
-    /// distances and skipping what its records already prove ([`Reprune`]).
-    fn reapply<'r>(
-        &self,
-        store: &VectorStore,
-        v: VecId,
-        graph: &Adjacency,
-        reprune: &'r mut Reprune,
-    ) -> &'r [Candidate] {
-        let records = (graph.clean_len(v), graph.filler_len(v));
-        let rule = Rule::Alpha(self.alpha);
-        let (selected, _) = reprune.run(store, v, graph.edges_of(v), records, rule, self.r);
-        // Every overflow of every graph the unit tests build is checked
-        // against the from-scratch prune over evaluated distances, so a
-        // stored distance off by a bit fails here too.
-        #[cfg(test)]
-        {
-            let mut all = candidates_of(store, v, graph.neighbors(v)).collect();
-            assert_eq!(
-                selected,
-                self.apply(store, v, &mut all),
-                "incremental re-prune diverged at vertex {v}"
-            );
-            REPRUNES_CHECKED.with(|c| c.set(c.get() + 1));
-        }
-        selected
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Overflow re-prunes this thread compared against the from-scratch
-    /// prune (see [`SelectStage::reapply`]).
-    static REPRUNES_CHECKED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Stage 4: connectivity repair.
@@ -485,14 +446,14 @@ fn link_vertex(
     pool.extend(graph.edges_of(v));
     let selected = select.apply(store, v, pool);
     graph.set_pruned(v, &selected, selected.len());
+    let rule = Rule::Alpha(select.alpha);
     for p in selected {
         // The reverse edge's distance is the forward one: `l2_sq` is
         // symmetric to the bit.
-        graph.add_edge(p.id, v, p.dist);
-        if graph.degree(p.id) > select.r {
-            let pruned = select.reapply(store, p.id, graph, &mut scratch.reprune);
-            graph.set_pruned(p.id, pruned, pruned.len());
-        }
+        let back = Candidate::new(v, p.dist);
+        scratch
+            .reprune
+            .add_edge(store, graph, p.id, back, rule, select.r);
     }
     record_construction(walk_evals);
 }
@@ -528,10 +489,12 @@ pub(crate) fn reattach(
         let out = with_pooled(|scratch| {
             crate::search::beam_search(&*graph, entries, &mut dist, 16, 16, scratch)
         });
-        record_construction(out.stats.evals);
         // A non-empty graph with a valid entry always yields at least one
         // beam-search result; skip v defensively if not.
-        if out.results.is_empty() || !attach(graph, v, &out.results) {
+        let linked = !out.results.is_empty() && attach(graph, v, &out.results);
+        // Recorded after the attachment, so a re-prune it ran counts here.
+        record_construction(out.stats.evals);
+        if !linked {
             continue;
         }
         // Everything v reaches is now reachable.
@@ -1265,7 +1228,7 @@ mod tests {
     /// The clean-prefix bookkeeping through a real life cycle: at every
     /// overflow of build → grow → compact → grow → save/load → grow the
     /// incremental re-prune equals the from-scratch one (asserted inside
-    /// `SelectStage::reapply`), the validator stays silent, and a graph
+    /// `Reprune::add_edge`), the validator stays silent, and a graph
     /// that went through JSON keeps growing exactly like one that did not.
     #[test]
     fn clean_prefixes_survive_grow_compact_and_persistence() {
@@ -1281,7 +1244,7 @@ mod tests {
             BuiltGraph::Nav(nav) => nav.graph().edges().collect::<Vec<_>>(),
             _ => unreachable!("pipeline families build Nav graphs"),
         };
-        let checked = || REPRUNES_CHECKED.with(std::cell::Cell::get);
+        let checked = || crate::prune::REPRUNES_CHECKED.with(std::cell::Cell::get);
         for algo in [IndexAlgorithm::vamana(), IndexAlgorithm::mqa_graph()] {
             let mut at = checked();
             let mut step = |what: &str| {

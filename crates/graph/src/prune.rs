@@ -15,17 +15,27 @@
 //! held list ([`Reprune`]) tags each entry with what the list's records
 //! say of it ([`crate::Adjacency::clean_len`],
 //! [`crate::Adjacency::filler_len`]) and skips every test whose answer the
-//! prune that installed the list already established. Every routine
-//! returns its picks with their distances from the vertex, which
-//! [`crate::Adjacency`] stores beside the edges, so a list re-pruned later
-//! is ranked without evaluating a distance.
+//! prune that installed the list already established; the records also
+//! rank the list, which is a merge of its already ascending runs, not a
+//! sort. Every routine returns its picks with their distances from the
+//! vertex, which [`crate::Adjacency`] stores beside the edges, so a list
+//! re-pruned later is ranked without evaluating a distance.
+//! [`Reprune::add_edge`] is construction's one way to add a reverse edge
+//! under a degree cap: a full list is re-pruned together with the new
+//! edge, so it never grows past the cap.
 
+use crate::adjacency::Adjacency;
+use crate::pool::{candidate_of, key_of};
 use mqa_vector::{ops, Candidate, VecId, VectorStore};
+use std::cell::Cell;
 
 thread_local! {
     /// Selection and ranking distances this thread computed since its last
     /// [`record_construction`] — what the work-pinning tests read.
-    static DISTANCE_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static DISTANCE_CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Overflow re-prunes ([`Reprune::add_edge`]) this thread ran since its
+    /// last [`record_construction`].
+    static REPRUNES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The one distance call site of selection and ranking (counted).
@@ -35,27 +45,33 @@ pub(crate) fn distance(store: &VectorStore, a: VecId, b: VecId) -> f32 {
     ops::l2_sq(store.get(a), store.get(b))
 }
 
-/// Adds one construction step's distance evaluations — `walk_evals` from
-/// its searches plus this thread's selection and ranking distances since
-/// the last step — to `graph.construct.distance_evals`. Called once per
-/// link, repair attachment or rewired vertex, never once per distance.
+/// Adds one construction step's work to the construction counters:
+/// `walk_evals` from its searches plus this thread's selection and ranking
+/// distances since the last step to `graph.construct.distance_evals`, and
+/// the overflow re-prunes it ran to `graph.construct.reprunes`. Called once
+/// per link, repair attachment or rewired vertex, never once per distance.
 pub(crate) fn record_construction(walk_evals: u64) {
-    let selected = DISTANCE_CALLS.with(|c| c.replace(0));
-    ConstructionCounter::get().evals.add(walk_evals + selected);
+    let counters = ConstructionCounters::get();
+    counters
+        .evals
+        .add(walk_evals + DISTANCE_CALLS.with(|c| c.replace(0)));
+    counters.reprunes.add(REPRUNES.with(|c| c.replace(0)));
 }
 
-/// The counter [`record_construction`] writes, resolved once per process
-/// (the `search.rs` idiom): a step is one relaxed add, with no registry
+/// The counters [`record_construction`] writes, resolved once per process
+/// (the `search.rs` idiom): a step is two relaxed adds, with no registry
 /// lookup.
-struct ConstructionCounter {
+struct ConstructionCounters {
     evals: mqa_obs::Counter,
+    reprunes: mqa_obs::Counter,
 }
 
-impl ConstructionCounter {
+impl ConstructionCounters {
     fn get() -> &'static Self {
-        static COUNTER: std::sync::OnceLock<ConstructionCounter> = std::sync::OnceLock::new();
-        COUNTER.get_or_init(|| ConstructionCounter {
+        static COUNTERS: std::sync::OnceLock<ConstructionCounters> = std::sync::OnceLock::new();
+        COUNTERS.get_or_init(|| ConstructionCounters {
             evals: mqa_obs::counter("graph.construct.distance_evals"),
+            reprunes: mqa_obs::counter("graph.construct.reprunes"),
         })
     }
 }
@@ -71,6 +87,27 @@ pub(crate) fn candidates_of<'a>(
 ) -> impl Iterator<Item = Candidate> + 'a {
     list.iter()
         .map(move |&w| Candidate::new(w, distance(store, v, w)))
+}
+
+/// The prune from scratch under `rule` to `r` — [`hnsw_heuristic`] or
+/// [`robust_prune`] — with how many of its picks were kept: what every
+/// re-prune is checked against.
+#[cfg(test)]
+pub(crate) fn prune_from_scratch(
+    store: &VectorStore,
+    v: VecId,
+    candidates: &mut Vec<Candidate>,
+    rule: Rule,
+    r: usize,
+) -> (Vec<Candidate>, usize) {
+    match rule {
+        Rule::Hnsw => hnsw_heuristic(store, v, candidates, r),
+        Rule::Alpha(alpha) => {
+            let picks = robust_prune(store, v, candidates, alpha, r);
+            let kept = picks.len();
+            (picks, kept)
+        }
+    }
 }
 
 /// A neighbour-selection rule: when an already selected `p` *dominates* a
@@ -113,75 +150,118 @@ enum Tag {
     Dirty,
 }
 
-/// The selection loop of both rules.
-///
-/// `pool` yields candidates around the vertex in ascending order, each
-/// tagged; the picks go to `picks` (`known[i]`: pick `i` is tagged kept)
-/// and the number of undominated picks is returned. A candidate is tested
-/// against the picks so far, and the first dominator ends the test:
-///
-/// - a pair of kept candidates is known not to dominate and is never
-///   evaluated;
-/// - a filler is known to be dominated, by a kept entry ranked before it
-///   that is still picked — unless a kept candidate was itself dominated
-///   earlier in this pass, after which fillers are tested like the rest;
-/// - under [`Rule::Alpha`] the picks are tried latest first (whether `q`
-///   survives does not depend on the order, only what it costs, and on
-///   clustered data the pick nearest `q` in rank is the likeliest
-///   dominator); under [`Rule::Hnsw`] in selection order, which costs that
-///   strict rule fewer tests.
-///
-/// Under [`Rule::Hnsw`], when the pool runs out before `r` picks, the
-/// dominated candidates fill the list up to `r`, nearest first, behind
-/// the undominated ones.
-fn select(
-    store: &VectorStore,
-    pool: impl Iterator<Item = (Candidate, Tag)> + Clone,
-    rule: Rule,
-    r: usize,
-    picks: &mut Vec<Candidate>,
-    known: &mut Vec<bool>,
-) -> usize {
-    picks.clear();
-    known.clear();
-    let mut demoted = false;
-    for (q, tag) in pool.clone() {
-        if picks.len() == r {
-            return r;
+/// The selection loop's buffers: a [`Reprune`] reuses one from call to
+/// call, a prune from scratch makes its own.
+#[derive(Debug, Default)]
+struct Selection {
+    /// The picks: the undominated candidates, then under [`Rule::Hnsw`]
+    /// the back-fill.
+    picks: Vec<Candidate>,
+    /// The picks not tagged kept, in pick order.
+    unrecorded: Vec<Candidate>,
+    /// Under [`Rule::Hnsw`], the first `r` dominated candidates in rank
+    /// order, each id once: the back-fill.
+    dominated: Vec<Candidate>,
+}
+
+impl Selection {
+    fn with_capacity(r: usize) -> Self {
+        Self {
+            picks: Vec::with_capacity(r),
+            unrecorded: Vec::with_capacity(r),
+            dominated: Vec::with_capacity(r),
         }
-        let dominated = match tag {
-            Tag::Filler if !demoted => true,
-            _ => {
-                let q_kept = tag == Tag::Kept;
-                let test = |(&p, &p_kept): (&Candidate, &bool)| {
-                    !(p_kept && q_kept) && rule.dominates(distance(store, p.id, q.id), q.dist)
+    }
+
+    /// The selection loop of both rules.
+    ///
+    /// `pool` yields candidates around the vertex in ascending order, each
+    /// tagged; the picks go to `self.picks` and the number of undominated
+    /// picks is returned. A candidate is tested against the picks so far,
+    /// and the first dominator ends the test:
+    ///
+    /// - a pair of kept candidates is known not to dominate, so a kept
+    ///   candidate is tested against the unrecorded picks only;
+    /// - a filler is known to be dominated, by a kept entry ranked before
+    ///   it that is still picked — unless a kept candidate was itself
+    ///   dominated earlier in this pass, after which fillers are tested
+    ///   like the rest;
+    /// - under [`Rule::Alpha`] the picks are tried latest first (whether
+    ///   `q` survives does not depend on the order, only what it costs, and
+    ///   on clustered data the pick nearest `q` in rank is the likeliest
+    ///   dominator); under [`Rule::Hnsw`] in selection order, which costs
+    ///   that strict rule fewer tests.
+    ///
+    /// Under [`Rule::Hnsw`], when the pool runs out before `r` picks, the
+    /// dominated candidates fill the list up to `r`, nearest first, behind
+    /// the undominated ones. The first `r` of them are set aside as the
+    /// pass meets them, so the back-fill is a copy, not a second pass over
+    /// the pool with an id scan per entry. An id the pool held
+    /// earlier under another distance (only an inconsistent caller's pool
+    /// does) is set aside once; a 256-bit filter of the ids passed leaves
+    /// that check to the rare entry whose bit is already set.
+    fn run(
+        &mut self,
+        store: &VectorStore,
+        pool: impl Iterator<Item = (Candidate, Tag)>,
+        rule: Rule,
+        r: usize,
+    ) -> usize {
+        let Self {
+            picks,
+            unrecorded,
+            dominated,
+        } = self;
+        picks.clear();
+        unrecorded.clear();
+        dominated.clear();
+        let (mut demoted, mut passed) = (false, [0u64; 4]);
+        for (q, tag) in pool {
+            if picks.len() == r {
+                return r;
+            }
+            let is_dominated = match tag {
+                Tag::Filler if !demoted => true,
+                Tag::Kept => rule.any_dominates(store, unrecorded, q),
+                _ => rule.any_dominates(store, picks, q),
+            };
+            let (word, bit) = ((q.id >> 6) as usize & 3, 1u64 << (q.id & 63));
+            if !is_dominated {
+                picks.push(q);
+                if tag != Tag::Kept {
+                    unrecorded.push(q);
+                }
+            } else {
+                demoted |= tag == Tag::Kept;
+                let seen = |c: &Candidate| c.id == q.id;
+                let repeat = || {
+                    passed.get(word).is_some_and(|w| w & bit != 0)
+                        && (picks.iter().any(seen) || dominated.iter().any(seen))
                 };
-                let mut tried = picks.iter().zip(known.iter());
-                match rule {
-                    Rule::Alpha(_) => tried.rev().any(test),
-                    Rule::Hnsw => tried.any(test),
+                if rule == Rule::Hnsw && dominated.len() < r && !repeat() {
+                    dominated.push(q);
                 }
             }
-        };
-        if !dominated {
-            picks.push(q);
-            known.push(tag == Tag::Kept);
-        } else if tag == Tag::Kept {
-            demoted = true;
-        }
-    }
-    let kept = picks.len();
-    if rule == Rule::Hnsw {
-        for (q, _) in pool {
-            if picks.len() == r {
-                break;
-            }
-            if !picks.iter().any(|p| p.id == q.id) {
-                picks.push(q);
+            if let Some(w) = passed.get_mut(word) {
+                *w |= bit;
             }
         }
+        let kept = picks.len();
+        picks.extend(dominated.iter().take(r - kept));
+        kept
     }
-    kept
+}
+
+impl Rule {
+    /// Whether one of `picks` dominates `q`, trying them in the rule's
+    /// order (see [`Selection::run`]).
+    fn any_dominates(self, store: &VectorStore, picks: &[Candidate], q: Candidate) -> bool {
+        let test = |p: &Candidate| self.dominates(distance(store, p.id, q.id), q.dist);
+        match self {
+            Rule::Alpha(_) => picks.iter().rev().any(test),
+            Rule::Hnsw => picks.iter().any(test),
+        }
+    }
 }
 
 /// Sorts `candidates` and drops repeated ids and `v` itself, in place.
@@ -215,10 +295,10 @@ pub fn robust_prune(
     assert!(alpha >= 1.0, "robust prune requires alpha >= 1.0");
     assert!(r > 0, "robust prune requires r >= 1");
     rank(v, candidates);
-    let (mut picks, mut known) = (Vec::with_capacity(r), Vec::with_capacity(r));
+    let mut selection = Selection::with_capacity(r);
     let pool = candidates.iter().map(|&c| (c, Tag::Dirty));
-    select(store, pool, Rule::Alpha(alpha), r, &mut picks, &mut known);
-    picks
+    selection.run(store, pool, Rule::Alpha(alpha), r);
+    selection.picks
 }
 
 /// HNSW's `SELECT-NEIGHBORS-HEURISTIC`: scan candidates by increasing
@@ -240,10 +320,10 @@ pub fn hnsw_heuristic(
 ) -> (Vec<Candidate>, usize) {
     assert!(m > 0, "heuristic selection requires m >= 1");
     rank(v, candidates);
-    let (mut picks, mut known) = (Vec::with_capacity(m), Vec::with_capacity(m));
+    let mut selection = Selection::with_capacity(m);
     let pool = candidates.iter().map(|&c| (c, Tag::Dirty));
-    let kept = select(store, pool, Rule::Hnsw, m, &mut picks, &mut known);
-    (picks, kept)
+    let kept = selection.run(store, pool, Rule::Hnsw, m);
+    (selection.picks, kept)
 }
 
 /// The re-prune of a held list, with buffers that are reused from one
@@ -254,22 +334,25 @@ pub fn hnsw_heuristic(
 /// A list installed by a prune records how many leading entries it *kept*
 /// and how many *fillers* follow them ([`crate::Adjacency::clean_len`],
 /// [`crate::Adjacency::filler_len`]); entries appended since are dirty.
-/// [`Reprune::run`] ranks the list by its stored distances and runs the
-/// selection loop with each entry tagged by those records, so it tests
-/// only the dirty entries, the kept entries a picked dirty one might
-/// dominate, and the fillers ranked after a kept entry that was dominated.
-/// The common α overflow — a full clean list plus one reverse edge — costs
-/// at most one test per clean entry, instead of one per pair. Under valid
-/// records the result equals the from-scratch prune under the same rule
-/// and bound, order included (the unit tests assert it at every overflow
-/// of both rules); the records only tag positions, so a forged one (even
-/// one past the list length) cannot index out of bounds, and
-/// [`crate::validate::check_clean_prefixes`] reports it.
+/// [`Reprune::run`] ranks the list by merging its three runs — the kept
+/// run and the filler run, each already ascending, and the sorted dirty
+/// tail — and runs the selection loop with each entry tagged by those
+/// records, so it tests only the dirty entries, the kept entries a picked
+/// dirty one might dominate, and the fillers ranked after a kept entry
+/// that was dominated. The common α overflow — a full clean list plus one
+/// reverse edge — costs at most one test per clean entry, instead of one
+/// per pair. Under valid records the result equals the from-scratch prune
+/// under the same rule and bound, order included (the unit tests assert
+/// it at every overflow of both rules). Records that claim more than the
+/// list holds, or a kept or filler run out of order, are ignored: the
+/// whole list is sorted and tested as dirty, which is the prune from
+/// scratch ([`crate::validate::check_clean_prefixes`] reports such a
+/// record).
 #[derive(Debug, Default)]
 pub struct Reprune {
+    held: Vec<u64>,
     pool: Vec<(Candidate, Tag)>,
-    picks: Vec<Candidate>,
-    known: Vec<bool>,
+    selection: Selection,
 }
 
 impl Reprune {
@@ -286,22 +369,119 @@ impl Reprune {
         rule: Rule,
         r: usize,
     ) -> (&[Candidate], usize) {
-        let (kept, fillers) = records;
-        let tag = |i: usize| match i {
-            i if i < kept => Tag::Kept,
-            i if i - kept < fillers => Tag::Filler,
-            _ => Tag::Dirty,
+        self.held.clear();
+        self.held.extend(edges.into_iter().map(key_of));
+        let (kept, fillers) = match records.0.checked_add(records.1) {
+            Some(recorded) if recorded <= self.held.len() => records,
+            _ => (0, 0),
         };
-        self.pool.clear();
-        self.pool
-            .extend(edges.into_iter().enumerate().map(|(i, c)| (c, tag(i))));
-        self.pool.sort_unstable_by_key(|c| c.0);
-        self.pool.dedup_by_key(|c| c.0.id);
-        self.pool.retain(|c| c.0.id != v);
-        let pool = self.pool.iter().copied();
-        let kept = select(store, pool, rule, r, &mut self.picks, &mut self.known);
-        (&self.picks, kept)
+        let (kept_run, rest) = self.held.split_at_mut(kept);
+        let (filler_run, dirty_run) = rest.split_at_mut(fillers);
+        let runs: [&[u64]; 3] = if kept_run.is_sorted() && filler_run.is_sorted() {
+            dirty_run.sort_unstable();
+            [kept_run, filler_run, dirty_run]
+        } else {
+            self.held.sort_unstable();
+            [&[], &[], &self.held]
+        };
+        merge(v, runs, &mut self.pool);
+        let kept = self
+            .selection
+            .run(store, self.pool.iter().copied(), rule, r);
+        (&self.selection.picks, kept)
     }
+
+    /// Adds the edge `p → edge.id` at distance `edge.dist` to `graph`
+    /// without letting `p`'s list pass `cap`: a list with room takes it as
+    /// a dirty entry; a full one is re-pruned ([`Reprune::run`] under
+    /// `rule`) over its entries plus the new edge, and the result is
+    /// installed with its records. An edge already present changes
+    /// nothing. Returns whether the edge is in the list and was not
+    /// before.
+    ///
+    /// Every overflow of every graph the unit tests build is checked
+    /// against the prune from scratch over evaluated distances, order and
+    /// records included, so a stored distance off by a bit fails here too.
+    pub(crate) fn add_edge(
+        &mut self,
+        store: &VectorStore,
+        graph: &mut Adjacency,
+        p: VecId,
+        edge: Candidate,
+        rule: Rule,
+        cap: usize,
+    ) -> bool {
+        if graph.degree(p) < cap {
+            return graph.add_edge(p, edge.id, edge.dist);
+        }
+        if graph.neighbors(p).contains(&edge.id) {
+            return false;
+        }
+        let records = (graph.clean_len(p), graph.filler_len(p));
+        let edges = graph.edges_of(p).chain(std::iter::once(edge));
+        let (picks, kept) = self.run(store, p, edges, records, rule, cap);
+        #[cfg(test)]
+        {
+            let ids: Vec<VecId> = graph
+                .neighbors(p)
+                .iter()
+                .copied()
+                .chain([edge.id])
+                .collect();
+            let mut all = candidates_of(store, p, &ids).collect();
+            let want = prune_from_scratch(store, p, &mut all, rule, cap);
+            assert_eq!(
+                (picks, kept),
+                (want.0.as_slice(), want.1),
+                "incremental re-prune diverged at vertex {p}"
+            );
+            REPRUNES_CHECKED.with(|c| c.set(c.get() + 1));
+        }
+        REPRUNES.with(|c| c.set(c.get() + 1));
+        let linked = picks.iter().any(|c| c.id == edge.id);
+        graph.set_pruned(p, picks, kept);
+        linked
+    }
+}
+
+/// Merges the ascending runs of keys ([`key_of`]) `kept`, `fillers` and
+/// `dirty` into `pool`, each entry tagged with its run's tag (ties go to
+/// the earlier run), dropping repeated ids and `v` itself as the
+/// from-scratch ranking does ([`rank`]): an entry whose id equals that of
+/// the entry merged just before it is dropped, and so is `v`.
+fn merge(v: VecId, [kept, fillers, dirty]: [&[u64]; 3], pool: &mut Vec<(Candidate, Tag)>) {
+    pool.clear();
+    // An exhausted run reads as a key past every key.
+    let head = |run: &[u64], at: usize| run.get(at).map_or(u128::MAX, |&key| u128::from(key));
+    let (mut k, mut f, mut d) = (0, 0, 0);
+    let mut prev = None;
+    for _ in 0..kept.len() + fillers.len() + dirty.len() {
+        let (hk, hf, hd) = (head(kept, k), head(fillers, f), head(dirty, d));
+        let (key, tag) = if hk <= hf && hk <= hd {
+            k += 1;
+            (hk, Tag::Kept)
+        } else if hf <= hd {
+            f += 1;
+            (hf, Tag::Filler)
+        } else {
+            d += 1;
+            (hd, Tag::Dirty)
+        };
+        // INVARIANT: `key` is the head of a run that still holds one, so
+        // it is a `u64` key widened.
+        let c = candidate_of(key as u64);
+        if c.id != v && prev != Some(c.id) {
+            pool.push((c, tag));
+        }
+        prev = Some(c.id);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Overflow re-prunes this thread compared against the prune from
+    /// scratch (see [`Reprune::add_edge`]).
+    pub(crate) static REPRUNES_CHECKED: Cell<u64> = const { Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -805,6 +985,126 @@ mod tests {
         }
         let (got, kept) = reprune.run(&store, 0, [], (5, 5), Rule::Hnsw, 8);
         assert!(got.is_empty() && kept == 0);
+    }
+
+    /// A prune's output over a seeded pool with its records, then up to
+    /// `tail` distinct dirty ids appended: a list as a graph holds it.
+    fn seeded_list(
+        rng: &mut mqa_rng::StdRng,
+        store: &VectorStore,
+        v: VecId,
+        rule: Rule,
+        r: usize,
+        tail: usize,
+    ) -> (Vec<Candidate>, (usize, usize)) {
+        let mut first = seeded_pool(rng, store, v);
+        let (mut list, kept) = prune_from_scratch(store, v, &mut first, rule, r);
+        let records = (kept, list.len() - kept);
+        for _ in 0..tail {
+            let u = rng.gen_range(0..store.len()) as VecId;
+            if u != v && !list.iter().any(|c| c.id == u) {
+                list.extend(cands(store, v, &[u]));
+            }
+        }
+        (list, records)
+    }
+
+    /// Records the merge cannot trust — a kept or a filler run out of
+    /// order, or a claim past the list's end — are dropped, not clamped:
+    /// the re-prune is then exactly the prune from scratch, under both
+    /// rules and behind any dirty tail.
+    #[test]
+    fn untrustworthy_records_give_the_prune_from_scratch() {
+        let mut rng = mqa_rng::StdRng::seed_from_u64(0x901A);
+        let mut reprune = Reprune::default();
+        let mut forged = [0usize; 3];
+        for case in 0..600 {
+            let n = rng.gen_range(8usize..80);
+            let store = seeded_store(&mut rng, n, 2 + case % 4, case % 3 == 0);
+            let v = rng.gen_range(0..n) as VecId;
+            let rule = [Rule::Hnsw, Rule::Alpha(1.0), Rule::Alpha(1.2)][case % 3];
+            let r = [2usize, 4, 8, 32][case % 4];
+            let tail = rng.gen_range(0..6);
+            let (list, (kept, fillers)) = seeded_list(&mut rng, &store, v, rule, r, tail);
+            let len = list.len();
+            let mut cases: Vec<(Vec<Candidate>, (usize, usize), usize)> = vec![
+                (list.clone(), (len + 1, 0), 2),
+                (list.clone(), (0, len + 1), 2),
+                (list.clone(), (kept, len + 1 - kept), 2),
+                (list.clone(), (usize::MAX, 1), 2),
+                (list.clone(), (1, usize::MAX), 2),
+            ];
+            if kept >= 2 {
+                let mut out_of_order = list.clone();
+                out_of_order[..kept].reverse();
+                cases.push((out_of_order, (kept, fillers), 0));
+            }
+            if fillers >= 2 {
+                let mut out_of_order = list.clone();
+                out_of_order[kept..kept + fillers].reverse();
+                cases.push((out_of_order, (kept, fillers), 1));
+            }
+            let want = prune_from_scratch(&store, v, &mut cands(&store, v, &ids(&list)), rule, r);
+            for (held, records, kind) in cases {
+                let (got, got_kept) = reprune.run(&store, v, held, records, rule, r);
+                assert_eq!(
+                    (got.to_vec(), got_kept),
+                    want,
+                    "case {case}, {rule:?}, records {records:?}"
+                );
+                forged[kind] += 1;
+            }
+        }
+        // Every kind of lie was told, the filler kind only under HNSW.
+        assert!(forged.iter().all(|&k| k >= 50), "forged {forged:?}");
+    }
+
+    /// The add-or-re-prune step leaves every list at most `cap` long and
+    /// equal — edges, order and records — to pushing the edge and then
+    /// re-pruning the over-full list, under both rules, from a list with
+    /// room through a run of overflows.
+    #[test]
+    fn add_edge_within_the_cap_equals_push_then_reprune() {
+        let mut rng = mqa_rng::StdRng::seed_from_u64(0x901B);
+        let mut reprune = Reprune::default();
+        let checked = || REPRUNES_CHECKED.with(Cell::get);
+        let at = checked();
+        for case in 0..200 {
+            let n = rng.gen_range(12usize..80);
+            let store = seeded_store(&mut rng, n, 2 + case % 4, case % 3 == 0);
+            let v = rng.gen_range(0..n) as VecId;
+            let rule = [Rule::Hnsw, Rule::Alpha(1.2)][case % 2];
+            let cap = [1usize, 3, 8][case % 3];
+            let (list, (kept, _)) = seeded_list(&mut rng, &store, v, rule, cap, 0);
+            let mut graph = Adjacency::new(n);
+            graph.set_pruned(v, &list, kept);
+            let mut pushed = graph.clone();
+            for _ in 0..12 {
+                let u = rng.gen_range(0..n) as VecId;
+                if u == v {
+                    continue;
+                }
+                let edge = cands(&store, v, &[u])[0];
+                let before = graph.neighbors(v).contains(&u);
+                let added = reprune.add_edge(&store, &mut graph, v, edge, rule, cap);
+                if pushed.add_edge(v, u, edge.dist) && pushed.degree(v) > cap {
+                    let records = (pushed.clean_len(v), pushed.filler_len(v));
+                    let (picks, kept) =
+                        reprune.run(&store, v, pushed.edges_of(v), records, rule, cap);
+                    let picks = picks.to_vec();
+                    pushed.set_pruned(v, &picks, kept);
+                }
+                assert!(graph.degree(v) <= cap, "case {case}: {}", graph.degree(v));
+                assert_eq!(graph, pushed, "case {case}, edge to {u}");
+                assert_eq!(graph.distances(v), pushed.distances(v), "case {case}");
+                assert_eq!(
+                    added,
+                    !before && graph.neighbors(v).contains(&u),
+                    "case {case}"
+                );
+            }
+        }
+        assert!(checked() - at >= 500, "only {} overflows", checked() - at);
     }
 
     #[test]

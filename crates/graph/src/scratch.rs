@@ -124,7 +124,7 @@ pub struct SearchScratch {
     pub(crate) gather: Vec<VecId>,
     /// Every candidate evaluated (construction's selection pool).
     pub(crate) evaluated: Vec<Candidate>,
-    /// Construction's re-prune of an overflowing list.
+    /// Construction's re-prune of a full list meeting a new edge.
     pub(crate) reprune: Reprune,
 }
 

@@ -1,12 +1,15 @@
 //! Pins what graph construction costs and what it builds: one clustered
 //! store goes through build, one 32-vertex growth, a 20 % tombstone and a
-//! compaction under the MQA-graph recipe and under HNSW's defaults, and
-//! the `graph.construct.distance_evals` counter must read the exact count
-//! of each phase while the final edge lists hash to a fixed value.
+//! compaction under the MQA-graph recipe, under HNSW's defaults and under
+//! HNSW at m = 2 (whose compaction re-prunes full lists), and
+//! the `graph.construct.distance_evals` and `graph.construct.reprunes`
+//! counters must read the exact count of each phase while the final edge
+//! lists hash to a fixed value.
 //!
-//! The counter is process-wide, so this file holds one test: no other
+//! The counters are process-wide, so this file holds one test: no other
 //! test's construction can land in the reading.
 
+use mqa_graph::hnsw::HnswParams;
 use mqa_graph::{BuiltGraph, IndexAlgorithm, Tombstones};
 use mqa_rng::StdRng;
 use mqa_vector::{VecId, VectorStore};
@@ -78,31 +81,48 @@ fn edge_hash(built: &BuiltGraph) -> u64 {
 #[test]
 fn construction_work_and_edges_are_pinned() {
     let evals = mqa_obs::counter("graph.construct.distance_evals");
+    let reprunes = mqa_obs::counter("graph.construct.reprunes");
     let (base, grown) = (store(N), store(GROWN));
     let mut rng = StdRng::seed_from_u64(0xDEAD);
     let mut tomb = Tombstones::new(GROWN);
     while tomb.dead_count() < GROWN / 5 {
         tomb.kill(rng.gen_range(0..GROWN) as VecId);
     }
-    // (build, grow, compact) evaluations, then the final edge hash.
-    let golden: [(IndexAlgorithm, [u64; 3], u64); 2] = [
+    // (build, grow, compact) evaluations, the overflow re-prunes of the
+    // same phases, then the final edge hash.
+    let golden: [(IndexAlgorithm, [u64; 3], [u64; 3], u64); 3] = [
         (
             IndexAlgorithm::mqa_graph(),
             [1_843_106, 35_123, 351_741],
+            [13_895, 554, 0],
             0xd2d9_e776_cc4d_bccb,
         ),
         (
             IndexAlgorithm::hnsw(),
             [673_875, 24_235, 124_962],
+            [31_536, 1_056, 0],
             0x8c63_7f83_61d2_ef4f,
         ),
+        // At m = 2 compaction's repair meets full lists and re-prunes them:
+        // those re-prunes count in the compaction.
+        (
+            IndexAlgorithm::Hnsw(HnswParams {
+                m: 2,
+                ef_construction: 40,
+                seed: 2,
+            }),
+            [134_613, 4_306, 10_249],
+            [6_054, 178, 154],
+            0x5a07_fe7a_bd98_3c00,
+        ),
     ];
-    for (algo, want_evals, want_hash) in golden {
-        let mut spent = [0u64; 3];
-        let mut at = evals.get();
+    for (algo, want_evals, want_reprunes, want_hash) in golden {
+        let (mut spent, mut repruned) = ([0u64; 3], [0u64; 3]);
+        let mut at = (evals.get(), reprunes.get());
         let mut phase = |i: usize| {
-            spent[i] = evals.get() - at;
-            at = evals.get();
+            spent[i] = evals.get() - at.0;
+            repruned[i] = reprunes.get() - at.1;
+            at = (evals.get(), reprunes.get());
         };
         let mut built = algo.build_graph(&base);
         phase(0);
@@ -112,9 +132,9 @@ fn construction_work_and_edges_are_pinned() {
         phase(2);
         let hash = edge_hash(&built);
         assert_eq!(
-            (spent, hash),
-            (want_evals, want_hash),
-            "{}: evaluations {spent:?}, edges {hash:#018x}",
+            (spent, repruned, hash),
+            (want_evals, want_reprunes, want_hash),
+            "{}: evaluations {spent:?}, re-prunes {repruned:?}, edges {hash:#018x}",
             algo.name()
         );
     }
