@@ -63,9 +63,10 @@ echo "==> walk equivalence (release)"
 # checks them with overflow detection on, this one in the build that ships.
 cargo test -q --offline --release -p mqa-graph --test walk_golden
 cargo test -q --offline --release -p mqa-graph --lib -- pool:: walk_oracle::
-# The re-prune's run checks and merge, and its cross-check against the
-# prune from scratch at every HNSW overflow, in the build that ships.
-cargo test -q --offline --release -p mqa-graph --lib -- prune:: hnsw::
+# The selection routine's run checks, and its cross-check against the
+# prune from scratch at every overflow of the HNSW, MQA-graph, Vamana and
+# NSG unit-test builds, in the build that ships.
+cargo test -q --offline --release -p mqa-graph --lib -- prune:: hnsw:: pipeline::
 # The pinned construction edge hashes and evaluation counts, in the
 # profile the benchmark builds its graphs with.
 cargo test -q --offline --release -p mqa-graph --test construction_work

@@ -16,8 +16,8 @@
 //! back-filled ascending, and the list records both counts
 //! ([`Adjacency::clean_len`], [`Adjacency::filler_len`]). When a reverse
 //! edge meets a full list, the re-prune ([`Reprune::add_edge`]) runs over
-//! the list plus the new edge before the list grows. It ranks them by
-//! merging the recorded runs at their stored distances and trusts the
+//! the list plus the new edge before the list grows. It ranks the edge
+//! against the recorded runs at their stored distances and trusts the
 //! records: two kept entries are known not to dominate each other, and a
 //! filler is known to be dominated by a kept entry before it unless a kept
 //! entry was dominated earlier in the pass. So it tests only the new edge,
@@ -178,9 +178,17 @@ impl Hnsw {
                 ep = *best;
             }
             cands.retain(|c| !tomb.is_compacted(c.id));
-            let (selected, kept) = hnsw_heuristic(store, v, &mut cands, cap);
-            layer.set_pruned(v, &selected, kept);
-            for p in selected {
+            // No records: the heuristic from scratch.
+            let candidates = cands.iter().copied();
+            let (picks, kept) = scratch
+                .reprune
+                .run(store, v, candidates, (0, 0), Rule::Hnsw, cap);
+            layer.set_pruned(v, picks, kept);
+            // The picks leave the re-prune's buffers, which the reverse
+            // edges reuse.
+            cands.clear();
+            cands.extend_from_slice(picks);
+            for p in &cands {
                 // `l2_sq` is symmetric to the bit: the reverse edge carries
                 // the forward distance.
                 let back = Candidate::new(v, p.dist);
@@ -249,7 +257,7 @@ impl Hnsw {
                 layer,
                 store,
                 |v| v == entry,
-                |v, mut pool| hnsw_heuristic(store, v, &mut pool, cap),
+                |v, pool| hnsw_heuristic(store, v, pool, cap),
             );
         }
         if let Some(base) = self.layers.first_mut() {

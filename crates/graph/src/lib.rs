@@ -34,10 +34,10 @@
 //! selection returns its picks with their distances, and a reverse edge
 //! carries the forward one (`l2_sq` is symmetric to the bit). So when a
 //! reverse edge meets a list at its degree bound, the re-prune
-//! ([`prune::Reprune`]) ranks the held list and the new edge from the
-//! stored distances, merging the runs the list's records describe — what
-//! the prune that installed it kept and, under HNSW, back-filled — and
-//! spends evaluations only on the dominance tests that those records do
+//! ([`prune::Reprune`]) ranks the new edge against the runs the list's
+//! records describe — what the prune that installed it kept and, under
+//! HNSW, back-filled — at their stored distances, copies what the records
+//! decide and spends evaluations only on the dominance tests that they do
 //! not settle; the α rule tests the latest pick first. Every link, repair
 //! attachment and rewired vertex adds its evaluations to the
 //! `graph.construct.distance_evals` counter and its re-prunes to

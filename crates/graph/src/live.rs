@@ -244,7 +244,7 @@ impl Tombstones {
         layer: &mut Adjacency,
         store: &VectorStore,
         keep: impl Fn(VecId) -> bool + Sync,
-        select: impl Fn(VecId, Vec<Candidate>) -> (Vec<Candidate>, usize) + Sync,
+        select: impl Fn(VecId, &[Candidate]) -> (Vec<Candidate>, usize) + Sync,
     ) {
         let old = &*layer;
         let rewired = parallel_map(old.len(), |v| {
@@ -269,7 +269,7 @@ impl Tombstones {
                     }
                 }
             }
-            let list = select(v, pool);
+            let list = select(v, &pool);
             crate::prune::record_construction(0);
             Some(list)
         });

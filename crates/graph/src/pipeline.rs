@@ -103,20 +103,6 @@ pub struct SelectStage {
     pub r: usize,
 }
 
-impl SelectStage {
-    /// Selects `v`'s out-neighbours, with their distances, from
-    /// `candidates` (sorted and deduplicated in place). The result is a
-    /// *clean* list.
-    fn apply(
-        &self,
-        store: &VectorStore,
-        v: VecId,
-        candidates: &mut Vec<Candidate>,
-    ) -> Vec<Candidate> {
-        robust_prune(store, v, candidates, self.alpha, self.r)
-    }
-}
-
 /// Stage 4: connectivity repair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RepairStage {
@@ -296,8 +282,8 @@ impl NavGraph {
             &mut self.graph,
             store,
             |v| entries.contains(&v),
-            |v, mut pool| {
-                let picks = select.apply(store, v, &mut pool);
+            |v, pool| {
+                let picks = robust_prune(store, v, pool, select.alpha, select.r);
                 let kept = picks.len();
                 (picks, kept)
             },
@@ -312,9 +298,15 @@ impl GraphPipeline {
     /// entry in [`BuildReport::stage_timings`].
     ///
     /// # Panics
-    /// Panics if the store is empty.
+    /// Panics if the store is empty, or under the conditions of
+    /// [`robust_prune`]: `alpha < 1.0` or `r == 0`.
     pub fn run(&self, store: &Arc<VectorStore>, name: &str) -> NavGraph {
         assert!(!store.is_empty(), "pipeline requires a non-empty store");
+        assert!(
+            self.select.alpha >= 1.0,
+            "robust prune requires alpha >= 1.0"
+        );
+        assert!(self.select.r > 0, "robust prune requires r >= 1");
         let mut stage_timings = Vec::with_capacity(4);
         let mut timed = |stage: &str, span: mqa_obs::SpanGuard| {
             stage_timings.push((stage.to_string(), span.finish()));
@@ -444,10 +436,19 @@ fn link_vertex(
     // Merge current neighbours, at their stored distances, so established
     // edges compete (a newly grown vertex has none yet).
     pool.extend(graph.edges_of(v));
-    let selected = select.apply(store, v, pool);
-    graph.set_pruned(v, &selected, selected.len());
+    // No records: the α rule from scratch, on the scratch's buffers. The
+    // result is a *clean* list.
     let rule = Rule::Alpha(select.alpha);
-    for p in selected {
+    let candidates = scratch.evaluated.iter().copied();
+    let (picks, kept) = scratch
+        .reprune
+        .run(store, v, candidates, (0, 0), rule, select.r);
+    graph.set_pruned(v, picks, kept);
+    // The spent pool takes the picks: the reverse edges reuse the
+    // re-prune's buffers.
+    scratch.evaluated.clear();
+    scratch.evaluated.extend_from_slice(picks);
+    for p in &scratch.evaluated {
         // The reverse edge's distance is the forward one: `l2_sq` is
         // symmetric to the bit.
         let back = Candidate::new(v, p.dist);

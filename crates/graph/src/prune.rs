@@ -8,16 +8,17 @@
 //!
 //! Selection is where construction spends its distance evaluations, so
 //! both rules — the α rule of [`robust_prune`] and HNSW's
-//! [`hnsw_heuristic`] — and both of their re-prunes share one loop written
-//! in *pull* form: each candidate, best first, is tested against the
-//! neighbours already selected, and the loop stops at the degree bound:
-//! nothing ranked after the last pick is ever looked at. A re-prune of a
-//! held list ([`Reprune`]) tags each entry with what the list's records
-//! say of it ([`crate::Adjacency::clean_len`],
-//! [`crate::Adjacency::filler_len`]) and skips every test whose answer the
-//! prune that installed the list already established; the records also
-//! rank the list, which is a merge of its already ascending runs, not a
-//! sort. Every routine returns its picks with their distances from the
+//! [`hnsw_heuristic`] — and both of their re-prunes are one routine,
+//! [`Reprune::run`], written in *pull* form: each candidate, best first,
+//! is tested against the neighbours already selected, and the pass stops
+//! at the degree bound: nothing ranked after the last pick is ever looked
+//! at. The candidates are ranked on the walk pool's order-preserving
+//! integer keys (`pool::key_of`). A prune from scratch is the routine with no
+//! records: every candidate is tested. A re-prune of a held list reads
+//! what the list's records say of its entries
+//! ([`crate::Adjacency::clean_len`], [`crate::Adjacency::filler_len`]),
+//! copies the stretches whose fate they decide and tests only where a test
+//! is due. Every routine returns its picks with their distances from the
 //! vertex, which [`crate::Adjacency`] stores beside the edges, so a list
 //! re-pruned later is ranked without evaluating a distance.
 //! [`Reprune::add_edge`] is construction's one way to add a reverse edge
@@ -76,40 +77,6 @@ impl ConstructionCounters {
     }
 }
 
-/// The ids of `list` tagged with their distance to `v`, each evaluated —
-/// the from-scratch ranking the stored distances replace, kept for the
-/// checks that compare against it.
-#[cfg(test)]
-pub(crate) fn candidates_of<'a>(
-    store: &'a VectorStore,
-    v: VecId,
-    list: &'a [VecId],
-) -> impl Iterator<Item = Candidate> + 'a {
-    list.iter()
-        .map(move |&w| Candidate::new(w, distance(store, v, w)))
-}
-
-/// The prune from scratch under `rule` to `r` — [`hnsw_heuristic`] or
-/// [`robust_prune`] — with how many of its picks were kept: what every
-/// re-prune is checked against.
-#[cfg(test)]
-pub(crate) fn prune_from_scratch(
-    store: &VectorStore,
-    v: VecId,
-    candidates: &mut Vec<Candidate>,
-    rule: Rule,
-    r: usize,
-) -> (Vec<Candidate>, usize) {
-    match rule {
-        Rule::Hnsw => hnsw_heuristic(store, v, candidates, r),
-        Rule::Alpha(alpha) => {
-            let picks = robust_prune(store, v, candidates, alpha, r);
-            let kept = picks.len();
-            (picks, kept)
-        }
-    }
-}
-
 /// A neighbour-selection rule: when an already selected `p` *dominates* a
 /// candidate `q` around the vertex `v` — `q` is reachable through `p`, so
 /// the direct edge is redundant.
@@ -135,6 +102,20 @@ impl Rule {
             Rule::Hnsw => d_pq < d_vq,
         }
     }
+
+    /// Whether one of `picks` dominates `q`: under [`Rule::Alpha`] the
+    /// picks are tried latest first (whether `q` survives does not depend
+    /// on the order, only what it costs, and on clustered data the pick
+    /// nearest `q` in rank is the likeliest dominator); under
+    /// [`Rule::Hnsw`] in selection order, which costs that strict rule
+    /// fewer tests. The first dominator ends the test.
+    fn any_dominates(self, store: &VectorStore, picks: &[Candidate], q: Candidate) -> bool {
+        let test = |p: &Candidate| self.dominates(distance(store, p.id, q.id), q.dist);
+        match self {
+            Rule::Alpha(_) => picks.iter().rev().any(test),
+            Rule::Hnsw => picks.iter().any(test),
+        }
+    }
 }
 
 /// What a held list's records say about one of its entries.
@@ -150,127 +131,6 @@ enum Tag {
     Dirty,
 }
 
-/// The selection loop's buffers: a [`Reprune`] reuses one from call to
-/// call, a prune from scratch makes its own.
-#[derive(Debug, Default)]
-struct Selection {
-    /// The picks: the undominated candidates, then under [`Rule::Hnsw`]
-    /// the back-fill.
-    picks: Vec<Candidate>,
-    /// The picks not tagged kept, in pick order.
-    unrecorded: Vec<Candidate>,
-    /// Under [`Rule::Hnsw`], the first `r` dominated candidates in rank
-    /// order, each id once: the back-fill.
-    dominated: Vec<Candidate>,
-}
-
-impl Selection {
-    fn with_capacity(r: usize) -> Self {
-        Self {
-            picks: Vec::with_capacity(r),
-            unrecorded: Vec::with_capacity(r),
-            dominated: Vec::with_capacity(r),
-        }
-    }
-
-    /// The selection loop of both rules.
-    ///
-    /// `pool` yields candidates around the vertex in ascending order, each
-    /// tagged; the picks go to `self.picks` and the number of undominated
-    /// picks is returned. A candidate is tested against the picks so far,
-    /// and the first dominator ends the test:
-    ///
-    /// - a pair of kept candidates is known not to dominate, so a kept
-    ///   candidate is tested against the unrecorded picks only;
-    /// - a filler is known to be dominated, by a kept entry ranked before
-    ///   it that is still picked — unless a kept candidate was itself
-    ///   dominated earlier in this pass, after which fillers are tested
-    ///   like the rest;
-    /// - under [`Rule::Alpha`] the picks are tried latest first (whether
-    ///   `q` survives does not depend on the order, only what it costs, and
-    ///   on clustered data the pick nearest `q` in rank is the likeliest
-    ///   dominator); under [`Rule::Hnsw`] in selection order, which costs
-    ///   that strict rule fewer tests.
-    ///
-    /// Under [`Rule::Hnsw`], when the pool runs out before `r` picks, the
-    /// dominated candidates fill the list up to `r`, nearest first, behind
-    /// the undominated ones. The first `r` of them are set aside as the
-    /// pass meets them, so the back-fill is a copy, not a second pass over
-    /// the pool with an id scan per entry. An id the pool held
-    /// earlier under another distance (only an inconsistent caller's pool
-    /// does) is set aside once; a 256-bit filter of the ids passed leaves
-    /// that check to the rare entry whose bit is already set.
-    fn run(
-        &mut self,
-        store: &VectorStore,
-        pool: impl Iterator<Item = (Candidate, Tag)>,
-        rule: Rule,
-        r: usize,
-    ) -> usize {
-        let Self {
-            picks,
-            unrecorded,
-            dominated,
-        } = self;
-        picks.clear();
-        unrecorded.clear();
-        dominated.clear();
-        let (mut demoted, mut passed) = (false, [0u64; 4]);
-        for (q, tag) in pool {
-            if picks.len() == r {
-                return r;
-            }
-            let is_dominated = match tag {
-                Tag::Filler if !demoted => true,
-                Tag::Kept => rule.any_dominates(store, unrecorded, q),
-                _ => rule.any_dominates(store, picks, q),
-            };
-            let (word, bit) = ((q.id >> 6) as usize & 3, 1u64 << (q.id & 63));
-            if !is_dominated {
-                picks.push(q);
-                if tag != Tag::Kept {
-                    unrecorded.push(q);
-                }
-            } else {
-                demoted |= tag == Tag::Kept;
-                let seen = |c: &Candidate| c.id == q.id;
-                let repeat = || {
-                    passed.get(word).is_some_and(|w| w & bit != 0)
-                        && (picks.iter().any(seen) || dominated.iter().any(seen))
-                };
-                if rule == Rule::Hnsw && dominated.len() < r && !repeat() {
-                    dominated.push(q);
-                }
-            }
-            if let Some(w) = passed.get_mut(word) {
-                *w |= bit;
-            }
-        }
-        let kept = picks.len();
-        picks.extend(dominated.iter().take(r - kept));
-        kept
-    }
-}
-
-impl Rule {
-    /// Whether one of `picks` dominates `q`, trying them in the rule's
-    /// order (see [`Selection::run`]).
-    fn any_dominates(self, store: &VectorStore, picks: &[Candidate], q: Candidate) -> bool {
-        let test = |p: &Candidate| self.dominates(distance(store, p.id, q.id), q.dist);
-        match self {
-            Rule::Alpha(_) => picks.iter().rev().any(test),
-            Rule::Hnsw => picks.iter().any(test),
-        }
-    }
-}
-
-/// Sorts `candidates` and drops repeated ids and `v` itself, in place.
-fn rank(v: VecId, candidates: &mut Vec<Candidate>) {
-    candidates.sort_unstable();
-    candidates.dedup_by_key(|c| c.id);
-    candidates.retain(|c| c.id != v);
-}
-
 /// The α-robust pruning rule of Vamana/DiskANN; with `alpha = 1.0` it is
 /// the MRNG rule NSG uses.
 ///
@@ -279,8 +139,9 @@ fn rank(v: VecId, candidates: &mut Vec<Candidate>) {
 /// kept. Larger `alpha` keeps more long edges (denser graph, easier
 /// routing, more memory). The result — the picks with their distances —
 /// is sorted by distance to `v` and pairwise undominated: a *clean* list
-/// in [`crate::Adjacency`]'s terms. Sorts and deduplicates `candidates` in
-/// place.
+/// in [`crate::Adjacency`]'s terms. Repeated ids and `v` itself are
+/// dropped. Runs [`Reprune::run`] with no records on the thread's pooled
+/// buffers.
 ///
 /// # Panics
 /// Panics if `alpha < 1.0` (would prune the closest candidate's own
@@ -288,17 +149,13 @@ fn rank(v: VecId, candidates: &mut Vec<Candidate>) {
 pub fn robust_prune(
     store: &VectorStore,
     v: VecId,
-    candidates: &mut Vec<Candidate>,
+    candidates: &[Candidate],
     alpha: f32,
     r: usize,
 ) -> Vec<Candidate> {
     assert!(alpha >= 1.0, "robust prune requires alpha >= 1.0");
     assert!(r > 0, "robust prune requires r >= 1");
-    rank(v, candidates);
-    let mut selection = Selection::with_capacity(r);
-    let pool = candidates.iter().map(|&c| (c, Tag::Dirty));
-    selection.run(store, pool, Rule::Alpha(alpha), r);
-    selection.picks
+    from_scratch(store, v, candidates, Rule::Alpha(alpha), r).0
 }
 
 /// HNSW's `SELECT-NEIGHBORS-HEURISTIC`: scan candidates by increasing
@@ -308,58 +165,85 @@ pub fn robust_prune(
 /// distances — the kept ones ascending, then the fillers ascending — and
 /// how many were kept: the two records [`crate::Adjacency::set_pruned`]
 /// stores, which let [`Reprune`] re-prune the list incrementally when it
-/// overflows. Sorts and deduplicates `candidates` in place.
+/// overflows. Repeated ids and `v` itself are dropped. Runs
+/// [`Reprune::run`] with no records on the thread's pooled buffers.
 ///
 /// # Panics
 /// Panics if `m == 0`.
 pub fn hnsw_heuristic(
     store: &VectorStore,
     v: VecId,
-    candidates: &mut Vec<Candidate>,
+    candidates: &[Candidate],
     m: usize,
 ) -> (Vec<Candidate>, usize) {
     assert!(m > 0, "heuristic selection requires m >= 1");
-    rank(v, candidates);
-    let mut selection = Selection::with_capacity(m);
-    let pool = candidates.iter().map(|&c| (c, Tag::Dirty));
-    let kept = selection.run(store, pool, Rule::Hnsw, m);
-    (selection.picks, kept)
+    from_scratch(store, v, candidates, Rule::Hnsw, m)
 }
 
-/// The re-prune of a held list, with buffers that are reused from one
-/// call to the next (construction keeps one on its pooled
-/// [`crate::SearchScratch`]): once they have grown to the list length, an
-/// overflow allocates nothing.
+/// The prune from scratch of `candidates` under `rule` to `r`, on this
+/// thread's pooled [`Reprune`], copied out.
+fn from_scratch(
+    store: &VectorStore,
+    v: VecId,
+    candidates: &[Candidate],
+    rule: Rule,
+    r: usize,
+) -> (Vec<Candidate>, usize) {
+    crate::scratch::with_pooled(|s| {
+        let (picks, kept) = s
+            .reprune
+            .run(store, v, candidates.iter().copied(), (0, 0), rule, r);
+        (picks.to_vec(), kept)
+    })
+}
+
+/// The one selection routine of both rules, from scratch and as a
+/// re-prune, with buffers that are reused from one call to the next
+/// (construction keeps one on its pooled [`crate::SearchScratch`]): once
+/// they have grown to the list length, a call allocates nothing.
 ///
 /// A list installed by a prune records how many leading entries it *kept*
 /// and how many *fillers* follow them ([`crate::Adjacency::clean_len`],
-/// [`crate::Adjacency::filler_len`]); entries appended since are dirty.
-/// [`Reprune::run`] ranks the list by merging its three runs — the kept
-/// run and the filler run, each already ascending, and the sorted dirty
-/// tail — and runs the selection loop with each entry tagged by those
-/// records, so it tests only the dirty entries, the kept entries a picked
-/// dirty one might dominate, and the fillers ranked after a kept entry
-/// that was dominated. The common α overflow — a full clean list plus one
-/// reverse edge — costs at most one test per clean entry, instead of one
-/// per pair. Under valid records the result equals the from-scratch prune
-/// under the same rule and bound, order included (the unit tests assert
-/// it at every overflow of both rules). Records that claim more than the
-/// list holds, or a kept or filler run out of order, are ignored: the
-/// whole list is sorted and tested as dirty, which is the prune from
-/// scratch ([`crate::validate::check_clean_prefixes`] reports such a
-/// record).
+/// [`crate::Adjacency::filler_len`]); entries appended since are dirty. No
+/// kept entry dominates another, and each filler is dominated by a kept
+/// entry ranked before it, which stays picked unless a kept entry is itself
+/// dominated in the pass (a *demotion*). [`Reprune::run`] finds each dirty
+/// entry's rank in the kept run and in the filler run by key, copies what
+/// the records decide between them — kept entries to the picks, fillers to
+/// the back-fill — and steps entry by entry only where a test is due: at a
+/// dirty entry, at a kept entry after a dirty pick, and at a filler after
+/// a demotion. So a full recorded list meeting one reverse edge costs the
+/// edge's own tests, plus one per kept entry ranked after it when it is
+/// picked. With no records every entry is dirty: the prune from scratch.
+///
+/// Under valid records — each run ascending, each id once, `v` absent, as
+/// a graph holds its lists — the result equals the from-scratch prune,
+/// order included (the unit tests assert it at every overflow of both
+/// rules). Records that claim more than the list holds, or a kept or
+/// filler run out of order, are ignored: the whole list is then dirty
+/// ([`crate::validate::check_clean_prefixes`] reports such a record).
 #[derive(Debug, Default)]
 pub struct Reprune {
+    /// The list's keys ([`key_of`]): the kept run, the filler run, then the
+    /// dirty entries, sorted.
     held: Vec<u64>,
-    pool: Vec<(Candidate, Tag)>,
-    selection: Selection,
+    /// The picks: the undominated candidates, then under [`Rule::Hnsw`]
+    /// the back-fill.
+    picks: Vec<Candidate>,
+    /// The picks not recorded kept: all a kept entry is tested against.
+    unrecorded: Vec<Candidate>,
+    /// Under [`Rule::Hnsw`], the first `r` dominated candidates in rank
+    /// order, each id once: the back-fill.
+    dominated: Vec<Candidate>,
 }
 
 impl Reprune {
     /// Re-prunes `v`'s out-edges — `edges` in list order with their stored
     /// distances, the first `records.0` kept and the next `records.1`
     /// fillers — under `rule` to at most `r`. Returns the picks and how
-    /// many of them were kept (the rest are fillers).
+    /// many of them were kept (the rest are fillers). In rank order a
+    /// recorded entry goes before a dirty one of equal key; a dirty entry
+    /// whose id repeats the one before it is dropped, and so is `v`.
     pub fn run(
         &mut self,
         store: &VectorStore,
@@ -377,18 +261,45 @@ impl Reprune {
         };
         let (kept_run, rest) = self.held.split_at_mut(kept);
         let (filler_run, dirty_run) = rest.split_at_mut(fillers);
-        let runs: [&[u64]; 3] = if kept_run.is_sorted() && filler_run.is_sorted() {
+        let [kept, fillers, dirty]: [&[u64]; 3] = if kept_run.is_sorted() && filler_run.is_sorted()
+        {
             dirty_run.sort_unstable();
             [kept_run, filler_run, dirty_run]
         } else {
             self.held.sort_unstable();
             [&[], &[], &self.held]
         };
-        merge(v, runs, &mut self.pool);
-        let kept = self
-            .selection
-            .run(store, self.pool.iter().copied(), rule, r);
-        (&self.selection.picks, kept)
+        let mut pass = Pass {
+            store,
+            rule,
+            r,
+            picks: &mut self.picks,
+            unrecorded: &mut self.unrecorded,
+            dominated: &mut self.dominated,
+            kept,
+            fillers,
+            at: (0, 0),
+            demoted: false,
+            passed: [0; 4],
+        };
+        pass.picks.clear();
+        pass.unrecorded.clear();
+        pass.dominated.clear();
+        let mut prev = None;
+        for &key in dirty {
+            pass.recorded_through(key);
+            if pass.picks.len() == r {
+                break;
+            }
+            let q = candidate_of(key);
+            if prev.replace(q.id) != Some(q.id) && q.id != v {
+                pass.step(q, Tag::Dirty);
+            }
+        }
+        pass.recorded_through(u64::MAX);
+        let kept = self.picks.len();
+        self.picks.extend(self.dominated.iter().take(r - kept));
+        (&self.picks, kept)
     }
 
     /// Adds the edge `p → edge.id` at distance `edge.dist` to `graph`
@@ -421,22 +332,7 @@ impl Reprune {
         let edges = graph.edges_of(p).chain(std::iter::once(edge));
         let (picks, kept) = self.run(store, p, edges, records, rule, cap);
         #[cfg(test)]
-        {
-            let ids: Vec<VecId> = graph
-                .neighbors(p)
-                .iter()
-                .copied()
-                .chain([edge.id])
-                .collect();
-            let mut all = candidates_of(store, p, &ids).collect();
-            let want = prune_from_scratch(store, p, &mut all, rule, cap);
-            assert_eq!(
-                (picks, kept),
-                (want.0.as_slice(), want.1),
-                "incremental re-prune diverged at vertex {p}"
-            );
-            REPRUNES_CHECKED.with(|c| c.set(c.get() + 1));
-        }
+        tests::check_overflow(store, graph, p, edge.id, (rule, cap), (picks, kept));
         REPRUNES.with(|c| c.set(c.get() + 1));
         let linked = picks.iter().any(|c| c.id == edge.id);
         graph.set_pruned(p, picks, kept);
@@ -444,36 +340,132 @@ impl Reprune {
     }
 }
 
-/// Merges the ascending runs of keys ([`key_of`]) `kept`, `fillers` and
-/// `dirty` into `pool`, each entry tagged with its run's tag (ties go to
-/// the earlier run), dropping repeated ids and `v` itself as the
-/// from-scratch ranking does ([`rank`]): an entry whose id equals that of
-/// the entry merged just before it is dropped, and so is `v`.
-fn merge(v: VecId, [kept, fillers, dirty]: [&[u64]; 3], pool: &mut Vec<(Candidate, Tag)>) {
-    pool.clear();
-    // An exhausted run reads as a key past every key.
-    let head = |run: &[u64], at: usize| run.get(at).map_or(u128::MAX, |&key| u128::from(key));
-    let (mut k, mut f, mut d) = (0, 0, 0);
-    let mut prev = None;
-    for _ in 0..kept.len() + fillers.len() + dirty.len() {
-        let (hk, hf, hd) = (head(kept, k), head(fillers, f), head(dirty, d));
-        let (key, tag) = if hk <= hf && hk <= hd {
-            k += 1;
-            (hk, Tag::Kept)
-        } else if hf <= hd {
-            f += 1;
-            (hf, Tag::Filler)
+/// One pass of [`Reprune::run`]: its rule and bound, its buffers, the
+/// recorded runs with how far it has gone in each, and what it has learnt.
+struct Pass<'a> {
+    store: &'a VectorStore,
+    rule: Rule,
+    r: usize,
+    picks: &'a mut Vec<Candidate>,
+    unrecorded: &'a mut Vec<Candidate>,
+    dominated: &'a mut Vec<Candidate>,
+    kept: &'a [u64],
+    fillers: &'a [u64],
+    /// How many entries of `kept` and of `fillers` the pass has gone past.
+    at: (usize, usize),
+    /// Whether a kept entry was dominated: fillers are tested from then on.
+    demoted: bool,
+    /// A 256-bit filter of the dirty ids passed: the back-fill checks for a
+    /// repeated id (only a pool holding one id under two distances has
+    /// one) only when the id's bit is already set.
+    passed: [u64; 4],
+}
+
+impl Pass<'_> {
+    /// Tests `q`, tagged `tag`, against the picks a test is due with — the
+    /// unrecorded ones for a kept entry, all of them otherwise — and picks
+    /// it or sets it aside for the back-fill.
+    fn step(&mut self, q: Candidate, tag: Tag) {
+        let against = if tag == Tag::Kept {
+            &*self.unrecorded
         } else {
-            d += 1;
-            (hd, Tag::Dirty)
+            &*self.picks
         };
-        // INVARIANT: `key` is the head of a run that still holds one, so
-        // it is a `u64` key widened.
-        let c = candidate_of(key as u64);
-        if c.id != v && prev != Some(c.id) {
-            pool.push((c, tag));
+        if self.rule.any_dominates(self.store, against, q) {
+            self.demoted |= tag == Tag::Kept;
+            self.set_aside(q);
+        } else {
+            self.picks.push(q);
+            if tag != Tag::Kept {
+                self.unrecorded.push(q);
+            }
         }
-        prev = Some(c.id);
+        if let (Tag::Dirty, Some(w)) = (tag, self.passed.get_mut((q.id >> 6) as usize & 3)) {
+            *w |= 1 << (q.id & 63);
+        }
+    }
+
+    /// Sets `q` aside for the back-fill under [`Rule::Hnsw`] while it has
+    /// room, unless its id was picked or set aside before.
+    fn set_aside(&mut self, q: Candidate) {
+        let (word, bit) = ((q.id >> 6) as usize & 3, 1u64 << (q.id & 63));
+        let seen = |c: &Candidate| c.id == q.id;
+        let repeat = || {
+            self.passed.get(word).is_some_and(|w| w & bit != 0)
+                && (self.picks.iter().any(seen) || self.dominated.iter().any(seen))
+        };
+        if self.rule == Rule::Hnsw && self.dominated.len() < self.r && !repeat() {
+            self.dominated.push(q);
+        }
+    }
+
+    /// Sets aside the fillers before index `to` for the back-fill, untested.
+    fn set_aside_fillers(&mut self, to: usize) {
+        let run = self.fillers.get(self.at.1..to).unwrap_or_default();
+        self.at.1 = to;
+        if self.rule == Rule::Hnsw {
+            let room = self.r.saturating_sub(self.dominated.len());
+            self.dominated
+                .extend(run.iter().take(room).map(|&key| candidate_of(key)));
+        }
+    }
+
+    /// Passes the recorded entries that rank at or before `bound`, in rank
+    /// order (a kept entry before a filler of equal key), until the picks
+    /// are full. While no dirty entry is picked and no kept entry demoted,
+    /// the records decide them all: the kept entries are copied to the
+    /// picks, the fillers set aside. After a dirty pick each kept entry is
+    /// tested, and the fillers still wait, known dominated, until one is
+    /// demoted; after a demotion every entry is tested.
+    fn recorded_through(&mut self, bound: u64) {
+        let (kept, fillers) = (self.kept, self.fillers);
+        if self.at == (kept.len(), fillers.len()) {
+            return;
+        }
+        let through = |run: &[u64], at: usize| {
+            let ahead = run.get(at..).unwrap_or_default();
+            at + ahead.partition_point(|&key| key <= bound)
+        };
+        let (kept_end, fillers_end) = (through(kept, self.at.0), through(fillers, self.at.1));
+        while self.picks.len() < self.r {
+            let (k, f) = self.at;
+            let next_kept = kept.get(k).filter(|_| k < kept_end).copied();
+            if self.demoted {
+                let (key, tag) = match (next_kept, fillers.get(f).filter(|_| f < fillers_end)) {
+                    (Some(key), Some(&filler)) if filler < key => (filler, Tag::Filler),
+                    (Some(key), _) => (key, Tag::Kept),
+                    (None, Some(&filler)) => (filler, Tag::Filler),
+                    (None, None) => return,
+                };
+                if tag == Tag::Kept {
+                    self.at.0 += 1;
+                } else {
+                    self.at.1 += 1;
+                }
+                self.step(candidate_of(key), tag);
+            } else if self.unrecorded.is_empty() {
+                let take = (kept_end - k).min(self.r - self.picks.len());
+                let run = kept.get(k..k + take).unwrap_or_default();
+                self.picks.extend(run.iter().map(|&key| candidate_of(key)));
+                self.at.0 = k + take;
+                return self.set_aside_fillers(fillers_end);
+            } else {
+                let Some(key) = next_kept else {
+                    return self.set_aside_fillers(fillers_end);
+                };
+                self.at.0 += 1;
+                let q = candidate_of(key);
+                if self.rule.any_dominates(self.store, self.unrecorded, q) {
+                    // A demotion: the fillers ranked before it go first.
+                    let ahead = fillers.get(f..fillers_end).unwrap_or_default();
+                    self.set_aside_fillers(f + ahead.partition_point(|&fk| fk < key));
+                    self.demoted = true;
+                    self.set_aside(q);
+                } else {
+                    self.picks.push(q);
+                }
+            }
+        }
     }
 }
 
@@ -487,6 +479,56 @@ thread_local! {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The ids of `list` tagged with their distance to `v`, each evaluated —
+    /// the from-scratch ranking the stored distances replace.
+    pub(super) fn candidates_of<'a>(
+        store: &'a VectorStore,
+        v: VecId,
+        list: &'a [VecId],
+    ) -> impl Iterator<Item = Candidate> + 'a {
+        list.iter()
+            .map(move |&w| Candidate::new(w, distance(store, v, w)))
+    }
+
+    /// The prune from scratch under `rule` to `r` — [`hnsw_heuristic`] or
+    /// [`robust_prune`] — with how many of its picks were kept: what every
+    /// re-prune is checked against.
+    fn prune_from_scratch(
+        store: &VectorStore,
+        v: VecId,
+        candidates: &[Candidate],
+        rule: Rule,
+        r: usize,
+    ) -> (Vec<Candidate>, usize) {
+        match rule {
+            Rule::Hnsw => hnsw_heuristic(store, v, candidates, r),
+            Rule::Alpha(alpha) => {
+                let picks = robust_prune(store, v, candidates, alpha, r);
+                let kept = picks.len();
+                (picks, kept)
+            }
+        }
+    }
+
+    /// Checks the overflow re-prune `got` of `p`'s list in `graph` plus the
+    /// edge to `edge` against the prune from scratch over evaluated
+    /// distances, order and records included, and counts the check.
+    pub(super) fn check_overflow(
+        store: &VectorStore,
+        graph: &Adjacency,
+        p: VecId,
+        edge: VecId,
+        (rule, cap): (Rule, usize),
+        got: (&[Candidate], usize),
+    ) {
+        let ids: Vec<VecId> = graph.neighbors(p).iter().copied().chain([edge]).collect();
+        let all: Vec<Candidate> = candidates_of(store, p, &ids).collect();
+        let mut oracle = Reprune::default();
+        let want = oracle.run(store, p, all, (0, 0), rule, cap);
+        assert_eq!(got, want, "incremental re-prune diverged at vertex {p}");
+        REPRUNES_CHECKED.with(|c| c.set(c.get() + 1));
+    }
 
     /// Points on a line: 0,1,2,...; candidate distances from v=0.
     fn line_store(n: usize) -> VectorStore {
@@ -527,8 +569,8 @@ mod tests {
         // On a line from v=0: candidates 1,2,3. 1 covers 2 and 3
         // (d(1,2)=1 <= d(0,2)=4), so only 1 survives with alpha=1.
         let store = line_store(4);
-        let mut c = cands(&store, 0, &[1, 2, 3]);
-        let picks = robust_prune(&store, 0, &mut c, 1.0, 3);
+        let c = cands(&store, 0, &[1, 2, 3]);
+        let picks = robust_prune(&store, 0, &c, 1.0, 3);
         assert_eq!(
             picks,
             vec![Candidate::new(1, 1.0)],
@@ -543,17 +585,17 @@ mod tests {
         store.push(&[0.0]); // v = 0
         store.push(&[1.0]);
         store.push(&[-1.0]);
-        let mut c = cands(&store, 0, &[1, 2]);
-        let sel = robust_prune(&store, 0, &mut c, 1.0, 4);
+        let c = cands(&store, 0, &[1, 2]);
+        let sel = robust_prune(&store, 0, &c, 1.0, 4);
         assert_eq!(sel.len(), 2);
     }
 
     #[test]
     fn higher_alpha_keeps_more_edges() {
         let store = line_store(6);
-        let mut c = cands(&store, 0, &[1, 2, 3, 4, 5]);
-        let strict = robust_prune(&store, 0, &mut c, 1.0, 5);
-        let loose = robust_prune(&store, 0, &mut c, 2.0, 5);
+        let c = cands(&store, 0, &[1, 2, 3, 4, 5]);
+        let strict = robust_prune(&store, 0, &c, 1.0, 5);
+        let loose = robust_prune(&store, 0, &c, 2.0, 5);
         assert!(loose.len() >= strict.len());
     }
 
@@ -566,22 +608,22 @@ mod tests {
         store.push(&[-1.0, 0.0]);
         store.push(&[0.0, 1.0]);
         store.push(&[0.0, -1.0]);
-        let mut c = cands(&store, 0, &[1, 2, 3, 4]);
-        assert_eq!(robust_prune(&store, 0, &mut c, 1.0, 2).len(), 2);
+        let c = cands(&store, 0, &[1, 2, 3, 4]);
+        assert_eq!(robust_prune(&store, 0, &c, 1.0, 2).len(), 2);
     }
 
     #[test]
     fn robust_prune_excludes_self() {
         let store = line_store(3);
-        let mut c = cands(&store, 0, &[0, 1]);
-        assert_eq!(ids(&robust_prune(&store, 0, &mut c, 1.0, 3)), vec![1]);
+        let c = cands(&store, 0, &[0, 1]);
+        assert_eq!(ids(&robust_prune(&store, 0, &c, 1.0, 3)), vec![1]);
     }
 
     #[test]
     #[should_panic(expected = "alpha >= 1.0")]
     fn alpha_below_one_panics() {
         let store = line_store(2);
-        robust_prune(&store, 0, &mut vec![], 0.5, 1);
+        robust_prune(&store, 0, &[], 0.5, 1);
     }
 
     /// The selection routine as it stood before the pull-form rewrite,
@@ -727,8 +769,7 @@ mod tests {
                 for r in [1usize, 4, 24, pool.len() + 1] {
                     let (want, push) =
                         counted(|| robust_prune_push_form(&store, v, pool.clone(), alpha, r));
-                    let (got, pull) =
-                        counted(|| robust_prune(&store, v, &mut pool.clone(), alpha, r));
+                    let (got, pull) = counted(|| robust_prune(&store, v, &pool, alpha, r));
                     assert_eq!(ids(&got), want, "case {case}, alpha {alpha}, r {r}");
                     pools += 1;
                     pull_total += pull;
@@ -758,7 +799,7 @@ mod tests {
         let others: Vec<VecId> = (1..451).collect();
         let pool = cands(&store, 0, &others);
         let (want, push) = counted(|| robust_prune_push_form(&store, 0, pool.clone(), 1.2, 24));
-        let (got, pull) = counted(|| robust_prune(&store, 0, &mut pool.clone(), 1.2, 24));
+        let (got, pull) = counted(|| robust_prune(&store, 0, &pool, 1.2, 24));
         assert_eq!(ids(&got), want);
         assert_eq!(got.len(), 24);
         assert!(pull * 2 <= push, "pull {pull} vs push {push} calls");
@@ -778,7 +819,7 @@ mod tests {
             let pool = cands(&store, v, &others);
             let (want, slow) =
                 counted(|| robust_prune_in_selection_order(&store, v, pool.clone(), 1.2, 24));
-            let (got, fast) = counted(|| robust_prune(&store, v, &mut pool.clone(), 1.2, 24));
+            let (got, fast) = counted(|| robust_prune(&store, v, &pool, 1.2, 24));
             assert_eq!(got, want, "vertex {v}");
             latest += fast;
             in_order += slow;
@@ -800,7 +841,7 @@ mod tests {
         let mut checked = 0usize;
         for v in 0..100 as VecId {
             let others: Vec<VecId> = (0..300).filter(|&u| u != v).collect();
-            let mut list = robust_prune(&store, v, &mut cands(&store, v, &others), 1.2, 24);
+            let mut list = robust_prune(&store, v, &cands(&store, v, &others), 1.2, 24);
             if list.len() < 24 {
                 continue;
             }
@@ -808,9 +849,8 @@ mod tests {
                 list.extend(cands(&store, v, &[extra]));
                 let (got, calls) = counted(|| alpha_reprune(&store, v, list.clone(), 24, 1.2, 24));
                 assert!(calls <= 24, "24 clean + 1 dirty cost {calls} calls");
-                let (want, scratch_calls) = counted(|| {
-                    robust_prune(&store, v, &mut cands(&store, v, &ids(&list)), 1.2, 24)
-                });
+                let (want, scratch_calls) =
+                    counted(|| robust_prune(&store, v, &cands(&store, v, &ids(&list)), 1.2, 24));
                 assert_eq!(got, want, "vertex {v}, extra {extra}");
                 assert!(scratch_calls > 24, "from scratch is the dearer route");
                 list.pop();
@@ -830,7 +870,7 @@ mod tests {
             let alpha = [1.0f32, 1.2, 2.0][case % 3];
             let r = [1usize, 4, 24][case % 3];
             let first = seeded_pool(&mut rng, &store, v);
-            let mut list = robust_prune(&store, v, &mut first.clone(), alpha, r);
+            let mut list = robust_prune(&store, v, &first, alpha, r);
             let clean = list.len();
             for _ in 0..rng.gen_range(0..6) {
                 let u = rng.gen_range(0..n) as VecId;
@@ -839,7 +879,7 @@ mod tests {
                 }
             }
             let got = alpha_reprune(&store, v, list.clone(), clean, alpha, r);
-            let want = robust_prune(&store, v, &mut cands(&store, v, &ids(&list)), alpha, r);
+            let want = robust_prune(&store, v, &cands(&store, v, &ids(&list)), alpha, r);
             assert_eq!(got, want, "case {case}");
         }
     }
@@ -865,7 +905,7 @@ mod tests {
     fn hnsw_list(
         store: &VectorStore,
         v: VecId,
-        first: &mut Vec<Candidate>,
+        first: &[Candidate],
         extra: &[VecId],
         m: usize,
     ) -> (Vec<Candidate>, (usize, usize)) {
@@ -893,16 +933,16 @@ mod tests {
             let store = seeded_store(&mut rng, n, 2 + case % 4, case % 3 == 0);
             let v = rng.gen_range(0..n) as VecId;
             let m = [1usize, 2, 4, 8, 32][case % 5];
-            let mut first = seeded_pool(&mut rng, &store, v);
+            let first = seeded_pool(&mut rng, &store, v);
             let extra: Vec<VecId> = (0..rng.gen_range(0..6))
                 .map(|_| rng.gen_range(0..n) as VecId)
                 .collect();
-            let (mut list, mut records) = hnsw_list(&store, v, &mut first, &extra, m);
+            let (mut list, mut records) = hnsw_list(&store, v, &first, &extra, m);
             fillers_seen += records.1;
             for round in 0..2 {
                 let (got, kept) = reprune.run(&store, v, list.clone(), records, Rule::Hnsw, m);
-                let mut all = cands(&store, v, &ids(&list));
-                let want = hnsw_heuristic(&store, v, &mut all, m);
+                let all = cands(&store, v, &ids(&list));
+                let want = hnsw_heuristic(&store, v, &all, m);
                 assert_eq!((got.to_vec(), kept), want, "case {case}, round {round}");
                 records = (kept, got.len() - kept);
                 list = got.to_vec();
@@ -936,7 +976,7 @@ mod tests {
             first.sort_unstable();
             first.truncate(100);
             for extra in (300..400 as VecId).step_by(10) {
-                let (list, records) = hnsw_list(&store, v, &mut first.clone(), &[extra], 32);
+                let (list, records) = hnsw_list(&store, v, &first, &[extra], 32);
                 if list.len() <= 32 {
                     continue;
                 }
@@ -945,7 +985,7 @@ mod tests {
                     (got.to_vec(), kept)
                 });
                 let (want, slow) =
-                    counted(|| hnsw_heuristic(&store, v, &mut cands(&store, v, &ids(&list)), 32));
+                    counted(|| hnsw_heuristic(&store, v, &cands(&store, v, &ids(&list)), 32));
                 assert_eq!((got, kept), want, "vertex {v}, extra {extra}");
                 incremental += fast;
                 // The from-scratch route ranks the list too: one
@@ -997,8 +1037,8 @@ mod tests {
         r: usize,
         tail: usize,
     ) -> (Vec<Candidate>, (usize, usize)) {
-        let mut first = seeded_pool(rng, store, v);
-        let (mut list, kept) = prune_from_scratch(store, v, &mut first, rule, r);
+        let first = seeded_pool(rng, store, v);
+        let (mut list, kept) = prune_from_scratch(store, v, &first, rule, r);
         let records = (kept, list.len() - kept);
         for _ in 0..tail {
             let u = rng.gen_range(0..store.len()) as VecId;
@@ -1009,7 +1049,7 @@ mod tests {
         (list, records)
     }
 
-    /// Records the merge cannot trust — a kept or a filler run out of
+    /// Records the re-prune cannot trust — a kept or a filler run out of
     /// order, or a claim past the list's end — are dropped, not clamped:
     /// the re-prune is then exactly the prune from scratch, under both
     /// rules and behind any dirty tail.
@@ -1044,7 +1084,7 @@ mod tests {
                 out_of_order[kept..kept + fillers].reverse();
                 cases.push((out_of_order, (kept, fillers), 1));
             }
-            let want = prune_from_scratch(&store, v, &mut cands(&store, v, &ids(&list)), rule, r);
+            let want = prune_from_scratch(&store, v, &cands(&store, v, &ids(&list)), rule, r);
             for (held, records, kind) in cases {
                 let (got, got_kept) = reprune.run(&store, v, held, records, rule, r);
                 assert_eq!(
@@ -1107,6 +1147,112 @@ mod tests {
         assert!(checked() - at >= 500, "only {} overflows", checked() - at);
     }
 
+    /// A full list whose records decide every held entry, plus one new
+    /// edge, around the origin `v` on axis-aligned points: the kept
+    /// entries lie on distinct axes (no pair dominates), each filler on a
+    /// kept entry's axis behind it. The edge goes first, in the middle or
+    /// last, on a fresh axis (undominated) or behind one kept entry
+    /// (dominated by that entry alone). The re-prune equals the prune from
+    /// scratch, and its distance calls are exactly the edge's own tests
+    /// plus, when it is picked, one per kept entry ranked after it that
+    /// the pass reaches before the list is full: a stretch the records
+    /// decide costs no test.
+    #[test]
+    fn a_decided_stretch_costs_no_test() {
+        const FRESH: usize = 8;
+        let point = |axis: usize, at: f32| {
+            let mut x = [0.0f32; FRESH + 1];
+            x[axis] = at;
+            x
+        };
+        let mut store = VectorStore::new(FRESH + 1);
+        store.push(&[0.0; FRESH + 1]);
+        // Kept entries at 1..=8 on axes 0..8 (ids 1..=8), fillers 2.5
+        // behind the first four (ids 9..=12).
+        for axis in 0..8 {
+            store.push(&point(axis, axis as f32 + 1.0));
+        }
+        for axis in 0..4 {
+            store.push(&point(axis, axis as f32 + 3.5));
+        }
+        // (placement, axis, distance along it): the fresh axis is
+        // undominated, axes 2 and 5 lie behind kept entries.
+        let edges = [
+            ("first", FRESH, 0.5f32),
+            ("middle", FRESH, 4.25),
+            ("last", FRESH, 9.0),
+            ("middle", 2, 4.75),
+            ("last", 5, 9.0),
+        ];
+        let mut reprune = Reprune::default();
+        for (rule, held, r) in [(Rule::Hnsw, 12, 12), (Rule::Alpha(1.2), 8, 8)] {
+            let list = cands(&store, 0, &(1..=held).collect::<Vec<_>>());
+            let records = (8, held as usize - 8);
+            let want = prune_from_scratch(&store, 0, &list, rule, r);
+            assert_eq!(want, (list.clone(), 8), "{rule:?}: the records are valid");
+            for (at, (place, axis, along)) in edges.into_iter().enumerate() {
+                let id = store.len() as VecId;
+                store.push(&point(axis, along));
+                let mut all = list.clone();
+                all.extend(cands(&store, 0, &[id]));
+                let ((got, kept), calls) = counted(|| {
+                    let (got, kept) = reprune.run(&store, 0, all.clone(), records, rule, r);
+                    (got.to_vec(), kept)
+                });
+                let want = prune_from_scratch(&store, 0, &cands(&store, 0, &ids(&all)), rule, r);
+                let case = format!("{rule:?}, edge {at} ({place}, axis {axis})");
+                assert_eq!((got, kept), want, "{case}");
+                // The kept entries ranked before the edge; the one behind
+                // which it lies is the `axis`-th.
+                let before = (0..8).filter(|&k| (k as f32 + 1.0) < along).count();
+                let dominator = (axis < FRESH).then_some(axis);
+                let own = match (before < r, dominator, rule) {
+                    (false, _, _) => 0,
+                    (true, None, _) => before,
+                    (true, Some(j), Rule::Hnsw) => j + 1,
+                    (true, Some(j), Rule::Alpha(_)) => before - j,
+                };
+                let picked = before < r && dominator.is_none();
+                let after = if picked {
+                    (8 - before).min(r - before - 1)
+                } else {
+                    0
+                };
+                assert_eq!(calls, (own + after) as u64, "{case}");
+            }
+        }
+    }
+
+    /// Once a re-prune's buffers have grown to a list's length, overflows
+    /// of that length allocate nothing: every buffer stays where it was.
+    #[test]
+    fn a_warm_reprune_allocates_nothing() {
+        let mut rng = mqa_rng::StdRng::seed_from_u64(0x901C);
+        let store = clustered_store(&mut rng, 300, 16, 8);
+        let buffers = |r: &Reprune| {
+            let of = |v: &Vec<Candidate>| (v.as_ptr() as usize, v.capacity());
+            let held = (r.held.as_ptr() as usize, r.held.capacity());
+            [held, of(&r.picks), of(&r.unrecorded), of(&r.dominated)]
+        };
+        for rule in [Rule::Hnsw, Rule::Alpha(1.2)] {
+            let mut reprune = Reprune::default();
+            let all: Vec<VecId> = (1..300).collect();
+            reprune.run(&store, 0, cands(&store, 0, &all), (0, 0), rule, 32);
+            let warm = buffers(&reprune);
+            for v in 0..40 as VecId {
+                let near: Vec<VecId> = (0..200).filter(|&u| u != v).collect();
+                let (list, kept) =
+                    prune_from_scratch(&store, v, &cands(&store, v, &near), rule, 32);
+                let records = (kept, list.len() - kept);
+                for extra in 200..205 as VecId {
+                    let edges = list.iter().copied().chain(cands(&store, v, &[extra]));
+                    reprune.run(&store, v, edges, records, rule, 32);
+                    assert_eq!(buffers(&reprune), warm, "{rule:?}, vertex {v}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn heuristic_prefers_diversity_then_fills() {
         // v=0; candidates 1 (near), 2 (collinear behind 1), -1 direction.
@@ -1115,8 +1261,8 @@ mod tests {
         store.push(&[1.0]);
         store.push(&[2.0]);
         store.push(&[-1.5]);
-        let mut c = cands(&store, 0, &[1, 2, 3]);
-        let (sel, kept) = hnsw_heuristic(&store, 0, &mut c, 3);
+        let c = cands(&store, 0, &[1, 2, 3]);
+        let (sel, kept) = hnsw_heuristic(&store, 0, &c, 3);
         // 1 kept; 3 kept (diverse); 2 dominated by 1 but filled in behind
         // the kept ones.
         assert_eq!((ids(&sel), kept), (vec![1, 3, 2], 2));
@@ -1125,7 +1271,7 @@ mod tests {
     #[test]
     fn heuristic_cap() {
         let store = line_store(10);
-        let mut c = cands(&store, 0, &[1, 2, 3, 4, 5, 6]);
-        assert_eq!(hnsw_heuristic(&store, 0, &mut c, 2).0.len(), 2);
+        let c = cands(&store, 0, &[1, 2, 3, 4, 5, 6]);
+        assert_eq!(hnsw_heuristic(&store, 0, &c, 2).0.len(), 2);
     }
 }

@@ -279,11 +279,11 @@ fn robust_prune_output_well_formed() {
             store.push(&rand_vec(&mut rng, 4));
         }
         let v = 0u32;
-        let mut cands: Vec<Candidate> = (1..n as u32)
+        let cands: Vec<Candidate> = (1..n as u32)
             .map(|u| Candidate::new(u, ops::l2_sq(store.get(v), store.get(u))))
             .collect();
         let nearest = cands.iter().min().map(|c| c.id);
-        let selected: Vec<u32> = robust_prune(&store, v, &mut cands, alpha, r)
+        let selected: Vec<u32> = robust_prune(&store, v, &cands, alpha, r)
             .iter()
             .map(|c| c.id)
             .collect();
