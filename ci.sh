@@ -65,8 +65,10 @@ cargo test -q --offline --release -p mqa-graph --test walk_golden
 cargo test -q --offline --release -p mqa-graph --lib -- pool:: walk_oracle::
 # The selection routine's run checks, and its cross-check against the
 # prune from scratch at every overflow of the HNSW, MQA-graph, Vamana and
-# NSG unit-test builds, in the build that ships.
-cargo test -q --offline --release -p mqa-graph --lib -- prune:: hnsw:: pipeline::
+# NSG unit-test builds, in the build that ships. The forged-snapshot tests
+# (`persist::`) feed the validators hostile counts and ids; a release build
+# has no overflow checks, so they run in the shipped profile too.
+cargo test -q --offline --release -p mqa-graph --lib -- prune:: hnsw:: pipeline:: persist::
 # The pinned construction edge hashes and evaluation counts, in the
 # profile the benchmark builds its graphs with.
 cargo test -q --offline --release -p mqa-graph --test construction_work

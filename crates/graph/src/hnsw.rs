@@ -31,9 +31,7 @@ use crate::prune::{hnsw_heuristic, Reprune, Rule};
 use crate::scratch::{with_pooled, SearchScratch};
 use crate::search::{search_into, SearchOutput, SearchStats, Seeds};
 use crate::traits::{DistanceFn, FlatDistance};
-use crate::validate::{
-    check_adjacency, check_clean_prefixes, check_edge_distances, InvariantViolation,
-};
+use crate::validate::{check_bound, check_layer, InvariantViolation};
 use mqa_rng::StdRng;
 use mqa_vector::{Candidate, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
@@ -321,30 +319,38 @@ impl Hnsw {
     pub const REACHABILITY_FLOOR: f64 = 0.9;
 
     /// Audits the structural invariants of the built index against the
-    /// `store` it indexes and returns every violation found (empty =
-    /// sound).
+    /// `store` it indexes and the deletion state `tomb` of its generation
+    /// (`Tombstones::new(0)` for a never-compacted index), and returns
+    /// every violation found (empty = sound).
     ///
     /// Checked invariants:
+    /// - the recipe growth links under meets the bounds
+    ///   [`Hnsw::build`] asserts: `m >= 2`, `ef_construction >= 1`;
     /// - one layer per level up to the highest vertex level, each over the
     ///   whole population, and the entry on the top layer;
-    /// - per layer: [`check_adjacency`], then, on a layer it accepts,
-    ///   [`check_edge_distances`] and the records the re-prune trusts
-    ///   ([`check_clean_prefixes`] under [`Rule::Hnsw`]: the kept prefix
+    /// - every layer passes [`check_layer`] under [`Rule::Hnsw`]: sound
+    ///   adjacency, then, on a layer that covers the store, the stored
+    ///   distances and the records the re-prune trusts (the kept prefix
     ///   pairwise undominated, each filler dominated by a kept entry ranked
-    ///   before it);
+    ///   before it), and no edge into an id `tomb` marks compacted;
     /// - every list within its layer's degree cap (`2m` at layer 0, `m`
     ///   above, none above the vertex's own level), and layer-`l` edges
     ///   only pointing at vertices whose level reaches `l` (the HNSW
-    ///   hierarchy property) — the two checks a compacted generation keeps;
-    /// - at least [`Hnsw::REACHABILITY_FLOOR`] of the vertices are
-    ///   reachable from the entry over the base layer.
+    ///   hierarchy property);
+    /// - while no id has been compacted, at least
+    ///   [`Hnsw::REACHABILITY_FLOOR`] of the vertices are reachable from
+    ///   the entry over the base layer. Compaction legitimately unlinks
+    ///   dead vertices, which the floor would misread as corruption.
     ///
     /// Strict edge *symmetry* is deliberately not required: insertion
     /// re-prunes the reverse lists, so a forward edge may legally lack its
     /// mirror.
-    pub fn validate(&self, store: &VectorStore) -> Vec<InvariantViolation> {
-        let n = self.len();
+    pub fn validate(&self, store: &VectorStore, tomb: &Tombstones) -> Vec<InvariantViolation> {
+        let (n, params) = (self.len(), self.params);
         let mut out = Vec::new();
+        let ef = params.ef_construction;
+        out.extend(check_bound("hnsw", params.m >= 2, "m >= 2", params.m));
+        out.extend(check_bound("hnsw", ef >= 1, "ef_construction >= 1", ef));
         let Some(&highest) = self.levels.iter().max() else {
             return out;
         };
@@ -365,6 +371,7 @@ impl Hnsw {
             }),
             Some(_) => {}
         }
+        let level_of = |v: VecId| self.levels.get(v as usize).map(|&l| usize::from(l));
         for (level, layer) in self.layers.iter().enumerate() {
             let context = format!("hnsw layer {level}");
             if layer.len() != n {
@@ -374,45 +381,17 @@ impl Hnsw {
                     got: layer.len(),
                 });
             }
-            let defects = check_adjacency(&context, layer);
-            if defects.is_empty() && store.len() == layer.len() {
-                out.extend(check_edge_distances(&context, layer, store));
-                out.extend(check_clean_prefixes(&context, layer, store, Rule::Hnsw));
-            }
-            out.extend(defects);
-        }
-        out.extend(self.check_levels());
-        if let Some(base) = self.layers.first().filter(|_| (self.entry as usize) < n) {
-            let reached = base.reachable_count(self.entry);
-            if (reached as f64) < Self::REACHABILITY_FLOOR * n as f64 {
-                out.push(InvariantViolation::LowReachability {
-                    context: "hnsw base layer".to_string(),
-                    reached,
-                    n,
-                    floor: Self::REACHABILITY_FLOOR,
-                });
-            }
-        }
-        out
-    }
-
-    /// The degree-cap and hierarchy checks of [`Hnsw::validate`], which a
-    /// compacted generation keeps too: they read no vector and ask for no
-    /// reachability.
-    pub(crate) fn check_levels(&self) -> Vec<InvariantViolation> {
-        let level_of = |v: VecId| self.levels.get(v as usize).map(|&l| usize::from(l));
-        let mut out = Vec::new();
-        for (level, layer) in self.layers.iter().enumerate() {
+            out.extend(check_layer(&context, layer, store, Rule::Hnsw, tomb));
             for v in 0..layer.len() as VecId {
                 // A vertex holds no edges above its own level.
                 let cap = match level_of(v) {
-                    Some(l) if l >= level => self.params.cap(level),
+                    Some(l) if l >= level => params.cap(level),
                     _ => 0,
                 };
                 let degree = layer.degree(v);
                 if degree > cap {
                     out.push(InvariantViolation::DegreeOverflow {
-                        context: format!("hnsw layer {level}"),
+                        context: context.clone(),
                         id: v,
                         degree,
                         cap,
@@ -428,6 +407,18 @@ impl Hnsw {
                         });
                     }
                 }
+            }
+        }
+        let floored = (self.entry as usize) < n && tomb.compacted_count() == 0;
+        if let Some(base) = self.layers.first().filter(|_| floored) {
+            let reached = base.reachable_count(self.entry);
+            if (reached as f64) < Self::REACHABILITY_FLOOR * n as f64 {
+                out.push(InvariantViolation::LowReachability {
+                    context: "hnsw base layer".to_string(),
+                    reached,
+                    n,
+                    floor: Self::REACHABILITY_FLOOR,
+                });
             }
         }
         out
@@ -651,7 +642,7 @@ mod tests {
             );
         }
         assert!(h
-            .validate(&store)
+            .validate(&store, &Tombstones::new(0))
             .iter()
             .all(|v| matches!(v, InvariantViolation::LowReachability { .. })));
         // Live objects are still discoverable after the rewiring.
@@ -728,7 +719,10 @@ mod tests {
             };
             let mut h = Hnsw::build(&prefix(240), &params);
             step("build");
-            assert!(h.validate(&prefix(240)).is_empty(), "m {m}");
+            assert!(
+                h.validate(&prefix(240), &Tombstones::new(0)).is_empty(),
+                "m {m}"
+            );
             h.extend_from(&prefix(300), &Tombstones::new(0));
             step("growth");
             let mut tomb = Tombstones::new(300);
@@ -740,7 +734,7 @@ mod tests {
             tomb.grow(360);
             h.extend_from(&full, &tomb);
             step("growth after compaction");
-            let violations = h.validate(&full);
+            let violations = h.validate(&full, &Tombstones::new(0));
             assert!(
                 violations
                     .iter()
@@ -754,7 +748,7 @@ mod tests {
     fn validate_accepts_built_index() {
         let store = random_store(400, 8, 3);
         let h = Hnsw::build(&store, &HnswParams::default());
-        let violations = h.validate(&store);
+        let violations = h.validate(&store, &Tombstones::new(0));
         assert!(violations.is_empty(), "sound index flagged: {violations:?}");
     }
 
@@ -768,7 +762,7 @@ mod tests {
         let mut h = sound.clone();
         h.layers[0].lists_mut()[3].push(10_000);
         assert!(h
-            .validate(&store)
+            .validate(&store, &Tombstones::new(0))
             .iter()
             .any(|v| matches!(v, V::IdOutOfRange { id: 10_000, .. })));
 
@@ -778,7 +772,7 @@ mod tests {
         *d = f32::from_bits(d.to_bits() + 1);
         let u = h.base_layer().neighbors(4)[0];
         assert_eq!(
-            h.validate(&store),
+            h.validate(&store, &Tombstones::new(0)),
             vec![V::WrongEdgeDistance {
                 context: "hnsw layer 0".to_string(),
                 from: 4,
@@ -797,7 +791,7 @@ mod tests {
         let mut h = sound.clone();
         h.layers[0].clean_mut()[v as usize] += 1;
         h.layers[0].fillers_mut()[v as usize] -= 1;
-        let flagged = h.validate(&store);
+        let flagged = h.validate(&store, &Tombstones::new(0));
         assert!(
             matches!(flagged.as_slice(), [V::FalseCleanPrefix { id, .. }] if *id == v),
             "{flagged:?}"
@@ -806,7 +800,7 @@ mod tests {
         // A filler count reaching past the list.
         let mut h = sound.clone();
         h.layers[0].fillers_mut()[v as usize] += 1;
-        let flagged = h.validate(&store);
+        let flagged = h.validate(&store, &Tombstones::new(0));
         assert!(
             matches!(flagged.as_slice(), [V::FalseCleanPrefix { id, .. }] if *id == v),
             "{flagged:?}"
@@ -819,7 +813,7 @@ mod tests {
             .expect("some list kept two entries");
         h.layers[0].clean_mut()[w as usize] -= 1;
         h.layers[0].fillers_mut()[w as usize] += 1;
-        let flagged = h.validate(&store);
+        let flagged = h.validate(&store, &Tombstones::new(0));
         assert!(
             matches!(flagged.as_slice(), [V::FalseCleanPrefix { id, .. }] if *id == w),
             "{flagged:?}"
@@ -829,7 +823,7 @@ mod tests {
         let mut h = sound.clone();
         h.layers[0].lists_mut()[5].push(5);
         assert!(h
-            .validate(&store)
+            .validate(&store, &Tombstones::new(0))
             .iter()
             .any(|v| matches!(v, V::SelfLoop { id: 5, .. })));
 
@@ -839,7 +833,7 @@ mod tests {
             h.layers[0].lists_mut()[7].push(u);
         }
         assert!(h
-            .validate(&store)
+            .validate(&store, &Tombstones::new(0))
             .iter()
             .any(|v| matches!(v, V::DuplicateNeighbor { id: 7, .. })));
 
@@ -848,7 +842,7 @@ mod tests {
         let cap = h.params.m * 2;
         h.layers[0].lists_mut()[2] = (0..=cap as VecId).map(|i| (i + 10) % 200).collect();
         assert!(h
-            .validate(&store)
+            .validate(&store, &Tombstones::new(0))
             .iter()
             .any(|v| matches!(v, V::DegreeOverflow { id: 2, .. })));
 
@@ -859,7 +853,7 @@ mod tests {
         if let (Some(t), Some(s)) = (tall, short) {
             h.layers[1].lists_mut()[t].insert(0, s as VecId);
             assert!(h
-                .validate(&store)
+                .validate(&store, &Tombstones::new(0))
                 .iter()
                 .any(|v| matches!(v, V::CrossLevelEdge { .. })));
         }
@@ -869,7 +863,7 @@ mod tests {
         if let Some(s) = short {
             h.entry = s as VecId;
             assert!(h
-                .validate(&store)
+                .validate(&store, &Tombstones::new(0))
                 .iter()
                 .any(|v| matches!(v, V::BadEntry { .. })));
         }
@@ -879,7 +873,7 @@ mod tests {
         if let (Some(t), Some(s)) = (tall, short) {
             h.layers[1].lists_mut()[s].push(t as VecId);
             assert!(h
-                .validate(&store)
+                .validate(&store, &Tombstones::new(0))
                 .iter()
                 .any(|v| matches!(v, V::DegreeOverflow { id, cap: 0, .. } if *id == s as VecId)));
         }
@@ -890,7 +884,7 @@ mod tests {
             h.layers[0].lists_mut()[v].clear();
         }
         assert!(h
-            .validate(&store)
+            .validate(&store, &Tombstones::new(0))
             .iter()
             .any(|v| matches!(v, V::LowReachability { .. })));
     }

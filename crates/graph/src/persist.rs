@@ -376,8 +376,7 @@ mod tests {
     /// Red path: a restored HNSW snapshot whose base layer claims one more
     /// kept entry for a vertex — its first filler, relabelled — is refused
     /// with exactly one violation, for that vertex, whether or not the
-    /// index has compacted (the two generations are validated by
-    /// different paths).
+    /// index has compacted.
     #[test]
     fn forged_hnsw_kept_count_is_refused() {
         for compacted in [false, true] {
@@ -442,9 +441,9 @@ mod tests {
     /// with records that name that vertex — as the list holding a kept
     /// entry, or as a kept entry of another list — is refused with
     /// violations instead of panicking on a read of the missing row. Both
-    /// used to panic in the compacted path of
-    /// [`crate::unified::IndexSnapshot::validate`], which checked the
-    /// records of a layer it had not checked the length of.
+    /// used to panic when a compacted generation was audited by its own
+    /// copy of the layer checks, which read the records of a layer it had
+    /// not checked the length of.
     #[test]
     fn over_long_hnsw_layer_is_refused_without_reading_past_the_store() {
         const N: u32 = 300;
@@ -497,13 +496,9 @@ mod tests {
             set_records(layer, "fillers", &fillers);
             let forged = serde_json::to_string(&value).expect("serializes");
             let violations = refused(UnifiedSnapshot::from_json(&forged).expect("well-formed"));
-            let context = match compacted {
-                true => "unified snapshot hnsw layer 1 population",
-                false => "hnsw layer 1 population",
-            };
             assert!(
                 violations.contains(&InvariantViolation::SizeMismatch {
-                    context: context.to_string(),
+                    context: "hnsw layer 1 population".to_string(),
                     expected: N as usize,
                     got: N as usize + 1,
                 }),
@@ -515,6 +510,99 @@ mod tests {
                     .any(|v| matches!(v, InvariantViolation::FalseCleanPrefix { .. })),
                 "compacted {compacted}: records read past the store: {violations:?}"
             );
+        }
+    }
+
+    /// `json` with the first field `key` of its navigation structure —
+    /// looked up level by level, nearest first — set to `to`.
+    fn with_graph_field(json: &str, key: &str, to: serde::Value) -> String {
+        fn set(value: &mut serde::Value, key: &str, to: &serde::Value) -> bool {
+            match value {
+                serde::Value::Object(fields) => {
+                    if let Some((_, v)) = fields.iter_mut().find(|(k, _)| k == key) {
+                        *v = to.clone();
+                        return true;
+                    }
+                    fields.iter_mut().any(|(_, v)| set(v, key, to))
+                }
+                serde::Value::Array(items) => items.iter_mut().any(|v| set(v, key, to)),
+                _ => false,
+            }
+        }
+        let mut value = serde_json::parse_value_str(json).expect("snapshot JSON");
+        let serde::Value::Object(fields) = &mut value else {
+            panic!("a snapshot object");
+        };
+        let (_, graph) = fields
+            .iter_mut()
+            .find(|(k, _)| k == "graph")
+            .expect("graph");
+        assert!(set(graph, key, &to), "no {key} field");
+        serde_json::to_string(&value).expect("serializes")
+    }
+
+    /// Red path: a snapshot whose navigation structure holds a field a
+    /// search or a growth relies on, forged, is refused whether or not the
+    /// index has compacted. An entry the store does not have (a navgraph
+    /// with no entries, an HNSW entry one past the store) is a `BadEntry`:
+    /// a compacted generation used to skip the entry checks, restore, and
+    /// panic on its first search. A recipe outside the bounds a build
+    /// enforces is a `BadParameter` naming the bound: it used to restore,
+    /// and the next growth panicked on a zero construction beam or linked
+    /// new objects under a degree bound of zero.
+    #[test]
+    fn forged_graph_fields_are_refused() {
+        const N: u32 = 300;
+        let uint = |x: u64| serde::Value::Number(serde::Number::UInt(x));
+        for (algo, key, to, bound) in [
+            (
+                IndexAlgorithm::mqa_graph(),
+                "entries",
+                serde::Value::Array(Vec::new()),
+                None,
+            ),
+            (IndexAlgorithm::hnsw(), "entry", uint(N.into()), None),
+            (
+                IndexAlgorithm::hnsw(),
+                "ef_construction",
+                uint(0),
+                Some("ef_construction >= 1"),
+            ),
+            (IndexAlgorithm::hnsw(), "m", uint(1), Some("m >= 2")),
+            (IndexAlgorithm::mqa_graph(), "l", uint(0), Some("l >= 1")),
+            (IndexAlgorithm::mqa_graph(), "r", uint(0), Some("r >= 1")),
+            (
+                IndexAlgorithm::vamana(),
+                "alpha",
+                serde::Value::Number(serde::Number::F32(0.5)),
+                Some("alpha >= 1"),
+            ),
+        ] {
+            for compacted in [false, true] {
+                let idx = UnifiedIndex::build(
+                    store(N as usize, 16),
+                    Weights::normalized(&[1.3, 0.7]),
+                    Metric::L2,
+                    &algo,
+                );
+                if compacted {
+                    let doomed: Vec<u32> = (1..N).step_by(4).collect();
+                    assert!(idx.remove_objects(&doomed).expect("in range").compacted);
+                }
+                let json = idx.snapshot().to_json().expect("finite snapshot");
+                let forged = with_graph_field(&json, key, to.clone());
+                let violations = refused(UnifiedSnapshot::from_json(&forged).expect("well-formed"));
+                let wanted = |v: &InvariantViolation| match (v, bound) {
+                    (InvariantViolation::BadEntry { .. }, None) => true,
+                    (InvariantViolation::BadParameter { bound: b, .. }, Some(bound)) => *b == bound,
+                    _ => false,
+                };
+                assert!(
+                    violations.iter().any(wanted),
+                    "{} {key} compacted {compacted}: {violations:?}",
+                    algo.name()
+                );
+            }
         }
     }
 

@@ -39,7 +39,7 @@ use crate::scratch::{with_pooled, SearchScratch};
 use crate::search::SearchOutput;
 use crate::traits::{DistanceFn, FlatDistance};
 use crate::util::medoid;
-use crate::validate::InvariantViolation;
+use crate::validate::{check_bound, check_layer, InvariantViolation};
 use mqa_rng::StdRng;
 use mqa_vector::{ops, Candidate, VecId, VectorStore};
 use serde::{Deserialize, Serialize};
@@ -181,32 +181,27 @@ impl NavGraph {
     }
 
     /// Audits the structural invariants of the built graph against the
-    /// `store` it indexes and returns every violation found (empty =
-    /// sound).
+    /// `store` it indexes and the deletion state `tomb` of its generation
+    /// (`Tombstones::new(0)` for a never-compacted graph), and returns
+    /// every violation found (empty = sound).
     ///
     /// Checked invariants:
+    /// - the recipe growth links under meets the bounds a build enforces:
+    ///   `l >= 1`, `r >= 1`, `alpha >= 1`;
     /// - a non-empty graph has at least one entry; entries are in range
     ///   and distinct;
-    /// - adjacency lists have in-range endpoints, no self-loops, no
-    ///   duplicates;
-    /// - every stored edge distance is the distance its endpoints give, to
-    ///   the bit ([`crate::validate::check_edge_distances`]);
-    /// - every clean prefix is what it claims to be
-    ///   ([`crate::validate::check_clean_prefixes`]).
-    pub fn validate(&self, store: &VectorStore) -> Vec<InvariantViolation> {
+    /// - the graph passes [`check_layer`] under this graph's α: in-range
+    ///   endpoints, no self-loops, no duplicates, every stored edge
+    ///   distance and clean prefix what it claims to be, and no edge into
+    ///   an id `tomb` marks compacted.
+    pub fn validate(&self, store: &VectorStore, tomb: &Tombstones) -> Vec<InvariantViolation> {
         let n = self.graph.len();
         let context = format!("navgraph {}", self.name);
-        let mut out = crate::validate::check_adjacency(&context, &self.graph);
-        // The store-reading checks read vectors by neighbour id, so they
-        // run only on lists the adjacency check found addressable.
-        if out.is_empty() && store.len() == n {
-            out.extend(crate::validate::check_edge_distances(
-                &context,
-                &self.graph,
-                store,
-            ));
-            out.extend(self.check_clean_prefixes(store));
-        }
+        let (l, SelectStage { alpha, r }) = (self.l, self.select);
+        let mut out = check_layer(&context, &self.graph, store, Rule::Alpha(alpha), tomb);
+        out.extend(check_bound(&context, l >= 1, "l >= 1", l));
+        out.extend(check_bound(&context, r >= 1, "r >= 1", r));
+        out.extend(check_bound(&context, alpha >= 1.0, "alpha >= 1", alpha));
         if n == 0 {
             return out;
         }
@@ -232,20 +227,6 @@ impl NavGraph {
             }
         }
         out
-    }
-
-    /// Checks each vertex's recorded clean-prefix length against its list:
-    /// no longer than the list, sorted by distance to the vertex, and
-    /// pairwise undominated under *this graph's* α. A prefix that fails
-    /// would make the incremental re-prune skip tests whose answer it does
-    /// not know.
-    pub(crate) fn check_clean_prefixes(&self, store: &VectorStore) -> Vec<InvariantViolation> {
-        crate::validate::check_clean_prefixes(
-            &format!("navgraph {}", self.name),
-            &self.graph,
-            store,
-            Rule::Alpha(self.select.alpha),
-        )
     }
 
     /// Incrementally links every not-yet-indexed vector of `store` into
@@ -679,14 +660,15 @@ impl BuiltGraph {
         }
     }
 
-    /// Audits the inner structure against the `store` it indexes and
-    /// returns every invariant violation found (empty = sound). Dispatches
-    /// to the per-index validators; `Flat` carries no structure to audit.
-    pub fn validate(&self, store: &VectorStore) -> Vec<InvariantViolation> {
+    /// Audits the inner structure against the `store` it indexes and the
+    /// deletion state `tomb` of its generation, and returns every
+    /// invariant violation found (empty = sound). Dispatches to the
+    /// per-index validators; `Flat` carries no structure to audit.
+    pub fn validate(&self, store: &VectorStore, tomb: &Tombstones) -> Vec<InvariantViolation> {
         match self {
             BuiltGraph::Flat(_) => Vec::new(),
-            BuiltGraph::Nav(g) => g.validate(store),
-            BuiltGraph::Hnsw(h) => h.validate(store),
+            BuiltGraph::Nav(g) => g.validate(store, tomb),
+            BuiltGraph::Hnsw(h) => h.validate(store, tomb),
             BuiltGraph::Ivf(never) => match *never {},
         }
     }
@@ -1049,7 +1031,7 @@ mod tests {
         let mut built = algo.build_graph(&Arc::new(half));
         built.grow_to(&full, &Tombstones::new(0));
         assert_eq!(built.len(), 400);
-        let violations = built.validate(&full);
+        let violations = built.validate(&full, &Tombstones::new(0));
         assert!(violations.is_empty(), "{violations:?}");
         // New objects are discoverable through the grown graph.
         let mut found = 0usize;
@@ -1082,7 +1064,7 @@ mod tests {
         }
         // The report was refreshed, so validate sees no staleness; only
         // entry-membership defects would remain, and there are none.
-        let violations = nav.validate(&store);
+        let violations = nav.validate(&store, &Tombstones::new(0));
         assert!(
             violations.is_empty(),
             "post-compaction violations: {violations:?}"
@@ -1130,7 +1112,7 @@ mod tests {
     #[test]
     fn validate_accepts_pipeline_graphs() {
         let (store, g) = built_navgraph(11);
-        let violations = g.validate(&store);
+        let violations = g.validate(&store, &Tombstones::new(0));
         assert!(violations.is_empty(), "sound graph flagged: {violations:?}");
     }
 
@@ -1138,7 +1120,7 @@ mod tests {
     fn validate_detects_corruption() {
         use crate::validate::InvariantViolation as V;
         let (store, sound) = built_navgraph(12);
-        let audit = |g: &NavGraph| g.validate(&store);
+        let audit = |g: &NavGraph| g.validate(&store, &Tombstones::new(0));
 
         // Adjacency defects surface through the shared checker.
         let mut g = sound.clone();
@@ -1170,7 +1152,7 @@ mod tests {
         let d = &mut g.graph.dists_mut()[v as usize][2];
         *d = f32::from_bits(d.to_bits() + 1);
         assert_eq!(
-            g.validate(&store),
+            g.validate(&store, &Tombstones::new(0)),
             vec![V::WrongEdgeDistance {
                 context: format!("navgraph {}", sound.name),
                 from: v,
@@ -1189,7 +1171,7 @@ mod tests {
         use crate::validate::InvariantViolation as V;
         let (store, sound) = built_navgraph(13);
         let flagged = |g: &NavGraph, v: VecId| {
-            g.validate(&store)
+            g.validate(&store, &Tombstones::new(0))
                 .iter()
                 .any(|x| matches!(x, V::FalseCleanPrefix { id, .. } if *id == v))
         };
@@ -1264,7 +1246,7 @@ mod tests {
             tomb.mark_all_compacted();
             built.grow_to(&prefix(380), &tomb);
             step("growth after compaction");
-            let violations = built.validate(&prefix(380));
+            let violations = built.validate(&prefix(380), &Tombstones::new(0));
             assert!(violations.is_empty(), "{}: {violations:?}", algo.name());
 
             let json = serde_json::to_string(&built).expect("graph serializes");
@@ -1276,7 +1258,7 @@ mod tests {
             step("growth after reload");
             assert_eq!(edges(&reloaded), edges(&built), "{}", algo.name());
             assert_eq!(reloaded, built);
-            assert!(reloaded.validate(&full).is_empty());
+            assert!(reloaded.validate(&full, &Tombstones::new(0)).is_empty());
         }
     }
 }

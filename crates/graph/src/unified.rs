@@ -38,13 +38,9 @@ use crate::live::{
     lock_ignore_poison, MutationError, MutationReport, SnapshotCell, SnapshotGuard, Tombstones,
 };
 use crate::pipeline::{BuiltGraph, IndexAlgorithm};
-use crate::prune::Rule;
 use crate::search::SearchOutput;
 use crate::traits::DistanceFn;
-use crate::validate::{
-    check_adjacency, check_clean_prefixes, check_edge_distances, check_edges_live,
-    check_tombstones, check_weighted_rows, InvariantViolation,
-};
+use crate::validate::{check_tombstones, check_weighted_rows, InvariantViolation};
 use mqa_vector::{
     FusedScanner, Metric, MultiVector, MultiVectorStore, ScanStats, Schema, VecId, Weights,
 };
@@ -119,28 +115,16 @@ impl IndexSnapshot {
     /// Audits the snapshot's cross-structure invariants and returns every
     /// violation found (empty = sound). `weights` are the owning index's:
     /// the graph's edges were selected over the held weighted rows, which
-    /// is what their clean prefixes are checked in.
+    /// is what their stored distances and clean prefixes are checked in.
     ///
-    /// - the navigation structure, and in a compacted generation each of
-    ///   its layers, covers exactly the store population;
+    /// - the navigation structure covers exactly the store population;
     /// - `weights` cover exactly the schema's modalities;
     /// - the held weighted rows are the scaled store rows, bit for bit;
     /// - the tombstone bitmaps are internally consistent
     ///   ([`crate::validate::check_tombstones`]);
-    /// - the per-family structural validator, while no id has been
-    ///   compacted. Compaction legitimately unlinks dead vertices, which the
-    ///   quiesced-shape validators (HNSW's reachability floor in particular)
-    ///   would misread as corruption, so a compacted generation instead
-    ///   runs [`crate::validate::check_adjacency`], the stored-distance
-    ///   check on a layer that passes it
-    ///   ([`crate::validate::check_edge_distances`]) and
-    ///   [`crate::validate::check_edges_live`] (no edge into a
-    ///   compacted-away id) on every layer, HNSW's degree caps and
-    ///   hierarchy, then — only if those pass — the
-    ///   check of every layer's records
-    ///   ([`crate::validate::check_clean_prefixes`], under the graph's
-    ///   own rule: its α for a pipeline graph, the strict heuristic for
-    ///   HNSW).
+    /// - the per-family structural validator ([`BuiltGraph::validate`])
+    ///   over the held rows and the tombstones, one path for every
+    ///   generation, compacted or not.
     pub fn validate(&self, weights: &Weights) -> Vec<InvariantViolation> {
         let n = self.store.len();
         let mut out = Vec::new();
@@ -164,54 +148,7 @@ impl IndexSnapshot {
         if self.weighted.len() != n {
             return out; // the graph audits read the held rows by vertex id
         }
-        if self.tombstones.compacted_count() == 0 {
-            out.extend(self.searcher.validate(&self.weighted));
-            return out;
-        }
-        let (context, layers) = match &*self.searcher {
-            BuiltGraph::Nav(g) => ("unified snapshot navgraph", std::slice::from_ref(g.graph())),
-            BuiltGraph::Hnsw(h) => ("unified snapshot hnsw", h.layers()),
-            // Flat has no edges.
-            BuiltGraph::Flat(_) => return out,
-            BuiltGraph::Ivf(never) => match *never {},
-        };
-        for (level, layer) in layers.iter().enumerate() {
-            // An HNSW layer longer than the population names vertices the
-            // held rows do not have: report it, and read no vector through it.
-            if layer.len() != n {
-                out.push(InvariantViolation::SizeMismatch {
-                    context: format!("{context} layer {level} population"),
-                    expected: n,
-                    got: layer.len(),
-                });
-            }
-            let defects = check_adjacency(context, layer);
-            if defects.is_empty() && layer.len() == n {
-                out.extend(check_edge_distances(context, layer, &self.weighted));
-            }
-            out.extend(defects);
-            out.extend(check_edges_live(context, layer.edges(), &self.tombstones));
-        }
-        if let BuiltGraph::Hnsw(h) = &*self.searcher {
-            out.extend(h.check_levels());
-        }
-        // The record check reads vectors by vertex and neighbour id, so it
-        // runs only once every layer covers exactly the population and the
-        // adjacency check found every list addressable.
-        if out.is_empty() {
-            if let BuiltGraph::Nav(g) = &*self.searcher {
-                out.extend(g.check_clean_prefixes(&self.weighted));
-            } else {
-                for layer in layers {
-                    out.extend(check_clean_prefixes(
-                        context,
-                        layer,
-                        &self.weighted,
-                        Rule::Hnsw,
-                    ));
-                }
-            }
-        }
+        out.extend(self.searcher.validate(&self.weighted, &self.tombstones));
         out
     }
 }

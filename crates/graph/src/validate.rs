@@ -162,6 +162,17 @@ pub enum InvariantViolation {
         /// The object whose weighted row disagrees.
         id: VecId,
     },
+    /// A construction parameter outside the bounds a build enforces.
+    /// Growth links new objects under the recipe a structure holds, so a
+    /// restored one must meet them too.
+    BadParameter {
+        /// Which structure reported it.
+        context: String,
+        /// The bound the parameter breaks (e.g. `"m >= 2"`).
+        bound: &'static str,
+        /// The value it holds.
+        got: String,
+    },
 }
 
 impl fmt::Display for InvariantViolation {
@@ -250,6 +261,11 @@ impl fmt::Display for InvariantViolation {
             Self::StaleWeightedRow { id } => {
                 write!(f, "weighted row {id} is not the scaled store row")
             }
+            Self::BadParameter {
+                context,
+                bound,
+                got,
+            } => write!(f, "{context}: {got} breaks {bound}"),
         }
     }
 }
@@ -285,10 +301,47 @@ pub(crate) fn check_weighted_rows(
     out
 }
 
+/// A [`InvariantViolation::BadParameter`] for the value `got` unless it
+/// `holds` the `bound`.
+pub(crate) fn check_bound(
+    context: &str,
+    holds: bool,
+    bound: &'static str,
+    got: impl fmt::Display,
+) -> Option<InvariantViolation> {
+    (!holds).then(|| InvariantViolation::BadParameter {
+        context: context.to_string(),
+        bound,
+        got: got.to_string(),
+    })
+}
+
+/// One graph layer's audit against the `store` it indexes, under the `rule`
+/// it prunes with and the deletion state `tomb`: [`check_adjacency`]
+/// first; then, only on a layer it accepts that covers exactly the store —
+/// so every vertex and neighbour id addresses a row — the checks that read
+/// vectors ([`check_edge_distances`], [`check_clean_prefixes`]); then
+/// [`check_edges_live`]. `NavGraph::validate` and every layer of
+/// `Hnsw::validate` run it, whether or not the generation has compacted.
+pub fn check_layer(
+    context: &str,
+    layer: &Adjacency,
+    store: &VectorStore,
+    rule: Rule,
+    tomb: &Tombstones,
+) -> Vec<InvariantViolation> {
+    let mut out = check_adjacency(context, layer);
+    if out.is_empty() && layer.len() == store.len() {
+        out.extend(check_edge_distances(context, layer, store));
+        out.extend(check_clean_prefixes(context, layer, store, rule));
+    }
+    out.extend(check_edges_live(context, layer.edges(), tomb));
+    out
+}
+
 /// Shared adjacency-list checks: every endpoint in range, no self-loops, no
-/// duplicate neighbours. Every graph validator runs it: `NavGraph`, the
-/// Starling base layer, each HNSW layer, and a compacted snapshot's graph
-/// before anything reads vectors by neighbour id.
+/// duplicate neighbours. [`check_layer`] runs it before anything reads
+/// vectors by neighbour id.
 pub fn check_adjacency(context: &str, graph: &Adjacency) -> Vec<InvariantViolation> {
     let n = graph.len();
     let mut out = Vec::new();
@@ -324,7 +377,7 @@ pub fn check_adjacency(context: &str, graph: &Adjacency) -> Vec<InvariantViolati
 /// is `ops::l2_sq` of its endpoints, bit for bit. Reports the first wrong
 /// edge of each vertex.
 ///
-/// Reads vectors by neighbour id: call it on a graph
+/// Reads vectors by neighbour id: [`check_layer`] calls it on a graph
 /// [`check_adjacency`] accepted, over the store the graph indexes.
 pub fn check_edge_distances(
     context: &str,
@@ -358,7 +411,7 @@ pub fn check_edge_distances(
 /// dominates a later one, and a prefix entry ranked before each filler
 /// dominates it. Reports the first defect of each vertex.
 ///
-/// Reads vectors by neighbour id: call it on a graph
+/// Reads vectors by neighbour id: [`check_layer`] calls it on a graph
 /// [`check_adjacency`] accepted, over the store the graph indexes.
 pub fn check_clean_prefixes(
     context: &str,

@@ -8,7 +8,9 @@
 //! violations.
 
 use crate::workspace::{self, SourceFile, Workspace};
-use mqa_graph::{BuiltGraph, IndexAlgorithm, MutationError, MutationReport, UnifiedIndex};
+use mqa_graph::{
+    BuiltGraph, IndexAlgorithm, MutationError, MutationReport, Tombstones, UnifiedIndex,
+};
 use mqa_rng::StdRng;
 use mqa_vector::{Metric, MultiVector, MultiVectorStore, Schema, VectorStore, Weights};
 use std::collections::BTreeMap;
@@ -309,7 +311,10 @@ fn run(repo_root: &Path) -> Vec<(String, Vec<String>)> {
     for algo in all_algorithms() {
         let built = algo.build_graph(&store);
         let subject = format!("index {}", algo.name());
-        entries.push(entry(&subject, &built.validate(&store)));
+        entries.push(entry(
+            &subject,
+            &built.validate(&store, &Tombstones::new(0)),
+        ));
     }
 
     // The unified multi-modal index (store + learned-weight layout), as

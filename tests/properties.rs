@@ -434,7 +434,7 @@ fn hnsw_grow_compact_grow_equals_one_build_and_the_same_mutations() {
             h.extend_from(&full, &tomb);
         }
         assert_eq!(grown, once, "case {case}: compaction and growth");
-        let violations = grown.validate(&full);
+        let violations = grown.validate(&full, &Tombstones::new(0));
         assert!(
             violations
                 .iter()
