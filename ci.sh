@@ -41,6 +41,16 @@ cargo run -q --release --offline -p mqa-xtask -- sched --out results/sched
 echo "==> cargo build --release"
 cargo build --release --offline --workspace
 
+echo "==> examples (release)"
+# Clippy above only compiles the examples; each one also runs to
+# completion here (`custom_index` asserts that a restored snapshot answers
+# like the index it was taken from). The list is the directory's.
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "--> $name"
+    cargo run -q --release --offline --example "$name" >/dev/null
+done
+
 echo "==> mqa-xtask counts (exact counts against BENCH_counts.json)"
 # Runs every workload's full plan, traced and untraced, and fails on an
 # incorrect run or on a count: a change that reads one page more,

@@ -19,7 +19,7 @@ use mqa_bench::{encode, two_round, SetupParams, Table};
 use mqa_graph::pipeline::{
     EntryStage, GraphPipeline, InitStage, RefineStage, RepairStage, SelectStage,
 };
-use mqa_graph::{BuiltGraph, IndexAlgorithm, Tombstones, UnifiedIndex};
+use mqa_graph::{BuiltGraph, Tombstones, UnifiedIndex};
 use mqa_kb::DatasetSpec;
 use mqa_retrieval::{JeFramework, JePartialPolicy, MustFramework};
 use mqa_weights::{TrainerConfig, WeightLearner};
@@ -125,7 +125,6 @@ fn main() {
             store,
             enc.learned.weights.clone(),
             BuiltGraph::Nav(nav),
-            IndexAlgorithm::mqa_graph(),
             tombstones,
         );
         let must = match MustFramework::from_index(Arc::clone(&enc.corpus), index) {

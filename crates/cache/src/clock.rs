@@ -293,8 +293,8 @@ impl ProbeCore {
 /// A cache core behind one mutex — the unit of sharding: a [`ClockCore`]
 /// for the result cache, a [`ProbeCore`] for the page cache. All lock
 /// acquisitions go through `lock_ignore_poison` and every method drops
-/// the guard before returning, so a shard can never participate in a
-/// lock-order cycle.
+/// the guard before returning, so no other lock is ever taken while a
+/// shard's is held.
 pub struct CacheShard<C> {
     slots: Mutex<C>,
 }

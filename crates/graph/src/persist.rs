@@ -4,13 +4,16 @@
 //! The paper's Flexibility feature includes index *deployment*: once a
 //! navigation graph is built over a knowledge base it should be reusable
 //! across sessions. A [`UnifiedSnapshot`] captures everything search needs
-//! — the multi-vector store, the weights, the algorithm
-//! configuration, and the built navigation structure
-//! ([`crate::pipeline::BuiltGraph`]) — so a restored index answers queries
-//! identically to the original, with none of the build cost.
+//! — the multi-vector store, the weights, the built navigation structure
+//! ([`crate::pipeline::BuiltGraph`]) and the deletion state — so a
+//! restored index answers queries identically to the original, with none
+//! of the build cost. The structure is the one record of the recipe: a
+//! pipeline graph carries its name, beam width and selection rule, HNSW
+//! its parameters. Files written before the snapshot dropped its separate
+//! `"algorithm"` label still load; the label is ignored.
 
 use crate::live::Tombstones;
-use crate::pipeline::{BuiltGraph, IndexAlgorithm};
+use crate::pipeline::BuiltGraph;
 use crate::unified::UnifiedIndex;
 use crate::validate::InvariantViolation;
 use mqa_vector::{MultiVectorStore, Weights};
@@ -23,8 +26,6 @@ pub struct UnifiedSnapshot {
     pub store: MultiVectorStore,
     /// The build-time modality weights.
     pub weights: Weights,
-    /// The algorithm configuration (for provenance / re-builds).
-    pub algorithm: IndexAlgorithm,
     /// The built navigation structure.
     pub graph: BuiltGraph,
     /// The deletion state at snapshot time (all-live for an index that
@@ -82,13 +83,7 @@ impl UnifiedSnapshot {
                 got: self.graph.len(),
             }]);
         }
-        let index = UnifiedIndex::from_parts(
-            self.store,
-            self.weights,
-            self.graph,
-            self.algorithm,
-            self.tombstones,
-        );
+        let index = UnifiedIndex::from_parts(self.store, self.weights, self.graph, self.tombstones);
         let violations = index.current().validate(index.weights());
         if violations.is_empty() {
             Ok(index)
@@ -101,6 +96,7 @@ impl UnifiedSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::IndexAlgorithm;
     use mqa_rng::StdRng;
     use mqa_vector::{Metric, MultiVector, Schema};
 
@@ -147,13 +143,23 @@ mod tests {
             let before = idx.search(&q, None, 10, 48).ids();
             let snapshot = idx.snapshot();
             let json = snapshot.to_json().expect("finite snapshot serializes");
-            let restored = UnifiedSnapshot::from_json(&json)
+            // The structure is the one record of what was built: an
+            // `"algorithm"` label naming another family (the key older
+            // files carry) is ignored.
+            assert!(!json.contains("\"algorithm\""));
+            let stale = match algo {
+                IndexAlgorithm::Hnsw(_) => IndexAlgorithm::mqa_graph(),
+                _ => IndexAlgorithm::hnsw(),
+            };
+            let stale = serde_json::to_string(&stale).expect("recipe serializes");
+            let labelled = format!("{{\"algorithm\":{stale},{}", &json[1..]);
+            let restored = UnifiedSnapshot::from_json(&labelled)
                 .expect("round trips")
                 .restore()
                 .expect("sound snapshot");
             let after = restored.search(&q, None, 10, 48).ids();
             assert_eq!(before, after, "algorithm {}", algo.name());
-            assert_eq!(restored.algorithm(), &algo);
+            assert_eq!(restored.current().searcher().name(), algo.name());
         }
     }
 
@@ -644,7 +650,6 @@ mod tests {
             forged.store,
             forged.weights,
             forged.graph,
-            forged.algorithm,
             forged.tombstones,
         );
         for seed in 30..40 {

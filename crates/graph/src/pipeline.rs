@@ -644,6 +644,20 @@ impl BuiltGraph {
         }
     }
 
+    /// The family name searches record under: `"flat"`, the pipeline
+    /// graph's own name (`"nsg"`, `"vamana"`, `"mqa-graph"` or a custom
+    /// pipeline's), or `"hnsw"`. The structure is the one record of what
+    /// was built, so a restored index cannot report one family and search
+    /// another.
+    pub fn name(&self) -> &str {
+        match self {
+            BuiltGraph::Flat(_) => "flat",
+            BuiltGraph::Nav(g) => &g.name,
+            BuiltGraph::Hnsw(_) => "hnsw",
+            BuiltGraph::Ivf(never) => match *never {},
+        }
+    }
+
     /// Short human-readable description for the status panel.
     pub fn describe(&self) -> String {
         match self {

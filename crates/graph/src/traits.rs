@@ -104,7 +104,6 @@ impl DistanceFn for FlatDistance<'_> {
 pub struct VectorIndex {
     store: Arc<VectorStore>,
     graph: BuiltGraph,
-    algorithm: IndexAlgorithm,
     build_time: Duration,
 }
 
@@ -123,7 +122,6 @@ impl VectorIndex {
         Self {
             store,
             graph,
-            algorithm: algorithm.clone(),
             build_time,
         }
     }
@@ -143,7 +141,7 @@ impl VectorIndex {
         };
         let out =
             crate::scratch::with_pooled(|scratch| self.graph.search(&mut dist, k, ef, scratch));
-        out.stats.record(self.algorithm.name(), sw.elapsed_us());
+        out.stats.record(self.graph.name(), sw.elapsed_us());
         out
     }
 
@@ -152,9 +150,9 @@ impl VectorIndex {
         &self.store
     }
 
-    /// The algorithm configuration the index was built with.
-    pub fn algorithm(&self) -> &IndexAlgorithm {
-        &self.algorithm
+    /// The built structure's family name ([`BuiltGraph::name`]).
+    pub fn name(&self) -> &str {
+        self.graph.name()
     }
 
     /// Wall-clock build time.

@@ -188,7 +188,6 @@ impl IndexSnapshot {
 /// ```
 pub struct UnifiedIndex {
     weights: Weights,
-    algorithm: IndexAlgorithm,
     build_time: Duration,
     /// The published generation searchers read through an epoch guard.
     published: SnapshotCell<IndexSnapshot>,
@@ -225,7 +224,12 @@ impl UnifiedIndex {
             store.schema().arity(),
             "weights arity must match the schema"
         );
-        Self::assemble(store, weights, algorithm.clone(), None)
+        let build_span = mqa_obs::span(format!("graph.{}.build", algorithm.name()));
+        let weighted = Arc::new(store.weighted_store(&weights));
+        let searcher = algorithm.build_graph(&weighted);
+        let build_time = build_span.finish();
+        let tombstones = Tombstones::new(store.len());
+        Self::assemble(store, weights, weighted, searcher, tombstones, build_time)
     }
 
     /// Reassembles an index from persisted parts (see
@@ -241,37 +245,31 @@ impl UnifiedIndex {
     pub fn from_parts(
         store: MultiVectorStore,
         weights: Weights,
-        searcher: BuiltGraph,
-        algorithm: IndexAlgorithm,
+        mut searcher: BuiltGraph,
         tombstones: Tombstones,
     ) -> Self {
-        Self::assemble(store, weights, algorithm, Some((searcher, tombstones)))
+        let weighted = Arc::new(store.weighted_store(&weights));
+        searcher.restore_distances(&weighted);
+        Self::assemble(
+            store,
+            weights,
+            weighted,
+            searcher,
+            tombstones,
+            Duration::ZERO,
+        )
     }
 
-    /// Generation 0 from its parts — the one full weighted-rows pass; with
-    /// nothing `restored`, the graph is built over the rows (and timed).
+    /// Generation 0 from its parts; `weighted` is the store's one full
+    /// weighted-rows pass, which `searcher` was built or restored over.
     fn assemble(
         store: MultiVectorStore,
         weights: Weights,
-        algorithm: IndexAlgorithm,
-        restored: Option<(BuiltGraph, Tombstones)>,
+        weighted: Arc<mqa_vector::VectorStore>,
+        searcher: BuiltGraph,
+        mut tombstones: Tombstones,
+        build_time: Duration,
     ) -> Self {
-        let build_span = restored
-            .is_none()
-            .then(|| mqa_obs::span(format!("graph.{}.build", algorithm.name())));
-        let weighted = Arc::new(store.weighted_store(&weights));
-        let (searcher, mut tombstones) = match restored {
-            // Persisted edges carry no distances; they are the held rows'.
-            Some((mut searcher, tombstones)) => {
-                searcher.restore_distances(&weighted);
-                (searcher, tombstones)
-            }
-            None => (
-                algorithm.build_graph(&weighted),
-                Tombstones::new(store.len()),
-            ),
-        };
-        let build_time = build_span.map_or(Duration::ZERO, |span| span.finish());
         assert_eq!(
             searcher.len(),
             store.len(),
@@ -280,7 +278,6 @@ impl UnifiedIndex {
         tombstones.grow(store.len());
         Self {
             weights,
-            algorithm,
             build_time,
             published: SnapshotCell::new(IndexSnapshot {
                 store: Arc::new(store),
@@ -299,7 +296,6 @@ impl UnifiedIndex {
         crate::persist::UnifiedSnapshot {
             store: snap.store().clone(),
             weights: self.weights.clone(),
-            algorithm: self.algorithm.clone(),
             graph: snap.searcher().clone(),
             tombstones: snap.tombstones().clone(),
         }
@@ -460,7 +456,7 @@ impl UnifiedIndex {
         let out = snap.tombstones().search_live(k, ef, |k, ef| {
             snap.searcher().search(&mut dist, k, ef, scratch)
         });
-        out.stats.record(self.algorithm.name(), sw.elapsed_us());
+        out.stats.record(snap.searcher().name(), sw.elapsed_us());
         UnifiedSearchOutput {
             output: out,
             scan: dist.scan_stats(),
@@ -503,11 +499,6 @@ impl UnifiedIndex {
     /// benchmark crate still calls it.
     pub fn metric(&self) -> Metric {
         Metric::L2
-    }
-
-    /// The graph algorithm configuration.
-    pub fn algorithm(&self) -> &IndexAlgorithm {
-        &self.algorithm
     }
 
     /// Wall-clock build time.
@@ -995,7 +986,7 @@ mod tests {
     fn rejects(idx: &UnifiedIndex, object: &MultiVector, want: MutationError) {
         let before = idx.current();
         let got = idx.add_objects(std::slice::from_ref(object));
-        assert_eq!(got, Err(want), "{}", idx.algorithm().name());
+        assert_eq!(got, Err(want), "{}", idx.current().searcher().name());
         assert_eq!(idx.epoch(), 0);
         assert!(Arc::ptr_eq(before.snapshot(), idx.current().snapshot()));
     }
@@ -1319,7 +1310,7 @@ mod tests {
     fn retired_entries_seed_inserts_but_are_never_linked_to() {
         let assert_sound = |idx: &UnifiedIndex, step: &str| {
             let snap = idx.current();
-            let context = format!("{} after {step}", idx.algorithm().name());
+            let context = format!("{} after {step}", idx.current().searcher().name());
             let violations = snap.validate(idx.weights());
             assert!(violations.is_empty(), "{context}: {violations:?}");
             let mut edges = Vec::new();

@@ -156,7 +156,7 @@ impl RetrievalFramework for JeFramework {
         format!(
             "JE: joint {}-dim embedding, single {} index, fixed equal weighting",
             self.index.store().dim(),
-            self.index.algorithm().name()
+            self.index.name()
         )
     }
 }

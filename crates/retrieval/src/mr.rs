@@ -113,7 +113,7 @@ impl RetrievalFramework for MrFramework {
             self.channels.len(),
             self.channels
                 .first()
-                .map(|c| c.algorithm().name())
+                .map(VectorIndex::name)
                 .unwrap_or("none")
         )
     }

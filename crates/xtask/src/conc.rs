@@ -4,13 +4,17 @@
 //! that understands just enough Rust structure to check three properties
 //! without a compiler front-end:
 //!
-//! 1. **Lock ordering** — every acquisition of a `Mutex` / `RwLock`
-//!    *field* is resolved to a canonical lock name, `Struct.field` or
-//!    `static.NAME`. Acquiring lock `B` while a guard
-//!    of lock `A` is live adds the edge `A -> B` to a global lock-order
-//!    graph; any edge on a cycle (including self-loops — std mutexes are
-//!    not reentrant) is reported as [`Rule::LockOrderCycle`] with both
-//!    acquisition sites.
+//! 1. **No nested acquisition** — no `Mutex` / `RwLock` is acquired
+//!    (`.lock()`, `.read()` / `.write()` on a resolved `RwLock`, or a
+//!    guard-returning helper like `lock_ignore_poison`) while a tracked
+//!    guard is live in the same function ([`Rule::NestedLock`]). The
+//!    finding names the lock taken and the lock held, each by its
+//!    canonical name (`Struct.field` or `static.NAME`, `?` when the
+//!    receiver did not resolve), and the line the held guard was taken
+//!    at. The rule is local and stricter than a lock-order check: every
+//!    lock-order deadlock needs a thread that takes one lock while holding
+//!    another, which is exactly the site this rule reports, and a
+//!    self-reacquisition (std mutexes are not reentrant) is one such site.
 //! 2. **Condvar predicate loops** — a `wait`-family call that consumes a
 //!    live tracked guard must have an enclosing `loop` / `while` / `for`
 //!    inside its function, or it is a spurious-wakeup bug
@@ -19,9 +23,10 @@
 //!    automatically: parameters are not tracked acquisitions.
 //! 3. **Guards across blocking calls** — a live guard at a blocking call
 //!    site (`.join()`, `thread::sleep`, `Ticket::wait`'s empty-arg
-//!    `.wait()`, `BoundedQueue::{push,pop}`, or a condvar wait on a
-//!    *different* lock) stalls every thread needing that lock
-//!    ([`Rule::GuardAcrossBlocking`]).
+//!    `.wait()`, `BoundedQueue::{push,pop}`) stalls every thread needing
+//!    that lock ([`Rule::GuardAcrossBlocking`]). A second guard held
+//!    across a condvar wait needs no check of its own: one of the two was
+//!    taken while the other was live, which rule 1 already reports.
 //!
 //! Guard tracking is deliberately conservative: a guard binding is only
 //! recorded when the acquisition is the *entire* right-hand side of a
@@ -74,32 +79,11 @@ struct Index {
     helpers: BTreeSet<String>,
 }
 
-/// One `A -> B` acquisition-order edge with both sites.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct LockEdge {
-    /// Lock already held.
-    pub from: String,
-    /// Lock acquired while `from` was held.
-    pub to: String,
-    /// File of the `to` acquisition.
-    pub file: String,
-    /// Line of the `to` acquisition.
-    pub line: usize,
-    /// File where `from` was acquired.
-    pub from_file: String,
-    /// Line where `from` was acquired.
-    pub from_line: usize,
-    /// Trimmed source line of the `to` acquisition.
-    pub excerpt: String,
-}
-
 /// The full analysis result, before baseline waivers.
 #[derive(Debug, Default)]
 pub struct Analysis {
     /// All rule violations, sorted by (file, line).
     pub findings: Vec<Finding>,
-    /// The global lock-order graph (deduplicated edges).
-    pub edges: Vec<LockEdge>,
     /// Every canonical lock name that was acquired somewhere.
     pub lock_names: BTreeSet<String>,
 }
@@ -293,7 +277,7 @@ fn arg_path(args: &[&Tok]) -> Vec<String> {
     segs
 }
 
-/// Pass 2 over one file: track scopes + guards, record edges and per-site
+/// Pass 2 over one file: track scopes + guards and report per-site
 /// findings.
 fn analyze_file(
     ctx: &SourceFile,
@@ -309,7 +293,6 @@ fn analyze_file(
     let mut pending_fn = false;
     let mut pending_loop = false;
     let mut pending_let: Option<String> = None;
-    let mut edges: BTreeSet<LockEdge> = out.edges.iter().cloned().collect();
 
     let live_guards = |scopes: &[Scope]| -> Vec<GuardVar> {
         scopes
@@ -397,15 +380,13 @@ fn analyze_file(
                         let ictx = owners.get(i).cloned().flatten();
 
                         let live = live_guards(&scopes);
-                        let guard_args: Vec<String> = args
+                        let takes_guard = args
                             .iter()
-                            .filter(|a| {
-                                a.kind == Kind::Ident && live.iter().any(|g| g.var == a.text)
-                            })
-                            .map(|a| a.text.clone())
-                            .collect();
+                            .any(|a| a.kind == Kind::Ident && live.iter().any(|g| g.var == a.text));
 
-                        let mut acquisition: Option<(Option<String>, usize)> = None;
+                        // `Some(lock)` at an acquisition; `lock` is its
+                        // canonical name when the receiver resolved.
+                        let mut acquisition: Option<Option<String>> = None;
                         let mut blocking: Option<&str> = None;
                         let mut wait_site = false;
 
@@ -414,11 +395,11 @@ fn analyze_file(
                             let resolved = idx.resolve(&recv, ictx.as_deref());
                             match name {
                                 "lock" if args.is_empty() => {
-                                    acquisition = Some((resolved.map(|(n, _)| n), close));
+                                    acquisition = Some(resolved.map(|(n, _)| n));
                                 }
                                 "read" | "write" if args.is_empty() => {
                                     if let Some((n, FieldKind::Rw)) = resolved {
-                                        acquisition = Some((Some(n), close));
+                                        acquisition = Some(Some(n));
                                     }
                                 }
                                 "join" if args.is_empty() => blocking = Some("join()"),
@@ -428,40 +409,37 @@ fn analyze_file(
                                         blocking = Some("BoundedQueue push/pop");
                                     }
                                 }
-                                _ if is_wait_name(name) && !guard_args.is_empty() => {
-                                    wait_site = true;
-                                }
+                                _ if is_wait_name(name) && takes_guard => wait_site = true,
                                 _ => {}
                             }
-                        } else {
-                            if idx.helpers.contains(name) {
-                                let resolved = idx.resolve(&arg_path(args), ictx.as_deref());
-                                acquisition = Some((resolved.map(|(n, _)| n), close));
-                            } else if name == "sleep" {
-                                blocking = Some("sleep()");
-                            } else if is_wait_name(name) && !guard_args.is_empty() {
-                                wait_site = true;
-                            }
+                        } else if idx.helpers.contains(name) {
+                            let resolved = idx.resolve(&arg_path(args), ictx.as_deref());
+                            acquisition = Some(resolved.map(|(n, _)| n));
+                        } else if name == "sleep" {
+                            blocking = Some("sleep()");
+                        } else if is_wait_name(name) && takes_guard {
+                            wait_site = true;
                         }
 
-                        if let Some((lock, close)) = acquisition {
-                            // Lock-order edges: new lock vs. every live
-                            // resolved guard.
-                            if let Some(to) = &lock {
-                                out.lock_names.insert(to.clone());
-                                for g in &live {
-                                    if let Some(from) = &g.lock {
-                                        edges.insert(LockEdge {
-                                            from: from.clone(),
-                                            to: to.clone(),
-                                            file: ctx.rel.clone(),
-                                            line,
-                                            from_file: ctx.rel.clone(),
-                                            from_line: g.line,
-                                            excerpt: ctx.excerpt(line),
-                                        });
-                                    }
-                                }
+                        if let Some(lock) = acquisition {
+                            if let Some(n) = &lock {
+                                out.lock_names.insert(n.clone());
+                            }
+                            // Rule: nothing is acquired while a guard is
+                            // live.
+                            for g in &live {
+                                out.findings.push(Finding {
+                                    file: ctx.rel.clone(),
+                                    line,
+                                    rule: Rule::NestedLock,
+                                    excerpt: format!(
+                                        "{} [acquires `{}` while holding `{}` from line {}]",
+                                        ctx.excerpt(line),
+                                        lock.as_deref().unwrap_or("?"),
+                                        g.lock.as_deref().unwrap_or("?"),
+                                        g.line
+                                    ),
+                                });
                             }
                             // Bind when the acquisition is the whole RHS of
                             // a `let`, modulo a trailing poison-adapter
@@ -517,23 +495,6 @@ fn analyze_file(
                                     excerpt: ctx.excerpt(line),
                                 });
                             }
-                            // Other guards held across the wait block
-                            // every thread needing them.
-                            for g in &live {
-                                if !guard_args.contains(&g.var) {
-                                    out.findings.push(Finding {
-                                        file: ctx.rel.clone(),
-                                        line,
-                                        rule: Rule::GuardAcrossBlocking,
-                                        excerpt: format!(
-                                            "{} [guard `{}` from line {} held across condvar wait]",
-                                            ctx.excerpt(line),
-                                            g.var,
-                                            g.line
-                                        ),
-                                    });
-                                }
-                            }
                         } else if let Some(what) = blocking {
                             for g in &live {
                                 out.findings.push(Finding {
@@ -556,7 +517,6 @@ fn analyze_file(
         }
         i += 1;
     }
-    out.edges = edges.into_iter().collect();
 }
 
 /// Runs the analysis over the workspace. The gate and the unit tests both
@@ -578,42 +538,6 @@ pub fn analyze(ws: &Workspace) -> Analysis {
         analyze_file(file, toks, &owners, &idx, &mut out);
     }
 
-    // Cycle pass over the global graph.
-    let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for e in &out.edges {
-        adj.entry(&e.from).or_default().insert(&e.to);
-    }
-    let reaches = |from: &str, to: &str| -> bool {
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![from];
-        while let Some(n) = stack.pop() {
-            if n == to {
-                return true;
-            }
-            if !seen.insert(n) {
-                continue;
-            }
-            if let Some(next) = adj.get(n) {
-                stack.extend(next.iter().copied());
-            }
-        }
-        false
-    };
-    for e in &out.edges {
-        if reaches(&e.to, &e.from) {
-            out.findings.push(Finding {
-                file: e.file.clone(),
-                line: e.line,
-                rule: Rule::LockOrderCycle,
-                excerpt: format!(
-                    "{} [acquires `{}` while holding `{}` (held since {}:{}); \
-                     `{}` -> … -> `{}` closes an order cycle]",
-                    e.excerpt, e.to, e.from, e.from_file, e.from_line, e.from, e.to
-                ),
-            });
-        }
-    }
-
     out.findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule.name()).cmp(&(b.file.as_str(), b.line, b.rule.name()))
     });
@@ -622,8 +546,7 @@ pub fn analyze(ws: &Workspace) -> Analysis {
 
 /// Runs the static concurrency analysis, applying `baseline` waivers
 /// (default file: `conc-baseline.toml`). The outcome's `stats` is the
-/// [`Analysis`] minus its findings: the lock-order graph and lock-name
-/// inventory.
+/// [`Analysis`] minus its findings: the lock-name inventory.
 pub fn run(ws: &Workspace, baseline: &Baseline) -> Outcome<Analysis> {
     let mut analysis = analyze(ws);
     let all = std::mem::take(&mut analysis.findings);
@@ -658,21 +581,23 @@ impl Pair {
 "#;
 
     #[test]
-    fn ab_ba_inversion_reports_cycle_on_both_edges() {
+    fn ab_ba_inversion_reports_both_nested_acquisitions() {
         let a = one("x/src/pair.rs", AB_BA);
-        assert_eq!(a.edges.len(), 2, "edges: {:?}", a.edges);
-        let cycles: Vec<&Finding> = a
+        let nested: Vec<&Finding> = a
             .findings
             .iter()
-            .filter(|f| f.rule == Rule::LockOrderCycle)
+            .filter(|f| f.rule == Rule::NestedLock)
             .collect();
-        assert_eq!(cycles.len(), 2, "findings: {:?}", a.findings);
-        assert_eq!(cycles[0].line, 7);
-        assert_eq!(cycles[1].line, 13);
+        assert_eq!(nested.len(), 2, "findings: {:?}", a.findings);
+        assert_eq!(nested[0].line, 7);
+        assert_eq!(nested[1].line, 13);
     }
 
+    /// A nesting in one consistent order cannot deadlock by lock order
+    /// alone, but it is still a lock taken while another is held: the
+    /// rule is per site and needs no second function to fire.
     #[test]
-    fn consistent_order_is_clean() {
+    fn consistent_nesting_is_a_finding() {
         let src = r#"
 use std::sync::Mutex;
 struct Pair { alpha: Mutex<u32>, beta: Mutex<u32> }
@@ -683,27 +608,22 @@ impl Pair {
         drop(b);
         drop(a);
     }
-    fn ab_again(&self) {
-        let a = self.alpha.lock();
-        let b = self.beta.lock();
-        drop(b);
-        drop(a);
-    }
 }
 "#;
         let a = one("x/src/pair.rs", src);
+        assert_eq!(a.findings.len(), 1, "findings: {:?}", a.findings);
+        let f = &a.findings[0];
+        assert_eq!((f.rule, f.line), (Rule::NestedLock, 7));
         assert!(
-            a.edges
-                .iter()
-                .all(|e| e.from == "Pair.alpha" && e.to == "Pair.beta"),
-            "edges: {:?}",
-            a.edges
+            f.excerpt
+                .contains("acquires `Pair.beta` while holding `Pair.alpha` from line 6"),
+            "{}",
+            f.excerpt
         );
-        assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
     }
 
     #[test]
-    fn self_reacquire_is_a_cycle() {
+    fn self_reacquire_is_a_nested_lock() {
         let src = r#"
 use std::sync::Mutex;
 struct S { m: Mutex<u32> }
@@ -717,13 +637,39 @@ impl S {
 }
 "#;
         let a = one("x/src/s.rs", src);
-        let cycles: Vec<&Finding> = a
+        let nested: Vec<&Finding> = a
             .findings
             .iter()
-            .filter(|f| f.rule == Rule::LockOrderCycle)
+            .filter(|f| f.rule == Rule::NestedLock)
             .collect();
-        assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0].line, 7);
+        assert_eq!(nested.len(), 1);
+        assert_eq!(nested[0].line, 7);
+    }
+
+    /// A second guard held across a condvar wait is reported once, where
+    /// it was taken while the first was live, and not again at the wait.
+    #[test]
+    fn second_guard_across_a_condvar_wait_is_one_nested_lock() {
+        let src = r#"
+use std::sync::{Condvar, Mutex};
+struct S { m: Mutex<bool>, n: Mutex<u32>, cv: Condvar }
+impl S {
+    fn f(&self) {
+        let g = self.n.lock();
+        let mut h = self.m.lock();
+        while !*h {
+            h = self.cv.wait(h);
+        }
+        drop(h);
+        drop(g);
+    }
+}
+"#;
+        let a = one("x/src/s.rs", src);
+        assert_eq!(a.findings.len(), 1, "findings: {:?}", a.findings);
+        let f = &a.findings[0];
+        assert_eq!((f.rule, f.line), (Rule::NestedLock, 7));
+        assert!(f.excerpt.contains("`S.m` while holding `S.n` from line 6"));
     }
 
     #[test]
@@ -830,7 +776,7 @@ impl S {
         // index's single-writer mutex. Both must be inventoried under
         // their canonical names so the gate watches them — an empty
         // resolution here would mean mutation locking is invisible to
-        // the cycle analysis.
+        // the nested-lock rule's excerpts and the census.
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let a = analyze(&crate::workspace::load(&root).expect("workspace sources readable"));
         for name in ["SnapshotCell.slot", "UnifiedIndex.writer"] {
@@ -901,22 +847,16 @@ fn f(h: std::thread::JoinHandle<()>) {
         let masked = format!("#[cfg(test)]\nmod tests {{\n{AB_BA}\n}}\n");
         let a = one("x/src/pair.rs", &masked);
         assert!(a.findings.is_empty());
-        assert!(a.edges.is_empty());
     }
 
+    /// Pass 1 indexes every file before pass 2 runs, so a receiver in one
+    /// file resolves to a struct declared in another and the finding names
+    /// both locks.
     #[test]
-    fn cross_file_edges_join_one_graph() {
-        let fwd = r#"
+    fn cross_file_receivers_resolve_to_canonical_names() {
+        let decl = r#"
 use std::sync::Mutex;
-struct Pair { alpha: Mutex<u32>, beta: Mutex<u32> }
-impl Pair {
-    fn ab(&self) {
-        let a = self.alpha.lock();
-        let b = self.beta.lock();
-        drop(b);
-        drop(a);
-    }
-}
+pub struct Pair { pub alpha: Mutex<u32>, pub beta: Mutex<u32> }
 "#;
         let rev = r#"
 fn ba(p: &crate::Pair) {
@@ -927,14 +867,14 @@ fn ba(p: &crate::Pair) {
 }
 "#;
         let a = analyze(&Workspace::from_sources(&[
-            ("x/src/fwd.rs", fwd),
+            ("x/src/decl.rs", decl),
             ("x/src/rev.rs", rev),
         ]));
-        let cycles = a
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::LockOrderCycle)
-            .count();
-        assert_eq!(cycles, 2, "findings: {:?}", a.findings);
+        assert_eq!(a.findings.len(), 1, "findings: {:?}", a.findings);
+        let f = &a.findings[0];
+        assert_eq!((f.file.as_str(), f.line), ("x/src/rev.rs", 4));
+        assert!(f
+            .excerpt
+            .contains("acquires `Pair.alpha` while holding `Pair.beta` from line 3"));
     }
 }

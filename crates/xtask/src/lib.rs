@@ -6,7 +6,7 @@
 //! | command | what it proves | baseline file |
 //! |---|---|---|
 //! | [`lint`] | error-handling discipline in non-test library code: no `.unwrap()` / `.expect(` / `panic!`, no float `==` in kernels, no `unsafe` without `// SAFETY:`, no wildcard arm over an error enum, no ad-hoc `Instant::now()`, no unchecked index / narrowing cast / raw division on the serving crates | `lint-baseline.toml` |
-//! | [`conc`] | the global lock-order graph has no cycle, every `Condvar::wait` re-checks its predicate in a loop, no guard is held across a blocking call | `conc-baseline.toml` (absent: zero waivers) |
+//! | [`conc`] | no lock is acquired while another guard is live (so no lock-order deadlock), every `Condvar::wait` re-checks its predicate in a loop, no guard is held across a blocking call | `conc-baseline.toml` (absent: zero waivers) |
 //! | [`flow`] | no panic-capable site is reachable from a serving entry point | `flow-baseline.toml` |
 //! | [`alloc`] | no allocation-capable site is reachable from a steady-state serving entry point without an `// ALLOC:` discharge (cross-checked at runtime by the counting allocator of `mqa-graph`'s `alloc_free` test) | `alloc-baseline.toml` |
 //! | `rules` | (lists the lint rules with their rationales) | — |

@@ -31,8 +31,8 @@ pub enum Rule {
     WildcardErrorMatch,
     /// Ad-hoc `Instant::now()` timing outside the bench/obs crates.
     AdHocTiming,
-    /// A cycle in the global lock-order graph (`mqa-xtask conc`).
-    LockOrderCycle,
+    /// A lock acquired while another guard is live (`mqa-xtask conc`).
+    NestedLock,
     /// `Condvar::wait` outside a `while`/`loop` predicate re-check.
     CondvarNoLoop,
     /// A live `MutexGuard` held across a blocking call.
@@ -63,7 +63,7 @@ impl Rule {
         Rule::UnsafeNoSafety,
         Rule::WildcardErrorMatch,
         Rule::AdHocTiming,
-        Rule::LockOrderCycle,
+        Rule::NestedLock,
         Rule::CondvarNoLoop,
         Rule::GuardAcrossBlocking,
         Rule::NoIndexPanic,
@@ -83,7 +83,7 @@ impl Rule {
             Rule::UnsafeNoSafety => "unsafe-no-safety",
             Rule::WildcardErrorMatch => "wildcard-error-match",
             Rule::AdHocTiming => "ad-hoc-timing",
-            Rule::LockOrderCycle => "lock-order-cycle",
+            Rule::NestedLock => "nested-lock",
             Rule::CondvarNoLoop => "condvar-no-loop",
             Rule::GuardAcrossBlocking => "guard-across-blocking",
             Rule::NoIndexPanic => "no-index-panic",
@@ -113,8 +113,8 @@ impl Rule {
             Rule::AdHocTiming => {
                 "instrumented code must time via mqa-obs spans/Stopwatch, not raw Instant::now()"
             }
-            Rule::LockOrderCycle => {
-                "two functions acquire these locks in opposite orders — a potential deadlock"
+            Rule::NestedLock => {
+                "a lock taken while another guard is live is half of a lock-order deadlock (or a self-deadlock); release the held guard first"
             }
             Rule::CondvarNoLoop => {
                 "Condvar::wait returns on spurious wakeups; the predicate must be re-checked in a while/loop"

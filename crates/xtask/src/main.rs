@@ -40,17 +40,13 @@ also fail the gate.",
     Command {
         name: "conc",
         options: STATIC_OPTIONS,
-        help: "Static concurrency analysis: build the global lock-order graph
-from every Mutex/RwLock acquisition and fail on
-order cycles, non-looped Condvar waits, and guards held across
+        help: "Static concurrency analysis: resolve every Mutex/RwLock
+acquisition to its lock and fail on a lock acquired while another
+guard is live, non-looped Condvar waits, and guards held across
 blocking calls. Waivers live in conc-baseline.toml.",
         run: |args| {
-            static_gate("conc", args, conc::run, |graph| {
-                format!(
-                    "{} lock(s), {} order edge(s), ",
-                    graph.lock_names.len(),
-                    graph.edges.len()
-                )
+            static_gate("conc", args, conc::run, |a| {
+                format!("{} lock(s), ", a.lock_names.len())
             })
         },
     },

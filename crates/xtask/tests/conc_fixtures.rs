@@ -2,9 +2,9 @@
 //!
 //! `fixture_conc.rs` seeds one instance of each conc rule at a pinned
 //! line; these tests assert the exact `file:line` coordinates, then
-//! exercise the full `conc::run` gate over a throwaway tree to prove a
-//! lock-order mutation actually flips the gate red and that the waiver
-//! baseline machinery carries over.
+//! exercise the full `conc::run` gate over a throwaway tree to prove that
+//! nesting two locks, in either order, flips the gate red and that the
+//! waiver baseline machinery carries over.
 
 use mqa_xtask::baseline::Baseline;
 use mqa_xtask::conc;
@@ -20,27 +20,25 @@ fn fixture() -> conc::Analysis {
 }
 
 #[test]
-fn lock_inversion_reports_both_edges_at_pinned_lines() {
+fn lock_inversion_reports_both_nested_acquisitions_at_pinned_lines() {
     let a = fixture();
-    let cycles: Vec<_> = a
+    let nested: Vec<_> = a
         .findings
         .iter()
-        .filter(|f| f.rule == Rule::LockOrderCycle)
+        .filter(|f| f.rule == Rule::NestedLock)
         .collect();
-    assert_eq!(cycles.len(), 2, "findings: {:?}", a.findings);
-    assert_eq!(
-        (cycles[0].file.as_str(), cycles[0].line),
-        ("crates/x/src/fixture_conc.rs", 19)
-    );
-    assert_eq!(
-        (cycles[1].file.as_str(), cycles[1].line),
-        ("crates/x/src/fixture_conc.rs", 26)
-    );
-    // Each finding names both locks and the site where the held lock was
-    // taken, so the report alone locates the inversion.
-    assert!(cycles[0].excerpt.contains("Pair.alpha"));
-    assert!(cycles[0].excerpt.contains("Pair.beta"));
-    assert!(cycles[0].excerpt.contains(":18"));
+    assert_eq!(nested.len(), 2, "findings: {:?}", a.findings);
+    // Each finding names both locks and the line where the held guard was
+    // taken, so the report alone locates the nesting.
+    for (f, line, held_since) in [(nested[0], 19, "line 18"), (nested[1], 26, "line 25")] {
+        assert_eq!(
+            (f.file.as_str(), f.line),
+            ("crates/x/src/fixture_conc.rs", line)
+        );
+        assert!(f.excerpt.contains("Pair.alpha"), "{}", f.excerpt);
+        assert!(f.excerpt.contains("Pair.beta"), "{}", f.excerpt);
+        assert!(f.excerpt.contains(held_since), "{}", f.excerpt);
+    }
 }
 
 #[test]
@@ -77,7 +75,8 @@ fn fixture_defect_census_is_exactly_four() {
 }
 
 /// A `BoundedQueue`-shaped module whose two public entry points take the
-/// same two locks in the same order — the shape the real workspace has.
+/// same two locks one at a time, never together — the shape the real
+/// workspace has.
 const QUEUE_LIKE_OK: &str = r#"
 use std::sync::Mutex;
 
@@ -89,18 +88,18 @@ pub struct Queue {
 impl Queue {
     pub fn push(&self, v: u32) {
         let mut s = self.state.lock();
-        let mut n = self.stats.lock();
         s.push(v);
+        drop(s);
+        let mut n = self.stats.lock();
         *n += 1;
         drop(n);
-        drop(s);
     }
 
     pub fn pop(&self) -> Option<u32> {
-        let mut s = self.state.lock();
         let mut n = self.stats.lock();
         *n += 1;
         drop(n);
+        let mut s = self.state.lock();
         let v = s.pop();
         drop(s);
         v
@@ -108,43 +107,45 @@ impl Queue {
 }
 "#;
 
-/// The same module with `pop` mutated to take the locks in the reverse
-/// order — the regression the gate exists to catch.
-const QUEUE_LIKE_MUTATED: &str = r#"
+/// The same module with `push` mutated to take `stats` while `state` is
+/// held, and `pop` to take the locks in the `first, second` order.
+fn queue_like_nested(first: &str, second: &str) -> String {
+    format!(
+        r#"
 use std::sync::Mutex;
 
-pub struct Queue {
+pub struct Queue {{
     state: Mutex<Vec<u32>>,
     stats: Mutex<u64>,
-}
+}}
 
-impl Queue {
-    pub fn push(&self, v: u32) {
+impl Queue {{
+    pub fn push(&self, v: u32) {{
         let mut s = self.state.lock();
-        let mut n = self.stats.lock();
         s.push(v);
-        *n += 1;
-        drop(n);
-        drop(s);
-    }
-
-    pub fn pop(&self) -> Option<u32> {
         let mut n = self.stats.lock();
-        let mut s = self.state.lock();
         *n += 1;
         drop(n);
-        let v = s.pop();
         drop(s);
-        v
-    }
-}
-"#;
+    }}
 
-/// End-to-end `conc::run` over a throwaway tree: the consistent-order
-/// tree passes, swapping one function's acquisition order flips the gate
-/// red, and the waiver/stale-waiver machinery behaves like lint's.
+    pub fn pop(&self) -> Option<u32> {{
+        let a = self.{first}.lock();
+        let b = self.{second}.lock();
+        drop(b);
+        drop(a);
+        None
+    }}
+}}
+"#
+    )
+}
+
+/// End-to-end `conc::run` over a throwaway tree: the tree that takes its
+/// locks one at a time passes, nesting them in either order flips the
+/// gate red, and the waiver/stale-waiver machinery behaves like lint's.
 #[test]
-fn lock_order_mutation_flips_the_gate_red() {
+fn nested_lock_mutation_flips_the_gate_red() {
     let root = std::env::temp_dir().join(format!("mqa-xtask-conc-fixture-{}", std::process::id()));
     let src_dir = root.join("src");
     std::fs::create_dir_all(&src_dir).unwrap();
@@ -156,30 +157,33 @@ fn lock_order_mutation_flips_the_gate_red() {
         "clean tree flagged: {:?}",
         outcome.findings
     );
-    assert!(
-        !outcome.stats.edges.is_empty(),
-        "the consistent order must still appear as graph edges"
-    );
+    assert_eq!(outcome.stats.lock_names.len(), 2);
 
-    std::fs::write(src_dir.join("queue_like.rs"), QUEUE_LIKE_MUTATED).unwrap();
-    let outcome = conc::run(&workspace::load(&root).unwrap(), &Baseline::empty());
-    assert!(!outcome.is_clean(), "mutated tree must fail the gate");
-    assert!(
-        outcome
-            .findings
-            .iter()
-            .all(|f| f.rule == Rule::LockOrderCycle),
-        "findings: {:?}",
-        outcome.findings
-    );
-    assert!(!outcome.findings.is_empty());
+    // Both the consistent nesting (`state` then `stats`, as `push` does)
+    // and the inversion are red, each at every nested acquisition.
+    for (first, second) in [("state", "stats"), ("stats", "state")] {
+        let mutated = queue_like_nested(first, second);
+        std::fs::write(src_dir.join("queue_like.rs"), mutated).unwrap();
+        let outcome = conc::run(&workspace::load(&root).unwrap(), &Baseline::empty());
+        assert!(
+            !outcome.is_clean(),
+            "{first} -> {second} must fail the gate"
+        );
+        let lines: Vec<(Rule, usize)> = outcome.findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(
+            lines,
+            [(Rule::NestedLock, 13), (Rule::NestedLock, 21)],
+            "{first} -> {second}: {:?}",
+            outcome.findings
+        );
+    }
 
     // A matching waiver suppresses the finding; a stale one fails again.
     let waived = Baseline::parse(
         r#"
 [[waiver]]
 file = "src/queue_like.rs"
-rule = "lock-order-cycle"
+rule = "nested-lock"
 reason = "fixture exercise"
 "#,
     )

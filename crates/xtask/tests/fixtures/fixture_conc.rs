@@ -1,9 +1,9 @@
 //! Conc-analysis fixture: three seeded concurrency defects at pinned
-//! lines — an AB/BA lock-order inversion, an `if`-guarded Condvar wait,
-//! and a guard held across a blocking `join()`. The source walker skips
-//! `fixtures` directories, so this file never reaches the real gate; the
-//! tests feed it to `conc::analyze` directly and assert the
-//! exact `file:line` of every finding.
+//! lines — an AB/BA lock nesting (two `nested-lock` sites), an
+//! `if`-guarded Condvar wait and a guard held across a blocking `join()`.
+//! The source walker skips `fixtures` directories, so this file never
+//! reaches the real gate; the tests feed it to `conc::analyze` directly
+//! and assert the exact `file:line` of every finding.
 
 use std::sync::{Condvar, Mutex};
 
@@ -16,14 +16,14 @@ pub struct Pair {
 impl Pair {
     pub fn ab(&self) {
         let a = self.alpha.lock();
-        let b = self.beta.lock(); // cycle edge: beta while holding alpha (line 19)
+        let b = self.beta.lock(); // nested-lock: beta while holding alpha (line 19)
         drop(b);
         drop(a);
     }
 
     pub fn ba(&self) {
         let b = self.beta.lock();
-        let a = self.alpha.lock(); // cycle edge: alpha while holding beta (line 26)
+        let a = self.alpha.lock(); // nested-lock: alpha while holding beta (line 26)
         drop(a);
         drop(b);
     }
