@@ -15,6 +15,9 @@
 //! cargo run --release -p mqa-bench --bin exp_ablation [-- --quick]
 //! ```
 
+// A fail-fast driver: aborting with the message is the designed behaviour.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use mqa_bench::{encode, two_round, SetupParams, Table};
 use mqa_graph::pipeline::{
     EntryStage, GraphPipeline, InitStage, RefineStage, RepairStage, SelectStage,

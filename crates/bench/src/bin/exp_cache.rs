@@ -21,6 +21,9 @@
 //! cargo run --release -p mqa-bench --bin exp_cache [-- --quick]
 //! ```
 
+// A fail-fast driver: aborting with the message is the designed behaviour.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use mqa_bench::paged::{uniform_vectors, PagedFixture};
 use mqa_bench::Table;
 use mqa_cache::PageCache;

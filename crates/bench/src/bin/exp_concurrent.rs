@@ -19,6 +19,9 @@
 //! cargo run --release -p mqa-bench --bin exp_concurrent [-- --quick]
 //! ```
 
+// A fail-fast driver: aborting with the message is the designed behaviour.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use mqa_bench::paged::{uniform_vectors, PagedFixture};
 use mqa_bench::{encode, SetupParams, Table};
 use mqa_engine::{EngineOptions, QueryEngine};

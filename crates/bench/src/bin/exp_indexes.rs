@@ -12,6 +12,9 @@
 //! cargo run --release -p mqa-bench --bin exp_indexes [-- --quick]
 //! ```
 
+// A fail-fast driver: aborting with the message is the designed behaviour.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use mqa_bench::{encode, SetupParams, Table};
 use mqa_graph::{
     starling::{LayoutStrategy, PageLayout, PagedIndex},

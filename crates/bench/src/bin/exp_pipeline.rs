@@ -12,6 +12,9 @@
 //! cargo run --release -p mqa-bench --bin exp_pipeline [-- --quick]
 //! ```
 
+// A fail-fast driver: aborting with the message is the designed behaviour.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use mqa_bench::Table;
 use mqa_core::{Config, Milestone, MqaSystem, Turn};
 use mqa_kb::{DatasetSpec, WorkloadSpec};

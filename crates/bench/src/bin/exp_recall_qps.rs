@@ -12,6 +12,9 @@
 //! cargo run --release -p mqa-bench --bin exp_recall_qps [-- --quick]
 //! ```
 
+// A fail-fast driver: aborting with the message is the designed behaviour.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use mqa_bench::{build_frameworks, encode, SetupParams, Table};
 use mqa_encoders::RawContent;
 use mqa_kb::{recall_at_k, DatasetSpec, WorkloadSpec};

@@ -17,6 +17,9 @@
 //! cargo run --release -p mqa-bench --bin exp_weights [-- --quick]
 //! ```
 
+// A fail-fast driver: aborting with the message is the designed behaviour.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use mqa_bench::{encode, Encoded, SetupParams, Table};
 use mqa_kb::{recall_at_k, DatasetSpec, WorkloadSpec};
 use mqa_retrieval::MultiModalQuery;

@@ -14,6 +14,9 @@
 //! cargo run --release -p mqa-bench --bin fig4_interaction [-- --quick]
 //! ```
 
+// A fail-fast driver: aborting with the message is the designed behaviour.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use mqa_bench::Table;
 use mqa_core::{Config, MqaSystem, Turn};
 use mqa_encoders::RawContent;

@@ -16,6 +16,9 @@
 //! cargo run --release -p mqa-bench --bin fig5_comparative [-- --quick]
 //! ```
 
+// A fail-fast driver: aborting with the message is the designed behaviour.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use mqa_bench::{build_frameworks, encode, two_round, SetupParams, Table};
 use mqa_encoders::RawContent;
 use mqa_kb::{DatasetSpec, WorkloadSpec};

@@ -65,6 +65,10 @@ pub fn encode(params: &SetupParams) -> Encoded {
         encoder_seed: params.model_seed,
         ..Config::default()
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "benchmark setup only consumes harness-generated corpora, which always carry concept labels"
+    )]
     let (corpus, learned) = preprocess::run(kb)
         .and_then(|pre| represent::run(&pre, &config))
         .ok()

@@ -86,6 +86,10 @@ impl Encoder for VisualEncoder {
     }
 
     fn encode(&self, input: &RawContent) -> Vec<f32> {
+        #[expect(
+            clippy::panic,
+            reason = "modality mis-dispatch is a caller wiring bug; fabricating a vector would silently corrupt the index"
+        )]
         let img = match input {
             RawContent::Image(img) => img,
             other => panic!("visual encoder fed {:?} content", other.kind()),

@@ -105,6 +105,10 @@ impl Encoder for HashingTextEncoder {
     }
 
     fn encode(&self, input: &RawContent) -> Vec<f32> {
+        #[expect(
+            clippy::panic,
+            reason = "modality mis-dispatch is a caller wiring bug; fabricating a vector would silently corrupt the index"
+        )]
         let text = match input {
             RawContent::Text(t) | RawContent::Audio(t) => t,
             other => panic!("text encoder fed {:?} content", other.kind()),
@@ -160,6 +164,10 @@ impl Encoder for LstmTextEncoder {
     }
 
     fn encode(&self, input: &RawContent) -> Vec<f32> {
+        #[expect(
+            clippy::panic,
+            reason = "modality mis-dispatch is a caller wiring bug; fabricating a vector would silently corrupt the index"
+        )]
         let text = match input {
             RawContent::Text(t) | RawContent::Audio(t) => t,
             other => panic!("text encoder fed {:?} content", other.kind()),

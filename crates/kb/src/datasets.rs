@@ -424,6 +424,10 @@ impl DatasetSpec {
             let mut record = ObjectRecord::new(format!("{} #{i}", info.phrase()), contents);
             record.concept = Some(concept);
             record.style = Some(style);
+            #[expect(
+                clippy::expect_used,
+                reason = "the generator builds records from the schema the knowledge base enforces; a rejection is a generator bug"
+            )]
             kb.ingest(record)
                 .expect("generated record satisfies schema");
         }

@@ -44,11 +44,10 @@
 //!    waivers fail the gate; for sites shared across call sites where a
 //!    comment would mislead (e.g. whole encode stages).
 
-use crate::baseline::{apply_baseline, Baseline, Outcome};
+use crate::baseline::{apply_baseline, Baseline, Outcome, Rule};
 use crate::callgraph::{
     analyze_cone, ConeAnalysis, ConeGate, ConeStats, EntryOwner, EntryPoint, Site,
 };
-use crate::lint::Rule;
 use crate::rustlex::{Kind, Tok};
 use crate::workspace::{skip_angles, Workspace};
 use std::collections::BTreeSet;
@@ -347,7 +346,6 @@ const GATE: ConeGate<AllocKind> = ConeGate {
     skip_file: |rel| rel.contains("/src/bin/") || rel.starts_with("crates/xtask/"),
     scan: scan_alloc_sites,
     describe: AllocKind::describe,
-    in_cone: |_| true,
 };
 
 /// Computes the allocation cone of the workspace, before baseline waivers.

@@ -1,4 +1,5 @@
-//! The waiver baseline (`<gate>-baseline.toml`) and the gate verdict.
+//! The static gates' [`Finding`]s and [`Rule`]s, the waiver baseline
+//! (`<gate>-baseline.toml`) and the gate verdict.
 //!
 //! The baseline is an allowlist of *justified* findings: each `[[waiver]]`
 //! entry names a file, a rule, an optional `pattern` substring narrowing
@@ -11,8 +12,122 @@
 //! tables with `key = "string"` pairs, `#` comments, blank lines) — no
 //! external TOML dependency.
 
-use crate::lint::{Finding, Rule};
+use std::collections::BTreeMap;
+use std::fmt;
 use std::path::Path;
+
+/// The rules the static gates enforce (the source rules clippy can state
+/// are clippy's, run by `ci.sh`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Rule {
+    /// A wildcard `_ =>` arm in a `match` over an error value (`flow`).
+    WildcardErrorMatch,
+    /// A lock acquired while another guard is live (`conc`).
+    NestedLock,
+    /// `Condvar::wait` outside a `while`/`loop` predicate re-check (`conc`).
+    CondvarNoLoop,
+    /// A live `MutexGuard` held across a blocking call (`conc`).
+    GuardAcrossBlocking,
+    /// Direct slice/Vec `[...]` indexing on a serving-path crate (`flow`).
+    NoIndexPanic,
+    /// A narrowing `as` cast that can silently truncate (`flow`).
+    NoLossyCast,
+    /// Integer `/` or `%` with a non-literal or zero divisor (`flow`).
+    NoRawDiv,
+    /// A panic-capable site reachable from a serving entry point (`flow`).
+    ReachablePanic,
+    /// An allocation reachable from a steady-state serving entry (`alloc`).
+    ReachableAlloc,
+}
+
+impl Rule {
+    /// Every rule (a waiver must name one).
+    pub const ALL: [Rule; 9] = [
+        Rule::WildcardErrorMatch,
+        Rule::NestedLock,
+        Rule::CondvarNoLoop,
+        Rule::GuardAcrossBlocking,
+        Rule::NoIndexPanic,
+        Rule::NoLossyCast,
+        Rule::NoRawDiv,
+        Rule::ReachablePanic,
+        Rule::ReachableAlloc,
+    ];
+
+    /// The kebab-case rule name used in reports and waivers.
+    pub fn name(self) -> &'static str {
+        match self {
+            Rule::WildcardErrorMatch => "wildcard-error-match",
+            Rule::NestedLock => "nested-lock",
+            Rule::CondvarNoLoop => "condvar-no-loop",
+            Rule::GuardAcrossBlocking => "guard-across-blocking",
+            Rule::NoIndexPanic => "no-index-panic",
+            Rule::NoLossyCast => "no-lossy-cast",
+            Rule::NoRawDiv => "no-raw-div",
+            Rule::ReachablePanic => "flow-reachable-panic",
+            Rule::ReachableAlloc => "alloc-reachable",
+        }
+    }
+
+    /// One-line rationale shown with findings.
+    pub fn explain(self) -> &'static str {
+        match self {
+            Rule::WildcardErrorMatch => {
+                "matches over error enums must list every variant, not `_ =>`"
+            }
+            Rule::NestedLock => {
+                "a lock taken while another guard is live is half of a lock-order deadlock (or a self-deadlock); release the held guard first"
+            }
+            Rule::CondvarNoLoop => {
+                "Condvar::wait returns on spurious wakeups; the predicate must be re-checked in a while/loop"
+            }
+            Rule::GuardAcrossBlocking => {
+                "a MutexGuard held across a blocking call stalls every other thread needing that lock"
+            }
+            Rule::NoIndexPanic => {
+                "serving-path indexing panics out-of-range; use .get() with a typed error or document the bound with an // INVARIANT: comment"
+            }
+            Rule::NoLossyCast => {
+                "a narrowing `as` cast silently truncates; use a cast helper (mqa_vector::cast) or document with // INVARIANT:"
+            }
+            Rule::NoRawDiv => {
+                "integer / or % panics on a zero divisor; guard it, use checked_div/rem, or document with // INVARIANT:"
+            }
+            Rule::ReachablePanic => {
+                "a panic-capable site is reachable from a serving entry point; make it a typed error or waive it in flow-baseline.toml"
+            }
+            Rule::ReachableAlloc => {
+                "a heap allocation is reachable from the steady-state serving path; hoist it, discharge it with // ALLOC:, or waive it in alloc-baseline.toml"
+            }
+        }
+    }
+}
+
+/// One rule violation at an exact source location.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// Repo-relative path with forward slashes.
+    pub file: String,
+    /// 1-based line number.
+    pub line: usize,
+    /// The violated rule.
+    pub rule: Rule,
+    /// The trimmed original source line.
+    pub excerpt: String,
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.file,
+            self.line,
+            self.rule.name(),
+            self.excerpt
+        )
+    }
+}
 
 /// One allowlisted finding class.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,31 +175,7 @@ pub struct Baseline {
     pub waivers: Vec<Waiver>,
 }
 
-/// A `[[waiver]]` table being read: file, rule, pattern, reason and the
-/// line of its header.
-type Draft = (
-    Option<String>,
-    Option<String>,
-    Option<String>,
-    Option<String>,
-    usize,
-);
-
 impl Baseline {
-    /// A baseline waiving nothing.
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// Indices of waivers matching `finding`, in baseline order.
-    pub fn matching<'a>(&'a self, finding: &'a Finding) -> impl Iterator<Item = usize> + 'a {
-        self.waivers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.matches(finding))
-            .map(|(i, _)| i)
-    }
-
     /// Loads and parses a baseline file. A missing file is an empty
     /// baseline (a fresh tree needs no waivers).
     ///
@@ -92,7 +183,7 @@ impl Baseline {
     /// Returns a message on unreadable files or malformed entries.
     pub fn load(path: &Path) -> Result<Self, String> {
         if !path.exists() {
-            return Ok(Self::empty());
+            return Ok(Self::default());
         }
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
@@ -105,29 +196,8 @@ impl Baseline {
     /// Returns a message for syntax errors, unknown keys or rules, and
     /// waivers missing `file`, `rule`, or a non-empty `reason`.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut waivers = Vec::new();
-        let mut current: Option<Draft> = None;
-        let mut finish = |cur: &mut Option<Draft>| -> Result<(), String> {
-            if let Some((file, rule, pattern, reason, line)) = cur.take() {
-                let file = file.ok_or(format!("waiver at line {line}: missing `file`"))?;
-                let rule = rule.ok_or(format!("waiver at line {line}: missing `rule`"))?;
-                if Rule::from_name(&rule).is_none() {
-                    return Err(format!("waiver at line {line}: unknown rule `{rule}`"));
-                }
-                let reason = reason.ok_or(format!("waiver at line {line}: missing `reason`"))?;
-                if reason.trim().is_empty() {
-                    return Err(format!("waiver at line {line}: empty `reason`"));
-                }
-                waivers.push(Waiver {
-                    file,
-                    rule,
-                    pattern,
-                    reason,
-                    line,
-                });
-            }
-            Ok(())
-        };
+        // Each `[[waiver]]` table: the line of its header and its keys.
+        let mut tables: Vec<(usize, BTreeMap<&str, String>)> = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let line = raw.trim();
@@ -135,8 +205,7 @@ impl Baseline {
                 continue;
             }
             if line == "[[waiver]]" {
-                finish(&mut current)?;
-                current = Some((None, None, None, None, lineno));
+                tables.push((lineno, BTreeMap::new()));
                 continue;
             }
             if line.starts_with('[') {
@@ -149,23 +218,42 @@ impl Baseline {
             let value = parse_string_value(value.trim()).ok_or(format!(
                 "line {lineno}: value must be a double-quoted string"
             ))?;
-            let entry = current
-                .as_mut()
+            let (_, table) = tables
+                .last_mut()
                 .ok_or(format!("line {lineno}: `{key}` outside a [[waiver]] table"))?;
-            let slot = match key {
-                "file" => &mut entry.0,
-                "rule" => &mut entry.1,
-                "pattern" => &mut entry.2,
-                "reason" => &mut entry.3,
-                other => return Err(format!("line {lineno}: unknown key `{other}`")),
-            };
-            if slot.is_some() {
+            if !["file", "rule", "pattern", "reason"].contains(&key) {
+                return Err(format!("line {lineno}: unknown key `{key}`"));
+            }
+            if table.insert(key, value).is_some() {
                 return Err(format!("line {lineno}: duplicate key `{key}`"));
             }
-            *slot = Some(value);
         }
-        finish(&mut current)?;
-        Ok(Self { waivers })
+        let waivers = tables.into_iter().map(|(line, mut table)| {
+            let mut take = |key: &str| {
+                table
+                    .remove(key)
+                    .ok_or(format!("waiver at line {line}: missing `{key}`"))
+            };
+            let (file, rule) = (take("file")?, take("rule")?);
+            if !Rule::ALL.iter().any(|r| r.name() == rule) {
+                return Err(format!("waiver at line {line}: unknown rule `{rule}`"));
+            }
+            let reason = take("reason")?;
+            if reason.trim().is_empty() {
+                return Err(format!("waiver at line {line}: empty `reason`"));
+            }
+            let pattern = table.remove("pattern");
+            Ok(Waiver {
+                file,
+                rule,
+                pattern,
+                reason,
+                line,
+            })
+        });
+        Ok(Self {
+            waivers: waivers.collect::<Result<_, String>>()?,
+        })
     }
 }
 
@@ -205,8 +293,7 @@ pub fn apply_baseline<S>(
     let mut findings = Vec::new();
     let mut waived = Vec::new();
     for f in all {
-        let hit = baseline.matching(&f).next();
-        match hit {
+        match baseline.waivers.iter().position(|w| w.matches(&f)) {
             Some(i) => {
                 used[i] = true;
                 waived.push(f);
@@ -263,15 +350,15 @@ mod tests {
     use super::*;
 
     const GOOD: &str = r#"
-# experiment binaries fail fast by design
+# a precondition of the whole file
 [[waiver]]
-file = "crates/bench/src/bin/exp.rs"
-rule = "no-unwrap"
-reason = "CLI binary: fail-fast on malformed input"
+file = "crates/graph/src/flat.rs"
+rule = "flow-reachable-panic"
+reason = "documented k>=1 contract"
 
 [[waiver]]
 file = "crates/graph/src/pipeline.rs"
-rule = "no-expect"
+rule = "no-index-panic"
 pattern = "connectivity present"
 reason = "artifact published by the stage two lines above"
 "#;
@@ -293,26 +380,28 @@ reason = "artifact published by the stage two lines above"
         let f = Finding {
             file: "crates/graph/src/pipeline.rs".into(),
             line: 296,
-            rule: Rule::NoExpect,
-            excerpt: "ctx.get(\"connectivity\").expect(\"connectivity present\");".into(),
+            rule: Rule::NoIndexPanic,
+            excerpt: "ctx[\"connectivity\"]; // connectivity present".into(),
         };
-        assert_eq!(b.matching(&f).collect::<Vec<_>>(), vec![1]);
+        let matching =
+            |f: &Finding| -> Vec<bool> { b.waivers.iter().map(|w| w.matches(f)).collect() };
+        assert_eq!(matching(&f), vec![false, true]);
         let other = Finding {
-            excerpt: "x.expect(\"other\")".into(),
+            excerpt: "ctx[\"other\"]".into(),
             ..f.clone()
         };
-        assert!(b.matching(&other).next().is_none());
+        assert_eq!(matching(&other), vec![false, false]);
         let wrong_rule = Finding {
-            rule: Rule::NoUnwrap,
+            rule: Rule::NoRawDiv,
             ..f
         };
-        assert!(b.matching(&wrong_rule).next().is_none());
+        assert_eq!(matching(&wrong_rule), vec![false, false]);
     }
 
     #[test]
     fn rejects_malformed_entries() {
         assert!(
-            Baseline::parse("[[waiver]]\nrule = \"no-unwrap\"\nreason = \"r\"")
+            Baseline::parse("[[waiver]]\nrule = \"no-raw-div\"\nreason = \"r\"")
                 .unwrap_err()
                 .contains("missing `file`")
         );
@@ -322,7 +411,7 @@ reason = "artifact published by the stage two lines above"
                 .contains("unknown rule")
         );
         assert!(
-            Baseline::parse("[[waiver]]\nfile = \"f\"\nrule = \"no-unwrap\"")
+            Baseline::parse("[[waiver]]\nfile = \"f\"\nrule = \"no-raw-div\"")
                 .unwrap_err()
                 .contains("missing `reason`")
         );
@@ -336,7 +425,7 @@ reason = "artifact published by the stage two lines above"
 
     #[test]
     fn missing_file_is_empty_baseline() {
-        let b = Baseline::load(Path::new("/nonexistent/lint-baseline.toml")).unwrap();
+        let b = Baseline::load(Path::new("/nonexistent/flow-baseline.toml")).unwrap();
         assert!(b.waivers.is_empty());
     }
 }

@@ -12,7 +12,7 @@
 //! workspace → cone → findings routine ([`analyze_cone`]); an analysis
 //! is a [`ConeGate`]: its [`Site`] kinds, scanner, entry points and rule.
 
-use crate::lint::{Finding, Rule};
+use crate::baseline::{Finding, Rule};
 use crate::rustlex::{Kind, Tok};
 use crate::workspace::{
     matching_paren, owner_map, param_chunks, receiver_path, skip_angles, struct_fields, Workspace,
@@ -390,7 +390,7 @@ fn scan_file<K: Copy>(fi: usize, toks: &[&Tok], sites: Vec<Site<K>>, inv: &mut I
 
     // Attribute sites to the innermost enclosing function. Sites outside
     // any body (consts, statics) have no serving caller and stay out of
-    // the cone; the lint pass still reports them.
+    // the cone; flow's per-file pass still reports them.
     for s in sites {
         let hit = spans
             .iter()
@@ -690,9 +690,6 @@ pub struct ConeGate<K: 'static> {
     pub scan: fn(&[&Tok], &[bool]) -> Vec<Site<K>>,
     /// Short display name of a site kind, for finding excerpts.
     pub describe: fn(K) -> &'static str,
-    /// Whether a site kind belongs in the cone (the rest is inventoried
-    /// and counted only).
-    pub in_cone: fn(K) -> bool,
 }
 
 /// Aggregate statistics of one analysis run.
@@ -710,9 +707,6 @@ pub struct ConeStats {
     pub total_sites: usize,
     /// Sites in reachable functions (the cone, pre-waiver).
     pub cone_sites: usize,
-    /// Sites inside functions whose kind is not part of the cone (flow's
-    /// lossy casts: value-corrupting, not panicking).
-    pub off_cone_sites: usize,
 }
 
 /// The raw analysis result, before baseline waivers.
@@ -744,13 +738,11 @@ pub fn analyze_cone<K: Copy>(ws: &Workspace, gate: &ConeGate<K>) -> ConeAnalysis
 
     let mut findings = Vec::new();
     for (id, f) in inv.fns.iter().enumerate() {
-        let in_cone = |s: &&Site<K>| (gate.in_cone)(s.kind);
-        stats.off_cone_sites += f.sites.iter().filter(|s| !in_cone(s)).count();
         if !cone.reached[id] {
             continue;
         }
         let file = &ws.files[f.file];
-        for s in f.sites.iter().filter(in_cone) {
+        for s in &f.sites {
             stats.cone_sites += 1;
             findings.push(Finding {
                 file: file.rel.clone(),

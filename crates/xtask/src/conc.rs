@@ -38,11 +38,10 @@
 //! Guards die at `drop(g)`, at the closing brace of their scope, and
 //! test code (`#[cfg(test)]`) is masked out entirely.
 //!
-//! Findings reuse the [`crate::lint`] `Finding`/`Rule` types and the same
+//! Findings reuse the [`crate::baseline`] `Finding`/`Rule` types and the same
 //! baseline-waiver machinery (default baseline: `conc-baseline.toml`).
 
-use crate::baseline::{apply_baseline, Baseline, Outcome};
-use crate::lint::{Finding, Rule};
+use crate::baseline::{apply_baseline, Baseline, Finding, Outcome, Rule};
 use crate::rustlex::{Kind, Tok};
 use crate::workspace::{
     matching_paren, owner_map, param_chunks, receiver_path, skip_angles, struct_fields, SourceFile,

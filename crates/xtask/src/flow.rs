@@ -10,8 +10,8 @@
 //!    `panic!`/`todo!`/`unimplemented!`/`unreachable!` macros, the
 //!    `assert!` family, direct slice/Vec `[...]` indexing, non-literal
 //!    integer `/` and `%`, and narrowing `as` casts (value-corrupting
-//!    rather than panicking — inventoried and linted, but excluded from
-//!    the reachability cone). The `debug_assert!` family is *not*
+//!    rather than panicking — reported per file, but excluded from the
+//!    reachability cone). The `debug_assert!` family is *not*
 //!    counted: it compiles out of release serving builds, and
 //!    `overflow-checks` owns the debug run.
 //! 2. **Reachability** — the panic cone is computed from the designated
@@ -21,8 +21,8 @@
 //!    (`BuiltGraph::search`, `PagedIndex::search_paged_into`), and
 //!    `PageCache`/`ResultCache` lookups. Any panic-capable
 //!    site inside a reachable function is a [`Rule::ReachablePanic`]
-//!    finding unless waived in `flow-baseline.toml` (same machinery as
-//!    `lint-baseline.toml`, mandatory reasons, stale-waiver detection).
+//!    finding unless waived in `flow-baseline.toml` (mandatory reasons,
+//!    stale-waiver detection, see [`crate::baseline`]).
 //!
 //! Indexing and division sites can alternatively be *discharged in
 //! source* with an adjacent `// INVARIANT:` comment documenting why the
@@ -31,19 +31,19 @@
 //! path they are either rewritten as typed errors or waived with a
 //! reason.
 //!
-//! Three token-accurate lint rules — `no-index-panic`, `no-lossy-cast`,
-//! `no-raw-div` — ride on the same site scanner via
-//! [`crate::lint::LintFlags::arith`], scoped to the serving crates
-//! ([`crate::lint::SERVING_PREFIXES`]), `#[cfg(test)]`-masked and
-//! bin-exempt like every other rule.
+//! Beside the cone, a per-file pass reports what no cone reaches: on the
+//! serving crates ([`SERVING_PREFIXES`]) every undischarged indexing, raw
+//! division and narrowing cast (`no-index-panic`, `no-raw-div`,
+//! `no-lossy-cast`), in or out of a function body, and in every file a
+//! `_ =>` arm of a `match` over an error value (`wildcard-error-match`).
 
-use crate::baseline::{apply_baseline, Baseline, Outcome};
+use crate::baseline::{apply_baseline, Baseline, Finding, Outcome, Rule};
 use crate::callgraph::{
-    self, analyze_cone, is_keyword, ConeAnalysis, ConeGate, ConeStats, EntryOwner, EntryPoint,
+    self, analyze_cone, discharge_mask, is_keyword, ConeAnalysis, ConeGate, ConeStats, EntryOwner,
+    EntryPoint,
 };
-use crate::lint::Rule;
 use crate::rustlex::{Kind, Tok};
-use crate::workspace::Workspace;
+use crate::workspace::{SourceFile, Workspace};
 use std::collections::BTreeSet;
 
 /// What kind of panic-capable (or value-corrupting) construct a site is.
@@ -62,29 +62,12 @@ pub enum SiteKind {
     /// Integer `/` or `%` with a non-literal (or zero-literal) divisor.
     RawDiv,
     /// A narrowing `as` cast (`usize as u32`, `f64 as f32`, …). Does not
-    /// panic — it silently truncates — so it is linted and inventoried
-    /// but not part of the reachability cone.
+    /// panic — it silently truncates — so it is a per-file finding, not
+    /// part of the reachability cone.
     LossyCast,
 }
 
 impl SiteKind {
-    /// The lint rule this site kind surfaces as, for the kinds the
-    /// arithmetic-safety lints own (unwrap/expect/panic are already
-    /// covered by the original rules).
-    pub fn lint_rule(self) -> Option<Rule> {
-        match self {
-            SiteKind::Index => Some(Rule::NoIndexPanic),
-            SiteKind::LossyCast => Some(Rule::NoLossyCast),
-            SiteKind::RawDiv => Some(Rule::NoRawDiv),
-            _ => None,
-        }
-    }
-
-    /// Whether the construct can abort the thread (drives the cone).
-    pub fn can_panic(self) -> bool {
-        !matches!(self, SiteKind::LossyCast)
-    }
-
     /// Short display name used in finding excerpts.
     pub fn describe(self) -> &'static str {
         match self {
@@ -439,18 +422,106 @@ const GATE: ConeGate<SiteKind> = ConeGate {
     entry_points: &ENTRY_POINTS,
     discharge: INVARIANT,
     skip_file: |rel| rel.contains("/src/bin/"),
-    scan: scan_sites,
+    scan: panic_sites,
     describe: SiteKind::describe,
-    in_cone: SiteKind::can_panic,
 };
 
-/// Computes the panic cone of the workspace, before baseline waivers.
-pub fn analyze(ws: &Workspace) -> ConeAnalysis {
-    analyze_cone(ws, &GATE)
+/// The cone's sites: a narrowing cast corrupts a value rather than
+/// aborting the thread, so it is a per-file finding only.
+fn panic_sites(toks: &[&Tok], invariant: &[bool]) -> Vec<Site> {
+    let mut sites = scan_sites(toks, invariant);
+    sites.retain(|s| s.kind != SiteKind::LossyCast);
+    sites
 }
 
-/// Runs the panic-freedom analysis, applying `baseline` waivers (default
-/// file: `flow-baseline.toml`).
+/// Path prefixes of the crates a serving worker executes per query,
+/// where the per-file arithmetic rules apply. `cast.rs` (the
+/// checked-conversion helpers, which own their narrowing casts behind
+/// documented invariants) is exempt.
+pub const SERVING_PREFIXES: [&str; 5] = [
+    "crates/graph/src",
+    "crates/vector/src",
+    "crates/cache/src",
+    "crates/engine/src",
+    "crates/retrieval/src",
+];
+
+/// A `_ =>` (or `_ if`) arm opening a line directly inside a `match`
+/// whose header line names an error value (an identifier containing
+/// `Error`, or an `…Err(` pattern).
+fn wildcard_error_arms(toks: &[&Tok]) -> Vec<(usize, Rule)> {
+    let mut arms = Vec::new();
+    // One entry per open brace: whether it opened a match over an error.
+    let mut braces: Vec<bool> = Vec::new();
+    for line in toks.chunk_by(|a, b| a.line == b.line) {
+        if line[0].is_ident("_")
+            && line
+                .get(1)
+                .is_some_and(|n| n.is_punct("=>") || n.is_ident("if"))
+            && braces.last() == Some(&true)
+        {
+            arms.push((line[0].line, Rule::WildcardErrorMatch));
+        }
+        let mut error_match = line.iter().any(|t| t.is_ident("match"))
+            && line.iter().enumerate().any(|(p, t)| {
+                t.kind == Kind::Ident
+                    && (t.text.contains("Error")
+                        || (t.text.ends_with("Err")
+                            && line.get(p + 1).is_some_and(|n| n.is_punct("("))))
+            });
+        for t in line {
+            if t.is_punct("{") {
+                braces.push(std::mem::take(&mut error_match));
+            } else if t.is_punct("}") {
+                braces.pop();
+            }
+        }
+    }
+    arms
+}
+
+/// The per-file findings of `file`: wildcard error arms anywhere, and on
+/// the serving crates every undischarged indexing / raw-division /
+/// narrowing-cast site.
+fn file_findings(file: &SourceFile) -> Vec<Finding> {
+    let toks = file.code();
+    let mut hits = wildcard_error_arms(&toks);
+    let rel = file.rel.as_str();
+    if SERVING_PREFIXES.iter().any(|p| rel.starts_with(p))
+        && !rel.ends_with("/cast.rs")
+        && !(GATE.skip_file)(rel)
+    {
+        for s in scan_sites(&toks, &discharge_mask(&file.source, INVARIANT)) {
+            let rule = match s.kind {
+                SiteKind::Index => Rule::NoIndexPanic,
+                SiteKind::LossyCast => Rule::NoLossyCast,
+                SiteKind::RawDiv => Rule::NoRawDiv,
+                _ => continue,
+            };
+            hits.push((s.line, rule));
+        }
+    }
+    let finding = |(line, rule)| Finding {
+        file: file.rel.clone(),
+        line,
+        rule,
+        excerpt: file.excerpt(line),
+    };
+    hits.into_iter().map(finding).collect()
+}
+
+/// Computes the panic cone of the workspace and the per-file findings,
+/// before baseline waivers, sorted by (file, line).
+pub fn analyze(ws: &Workspace) -> ConeAnalysis {
+    let mut a = analyze_cone(ws, &GATE);
+    a.findings.extend(ws.files.iter().flat_map(file_findings));
+    a.findings
+        .sort_by(|x, y| (&x.file, x.line).cmp(&(&y.file, y.line)));
+    a
+}
+
+/// Runs the panic-freedom analysis and the per-file rules, applying
+/// `baseline` waivers (default file: `flow-baseline.toml`).
 pub fn run(ws: &Workspace, baseline: &Baseline) -> Outcome<ConeStats> {
     let a = analyze(ws);
     apply_baseline(a.findings, ws.files.len(), a.stats, baseline)
@@ -768,8 +839,18 @@ impl WorkerPool {
         assert!(a.findings[0].excerpt.contains("panic-macro"));
     }
 
+    /// A site outside any function body has no caller, so the cone never
+    /// sees it; the per-file pass still reports it.
     #[test]
-    fn lossy_casts_are_inventoried_but_not_cone_findings() {
+    fn per_file_rules_report_sites_outside_function_bodies() {
+        let src = "static TABLE: [u32; 2] = [1, 2];\npub const FIRST: u32 = TABLE[1];\n";
+        let a = analyze(&[("crates/graph/src/t.rs", src)]);
+        let hits: Vec<(usize, Rule)> = a.findings.iter().map(|f| (f.line, f.rule)).collect();
+        assert_eq!(hits, vec![(2, Rule::NoIndexPanic)]);
+    }
+
+    #[test]
+    fn lossy_casts_are_not_cone_findings() {
         let src = "\
 pub struct PageCache;
 impl PageCache {
@@ -780,6 +861,10 @@ impl PageCache {
 ";
         let a = analyze(&[("x/src/p.rs", src)]);
         assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
-        assert_eq!(a.stats.off_cone_sites, 1);
+        assert_eq!(a.stats.cone_sites, 0);
+        // On a serving crate the same cast is a per-file finding.
+        let b = analyze(&[("crates/cache/src/p.rs", src)]);
+        let rules: Vec<Rule> = b.findings.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, vec![Rule::NoLossyCast]);
     }
 }

@@ -5,11 +5,9 @@
 //!
 //! | command | what it proves | baseline file |
 //! |---|---|---|
-//! | [`lint`] | error-handling discipline in non-test library code: no `.unwrap()` / `.expect(` / `panic!`, no float `==` in kernels, no `unsafe` without `// SAFETY:`, no wildcard arm over an error enum, no ad-hoc `Instant::now()`, no unchecked index / narrowing cast / raw division on the serving crates | `lint-baseline.toml` |
 //! | [`conc`] | no lock is acquired while another guard is live (so no lock-order deadlock), every `Condvar::wait` re-checks its predicate in a loop, no guard is held across a blocking call | `conc-baseline.toml` (absent: zero waivers) |
-//! | [`flow`] | no panic-capable site is reachable from a serving entry point | `flow-baseline.toml` |
+//! | [`flow`] | no panic-capable site is reachable from a serving entry point; no undischarged index / narrowing cast / raw division anywhere on the serving crates; no wildcard arm in a `match` over an error value | `flow-baseline.toml` |
 //! | [`alloc`] | no allocation-capable site is reachable from a steady-state serving entry point without an `// ALLOC:` discharge (cross-checked at runtime by the counting allocator of `mqa-graph`'s `alloc_free` test) | `alloc-baseline.toml` |
-//! | `rules` | (lists the lint rules with their rationales) | — |
 //! | [`trace`] | one milestone-complete [`mqa_obs::QueryTrace`] per turn, queue-wait / service attribution that adds up, deterministic tail sampling, a valid `/metrics` exposition, every instrumented pipeline layer in the metrics snapshot | — |
 //! | [`mutate`] | under a scripted insert/delete mix no tombstoned object surfaces, the result-cache generation bumps, compaction triggers, every `graph.mutate.*` instrument records | — |
 //! | [`counts`] | the benchmark's exact counts (evaluations, hops, page reads, cache verdicts, hit shares, prompt tokens, recall) equal the committed ones bit for bit | `BENCH_counts.json` (re-recorded with `--write`) |
@@ -21,7 +19,11 @@
 //! report file of [`mqa_benchmark::report`], and the CLI prints it through
 //! the benchmark's own table.
 //!
-//! The four static gates share one path: [`workspace`] reads and lexes the
+//! The source rules clippy can state (no `.unwrap()` / `panic!` in
+//! library code, no float `==`, no undocumented `unsafe`, no ad-hoc
+//! `Instant::now()`) are clippy's, run by `ci.sh` as `-D` lints.
+//!
+//! The three static gates share one path: [`workspace`] reads and lexes the
 //! tree once ([`rustlex`]) and masks `#[cfg(test)]` items; each gate is a
 //! scanner over that model (`flow` and `alloc` through the one
 //! inventory → cone → findings routine in [`callgraph`]); and
@@ -46,7 +48,6 @@ pub mod counts;
 #[cfg(test)]
 mod engine;
 pub mod flow;
-pub mod lint;
 pub mod mutate;
 pub mod rustlex;
 pub mod sched;

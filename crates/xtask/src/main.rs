@@ -1,7 +1,7 @@
 //! `mqa-xtask` — the workspace correctness gate.
 //!
 //! ```text
-//! cargo run -p mqa-xtask -- lint    # static source rules + waiver baseline
+//! cargo run -p mqa-xtask -- flow    # a static gate: findings + waiver baseline
 //! cargo run -p mqa-xtask -- trace   # a scenario gate: prints its report table
 //! ```
 //!
@@ -12,7 +12,7 @@
 use mqa_benchmark::workload::Report;
 use mqa_xtask::baseline::{Baseline, Outcome};
 use mqa_xtask::workspace::{self, Workspace};
-use mqa_xtask::{alloc, conc, counts, flow, lint, mutate, sched, trace};
+use mqa_xtask::{alloc, conc, counts, flow, mutate, sched, trace};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -28,15 +28,7 @@ struct Command {
 const STATIC_OPTIONS: &str = " [--baseline <path>] [--root <dir>]";
 const SCENARIO_OPTIONS: &str = " [--out <dir>] [--seed <n>]";
 
-const COMMANDS: [Command; 9] = [
-    Command {
-        name: "lint",
-        options: STATIC_OPTIONS,
-        help: "Walk the workspace sources and enforce the lint rules. Findings
-must be fixed or waived in lint-baseline.toml; unused waivers
-also fail the gate.",
-        run: |args| static_gate("lint", args, lint::run, |_| String::new()),
-    },
+const COMMANDS: [Command; 7] = [
     Command {
         name: "conc",
         options: STATIC_OPTIONS,
@@ -56,8 +48,11 @@ blocking calls. Waivers live in conc-baseline.toml.",
         help: "Panic-freedom analysis: inventory every function and
 panic-capable construct (unwrap/expect/panic!/assert!, direct
 indexing, raw integer division), build the workspace call graph,
-and fail on any site reachable from a serving entry point.
-Waivers live in flow-baseline.toml.",
+and fail on any site reachable from a serving entry point. On the
+serving crates, also fail on every undischarged indexing, raw
+division and narrowing cast, reachable or not; everywhere, on a
+wildcard arm in a match over an error value. Waivers live in
+flow-baseline.toml.",
         run: |args| {
             static_gate("flow", args, flow::run, |s| {
                 format!(
@@ -85,12 +80,6 @@ alloc-baseline.toml.",
                 )
             })
         },
-    },
-    Command {
-        name: "rules",
-        options: "",
-        help: "List the lint rules with their rationales.",
-        run: |_| cmd_rules(),
     },
     Command {
         name: "mutate",
@@ -207,7 +196,7 @@ fn parse_options(
     Ok(())
 }
 
-/// The one handler behind `lint` / `conc` / `flow` / `alloc`: parse
+/// The one handler behind `conc` / `flow` / `alloc`: parse
 /// `--root` / `--baseline`, load the workspace and the baseline (default
 /// `<root>/<name>-baseline.toml`), run the gate, print findings, stale
 /// waivers and the summary line (`stats` renders the gate's own part).
@@ -331,13 +320,6 @@ fn cmd_counts(args: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-fn cmd_rules() -> ExitCode {
-    for rule in lint::Rule::ALL {
-        println!("{:<22} {}", rule.name(), rule.explain());
-    }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

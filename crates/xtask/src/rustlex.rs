@@ -6,14 +6,12 @@
 //! substring, and resolving `self.<field>` receivers.
 //!
 //! The lexer covers the Rust surface that appears in source the
-//! workspace lints: identifiers (including raw `r#ident`), lifetimes,
+//! gates scan: identifiers (including raw `r#ident`), lifetimes,
 //! integer/float literals with suffixes, string/char/byte literals, raw
 //! strings with `#` fences, nested block comments, and maximal-munch
 //! multi-character punctuation. It does not attempt macro expansion or
 //! token trees — the downstream analyses are intraprocedural pattern
 //! matchers, not a compiler front-end.
-
-use std::fmt;
 
 /// Token classes, coarse on purpose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,12 +52,6 @@ impl Tok {
     /// Whether this token is the punctuation `s`.
     pub fn is_punct(&self, s: &str) -> bool {
         self.kind == Kind::Punct && self.text == s
-    }
-}
-
-impl fmt::Display for Tok {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{:?}({})", self.line, self.kind, self.text)
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! [`load`] walks the source roots once, reads each `.rs` file
 //! once, lexes it once with [`crate::rustlex`] and computes its
-//! `#[cfg(test)]` line mask once. `lint`, `conc`, `flow`, `alloc` and the
+//! `#[cfg(test)]` line mask once. `conc`, `flow`, `alloc` and the
 //! static half of `audit` are functions of the resulting `&Workspace`;
 //! unit tests and fixtures build the same model from in-memory text with
 //! [`Workspace::from_sources`] / [`SourceFile::new`].
@@ -480,6 +480,21 @@ mod tests {
         assert_eq!(mask(decoy), vec![false, false, false, false]);
         let f = SourceFile::new("f.rs", decoy);
         assert!(f.code().iter().any(|t| t.is_ident("len")));
+    }
+
+    /// Regression: a string line-continuation (`\` before the newline)
+    /// must still advance the line count, or every line after it maps to
+    /// the wrong mask slot and a `#[cfg(test)]` item further down leaks
+    /// into the non-test stream.
+    #[test]
+    fn string_line_continuation_keeps_mask_aligned() {
+        let src = "fn f() -> String {\n    format!(\n        \"two-line \\\n         message\"\n    )\n}\n#[cfg(test)]\nmod tests {\n    fn b() { x.expect(\"fine in tests\"); }\n}\n";
+        assert_eq!(
+            mask(src),
+            vec![false, false, false, false, false, false, true, true, true, true]
+        );
+        let f = SourceFile::new("f.rs", src);
+        assert!(!f.code().iter().any(|t| t.is_ident("expect")));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use mqa_xtask::alloc::{self, AllocKind};
 use mqa_xtask::baseline::Baseline;
+use mqa_xtask::baseline::Finding;
 use mqa_xtask::callgraph::discharge_mask;
-use mqa_xtask::lint::Finding;
 use mqa_xtask::workspace::{self, SourceFile, Workspace};
 
 fn repo_root() -> std::path::PathBuf {

@@ -11,9 +11,9 @@ fn explicit_missing_baseline_is_a_usage_error() {
     let root = std::env::temp_dir().join(format!("mqa-xtask-cli-{}", std::process::id()));
     std::fs::create_dir_all(root.join("src")).unwrap();
     std::fs::write(root.join("src").join("clean.rs"), "pub fn f() {}\n").unwrap();
-    let lint = |extra: &[&str]| {
+    let conc = |extra: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_mqa-xtask"))
-            .arg("lint")
+            .arg("conc")
             .arg("--root")
             .arg(&root)
             .args(extra)
@@ -21,11 +21,11 @@ fn explicit_missing_baseline_is_a_usage_error() {
             .expect("mqa-xtask runs")
     };
 
-    let default = lint(&[]);
+    let default = conc(&[]);
     assert_eq!(default.status.code(), Some(0), "{default:?}");
 
     let typo = root.join("typo.toml");
-    let explicit = lint(&["--baseline", typo.to_str().unwrap()]);
+    let explicit = conc(&["--baseline", typo.to_str().unwrap()]);
     assert_eq!(explicit.status.code(), Some(2), "{explicit:?}");
     let stderr = String::from_utf8_lossy(&explicit.stderr);
     assert!(stderr.contains("typo.toml"), "{stderr}");

@@ -6,9 +6,8 @@
 //! nesting two locks, in either order, flips the gate red and that the
 //! waiver baseline machinery carries over.
 
-use mqa_xtask::baseline::Baseline;
+use mqa_xtask::baseline::{Baseline, Rule};
 use mqa_xtask::conc;
-use mqa_xtask::lint::Rule;
 use mqa_xtask::workspace::{self, Workspace};
 
 fn fixture() -> conc::Analysis {
@@ -143,7 +142,8 @@ impl Queue {{
 
 /// End-to-end `conc::run` over a throwaway tree: the tree that takes its
 /// locks one at a time passes, nesting them in either order flips the
-/// gate red, and the waiver/stale-waiver machinery behaves like lint's.
+/// gate red, and the waiver/stale-waiver machinery behaves like every
+/// static gate's.
 #[test]
 fn nested_lock_mutation_flips_the_gate_red() {
     let root = std::env::temp_dir().join(format!("mqa-xtask-conc-fixture-{}", std::process::id()));
@@ -151,7 +151,7 @@ fn nested_lock_mutation_flips_the_gate_red() {
     std::fs::create_dir_all(&src_dir).unwrap();
 
     std::fs::write(src_dir.join("queue_like.rs"), QUEUE_LIKE_OK).unwrap();
-    let outcome = conc::run(&workspace::load(&root).unwrap(), &Baseline::empty());
+    let outcome = conc::run(&workspace::load(&root).unwrap(), &Baseline::default());
     assert!(
         outcome.is_clean(),
         "clean tree flagged: {:?}",
@@ -164,7 +164,7 @@ fn nested_lock_mutation_flips_the_gate_red() {
     for (first, second) in [("state", "stats"), ("stats", "state")] {
         let mutated = queue_like_nested(first, second);
         std::fs::write(src_dir.join("queue_like.rs"), mutated).unwrap();
-        let outcome = conc::run(&workspace::load(&root).unwrap(), &Baseline::empty());
+        let outcome = conc::run(&workspace::load(&root).unwrap(), &Baseline::default());
         assert!(
             !outcome.is_clean(),
             "{first} -> {second} must fail the gate"
@@ -205,7 +205,7 @@ reason = "fixture exercise"
 #[test]
 fn workspace_is_clean_with_zero_waivers() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let outcome = conc::run(&workspace::load(&root).unwrap(), &Baseline::empty());
+    let outcome = conc::run(&workspace::load(&root).unwrap(), &Baseline::default());
     assert!(
         outcome.findings.is_empty(),
         "workspace conc findings: {:#?}",

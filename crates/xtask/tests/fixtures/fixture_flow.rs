@@ -1,4 +1,4 @@
-//! Fixture: arithmetic-safety lints (`no-index-panic`, `no-lossy-cast`,
+//! Fixture: flow's per-file rules (`no-index-panic`, `no-lossy-cast`,
 //! `no-raw-div`). One violation of each rule at a pinned line; everything
 //! else is a decoy that must NOT fire (INVARIANT-discharged indexing,
 //! literal divisors, float division, widening casts, `#[cfg(test)]`).

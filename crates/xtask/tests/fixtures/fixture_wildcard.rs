@@ -1,4 +1,4 @@
-//! Lint fixture: one wildcard arm on an error match, on line 13.
+//! Fixture: one wildcard arm on an error match (`flow`), on line 13.
 
 pub fn plain_match_ok(n: u32) -> &'static str {
     match n {

@@ -1,15 +1,16 @@
-//! Mutation tests for the panic-freedom flow gate.
+//! Fixture and mutation tests for the panic-freedom flow gate.
 //!
 //! The unit tests in `flow.rs` cover the scanner and resolver on toy
-//! sources; these tests prove the gate works on the *real* workspace:
-//! reintroducing a reachable `unwrap` flips the analysis red, while the
-//! same mutation in unreachable (dead) code stays green. Together they
-//! pin both directions — the gate catches regressions on the serving
-//! path and does not cry wolf off it.
+//! sources. The fixtures under `tests/fixtures/` seed the per-file rules
+//! at pinned lines beside decoys that must not fire, and a throwaway tree
+//! takes the gate through its baseline. The mutation tests prove the gate
+//! works on the *real* workspace: reintroducing a reachable `unwrap`
+//! flips the analysis red, while the same mutation in unreachable (dead)
+//! code stays green. Together they pin both directions — the gate catches
+//! regressions on the serving path and does not cry wolf off it.
 
-use mqa_xtask::baseline::Baseline;
+use mqa_xtask::baseline::{Baseline, Finding, Rule};
 use mqa_xtask::flow;
-use mqa_xtask::lint::Finding;
 use mqa_xtask::workspace::{self, Workspace};
 
 fn repo_root() -> std::path::PathBuf {
@@ -25,6 +26,101 @@ fn repo_root() -> std::path::PathBuf {
 fn workspace_sources() -> Vec<(String, String)> {
     let ws = workspace::load(&repo_root()).expect("workspace sources load");
     ws.files.into_iter().map(|f| (f.rel, f.source)).collect()
+}
+
+/// `(line, rule)` of every finding `flow` reports for one file at `rel`.
+fn file_findings(rel: &str, source: &str) -> Vec<(usize, Rule)> {
+    flow::analyze(&Workspace::from_sources(&[(rel, source)]))
+        .findings
+        .into_iter()
+        .map(|f| (f.line, f.rule))
+        .collect()
+}
+
+#[test]
+fn flow_fixture_fires_each_arith_rule_at_pinned_lines() {
+    let src = include_str!("fixtures/fixture_flow.rs");
+    assert_eq!(
+        file_findings("crates/graph/src/fixture_flow.rs", src),
+        vec![
+            (7, Rule::NoIndexPanic),
+            (16, Rule::NoLossyCast),
+            (28, Rule::NoRawDiv),
+        ]
+    );
+    // Off the serving crates, in the cast helpers and in binaries none
+    // of them fire.
+    for rel in [
+        "crates/kb/src/fixture_flow.rs",
+        "crates/vector/src/cast.rs",
+        "crates/graph/src/bin/fixture_flow.rs",
+    ] {
+        assert_eq!(file_findings(rel, src), vec![], "{rel}");
+    }
+}
+
+#[test]
+fn wildcard_fixture_fires_only_on_error_matches() {
+    let src = include_str!("fixtures/fixture_wildcard.rs");
+    assert_eq!(
+        file_findings("crates/kb/src/fixture_wildcard.rs", src),
+        vec![(13, Rule::WildcardErrorMatch)]
+    );
+}
+
+/// End-to-end `flow::run` over a throwaway tree: an unwaived finding
+/// fails the gate with the right path, line and rendering, a matching
+/// waiver suppresses it, and a stale waiver fails the gate again.
+#[test]
+fn run_applies_baseline_and_flags_stale_waivers() {
+    let root = std::env::temp_dir().join(format!("mqa-xtask-flow-fixture-{}", std::process::id()));
+    let src_dir = root.join("src");
+    std::fs::create_dir_all(&src_dir).unwrap();
+    std::fs::write(
+        src_dir.join("bad.rs"),
+        include_str!("fixtures/fixture_wildcard.rs"),
+    )
+    .unwrap();
+    let run = |baseline: &str| {
+        let baseline = Baseline::parse(baseline).unwrap();
+        flow::run(&workspace::load(&root).unwrap(), &baseline)
+    };
+
+    let outcome = run("");
+    assert_eq!(outcome.files_scanned, 1);
+    assert!(!outcome.is_clean());
+    assert_eq!(outcome.findings.len(), 1);
+    assert_eq!(
+        outcome.findings[0].to_string(),
+        "src/bad.rs:13: [wildcard-error-match] _ => 0,"
+    );
+
+    let waiver = r#"
+[[waiver]]
+file = "src/bad.rs"
+rule = "wildcard-error-match"
+reason = "fixture exercise"
+"#;
+    let outcome = run(waiver);
+    assert!(outcome.is_clean());
+    assert_eq!(outcome.findings.len(), 0);
+    assert_eq!(outcome.waived.len(), 1);
+
+    let stale = format!(
+        "{waiver}{}",
+        r#"
+[[waiver]]
+file = "src/gone.rs"
+rule = "no-raw-div"
+reason = "matches nothing"
+"#
+    );
+    let outcome = run(&stale);
+    assert!(!outcome.is_clean());
+    assert_eq!(outcome.unused_waivers.len(), 1);
+    assert!(outcome.unused_waivers[0].contains("src/gone.rs"));
+
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// The checked-in tree must be clean under the checked-in baseline —

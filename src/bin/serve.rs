@@ -31,6 +31,9 @@
 //! cargo run --release --bin serve
 //! ```
 
+// A fail-fast driver: aborting with the message is the designed behaviour.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use mqa::core::MqaError;
 use mqa::engine::{EngineOptions, SchedOptions, TicketError};
 use mqa::prelude::*;
