@@ -45,8 +45,12 @@ cargo run -q --offline -p mqa-xtask -- alloc
 
 echo "==> cargo doc (intra-doc links)"
 # A doc link to a renamed or deleted item fails here instead of rotting
-# into plain text.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace --offline
+# into plain text, and so does a public doc linking a private item (the
+# rendered page shows it as dead text). mqa-benchmark is held to broken
+# links only: its `engine_probes` doc still links the private `BURST`.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --no-deps --workspace --exclude mqa-benchmark --offline
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps -p mqa-benchmark --offline
 
 echo "==> mqa-xtask trace (per-query tracing gate)"
 cargo run -q --release --offline -p mqa-xtask -- trace --out results/trace

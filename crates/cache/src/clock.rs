@@ -11,7 +11,7 @@
 //! presence probe ([`ProbeCore::touch`]) whose keys recur less often than
 //! the cache turns over — a scan wider than the capacity, repeated —
 //! would evict every entry just before its next use, so the probe also
-//! keeps a frequency sketch ([`Frequency`]) and a newcomer takes the
+//! keeps a frequency sketch (`Frequency`) and a newcomer takes the
 //! swept victim's slot only when it has been asked for more often
 //! (TinyLFU's admission rule in front of Clock's replacement). Only the
 //! probe side ([`ProbeCore`]) carries the sketch: a value cache's caller

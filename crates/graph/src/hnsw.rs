@@ -15,7 +15,7 @@
 //! ordered: the entries it *kept* ascending, then the *fillers* it
 //! back-filled ascending, and the list records both counts
 //! ([`Adjacency::clean_len`], [`Adjacency::filler_len`]). When a reverse
-//! edge meets a full list, the re-prune ([`Reprune::add_edge`]) runs over
+//! edge meets a full list, the re-prune (`Reprune::add_edge`) runs over
 //! the list plus the new edge before the list grows. It ranks the edge
 //! against the recorded runs at their stored distances and trusts the
 //! records: two kept entries are known not to dominate each other, and a
@@ -240,7 +240,7 @@ impl Hnsw {
     }
 
     /// Rewires every layer around the dead vertices of `tomb` through
-    /// [`Tombstones::rewire`], re-pruning with the construction heuristic
+    /// `Tombstones::rewire`, re-pruning with the construction heuristic
     /// at the layer's cap; the entry is the one dead vertex that keeps
     /// (live-spliced) out-edges, so it can continue to seed searches. Then
     /// the pipeline's repair step re-attaches every live vertex the base

@@ -44,11 +44,14 @@ pub fn exact_knn(store: &VectorStore, k: usize) -> Adjacency {
     let lists = parallel_map(n, |v| {
         let mut top = TopK::new(k.min(n.saturating_sub(1)).max(1));
         let qv = store.get(v);
-        for (u, uv) in store.iter() {
-            if u == v {
-                continue;
+        let mut u: VecId = 0;
+        for block in store.blocks() {
+            for uv in block.chunks_exact(store.dim()) {
+                if u != v {
+                    top.offer(Candidate::new(u, ops::l2_sq(qv, uv)));
+                }
+                u += 1;
             }
-            top.offer(Candidate::new(u, ops::l2_sq(qv, uv)));
         }
         top.into_sorted()
     });

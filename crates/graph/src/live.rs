@@ -196,7 +196,7 @@ impl Tombstones {
     /// one routine every mutated index is read through. `walk(k, ef)` runs
     /// the index's own search (dead vertices keep routing; nothing is
     /// filtered mid-traversal); it is asked for the whole
-    /// [beam](Self::live_beam) and the dead entries are dropped from what
+    /// beam (`live_beam`) and the dead entries are dropped from what
     /// it returns. Should fewer than `min(k, live)` live results survive —
     /// a dense pocket of dead around the query — the walk runs again with
     /// the beam doubled, up to the population, so `k` live results come
@@ -256,6 +256,7 @@ impl Tombstones {
             }
             let mut seen = std::collections::HashSet::new();
             let mut pool = Vec::new();
+            let row = store.get(v);
             for c in old.edges_of(v) {
                 if !self.is_dead(c.id) {
                     if c.id != v && seen.insert(c.id) {
@@ -265,7 +266,7 @@ impl Tombstones {
                 }
                 for &w in old.neighbors(c.id) {
                     if w != v && !self.is_dead(w) && seen.insert(w) {
-                        pool.push(Candidate::new(w, crate::prune::distance(store, v, w)));
+                        pool.push(Candidate::new(w, crate::prune::distance(store, w, row)));
                     }
                 }
             }

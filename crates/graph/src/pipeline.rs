@@ -252,7 +252,7 @@ impl NavGraph {
     }
 
     /// Rewires the graph around the dead vertices of `tomb` through
-    /// [`Tombstones::rewire`], re-pruning with the graph's own rule (so the
+    /// `Tombstones::rewire`, re-pruning with the graph's own rule (so the
     /// degree bound holds); dead entries keep live-spliced out-edges so
     /// they can continue to seed searches. Then the build's repair step
     /// re-attaches every live vertex the rewiring left unreachable from the

@@ -21,7 +21,7 @@
 //! is due. Every routine returns its picks with their distances from the
 //! vertex, which [`crate::Adjacency`] stores beside the edges, so a list
 //! re-pruned later is ranked without evaluating a distance.
-//! [`Reprune::add_edge`] is construction's one way to add a reverse edge
+//! `Reprune::add_edge` is construction's one way to add a reverse edge
 //! under a degree cap: a full list is re-pruned together with the new
 //! edge, so it never grows past the cap.
 
@@ -39,11 +39,13 @@ thread_local! {
     static REPRUNES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The one distance call site of selection and ranking (counted).
+/// The one distance call site of selection and ranking (counted): vertex
+/// `a` against `row`, a vertex's row the caller loads once for a loop that
+/// measures that vertex against many.
 #[inline]
-pub(crate) fn distance(store: &VectorStore, a: VecId, b: VecId) -> f32 {
+pub(crate) fn distance(store: &VectorStore, a: VecId, row: &[f32]) -> f32 {
     DISTANCE_CALLS.with(|c| c.set(c.get() + 1));
-    ops::l2_sq(store.get(a), store.get(b))
+    ops::l2_sq(store.get(a), row)
 }
 
 /// Adds one construction step's work to the construction counters:
@@ -110,7 +112,8 @@ impl Rule {
     /// [`Rule::Hnsw`] in selection order, which costs that strict rule
     /// fewer tests. The first dominator ends the test.
     fn any_dominates(self, store: &VectorStore, picks: &[Candidate], q: Candidate) -> bool {
-        let test = |p: &Candidate| self.dominates(distance(store, p.id, q.id), q.dist);
+        let row = store.get(q.id);
+        let test = |p: &Candidate| self.dominates(distance(store, p.id, row), q.dist);
         match self {
             Rule::Alpha(_) => picks.iter().rev().any(test),
             Rule::Hnsw => picks.iter().any(test),
@@ -488,7 +491,7 @@ mod tests {
         list: &'a [VecId],
     ) -> impl Iterator<Item = Candidate> + 'a {
         list.iter()
-            .map(move |&w| Candidate::new(w, distance(store, v, w)))
+            .map(move |&w| Candidate::new(w, distance(store, w, store.get(v))))
     }
 
     /// The prune from scratch under `rule` to `r` — [`hnsw_heuristic`] or
@@ -652,7 +655,7 @@ mod tests {
                 break;
             }
             for (j, q) in candidates.iter().enumerate().skip(i + 1) {
-                if alive[j] && alpha * distance(store, p.id, q.id) <= q.dist {
+                if alive[j] && alpha * distance(store, p.id, store.get(q.id)) <= q.dist {
                     alive[j] = false;
                 }
             }
@@ -680,7 +683,7 @@ mod tests {
             }
             if !selected
                 .iter()
-                .any(|p| alpha * distance(store, p.id, q.id) <= q.dist)
+                .any(|p| alpha * distance(store, p.id, store.get(q.id)) <= q.dist)
             {
                 selected.push(q);
             }

@@ -29,6 +29,9 @@
 //! [`UnifiedIndex::add_objects`] / [`UnifiedIndex::remove_objects`] edit
 //! the draft through `Arc::make_mut`, and the draft is published
 //! atomically, so a part a mutation does not change is shared, not copied.
+//! The two row parts clone by sharing their segments
+//! ([`mqa_vector::VectorStore`]), so an insert copies the rows it adds and
+//! at most one tail segment of each, not the rows the index holds.
 //! Deletes are tombstones filtered at result-collection time — dead
 //! vertices keep routing until the pending dead fraction crosses the
 //! compaction threshold, when the graph is rewired around them (see
@@ -316,7 +319,8 @@ impl UnifiedIndex {
 
     /// The generation protocol, owned here and nowhere else: writer lock,
     /// draft of the current generation, `edit` (a part it takes through
-    /// `Arc::make_mut` is copied once, a part it leaves alone stays shared),
+    /// `Arc::make_mut` is cloned once — a row part by sharing its segments —
+    /// and a part it leaves alone stays shared),
     /// publish, instruments. `edit` returns `(applied, compacted)`.
     fn publish_next(
         &self,
@@ -369,20 +373,14 @@ impl UnifiedIndex {
         }
         let inserts = mqa_obs::counter("graph.mutate.inserts");
         Ok(self.publish_next(inserts, |draft| {
-            // The held rows are copied by hand at their final capacity (a
-            // `make_mut` clone is full; its first push doubles it) and before the
-            // store is cloned: the order that fragments the heap least (§15).
-            let rows = draft.store.len() + objects.len();
-            let mut weighted = mqa_vector::VectorStore::with_capacity(draft.weighted.dim(), rows);
-            weighted.extend_from_store(&draft.weighted);
+            // Both row parts clone by sharing their segments; a push copies
+            // only the tail segment the published generation still holds.
             let store = Arc::make_mut(&mut draft.store);
+            let weighted = Arc::make_mut(&mut draft.weighted);
             for object in objects {
                 let id = store.push(object);
-                weighted.push(store.concat_of(id));
-                self.weights
-                    .scale_concat(store.schema(), weighted.get_mut(id));
+                store.push_weighted(id, &self.weights, weighted);
             }
-            draft.weighted = Arc::new(weighted);
             draft.tombstones.grow(store.len());
             Arc::make_mut(&mut draft.searcher).grow_to(&draft.weighted, &draft.tombstones);
             (objects.len(), false)
@@ -1117,6 +1115,45 @@ mod tests {
         }
     }
 
+    /// Per segment of `b`, whether it is `a`'s segment at that position
+    /// (the same allocation).
+    fn segments_shared(a: &VectorStore, b: &VectorStore) -> Vec<bool> {
+        let pairs = a.segments().iter().zip(b.segments());
+        pairs.map(|(x, y)| Arc::ptr_eq(x, y)).collect()
+    }
+
+    /// Both row parts of a generation share their segments with the one
+    /// before it: a delete shares each part whole, and an insert copies only
+    /// the tail segment it appends to.
+    #[test]
+    fn an_insert_copies_one_tail_segment_of_each_row_part() {
+        use mqa_vector::store::SEGMENT_ROWS;
+        let n = 2 * SEGMENT_ROWS + 88;
+        let idx = build_small(n, 25, &IndexAlgorithm::Flat);
+        let g0 = idx.current();
+        assert_eq!(g0.store().rows().segments().len(), 3);
+        assert_eq!(g0.weighted.segments().len(), 3);
+        idx.remove_objects(&[1, 2]).unwrap();
+        let g1 = idx.current();
+        assert!(Arc::ptr_eq(&g0.store, &g1.store) && Arc::ptr_eq(&g0.weighted, &g1.weighted));
+        let mut rng = StdRng::seed_from_u64(26);
+        let batch: Vec<MultiVector> = (0..10)
+            .map(|_| random_object(g1.store().schema(), &mut rng))
+            .collect();
+        idx.add_objects(&batch).unwrap();
+        let g2 = idx.current();
+        let tail_only = [true, true, false];
+        let rows = segments_shared(g1.store().rows(), g2.store().rows());
+        assert_eq!(rows, tail_only, "object rows");
+        assert_eq!(
+            segments_shared(&g1.weighted, &g2.weighted),
+            tail_only,
+            "weighted rows"
+        );
+        assert_eq!(g2.store().len(), n + 10);
+        assert!(g2.validate(idx.weights()).is_empty());
+    }
+
     /// A search's walk counters and its scanner's counters describe the
     /// same evaluations: every completed one (HNSW's upper-layer routing
     /// included) is a `SearchStats::evals`, every abandoned one a
@@ -1273,8 +1310,10 @@ mod tests {
                 let violations = snap.validate(idx.weights());
                 assert!(violations.is_empty(), "{context}: {violations:?}");
                 let full = snap.store().weighted_store(idx.weights());
-                let bits =
-                    |s: &VectorStore| s.raw().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let bits = |s: &VectorStore| {
+                    let rows = s.blocks().flatten();
+                    rows.map(|x| x.to_bits()).collect::<Vec<_>>()
+                };
                 assert_eq!(bits(&snap.weighted), bits(&full), "{context}");
                 let assembled = idx.snapshot().restore().expect("sound snapshot");
                 for q in &queries {

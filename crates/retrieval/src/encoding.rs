@@ -294,6 +294,30 @@ mod tests {
     }
 
     #[test]
+    fn with_records_shares_the_source_rows() {
+        let kb = DatasetSpec::weather()
+            .objects(300)
+            .concepts(5)
+            .seed(3)
+            .generate();
+        let registry = EncoderRegistry::new(7);
+        let encoders = EncoderSet::default_for(&registry, &kb.schema().clone(), 8);
+        let c = EncodedCorpus::encode(kb, encoders);
+        let shared = |grown: &EncodedCorpus| -> Vec<bool> {
+            let (a, b) = (c.store().rows().segments(), grown.store().rows().segments());
+            a.iter().zip(b).map(|(x, y)| Arc::ptr_eq(x, y)).collect()
+        };
+        // 300 rows: one full segment and a tail; a new record copies the
+        // tail only.
+        let record = c.kb().get(4).clone();
+        let grown = c.with_records(std::slice::from_ref(&record)).unwrap();
+        assert_eq!(shared(&grown), [true, false]);
+        assert_eq!(grown.store().concat_of(300), c.store().concat_of(4));
+        // No new record, no copy.
+        assert_eq!(shared(&c.with_records(&[]).unwrap()), [true, true]);
+    }
+
+    #[test]
     #[should_panic(expected = "cannot embed field")]
     fn incompatible_choice_panics() {
         let registry = EncoderRegistry::new(1);

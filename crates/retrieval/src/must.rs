@@ -163,6 +163,17 @@ mod tests {
     }
 
     #[test]
+    fn the_index_shares_the_corpus_rows() {
+        let (c, f) = framework();
+        let (corpus, index) = (c.store().rows(), f.index().store());
+        let index = index.rows();
+        assert_eq!(corpus.segments().len(), index.segments().len());
+        for (a, b) in corpus.segments().iter().zip(index.segments()) {
+            assert!(Arc::ptr_eq(a, b));
+        }
+    }
+
+    #[test]
     fn text_query_finds_concept_members() {
         let (c, f) = framework();
         let gt = GroundTruth::build(c.kb());

@@ -20,7 +20,8 @@
 //!   per-modality [`Weights`].
 //! * [`scan`] — [`FusedScanner`]: fused weighted distance with early
 //!   abandonment and computation counters.
-//! * [`store`] — contiguous [`VectorStore`] / [`MultiVectorStore`].
+//! * [`store`] — segmented, copy-on-write [`VectorStore`] /
+//!   [`MultiVectorStore`].
 //! * [`topk`] — bounded top-k collector and the [`Candidate`] ordering used
 //!   by every search routine in the workspace.
 //! * [`cast`] — checked narrowing conversions (the one file exempt from

@@ -1,8 +1,12 @@
-//! Contiguous vector storage.
+//! Segmented, copy-on-write vector storage.
 //!
-//! [`VectorStore`] keeps fixed-dimension vectors in one flat `Vec<f32>`
-//! buffer: dense ids, cache-friendly scans, trivial serialization. It is the
-//! backing store of every graph index in `mqa-graph`.
+//! [`VectorStore`] keeps fixed-dimension vectors in fixed segments of
+//! [`SEGMENT_ROWS`] rows, each one shared `Arc<[f32]>`: dense ids, rows
+//! contiguous within a segment, and a clone that shares every segment. A
+//! generation that appends to a clone copies only the tail segment it
+//! writes into, and only while another generation still holds it, so an
+//! insert costs the rows it adds plus at most one segment — not the
+//! store. It is the backing store of every graph index in `mqa-graph`.
 //!
 //! [`MultiVectorStore`] layers the multi-modal schema on top: each object's
 //! modalities are stored *concatenated* (the unified-index layout of the
@@ -12,13 +16,26 @@
 use crate::multivec::{MultiVector, Schema};
 use crate::{Dim, VecId};
 use serde::{Deserialize, Serialize, Value};
+use std::sync::Arc;
 
-/// A growable collection of fixed-dimension `f32` vectors in contiguous
-/// memory. Ids are dense and assigned in insertion order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Rows per segment of a [`VectorStore`] (a power of two, so a row's
+/// segment and slot are a shift and a mask).
+pub const SEGMENT_ROWS: usize = 1 << SEGMENT_SHIFT;
+const SEGMENT_SHIFT: u32 = 8;
+
+/// A growable collection of fixed-dimension `f32` vectors. Ids are dense
+/// and assigned in insertion order.
+///
+/// Rows live in segments: every segment but the last holds exactly
+/// [`SEGMENT_ROWS`] rows; the last holds the rest, in a buffer that grows
+/// by doubling up to [`SEGMENT_ROWS`] rows and is zero past them. A clone
+/// shares every segment; a write copies the one segment it lands in when
+/// another clone still holds it.
+#[derive(Clone)]
 pub struct VectorStore {
     dim: Dim,
-    data: Vec<f32>,
+    len: usize,
+    segments: Vec<Arc<[f32]>>,
 }
 
 impl VectorStore {
@@ -27,19 +44,25 @@ impl VectorStore {
     /// # Panics
     /// Panics if `dim == 0`.
     pub fn new(dim: Dim) -> Self {
-        assert!(dim > 0, "vector store requires non-zero dimension");
-        Self {
-            dim,
-            data: Vec::new(),
-        }
+        Self::with_capacity(dim, 0)
     }
 
-    /// Creates an empty store with capacity for `n` vectors.
+    /// Creates an empty store sized for `n` vectors: the segment table for
+    /// all of them, and the first segment for up to [`SEGMENT_ROWS`] of
+    /// them.
+    ///
+    /// # Panics
+    /// Panics if `dim == 0`.
     pub fn with_capacity(dim: Dim, n: usize) -> Self {
         assert!(dim > 0, "vector store requires non-zero dimension");
+        let mut segments = Vec::with_capacity(n.div_ceil(SEGMENT_ROWS));
+        if n > 0 {
+            segments.push(zeroed(n.min(SEGMENT_ROWS) * dim));
+        }
         Self {
             dim,
-            data: Vec::with_capacity(dim * n),
+            len: 0,
+            segments,
         }
     }
 
@@ -50,79 +73,181 @@ impl VectorStore {
 
     /// Number of stored vectors.
     pub fn len(&self) -> usize {
-        // INVARIANT: dim >= 1 is enforced at construction.
-        self.data.len() / self.dim
+        self.len
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
-    /// Appends a vector, returning its id.
+    /// Appends a vector, returning its id. Copies the tail segment first
+    /// when another clone still holds it (or, below [`SEGMENT_ROWS`] rows,
+    /// into a buffer twice its size when it is full); starts a new segment
+    /// after [`SEGMENT_ROWS`] rows.
     ///
     /// # Panics
     /// Panics if `v.len() != dim`, or if the store would exceed `u32::MAX`
     /// vectors.
     pub fn push(&mut self, v: &[f32]) -> VecId {
         assert_eq!(v.len(), self.dim, "push: dimension mismatch");
-        let id = self.len();
+        let id = self.len;
         assert!(id <= u32::MAX as usize, "vector store overflow");
-        self.data.extend_from_slice(v);
+        let (seg, dim) = (id >> SEGMENT_SHIFT, self.dim);
+        if seg == self.segments.len() {
+            // The first segment grows from one row; later ones start full.
+            let rows = if seg == 0 { 1 } else { SEGMENT_ROWS };
+            // ALLOC: a new segment, once per SEGMENT_ROWS rows pushed.
+            self.segments.push(zeroed(rows * dim));
+        }
+        let end = ((id & (SEGMENT_ROWS - 1)) + 1) * dim;
+        // INVARIANT: segment `seg` holds the rows before `id` or was pushed
+        // above.
+        let tail = &mut self.segments[seg];
+        if end > tail.len() {
+            let grown = (2 * tail.len()).min(SEGMENT_ROWS * dim);
+            let zeros = std::iter::repeat_n(0.0, grown - tail.len());
+            // ALLOC: a part-filled first segment doubles, at most
+            // log2(SEGMENT_ROWS) times.
+            *tail = tail.iter().copied().chain(zeros).collect();
+        }
+        // ALLOC: copy-on-write of a tail segment another clone still holds.
+        // INVARIANT: the tail was sized above to hold row `id`.
+        Arc::make_mut(tail)[end - dim..end].copy_from_slice(v);
+        self.len += 1;
         id as VecId
     }
 
-    /// Appends every vector of `other`, in id order — one copy of its flat
-    /// buffer.
+    /// Borrow of vector `id`: one segment-table load and a slice.
     ///
     /// # Panics
-    /// Panics if the dimensions differ, or if the store would exceed
-    /// `u32::MAX` vectors.
-    pub fn extend_from_store(&mut self, other: &VectorStore) {
-        assert_eq!(other.dim, self.dim, "extend: dimension mismatch");
-        assert!(
-            self.len() + other.len() <= u32::MAX as usize + 1,
-            "vector store overflow"
-        );
-        self.data.extend_from_slice(&other.data);
-    }
-
-    /// Borrow of vector `id`.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
+    /// Panics if `id >= len()`.
     #[inline]
     pub fn get(&self, id: VecId) -> &[f32] {
-        let start = id as usize * self.dim;
-        // INVARIANT: ids are handed out by push (id < len()) and data.len()
-        // is an exact multiple of dim.
-        &self.data[start..start + self.dim]
+        let (seg, start) = self.locate(id);
+        // INVARIANT: for id < len, `locate` names a segment that holds the
+        // row; for any other id, no segment (a designed out-of-range panic).
+        &self.segments[seg][start..start + self.dim]
     }
 
-    /// Mutable borrow of vector `id`.
+    /// Mutable borrow of vector `id`; copies its segment first when another
+    /// clone still holds it.
+    ///
+    /// # Panics
+    /// Panics if `id >= len()`.
     pub fn get_mut(&mut self, id: VecId) -> &mut [f32] {
-        let start = id as usize * self.dim;
-        // INVARIANT: ids are handed out by push (id < len()) and
-        // data.len() is an exact multiple of dim.
-        &mut self.data[start..start + self.dim]
+        let (seg, start) = self.locate(id);
+        // ALLOC: copy-on-write of a segment another clone still holds.
+        // INVARIANT: for id < len, `locate` names a segment that holds the
+        // row; for any other id, no segment (a designed out-of-range panic).
+        &mut Arc::make_mut(&mut self.segments[seg])[start..start + self.dim]
+    }
+
+    /// The segment of row `id` and the row's offset in it. An id past
+    /// `len()` maps to the segment one past the table, so the caller's
+    /// table load panics on it: the tail segment's buffer extends past
+    /// `len()`, and the row slice alone would not.
+    #[inline]
+    fn locate(&self, id: VecId) -> (usize, usize) {
+        let i = id as usize;
+        let seg = if i < self.len {
+            i >> SEGMENT_SHIFT
+        } else {
+            self.segments.len()
+        };
+        (seg, (i & (SEGMENT_ROWS - 1)) * self.dim)
+    }
+
+    /// The stored rows as contiguous runs in id order, one per segment:
+    /// [`SEGMENT_ROWS`] rows each, the last holding the rest.
+    pub fn blocks(&self) -> impl Iterator<Item = &[f32]> {
+        let mut left = self.len * self.dim;
+        self.segments.iter().map(move |seg| {
+            let take = left.min(seg.len());
+            left -= take;
+            // INVARIANT: take <= seg.len().
+            &seg[..take]
+        })
     }
 
     /// Iterator over `(id, vector)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (VecId, &[f32])> {
-        self.data
-            .chunks_exact(self.dim)
+        self.blocks()
+            .flat_map(|block| block.chunks_exact(self.dim))
             .enumerate()
             .map(|(i, v)| (i as VecId, v))
     }
 
-    /// Raw flat buffer (length `len() * dim()`).
-    pub fn raw(&self) -> &[f32] {
-        &self.data
+    /// The segments themselves, in id order (the last one's buffer may
+    /// extend past the stored rows). Two stores that share a segment hold
+    /// the same allocation: `Arc::ptr_eq` tells what a clone still shares.
+    pub fn segments(&self) -> &[Arc<[f32]>] {
+        &self.segments
     }
 
-    /// Approximate resident size in bytes.
+    /// Resident size of the stored rows in bytes.
     pub fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
+        self.len * self.dim * std::mem::size_of::<f32>()
+    }
+}
+
+/// A buffer of `n` zeros behind one allocation.
+fn zeroed(n: usize) -> Arc<[f32]> {
+    // ALLOC: a new segment; its callers own how often one is made.
+    std::iter::repeat_n(0.0, n).collect()
+}
+
+/// Equal when the dimensions and the stored rows are (however the rows
+/// are segmented and whatever the tail buffer holds past them).
+impl PartialEq for VectorStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim
+            && self.len == other.len
+            && self.blocks().flatten().eq(other.blocks().flatten())
+    }
+}
+
+impl std::fmt::Debug for VectorStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("VectorStore")
+            .field("dim", &self.dim)
+            .field("len", &self.len)
+            .field("segments", &self.segments.len())
+            .finish()
+    }
+}
+
+/// The JSON form is the flat one, `{"dim", "data"}`, whatever the
+/// segmentation: every row in id order, `dim` floats each.
+impl Serialize for VectorStore {
+    fn to_value(&self) -> Value {
+        let data = self.blocks().flatten().map(Serialize::to_value).collect();
+        Value::Object(vec![
+            ("dim".to_string(), self.dim.to_value()),
+            ("data".to_string(), Value::Array(data)),
+        ])
+    }
+}
+
+/// Reading the flat form refuses a zero dimension and a buffer that is
+/// not a whole number of rows.
+impl Deserialize for VectorStore {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let entries = value.as_object_for("VectorStore")?;
+        let dim: Dim = serde::field(entries, "dim")?;
+        let data: Vec<f32> = serde::field(entries, "data")?;
+        if data.len().checked_rem(dim) != Some(0) {
+            return Err(serde::Error::new(format!(
+                "{} floats are not whole rows of dimension {dim}",
+                data.len()
+            )));
+        }
+        let rows = data.chunks_exact(dim);
+        let mut store = Self::with_capacity(dim, rows.len());
+        for row in rows {
+            store.push(row);
+        }
+        Ok(store)
     }
 }
 
@@ -175,6 +300,12 @@ impl MultiVectorStore {
         self.present
             .extend((0..mv.arity()).map(|m| mv.part(m).is_some()));
         self.concat.push(&flat)
+    }
+
+    /// The concatenated rows, one per object in id order (what
+    /// [`MultiVectorStore::concat_of`] reads).
+    pub fn rows(&self) -> &VectorStore {
+        &self.concat
     }
 
     /// The concatenated vector of object `id` (missing modalities are zero
@@ -232,12 +363,24 @@ impl MultiVectorStore {
     /// (see [`crate::multivec::Weights::scale_concat`]).
     pub fn weighted_store(&self, weights: &crate::multivec::Weights) -> VectorStore {
         let mut out = VectorStore::with_capacity(self.schema.total_dim(), self.len());
-        for id in 0..self.len() {
-            let mut flat = self.concat.get(id as VecId).to_vec();
-            weights.scale_concat(&self.schema, &mut flat);
-            out.push(&flat);
+        for id in 0..crate::cast::vec_id(self.len()) {
+            self.push_weighted(id, weights, &mut out);
         }
         out
+    }
+
+    /// Appends object `id`'s weighted row to `out` — the row
+    /// [`MultiVectorStore::weighted_store`] holds for it — scaled in place
+    /// in `out`. Returns the row's id in `out`.
+    pub fn push_weighted(
+        &self,
+        id: VecId,
+        weights: &crate::multivec::Weights,
+        out: &mut VectorStore,
+    ) -> VecId {
+        let row = out.push(self.concat.get(id));
+        weights.scale_concat(&self.schema, out.get_mut(row));
+        row
     }
 
     /// Approximate resident size in bytes.
@@ -249,7 +392,7 @@ impl MultiVectorStore {
     /// violation found (empty = sound).
     ///
     /// Checked invariants:
-    /// - the flat buffer's dimension equals the schema's total dimension;
+    /// - the rows' dimension equals the schema's total dimension;
     /// - there is exactly one presence flag per object per modality;
     /// - every stored component is finite;
     /// - a modality flagged absent is stored as an all-zero block (the
@@ -296,11 +439,11 @@ impl MultiVectorStore {
 /// [`MultiVectorStore::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreViolation {
-    /// The flat buffer's dimension disagrees with the schema.
+    /// The rows' dimension disagrees with the schema.
     DimensionMismatch {
         /// The schema's total dimension.
         expected: usize,
-        /// The buffer's dimension.
+        /// The rows' dimension.
         got: usize,
     },
     /// Presence-flag count differs from objects × modalities.
@@ -422,16 +565,97 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_store_appends_in_id_order() {
-        let mut a = VectorStore::with_capacity(2, 3);
-        a.push(&[1.0, 2.0]);
-        let mut b = VectorStore::new(2);
-        b.push(&[3.0, 4.0]);
-        b.push(&[5.0, 6.0]);
-        a.extend_from_store(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.get(2), &[5.0, 6.0]);
-        assert_eq!(a.raw(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+    #[should_panic(expected = "index out of bounds")]
+    fn get_past_len_panics_inside_the_tail_buffer() {
+        let mut s = VectorStore::with_capacity(2, 8);
+        s.push(&[1.0, 2.0]);
+        // Row 1 lies inside the tail segment's buffer but was never pushed.
+        s.get(1);
+    }
+
+    /// A store of `n` rows of dimension 2: row `i` is `[i, -i]`.
+    fn ramp(n: usize) -> VectorStore {
+        let mut s = VectorStore::new(2);
+        for i in 0..n {
+            s.push(&[i as f32, -(i as f32)]);
+        }
+        s
+    }
+
+    #[test]
+    fn rows_span_segments_in_id_order() {
+        let s = ramp(2 * SEGMENT_ROWS + 3);
+        assert_eq!(s.segments().len(), 3);
+        assert_eq!(s.get(SEGMENT_ROWS as VecId), &[256.0, -256.0]);
+        let blocks: Vec<usize> = s.blocks().map(<[f32]>::len).collect();
+        assert_eq!(blocks, [2 * SEGMENT_ROWS, 2 * SEGMENT_ROWS, 6]);
+        for (i, row) in s.iter() {
+            assert_eq!(row, &[i as f32, -(i as f32)]);
+        }
+        assert_eq!(s.iter().count(), s.len());
+    }
+
+    #[test]
+    fn a_clone_copies_only_the_tail_it_writes() {
+        let parent = ramp(SEGMENT_ROWS + 10);
+        let mut child = parent.clone();
+        let shared = |a: &VectorStore, b: &VectorStore| -> Vec<bool> {
+            let pairs = a.segments().iter().zip(b.segments());
+            pairs.map(|(x, y)| Arc::ptr_eq(x, y)).collect()
+        };
+        assert_eq!(shared(&parent, &child), [true, true]);
+        child.push(&[7.0, 7.0]);
+        assert_eq!(shared(&parent, &child), [true, false]);
+        // The parent's rows are untouched, and its tail buffer too.
+        assert_eq!(parent.len(), SEGMENT_ROWS + 10);
+        assert_eq!(parent, ramp(SEGMENT_ROWS + 10));
+        assert!(parent.segments()[1][20..].iter().all(|&x| x == 0.0));
+        // A tail the child alone holds is written in place.
+        let tail = Arc::as_ptr(&child.segments()[1]);
+        child.push(&[8.0, 8.0]);
+        assert_eq!(Arc::as_ptr(&child.segments()[1]), tail);
+        // A write into a shared full segment copies that segment alone.
+        let mut edited = child.clone();
+        edited.get_mut(3)[0] = 0.5;
+        assert_eq!(shared(&child, &edited), [false, true]);
+        assert_eq!(child.get(3), &[3.0, -3.0]);
+    }
+
+    #[test]
+    fn the_json_form_is_flat_whatever_the_segments() {
+        let mut s = VectorStore::new(1);
+        s.push(&[0.25]);
+        for _ in 1..SEGMENT_ROWS {
+            s.push(&[0.0]);
+        }
+        s.push(&[1.5]);
+        s.push(&[-2.0]);
+        assert_eq!(s.segments().len(), 2);
+        let j = serde_json::to_string(&s).unwrap();
+        let zeros = "0.0,".repeat(SEGMENT_ROWS - 1);
+        assert_eq!(j, format!(r#"{{"dim":1,"data":[0.25,{zeros}1.5,-2.0]}}"#));
+        let back: VectorStore = serde_json::from_str(&j).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(back.segments().len(), 2);
+        // A ragged buffer or a zero dimension does not load.
+        for forged in [
+            r#"{"dim":2,"data":[1.0,2.0,3.0]}"#,
+            r#"{"dim":0,"data":[]}"#,
+        ] {
+            let err = serde_json::from_str::<VectorStore>(forged).unwrap_err();
+            assert!(err.to_string().contains("not whole rows"), "{err}");
+        }
+    }
+
+    #[test]
+    fn equality_ignores_segmentation_and_spare_capacity() {
+        let mut sized = VectorStore::with_capacity(2, 300);
+        for (_, row) in ramp(5).iter() {
+            sized.push(row);
+        }
+        assert_eq!(sized, ramp(5));
+        assert_ne!(sized, ramp(4));
+        assert_eq!(VectorStore::with_capacity(2, 9), VectorStore::new(2));
     }
 
     #[test]
@@ -560,7 +784,7 @@ mod tests {
             vec![Some(vec![6.0, 7.0]), None],
         ));
 
-        // A NaN smuggled into the flat buffer.
+        // A NaN smuggled into the rows.
         let mut store = sound.clone();
         store.concat.get_mut(0)[1] = f32::NAN;
         assert!(store

@@ -334,16 +334,10 @@ pub const ALLOC_ENTRY_POINTS: [EntryPoint; 11] = [
 ];
 
 /// The allocation-freedom instance of the shared reachability analysis.
-/// Experiment binaries allocate freely; they are not serving code. The
-/// gate tooling itself never links into a serving process, and its
-/// generically named methods (`get`, `push`, `load`, `parse`) otherwise
-/// alias serving-path calls through the name+arity fallback, dragging
-/// phantom chains into the cone.
 const GATE: ConeGate<AllocKind> = ConeGate {
     rule: Rule::ReachableAlloc,
     entry_points: &ALLOC_ENTRY_POINTS,
     discharge: ALLOC,
-    skip_file: |rel| rel.contains("/src/bin/") || rel.starts_with("crates/xtask/"),
     scan: scan_alloc_sites,
     describe: AllocKind::describe,
 };

@@ -29,7 +29,7 @@ const KEYWORDS: [&str; 35] = [
     "where",
 ];
 
-/// Whether `s` is a Rust keyword (see [`KEYWORDS`]).
+/// Whether `s` is a Rust keyword (one of `KEYWORDS`).
 pub fn is_keyword(s: &str) -> bool {
     KEYWORDS.contains(&s)
 }
@@ -684,8 +684,6 @@ pub struct ConeGate<K: 'static> {
     /// Comment keyword that discharges a site in source (see
     /// [`discharge_mask`]).
     pub discharge: &'static str,
-    /// Files (by repo-relative path) left out of the inventory.
-    pub skip_file: fn(&str) -> bool,
     /// The site scanner: non-test tokens + per-line discharge mask.
     pub scan: fn(&[&Tok], &[bool]) -> Vec<Site<K>>,
     /// Short display name of a site kind, for finding excerpts.
@@ -718,14 +716,24 @@ pub struct ConeAnalysis {
     pub stats: ConeStats,
 }
 
-/// Runs `gate` over the workspace: scan every included file into one
-/// inventory, build the cone from the gate's entry points, and report
+/// Whether a file (by repo-relative path) is left out of every cone's
+/// inventory: binaries (experiment programs abort and allocate by design),
+/// and the gate tooling in `crates/xtask`, which never links into a
+/// serving process and whose generically named methods (`get`, `push`,
+/// `name`, `parse`) would otherwise alias serving-path calls through the
+/// name+arity fallback and drag phantom chains into the cone.
+pub fn outside_cone(rel: &str) -> bool {
+    rel.contains("/src/bin/") || rel.starts_with("crates/xtask/")
+}
+
+/// Runs `gate` over the workspace: scan every file [`outside_cone`]
+/// does not exclude into one inventory, build the cone from the gate's entry points, and report
 /// each in-cone site of a reachable function with a sample call chain.
 pub fn analyze_cone<K: Copy>(ws: &Workspace, gate: &ConeGate<K>) -> ConeAnalysis {
     let mut inv: Inventory<K> = Inventory::new(ws.files.iter().map(|f| f.rel.clone()).collect());
     let mut stats = ConeStats::default();
     for (fi, file) in ws.files.iter().enumerate() {
-        if (gate.skip_file)(&file.rel) {
+        if outside_cone(&file.rel) {
             continue;
         }
         let toks = file.code();

@@ -416,12 +416,10 @@ pub const ENTRY_POINTS: [EntryPoint; 11] = [
 ];
 
 /// The panic-freedom instance of the shared reachability analysis.
-/// Experiment binaries abort by design; they are not serving code.
 const GATE: ConeGate<SiteKind> = ConeGate {
     rule: Rule::ReachablePanic,
     entry_points: &ENTRY_POINTS,
     discharge: INVARIANT,
-    skip_file: |rel| rel.contains("/src/bin/"),
     scan: panic_sites,
     describe: SiteKind::describe,
 };
@@ -489,7 +487,7 @@ fn file_findings(file: &SourceFile) -> Vec<Finding> {
     let rel = file.rel.as_str();
     if SERVING_PREFIXES.iter().any(|p| rel.starts_with(p))
         && !rel.ends_with("/cast.rs")
-        && !(GATE.skip_file)(rel)
+        && !callgraph::outside_cone(rel)
     {
         for s in scan_sites(&toks, &discharge_mask(&file.source, INVARIANT)) {
             let rule = match s.kind {
@@ -764,6 +762,47 @@ fn helper() -> Clean { Clean }
 ";
         let a = analyze(&[("x/src/c.rs", src)]);
         assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
+    }
+
+    #[test]
+    fn gate_tooling_stays_out_of_the_cone() {
+        // The untyped `helper().name()` falls back to every one-receiver
+        // `name`: the serving file's and the tooling file's alike, unless
+        // the tooling file is out of the inventory.
+        let serving = "\
+pub struct ResultCache;
+impl ResultCache {
+    pub fn get(&self) -> &'static str {
+        helper().name()
+    }
+}
+struct Clean;
+impl Clean {
+    fn name(&self) -> &'static str { \"clean\" }
+}
+fn helper() -> Clean { Clean }
+";
+        let tooling = "\
+pub struct Rule;
+impl Rule {
+    pub fn name(&self) -> &'static str {
+        [\"rule\"][usize::MAX]
+    }
+}
+";
+        let tool = analyze(&[
+            ("crates/cache/src/c.rs", serving),
+            ("crates/xtask/src/rule.rs", tooling),
+        ]);
+        assert!(tool.findings.is_empty(), "findings: {:?}", tool.findings);
+        // The same function anywhere else is reached, and reported.
+        let lib = analyze(&[
+            ("crates/cache/src/c.rs", serving),
+            ("crates/kb/src/rule.rs", tooling),
+        ]);
+        assert_eq!(lib.findings.len(), 1, "findings: {:?}", lib.findings);
+        assert!(lib.findings[0].excerpt.contains("Rule::name"));
+        assert_eq!(lib.stats.reachable_fns, tool.stats.reachable_fns + 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * the delete volume crosses the compaction threshold at least once
 //!   (so graph rewiring runs under live traffic);
 //! * every `graph.mutate.*` instrument actually recorded;
-//! * under churn ([`churn`]: ten generations of deletes and re-inserts at
+//! * under churn (`churn`: ten generations of deletes and re-inserts at
 //!   constant live size) every generation compacts, a read costs the same
 //!   number of distance evaluations in the tenth generation as in the
 //!   first — dirty or compacted — and a compacted index reads like a

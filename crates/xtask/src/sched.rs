@@ -5,8 +5,8 @@
 //! carries a fixed latency budget, arrivals are paced by wall clock (not by
 //! completions), and nothing slows down when the queue builds — exactly the
 //! overload regime admission control exists for. The engine has one queue,
-//! so the admitted backlog is stated once: [`WATERMARK`] queued jobs plus
-//! the [`WORKERS`] in service. The gate fails unless:
+//! so the admitted backlog is stated once: `WATERMARK` queued jobs plus
+//! the `WORKERS` in service. The gate fails unless:
 //!
 //! * every submission resolves to exactly one *typed* outcome — served,
 //!   `Rejected`, or `Expired`; a `Canceled` against a live engine or an
